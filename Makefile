@@ -67,12 +67,14 @@ bench-quant:
 	$(GO) run ./cmd/picobench -quantjson $(BENCH_QUANT_OUT)
 
 # One-iteration pass over the quant sweep: catches kernel dispatch and
-# epilogue regressions on every kind without a full timing run.
+# epilogue regressions on every kind (including depthwise-s2 and
+# depthwise14) without a full timing run.
 bench-quant-smoke:
 	$(GO) test -run NONE -bench QuantKernelKinds -benchtime=1x .
 
 # One-iteration pass over the float kernel-kind sweep: exercises every
-# float32 vector tile (conv/pointwise/depthwise/pool/gap/fc) through the
+# float32 vector tile (conv/pointwise/pool/gap/fc and the three depthwise
+# shapes: 28x28 stride 1, 112x112 stride 2, 14x14 small planes) through the
 # blocked dispatch without a full timing run. Anchored so the quant sweep
 # does not run twice inside `check`.
 bench-kernel-smoke:

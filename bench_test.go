@@ -559,6 +559,10 @@ func BenchmarkKernelKinds(b *testing.B) {
 			nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
 		{"depthwise", nn.Shape{C: 128, H: 28, W: 28},
 			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Groups: 128, Act: nn.ReLU, BatchNorm: true}},
+		{"depthwise-s2", nn.Shape{C: 64, H: 112, W: 112},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 64, Groups: 64, Act: nn.ReLU, BatchNorm: true}},
+		{"depthwise14", nn.Shape{C: 512, H: 14, W: 14},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 512, Groups: 512, Act: nn.ReLU, BatchNorm: true}},
 		{"pool", nn.Shape{C: 64, H: 28, W: 28},
 			nn.Layer{Name: "p", Kind: nn.MaxPool, KH: 2, KW: 2, SH: 2, SW: 2}},
 		{"fc", nn.Shape{C: 256, H: 4, W: 4},
@@ -616,6 +620,10 @@ func BenchmarkQuantKernelKinds(b *testing.B) {
 			nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
 		{"depthwise", nn.Shape{C: 128, H: 28, W: 28},
 			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Groups: 128, Act: nn.ReLU, BatchNorm: true}},
+		{"depthwise-s2", nn.Shape{C: 64, H: 112, W: 112},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 64, Groups: 64, Act: nn.ReLU, BatchNorm: true}},
+		{"depthwise14", nn.Shape{C: 512, H: 14, W: 14},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 512, Groups: 512, Act: nn.ReLU, BatchNorm: true}},
 		{"pool", nn.Shape{C: 64, H: 28, W: 28},
 			nn.Layer{Name: "p", Kind: nn.MaxPool, KH: 2, KW: 2, SH: 2, SW: 2}},
 		{"fc", nn.Shape{C: 256, H: 4, W: 4},

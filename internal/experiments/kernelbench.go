@@ -14,7 +14,7 @@ import (
 // engine, at one parallelism setting.
 type KernelBenchRow struct {
 	// Kind names the layer shape: conv3x3, conv3x3s2, conv1x7, pointwise,
-	// depthwise, pool, gap, fc.
+	// depthwise, depthwise-s2, depthwise14, pool, gap, fc.
 	Kind string `json:"kind"`
 	// Shape is the input CxHxW the kernel ran over.
 	Shape string `json:"shape"`
@@ -88,6 +88,12 @@ func kernelCases(quick bool) []kernelCase {
 			nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
 		{"depthwise", nn.Shape{C: 128, H: 28, W: 28},
 			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Groups: 128, Act: nn.ReLU, BatchNorm: true}},
+		// MobileNetV1's two awkward depthwise shapes: the big stride-2
+		// reduction and the small planes whose rows are barely two vectors.
+		{"depthwise-s2", nn.Shape{C: 64, H: 112 / d, W: 112 / d},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 64, Groups: 64, Act: nn.ReLU, BatchNorm: true}},
+		{"depthwise14", nn.Shape{C: 512, H: 14, W: 14},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 512, Groups: 512, Act: nn.ReLU, BatchNorm: true}},
 		{"pool", nn.Shape{C: 64, H: 56 / d, W: 56 / d},
 			nn.Layer{Name: "p", Kind: nn.MaxPool, KH: 2, KW: 2, SH: 2, SW: 2}},
 		{"gap", nn.Shape{C: 256, H: 16, W: 16},

@@ -11,7 +11,7 @@ func TestKernShape(t *testing.T) {
 		t.Fatalf("want kernel + forward tables, got %d", len(tables))
 	}
 	kern, fwd := tables[0], tables[1]
-	wantKinds := []string{"conv3x3", "conv3x3s2", "conv1x7", "pointwise", "depthwise", "pool", "gap", "fc"}
+	wantKinds := []string{"conv3x3", "conv3x3s2", "conv1x7", "pointwise", "depthwise", "depthwise-s2", "depthwise14", "pool", "gap", "fc"}
 	seen := map[string]bool{}
 	for _, row := range kern.Rows {
 		seen[row[0]] = true
@@ -19,7 +19,7 @@ func TestKernShape(t *testing.T) {
 			t.Fatalf("%s: non-positive bytes moved %q", row[0], row[4])
 		}
 		macs := parseCell(t, row[3])
-		if strings.Contains(row[0], "conv") || row[0] == "pointwise" || row[0] == "depthwise" || row[0] == "fc" {
+		if strings.Contains(row[0], "conv") || row[0] == "pointwise" || strings.HasPrefix(row[0], "depthwise") || row[0] == "fc" {
 			if macs <= 0 {
 				t.Fatalf("%s: non-positive MACs %q", row[0], row[3])
 			}

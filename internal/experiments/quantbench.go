@@ -182,20 +182,6 @@ func top1Agreement(m *nn.Model, tasks int) (int, error) {
 	return agree, nil
 }
 
-// quantKernelCases is the quant-capable subset of the kernel sweep — since
-// the full-surface SIMD pass that is now every kind kernelbench sweeps
-// (pool and gap run on raw int8 bytes, so they ride along).
-func quantKernelCases(quick bool) []kernelCase {
-	var out []kernelCase
-	for _, kc := range kernelCases(quick) {
-		switch kc.kind {
-		case "conv3x3", "conv3x3s2", "conv1x7", "pointwise", "depthwise", "pool", "gap", "fc":
-			out = append(out, kc)
-		}
-	}
-	return out
-}
-
 // layerBytesMovedQ counts the bytes one int8 forward of a single layer must
 // touch at least once: int8 input and output maps, int8 weights, and the
 // float32 per-output-channel requantization scale/bias pairs the epilogue
@@ -237,7 +223,7 @@ func RunQuantBench(cfg Config) (*QuantBenchResult, error) {
 	if quick {
 		minIters, minDur, windows = 2, 20*time.Millisecond, 1
 	}
-	for _, kc := range quantKernelCases(quick) {
+	for _, kc := range kernelCases(quick) {
 		m := &nn.Model{Name: "qkern-" + kc.kind, Input: kc.in, Layers: []nn.Layer{kc.l}}
 		if err := m.Validate(); err != nil {
 			return nil, fmt.Errorf("quant kernel case %s: %w", kc.kind, err)

@@ -13,7 +13,7 @@ func TestQuantBenchShape(t *testing.T) {
 	}
 	kern, fwd, wire := tables[0], tables[1], tables[2]
 
-	wantKinds := []string{"conv3x3", "conv3x3s2", "conv1x7", "pointwise", "depthwise", "pool", "gap", "fc"}
+	wantKinds := []string{"conv3x3", "conv3x3s2", "conv1x7", "pointwise", "depthwise", "depthwise-s2", "depthwise14", "pool", "gap", "fc"}
 	seen := map[string]bool{}
 	for _, row := range kern.Rows {
 		seen[row[0]] = true

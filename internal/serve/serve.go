@@ -42,6 +42,7 @@ import (
 	"pico/internal/queueing"
 	"pico/internal/runtime"
 	"pico/internal/telemetry"
+	"pico/internal/tensor"
 	"pico/internal/wire"
 )
 
@@ -368,15 +369,10 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// enter the ledger (admitted must equal completed + failed).
 	in := g.cfg.Models[key.Model].Input
 	wantBytes := 4 * in.C * in.H * in.W
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(wantBytes)))
-	if err != nil || len(body) != wantBytes {
-		http.Error(w, fmt.Sprintf("body must be exactly %d little-endian float32 bytes (CHW %dx%dx%d)",
-			wantBytes, in.C, in.H, in.W), http.StatusBadRequest)
-		return
-	}
-	input, err := wire.DecodeTensor(in.C, in.H, in.W, body)
+	input, err := readInput(http.MaxBytesReader(w, r.Body, int64(wantBytes)), in)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("body must be exactly %d little-endian float32 bytes (CHW %dx%dx%d): %v",
+			wantBytes, in.C, in.H, in.W, err), http.StatusBadRequest)
 		return
 	}
 
@@ -418,6 +414,9 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 		g.failed.Add(1)
 		return
 	}
+	// The result is back, so stage 0 is long done reading the input (the
+	// cancel paths above return while it may still be in flight).
+	tensor.Recycle(input)
 	if res.Err != nil {
 		g.failed.Add(1)
 		http.Error(w, "inference: "+res.Err.Error(), http.StatusInternalServerError)
@@ -432,6 +431,24 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	payload := wire.EncodeTensor(out)
 	_, _ = w.Write(payload)
 	wire.PutBuffer(payload)
+}
+
+// readInput reads a request body that must be exactly one float32 tensor of
+// shape in into a pooled buffer of that size — io.ReadAll's doubling growth
+// would allocate several times the body — probes one more byte so an
+// over-long body is still an error, and decodes the bytes into an
+// arena-backed tensor.
+func readInput(body io.Reader, in nn.Shape) (tensor.Tensor, error) {
+	buf := wire.GetBuffer(4 * in.Elems())
+	defer wire.PutBuffer(buf)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return tensor.Tensor{}, err
+	}
+	var probe [1]byte
+	if n, err := io.ReadFull(body, probe[:]); n != 0 || err != io.EOF {
+		return tensor.Tensor{}, errors.New("body too long")
+	}
+	return wire.DecodeTensor(in.C, in.H, in.W, buf)
 }
 
 // retryAfterSeconds rounds a back-off up to whole seconds for the

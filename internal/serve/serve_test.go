@@ -452,7 +452,10 @@ func TestGatewayRejectsMalformedRequests(t *testing.T) {
 		{"unknown plan", "?plan=zigzag", good, http.StatusBadRequest},
 		{"bad quant", "?quant=maybe", good, http.StatusBadRequest},
 		{"short body", "", good[:8], http.StatusBadRequest},
+		{"empty body", "", nil, http.StatusBadRequest},
 		{"long body", "", append(append([]byte(nil), good...), 0, 0, 0, 0), http.StatusBadRequest},
+		{"one byte over", "", append(append([]byte(nil), good...), 0), http.StatusBadRequest},
+		{"double body", "", append(append([]byte(nil), good...), good...), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if status, body, _ := f.post(t, tc.query, tc.payload); status != tc.want {

@@ -84,7 +84,7 @@ func convForwardRef(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeight
 						panic(fmt.Sprintf("tensor: conv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
 					}
 					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					row := &wts.rows[(oc*icg+g)*l.KH+kh]
+					row := wts.row((oc*icg+g)*l.KH + kh)
 					convRow(acc, inRow, row, l.SW, l.PW, in.W, outW)
 				}
 			}
@@ -153,7 +153,7 @@ func convForwardBlocked(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWe
 					} else {
 						for b := 0; b < blk.width; b++ {
 							oc := blk.oc0 + b
-							row := &wts.rows[(oc*icg+g)*l.KH+kh]
+							row := wts.row((oc*icg+g)*l.KH + kh)
 							convRow(accs[b], inRow, row, l.SW, l.PW, in.W, outW)
 						}
 					}
@@ -216,7 +216,7 @@ func convForwardPointwise(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *conv
 					oc := blk.oc0 + b
 					for g := 0; g < in.C; g++ {
 						inRow := in.Data[(g*in.H+ih)*in.W:][:in.W]
-						row := &wts.rows[oc*in.C+g]
+						row := wts.row(oc*in.C + g)
 						convRow(accs[b], inRow, row, 1, 0, in.W, outW)
 					}
 				}
@@ -261,7 +261,7 @@ func convForwardPointwiseSIMD(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *
 					}
 					for g := 0; g < in.C; g++ {
 						src := in.Data[g*chanStride+base:][:n]
-						row := &wts.rows[oc*in.C+g]
+						row := wts.row(oc*in.C + g)
 						convRow(acc, src, row, 1, 0, n, n)
 					}
 					finishChannel(acc, wts, oc, l.Act)
@@ -287,51 +287,6 @@ func convForwardPointwiseSIMD(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *
 	return out
 }
 
-// convForwardDepthwise handles groups == channels convolutions — half of
-// MobileNetV1's layers — where each output channel reads exactly one input
-// channel. Register blocking across channels is impossible (adjacent output
-// channels read different inputs), but dropping the grouped-index arithmetic
-// and the inner channel loop still buys a measurable win on these thin
-// kernels.
-func convForwardDepthwise(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := Alloc(l.OutC, outRows, outW)
-	grain := grainFor(l.KH * l.KW * outW)
-	parallelForGrain(l.OutC*outRows, par, grain, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			oc := t / outRows
-			or := t % outRows
-			acc := out.Data[t*outW : (t+1)*outW]
-			for i := range acc {
-				acc[i] = wts.bias[oc]
-			}
-			ohGlobal := outLo + or
-			for kh := 0; kh < l.KH; kh++ {
-				ihGlobal := ohGlobal*l.SH - l.PH + kh
-				if ihGlobal < 0 || ihGlobal >= inHGlobal {
-					continue // zero padding row
-				}
-				ih := ihGlobal - inLo
-				if ih < 0 || ih >= in.H {
-					panic(fmt.Sprintf("tensor: conv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-				}
-				inRow := in.Data[(oc*in.H+ih)*in.W : (oc*in.H+ih+1)*in.W]
-				row := &wts.rows[oc*l.KH+kh]
-				if l.SW == 1 && l.KW == 3 && len(row.w) == 3 {
-					// Dense stride-1 3-tap row (every MobileNet depthwise
-					// layer): fuse the taps into one accumulator pass.
-					convRow3(acc, inRow, row.w[0], row.w[1], row.w[2], l.PW, in.W, outW)
-				} else {
-					convRow(acc, inRow, row, l.SW, l.PW, in.W, outW)
-				}
-			}
-			finishChannel(acc, wts, oc, l.Act)
-		}
-	})
-	return out
-}
-
 // finishChannel applies the folded batch-norm affine and the activation to
 // one finished output-channel row.
 func finishChannel(acc []float32, wts *convWeights, oc int, act nn.Activation) {
@@ -345,7 +300,7 @@ func finishChannel(acc []float32, wts *convWeights, oc int, act nn.Activation) {
 // convRow accumulates one compacted kernel row over one input row. The taps
 // iterate in ascending kw with zero weights already dropped at generation
 // time, matching the original loop's order and w == 0 skip exactly.
-func convRow(acc, inRow []float32, row *kernelRow, sw, pw, inW, outW int) {
+func convRow(acc, inRow []float32, row kernelRow, sw, pw, inW, outW int) {
 	if sw == 1 {
 		// Stride-1 fast path: the valid output span maps onto a
 		// contiguous input span, so the inner loop is a bounds-check
@@ -378,8 +333,12 @@ func convRow(acc, inRow []float32, row *kernelRow, sw, pw, inW, outW int) {
 		if iwOff < 0 {
 			owLo = (-iwOff + sw - 1) / sw
 		}
+		last := inW - 1 - iwOff
+		if last < 0 {
+			continue // the tap lies right of the row at every column
+		}
 		owHi := outW
-		if maxOw := (inW - 1 - iwOff) / sw; maxOw+1 < owHi {
+		if maxOw := last / sw; maxOw+1 < owHi {
 			owHi = maxOw + 1
 		}
 		iw := owLo*sw + iwOff
@@ -387,49 +346,6 @@ func convRow(acc, inRow []float32, row *kernelRow, sw, pw, inW, outW int) {
 			acc[ow] += w * inRow[iw]
 			iw += sw
 		}
-	}
-}
-
-// convRow3 accumulates a dense 3-tap stride-1 kernel row in a single sweep:
-// the accumulator row is loaded and stored once instead of once per tap,
-// which is the entire cost of a depthwise kernel. Per element the three
-// multiply-adds are sequenced as separate statements in ascending kw — the
-// identical float operation order to convRow's three per-tap passes — so
-// results stay bit-identical to the reference. Callers must guarantee the
-// row is dense (no zero taps dropped by compact): a skipped tap in the
-// reference would make even adding a zero non-identical around signed
-// zeros.
-func convRow3(acc, inRow []float32, w0, w1, w2 float32, pw, inW, outW int) {
-	// Interior columns where all three taps are in range: tap kw reads
-	// inRow[ow-pw+kw], so ow >= pw and ow-pw+2 <= inW-1.
-	loI := pw
-	hiI := inW - 2 + pw
-	if loI < 0 {
-		loI = 0
-	}
-	if hiI > outW {
-		hiI = outW
-	}
-	for _, b := range [2][2]int{{0, min(loI, outW)}, {max(hiI, 0), outW}} {
-		for ow := b[0]; ow < b[1]; ow++ {
-			iw := ow - pw
-			v := acc[ow]
-			if iw >= 0 && iw < inW {
-				v += w0 * inRow[iw]
-			}
-			if iw+1 >= 0 && iw+1 < inW {
-				v += w1 * inRow[iw+1]
-			}
-			if iw+2 >= 0 && iw+2 < inW {
-				v += w2 * inRow[iw+2]
-			}
-			acc[ow] = v
-		}
-	}
-	if loI < hiI {
-		n := hiI - loI
-		w4 := [4]float32{w0, w1, w2, 0}
-		dw3RowF(acc[loI:][:n], inRow[loI-pw:], &w4, n)
 	}
 }
 

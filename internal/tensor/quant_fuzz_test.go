@@ -99,6 +99,39 @@ func FuzzQKernelTile(f *testing.F) {
 			}
 		}
 
+		// dw3x3RowQ: the fused 3x3 depthwise tile over widths 1-9 and n,
+		// both strides, 1-3 input rows and every edge combination; slack 0
+		// forces the portable form, slack 40 lets the vector tile run (see
+		// FuzzFKernelTile), and the guards catch a stray masked store.
+		for _, tc := range dwTileCases(n) {
+			for _, slack := range []int{0, 40} {
+				x0, inW := tc.geometry(int(p1) % 3)
+				src := randI8(tc.nrows*inW + slack)
+				w := randI32(int32(3*tc.nrows), 127)
+				seed := randI32(1, 1<<24)[0]
+				const guard = 17
+				buf := randI32(int32(tc.cols+2*guard), 1<<24)
+				want := append([]int32(nil), buf...)
+				dw3x3RowQ(buf[guard:guard+tc.cols], src, x0, inW, tc.nrows, w, seed, tc.sw)
+				for i := 0; i < tc.cols; i++ {
+					v := seed
+					for r := 0; r < tc.nrows; r++ {
+						for k := 0; k < 3; k++ {
+							if c := x0 + i*tc.sw + k; c >= 0 && c < inW {
+								v += w[3*r+k] * int32(src[r*inW+c])
+							}
+						}
+					}
+					want[guard+i] = v
+				}
+				for i := range want {
+					if buf[i] != want[i] {
+						t.Fatalf("dw3x3RowQ %+v slack=%d inW=%d: dst[%d]=%d want %d", tc, slack, inW, i-guard, buf[i], want[i])
+					}
+				}
+			}
+		}
+
 		// maxPairRow: 2x2 stride-2 max-pool row pair.
 		{
 			a, b := randI8(2*n), randI8(2*n)

@@ -398,100 +398,6 @@ func qconvForwardPointwiseSIMD(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw 
 	return out
 }
 
-// qconvForwardDepthwise handles groups == channels int8 convolutions with a
-// per-tap hoisted-bounds sweep into an int32 accumulator row.
-func qconvForwardDepthwise(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights, outLo, outHi, par int) QTensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := AllocQ(l.OutC, outRows, outW, 1)
-	grain := grainFor(l.KH * l.KW * outW)
-	perOC := l.KH * l.KW
-	parallelForGrain(l.OutC*outRows, par, grain, func(lo, hi int) {
-		acc := make([]int32, outW)
-		for t := lo; t < hi; t++ {
-			oc := t / outRows
-			or := t % outRows
-			for i := range acc {
-				acc[i] = 0
-			}
-			ohGlobal := outLo + or
-			for kh := 0; kh < l.KH; kh++ {
-				ihGlobal := ohGlobal*l.SH - l.PH + kh
-				if ihGlobal < 0 || ihGlobal >= inHGlobal {
-					continue // zero padding row
-				}
-				ih := ihGlobal - inLo
-				if ih < 0 || ih >= in.H {
-					panic(fmt.Sprintf("tensor: qconv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-				}
-				inRow := in.Data[(oc*in.H+ih)*in.W : (oc*in.H+ih+1)*in.W]
-				wrow := qw.wq[oc*perOC+kh*l.KW : oc*perOC+(kh+1)*l.KW]
-				qconvRowDW(acc, inRow, wrow, l.SW, l.PW, in.W, outW)
-			}
-			dst := out.Data[t*outW : (t+1)*outW]
-			requantRow(dst, acc, qw.effScale[oc], qw.effBias[oc], l.Act)
-		}
-	})
-	return out
-}
-
-// qconvRowDW accumulates one int8 kernel row over one input row. For the
-// ubiquitous dense stride-1 3-tap case all three taps fuse into a single
-// sweep (one accumulator-row pass instead of three).
-func qconvRowDW(acc []int32, inRow []int8, wrow []int8, sw, pw, inW, outW int) {
-	if sw == 1 && len(wrow) == 3 {
-		w0, w1, w2 := int32(wrow[0]), int32(wrow[1]), int32(wrow[2])
-		// Interior columns where all three taps are in range.
-		loI := pw
-		hiI := inW - 2 + pw
-		if loI < 0 {
-			loI = 0
-		}
-		if hiI > outW {
-			hiI = outW
-		}
-		for _, b := range [2][2]int{{0, min(loI, outW)}, {max(hiI, 0), outW}} {
-			for ow := b[0]; ow < b[1]; ow++ {
-				iw := ow - pw
-				var a int32
-				if iw >= 0 && iw < inW {
-					a += w0 * int32(inRow[iw])
-				}
-				if iw+1 >= 0 && iw+1 < inW {
-					a += w1 * int32(inRow[iw+1])
-				}
-				if iw+2 >= 0 && iw+2 < inW {
-					a += w2 * int32(inRow[iw+2])
-				}
-				acc[ow] += a
-			}
-		}
-		if loI < hiI {
-			n := hiI - loI
-			w4 := [4]int32{w0, w1, w2, 0}
-			dw3Row(acc[loI:][:n], inRow[loI-pw:], &w4, n)
-		}
-		return
-	}
-	for x, wv := range wrow {
-		w := int32(wv)
-		iwOff := x - pw
-		owLo := 0
-		if iwOff < 0 {
-			owLo = (-iwOff + sw - 1) / sw
-		}
-		owHi := outW
-		if maxOw := (inW - 1 - iwOff) / sw; maxOw+1 < owHi {
-			owHi = maxOw + 1
-		}
-		iw := owLo*sw + iwOff
-		for ow := owLo; ow < owHi; ow++ {
-			acc[ow] += w * int32(inRow[iw])
-			iw += sw
-		}
-	}
-}
-
 // qpoolForward pools directly in the quantized domain: max pooling compares
 // int8 values exactly, average pooling sums valid cells into int32 and
 // requantizes the float mean. The output inherits the input scale (a pooled

@@ -412,35 +412,40 @@ func TestPoolFastMatchesReferenceBitExact(t *testing.T) {
 	}
 }
 
-// TestDepthwiseFusedRowBitExact drives the fused 3-tap depthwise row
-// directly against convRow's per-tap sweeps across paddings and widths.
+// TestDepthwiseFusedRowBitExact drives the depthwise plane walker over one
+// output row — fused 3x3 tile in the interior, per-column loop at the edges —
+// directly against convRow's per-tap sweeps across strides, paddings and
+// widths.
 func TestDepthwiseFusedRowBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 120; trial++ {
 		inW := 3 + rng.Intn(30)
+		sw := 1 + rng.Intn(2)
 		pw := rng.Intn(3)
-		outW := inW + 2*pw - 3 + 1
-		if outW < 1 {
-			continue
+		l := nn.Layer{Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: sw, PW: pw}
+		g := newDWGeom(&l, 3, inW, 0, 3, 0, 1)
+		in := make([]float32, 3*inW)
+		for i := range in {
+			in[i] = rng.Float32()*2 - 1
 		}
-		inRow := make([]float32, inW)
-		for i := range inRow {
-			inRow[i] = rng.Float32()*2 - 1
+		w := make([]float32, 9)
+		for i := range w {
+			w[i] = rng.Float32() - 0.5
 		}
-		w := [3]float32{rng.Float32() - 0.5, rng.Float32() - 0.5, rng.Float32() - 0.5}
-		row := kernelRow{kw: []int32{0, 1, 2}, w: w[:]}
-		want := make([]float32, outW)
-		got := make([]float32, outW)
+		bias := rng.Float32()
+		want := make([]float32, g.outW)
 		for i := range want {
-			v := rng.Float32()
-			want[i] = v
-			got[i] = v
+			want[i] = bias
 		}
-		convRow(want, inRow, &row, 1, pw, inW, outW)
-		convRow3(got, inRow, w[0], w[1], w[2], pw, inW, outW)
+		for kh := 0; kh < 3; kh++ {
+			row := kernelRow{kw: []int32{0, 1, 2}, w: w[3*kh : 3*kh+3]}
+			convRow(want, in[kh*inW:(kh+1)*inW], row, sw, pw, inW, g.outW)
+		}
+		got := make([]float32, g.outW)
+		dwPlane(&g, in, 0, got, w, bias, dw3x3RowF)
 		for i := range want {
 			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-				t.Fatalf("trial %d (inW=%d pw=%d): col %d fused %g != ref %g", trial, inW, pw, i, got[i], want[i])
+				t.Fatalf("trial %d (inW=%d sw=%d pw=%d): col %d fused %g != ref %g", trial, inW, sw, pw, i, got[i], want[i])
 			}
 		}
 	}

@@ -76,7 +76,7 @@ func convForwardRectBlocked(in Tensor, inRowLo, inColLo, inHGlobal, inWGlobal in
 					} else {
 						for b := 0; b < blk.width; b++ {
 							oc := blk.oc0 + b
-							row := &wts.rows[(oc*icg+g)*l.KH+kh]
+							row := wts.row((oc*icg+g)*l.KH + kh)
 							acc := res.Data[(oc*outRows+or)*outCols : (oc*outRows+or+1)*outCols]
 							convRowRect(acc, inRow, row, l.SW, l.PW, out.Cols.Lo, inColLo, inWGlobal, in.W, outCols)
 						}
@@ -127,7 +127,7 @@ func convForwardRectRef(in Tensor, inRowLo, inColLo, inHGlobal, inWGlobal int, l
 						panic(fmt.Sprintf("tensor: rect conv needs global row %d outside tile [%d,%d)", ihGlobal, inRowLo, inRowLo+in.H))
 					}
 					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					row := &wts.rows[(oc*icg+g)*l.KH+kh]
+					row := wts.row((oc*icg+g)*l.KH + kh)
 					convRowRect(acc, inRow, row, l.SW, l.PW, out.Cols.Lo, inColLo, inWGlobal, in.W, outCols)
 				}
 			}
@@ -147,7 +147,7 @@ func convForwardRectRef(in Tensor, inRowLo, inColLo, inHGlobal, inWGlobal int, l
 // rectangular tile. The global-padding and tile-coverage checks are hoisted
 // out of the per-column loop: for a fixed tap, the valid output columns form
 // one contiguous interval, computed once.
-func convRowRect(acc, inRow []float32, row *kernelRow, sw, pw, outColLo, inColLo, inWGlobal, inW, outCols int) {
+func convRowRect(acc, inRow []float32, row kernelRow, sw, pw, outColLo, inColLo, inWGlobal, inW, outCols int) {
 	for x, w := range row.w {
 		// iwGlobal = base + ocl*sw; valid while 0 <= iwGlobal < inWGlobal.
 		base := outColLo*sw - pw + int(row.kw[x])

@@ -147,6 +147,28 @@ func fmac3Rows4(acc *float32, accStride int, src *float32, wgt *float32, n int)
 //go:noescape
 func fdw3Row(acc *float32, src *float32, wgt *float32, n int)
 
+// simdDW3x3Available reports whether the fused 3x3 depthwise row tiles run on
+// this host.
+func simdDW3x3Available() bool { return hasAVX2 }
+
+// fdw3x3S1 and fdw3x3S2 are the float32 fused 3x3 depthwise row tiles for
+// column stride 1 and 2 (see simd_amd64.s).
+//
+//go:noescape
+func fdw3x3S1(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int)
+
+//go:noescape
+func fdw3x3S2(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int)
+
+// qdw3x3S1 and qdw3x3S2 are the int8 fused 3x3 depthwise row tiles for column
+// stride 1 and 2 (see simd_amd64.s).
+//
+//go:noescape
+func qdw3x3S1(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int)
+
+//go:noescape
+func qdw3x3S2(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int)
+
 // fmacRow is the single-row float saxpy dst[i] += w*src[i]
 // (see simd_amd64.s).
 //

@@ -1093,3 +1093,459 @@ fepileaky:
 	VCMPPS $1, Y3, Y0, Y5 // v < 0
 	VBLENDVPS Y5, Y6, Y0, Y0
 	JMP  fepistore
+
+// ---------------------------------------------------------------------------
+// Fused 3x3 depthwise row tiles (see dwTile in depthwise.go). One call
+// produces a span of one output row from the nrows (1..3) input rows in
+// range: n interior columns, all three taps in range,
+//
+//	dst[i] = seed + sum over r < nrows, k < 3 of w[3r+k]*src[r*rowStride+i*sw+k]
+//
+// plus, when left (right) is 1, the edge column before (after) them, whose
+// tap 0 (tap 2) falls in the zero padding and is skipped: dst[-1] chains taps
+// 1 and 2, dst[n] chains taps 0 and 1. dst and src address the first interior
+// column. The accumulators are seeded in-register and never loaded, every
+// step is computed over full vectors, and the last partial step is stored
+// under a lane mask — so any n >= 1 works, at the price of reading ahead to
+// the end of the last step (the Go wrappers check that span is addressable).
+// Edge columns are scalar, ahead of the loop. Only nrows*3 weights are read.
+//
+// Register plan of all four tiles: DI dst, SI/R10/R11 the three input rows
+// (R8 the row stride in elements), R9 nrows, DX the taps, CX n, R12/R13
+// left/right, Y6 the seed.
+
+// dwmask is 16 all-ones dwords followed by 16 zero dwords: the 8 (or 16)
+// lanes starting rem dwords before the boundary mask the first rem lanes.
+DATA dwmask<>+0(SB)/8, $0xffffffffffffffff
+DATA dwmask<>+8(SB)/8, $0xffffffffffffffff
+DATA dwmask<>+16(SB)/8, $0xffffffffffffffff
+DATA dwmask<>+24(SB)/8, $0xffffffffffffffff
+DATA dwmask<>+32(SB)/8, $0xffffffffffffffff
+DATA dwmask<>+40(SB)/8, $0xffffffffffffffff
+DATA dwmask<>+48(SB)/8, $0xffffffffffffffff
+DATA dwmask<>+56(SB)/8, $0xffffffffffffffff
+DATA dwmask<>+64(SB)/8, $0
+DATA dwmask<>+72(SB)/8, $0
+DATA dwmask<>+80(SB)/8, $0
+DATA dwmask<>+88(SB)/8, $0
+DATA dwmask<>+96(SB)/8, $0
+DATA dwmask<>+104(SB)/8, $0
+DATA dwmask<>+112(SB)/8, $0
+DATA dwmask<>+120(SB)/8, $0
+GLOBL dwmask<>(SB), RODATA, $128
+
+// Float row pointers and taps: Y7..Y15 are the taps of the rows in range.
+#define FDW_SETUP \
+	LEAQ (SI)(R8*4), R10 \
+	LEAQ (R10)(R8*4), R11 \
+	VBROADCASTSS (DX), Y7 \
+	VBROADCASTSS 4(DX), Y8 \
+	VBROADCASTSS 8(DX), Y9 \
+	CMPQ R9, $2 \
+	JL   ready \
+	VBROADCASTSS 12(DX), Y10 \
+	VBROADCASTSS 16(DX), Y11 \
+	VBROADCASTSS 20(DX), Y12 \
+	CMPQ R9, $3 \
+	JL   ready \
+	VBROADCASTSS 24(DX), Y13 \
+	VBROADCASTSS 28(DX), Y14 \
+	VBROADCASTSS 32(DX), Y15
+
+// One input row of a float edge column: its two taps in range, scalar, into
+// X0 — the same multiply-then-add chain as a vector lane. The left column's
+// taps sit at fixed displacements from the row pointer, the right column's
+// at byte offset R14.
+#define FDW_EDGE_ROW(base, da, db, wa, wb) \
+	VMULSS da(base), wa, X1 \
+	VADDSS X1, X0, X0 \
+	VMULSS db(base), wb, X1 \
+	VADDSS X1, X0, X0
+
+#define FDW_EDGE_ROWX(base, wa, wb) \
+	VMULSS (base)(R14*1), wa, X1 \
+	VADDSS X1, X0, X0 \
+	VMULSS 4(base)(R14*1), wb, X1 \
+	VADDSS X1, X0, X0
+
+// One stride-1 input row: three unaligned loads one float apart, each tap a
+// separate VMULPS/VADDPS into the running accumulator Y0 (src1, like the
+// scalar `acc + w*v`).
+#define FDW_S1_ROW(base, w0, w1, w2) \
+	VMULPS (base), w0, Y1 \
+	VADDPS Y1, Y0, Y0 \
+	VMULPS 4(base), w1, Y1 \
+	VADDPS Y1, Y0, Y0 \
+	VMULPS 8(base), w2, Y1 \
+	VADDPS Y1, Y0, Y0
+
+// One stride-2 input row: 17 floats deinterleaved into the three taps of 8
+// output columns. VSHUFPS picks even (0x88) or odd (0xDD) lanes per 128-bit
+// half, so all three taps — and therefore the accumulator — carry columns in
+// the order 0 1 4 5 | 2 3 6 7; one VPERMPD before the store undoes it.
+#define FDW_S2_ROW(base, w0, w1, w2) \
+	VMOVUPS (base), Y1 \
+	VSHUFPS $0x88, 32(base), Y1, Y1 \
+	VMOVUPS 4(base), Y2 \
+	VSHUFPS $0x88, 36(base), Y2, Y3 \
+	VSHUFPS $0xDD, 36(base), Y2, Y2 \
+	VMULPS Y1, w0, Y1 \
+	VADDPS Y1, Y0, Y0 \
+	VMULPS Y3, w1, Y3 \
+	VADDPS Y3, Y0, Y0 \
+	VMULPS Y2, w2, Y2 \
+	VADDPS Y2, Y0, Y0
+
+// func fdw3x3S1(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int)
+TEXT ·fdw3x3S1(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rowStride+16(FP), R8
+	MOVQ nrows+24(FP), R9
+	MOVQ w+32(FP), DX
+	VBROADCASTSS bias+40(FP), Y6
+	MOVQ n+48(FP), CX
+	MOVQ left+56(FP), R12
+	MOVQ right+64(FP), R13
+	FDW_SETUP
+ready:
+	TESTQ R12, R12
+	JZ   noleft
+	VMOVAPS X6, X0
+	FDW_EDGE_ROW(SI, 0, 4, X8, X9)
+	CMPQ R9, $2
+	JL   leftdone
+	FDW_EDGE_ROW(R10, 0, 4, X11, X12)
+	CMPQ R9, $3
+	JL   leftdone
+	FDW_EDGE_ROW(R11, 0, 4, X14, X15)
+leftdone:
+	VMOVSS X0, -4(DI)
+noleft:
+	TESTQ R13, R13
+	JZ   loop
+	LEAQ (CX*4), R14 // byte offset of the right column's tap 0
+	VMOVAPS X6, X0
+	FDW_EDGE_ROWX(SI, X7, X8)
+	CMPQ R9, $2
+	JL   rightdone
+	FDW_EDGE_ROWX(R10, X10, X11)
+	CMPQ R9, $3
+	JL   rightdone
+	FDW_EDGE_ROWX(R11, X13, X14)
+rightdone:
+	VMOVSS X0, (DI)(CX*4)
+loop:
+	VMOVAPS Y6, Y0
+	FDW_S1_ROW(SI, Y7, Y8, Y9)
+	CMPQ R9, $2
+	JL   store
+	FDW_S1_ROW(R10, Y10, Y11, Y12)
+	CMPQ R9, $3
+	JL   store
+	FDW_S1_ROW(R11, Y13, Y14, Y15)
+store:
+	CMPQ CX, $8
+	JL   tail
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+tail:
+	LEAQ dwmask<>(SB), AX
+	SHLQ $2, CX
+	SUBQ CX, AX
+	VMOVDQU 64(AX), Y1
+	VMASKMOVPS Y0, Y1, (DI)
+	VZEROUPPER
+	RET
+
+// func fdw3x3S2(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int)
+TEXT ·fdw3x3S2(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rowStride+16(FP), R8
+	MOVQ nrows+24(FP), R9
+	MOVQ w+32(FP), DX
+	VBROADCASTSS bias+40(FP), Y6
+	MOVQ n+48(FP), CX
+	MOVQ left+56(FP), R12
+	MOVQ right+64(FP), R13
+	FDW_SETUP
+ready:
+	TESTQ R12, R12
+	JZ   noleft
+	VMOVAPS X6, X0
+	FDW_EDGE_ROW(SI, -4, 0, X8, X9)
+	CMPQ R9, $2
+	JL   leftdone
+	FDW_EDGE_ROW(R10, -4, 0, X11, X12)
+	CMPQ R9, $3
+	JL   leftdone
+	FDW_EDGE_ROW(R11, -4, 0, X14, X15)
+leftdone:
+	VMOVSS X0, -4(DI)
+noleft:
+	TESTQ R13, R13
+	JZ   loop
+	LEAQ (CX*8), R14 // byte offset of the right column's tap 0
+	VMOVAPS X6, X0
+	FDW_EDGE_ROWX(SI, X7, X8)
+	CMPQ R9, $2
+	JL   rightdone
+	FDW_EDGE_ROWX(R10, X10, X11)
+	CMPQ R9, $3
+	JL   rightdone
+	FDW_EDGE_ROWX(R11, X13, X14)
+rightdone:
+	VMOVSS X0, (DI)(CX*4)
+loop:
+	VMOVAPS Y6, Y0
+	FDW_S2_ROW(SI, Y7, Y8, Y9)
+	CMPQ R9, $2
+	JL   store
+	FDW_S2_ROW(R10, Y10, Y11, Y12)
+	CMPQ R9, $3
+	JL   store
+	FDW_S2_ROW(R11, Y13, Y14, Y15)
+store:
+	VPERMPD $0xD8, Y0, Y0
+	CMPQ CX, $8
+	JL   tail
+	VMOVUPS Y0, (DI)
+	ADDQ $64, SI
+	ADDQ $64, R10
+	ADDQ $64, R11
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+tail:
+	LEAQ dwmask<>(SB), AX
+	SHLQ $2, CX
+	SUBQ CX, AX
+	VMOVDQU 64(AX), Y1
+	VMASKMOVPS Y0, Y1, (DI)
+	VZEROUPPER
+	RET
+
+// Int8 weights arrive as int32s of int8 range; each row's taps are packed
+// into two int16-pair multiplicands for VPMADDWD: WA = (w0, w1) and
+// WB = (0, w2). Products are at most 128*128, so pair sums are exact and the
+// int32 accumulation wraps like Go's.
+#define QDW_PACK(o0, o1, o2, WA, WB) \
+	VPBROADCASTD o0(DX), WA \
+	VPBROADCASTD o1(DX), Y4 \
+	VPBROADCASTD o2(DX), WB \
+	VPAND  Y5, WA, WA \
+	VPSLLD $16, Y4, Y4 \
+	VPOR   Y4, WA, WA \
+	VPSLLD $16, WB, WB
+
+// Int8 row pointers and taps: Y7/Y8, Y9/Y10, Y11/Y12 are the packed
+// (WA, WB) of the rows in range.
+#define QDW_SETUP \
+	LEAQ (SI)(R8*1), R10 \
+	LEAQ (R10)(R8*1), R11 \
+	VPBROADCASTD qmask16<>(SB), Y5 \
+	QDW_PACK(0, 4, 8, Y7, Y8) \
+	CMPQ R9, $2 \
+	JL   ready \
+	QDW_PACK(12, 16, 20, Y9, Y10) \
+	CMPQ R9, $3 \
+	JL   ready \
+	QDW_PACK(24, 28, 32, Y11, Y12)
+
+// One input row of an int8 edge column: its two taps in range into AX.
+#define QDW_EDGE_ROW(a, b, wa, wb) \
+	MOVBLSX a, R14 \
+	IMULL wa, R14 \
+	ADDL R14, AX \
+	MOVBLSX b, R14 \
+	IMULL wb, R14 \
+	ADDL R14, AX
+
+// One stride-1 int8 row, 16 columns. Sign-extending 16 bytes to int16 makes
+// dword j the pair (s[2j], s[2j+1]); loading at byte offsets 0, 1 and 2
+// gives L0, L1, L2 with
+//
+//	out[2j]   = L0.(w0,w1) + L1.(0,w2)   (even columns, Y0)
+//	out[2j+1] = L1.(w0,w1) + L2.(0,w2)   (odd columns, Y1)
+#define QDW_S1_ROW(base, WA, WB) \
+	VPMOVSXBW (base), Y2 \
+	VPMOVSXBW 1(base), Y3 \
+	VPMOVSXBW 2(base), Y4 \
+	VPMADDWD Y2, WA, Y2 \
+	VPADDD   Y2, Y0, Y0 \
+	VPMADDWD Y3, WB, Y2 \
+	VPADDD   Y2, Y0, Y0 \
+	VPMADDWD Y3, WA, Y3 \
+	VPADDD   Y3, Y1, Y1 \
+	VPMADDWD Y4, WB, Y4 \
+	VPADDD   Y4, Y1, Y1
+
+// One stride-2 int8 row, 8 columns: the byte pairs of L0 are already taps 0
+// and 1 of consecutive output columns, and L1 (one byte on) carries tap 2 in
+// its high halves — stride 2 needs no shuffle at all.
+#define QDW_S2_ROW(base, WA, WB) \
+	VPMOVSXBW (base), Y2 \
+	VPMOVSXBW 1(base), Y3 \
+	VPMADDWD Y2, WA, Y2 \
+	VPADDD   Y2, Y0, Y0 \
+	VPMADDWD Y3, WB, Y3 \
+	VPADDD   Y3, Y0, Y0
+
+// func qdw3x3S1(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int)
+TEXT ·qdw3x3S1(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rowStride+16(FP), R8
+	MOVQ nrows+24(FP), R9
+	MOVQ w+32(FP), DX
+	MOVL seed+40(FP), BX
+	MOVQ n+48(FP), CX
+	MOVQ left+56(FP), R12
+	MOVQ right+64(FP), R13
+	MOVQ BX, X6
+	VPBROADCASTD X6, Y6
+	QDW_SETUP
+ready:
+	TESTQ R12, R12
+	JZ   noleft
+	MOVL BX, AX
+	QDW_EDGE_ROW(0(SI), 1(SI), 4(DX), 8(DX))
+	CMPQ R9, $2
+	JL   leftdone
+	QDW_EDGE_ROW(0(R10), 1(R10), 16(DX), 20(DX))
+	CMPQ R9, $3
+	JL   leftdone
+	QDW_EDGE_ROW(0(R11), 1(R11), 28(DX), 32(DX))
+leftdone:
+	MOVL AX, -4(DI)
+noleft:
+	TESTQ R13, R13
+	JZ   loop
+	MOVL BX, AX
+	QDW_EDGE_ROW((SI)(CX*1), 1(SI)(CX*1), 0(DX), 4(DX))
+	CMPQ R9, $2
+	JL   rightdone
+	QDW_EDGE_ROW((R10)(CX*1), 1(R10)(CX*1), 12(DX), 16(DX))
+	CMPQ R9, $3
+	JL   rightdone
+	QDW_EDGE_ROW((R11)(CX*1), 1(R11)(CX*1), 24(DX), 28(DX))
+rightdone:
+	MOVL AX, (DI)(CX*4)
+loop:
+	VMOVDQA Y6, Y0
+	VMOVDQA Y6, Y1
+	QDW_S1_ROW(SI, Y7, Y8)
+	CMPQ R9, $2
+	JL   store
+	QDW_S1_ROW(R10, Y9, Y10)
+	CMPQ R9, $3
+	JL   store
+	QDW_S1_ROW(R11, Y11, Y12)
+store:
+	// Interleave even and odd columns back into ascending order.
+	VPUNPCKLDQ Y1, Y0, Y2 // columns 0..3 | 8..11
+	VPUNPCKHDQ Y1, Y0, Y3 // columns 4..7 | 12..15
+	VPERM2I128 $0x20, Y3, Y2, Y0
+	VPERM2I128 $0x31, Y3, Y2, Y1
+	CMPQ CX, $16
+	JL   tail
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y1, 32(DI)
+	ADDQ $16, SI
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $64, DI
+	SUBQ $16, CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+tail:
+	LEAQ dwmask<>(SB), AX
+	SHLQ $2, CX
+	SUBQ CX, AX
+	VMOVDQU 64(AX), Y2
+	VMOVDQU 96(AX), Y3
+	VPMASKMOVD Y0, Y2, (DI)
+	VPMASKMOVD Y1, Y3, 32(DI)
+	VZEROUPPER
+	RET
+
+// func qdw3x3S2(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int)
+TEXT ·qdw3x3S2(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rowStride+16(FP), R8
+	MOVQ nrows+24(FP), R9
+	MOVQ w+32(FP), DX
+	MOVL seed+40(FP), BX
+	MOVQ n+48(FP), CX
+	MOVQ left+56(FP), R12
+	MOVQ right+64(FP), R13
+	MOVQ BX, X6
+	VPBROADCASTD X6, Y6
+	QDW_SETUP
+ready:
+	TESTQ R12, R12
+	JZ   noleft
+	MOVL BX, AX
+	QDW_EDGE_ROW(-1(SI), 0(SI), 4(DX), 8(DX))
+	CMPQ R9, $2
+	JL   leftdone
+	QDW_EDGE_ROW(-1(R10), 0(R10), 16(DX), 20(DX))
+	CMPQ R9, $3
+	JL   leftdone
+	QDW_EDGE_ROW(-1(R11), 0(R11), 28(DX), 32(DX))
+leftdone:
+	MOVL AX, -4(DI)
+noleft:
+	TESTQ R13, R13
+	JZ   loop
+	MOVL BX, AX
+	QDW_EDGE_ROW((SI)(CX*2), 1(SI)(CX*2), 0(DX), 4(DX))
+	CMPQ R9, $2
+	JL   rightdone
+	QDW_EDGE_ROW((R10)(CX*2), 1(R10)(CX*2), 12(DX), 16(DX))
+	CMPQ R9, $3
+	JL   rightdone
+	QDW_EDGE_ROW((R11)(CX*2), 1(R11)(CX*2), 24(DX), 28(DX))
+rightdone:
+	MOVL AX, (DI)(CX*4)
+loop:
+	VMOVDQA Y6, Y0
+	QDW_S2_ROW(SI, Y7, Y8)
+	CMPQ R9, $2
+	JL   store
+	QDW_S2_ROW(R10, Y9, Y10)
+	CMPQ R9, $3
+	JL   store
+	QDW_S2_ROW(R11, Y11, Y12)
+store:
+	CMPQ CX, $8
+	JL   tail
+	VMOVDQU Y0, (DI)
+	ADDQ $16, SI
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+tail:
+	LEAQ dwmask<>(SB), AX
+	SHLQ $2, CX
+	SUBQ CX, AX
+	VMOVDQU 64(AX), Y2
+	VPMASKMOVD Y0, Y2, (DI)
+	VZEROUPPER
+	RET

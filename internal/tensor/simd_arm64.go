@@ -184,3 +184,24 @@ func fgapSum8(dst *float32, src *float32, chanStride, n int)
 //
 //go:noescape
 func fepiRow(dst *float32, scale, shift float32, bn, act, n int)
+
+// simdDW3x3Available reports whether the fused 3x3 depthwise row tiles run on
+// this host: never on arm64, which composes the
+// portable tile from the NEON per-row sweeps (fdw3Row/qdw3Row) instead.
+func simdDW3x3Available() bool { return false }
+
+func fdw3x3S1(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int) {
+	panic("tensor: fdw3x3S1 is not implemented on arm64")
+}
+
+func fdw3x3S2(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int) {
+	panic("tensor: fdw3x3S2 is not implemented on arm64")
+}
+
+func qdw3x3S1(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int) {
+	panic("tensor: qdw3x3S1 is not implemented on arm64")
+}
+
+func qdw3x3S2(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int) {
+	panic("tensor: qdw3x3S2 is not implemented on arm64")
+}

@@ -98,3 +98,23 @@ func fgapSum8(dst *float32, src *float32, chanStride, n int) {
 func fepiRow(dst *float32, scale, shift float32, bn, act, n int) {
 	panic("tensor: fepiRow without SIMD support")
 }
+
+// simdDW3x3Available reports whether the fused 3x3 depthwise row tiles run on
+// this host: never on scalar-only builds.
+func simdDW3x3Available() bool { return false }
+
+func fdw3x3S1(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int) {
+	panic("tensor: fdw3x3S1 without SIMD support")
+}
+
+func fdw3x3S2(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int) {
+	panic("tensor: fdw3x3S2 without SIMD support")
+}
+
+func qdw3x3S1(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int) {
+	panic("tensor: qdw3x3S1 without SIMD support")
+}
+
+func qdw3x3S2(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int) {
+	panic("tensor: qdw3x3S2 without SIMD support")
+}

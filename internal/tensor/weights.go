@@ -17,13 +17,20 @@ type convWeights struct {
 	bnScale []float32
 	bnShift []float32
 
-	// rows is the kernel pre-compacted at generation time: one entry per
+	// The kernel is also available as compacted rows — one per
 	// (oc*icg+g)*KH+kh kernel row, holding only the taps with non-zero
-	// weight. The forward loops iterate rows instead of w, which hoists
-	// the w == 0 branch out of the hot loop while keeping the per-element
-	// accumulation order (kw ascending, zeros skipped) identical to the
-	// original scalar loop.
-	rows []kernelRow
+	// weight (see row). The reference-order loops iterate those instead of
+	// w, which hoists the w == 0 branch out of the hot loop while keeping
+	// the per-element accumulation order (kw ascending, zeros skipped)
+	// identical to the original scalar loop. A kernel with no zero weight
+	// — every generated one, in practice — is its own compaction: rowOff
+	// stays nil and rows are views of w over the shared taps index.
+	// Otherwise row r is rowKW/rowW[rowOff[r]:rowOff[r+1]]: two flat arrays
+	// and one offset per row, never a heap object per row.
+	taps   []int32 // 0..KW-1, the tap positions of a dense row
+	rowOff []int32
+	rowKW  []int32
+	rowW   []float32
 
 	// blocks is the register-tile plan: the output channels of each group
 	// partitioned into runs of up to ocBlockWidth channels that the blocked
@@ -94,42 +101,65 @@ func (cw *convWeights) pack(l *nn.Layer, icg int) {
 // [oc0, oc0+width) still holds all KW taps, i.e. compact dropped no zero
 // weight anywhere in the block.
 func (cw *convWeights) denseRows(oc0, width, icg, kh int) bool {
-	kw := 0
-	if len(cw.rows) > 0 {
-		kw = cap(cw.rows[0].kw)
+	if cw.rowOff == nil {
+		return true
 	}
-	for oc := oc0; oc < oc0+width; oc++ {
-		for r := oc * icg * kh; r < (oc+1)*icg*kh; r++ {
-			if len(cw.rows[r].w) != kw {
-				return false
-			}
+	for r := oc0 * icg * kh; r < (oc0+width)*icg*kh; r++ {
+		if int(cw.rowOff[r+1]-cw.rowOff[r]) != len(cw.taps) {
+			return false
 		}
 	}
 	return true
 }
 
 // kernelRow is one compacted kernel row: kw[i] is the horizontal tap
-// position of weight w[i].
+// position of weight w[i]. It is a view into the convWeights' flat arrays.
 type kernelRow struct {
 	kw []int32
 	w  []float32
 }
 
-// compact builds rows from the flat kernel. icg is input channels per group.
+// row returns compacted kernel row r = (oc*icg+g)*KH+kh.
+func (cw *convWeights) row(r int) kernelRow {
+	if cw.rowOff == nil {
+		kw := len(cw.taps)
+		return kernelRow{kw: cw.taps, w: cw.w[r*kw : (r+1)*kw]}
+	}
+	lo, hi := cw.rowOff[r], cw.rowOff[r+1]
+	return kernelRow{kw: cw.rowKW[lo:hi], w: cw.rowW[lo:hi]}
+}
+
+// compact prepares the compacted rows of the flat kernel: nothing but the
+// taps index for a kernel without zeros, the flat zero-dropped copy
+// otherwise. icg is input channels per group.
 func (cw *convWeights) compact(l *nn.Layer, icg int) {
-	cw.rows = make([]kernelRow, l.OutC*icg*l.KH)
-	for r := range cw.rows {
-		flat := cw.w[r*l.KW : (r+1)*l.KW]
-		row := &cw.rows[r]
-		row.kw = make([]int32, 0, l.KW)
-		row.w = make([]float32, 0, l.KW)
-		for kw, w := range flat {
+	cw.taps = make([]int32, l.KW)
+	for i := range cw.taps {
+		cw.taps[i] = int32(i)
+	}
+	cw.rowOff, cw.rowKW, cw.rowW = nil, nil, nil
+	zeros := 0
+	for _, w := range cw.w {
+		if w == 0 {
+			zeros++
+		}
+	}
+	if zeros == 0 {
+		return
+	}
+	rows := l.OutC * icg * l.KH
+	cw.rowOff = make([]int32, rows+1)
+	cw.rowKW = make([]int32, 0, len(cw.w)-zeros)
+	cw.rowW = make([]float32, 0, len(cw.w)-zeros)
+	for r := 0; r < rows; r++ {
+		for kw, w := range cw.w[r*l.KW : (r+1)*l.KW] {
 			if w == 0 {
 				continue
 			}
-			row.kw = append(row.kw, int32(kw))
-			row.w = append(row.w, w)
+			cw.rowKW = append(cw.rowKW, int32(kw))
+			cw.rowW = append(cw.rowW, w)
 		}
+		cw.rowOff[r+1] = int32(len(cw.rowW))
 	}
 }
 
