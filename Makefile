@@ -11,7 +11,7 @@ BENCH_KERNEL_BASE ?= BENCH_PR4.json
 BENCH_QUANT_OUT ?= BENCH_PR7.json
 BENCH_TELEM_OUT ?= BENCH_PR10.json
 
-.PHONY: all build vet test race race-hot race-quant chaos bench bench-json bench-kernel bench-kernel-smoke bench-compare bench-quant bench-quant-smoke bench-telem bench-telem-smoke serve-smoke metrics-smoke cross check
+.PHONY: all build vet test race race-hot race-quant chaos bench bench-json bench-kernel bench-kernel-smoke bench-compare bench-quant bench-quant-smoke bench-telem bench-telem-smoke serve-smoke metrics-smoke cross bench-vet check
 
 all: check
 
@@ -111,10 +111,18 @@ cross:
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
 	GOOS=linux GOARCH=riscv64 $(GO) build ./...
 
+# bench/ is its own module (go.mod with `replace pico => ../`), so `build`,
+# `vet` and `test` above never compile it: an API rename that breaks the
+# benchmark behind BENCHMARK.json would otherwise surface only when the
+# benchmark next runs. About a second of vet plus the harness's own unit tests.
+bench-vet:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # Re-run the kernel sweep and fail if any recorded kernel benchmark
 # regressed >10% against the committed BENCH_PR4.json baseline. Kept out of
 # `check`: wall-clock comparisons are too noisy for an unconditional gate.
 bench-compare:
 	$(GO) run ./cmd/picobench -kerncompare $(BENCH_KERNEL_BASE)
 
-check: build vet cross test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke bench-json serve-smoke metrics-smoke
+check: build vet cross bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke bench-json serve-smoke metrics-smoke

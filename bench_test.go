@@ -437,24 +437,24 @@ func BenchmarkGridExecutorRemote(b *testing.B) {
 	}
 }
 
-func BenchmarkRunSegmentRect(b *testing.B) {
+// BenchmarkRunTileRect times the segment walker on a partial-width tile (one
+// quadrant of a 2x2 grid): the general blocked kernels and per-cell pools.
+func BenchmarkRunTileRect(b *testing.B) {
 	m := nn.ToyChain("bench-rect", 4, 2, 16, 64)
 	exec, err := tensor.NewExecutor(m, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := tensor.RandomInput(m.Input, 1)
 	out := m.Output()
 	tile := partition.Rect{
 		Rows: partition.Range{Lo: 0, Hi: out.H / 2},
 		Cols: partition.Range{Lo: 0, Hi: out.W / 2},
 	}
-	calc := partition.NewCalc(m)
-	need := calc.SegmentRects(0, m.NumLayers(), tile)[0]
-	sub := in.SliceRect(need)
+	need := partition.NewCalc(m).TileRects(0, m.NumLayers(), tile)[0]
+	sub := tensor.MapOf(tensor.RandomInput(m.Input, 1)).SliceRect(need)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunSegmentRect(0, m.NumLayers(), sub, tile); err != nil {
+		if _, err := exec.RunTile(0, m.NumLayers(), sub, tile); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -226,8 +226,8 @@ func (c *Calc) SegmentIOBytes(from, to int, out Range) (in, outBytes int64) {
 // PathRanges back-propagates an output row range through one block path.
 // The result has len(path)+1 entries: entry 0 is the needed block-input row
 // range and entry i+1 is the output row range path[i] must produce. inH is
-// the block input height. Used by the tensor engine to execute blocks on
-// row tiles.
+// the block input height. The row-axis form of PathRects; the tensor engine
+// executes blocks by PathTileRects, whose rows are these.
 func (c *Calc) PathRanges(path []nn.Layer, out Range, inH int) []Range {
 	heights := c.pathHeights(path, inH)
 	needs := make([]Range, len(path)+1)

@@ -350,10 +350,35 @@ func coveredCells(rects []Rect, h, w int) int {
 	return covered
 }
 
+// TileRects is SegmentRects as the tensor engine executes a tile: an output
+// rectangle spanning the map's full width — a row strip — stays full-width
+// at every boundary, even where back-propagation would trim trailing columns
+// that an odd extent into a stride-2 layer never reads. Strips therefore run
+// the full-width kernels end to end and take full-width input rows; the rows
+// are exactly SegmentRanges'.
+func (c *Calc) TileRects(from, to int, out Rect) []Rect {
+	return keepFullWidth(c.SegmentRects(from, to, out), c.M.Shapes()[from:to+1])
+}
+
+// PathTileRects is TileRects for one block path (see PathRects).
+func (c *Calc) PathTileRects(path []nn.Layer, out Rect, blockIn nn.Shape) []Rect {
+	return keepFullWidth(c.PathRects(path, out, blockIn), c.pathShapes(path, blockIn))
+}
+
+// keepFullWidth widens every boundary to its map's width when the last one
+// (the requested output) already spans its own.
+func keepFullWidth(rects []Rect, shapes []nn.Shape) []Rect {
+	if last := len(rects) - 1; rects[last].Cols == Full(shapes[last].W) {
+		for i := range rects {
+			rects[i].Cols = Full(shapes[i].W)
+		}
+	}
+	return rects
+}
+
 // PathRects back-propagates an output rectangle through one block path; the
 // result has len(path)+1 entries, entry 0 being the needed block-input
-// region. The 2D analogue of PathRanges, used by the tensor engine's grid
-// execution.
+// region. The 2D analogue of PathRanges.
 func (c *Calc) PathRects(path []nn.Layer, out Rect, blockIn nn.Shape) []Rect {
 	shapes := c.pathShapes(path, blockIn)
 	needs := make([]Rect, len(path)+1)

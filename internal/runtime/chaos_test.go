@@ -365,16 +365,16 @@ func TestDeadlineFailsConnAndWakesPending(t *testing.T) {
 	}
 	defer wc.close()
 	m := nn.ToyChain("chaos-wake", 2, 0, 4, 16)
-	if err := wc.loadModel(wire.SpecFromModel(m), 1); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 1, false); err != nil {
 		t.Fatal(err)
 	}
 	tile := tensor.RandomInput(m.Input, 1)
 	hdr := wire.ExecHeader{From: 0, To: m.NumLayers(), OutLo: 0, OutHi: 16, ModelName: m.Name, Seed: 1}
-	c1, err := wc.startExec(hdr, tile)
+	c1, err := wc.startExec(hdr, tensor.MapOf(tile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := wc.startExec(hdr, tile)
+	c2, err := wc.startExec(hdr, tensor.MapOf(tile))
 	if err != nil {
 		t.Fatal(err)
 	}

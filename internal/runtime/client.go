@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-
 	"sync"
 	"time"
 
@@ -109,6 +108,9 @@ type call struct {
 	wc *workerClient
 	id uint64
 	ch chan *wire.Message
+	// dtype is the precision an exec call sent its tile in; the result must
+	// come back in the same one.
+	dtype tensor.DType
 }
 
 // register allocates a request id and its response slot.
@@ -236,14 +238,9 @@ func (wc *workerClient) close() error {
 	return err
 }
 
-func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64) error {
-	return wc.loadModelQuant(spec, seed, false)
-}
-
-// loadModelQuant ships a model; when quant is set the worker additionally
-// builds and calibrates the int8 executor so quantized exec requests can be
-// served.
-func (wc *workerClient) loadModelQuant(spec wire.ModelSpec, seed int64, quant bool) error {
+// loadModel ships a model; when quant is set the worker also calibrates the
+// executor's int8 path so quantized exec requests can be served.
+func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64, quant bool) error {
 	msg, err := wc.roundTrip(wire.MsgLoadModel, wire.LoadModelHeader{Model: spec, Seed: seed, Quant: quant}, nil)
 	if err != nil {
 		return err
@@ -261,16 +258,20 @@ func (wc *workerClient) loadModelQuant(spec wire.ModelSpec, seed int64, quant bo
 }
 
 // startExec serializes and sends one tile request without waiting for the
-// result; the returned call resolves to the computed strip. The tile is
-// fully written to the wire before startExec returns, so the caller may
-// recycle it immediately.
-func (wc *workerClient) startExec(hdr wire.ExecHeader, tile tensor.Tensor) (*call, error) {
+// result; the returned call resolves to the computed tile. The header's tile
+// extent, dtype and scale are taken from the tile itself, whose payload is
+// its raw elements (an int8 tile is a quarter of the float32 size for the
+// same extent). The tile is fully written to the wire before startExec
+// returns, so the caller may recycle it immediately.
+func (wc *workerClient) startExec(hdr wire.ExecHeader, tile tensor.FMap) (*call, error) {
 	id, c, err := wc.register()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: exec to %s: %w", wc.id, err)
 	}
+	c.dtype = tile.DType
 	hdr.TileC, hdr.TileH, hdr.TileW = tile.C, tile.H, tile.W
-	payload, pooled := wire.TensorBytes(tile)
+	hdr.DType, hdr.Scale = int(tile.DType), tile.Scale
+	payload, pooled := wire.MapBytes(tile)
 	err = wc.conn.SendExec(id, &hdr, payload)
 	if pooled {
 		wire.PutBuffer(payload)
@@ -286,119 +287,47 @@ func (wc *workerClient) startExec(hdr wire.ExecHeader, tile tensor.Tensor) (*cal
 	return c, nil
 }
 
-// waitExec resolves an exec call to its output strip and the worker's
-// reported compute seconds. transient reports whether the failure is
-// transport-attributable (timeout, lost connection) and therefore worth
-// retrying on a healthy replica; worker-reported errors are deterministic
-// and come back with transient == false.
-func (c *call) waitExec(d time.Duration) (out tensor.Tensor, seconds float64, transient bool, err error) {
+// waitExec resolves an exec call to its output tile — in the precision the
+// request was sent in, an int8 tile's scale coming from the result header —
+// and the worker's reported compute seconds. transient reports whether the
+// failure is transport-attributable (timeout, lost connection) and therefore
+// worth retrying on a healthy replica; worker-reported errors are
+// deterministic and come back with transient == false.
+func (c *call) waitExec(d time.Duration) (out tensor.FMap, seconds float64, transient bool, err error) {
 	msg, err := c.waitTimeout(d)
 	if err != nil {
-		return tensor.Tensor{}, 0, true, fmt.Errorf("runtime: exec result from %s: %w", c.wc.id, err)
+		return tensor.FMap{}, 0, true, fmt.Errorf("runtime: exec result from %s: %w", c.wc.id, err)
 	}
+	defer wire.PutBuffer(msg.Payload)
 	switch msg.Type {
 	case wire.MsgExecResult:
 		var rh wire.ExecResultHeader
 		if err := msg.DecodeExecResult(&rh); err != nil {
-			wire.PutBuffer(msg.Payload)
-			return tensor.Tensor{}, 0, false, err
+			return tensor.FMap{}, 0, false, err
 		}
-		out, err := wire.DecodeTensor(rh.C, rh.H, rh.W, msg.Payload)
-		wire.PutBuffer(msg.Payload)
-		if err != nil {
-			return tensor.Tensor{}, 0, false, err
+		if rh.DType != int(c.dtype) {
+			return tensor.FMap{}, 0, false, fmt.Errorf("runtime: %s answered a %v exec with dtype %d", c.wc.id, c.dtype, rh.DType)
 		}
-		return out, rh.ComputeSeconds, false, nil
+		out, err := wire.DecodeMap(rh.DType, rh.C, rh.H, rh.W, rh.Scale, msg.Payload)
+		return out, rh.ComputeSeconds, false, err
 	case wire.MsgError:
 		var eh wire.ErrorHeader
 		_ = msg.DecodeHeader(&eh)
-		wire.PutBuffer(msg.Payload)
-		return tensor.Tensor{}, 0, false, fmt.Errorf("runtime: %s: %s", c.wc.id, eh.Message)
+		return tensor.FMap{}, 0, false, fmt.Errorf("runtime: %s: %s", c.wc.id, eh.Message)
 	default:
-		wire.PutBuffer(msg.Payload)
-		return tensor.Tensor{}, 0, false, fmt.Errorf("runtime: %s: unexpected %v", c.wc.id, msg.Type)
-	}
-}
-
-// startExecQ is startExec for an int8 tile: the header carries the dtype
-// and the tile's quantization scale, and the payload is the tile's raw int8
-// bytes — a quarter of the float32 size for the same extent.
-func (wc *workerClient) startExecQ(hdr wire.ExecHeader, tile tensor.QTensor) (*call, error) {
-	id, c, err := wc.register()
-	if err != nil {
-		return nil, fmt.Errorf("runtime: exec to %s: %w", wc.id, err)
-	}
-	hdr.TileC, hdr.TileH, hdr.TileW = tile.C, tile.H, tile.W
-	hdr.DType = wire.DTypeInt8
-	hdr.Scale = tile.Scale
-	payload, pooled := wire.QTensorBytes(tile)
-	err = wc.conn.SendExec(id, &hdr, payload)
-	if pooled {
-		wire.PutBuffer(payload)
-	}
-	if err != nil {
-		wc.cancel(id)
-		wc.fail(fmt.Errorf("runtime: exec send to %s: %w", wc.id, err))
-		return nil, fmt.Errorf("runtime: exec to %s: %w", wc.id, err)
-	}
-	return c, nil
-}
-
-// waitExecQ resolves an exec call to its int8 output strip; the strip's
-// scale comes from the result header. Same transient classification as
-// waitExec.
-func (c *call) waitExecQ(d time.Duration) (out tensor.QTensor, seconds float64, transient bool, err error) {
-	msg, err := c.waitTimeout(d)
-	if err != nil {
-		return tensor.QTensor{}, 0, true, fmt.Errorf("runtime: exec result from %s: %w", c.wc.id, err)
-	}
-	switch msg.Type {
-	case wire.MsgExecResult:
-		var rh wire.ExecResultHeader
-		if err := msg.DecodeExecResult(&rh); err != nil {
-			wire.PutBuffer(msg.Payload)
-			return tensor.QTensor{}, 0, false, err
-		}
-		if rh.DType != wire.DTypeInt8 {
-			wire.PutBuffer(msg.Payload)
-			return tensor.QTensor{}, 0, false, fmt.Errorf("runtime: %s answered a quantized exec with dtype %d", c.wc.id, rh.DType)
-		}
-		out, err := wire.DecodeQTensor(rh.C, rh.H, rh.W, rh.Scale, msg.Payload)
-		wire.PutBuffer(msg.Payload)
-		if err != nil {
-			return tensor.QTensor{}, 0, false, err
-		}
-		return out, rh.ComputeSeconds, false, nil
-	case wire.MsgError:
-		var eh wire.ErrorHeader
-		_ = msg.DecodeHeader(&eh)
-		wire.PutBuffer(msg.Payload)
-		return tensor.QTensor{}, 0, false, fmt.Errorf("runtime: %s: %s", c.wc.id, eh.Message)
-	default:
-		wire.PutBuffer(msg.Payload)
-		return tensor.QTensor{}, 0, false, fmt.Errorf("runtime: %s: unexpected %v", c.wc.id, msg.Type)
+		return tensor.FMap{}, 0, false, fmt.Errorf("runtime: %s: unexpected %v", c.wc.id, msg.Type)
 	}
 }
 
 // exec is the synchronous request/response form of startExec + waitExec,
-// without a deadline (used by tests and profiling probes).
-func (wc *workerClient) exec(hdr wire.ExecHeader, tile tensor.Tensor) (tensor.Tensor, float64, error) {
+// without a deadline (used by the grid executor, profiling probes and
+// tests).
+func (wc *workerClient) exec(hdr wire.ExecHeader, tile tensor.FMap) (tensor.FMap, float64, error) {
 	c, err := wc.startExec(hdr, tile)
 	if err != nil {
-		return tensor.Tensor{}, 0, err
+		return tensor.FMap{}, 0, err
 	}
 	out, seconds, _, err := c.waitExec(0)
-	return out, seconds, err
-}
-
-// execQ is the synchronous request/response form of startExecQ + waitExecQ,
-// without a deadline (used by the grid executor and tests).
-func (wc *workerClient) execQ(hdr wire.ExecHeader, tile tensor.QTensor) (tensor.QTensor, float64, error) {
-	c, err := wc.startExecQ(hdr, tile)
-	if err != nil {
-		return tensor.QTensor{}, 0, err
-	}
-	out, seconds, _, err := c.waitExecQ(0)
 	return out, seconds, err
 }
 

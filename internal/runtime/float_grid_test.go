@@ -58,4 +58,14 @@ func TestGridExecutorMatchesRun(t *testing.T) {
 				task, tensor.MaxAbsDiff(want, got))
 		}
 	}
+	// Every tile went through the one per-layer dispatch, so every worker
+	// attributes the kinds it ran (the float grid path used to record none).
+	for k, w := range lc.Workers {
+		ks := w.KindSeconds()
+		for _, kind := range []string{"conv", "depthwise", "pointwise", "pool"} {
+			if ks[kind] <= 0 {
+				t.Errorf("worker %d: no %s seconds attributed after a float grid run: %v", k, kind, ks)
+			}
+		}
+	}
 }

@@ -70,7 +70,7 @@ func newGridExecutor(m *nn.Model, from, to int, tiles []partition.Rect, addrs []
 			return nil, err
 		}
 		ge.clients = append(ge.clients, wc)
-		if err := wc.loadModelQuant(spec, seed, quant); err != nil {
+		if err := wc.loadModel(spec, seed, quant); err != nil {
 			ge.Close()
 			return nil, err
 		}
@@ -108,54 +108,8 @@ func (ge *GridExecutor) Infer(taskID int64, input tensor.Tensor) (tensor.Tensor,
 	if ge.quant {
 		return tensor.Tensor{}, fmt.Errorf("runtime: quantized grid executor serves InferQ, not Infer")
 	}
-	type result struct {
-		t   tensor.Tensor
-		err error
-	}
-	results := make([]result, len(ge.tiles))
-	var wg sync.WaitGroup
-	for k, tile := range ge.tiles {
-		if tile.Empty() {
-			results[k].err = fmt.Errorf("runtime: empty tile %d", k)
-			continue
-		}
-		need := ge.calc.SegmentRects(ge.from, ge.to, tile)[0]
-		sub := input.SliceRect(need)
-		wg.Add(1)
-		go func(k int, wc *workerClient, sub tensor.Tensor, need, tile partition.Rect) {
-			defer wg.Done()
-			out, _, err := wc.exec(wire.ExecHeader{
-				TaskID: taskID,
-				From:   ge.from, To: ge.to,
-				OutLo: tile.Rows.Lo, OutHi: tile.Rows.Hi,
-				InLo:     need.Rows.Lo,
-				OutColLo: tile.Cols.Lo, OutColHi: tile.Cols.Hi,
-				InColLo:   need.Cols.Lo,
-				ModelName: ge.model.Name,
-				Seed:      ge.seed,
-			}, sub)
-			tensor.Recycle(sub) // fully serialized into the request
-			results[k] = result{t: out, err: err}
-		}(k, ge.clients[k], sub, need, tile)
-	}
-	wg.Wait()
-	outs := make([]tensor.Tensor, 0, len(ge.tiles))
-	rects := make([]partition.Rect, 0, len(ge.tiles))
-	for k := range results {
-		if results[k].err != nil {
-			return tensor.Tensor{}, results[k].err
-		}
-		outs = append(outs, results[k].t)
-		rects = append(rects, ge.tiles[k])
-	}
-	outShape := ge.model.OutShape(ge.to - 1)
-	stitched, err := tensor.StitchGrid(outs, rects, outShape.H, outShape.W)
-	if err == nil {
-		for _, o := range outs {
-			tensor.Recycle(o) // copied into the stitched map
-		}
-	}
-	return stitched, err
+	out, err := ge.infer(taskID, tensor.MapOf(input))
+	return out.Tensor(), err
 }
 
 // InferQ executes the segment in int8 on one quantized input map (the full
@@ -166,19 +120,23 @@ func (ge *GridExecutor) InferQ(taskID int64, input tensor.QTensor) (tensor.QTens
 	if !ge.quant {
 		return tensor.QTensor{}, fmt.Errorf("runtime: grid executor was built without quantization; use NewGridExecutorQuant")
 	}
-	type result struct {
-		t   tensor.QTensor
-		err error
-	}
-	results := make([]result, len(ge.tiles))
+	out, err := ge.infer(taskID, tensor.MapOfQ(input))
+	return out.QTensor(), err
+}
+
+// infer is the shared body: slice each tile's input region, execute the
+// tiles concurrently on their workers, stitch the output grid.
+func (ge *GridExecutor) infer(taskID int64, input tensor.FMap) (tensor.FMap, error) {
+	outs := make([]tensor.FMap, len(ge.tiles))
+	errs := make([]error, len(ge.tiles))
 	var wg sync.WaitGroup
 	for k, tile := range ge.tiles {
-		need := ge.calc.SegmentRects(ge.from, ge.to, tile)[0]
+		need := ge.calc.TileRects(ge.from, ge.to, tile)[0]
 		sub := input.SliceRect(need)
 		wg.Add(1)
-		go func(k int, wc *workerClient, sub tensor.QTensor, need, tile partition.Rect) {
+		go func(k int, sub tensor.FMap, need, tile partition.Rect) {
 			defer wg.Done()
-			out, _, err := wc.execQ(wire.ExecHeader{
+			outs[k], _, errs[k] = ge.clients[k].exec(wire.ExecHeader{
 				TaskID: taskID,
 				From:   ge.from, To: ge.to,
 				OutLo: tile.Rows.Lo, OutHi: tile.Rows.Hi,
@@ -188,28 +146,22 @@ func (ge *GridExecutor) InferQ(taskID int64, input tensor.QTensor) (tensor.QTens
 				ModelName: ge.model.Name,
 				Seed:      ge.seed,
 			}, sub)
-			tensor.RecycleQ(sub) // fully serialized into the request
-			results[k] = result{t: out, err: err}
-		}(k, ge.clients[k], sub, need, tile)
+			sub.Recycle() // fully serialized into the request
+		}(k, sub, need, tile)
 	}
 	wg.Wait()
-	outs := make([]tensor.QTensor, 0, len(ge.tiles))
-	rects := make([]partition.Rect, 0, len(ge.tiles))
-	for k := range results {
-		if results[k].err != nil {
-			return tensor.QTensor{}, results[k].err
+	defer func() {
+		for _, o := range outs {
+			o.Recycle() // copied into the stitched map, or dropped on error
 		}
-		outs = append(outs, results[k].t)
-		rects = append(rects, ge.tiles[k])
+	}()
+	for _, err := range errs {
+		if err != nil {
+			return tensor.FMap{}, err
+		}
 	}
 	outShape := ge.model.OutShape(ge.to - 1)
-	stitched, err := tensor.StitchGridQ(outs, rects, outShape.H, outShape.W)
-	if err == nil {
-		for _, o := range outs {
-			tensor.RecycleQ(o) // copied into the stitched map
-		}
-	}
-	return stitched, err
+	return tensor.Stitch(outs, ge.tiles, outShape.H, outShape.W)
 }
 
 // Close disconnects the workers.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pico/internal/core"
+	"pico/internal/nn"
 	"pico/internal/partition"
 	"pico/internal/telemetry"
 	"pico/internal/tensor"
@@ -37,16 +38,15 @@ type TaskResult struct {
 	Spans []StageSpan
 }
 
-// flight is a task moving through the stage drivers. In float mode the
-// feature map travels in t; in quantized mode it travels in q (the input is
-// quantized once at Submit and stays int8 across every stage boundary, so
-// each hop moves a quarter of the float bytes).
+// flight is a task moving through the stage drivers, carrying the current
+// stage-boundary feature map in the pipeline's precision (in quantized mode
+// the input is quantized once at Submit and stays int8 across every stage
+// boundary, so each hop moves a quarter of the float bytes).
 type flight struct {
 	id int64
-	t  tensor.Tensor
-	q  tensor.QTensor
+	m  tensor.FMap
 	// owned marks the map as pipeline-allocated (a stitched or quantized
-	// tensor), safe to recycle when the next stage replaces it. The user's
+	// map), safe to recycle when the next stage replaces it. The user's
 	// submitted input is never recycled.
 	owned     bool
 	err       error
@@ -81,7 +81,7 @@ type stageDriver struct {
 		name string
 		seed int64
 	}
-	outH int
+	out nn.Shape // the stage's full output map
 	// window caps how many tasks may be dispatched but not yet stitched.
 	window int
 	// timeout bounds each tile round trip on this stage.
@@ -159,45 +159,14 @@ func (sd *stageDriver) execHeader(f *flight, part partition.Range, inLo int) wir
 	}
 }
 
-// stripData is one gathered strip in the pipeline's precision: f in float
-// mode, q in quantized mode.
-type stripData struct {
-	f tensor.Tensor
-	q tensor.QTensor
-}
-
-// sendStrip slices one input tile for a strip and sends it in the
-// pipeline's precision. The tile is fully serialized before return.
-func (sd *stageDriver) sendStrip(wc *workerClient, f *flight, part partition.Range, inLo, inHi int) (*call, error) {
-	hdr := sd.execHeader(f, part, inLo)
-	if sd.p.quant {
-		tile := f.q.SliceRows(inLo, inHi)
-		c, err := wc.startExecQ(hdr, tile)
-		tensor.RecycleQ(tile)
-		return c, err
-	}
-	tile := f.t.SliceRows(inLo, inHi)
-	c, err := wc.startExec(hdr, tile)
-	tensor.Recycle(tile)
+// sendStrip slices one input tile for a strip and sends it, in the
+// precision the flight's map carries. The tile is fully serialized before
+// return.
+func (sd *stageDriver) sendStrip(wc *workerClient, f *flight, part partition.Range, in partition.Range) (*call, error) {
+	tile := f.m.SliceRect(partition.Rect{Rows: in, Cols: partition.Full(f.m.W)})
+	c, err := wc.startExec(sd.execHeader(f, part, in.Lo), tile)
+	tile.Recycle()
 	return c, err
-}
-
-// waitStrip resolves one strip call in the pipeline's precision.
-func (sd *stageDriver) waitStrip(c *call) (stripData, float64, bool, error) {
-	if sd.p.quant {
-		q, comp, transient, err := c.waitExecQ(sd.timeout)
-		return stripData{q: q}, comp, transient, err
-	}
-	t, comp, transient, err := c.waitExec(sd.timeout)
-	return stripData{f: t}, comp, transient, err
-}
-
-func (sd *stageDriver) recycleStrip(s stripData) {
-	if sd.p.quant {
-		tensor.RecycleQ(s.q)
-	} else {
-		tensor.Recycle(s.f)
-	}
 }
 
 // dispatch splits a flight's feature map into the stage's strips and sends
@@ -232,7 +201,7 @@ func (sd *stageDriver) dispatch(f *flight) *flightWork {
 			continue
 		}
 		inR := sd.calc.InputRange(sd.stage.From, sd.stage.To, part)
-		c, err := sd.sendStrip(wc, f, part, inR.Lo, inR.Hi)
+		c, err := sd.sendStrip(wc, f, part, inR)
 		if err != nil {
 			sd.noteFault(k, wc, FaultConnLost, err)
 			fw.retry = append(fw.retry, k)
@@ -260,13 +229,21 @@ func (sd *stageDriver) gather(fw *flightWork) {
 			sd.stageProd.RecordAt(end, end.Sub(fw.start).Seconds())
 		}
 	}()
-	outs := make([]stripData, 0, len(fw.calls))
-	los := make([]int, 0, len(fw.calls))
+	outs := make([]tensor.FMap, 0, len(fw.calls))
+	rects := make([]partition.Rect, 0, len(fw.calls))
+	// Every gathered strip is recycled on the way out: on success it has
+	// been copied into the stitched map, on failure it is dropped.
+	defer func() {
+		for _, o := range outs {
+			o.Recycle()
+		}
+	}()
+	cols := partition.Full(sd.out.W)
 	for k, c := range fw.calls {
 		if c == nil {
 			continue
 		}
-		strip, comp, transient, err := sd.waitStrip(c)
+		strip, comp, transient, err := c.waitExec(sd.timeout)
 		if err != nil {
 			// Keep draining the remaining calls so every in-flight
 			// response is accounted for before the flight fails.
@@ -280,7 +257,7 @@ func (sd *stageDriver) gather(fw *flightWork) {
 		}
 		sd.record(sd.stage.DeviceIdx[k], comp)
 		outs = append(outs, strip)
-		los = append(los, fw.parts[k].Lo)
+		rects = append(rects, partition.Rect{Rows: fw.parts[k], Cols: cols})
 	}
 	// Retry pass: the stage input map is still alive here, so failed strips
 	// can be re-sliced and executed on surviving replicas.
@@ -295,59 +272,22 @@ func (sd *stageDriver) gather(fw *flightWork) {
 		}
 		sd.record(di, comp)
 		outs = append(outs, strip)
-		los = append(los, fw.parts[k].Lo)
+		rects = append(rects, partition.Rect{Rows: fw.parts[k], Cols: cols})
 	}
 	if f.err != nil {
-		for _, o := range outs {
-			sd.recycleStrip(o)
-		}
 		return
 	}
-	if err := sd.stitchInto(f, outs, los); err != nil {
-		f.err = fmt.Errorf("runtime: stage [%d,%d) stitch: %w", sd.stage.From, sd.stage.To, err)
-		for _, o := range outs {
-			sd.recycleStrip(o)
-		}
-		return
-	}
-	for _, o := range outs {
-		sd.recycleStrip(o) // copied into the stitched map
-	}
-}
-
-// stitchInto assembles gathered strips into the stage's output map and
-// installs it on the flight, recycling the flight's previous owned map.
-func (sd *stageDriver) stitchInto(f *flight, outs []stripData, los []int) error {
-	if sd.p.quant {
-		strips := make([]tensor.QTensor, len(outs))
-		for i, o := range outs {
-			strips[i] = o.q
-		}
-		stitched, err := tensor.StitchRowsQ(strips, los, sd.outH)
-		if err != nil {
-			return err
-		}
-		if f.owned {
-			tensor.RecycleQ(f.q)
-		}
-		f.q = stitched
-		f.owned = true
-		return nil
-	}
-	strips := make([]tensor.Tensor, len(outs))
-	for i, o := range outs {
-		strips[i] = o.f
-	}
-	stitched, err := tensor.StitchRows(strips, los, sd.outH)
+	// Assemble the strips into the stage's output map and install it on the
+	// flight, recycling the flight's previous owned map.
+	stitched, err := tensor.Stitch(outs, rects, sd.out.H, sd.out.W)
 	if err != nil {
-		return err
+		f.err = fmt.Errorf("runtime: stage [%d,%d) stitch: %w", sd.stage.From, sd.stage.To, err)
+		return
 	}
 	if f.owned {
-		tensor.Recycle(f.t)
+		f.m.Recycle()
 	}
-	f.t = stitched
-	f.owned = true
-	return nil
+	f.m, f.owned = stitched, true
 }
 
 // faultKind classifies a transient exec failure for the event log.
@@ -392,7 +332,7 @@ func (sd *stageDriver) pickLive() (int, *workerClient) {
 // retryPart re-executes one strip on healthy replicas, waiting out a redial
 // between attempts, until the retry budget is spent. It returns the strip,
 // its compute seconds and the executing device index.
-func (sd *stageDriver) retryPart(f *flight, part partition.Range) (stripData, float64, int, error) {
+func (sd *stageDriver) retryPart(f *flight, part partition.Range) (tensor.FMap, float64, int, error) {
 	inR := sd.calc.InputRange(sd.stage.From, sd.stage.To, part)
 	backoff := sd.p.redialBackoff
 	lastErr := error(nil)
@@ -411,13 +351,13 @@ func (sd *stageDriver) retryPart(f *flight, part partition.Range) (stripData, fl
 			lastErr = fmt.Errorf("no live replica in stage [%d,%d)", sd.stage.From, sd.stage.To)
 			continue
 		}
-		c, err := sd.sendStrip(wc, f, part, inR.Lo, inR.Hi)
+		c, err := sd.sendStrip(wc, f, part, inR)
 		if err != nil {
 			sd.noteFault(k, wc, FaultConnLost, err)
 			lastErr = err
 			continue
 		}
-		strip, comp, transient, err := sd.waitStrip(c)
+		strip, comp, transient, err := c.waitExec(sd.timeout)
 		if err == nil {
 			sd.p.faults.add(FaultEvent{
 				Stage: sd.index, Device: sd.slots[k].deviceIdx, Worker: sd.slots[k].workerID,
@@ -428,12 +368,12 @@ func (sd *stageDriver) retryPart(f *flight, part partition.Range) (stripData, fl
 		if !transient {
 			// Worker-reported (deterministic) error: retrying elsewhere
 			// would fail the same way.
-			return stripData{}, 0, 0, err
+			return tensor.FMap{}, 0, 0, err
 		}
 		sd.noteFault(k, wc, faultKind(err), err)
 		lastErr = err
 	}
-	return stripData{}, 0, 0, &FaultError{
+	return tensor.FMap{}, 0, 0, &FaultError{
 		Device: -1, Kind: FaultDown,
 		Err: fmt.Errorf("task %d rows %v: retry budget exhausted: %w", f.id, part, lastErr),
 	}
@@ -460,7 +400,7 @@ func (sd *stageDriver) redial(slot *workerSlot) {
 		wc, err := dialWorker(slot.addr)
 		if err == nil {
 			wc.conn.SetWriteTimeout(sd.timeout)
-			if err = wc.loadModelQuant(sd.p.spec, sd.p.seed, sd.p.quant); err == nil {
+			if err = wc.loadModel(sd.p.spec, sd.p.seed, sd.p.quant); err == nil {
 				sd.p.trackClient(wc)
 				slot.reconnected(wc)
 				sd.p.faults.add(FaultEvent{
@@ -814,7 +754,7 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			stage:   st,
 			slots:   make([]*workerSlot, len(st.DeviceIdx)),
 			calc:    calc,
-			outH:    plan.Model.OutShape(st.To - 1).H,
+			out:     plan.Model.OutShape(st.To - 1),
 			window:  opts.StageWindow,
 			timeout: timeout,
 			p:       p,
@@ -859,7 +799,7 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			if p.byDevice[di] == nil {
 				p.byDevice[di] = wc
 			}
-			if err := wc.loadModelQuant(p.spec, opts.Seed, p.quant); err != nil {
+			if err := wc.loadModel(p.spec, opts.Seed, p.quant); err != nil {
 				return fail(err)
 			}
 			sd.slots[k] = &workerSlot{deviceIdx: di, addr: addr, workerID: wc.id, wc: wc}
@@ -883,14 +823,16 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 		defer p.wg.Done()
 		defer close(p.results)
 		for f := range last {
+			output := f.m.Tensor()
 			if p.quant {
 				if f.err == nil {
 					// Hand the caller float output regardless of transport
 					// precision; the int8 map served its last hop.
-					f.t = f.q.Dequantize()
+					q := f.m.QTensor()
+					output = q.Dequantize()
 				}
 				if f.owned {
-					tensor.RecycleQ(f.q)
+					f.m.Recycle()
 				}
 			}
 			done := time.Now()
@@ -899,7 +841,7 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			}
 			p.results <- TaskResult{
 				ID:        f.id,
-				Output:    f.t,
+				Output:    output,
 				Err:       f.err,
 				Submitted: f.submitted,
 				Done:      done,
@@ -936,14 +878,11 @@ func (p *Pipeline) Submit(input tensor.Tensor) (int64, error) {
 	p.nextID++
 	id := p.nextID
 	p.mu.Unlock()
-	f := &flight{id: id, submitted: time.Now()}
+	f := &flight{id: id, submitted: time.Now(), m: tensor.MapOf(input)}
 	if p.quant {
 		// Quantize once at the pipeline mouth; the input tensor itself is
 		// not retained, matching the float path's never-recycle contract.
-		f.q = tensor.QuantizeTensor(input, p.scale0)
-		f.owned = true
-	} else {
-		f.t = input
+		f.m, f.owned = tensor.MapOfQ(tensor.QuantizeTensor(input, p.scale0)), true
 	}
 	p.in <- f
 	return id, nil

@@ -28,7 +28,7 @@ func MeasureWorker(addr string, probe *nn.Model, seed int64, rounds int) ([]clus
 		return nil, err
 	}
 	defer func() { _ = wc.close() }()
-	if err := wc.loadModel(wire.SpecFromModel(probe), seed); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(probe), seed, false); err != nil {
 		return nil, err
 	}
 	exec, err := tensor.NewExecutor(probe, seed)
@@ -47,8 +47,8 @@ func MeasureWorker(addr string, probe *nn.Model, seed int64, rounds int) ([]clus
 		}
 		part := partition.Range{Lo: 0, Hi: rows}
 		inR := exec.InputRange(0, probe.NumLayers(), part)
-		tile := input.SliceRows(inR.Lo, inR.Hi)
-		flops := float64(exec.RegionFLOPs(0, probe.NumLayers(), part))
+		tile := tensor.MapOf(input.SliceRows(inR.Lo, inR.Hi))
+		flops := float64(exec.TileFLOPs(0, probe.NumLayers(), exec.Strip(probe.NumLayers(), part)))
 		best := 0.0
 		for r := 0; r < rounds; r++ {
 			_, comp, err := wc.exec(wire.ExecHeader{

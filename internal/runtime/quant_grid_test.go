@@ -7,6 +7,7 @@ import (
 	"pico/internal/nn"
 	"pico/internal/partition"
 	"pico/internal/tensor"
+	"pico/internal/wire"
 )
 
 // TestQuantGridExecutorMatchesRunQ is the distributed quantized 2D-partition
@@ -96,4 +97,58 @@ func TestGridExecutorRejectsFullInputLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ge.Close()
+}
+
+// TestInt8ExecNeedsQuantLoad: calibration is a load-time step, so an int8
+// tile for a model loaded without Quant is refused with an error frame (and
+// the connection keeps serving); once loaded with Quant the same tile runs,
+// and a later float-only load of the same model — another session sharing
+// the worker — must not take the int8 path away again.
+func TestInt8ExecNeedsQuantLoad(t *testing.T) {
+	m := nn.ToyChain("needs-quant", 2, 0, 4, 16)
+	const seed = 4
+	lc := startCluster(t, 1, nil)
+	wc, err := dialWorker(lc.Addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.close()
+	ref, err := tensor.NewExecutor(m, seed, tensor.WithQuantized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales, err := ref.QuantScales()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.RandomInput(m.Input, 1)
+	want, err := ref.RunQ(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := wire.ExecHeader{From: 0, To: m.NumLayers(), OutLo: 0, OutHi: m.Output().H, ModelName: m.Name, Seed: seed}
+	tile := tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0]))
+	spec := wire.SpecFromModel(m)
+
+	if err := wc.loadModel(spec, seed, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wc.exec(hdr, tile); err == nil || !strings.Contains(err.Error(), "not loaded") {
+		t.Fatalf("int8 exec on a float-only load: err = %v, want a not-loaded refusal", err)
+	}
+	if _, _, err := wc.exec(hdr, tensor.MapOf(in)); err != nil {
+		t.Fatalf("float exec after the refusal: %v", err)
+	}
+	for _, quant := range []bool{true, false} {
+		if err := wc.loadModel(spec, seed, quant); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := wc.exec(hdr, tile)
+		if err != nil {
+			t.Fatalf("int8 exec after load(quant=%v): %v", quant, err)
+		}
+		if !tensor.EqualQ(want, got.QTensor()) {
+			t.Fatalf("int8 exec after load(quant=%v) differs from local RunQ", quant)
+		}
+	}
 }

@@ -284,6 +284,12 @@ func TestUnreachableWorker(t *testing.T) {
 	}
 }
 
+// execT is exec for a float32 tile.
+func (wc *workerClient) execT(hdr wire.ExecHeader, tile tensor.Tensor) (tensor.Tensor, float64, error) {
+	out, seconds, err := wc.exec(hdr, tensor.MapOf(tile))
+	return out.Tensor(), seconds, err
+}
+
 func TestWorkerRejectsExecWithoutModel(t *testing.T) {
 	lc := startCluster(t, 1, nil)
 	wc, err := dialWorker(lc.Addrs[0])
@@ -292,7 +298,7 @@ func TestWorkerRejectsExecWithoutModel(t *testing.T) {
 	}
 	defer wc.close()
 	tile := tensor.RandomInput(nn.Shape{C: 1, H: 4, W: 4}, 1)
-	_, _, err = wc.exec(wire.ExecHeader{
+	_, _, err = wc.execT(wire.ExecHeader{
 		TaskID: 1, From: 0, To: 1, OutLo: 0, OutHi: 4,
 		ModelName: "nope", Seed: 1,
 	}, tile)
@@ -320,7 +326,7 @@ func TestWorkerRejectsInvalidModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	err = wc.loadModel(wire.ModelSpec{Name: "bad"}, 1)
+	err = wc.loadModel(wire.ModelSpec{Name: "bad"}, 1, false)
 	if err == nil {
 		t.Fatal("invalid model accepted by worker")
 	}
@@ -334,12 +340,12 @@ func TestWorkerExecBadTile(t *testing.T) {
 	}
 	defer wc.close()
 	m := nn.ToyChain("w", 2, 0, 4, 16)
-	if err := wc.loadModel(wire.SpecFromModel(m), 3); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 3, false); err != nil {
 		t.Fatal(err)
 	}
 	// Tile too small for the requested range.
 	tile := tensor.RandomInput(nn.Shape{C: 1, H: 4, W: 16}, 1)
-	_, _, err = wc.exec(wire.ExecHeader{
+	_, _, err = wc.execT(wire.ExecHeader{
 		TaskID: 2, From: 0, To: 2, OutLo: 0, OutHi: 16, InLo: 0,
 		ModelName: "w", Seed: 3,
 	}, tile)
@@ -348,7 +354,7 @@ func TestWorkerExecBadTile(t *testing.T) {
 	}
 	// The connection must survive the error for the next request.
 	fullIn := tensor.RandomInput(m.Input, 1)
-	out, _, err := wc.exec(wire.ExecHeader{
+	out, _, err := wc.execT(wire.ExecHeader{
 		TaskID: 3, From: 0, To: 2, OutLo: 0, OutHi: 16, InLo: 0,
 		ModelName: "w", Seed: 3,
 	}, fullIn)
@@ -414,7 +420,7 @@ func TestManualStageSplitMatchesWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer wc.close()
-		if err := wc.loadModel(wire.SpecFromModel(m), 9); err != nil {
+		if err := wc.loadModel(wire.SpecFromModel(m), 9, false); err != nil {
 			t.Fatal(err)
 		}
 		clients = append(clients, wc)
@@ -434,7 +440,7 @@ func TestManualStageSplitMatchesWorkers(t *testing.T) {
 	for k, part := range parts {
 		inR := ref.InputRange(0, m.NumLayers(), part)
 		tile := in.SliceRows(inR.Lo, inR.Hi)
-		out, _, err := clients[k].exec(wire.ExecHeader{
+		out, _, err := clients[k].execT(wire.ExecHeader{
 			TaskID: int64(k), From: 0, To: m.NumLayers(), OutLo: part.Lo, OutHi: part.Hi, InLo: inR.Lo,
 			ModelName: m.Name, Seed: 9,
 		}, tile)
@@ -464,7 +470,7 @@ func TestClientManyRequestsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	if err := wc.loadModel(wire.SpecFromModel(m), 5); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 5, false); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := tensor.NewExecutor(m, 5)
@@ -495,7 +501,7 @@ func TestClientManyRequestsInFlight(t *testing.T) {
 				k := (g + i) % len(parts)
 				part := parts[k]
 				inR := ref.InputRange(0, m.NumLayers(), part)
-				out, comp, err := wc.exec(wire.ExecHeader{
+				out, comp, err := wc.execT(wire.ExecHeader{
 					TaskID: int64(g*perG + i),
 					From:   0, To: m.NumLayers(),
 					OutLo: part.Lo, OutHi: part.Hi, InLo: inR.Lo,

@@ -97,10 +97,11 @@ func (f Fault) armed() bool {
 	return f.PanicOnExec > 0 || f.HangFromExec > 0 || f.CrashOnExec > 0
 }
 
+// execKey identifies a loaded model: one executor per (model, seed) serves
+// both precisions.
 type execKey struct {
-	name  string
-	seed  int64
-	quant bool
+	name string
+	seed int64
 }
 
 // WorkerOption configures a Worker.
@@ -346,30 +347,34 @@ func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
 	if err != nil {
 		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
 	}
-	exec, err := tensor.NewExecutor(m, hdr.Seed, tensor.WithParallelism(w.parallelism))
+	// One executor per (model, seed) serves both precisions. A float session
+	// loading the model again (a second pipeline, a redial) must not take the
+	// int8 path away from a quantized session sharing this worker, so the
+	// mode only ever upgrades.
+	key := execKey{name: m.Name, seed: hdr.Seed}
+	w.mu.Lock()
+	prev := w.execs[key]
+	w.mu.Unlock()
+	opts := []tensor.ExecutorOption{tensor.WithParallelism(w.parallelism)}
+	quant := hdr.Quant || (prev != nil && prev.Quantized())
+	if quant {
+		opts = append(opts, tensor.WithQuantized())
+	}
+	exec, err := tensor.NewExecutor(m, hdr.Seed, opts...)
 	if err != nil {
 		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
 	}
-	var qexec *tensor.Executor
-	if hdr.Quant {
-		qexec, err = tensor.NewExecutor(m, hdr.Seed,
-			tensor.WithParallelism(w.parallelism), tensor.WithQuantized())
-		if err != nil {
-			return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
-		}
+	if quant {
 		// Calibrate now, not on the first tile: scales are derived from
 		// (model, seed), so a calibration failure is a load failure.
-		if _, err := qexec.QuantScales(); err != nil {
+		if _, err := exec.QuantScales(); err != nil {
 			return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
 		}
 	}
 	w.mu.Lock()
-	w.execs[execKey{name: m.Name, seed: hdr.Seed}] = exec
-	if qexec != nil {
-		w.execs[execKey{name: m.Name, seed: hdr.Seed, quant: true}] = qexec
-	}
+	w.execs[key] = exec
 	w.mu.Unlock()
-	w.logf("worker %s: loaded %s (seed %d, quant %v)", w.id, m.Name, hdr.Seed, hdr.Quant)
+	w.logf("worker %s: loaded %s (seed %d, quant %v)", w.id, m.Name, hdr.Seed, quant)
 	return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
 }
 
@@ -387,31 +392,25 @@ func (w *Worker) KindSeconds() map[string]float64 {
 	return total
 }
 
-func (w *Worker) executor(name string, seed int64, quant bool) (*tensor.Executor, bool) {
+func (w *Worker) executor(name string, seed int64) (*tensor.Executor, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// A single loaded model is the common case; fall back to name lookup.
-	if e, ok := w.execs[execKey{name: name, seed: seed, quant: quant}]; ok {
+	if e, ok := w.execs[execKey{name: name, seed: seed}]; ok {
 		return e, true
 	}
-	if name == "" {
-		var match *tensor.Executor
-		for k, e := range w.execs {
-			if k.quant != quant {
-				continue
-			}
-			if match != nil {
-				return nil, false // ambiguous
-			}
-			match = e
-		}
-		if match != nil {
-			return match, true
+	if name == "" && len(w.execs) == 1 {
+		for _, e := range w.execs {
+			return e, true
 		}
 	}
 	return nil, false
 }
 
+// handleExec executes one tile in the precision its header names — a row
+// strip or, when the header carries a column range, a DeepThings-style 2D
+// grid rect. Every combination runs the same segment walker, so results are
+// byte-identical to a local whole-map run regardless of the partition shape.
 func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 	var hdr wire.ExecHeader
 	// Contain panics from the executor (or injected ones): the request is
@@ -443,56 +442,51 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 			panic(fmt.Sprintf("injected panic on exec %d", n))
 		}
 	}
-	quant := hdr.DType == wire.DTypeInt8
-	exec, ok := w.executor(hdr.ModelName, hdr.Seed, quant)
-	if !ok {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{
-			TaskID:  hdr.TaskID,
-			Message: fmt.Sprintf("model %q (seed %d, quant %v) not loaded", hdr.ModelName, hdr.Seed, quant),
-		}, nil)
-	}
-	if quant {
-		return w.handleExecQuant(conn, msg, &hdr, exec)
-	}
-	tile, err := wire.DecodeTensor(hdr.TileC, hdr.TileH, hdr.TileW, msg.Payload)
-	if err != nil {
+	refuse := func(err error) error {
 		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
+	}
+	quant := hdr.DType == wire.DTypeInt8
+	exec, ok := w.executor(hdr.ModelName, hdr.Seed)
+	if !ok || (quant && !exec.Quantized()) {
+		// Int8 needs a model loaded with Quant: calibration stays a
+		// load-time failure, never a first-tile surprise.
+		return refuse(fmt.Errorf("model %q (seed %d, quant %v) not loaded", hdr.ModelName, hdr.Seed, quant))
+	}
+	tile, err := wire.DecodeMap(hdr.DType, hdr.TileC, hdr.TileH, hdr.TileW, hdr.Scale, msg.Payload)
+	if err != nil {
+		return refuse(err)
+	}
+	// A header without a column range asks for a row strip: the full-width
+	// rect.
+	rect := exec.Strip(hdr.To, partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi})
+	if hdr.OutColHi > 0 {
+		rect.Cols = partition.Range{Lo: hdr.OutColLo, Hi: hdr.OutColHi}
 	}
 	start := time.Now()
-	var out tensor.Tensor
-	var flops float64
-	if hdr.OutColHi > 0 {
-		rect := partition.Rect{
-			Rows: partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi},
-			Cols: partition.Range{Lo: hdr.OutColLo, Hi: hdr.OutColHi},
-		}
-		out, err = exec.RunSegmentRect(hdr.From, hdr.To, tile, rect)
-		flops = float64(exec.RectFLOPs(hdr.From, hdr.To, rect))
-	} else {
-		rows := partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi}
-		out, err = exec.RunSegment(hdr.From, hdr.To, tile, rows)
-		flops = float64(exec.RegionFLOPs(hdr.From, hdr.To, rows))
-	}
-	tensor.Recycle(tile)
+	out, err := exec.RunTile(hdr.From, hdr.To, tile, rect)
+	tile.Recycle()
 	if err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
+		return refuse(err)
 	}
-	elapsed := w.emulate(time.Since(start), flops)
-	// Zero-copy on little-endian hosts: the payload aliases out.Data, and
-	// SendExecResult consumes it synchronously before out is recycled.
-	payload, pooled := wire.TensorBytes(out)
+	elapsed := w.emulate(time.Since(start), float64(exec.TileFLOPs(hdr.From, hdr.To, rect)))
+	// Zero-copy wherever the host layout is the wire layout: the payload
+	// aliases out's data, and SendExecResult consumes it synchronously
+	// before out is recycled.
+	payload, pooled := wire.MapBytes(out)
 	err = conn.SendExecResult(msg.ReqID, &wire.ExecResultHeader{
 		TaskID:         hdr.TaskID,
 		OutLo:          hdr.OutLo,
 		C:              out.C,
 		H:              out.H,
 		W:              out.W,
+		DType:          int(out.DType),
+		Scale:          out.Scale,
 		ComputeSeconds: elapsed.Seconds(),
 	}, payload)
 	if pooled {
 		wire.PutBuffer(payload)
 	}
-	tensor.Recycle(out)
+	out.Recycle()
 	return err
 }
 
@@ -510,53 +504,4 @@ func (w *Worker) emulate(elapsed time.Duration, flops float64) time.Duration {
 		elapsed = want
 	}
 	return elapsed
-}
-
-// handleExecQuant executes one int8 tile — a row strip or, when the header
-// carries a column range, a DeepThings-style 2D grid rect. Both paths share
-// the whole-map kernels' accumulators and requantize epilogue, so results
-// are byte-identical to a local RunQ regardless of the partition shape.
-func (w *Worker) handleExecQuant(conn *wire.Conn, msg *wire.Message, hdr *wire.ExecHeader, exec *tensor.Executor) error {
-	tile, err := wire.DecodeQTensor(hdr.TileC, hdr.TileH, hdr.TileW, hdr.Scale, msg.Payload)
-	if err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
-	}
-	start := time.Now()
-	var out tensor.QTensor
-	var flops float64
-	if hdr.OutColHi > 0 {
-		rect := partition.Rect{
-			Rows: partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi},
-			Cols: partition.Range{Lo: hdr.OutColLo, Hi: hdr.OutColHi},
-		}
-		out, err = exec.RunSegmentRectQ(hdr.From, hdr.To, tile, rect)
-		flops = float64(exec.RectFLOPs(hdr.From, hdr.To, rect))
-	} else {
-		rows := partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi}
-		out, err = exec.RunSegmentQ(hdr.From, hdr.To, tile, rows)
-		flops = float64(exec.RegionFLOPs(hdr.From, hdr.To, rows))
-	}
-	tensor.RecycleQ(tile)
-	if err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
-	}
-	elapsed := w.emulate(time.Since(start), flops)
-	// The int8 payload aliases out.Data (consumed synchronously, like the
-	// float path) and is a quarter of the float tile's size.
-	payload, pooled := wire.QTensorBytes(out)
-	err = conn.SendExecResult(msg.ReqID, &wire.ExecResultHeader{
-		TaskID:         hdr.TaskID,
-		OutLo:          hdr.OutLo,
-		C:              out.C,
-		H:              out.H,
-		W:              out.W,
-		DType:          wire.DTypeInt8,
-		Scale:          out.Scale,
-		ComputeSeconds: elapsed.Seconds(),
-	}, payload)
-	if pooled {
-		wire.PutBuffer(payload)
-	}
-	tensor.RecycleQ(out)
-	return err
 }

@@ -73,9 +73,9 @@ func TestBlockedMatchesReferenceBitExact(t *testing.T) {
 			wts := genConv(int64(200+ci), "blk", &l, tc.inC)
 			outH := (tc.h+2*l.PH-l.KH)/l.SH + 1
 			outW := (tc.w+2*l.PW-l.KW)/l.SW + 1
-			ref := convForwardRef(in, 0, tc.h, &l, wts, 0, outH, 1)
+			ref := convForwardRef(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, wts, 1)
 			for _, par := range []int{1, 3, 8} {
-				got := convForward(in, 0, tc.h, &l, wts, 0, outH, par)
+				got := convForward(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, wts, par)
 				if !Equal(got, ref) {
 					t.Fatalf("par=%d: full blocked output differs from reference (max diff %g)", par, MaxAbsDiff(got, ref))
 				}
@@ -86,7 +86,7 @@ func TestBlockedMatchesReferenceBitExact(t *testing.T) {
 					hi := lo + 1 + rng.Intn(outH-lo)
 					inLo, inHi := convInputRows(&l, lo, hi, tc.h)
 					tile := in.SliceRows(inLo, inHi)
-					gotTile := convForward(tile, inLo, tc.h, &l, wts, lo, hi, par)
+					gotTile := convForward(tile, stripGeom(&l, tile.C, tile.W, inLo, tc.h, lo, hi), &l, wts, par)
 					wantTile := ref.SliceRows(lo, hi)
 					if !Equal(gotTile, wantTile) {
 						t.Fatalf("par=%d tile [%d,%d): blocked differs from reference", par, lo, hi)
@@ -131,9 +131,9 @@ func TestBlockedSparseFallbackBitExact(t *testing.T) {
 	if packed == len(wts.blocks) {
 		t.Fatalf("expected at least one sparse block to decline packing")
 	}
-	ref := convForwardRef(in, 0, 9, &l, wts, 0, 9, 1)
+	ref := convForwardRef(in, stripGeom(&l, in.C, in.W, 0, 9, 0, 9), &l, wts, 1)
 	for _, par := range []int{1, 4} {
-		got := convForward(in, 0, 9, &l, wts, 0, 9, par)
+		got := convForward(in, stripGeom(&l, in.C, in.W, 0, 9, 0, 9), &l, wts, par)
 		if !Equal(got, ref) {
 			t.Fatalf("par=%d: sparse-kernel blocked output differs from reference", par)
 		}

@@ -20,12 +20,9 @@ import (
 // NaN for an infinite one, and adding either can change an accumulator's
 // bits.
 
-// dwElem is a depthwise input element, dwAcc the accumulator (and kernel
-// tap) type it widens into: float32 accumulates in float32, int8 in int32.
-type (
-	dwElem interface{ float32 | int8 }
-	dwAcc  interface{ float32 | int32 }
-)
+// dwAcc is the accumulator (and kernel tap) type a depthwise input element
+// widens into: float32 accumulates in float32, int8 in int32.
+type dwAcc interface{ float32 | int32 }
 
 // dwTile computes len(dst) consecutive output columns of one output row from
 // the nrows (1..3) input rows in range. Tap k of dst[i] reads input column
@@ -39,7 +36,7 @@ type (
 // either side and must hold an interior column: x0 >= -1, so only dst[0] can
 // miss tap 0, only the last column can miss tap 2, and no column misses both.
 // sw is 1 or 2.
-type dwTile[E dwElem, A dwAcc] func(dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sw int)
+type dwTile[E elem, A dwAcc] func(dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sw int)
 
 // dwGeom is the geometry of one depthwise call, derived once and shared by
 // every channel plane: the tile's rows within the global map, and the output
@@ -87,7 +84,7 @@ func newDWGeom(l *nn.Layer, inH, inW, inLo, inHGlobal, outLo, outHi int) dwGeom 
 // kh*kw taps. Columns [tileLo, tileHi) go through tile; a nil tile (a float
 // kernel with a zero tap the reference skips) sends every column through the
 // per-column loop.
-func dwPlane[E dwElem, A dwAcc](g *dwGeom, in []E, base int, dst, w []A, seed A, tile dwTile[E, A]) {
+func dwPlane[E elem, A dwAcc](g *dwGeom, in []E, base int, dst, w []A, seed A, tile dwTile[E, A]) {
 	lo, hi := g.tileLo, g.tileHi
 	if tile == nil {
 		lo, hi = 0, 0
@@ -126,7 +123,7 @@ func dwPlane[E dwElem, A dwAcc](g *dwGeom, in []E, base int, dst, w []A, seed A,
 // time, clipping the horizontal taps of each column to the map and skipping
 // zero weights like the reference's compacted rows do. It serves whole rows
 // of shapes without a fused tile and the columns a tile cannot take.
-func dwColumns[E dwElem, A dwAcc](g *dwGeom, row []A, src []E, nrows int, w []A, seed A, lo, hi int) {
+func dwColumns[E elem, A dwAcc](g *dwGeom, row []A, src []E, nrows int, w []A, seed A, lo, hi int) {
 	for ow := lo; ow < hi; ow++ {
 		iw := ow*g.sw - g.pw
 		kLo, kHi := max(0, -iw), min(g.kw, g.inW-iw)
@@ -146,7 +143,7 @@ func dwColumns[E dwElem, A dwAcc](g *dwGeom, row []A, src []E, nrows int, w []A,
 // dw3x3Row is the portable 3x3 row tile: the dwTile contract spelled out one
 // statement per tap. The typed tiles must match it bit for bit; it also
 // serves stride 2 on hosts without a vector tile.
-func dw3x3Row[E dwElem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sw int) {
+func dw3x3Row[E elem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sw int) {
 	for i := range dst {
 		x := x0 + i*sw
 		kLo, kHi := 0, 3
@@ -198,7 +195,7 @@ var simdDW3x3 = simdDW3x3Available()
 // architecture's per-row 3-tap sweep (dw3RowF / dw3Row, NEON on arm64): the
 // interior is seeded and swept once per input row, the edge columns take the
 // spelled-out form.
-func dw3x3RowSweeps[E dwElem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sweep func(acc []A, src []E, w *[4]A, n int)) {
+func dw3x3RowSweeps[E elem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sweep func(acc []A, src []E, w *[4]A, n int)) {
 	left, _, n, x := dwSpan(len(dst), x0, rowStride, 1)
 	dw3x3Row(dst[:left], src, x0, rowStride, nrows, w, seed, 1)
 	dw3x3Row(dst[left+n:], src, x+n, rowStride, nrows, w, seed, 1)
@@ -252,11 +249,12 @@ func dw3x3RowQ(dst []int32, src []int8, x0, rowStride, nrows int, w []int32, see
 	}
 }
 
-// convForwardDepthwise runs the float32 plane walker, one work unit per
-// channel: bias seeded in the tile, taps chained in reference order, and the
+// convForwardDepthwise runs the float32 plane walker over a full-width tile
+// (the dispatcher observes that; dwGeom has no column origin), one work unit
+// per channel: bias seeded in the tile, taps chained in reference order, and the
 // batch-norm + activation epilogue once over the channel's contiguous plane.
-func convForwardDepthwise(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
-	g := newDWGeom(l, in.H, in.W, inLo, inHGlobal, outLo, outHi)
+func convForwardDepthwise(in Tensor, at geom, l *nn.Layer, wts *convWeights, par int) Tensor {
+	g := newDWGeom(l, in.H, in.W, at.rowLo, at.in.H, at.out.Rows.Lo, at.out.Rows.Hi)
 	out := Alloc(l.OutC, g.outRows, g.outW)
 	plane, taps := g.outRows*g.outW, l.KH*l.KW
 	parallelForGrain(l.OutC, par, grainFor(taps*plane), func(lo, hi int) {
@@ -292,8 +290,8 @@ var dwAccPool sync.Pool
 // qconvForwardDepthwise runs the int8 plane walker: int32 accumulators for
 // one channel plane at a time, requantized in one pass. Zero taps need no
 // special case — adding an integer zero changes nothing.
-func qconvForwardDepthwise(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights, outLo, outHi, par int) QTensor {
-	g := newDWGeom(l, in.H, in.W, inLo, inHGlobal, outLo, outHi)
+func qconvForwardDepthwise(in QTensor, at geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+	g := newDWGeom(l, in.H, in.W, at.rowLo, at.in.H, at.out.Rows.Lo, at.out.Rows.Hi)
 	out := AllocQ(l.OutC, g.outRows, g.outW, 1)
 	plane, taps := g.outRows*g.outW, l.KH*l.KW
 	parallelForGrain(l.OutC, par, grainFor(taps*plane), func(lo, hi int) {

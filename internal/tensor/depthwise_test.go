@@ -49,10 +49,10 @@ func testDepthwisePlaneWalker(t *testing.T) {
 			wts.pack(&l, 1)
 		}
 		in := RandomInput(nn.Shape{C: c, H: h, W: w}, int64(1000+trial))
-		ref := convForwardRef(in, 0, h, &l, wts, 0, outH, 1)
+		ref := convForwardRef(in, stripGeom(&l, in.C, in.W, 0, h, 0, outH), &l, wts, 1)
 		qw := genQConv(wts, &l, 1, 0.03, 0.07)
 		qin := randomQInput(c, h, w, int64(2000+trial))
-		qref := qconvForwardRef(qin, 0, h, &l, qw, 0, outH, 1)
+		qref := qconvForwardRef(qin, stripGeom(&l, qin.C, qin.W, 0, h, 0, outH), &l, qw, 1)
 
 		// windows: the whole map, then both sides of every split point.
 		windows := [][2]int{{0, outH}}
@@ -67,13 +67,13 @@ func testDepthwisePlaneWalker(t *testing.T) {
 					continue // receptive field entirely in the padding
 				}
 				tile := in.SliceRows(inLo, inHi)
-				got := convForward(tile, inLo, h, &l, wts, lo, hi, par)
+				got := convForward(tile, stripGeom(&l, tile.C, tile.W, inLo, h, lo, hi), &l, wts, par)
 				if !Equal(got, ref.SliceRows(lo, hi)) {
 					t.Fatalf("vector=%v trial %d float c=%d %dx%d s=%d,%d p=%d,%d par=%d rows [%d,%d): walker != reference",
 						simdDW3x3, trial, c, h, w, l.SH, l.SW, l.PH, l.PW, par, lo, hi)
 				}
 				qtile := qin.SliceRows(inLo, inHi)
-				qgot := qconvForward(qtile, inLo, h, &l, qw, lo, hi, par)
+				qgot := qconvForward(qtile, stripGeom(&l, qtile.C, qtile.W, inLo, h, lo, hi), &l, qw, par)
 				if !EqualQ(qgot, qref.SliceRows(lo, hi)) {
 					t.Fatalf("vector=%v trial %d int8 c=%d %dx%d s=%d,%d p=%d,%d par=%d rows [%d,%d): walker != reference",
 						simdDW3x3, trial, c, h, w, l.SH, l.SW, l.PH, l.PW, par, lo, hi)
@@ -103,10 +103,10 @@ func TestDepthwiseGeneralShapes(t *testing.T) {
 		qw := genQConv(wts, &l, 1, 0.03, 0.07)
 		qin := randomQInput(4, h, w, int64(60+i))
 		for _, par := range []int{1, 3} {
-			if got, ref := convForward(in, 0, h, &l, wts, 0, outH, par), convForwardRef(in, 0, h, &l, wts, 0, outH, 1); !Equal(got, ref) {
+			if got, ref := convForward(in, stripGeom(&l, in.C, in.W, 0, h, 0, outH), &l, wts, par), convForwardRef(in, stripGeom(&l, in.C, in.W, 0, h, 0, outH), &l, wts, 1); !Equal(got, ref) {
 				t.Fatalf("shape %+v par=%d: float walker != reference", s, par)
 			}
-			if got, ref := qconvForward(qin, 0, h, &l, qw, 0, outH, par), qconvForwardRef(qin, 0, h, &l, qw, 0, outH, 1); !EqualQ(got, ref) {
+			if got, ref := qconvForward(qin, stripGeom(&l, qin.C, qin.W, 0, h, 0, outH), &l, qw, par), qconvForwardRef(qin, stripGeom(&l, qin.C, qin.W, 0, h, 0, outH), &l, qw, 1); !EqualQ(got, ref) {
 				t.Fatalf("shape %+v par=%d: int8 walker != reference", s, par)
 			}
 		}

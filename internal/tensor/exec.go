@@ -12,11 +12,16 @@ import (
 	"pico/internal/partition"
 )
 
-// Executor runs a model (or any contiguous segment of it) on tensors,
-// including partitioned execution on row tiles. Weights are derived lazily
+// Executor runs a model (or any contiguous segment of it) on feature maps,
+// including partitioned execution on tiles. Weights are derived lazily
 // and deterministically from the seed, so two Executors with the same model
 // and seed — in the same or different processes — compute identical results.
 // An Executor is safe for concurrent use.
+//
+// There is one walker (RunTile): geometry is a partition.Rect — a row strip
+// is the rect whose columns are full at every boundary — and precision is
+// the tag on the FMap it is handed. Run/RunQ/RunSegment/RunSegmentQ are the
+// typed adapters over it.
 //
 // Kernels parallelise over the shared pool (see pool.go) up to the
 // executor's configured parallelism; results are bit-identical at every
@@ -29,14 +34,13 @@ type Executor struct {
 	calc *partition.Calc
 	par  int
 
-	// refKernels routes conv/fc layers through the pre-blocking reference
-	// loops; used by benchmarks and A/B property tests.
-	refKernels bool
+	// k is the typed kernel table the one dispatch calls through: the
+	// blocked/SIMD engine, or the reference loops under WithReferenceKernels.
+	k *kernels
 
-	// quant marks the executor as serving the int8 path: RunQ/RunSegmentQ
-	// are the entry points and activation scales are calibrated on first
-	// use (see quant_exec.go). The float path stays fully usable either
-	// way — calibration itself runs it.
+	// quant marks the executor as serving the int8 path: activation scales
+	// are calibrated on first use (see quant_exec.go). The float path stays
+	// fully usable either way — calibration itself runs it.
 	quant bool
 
 	// Calibrated activation scales, one per layer boundary; derived once
@@ -48,36 +52,61 @@ type Executor struct {
 	// stats attributes kernel wall time by layer kind (see KindSeconds).
 	stats kindStats
 
-	// The weight cache takes a read lock on the hot path and serialises
-	// only the creation of a key's entry, never weight generation itself:
-	// each entry generates its weights under its own sync.Once, so two
-	// workers warming different layers proceed concurrently, and after
-	// warm-up concurrent stage workers never contend.
-	mu    sync.RWMutex
-	conv  map[string]*convEntry
-	fc    map[string]*fcEntry
-	qconv map[string]*qconvEntry
-	qfc   map[string]*qfcEntry
+	// Weights, generated on first use per layer key.
+	conv  onceCache[convWeights]
+	fc    onceCache[fcWeights]
+	qconv onceCache[qconvWeights]
+	qfc   onceCache[qfcWeights]
 }
 
-type convEntry struct {
-	once sync.Once
-	w    *convWeights
+// kernels is one engine's typed kernel set. Only kernels are typed by
+// element; everything above them handles FMaps.
+type kernels struct {
+	conv  func(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor
+	pool  func(in Tensor, g geom, l *nn.Layer, par int) Tensor
+	fc    func(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor
+	qconv func(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor
+	qpool func(in QTensor, g geom, l *nn.Layer, par int) QTensor
+	qfc   func(in QTensor, l *nn.Layer, qw *qfcWeights, par int) QTensor
 }
 
-type fcEntry struct {
-	once sync.Once
-	w    *fcWeights
+var (
+	blockedKernels   = kernels{convForward, poolForward, fcForward, qconvForward, qpoolForward, qfcForward}
+	referenceKernels = kernels{convForwardRef, poolForwardRef, fcForwardRef, qconvForwardRef, qpoolForwardRef, qfcForwardRef}
+)
+
+// onceCache lazily builds one value per key. The hot path takes a read lock;
+// a miss serialises only the creation of the key's entry, never the
+// generation itself: each entry generates under its own sync.Once, so two
+// workers warming different layers proceed concurrently, and after warm-up
+// concurrent stage workers never contend.
+type onceCache[V any] struct {
+	mu sync.RWMutex
+	m  map[string]*onceEntry[V]
 }
 
-type qconvEntry struct {
+type onceEntry[V any] struct {
 	once sync.Once
-	w    *qconvWeights
+	v    *V
 }
 
-type qfcEntry struct {
-	once sync.Once
-	w    *qfcWeights
+func (c *onceCache[V]) get(key string, gen func() *V) *V {
+	c.mu.RLock()
+	ent, ok := c.m[key]
+	c.mu.RUnlock()
+	if !ok {
+		c.mu.Lock()
+		if ent, ok = c.m[key]; !ok {
+			if c.m == nil {
+				c.m = make(map[string]*onceEntry[V])
+			}
+			ent = &onceEntry[V]{}
+			c.m[key] = ent
+		}
+		c.mu.Unlock()
+	}
+	ent.once.Do(func() { ent.v = gen() })
+	return ent.v
 }
 
 // kindStats accumulates kernel wall-clock seconds per layer kind. Counters
@@ -101,27 +130,32 @@ func (s *kindStats) add(c *atomic.Uint64, d time.Duration) {
 	}
 }
 
-// convCounter picks the attribution bucket for a convolution's shape,
-// mirroring the kernel dispatch in convForward.
+// convCounter picks the attribution bucket for a convolution's shape, by the
+// predicates the kernel dispatch in convForward uses.
 func (s *kindStats) convCounter(l *nn.Layer, inC int) *atomic.Uint64 {
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
 	switch {
-	case groups > 1 && inC/groups == 1 && l.OutC/groups == 1:
+	case depthwise(l, inC):
 		return &s.depthwise
-	case groups == 1 && l.KH == 1 && l.KW == 1 && l.SH == 1 && l.SW == 1 && l.PH == 0 && l.PW == 0:
+	case pointwise(l):
 		return &s.pointwise
 	default:
 		return &s.conv
 	}
 }
 
+// done attributes the time since start to counter c and passes the kernel's
+// result through: `return e.stats.done(c, start, kernel(...))` times exactly
+// the kernel, which runs while the arguments are evaluated.
+func (s *kindStats) done(c *atomic.Uint64, start time.Time, out FMap) FMap {
+	s.add(c, time.Since(start))
+	return out
+}
+
 // KindSeconds returns cumulative kernel wall-clock seconds since the
 // executor was created, keyed by layer kind: conv, pointwise, depthwise,
-// pool (including global average pool), and fc. Block combine overhead and
-// tensor stitching are not attributed.
+// pool (including global average pool), and fc — in either precision and
+// for any tile shape. Block combine overhead and tensor stitching are not
+// attributed.
 func (e *Executor) KindSeconds() map[string]float64 {
 	f := func(c *atomic.Uint64) float64 { return math.Float64frombits(c.Load()) }
 	return map[string]float64{
@@ -148,19 +182,21 @@ func WithParallelism(n int) ExecutorOption {
 	}
 }
 
-// WithReferenceKernels makes the executor run convolutions and fully
-// connected layers through the pre-blocking reference loops instead of the
-// cache-blocked kernels. Results are bit-identical either way; the option
-// exists so benchmarks and property tests can A/B the two engines through
-// the full execution stack.
+// WithReferenceKernels makes the executor run every convolution, pool and
+// fully connected layer — float32 and int8, strips and partial-width tiles —
+// through the pre-blocking reference loops instead of the cache-blocked
+// kernels. Results are bit-identical either way; the option exists so
+// benchmarks and property tests can A/B the two engines through the full
+// execution stack.
 func WithReferenceKernels() ExecutorOption {
-	return func(e *Executor) { e.refKernels = true }
+	return func(e *Executor) { e.k = &referenceKernels }
 }
 
-// WithQuantized marks the executor for int8 inference: callers drive it
-// through RunQ/RunSegmentQ and activation scales are calibrated lazily from
-// the deterministic calibration input. The option is a mode marker, not a
-// restriction — the float32 path remains available and bit-identical.
+// WithQuantized marks the executor for int8 inference: callers hand it Int8
+// maps (RunQ/RunSegmentQ/RunTile) and activation scales are calibrated
+// lazily from the deterministic calibration input. The option is a mode
+// marker, not a restriction — the float32 path remains available and
+// bit-identical.
 func WithQuantized() ExecutorOption {
 	return func(e *Executor) { e.quant = true }
 }
@@ -171,14 +207,11 @@ func NewExecutor(m *nn.Model, seed int64, opts ...ExecutorOption) (*Executor, er
 		return nil, err
 	}
 	e := &Executor{
-		m:     m,
-		seed:  seed,
-		calc:  partition.NewCalc(m),
-		par:   defaultParallelism(),
-		conv:  make(map[string]*convEntry),
-		fc:    make(map[string]*fcEntry),
-		qconv: make(map[string]*qconvEntry),
-		qfc:   make(map[string]*qfcEntry),
+		m:    m,
+		seed: seed,
+		calc: partition.NewCalc(m),
+		par:  defaultParallelism(),
+		k:    &blockedKernels,
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -201,41 +234,71 @@ func (e *Executor) InputRange(from, to int, out partition.Range) partition.Range
 	return e.calc.InputRange(from, to, out)
 }
 
-// RegionFLOPs returns the MACs of producing the given output rows of
-// segment [from, to), used for capacity emulation and accounting. The count
-// models the device's aggregate arithmetic and is independent of how many
-// pool workers execute the kernels.
-func (e *Executor) RegionFLOPs(from, to int, out partition.Range) int64 {
-	return e.calc.SegmentRegionFLOPs(from, to, out)
+// Strip expresses output rows of boundary to as the tile RunTile takes: the
+// rect spanning the map's full width. An out-of-range to yields an empty
+// rect, which RunTile rejects along with the segment.
+func (e *Executor) Strip(to int, rows partition.Range) partition.Rect {
+	if to < 1 || to > e.m.NumLayers() {
+		return partition.Rect{}
+	}
+	return partition.Rect{Rows: rows, Cols: partition.Full(e.m.OutShape(to - 1).W)}
 }
 
-// RectFLOPs is the grid-mode counterpart of RegionFLOPs.
-func (e *Executor) RectFLOPs(from, to int, out partition.Rect) int64 {
+// TileFLOPs returns the MACs of producing region out of segment [from, to),
+// used for capacity emulation and accounting. A full-width region is priced
+// as the row strip it executes as (every boundary full-width, see
+// partition.Calc.TileRects); anything narrower by its back-propagated rects.
+// The count models the device's aggregate arithmetic and is independent of
+// how many pool workers execute the kernels.
+func (e *Executor) TileFLOPs(from, to int, out partition.Rect) int64 {
+	if out == e.Strip(to, out.Rows) {
+		return e.calc.SegmentRegionFLOPs(from, to, out.Rows)
+	}
 	return e.calc.SegmentRectFLOPs(from, to, out)
 }
 
 // Run executes the whole model on a full input tensor. Models whose
 // geometry drops trailing rows (odd extents into stride-2 layers) never
-// read them; Run trims the unused border before delegating to RunSegment.
+// read them; the unused border is trimmed before the walker runs.
 // Ownership: Run never recycles the caller's tensor. When trimming is
 // needed, SliceRows copies the kept rows into a fresh executor-owned
 // arena tensor (it is a copy, not a view — see Tensor.SliceRows), and only
 // that copy is recycled. The caller's buffer, arena-backed or not, stays
 // live and untouched after Run returns.
 func (e *Executor) Run(in Tensor) (Tensor, error) {
-	outH := e.m.Output().H
-	need := e.calc.InputRange(0, e.m.NumLayers(), partition.Full(outH))
-	run := in
-	var trimmed Tensor
-	if in.Valid() && in.C == e.m.Input.C && in.H == e.m.Input.H && in.W == e.m.Input.W && need.Len() < in.H {
-		trimmed = in.SliceRows(need.Lo, need.Hi)
-		run = trimmed
+	out, err := e.run(in, false)
+	return out.Tensor(), err
+}
+
+// RunQ executes the whole model in int8 on a full float32 input: the input
+// quantizes at the first boundary's calibrated scale and every stage
+// boundary thereafter stays int8. The returned QTensor carries the output
+// boundary's scale; Dequantize yields the float approximation. Like Run,
+// RunQ never recycles the caller's tensor.
+func (e *Executor) RunQ(in Tensor) (QTensor, error) {
+	out, err := e.run(in, true)
+	return out.QTensor(), err
+}
+
+// run is the shared body of Run and RunQ.
+func (e *Executor) run(in Tensor, quant bool) (FMap, error) {
+	n := e.m.NumLayers()
+	rects := e.calc.TileRects(0, n, e.Strip(n, partition.Full(e.m.Output().H)))
+	tile := MapOf(in)
+	if need := rects[0].Rows; in.Valid() && in.C == e.m.Input.C && in.H == e.m.Input.H && in.W == e.m.Input.W && need.Len() < in.H {
+		tile = tile.sliceRows(need.Lo, need.Hi)
+		defer tile.Recycle()
 	}
-	out, err := e.RunSegment(0, e.m.NumLayers(), run, partition.Full(outH))
-	if trimmed.Valid() {
-		Recycle(trimmed)
+	if quant {
+		scales, err := e.QuantScales()
+		if err != nil {
+			return FMap{}, err
+		}
+		q := QuantizeTensor(tile.Tensor(), scales[0])
+		defer RecycleQ(q)
+		tile = MapOfQ(q)
 	}
-	return out, err
+	return e.walk(0, tile, rects)
 }
 
 // RunSegment executes layers [from, to) producing output rows out of the
@@ -244,145 +307,188 @@ func (e *Executor) Run(in Tensor) (Tensor, error) {
 // run, the whole input). The returned tensor is arena-backed; callers done
 // with it may Recycle it to keep the hot path allocation-free.
 func (e *Executor) RunSegment(from, to int, tile Tensor, out partition.Range) (Tensor, error) {
+	res, err := e.RunTile(from, to, MapOf(tile), e.Strip(to, out))
+	return res.Tensor(), err
+}
+
+// RunSegmentQ is the int8 counterpart of RunSegment: the tile is quantized
+// at boundary from's calibrated scale and the result carries boundary to's.
+func (e *Executor) RunSegmentQ(from, to int, tile QTensor, out partition.Range) (QTensor, error) {
+	res, err := e.RunTile(from, to, MapOfQ(tile), e.Strip(to, out))
+	return res.QTensor(), err
+}
+
+// RunTile is the segment walker: it executes layers [from, to) on one tile
+// in the tile's own precision and produces region out of the segment's final
+// layer. tile must hold exactly the region TileRects(from, to, out)[0] of
+// the feature map at boundary from — for a row strip, the full-width rows
+// InputRange(from, to, out.Rows). An Int8 tile must carry boundary from's
+// calibrated scale bit for bit — a mismatch means the sender calibrated a
+// different model or seed, which would silently corrupt every value — and
+// the result carries boundary to's. FullyConnected / GlobalAvgPool layers
+// consume the whole map and are rejected on any smaller tile. The returned
+// map is arena-backed; callers done with it may Recycle it.
+func (e *Executor) RunTile(from, to int, tile FMap, out partition.Rect) (FMap, error) {
 	if from < 0 || to > e.m.NumLayers() || from >= to {
-		return Tensor{}, fmt.Errorf("tensor: invalid segment [%d,%d)", from, to)
+		return FMap{}, fmt.Errorf("tensor: invalid segment [%d,%d)", from, to)
 	}
 	if out.Empty() {
-		return Tensor{}, fmt.Errorf("tensor: empty output range %v", out)
+		return FMap{}, fmt.Errorf("tensor: empty output region %v", out)
 	}
+	return e.walk(from, tile, e.calc.TileRects(from, to, out))
+}
+
+// walk runs the layers from `from` on, one per boundary pair of rects (the
+// TileRects of the tile being produced).
+func (e *Executor) walk(from int, tile FMap, rects []partition.Rect) (FMap, error) {
+	to := from + len(rects) - 1
 	shapes := e.m.Shapes()
-	ranges := e.calc.SegmentRanges(from, to, out)
-	inShape := shapes[from]
-	if !tile.Valid() {
-		return Tensor{}, fmt.Errorf("tensor: invalid input tile")
+	if need := rects[0]; !tile.Valid() || tile.C != shapes[from].C || tile.H != need.Rows.Len() || tile.W != need.Cols.Len() {
+		return FMap{}, fmt.Errorf("tensor: %v tile %dx%dx%d does not match required region %v of %v",
+			tile.DType, tile.C, tile.H, tile.W, need, shapes[from])
 	}
-	if tile.C != inShape.C || tile.W != inShape.W || tile.H != ranges[0].Len() {
-		return Tensor{}, fmt.Errorf("tensor: tile %dx%dx%d does not match required region %v of %v",
-			tile.C, tile.H, tile.W, ranges[0], inShape)
+	var scales []float32 // boundary scales; nil on the float path
+	if tile.DType == Int8 {
+		var err error
+		if scales, err = e.QuantScales(); err != nil {
+			return FMap{}, err
+		}
+		if math.Float32bits(tile.Scale) != math.Float32bits(scales[from]) {
+			return FMap{}, fmt.Errorf("tensor: tile scale %g does not match calibrated boundary scale %g", tile.Scale, scales[from])
+		}
 	}
 	cur := tile
-	curLo := ranges[0].Lo
 	for i := from; i < to; i++ {
-		need := ranges[i-from+1]
-		next, err := e.runLayer(i, cur, curLo, need)
+		k := i - from
+		g := geom{rowLo: rects[k].Rows.Lo, colLo: rects[k].Cols.Lo, in: shapes[i], out: rects[k+1]}
+		var sIn, sOut float32
+		if scales != nil {
+			sIn, sOut = scales[i], scales[i+1]
+		}
+		next, err := e.runLayer(&e.m.Layers[i], strconv.Itoa(i), cur, g, sIn, sOut)
 		if err != nil {
-			return Tensor{}, fmt.Errorf("tensor: layer %d (%s): %w", i, e.m.Layers[i].Name, err)
+			return FMap{}, fmt.Errorf("tensor: layer %d (%s): %w", i, e.m.Layers[i].Name, err)
 		}
 		if i > from {
 			// cur is an intermediate this segment produced (never the
 			// caller's tile); its buffer is dead now.
-			Recycle(cur)
+			cur.Recycle()
 		}
 		cur = next
-		curLo = need.Lo
 	}
 	return cur, nil
 }
 
-// runLayer executes model layer i on a tile holding input rows
-// [inLo, inLo+in.H) and produces output rows out.
-func (e *Executor) runLayer(i int, in Tensor, inLo int, out partition.Range) (Tensor, error) {
-	l := &e.m.Layers[i]
-	inShape := e.m.InShape(i)
-	return e.runLayerOn(l, strconv.Itoa(i), in, inLo, inShape, out)
-}
-
-// runLayerOn dispatches one layer (possibly inside a block) with explicit
-// geometry: inShape is the layer's full input shape, inLo the tile's global
-// row offset.
-func (e *Executor) runLayerOn(l *nn.Layer, key string, in Tensor, inLo int, inShape nn.Shape, out partition.Range) (Tensor, error) {
+// runLayer is the one per-layer dispatch: it runs layer l (a model layer or
+// one inside a block; key names its weights) on a tile placed by g, through
+// the kernel of the tile's precision, and attributes the kernel's wall time
+// to the layer's kind. Int8 conv and fc kernels requantize to sOut with the
+// fused epilogue; pools keep their input's scale.
+func (e *Executor) runLayer(l *nn.Layer, key string, in FMap, g geom, sIn, sOut float32) (FMap, error) {
+	quant := in.DType == Int8
+	switch l.Kind {
+	case nn.FullyConnected, nn.GlobalAvgPool:
+		if g.rowLo != 0 || g.colLo != 0 || in.H != g.in.H || in.W != g.in.W {
+			return FMap{}, fmt.Errorf("%v needs the full input map, got %dx%d at (%d,%d) of %v", l.Kind, in.H, in.W, g.rowLo, g.colLo, g.in)
+		}
+	}
 	switch l.Kind {
 	case nn.Conv:
-		wts := e.convW(key, l, inShape.C)
-		kernel := convForward
-		if e.refKernels {
-			kernel = convForwardRef
+		c := e.stats.convCounter(l, g.in.C)
+		if quant {
+			qw := e.qconvW(key, l, g.in.C, sIn, sOut)
+			start := time.Now()
+			res := e.k.qconv(in.QTensor(), g, l, qw, e.par)
+			res.Scale = sOut
+			return e.stats.done(c, start, MapOfQ(res)), nil
 		}
+		wts := e.convW(key, l, g.in.C)
 		start := time.Now()
-		res := kernel(in, inLo, inShape.H, l, wts, out.Lo, out.Hi, e.par)
-		e.stats.add(e.stats.convCounter(l, inShape.C), time.Since(start))
-		return res, nil
+		return e.stats.done(c, start, MapOf(e.k.conv(in.Tensor(), g, l, wts, e.par))), nil
 	case nn.MaxPool, nn.AvgPool:
-		kernel := poolForward
-		if e.refKernels {
-			kernel = poolForwardRef
-		}
 		start := time.Now()
-		res := kernel(in, inLo, inShape.H, l, out.Lo, out.Hi, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
+		if quant {
+			return e.stats.done(&e.stats.pool, start, MapOfQ(e.k.qpool(in.QTensor(), g, l, e.par))), nil
+		}
+		return e.stats.done(&e.stats.pool, start, MapOf(e.k.pool(in.Tensor(), g, l, e.par))), nil
 	case nn.FullyConnected:
-		if inLo != 0 || in.H != inShape.H {
-			return Tensor{}, fmt.Errorf("fc needs the full input, got rows [%d,%d) of %d", inLo, inLo+in.H, inShape.H)
+		if quant {
+			qw := e.qfcW(key, l, g.in.Elems(), sIn, sOut)
+			start := time.Now()
+			res := e.k.qfc(in.QTensor(), l, qw, e.par)
+			res.Scale = sOut
+			return e.stats.done(&e.stats.fc, start, MapOfQ(res)), nil
 		}
-		wts := e.fcW(key, l, inShape.Elems())
-		kernel := fcForward
-		if e.refKernels {
-			kernel = fcForwardRef
-		}
+		wts := e.fcW(key, l, g.in.Elems())
 		start := time.Now()
-		res := kernel(in, l, wts, e.par)
-		e.stats.add(&e.stats.fc, time.Since(start))
-		return res, nil
+		return e.stats.done(&e.stats.fc, start, MapOf(e.k.fc(in.Tensor(), l, wts, e.par))), nil
 	case nn.GlobalAvgPool:
-		if inLo != 0 || in.H != inShape.H {
-			return Tensor{}, fmt.Errorf("global pool needs the full input, got rows [%d,%d) of %d", inLo, inLo+in.H, inShape.H)
-		}
 		start := time.Now()
-		res := gapForward(in, l, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
+		if quant {
+			return e.stats.done(&e.stats.pool, start, MapOfQ(qgapForward(in.QTensor(), l, e.par))), nil
+		}
+		return e.stats.done(&e.stats.pool, start, MapOf(gapForward(in.Tensor(), l, e.par))), nil
 	case nn.Block:
-		return e.runBlock(l, key, in, inLo, inShape, out)
+		if !quant {
+			res, err := e.runBlock(l, key, in.Tensor(), g)
+			return MapOf(res), err
+		}
+		// Hybrid: a block's internal graph combine is additive and rare, so
+		// its paths run the float engine between the two int8 boundaries
+		// (dequantize, run, requantize). That keeps every model runnable
+		// under quant mode while the chain-structured hot models stay int8
+		// end to end.
+		q := in.QTensor()
+		fin := q.Dequantize()
+		res, err := e.runBlock(l, key, fin, g)
+		Recycle(fin)
+		if err != nil {
+			return FMap{}, err
+		}
+		out := QuantizeTensor(res, sOut)
+		Recycle(res)
+		return MapOfQ(out), nil
 	default:
-		return Tensor{}, fmt.Errorf("unsupported layer kind %v", l.Kind)
+		return FMap{}, fmt.Errorf("unsupported layer kind %v", l.Kind)
 	}
 }
 
-// runBlock executes a graph block on a tile covering the hull of all path
-// input requirements, then combines path outputs. Path intermediates are
-// recycled as soon as the next layer consumes them; path outputs are
-// recycled after merging.
-func (e *Executor) runBlock(l *nn.Layer, key string, in Tensor, inLo int, inShape nn.Shape, out partition.Range) (Tensor, error) {
+// runBlock executes a graph block on a float tile covering the hull of all
+// path input requirements, then combines path outputs. Path intermediates
+// are recycled as soon as the next layer consumes them; path outputs are
+// recycled after merging. An identity shortcut is the empty path: its one
+// boundary is the block output region itself, copied out of the tile.
+func (e *Executor) runBlock(l *nn.Layer, key string, in Tensor, g geom) (Tensor, error) {
+	tile := partition.Rect{
+		Rows: partition.Range{Lo: g.rowLo, Hi: g.rowLo + in.H},
+		Cols: partition.Range{Lo: g.colLo, Hi: g.colLo + in.W},
+	}
 	var combined Tensor
 	for pi, path := range l.Paths {
-		var pOut Tensor
-		if len(path) == 0 {
-			// Identity shortcut: block output rows map one-to-one onto
-			// block input rows.
-			lo := out.Lo - inLo
-			hi := out.Hi - inLo
-			if lo < 0 || hi > in.H {
-				return Tensor{}, fmt.Errorf("identity path needs rows %v outside tile [%d,%d)", out, inLo, inLo+in.H)
-			}
-			pOut = in.SliceRows(lo, hi)
-		} else {
-			needs := e.calc.PathRanges(path, out, inShape.H)
-			lo := needs[0].Lo - inLo
-			hi := needs[0].Hi - inLo
-			if lo < 0 || hi > in.H {
-				return Tensor{}, fmt.Errorf("path %d needs rows %v outside tile [%d,%d)", pi, needs[0], inLo, inLo+in.H)
-			}
-			cur := in.SliceRows(lo, hi)
-			curLo := needs[0].Lo
-			curShape := inShape
-			for li := range path {
-				nextShape, err := path[li].OutShape(curShape)
-				if err != nil {
-					return Tensor{}, err
-				}
-				pk := key + "/" + strconv.Itoa(pi) + "/" + strconv.Itoa(li)
-				next, err := e.runLayerOn(&path[li], pk, cur, curLo, curShape, needs[li+1])
-				if err != nil {
-					return Tensor{}, fmt.Errorf("path %d layer %d (%s): %w", pi, li, path[li].Name, err)
-				}
-				Recycle(cur) // cur is the path-local copy or a path intermediate
-				cur = next
-				curLo = needs[li+1].Lo
-				curShape = nextShape
-			}
-			pOut = cur
+		needs := e.calc.PathTileRects(path, g.out, g.in)
+		if !tile.Rows.Contains(needs[0].Rows) || !tile.Cols.Contains(needs[0].Cols) {
+			return Tensor{}, fmt.Errorf("path %d needs %v outside tile %v", pi, needs[0], tile)
 		}
+		cur := MapOf(in).SliceRect(partition.Rect{
+			Rows: partition.Range{Lo: needs[0].Rows.Lo - g.rowLo, Hi: needs[0].Rows.Hi - g.rowLo},
+			Cols: partition.Range{Lo: needs[0].Cols.Lo - g.colLo, Hi: needs[0].Cols.Hi - g.colLo},
+		})
+		curShape := g.in
+		for li := range path {
+			nextShape, err := path[li].OutShape(curShape)
+			if err != nil {
+				return Tensor{}, err
+			}
+			pk := key + "/" + strconv.Itoa(pi) + "/" + strconv.Itoa(li)
+			pg := geom{rowLo: needs[li].Rows.Lo, colLo: needs[li].Cols.Lo, in: curShape, out: needs[li+1]}
+			next, err := e.runLayer(&path[li], pk, cur, pg, 0, 0)
+			if err != nil {
+				return Tensor{}, fmt.Errorf("path %d layer %d (%s): %w", pi, li, path[li].Name, err)
+			}
+			cur.Recycle() // the path-local copy or a path intermediate
+			cur, curShape = next, nextShape
+		}
+		pOut := cur.Tensor()
 		if pi == 0 {
 			combined = pOut
 			continue
@@ -423,36 +529,24 @@ func concatChannels(a, b Tensor) Tensor {
 	return merged
 }
 
-// convW returns (generating on first use) the convolution weights for key.
+// The weight getters generate on first use through the once-caches. The
+// int8 forms quantize the float weights, materialised through the float
+// cache first, per output channel.
+
 func (e *Executor) convW(key string, l *nn.Layer, inC int) *convWeights {
-	e.mu.RLock()
-	ent, ok := e.conv[key]
-	e.mu.RUnlock()
-	if !ok {
-		e.mu.Lock()
-		if ent, ok = e.conv[key]; !ok {
-			ent = &convEntry{}
-			e.conv[key] = ent
-		}
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() { ent.w = genConv(e.seed, key, l, inC) })
-	return ent.w
+	return e.conv.get(key, func() *convWeights { return genConv(e.seed, key, l, inC) })
 }
 
-// fcW returns (generating on first use) the fully connected weights for key.
 func (e *Executor) fcW(key string, l *nn.Layer, inElems int) *fcWeights {
-	e.mu.RLock()
-	ent, ok := e.fc[key]
-	e.mu.RUnlock()
-	if !ok {
-		e.mu.Lock()
-		if ent, ok = e.fc[key]; !ok {
-			ent = &fcEntry{}
-			e.fc[key] = ent
-		}
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() { ent.w = genFC(e.seed, key, l, inElems) })
-	return ent.w
+	return e.fc.get(key, func() *fcWeights { return genFC(e.seed, key, l, inElems) })
+}
+
+func (e *Executor) qconvW(key string, l *nn.Layer, inC int, sIn, sOut float32) *qconvWeights {
+	return e.qconv.get(key, func() *qconvWeights {
+		return genQConv(e.convW(key, l, inC), l, inC/max(l.Groups, 1), sIn, sOut)
+	})
+}
+
+func (e *Executor) qfcW(key string, l *nn.Layer, inElems int, sIn, sOut float32) *qfcWeights {
+	return e.qfc.get(key, func() *qfcWeights { return genQFC(e.fcW(key, l, inElems), l, inElems, sIn, sOut) })
 }

@@ -27,7 +27,7 @@ func simdMixModel(name string, c, hw int) *nn.Model {
 }
 
 // TestFloatSIMDGridMatchesRun pins the distributed 2D-partition contract for
-// the vectorized float path: convForwardRect grid tiles stitched back
+// the vectorized float path: partial-width grid tiles stitched back
 // together must be byte-identical to the whole-map Run, across random grid
 // splits, for a model that walks every float SIMD kernel kind. Halo tiles
 // force the rect kernels through their edge-tap clamps, which is exactly

@@ -52,9 +52,9 @@ func FuzzConvGeometry(f *testing.F) {
 		in := RandomInput(nn.Shape{C: ic, H: h, W: w}, int64(kh)<<8|int64(kw))
 		wts := genConv(int64(sh)<<8|int64(sw), "fuzz", &l, ic)
 		outH := (h+2*l.PH-l.KH)/l.SH + 1
-		ref := convForwardRef(in, 0, h, &l, wts, 0, outH, 1)
+		ref := convForwardRef(in, stripGeom(&l, in.C, in.W, 0, h, 0, outH), &l, wts, 1)
 		for _, par := range []int{1, 4} {
-			got := convForward(in, 0, h, &l, wts, 0, outH, par)
+			got := convForward(in, stripGeom(&l, in.C, in.W, 0, h, 0, outH), &l, wts, par)
 			if !Equal(got, ref) {
 				t.Fatalf("k=%dx%d s=%d,%d p=%d,%d groups=%d ic=%d oc=%d par=%d: blocked != reference (max diff %g)",
 					l.KH, l.KW, l.SH, l.SW, l.PH, l.PW, g, ic, oc, par, MaxAbsDiff(got, ref))
@@ -71,7 +71,7 @@ func FuzzConvGeometry(f *testing.F) {
 					continue
 				}
 				tile := in.SliceRows(inLo, inHi)
-				gotTile := convForward(tile, inLo, h, &l, wts, lo, hi, par)
+				gotTile := convForward(tile, stripGeom(&l, tile.C, tile.W, inLo, h, lo, hi), &l, wts, par)
 				if !Equal(gotTile, ref.SliceRows(lo, hi)) {
 					t.Fatalf("tile [%d,%d) par=%d: blocked != reference", lo, hi, par)
 				}

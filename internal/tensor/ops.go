@@ -5,61 +5,121 @@ import (
 	"math"
 
 	"pico/internal/nn"
+	"pico/internal/partition"
 )
 
-// convForward computes output rows [outLo, outHi) of a convolution.
-//
-// in holds input rows [inLo, inLo+in.H) of a feature map whose true global
-// height is inHGlobal; rows outside [0, inHGlobal) are zero padding. The
-// width axis is never split, so left/right padding is handled normally.
-// Accumulation order per output element is (ic, kh, kw) regardless of the
+// geom places one layer call in the layer's global coordinates: the input
+// tile's first row and column within the layer's full input map in, and the
+// output region to produce. Rows and columns outside the map are zero
+// padding; a cell of the map the tile does not hold is a caller bug and
+// panics. The accumulation order per output element never depends on the
 // tile, which makes tiled execution bit-identical to whole-map execution.
-//
-// This is a dispatcher over cache-blocked kernels that all preserve that
-// per-element order exactly (see DESIGN.md): a depthwise path (groups ==
-// channels), a 1x1 stride-1 row-panel matmul path, and the general
-// register-tiled path. convForwardRef keeps the original single-channel
-// sweep for property tests and benchmarks.
-func convForward(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
+type geom struct {
+	rowLo, colLo int
+	in           nn.Shape
+	out          partition.Rect
+}
+
+// fullWidth reports whether the tile holds whole input rows and the call
+// produces whole output rows (outW wide) — a row strip. The width-specialised
+// kernels (depthwise plane walker, flattened pointwise, tap-major pools)
+// require it, and it is observed here, from the tile, never implied by the
+// entry point that was called.
+func (g geom) fullWidth(tileW, outW int) bool {
+	return g.colLo == 0 && tileW == g.in.W && g.out.Cols == partition.Full(outW)
+}
+
+// mustCover panics unless the tileH x tileW tile holds every in-map cell the
+// windows of l over g.out read. Kernels check once up front, so the per-row
+// and per-cell lookups below stay branch-light.
+func (g geom) mustCover(l *nn.Layer, tileH, tileW int) {
+	rows := partition.Range{Lo: g.out.Rows.Lo*l.SH - l.PH, Hi: (g.out.Rows.Hi-1)*l.SH - l.PH + l.KH}.Clamp(g.in.H)
+	cols := partition.Range{Lo: g.out.Cols.Lo*l.SW - l.PW, Hi: (g.out.Cols.Hi-1)*l.SW - l.PW + l.KW}.Clamp(g.in.W)
+	tile := partition.Rect{
+		Rows: partition.Range{Lo: g.rowLo, Hi: g.rowLo + tileH},
+		Cols: partition.Range{Lo: g.colLo, Hi: g.colLo + tileW},
 	}
+	if !tile.Rows.Contains(rows) || !tile.Cols.Contains(cols) {
+		panic(fmt.Sprintf("tensor: %v of %v needs %vx%v outside tile %v", l.Kind, g.out, rows, cols, tile))
+	}
+}
+
+// rowAt returns the tile-local index of the input row that kernel row kh of
+// global output row oh reads, or -1 when that row is top/bottom padding.
+func (g geom) rowAt(oh, kh int, l *nn.Layer) int {
+	ihGlobal := oh*l.SH - l.PH + kh
+	if ihGlobal < 0 || ihGlobal >= g.in.H {
+		return -1
+	}
+	return ihGlobal - g.rowLo
+}
+
+// colAt is rowAt for the column axis, used by the per-cell reference loops.
+func (g geom) colAt(ow, kw int, l *nn.Layer) int {
+	iwGlobal := ow*l.SW - l.PW + kw
+	if iwGlobal < 0 || iwGlobal >= g.in.W {
+		return -1
+	}
+	return iwGlobal - g.colLo
+}
+
+// outWidth is the full output width of a conv/pool window over inW columns.
+func outWidth(l *nn.Layer, inW int) int { return (inW+2*l.PW-l.KW)/l.SW + 1 }
+
+// depthwise reports a groups == channels convolution; pointwise a 1x1
+// stride-1 unpadded ungrouped one. Kernel dispatch and per-kind time
+// attribution share them.
+func depthwise(l *nn.Layer, inC int) bool {
+	return l.Groups > 1 && inC/l.Groups == 1 && l.OutC/l.Groups == 1
+}
+
+func pointwise(l *nn.Layer) bool {
+	return l.Groups <= 1 && l.KH == 1 && l.KW == 1 && l.SH == 1 && l.SW == 1 && l.PH == 0 && l.PW == 0
+}
+
+// convForward computes region g.out of a convolution from the tile in.
+//
+// This is a dispatcher over cache-blocked kernels that all preserve the
+// reference's per-element accumulation order (ic, kh, kw) exactly (see
+// DESIGN.md). A full-width tile takes the depthwise plane walker (groups ==
+// channels) or the 1x1 stride-1 row-panel matmul where the shape allows;
+// everything else — including every partial-width tile — takes the general
+// register-tiled kernel, whose row primitive works in global column
+// coordinates. convForwardRef keeps the original single-channel sweep for
+// property tests and benchmarks.
+func convForward(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
 	if len(wts.blocks) == 0 {
 		// Hand-built weights without a register-tile plan (tests).
-		return convForwardRef(in, inLo, inHGlobal, l, wts, outLo, outHi, par)
+		return convForwardRef(in, g, l, wts, par)
 	}
-	icg := in.C / groups
-	ocg := l.OutC / groups
-	switch {
-	case groups > 1 && icg == 1 && ocg == 1:
-		return convForwardDepthwise(in, inLo, inHGlobal, l, wts, outLo, outHi, par)
-	case groups == 1 && l.KH == 1 && l.KW == 1 && l.SH == 1 && l.SW == 1 && l.PH == 0 && l.PW == 0:
-		if floatPointwiseAvailable((outHi - outLo) * in.W) {
-			return convForwardPointwiseSIMD(in, inLo, inHGlobal, l, wts, outLo, outHi, par)
+	if g.fullWidth(in.W, outWidth(l, g.in.W)) {
+		switch {
+		case depthwise(l, in.C):
+			return convForwardDepthwise(in, g, l, wts, par)
+		case pointwise(l):
+			if floatPointwiseAvailable(g.out.Rows.Len() * in.W) {
+				return convForwardPointwiseSIMD(in, g, l, wts, par)
+			}
+			return convForwardPointwise(in, g, l, wts, par)
 		}
-		return convForwardPointwise(in, inLo, inHGlobal, l, wts, outLo, outHi, par)
-	default:
-		return convForwardBlocked(in, inLo, inHGlobal, l, wts, outLo, outHi, par)
 	}
+	return convForwardBlocked(in, g, l, wts, par)
 }
 
 // convForwardRef is the pre-blocking engine: each (output channel, output
 // row) pair re-reads its input rows independently. It remains the reference
-// implementation that the blocked kernels are tested bit-identical against.
+// implementation that the blocked kernels are tested bit-identical against,
+// for strips and partial-width tiles alike.
 //
 // The (output channel, output row) space is split into contiguous chunks
 // executed on up to par pool workers. Each chunk owns a disjoint slice of
 // the output and runs the unchanged per-element loop, so any worker count
 // produces bit-identical results.
-func convForwardRef(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := Alloc(l.OutC, outRows, outW)
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
+func convForwardRef(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
+	g.mustCover(l, in.H, in.W)
+	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
+	out := Alloc(l.OutC, outRows, outCols)
+	groups := max(l.Groups, 1)
 	icg := in.C / groups // input channels per group
 	ocg := l.OutC / groups
 	parallelFor(l.OutC*outRows, par, func(lo, hi int) {
@@ -67,25 +127,20 @@ func convForwardRef(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeight
 			oc := t / outRows
 			or := t % outRows
 			icBase := (oc / ocg) * icg
-			acc := out.Data[t*outW : (t+1)*outW]
+			acc := out.Data[t*outCols : (t+1)*outCols]
 			for i := range acc {
 				acc[i] = wts.bias[oc]
 			}
-			ohGlobal := outLo + or
-			for g := 0; g < icg; g++ {
-				ic := icBase + g
+			for gi := 0; gi < icg; gi++ {
+				ic := icBase + gi
 				for kh := 0; kh < l.KH; kh++ {
-					ihGlobal := ohGlobal*l.SH - l.PH + kh
-					if ihGlobal < 0 || ihGlobal >= inHGlobal {
+					ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
+					if ih < 0 {
 						continue // zero padding row
 					}
-					ih := ihGlobal - inLo
-					if ih < 0 || ih >= in.H {
-						panic(fmt.Sprintf("tensor: conv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-					}
 					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					row := wts.row((oc*icg+g)*l.KH + kh)
-					convRow(acc, inRow, row, l.SW, l.PW, in.W, outW)
+					row := wts.row((oc*icg+gi)*l.KH + kh)
+					convRow(acc, inRow, row, l.SW, l.PW, g.out.Cols.Lo, g.colLo, g.in.W, outCols)
 				}
 			}
 			finishChannel(acc, wts, oc, l.Act)
@@ -106,26 +161,22 @@ func convForwardRef(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeight
 // tap layout is only used for dense full-width blocks (see ocBlock.packed);
 // ragged or sparse blocks fall back to the per-channel compacted rows, which
 // preserves the zero-tap skip order exactly.
-func convForwardBlocked(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := Alloc(l.OutC, outRows, outW)
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
-	icg := in.C / groups
-	grain := grainFor(ocBlockWidth * icg * l.KH * l.KW * outW)
-	accStride := outRows * outW
+func convForwardBlocked(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
+	g.mustCover(l, in.H, in.W)
+	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
+	out := Alloc(l.OutC, outRows, outCols)
+	data := out.Data // the closure captures the slice, not the tensor
+	icg := in.C / max(l.Groups, 1)
+	grain := grainFor(ocBlockWidth * icg * l.KH * l.KW * outCols)
+	accStride := outRows * outCols
 	parallelForGrain(len(wts.blocks)*outRows, par, grain, func(lo, hi int) {
 		var accs [ocBlockWidth][]float32
 		for u := lo; u < hi; u++ {
 			blk := &wts.blocks[u/outRows]
 			or := u % outRows
-			ohGlobal := outLo + or
 			for b := 0; b < blk.width; b++ {
 				oc := blk.oc0 + b
-				acc := out.Data[(oc*outRows+or)*outW : (oc*outRows+or+1)*outW]
+				acc := data[(oc*outRows+or)*outCols : (oc*outRows+or+1)*outCols]
 				for i := range acc {
 					acc[i] = wts.bias[oc]
 				}
@@ -134,27 +185,22 @@ func convForwardBlocked(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWe
 			// The four accumulator rows of a full-width block are evenly
 			// strided in out.Data, which is what the packed row primitive
 			// (and its vector tiles) wants.
-			accBase := out.Data[(blk.oc0*outRows+or)*outW:]
-			for g := 0; g < icg; g++ {
-				ic := blk.icBase + g
+			accBase := data[(blk.oc0*outRows+or)*outCols:]
+			for gi := 0; gi < icg; gi++ {
+				ic := blk.icBase + gi
 				for kh := 0; kh < l.KH; kh++ {
-					ihGlobal := ohGlobal*l.SH - l.PH + kh
-					if ihGlobal < 0 || ihGlobal >= inHGlobal {
+					ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
+					if ih < 0 {
 						continue // zero padding row
-					}
-					ih := ihGlobal - inLo
-					if ih < 0 || ih >= in.H {
-						panic(fmt.Sprintf("tensor: conv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
 					}
 					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
 					if blk.packed != nil {
-						pk := blk.packed[(g*l.KH+kh)*l.KW*ocBlockWidth:]
-						convRowBlk(accBase, accStride, inRow, pk, l.KW, l.SW, l.PW, 0, 0, in.W, outW)
+						pk := blk.packed[(gi*l.KH+kh)*l.KW*ocBlockWidth:]
+						convRowBlk(accBase, accStride, inRow, pk, l.KW, l.SW, l.PW, g.out.Cols.Lo, g.colLo, g.in.W, outCols)
 					} else {
 						for b := 0; b < blk.width; b++ {
-							oc := blk.oc0 + b
-							row := wts.row((oc*icg+g)*l.KH + kh)
-							convRow(accs[b], inRow, row, l.SW, l.PW, in.W, outW)
+							row := wts.row(((blk.oc0+b)*icg+gi)*l.KH + kh)
+							convRow(accs[b], inRow, row, l.SW, l.PW, g.out.Cols.Lo, g.colLo, g.in.W, outCols)
 						}
 					}
 				}
@@ -172,7 +218,8 @@ func convForwardBlocked(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWe
 // output row or of an oc-block is sum over input channels of (scalar weight x
 // input row), with no tap-bounds logic at all since output and input rows
 // align 1:1.
-func convForwardPointwise(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
+func convForwardPointwise(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
+	inLo, outLo, outHi := g.rowLo, g.out.Rows.Lo, g.out.Rows.Hi
 	outW := in.W
 	outRows := outHi - outLo
 	out := Alloc(l.OutC, outRows, outW)
@@ -217,7 +264,7 @@ func convForwardPointwise(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *conv
 					for g := 0; g < in.C; g++ {
 						inRow := in.Data[(g*in.H+ih)*in.W:][:in.W]
 						row := wts.row(oc*in.C + g)
-						convRow(accs[b], inRow, row, 1, 0, in.W, outW)
+						convRow(accs[b], inRow, row, 1, 0, 0, 0, in.W, outW)
 					}
 				}
 			}
@@ -237,7 +284,8 @@ func convForwardPointwise(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *conv
 // ascending order — the scalar kernel's exact chain per output element — and
 // the overlapped final tile recomputes its columns from the bias again, so
 // the overlap changes nothing.
-func convForwardPointwiseSIMD(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
+func convForwardPointwiseSIMD(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
+	inLo, outLo, outHi := g.rowLo, g.out.Rows.Lo, g.out.Rows.Hi
 	outW := in.W
 	outRows := outHi - outLo
 	out := Alloc(l.OutC, outRows, outW)
@@ -262,7 +310,7 @@ func convForwardPointwiseSIMD(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *
 					for g := 0; g < in.C; g++ {
 						src := in.Data[g*chanStride+base:][:n]
 						row := wts.row(oc*in.C + g)
-						convRow(acc, src, row, 1, 0, n, n)
+						convRow(acc, src, row, 1, 0, 0, 0, n, n)
 					}
 					finishChannel(acc, wts, oc, l.Act)
 				}
@@ -299,51 +347,40 @@ func finishChannel(acc []float32, wts *convWeights, oc int, act nn.Activation) {
 
 // convRow accumulates one compacted kernel row over one input row. The taps
 // iterate in ascending kw with zero weights already dropped at generation
-// time, matching the original loop's order and w == 0 skip exactly.
-func convRow(acc, inRow []float32, row kernelRow, sw, pw, inW, outW int) {
-	if sw == 1 {
-		// Stride-1 fast path: the valid output span maps onto a
-		// contiguous input span, so the inner loop is a bounds-check
-		// free multiply-accumulate over two equal-length slices.
-		for x, w := range row.w {
-			iwOff := int(row.kw[x]) - pw
-			owLo := 0
-			if iwOff < 0 {
-				owLo = -iwOff
-			}
-			owHi := outW
-			if maxOw := inW - 1 - iwOff; maxOw+1 < owHi {
-				owHi = maxOw + 1
-			}
-			if owLo >= owHi {
-				continue
-			}
-			src := inRow[owLo+iwOff : owHi+iwOff]
-			dst := acc[owLo:owHi]
-			for i, v := range src {
-				dst[i] += w * v
-			}
-		}
-		return
-	}
+// time, matching the original loop's order and w == 0 skip exactly. Column
+// geometry is global, like convRowBlk's: acc holds output columns
+// [outColLo, outColLo+outCols) of a map inWGlobal wide and inRow starts at
+// global input column inColLo. The padding and tile-coverage checks are
+// hoisted out of the per-column loop: for a fixed tap the valid output
+// columns form one contiguous interval, computed once.
+func convRow(acc, inRow []float32, row kernelRow, sw, pw, outColLo, inColLo, inWGlobal, outCols int) {
 	for x, w := range row.w {
-		// Valid output columns: 0 <= ow*SW - PW + kw < inW.
-		iwOff := int(row.kw[x]) - pw
-		owLo := 0
-		if iwOff < 0 {
-			owLo = (-iwOff + sw - 1) / sw
+		// iwGlobal = base + ocl*sw; valid while 0 <= iwGlobal < inWGlobal.
+		base := outColLo*sw - pw + int(row.kw[x])
+		oclLo := 0
+		if base < 0 {
+			oclLo = (-base + sw - 1) / sw
 		}
-		last := inW - 1 - iwOff
+		last := inWGlobal - 1 - base
 		if last < 0 {
-			continue // the tap lies right of the row at every column
+			continue // the tap lies right of the map at every column
 		}
-		owHi := outW
-		if maxOw := last / sw; maxOw+1 < owHi {
-			owHi = maxOw + 1
+		oclHi := min(outCols, last/sw+1)
+		if oclLo >= oclHi {
+			continue
 		}
-		iw := owLo*sw + iwOff
-		for ow := owLo; ow < owHi; ow++ {
-			acc[ow] += w * inRow[iw]
+		iwFirst := base + oclLo*sw - inColLo
+		if iwLast := iwFirst + (oclHi-1-oclLo)*sw; iwFirst < 0 || iwLast >= len(inRow) {
+			panic(fmt.Sprintf("tensor: conv needs global cols [%d,%d] outside tile [%d,%d)",
+				iwFirst+inColLo, iwLast+inColLo, inColLo, inColLo+len(inRow)))
+		}
+		if sw == 1 {
+			macRowF(acc[oclLo:oclHi], inRow[iwFirst:iwFirst+(oclHi-oclLo)], w)
+			continue
+		}
+		iw := iwFirst
+		for ocl := oclLo; ocl < oclHi; ocl++ {
+			acc[ocl] += w * inRow[iw]
 			iw += sw
 		}
 	}
@@ -437,10 +474,10 @@ func convRowBlkTaps(accBuf []float32, accStride int, inRow, pk []float32, kw, sw
 	}
 }
 
-// poolForward computes output rows [outLo, outHi) of a max or average pool
-// under the same global-row-offset convention as convForward. Padding cells
-// are excluded from both the max and the average (divisor counts valid cells
-// only), so tile-boundary behaviour matches whole-map behaviour exactly.
+// poolForward computes region g.out of a max or average pool under the same
+// global-coordinate convention as convForward. Padding cells are excluded
+// from both the max and the average (divisor counts valid cells only), so
+// tile-boundary behaviour matches whole-map behaviour exactly.
 //
 // The hot loops are restructured tap-major: instead of re-deriving the
 // window bounds and the (c*H+h)*W+w index for every cell, each (kh, kw) tap
@@ -448,11 +485,18 @@ func convRowBlkTaps(accBuf []float32, accStride int, inRow, pk []float32, kw, sw
 // element the taps still apply in ascending (kh, kw) order — the same order
 // as poolForwardRef's per-cell walk — so max ties resolve identically and
 // average sums accumulate in the same float order, keeping results
-// bit-identical to the reference at any tile or parallelism.
-func poolForward(in Tensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, par int) Tensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
+// bit-identical to the reference at any tile or parallelism. The tap-major
+// sweeps are written for whole rows; a partial-width tile takes the per-cell
+// reference loop itself.
+func poolForward(in Tensor, g geom, l *nn.Layer, par int) Tensor {
+	outW := outWidth(l, g.in.W)
+	if !g.fullWidth(in.W, outW) {
+		return poolForwardRef(in, g, l, par)
+	}
+	g.mustCover(l, in.H, in.W)
+	inLo, outLo, outRows := g.rowLo, g.out.Rows.Lo, g.out.Rows.Len()
 	out := Alloc(in.C, outRows, outW)
+	data := out.Data // the closure captures the slice, not the tensor
 	isMax := l.Kind == nn.MaxPool
 	grain := grainFor(l.KH * l.KW * outW)
 	// Unpadded 2x2 stride-2 max pool (every MobileNet/Inception reduction):
@@ -467,13 +511,10 @@ func poolForward(in Tensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, par 
 		for t := lo; t < hi; t++ {
 			c := t / outRows
 			or := t % outRows
-			dst := out.Data[t*outW : (t+1)*outW]
+			dst := data[t*outW : (t+1)*outW]
 			ohGlobal := outLo + or
 			if fast {
-				ihA := ohGlobal*2 - inLo
-				if ihA < 0 || ihA+1 >= in.H {
-					panic(fmt.Sprintf("tensor: pool needs global rows %d,%d outside tile [%d,%d)", ohGlobal*2, ohGlobal*2+1, inLo, inLo+in.H))
-				}
+				ihA := ohGlobal*2 - inLo // in the tile: mustCover checked
 				rowA := in.Data[(c*in.H+ihA)*in.W : (c*in.H+ihA+1)*in.W]
 				rowB := in.Data[(c*in.H+ihA+1)*in.W : (c*in.H+ihA+2)*in.W]
 				maxPairRowF(dst, rowA, rowB, outW)
@@ -489,13 +530,9 @@ func poolForward(in Tensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, par 
 			}
 			countH := int32(0)
 			for kh := 0; kh < l.KH; kh++ {
-				ihGlobal := ohGlobal*l.SH - l.PH + kh
-				if ihGlobal < 0 || ihGlobal >= inHGlobal {
+				ih := g.rowAt(ohGlobal, kh, l)
+				if ih < 0 {
 					continue
-				}
-				ih := ihGlobal - inLo
-				if ih < 0 || ih >= in.H {
-					panic(fmt.Sprintf("tensor: pool needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
 				}
 				countH++
 				inRow := in.Data[(c*in.H+ih)*in.W : (c*in.H+ih+1)*in.W]
@@ -557,38 +594,34 @@ func poolForward(in Tensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, par 
 	return out
 }
 
-// poolForwardRef is the original per-cell pool loop, retained as the
-// bit-identity reference for poolForward.
-func poolForwardRef(in Tensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, par int) Tensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := Alloc(in.C, outRows, outW)
+// poolForwardRef is the original per-cell pool loop in global coordinates:
+// the bit-identity reference for poolForward and, because it clips every
+// window against the map rather than the tile, the partial-width path.
+func poolForwardRef(in Tensor, g geom, l *nn.Layer, par int) Tensor {
+	g.mustCover(l, in.H, in.W)
+	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
+	out := Alloc(in.C, outRows, outCols)
 	isMax := l.Kind == nn.MaxPool
-	grain := grainFor(l.KH * l.KW * outW)
+	grain := grainFor(l.KH * l.KW * outCols)
 	parallelForGrain(in.C*outRows, par, grain, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			c := t / outRows
-			or := t % outRows
-			dst := out.Data[t*outW : (t+1)*outW]
-			ohGlobal := outLo + or
-			for ow := 0; ow < outW; ow++ {
+			oh := g.out.Rows.Lo + t%outRows
+			dst := out.Data[t*outCols : (t+1)*outCols]
+			for ocl := range dst {
 				var acc float32
 				if isMax {
 					acc = negInf
 				}
 				count := 0
 				for kh := 0; kh < l.KH; kh++ {
-					ihGlobal := ohGlobal*l.SH - l.PH + kh
-					if ihGlobal < 0 || ihGlobal >= inHGlobal {
+					ih := g.rowAt(oh, kh, l)
+					if ih < 0 {
 						continue
 					}
-					ih := ihGlobal - inLo
-					if ih < 0 || ih >= in.H {
-						panic(fmt.Sprintf("tensor: pool needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-					}
 					for kw := 0; kw < l.KW; kw++ {
-						iw := ow*l.SW - l.PW + kw
-						if iw < 0 || iw >= in.W {
+						iw := g.colAt(g.out.Cols.Lo+ocl, kw, l)
+						if iw < 0 {
 							continue
 						}
 						v := in.At(c, ih, iw)
@@ -605,7 +638,7 @@ func poolForwardRef(in Tensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, p
 				if !isMax && count > 0 {
 					acc /= float32(count)
 				}
-				dst[ow] = acc
+				dst[ocl] = acc
 			}
 			applyActivation(dst, l.Act)
 		}

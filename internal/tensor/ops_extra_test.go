@@ -70,7 +70,7 @@ func TestConvMatchesNaiveOracle(t *testing.T) {
 		inW := l.KW + rng.Intn(10)
 		in := RandomInput(nn.Shape{C: inC, H: inH, W: inW}, int64(trial))
 		wts := genConv(int64(trial), "oracle", &l, inC)
-		got := convForward(in, 0, inH, &l, wts, 0, (inH+2*l.PH-l.KH)/l.SH+1, 1)
+		got := convForward(in, stripGeom(&l, in.C, in.W, 0, inH, 0, (inH+2*l.PH-l.KH)/l.SH+1), &l, wts, 1)
 		want := naiveConv(in, &l, wts)
 		// float32 vs float64 accumulation: allow tiny tolerance.
 		if d := MaxAbsDiff(got, want); d > 1e-4 {
@@ -137,7 +137,7 @@ func TestPoolMatchesNaiveOracle(t *testing.T) {
 		inH := l.KH + rng.Intn(8)
 		inW := l.KW + rng.Intn(8)
 		in := RandomInput(nn.Shape{C: 1 + rng.Intn(3), H: inH, W: inW}, int64(trial))
-		got := poolForward(in, 0, inH, &l, 0, (inH+2*l.PH-l.KH)/l.SH+1, 1)
+		got := poolForward(in, stripGeom(&l, in.C, in.W, 0, inH, 0, (inH+2*l.PH-l.KH)/l.SH+1), &l, 1)
 		want := naivePool(in, &l)
 		if d := MaxAbsDiff(got, want); d > 1e-5 {
 			t.Fatalf("trial %d (%v): diff %g", trial, kind, d)
@@ -341,7 +341,7 @@ func TestGroupedConvMatchesOracle(t *testing.T) {
 		}
 		in := RandomInput(nn.Shape{C: tc.inC, H: 9, W: 9}, int64(ci))
 		wts := genConv(int64(ci), "grp", &l, tc.inC)
-		got := convForward(in, 0, 9, &l, wts, 0, 9, 1)
+		got := convForward(in, stripGeom(&l, in.C, in.W, 0, 9, 0, 9), &l, wts, 1)
 		want := naiveGroupedConv(in, &l, wts)
 		if d := MaxAbsDiff(got, want); d > 1e-5 {
 			t.Fatalf("case %d: diff %g", ci, d)

@@ -1,10 +1,7 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
-	"math/bits"
-	"sync"
 
 	"pico/internal/nn"
 )
@@ -45,18 +42,7 @@ func (q *QTensor) At(c, h, w int) int8 { return q.Data[(c*q.H+h)*q.W+w] }
 
 // SliceRows copies rows [lo, hi) of every channel into a new arena-backed
 // QTensor carrying the same scale.
-func (q *QTensor) SliceRows(lo, hi int) QTensor {
-	if lo < 0 || hi > q.H || lo >= hi {
-		panic(fmt.Sprintf("tensor: QTensor.SliceRows[%d,%d) of height %d", lo, hi, q.H))
-	}
-	out := AllocQ(q.C, hi-lo, q.W, q.Scale)
-	for c := 0; c < q.C; c++ {
-		src := q.Data[(c*q.H+lo)*q.W : (c*q.H+hi)*q.W]
-		dst := out.Data[c*out.H*out.W : (c+1)*out.H*out.W]
-		copy(dst, src)
-	}
-	return out
-}
+func (q *QTensor) SliceRows(lo, hi int) QTensor { return MapOfQ(*q).sliceRows(lo, hi).QTensor() }
 
 // Dequantize expands the tensor back to float32: v = Scale * q. The result
 // is arena-backed.
@@ -109,41 +95,8 @@ func quantClamp(v float32) int8 {
 // StitchRowsQ reassembles a full int8 feature map from disjoint row strips,
 // mirroring StitchRows. All strips must carry the same scale.
 func StitchRowsQ(strips []QTensor, los []int, h int) (QTensor, error) {
-	if len(strips) == 0 || len(strips) != len(los) {
-		return QTensor{}, fmt.Errorf("tensor: %d strips with %d offsets", len(strips), len(los))
-	}
-	c, w, scale := strips[0].C, strips[0].W, strips[0].Scale
-	out := AllocQ(c, h, w, scale)
-	covered := make([]bool, h)
-	for i, s := range strips {
-		if s.C != c || s.W != w {
-			return QTensor{}, fmt.Errorf("tensor: strip %d extent %dx%dx%d mismatches %dx?x%d", i, s.C, s.H, s.W, c, w)
-		}
-		if math.Float32bits(s.Scale) != math.Float32bits(scale) {
-			return QTensor{}, fmt.Errorf("tensor: strip %d scale %g mismatches %g", i, s.Scale, scale)
-		}
-		lo := los[i]
-		if lo < 0 || lo+s.H > h {
-			return QTensor{}, fmt.Errorf("tensor: strip %d rows [%d,%d) outside [0,%d)", i, lo, lo+s.H, h)
-		}
-		for r := 0; r < s.H; r++ {
-			if covered[lo+r] {
-				return QTensor{}, fmt.Errorf("tensor: row %d covered twice", lo+r)
-			}
-			covered[lo+r] = true
-		}
-		for ch := 0; ch < c; ch++ {
-			src := s.Data[ch*s.H*s.W : (ch*s.H+s.H)*s.W]
-			dst := out.Data[(ch*h+lo)*w : (ch*h+lo+s.H)*w]
-			copy(dst, src)
-		}
-	}
-	for r, ok := range covered {
-		if !ok {
-			return QTensor{}, fmt.Errorf("tensor: row %d uncovered", r)
-		}
-	}
-	return out, nil
+	m, err := stitchRows(strips, los, h, MapOfQ)
+	return m.QTensor(), err
 }
 
 // EqualQ reports exact equality of extent, scale bits and data.
@@ -160,47 +113,6 @@ func EqualQ(a, b QTensor) bool {
 		}
 	}
 	return true
-}
-
-// qarena pools int8 backing slices like the float arena; the same class
-// bounds apply (an int8 slab of class c is a quarter the bytes of the float
-// one, still worth pooling).
-var qarena [arenaMaxBits + 1]sync.Pool
-
-// AllocQ returns an int8 tensor of the given extent and scale, arena-backed
-// when possible. Contents are UNSPECIFIED, exactly like Alloc.
-func AllocQ(c, h, w int, scale float32) QTensor {
-	if c <= 0 || h <= 0 || w <= 0 {
-		panic(fmt.Sprintf("tensor: invalid extent %dx%dx%d", c, h, w))
-	}
-	n := c * h * w
-	cl := arenaClass(n)
-	if cl < 0 {
-		return QTensor{C: c, H: h, W: w, Scale: scale, Data: make([]int8, n)}
-	}
-	if v := qarena[cl].Get(); v != nil {
-		slab := v.(*[]int8)
-		return QTensor{C: c, H: h, W: w, Scale: scale, Data: (*slab)[:n], slab: slab}
-	}
-	s := make([]int8, 1<<cl)
-	return QTensor{C: c, H: h, W: w, Scale: scale, Data: s[:n], slab: &s}
-}
-
-// RecycleQ returns an int8 tensor's backing slice to the arena; same
-// ownership contract as Recycle.
-func RecycleQ(q QTensor) {
-	if q.slab == nil {
-		return
-	}
-	n := cap(*q.slab)
-	if n == 0 || n&(n-1) != 0 {
-		return
-	}
-	cl := bits.Len(uint(n)) - 1
-	if cl < arenaMinBits || cl > arenaMaxBits {
-		return
-	}
-	qarena[cl].Put(q.slab)
 }
 
 // qconvWeights is a convolution quantized for int8 inference. wq mirrors

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"pico/internal/nn"
 	"pico/internal/partition"
@@ -61,13 +60,15 @@ func (e *Executor) calibrate() ([]float32, error) {
 	shapes := e.m.Shapes()
 	cur := in
 	for i := 0; i < e.m.NumLayers(); i++ {
-		next, err := e.runLayer(i, cur, 0, partition.Full(shapes[i+1].H))
+		g := geom{in: shapes[i], out: partition.FullRect(shapes[i+1].H, shapes[i+1].W)}
+		res, err := e.runLayer(&e.m.Layers[i], strconv.Itoa(i), MapOf(cur), g, 0, 0)
 		if err != nil {
 			return nil, fmt.Errorf("tensor: calibrating layer %d (%s): %w", i, e.m.Layers[i].Name, err)
 		}
 		if i > 0 {
 			Recycle(cur)
 		}
+		next := res.Tensor()
 		switch e.m.Layers[i].Kind {
 		case nn.MaxPool, nn.AvgPool, nn.GlobalAvgPool:
 			scales[i+1] = scales[i]
@@ -78,187 +79,4 @@ func (e *Executor) calibrate() ([]float32, error) {
 	}
 	Recycle(cur)
 	return scales, nil
-}
-
-// RunQ executes the whole model in int8 on a full float32 input: the input
-// quantizes at the first boundary's calibrated scale and every stage
-// boundary thereafter stays int8. The returned QTensor carries the output
-// boundary's scale; Dequantize yields the float approximation. Like Run,
-// RunQ never recycles the caller's tensor.
-func (e *Executor) RunQ(in Tensor) (QTensor, error) {
-	scales, err := e.QuantScales()
-	if err != nil {
-		return QTensor{}, err
-	}
-	outH := e.m.Output().H
-	need := e.calc.InputRange(0, e.m.NumLayers(), partition.Full(outH))
-	run := in
-	var trimmed Tensor
-	if in.Valid() && in.C == e.m.Input.C && in.H == e.m.Input.H && in.W == e.m.Input.W && need.Len() < in.H {
-		trimmed = in.SliceRows(need.Lo, need.Hi)
-		run = trimmed
-	}
-	q := QuantizeTensor(run, scales[0])
-	if trimmed.Valid() {
-		Recycle(trimmed)
-	}
-	out, err := e.RunSegmentQ(0, e.m.NumLayers(), q, partition.Full(outH))
-	RecycleQ(q)
-	return out, err
-}
-
-// RunSegmentQ is the int8 counterpart of RunSegment: it executes layers
-// [from, to) on an int8 tile holding exactly the rows InputRange(from, to,
-// out) of the boundary-from feature map, quantized at that boundary's
-// calibrated scale. The tile's recorded scale must match the calibrated one
-// bit for bit — a mismatch means the sender calibrated a different model or
-// seed, which would silently corrupt every value.
-func (e *Executor) RunSegmentQ(from, to int, tile QTensor, out partition.Range) (QTensor, error) {
-	scales, err := e.QuantScales()
-	if err != nil {
-		return QTensor{}, err
-	}
-	if from < 0 || to > e.m.NumLayers() || from >= to {
-		return QTensor{}, fmt.Errorf("tensor: invalid segment [%d,%d)", from, to)
-	}
-	if out.Empty() {
-		return QTensor{}, fmt.Errorf("tensor: empty output range %v", out)
-	}
-	shapes := e.m.Shapes()
-	ranges := e.calc.SegmentRanges(from, to, out)
-	inShape := shapes[from]
-	if !tile.Valid() {
-		return QTensor{}, fmt.Errorf("tensor: invalid input tile")
-	}
-	if tile.C != inShape.C || tile.W != inShape.W || tile.H != ranges[0].Len() {
-		return QTensor{}, fmt.Errorf("tensor: tile %dx%dx%d does not match required region %v of %v",
-			tile.C, tile.H, tile.W, ranges[0], inShape)
-	}
-	if tile.Scale != scales[from] {
-		return QTensor{}, fmt.Errorf("tensor: tile scale %g does not match calibrated boundary scale %g", tile.Scale, scales[from])
-	}
-	cur := tile
-	curLo := ranges[0].Lo
-	for i := from; i < to; i++ {
-		need := ranges[i-from+1]
-		next, err := e.runLayerQ(i, cur, curLo, need, scales)
-		if err != nil {
-			return QTensor{}, fmt.Errorf("tensor: layer %d (%s): %w", i, e.m.Layers[i].Name, err)
-		}
-		if i > from {
-			RecycleQ(cur)
-		}
-		cur = next
-		curLo = need.Lo
-	}
-	return cur, nil
-}
-
-// runLayerQ executes model layer i on an int8 tile. Conv and fc layers run
-// the int8 kernels with fused requantization to scales[i+1]; pools run
-// directly in the quantized domain; Block super-layers fall back to the
-// float engine between boundaries (dequantize, run, requantize) — their
-// internal graph combine is additive and rare, so the hybrid keeps every
-// model runnable under quant mode while the chain-structured hot models
-// stay int8 end to end.
-func (e *Executor) runLayerQ(i int, in QTensor, inLo int, out partition.Range, scales []float32) (QTensor, error) {
-	l := &e.m.Layers[i]
-	key := strconv.Itoa(i)
-	inShape := e.m.InShape(i)
-	sIn, sOut := scales[i], scales[i+1]
-	switch l.Kind {
-	case nn.Conv:
-		qw := e.qconvW(key, l, inShape.C, sIn, sOut)
-		kernel := qconvForward
-		if e.refKernels {
-			kernel = qconvForwardRef
-		}
-		start := time.Now()
-		res := kernel(in, inLo, inShape.H, l, qw, out.Lo, out.Hi, e.par)
-		e.stats.add(e.stats.convCounter(l, inShape.C), time.Since(start))
-		res.Scale = sOut
-		return res, nil
-	case nn.MaxPool, nn.AvgPool:
-		start := time.Now()
-		res := qpoolForward(in, inLo, inShape.H, l, out.Lo, out.Hi, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
-	case nn.FullyConnected:
-		if inLo != 0 || in.H != inShape.H {
-			return QTensor{}, fmt.Errorf("fc needs the full input, got rows [%d,%d) of %d", inLo, inLo+in.H, inShape.H)
-		}
-		qw := e.qfcW(key, l, inShape.Elems(), sIn, sOut)
-		kernel := qfcForward
-		if e.refKernels {
-			kernel = qfcForwardRef
-		}
-		start := time.Now()
-		res := kernel(in, l, qw, e.par)
-		e.stats.add(&e.stats.fc, time.Since(start))
-		res.Scale = sOut
-		return res, nil
-	case nn.GlobalAvgPool:
-		if inLo != 0 || in.H != inShape.H {
-			return QTensor{}, fmt.Errorf("global pool needs the full input, got rows [%d,%d) of %d", inLo, inLo+in.H, inShape.H)
-		}
-		start := time.Now()
-		res := qgapForward(in, l, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
-	case nn.Block:
-		fin := in.Dequantize()
-		res, err := e.runBlock(l, key, fin, inLo, inShape, out)
-		Recycle(fin)
-		if err != nil {
-			return QTensor{}, err
-		}
-		q := QuantizeTensor(res, sOut)
-		Recycle(res)
-		return q, nil
-	default:
-		return QTensor{}, fmt.Errorf("unsupported layer kind %v", l.Kind)
-	}
-}
-
-// qconvW returns (generating on first use) the quantized convolution
-// weights for key. The float weights are materialised first — through the
-// shared cache — and quantized per output channel.
-func (e *Executor) qconvW(key string, l *nn.Layer, inC int, sIn, sOut float32) *qconvWeights {
-	e.mu.RLock()
-	ent, ok := e.qconv[key]
-	e.mu.RUnlock()
-	if !ok {
-		e.mu.Lock()
-		if ent, ok = e.qconv[key]; !ok {
-			ent = &qconvEntry{}
-			e.qconv[key] = ent
-		}
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() {
-		groups := l.Groups
-		if groups < 1 {
-			groups = 1
-		}
-		ent.w = genQConv(e.convW(key, l, inC), l, inC/groups, sIn, sOut)
-	})
-	return ent.w
-}
-
-// qfcW returns (generating on first use) the quantized fully connected
-// weights for key.
-func (e *Executor) qfcW(key string, l *nn.Layer, inElems int, sIn, sOut float32) *qfcWeights {
-	e.mu.RLock()
-	ent, ok := e.qfc[key]
-	e.mu.RUnlock()
-	if !ok {
-		e.mu.Lock()
-		if ent, ok = e.qfc[key]; !ok {
-			ent = &qfcEntry{}
-			e.qfc[key] = ent
-		}
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() { ent.w = genQFC(e.fcW(key, l, inElems), l, inElems, sIn, sOut) })
-	return ent.w
 }

@@ -13,72 +13,61 @@ import (
 // exactly that, mirroring the float32 contract.
 
 // qconvForward dispatches the blocked int8 convolution kernels, mirroring
-// convForward's shape dispatch.
-func qconvForward(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights, outLo, outHi, par int) QTensor {
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
-	icg := in.C / groups
-	ocg := l.OutC / groups
-	switch {
-	case groups > 1 && icg == 1 && ocg == 1:
-		return qconvForwardDepthwise(in, inLo, inHGlobal, l, qw, outLo, outHi, par)
-	case groups == 1 && l.KH == 1 && l.KW == 1 && l.SH == 1 && l.SW == 1 && l.PH == 0 && l.PW == 0:
-		if pointwiseSIMDAvailable((outHi - outLo) * in.W) {
-			return qconvForwardPointwiseSIMD(in, inLo, inHGlobal, l, qw, outLo, outHi, par)
+// convForward: the depthwise and pointwise kernels take full-width tiles,
+// the general register-tiled kernel everything else.
+func qconvForward(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+	if g.fullWidth(in.W, outWidth(l, g.in.W)) {
+		switch {
+		case depthwise(l, in.C):
+			return qconvForwardDepthwise(in, g, l, qw, par)
+		case pointwise(l):
+			if pointwiseSIMDAvailable(g.out.Rows.Len() * in.W) {
+				return qconvForwardPointwiseSIMD(in, g, l, qw, par)
+			}
+			return qconvForwardPointwise(in, g, l, qw, par)
 		}
-		return qconvForwardPointwise(in, inLo, inHGlobal, l, qw, outLo, outHi, par)
-	default:
-		return qconvForwardBlocked(in, inLo, inHGlobal, l, qw, outLo, outHi, par)
 	}
+	return qconvForwardBlocked(in, g, l, qw, par)
 }
 
 // qconvForwardRef is the naive per-element reference: for every output cell
-// it walks (ic, kh, kw) with full bounds checks and a single int32
-// accumulator. The blocked kernels are property-tested bit-identical to it.
-func qconvForwardRef(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights, outLo, outHi, par int) QTensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := AllocQ(l.OutC, outRows, outW, 1)
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
+// it walks (ic, kh, kw) with full bounds checks against the map and a single
+// int32 accumulator. The blocked kernels are property-tested bit-identical
+// to it on strips and partial-width tiles.
+func qconvForwardRef(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+	g.mustCover(l, in.H, in.W)
+	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
+	out := AllocQ(l.OutC, outRows, outCols, 1)
+	groups := max(l.Groups, 1)
 	icg := in.C / groups
 	ocg := l.OutC / groups
 	perOC := icg * l.KH * l.KW
 	parallelFor(l.OutC*outRows, par, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			oc := t / outRows
-			or := t % outRows
+			oh := g.out.Rows.Lo + t%outRows
 			icBase := (oc / ocg) * icg
-			dst := out.Data[t*outW : (t+1)*outW]
-			ohGlobal := outLo + or
-			for ow := 0; ow < outW; ow++ {
+			dst := out.Data[t*outCols : (t+1)*outCols]
+			for ocl := range dst {
 				var acc int32
-				for g := 0; g < icg; g++ {
-					ic := icBase + g
+				for gi := 0; gi < icg; gi++ {
+					ic := icBase + gi
 					for kh := 0; kh < l.KH; kh++ {
-						ihGlobal := ohGlobal*l.SH - l.PH + kh
-						if ihGlobal < 0 || ihGlobal >= inHGlobal {
+						ih := g.rowAt(oh, kh, l)
+						if ih < 0 {
 							continue // zero padding row
 						}
-						ih := ihGlobal - inLo
-						if ih < 0 || ih >= in.H {
-							panic(fmt.Sprintf("tensor: qconv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-						}
 						for kw := 0; kw < l.KW; kw++ {
-							iw := ow*l.SW - l.PW + kw
-							if iw < 0 || iw >= in.W {
+							iw := g.colAt(g.out.Cols.Lo+ocl, kw, l)
+							if iw < 0 {
 								continue
 							}
-							w := qw.wq[oc*perOC+(g*l.KH+kh)*l.KW+kw]
+							w := qw.wq[oc*perOC+(gi*l.KH+kh)*l.KW+kw]
 							acc += int32(w) * int32(in.Data[(ic*in.H+ih)*in.W+iw])
 						}
 					}
 				}
-				dst[ow] = requant1(acc, qw.effScale[oc], qw.effBias[oc], l.Act)
+				dst[ocl] = requant1(acc, qw.effScale[oc], qw.effBias[oc], l.Act)
 			}
 		}
 	})
@@ -88,45 +77,40 @@ func qconvForwardRef(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeig
 // qconvForwardBlocked is the general register-tiled int8 kernel: one work
 // unit is one output row of one oc-block; each input-row sweep feeds up to
 // ocBlockWidth int32 accumulator rows through the always-dense packed taps.
-func qconvForwardBlocked(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights, outLo, outHi, par int) QTensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := AllocQ(l.OutC, outRows, outW, 1)
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
-	icg := in.C / groups
-	grain := grainFor(ocBlockWidth * icg * l.KH * l.KW * outW)
+// qconvRowBlk takes the tile's global column geometry, so strips and 2D grid
+// tiles run the same loop — per output pixel the same taps accumulate in an
+// order wrapping int32 addition is free to permute.
+func qconvForwardBlocked(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+	g.mustCover(l, in.H, in.W)
+	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
+	out := AllocQ(l.OutC, outRows, outCols, 1)
+	data := out.Data // the closure captures the slice, not the tensor
+	icg := in.C / max(l.Groups, 1)
+	grain := grainFor(ocBlockWidth * icg * l.KH * l.KW * outCols)
 	parallelForGrain(len(qw.blocks)*outRows, par, grain, func(lo, hi int) {
-		accBuf := make([]int32, ocBlockWidth*outW)
+		accBuf := make([]int32, ocBlockWidth*outCols)
 		for u := lo; u < hi; u++ {
 			blk := &qw.blocks[u/outRows]
 			or := u % outRows
-			ohGlobal := outLo + or
 			for i := range accBuf {
 				accBuf[i] = 0
 			}
-			for g := 0; g < icg; g++ {
-				ic := blk.icBase + g
+			for gi := 0; gi < icg; gi++ {
+				ic := blk.icBase + gi
 				for kh := 0; kh < l.KH; kh++ {
-					ihGlobal := ohGlobal*l.SH - l.PH + kh
-					if ihGlobal < 0 || ihGlobal >= inHGlobal {
+					ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
+					if ih < 0 {
 						continue // zero padding row
 					}
-					ih := ihGlobal - inLo
-					if ih < 0 || ih >= in.H {
-						panic(fmt.Sprintf("tensor: qconv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-					}
 					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					pk32 := blk.packed32[(g*l.KH+kh)*l.KW*ocBlockWidth:]
-					qconvRowBlk(accBuf, outW, inRow, pk32, l.KW, l.SW, l.PW, 0, 0, in.W, outW)
+					pk32 := blk.packed32[(gi*l.KH+kh)*l.KW*ocBlockWidth:]
+					qconvRowBlk(accBuf, outCols, inRow, pk32, l.KW, l.SW, l.PW, g.out.Cols.Lo, g.colLo, g.in.W, outCols)
 				}
 			}
 			for b := 0; b < blk.width; b++ {
 				oc := blk.oc0 + b
-				dst := out.Data[(oc*outRows+or)*outW : (oc*outRows+or+1)*outW]
-				requantRow(dst, accBuf[b*outW:(b+1)*outW], qw.effScale[oc], qw.effBias[oc], l.Act)
+				dst := data[(oc*outRows+or)*outCols : (oc*outRows+or+1)*outCols]
+				requantRow(dst, accBuf[b*outCols:(b+1)*outCols], qw.effScale[oc], qw.effBias[oc], l.Act)
 			}
 		}
 	})
@@ -221,7 +205,8 @@ func qconvRowBlkTaps(accBuf []int32, accStride int, inRow []int8, pk32 []int32, 
 // registers across the whole input-channel reduction — the float pointwise
 // kernel's accumulator rows bounce through L1 every channel, which is
 // exactly the traffic the int8 path eliminates.
-func qconvForwardPointwise(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights, outLo, outHi, par int) QTensor {
+func qconvForwardPointwise(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+	inLo, outLo, outHi := g.rowLo, g.out.Rows.Lo, g.out.Rows.Hi
 	outW := in.W
 	outRows := outHi - outLo
 	out := AllocQ(l.OutC, outRows, outW, 1)
@@ -359,7 +344,8 @@ const qpwTileCols = 16
 // with its predecessor: accumulators restart from zero each tile, so the
 // overlap recomputes byte-identical values. Bit-identity with the scalar
 // kernels holds because vector multiply/add wraps exactly like Go int32.
-func qconvForwardPointwiseSIMD(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights, outLo, outHi, par int) QTensor {
+func qconvForwardPointwiseSIMD(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+	inLo, outLo, outHi := g.rowLo, g.out.Rows.Lo, g.out.Rows.Hi
 	outW := in.W
 	outRows := outHi - outLo
 	out := AllocQ(l.OutC, outRows, outW, 1)
@@ -407,11 +393,16 @@ func qconvForwardPointwiseSIMD(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw 
 // vector row-pair reduction for the ubiquitous unpadded 2x2 stride-2 max;
 // max is associative/commutative and the valid-cell count of an avg window
 // separates into rowCount*colCount, so both orders are bit-identical to the
-// per-cell reference qpoolForwardRef.
-func qpoolForward(in QTensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, par int) QTensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
+// per-cell reference qpoolForwardRef, which also serves partial-width tiles.
+func qpoolForward(in QTensor, g geom, l *nn.Layer, par int) QTensor {
+	outW := outWidth(l, g.in.W)
+	if !g.fullWidth(in.W, outW) {
+		return qpoolForwardRef(in, g, l, par)
+	}
+	g.mustCover(l, in.H, in.W)
+	inLo, outLo, outRows := g.rowLo, g.out.Rows.Lo, g.out.Rows.Len()
 	out := AllocQ(in.C, outRows, outW, in.Scale)
+	data := out.Data // the closure captures the slice, not the tensor
 	isMax := l.Kind == nn.MaxPool
 	grain := grainFor(l.KH * l.KW * outW)
 	fast := isMax && l.KH == 2 && l.KW == 2 && l.SH == 2 && l.SW == 2 && l.PH == 0 && l.PW == 0
@@ -427,13 +418,10 @@ func qpoolForward(in QTensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, pa
 		for t := lo; t < hi; t++ {
 			c := t / outRows
 			or := t % outRows
-			dst := out.Data[t*outW : (t+1)*outW]
+			dst := data[t*outW : (t+1)*outW]
 			ohGlobal := outLo + or
 			if fast {
-				ihA := ohGlobal*2 - inLo
-				if ihA < 0 || ihA+1 >= in.H {
-					panic(fmt.Sprintf("tensor: qpool needs global rows %d,%d outside tile [%d,%d)", ohGlobal*2, ohGlobal*2+1, inLo, inLo+in.H))
-				}
+				ihA := ohGlobal*2 - inLo // in the tile: mustCover checked
 				rowA := in.Data[(c*in.H+ihA)*in.W : (c*in.H+ihA+1)*in.W]
 				rowB := in.Data[(c*in.H+ihA+1)*in.W : (c*in.H+ihA+2)*in.W]
 				maxPairRow(dst, rowA, rowB, outW)
@@ -451,13 +439,9 @@ func qpoolForward(in QTensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, pa
 			}
 			countH := int32(0)
 			for kh := 0; kh < l.KH; kh++ {
-				ihGlobal := ohGlobal*l.SH - l.PH + kh
-				if ihGlobal < 0 || ihGlobal >= inHGlobal {
+				ih := g.rowAt(ohGlobal, kh, l)
+				if ih < 0 {
 					continue
-				}
-				ih := ihGlobal - inLo
-				if ih < 0 || ih >= in.H {
-					panic(fmt.Sprintf("tensor: qpool needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
 				}
 				countH++
 				inRow := in.Data[(c*in.H+ih)*in.W : (c*in.H+ih+1)*in.W]
@@ -525,36 +509,32 @@ func qpoolForward(in QTensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, pa
 	return out
 }
 
-// qpoolForwardRef is the naive per-cell reference for qpoolForward: every
-// output walks its full window with bounds checks. The tap-major kernel is
-// property-tested bit-identical to it.
-func qpoolForwardRef(in QTensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi, par int) QTensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := AllocQ(in.C, outRows, outW, in.Scale)
+// qpoolForwardRef is the naive per-cell reference for qpoolForward in global
+// coordinates: every output walks its full window with bounds checks against
+// the map, so it is both the oracle the tap-major kernel is property-tested
+// against and the partial-width path.
+func qpoolForwardRef(in QTensor, g geom, l *nn.Layer, par int) QTensor {
+	g.mustCover(l, in.H, in.W)
+	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
+	out := AllocQ(in.C, outRows, outCols, in.Scale)
 	isMax := l.Kind == nn.MaxPool
-	grain := grainFor(l.KH * l.KW * outW)
+	grain := grainFor(l.KH * l.KW * outCols)
 	parallelForGrain(in.C*outRows, par, grain, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			c := t / outRows
-			or := t % outRows
-			dst := out.Data[t*outW : (t+1)*outW]
-			ohGlobal := outLo + or
-			for ow := 0; ow < outW; ow++ {
+			oh := g.out.Rows.Lo + t%outRows
+			dst := out.Data[t*outCols : (t+1)*outCols]
+			for ocl := range dst {
 				macc := int32(-128)
 				var sum, count int32
 				for kh := 0; kh < l.KH; kh++ {
-					ihGlobal := ohGlobal*l.SH - l.PH + kh
-					if ihGlobal < 0 || ihGlobal >= inHGlobal {
+					ih := g.rowAt(oh, kh, l)
+					if ih < 0 {
 						continue
 					}
-					ih := ihGlobal - inLo
-					if ih < 0 || ih >= in.H {
-						panic(fmt.Sprintf("tensor: qpool needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-					}
 					for kw := 0; kw < l.KW; kw++ {
-						iw := ow*l.SW - l.PW + kw
-						if iw < 0 || iw >= in.W {
+						iw := g.colAt(g.out.Cols.Lo+ocl, kw, l)
+						if iw < 0 {
 							continue
 						}
 						v := int32(in.At(c, ih, iw))
@@ -569,11 +549,11 @@ func qpoolForwardRef(in QTensor, inLo, inHGlobal int, l *nn.Layer, outLo, outHi,
 					}
 				}
 				if isMax {
-					dst[ow] = int8(macc)
+					dst[ocl] = int8(macc)
 				} else if count > 0 {
-					dst[ow] = quantClamp(float32(sum) / float32(count))
+					dst[ocl] = quantClamp(float32(sum) / float32(count))
 				} else {
-					dst[ow] = 0
+					dst[ocl] = 0
 				}
 			}
 			applyActivationQ(dst, l.Act)

@@ -55,9 +55,9 @@ func TestQuantBlockedMatchesReferenceBitExact(t *testing.T) {
 			qw := genQConv(cw, &l, tc.inC/groups, 0.03, 0.07)
 			in := randomQInput(tc.inC, tc.h, tc.w, int64(100+ci))
 			outH := (tc.h+2*l.PH-l.KH)/l.SH + 1
-			ref := qconvForwardRef(in, 0, tc.h, &l, qw, 0, outH, 1)
+			ref := qconvForwardRef(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, qw, 1)
 			for _, par := range []int{1, 3, 8} {
-				got := qconvForward(in, 0, tc.h, &l, qw, 0, outH, par)
+				got := qconvForward(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, qw, par)
 				if !EqualQ(got, ref) {
 					t.Fatalf("par=%d: full blocked int8 output differs from reference", par)
 				}
@@ -67,7 +67,7 @@ func TestQuantBlockedMatchesReferenceBitExact(t *testing.T) {
 					hi := lo + 1 + rng.Intn(outH-lo)
 					inLo, inHi := convInputRows(&l, lo, hi, tc.h)
 					tile := in.SliceRows(inLo, inHi)
-					gotTile := qconvForward(tile, inLo, tc.h, &l, qw, lo, hi, par)
+					gotTile := qconvForward(tile, stripGeom(&l, tile.C, tile.W, inLo, tc.h, lo, hi), &l, qw, par)
 					wantTile := ref.SliceRows(lo, hi)
 					if !EqualQ(gotTile, wantTile) {
 						t.Fatalf("par=%d tile [%d,%d): blocked int8 differs from reference", par, lo, hi)
@@ -110,7 +110,7 @@ func TestQuantPoolTileIdentity(t *testing.T) {
 		l := l
 		in := randomQInput(5, 13, 11, int64(40+pi))
 		outH := (in.H+2*l.PH-l.KH)/l.SH + 1
-		ref := qpoolForward(in, 0, in.H, &l, 0, outH, 1)
+		ref := qpoolForward(in, stripGeom(&l, in.C, in.W, 0, in.H, 0, outH), &l, 1)
 		for _, par := range []int{1, 4} {
 			rng := rand.New(rand.NewSource(int64(pi)))
 			for trial := 0; trial < 6; trial++ {
@@ -118,7 +118,7 @@ func TestQuantPoolTileIdentity(t *testing.T) {
 				hi := lo + 1 + rng.Intn(outH-lo)
 				inLo, inHi := convInputRows(&l, lo, hi, in.H)
 				tile := in.SliceRows(inLo, inHi)
-				got := qpoolForward(tile, inLo, in.H, &l, lo, hi, par)
+				got := qpoolForward(tile, stripGeom(&l, tile.C, tile.W, inLo, in.H, lo, hi), &l, par)
 				want := ref.SliceRows(lo, hi)
 				if !EqualQ(got, want) {
 					t.Fatalf("%s par=%d tile [%d,%d): tiled pool differs from whole-map", l.Name, par, lo, hi)
@@ -389,9 +389,9 @@ func TestPoolFastMatchesReferenceBitExact(t *testing.T) {
 		t.Run(l.Name, func(t *testing.T) {
 			in := RandomInput(nn.Shape{C: 4, H: 13, W: 11}, int64(60+pi))
 			outH := (in.H+2*l.PH-l.KH)/l.SH + 1
-			ref := poolForwardRef(in, 0, in.H, &l, 0, outH, 1)
+			ref := poolForwardRef(in, stripGeom(&l, in.C, in.W, 0, in.H, 0, outH), &l, 1)
 			for _, par := range []int{1, 3, 8} {
-				got := poolForward(in, 0, in.H, &l, 0, outH, par)
+				got := poolForward(in, stripGeom(&l, in.C, in.W, 0, in.H, 0, outH), &l, par)
 				if !Equal(got, ref) {
 					t.Fatalf("par=%d: fast pool differs from reference (max diff %g)", par, MaxAbsDiff(got, ref))
 				}
@@ -401,8 +401,8 @@ func TestPoolFastMatchesReferenceBitExact(t *testing.T) {
 					hi := lo + 1 + rng.Intn(outH-lo)
 					inLo, inHi := convInputRows(&l, lo, hi, in.H)
 					tile := in.SliceRows(inLo, inHi)
-					gotTile := poolForward(tile, inLo, in.H, &l, lo, hi, par)
-					wantTile := poolForwardRef(tile, inLo, in.H, &l, lo, hi, 1)
+					gotTile := poolForward(tile, stripGeom(&l, tile.C, tile.W, inLo, in.H, lo, hi), &l, par)
+					wantTile := poolForwardRef(tile, stripGeom(&l, tile.C, tile.W, inLo, in.H, lo, hi), &l, 1)
 					if !Equal(gotTile, wantTile) {
 						t.Fatalf("par=%d tile [%d,%d): fast pool differs from reference", par, lo, hi)
 					}
@@ -439,7 +439,7 @@ func TestDepthwiseFusedRowBitExact(t *testing.T) {
 		}
 		for kh := 0; kh < 3; kh++ {
 			row := kernelRow{kw: []int32{0, 1, 2}, w: w[3*kh : 3*kh+3]}
-			convRow(want, in[kh*inW:(kh+1)*inW], row, sw, pw, inW, g.outW)
+			convRow(want, in[kh*inW:(kh+1)*inW], row, sw, pw, 0, 0, inW, g.outW)
 		}
 		got := make([]float32, g.outW)
 		dwPlane(&g, in, 0, got, w, bias, dw3x3RowF)

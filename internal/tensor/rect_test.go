@@ -8,66 +8,46 @@ import (
 	"pico/internal/partition"
 )
 
-// runGridPartitioned executes segment [from, to) as a tile grid and
-// stitches — what a DeepThings-style grid leader does.
-func runGridPartitioned(t *testing.T, e *Executor, from, to int, full Tensor, tiles []partition.Rect) Tensor {
+// The whole-map / strip / grid bit-identity matrix lives in
+// identity_test.go; this file keeps the grid cases that are not a table row
+// (strided geometry, the random property, an interior int8 segment) and the
+// validation surface of RunTile and Stitch.
+
+// runTiled executes segment [from, to) as the given tiles — slice the region
+// each needs, run it, stitch — which is what a stage or grid leader does.
+func runTiled(t *testing.T, e *Executor, from, to int, full FMap, tiles []partition.Rect) FMap {
 	t.Helper()
 	calc := partition.NewCalc(e.Model())
 	outShape := e.Model().OutShape(to - 1)
-	var outs []Tensor
+	var outs []FMap
 	var rects []partition.Rect
 	for _, tile := range tiles {
 		if tile.Empty() {
 			continue
 		}
-		need := calc.SegmentRects(from, to, tile)[0]
-		in := full.SliceRect(need)
-		out, err := e.RunSegmentRect(from, to, in, tile)
+		in := full.SliceRect(calc.TileRects(from, to, tile)[0])
+		out, err := e.RunTile(from, to, in, tile)
 		if err != nil {
-			t.Fatalf("RunSegmentRect(%v): %v", tile, err)
+			t.Fatalf("RunTile(%v): %v", tile, err)
 		}
 		outs = append(outs, out)
 		rects = append(rects, tile)
 	}
-	stitched, err := StitchGrid(outs, rects, outShape.H, outShape.W)
+	stitched, err := Stitch(outs, rects, outShape.H, outShape.W)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return stitched
 }
 
-func TestGridExecutionMatchesWholeChain(t *testing.T) {
-	m := nn.ToyChain("g", 5, 2, 8, 31)
-	e := mustExec(t, m)
-	in := RandomInput(m.Input, 3)
-	whole, err := e.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := m.Output()
-	for _, grid := range [][2]int{{2, 2}, {3, 2}, {1, 4}, {4, 1}} {
-		tiles := partition.GridPartition(out.H, out.W, grid[0], grid[1])
-		got := runGridPartitioned(t, e, 0, m.NumLayers(), in, tiles)
-		if !Equal(whole, got) {
-			t.Fatalf("%dx%d grid differs from whole by %g", grid[0], grid[1], MaxAbsDiff(whole, got))
-		}
-	}
+func runGridPartitioned(t *testing.T, e *Executor, from, to int, full Tensor, tiles []partition.Rect) Tensor {
+	t.Helper()
+	return runTiled(t, e, from, to, MapOf(full), tiles).Tensor()
 }
 
-func TestGridExecutionMatchesWholeGraph(t *testing.T) {
-	m := nn.TinyGraph()
-	e := mustExec(t, m)
-	in := RandomInput(m.Input, 4)
-	whole, err := e.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := m.Output()
-	tiles := partition.GridPartition(out.H, out.W, 2, 3)
-	got := runGridPartitioned(t, e, 0, m.NumLayers(), in, tiles)
-	if !Equal(whole, got) {
-		t.Fatalf("graph grid execution differs by %g", MaxAbsDiff(whole, got))
-	}
+func runGridPartitionedQ(t *testing.T, e *Executor, from, to int, full QTensor, tiles []partition.Rect) QTensor {
+	t.Helper()
+	return runTiled(t, e, from, to, MapOfQ(full), tiles).QTensor()
 }
 
 func TestGridExecutionStrided(t *testing.T) {
@@ -110,80 +90,118 @@ func TestGridExecutionRandomProperty(t *testing.T) {
 	}
 }
 
-func TestGridExecutionDepthwise(t *testing.T) {
-	m := nn.MobileNetV1()
-	e := mustExec(t, m)
-	const from, to = 1, 5 // sep1_dw .. sep2_pw
-	in := RandomInput(m.InShape(from), 5)
-	outShape := m.OutShape(to - 1)
-	calc := partition.NewCalc(m)
-	fullRect := partition.FullRect(outShape.H, outShape.W)
-	need := calc.SegmentRects(from, to, fullRect)[0]
-	whole, err := e.RunSegmentRect(from, to, in.SliceRect(need), fullRect)
+// TestQuantGridMidSegment: grid tiles over an interior segment must match a
+// single whole-map run of the same segment, so quantized pipelines can
+// switch to 2D partitioning at any fusion boundary.
+func TestQuantGridMidSegment(t *testing.T) {
+	m := nn.ToyChain("qgridmid", 6, 2, 8, 33)
+	e, err := NewExecutor(m, 11, WithQuantized())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runGridPartitioned(t, e, from, to, in, partition.GridPartition(outShape.H, outShape.W, 2, 2))
-	if !Equal(whole, got) {
-		t.Fatalf("depthwise grid differs by %g", MaxAbsDiff(whole, got))
+	scales, err := QuantScales(m, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := 2, 5
+	shapes := m.Shapes()
+	// Derive the segment input by running the prefix in int8.
+	qmid, err := e.RunSegmentQ(0, from, QuantizeTensor(RandomInput(m.Input, 6), scales[0]), partition.Full(shapes[from].H))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullRect := partition.FullRect(shapes[to].H, shapes[to].W)
+	whole := runGridPartitionedQ(t, e, from, to, qmid, []partition.Rect{fullRect})
+	got := runGridPartitionedQ(t, e, from, to, qmid, partition.GridPartition(shapes[to].H, shapes[to].W, 2, 2))
+	if !EqualQ(whole, got) {
+		t.Fatal("quant grid tiles over interior segment differ from the whole-map run")
 	}
 }
 
-func TestRunSegmentRectEqualsRowPath(t *testing.T) {
-	// A full-width rect segment must agree bit-for-bit with the row-strip
-	// executor (two independent code paths).
-	m := nn.ToyChain("eq", 4, 2, 6, 26)
-	e := mustExec(t, m)
-	in := RandomInput(m.Input, 6)
-	out := m.Output()
-	rowPart := partition.Range{Lo: 3, Hi: 9}
-	inR := e.InputRange(0, m.NumLayers(), rowPart)
-	rowTile := in.SliceRows(inR.Lo, inR.Hi)
-	rowOut, err := e.RunSegment(0, m.NumLayers(), rowTile, rowPart)
-	if err != nil {
-		t.Fatal(err)
+// stitchErrorCases drives the one Stitch with tiles of either precision.
+func stitchErrorCases(t *testing.T, tile func(h, w int, scale float32) FMap) {
+	t.Helper()
+	a := tile(2, 2, 0.5)
+	r := partition.FullRect(2, 2)
+	if _, err := Stitch(nil, nil, 2, 2); err == nil {
+		t.Fatal("empty tiles accepted")
 	}
-	rect := partition.Rect{Rows: rowPart, Cols: partition.Full(out.W)}
-	calc := partition.NewCalc(m)
-	need := calc.SegmentRects(0, m.NumLayers(), rect)[0]
-	rectOut, err := e.RunSegmentRect(0, m.NumLayers(), in.SliceRect(need), rect)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Stitch([]FMap{a}, []partition.Rect{r}, 4, 4); err == nil {
+		t.Fatal("uncovered cells accepted")
 	}
-	if !Equal(rowOut, rectOut) {
-		t.Fatalf("row vs rect executors differ by %g", MaxAbsDiff(rowOut, rectOut))
+	if _, err := Stitch([]FMap{a, a}, []partition.Rect{r, r}, 2, 2); err == nil {
+		t.Fatal("double coverage accepted")
+	}
+	if _, err := Stitch([]FMap{tile(3, 3, 0.5)}, []partition.Rect{r}, 2, 2); err == nil {
+		t.Fatal("extent mismatch accepted")
+	}
+	// Right area, wrong place: two half-width tiles on the same half.
+	half := partition.Rect{Rows: partition.Full(2), Cols: partition.Range{Lo: 0, Hi: 1}}
+	b := tile(2, 1, 0.5)
+	if _, err := Stitch([]FMap{b, b}, []partition.Rect{half, half}, 2, 2); err == nil {
+		t.Fatal("overlap with a matching cell count accepted")
+	}
+	other := MapOfQ(AllocQ(1, 2, 2, 0.5))
+	if a.DType == Int8 {
+		other = MapOf(New(1, 2, 2))
+	}
+	right := partition.Rect{Rows: partition.Full(2), Cols: partition.Range{Lo: 2, Hi: 4}}
+	if _, err := Stitch([]FMap{a, other}, []partition.Rect{r, right}, 2, 4); err == nil {
+		t.Fatal("mixed precisions accepted")
 	}
 }
 
 func TestStitchGridErrors(t *testing.T) {
-	a := New(1, 2, 2)
-	r := partition.Rect{Rows: partition.Range{Lo: 0, Hi: 2}, Cols: partition.Range{Lo: 0, Hi: 2}}
-	if _, err := StitchGrid(nil, nil, 2, 2); err == nil {
-		t.Fatal("empty tiles accepted")
+	stitchErrorCases(t, func(h, w int, _ float32) FMap { return MapOf(New(1, h, w)) })
+}
+
+func TestStitchGridQErrors(t *testing.T) {
+	tile := func(h, w int, scale float32) FMap { return MapOfQ(AllocQ(1, h, w, scale)) }
+	stitchErrorCases(t, tile)
+	half := partition.Rect{Rows: partition.Full(2), Cols: partition.Range{Lo: 0, Hi: 1}}
+	half2 := partition.Rect{Rows: partition.Full(2), Cols: partition.Range{Lo: 1, Hi: 2}}
+	if _, err := Stitch([]FMap{tile(2, 1, 0.5), tile(2, 1, 0.25)}, []partition.Rect{half, half2}, 2, 2); err == nil {
+		t.Fatal("accepted tiles with mismatched scales")
 	}
-	if _, err := StitchGrid([]Tensor{a}, []partition.Rect{r}, 4, 4); err == nil {
-		t.Fatal("uncovered cells accepted")
+}
+
+// tileValidationCases drives RunTile's argument checks with a full input
+// map of either precision.
+func tileValidationCases(t *testing.T, e *Executor, in FMap) {
+	t.Helper()
+	out := e.Model().Output()
+	full := partition.FullRect(out.H, out.W)
+	if _, err := e.RunTile(2, 1, in, full); err == nil {
+		t.Fatal("inverted segment accepted")
 	}
-	if _, err := StitchGrid([]Tensor{a, a}, []partition.Rect{r, r}, 2, 2); err == nil {
-		t.Fatal("double coverage accepted")
+	if _, err := e.RunTile(0, 1, in, partition.Rect{}); err == nil {
+		t.Fatal("empty rect accepted")
 	}
-	if _, err := StitchGrid([]Tensor{New(1, 3, 3)}, []partition.Rect{r}, 2, 2); err == nil {
-		t.Fatal("extent mismatch accepted")
+	small := in.SliceRect(partition.Rect{Rows: partition.Range{Lo: 0, Hi: 4}, Cols: partition.Range{Lo: 0, Hi: 4}})
+	if _, err := e.RunTile(0, e.Model().NumLayers(), small, full); err == nil {
+		t.Fatal("undersized tile accepted")
 	}
 }
 
 func TestRunSegmentRectValidation(t *testing.T) {
 	m := nn.ToyChain("v", 3, 0, 4, 16)
-	e := mustExec(t, m)
-	in := RandomInput(m.Input, 1)
-	if _, err := e.RunSegmentRect(2, 1, in, partition.FullRect(16, 16)); err == nil {
-		t.Fatal("inverted segment accepted")
+	tileValidationCases(t, mustExec(t, m), MapOf(RandomInput(m.Input, 1)))
+}
+
+func TestRunSegmentRectQValidation(t *testing.T) {
+	m := nn.ToyChain("qgridval", 3, 2, 8, 16)
+	e, err := NewExecutor(m, 1, WithQuantized())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := e.RunSegmentRect(0, 1, in, partition.Rect{}); err == nil {
-		t.Fatal("empty rect accepted")
+	scales, err := QuantScales(m, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	small := in.SliceRect(partition.Rect{Rows: partition.Range{Lo: 0, Hi: 4}, Cols: partition.Range{Lo: 0, Hi: 4}})
-	if _, err := e.RunSegmentRect(0, 3, small, partition.FullRect(16, 16)); err == nil {
-		t.Fatal("undersized tile accepted")
+	tileValidationCases(t, e, MapOfQ(QuantizeTensor(RandomInput(m.Input, 2), scales[0])))
+	out := m.Output()
+	wrongScale := MapOfQ(QuantizeTensor(RandomInput(m.Input, 2), 12345))
+	if _, err := e.RunTile(0, m.NumLayers(), wrongScale, partition.FullRect(out.H, out.W)); err == nil {
+		t.Fatal("accepted tile with non-calibrated scale")
 	}
 }

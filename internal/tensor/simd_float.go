@@ -130,7 +130,7 @@ func dw3RowF(acc []float32, src []float32, w *[4]float32, n int) {
 }
 
 // macRowF accumulates dst[i] += w*src[i] over equal-length dst and src — the
-// single-row saxpy behind the rect-tile conv spans. One mul and one add per
+// single-row saxpy behind convRow's stride-1 spans. One mul and one add per
 // element, so vector lanes change nothing.
 func macRowF(dst, src []float32, w float32) {
 	i := 0

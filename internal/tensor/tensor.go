@@ -59,57 +59,14 @@ func (t *Tensor) Clone() Tensor {
 
 // SliceRows copies rows [lo, hi) of every channel into a new tensor. The
 // copy is arena-backed; callers that drop it on the hot path may Recycle it.
-func (t *Tensor) SliceRows(lo, hi int) Tensor {
-	if lo < 0 || hi > t.H || lo >= hi {
-		panic(fmt.Sprintf("tensor: SliceRows[%d,%d) of height %d", lo, hi, t.H))
-	}
-	out := Alloc(t.C, hi-lo, t.W)
-	for c := 0; c < t.C; c++ {
-		src := t.Data[(c*t.H+lo)*t.W : (c*t.H+hi)*t.W]
-		dst := out.Data[c*out.H*out.W : (c+1)*out.H*out.W]
-		copy(dst, src)
-	}
-	return out
-}
+func (t *Tensor) SliceRows(lo, hi int) Tensor { return MapOf(*t).sliceRows(lo, hi).Tensor() }
 
 // StitchRows reassembles a full feature map of the given height from
 // disjoint row strips. strips[i] covers rows [los[i], los[i]+strips[i].H).
 // Every row of [0, h) must be covered exactly once.
 func StitchRows(strips []Tensor, los []int, h int) (Tensor, error) {
-	if len(strips) == 0 || len(strips) != len(los) {
-		return Tensor{}, fmt.Errorf("tensor: %d strips with %d offsets", len(strips), len(los))
-	}
-	c, w := strips[0].C, strips[0].W
-	// Arena-backed: on success every row is covered exactly once, so all
-	// elements are written before the tensor is returned.
-	out := Alloc(c, h, w)
-	covered := make([]bool, h)
-	for i, s := range strips {
-		if s.C != c || s.W != w {
-			return Tensor{}, fmt.Errorf("tensor: strip %d extent %dx%dx%d mismatches %dx?x%d", i, s.C, s.H, s.W, c, w)
-		}
-		lo := los[i]
-		if lo < 0 || lo+s.H > h {
-			return Tensor{}, fmt.Errorf("tensor: strip %d rows [%d,%d) outside [0,%d)", i, lo, lo+s.H, h)
-		}
-		for r := 0; r < s.H; r++ {
-			if covered[lo+r] {
-				return Tensor{}, fmt.Errorf("tensor: row %d covered twice", lo+r)
-			}
-			covered[lo+r] = true
-		}
-		for ch := 0; ch < c; ch++ {
-			src := s.Data[ch*s.H*s.W : (ch*s.H+s.H)*s.W]
-			dst := out.Data[(ch*h+lo)*w : (ch*h+lo+s.H)*w]
-			copy(dst, src)
-		}
-	}
-	for r, ok := range covered {
-		if !ok {
-			return Tensor{}, fmt.Errorf("tensor: row %d uncovered", r)
-		}
-	}
-	return out, nil
+	m, err := stitchRows(strips, los, h, MapOf)
+	return m.Tensor(), err
 }
 
 // Equal reports exact bitwise equality of extent and data.

@@ -90,7 +90,7 @@ func TestConvHandComputed(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = 1
 	}
-	out := convForward(in, 0, 3, &l, wts, 0, 3, 1)
+	out := convForward(in, stripGeom(&l, in.C, in.W, 0, 3, 0, 3), &l, wts, 1)
 	// Center = 9 ones; corners = 4; edges = 6.
 	if out.At(0, 1, 1) != 9 || out.At(0, 0, 0) != 4 || out.At(0, 0, 1) != 6 {
 		t.Fatalf("conv values: center %v corner %v edge %v", out.At(0, 1, 1), out.At(0, 0, 0), out.At(0, 0, 1))
@@ -116,7 +116,7 @@ func TestMaxPoolExcludesPadding(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = -1 // all negative: padding zeros must NOT win
 	}
-	out := poolForward(in, 0, 4, &l, 0, 2, 1)
+	out := poolForward(in, stripGeom(&l, in.C, in.W, 0, 4, 0, 2), &l, 1)
 	for _, v := range out.Data {
 		if v != -1 {
 			t.Fatalf("padding leaked into max pool: %v", v)
@@ -130,7 +130,7 @@ func TestAvgPoolValidCountDivisor(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = 6
 	}
-	out := poolForward(in, 0, 3, &l, 0, 3, 1)
+	out := poolForward(in, stripGeom(&l, in.C, in.W, 0, 3, 0, 3), &l, 1)
 	// Corner windows see 4 valid cells of value 6: average 6 (divisor
 	// counts valid cells only).
 	if out.At(0, 0, 0) != 6 {

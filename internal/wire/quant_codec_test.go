@@ -25,7 +25,7 @@ func TestQCodecFastMatchesPortable(t *testing.T) {
 		if !bytes.Equal(fast, portable) {
 			t.Fatalf("trial %d: fast and portable int8 encodings differ", trial)
 		}
-		view, pooled := QTensorBytes(src)
+		view, pooled := MapBytes(tensor.MapOfQ(src))
 		if !bytes.Equal(view, portable) {
 			t.Fatalf("trial %d: QTensorBytes differs from portable encoding", trial)
 		}
@@ -63,7 +63,7 @@ func TestQCodecFastMatchesPortable(t *testing.T) {
 // unconditional.
 func TestQTensorBytesAliasing(t *testing.T) {
 	src := tensor.AllocQ(1, 2, 2, 0.5)
-	view, pooled := QTensorBytes(src)
+	view, pooled := MapBytes(tensor.MapOfQ(src))
 	if pooled {
 		t.Fatal("QTensorBytes returned a pooled copy")
 	}
@@ -79,8 +79,8 @@ func TestQTensorBytesAliasing(t *testing.T) {
 func TestQTensorPayloadQuarterSize(t *testing.T) {
 	f := tensor.New(16, 7, 9)
 	q := tensor.AllocQ(16, 7, 9, 1)
-	fb, _ := TensorBytes(f)
-	qb, _ := QTensorBytes(q)
+	fb, _ := MapBytes(tensor.MapOf(f))
+	qb, _ := MapBytes(tensor.MapOfQ(q))
 	if len(fb) != 4*len(qb) {
 		t.Fatalf("float payload %d bytes, int8 payload %d bytes: want exactly 4x", len(fb), len(qb))
 	}
@@ -99,6 +99,13 @@ func TestQTensorCodecErrors(t *testing.T) {
 	if _, err := DecodeQTensorPortable(1, 2, 2, 1, make([]byte, 5)); err == nil {
 		t.Fatal("portable: oversize payload accepted")
 	}
+	c, h, w := overflowExtent()
+	if _, err := DecodeQTensor(c, h, w, 1, nil); err == nil {
+		t.Fatal("extent whose product overflows int accepted")
+	}
+	if _, err := DecodeQTensorPortable(c, h, w, 1, nil); err == nil {
+		t.Fatal("portable: extent whose product overflows int accepted")
+	}
 }
 
 // FuzzQTensorCodec feeds arbitrary bytes and extents to the int8 decoder;
@@ -109,6 +116,7 @@ func FuzzQTensorCodec(f *testing.F) {
 	f.Add(2, 2, 2, bytes.Repeat([]byte{0x80}, 8))
 	f.Add(1, 1, 1, []byte{})
 	f.Add(-1, 1, 1, []byte{7})
+	f.Add(1<<22, 1<<21, 1<<21, []byte{}) // product wraps to 0 == len(payload)
 	f.Fuzz(func(t *testing.T, c, h, w int, payload []byte) {
 		qt, err := DecodeQTensor(c, h, w, 0.1, payload)
 		qp, errP := DecodeQTensorPortable(c, h, w, 0.1, payload)
@@ -117,6 +125,9 @@ func FuzzQTensorCodec(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if float64(c)*float64(h)*float64(w) != float64(len(payload)) {
+			t.Fatalf("decoded %dx%dx%d from a %d-byte payload", c, h, w, len(payload))
 		}
 		for i := range qt.Data {
 			if qt.Data[i] != qp.Data[i] {

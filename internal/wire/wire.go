@@ -334,61 +334,122 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&probe)) == 0x04
 }()
 
-// float32Bytes reinterprets a float32 slice as its raw bytes without
-// copying. Only meaningful on little-endian hosts, where the in-memory
-// layout already matches the wire format.
-func float32Bytes(d []float32) []byte {
+// The tile codec is written once over the element type. A tile travels as
+// its raw elements — float32 little-endian, int8 as the two's-complement
+// byte — with extent, dtype and scale in the exec headers, so wherever the
+// host's memory layout is already the wire format (float32 on little-endian
+// hosts, int8 everywhere) encoding is a reinterpretation and decoding one
+// bulk copy. The typed Encode*/Decode* functions are adapters over it.
+
+// rawBytes reinterprets an element slice as its bytes without copying.
+func rawBytes[E float32 | int8](d []E) []byte {
 	if len(d) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&d[0])), 4*len(d))
+	return unsafe.Slice((*byte)(unsafe.Pointer(&d[0])), len(d)*int(unsafe.Sizeof(d[0])))
+}
+
+// MapBytes returns m's data as wire bytes. Where the host layout is the wire
+// layout the slice aliases m's data — zero copy; the map must stay live and
+// unmodified until the bytes have been consumed (e.g. until Send returns) —
+// and pooled is false. Float32 maps on big-endian hosts are encoded into a
+// pooled buffer instead and pooled is true; return it with PutBuffer when
+// done.
+func MapBytes(m tensor.FMap) (b []byte, pooled bool) {
+	switch {
+	case m.DType == tensor.Int8:
+		return rawBytes(m.QTensor().Data), false
+	case hostLittleEndian:
+		return rawBytes(m.Tensor().Data), false
+	default:
+		return EncodeTensorPortable(m.Tensor()), true
+	}
+}
+
+// checkExtent validates an untrusted tile header against its payload before
+// anything is allocated: positive dimensions whose element count neither
+// overflows nor exceeds the frame payload cap, and a payload of exactly that
+// many elements.
+func checkExtent(c, h, w, elemSize int, payload []byte) error {
+	if c <= 0 || h <= 0 || w <= 0 {
+		return fmt.Errorf("wire: invalid tensor extent %dx%dx%d", c, h, w)
+	}
+	// Each factor is checked against the cap before it multiplies in, so
+	// the running product stays far below 2^63.
+	n := int64(1)
+	for _, d := range [...]int{c, h, w, elemSize} {
+		if int64(d) > maxPayloadBytes/n {
+			return fmt.Errorf("wire: tensor extent %dx%dx%d exceeds the %d-byte payload cap", c, h, w, maxPayloadBytes)
+		}
+		n *= int64(d)
+	}
+	if int64(len(payload)) != n {
+		return fmt.Errorf("wire: payload %d bytes, want %d for %dx%dx%d", len(payload), n, c, h, w)
+	}
+	return nil
+}
+
+// DecodeMap reconstructs a tile of the given wire dtype, extent and (for
+// int8) scale from a payload. The map is arena-backed; callers done with it
+// may Recycle it.
+func DecodeMap(dtype, c, h, w int, scale float32, payload []byte) (tensor.FMap, error) {
+	switch dtype {
+	case DTypeInt8:
+		if err := checkExtent(c, h, w, 1, payload); err != nil {
+			return tensor.FMap{}, err
+		}
+		q := tensor.AllocQ(c, h, w, scale)
+		copy(rawBytes(q.Data), payload)
+		return tensor.MapOfQ(q), nil
+	case DTypeFloat32:
+		if err := checkExtent(c, h, w, 4, payload); err != nil {
+			return tensor.FMap{}, err
+		}
+		t := tensor.Alloc(c, h, w)
+		if hostLittleEndian {
+			copy(rawBytes(t.Data), payload)
+		} else {
+			decodeTensorInto(t.Data, payload)
+		}
+		return tensor.MapOf(t), nil
+	default:
+		return tensor.FMap{}, fmt.Errorf("wire: unknown tile dtype %d", dtype)
+	}
 }
 
 // EncodeTensor serializes tensor data as little-endian float32 into a
-// pooled buffer. On little-endian hosts this is a single bulk copy; the
-// per-element conversion only runs on big-endian hosts. Callers done with
-// the buffer (after Send returns) should hand it back via PutBuffer to keep
-// the hot path allocation-free.
-func EncodeTensor(t tensor.Tensor) []byte {
-	if hostLittleEndian {
-		buf := GetBuffer(4 * len(t.Data))
-		copy(buf, float32Bytes(t.Data))
-		return buf
+// pooled buffer. Callers done with the buffer (after Send returns) should
+// hand it back via PutBuffer to keep the hot path allocation-free.
+func EncodeTensor(t tensor.Tensor) []byte { return encodeMap(tensor.MapOf(t)) }
+
+// EncodeQTensor serializes an int8 tensor's data into a pooled buffer — one
+// byte per element, a quarter of the float32 payload for the same extent.
+// The scale travels in the exec headers, not the payload.
+func EncodeQTensor(t tensor.QTensor) []byte { return encodeMap(tensor.MapOfQ(t)) }
+
+// encodeMap copies MapBytes into a pooled buffer the caller owns.
+func encodeMap(m tensor.FMap) []byte {
+	b, pooled := MapBytes(m)
+	if pooled {
+		return b
 	}
-	return EncodeTensorPortable(t)
+	buf := GetBuffer(len(b))
+	copy(buf, b)
+	return buf
 }
 
-// TensorBytes returns t's data as little-endian wire bytes. On little-endian
-// hosts the slice aliases t.Data — zero copy; the tensor must stay live and
-// unmodified until the bytes have been consumed (e.g. until Send returns) —
-// and pooled is false. On big-endian hosts the bytes are an encoded pooled
-// buffer and pooled is true; return it with PutBuffer when done.
-func TensorBytes(t tensor.Tensor) (b []byte, pooled bool) {
-	if hostLittleEndian {
-		return float32Bytes(t.Data), false
-	}
-	return EncodeTensorPortable(t), true
-}
-
-// DecodeTensor reconstructs a tensor of the given extent from a payload.
-// On little-endian hosts the payload is bulk-copied into the tensor's
-// storage; the per-element conversion only runs on big-endian hosts. The
-// tensor is arena-backed; callers done with it may tensor.Recycle it.
+// DecodeTensor reconstructs a float32 tensor of the given extent from a
+// payload; see DecodeMap.
 func DecodeTensor(c, h, w int, payload []byte) (tensor.Tensor, error) {
-	if c <= 0 || h <= 0 || w <= 0 {
-		return tensor.Tensor{}, fmt.Errorf("wire: invalid tensor extent %dx%dx%d", c, h, w)
-	}
-	n := c * h * w
-	if len(payload) != 4*n {
-		return tensor.Tensor{}, fmt.Errorf("wire: payload %d bytes, want %d for %dx%dx%d", len(payload), 4*n, c, h, w)
-	}
-	t := tensor.Alloc(c, h, w)
-	if hostLittleEndian {
-		copy(float32Bytes(t.Data), payload)
-		return t, nil
-	}
-	decodeTensorInto(t.Data, payload)
-	return t, nil
+	m, err := DecodeMap(DTypeFloat32, c, h, w, 0, payload)
+	return m.Tensor(), err
+}
+
+// DecodeQTensor reconstructs an int8 tensor of the given extent and scale
+// from a payload; see DecodeMap.
+func DecodeQTensor(c, h, w int, scale float32, payload []byte) (tensor.QTensor, error) {
+	m, err := DecodeMap(DTypeInt8, c, h, w, scale, payload)
+	return m.QTensor(), err
 }
 
 // EncodeTensorPortable is the endianness-independent per-element reference
@@ -405,12 +466,8 @@ func EncodeTensorPortable(t tensor.Tensor) []byte {
 // DecodeTensorPortable is the per-element reference decoder matching
 // EncodeTensorPortable.
 func DecodeTensorPortable(c, h, w int, payload []byte) (tensor.Tensor, error) {
-	if c <= 0 || h <= 0 || w <= 0 {
-		return tensor.Tensor{}, fmt.Errorf("wire: invalid tensor extent %dx%dx%d", c, h, w)
-	}
-	n := c * h * w
-	if len(payload) != 4*n {
-		return tensor.Tensor{}, fmt.Errorf("wire: payload %d bytes, want %d for %dx%dx%d", len(payload), 4*n, c, h, w)
+	if err := checkExtent(c, h, w, 4, payload); err != nil {
+		return tensor.Tensor{}, err
 	}
 	t := tensor.Alloc(c, h, w)
 	decodeTensorInto(t.Data, payload)
@@ -421,49 +478,6 @@ func decodeTensorInto(dst []float32, payload []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
-}
-
-// int8Bytes reinterprets an int8 slice as its raw bytes without copying.
-// Single-byte elements have no endianness, so unlike float32Bytes this is
-// valid on every host; the wire representation is the two's-complement byte.
-func int8Bytes(d []int8) []byte {
-	if len(d) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&d[0])), len(d))
-}
-
-// EncodeQTensor serializes an int8 tensor's data into a pooled buffer —
-// one byte per element, a quarter of the float32 payload for the same
-// extent. The scale travels in the exec headers, not the payload.
-func EncodeQTensor(t tensor.QTensor) []byte {
-	buf := GetBuffer(len(t.Data))
-	copy(buf, int8Bytes(t.Data))
-	return buf
-}
-
-// QTensorBytes returns t's data as wire bytes. The slice aliases t.Data —
-// zero copy on every host; the tensor must stay live and unmodified until
-// the bytes have been consumed (e.g. until Send returns). pooled is always
-// false and is returned only to match the TensorBytes call shape.
-func QTensorBytes(t tensor.QTensor) (b []byte, pooled bool) {
-	return int8Bytes(t.Data), false
-}
-
-// DecodeQTensor reconstructs an int8 tensor of the given extent and scale
-// from a payload with a single bulk copy. The tensor is arena-backed;
-// callers done with it may tensor.RecycleQ it.
-func DecodeQTensor(c, h, w int, scale float32, payload []byte) (tensor.QTensor, error) {
-	if c <= 0 || h <= 0 || w <= 0 {
-		return tensor.QTensor{}, fmt.Errorf("wire: invalid tensor extent %dx%dx%d", c, h, w)
-	}
-	n := c * h * w
-	if len(payload) != n {
-		return tensor.QTensor{}, fmt.Errorf("wire: payload %d bytes, want %d for int8 %dx%dx%d", len(payload), n, c, h, w)
-	}
-	t := tensor.AllocQ(c, h, w, scale)
-	copy(int8Bytes(t.Data), payload)
-	return t, nil
 }
 
 // EncodeQTensorPortable is the per-element reference encoder the aliasing
@@ -479,12 +493,8 @@ func EncodeQTensorPortable(t tensor.QTensor) []byte {
 // DecodeQTensorPortable is the per-element reference decoder matching
 // EncodeQTensorPortable.
 func DecodeQTensorPortable(c, h, w int, scale float32, payload []byte) (tensor.QTensor, error) {
-	if c <= 0 || h <= 0 || w <= 0 {
-		return tensor.QTensor{}, fmt.Errorf("wire: invalid tensor extent %dx%dx%d", c, h, w)
-	}
-	n := c * h * w
-	if len(payload) != n {
-		return tensor.QTensor{}, fmt.Errorf("wire: payload %d bytes, want %d for int8 %dx%dx%d", len(payload), n, c, h, w)
+	if err := checkExtent(c, h, w, 1, payload); err != nil {
+		return tensor.QTensor{}, err
 	}
 	t := tensor.AllocQ(c, h, w, scale)
 	for i := range t.Data {

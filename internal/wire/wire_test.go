@@ -160,7 +160,7 @@ func TestCodecFastMatchesPortable(t *testing.T) {
 		if !bytes.Equal(fast, portable) {
 			t.Fatalf("trial %d: fast and portable encodings differ", trial)
 		}
-		view, pooled := TensorBytes(src)
+		view, pooled := MapBytes(tensor.MapOf(src))
 		if !bytes.Equal(view, portable) {
 			t.Fatalf("trial %d: TensorBytes differs from portable encoding", trial)
 		}
@@ -196,7 +196,7 @@ func TestTensorBytesAliasing(t *testing.T) {
 		t.Skip("big-endian host: TensorBytes copies by design")
 	}
 	src := tensor.New(1, 2, 2)
-	view, pooled := TensorBytes(src)
+	view, pooled := MapBytes(tensor.MapOf(src))
 	if pooled {
 		t.Fatal("little-endian TensorBytes returned a pooled copy")
 	}
@@ -219,7 +219,27 @@ func TestTensorCodecErrors(t *testing.T) {
 	if _, err := DecodeTensorPortable(1, 2, 2, make([]byte, 15)); err == nil {
 		t.Fatal("portable: short payload accepted")
 	}
+	// 2^22 * 2^21 * 2^21 wraps to 0 in 64-bit int arithmetic: an empty
+	// payload once "matched" it and decoded to a tensor claiming 2^64 cells.
+	c, h, w := overflowExtent()
+	if _, err := DecodeTensor(c, h, w, nil); err == nil {
+		t.Fatal("extent whose product overflows int accepted")
+	}
+	if _, err := DecodeTensorPortable(c, h, w, nil); err == nil {
+		t.Fatal("portable: extent whose product overflows int accepted")
+	}
+	if _, err := DecodeTensor(1<<10, 1<<10, 1<<10, nil); err == nil {
+		t.Fatal("extent beyond the payload cap accepted")
+	}
+	if _, err := DecodeMap(7, 1, 1, 1, 0, []byte{0}); err == nil {
+		t.Fatal("unknown dtype accepted")
+	}
 }
+
+// overflowExtent is a hostile extent whose element count wraps int: 2^64 on
+// 64-bit hosts (the dimensions are variables so the products are not
+// compile-time constants). All three fit the exec header's int32 fields.
+func overflowExtent() (c, h, w int) { return 1 << 22, 1 << 21, 1 << 21 }
 
 func TestExecHeaderBinaryRoundTrip(t *testing.T) {
 	headers := []ExecHeader{
@@ -516,6 +536,8 @@ func FuzzRecv(f *testing.F) {
 		c := NewConn(b)
 		_ = c.Send(MsgPing, nil, []byte("xy"))
 		_ = c.SendExec(3, &ExecHeader{TaskID: 1, ModelName: "m"}, []byte{1})
+		oc, oh, ow := overflowExtent()
+		_ = c.SendExec(4, &ExecHeader{TaskID: 2, TileC: oc, TileH: oh, TileW: ow, DType: DTypeInt8, Scale: 1}, nil)
 		_ = b.Close()
 		<-done
 		return buf.Bytes()
@@ -540,7 +562,17 @@ func FuzzRecv(f *testing.F) {
 			// Exercise the binary header decoders on arbitrary bytes too.
 			switch msg.Type {
 			case MsgExec:
-				_ = msg.DecodeExec(&ExecHeader{})
+				// ...and the tile decode on whatever extent the header
+				// claims: reject or decode, never trust the product.
+				var h ExecHeader
+				if msg.DecodeExec(&h) == nil {
+					if m, err := DecodeMap(h.DType, h.TileC, h.TileH, h.TileW, h.Scale, msg.Payload); err == nil {
+						if n := float64(m.C) * float64(m.H) * float64(m.W); n != float64(len(msg.Payload)) && 4*n != float64(len(msg.Payload)) {
+							t.Fatalf("decoded %dx%dx%d from a %d-byte payload", m.C, m.H, m.W, len(msg.Payload))
+						}
+						m.Recycle()
+					}
+				}
 			case MsgExecResult:
 				_ = msg.DecodeExecResult(&ExecResultHeader{})
 			}
