@@ -37,7 +37,7 @@ race-hot:
 # blocked-vs-reference bit-identity at par > 1, the int8 codec, and the
 # distributed quant pipeline against local RunQ.
 race-quant:
-	$(GO) test -race -run 'Quant|QCodec|QTensor|QpwTile' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core
+	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core
 
 # Fault-injection suite under the race detector: worker crashes, hangs,
 # flaky connections and panics against the pipeline's recovery machinery

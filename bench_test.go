@@ -14,6 +14,7 @@ package pico_test
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -629,8 +630,18 @@ func BenchmarkQuantKernelKinds(b *testing.B) {
 		{"fc", nn.Shape{C: 256, H: 4, W: 4},
 			nn.Layer{Name: "f", Kind: nn.FullyConnected, OutF: 512, Act: nn.ReLU}},
 	}
+	// MobileNetV1's pointwise layers, one per resolution: together they walk
+	// the int8 GEMM's pack, tile and epilogue from a 16-pair reduction over
+	// 12 544 columns to a 512-pair one over 49.
+	for _, pw := range [][3]int{{112, 32, 64}, {56, 128, 128}, {28, 256, 256}, {14, 512, 512}, {7, 1024, 1024}} {
+		tc := cases[1] // "pointwise"
+		tc.name = fmt.Sprintf("pointwise%dx%d-%d", pw[0], pw[1], pw[2])
+		tc.in, tc.l.OutC = nn.Shape{C: pw[1], H: pw[0], W: pw[0]}, pw[2]
+		cases = append(cases, tc)
+	}
 	for _, tc := range cases {
 		m := &nn.Model{Name: "bq-" + tc.name, Input: tc.in, Layers: []nn.Layer{tc.l}}
+		macs := float64(m.TotalFLOPs()) // the paper's FLOPs are multiply-accumulates
 		in := tensor.RandomInput(m.Input, 1)
 		fexec, err := tensor.NewExecutor(m, 1, tensor.WithParallelism(1))
 		if err != nil {
@@ -669,6 +680,7 @@ func BenchmarkQuantKernelKinds(b *testing.B) {
 				}
 				tensor.RecycleQ(out)
 			}
+			b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 		})
 	}
 }

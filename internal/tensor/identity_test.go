@@ -91,42 +91,57 @@ func TestBitIdentity(t *testing.T) {
 				}
 				out := m.OutShape(to - 1)
 				whole := runTiled(t, ref, from, to, in, []partition.Rect{partition.FullRect(out.H, out.W)})
-				if from == 0 && to == m.NumLayers() {
-					var viaRun FMap
-					if dt == Int8 {
-						q, err := ref.RunQ(src)
-						if err != nil {
-							t.Fatal(err)
-						}
-						viaRun = MapOfQ(q)
-					} else {
-						f, err := ref.Run(src)
-						if err != nil {
-							t.Fatal(err)
-						}
-						viaRun = MapOf(f)
-					}
-					if !equalMaps(whole, viaRun) {
-						t.Fatal("Run/RunQ differs from the whole-map tile")
-					}
-				}
-				for _, par := range []int{1, 3} {
-					e, err := NewExecutor(m, 7, WithQuantized(), WithParallelism(par))
+				// The blocked engine against the reference loops (skipped for
+				// MobileNetV1, whose calibration forward alone is seconds of
+				// reference kernels) and, for int8, under every pointwise tile
+				// variant of this host.
+				if m != mnv1 {
+					oracle, err := NewExecutor(m, 7, WithQuantized(), WithParallelism(1), WithReferenceKernels())
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, tc := range tilings {
-						if got := runTiled(t, e, from, to, in, tc.tiles(out.H, out.W)); !equalMaps(whole, got) {
-							t.Errorf("par=%d %s: stitched tiles differ from the whole map", par, tc.name)
-						}
-					}
-					// The same strips through the typed row-strip façade
-					// (RunSegment/RunSegmentQ + StitchRows/StitchRowsQ), which
-					// must be the rect path with full columns, not a sibling.
-					if got := runStripFacade(t, e, from, to, in, partition.Equal(out.H, 3)); !equalMaps(whole, got) {
-						t.Errorf("par=%d: row-strip façade differs from the whole map", par)
+					if !equalMaps(whole, runTiled(t, oracle, from, to, in, []partition.Rect{partition.FullRect(out.H, out.W)})) {
+						t.Fatal("blocked kernels differ from the reference kernels")
 					}
 				}
+				eachQpwVariant(t, dt == Int8, func(t *testing.T, vn string) {
+					if from == 0 && to == m.NumLayers() {
+						var viaRun FMap
+						if dt == Int8 {
+							q, err := ref.RunQ(src)
+							if err != nil {
+								t.Fatal(err)
+							}
+							viaRun = MapOfQ(q)
+						} else {
+							f, err := ref.Run(src)
+							if err != nil {
+								t.Fatal(err)
+							}
+							viaRun = MapOf(f)
+						}
+						if !equalMaps(whole, viaRun) {
+							t.Fatal("Run/RunQ differs from the whole-map tile")
+						}
+					}
+					for _, par := range []int{1, 3} {
+						e, err := NewExecutor(m, 7, WithQuantized(), WithParallelism(par))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, tc := range tilings {
+							if got := runTiled(t, e, from, to, in, tc.tiles(out.H, out.W)); !equalMaps(whole, got) {
+								t.Errorf("%s par=%d %s: stitched tiles differ from the whole map", vn, par, tc.name)
+							}
+						}
+						// The same strips through the typed row-strip façade
+						// (RunSegment/RunSegmentQ + StitchRows/StitchRowsQ), which
+						// must be the rect path with full columns, not a sibling.
+						if got := runStripFacade(t, e, from, to, in, partition.Equal(out.H, 3)); !equalMaps(whole, got) {
+							t.Errorf("%s par=%d: row-strip façade differs from the whole map", vn, par)
+						}
+					}
+				})
 			})
 		}
 	}

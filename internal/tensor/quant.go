@@ -131,28 +131,25 @@ type qconvWeights struct {
 	effScale []float32
 	effBias  []float32
 	blocks   []qocBlock
+	// pw is the pointwise walker's weight panel (qpointwise.go; 1x1 stride-1
+	// ungrouped layers only): dword pw[(ob*pairs+p)*qpwMR+b] holds
+	// wq[ob*qpwMR+b][2p] in its low int16, [2p+1] in its high, zero past
+	// the last input or output channel.
+	pw []int32
 }
 
-// qocBlock is the int8 register tile. Unlike the float ocBlock, packed is
-// always built — integer accumulation needs no zero-tap skip or raggedness
-// fallback for bit-identity, so ragged tail blocks simply zero-pad the
-// missing channels (their lanes are computed and discarded).
+// qocBlock is the int8 register tile of the general conv kernel. Unlike the
+// float ocBlock it is always packed — integer accumulation needs no zero-tap
+// skip or raggedness fallback for bit-identity, so ragged tail blocks simply
+// zero-pad the missing channels (their lanes are computed and discarded).
 type qocBlock struct {
 	oc0    int
 	width  int
 	icBase int
-	// packed[((g*KH+kh)*KW+kw)*ocBlockWidth + b] = wq[oc0+b][icBase+g][kh][kw]
-	packed []int8
-	// packed32 is the same layout pre-widened to int32 for kernels whose
-	// inner loop wants 32-bit weight lanes (the SIMD pointwise tile
-	// broadcasts them directly instead of sign-extending per use).
+	// packed32[((g*KH+kh)*KW+kw)*ocBlockWidth + b] = wq[oc0+b][icBase+g][kh][kw],
+	// widened to int32 so the vector row tiles broadcast a weight lane
+	// directly.
 	packed32 []int32
-	// packedPair packs input-channel pairs for the VPMADDWD pointwise
-	// tile: dword [p*4+b] holds channel 2p's weight for lane b in its low
-	// int16 and channel 2p+1's in its high int16. Only built for 1x1
-	// ungrouped convolutions; an odd trailing channel is handled by the
-	// dispatch tail, not padded here.
-	packedPair []int32
 }
 
 // genQConv derives the int8 form of already-generated float weights. icg is
@@ -160,10 +157,13 @@ type qocBlock struct {
 // layer's input and output boundaries.
 func genQConv(cw *convWeights, l *nn.Layer, icg int, sIn, sOut float32) *qconvWeights {
 	perOC := icg * l.KH * l.KW
+	// Spare zero capacity up to the pointwise channel block lets a tile over
+	// a ragged last block reslice a whole block of epilogue operands.
+	padded := (l.OutC + qpwMR - 1) / qpwMR * qpwMR
 	qw := &qconvWeights{
 		wq:       make([]int8, len(cw.w)),
-		effScale: make([]float32, l.OutC),
-		effBias:  make([]float32, l.OutC),
+		effScale: make([]float32, l.OutC, padded),
+		effBias:  make([]float32, l.OutC, padded),
 	}
 	for oc := 0; oc < l.OutC; oc++ {
 		ws := cw.w[oc*perOC : (oc+1)*perOC]
@@ -183,49 +183,37 @@ func genQConv(cw *convWeights, l *nn.Layer, icg int, sIn, sOut float32) *qconvWe
 	return qw
 }
 
-// pack builds the always-dense int8 register-tile plan.
+// pack builds the always-dense int8 register-tile plan and, for pointwise
+// layers, the channel-pair weight panel.
 func (qw *qconvWeights) pack(l *nn.Layer, icg int) {
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
+	groups := max(l.Groups, 1)
 	ocg := l.OutC / groups
 	perOC := icg * l.KH * l.KW
 	for g := 0; g < groups; g++ {
 		for oc0 := g * ocg; oc0 < (g+1)*ocg; oc0 += ocBlockWidth {
 			blk := qocBlock{
-				oc0:    oc0,
-				width:  min(ocBlockWidth, (g+1)*ocg-oc0),
-				icBase: g * icg,
-				packed: make([]int8, icg*l.KH*l.KW*ocBlockWidth),
+				oc0:      oc0,
+				width:    min(ocBlockWidth, (g+1)*ocg-oc0),
+				icBase:   g * icg,
+				packed32: make([]int32, perOC*ocBlockWidth),
 			}
 			for b := 0; b < blk.width; b++ {
-				base := (oc0 + b) * perOC
-				for gg := 0; gg < icg; gg++ {
-					for kh := 0; kh < l.KH; kh++ {
-						for kw := 0; kw < l.KW; kw++ {
-							blk.packed[((gg*l.KH+kh)*l.KW+kw)*ocBlockWidth+b] =
-								qw.wq[base+(gg*l.KH+kh)*l.KW+kw]
-						}
-					}
-				}
-			}
-			blk.packed32 = make([]int32, len(blk.packed))
-			for i, v := range blk.packed {
-				blk.packed32[i] = int32(v)
-			}
-			if groups == 1 && l.KH == 1 && l.KW == 1 && icg >= 2 {
-				blk.packedPair = make([]int32, (icg/2)*ocBlockWidth)
-				for p := 0; p < icg/2; p++ {
-					for b := 0; b < ocBlockWidth; b++ {
-						we := blk.packed32[(2*p)*ocBlockWidth+b]
-						wo := blk.packed32[(2*p+1)*ocBlockWidth+b]
-						blk.packedPair[p*ocBlockWidth+b] =
-							int32(uint32(uint16(int16(we))) | uint32(wo)<<16)
-					}
+				for i, w := range qw.wq[(oc0+b)*perOC : (oc0+b+1)*perOC] {
+					blk.packed32[i*ocBlockWidth+b] = int32(w)
 				}
 			}
 			qw.blocks = append(qw.blocks, blk)
+		}
+	}
+	if !pointwise(l) {
+		return
+	}
+	pairs := (icg + 1) / 2
+	qw.pw = make([]int32, cap(qw.effScale)*pairs)
+	for oc := 0; oc < l.OutC; oc++ {
+		row := qw.pw[(oc/qpwMR)*pairs*qpwMR+oc%qpwMR:]
+		for g, w := range qw.wq[oc*icg : (oc+1)*icg] {
+			row[g/2*qpwMR] |= int32(uint16(int16(w))) << (g % 2 * 16)
 		}
 	}
 }
@@ -296,20 +284,25 @@ func requantRow(dst []int8, acc []int32, scale, bias float32, act nn.Activation)
 	n := len(acc)
 	i := 0
 	if simdQuant && n >= 8 {
-		code := 0
-		switch act {
-		case nn.ReLU:
-			code = 1
-		case nn.LeakyReLU:
-			code = 2
-		}
 		m := n &^ 7
-		qrequantRow8(&dst[0], &acc[0], scale, bias, code, m)
+		qrequantRow8(&dst[0], &acc[0], scale, bias, actCode(act), m)
 		i = m
 	}
 	for ; i < n; i++ {
 		dst[i] = requant1(acc[i], scale, bias, act)
 	}
+}
+
+// actCode is the activation selector of the vector epilogues: 0 for none,
+// 1 for ReLU, 2 for LeakyReLU.
+func actCode(act nn.Activation) int {
+	switch act {
+	case nn.ReLU:
+		return 1
+	case nn.LeakyReLU:
+		return 2
+	}
+	return 0
 }
 
 // requantRowRef is the scalar reference epilogue the vector form is
@@ -339,8 +332,7 @@ func requantRowRef(dst []int8, acc []int32, scale, bias float32, act nn.Activati
 	}
 }
 
-// requant1 is the scalar form of requantRow; the register-tiled pointwise
-// kernel uses it on accumulators that never touch memory.
+// requant1 is the scalar form of requantRow, for single accumulators.
 func requant1(a int32, scale, bias float32, act nn.Activation) int8 {
 	v := float32(a)*scale + bias
 	if v < 0 {

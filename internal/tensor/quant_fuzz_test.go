@@ -199,3 +199,48 @@ func FuzzQKernelTile(f *testing.F) {
 		}
 	})
 }
+
+// FuzzQuantPointwise drives the pointwise walker under every tile variant of
+// this host against the reference kernel over fuzzer-chosen channel counts,
+// map extents, strip windows, activation and parallelism, and every variant's
+// pack and tile steps directly against their scalar contract. The parameter
+// tuple matches FuzzConvGeometry's, so corpora are interchangeable. Run with
+// `go test -fuzz=FuzzQuantPointwise ./internal/tensor`.
+func FuzzQuantPointwise(f *testing.F) {
+	// Seeds: odd and single channels, flattened widths below one tile (n <
+	// 16), exactly one, one past, ragged channel blocks, and a strip that
+	// starts inside its tile.
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(2), uint8(6), uint8(0), uint8(1), uint8(0), uint8(2), uint8(1), uint8(2), uint8(8), uint8(1))
+	f.Add(uint8(1), uint8(14), uint8(1), uint8(0), uint8(3), uint8(1), uint8(2), uint8(30), uint8(6), uint8(2))
+	f.Add(uint8(3), uint8(3), uint8(0), uint8(0), uint8(1), uint8(0), uint8(3), uint8(31), uint8(7), uint8(0))
+	f.Add(uint8(0), uint8(16), uint8(0), uint8(0), uint8(0), uint8(3), uint8(4), uint8(4), uint8(15), uint8(1))
+	f.Add(uint8(6), uint8(6), uint8(2), uint8(3), uint8(2), uint8(1), uint8(5), uint8(16), uint8(19), uint8(2))
+	f.Fuzz(func(t *testing.T, ph, pw, plo, prows, ppar, pstride, pseed, pinC, poutC, pact uint8) {
+		h, w := 1+int(ph)%9, 1+int(pw)%40
+		inC, outC := 1+int(pinC)%40, 1+int(poutC)%24
+		act := nn.Activation(1 + int(pact)%3)
+		l := nn.Layer{Name: "fz", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC, Act: act, BatchNorm: pseed%2 == 0}
+		qw := genQConv(genConv(int64(pseed), "fzpw", &l, inC), &l, inC, 0.03, 0.07)
+		in := randomQInput(inC, h, w, int64(pseed)+1)
+		lo := int(plo) % h
+		hi := lo + 1 + int(prows)%(h-lo)
+		ref := qconvForwardRef(in, stripGeom(&l, inC, w, 0, h, 0, h), &l, qw, 1)
+		par := 1 + int(ppar)%4
+		rng := rand.New(rand.NewSource(int64(pseed)<<8 | int64(pstride)))
+		eachQpwVariant(t, true, func(t *testing.T, vn string) {
+			if got := qconvForward(in, stripGeom(&l, inC, w, 0, h, 0, h), &l, qw, par); !EqualQ(got, ref) {
+				t.Fatalf("%s inC=%d outC=%d %dx%d par=%d: differs from reference", vn, inC, outC, h, w, par)
+			}
+			// The strip's rows inside a tile that starts one row above it.
+			inLo := max(lo-1, 0)
+			tile := in.SliceRows(inLo, h)
+			got := qconvForward(tile, stripGeom(&l, inC, w, inLo, h, lo, hi), &l, qw, par)
+			if !EqualQ(got, ref.SliceRows(lo, hi)) {
+				t.Fatalf("%s inC=%d outC=%d %dx%d par=%d: strip [%d,%d) differs from reference", vn, inC, outC, h, w, par, lo, hi)
+			}
+			tiles := 1 + int(prows)%3
+			checkQpwTile(t, qpwActive, rng, inC, outC, tiles, tiles*qpwActive.nr+int(pstride)%70, act)
+		})
+	})
+}

@@ -13,17 +13,15 @@ import (
 // exactly that, mirroring the float32 contract.
 
 // qconvForward dispatches the blocked int8 convolution kernels, mirroring
-// convForward: the depthwise and pointwise kernels take full-width tiles,
-// the general register-tiled kernel everything else.
+// convForward: the depthwise plane walker and the pointwise GEMM walker
+// (qpointwise.go) take full-width tiles, the general register-tiled kernel
+// everything else.
 func qconvForward(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
 	if g.fullWidth(in.W, outWidth(l, g.in.W)) {
 		switch {
 		case depthwise(l, in.C):
 			return qconvForwardDepthwise(in, g, l, qw, par)
 		case pointwise(l):
-			if pointwiseSIMDAvailable(g.out.Rows.Len() * in.W) {
-				return qconvForwardPointwiseSIMD(in, g, l, qw, par)
-			}
 			return qconvForwardPointwise(in, g, l, qw, par)
 		}
 	}
@@ -197,191 +195,6 @@ func qconvRowBlkTaps(accBuf []int32, accStride int, inRow []int8, pk32 []int32, 
 			iw += sw
 		}
 	}
-}
-
-// qconvForwardPointwise is the throughput-critical kernel: 1x1 stride-1
-// channel mixers are ~94% of MobileNetV1's MACs. It register-tiles 4 output
-// channels x 4 output columns so the 16 int32 accumulators live in
-// registers across the whole input-channel reduction — the float pointwise
-// kernel's accumulator rows bounce through L1 every channel, which is
-// exactly the traffic the int8 path eliminates.
-func qconvForwardPointwise(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
-	inLo, outLo, outHi := g.rowLo, g.out.Rows.Lo, g.out.Rows.Hi
-	outW := in.W
-	outRows := outHi - outLo
-	out := AllocQ(l.OutC, outRows, outW, 1)
-	rowStride := in.H * in.W
-	grain := grainFor(ocBlockWidth * in.C * outW)
-	parallelForGrain(len(qw.blocks)*outRows, par, grain, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			blk := &qw.blocks[u/outRows]
-			or := u % outRows
-			ih := outLo + or - inLo
-			if ih < 0 || ih >= in.H {
-				panic(fmt.Sprintf("tensor: qconv needs global row %d outside tile [%d,%d)", outLo+or, inLo, inLo+in.H))
-			}
-			inBase := ih * in.W
-			var dsts [ocBlockWidth][]int8
-			for b := 0; b < blk.width; b++ {
-				oc := blk.oc0 + b
-				dsts[b] = out.Data[(oc*outRows+or)*outW : (oc*outRows+or+1)*outW]
-			}
-			es0, eb0 := qw.effScale[blk.oc0], qw.effBias[blk.oc0]
-			es1, eb1 := es0, eb0
-			es2, eb2 := es0, eb0
-			es3, eb3 := es0, eb0
-			if blk.width > 1 {
-				es1, eb1 = qw.effScale[blk.oc0+1], qw.effBias[blk.oc0+1]
-			}
-			if blk.width > 2 {
-				es2, eb2 = qw.effScale[blk.oc0+2], qw.effBias[blk.oc0+2]
-			}
-			if blk.width > 3 {
-				es3, eb3 = qw.effScale[blk.oc0+3], qw.effBias[blk.oc0+3]
-			}
-			act := l.Act
-			x := 0
-			for ; x+4 <= outW; x += 4 {
-				var a00, a01, a02, a03 int32
-				var a10, a11, a12, a13 int32
-				var a20, a21, a22, a23 int32
-				var a30, a31, a32, a33 int32
-				idx := inBase + x
-				for g := 0; g < in.C; g++ {
-					src := in.Data[idx : idx+4 : idx+4]
-					v0 := int32(src[0])
-					v1 := int32(src[1])
-					v2 := int32(src[2])
-					v3 := int32(src[3])
-					pk := blk.packed[g*ocBlockWidth : g*ocBlockWidth+4 : g*ocBlockWidth+4]
-					w := int32(pk[0])
-					a00 += w * v0
-					a01 += w * v1
-					a02 += w * v2
-					a03 += w * v3
-					w = int32(pk[1])
-					a10 += w * v0
-					a11 += w * v1
-					a12 += w * v2
-					a13 += w * v3
-					w = int32(pk[2])
-					a20 += w * v0
-					a21 += w * v1
-					a22 += w * v2
-					a23 += w * v3
-					w = int32(pk[3])
-					a30 += w * v0
-					a31 += w * v1
-					a32 += w * v2
-					a33 += w * v3
-					idx += rowStride
-				}
-				d := dsts[0]
-				d[x] = requant1(a00, es0, eb0, act)
-				d[x+1] = requant1(a01, es0, eb0, act)
-				d[x+2] = requant1(a02, es0, eb0, act)
-				d[x+3] = requant1(a03, es0, eb0, act)
-				if blk.width > 1 {
-					d = dsts[1]
-					d[x] = requant1(a10, es1, eb1, act)
-					d[x+1] = requant1(a11, es1, eb1, act)
-					d[x+2] = requant1(a12, es1, eb1, act)
-					d[x+3] = requant1(a13, es1, eb1, act)
-				}
-				if blk.width > 2 {
-					d = dsts[2]
-					d[x] = requant1(a20, es2, eb2, act)
-					d[x+1] = requant1(a21, es2, eb2, act)
-					d[x+2] = requant1(a22, es2, eb2, act)
-					d[x+3] = requant1(a23, es2, eb2, act)
-				}
-				if blk.width > 3 {
-					d = dsts[3]
-					d[x] = requant1(a30, es3, eb3, act)
-					d[x+1] = requant1(a31, es3, eb3, act)
-					d[x+2] = requant1(a32, es3, eb3, act)
-					d[x+3] = requant1(a33, es3, eb3, act)
-				}
-			}
-			for ; x < outW; x++ {
-				var a0, a1, a2, a3 int32
-				idx := inBase + x
-				for g := 0; g < in.C; g++ {
-					v := int32(in.Data[idx])
-					pk := blk.packed[g*ocBlockWidth : g*ocBlockWidth+4 : g*ocBlockWidth+4]
-					a0 += int32(pk[0]) * v
-					a1 += int32(pk[1]) * v
-					a2 += int32(pk[2]) * v
-					a3 += int32(pk[3]) * v
-					idx += rowStride
-				}
-				dsts[0][x] = requant1(a0, es0, eb0, act)
-				if blk.width > 1 {
-					dsts[1][x] = requant1(a1, es1, eb1, act)
-				}
-				if blk.width > 2 {
-					dsts[2][x] = requant1(a2, es2, eb2, act)
-				}
-				if blk.width > 3 {
-					dsts[3][x] = requant1(a3, es3, eb3, act)
-				}
-			}
-		}
-	})
-	return out
-}
-
-// qpwTileCols is the column width of the SIMD pointwise tile: 4 output
-// channels x 16 int32 accumulators fill eight 256-bit registers.
-const qpwTileCols = 16
-
-// qconvForwardPointwiseSIMD is the vector form of qconvForwardPointwise.
-// A stride-1 unpadded 1x1 convolution maps output rows 1:1 onto input rows,
-// so a whole strip flattens into one contiguous span of outRows*outW
-// columns per channel; the kernel walks it in 16-column tiles whose 64
-// int32 accumulators stay in registers across the full input-channel
-// reduction (see simd_amd64.s). The final partial tile re-runs overlapped
-// with its predecessor: accumulators restart from zero each tile, so the
-// overlap recomputes byte-identical values. Bit-identity with the scalar
-// kernels holds because vector multiply/add wraps exactly like Go int32.
-func qconvForwardPointwiseSIMD(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
-	inLo, outLo, outHi := g.rowLo, g.out.Rows.Lo, g.out.Rows.Hi
-	outW := in.W
-	outRows := outHi - outLo
-	out := AllocQ(l.OutC, outRows, outW, 1)
-	n := outRows * outW
-	ihBase := outLo - inLo
-	if ihBase < 0 || ihBase+outRows > in.H {
-		panic(fmt.Sprintf("tensor: qconv needs global rows [%d,%d) outside tile [%d,%d)", outLo, outHi, inLo, inLo+in.H))
-	}
-	chanStride := in.H * in.W
-	base := ihBase * in.W
-	parallelForGrain(len(qw.blocks), par, grainFor(ocBlockWidth*in.C*n), func(lo, hi int) {
-		var tile [ocBlockWidth * qpwTileCols]int32
-		for u := lo; u < hi; u++ {
-			blk := &qw.blocks[u]
-			var dsts [ocBlockWidth][]int8
-			for b := 0; b < blk.width; b++ {
-				oc := blk.oc0 + b
-				dsts[b] = out.Data[oc*n : (oc+1)*n]
-			}
-			for x0 := 0; ; x0 += qpwTileCols {
-				if x0+qpwTileCols > n {
-					x0 = n - qpwTileCols // overlapped tail, recomputed bit-identically
-				}
-				qpwTileDispatch(&tile, in.Data[base+x0:], blk, in.C, chanStride)
-				for b := 0; b < blk.width; b++ {
-					oc := blk.oc0 + b
-					dst := dsts[b][x0 : x0+qpwTileCols]
-					requantRow(dst, tile[b*qpwTileCols:(b+1)*qpwTileCols], qw.effScale[oc], qw.effBias[oc], l.Act)
-				}
-				if x0+qpwTileCols >= n {
-					break
-				}
-			}
-		}
-	})
-	return out
 }
 
 // qpoolForward pools directly in the quantized domain: max pooling compares

@@ -7,15 +7,20 @@ package tensor
 // the split produces bit-identical accumulators to an all-scalar sweep, on
 // every architecture and for every split point.
 
-// simdQuant gates the vectorized int8 kernel surface (beyond the pointwise
-// tile, which keeps its own historical gate).
+// simdQuant gates the vectorized int8 kernel surface (the pointwise tile has
+// its own variant table, see qpointwise.go).
 var simdQuant = simdQuantAvailable()
 
-// SIMDName reports the vector ISA the int8 kernels run on ("avx2", "neon",
-// or "" for pure scalar). Benchmark artefacts record it: scalar-int8 hosts
-// measure very different speedups and must not be compared against vector
-// ones.
-func SIMDName() string { return simdName() }
+// SIMDName reports the vector ISA the int8 kernels run on, down to the MAC
+// step of the pointwise tile ("avx2+vnni", "avx2", "neon", or "" for pure
+// scalar). Benchmark artefacts record it: hosts that differ here must not be
+// compared against each other.
+func SIMDName() string {
+	if !PointwiseSIMD() {
+		return ""
+	}
+	return qpwVariants[0].name
+}
 
 // macRows4 accumulates acc[r*accStride+i] += w[r]*src[i*sw] for r in
 // [0,4), i in [0,n). acc holds 4 rows at accStride; w must have 4 entries

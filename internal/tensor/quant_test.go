@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,9 +17,9 @@ func randomQInput(c, h, w int, seed int64) QTensor {
 	return QuantizeTensor(f, scaleFor(maxAbs(f.Data)))
 }
 
-// quantBlockedCases extends the float geometry matrix with wide pointwise
-// shapes so the SIMD tile path (>= 16 flattened columns, overlapped tail)
-// is exercised alongside its scalar fallback.
+// quantBlockedCases extends the float geometry matrix with pointwise shapes
+// on both sides of one 16-column tile, with odd channel counts and ragged
+// channel blocks.
 func quantBlockedCases() []blockedCase {
 	cases := blockedCases()
 	cases = append(cases,
@@ -56,24 +57,26 @@ func TestQuantBlockedMatchesReferenceBitExact(t *testing.T) {
 			in := randomQInput(tc.inC, tc.h, tc.w, int64(100+ci))
 			outH := (tc.h+2*l.PH-l.KH)/l.SH + 1
 			ref := qconvForwardRef(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, qw, 1)
-			for _, par := range []int{1, 3, 8} {
-				got := qconvForward(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, qw, par)
-				if !EqualQ(got, ref) {
-					t.Fatalf("par=%d: full blocked int8 output differs from reference", par)
-				}
-				rng := rand.New(rand.NewSource(int64(ci*10 + par)))
-				for trial := 0; trial < 8; trial++ {
-					lo := rng.Intn(outH)
-					hi := lo + 1 + rng.Intn(outH-lo)
-					inLo, inHi := convInputRows(&l, lo, hi, tc.h)
-					tile := in.SliceRows(inLo, inHi)
-					gotTile := qconvForward(tile, stripGeom(&l, tile.C, tile.W, inLo, tc.h, lo, hi), &l, qw, par)
-					wantTile := ref.SliceRows(lo, hi)
-					if !EqualQ(gotTile, wantTile) {
-						t.Fatalf("par=%d tile [%d,%d): blocked int8 differs from reference", par, lo, hi)
+			eachQpwVariant(t, pointwise(&l), func(t *testing.T, vn string) {
+				for _, par := range []int{1, 3, 8} {
+					got := qconvForward(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, qw, par)
+					if !EqualQ(got, ref) {
+						t.Fatalf("%s par=%d: full blocked int8 output differs from reference", vn, par)
+					}
+					rng := rand.New(rand.NewSource(int64(ci*10 + par)))
+					for trial := 0; trial < 8; trial++ {
+						lo := rng.Intn(outH)
+						hi := lo + 1 + rng.Intn(outH-lo)
+						inLo, inHi := convInputRows(&l, lo, hi, tc.h)
+						tile := in.SliceRows(inLo, inHi)
+						gotTile := qconvForward(tile, stripGeom(&l, tile.C, tile.W, inLo, tc.h, lo, hi), &l, qw, par)
+						wantTile := ref.SliceRows(lo, hi)
+						if !EqualQ(gotTile, wantTile) {
+							t.Fatalf("%s par=%d tile [%d,%d): blocked int8 differs from reference", vn, par, lo, hi)
+						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -336,37 +339,140 @@ func argmax(xs []float32) int {
 	return best
 }
 
-// TestQpwTileMatchesScalar A/Bs the SIMD pointwise tile against a direct
-// scalar evaluation of its contract on random data, including negative
-// values and the full int8 range.
-func TestQpwTileMatchesScalar(t *testing.T) {
-	if !pointwiseSIMDAvailable(qpwTileCols) {
-		t.Skip("no SIMD pointwise tile on this host")
+// eachQpwVariant runs fn once per pointwise tile variant the host supports
+// (the portable tile included) with that variant forced through the walker,
+// or once with the default when the case under test is not pointwise. fn
+// gets the variant's name for its failure messages.
+func eachQpwVariant(t *testing.T, isPointwise bool, fn func(t *testing.T, name string)) {
+	t.Helper()
+	if !isPointwise {
+		fn(t, "default")
+		return
 	}
-	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 50; trial++ {
-		inC := 1 + rng.Intn(40)
-		chanStride := qpwTileCols + rng.Intn(100)
-		src := make([]int8, inC*chanStride)
-		for i := range src {
-			src[i] = int8(rng.Intn(256) - 128)
+	defer func(v *qpwVariant) { qpwActive = v }(qpwActive)
+	for _, v := range qpwVariants {
+		qpwActive = v
+		fn(t, v.name)
+	}
+}
+
+// checkQpwTile drives one variant's pack and tile steps directly — `tiles`
+// whole tiles of inC channels at channel stride chanStride, the outC
+// channels of as many channel blocks as that takes — against a scalar
+// evaluation of their contract on full-range int8 data.
+func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles, chanStride int, act nn.Activation) {
+	t.Helper()
+	l := nn.Layer{Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC, Act: act}
+	padded := (outC + qpwMR - 1) / qpwMR * qpwMR
+	qw := &qconvWeights{
+		wq:       make([]int8, outC*inC),
+		effScale: make([]float32, outC, padded),
+		effBias:  make([]float32, outC, padded),
+	}
+	for i := range qw.wq {
+		qw.wq[i] = int8(rng.Intn(256) - 128)
+	}
+	for oc := range qw.effScale {
+		qw.effScale[oc] = rng.Float32() * 0.01
+		qw.effBias[oc] = rng.Float32()*40 - 20
+	}
+	qw.pack(&l, inC)
+	src := make([]int8, (inC-1)*chanStride+tiles*v.nr)
+	for i := range src {
+		src[i] = int8(rng.Intn(256) - 128)
+	}
+	a := qpwCols{src: src, chanStride: chanStride, inC: inC}
+	if v.pack != nil {
+		a.panel = make([]int16, tiles*a.pairs()*v.nr*2)
+		v.pack(&a, tiles)
+	}
+	stride := tiles*v.nr + rng.Intn(5)
+	for ob := 0; ob*v.mr < outC; ob++ {
+		const guard = -77
+		got := make([]int8, v.mr*stride)
+		for i := range got {
+			got[i] = guard
 		}
-		wgt := make([]int32, inC*ocBlockWidth)
-		for i := range wgt {
-			wgt[i] = int32(rng.Intn(256) - 128)
-		}
-		var got [ocBlockWidth * qpwTileCols]int32
-		qpwTile16(&got[0], &src[0], &wgt[0], inC, chanStride)
-		for b := 0; b < ocBlockWidth; b++ {
-			for j := 0; j < qpwTileCols; j++ {
-				var want int32
-				for g := 0; g < inC; g++ {
-					want += wgt[g*ocBlockWidth+b] * int32(src[g*chanStride+j])
+		v.tile(got, stride, &a, qw, ob, tiles, act)
+		for b := 0; b < v.mr; b++ {
+			oc := ob*v.mr + b
+			for x := 0; x < stride; x++ {
+				want := int8(guard)
+				if x < tiles*v.nr {
+					if oc >= outC {
+						continue // a ragged block's extra rows are unspecified
+					}
+					var acc [1]int32
+					for g := 0; g < inC; g++ {
+						acc[0] += int32(qw.wq[oc*inC+g]) * int32(src[g*chanStride+x])
+					}
+					var w [1]int8
+					requantRowRef(w[:], acc[:], qw.effScale[oc], qw.effBias[oc], act)
+					want = w[0]
 				}
-				if got[b*qpwTileCols+j] != want {
-					t.Fatalf("trial %d: tile[%d][%d] = %d, want %d", trial, b, j, got[b*qpwTileCols+j], want)
+				if got[b*stride+x] != want {
+					t.Fatalf("%s inC=%d outC=%d tiles=%d stride=%d act=%v: dst[%d][%d] = %d, want %d",
+						v.name, inC, outC, tiles, chanStride, act, oc, x, got[b*stride+x], want)
 				}
 			}
+		}
+	}
+}
+
+// TestQpwTileMatchesScalar A/Bs every pointwise tile variant (pack step
+// included) against a direct scalar evaluation of its contract on random
+// data, including negative values and the full int8 range.
+func TestQpwTileMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(123))
+	for _, v := range qpwVariants {
+		for trial := 0; trial < 50; trial++ {
+			tiles := 1 + rng.Intn(3)
+			checkQpwTile(t, v, rng, 1+rng.Intn(40), 1+rng.Intn(20), tiles, tiles*v.nr+rng.Intn(100),
+				nn.Activation(1+rng.Intn(3)))
+		}
+	}
+}
+
+// TestQpwVariantsMatchReference is the pointwise walker's table: every tile
+// variant against the reference kernel byte for byte, over odd and even
+// channel counts, ragged channel blocks, flattened widths on both sides of
+// one tile and of one column block, strips that start inside their tile
+// (ihBase > 0), par > 1 (column-block and channel-slice splits) and all
+// three activations.
+func TestQpwVariantsMatchReference(t *testing.T) {
+	maps := [][2]int{{1, 1}, {1, 7}, {2, 7}, {3, 5}, {4, 4}, {1, 17}, {7, 7}, {14, 14}, {112, 112}}
+	acts := []nn.Activation{nn.NoAct, nn.ReLU, nn.LeakyReLU}
+	ci := 0
+	for _, inC := range []int{1, 2, 3, 31, 32} {
+		for mi, hw := range maps {
+			ci++
+			h, w := hw[0], hw[1]
+			outC := []int{1, 7, 8, 9, 20}[(ci+mi)%5]
+			if h*w > 1000 && inC > 3 {
+				outC = 9 // keep the reference loop affordable
+			}
+			l := nn.Layer{Name: "pw", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC,
+				Act: acts[ci%3], BatchNorm: ci%2 == 0}
+			cw := genConv(int64(300+ci), "qpw", &l, inC)
+			qw := genQConv(cw, &l, inC, 0.03, 0.07)
+			in := randomQInput(inC, h, w, int64(400+ci))
+			ref := qconvForwardRef(in, stripGeom(&l, inC, w, 0, h, 0, h), &l, qw, 1)
+			eachQpwVariant(t, true, func(t *testing.T, vn string) {
+				for _, par := range []int{1, 2, 5} {
+					if got := qconvForward(in, stripGeom(&l, inC, w, 0, h, 0, h), &l, qw, par); !EqualQ(got, ref) {
+						t.Fatalf("%s inC=%d outC=%d %dx%d par=%d: differs from reference", vn, inC, outC, h, w, par)
+					}
+					// A strip of the map's lower rows inside a taller tile.
+					if h >= 3 {
+						lo, hi := h/3+1, h
+						tile := in.SliceRows(lo-1, h)
+						got := qconvForward(tile, stripGeom(&l, inC, w, lo-1, h, lo, hi), &l, qw, par)
+						if !EqualQ(got, ref.SliceRows(lo, hi)) {
+							t.Fatalf("%s inC=%d outC=%d %dx%d par=%d: strip [%d,%d) differs from reference", vn, inC, outC, h, w, par, lo, hi)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -447,6 +553,31 @@ func TestDepthwiseFusedRowBitExact(t *testing.T) {
 			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 				t.Fatalf("trial %d (inW=%d sw=%d pw=%d): col %d fused %g != ref %g", trial, inW, sw, pw, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// BenchmarkQpwVariants times the pointwise walker alone (no input
+// quantization) on MobileNetV1's five pointwise shapes under every tile
+// variant the host supports, at par=1:
+//
+//	go test -run NONE -bench QpwVariants ./internal/tensor
+func BenchmarkQpwVariants(b *testing.B) {
+	for _, pw := range [][3]int{{112, 32, 64}, {56, 128, 128}, {28, 256, 256}, {14, 512, 512}, {7, 1024, 1024}} {
+		hw, inC, outC := pw[0], pw[1], pw[2]
+		l := nn.Layer{Name: "pw", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC, Act: nn.ReLU, BatchNorm: true}
+		qw := genQConv(genConv(1, "bpw", &l, inC), &l, inC, 0.03, 0.07)
+		in := randomQInput(inC, hw, hw, 2)
+		g := stripGeom(&l, inC, hw, 0, hw, 0, hw)
+		for _, v := range qpwVariants {
+			b.Run(fmt.Sprintf("%dx%d-%d/%s", hw, inC, outC, v.name), func(b *testing.B) {
+				defer func(v *qpwVariant) { qpwActive = v }(qpwActive)
+				qpwActive = v
+				for i := 0; i < b.N; i++ {
+					RecycleQ(qconvForward(in, g, &l, qw, 1))
+				}
+				b.ReportMetric(float64(hw*hw*inC*outC)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
 		}
 	}
 }

@@ -2,26 +2,54 @@
 
 package tensor
 
-// probeAVX2 reports whether the CPU and OS support AVX2 (see simd_amd64.s).
-func probeAVX2() bool
+import "pico/internal/nn"
 
-// hasAVX2 gates the vectorized int8 pointwise tile. The scalar kernels are
-// the behavioural contract; the AVX2 tile computes the identical int32
-// accumulators (wrap-around multiply/add), so enabling it never changes a
-// single output bit — the property tests run both against the reference.
-var hasAVX2 = probeAVX2()
+// probeCPU reports whether the CPU and OS support AVX2 and, on top of it,
+// the VPDPWSSD tile: AVX512F+VL+VNNI with opmask and ZMM state enabled (see
+// simd_amd64.s).
+func probeCPU() (avx2, vnni bool)
 
-// qpwTile16 computes a 4-channel x 16-column pointwise accumulator tile
-// (see simd_amd64.s for the exact contract).
+// hasAVX2 gates every vector kernel on amd64, hasVNNI the dot-product
+// pointwise tile. The scalar kernels are the contract; the tiles compute the
+// identical wrapping int32 accumulators, so enabling them never changes an
+// output bit — the property tests run every variant against the reference.
+var hasAVX2, hasVNNI = probeCPU()
+
+// qpwPack is the vector form of qpwPackPortable (see simd_amd64.s).
 //
 //go:noescape
-func qpwTile16(acc *int32, src *int8, wgt *int32, inC, chanStride int)
+func qpwPack(panel *int16, src *int8, chanStride, inC, tiles, nr int)
 
-// qpwTilePair16 is the channel-paired VPMADDWD form of qpwTile16; it
-// consumes input channels two at a time (see simd_amd64.s).
+// qpwTileAVX2 and qpwTileVNNI are the packed-panel pointwise tiles: 8
+// channels x 16 columns with VPMADDWD+VPADDD as the MAC step, resp. 8 x 32
+// with VPDPWSSD; requantize epilogue fused (see simd_amd64.s).
 //
 //go:noescape
-func qpwTilePair16(acc *int32, src *int8, wpair *int32, pairs, chanStride int)
+func qpwTileAVX2(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
+
+//go:noescape
+func qpwTileVNNI(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
+
+// qpwArchVariants lists the pointwise tiles this CPU runs, fastest first.
+// Both share the pack routine, the panel and the weight layout.
+func qpwArchVariants() []*qpwVariant {
+	var vs []*qpwVariant
+	asm := func(name string, nr int, k func(*int8, int, *int16, *int32, int, int, *float32, *float32, int)) {
+		vs = append(vs, &qpwVariant{name: name, mr: qpwMR, nr: nr,
+			pack: func(a *qpwCols, tiles int) { qpwPack(&a.panel[0], &a.src[0], a.chanStride, a.inC, tiles, nr) },
+			tile: func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, tiles int, act nn.Activation) {
+				k(&dst[0], dstStride, &a.panel[0], &qw.pw[ob*a.pairs()*qpwMR], a.pairs(), tiles,
+					&qw.effScale[ob*qpwMR : (ob+1)*qpwMR][0], &qw.effBias[ob*qpwMR : (ob+1)*qpwMR][0], actCode(act))
+			}})
+	}
+	if hasVNNI {
+		asm("avx2+vnni", 32, qpwTileVNNI)
+	}
+	if hasAVX2 {
+		asm("avx2", 16, qpwTileAVX2)
+	}
+	return vs
+}
 
 // qmacRows4 accumulates acc[r*accStride+i] += wgt[r]*src[i] for four rows
 // (see simd_amd64.s).
@@ -76,46 +104,6 @@ func qquantizeRow8(dst *int8, src *float32, inv float32, n int)
 // simdQuantAvailable reports whether the vectorized int8 kernel surface
 // (conv row blocks, depthwise taps, pool, fc dot) runs on this host.
 func simdQuantAvailable() bool { return hasAVX2 }
-
-// simdName identifies the active vector ISA in benchmark artefacts.
-func simdName() string {
-	if hasAVX2 {
-		return "avx2"
-	}
-	return ""
-}
-
-// qpwTileDispatch computes one 4-channel x 16-column pointwise tile using
-// the best kernel for this architecture. On amd64 that is the VPMADDWD
-// channel-pair tile: it covers the even channel count and the Go tail
-// folds in an odd trailing channel — wrap-around int32 addition makes the
-// split bit-identical to the scalar channel sweep.
-func qpwTileDispatch(tile *[ocBlockWidth * qpwTileCols]int32, src []int8, blk *qocBlock, inC, chanStride int) {
-	pairs := inC >> 1
-	if pairs > 0 {
-		qpwTilePair16(&tile[0], &src[0], &blk.packedPair[0], pairs, chanStride)
-	} else {
-		for i := range tile {
-			tile[i] = 0
-		}
-	}
-	if inC&1 == 1 {
-		g := inC - 1
-		s := src[g*chanStride:]
-		w := blk.packed32[g*ocBlockWidth : g*ocBlockWidth+ocBlockWidth]
-		for b := 0; b < ocBlockWidth; b++ {
-			wb := w[b]
-			d := tile[b*qpwTileCols : (b+1)*qpwTileCols]
-			for j := range d {
-				d[j] += wb * int32(s[j])
-			}
-		}
-	}
-}
-
-// pointwiseSIMDAvailable reports whether the vector pointwise path can run
-// for a strip of n flattened output columns.
-func pointwiseSIMDAvailable(n int) bool { return hasAVX2 && n >= qpwTileCols }
 
 // simdFloatAvailable reports whether the vectorized float32 kernel surface
 // runs on this host. The AVX2 float tiles use separate VMULPS/VADDPS — the
@@ -198,11 +186,6 @@ func ffcPanel16(dst *float32, panel *float32, src *float32, bias *float32, n int
 //
 //go:noescape
 func fgapSum8(dst *float32, src *float32, chanStride, n int)
-
-// PointwiseSIMD reports whether the host runs the vectorized int8 pointwise
-// tile. Benchmark artefacts record it: without SIMD the int8 path cannot
-// beat float32 FMA and measured speedups are not comparable across hosts.
-func PointwiseSIMD() bool { return hasAVX2 }
 
 // fepiRow is the vector batch-norm + activation epilogue for one finished
 // float output row (see simd_amd64.s).

@@ -1,16 +1,21 @@
-// AVX2 inner tile for the int8 pointwise kernel. Semantics are exactly
-// Go's: VPMULLD is the low 32 bits of the product and VPADDD wraps, so the
-// accumulated int32 values match the scalar reference bit for bit in every
-// case, including (impossible with int8 operands) overflow.
+// AVX2 (and, for the pointwise tile, AVX-512 VNNI) kernels of the tensor
+// engine. Integer semantics are exactly Go's: VPMULLD is the low 32 bits of
+// the product, VPMADDWD's pair sums are exact for int8-range operands, and
+// VPADDD / VPDPWSSD wrap, so accumulated int32 values match the scalar
+// reference bit for bit in every case.
 
 #include "textflag.h"
 
-// func probeAVX2() bool
+// func probeCPU() (avx2, vnni bool)
 //
 // AVX2 requires CPUID.7.0:EBX[5] plus OS support for YMM state
-// (CPUID.1:ECX[27] OSXSAVE and XCR0[2:1] == 11).
-TEXT ·probeAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// (CPUID.1:ECX[27] OSXSAVE and XCR0[2:1] == 11). The VNNI tile is EVEX
+// VPDPWSSD over Z16-Z31 with an opmask: CPUID.7.0:EBX[16] AVX512F, EBX[31]
+// AVX512VL, ECX[11] AVX512_VNNI, and XCR0[7:5] == 111 (opmask, ZMM_Hi256,
+// Hi16_ZMM state enabled by the OS).
+TEXT ·probeCPU(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, vnni+1(FP)
 	MOVL $0, AX
 	CPUID
 	CMPL AX, $7
@@ -22,6 +27,7 @@ TEXT ·probeAVX2(SB), NOSPLIT, $0-1
 	JZ   done
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R8
 	ANDL $6, AX // XMM and YMM state enabled
 	CMPL AX, $6
 	JNE  done
@@ -30,70 +36,17 @@ TEXT ·probeAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	TESTL $(1<<5), BX // AVX2
 	JZ   done
-	MOVB $1, ret+0(FP)
+	MOVB $1, avx2+0(FP)
+	ANDL $0xe0, R8 // opmask, ZMM_Hi256, Hi16_ZMM state enabled
+	CMPL R8, $0xe0
+	JNE  done
+	ANDL $((1<<16)|(1<<31)), BX // AVX512F, AVX512VL
+	CMPL BX, $((1<<16)|(1<<31))
+	JNE  done
+	TESTL $(1<<11), CX // AVX512_VNNI
+	JZ   done
+	MOVB $1, vnni+1(FP)
 done:
-	RET
-
-// func qpwTile16(acc *int32, src *int8, wgt *int32, inC, chanStride int)
-//
-// Computes, for b in [0,4) and j in [0,16):
-//
-//	acc[b*16+j] = sum over g in [0,inC) of wgt[g*4+b] * src[g*chanStride+j]
-//
-// i.e. a 4-output-channel x 16-column pointwise tile whose 64 int32
-// accumulators live in eight YMM registers across the whole input-channel
-// reduction. The caller guarantees inC >= 1 and 16 readable bytes at every
-// src[g*chanStride].
-TEXT ·qpwTile16(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ wgt+16(FP), DX
-	MOVQ inC+24(FP), CX
-	MOVQ chanStride+32(FP), BX
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-loop:
-	VPMOVSXBD (SI), Y8        // columns 0..7 of this input channel
-	VPMOVSXBD 8(SI), Y9       // columns 8..15
-	VPBROADCASTD (DX), Y10    // channel b=0 weight
-	VPMULLD Y8, Y10, Y11
-	VPADDD  Y11, Y0, Y0
-	VPMULLD Y9, Y10, Y11
-	VPADDD  Y11, Y1, Y1
-	VPBROADCASTD 4(DX), Y10   // b=1
-	VPMULLD Y8, Y10, Y11
-	VPADDD  Y11, Y2, Y2
-	VPMULLD Y9, Y10, Y11
-	VPADDD  Y11, Y3, Y3
-	VPBROADCASTD 8(DX), Y10   // b=2
-	VPMULLD Y8, Y10, Y11
-	VPADDD  Y11, Y4, Y4
-	VPMULLD Y9, Y10, Y11
-	VPADDD  Y11, Y5, Y5
-	VPBROADCASTD 12(DX), Y10  // b=3
-	VPMULLD Y8, Y10, Y11
-	VPADDD  Y11, Y6, Y6
-	VPMULLD Y9, Y10, Y11
-	VPADDD  Y11, Y7, Y7
-	ADDQ BX, SI
-	ADDQ $16, DX
-	DECQ CX
-	JNZ  loop
-	VMOVDQU Y0, (DI)
-	VMOVDQU Y1, 32(DI)
-	VMOVDQU Y2, 64(DI)
-	VMOVDQU Y3, 96(DI)
-	VMOVDQU Y4, 128(DI)
-	VMOVDQU Y5, 160(DI)
-	VMOVDQU Y6, 192(DI)
-	VMOVDQU Y7, 224(DI)
-	VZEROUPPER
 	RET
 
 // Byte-lane shuffle masks for the stride-2 and pool kernels: compact the
@@ -284,91 +237,6 @@ dotloop:
 	VZEROUPPER
 	RET
 
-// func qpwTilePair16(acc *int32, src *int8, wpair *int32, pairs, chanStride int)
-//
-// Channel-paired upgrade of qpwTile16: each step consumes TWO input
-// channels through VPMADDWD, halving the multiply-port pressure that makes
-// VPMULLD the pointwise bottleneck. For b in [0,4), j in [0,16):
-//
-//	acc[b*16+j] = sum over p in [0,pairs) of
-//	    wlo(wpair[p*4+b])*src[2p*chanStride+j] +
-//	    whi(wpair[p*4+b])*src[(2p+1)*chanStride+j]
-//
-// where each wpair dword packs the even channel's weight in its low int16
-// and the odd channel's in its high int16. The int16 products are at most
-// 128*128 in magnitude so each VPMADDWD pair-sum is exact; accumulation
-// then wraps like Go int32. An odd trailing channel is the caller's
-// problem (see qpwTileDispatch). The caller guarantees pairs >= 1 and 16
-// readable bytes at every src[g*chanStride].
-//
-// VPUNPCK[LH]WD interleave within 128-bit lanes, so the running
-// accumulators hold columns [0..3|8..11] and [4..7|12..15]; the two
-// VPERM2I128 per output channel restore contiguous column order before the
-// store.
-TEXT ·qpwTilePair16(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ wpair+16(FP), DX
-	MOVQ pairs+24(FP), CX
-	MOVQ chanStride+32(FP), BX
-	LEAQ (SI)(BX*1), R8
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-pairloop:
-	VPMOVSXBW (SI), Y8        // even channel, 16 columns as int16
-	VPMOVSXBW (R8), Y9        // odd channel
-	VPUNPCKLWD Y9, Y8, Y10    // (even,odd) int16 pairs, columns 0..3 | 8..11
-	VPUNPCKHWD Y9, Y8, Y11    // columns 4..7 | 12..15
-	VPBROADCASTD (DX), Y12    // b=0 packed weight pair
-	VPMADDWD Y10, Y12, Y13
-	VPADDD Y13, Y0, Y0
-	VPMADDWD Y11, Y12, Y13
-	VPADDD Y13, Y1, Y1
-	VPBROADCASTD 4(DX), Y12   // b=1
-	VPMADDWD Y10, Y12, Y13
-	VPADDD Y13, Y2, Y2
-	VPMADDWD Y11, Y12, Y13
-	VPADDD Y13, Y3, Y3
-	VPBROADCASTD 8(DX), Y12   // b=2
-	VPMADDWD Y10, Y12, Y13
-	VPADDD Y13, Y4, Y4
-	VPMADDWD Y11, Y12, Y13
-	VPADDD Y13, Y5, Y5
-	VPBROADCASTD 12(DX), Y12  // b=3
-	VPMADDWD Y10, Y12, Y13
-	VPADDD Y13, Y6, Y6
-	VPMADDWD Y11, Y12, Y13
-	VPADDD Y13, Y7, Y7
-	LEAQ (SI)(BX*2), SI
-	LEAQ (R8)(BX*2), R8
-	ADDQ $16, DX
-	DECQ CX
-	JNZ  pairloop
-	VPERM2I128 $0x20, Y1, Y0, Y8
-	VPERM2I128 $0x31, Y1, Y0, Y9
-	VMOVDQU Y8, (DI)
-	VMOVDQU Y9, 32(DI)
-	VPERM2I128 $0x20, Y3, Y2, Y8
-	VPERM2I128 $0x31, Y3, Y2, Y9
-	VMOVDQU Y8, 64(DI)
-	VMOVDQU Y9, 96(DI)
-	VPERM2I128 $0x20, Y5, Y4, Y8
-	VPERM2I128 $0x31, Y5, Y4, Y9
-	VMOVDQU Y8, 128(DI)
-	VMOVDQU Y9, 160(DI)
-	VPERM2I128 $0x20, Y7, Y6, Y8
-	VPERM2I128 $0x31, Y7, Y6, Y9
-	VMOVDQU Y8, 192(DI)
-	VMOVDQU Y9, 224(DI)
-	VZEROUPPER
-	RET
-
 // Float constants for the requantize/quantize epilogues.
 DATA qf127<>+0(SB)/4, $0x42fe0000 // 127.0
 GLOBL qf127<>(SB), RODATA, $4
@@ -485,6 +353,320 @@ quantloop:
 	ADDQ $8, DI
 	SUBQ $8, CX
 	JNZ  quantloop
+	VZEROUPPER
+	RET
+
+// The int8 pointwise GEMM (see qpointwise.go): a pack routine and two
+// register tiles over the packed panel.
+
+DATA qpwZero<>+0(SB)/8, $0
+DATA qpwZero<>+8(SB)/8, $0
+GLOBL qpwZero<>(SB), RODATA, $16
+
+// func qpwPack(panel *int16, src *int8, chanStride, inC, tiles, nr int)
+//
+// Vector form of qpwPackPortable for tiles of nr = 16 or 32 columns: for
+// t in [0,tiles), p in [0,(inC+1)/2), j in [0,nr) the int16 pair at
+// panel[((t*pairs+p)*nr+j)*2:] becomes (src[2p*chanStride+t*nr+j],
+// src[(2p+1)*chanStride+t*nr+j]), an odd trailing channel pairing with zero
+// (its "odd" pointer is a 16-byte zero constant that does not advance). Each
+// step interleaves 16 bytes of the two channels (VPUNPCK[LH]BW) and
+// sign-extends them (VPMOVSXBW) into 64 panel bytes in column order, so the
+// tiles load panel vectors with no shuffle. Reads exactly nr*tiles bytes per
+// channel.
+TEXT ·qpwPack(SB), NOSPLIT, $0-48
+	MOVQ panel+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ chanStride+16(FP), R8
+	MOVQ inC+24(FP), BX
+	MOVQ nr+40(FP), R11
+	LEAQ 1(BX), R13
+	SHRQ $1, R13
+	IMULQ R11, R13
+	SHLQ $2, R13 // bytes from one tile's pair to the next tile's: pairs*nr*4
+	SHLQ $2, R11 // bytes of one pair within a tile: nr*4
+packpair:
+	MOVQ SI, R9          // even channel
+	LEAQ (SI)(R8*1), R12 // odd channel
+	MOVQ $16, R14
+	CMPQ BX, $1
+	JNE  packrow
+	LEAQ qpwZero<>(SB), R12
+	XORQ R14, R14
+packrow:
+	MOVQ DI, DX
+	MOVQ tiles+32(FP), CX
+packtile:
+	XORQ AX, AX
+packgroup:
+	VMOVDQU (R9), X0
+	VMOVDQU (R12), X1
+	VPUNPCKLBW X1, X0, X2 // (even,odd) bytes of columns 0..7
+	VPUNPCKHBW X1, X0, X3 // columns 8..15
+	VPMOVSXBW X2, Y2
+	VPMOVSXBW X3, Y3
+	VMOVDQU Y2, (DX)(AX*1)
+	VMOVDQU Y3, 32(DX)(AX*1)
+	ADDQ $16, R9
+	ADDQ R14, R12
+	ADDQ $64, AX
+	CMPQ AX, R11
+	JLT  packgroup
+	ADDQ R13, DX
+	DECQ CX
+	JNZ  packtile
+	LEAQ (SI)(R8*2), SI
+	ADDQ R11, DI
+	SUBQ $2, BX
+	JG   packpair
+	VZEROUPPER
+	RET
+
+// Activation operands of the tile epilogues, indexed by the act code (0
+// none, 1 ReLU, 2 LeakyReLU): v = max(v, lo), then v = v*slope where v < 0.
+// max(v, -Inf) and v*1.0 are identities on every non-NaN float, so the
+// branch-free sequence equals qrequantRow8's per-activation loops bit for bit.
+DATA qpwActLo<>+0(SB)/4, $0xff800000 // -Inf
+DATA qpwActLo<>+4(SB)/4, $0x00000000
+DATA qpwActLo<>+8(SB)/4, $0xff800000
+GLOBL qpwActLo<>(SB), RODATA, $12
+DATA qpwActSlope<>+0(SB)/4, $0x3f800000 // 1.0
+DATA qpwActSlope<>+4(SB)/4, $0x3f800000
+DATA qpwActSlope<>+8(SB)/4, $0x3dcccccd // float32(0.1)
+GLOBL qpwActSlope<>(SB), RODATA, $12
+
+// func qpwTileAVX2(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
+//
+// For t in [0,tiles), b in [0,8), j in [0,16):
+//
+//	dst[b*dstStride+t*16+j] = requant(sum over p in [0,pairs) of
+//	    lo(wgt[p*8+b])*panel[((t*pairs+p)*16+j)*2] +
+//	    hi(wgt[p*8+b])*panel[((t*pairs+p)*16+j)*2+1], scale[b], bias[b], act)
+//
+// where each wgt dword packs the even channel's weight in its low int16 and
+// the odd channel's in its high one, and requant is qrequantRow8's operation
+// sequence per lane (convert, separate multiply and add, activation,
+// qround8). The int16 products are at most 128*128 in magnitude, so each
+// VPMADDWD pair sum is exact; VPADDD then wraps like Go int32. Sixteen YMM
+// registers hold 4 channels x 16 columns of accumulators plus operands, so a
+// tile is two passes over its panel (channels 0-3, then 4-7) spilled to the
+// frame, row b at 64*b(SP), and requantized from there.
+TEXT ·qpwTileAVX2(SB), NOSPLIT, $512-72
+	MOVQ dst+0(FP), BX
+	MOVQ dstStride+8(FP), R8
+	MOVQ panel+16(FP), SI
+	MOVQ wgt+24(FP), R9
+	MOVQ pairs+32(FP), R10
+	MOVQ tiles+40(FP), R11
+	MOVQ scale+48(FP), R12
+	MOVQ bias+56(FP), R13
+a2tile:
+	MOVQ R9, DX
+	LEAQ 0(SP), R14
+	MOVQ $2, AX
+a2half:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	MOVQ SI, DI
+	MOVQ R10, CX
+a2pair:
+	VMOVDQU (DI), Y8         // columns 0..7 as (even,odd) int16 pairs
+	VMOVDQU 32(DI), Y9       // columns 8..15
+	VPBROADCASTD (DX), Y10   // channel b+0 weight pair
+	VPMADDWD Y8, Y10, Y11
+	VPADDD Y11, Y0, Y0
+	VPMADDWD Y9, Y10, Y11
+	VPADDD Y11, Y1, Y1
+	VPBROADCASTD 4(DX), Y10  // b+1
+	VPMADDWD Y8, Y10, Y11
+	VPADDD Y11, Y2, Y2
+	VPMADDWD Y9, Y10, Y11
+	VPADDD Y11, Y3, Y3
+	VPBROADCASTD 8(DX), Y10  // b+2
+	VPMADDWD Y8, Y10, Y11
+	VPADDD Y11, Y4, Y4
+	VPMADDWD Y9, Y10, Y11
+	VPADDD Y11, Y5, Y5
+	VPBROADCASTD 12(DX), Y10 // b+3
+	VPMADDWD Y8, Y10, Y11
+	VPADDD Y11, Y6, Y6
+	VPMADDWD Y9, Y10, Y11
+	VPADDD Y11, Y7, Y7
+	ADDQ $64, DI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  a2pair
+	VMOVDQU Y0, (R14)
+	VMOVDQU Y1, 32(R14)
+	VMOVDQU Y2, 64(R14)
+	VMOVDQU Y3, 96(R14)
+	VMOVDQU Y4, 128(R14)
+	VMOVDQU Y5, 160(R14)
+	VMOVDQU Y6, 192(R14)
+	VMOVDQU Y7, 224(R14)
+	ADDQ $256, R14
+	LEAQ 16(R9), DX // channels 4..7 of the block
+	DECQ AX
+	JNZ  a2half
+	MOVQ DI, SI // the next tile's panel
+	// Epilogue over the spilled tile: AX = row, DX = row's dst, R14 = spill.
+	MOVQ act+64(FP), AX
+	LEAQ qpwActLo<>(SB), R14
+	VBROADCASTSS (R14)(AX*4), Y7
+	LEAQ qpwActSlope<>(SB), R14
+	VBROADCASTSS (R14)(AX*4), Y2
+	VBROADCASTSS qf127<>(SB), Y3
+	VBROADCASTSS qfn128<>(SB), Y4
+	VBROADCASTSS qfhalf<>(SB), Y5
+	VBROADCASTSS qfsign<>(SB), Y6
+	VXORPS Y10, Y10, Y10
+	LEAQ 0(SP), R14
+	MOVQ BX, DX
+	XORQ AX, AX
+a2row:
+	VBROADCASTSS (R12)(AX*4), Y0
+	VBROADCASTSS (R13)(AX*4), Y1
+	MOVQ DX, DI
+	MOVQ $2, CX
+a2vec:
+	VCVTDQ2PS (R14), Y8
+	VMULPS Y0, Y8, Y8
+	VADDPS Y1, Y8, Y8
+	VMAXPS Y7, Y8, Y8
+	VMULPS Y2, Y8, Y9
+	VCMPPS $1, Y10, Y8, Y11 // v < 0 (LT_OS)
+	VBLENDVPS Y11, Y9, Y8, Y8
+	qround8
+	ADDQ $32, R14
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  a2vec
+	ADDQ R8, DX
+	INCQ AX
+	CMPQ AX, $8
+	JLT  a2row
+	ADDQ $16, BX
+	DECQ R11
+	JNZ  a2tile
+	VZEROUPPER
+	RET
+
+// QPW_DP is the VNNI MAC step of one channel over both column halves:
+// acc += lo*lo + hi*hi per dword lane, the non-saturating form, i.e. exactly
+// the wrapping sum VPMADDWD+VPADDD builds. The weight pair is broadcast
+// once into a register; as an embedded-broadcast memory operand of both
+// VPDPWSSD it costs a load uop each and measured ~9% slower.
+#define QPW_DP(off, a, b) \
+	VPBROADCASTD off(DX), Z14 \
+	VPDPWSSD Z14, Z12, a \
+	VPDPWSSD Z14, Z13, b
+
+// QPW_REQ16 requantizes the 16 int32 lanes of acc to int8 at off(DI):
+// qrequantRow8's operation sequence per lane on 512-bit registers (the
+// masked multiply is the blend, VPMOVSDB's saturation never fires after the
+// clamp). Expects Z0 = scale, Z1 = bias, Z2 = slope, Z3 = 127, Z4 = -128,
+// Z5 = 0.5, Z6 = sign mask, Z7 = act lo, Z10 = 0; clobbers Z8, Z9, K1.
+#define QPW_REQ16(acc, off) \
+	VCVTDQ2PS acc, Z8 \
+	VMULPS Z0, Z8, Z8 \
+	VADDPS Z1, Z8, Z8 \
+	VMAXPS Z7, Z8, Z8 \
+	VCMPPS $1, Z10, Z8, K1 \
+	VMULPS Z2, Z8, K1, Z8 \
+	VMINPS Z3, Z8, Z8 \
+	VMAXPS Z4, Z8, Z8 \
+	VPANDD Z6, Z8, Z9 \
+	VPORD  Z5, Z9, Z9 \
+	VADDPS Z9, Z8, Z8 \
+	VCVTTPS2DQ Z8, Z8 \
+	VPMOVSDB Z8, off(DI)
+
+#define QPW_ROW(b, a0, a1) \
+	VBROADCASTSS (4*b)(R12), Z0 \
+	VBROADCASTSS (4*b)(R13), Z1 \
+	QPW_REQ16(a0, 0) \
+	QPW_REQ16(a1, 16) \
+	ADDQ R8, DI
+
+// func qpwTileVNNI(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
+//
+// qpwTileAVX2's contract over 32-column tiles (panel index
+// ((t*pairs+p)*32+j)*2, dst column t*32+j) with VPDPWSSD as the MAC step.
+// EVEX gives 32 registers: all 8 channels x 32 columns accumulate in one pass
+// over the panel in Z16-Z31 (sixteen independent chains cover the
+// instruction's 5-cycle latency at two issues per cycle), and the epilogue
+// runs from those registers.
+TEXT ·qpwTileVNNI(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), BX
+	MOVQ dstStride+8(FP), R8
+	MOVQ panel+16(FP), SI
+	MOVQ wgt+24(FP), R9
+	MOVQ pairs+32(FP), R10
+	MOVQ tiles+40(FP), R11
+	MOVQ scale+48(FP), R12
+	MOVQ bias+56(FP), R13
+	MOVQ act+64(FP), AX
+	LEAQ qpwActLo<>(SB), R14
+	VBROADCASTSS (R14)(AX*4), Z7
+	LEAQ qpwActSlope<>(SB), R14
+	VBROADCASTSS (R14)(AX*4), Z2
+	VBROADCASTSS qf127<>(SB), Z3
+	VBROADCASTSS qfn128<>(SB), Z4
+	VBROADCASTSS qfhalf<>(SB), Z5
+	VBROADCASTSS qfsign<>(SB), Z6
+	VPXORD Z10, Z10, Z10
+vntile:
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	VPXORD Z28, Z28, Z28
+	VPXORD Z29, Z29, Z29
+	VPXORD Z30, Z30, Z30
+	VPXORD Z31, Z31, Z31
+	MOVQ R9, DX
+	MOVQ R10, CX
+vnpair:
+	VMOVDQU32 (SI), Z12   // columns 0..15 as (even,odd) int16 pairs
+	VMOVDQU32 64(SI), Z13 // columns 16..31
+	QPW_DP(0, Z16, Z17)
+	QPW_DP(4, Z18, Z19)
+	QPW_DP(8, Z20, Z21)
+	QPW_DP(12, Z22, Z23)
+	QPW_DP(16, Z24, Z25)
+	QPW_DP(20, Z26, Z27)
+	QPW_DP(24, Z28, Z29)
+	QPW_DP(28, Z30, Z31)
+	ADDQ $128, SI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  vnpair
+	MOVQ BX, DI
+	QPW_ROW(0, Z16, Z17)
+	QPW_ROW(1, Z18, Z19)
+	QPW_ROW(2, Z20, Z21)
+	QPW_ROW(3, Z22, Z23)
+	QPW_ROW(4, Z24, Z25)
+	QPW_ROW(5, Z26, Z27)
+	QPW_ROW(6, Z28, Z29)
+	QPW_ROW(7, Z30, Z31)
+	ADDQ $32, BX
+	DECQ R11
+	JNZ  vntile
 	VZEROUPPER
 	RET
 

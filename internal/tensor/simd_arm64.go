@@ -5,6 +5,8 @@ package tensor
 import (
 	"encoding/binary"
 	"os"
+
+	"pico/internal/nn"
 )
 
 // hasNEON gates the vectorized int8 kernel surface on arm64. The scalar
@@ -93,30 +95,28 @@ func qmac3Rows4(acc *int32, accStride int, src *int8, wgt *int32, n int) {
 	panic("tensor: qmac3Rows4 is not implemented on arm64")
 }
 
-// simdName identifies the active vector ISA in benchmark artefacts.
-func simdName() string {
-	if hasNEON {
-		return "neon"
+// qpwArchVariants lists the pointwise tile this CPU runs: the SMLAL tile,
+// which reads the int8 activations in place (no pack step — the widening
+// multiply-accumulate consumes bytes directly) over the 4-wide packed32
+// blocks, with the shared epilogue per channel row.
+func qpwArchVariants() []*qpwVariant {
+	if !hasNEON {
+		return nil
 	}
-	return ""
+	return []*qpwVariant{{name: "neon", mr: ocBlockWidth, nr: 16, tile: qpwTileNEON}}
 }
 
-// qpwTileDispatch computes one 4-channel x 16-column pointwise tile using
-// the best kernel for this architecture. On arm64 that is the plain SMLAL
-// tile over the tap-major packed32 layout — the widening multiply already
-// halves the work the amd64 channel-pair trick exists to save.
-func qpwTileDispatch(tile *[ocBlockWidth * qpwTileCols]int32, src []int8, blk *qocBlock, inC, chanStride int) {
-	qpwTile16(&tile[0], &src[0], &blk.packed32[0], inC, chanStride)
+func qpwTileNEON(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, tiles int, act nn.Activation) {
+	blk := &qw.blocks[ob]
+	scale, bias := qw.effScale[blk.oc0:blk.oc0+ocBlockWidth], qw.effBias[blk.oc0:blk.oc0+ocBlockWidth]
+	var acc [ocBlockWidth * 16]int32
+	for t := 0; t < tiles; t++ {
+		qpwTile16(&acc[0], &a.src[t*16], &blk.packed32[0], a.inC, a.chanStride)
+		for b := 0; b < ocBlockWidth; b++ {
+			requantRow(dst[b*dstStride+t*16:][:16], acc[b*16:][:16], scale[b], bias[b], act)
+		}
+	}
 }
-
-// pointwiseSIMDAvailable reports whether the vector pointwise path can run
-// for a strip of n flattened output columns.
-func pointwiseSIMDAvailable(n int) bool { return hasNEON && n >= qpwTileCols }
-
-// PointwiseSIMD reports whether the host runs the vectorized int8 pointwise
-// tile. Benchmark artefacts record it: without SIMD the int8 path cannot
-// beat float32 FMA and measured speedups are not comparable across hosts.
-func PointwiseSIMD() bool { return hasNEON }
 
 // simdFloatAvailable reports whether the vectorized float32 kernel surface
 // runs on this host. The NEON float tiles use fused FMLA because gc on arm64

@@ -5,23 +5,10 @@ package tensor
 // Architectures without a vector port always take the portable scalar
 // kernels; the gates below keep every call site compiled and unreachable.
 
-func pointwiseSIMDAvailable(n int) bool { return false }
-
-// PointwiseSIMD reports whether the host runs the vectorized int8 pointwise
-// tile; never on scalar-only builds.
-func PointwiseSIMD() bool { return false }
-
 func simdQuantAvailable() bool { return false }
 
-func simdName() string { return "" }
-
-func qpwTile16(acc *int32, src *int8, wgt *int32, inC, chanStride int) {
-	panic("tensor: qpwTile16 without SIMD support")
-}
-
-func qpwTileDispatch(tile *[ocBlockWidth * qpwTileCols]int32, src []int8, blk *qocBlock, inC, chanStride int) {
-	panic("tensor: qpwTileDispatch without SIMD support")
-}
+// qpwArchVariants is empty: the pointwise walker runs the portable tile.
+func qpwArchVariants() []*qpwVariant { return nil }
 
 func qmacRows4(acc *int32, accStride int, src *int8, wgt *int32, n int) {
 	panic("tensor: qmacRows4 without SIMD support")
