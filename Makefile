@@ -34,10 +34,11 @@ race-hot:
 	$(GO) test -race ./internal/tensor ./internal/runtime
 
 # Quantized-path property tests under the race detector: kernel
-# blocked-vs-reference bit-identity at par > 1, the int8 codec, and the
-# distributed quant pipeline against local RunQ.
+# blocked-vs-reference bit-identity at par > 1 (GEMM walker and depthwise
+# plane walker), the int8 codec, and the distributed quant pipeline against
+# local RunQ.
 race-quant:
-	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core
+	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw|Depthwise' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core
 
 # Fault-injection suite under the race detector: worker crashes, hangs,
 # flaky connections and panics against the pipeline's recovery machinery
@@ -66,9 +67,11 @@ bench-kernel:
 bench-quant:
 	$(GO) run ./cmd/picobench -quantjson $(BENCH_QUANT_OUT)
 
-# One-iteration pass over the quant sweep: catches kernel dispatch and
-# epilogue regressions on every kind (including depthwise-s2 and
-# depthwise14) without a full timing run.
+# One-iteration pass over the quant sweep at par 1 and 2: catches kernel
+# dispatch and epilogue regressions on every kind — the GEMM walker's gather
+# (stem224x3-32-s2, conv3x3-56x64-128), its in-place source (the pointwise
+# shapes) and the depthwise tiles at both strides from 112-wide planes to
+# 7-wide ones — without a full timing run.
 bench-quant-smoke:
 	$(GO) test -run NONE -bench QuantKernelKinds -benchtime=1x .
 

@@ -605,7 +605,7 @@ func BenchmarkKernelKinds(b *testing.B) {
 }
 
 // BenchmarkQuantKernelKinds measures every layer-kind kernel float32-blocked
-// vs int8-vectorized at par=1 — the quick interactive view of the
+// vs int8-vectorized at par=1 and par=2 — the quick interactive view of the
 // BENCH_PR7.json sweep:
 //
 //	go test -bench 'QuantKernelKinds' -benchtime=10x .
@@ -629,6 +629,18 @@ func BenchmarkQuantKernelKinds(b *testing.B) {
 			nn.Layer{Name: "p", Kind: nn.MaxPool, KH: 2, KW: 2, SH: 2, SW: 2}},
 		{"fc", nn.Shape{C: 256, H: 4, W: 4},
 			nn.Layer{Name: "f", Kind: nn.FullyConnected, OutF: 512, Act: nn.ReLU}},
+		// The int8 GEMM walker's gather on MobileNetV1's stem (27 taps at
+		// stride 2 under 32 channels: gather-bound) and on a VGG-style layer
+		// (576 taps: tile-bound), and the depthwise row tiles at the widest
+		// and narrowest MobileNetV1 planes (7 steps vs one masked step a row).
+		{"stem224x3-32-s2", nn.Shape{C: 3, H: 224, W: 224},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 32, Act: nn.ReLU, BatchNorm: true}},
+		{"conv3x3-56x64-128", nn.Shape{C: 64, H: 56, W: 56},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Act: nn.ReLU}},
+		{"depthwise112", nn.Shape{C: 32, H: 112, W: 112},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 32, Groups: 32, Act: nn.ReLU, BatchNorm: true}},
+		{"depthwise7", nn.Shape{C: 1024, H: 7, W: 7},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 1024, Groups: 1024, Act: nn.ReLU, BatchNorm: true}},
 	}
 	// MobileNetV1's pointwise layers, one per resolution: together they walk
 	// the int8 GEMM's pack, tile and epilogue from a 16-pair reduction over
@@ -643,45 +655,46 @@ func BenchmarkQuantKernelKinds(b *testing.B) {
 		m := &nn.Model{Name: "bq-" + tc.name, Input: tc.in, Layers: []nn.Layer{tc.l}}
 		macs := float64(m.TotalFLOPs()) // the paper's FLOPs are multiply-accumulates
 		in := tensor.RandomInput(m.Input, 1)
-		fexec, err := tensor.NewExecutor(m, 1, tensor.WithParallelism(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		qexec, err := tensor.NewExecutor(m, 1, tensor.WithParallelism(1), tensor.WithQuantized())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(tc.name+"/float", func(b *testing.B) {
-			if out, err := fexec.Run(in); err != nil {
-				b.Fatal(err)
-			} else {
-				tensor.Recycle(out)
+		// par2 rows show how each kind's walker splits its work: one that
+		// scales worse than pointwise on the same run is leaving a core idle.
+		for _, par := range []int{1, 2} {
+			suffix := ""
+			if par > 1 {
+				suffix = fmt.Sprintf("-par%d", par)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			fexec, err := tensor.NewExecutor(m, 1, tensor.WithParallelism(par))
+			if err != nil {
+				b.Fatal(err)
+			}
+			qexec, err := tensor.NewExecutor(m, 1, tensor.WithParallelism(par), tensor.WithQuantized())
+			if err != nil {
+				b.Fatal(err)
+			}
+			bench := func(name string, forward func() error) {
+				b.Run(name+suffix, func(b *testing.B) {
+					if err := forward(); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := forward(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+				})
+			}
+			bench(tc.name+"/float", func() error {
 				out, err := fexec.Run(in)
-				if err != nil {
-					b.Fatal(err)
-				}
 				tensor.Recycle(out)
-			}
-		})
-		b.Run(tc.name+"/int8", func(b *testing.B) {
-			if out, err := qexec.RunQ(in); err != nil {
-				b.Fatal(err)
-			} else {
-				tensor.RecycleQ(out)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+				return err
+			})
+			bench(tc.name+"/int8", func() error {
 				out, err := qexec.RunQ(in)
-				if err != nil {
-					b.Fatal(err)
-				}
 				tensor.RecycleQ(out)
-			}
-			b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-		})
+				return err
+			})
+		}
 	}
 }
 

@@ -152,3 +152,46 @@ func TestInt8ExecNeedsQuantLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadReusesExecutor: a worker keeps the executor a load already built
+// for the same (model, seed) — one set of weights, one calibration — across
+// repeated loads in either precision; only the upgrade from float to int8,
+// or a different network under the same name, builds a new one.
+func TestLoadReusesExecutor(t *testing.T) {
+	m := nn.ToyChain("reload", 2, 0, 4, 16)
+	const seed = 9
+	lc := startCluster(t, 1, nil)
+	wc, err := dialWorker(lc.Addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.close()
+	load := func(m *nn.Model, quant bool) *tensor.Executor {
+		t.Helper()
+		if err := wc.loadModel(wire.SpecFromModel(m), seed, quant); err != nil {
+			t.Fatal(err)
+		}
+		e, ok := lc.Workers[0].executor(m.Name, seed)
+		if !ok {
+			t.Fatal("no executor after a load")
+		}
+		return e
+	}
+	f := load(m, false)
+	if load(m, false) != f {
+		t.Fatal("a second float load rebuilt the executor")
+	}
+	q := load(m, true)
+	if q == f || !q.Quantized() {
+		t.Fatal("an int8 load after a float one did not upgrade the executor")
+	}
+	for _, quant := range []bool{true, false, true} {
+		if load(m, quant) != q {
+			t.Fatalf("load(quant=%v) after the upgrade rebuilt (and recalibrated) the executor", quant)
+		}
+	}
+	other := nn.ToyChain("reload", 3, 0, 4, 16)
+	if o := load(other, false); o == q || o.Model().NumLayers() != other.NumLayers() {
+		t.Fatal("a different network under the same name did not replace the executor")
+	}
+}

@@ -15,10 +15,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pico/internal/nn"
 	"pico/internal/partition"
 	"pico/internal/tensor"
 	"pico/internal/wire"
@@ -347,16 +349,26 @@ func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
 	if err != nil {
 		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
 	}
-	// One executor per (model, seed) serves both precisions. A float session
-	// loading the model again (a second pipeline, a redial) must not take the
-	// int8 path away from a quantized session sharing this worker, so the
-	// mode only ever upgrades.
+	// One executor per (model, seed) serves both precisions, and a load that
+	// the one already here serves (a redial after a flap, a second session)
+	// keeps it: its calibration and its packed weights are a function of
+	// (model, seed) alone. A float load must not take the int8 path away from
+	// a quantized session sharing this worker, so the mode only ever upgrades,
+	// and only the upgrade (or a different model under the same name) builds
+	// and calibrates a new executor.
 	key := execKey{name: m.Name, seed: hdr.Seed}
 	w.mu.Lock()
 	prev := w.execs[key]
 	w.mu.Unlock()
+	if prev != nil && !sameModel(prev.Model(), m) {
+		prev = nil
+	}
+	if prev != nil && (prev.Quantized() || !hdr.Quant) {
+		w.logf("worker %s: %s (seed %d, quant %v) already loaded", w.id, m.Name, hdr.Seed, prev.Quantized())
+		return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
+	}
 	opts := []tensor.ExecutorOption{tensor.WithParallelism(w.parallelism)}
-	quant := hdr.Quant || (prev != nil && prev.Quantized())
+	quant := hdr.Quant
 	if quant {
 		opts = append(opts, tensor.WithQuantized())
 	}
@@ -376,6 +388,11 @@ func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
 	w.mu.Unlock()
 	w.logf("worker %s: loaded %s (seed %d, quant %v)", w.id, m.Name, hdr.Seed, quant)
 	return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
+}
+
+// sameModel reports whether two models of one name are the same network.
+func sameModel(a, b *nn.Model) bool {
+	return a.Input == b.Input && reflect.DeepEqual(a.Layers, b.Layers)
 }
 
 // KindSeconds sums per-layer-kind kernel seconds over every executor the

@@ -2,61 +2,73 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 
 	"pico/internal/nn"
+	"pico/internal/partition"
 )
 
 // Depthwise convolutions (groups == channels: every output channel reads
 // exactly one input channel) through one plane walker shared by float32 and
-// int8. Only the fused 3x3 row tiles are typed (see dw3x3RowF / dw3x3RowQ);
-// the geometry, the row loop, the edge columns and the general-shape
-// fallback are written once over the element type.
+// int8. Only the fused 3x3 tiles are typed (see dw3x3TileF / dw3x3TileQ); the
+// geometry, the row loop, the columns a tile cannot take and the
+// general-shape fallback are written once over the element type.
 //
 // Per output element the chain is the reference loops' exactly: the seed
 // (bias, or 0 for int8), then kernel rows ascending, taps ascending within
-// a row, one multiply and one add each. Taps that fall in the zero padding
-// are SKIPPED, never added as zero products: w*0 is -0 for a negative w and
-// NaN for an infinite one, and adding either can change an accumulator's
-// bits.
+// a row, one multiply and one add each. Float taps that fall in the zero
+// padding are SKIPPED, never added as zero products: w*0 is -0 for a negative
+// w and NaN for an infinite one, and adding either can change an
+// accumulator's bits. An integer zero product changes nothing, so the int8
+// vector tiles may mask a padding tap to zero instead.
 
-// dwAcc is the accumulator (and kernel tap) type a depthwise input element
-// widens into: float32 accumulates in float32, int8 in int32.
+// dwAcc is the accumulator type a depthwise element widens into: float32
+// accumulates in float32, int8 in int32.
 type dwAcc interface{ float32 | int32 }
 
-// dwTile computes len(dst) consecutive output columns of one output row from
-// the nrows (1..3) input rows in range. Tap k of dst[i] reads input column
-// x0 + i*sw + k of each row; src is the first row from its column 0 to the
-// end of the tensor and rows are rowStride — the map width — apart:
+// dwTile computes the tile span — output columns [g.tileLo, g.tileHi) — of
+// every output row of one channel plane, which starts at in[base]; dst[0] is
+// the span's first column of the first output row. With ih = g.ih0 + r*g.sh
+// the global input row under kernel row 0 of output row r,
 //
-//	dst[i] = seed + sum over r < nrows, k < 3 of w[3r+k] * src[r*rowStride + x0+i*sw + k]
+//	dst[r*outW+i] = fin(seed + sum over q, k < 3 of
+//	    w[3q+k] * in[base + (ih+q-inLo)*inW + x0+i*sw + k])
 //
-// chained in that (r, k) order from the seed, skipping taps whose column is
-// outside [0, rowStride). The span may overhang the map by one column on
-// either side and must hold an interior column: x0 >= -1, so only dst[0] can
-// miss tap 0, only the last column can miss tap 2, and no column misses both.
-// sw is 1 or 2.
-type dwTile[E elem, A dwAcc] func(dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sw int)
+// chained in that (q, k) order from c.seed, skipping kernel rows outside the
+// map (ih+q outside [0, inHGlobal)) and taps whose column is outside [0, inW);
+// fin is the identity for float32 and the requantize epilogue (c.scale,
+// c.bias, c.act; requantRow's operation sequence) for int8. The span may
+// overhang the map by one column on either side and holds an interior column:
+// x0 >= -1, so only column 0 can miss tap 0, only the last column can miss
+// tap 2, and no column misses both.
+type dwTile[E elem, A dwAcc] func(c *dwChan[E, A], dst, in []E, base int)
 
 // dwGeom is the geometry of one depthwise call, derived once and shared by
-// every channel plane: the tile's rows within the global map, and the output
-// columns [tileLo, tileHi) a dwTile may take — the interior, where every
-// horizontal tap is in range, plus one edge column per side when it misses
-// exactly one tap. Columns outside that span go through dwColumns.
+// every channel plane: the tile's rows within the global map and the tile
+// span [tileLo, tileHi) — the interior, where every horizontal tap is in
+// range, plus one edge column per side when it misses exactly one tap.
+// Columns outside the span go through dwColumns.
 type dwGeom struct {
 	kh, kw, sh, sw, ph, pw int
 	inH, inW               int // local tile height, map width
 	inLo, inHGlobal        int
-	outLo, outRows, outW   int
+	ih0, outRows, outW     int // ih0: global input row under kernel row 0 of output row 0
 	tileLo, tileHi         int
+	// The span in input coordinates: tap 0 of its first column reads input
+	// column x0; left/right are 1 when the first/last column overhangs the
+	// map, n is the number of interior columns between them and x the input
+	// column of the first interior column's tap 0.
+	x0, left, right, n, x int
 }
 
 func newDWGeom(l *nn.Layer, inH, inW, inLo, inHGlobal, outLo, outHi int) dwGeom {
 	g := dwGeom{
 		kh: l.KH, kw: l.KW, sh: l.SH, sw: l.SW, ph: l.PH, pw: l.PW,
 		inH: inH, inW: inW, inLo: inLo, inHGlobal: inHGlobal,
-		outLo: outLo, outRows: outHi - outLo,
+		ih0: outLo*l.SH - l.PH, outRows: outHi - outLo,
 		outW: (inW+2*l.PW-l.KW)/l.SW + 1,
+	}
+	if need := (partition.Range{Lo: g.ih0, Hi: g.ih0 + (g.outRows-1)*g.sh + g.kh}).Clamp(inHGlobal); !(partition.Range{Lo: inLo, Hi: inLo + inH}).Contains(need) {
+		panic(fmt.Sprintf("tensor: conv needs global rows %v outside tile [%d,%d)", need, inLo, inLo+inH))
 	}
 	if g.kh != 3 || g.kw != 3 || g.sw < 1 || g.sw > 2 {
 		return g // no fused tile for this shape
@@ -69,53 +81,92 @@ func newDWGeom(l *nn.Layer, inH, inW, inLo, inHGlobal, outLo, outHi int) dwGeom 
 	if lo >= hi {
 		return g
 	}
+	g.n, g.x = hi-lo, lo*g.sw-g.pw
 	if lo > 0 && (lo-1)*g.sw-g.pw == -1 {
-		lo--
+		lo, g.left = lo-1, 1
 	}
 	if hi < g.outW && hi*g.sw-g.pw+2 == g.inW {
-		hi++
+		hi, g.right = hi+1, 1
 	}
-	g.tileLo, g.tileHi = lo, hi
+	g.tileLo, g.tileHi, g.x0 = lo, hi, lo*g.sw-g.pw
 	return g
 }
 
+// krows returns the n kernel rows from lo of output row r that land inside
+// the global map — the rest is top/bottom zero padding — and the index, from
+// the start of the channel's plane, of the first of them at column 0.
+func (g *dwGeom) krows(r int) (lo, n, off int) {
+	ih := g.ih0 + r*g.sh
+	lo = max(0, -ih)
+	if n = min(g.kh, g.inHGlobal-ih) - lo; n <= 0 {
+		return 0, 0, 0
+	}
+	return lo, n, (ih + lo - g.inLo) * g.inW
+}
+
+// vecRows returns the output rows [lo, hi) of the plane at in[base] that a
+// vector tile may take: it reads whole steps of `lanes` columns from input
+// column x on — past the `cols` it produces, which it stores exactly — so the
+// rows whose last step would end outside the tensor (the last rows of the
+// last channel) and, from x = -1, a row starting at in[0] take the portable
+// form instead.
+func (g *dwGeom) vecRows(inLen, base, x, cols, lanes int) (lo, hi int) {
+	reach := ((cols+lanes-1)&^(lanes-1)-1)*g.sw + 3
+	inside := func(r int) bool {
+		_, n, off := g.krows(r)
+		first := base + off + x
+		return n == 0 || first >= 0 && first+(n-1)*g.inW+reach <= inLen
+	}
+	for hi = g.outRows; lo < hi && !inside(lo); lo++ {
+	}
+	for ; hi > lo && !inside(hi-1); hi-- {
+	}
+	return lo, hi
+}
+
+// dwChan is one channel's operands under the walker: its kh*kw taps, the
+// accumulator seed, the int8 epilogue, the fused tile (nil for a float kernel
+// with a zero tap the reference skips: every column then goes through the
+// per-column loop) and how accumulators the walker computed in Go become
+// output elements.
+type dwChan[E elem, A dwAcc] struct {
+	g           *dwGeom
+	w           []E
+	seed        A
+	scale, bias float32
+	act         nn.Activation
+	tile        dwTile[E, A]
+	store       func(c *dwChan[E, A], dst []E, acc []A)
+	acc         []A // one output row of scratch accumulators, made on first use
+}
+
+// row returns n scratch accumulators.
+func (c *dwChan[E, A]) row(n int) []A {
+	if c.acc == nil {
+		c.acc = make([]A, c.g.outW)
+	}
+	return c.acc[:n]
+}
+
 // dwPlane computes one channel's output plane dst (outRows x outW) from the
-// channel's input plane, which starts at in[base]. w holds the channel's
-// kh*kw taps. Columns [tileLo, tileHi) go through tile; a nil tile (a float
-// kernel with a zero tap the reference skips) sends every column through the
-// per-column loop.
-func dwPlane[E elem, A dwAcc](g *dwGeom, in []E, base int, dst, w []A, seed A, tile dwTile[E, A]) {
+// channel's input plane, which starts at in[base].
+func dwPlane[E elem, A dwAcc](c *dwChan[E, A], in []E, base int, dst []E) {
+	g := c.g
 	lo, hi := g.tileLo, g.tileHi
-	if tile == nil {
+	if c.tile == nil {
 		lo, hi = 0, 0
 	}
-	for or := 0; or < g.outRows; or++ {
-		row := dst[or*g.outW : (or+1)*g.outW]
-		// Kernel rows [khLo, khHi) land inside the global map; the rest is
-		// top/bottom zero padding.
-		ihG := (g.outLo+or)*g.sh - g.ph
-		khLo, khHi := max(0, -ihG), min(g.kh, g.inHGlobal-ihG)
-		if khLo >= khHi {
-			for i := range row {
-				row[i] = seed
-			}
-			continue
-		}
-		ih, nrows := ihG+khLo-g.inLo, khHi-khLo
-		if ih < 0 || ih+nrows > g.inH {
-			panic(fmt.Sprintf("tensor: conv needs global rows [%d,%d) outside tile [%d,%d)", ihG+khLo, ihG+khHi, g.inLo, g.inLo+g.inH))
-		}
-		src := in[base+ih*g.inW:]
-		wr := w[khLo*g.kw : khHi*g.kw]
-		if lo < hi {
-			tile(row[lo:hi], src, lo*g.sw-g.pw, g.inW, nrows, wr, seed, g.sw)
-		}
-		if lo > 0 {
-			dwColumns(g, row, src, nrows, wr, seed, 0, lo)
-		}
-		if hi < g.outW {
-			dwColumns(g, row, src, nrows, wr, seed, hi, g.outW)
-		}
+	if lo < hi {
+		c.tile(c, dst[lo:], in, base)
+	}
+	if lo == 0 && hi == g.outW {
+		return
+	}
+	for r := 0; r < g.outRows; r++ {
+		kLo, n, off := g.krows(r)
+		row, src, w := dst[r*g.outW:][:g.outW], in[base+off:], c.w[kLo*g.kw:(kLo+n)*g.kw]
+		dwColumns(c, row, src, n, w, 0, lo)
+		dwColumns(c, row, src, n, w, hi, g.outW)
 	}
 }
 
@@ -123,27 +174,34 @@ func dwPlane[E elem, A dwAcc](g *dwGeom, in []E, base int, dst, w []A, seed A, t
 // time, clipping the horizontal taps of each column to the map and skipping
 // zero weights like the reference's compacted rows do. It serves whole rows
 // of shapes without a fused tile and the columns a tile cannot take.
-func dwColumns[E elem, A dwAcc](g *dwGeom, row []A, src []E, nrows int, w []A, seed A, lo, hi int) {
+func dwColumns[E elem, A dwAcc](c *dwChan[E, A], row, src []E, nrows int, w []E, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	g := c.g
+	acc := c.row(hi - lo)
 	for ow := lo; ow < hi; ow++ {
 		iw := ow*g.sw - g.pw
 		kLo, kHi := max(0, -iw), min(g.kw, g.inW-iw)
-		v := seed
+		v := c.seed
 		for r := 0; r < nrows && kLo < kHi; r++ {
 			s := src[r*g.inW+iw+kLo:]
 			for k, wk := range w[r*g.kw+kLo : r*g.kw+kHi] {
 				if wk != 0 {
-					v += wk * A(s[k])
+					v += A(wk) * A(s[k])
 				}
 			}
 		}
-		row[ow] = v
+		acc[ow-lo] = v
 	}
+	c.store(c, row[lo:hi], acc)
 }
 
-// dw3x3Row is the portable 3x3 row tile: the dwTile contract spelled out one
-// statement per tap. The typed tiles must match it bit for bit; it also
-// serves stride 2 on hosts without a vector tile.
-func dw3x3Row[E elem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sw int) {
+// dw3x3Row is one row of the dwTile contract spelled out one statement per
+// tap, accumulators unfinished: dst[i] for the span's columns from x0. The
+// typed tiles must match it (and their fin) bit for bit; it also serves
+// stride 2 on hosts without a vector tile.
+func dw3x3Row[E elem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []E, seed A, sw int) {
 	for i := range dst {
 		x := x0 + i*sw
 		kLo, kHi := 0, 3
@@ -156,96 +214,91 @@ func dw3x3Row[E elem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []A
 		v := seed
 		for r := 0; r < nrows; r++ {
 			for k := kLo; k < kHi; k++ {
-				v += w[3*r+k] * A(src[r*rowStride+x+k])
+				v += A(w[3*r+k]) * A(src[r*rowStride+x+k])
 			}
 		}
 		dst[i] = v
 	}
 }
 
-// dwSpan splits a dwTile span into its edge columns and its interior: left
-// and right are 1 when the first / last column overhangs the map, n is the
-// number of interior columns between them and x the input column of the
-// first interior column's tap 0.
-func dwSpan(cols, x0, rowStride, sw int) (left, right, n, x int) {
-	if x0 < 0 {
-		left = 1
-	}
-	if x0+(cols-1)*sw+2 >= rowStride {
-		right = 1
-	}
-	return left, right, cols - left - right, x0 + left*sw
-}
-
-// dwReach is how many src elements past x a vector tile touches when it
-// produces n interior columns in whole steps of `lanes` (a power of two):
-// through the last tap of the last lane of the last step, in the last row.
-// The final step is stored under a mask but loaded whole, so a row too close
-// to the end of the tensor must take the portable form instead.
-func dwReach(rowStride, nrows, n, lanes, sw int) int {
-	cols := (n + lanes - 1) &^ (lanes - 1)
-	return (nrows-1)*rowStride + (cols-1)*sw + 3
-}
-
-// simdDW3x3 gates the fused 3x3 depthwise row tiles. arm64 and scalar hosts
+// simdDW3x3 gates the fused 3x3 depthwise tiles. arm64 and scalar hosts
 // compose the portable tile from the per-row sweeps instead.
 var simdDW3x3 = simdDW3x3Available()
 
-// dw3x3RowSweeps is the portable stride-1 tile composed from an
-// architecture's per-row 3-tap sweep (dw3RowF / dw3Row, NEON on arm64): the
-// interior is seeded and swept once per input row, the edge columns take the
-// spelled-out form.
-func dw3x3RowSweeps[E elem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []A, seed A, sweep func(acc []A, src []E, w *[4]A, n int)) {
-	left, _, n, x := dwSpan(len(dst), x0, rowStride, 1)
-	dw3x3Row(dst[:left], src, x0, rowStride, nrows, w, seed, 1)
-	dw3x3Row(dst[left+n:], src, x+n, rowStride, nrows, w, seed, 1)
-	mid := dst[left : left+n]
+// dw3x3RowGo computes output row r of the portable tile, accumulators
+// unfinished: at stride 1 the interior is seeded and swept once per input row
+// by an architecture's 3-tap sweep (dw3RowF / dw3Row, NEON on arm64) and the
+// edge columns take the spelled-out form, as does a whole stride-2 row.
+func dw3x3RowGo[E elem, A dwAcc](c *dwChan[E, A], dst []A, in []E, base, r int, sweep func(acc []A, src []E, w *[4]A, n int)) {
+	g := c.g
+	kLo, nrows, off := g.krows(r)
+	src, w := in[base+off:], c.w[3*kLo:3*(kLo+nrows)]
+	if g.sw != 1 {
+		dw3x3Row(dst, src, g.x0, g.inW, nrows, w, c.seed, g.sw)
+		return
+	}
+	dw3x3Row(dst[:g.left], src, g.x0, g.inW, nrows, w, c.seed, 1)
+	dw3x3Row(dst[g.left+g.n:], src, g.x+g.n, g.inW, nrows, w, c.seed, 1)
+	mid := dst[g.left : g.left+g.n]
 	for i := range mid {
-		mid[i] = seed
+		mid[i] = c.seed
 	}
-	for r := 0; r < nrows; r++ {
-		w4 := [4]A{w[3*r], w[3*r+1], w[3*r+2]}
-		sweep(mid, src[r*rowStride+x:], &w4, n)
-	}
-}
-
-// dw3x3RowF is the float32 dwTile. The AVX2 tiles produce 8 interior columns
-// per step with the bias seeded in-register (stride 2 deinterleaves even/odd
-// lanes), store the last partial step under a mask, and compute the edge
-// columns with scalar instructions ahead of the loop.
-func dw3x3RowF(dst, src []float32, x0, rowStride, nrows int, w []float32, bias float32, sw int) {
-	left, right, n, x := dwSpan(len(dst), x0, rowStride, sw)
-	switch {
-	case simdDW3x3 && x+dwReach(rowStride, nrows, n, 8, sw) <= len(src):
-		tile := fdw3x3S1
-		if sw == 2 {
-			tile = fdw3x3S2
-		}
-		tile(&dst[left], &src[x], rowStride, nrows, &w[0], bias, n, left, right)
-	case sw == 1:
-		dw3x3RowSweeps(dst, src, x0, rowStride, nrows, w, bias, dw3RowF)
-	default:
-		dw3x3Row(dst, src, x0, rowStride, nrows, w, bias, sw)
+	for q := 0; q < nrows; q++ {
+		w4 := [4]A{A(w[3*q]), A(w[3*q+1]), A(w[3*q+2])}
+		sweep(mid, src[q*g.inW+g.x:], &w4, g.n)
 	}
 }
 
-// dw3x3RowQ is the int8 dwTile over int32 accumulators. The AVX2 tiles pair
-// taps through VPMADDWD (stride 1: 16 columns per step as even/odd halves;
-// stride 2: 8 columns, the even/odd byte pairs are the taps) and wrap like
-// Go int32.
-func dw3x3RowQ(dst []int32, src []int8, x0, rowStride, nrows int, w []int32, seed int32, sw int) {
-	left, right, n, x := dwSpan(len(dst), x0, rowStride, sw)
-	switch {
-	case simdDW3x3 && x+dwReach(rowStride, nrows, n, 32>>sw, sw) <= len(src):
-		tile := qdw3x3S1
-		if sw == 2 {
-			tile = qdw3x3S2
+// dw3x3TileF is the float32 dwTile. The AVX2 tiles produce 8 interior
+// columns per step with the bias seeded in-register (stride 2 deinterleaves
+// even/odd lanes), store the last partial step under a mask, and compute the
+// edge columns with scalar instructions ahead of each row's loop.
+func dw3x3TileF(c *dwChan[float32, float32], dst, in []float32, base int) {
+	g := c.g
+	lo, hi := 0, 0
+	if simdDW3x3 {
+		if lo, hi = g.vecRows(len(in), base, g.x, g.n, 8); lo < hi {
+			tile := fdw3x3S1
+			if g.sw == 2 {
+				tile = fdw3x3S2
+			}
+			ih := g.ih0 + lo*g.sh
+			tile(&dst[lo*g.outW+g.left], &in[0], base+(ih-g.inLo)*g.inW+g.x, g.inW, ih, g.inHGlobal, &c.w[0], c.seed,
+				g.n, g.left, g.right, hi-lo, g.sh, g.outW)
 		}
-		tile(&dst[left], &src[x], rowStride, nrows, &w[0], seed, n, left, right)
-	case sw == 1:
-		dw3x3RowSweeps(dst, src, x0, rowStride, nrows, w, seed, dw3Row)
-	default:
-		dw3x3Row(dst, src, x0, rowStride, nrows, w, seed, sw)
+	}
+	for r := 0; r < g.outRows; r++ {
+		if r < lo || r >= hi {
+			dw3x3RowGo(c, dst[r*g.outW:][:g.tileHi-g.tileLo], in, base, r, dw3RowF)
+		}
+	}
+}
+
+// dw3x3TileQ is the int8 dwTile. The AVX2 tiles pair taps through VPMADDWD
+// (stride 1: 16 columns per step as even/odd halves; stride 2: 8 columns, the
+// even/odd byte pairs are the taps), wrap like Go int32, mask the one padding
+// tap of an edge column to zero, and requantize from registers.
+func dw3x3TileQ(c *dwChan[int8, int32], dst, in []int8, base int) {
+	g := c.g
+	cols := g.tileHi - g.tileLo
+	lo, hi := 0, 0
+	if simdDW3x3 {
+		if lo, hi = g.vecRows(len(in), base, g.x0, cols, 32>>g.sw); lo < hi {
+			tile := qdw3x3S1
+			if g.sw == 2 {
+				tile = qdw3x3S2
+			}
+			ih := g.ih0 + lo*g.sh
+			tile(&dst[lo*g.outW], &in[0], base+(ih-g.inLo)*g.inW+g.x0, g.inW, ih, g.inHGlobal, &c.w[0],
+				cols, g.left, g.right, hi-lo, g.sh, g.outW, c.scale, c.bias, actCode(c.act))
+		}
+	}
+	for r := 0; r < g.outRows; r++ {
+		if r < lo || r >= hi {
+			acc := c.row(cols)
+			dw3x3RowGo(c, acc, in, base, r, dw3Row)
+			c.store(c, dst[r*g.outW:][:cols], acc)
+		}
 	}
 }
 
@@ -258,14 +311,15 @@ func convForwardDepthwise(in Tensor, at geom, l *nn.Layer, wts *convWeights, par
 	out := Alloc(l.OutC, g.outRows, g.outW)
 	plane, taps := g.outRows*g.outW, l.KH*l.KW
 	parallelForGrain(l.OutC, par, grainFor(taps*plane), func(lo, hi int) {
+		c := dwChan[float32, float32]{g: &g,
+			store: func(_ *dwChan[float32, float32], dst, acc []float32) { copy(dst, acc) }}
 		for oc := lo; oc < hi; oc++ {
-			w := wts.w[oc*taps : (oc+1)*taps]
-			var tile dwTile[float32, float32]
-			if !hasZero(w) {
-				tile = dw3x3RowF
+			c.w, c.seed, c.tile = wts.w[oc*taps:(oc+1)*taps], wts.bias[oc], nil
+			if !hasZero(c.w) {
+				c.tile = dw3x3TileF
 			}
 			dst := out.Data[oc*plane : (oc+1)*plane]
-			dwPlane(&g, in.Data, oc*in.H*in.W, dst, w, wts.bias[oc], tile)
+			dwPlane(&c, in.Data, oc*in.H*in.W, dst)
 			finishChannel(dst, wts, oc, l.Act)
 		}
 	})
@@ -283,32 +337,20 @@ func hasZero(w []float32) bool {
 	return false
 }
 
-// dwAccPool recycles the int8 walker's plane accumulators (50 KB for a
-// 112x112 plane) so steady-state inference does not allocate one per layer.
-var dwAccPool sync.Pool
-
-// qconvForwardDepthwise runs the int8 plane walker: int32 accumulators for
-// one channel plane at a time, requantized in one pass. Zero taps need no
-// special case — adding an integer zero changes nothing.
+// qconvForwardDepthwise runs the int8 plane walker: the tiles requantize
+// their int32 accumulators from registers, the columns the walker computes
+// itself go through requantRow a row at a time. Zero taps need no special
+// case — adding an integer zero changes nothing.
 func qconvForwardDepthwise(in QTensor, at geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
 	g := newDWGeom(l, in.H, in.W, at.rowLo, at.in.H, at.out.Rows.Lo, at.out.Rows.Hi)
 	out := AllocQ(l.OutC, g.outRows, g.outW, 1)
 	plane, taps := g.outRows*g.outW, l.KH*l.KW
 	parallelForGrain(l.OutC, par, grainFor(taps*plane), func(lo, hi int) {
-		buf, _ := dwAccPool.Get().(*[]int32)
-		if buf == nil || cap(*buf) < plane {
-			buf = new([]int32)
-			*buf = make([]int32, plane)
-		}
-		defer dwAccPool.Put(buf)
-		acc := (*buf)[:plane]
-		w := make([]int32, taps)
+		c := dwChan[int8, int32]{g: &g, act: l.Act, tile: dw3x3TileQ,
+			store: func(c *dwChan[int8, int32], dst []int8, acc []int32) { requantRow(dst, acc, c.scale, c.bias, c.act) }}
 		for oc := lo; oc < hi; oc++ {
-			for i, v := range qw.wq[oc*taps : (oc+1)*taps] {
-				w[i] = int32(v)
-			}
-			dwPlane(&g, in.Data, oc*in.H*in.W, acc, w, 0, dw3x3RowQ)
-			requantRow(out.Data[oc*plane:(oc+1)*plane], acc, qw.effScale[oc], qw.effBias[oc], l.Act)
+			c.w, c.scale, c.bias = qw.wq[oc*taps:(oc+1)*taps], qw.effScale[oc], qw.effBias[oc]
+			dwPlane(&c, in.Data, oc*in.H*in.W, out.Data[oc*plane:(oc+1)*plane])
 		}
 	})
 	return out

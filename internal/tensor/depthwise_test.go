@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,15 +9,18 @@ import (
 )
 
 // TestDepthwisePlaneWalkerMatchesReference is the property test of the
-// depthwise plane walker: over random channel counts, map extents in [1,20],
-// stride 1/2, pad 0/1, every activation and batch norm on and off, the walker
-// must equal the reference loops byte for byte — on the whole map and on both
-// strips of every two-way row split (each strip fed exactly its halo rows),
-// serial and parallel, float32 and int8. Every few trials a tap is zeroed so
-// the float path also covers the kernels the reference compacts and the
-// fused tile must decline. The whole sweep runs twice: with the host's vector
-// tiles and with them switched off, which is the composition of per-row
-// sweeps arm64 and scalar hosts run.
+// depthwise plane walker: over a table of planes with no interior row (1 to 3
+// rows) and widths on both sides of one vector step (1, 2, 7, 14, 15, 17) at
+// both strides, then random channel counts, map extents in [1,20], stride 1/2
+// and pad 0/1 — every activation, batch norm on and off — the walker must
+// equal the reference loops byte for byte: on the whole map and on both
+// strips of every two-way row split (each strip fed exactly its halo rows, so
+// strips cut through the rows a tile takes in one call), serial and parallel,
+// float32 and int8. Every few trials a tap is zeroed so the float path also
+// covers the kernels the reference compacts and the fused tile must decline.
+// The whole sweep runs twice: with the host's vector tiles and with them
+// switched off, which is the composition of per-row sweeps arm64 and scalar
+// hosts run.
 func TestDepthwisePlaneWalkerMatchesReference(t *testing.T) {
 	defer func(v bool) { simdDW3x3 = v }(simdDW3x3)
 	for _, vector := range []bool{simdDW3x3, false} {
@@ -28,13 +32,24 @@ func TestDepthwisePlaneWalkerMatchesReference(t *testing.T) {
 func testDepthwisePlaneWalker(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	acts := []nn.Activation{nn.NoAct, nn.ReLU, nn.LeakyReLU}
-	for trial := 0; trial < 150; trial++ {
-		c := 2 + rng.Intn(8)
-		h, w := 1+rng.Intn(20), 1+rng.Intn(20)
+	type dwCase struct{ c, h, w, sh, sw, ph, pw int }
+	var cases []dwCase
+	for _, h := range []int{1, 2, 3} {
+		for _, w := range []int{1, 2, 7, 14, 15, 17} {
+			for s := 1; s <= 2; s++ {
+				cases = append(cases, dwCase{3, h, w, s, s, 1, 1})
+			}
+		}
+	}
+	for len(cases) < 186 {
+		cases = append(cases, dwCase{2 + rng.Intn(8), 1 + rng.Intn(20), 1 + rng.Intn(20),
+			1 + rng.Intn(2), 1 + rng.Intn(2), rng.Intn(2), rng.Intn(2)})
+	}
+	for trial, tc := range cases {
+		c, h, w := tc.c, tc.h, tc.w
 		l := nn.Layer{
 			Name: "dw", Kind: nn.Conv, KH: 3, KW: 3,
-			SH: 1 + rng.Intn(2), SW: 1 + rng.Intn(2),
-			PH: rng.Intn(2), PW: rng.Intn(2),
+			SH: tc.sh, SW: tc.sw, PH: tc.ph, PW: tc.pw,
 			OutC: c, Groups: c,
 			Act: acts[trial%3], BatchNorm: trial%2 == 0,
 		}
@@ -116,8 +131,8 @@ func TestDepthwiseGeneralShapes(t *testing.T) {
 // dwTileCase is one span geometry for driving a dwTile directly: cols output
 // columns whose first/last column overhangs the map when left/right is set.
 type dwTileCase struct {
-	cols, sw, nrows int
-	left, right     bool
+	cols, sw    int
+	left, right bool
 }
 
 // geometry returns the span's x0 and the map width that realises the case.
@@ -134,21 +149,109 @@ func (c dwTileCase) geometry(slack int) (x0, inW int) {
 	return x0, inW
 }
 
-// dwTileCases enumerates every width in [1,9] plus n, both strides, 1..3 rows
-// and every edge combination that leaves an interior column.
+// dwTileCases enumerates every width in [1,9] plus n, both strides and every
+// edge combination that leaves an interior column.
 func dwTileCases(n int) []dwTileCase {
 	var cases []dwTileCase
 	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, n} {
 		for sw := 1; sw <= 2; sw++ {
-			for nrows := 1; nrows <= 3; nrows++ {
-				for e := 0; e < 4; e++ {
-					c := dwTileCase{cols: cols, sw: sw, nrows: nrows, left: e&1 != 0, right: e&2 != 0}
-					if interior := cols - e&1 - e>>1; interior >= 1 {
-						cases = append(cases, c)
-					}
+			for e := 0; e < 4; e++ {
+				c := dwTileCase{cols: cols, sw: sw, left: e&1 != 0, right: e&2 != 0}
+				if interior := cols - e&1 - e>>1; interior >= 1 {
+					cases = append(cases, c)
 				}
 			}
 		}
 	}
 	return cases
+}
+
+// checkDWTiles drives a typed dwTile directly — c carries it with the seed and
+// epilogue operands — over every span case of width 1-9 and n, on planes of 1
+// to 6 rows under row padding 0-2 and both row strides (so output rows miss
+// kernel rows above, below and on both sides at once), against the contract
+// spelled out: dw3x3Row over the kernel rows in the map, then fin. The tensor
+// ends `slack` elements after the plane (0: the vector tile's read-ahead does
+// not fit the last rows, so the portable form runs there; 40: the vector tile
+// runs) and starts `off` elements before it (0: a left-overhanging first row
+// cannot read the byte before it and is portable too). Sentinels around and
+// between the output rows catch a tail store writing past the span.
+func checkDWTiles[E elem, A dwAcc](t *testing.T, n, extra int, c dwChan[E, A], rnd func() E, fin func(dst []E, acc []A), eq func(a, b E) bool) {
+	t.Helper()
+	fill := func(k int) []E {
+		s := make([]E, k)
+		for i := range s {
+			s[i] = rnd()
+		}
+		return s
+	}
+	for _, tc := range dwTileCases(n) {
+		for _, hp := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 1, 2}, {3, 0, 1}, {3, 1, 2}, {3, 2, 1}, {5, 1, 1}, {5, 2, 2}, {6, 0, 2}} {
+			h, ph, sh := hp[0], hp[1], hp[2]
+			for _, slack := range []int{0, 40} {
+				for off := 0; off < 2; off++ {
+					x0, inW := tc.geometry(extra)
+					g := dwGeom{kh: 3, kw: 3, sh: sh, sw: tc.sw, ph: ph, inH: h, inW: inW, inHGlobal: h,
+						ih0: -ph, outRows: (h+2*ph-3)/sh + 1, outW: tc.cols + extra, tileHi: tc.cols, x0: x0}
+					if tc.left {
+						g.left = 1
+					}
+					if tc.right {
+						g.right = 1
+					}
+					g.n, g.x = tc.cols-g.left-g.right, x0+g.left*tc.sw
+					in := fill(off + h*inW + slack)
+					const guard = 17
+					got := fill(guard + (g.outRows-1)*g.outW + tc.cols + guard)
+					want := append([]E(nil), got...)
+					c.g, c.w, c.acc = &g, fill(9), nil
+					c.tile(&c, got[guard:], in, off)
+					acc := make([]A, tc.cols)
+					for r := 0; r < g.outRows; r++ {
+						kLo, nrows, o := g.krows(r)
+						dw3x3Row(acc, in[off+o:], x0, inW, nrows, c.w[3*kLo:], c.seed, tc.sw)
+						fin(want[guard+r*g.outW:][:tc.cols], acc)
+					}
+					for i := range want {
+						if !eq(got[i], want[i]) {
+							t.Fatalf("%+v %dx%d ph=%d sh=%d slack=%d off=%d outW=%d: dst[%d]=%v want %v",
+								tc, h, inW, ph, sh, slack, off, g.outW, i-guard, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDepthwisePlanes times the depthwise walker alone (no input
+// quantization) on MobileNetV1's depthwise shapes in both precisions at
+// par=1:
+//
+//	go test -run NONE -bench DepthwisePlanes ./internal/tensor
+func BenchmarkDepthwisePlanes(b *testing.B) {
+	for _, sh := range [][3]int{{112, 32, 1}, {112, 64, 2}, {56, 128, 1}, {56, 128, 2}, {28, 256, 1}, {28, 256, 2}, {14, 512, 1}, {14, 512, 2}, {7, 1024, 1}} {
+		hw, c, s := sh[0], sh[1], sh[2]
+		l := nn.Layer{Name: "dw", Kind: nn.Conv, KH: 3, KW: 3, SH: s, SW: s, PH: 1, PW: 1, OutC: c, Groups: c, Act: nn.ReLU, BatchNorm: true}
+		wts := genConv(1, "bdw", &l, c)
+		qw := genQConv(wts, &l, 1, 0.03, 0.07)
+		in, qin := RandomInput(nn.Shape{C: c, H: hw, W: hw}, 2), randomQInput(c, hw, hw, 2)
+		outHW := outWidth(&l, hw)
+		g := stripGeom(&l, c, hw, 0, hw, 0, outHW)
+		gmacs := func(b *testing.B) {
+			b.ReportMetric(float64(outHW*outHW*9*c)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		}
+		b.Run(fmt.Sprintf("%dx%d-s%d/float", hw, c, s), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Recycle(convForward(in, g, &l, wts, 1))
+			}
+			gmacs(b)
+		})
+		b.Run(fmt.Sprintf("%dx%d-s%d/int8", hw, c, s), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				RecycleQ(qconvForward(qin, g, &l, qw, 1))
+			}
+			gmacs(b)
+		})
+	}
 }

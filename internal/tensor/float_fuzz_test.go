@@ -106,43 +106,20 @@ func FuzzFKernelTile(f *testing.F) {
 			}
 		}
 
-		// dw3x3RowF: the fused 3x3 depthwise tile over widths 1-9 and n,
-		// both strides, 1-3 input rows and every edge combination, with NaN
-		// and -0 lanes. slack 0 ends the tensor right after the last row, so
-		// the vector tile's read-ahead does not fit and the portable form
-		// runs; slack 40 lets the vector tile run. Guard elements around dst
-		// catch a masked tail store writing past the span.
-		for _, tc := range dwTileCases(n) {
-			for _, slack := range []int{0, 40} {
-				x0, inW := tc.geometry(int(p1) % 3)
-				src := randF(tc.nrows*inW + slack)
-				if (int(p9)+tc.cols)%2 == 0 {
-					src[rng.Intn(len(src))] = float32(math.NaN())
-					src[rng.Intn(len(src))] = float32(math.Copysign(0, -1))
+		// dw3x3TileF: the fused 3x3 depthwise tile (see checkDWTiles), with
+		// NaN and -0 lanes.
+		{
+			c := dwChan[float32, float32]{seed: randF(1)[0], tile: dw3x3TileF}
+			rnd := func() float32 {
+				switch rng.Intn(40) {
+				case 0:
+					return float32(math.NaN())
+				case 1:
+					return float32(math.Copysign(0, -1))
 				}
-				w := randF(3 * tc.nrows)
-				bias := randF(1)[0]
-				const guard = 17
-				buf := randF(tc.cols + 2*guard)
-				want := append([]float32(nil), buf...)
-				dw3x3RowF(buf[guard:guard+tc.cols], src, x0, inW, tc.nrows, w, bias, tc.sw)
-				for i := 0; i < tc.cols; i++ {
-					v := bias
-					for r := 0; r < tc.nrows; r++ {
-						for k := 0; k < 3; k++ {
-							if c := x0 + i*tc.sw + k; c >= 0 && c < inW {
-								v += w[3*r+k] * src[r*inW+c]
-							}
-						}
-					}
-					want[guard+i] = v
-				}
-				for i := range want {
-					if !bitsEq(buf[i], want[i]) {
-						t.Fatalf("dw3x3RowF %+v slack=%d inW=%d: dst[%d]=%g want %g", tc, slack, inW, i-guard, buf[i], want[i])
-					}
-				}
+				return rng.Float32()*2 - 1
 			}
+			checkDWTiles(t, n, int(p1)%3, c, rnd, func(dst, acc []float32) { copy(dst, acc) }, bitsEq)
 		}
 
 		// macRowF: single-row saxpy.

@@ -1,22 +1,26 @@
 package tensor
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
 	"pico/internal/nn"
 )
 
-// The int8 pointwise kernel. A 1x1 stride-1 convolution over a full-width
-// strip is the matrix product out[outC x n] = W[outC x inC] * act[inC x n]
-// over the strip's n = rows*width flattened columns (~94% of MobileNetV1's
-// MACs), and one walker blocks it like a GEMM: per column block the int8
-// activations are widened ONCE into an int16 channel-pair panel, then every
-// output-channel block sweeps a register tile over that panel and requantizes
-// straight into the output. The tile comes in variants picked once at init;
-// int32 addition wraps associatively, so every variant and blocking order
-// yields the reference kernel's accumulators bit for bit (DESIGN.md §6).
+// The int8 convolution kernel. A convolution is the matrix product
+// out[outC x n] = W[outC x K] * taps[K x n] over the call's n = rows*cols
+// flattened output pixels and the K = icg*kh*kw taps each pixel reads, and one
+// walker blocks it like a GEMM. Per column block a gather step copies the
+// block's taps out of the tile into a [K][cols] int8 scratch — zeros where a
+// tap falls in the padding: an integer zero product changes no accumulator, so
+// the gathered zeros equal the reference's skipped taps bit for bit — then the
+// K rows are widened ONCE into an int16 pair panel, and every output-channel
+// block sweeps a register tile over that panel and requantizes straight into
+// the output. A 1x1 stride-1 conv over whole rows (~94% of MobileNetV1's
+// MACs) skips the gather: its taps already lie [K][cols] in the tile. The
+// tile comes in variants picked once at init; int32 addition wraps
+// associatively, so every variant and blocking order yields the reference
+// kernel's accumulators bit for bit (DESIGN.md §6, §8).
 
 const (
 	// qpwMR is the channel extent of a weight-panel block and packing tile.
@@ -26,6 +30,12 @@ const (
 	// stream past. Measured flat from 16 KB to 256 KB on the reference host:
 	// it is sized for the scratch it pins, not for speed.
 	qpwPanelBytes = 32 << 10
+	// qpwGatherBytes is the bound when the block is gathered: the gather
+	// copies one output-row segment per tap row at a time, so a block of
+	// several output rows makes fewer, longer copies (10-15% of a 576-tap
+	// 3x3 layer between 32 KB and 128 KB; flat above, and flat for the
+	// in-place source, which copies nothing).
+	qpwGatherBytes = 128 << 10
 )
 
 // qpwVariant is one register-tile implementation under the walker.
@@ -33,26 +43,27 @@ type qpwVariant struct {
 	name   string
 	mr, nr int // tile extent: output channels x flattened columns
 	// pack widens `tiles` adjacent whole tiles of a.src into a.panel; nil for
-	// a tile that reads the int8 activations in place.
+	// a tile that reads the int8 taps in place.
 	pack func(a *qpwCols, tiles int)
-	// tile computes, requantizes and stores `tiles` adjacent tiles of channel
-	// block ob: dst[b*dstStride+t*nr+j] for b in [0,mr), j in [0,nr).
-	tile func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, tiles int, act nn.Activation)
+	// tile computes, requantizes and stores `tiles` adjacent tiles of weight
+	// block ob, whose first output channel is oc0:
+	// dst[b*dstStride+t*nr+j] for b in [0,mr), j in [0,nr).
+	tile func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation)
 }
 
 // qpwCols is the activation operand of a tile sweep: adjacent nr-column
-// tiles in place (channel g, column j of tile t is src[g*chanStride+t*nr+j])
-// and, once packed, as the panel, where the int16 pair at
-// panel[((t*pairs+p)*nr+j)*2:] is that column's (channel 2p, channel 2p+1)
-// and an odd trailing channel pairs with zero.
+// tiles of k tap rows in place (row g, column j of tile t is
+// src[g*rowStride+t*nr+j]) and, once packed, as the panel, where the int16
+// pair at panel[((t*pairs+p)*nr+j)*2:] is that column's (row 2p, row 2p+1)
+// and an odd trailing row pairs with zero.
 type qpwCols struct {
-	src        []int8
-	chanStride int
-	inC        int
-	panel      []int16
+	src       []int8
+	rowStride int
+	k         int
+	panel     []int16
 }
 
-func (a *qpwCols) pairs() int { return (a.inC + 1) / 2 }
+func (a *qpwCols) pairs() int { return (a.k + 1) / 2 }
 
 // qpwVariants lists the variants this host can run, fastest first, portable
 // last; qpwActive is the one the walker uses — chosen here once, reassigned
@@ -62,16 +73,16 @@ var (
 	qpwActive   = qpwVariants[0]
 )
 
-// PointwiseSIMD reports whether the host runs a vector int8 pointwise tile;
+// PointwiseSIMD reports whether the host runs a vector int8 GEMM tile;
 // benchmark artefacts record it (without one int8 cannot beat float32).
 func PointwiseSIMD() bool { return len(qpwVariants) > 1 }
 
-// qpwScratch is one running kernel's pooled scratch: the packed panel of one
-// column block, the zero-padded copy of the strip's ragged last tile, and
-// staging rows for tiles that cannot store straight into the output.
+// qpwScratch is one running kernel's pooled scratch: the gathered taps and
+// the packed panel of one column block, and staging rows for tiles that
+// cannot store straight into the output.
 type qpwScratch struct {
+	taps  []int8
 	panel []int16
-	tail  []int8
 	stage []int8
 	// The loaded column block's operands: its whole tiles, its ragged last one.
 	whole, last qpwCols
@@ -79,47 +90,69 @@ type qpwScratch struct {
 
 var qpwScratchPool = sync.Pool{New: func() any { return new(qpwScratch) }}
 
-// qconvForwardPointwise is the walker. A unit of work is one column block
-// (whole tiles: as many as fit qpwPanelBytes, fewer if that idles workers)
-// times one slice of the channel blocks (several slices, each re-packing the
-// panel, only when there are fewer column blocks than workers).
-func qconvForwardPointwise(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+// qconvTaps is the tap matrix of one convolution call: row (ic*kh+y)*kw+x of
+// group grp, column p is the input cell that tap (y, x) of the group's input
+// channel ic reads for the call's p-th output pixel (row-major over g.out),
+// zero where that cell is padding.
+type qconvTaps struct {
+	in  QTensor
+	g   geom
+	l   *nn.Layer
+	icg int // input channels per group
+	k   int // rows: icg*kh*kw
+	// inPlace: a 1x1 stride-1 unpadded conv over whole rows, whose tap rows
+	// are the tile's channel planes themselves.
+	inPlace bool
+}
+
+// qconvForwardGEMM is the walker. A unit of work is one group's column block
+// (whole tiles: as many as fit the panel bound, fewer if that idles workers)
+// times one slice of the group's channel blocks (several slices, each
+// re-gathering the block, only when there are fewer column blocks than
+// workers).
+func qconvForwardGEMM(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+	g.mustCover(l, in.H, in.W)
 	v := qpwActive
-	outRows := g.out.Rows.Len()
-	n := outRows * in.W
-	ihBase := g.out.Rows.Lo - g.rowLo
-	if ihBase < 0 || ihBase+outRows > in.H {
-		panic(fmt.Sprintf("tensor: qconv needs global rows %v outside tile [%d,%d)", g.out.Rows, g.rowLo, g.rowLo+in.H))
-	}
-	out := AllocQ(l.OutC, outRows, in.W, 1)
+	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
+	n := outRows * outCols
+	out := AllocQ(l.OutC, outRows, outCols, 1)
 	data := out.Data // the closure captures the slice, not the tensor
-	src := in.Data[ihBase*in.W:]
+	groups := max(l.Groups, 1)
+	icg, ocg := in.C/groups, l.OutC/groups
+	taps := qconvTaps{in: in, g: g, l: l, icg: icg, k: icg * l.KH * l.KW,
+		inPlace: l.KH == 1 && l.KW == 1 && l.SH == 1 && l.SW == 1 && l.PH == 0 && l.PW == 0 && g.fullWidth(in.W, in.W)}
 	tiles := (n + v.nr - 1) / v.nr
-	ocBlocks := (l.OutC + v.mr - 1) / v.mr
+	obg := (ocg + v.mr - 1) / v.mr // channel blocks per group
 	par = max(par, 1)
-	perBlock := max(1, min(qpwPanelBytes/(4*v.nr*((in.C+1)/2)), (tiles+par-1)/par))
+	panel := qpwGatherBytes
+	if taps.inPlace {
+		panel = qpwPanelBytes
+	}
+	perBlock := max(1, min(panel/(4*v.nr*((taps.k+1)/2)), (tiles+par-1)/par))
 	blocks := (tiles + perBlock - 1) / perBlock
-	ocParts := min((par+blocks-1)/blocks, ocBlocks) // 1 unless blocks < par
-	grain := grainFor(perBlock * v.nr * in.C * l.OutC / ocParts)
-	parallelForGrain(blocks*ocParts, par, grain, func(lo, hi int) {
+	ocParts := min((par+groups*blocks-1)/(groups*blocks), obg) // 1 unless groups*blocks < par
+	grain := grainFor(perBlock * v.nr * taps.k * ocg / ocParts)
+	parallelForGrain(groups*blocks*ocParts, par, grain, func(lo, hi int) {
 		s := qpwScratchPool.Get().(*qpwScratch)
 		defer qpwScratchPool.Put(s)
 		loaded := -1
 		for u := lo; u < hi; u++ {
-			cb, part := u/ocParts, u%ocParts
+			gb, part := u/ocParts, u%ocParts
+			grp, cb := gb/blocks, gb%blocks
 			x0 := cb * perBlock * v.nr
 			cols := min(perBlock*v.nr, n-x0)
 			wholeCols := cols / v.nr * v.nr
-			if cb != loaded {
-				s.load(v, src[x0:], in.H*in.W, in.C, cols)
-				loaded = cb
+			if gb != loaded {
+				s.load(v, &taps, grp, x0, cols)
+				loaded = gb
 			}
-			for ob := part * ocBlocks / ocParts; ob < (part+1)*ocBlocks/ocParts; ob++ {
+			for b := part * obg / ocParts; b < (part+1)*obg/ocParts; b++ {
+				ob, oc0, width := grp*obg+b, grp*ocg+b*v.mr, min(v.mr, ocg-b*v.mr)
 				if wholeCols > 0 {
-					s.sweep(v, data, n, x0, wholeCols, &s.whole, qw, ob, l)
+					s.sweep(v, data, n, x0, wholeCols, &s.whole, qw, ob, oc0, width, l.Act)
 				}
 				if wholeCols < cols {
-					s.sweep(v, data, n, x0+wholeCols, cols-wholeCols, &s.last, qw, ob, l)
+					s.sweep(v, data, n, x0+wholeCols, cols-wholeCols, &s.last, qw, ob, oc0, width, l.Act)
 				}
 			}
 		}
@@ -127,19 +160,79 @@ func qconvForwardPointwise(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, pa
 	return out
 }
 
-// load prepares the cols columns of one column block starting at src[0] as
-// s.whole and s.last. The ragged tile is copied out zero-padded, so every
-// variant reads, and packs, whole tiles only.
-func (s *qpwScratch) load(v *qpwVariant, src []int8, chanStride, inC, cols int) {
-	nWhole, rag := cols/v.nr, cols%v.nr
-	s.whole = qpwCols{src: src, chanStride: chanStride, inC: inC}
-	if rag > 0 {
-		s.tail = slices.Grow(s.tail[:0], inC*v.nr)[:inC*v.nr]
-		clear(s.tail)
-		for g := 0; g < inC; g++ {
-			copy(s.tail[g*v.nr:], src[g*chanStride+nWhole*v.nr:][:rag])
+// gather writes columns [x0, x0+cols) of group grp's tap matrix into dst, a
+// zeroed-first [k][width] block: per output-row segment and horizontal tap,
+// the columns whose tap is inside the map are one span, copied row by row
+// (a memmove at stride 1) for every (channel, kernel row) the map holds.
+func (c *qconvTaps) gather(dst []int8, width, grp, x0, cols int) {
+	clear(dst)
+	l, g, in := c.l, &c.g, &c.in
+	outCols := g.out.Cols.Len()
+	for p, end := x0, x0+cols; p < end; {
+		or, c0 := p/outCols, p%outCols
+		seg := min(outCols-c0, end-p)
+		for kw := 0; kw < l.KW; kw++ {
+			// Tap kw of the segment's local column i reads global input
+			// column base+i*SW: inside the map for i in [a, b).
+			base := g.out.Cols.Lo*l.SW - l.PW + kw
+			a, b := c0, c0+seg
+			if base+a*l.SW < 0 {
+				a = (-base + l.SW - 1) / l.SW
+			}
+			if last := g.in.W - 1 - base; last >= 0 {
+				b = min(b, last/l.SW+1)
+			} else {
+				b = a
+			}
+			if a >= b {
+				continue
+			}
+			iw, d := base+a*l.SW-g.colLo, p-x0+a-c0
+			for kh := 0; kh < l.KH; kh++ {
+				ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
+				if ih < 0 {
+					continue // zero padding row
+				}
+				for ic := 0; ic < c.icg; ic++ {
+					src := in.Data[((grp*c.icg+ic)*in.H+ih)*in.W+iw:]
+					row := dst[((ic*l.KH+kh)*l.KW+kw)*width+d:][:b-a]
+					if l.SW == 1 {
+						copy(row, src)
+						continue
+					}
+					for i := range row {
+						row[i] = src[i*l.SW]
+					}
+				}
+			}
 		}
-		s.last = qpwCols{src: s.tail, chanStride: v.nr, inC: inC}
+		p += seg
+	}
+}
+
+// load prepares columns [x0, x0+cols) of group grp's tap matrix as s.whole
+// and s.last, so every variant reads, and packs, whole tiles only: gathered
+// into s.taps at a width of whole tiles, or — in place — the whole tiles
+// where they lie and only the ragged one gathered (a zero-padded copy).
+func (s *qpwScratch) load(v *qpwVariant, c *qconvTaps, grp, x0, cols int) {
+	nWhole, rag := cols/v.nr, cols%v.nr
+	gx, gcols := x0, cols
+	if c.inPlace {
+		gx, gcols = x0+nWhole*v.nr, rag
+	}
+	width := (gcols + v.nr - 1) / v.nr * v.nr
+	s.taps = slices.Grow(s.taps[:0], c.k*width)[:c.k*width]
+	if gcols > 0 {
+		c.gather(s.taps, width, grp, gx, gcols)
+	}
+	s.whole = qpwCols{src: s.taps, rowStride: width, k: c.k}
+	s.last = s.whole
+	if c.inPlace {
+		plane := c.in.H * c.in.W
+		first := (c.g.out.Rows.Lo - c.g.rowLo) * c.in.W // the call's pixel 0 within a plane
+		s.whole = qpwCols{src: c.in.Data[grp*c.icg*plane+first+x0:], rowStride: plane, k: c.k}
+	} else if rag > 0 {
+		s.last.src = s.taps[nWhole*v.nr:]
 	}
 	if v.pack != nil {
 		per := 2 * v.nr * s.whole.pairs() // int16s in one packed tile
@@ -156,19 +249,18 @@ func (s *qpwScratch) load(v *qpwVariant, src []int8, chanStride, inC, cols int) 
 }
 
 // sweep runs the tiles of operand a — `valid` real columns from flattened
-// column x — for channel block ob. Whole tiles of a whole block store straight
-// into the output; a ragged block or tile goes through staging rows.
-func (s *qpwScratch) sweep(v *qpwVariant, out []int8, n, x, valid int, a *qpwCols, qw *qconvWeights, ob int, l *nn.Layer) {
+// column x — for weight block ob, `width` real channels from oc0. Whole tiles
+// of a whole block store straight into the output; a ragged block or tile
+// goes through staging rows.
+func (s *qpwScratch) sweep(v *qpwVariant, out []int8, n, x, valid int, a *qpwCols, qw *qconvWeights, ob, oc0, width int, act nn.Activation) {
 	tiles := (valid + v.nr - 1) / v.nr
-	oc0 := ob * v.mr
-	width := min(v.mr, l.OutC-oc0)
 	if width == v.mr && valid == tiles*v.nr {
-		v.tile(out[oc0*n+x:], n, a, qw, ob, tiles, l.Act)
+		v.tile(out[oc0*n+x:], n, a, qw, ob, oc0, tiles, act)
 		return
 	}
 	stride := tiles * v.nr
 	s.stage = slices.Grow(s.stage[:0], v.mr*stride)[:v.mr*stride]
-	v.tile(s.stage, stride, a, qw, ob, tiles, l.Act)
+	v.tile(s.stage, stride, a, qw, ob, oc0, tiles, act)
 	for b := 0; b < width; b++ {
 		copy(out[(oc0+b)*n+x:][:valid], s.stage[b*stride:])
 	}
@@ -183,8 +275,8 @@ func qpwPackPortable(a *qpwCols, tiles int) {
 		for p := 0; p < pairs; p++ {
 			dst := a.panel[(t*pairs+p)*nr*2:][:nr*2]
 			clear(dst)
-			for c := 2 * p; c < min(2*p+2, a.inC); c++ {
-				for j, v := range a.src[c*a.chanStride+t*nr:][:nr] {
+			for c := 2 * p; c < min(2*p+2, a.k); c++ {
+				for j, v := range a.src[c*a.rowStride+t*nr:][:nr] {
 					dst[2*j+c%2] = int16(v)
 				}
 			}
@@ -195,11 +287,11 @@ func qpwPackPortable(a *qpwCols, tiles int) {
 // qpwTilePortable is the tile contract in plain Go and the generic-host
 // path: per tile, qpwMR x 16 wrapping int32 accumulators over every channel
 // pair of the panel, then the shared requantize epilogue per channel row.
-func qpwTilePortable(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, tiles int, act nn.Activation) {
+func qpwTilePortable(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation) {
 	const nr = 16
 	pairs := a.pairs()
 	w := qw.pw[ob*pairs*qpwMR:][:pairs*qpwMR]
-	scale, bias := qw.effScale[ob*qpwMR:(ob+1)*qpwMR], qw.effBias[ob*qpwMR:(ob+1)*qpwMR]
+	scale, bias := qw.effScale[oc0:oc0+qpwMR], qw.effBias[oc0:oc0+qpwMR]
 	var acc [qpwMR][nr]int32
 	for t := 0; t < tiles; t++ {
 		clear(acc[:])

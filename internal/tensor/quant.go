@@ -130,26 +130,18 @@ type qconvWeights struct {
 	wq       []int8
 	effScale []float32
 	effBias  []float32
-	blocks   []qocBlock
-	// pw is the pointwise walker's weight panel (qpointwise.go; 1x1 stride-1
-	// ungrouped layers only): dword pw[(ob*pairs+p)*qpwMR+b] holds
-	// wq[ob*qpwMR+b][2p] in its low int16, [2p+1] in its high, zero past
-	// the last input or output channel.
+	// pw is the GEMM walker's weight panel (qpointwise.go) over the K =
+	// icg*kh*kw taps of each output channel, in blocks of qpwMR channels that
+	// never straddle a group: with obg blocks per group, dword
+	// pw[((grp*obg+ob)*pairs+p)*qpwMR+b] holds taps 2p (low int16) and 2p+1
+	// (high) of the group's channel ob*qpwMR+b, zero past the last tap or the
+	// group's last channel.
 	pw []int32
-}
-
-// qocBlock is the int8 register tile of the general conv kernel. Unlike the
-// float ocBlock it is always packed — integer accumulation needs no zero-tap
-// skip or raggedness fallback for bit-identity, so ragged tail blocks simply
-// zero-pad the missing channels (their lanes are computed and discarded).
-type qocBlock struct {
-	oc0    int
-	width  int
-	icBase int
-	// packed32[((g*KH+kh)*KW+kw)*ocBlockWidth + b] = wq[oc0+b][icBase+g][kh][kw],
-	// widened to int32 so the vector row tiles broadcast a weight lane
-	// directly.
-	packed32 []int32
+	// blocks is the same matrix in ocBlockWidth-channel blocks of int32 taps,
+	// built only where a tile variant reads it (arm64's in-place NEON tile):
+	// blocks[grp*obg4+ob][i*ocBlockWidth+b] is tap i of the group's channel
+	// ob*ocBlockWidth+b, zero past the group's last channel.
+	blocks [][]int32
 }
 
 // genQConv derives the int8 form of already-generated float weights. icg is
@@ -157,9 +149,9 @@ type qocBlock struct {
 // layer's input and output boundaries.
 func genQConv(cw *convWeights, l *nn.Layer, icg int, sIn, sOut float32) *qconvWeights {
 	perOC := icg * l.KH * l.KW
-	// Spare zero capacity up to the pointwise channel block lets a tile over
-	// a ragged last block reslice a whole block of epilogue operands.
-	padded := (l.OutC + qpwMR - 1) / qpwMR * qpwMR
+	// Spare zero capacity of one channel block lets a tile over a ragged
+	// block reslice a whole block of epilogue operands from any channel.
+	padded := l.OutC + qpwMR - 1
 	qw := &qconvWeights{
 		wq:       make([]int8, len(cw.w)),
 		effScale: make([]float32, l.OutC, padded),
@@ -183,37 +175,32 @@ func genQConv(cw *convWeights, l *nn.Layer, icg int, sIn, sOut float32) *qconvWe
 	return qw
 }
 
-// pack builds the always-dense int8 register-tile plan and, for pointwise
-// layers, the channel-pair weight panel.
+// pack builds the weight layouts the tile variants of this host read.
 func (qw *qconvWeights) pack(l *nn.Layer, icg int) {
 	groups := max(l.Groups, 1)
 	ocg := l.OutC / groups
 	perOC := icg * l.KH * l.KW
+	pairs, obg := (perOC+1)/2, (ocg+qpwMR-1)/qpwMR
+	qw.pw = make([]int32, groups*obg*pairs*qpwMR)
+	for oc := 0; oc < l.OutC; oc++ {
+		grp, b := oc/ocg, oc%ocg
+		row := qw.pw[(grp*obg+b/qpwMR)*pairs*qpwMR+b%qpwMR:]
+		for i, w := range qw.wq[oc*perOC : (oc+1)*perOC] {
+			row[i/2*qpwMR] |= int32(uint16(int16(w))) << (i % 2 * 16)
+		}
+	}
+	if !qpwReadsBlocks {
+		return
+	}
 	for g := 0; g < groups; g++ {
 		for oc0 := g * ocg; oc0 < (g+1)*ocg; oc0 += ocBlockWidth {
-			blk := qocBlock{
-				oc0:      oc0,
-				width:    min(ocBlockWidth, (g+1)*ocg-oc0),
-				icBase:   g * icg,
-				packed32: make([]int32, perOC*ocBlockWidth),
-			}
-			for b := 0; b < blk.width; b++ {
+			blk := make([]int32, perOC*ocBlockWidth)
+			for b := 0; b < min(ocBlockWidth, (g+1)*ocg-oc0); b++ {
 				for i, w := range qw.wq[(oc0+b)*perOC : (oc0+b+1)*perOC] {
-					blk.packed32[i*ocBlockWidth+b] = int32(w)
+					blk[i*ocBlockWidth+b] = int32(w)
 				}
 			}
 			qw.blocks = append(qw.blocks, blk)
-		}
-	}
-	if !pointwise(l) {
-		return
-	}
-	pairs := (icg + 1) / 2
-	qw.pw = make([]int32, cap(qw.effScale)*pairs)
-	for oc := 0; oc < l.OutC; oc++ {
-		row := qw.pw[(oc/qpwMR)*pairs*qpwMR+oc%qpwMR:]
-		for g, w := range qw.wq[oc*icg : (oc+1)*icg] {
-			row[g/2*qpwMR] |= int32(uint16(int16(w))) << (g % 2 * 16)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pico/internal/nn"
+	"pico/internal/partition"
 )
 
 // FuzzQKernelTile drives every int8 vector tile wrapper against an inline
@@ -24,8 +25,6 @@ func FuzzQKernelTile(f *testing.F) {
 	f.Add(uint8(7), uint8(1), uint8(2), uint8(2), uint8(3), uint8(0), uint8(1), uint8(4), uint8(8), uint8(2))
 	f.Fuzz(func(t *testing.T, p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 uint8) {
 		n := 1 + int(p0)%96
-		pad := int(p1) % 9
-		stride := n + pad
 		rng := rand.New(rand.NewSource(int64(p2)<<40 | int64(p3)<<32 | int64(p4)<<24 |
 			int64(p5)<<16 | int64(p6)<<8 | int64(p7)))
 		randI8 := func(k int) []int8 {
@@ -41,44 +40,6 @@ func FuzzQKernelTile(f *testing.F) {
 				s[i] = rng.Int31n(2*lim+1) - lim
 			}
 			return s
-		}
-
-		// macRows4, both strides.
-		for _, sw := range []int{1, 2} {
-			src := randI8((n-1)*sw + 1)
-			w := randI32(4, 127)
-			got := randI32(int32(4*stride), 1<<24)
-			want := append([]int32(nil), got...)
-			macRows4(got, stride, src, w, sw, n)
-			for r := 0; r < 4; r++ {
-				for i := 0; i < n; i++ {
-					want[r*stride+i] += w[r] * int32(src[i*sw])
-				}
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("macRows4 sw=%d n=%d stride=%d: acc[%d]=%d want %d", sw, n, stride, i, got[i], want[i])
-				}
-			}
-		}
-
-		// mac3Rows4: fused dense 3-tap, tap-major 12-weight row.
-		{
-			src := randI8(n + 2)
-			w := randI32(12, 127)
-			got := randI32(int32(4*stride), 1<<24)
-			want := append([]int32(nil), got...)
-			mac3Rows4(got, stride, src, w, n)
-			for r := 0; r < 4; r++ {
-				for i := 0; i < n; i++ {
-					want[r*stride+i] += w[r]*int32(src[i]) + w[4+r]*int32(src[i+1]) + w[8+r]*int32(src[i+2])
-				}
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("mac3Rows4 n=%d stride=%d: acc[%d]=%d want %d", n, stride, i, got[i], want[i])
-				}
-			}
 		}
 
 		// dw3Row: fused depthwise 3-tap.
@@ -99,37 +60,18 @@ func FuzzQKernelTile(f *testing.F) {
 			}
 		}
 
-		// dw3x3RowQ: the fused 3x3 depthwise tile over widths 1-9 and n,
-		// both strides, 1-3 input rows and every edge combination; slack 0
-		// forces the portable form, slack 40 lets the vector tile run (see
-		// FuzzFKernelTile), and the guards catch a stray masked store.
-		for _, tc := range dwTileCases(n) {
-			for _, slack := range []int{0, 40} {
-				x0, inW := tc.geometry(int(p1) % 3)
-				src := randI8(tc.nrows*inW + slack)
-				w := randI32(int32(3*tc.nrows), 127)
-				seed := randI32(1, 1<<24)[0]
-				const guard = 17
-				buf := randI32(int32(tc.cols+2*guard), 1<<24)
-				want := append([]int32(nil), buf...)
-				dw3x3RowQ(buf[guard:guard+tc.cols], src, x0, inW, tc.nrows, w, seed, tc.sw)
-				for i := 0; i < tc.cols; i++ {
-					v := seed
-					for r := 0; r < tc.nrows; r++ {
-						for k := 0; k < 3; k++ {
-							if c := x0 + i*tc.sw + k; c >= 0 && c < inW {
-								v += w[3*r+k] * int32(src[r*inW+c])
-							}
-						}
-					}
-					want[guard+i] = v
-				}
-				for i := range want {
-					if buf[i] != want[i] {
-						t.Fatalf("dw3x3RowQ %+v slack=%d inW=%d: dst[%d]=%d want %d", tc, slack, inW, i-guard, buf[i], want[i])
-					}
-				}
+		// dw3x3TileQ: the fused 3x3 depthwise tile with its in-register
+		// epilogue (see checkDWTiles) against requantRowRef, under every
+		// activation: a scale of 1/2 lands every odd accumulator on a
+		// rounding tie, a scale of 1 saturates both rails.
+		for i, scale := range []float32{0.5, 1, float32(p8)/7190 + 1e-6} {
+			c := dwChan[int8, int32]{scale: scale, bias: float32(int(p9)-128) / 3, act: nn.Activation(1 + (int(p9)+i)%3), tile: dw3x3TileQ,
+				store: func(c *dwChan[int8, int32], dst []int8, acc []int32) { requantRow(dst, acc, c.scale, c.bias, c.act) }}
+			if i < 2 {
+				c.bias = 0
 			}
+			fin := func(dst []int8, acc []int32) { requantRowRef(dst, acc, c.scale, c.bias, c.act) }
+			checkDWTiles(t, n, int(p1)%3, c, func() int8 { return int8(rng.Intn(256) - 128) }, fin, func(a, b int8) bool { return a == b })
 		}
 
 		// maxPairRow: 2x2 stride-2 max-pool row pair.
@@ -241,6 +183,51 @@ func FuzzQuantPointwise(f *testing.F) {
 			}
 			tiles := 1 + int(prows)%3
 			checkQpwTile(t, qpwActive, rng, inC, outC, tiles, tiles*qpwActive.nr+int(pstride)%70, act)
+		})
+	})
+}
+
+// FuzzQuantConv drives the GEMM walker's gather under every tile variant of
+// this host against the reference kernel over fuzzer-chosen kernel extents,
+// strides, padding, channel counts, grouping, map extents, activation and
+// parallelism, on the whole map and the tilings of checkQuantConvTiles. The
+// parameter tuple matches FuzzConvGeometry's, so corpora are interchangeable.
+// Run with `go test -fuzz=FuzzQuantConv ./internal/tensor`.
+func FuzzQuantConv(f *testing.F) {
+	// Seeds: MobileNetV1's stem (3x3 stride 2 pad 1, 3 -> 32 channels: 27
+	// taps, an odd trailing pair), a depthwise layer (groups == channels,
+	// which reaches the walker on the partial-width tiles), a grouped 5x5,
+	// a strided 1x1 and a 1x7 with padding wider than the map's margin.
+	f.Add(uint8(14), uint8(14), uint8(2), uint8(2), uint8(1), uint8(1), uint8(1), uint8(2), uint8(31), uint8(1))
+	f.Add(uint8(9), uint8(12), uint8(2), uint8(2), uint8(0), uint8(1), uint8(2), uint8(7), uint8(0), uint8(130))
+	f.Add(uint8(7), uint8(9), uint8(4), uint8(4), uint8(0), uint8(2), uint8(3), uint8(5), uint8(7), uint8(66))
+	f.Add(uint8(10), uint8(11), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(30), uint8(8), uint8(2))
+	f.Add(uint8(3), uint8(5), uint8(0), uint8(6), uint8(0), uint8(3), uint8(3), uint8(3), uint8(4), uint8(0))
+	f.Fuzz(func(t *testing.T, ph, pw, pkh, pkw, pstride, ppad, ppar, pinC, poutC, pact uint8) {
+		h, w := 1+int(ph)%16, 1+int(pw)%24
+		kh, kw := 1+int(pkh)%7, 1+int(pkw)%7
+		stride, pad := 1+int(pstride)%3, int(ppad)%4
+		inC, outC := 1+int(pinC)%40, 1+int(poutC)%24
+		groups := 1
+		switch int(pact) >> 6 {
+		case 1:
+			if inC%2 == 0 {
+				groups, outC = 2, outC+outC%2
+			}
+		case 2:
+			groups, outC = inC, inC
+		}
+		l := nn.Layer{Name: "fz", Kind: nn.Conv, KH: kh, KW: kw, SH: stride, SW: stride, PH: min(pad, kh-1), PW: min(pad, kw-1),
+			OutC: outC, Groups: groups, Act: nn.Activation(1 + int(pact)%3), BatchNorm: ppar%2 == 0}
+		if h+2*l.PH < kh || w+2*l.PW < kw {
+			return
+		}
+		qw := genQConv(genConv(int64(pinC)<<8|int64(poutC), "fzconv", &l, inC), &l, inC/groups, 0.03, 0.07)
+		in := randomQInput(inC, h, w, int64(pkh)<<8|int64(pkw))
+		full, _ := convRectGeom(&l, inC, h, w, partition.FullRect((h+2*l.PH-kh)/stride+1, outWidth(&l, w)))
+		ref := qconvForwardRef(in, full, &l, qw, 1)
+		eachQpwVariant(t, true, func(t *testing.T, vn string) {
+			checkQuantConvTiles(t, vn, in, &l, qw, ref, []int{1 + int(ppar)%4})
 		})
 	})
 }

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"pico/internal/nn"
-)
+import "pico/internal/nn"
 
 // Quantized kernels. All of them accumulate in int32 and emit int8 through
 // the shared requantize epilogue (see quant.go). Because integer addition is
@@ -12,20 +8,14 @@ import (
 // and still match qconvForwardRef bit for bit — the property tests assert
 // exactly that, mirroring the float32 contract.
 
-// qconvForward dispatches the blocked int8 convolution kernels, mirroring
-// convForward: the depthwise plane walker and the pointwise GEMM walker
-// (qpointwise.go) take full-width tiles, the general register-tiled kernel
-// everything else.
+// qconvForward dispatches the blocked int8 convolution kernels: a depthwise
+// layer over a full-width tile takes the plane walker (depthwise.go),
+// everything else the GEMM walker (qpointwise.go).
 func qconvForward(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
-	if g.fullWidth(in.W, outWidth(l, g.in.W)) {
-		switch {
-		case depthwise(l, in.C):
-			return qconvForwardDepthwise(in, g, l, qw, par)
-		case pointwise(l):
-			return qconvForwardPointwise(in, g, l, qw, par)
-		}
+	if depthwise(l, in.C) && g.fullWidth(in.W, outWidth(l, g.in.W)) {
+		return qconvForwardDepthwise(in, g, l, qw, par)
 	}
-	return qconvForwardBlocked(in, g, l, qw, par)
+	return qconvForwardGEMM(in, g, l, qw, par)
 }
 
 // qconvForwardRef is the naive per-element reference: for every output cell
@@ -70,131 +60,6 @@ func qconvForwardRef(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int)
 		}
 	})
 	return out
-}
-
-// qconvForwardBlocked is the general register-tiled int8 kernel: one work
-// unit is one output row of one oc-block; each input-row sweep feeds up to
-// ocBlockWidth int32 accumulator rows through the always-dense packed taps.
-// qconvRowBlk takes the tile's global column geometry, so strips and 2D grid
-// tiles run the same loop — per output pixel the same taps accumulate in an
-// order wrapping int32 addition is free to permute.
-func qconvForwardBlocked(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
-	g.mustCover(l, in.H, in.W)
-	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
-	out := AllocQ(l.OutC, outRows, outCols, 1)
-	data := out.Data // the closure captures the slice, not the tensor
-	icg := in.C / max(l.Groups, 1)
-	grain := grainFor(ocBlockWidth * icg * l.KH * l.KW * outCols)
-	parallelForGrain(len(qw.blocks)*outRows, par, grain, func(lo, hi int) {
-		accBuf := make([]int32, ocBlockWidth*outCols)
-		for u := lo; u < hi; u++ {
-			blk := &qw.blocks[u/outRows]
-			or := u % outRows
-			for i := range accBuf {
-				accBuf[i] = 0
-			}
-			for gi := 0; gi < icg; gi++ {
-				ic := blk.icBase + gi
-				for kh := 0; kh < l.KH; kh++ {
-					ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
-					if ih < 0 {
-						continue // zero padding row
-					}
-					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					pk32 := blk.packed32[(gi*l.KH+kh)*l.KW*ocBlockWidth:]
-					qconvRowBlk(accBuf, outCols, inRow, pk32, l.KW, l.SW, l.PW, g.out.Cols.Lo, g.colLo, g.in.W, outCols)
-				}
-			}
-			for b := 0; b < blk.width; b++ {
-				oc := blk.oc0 + b
-				dst := data[(oc*outRows+or)*outCols : (oc*outRows+or+1)*outCols]
-				requantRow(dst, accBuf[b*outCols:(b+1)*outCols], qw.effScale[oc], qw.effBias[oc], l.Act)
-			}
-		}
-	})
-	return out
-}
-
-// qconvRowBlk accumulates one packed int8 kernel row into four int32
-// accumulator rows (accBuf at stride accStride) in a single sweep over the
-// input row. Column geometry is expressed in GLOBAL coordinates so the same
-// primitive serves whole-width strips (outColLo = inColLo = 0, inWGlobal =
-// len(inRow)) and 2D grid tiles, whose tap bounds clamp against the full
-// feature map while indexing the local tile rows. Dense stride-1 and
-// stride-2 spans run through the vector tiles (see quant_simd.go).
-func qconvRowBlk(accBuf []int32, accStride int, inRow []int8, pk32 []int32, kw, sw, pw, outColLo, inColLo, inWGlobal, outCols int) {
-	if kw == 3 && sw == 1 && simdMac3 {
-		// Dense interior where all three taps land in-bounds: run the fused
-		// VPMADDWD tap-pair kernel there and sweep only the edge columns
-		// tap-by-tap. Wrapping int32 addition makes the tap regrouping
-		// bit-identical to the sequential tap sweep.
-		olo := pw - outColLo
-		if olo < 0 {
-			olo = 0
-		}
-		ohi := inWGlobal - 2 + pw - outColLo
-		if ohi > outCols {
-			ohi = outCols
-		}
-		if olo < ohi && ohi-olo >= 16 {
-			qconvRowBlkTaps(accBuf, accStride, inRow, pk32, kw, sw, pw, outColLo, inColLo, inWGlobal, 0, olo)
-			n := ohi - olo
-			iwFirst := outColLo + olo - pw - inColLo
-			if iwFirst < 0 || iwFirst+n+1 >= len(inRow) {
-				panic(fmt.Sprintf("tensor: qconv fused taps need cols [%d,%d] outside local row [0,%d)", iwFirst, iwFirst+n+1, len(inRow)))
-			}
-			mac3Rows4(accBuf[olo:], accStride, inRow[iwFirst:], pk32, n)
-			qconvRowBlkTaps(accBuf, accStride, inRow, pk32, kw, sw, pw, outColLo, inColLo, inWGlobal, ohi, outCols)
-			return
-		}
-	}
-	qconvRowBlkTaps(accBuf, accStride, inRow, pk32, kw, sw, pw, outColLo, inColLo, inWGlobal, 0, outCols)
-}
-
-// qconvRowBlkTaps sweeps taps one at a time over output columns [oclA,oclB)
-// of the row block; it is the edge/general form behind qconvRowBlk.
-func qconvRowBlkTaps(accBuf []int32, accStride int, inRow []int8, pk32 []int32, kw, sw, pw, outColLo, inColLo, inWGlobal, oclA, oclB int) {
-	for x := 0; x < kw; x++ {
-		// Global input column touched by tap x of the first output column.
-		base := outColLo*sw - pw + x
-		oclLo := oclA
-		if base < 0 {
-			if lo := (-base + sw - 1) / sw; lo > oclLo {
-				oclLo = lo
-			}
-		}
-		oclHi := oclB
-		if maxO := (inWGlobal - 1 - base) / sw; maxO+1 < oclHi {
-			oclHi = maxO + 1
-		}
-		if oclLo >= oclHi {
-			continue
-		}
-		n := oclHi - oclLo
-		iwFirst := base + oclLo*sw - inColLo
-		if iwFirst < 0 || iwFirst+(n-1)*sw >= len(inRow) {
-			panic(fmt.Sprintf("tensor: qconv tap needs cols [%d,%d] outside local row [0,%d)", iwFirst, iwFirst+(n-1)*sw, len(inRow)))
-		}
-		w := pk32[x*ocBlockWidth : x*ocBlockWidth+ocBlockWidth]
-		if sw <= 2 {
-			macRows4(accBuf[oclLo:], accStride, inRow[iwFirst:], w, sw, n)
-			continue
-		}
-		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-		a0 := accBuf
-		a1 := accBuf[accStride:]
-		a2 := accBuf[2*accStride:]
-		a3 := accBuf[3*accStride:]
-		iw := iwFirst
-		for ow := oclLo; ow < oclHi; ow++ {
-			vi := int32(inRow[iw])
-			a0[ow] += w0 * vi
-			a1[ow] += w1 * vi
-			a2[ow] += w2 * vi
-			a3[ow] += w3 * vi
-			iw += sw
-		}
-	}
 }
 
 // qpoolForward pools directly in the quantized domain: max pooling compares

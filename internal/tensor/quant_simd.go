@@ -7,8 +7,8 @@ package tensor
 // the split produces bit-identical accumulators to an all-scalar sweep, on
 // every architecture and for every split point.
 
-// simdQuant gates the vectorized int8 kernel surface (the pointwise tile has
-// its own variant table, see qpointwise.go).
+// simdQuant gates the vectorized int8 kernel surface (the GEMM tile has its
+// own variant table, see qpointwise.go).
 var simdQuant = simdQuantAvailable()
 
 // SIMDName reports the vector ISA the int8 kernels run on, down to the MAC
@@ -20,73 +20,6 @@ func SIMDName() string {
 		return ""
 	}
 	return qpwVariants[0].name
-}
-
-// macRows4 accumulates acc[r*accStride+i] += w[r]*src[i*sw] for r in
-// [0,4), i in [0,n). acc holds 4 rows at accStride; w must have 4 entries
-// of int8-range magnitude — they are unpacked quantized weights, and the
-// vector tiles multiply them through int16 lanes. src must have at least
-// (n-1)*sw+1 readable bytes.
-func macRows4(acc []int32, accStride int, src []int8, w []int32, sw, n int) {
-	i := 0
-	switch {
-	case simdQuant && sw == 1 && n >= 8:
-		m := n &^ 7
-		qmacRows4(&acc[0], accStride, &src[0], &w[0], m)
-		i = m
-	case simdQuant && sw == 2 && n >= 8:
-		// Each vector step loads 16 bytes; the scalar contract only
-		// guarantees 2n-1, so shave blocks until the last 16-byte load
-		// stays inside the span the caller owns.
-		m := n &^ 7
-		for m > 0 && 2*m > len(src) {
-			m -= 8
-		}
-		if m > 0 {
-			qmacRows4S2(&acc[0], accStride, &src[0], &w[0], m)
-			i = m
-		}
-	}
-	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-	a1 := acc[accStride:]
-	a2 := acc[2*accStride:]
-	a3 := acc[3*accStride:]
-	for ; i < n; i++ {
-		v := int32(src[i*sw])
-		acc[i] += w0 * v
-		a1[i] += w1 * v
-		a2[i] += w2 * v
-		a3[i] += w3 * v
-	}
-}
-
-// simdMac3 gates the fused 3-tap conv row kernel; only architectures where
-// pairing taps through a widening int16 multiply beats the per-tap sweep
-// implement it (amd64, where VPMULLD is the bottleneck).
-var simdMac3 = simdMac3Available()
-
-// mac3Rows4 accumulates the fused dense stride-1 3-tap sweep
-// acc[r*accStride+i] += w[x*4+r]*src[i+x] for r in [0,4), x in [0,3),
-// i in [0,n) — w is one kernel row of the tap-major packed32 layout, so
-// each entry is int8-range (the amd64 tile packs tap pairs into int16
-// lanes for VPMADDWD). src must have n+2 readable bytes.
-func mac3Rows4(acc []int32, accStride int, src []int8, w []int32, n int) {
-	i := 0
-	if simdMac3 && n >= 16 {
-		m := n &^ 15
-		qmac3Rows4(&acc[0], accStride, &src[0], &w[0], m)
-		i = m
-	}
-	a1 := acc[accStride:]
-	a2 := acc[2*accStride:]
-	a3 := acc[3*accStride:]
-	for ; i < n; i++ {
-		v0, v1, v2 := int32(src[i]), int32(src[i+1]), int32(src[i+2])
-		acc[i] += w[0]*v0 + w[4]*v1 + w[8]*v2
-		a1[i] += w[1]*v0 + w[5]*v1 + w[9]*v2
-		a2[i] += w[2]*v0 + w[6]*v1 + w[10]*v2
-		a3[i] += w[3]*v0 + w[7]*v1 + w[11]*v2
-	}
 }
 
 // dw3Row accumulates the fused 3-tap depthwise sweep acc[i] += w[0]*src[i]

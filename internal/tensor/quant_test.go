@@ -57,7 +57,7 @@ func TestQuantBlockedMatchesReferenceBitExact(t *testing.T) {
 			in := randomQInput(tc.inC, tc.h, tc.w, int64(100+ci))
 			outH := (tc.h+2*l.PH-l.KH)/l.SH + 1
 			ref := qconvForwardRef(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, qw, 1)
-			eachQpwVariant(t, pointwise(&l), func(t *testing.T, vn string) {
+			eachQpwVariant(t, !depthwise(&l, tc.inC), func(t *testing.T, vn string) {
 				for _, par := range []int{1, 3, 8} {
 					got := qconvForward(in, stripGeom(&l, in.C, in.W, 0, tc.h, 0, outH), &l, qw, par)
 					if !EqualQ(got, ref) {
@@ -339,13 +339,13 @@ func argmax(xs []float32) int {
 	return best
 }
 
-// eachQpwVariant runs fn once per pointwise tile variant the host supports
-// (the portable tile included) with that variant forced through the walker,
-// or once with the default when the case under test is not pointwise. fn
-// gets the variant's name for its failure messages.
-func eachQpwVariant(t *testing.T, isPointwise bool, fn func(t *testing.T, name string)) {
+// eachQpwVariant runs fn once per GEMM tile variant the host supports (the
+// portable tile included) with that variant forced through the walker, or
+// once with the default when the case under test never reaches the GEMM
+// walker. fn gets the variant's name for its failure messages.
+func eachQpwVariant(t *testing.T, gemm bool, fn func(t *testing.T, name string)) {
 	t.Helper()
-	if !isPointwise {
+	if !gemm {
 		fn(t, "default")
 		return
 	}
@@ -363,7 +363,7 @@ func eachQpwVariant(t *testing.T, isPointwise bool, fn func(t *testing.T, name s
 func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles, chanStride int, act nn.Activation) {
 	t.Helper()
 	l := nn.Layer{Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC, Act: act}
-	padded := (outC + qpwMR - 1) / qpwMR * qpwMR
+	padded := outC + qpwMR - 1
 	qw := &qconvWeights{
 		wq:       make([]int8, outC*inC),
 		effScale: make([]float32, outC, padded),
@@ -381,7 +381,7 @@ func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles,
 	for i := range src {
 		src[i] = int8(rng.Intn(256) - 128)
 	}
-	a := qpwCols{src: src, chanStride: chanStride, inC: inC}
+	a := qpwCols{src: src, rowStride: chanStride, k: inC}
 	if v.pack != nil {
 		a.panel = make([]int16, tiles*a.pairs()*v.nr*2)
 		v.pack(&a, tiles)
@@ -393,7 +393,7 @@ func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles,
 		for i := range got {
 			got[i] = guard
 		}
-		v.tile(got, stride, &a, qw, ob, tiles, act)
+		v.tile(got, stride, &a, qw, ob, ob*v.mr, tiles, act)
 		for b := 0; b < v.mr; b++ {
 			oc := ob*v.mr + b
 			for x := 0; x < stride; x++ {
@@ -477,6 +477,98 @@ func TestQpwVariantsMatchReference(t *testing.T) {
 	}
 }
 
+// convRectGeom is the geometry of computing `out` of conv l over an inH x inW
+// map from exactly the input region it reads, and that region.
+func convRectGeom(l *nn.Layer, inC, inH, inW int, out partition.Rect) (geom, partition.Rect) {
+	need := partition.Rect{
+		Rows: partition.Range{Lo: out.Rows.Lo*l.SH - l.PH, Hi: (out.Rows.Hi-1)*l.SH - l.PH + l.KH}.Clamp(inH),
+		Cols: partition.Range{Lo: out.Cols.Lo*l.SW - l.PW, Hi: (out.Cols.Hi-1)*l.SW - l.PW + l.KW}.Clamp(inW),
+	}
+	return geom{rowLo: need.Rows.Lo, colLo: need.Cols.Lo, in: nn.Shape{C: inC, H: inH, W: inW}, out: out}, need
+}
+
+// checkQuantConvTiles runs conv l over in as the whole map, as a strip whose
+// tile starts above the rows it needs, and as the cells of a 2x2 and a 1x3
+// output grid (column origins, taps clipped on each of the four sides and on
+// none), at every parallelism, against the matching region of ref.
+func checkQuantConvTiles(t *testing.T, tag string, in QTensor, l *nn.Layer, qw *qconvWeights, ref QTensor, pars []int) {
+	t.Helper()
+	outH, outW := ref.H, ref.W
+	rects := []partition.Rect{partition.FullRect(outH, outW)}
+	for _, grid := range [][2]int{{2, 2}, {1, 3}} {
+		for _, rows := range partition.Equal(outH, grid[0]) {
+			for _, cols := range partition.Equal(outW, grid[1]) {
+				rects = append(rects, partition.Rect{Rows: rows, Cols: cols})
+			}
+		}
+	}
+	for _, par := range pars {
+		for _, out := range rects {
+			if out.Empty() {
+				continue
+			}
+			g, need := convRectGeom(l, in.C, in.H, in.W, out)
+			got := qconvForward(MapOfQ(in).SliceRect(need).QTensor(), g, l, qw, par)
+			if want := MapOfQ(ref).SliceRect(out).QTensor(); !EqualQ(got, want) {
+				t.Fatalf("%s par=%d rect %v: differs from reference", tag, par, out)
+			}
+		}
+		if outH >= 3 {
+			out := partition.Rect{Rows: partition.Range{Lo: outH/3 + 1, Hi: outH}, Cols: partition.Full(outW)}
+			g, need := convRectGeom(l, in.C, in.H, in.W, out)
+			need.Rows.Lo = max(need.Rows.Lo-1, 0) // a tile one row taller than the strip needs
+			g.rowLo = need.Rows.Lo
+			got := qconvForward(MapOfQ(in).SliceRect(need).QTensor(), g, l, qw, par)
+			if want := MapOfQ(ref).SliceRect(out).QTensor(); !EqualQ(got, want) {
+				t.Fatalf("%s par=%d strip %v in tile rows %v: differs from reference", tag, par, out.Rows, need.Rows)
+			}
+		}
+	}
+}
+
+// TestQuantConvGEMMMatchesReference is the GEMM walker's convolution table:
+// every tile variant against the reference kernel byte for byte over kernel
+// shapes 1x1 (strided), 3x3, 5x5, 1x7 and 7x1, stride 1 and 2, padding 0, 1
+// and 3, input channels 1, 3, 31 and 64 (odd tap counts pair their last tap
+// with zero), output channels off the 8-channel block, groups 1, 2 and C (a
+// depthwise layer reaches the walker on partial-width tiles), all three
+// activations, and the tilings of checkQuantConvTiles at par 1, 2 and 5.
+func TestQuantConvGEMMMatchesReference(t *testing.T) {
+	kernels := [][2]int{{1, 1}, {3, 3}, {5, 5}, {1, 7}, {7, 1}}
+	acts := []nn.Activation{nn.NoAct, nn.ReLU, nn.LeakyReLU}
+	ci := 0
+	for _, k := range kernels {
+		for _, stride := range []int{1, 2} {
+			if k[0]*k[1] == 1 && stride == 1 {
+				continue // the in-place source: TestQpwVariantsMatchReference
+			}
+			for _, pad := range []int{0, 1, 3} {
+				for _, inC := range []int{1, 3, 31, 64} {
+					ci++
+					outC, groups := []int{1, 5, 9, 12, 20}[ci%5], 1
+					switch {
+					case ci%4 == 1 && inC%2 == 0:
+						groups, outC = 2, outC+outC%2
+					case ci%4 == 3:
+						groups, outC = inC, inC
+					}
+					l := nn.Layer{Name: "c", Kind: nn.Conv, KH: k[0], KW: k[1], SH: stride, SW: stride,
+						PH: min(pad, k[0]-1), PW: min(pad, k[1]-1), OutC: outC, Groups: groups, Act: acts[ci%3], BatchNorm: ci%2 == 0}
+					h, w := 9+ci%4, 8+ci%6
+					tag := fmt.Sprintf("%dx%d s%d p%d,%d %d->%d g%d on %dx%d", k[0], k[1], stride, l.PH, l.PW, inC, outC, groups, h, w)
+					qw := genQConv(genConv(int64(500+ci), "qgemm", &l, inC), &l, inC/groups, 0.03, 0.07)
+					in := randomQInput(inC, h, w, int64(600+ci))
+					full, _ := convRectGeom(&l, inC, h, w, partition.FullRect((h+2*l.PH-l.KH)/stride+1, outWidth(&l, w)))
+					ref := qconvForwardRef(in, full, &l, qw, 1)
+					eachQpwVariant(t, true, func(t *testing.T, vn string) {
+						checkQuantConvTiles(t, vn+" "+tag, in, &l, qw, ref, []int{1, 2, 5})
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestPoolFastMatchesReferenceBitExact pins the restructured float pool
 // loops to the original per-cell reference across geometries, tiles and
 // parallelism — the satellite counterpart of the conv blocked-vs-ref
@@ -548,7 +640,9 @@ func TestDepthwiseFusedRowBitExact(t *testing.T) {
 			convRow(want, in[kh*inW:(kh+1)*inW], row, sw, pw, 0, 0, inW, g.outW)
 		}
 		got := make([]float32, g.outW)
-		dwPlane(&g, in, 0, got, w, bias, dw3x3RowF)
+		c := dwChan[float32, float32]{g: &g, w: w, seed: bias, tile: dw3x3TileF,
+			store: func(_ *dwChan[float32, float32], dst, acc []float32) { copy(dst, acc) }}
+		dwPlane(&c, in, 0, got)
 		for i := range want {
 			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 				t.Fatalf("trial %d (inW=%d sw=%d pw=%d): col %d fused %g != ref %g", trial, inW, sw, pw, i, got[i], want[i])
@@ -557,26 +651,32 @@ func TestDepthwiseFusedRowBitExact(t *testing.T) {
 	}
 }
 
-// BenchmarkQpwVariants times the pointwise walker alone (no input
-// quantization) on MobileNetV1's five pointwise shapes under every tile
-// variant the host supports, at par=1:
+// BenchmarkQpwVariants times the GEMM walker alone (no input quantization)
+// under every tile variant the host supports, at par=1: MobileNetV1's five
+// pointwise shapes (in place), its stem (gather-bound: 27 taps under 32
+// channels) and VGG-style 3x3 layers from 576 to 4608 taps (tile-bound):
 //
 //	go test -run NONE -bench QpwVariants ./internal/tensor
 func BenchmarkQpwVariants(b *testing.B) {
-	for _, pw := range [][3]int{{112, 32, 64}, {56, 128, 128}, {28, 256, 256}, {14, 512, 512}, {7, 1024, 1024}} {
-		hw, inC, outC := pw[0], pw[1], pw[2]
-		l := nn.Layer{Name: "pw", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC, Act: nn.ReLU, BatchNorm: true}
-		qw := genQConv(genConv(1, "bpw", &l, inC), &l, inC, 0.03, 0.07)
-		in := randomQInput(inC, hw, hw, 2)
-		g := stripGeom(&l, inC, hw, 0, hw, 0, hw)
+	type shape struct{ hw, inC, outC, k, s int }
+	shapes := []shape{{112, 32, 64, 1, 1}, {56, 128, 128, 1, 1}, {28, 256, 256, 1, 1}, {14, 512, 512, 1, 1}, {7, 1024, 1024, 1, 1},
+		{224, 3, 32, 3, 2}, {28, 64, 64, 3, 1}, {56, 64, 128, 3, 1}, {28, 256, 256, 3, 1}, {14, 512, 512, 3, 1}}
+	for _, sh := range shapes {
+		l := nn.Layer{Name: "c", Kind: nn.Conv, KH: sh.k, KW: sh.k, SH: sh.s, SW: sh.s, PH: sh.k / 2, PW: sh.k / 2,
+			OutC: sh.outC, Act: nn.ReLU, BatchNorm: true}
+		qw := genQConv(genConv(1, "bpw", &l, sh.inC), &l, sh.inC, 0.03, 0.07)
+		in := randomQInput(sh.inC, sh.hw, sh.hw, 2)
+		outHW := outWidth(&l, sh.hw)
+		g := stripGeom(&l, sh.inC, sh.hw, 0, sh.hw, 0, outHW)
 		for _, v := range qpwVariants {
-			b.Run(fmt.Sprintf("%dx%d-%d/%s", hw, inC, outC, v.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%dx%dx%d-%d-s%d/%s", sh.k, sh.hw, sh.inC, sh.outC, sh.s, v.name), func(b *testing.B) {
 				defer func(v *qpwVariant) { qpwActive = v }(qpwActive)
 				qpwActive = v
 				for i := 0; i < b.N; i++ {
 					RecycleQ(qconvForward(in, g, &l, qw, 1))
 				}
-				b.ReportMetric(float64(hw*hw*inC*outC)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+				macs := float64(outHW * outHW * sh.k * sh.k * sh.inC * sh.outC)
+				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
 	}

@@ -30,16 +30,19 @@ func qpwTileAVX2(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tile
 //go:noescape
 func qpwTileVNNI(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
 
-// qpwArchVariants lists the pointwise tiles this CPU runs, fastest first.
-// Both share the pack routine, the panel and the weight layout.
+// qpwReadsBlocks: every amd64 tile reads the pair panel qconvWeights.pw.
+const qpwReadsBlocks = false
+
+// qpwArchVariants lists the GEMM tiles this CPU runs, fastest first. Both
+// share the pack routine, the panel and the weight layout.
 func qpwArchVariants() []*qpwVariant {
 	var vs []*qpwVariant
 	asm := func(name string, nr int, k func(*int8, int, *int16, *int32, int, int, *float32, *float32, int)) {
 		vs = append(vs, &qpwVariant{name: name, mr: qpwMR, nr: nr,
-			pack: func(a *qpwCols, tiles int) { qpwPack(&a.panel[0], &a.src[0], a.chanStride, a.inC, tiles, nr) },
-			tile: func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, tiles int, act nn.Activation) {
+			pack: func(a *qpwCols, tiles int) { qpwPack(&a.panel[0], &a.src[0], a.rowStride, a.k, tiles, nr) },
+			tile: func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation) {
 				k(&dst[0], dstStride, &a.panel[0], &qw.pw[ob*a.pairs()*qpwMR], a.pairs(), tiles,
-					&qw.effScale[ob*qpwMR : (ob+1)*qpwMR][0], &qw.effBias[ob*qpwMR : (ob+1)*qpwMR][0], actCode(act))
+					&qw.effScale[oc0 : oc0+qpwMR][0], &qw.effBias[oc0 : oc0+qpwMR][0], actCode(act))
 			}})
 	}
 	if hasVNNI {
@@ -50,28 +53,6 @@ func qpwArchVariants() []*qpwVariant {
 	}
 	return vs
 }
-
-// qmacRows4 accumulates acc[r*accStride+i] += wgt[r]*src[i] for four rows
-// (see simd_amd64.s).
-//
-//go:noescape
-func qmacRows4(acc *int32, accStride int, src *int8, wgt *int32, n int)
-
-// qmacRows4S2 is the stride-2 form: acc[r*accStride+i] += wgt[r]*src[2*i]
-// (see simd_amd64.s).
-//
-//go:noescape
-func qmacRows4S2(acc *int32, accStride int, src *int8, wgt *int32, n int)
-
-// qmac3Rows4 is the fused dense stride-1 3-tap form of qmacRows4 for
-// 3-wide kernel rows (see simd_amd64.s).
-//
-//go:noescape
-func qmac3Rows4(acc *int32, accStride int, src *int8, wgt *int32, n int)
-
-// simdMac3Available reports whether the fused 3-tap conv row kernel runs
-// on this host.
-func simdMac3Available() bool { return hasAVX2 }
 
 // qdw3Row fuses the three depthwise taps of one stride-1 row sweep
 // (see simd_amd64.s).
@@ -102,7 +83,7 @@ func qrequantRow8(dst *int8, acc *int32, scale, bias float32, act, n int)
 func qquantizeRow8(dst *int8, src *float32, inv float32, n int)
 
 // simdQuantAvailable reports whether the vectorized int8 kernel surface
-// (conv row blocks, depthwise taps, pool, fc dot) runs on this host.
+// (depthwise taps, pool, fc dot, requantize) runs on this host.
 func simdQuantAvailable() bool { return hasAVX2 }
 
 // simdFloatAvailable reports whether the vectorized float32 kernel surface
@@ -135,27 +116,27 @@ func fmac3Rows4(acc *float32, accStride int, src *float32, wgt *float32, n int)
 //go:noescape
 func fdw3Row(acc *float32, src *float32, wgt *float32, n int)
 
-// simdDW3x3Available reports whether the fused 3x3 depthwise row tiles run on
+// simdDW3x3Available reports whether the fused 3x3 depthwise tiles run on
 // this host.
 func simdDW3x3Available() bool { return hasAVX2 }
 
-// fdw3x3S1 and fdw3x3S2 are the float32 fused 3x3 depthwise row tiles for
-// column stride 1 and 2 (see simd_amd64.s).
-//
-//go:noescape
-func fdw3x3S1(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int)
-
-//go:noescape
-func fdw3x3S2(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int)
-
-// qdw3x3S1 and qdw3x3S2 are the int8 fused 3x3 depthwise row tiles for column
+// fdw3x3S1 and fdw3x3S2 are the float32 fused 3x3 depthwise tiles for column
 // stride 1 and 2 (see simd_amd64.s).
 //
 //go:noescape
-func qdw3x3S1(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int)
+func fdw3x3S1(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int)
 
 //go:noescape
-func qdw3x3S2(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int)
+func fdw3x3S2(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int)
+
+// qdw3x3S1 and qdw3x3S2 are the int8 fused 3x3 depthwise tiles for column
+// stride 1 and 2, requantize epilogue fused (see simd_amd64.s).
+//
+//go:noescape
+func qdw3x3S1(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int)
+
+//go:noescape
+func qdw3x3S2(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int)
 
 // fmacRow is the single-row float saxpy dst[i] += w*src[i]
 // (see simd_amd64.s).

@@ -60,92 +60,6 @@ DATA oddb<>+0(SB)/8, $0x0f0d0b0907050301
 DATA oddb<>+8(SB)/8, $0x8080808080808080
 GLOBL oddb<>(SB), RODATA, $16
 
-// func qmacRows4(acc *int32, accStride int, src *int8, wgt *int32, n int)
-//
-// acc[r*accStride+i] += wgt[r] * src[i] for r in [0,4), i in [0,n).
-// n must be a positive multiple of 8; the caller guarantees n readable
-// bytes at src and 3*accStride+n int32s at acc. VPMULLD/VPADDD wrap
-// exactly like Go int32 arithmetic, so the accumulators are bit-identical
-// to the scalar sweep.
-TEXT ·qmacRows4(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ accStride+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ wgt+24(FP), DX
-	MOVQ n+32(FP), CX
-	LEAQ (DI)(R8*4), R9
-	LEAQ (R9)(R8*4), R10
-	LEAQ (R10)(R8*4), R11
-	VPBROADCASTD (DX), Y12
-	VPBROADCASTD 4(DX), Y13
-	VPBROADCASTD 8(DX), Y14
-	VPBROADCASTD 12(DX), Y15
-	XORQ BX, BX
-mac4loop:
-	VPMOVSXBD (SI), Y8
-	VPMULLD Y8, Y12, Y9
-	VPADDD (DI)(BX*1), Y9, Y9
-	VMOVDQU Y9, (DI)(BX*1)
-	VPMULLD Y8, Y13, Y9
-	VPADDD (R9)(BX*1), Y9, Y9
-	VMOVDQU Y9, (R9)(BX*1)
-	VPMULLD Y8, Y14, Y9
-	VPADDD (R10)(BX*1), Y9, Y9
-	VMOVDQU Y9, (R10)(BX*1)
-	VPMULLD Y8, Y15, Y9
-	VPADDD (R11)(BX*1), Y9, Y9
-	VMOVDQU Y9, (R11)(BX*1)
-	ADDQ $8, SI
-	ADDQ $32, BX
-	SUBQ $8, CX
-	JNZ  mac4loop
-	VZEROUPPER
-	RET
-
-// func qmacRows4S2(acc *int32, accStride int, src *int8, wgt *int32, n int)
-//
-// Stride-2 form of qmacRows4: acc[r*accStride+i] += wgt[r] * src[2*i].
-// Each 8-column step loads 16 source bytes and compacts the even lanes
-// with VPSHUFB before the sign-extending widen, so the caller must
-// guarantee 2*n readable bytes at src. n must be a positive multiple of 8.
-TEXT ·qmacRows4S2(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ accStride+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ wgt+24(FP), DX
-	MOVQ n+32(FP), CX
-	LEAQ (DI)(R8*4), R9
-	LEAQ (R9)(R8*4), R10
-	LEAQ (R10)(R8*4), R11
-	VPBROADCASTD (DX), Y12
-	VPBROADCASTD 4(DX), Y13
-	VPBROADCASTD 8(DX), Y14
-	VPBROADCASTD 12(DX), Y15
-	VMOVDQU evenb<>(SB), X7
-	XORQ BX, BX
-mac4s2loop:
-	VMOVDQU (SI), X8
-	VPSHUFB X7, X8, X8
-	VPMOVSXBD X8, Y8
-	VPMULLD Y8, Y12, Y9
-	VPADDD (DI)(BX*1), Y9, Y9
-	VMOVDQU Y9, (DI)(BX*1)
-	VPMULLD Y8, Y13, Y9
-	VPADDD (R9)(BX*1), Y9, Y9
-	VMOVDQU Y9, (R9)(BX*1)
-	VPMULLD Y8, Y14, Y9
-	VPADDD (R10)(BX*1), Y9, Y9
-	VMOVDQU Y9, (R10)(BX*1)
-	VPMULLD Y8, Y15, Y9
-	VPADDD (R11)(BX*1), Y9, Y9
-	VMOVDQU Y9, (R11)(BX*1)
-	ADDQ $16, SI
-	ADDQ $32, BX
-	SUBQ $8, CX
-	JNZ  mac4s2loop
-	VZEROUPPER
-	RET
-
 // func qdw3Row(acc *int32, src *int8, wgt *int32, n int)
 //
 // Fused 3-tap depthwise row: acc[i] += w0*src[i] + w1*src[i+1] + w2*src[i+2].
@@ -670,118 +584,6 @@ vnpair:
 	VZEROUPPER
 	RET
 
-DATA qmask16<>+0(SB)/4, $0x0000ffff
-GLOBL qmask16<>(SB), RODATA, $4
-
-// func qmac3Rows4(acc *int32, accStride int, src *int8, wgt *int32, n int)
-//
-// Fused dense stride-1 3-tap form of qmacRows4 for 3-wide kernel rows:
-//
-//	acc[r*accStride+i] += wgt[r]*src[i] + wgt[4+r]*src[i+1] + wgt[8+r]*src[i+2]
-//
-// (wgt in the packed tap-major layout pk32[x*4+b]). Taps 0 and 1 run as
-// int16 pairs through VPMADDWD — products are at most 128*128 so the pair
-// sums are exact — and tap 2 through VPMULLD; the combination wrap-adds
-// like Go int32, and each accumulator row is loaded and stored once per
-// 16 columns instead of once per tap. n must be a positive multiple of 16
-// with n+2 readable bytes at src.
-TEXT ·qmac3Rows4(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ accStride+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ wgt+24(FP), DX
-	MOVQ n+32(FP), CX
-	LEAQ (DI)(R8*4), R9
-	LEAQ (R9)(R8*4), R10
-	LEAQ (R10)(R8*4), R11
-	VPBROADCASTD qmask16<>(SB), Y11
-	VPBROADCASTD (DX), Y8
-	VPBROADCASTD 16(DX), Y9
-	VPAND  Y11, Y8, Y8
-	VPSLLD $16, Y9, Y9
-	VPOR   Y9, Y8, Y12
-	VPBROADCASTD 4(DX), Y8
-	VPBROADCASTD 20(DX), Y9
-	VPAND  Y11, Y8, Y8
-	VPSLLD $16, Y9, Y9
-	VPOR   Y9, Y8, Y13
-	VPBROADCASTD 8(DX), Y8
-	VPBROADCASTD 24(DX), Y9
-	VPAND  Y11, Y8, Y8
-	VPSLLD $16, Y9, Y9
-	VPOR   Y9, Y8, Y14
-	VPBROADCASTD 12(DX), Y8
-	VPBROADCASTD 28(DX), Y9
-	VPAND  Y11, Y8, Y8
-	VPSLLD $16, Y9, Y9
-	VPOR   Y9, Y8, Y15
-	XORQ BX, BX
-mac3loop:
-	VPMOVSXBW (SI), Y0    // columns i..i+15 as int16
-	VPMOVSXBW 1(SI), Y1   // columns i+1..i+16
-	VPUNPCKLWD Y1, Y0, Y2 // (tap0,tap1) pairs, columns 0..3 | 8..11
-	VPUNPCKHWD Y1, Y0, Y3 // columns 4..7 | 12..15
-	VPMOVSXBD 2(SI), Y4   // tap 2, columns 0..7 as int32
-	VPMOVSXBD 10(SI), Y5  // tap 2, columns 8..15
-	VPMADDWD Y2, Y12, Y6
-	VPMADDWD Y3, Y12, Y7
-	VPERM2I128 $0x20, Y7, Y6, Y10
-	VPERM2I128 $0x31, Y7, Y6, Y11
-	VPBROADCASTD 32(DX), Y6
-	VPMULLD Y4, Y6, Y7
-	VPADDD Y7, Y10, Y10
-	VPMULLD Y5, Y6, Y7
-	VPADDD Y7, Y11, Y11
-	VPADDD (DI)(BX*1), Y10, Y10
-	VMOVDQU Y10, (DI)(BX*1)
-	VPADDD 32(DI)(BX*1), Y11, Y11
-	VMOVDQU Y11, 32(DI)(BX*1)
-	VPMADDWD Y2, Y13, Y6
-	VPMADDWD Y3, Y13, Y7
-	VPERM2I128 $0x20, Y7, Y6, Y10
-	VPERM2I128 $0x31, Y7, Y6, Y11
-	VPBROADCASTD 36(DX), Y6
-	VPMULLD Y4, Y6, Y7
-	VPADDD Y7, Y10, Y10
-	VPMULLD Y5, Y6, Y7
-	VPADDD Y7, Y11, Y11
-	VPADDD (R9)(BX*1), Y10, Y10
-	VMOVDQU Y10, (R9)(BX*1)
-	VPADDD 32(R9)(BX*1), Y11, Y11
-	VMOVDQU Y11, 32(R9)(BX*1)
-	VPMADDWD Y2, Y14, Y6
-	VPMADDWD Y3, Y14, Y7
-	VPERM2I128 $0x20, Y7, Y6, Y10
-	VPERM2I128 $0x31, Y7, Y6, Y11
-	VPBROADCASTD 40(DX), Y6
-	VPMULLD Y4, Y6, Y7
-	VPADDD Y7, Y10, Y10
-	VPMULLD Y5, Y6, Y7
-	VPADDD Y7, Y11, Y11
-	VPADDD (R10)(BX*1), Y10, Y10
-	VMOVDQU Y10, (R10)(BX*1)
-	VPADDD 32(R10)(BX*1), Y11, Y11
-	VMOVDQU Y11, 32(R10)(BX*1)
-	VPMADDWD Y2, Y15, Y6
-	VPMADDWD Y3, Y15, Y7
-	VPERM2I128 $0x20, Y7, Y6, Y10
-	VPERM2I128 $0x31, Y7, Y6, Y11
-	VPBROADCASTD 44(DX), Y6
-	VPMULLD Y4, Y6, Y7
-	VPADDD Y7, Y10, Y10
-	VPMULLD Y5, Y6, Y7
-	VPADDD Y7, Y11, Y11
-	VPADDD (R11)(BX*1), Y10, Y10
-	VMOVDQU Y10, (R11)(BX*1)
-	VPADDD 32(R11)(BX*1), Y11, Y11
-	VMOVDQU Y11, 32(R11)(BX*1)
-	ADDQ $16, SI
-	ADDQ $64, BX
-	SUBQ $16, CX
-	JNZ  mac3loop
-	VZEROUPPER
-	RET
-
 // ---------------------------------------------------------------------------
 // Float32 kernels. Float addition is not associative, so unlike the int8
 // tiles these may not reorder anything: every vector lane holds an
@@ -1277,62 +1079,96 @@ fepileaky:
 	JMP  fepistore
 
 // ---------------------------------------------------------------------------
-// Fused 3x3 depthwise row tiles (see dwTile in depthwise.go). One call
-// produces a span of one output row from the nrows (1..3) input rows in
-// range: n interior columns, all three taps in range,
+// Fused 3x3 depthwise tiles (see dwTile in depthwise.go). One call produces a
+// span of `rows` consecutive output rows of one channel plane — output rows
+// outW apart, their input rows sh*rowStride apart:
 //
-//	dst[i] = seed + sum over r < nrows, k < 3 of w[3r+k]*src[r*rowStride+i*sw+k]
+//	dst[i] = fin(seed + sum over q, k < 3 of w[3q+k]*src[q*rowStride+i*sw+k])
 //
-// plus, when left (right) is 1, the edge column before (after) them, whose
-// tap 0 (tap 2) falls in the zero padding and is skipped: dst[-1] chains taps
-// 1 and 2, dst[n] chains taps 0 and 1. dst and src address the first interior
-// column. The accumulators are seeded in-register and never loaded, every
-// step is computed over full vectors, and the last partial step is stored
-// under a lane mask — so any n >= 1 works, at the price of reading ahead to
-// the end of the last step (the Go wrappers check that span is addressable).
-// Edge columns are scalar, ahead of the loop. Only nrows*3 weights are read.
+// where src = in+off is kernel row 0 of the first output row, global input row
+// ih; kernel row q of a row is skipped while ih+q is outside [0, inH), as is
+// the one tap of an edge column that falls in the zero padding. Accumulators
+// are seeded in-register and never loaded, every step is computed over full
+// vectors and the last partial step is stored exactly — so any width >= 1
+// works, at the price of reading ahead to the end of the last step (the Go
+// wrappers check that span is addressable).
 //
-// Register plan of all four tiles: DI dst, SI/R10/R11 the three input rows
-// (R8 the row stride in elements), R9 nrows, DX the taps, CX n, R12/R13
-// left/right, Y6 the seed.
+// Register plan of all four tiles: SI/R10/R11 the input rows under the three
+// kernel rows (never read while outside the map), R9 the global row of the
+// first, BX the byte offset of the step within them, DI the output row
+// (float) or the step's output (int8, whose row lives in the dst argument
+// slot), CX the columns left in the row, R8 and DX the row steps in bytes
+// (input, output), AX the kernel rows of the current output row that are
+// inside the map, as bits.
 
-// dwmask is 16 all-ones dwords followed by 16 zero dwords: the 8 (or 16)
-// lanes starting rem dwords before the boundary mask the first rem lanes.
+// dwmask is 8 all-ones dwords followed by 8 zero dwords: the 8 lanes starting
+// rem dwords before the boundary mask the first rem lanes.
 DATA dwmask<>+0(SB)/8, $0xffffffffffffffff
 DATA dwmask<>+8(SB)/8, $0xffffffffffffffff
 DATA dwmask<>+16(SB)/8, $0xffffffffffffffff
 DATA dwmask<>+24(SB)/8, $0xffffffffffffffff
-DATA dwmask<>+32(SB)/8, $0xffffffffffffffff
-DATA dwmask<>+40(SB)/8, $0xffffffffffffffff
-DATA dwmask<>+48(SB)/8, $0xffffffffffffffff
-DATA dwmask<>+56(SB)/8, $0xffffffffffffffff
-DATA dwmask<>+64(SB)/8, $0
-DATA dwmask<>+72(SB)/8, $0
-DATA dwmask<>+80(SB)/8, $0
-DATA dwmask<>+88(SB)/8, $0
-DATA dwmask<>+96(SB)/8, $0
-DATA dwmask<>+104(SB)/8, $0
-DATA dwmask<>+112(SB)/8, $0
-DATA dwmask<>+120(SB)/8, $0
-GLOBL dwmask<>(SB), RODATA, $128
+DATA dwmask<>+32(SB)/8, $0
+DATA dwmask<>+40(SB)/8, $0
+DATA dwmask<>+48(SB)/8, $0
+DATA dwmask<>+56(SB)/8, $0
+GLOBL dwmask<>(SB), RODATA, $64
 
-// Float row pointers and taps: Y7..Y15 are the taps of the rows in range.
+// DW_ROWS_IN sets bit q of AX iff kernel row q of the current output row is
+// inside the map: 0 <= R9+q < inH as one unsigned compare each, whose borrow
+// ADC shifts in. Clobbers BX.
+#define DW_ROWS_IN \
+	XORQ AX, AX \
+	LEAQ 2(R9), BX \
+	CMPQ BX, inH+40(FP) \
+	ADCQ AX, AX \
+	LEAQ 1(R9), BX \
+	CMPQ BX, inH+40(FP) \
+	ADCQ AX, AX \
+	CMPQ R9, inH+40(FP) \
+	ADCQ AX, AX
+
+// The float tiles take dst and off at the first INTERIOR column (all three
+// taps in range): n of those, plus, when left (right) is 1, the edge column
+// before (after) them: dst[-1] chains taps 1 and 2, dst[n] chains taps 0 and
+// 1, scalar, ahead of each row's loop. fin is the identity; Y6 is the seed,
+// Y7..Y15 the nine taps.
 #define FDW_SETUP \
+	MOVQ dst+0(FP), DI \
+	MOVQ in+8(FP), SI \
+	MOVQ off+16(FP), AX \
+	LEAQ (SI)(AX*4), SI \
+	MOVQ rowStride+24(FP), R8 \
+	MOVQ ih+32(FP), R9 \
+	MOVQ w+48(FP), DX \
+	VBROADCASTSS bias+56(FP), Y6 \
+	MOVQ left+72(FP), R12 \
+	MOVQ right+80(FP), R13 \
 	LEAQ (SI)(R8*4), R10 \
 	LEAQ (R10)(R8*4), R11 \
 	VBROADCASTSS (DX), Y7 \
 	VBROADCASTSS 4(DX), Y8 \
 	VBROADCASTSS 8(DX), Y9 \
-	CMPQ R9, $2 \
-	JL   ready \
 	VBROADCASTSS 12(DX), Y10 \
 	VBROADCASTSS 16(DX), Y11 \
 	VBROADCASTSS 20(DX), Y12 \
-	CMPQ R9, $3 \
-	JL   ready \
 	VBROADCASTSS 24(DX), Y13 \
 	VBROADCASTSS 28(DX), Y14 \
-	VBROADCASTSS 32(DX), Y15
+	VBROADCASTSS 32(DX), Y15 \
+	IMULQ sh+96(FP), R8 \
+	SHLQ $2, R8 \
+	MOVQ outW+104(FP), DX \
+	SHLQ $2, DX
+
+#define FDW_NEXT_ROW \
+	ADDQ sh+96(FP), R9 \
+	ADDQ R8, SI \
+	ADDQ R8, R10 \
+	ADDQ R8, R11 \
+	ADDQ DX, DI \
+	DECQ rows+88(FP) \
+	JNZ  row \
+	VZEROUPPER \
+	RET
 
 // One input row of a float edge column: its two taps in range, scalar, into
 // X0 — the same multiply-then-add chain as a vector lane. The left column's
@@ -1354,11 +1190,11 @@ GLOBL dwmask<>(SB), RODATA, $128
 // separate VMULPS/VADDPS into the running accumulator Y0 (src1, like the
 // scalar `acc + w*v`).
 #define FDW_S1_ROW(base, w0, w1, w2) \
-	VMULPS (base), w0, Y1 \
+	VMULPS (base)(BX*1), w0, Y1 \
 	VADDPS Y1, Y0, Y0 \
-	VMULPS 4(base), w1, Y1 \
+	VMULPS 4(base)(BX*1), w1, Y1 \
 	VADDPS Y1, Y0, Y0 \
-	VMULPS 8(base), w2, Y1 \
+	VMULPS 8(base)(BX*1), w2, Y1 \
 	VADDPS Y1, Y0, Y0
 
 // One stride-2 input row: 17 floats deinterleaved into the three taps of 8
@@ -1366,11 +1202,11 @@ GLOBL dwmask<>(SB), RODATA, $128
 // half, so all three taps — and therefore the accumulator — carry columns in
 // the order 0 1 4 5 | 2 3 6 7; one VPERMPD before the store undoes it.
 #define FDW_S2_ROW(base, w0, w1, w2) \
-	VMOVUPS (base), Y1 \
-	VSHUFPS $0x88, 32(base), Y1, Y1 \
-	VMOVUPS 4(base), Y2 \
-	VSHUFPS $0x88, 36(base), Y2, Y3 \
-	VSHUFPS $0xDD, 36(base), Y2, Y2 \
+	VMOVUPS (base)(BX*1), Y1 \
+	VSHUFPS $0x88, 32(base)(BX*1), Y1, Y1 \
+	VMOVUPS 4(base)(BX*1), Y2 \
+	VSHUFPS $0x88, 36(base)(BX*1), Y2, Y3 \
+	VSHUFPS $0xDD, 36(base)(BX*1), Y2, Y2 \
 	VMULPS Y1, w0, Y1 \
 	VADDPS Y1, Y0, Y0 \
 	VMULPS Y3, w1, Y3 \
@@ -1378,180 +1214,249 @@ GLOBL dwmask<>(SB), RODATA, $128
 	VMULPS Y2, w2, Y2 \
 	VADDPS Y2, Y0, Y0
 
-// func fdw3x3S1(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int)
-TEXT ·fdw3x3S1(SB), NOSPLIT, $0-72
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rowStride+16(FP), R8
-	MOVQ nrows+24(FP), R9
-	MOVQ w+32(FP), DX
-	VBROADCASTSS bias+40(FP), Y6
-	MOVQ n+48(FP), CX
-	MOVQ left+56(FP), R12
-	MOVQ right+64(FP), R13
+// func fdw3x3S1(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int)
+TEXT ·fdw3x3S1(SB), NOSPLIT, $0-112
 	FDW_SETUP
-ready:
+row:
+	DW_ROWS_IN
+	MOVQ n+64(FP), CX
 	TESTQ R12, R12
 	JZ   noleft
 	VMOVAPS X6, X0
+	TESTQ $1, AX
+	JZ   l1
 	FDW_EDGE_ROW(SI, 0, 4, X8, X9)
-	CMPQ R9, $2
-	JL   leftdone
+l1:
+	TESTQ $2, AX
+	JZ   l2
 	FDW_EDGE_ROW(R10, 0, 4, X11, X12)
-	CMPQ R9, $3
-	JL   leftdone
+l2:
+	TESTQ $4, AX
+	JZ   l3
 	FDW_EDGE_ROW(R11, 0, 4, X14, X15)
-leftdone:
+l3:
 	VMOVSS X0, -4(DI)
 noleft:
 	TESTQ R13, R13
-	JZ   loop
+	JZ   interior
 	LEAQ (CX*4), R14 // byte offset of the right column's tap 0
 	VMOVAPS X6, X0
+	TESTQ $1, AX
+	JZ   r1
 	FDW_EDGE_ROWX(SI, X7, X8)
-	CMPQ R9, $2
-	JL   rightdone
+r1:
+	TESTQ $2, AX
+	JZ   r2
 	FDW_EDGE_ROWX(R10, X10, X11)
-	CMPQ R9, $3
-	JL   rightdone
+r2:
+	TESTQ $4, AX
+	JZ   r3
 	FDW_EDGE_ROWX(R11, X13, X14)
-rightdone:
+r3:
 	VMOVSS X0, (DI)(CX*4)
+interior:
+	XORQ BX, BX
 loop:
 	VMOVAPS Y6, Y0
+	TESTQ $1, AX
+	JZ   m1
 	FDW_S1_ROW(SI, Y7, Y8, Y9)
-	CMPQ R9, $2
-	JL   store
+m1:
+	TESTQ $2, AX
+	JZ   m2
 	FDW_S1_ROW(R10, Y10, Y11, Y12)
-	CMPQ R9, $3
-	JL   store
+m2:
+	TESTQ $4, AX
+	JZ   m3
 	FDW_S1_ROW(R11, Y13, Y14, Y15)
-store:
+m3:
 	CMPQ CX, $8
-	JL   tail
-	VMOVUPS Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, DI
+	JLT  tail
+	VMOVUPS Y0, (DI)(BX*1)
+	ADDQ $32, BX
 	SUBQ $8, CX
 	JNZ  loop
-	VZEROUPPER
-	RET
+	JMP  next
 tail:
-	LEAQ dwmask<>(SB), AX
+	LEAQ dwmask<>(SB), R14
 	SHLQ $2, CX
-	SUBQ CX, AX
-	VMOVDQU 64(AX), Y1
-	VMASKMOVPS Y0, Y1, (DI)
-	VZEROUPPER
-	RET
+	SUBQ CX, R14
+	VMOVDQU 32(R14), Y1
+	VMASKMOVPS Y0, Y1, (DI)(BX*1)
+next:
+	FDW_NEXT_ROW
 
-// func fdw3x3S2(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int)
-TEXT ·fdw3x3S2(SB), NOSPLIT, $0-72
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rowStride+16(FP), R8
-	MOVQ nrows+24(FP), R9
-	MOVQ w+32(FP), DX
-	VBROADCASTSS bias+40(FP), Y6
-	MOVQ n+48(FP), CX
-	MOVQ left+56(FP), R12
-	MOVQ right+64(FP), R13
+// func fdw3x3S2(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int)
+TEXT ·fdw3x3S2(SB), NOSPLIT, $0-112
 	FDW_SETUP
-ready:
+row:
+	DW_ROWS_IN
+	MOVQ n+64(FP), CX
 	TESTQ R12, R12
 	JZ   noleft
 	VMOVAPS X6, X0
+	TESTQ $1, AX
+	JZ   l1
 	FDW_EDGE_ROW(SI, -4, 0, X8, X9)
-	CMPQ R9, $2
-	JL   leftdone
+l1:
+	TESTQ $2, AX
+	JZ   l2
 	FDW_EDGE_ROW(R10, -4, 0, X11, X12)
-	CMPQ R9, $3
-	JL   leftdone
+l2:
+	TESTQ $4, AX
+	JZ   l3
 	FDW_EDGE_ROW(R11, -4, 0, X14, X15)
-leftdone:
+l3:
 	VMOVSS X0, -4(DI)
 noleft:
 	TESTQ R13, R13
-	JZ   loop
+	JZ   interior
 	LEAQ (CX*8), R14 // byte offset of the right column's tap 0
 	VMOVAPS X6, X0
+	TESTQ $1, AX
+	JZ   r1
 	FDW_EDGE_ROWX(SI, X7, X8)
-	CMPQ R9, $2
-	JL   rightdone
+r1:
+	TESTQ $2, AX
+	JZ   r2
 	FDW_EDGE_ROWX(R10, X10, X11)
-	CMPQ R9, $3
-	JL   rightdone
+r2:
+	TESTQ $4, AX
+	JZ   r3
 	FDW_EDGE_ROWX(R11, X13, X14)
-rightdone:
+r3:
 	VMOVSS X0, (DI)(CX*4)
+interior:
+	XORQ BX, BX
+	XORQ R14, R14 // byte offset of the step within the output row
 loop:
 	VMOVAPS Y6, Y0
+	TESTQ $1, AX
+	JZ   m1
 	FDW_S2_ROW(SI, Y7, Y8, Y9)
-	CMPQ R9, $2
-	JL   store
+m1:
+	TESTQ $2, AX
+	JZ   m2
 	FDW_S2_ROW(R10, Y10, Y11, Y12)
-	CMPQ R9, $3
-	JL   store
+m2:
+	TESTQ $4, AX
+	JZ   m3
 	FDW_S2_ROW(R11, Y13, Y14, Y15)
-store:
+m3:
 	VPERMPD $0xD8, Y0, Y0
 	CMPQ CX, $8
-	JL   tail
-	VMOVUPS Y0, (DI)
-	ADDQ $64, SI
-	ADDQ $64, R10
-	ADDQ $64, R11
-	ADDQ $32, DI
+	JLT  tail
+	VMOVUPS Y0, (DI)(R14*1)
+	ADDQ $64, BX
+	ADDQ $32, R14
 	SUBQ $8, CX
 	JNZ  loop
-	VZEROUPPER
-	RET
+	JMP  next
 tail:
-	LEAQ dwmask<>(SB), AX
+	LEAQ dwmask<>(SB), BX
 	SHLQ $2, CX
-	SUBQ CX, AX
-	VMOVDQU 64(AX), Y1
-	VMASKMOVPS Y0, Y1, (DI)
-	VZEROUPPER
-	RET
+	SUBQ CX, BX
+	VMOVDQU 32(BX), Y1
+	VMASKMOVPS Y0, Y1, (DI)(R14*1)
+next:
+	FDW_NEXT_ROW
 
-// Int8 weights arrive as int32s of int8 range; each row's taps are packed
-// into two int16-pair multiplicands for VPMADDWD: WA = (w0, w1) and
-// WB = (0, w2). Products are at most 128*128, so pair sums are exact and the
-// int32 accumulation wraps like Go's.
+// The int8 tiles take dst and off at the span's FIRST column — one byte
+// before the row when left is 1 — and `cols` columns including the edges. An
+// edge column's padding tap is not skipped but masked to zero, which adds
+// nothing to a wrapping int32: a row's first and last steps AND their
+// sign-extended loads with int16 lane masks that are all-ones except, in the
+// first step, the lane of input byte 0 (left) and, in the last, the lane of
+// the byte after the last column's tap 1 (right) — a byte only that column and
+// the discarded lanes past it read. Accumulators start at zero (the int8 seed)
+// and fin is qrequantRow8's operation sequence per lane and activation
+// (convert, separate multiply and add, activation, clamp, round half away,
+// truncate); the clamp at -128 is left to the saturating packs, which no
+// value that passed the clamp at 127 can otherwise reach.
+//
+// Registers beyond the shared plan: R12 and R13 the step's lane masks (L0; L1
+// and, two bytes on, L2), R14 the last step's, the `left` argument slot the
+// first step's; Y7/Y8, Y9/Y10, Y11/Y12 the packed taps of the three kernel
+// rows, Y13 scale, Y14 bias, Y5 127.0, Y6 0.5, Y15 the sign mask.
+
+// qdwlanes is 17 all-ones int16 lanes, one zero lane, 16 all-ones lanes: the
+// 32 bytes from lane 17-e on are a mask that clears lane e, and the masks at
+// lanes 0 and 1 clear nothing.
+DATA qdwlanes<>+0(SB)/8, $0xffffffffffffffff
+DATA qdwlanes<>+8(SB)/8, $0xffffffffffffffff
+DATA qdwlanes<>+16(SB)/8, $0xffffffffffffffff
+DATA qdwlanes<>+24(SB)/8, $0xffffffffffffffff
+DATA qdwlanes<>+32(SB)/8, $0xffffffff0000ffff
+DATA qdwlanes<>+40(SB)/8, $0xffffffffffffffff
+DATA qdwlanes<>+48(SB)/8, $0xffffffffffffffff
+DATA qdwlanes<>+56(SB)/8, $0xffffffffffffffff
+DATA qdwlanes<>+64(SB)/8, $0x00000000ffffffff
+GLOBL qdwlanes<>(SB), RODATA, $72
+
+// qdwzip interleaves, per 128-bit lane, bytes 0..3 with bytes 4..7 into the
+// lane's low 8 bytes.
+DATA qdwzip<>+0(SB)/8, $0x0703060205010400
+DATA qdwzip<>+8(SB)/8, $0x8080808080808080
+DATA qdwzip<>+16(SB)/8, $0x0703060205010400
+DATA qdwzip<>+24(SB)/8, $0x8080808080808080
+GLOBL qdwzip<>(SB), RODATA, $32
+
+// Int8 weights: each kernel row's taps are packed into two int16-pair
+// multiplicands for VPMADDWD: WA = (w0, w1) and WB = (0, w2). Products are at
+// most 128*128, so pair sums are exact and the int32 accumulation wraps like
+// Go's.
 #define QDW_PACK(o0, o1, o2, WA, WB) \
-	VPBROADCASTD o0(DX), WA \
-	VPBROADCASTD o1(DX), Y4 \
-	VPBROADCASTD o2(DX), WB \
-	VPAND  Y5, WA, WA \
-	VPSLLD $16, Y4, Y4 \
-	VPOR   Y4, WA, WA \
-	VPSLLD $16, WB, WB
+	MOVBLSX o0(DX), AX \
+	MOVBLSX o1(DX), BX \
+	ANDL $0xffff, AX \
+	SHLL $16, BX \
+	ORL  BX, AX \
+	VMOVQ AX, X2 \
+	VPBROADCASTD X2, WA \
+	MOVBLSX o2(DX), AX \
+	SHLL $16, AX \
+	VMOVQ AX, X2 \
+	VPBROADCASTD X2, WB
 
-// Int8 row pointers and taps: Y7/Y8, Y9/Y10, Y11/Y12 are the packed
-// (WA, WB) of the rows in range.
+// Everything of an int8 tile's set-up that does not depend on the stride.
+// Leaves R14 at qdwlanes, the last step's masks when right is 0.
 #define QDW_SETUP \
+	MOVQ dst+0(FP), DI \
+	MOVQ in+8(FP), SI \
+	ADDQ off+16(FP), SI \
+	MOVQ rowStride+24(FP), R8 \
+	MOVQ ih+32(FP), R9 \
+	MOVQ w+48(FP), DX \
 	LEAQ (SI)(R8*1), R10 \
 	LEAQ (R10)(R8*1), R11 \
-	VPBROADCASTD qmask16<>(SB), Y5 \
-	QDW_PACK(0, 4, 8, Y7, Y8) \
-	CMPQ R9, $2 \
-	JL   ready \
-	QDW_PACK(12, 16, 20, Y9, Y10) \
-	CMPQ R9, $3 \
-	JL   ready \
-	QDW_PACK(24, 28, 32, Y11, Y12)
+	QDW_PACK(0, 1, 2, Y7, Y8) \
+	QDW_PACK(3, 4, 5, Y9, Y10) \
+	QDW_PACK(6, 7, 8, Y11, Y12) \
+	VBROADCASTSS scale+104(FP), Y13 \
+	VBROADCASTSS bias+108(FP), Y14 \
+	VBROADCASTSS qf127<>(SB), Y5 \
+	VBROADCASTSS qfhalf<>(SB), Y6 \
+	VBROADCASTSS qfsign<>(SB), Y15 \
+	IMULQ sh+88(FP), R8 \
+	MOVQ outW+96(FP), DX \
+	LEAQ qdwlanes<>(SB), R14 \
+	MOVQ left+64(FP), BX \
+	IMUL3Q $34, BX, BX \
+	ADDQ R14, BX \
+	MOVQ BX, left+64(FP)
 
-// One input row of an int8 edge column: its two taps in range into AX.
-#define QDW_EDGE_ROW(a, b, wa, wb) \
-	MOVBLSX a, R14 \
-	IMULL wa, R14 \
-	ADDL R14, AX \
-	MOVBLSX b, R14 \
-	IMULL wb, R14 \
-	ADDL R14, AX
+#define QDW_NEXT_ROW \
+	ADDQ sh+88(FP), R9 \
+	ADDQ R8, SI \
+	ADDQ R8, R10 \
+	ADDQ R8, R11 \
+	MOVQ dst+0(FP), DI \
+	ADDQ DX, DI \
+	MOVQ DI, dst+0(FP) \
+	DECQ rows+80(FP) \
+	JNZ  row \
+	VZEROUPPER \
+	RET
 
 // One stride-1 int8 row, 16 columns. Sign-extending 16 bytes to int16 makes
 // dword j the pair (s[2j], s[2j+1]); loading at byte offsets 0, 1 and 2
@@ -1559,10 +1464,20 @@ tail:
 //
 //	out[2j]   = L0.(w0,w1) + L1.(0,w2)   (even columns, Y0)
 //	out[2j+1] = L1.(w0,w1) + L2.(0,w2)   (odd columns, Y1)
-#define QDW_S1_ROW(base, WA, WB) \
-	VPMOVSXBW (base), Y2 \
-	VPMOVSXBW 1(base), Y3 \
-	VPMOVSXBW 2(base), Y4 \
+//
+// Input byte 0 is lane 0 of L0; with r columns left in the row the byte after
+// the last column's tap 1 is byte r+1: lane r of L1, lane r-1 of L2.
+#define QDW_S1_LOAD(base) \
+	VPMOVSXBW (base)(BX*1), Y2 \
+	VPMOVSXBW 1(base)(BX*1), Y3 \
+	VPMOVSXBW 2(base)(BX*1), Y4
+
+#define QDW_S1_MASK \
+	VPAND (R12), Y2, Y2 \
+	VPAND (R13), Y3, Y3 \
+	VPAND 2(R13), Y4, Y4
+
+#define QDW_S1_MAC(WA, WB) \
 	VPMADDWD Y2, WA, Y2 \
 	VPADDD   Y2, Y0, Y0 \
 	VPMADDWD Y3, WB, Y2 \
@@ -1574,160 +1489,255 @@ tail:
 
 // One stride-2 int8 row, 8 columns: the byte pairs of L0 are already taps 0
 // and 1 of consecutive output columns, and L1 (one byte on) carries tap 2 in
-// its high halves — stride 2 needs no shuffle at all.
-#define QDW_S2_ROW(base, WA, WB) \
-	VPMOVSXBW (base), Y2 \
-	VPMOVSXBW 1(base), Y3 \
+// its high halves — stride 2 needs no shuffle at all. With r columns left
+// the byte after the last column's tap 1 is byte 2r: lane 2r-1 of L1.
+#define QDW_S2_LOAD(base) \
+	VPMOVSXBW (base)(BX*1), Y2 \
+	VPMOVSXBW 1(base)(BX*1), Y3
+
+#define QDW_S2_MASK \
+	VPAND (R12), Y2, Y2 \
+	VPAND (R13), Y3, Y3
+
+#define QDW_S2_MAC(WA, WB) \
 	VPMADDWD Y2, WA, Y2 \
 	VPADDD   Y2, Y0, Y0 \
 	VPMADDWD Y3, WB, Y3 \
 	VPADDD   Y3, Y0, Y0
 
-// func qdw3x3S1(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int)
-TEXT ·qdw3x3S1(SB), NOSPLIT, $0-72
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rowStride+16(FP), R8
-	MOVQ nrows+24(FP), R9
-	MOVQ w+32(FP), DX
-	MOVL seed+40(FP), BX
-	MOVQ n+48(FP), CX
-	MOVQ left+56(FP), R12
-	MOVQ right+64(FP), R13
-	MOVQ BX, X6
-	VPBROADCASTD X6, Y6
-	QDW_SETUP
-ready:
-	TESTQ R12, R12
-	JZ   noleft
-	MOVL BX, AX
-	QDW_EDGE_ROW(0(SI), 1(SI), 4(DX), 8(DX))
-	CMPQ R9, $2
-	JL   leftdone
-	QDW_EDGE_ROW(0(R10), 1(R10), 16(DX), 20(DX))
-	CMPQ R9, $3
-	JL   leftdone
-	QDW_EDGE_ROW(0(R11), 1(R11), 28(DX), 32(DX))
-leftdone:
-	MOVL AX, -4(DI)
-noleft:
-	TESTQ R13, R13
-	JZ   loop
-	MOVL BX, AX
-	QDW_EDGE_ROW((SI)(CX*1), 1(SI)(CX*1), 0(DX), 4(DX))
-	CMPQ R9, $2
-	JL   rightdone
-	QDW_EDGE_ROW((R10)(CX*1), 1(R10)(CX*1), 12(DX), 16(DX))
-	CMPQ R9, $3
-	JL   rightdone
-	QDW_EDGE_ROW((R11)(CX*1), 1(R11)(CX*1), 24(DX), 28(DX))
-rightdone:
-	MOVL AX, (DI)(CX*4)
-loop:
-	VMOVDQA Y6, Y0
-	VMOVDQA Y6, Y1
-	QDW_S1_ROW(SI, Y7, Y8)
-	CMPQ R9, $2
-	JL   store
-	QDW_S1_ROW(R10, Y9, Y10)
-	CMPQ R9, $3
-	JL   store
-	QDW_S1_ROW(R11, Y11, Y12)
-store:
-	// Interleave even and odd columns back into ascending order.
-	VPUNPCKLDQ Y1, Y0, Y2 // columns 0..3 | 8..11
-	VPUNPCKHDQ Y1, Y0, Y3 // columns 4..7 | 12..15
-	VPERM2I128 $0x20, Y3, Y2, Y0
-	VPERM2I128 $0x31, Y3, Y2, Y1
-	CMPQ CX, $16
-	JL   tail
-	VMOVDQU Y0, (DI)
-	VMOVDQU Y1, 32(DI)
-	ADDQ $16, SI
-	ADDQ $16, R10
-	ADDQ $16, R11
-	ADDQ $64, DI
-	SUBQ $16, CX
-	JNZ  loop
-	VZEROUPPER
-	RET
-tail:
-	LEAQ dwmask<>(SB), AX
-	SHLQ $2, CX
-	SUBQ CX, AX
-	VMOVDQU 64(AX), Y2
-	VMOVDQU 96(AX), Y3
-	VPMASKMOVD Y0, Y2, (DI)
-	VPMASKMOVD Y1, Y3, 32(DI)
-	VZEROUPPER
-	RET
+// The epilogue of 8 int32 lanes in three parts around the activation branch.
+#define QDW_AFFINE(acc) \
+	VCVTDQ2PS acc, acc \
+	VMULPS Y13, acc, acc \
+	VADDPS Y14, acc, acc
 
-// func qdw3x3S2(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int)
-TEXT ·qdw3x3S2(SB), NOSPLIT, $0-72
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rowStride+16(FP), R8
-	MOVQ nrows+24(FP), R9
-	MOVQ w+32(FP), DX
-	MOVL seed+40(FP), BX
-	MOVQ n+48(FP), CX
-	MOVQ left+56(FP), R12
-	MOVQ right+64(FP), R13
-	MOVQ BX, X6
-	VPBROADCASTD X6, Y6
+#define QDW_LEAKY(acc) \
+	VMULPS Y2, acc, Y3 \
+	VCMPPS $1, Y4, acc, Y4 \
+	VBLENDVPS Y4, Y3, acc, acc \
+	VXORPS Y4, Y4, Y4
+
+#define QDW_ROUND(acc) \
+	VMINPS Y5, acc, acc \
+	VANDPS Y15, acc, Y2 \
+	VORPS  Y6, Y2, Y2 \
+	VADDPS Y2, acc, acc \
+	VCVTTPS2DQ acc, acc
+
+// After ReLU no lane is negative, so copysign(0.5, v) is 0.5.
+#define QDW_ROUND_POS(acc) \
+	VMINPS Y5, acc, acc \
+	VADDPS Y6, acc, acc \
+	VCVTTPS2DQ acc, acc
+
+// QDW_STORE_LT8 stores the low CX&7 bytes of X0 at (DI).
+#define QDW_STORE_LT8 \
+	VMOVQ X0, BX \
+	TESTQ $4, CX \
+	JZ   lt4 \
+	MOVL BX, (DI) \
+	SHRQ $32, BX \
+	ADDQ $4, DI \
+lt4: \
+	TESTQ $2, CX \
+	JZ   lt2 \
+	MOVW BX, (DI) \
+	SHRQ $16, BX \
+	ADDQ $2, DI \
+lt2: \
+	TESTQ $1, CX \
+	JZ   next \
+	MOVB BX, (DI)
+
+// func qdw3x3S1(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int)
+TEXT ·qdw3x3S1(SB), NOSPLIT, $0-120
 	QDW_SETUP
-ready:
-	TESTQ R12, R12
-	JZ   noleft
-	MOVL BX, AX
-	QDW_EDGE_ROW(-1(SI), 0(SI), 4(DX), 8(DX))
-	CMPQ R9, $2
-	JL   leftdone
-	QDW_EDGE_ROW(-1(R10), 0(R10), 16(DX), 20(DX))
-	CMPQ R9, $3
-	JL   leftdone
-	QDW_EDGE_ROW(-1(R11), 0(R11), 28(DX), 32(DX))
-leftdone:
-	MOVL AX, -4(DI)
-noleft:
-	TESTQ R13, R13
-	JZ   loop
-	MOVL BX, AX
-	QDW_EDGE_ROW((SI)(CX*2), 1(SI)(CX*2), 0(DX), 4(DX))
-	CMPQ R9, $2
-	JL   rightdone
-	QDW_EDGE_ROW((R10)(CX*2), 1(R10)(CX*2), 12(DX), 16(DX))
-	CMPQ R9, $3
-	JL   rightdone
-	QDW_EDGE_ROW((R11)(CX*2), 1(R11)(CX*2), 24(DX), 28(DX))
-rightdone:
-	MOVL AX, (DI)(CX*4)
-loop:
-	VMOVDQA Y6, Y0
-	QDW_S2_ROW(SI, Y7, Y8)
-	CMPQ R9, $2
-	JL   store
-	QDW_S2_ROW(R10, Y9, Y10)
-	CMPQ R9, $3
-	JL   store
-	QDW_S2_ROW(R11, Y11, Y12)
-store:
-	CMPQ CX, $8
-	JL   tail
-	VMOVDQU Y0, (DI)
-	ADDQ $16, SI
-	ADDQ $16, R10
-	ADDQ $16, R11
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JNZ  loop
-	VZEROUPPER
-	RET
+	CMPQ right+72(FP), $0
+	JEQ  row
+	MOVQ cols+56(FP), BX
+	DECQ BX
+	ANDQ $15, BX
+	NEGQ BX
+	LEAQ 32(R14)(BX*2), R14 // lane 17 - r, r = columns of the last step
+row:
+	DW_ROWS_IN
+	MOVQ cols+56(FP), CX
+	XORQ BX, BX
+	MOVQ left+64(FP), R12
+step:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	LEAQ qdwlanes<>(SB), R13
+	CMPQ CX, $16
+	JGT  masks
+	MOVQ R14, R13
+masks:
+	CMPQ R12, R13
+	JEQ  plain // neither the row's first step nor its last
+	TESTQ $1, AX
+	JZ   m1
+	QDW_S1_LOAD(SI)
+	QDW_S1_MASK
+	QDW_S1_MAC(Y7, Y8)
+m1:
+	TESTQ $2, AX
+	JZ   m2
+	QDW_S1_LOAD(R10)
+	QDW_S1_MASK
+	QDW_S1_MAC(Y9, Y10)
+m2:
+	TESTQ $4, AX
+	JZ   fin
+	QDW_S1_LOAD(R11)
+	QDW_S1_MASK
+	QDW_S1_MAC(Y11, Y12)
+	JMP  fin
+plain:
+	TESTQ $1, AX
+	JZ   p1
+	QDW_S1_LOAD(SI)
+	QDW_S1_MAC(Y7, Y8)
+p1:
+	TESTQ $2, AX
+	JZ   p2
+	QDW_S1_LOAD(R10)
+	QDW_S1_MAC(Y9, Y10)
+p2:
+	TESTQ $4, AX
+	JZ   fin
+	QDW_S1_LOAD(R11)
+	QDW_S1_MAC(Y11, Y12)
+fin:
+	QDW_AFFINE(Y0)
+	QDW_AFFINE(Y1)
+	VXORPS Y4, Y4, Y4
+	CMPQ act+112(FP), $1
+	JLT  round
+	JGT  leaky
+	VMAXPS Y4, Y0, Y0
+	VMAXPS Y4, Y1, Y1
+	QDW_ROUND_POS(Y0)
+	QDW_ROUND_POS(Y1)
+	JMP  narrow
+leaky:
+	VBROADCASTSS qftenth<>(SB), Y2
+	QDW_LEAKY(Y0)
+	QDW_LEAKY(Y1)
+round:
+	QDW_ROUND(Y0)
+	QDW_ROUND(Y1)
+narrow:
+	// Even columns in Y0, odd in Y1: narrow, then zip them per lane.
+	VPACKSSDW Y1, Y0, Y0 // words of columns 0 2 4 6, 1 3 5 7 | 8 .. 14, 9 .. 15
+	VPACKSSWB Y0, Y0, Y0
+	VPSHUFB qdwzip<>(SB), Y0, Y0 // bytes of columns 0..7 | 8..15
+	VPERMQ $0x08, Y0, Y0
+	CMPQ CX, $16
+	JLT  tail
+	VMOVDQU X0, (DI)
+	LEAQ qdwlanes<>(SB), R12
+	ADDQ $16, BX
+	ADDQ $16, DI
+	SUBQ $16, CX
+	JNZ  step
+	JMP  next
 tail:
-	LEAQ dwmask<>(SB), AX
-	SHLQ $2, CX
-	SUBQ CX, AX
-	VMOVDQU 64(AX), Y2
-	VPMASKMOVD Y0, Y2, (DI)
-	VZEROUPPER
-	RET
+	TESTQ $8, CX
+	JZ   lt8
+	VMOVQ X0, (DI)
+	VPSRLDQ $8, X0, X0
+	ADDQ $8, DI
+lt8:
+	QDW_STORE_LT8
+next:
+	QDW_NEXT_ROW
+
+// func qdw3x3S2(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int)
+TEXT ·qdw3x3S2(SB), NOSPLIT, $0-120
+	QDW_SETUP
+	CMPQ right+72(FP), $0
+	JEQ  row
+	MOVQ cols+56(FP), BX
+	DECQ BX
+	ANDQ $7, BX
+	SHLQ $1, BX
+	NEGQ BX
+	LEAQ 32(R14)(BX*2), R14 // lane 17 - (2r-1), r = columns of the last step
+row:
+	DW_ROWS_IN
+	MOVQ cols+56(FP), CX
+	XORQ BX, BX
+	MOVQ left+64(FP), R12
+step:
+	VPXOR Y0, Y0, Y0
+	LEAQ qdwlanes<>(SB), R13
+	CMPQ CX, $8
+	JGT  masks
+	MOVQ R14, R13
+masks:
+	CMPQ R12, R13
+	JEQ  plain // neither the row's first step nor its last
+	TESTQ $1, AX
+	JZ   m1
+	QDW_S2_LOAD(SI)
+	QDW_S2_MASK
+	QDW_S2_MAC(Y7, Y8)
+m1:
+	TESTQ $2, AX
+	JZ   m2
+	QDW_S2_LOAD(R10)
+	QDW_S2_MASK
+	QDW_S2_MAC(Y9, Y10)
+m2:
+	TESTQ $4, AX
+	JZ   fin
+	QDW_S2_LOAD(R11)
+	QDW_S2_MASK
+	QDW_S2_MAC(Y11, Y12)
+	JMP  fin
+plain:
+	TESTQ $1, AX
+	JZ   p1
+	QDW_S2_LOAD(SI)
+	QDW_S2_MAC(Y7, Y8)
+p1:
+	TESTQ $2, AX
+	JZ   p2
+	QDW_S2_LOAD(R10)
+	QDW_S2_MAC(Y9, Y10)
+p2:
+	TESTQ $4, AX
+	JZ   fin
+	QDW_S2_LOAD(R11)
+	QDW_S2_MAC(Y11, Y12)
+fin:
+	QDW_AFFINE(Y0)
+	VXORPS Y4, Y4, Y4
+	CMPQ act+112(FP), $1
+	JLT  round
+	JGT  leaky
+	VMAXPS Y4, Y0, Y0
+	QDW_ROUND_POS(Y0)
+	JMP  narrow
+leaky:
+	VBROADCASTSS qftenth<>(SB), Y2
+	QDW_LEAKY(Y0)
+round:
+	QDW_ROUND(Y0)
+narrow:
+	VEXTRACTI128 $1, Y0, X1
+	VPACKSSDW X1, X0, X0
+	VPACKSSWB X0, X0, X0
+	CMPQ CX, $8
+	JLT  tail
+	VMOVQ X0, (DI)
+	LEAQ qdwlanes<>(SB), R12
+	ADDQ $16, BX
+	ADDQ $8, DI
+	SUBQ $8, CX
+	JNZ  step
+	JMP  next
+tail:
+	QDW_STORE_LT8
+next:
+	QDW_NEXT_ROW

@@ -41,18 +41,6 @@ func probeNEON() bool {
 //go:noescape
 func qpwTile16(acc *int32, src *int8, wgt *int32, inC, chanStride int)
 
-// qmacRows4 accumulates acc[r*accStride+i] += wgt[r]*src[i] for four rows
-// (see simd_arm64.s).
-//
-//go:noescape
-func qmacRows4(acc *int32, accStride int, src *int8, wgt *int32, n int)
-
-// qmacRows4S2 is the stride-2 form: acc[r*accStride+i] += wgt[r]*src[2*i]
-// (see simd_arm64.s).
-//
-//go:noescape
-func qmacRows4S2(acc *int32, accStride int, src *int8, wgt *int32, n int)
-
 // qdw3Row fuses the three depthwise taps of one stride-1 row sweep
 // (see simd_arm64.s).
 //
@@ -82,23 +70,17 @@ func qrequantRow8(dst *int8, acc *int32, scale, bias float32, act, n int)
 func qquantizeRow8(dst *int8, src *float32, inv float32, n int)
 
 // simdQuantAvailable reports whether the vectorized int8 kernel surface
-// (conv row blocks, depthwise taps, pool, fc dot) runs on this host.
+// (depthwise taps, pool, fc dot, requantize) runs on this host.
 func simdQuantAvailable() bool { return hasNEON }
 
-// simdMac3Available reports whether the fused 3-tap conv row kernel runs on
-// this host. The fusion exists to dodge amd64's slow VPMULLD by pairing
-// taps through VPMADDWD; NEON's SMLAL path has no such bottleneck, so
-// arm64 keeps the straightforward per-tap qmacRows4 sweep.
-func simdMac3Available() bool { return false }
+// qpwReadsBlocks: the NEON tile reads qconvWeights.blocks.
+const qpwReadsBlocks = true
 
-func qmac3Rows4(acc *int32, accStride int, src *int8, wgt *int32, n int) {
-	panic("tensor: qmac3Rows4 is not implemented on arm64")
-}
-
-// qpwArchVariants lists the pointwise tile this CPU runs: the SMLAL tile,
-// which reads the int8 activations in place (no pack step — the widening
-// multiply-accumulate consumes bytes directly) over the 4-wide packed32
-// blocks, with the shared epilogue per channel row.
+// qpwArchVariants lists the GEMM tile this CPU runs: the SMLAL tile, which
+// reads the int8 taps in place — the tile's own channel planes or the
+// gathered block, no pack step: the widening multiply-accumulate consumes
+// bytes directly — over the 4-wide int32 weight blocks, with the shared epilogue
+// per channel row.
 func qpwArchVariants() []*qpwVariant {
 	if !hasNEON {
 		return nil
@@ -106,12 +88,12 @@ func qpwArchVariants() []*qpwVariant {
 	return []*qpwVariant{{name: "neon", mr: ocBlockWidth, nr: 16, tile: qpwTileNEON}}
 }
 
-func qpwTileNEON(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, tiles int, act nn.Activation) {
-	blk := &qw.blocks[ob]
-	scale, bias := qw.effScale[blk.oc0:blk.oc0+ocBlockWidth], qw.effBias[blk.oc0:blk.oc0+ocBlockWidth]
+func qpwTileNEON(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation) {
+	blk := qw.blocks[ob]
+	scale, bias := qw.effScale[oc0:oc0+ocBlockWidth], qw.effBias[oc0:oc0+ocBlockWidth]
 	var acc [ocBlockWidth * 16]int32
 	for t := 0; t < tiles; t++ {
-		qpwTile16(&acc[0], &a.src[t*16], &blk.packed32[0], a.inC, a.chanStride)
+		qpwTile16(&acc[0], &a.src[t*16], &blk[0], a.k, a.rowStride)
 		for b := 0; b < ocBlockWidth; b++ {
 			requantRow(dst[b*dstStride+t*16:][:16], acc[b*16:][:16], scale[b], bias[b], act)
 		}
@@ -185,23 +167,23 @@ func fgapSum8(dst *float32, src *float32, chanStride, n int)
 //go:noescape
 func fepiRow(dst *float32, scale, shift float32, bn, act, n int)
 
-// simdDW3x3Available reports whether the fused 3x3 depthwise row tiles run on
+// simdDW3x3Available reports whether the fused 3x3 depthwise tiles run on
 // this host: never on arm64, which composes the
 // portable tile from the NEON per-row sweeps (fdw3Row/qdw3Row) instead.
 func simdDW3x3Available() bool { return false }
 
-func fdw3x3S1(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int) {
+func fdw3x3S1(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int) {
 	panic("tensor: fdw3x3S1 is not implemented on arm64")
 }
 
-func fdw3x3S2(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int) {
+func fdw3x3S2(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int) {
 	panic("tensor: fdw3x3S2 is not implemented on arm64")
 }
 
-func qdw3x3S1(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int) {
+func qdw3x3S1(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int) {
 	panic("tensor: qdw3x3S1 is not implemented on arm64")
 }
 
-func qdw3x3S2(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int) {
+func qdw3x3S2(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int) {
 	panic("tensor: qdw3x3S2 is not implemented on arm64")
 }

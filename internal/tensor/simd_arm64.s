@@ -117,98 +117,6 @@ pwloop:
 	VST1.P [V12.S4, V13.S4, V14.S4, V15.S4], 64(R0)
 	RET
 
-// func qmacRows4(acc *int32, accStride int, src *int8, wgt *int32, n int)
-//
-// acc[r*accStride+i] += wgt[r]*src[i] for r in [0,4), i in [0,n).
-// n must be a positive multiple of 8.
-TEXT ·qmacRows4(SB), NOSPLIT, $0-40
-	MOVD acc+0(FP), R0
-	MOVD accStride+8(FP), R1
-	MOVD src+16(FP), R2
-	MOVD wgt+24(FP), R3
-	MOVD n+32(FP), R4
-	LSL  $2, R1, R1       // row stride in bytes
-	ADD  R1, R0, R5
-	ADD  R1, R5, R6
-	ADD  R1, R6, R7
-	MOVW 0(R3), R8
-	VDUP R8, V20.H8
-	MOVW 4(R3), R8
-	VDUP R8, V21.H8
-	MOVW 8(R3), R8
-	VDUP R8, V22.H8
-	MOVW 12(R3), R8
-	VDUP R8, V23.H8
-macloop:
-	VLD1.P 8(R2), [V16.B8]
-	SSHLL8H(16, 16)
-	VLD1 (R0), [V24.S4, V25.S4]
-	SMLAL4S(20, 16, 24)
-	SMLAL24S(20, 16, 25)
-	VST1.P [V24.S4, V25.S4], 32(R0)
-	VLD1 (R5), [V26.S4, V27.S4]
-	SMLAL4S(21, 16, 26)
-	SMLAL24S(21, 16, 27)
-	VST1.P [V26.S4, V27.S4], 32(R5)
-	VLD1 (R6), [V24.S4, V25.S4]
-	SMLAL4S(22, 16, 24)
-	SMLAL24S(22, 16, 25)
-	VST1.P [V24.S4, V25.S4], 32(R6)
-	VLD1 (R7), [V26.S4, V27.S4]
-	SMLAL4S(23, 16, 26)
-	SMLAL24S(23, 16, 27)
-	VST1.P [V26.S4, V27.S4], 32(R7)
-	SUBS $8, R4
-	BNE  macloop
-	RET
-
-// func qmacRows4S2(acc *int32, accStride int, src *int8, wgt *int32, n int)
-//
-// The stride-2 form: acc[r*accStride+i] += wgt[r]*src[2*i]. Each step
-// loads 16 source bytes and keeps the even ones via the VLD2
-// deinterleave, so src must have 2n readable bytes (the Go wrapper
-// shaves blocks until that holds). n must be a positive multiple of 8.
-TEXT ·qmacRows4S2(SB), NOSPLIT, $0-40
-	MOVD acc+0(FP), R0
-	MOVD accStride+8(FP), R1
-	MOVD src+16(FP), R2
-	MOVD wgt+24(FP), R3
-	MOVD n+32(FP), R4
-	LSL  $2, R1, R1
-	ADD  R1, R0, R5
-	ADD  R1, R5, R6
-	ADD  R1, R6, R7
-	MOVW 0(R3), R8
-	VDUP R8, V20.H8
-	MOVW 4(R3), R8
-	VDUP R8, V21.H8
-	MOVW 8(R3), R8
-	VDUP R8, V22.H8
-	MOVW 12(R3), R8
-	VDUP R8, V23.H8
-macs2loop:
-	VLD2.P 16(R2), [V16.B8, V17.B8]
-	SSHLL8H(16, 16)
-	VLD1 (R0), [V24.S4, V25.S4]
-	SMLAL4S(20, 16, 24)
-	SMLAL24S(20, 16, 25)
-	VST1.P [V24.S4, V25.S4], 32(R0)
-	VLD1 (R5), [V26.S4, V27.S4]
-	SMLAL4S(21, 16, 26)
-	SMLAL24S(21, 16, 27)
-	VST1.P [V26.S4, V27.S4], 32(R5)
-	VLD1 (R6), [V24.S4, V25.S4]
-	SMLAL4S(22, 16, 24)
-	SMLAL24S(22, 16, 25)
-	VST1.P [V24.S4, V25.S4], 32(R6)
-	VLD1 (R7), [V26.S4, V27.S4]
-	SMLAL4S(23, 16, 26)
-	SMLAL24S(23, 16, 27)
-	VST1.P [V26.S4, V27.S4], 32(R7)
-	SUBS $8, R4
-	BNE  macs2loop
-	RET
-
 // func qdw3Row(acc *int32, src *int8, wgt *int32, n int)
 //
 // The fused depthwise 3-tap row sweep: acc[i] += wgt[0]*src[i] +

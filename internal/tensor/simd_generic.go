@@ -7,22 +7,11 @@ package tensor
 
 func simdQuantAvailable() bool { return false }
 
-// qpwArchVariants is empty: the pointwise walker runs the portable tile.
+// qpwArchVariants is empty: the GEMM walker runs the portable tile, which
+// reads the pair panel qconvWeights.pw.
 func qpwArchVariants() []*qpwVariant { return nil }
 
-func qmacRows4(acc *int32, accStride int, src *int8, wgt *int32, n int) {
-	panic("tensor: qmacRows4 without SIMD support")
-}
-
-func qmacRows4S2(acc *int32, accStride int, src *int8, wgt *int32, n int) {
-	panic("tensor: qmacRows4S2 without SIMD support")
-}
-
-func simdMac3Available() bool { return false }
-
-func qmac3Rows4(acc *int32, accStride int, src *int8, wgt *int32, n int) {
-	panic("tensor: qmac3Rows4 without SIMD support")
-}
+const qpwReadsBlocks = false
 
 func qdw3Row(acc *int32, src *int8, wgt *int32, n int) {
 	panic("tensor: qdw3Row without SIMD support")
@@ -86,22 +75,22 @@ func fepiRow(dst *float32, scale, shift float32, bn, act, n int) {
 	panic("tensor: fepiRow without SIMD support")
 }
 
-// simdDW3x3Available reports whether the fused 3x3 depthwise row tiles run on
+// simdDW3x3Available reports whether the fused 3x3 depthwise tiles run on
 // this host: never on scalar-only builds.
 func simdDW3x3Available() bool { return false }
 
-func fdw3x3S1(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int) {
+func fdw3x3S1(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int) {
 	panic("tensor: fdw3x3S1 without SIMD support")
 }
 
-func fdw3x3S2(dst, src *float32, rowStride, nrows int, w *float32, bias float32, n, left, right int) {
+func fdw3x3S2(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int) {
 	panic("tensor: fdw3x3S2 without SIMD support")
 }
 
-func qdw3x3S1(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int) {
+func qdw3x3S1(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int) {
 	panic("tensor: qdw3x3S1 without SIMD support")
 }
 
-func qdw3x3S2(dst *int32, src *int8, rowStride, nrows int, w *int32, seed int32, n, left, right int) {
+func qdw3x3S2(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int) {
 	panic("tensor: qdw3x3S2 without SIMD support")
 }
