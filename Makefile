@@ -2,16 +2,7 @@
 
 GO ?= go
 
-# Benchmark artifact paths, overridable so CI or a comparison run can write
-# elsewhere without clobbering the committed baselines:
-#   make bench-kernel BENCH_KERNEL_OUT=/tmp/kern.json
-BENCH_WIRE_OUT ?= BENCH_PR2.json
-BENCH_KERNEL_OUT ?= BENCH_PR4.json
-BENCH_KERNEL_BASE ?= BENCH_PR4.json
-BENCH_QUANT_OUT ?= BENCH_PR7.json
-BENCH_TELEM_OUT ?= BENCH_PR10.json
-
-.PHONY: all build vet test race race-hot race-quant chaos bench bench-json bench-kernel bench-kernel-smoke bench-compare bench-quant bench-quant-smoke bench-telem bench-telem-smoke serve-smoke metrics-smoke cross bench-vet check
+.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke cross bench-vet loc check
 
 all: check
 
@@ -52,34 +43,20 @@ chaos:
 bench:
 	$(GO) test -run NONE -bench 'ConvForwardParallel|RunSegmentAlloc|ConvForwardTile|WireTensorCodec|KernelKinds' -benchtime=1x -benchmem .
 
-# Full wire-layer benchmark sweep (codec MB/s, pipeline tasks/sec across
-# overlap settings), written as machine-readable JSON.
-bench-json:
-	$(GO) run ./cmd/picobench -benchjson $(BENCH_WIRE_OUT)
-
-# Full compute-engine sweep (per-layer-kind kernels + whole-model forward
-# passes, reference vs cache-blocked), written as machine-readable JSON.
-bench-kernel:
-	$(GO) run ./cmd/picobench -kernjson $(BENCH_KERNEL_OUT)
-
-# Full int8-vs-float32 sweep (per-kind kernels, whole-model forwards with
-# top-1 agreement, stage-boundary payload sizes), written as JSON.
-bench-quant:
-	$(GO) run ./cmd/picobench -quantjson $(BENCH_QUANT_OUT)
-
-# One-iteration pass over the quant sweep at par 1 and 2: catches kernel
-# dispatch and epilogue regressions on every kind — the GEMM walker's gather
-# (stem224x3-32-s2, conv3x3-56x64-128), its in-place source (the pointwise
-# shapes) and the depthwise tiles at both strides from 112-wide planes to
-# 7-wide ones — without a full timing run.
+# One-iteration pass over the quant sweep at par 1 and 2 (bench_test.go's
+# kernelShapes table, float32 vs int8): catches kernel dispatch and epilogue
+# regressions on every kind — the GEMM walker's gather (stem224x3-32-s2,
+# conv3x3s2, conv1x7), its in-place source (the pointwise shapes) and the
+# depthwise tiles at both strides from 112-wide planes to 7-wide ones —
+# without a full timing run.
 bench-quant-smoke:
 	$(GO) test -run NONE -bench QuantKernelKinds -benchtime=1x .
 
-# One-iteration pass over the float kernel-kind sweep: exercises every
-# float32 vector tile (conv/pointwise/pool/gap/fc and the three depthwise
-# shapes: 28x28 stride 1, 112x112 stride 2, 14x14 small planes) through the
-# blocked dispatch without a full timing run. Anchored so the quant sweep
-# does not run twice inside `check`.
+# One-iteration pass over the float kernel-kind sweep (the same kernelShapes
+# table, reference vs blocked): exercises every float32 vector tile
+# (conv/pointwise/pool/gap/fc and the depthwise shapes at both strides)
+# through the blocked dispatch without a full timing run. Anchored so the
+# quant sweep does not run twice inside `check`.
 bench-kernel-smoke:
 	$(GO) test -run NONE -bench '^BenchmarkKernelKinds$$' -benchtime=1x .
 
@@ -88,11 +65,6 @@ bench-kernel-smoke:
 # byte-identity contract between /infer and a local run.
 serve-smoke:
 	$(GO) test -race -count=1 -run 'PicoserveSmoke|GatewayInferMatchesLocalRun$$' ./cmd/picoserve ./internal/serve
-
-# Full telemetry-overhead guard (closed-loop throughput bare vs
-# instrumented, plus record/snapshot micro-costs), written as JSON.
-bench-telem:
-	$(GO) run ./cmd/picobench -telemjson $(BENCH_TELEM_OUT)
 
 # One-iteration pass over the instrumented-vs-bare pipeline benchmark:
 # catches hot-path regressions in the telemetry ring without a timing run.
@@ -122,10 +94,12 @@ bench-vet:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# Re-run the kernel sweep and fail if any recorded kernel benchmark
-# regressed >10% against the committed BENCH_PR4.json baseline. Kept out of
-# `check`: wall-clock comparisons are too noisy for an unconditional gate.
-bench-compare:
-	$(GO) run ./cmd/picobench -kerncompare $(BENCH_KERNEL_BASE)
+# Non-test Go lines per package plus assembly lines: the size numbers
+# ROADMAP tracks as its aim-2 ("least code") success metric.
+gocount = $$(find $(1) -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+loc:
+	@for d in internal/* cmd bench; do printf '%-22s %6d\n' $$d $(call gocount,$$d); done
+	@printf '%-22s %6d\n' 'internal + cmd' $(call gocount,internal cmd)
+	@printf '%-22s %6d\n' 'asm (*.s)' $$(find . -name '*.s' -exec cat {} + | wc -l)
 
-check: build vet cross bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke bench-json serve-smoke metrics-smoke
+check: build vet cross bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke

@@ -10,7 +10,10 @@ package pico_test
 //	go test -bench=. -benchmem
 //
 // Full-scale regeneration (paper durations, 60s BFS budgets) is
-// cmd/picobench's job; benchmarks use the Quick configuration.
+// cmd/picobench's only job; benchmarks use the Quick configuration. Served
+// performance is measured by the traced end-to-end benchmark under bench/
+// (BENCHMARK.json); the kernel-kind sweeps here cover the layer shapes no
+// workload of it contains.
 
 import (
 	"bytes"
@@ -540,35 +543,74 @@ func BenchmarkConvForwardParallel(b *testing.B) {
 	}
 }
 
+// kernelShape is one single-layer model of the per-kind kernel sweeps.
+type kernelShape struct {
+	name string
+	in   nn.Shape
+	l    nn.Layer
+}
+
+// kernelShapes is the one shape table behind BenchmarkKernelKinds and
+// BenchmarkQuantKernelKinds, so every kind runs on every engine (reference,
+// float32 blocked, int8). Shapes are drawn from the evaluation models:
+// VGG-style 3x3 stacks, Inception's 1x7 and 1x1 mixers, MobileNet's
+// depthwise separables.
+var kernelShapes = []kernelShape{
+	{"conv3x3", nn.Shape{C: 64, H: 28, W: 28},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 64, Act: nn.ReLU}},
+	{"conv3x3s2", nn.Shape{C: 64, H: 56, W: 56},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 128, Act: nn.ReLU}},
+	{"conv1x7", nn.Shape{C: 64, H: 17, W: 17},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 7, SH: 1, SW: 1, PH: 0, PW: 3, OutC: 64, Act: nn.ReLU, BatchNorm: true}},
+	{"pointwise", nn.Shape{C: 128, H: 28, W: 28},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
+	{"depthwise", nn.Shape{C: 128, H: 28, W: 28},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Groups: 128, Act: nn.ReLU, BatchNorm: true}},
+	// MobileNetV1's two awkward depthwise shapes: the big stride-2
+	// reduction and the small planes whose rows are barely two vectors.
+	{"depthwise-s2", nn.Shape{C: 64, H: 112, W: 112},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 64, Groups: 64, Act: nn.ReLU, BatchNorm: true}},
+	{"depthwise14", nn.Shape{C: 512, H: 14, W: 14},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 512, Groups: 512, Act: nn.ReLU, BatchNorm: true}},
+	{"pool", nn.Shape{C: 64, H: 28, W: 28},
+		nn.Layer{Name: "p", Kind: nn.MaxPool, KH: 2, KW: 2, SH: 2, SW: 2}},
+	{"gap", nn.Shape{C: 256, H: 16, W: 16},
+		nn.Layer{Name: "g", Kind: nn.GlobalAvgPool}},
+	{"fc", nn.Shape{C: 256, H: 4, W: 4},
+		nn.Layer{Name: "f", Kind: nn.FullyConnected, OutF: 512, Act: nn.ReLU}},
+	// The int8 GEMM walker's gather on MobileNetV1's stem (27 taps at
+	// stride 2 under 32 channels: gather-bound) and on a VGG-style layer
+	// (576 taps: tile-bound), and the depthwise row tiles at the widest
+	// and narrowest MobileNetV1 planes (7 steps vs one masked step a row).
+	{"stem224x3-32-s2", nn.Shape{C: 3, H: 224, W: 224},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 32, Act: nn.ReLU, BatchNorm: true}},
+	{"conv3x3-56x64-128", nn.Shape{C: 64, H: 56, W: 56},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Act: nn.ReLU}},
+	{"depthwise112", nn.Shape{C: 32, H: 112, W: 112},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 32, Groups: 32, Act: nn.ReLU, BatchNorm: true}},
+	{"depthwise7", nn.Shape{C: 1024, H: 7, W: 7},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 1024, Groups: 1024, Act: nn.ReLU, BatchNorm: true}},
+	// MobileNetV1's pointwise layers, one per resolution: together they walk
+	// the int8 GEMM's pack, tile and epilogue from a 16-pair reduction over
+	// 12 544 columns to a 512-pair one over 49.
+	{"pointwise112x32-64", nn.Shape{C: 32, H: 112, W: 112},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 64, Act: nn.ReLU, BatchNorm: true}},
+	{"pointwise56x128-128", nn.Shape{C: 128, H: 56, W: 56},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
+	{"pointwise28x256-256", nn.Shape{C: 256, H: 28, W: 28},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 256, Act: nn.ReLU, BatchNorm: true}},
+	{"pointwise14x512-512", nn.Shape{C: 512, H: 14, W: 14},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 512, Act: nn.ReLU, BatchNorm: true}},
+	{"pointwise7x1024-1024", nn.Shape{C: 1024, H: 7, W: 7},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 1024, Act: nn.ReLU, BatchNorm: true}},
+}
+
 // BenchmarkKernelKinds measures every layer-kind kernel as ref (the
-// pre-blocking loops) vs blocked (the cache-blocked engine) pairs at par=1.
-// internal/experiments/kernelbench.go runs the full sweep behind
-// BENCH_PR4.json; these sub-benchmarks are the quick interactive view:
+// pre-blocking loops) vs blocked (the cache-blocked engine) pairs at par=1,
+// one sub-benchmark per kernelShapes entry:
 //
 //	go test -bench 'KernelKinds' -benchtime=10x .
 func BenchmarkKernelKinds(b *testing.B) {
-	cases := []struct {
-		name string
-		in   nn.Shape
-		l    nn.Layer
-	}{
-		{"conv3x3", nn.Shape{C: 64, H: 28, W: 28},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 64, Act: nn.ReLU}},
-		{"conv1x7", nn.Shape{C: 64, H: 17, W: 17},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 7, SH: 1, SW: 1, PH: 0, PW: 3, OutC: 64, Act: nn.ReLU, BatchNorm: true}},
-		{"pointwise", nn.Shape{C: 128, H: 28, W: 28},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
-		{"depthwise", nn.Shape{C: 128, H: 28, W: 28},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Groups: 128, Act: nn.ReLU, BatchNorm: true}},
-		{"depthwise-s2", nn.Shape{C: 64, H: 112, W: 112},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 64, Groups: 64, Act: nn.ReLU, BatchNorm: true}},
-		{"depthwise14", nn.Shape{C: 512, H: 14, W: 14},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 512, Groups: 512, Act: nn.ReLU, BatchNorm: true}},
-		{"pool", nn.Shape{C: 64, H: 28, W: 28},
-			nn.Layer{Name: "p", Kind: nn.MaxPool, KH: 2, KW: 2, SH: 2, SW: 2}},
-		{"fc", nn.Shape{C: 256, H: 4, W: 4},
-			nn.Layer{Name: "f", Kind: nn.FullyConnected, OutF: 512, Act: nn.ReLU}},
-	}
 	engines := []struct {
 		name string
 		opts []tensor.ExecutorOption
@@ -576,7 +618,7 @@ func BenchmarkKernelKinds(b *testing.B) {
 		{"ref", []tensor.ExecutorOption{tensor.WithParallelism(1), tensor.WithReferenceKernels()}},
 		{"blocked", []tensor.ExecutorOption{tensor.WithParallelism(1)}},
 	}
-	for _, tc := range cases {
+	for _, tc := range kernelShapes {
 		m := &nn.Model{Name: "bk-" + tc.name, Input: tc.in, Layers: []nn.Layer{tc.l}}
 		in := tensor.RandomInput(m.Input, 1)
 		for _, eng := range engines {
@@ -605,53 +647,12 @@ func BenchmarkKernelKinds(b *testing.B) {
 }
 
 // BenchmarkQuantKernelKinds measures every layer-kind kernel float32-blocked
-// vs int8-vectorized at par=1 and par=2 — the quick interactive view of the
-// BENCH_PR7.json sweep:
+// vs int8-vectorized at par=1 and par=2 over the same kernelShapes table,
+// reporting GMAC/s:
 //
 //	go test -bench 'QuantKernelKinds' -benchtime=10x .
 func BenchmarkQuantKernelKinds(b *testing.B) {
-	cases := []struct {
-		name string
-		in   nn.Shape
-		l    nn.Layer
-	}{
-		{"conv3x3", nn.Shape{C: 64, H: 28, W: 28},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 64, Act: nn.ReLU}},
-		{"pointwise", nn.Shape{C: 128, H: 28, W: 28},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
-		{"depthwise", nn.Shape{C: 128, H: 28, W: 28},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Groups: 128, Act: nn.ReLU, BatchNorm: true}},
-		{"depthwise-s2", nn.Shape{C: 64, H: 112, W: 112},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 64, Groups: 64, Act: nn.ReLU, BatchNorm: true}},
-		{"depthwise14", nn.Shape{C: 512, H: 14, W: 14},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 512, Groups: 512, Act: nn.ReLU, BatchNorm: true}},
-		{"pool", nn.Shape{C: 64, H: 28, W: 28},
-			nn.Layer{Name: "p", Kind: nn.MaxPool, KH: 2, KW: 2, SH: 2, SW: 2}},
-		{"fc", nn.Shape{C: 256, H: 4, W: 4},
-			nn.Layer{Name: "f", Kind: nn.FullyConnected, OutF: 512, Act: nn.ReLU}},
-		// The int8 GEMM walker's gather on MobileNetV1's stem (27 taps at
-		// stride 2 under 32 channels: gather-bound) and on a VGG-style layer
-		// (576 taps: tile-bound), and the depthwise row tiles at the widest
-		// and narrowest MobileNetV1 planes (7 steps vs one masked step a row).
-		{"stem224x3-32-s2", nn.Shape{C: 3, H: 224, W: 224},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 32, Act: nn.ReLU, BatchNorm: true}},
-		{"conv3x3-56x64-128", nn.Shape{C: 64, H: 56, W: 56},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Act: nn.ReLU}},
-		{"depthwise112", nn.Shape{C: 32, H: 112, W: 112},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 32, Groups: 32, Act: nn.ReLU, BatchNorm: true}},
-		{"depthwise7", nn.Shape{C: 1024, H: 7, W: 7},
-			nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 1024, Groups: 1024, Act: nn.ReLU, BatchNorm: true}},
-	}
-	// MobileNetV1's pointwise layers, one per resolution: together they walk
-	// the int8 GEMM's pack, tile and epilogue from a 16-pair reduction over
-	// 12 544 columns to a 512-pair one over 49.
-	for _, pw := range [][3]int{{112, 32, 64}, {56, 128, 128}, {28, 256, 256}, {14, 512, 512}, {7, 1024, 1024}} {
-		tc := cases[1] // "pointwise"
-		tc.name = fmt.Sprintf("pointwise%dx%d-%d", pw[0], pw[1], pw[2])
-		tc.in, tc.l.OutC = nn.Shape{C: pw[1], H: pw[0], W: pw[0]}, pw[2]
-		cases = append(cases, tc)
-	}
-	for _, tc := range cases {
+	for _, tc := range kernelShapes {
 		m := &nn.Model{Name: "bq-" + tc.name, Input: tc.in, Layers: []nn.Layer{tc.l}}
 		macs := float64(m.TotalFLOPs()) // the paper's FLOPs are multiply-accumulates
 		in := tensor.RandomInput(m.Input, 1)

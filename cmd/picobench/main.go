@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,15 +27,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("picobench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		expFlag   = fs.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-		outDir    = fs.String("out", "", "directory to write per-experiment .txt files (optional)")
-		quick     = fs.Bool("quick", false, "use the reduced configuration (fast, noisier)")
-		listOnly  = fs.Bool("list", false, "list experiment IDs and exit")
-		benchJSON = fs.String("benchjson", "", "run the wire-layer benchmarks and write the JSON result to this file, then exit")
-		kernJSON  = fs.String("kernjson", "", "run the kernel benchmarks and write the JSON result to this file, then exit")
-		kernBase  = fs.String("kerncompare", "", "re-run the kernel benchmarks and fail if any regresses >10% vs this baseline JSON, then exit")
-		quantJSON = fs.String("quantjson", "", "run the int8-vs-float32 benchmarks and write the JSON result to this file, then exit")
-		telemJSON = fs.String("telemjson", "", "run the telemetry-overhead benchmarks and write the JSON result to this file, then exit")
+		expFlag  = fs.String("exp", "all", "comma-separated experiment IDs, or 'all'")
+		outDir   = fs.String("out", "", "directory to write per-experiment .txt files (optional)")
+		quick    = fs.Bool("quick", false, "use the reduced configuration (fast, noisier)")
+		listOnly = fs.Bool("list", false, "list experiment IDs and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -52,46 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := experiments.Full()
 	if *quick {
 		cfg = experiments.Quick()
-	}
-
-	if *benchJSON != "" {
-		res, err := experiments.RunWireBench(cfg)
-		if err != nil {
-			fmt.Fprintf(stderr, "picobench: wire bench: %v\n", err)
-			return 1
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "picobench: %v\n", err)
-			return 1
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchJSON, data, 0o644); err != nil {
-			fmt.Fprintf(stderr, "picobench: %v\n", err)
-			return 1
-		}
-		for _, row := range res.Pipeline {
-			fmt.Fprintf(stdout, "pipeline window=%d queue=%d: %.2f tasks/s (%.2fx vs sync)\n",
-				row.StageWindow, row.ExecQueue, row.TasksPerSec, row.SpeedupVsSync)
-		}
-		for _, row := range res.Codec {
-			fmt.Fprintf(stdout, "codec %-9s: encode %.0f MB/s, decode %.0f MB/s\n",
-				row.Path, row.EncodeMBps, row.DecodeMBps)
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *benchJSON)
-		return 0
-	}
-
-	if *kernJSON != "" || *kernBase != "" {
-		return runKernelBench(cfg, *kernJSON, *kernBase, stdout, stderr)
-	}
-
-	if *quantJSON != "" {
-		return runQuantBench(cfg, *quantJSON, stdout, stderr)
-	}
-
-	if *telemJSON != "" {
-		return runTelemetryBench(cfg, *telemJSON, stdout, stderr)
 	}
 
 	var ids []string
@@ -130,128 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 		}
-	}
-	return 0
-}
-
-// runTelemetryBench runs the telemetry overhead guard and writes the result
-// (the BENCH_PR10.json artefact).
-func runTelemetryBench(cfg experiments.Config, jsonPath string, stdout, stderr io.Writer) int {
-	res, err := experiments.RunTelemetryBench(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "picobench: telemetry bench: %v\n", err)
-		return 1
-	}
-	for _, row := range res.Overhead {
-		fmt.Fprintf(stdout, "telemetry %-12s: %d tasks in %.3fs, %.2f tasks/s (overhead %.2f%%)\n",
-			row.Mode, row.Tasks, row.Seconds, row.TasksPerSec, row.OverheadPct)
-	}
-	for _, row := range res.Micro {
-		fmt.Fprintf(stdout, "telemetry %-12s: %.2f ns/op over %d samples\n", row.Op, row.NsPerOp, row.N)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "picobench: %v\n", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		fmt.Fprintf(stderr, "picobench: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	return 0
-}
-
-// runQuantBench runs the int8-vs-float32 sweep and writes the result (the
-// BENCH_PR6.json artefact).
-func runQuantBench(cfg experiments.Config, jsonPath string, stdout, stderr io.Writer) int {
-	res, err := experiments.RunQuantBench(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "picobench: quant bench: %v\n", err)
-		return 1
-	}
-	for _, row := range res.Kernels {
-		fmt.Fprintf(stdout, "quant kernel %-10s %-10s par=%d: float %8.3fms, int8 %8.3fms (%.2fx)\n",
-			row.Kind, row.Shape, row.Par, row.FloatMs, row.QuantMs, row.Speedup)
-	}
-	for _, row := range res.Forward {
-		fmt.Fprintf(stdout, "quant forward %-12s par=%d: float %8.1fms, int8 %8.1fms (%.2fx), top-1 %d/%d\n",
-			row.Model, row.Par, row.FloatMs, row.QuantMs, row.Speedup, row.Top1Agree, row.Tasks)
-	}
-	for _, row := range res.Wire {
-		fmt.Fprintf(stdout, "quant wire %s boundary %d (%s): %d B float, %d B int8 (%.2fx)\n",
-			row.Model, row.Boundary, row.Shape, row.FloatBytes, row.QuantBytes, row.Ratio)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "picobench: %v\n", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		fmt.Fprintf(stderr, "picobench: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	return 0
-}
-
-// runKernelBench runs the compute-engine sweep. With jsonPath it writes the
-// result (the BENCH_PR4.json artefact); with basePath it instead diffs the
-// fresh sweep against the committed baseline and fails on >10% regression of
-// any recorded kernel benchmark.
-func runKernelBench(cfg experiments.Config, jsonPath, basePath string, stdout, stderr io.Writer) int {
-	res, err := experiments.RunKernelBench(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "picobench: kernel bench: %v\n", err)
-		return 1
-	}
-	for _, row := range res.Kernels {
-		fmt.Fprintf(stdout, "kernel %-10s %-10s par=%d: %7.1f MMACs, %6.2f MB, ref %8.3fms, blocked %8.3fms (%.2fx)\n",
-			row.Kind, row.Shape, row.Par, float64(row.MACs)/1e6, float64(row.BytesMoved)/1e6,
-			row.RefMs, row.BlockedMs, row.Speedup)
-	}
-	for _, row := range res.Forward {
-		fmt.Fprintf(stdout, "forward %-12s par=%d: ref %8.1fms, blocked %8.1fms (%.2fx)\n",
-			row.Model, row.Par, row.RefMs, row.BlockedMs, row.Speedup)
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "picobench: %v\n", err)
-			return 1
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-			fmt.Fprintf(stderr, "picobench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonPath)
-	}
-	if basePath != "" {
-		raw, err := os.ReadFile(basePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "picobench: %v\n", err)
-			return 1
-		}
-		var base experiments.KernelBenchResult
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fmt.Fprintf(stderr, "picobench: parse %s: %v\n", basePath, err)
-			return 1
-		}
-		if base.SIMDName != res.SIMDName {
-			fmt.Fprintf(stderr, "picobench: WARNING baseline simd_name %q != this host %q; blocked times are not comparable across vector ISAs\n",
-				base.SIMDName, res.SIMDName)
-		}
-		regs := experiments.CompareKernelBench(&base, res, 0.10)
-		for _, r := range regs {
-			fmt.Fprintf(stderr, "picobench: REGRESSION %s\n", r)
-		}
-		if len(regs) > 0 {
-			return 1
-		}
-		fmt.Fprintf(stdout, "no kernel benchmark regressed >10%% vs %s\n", basePath)
 	}
 	return 0
 }

@@ -49,8 +49,12 @@ func TestUnknownExperimentFails(t *testing.T) {
 }
 
 func TestBadFlagFails(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if rc := run([]string{"-definitely-not-a-flag"}, &out, &errBuf); rc != 2 {
-		t.Fatalf("rc = %d, want 2", rc)
+	// -kernjson stands for the retired benchmark-JSON flags: measurement
+	// lives in bench/ (BENCHMARK.json), not behind picobench.
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-kernjson", "x"}} {
+		var out, errBuf bytes.Buffer
+		if rc := run(args, &out, &errBuf); rc != 2 {
+			t.Fatalf("%v: rc = %d, want 2", args, rc)
+		}
 	}
 }

@@ -31,7 +31,8 @@
 // a workload (simulate via Profile/RunOpenLoop), or executed for real over
 // TCP workers (StartLocalCluster + NewPipeline + Submit).
 //
-// See the runnable programs under examples/ and the experiment regenerators
+// See the runnable programs under examples/, the experiment regenerators
 // behind cmd/picobench, which rebuild every table and figure of the paper's
-// evaluation.
+// evaluation (and nothing else), and bench/, the end-to-end serving
+// benchmark every performance number comes from.
 package pico

@@ -57,6 +57,29 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestRegistryMatchesResults pins the registry to the committed paper
+// artefacts: every experiment ID has a results/<id>.txt and vice versa, so
+// `picobench -list` and `ls results/` cannot drift apart.
+func TestRegistryMatchesResults(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "results", "*.txt"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no results files: %v", err)
+	}
+	onDisk := map[string]bool{}
+	for _, f := range files {
+		onDisk[strings.TrimSuffix(filepath.Base(f), ".txt")] = true
+	}
+	for _, id := range IDs() {
+		if !onDisk[id] {
+			t.Errorf("experiment %q has no results/%s.txt", id, id)
+		}
+		delete(onDisk, id)
+	}
+	for id := range onDisk {
+		t.Errorf("results/%s.txt has no registered experiment", id)
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	tb := Table{ID: "x", Title: "demo", Columns: []string{"a", "bb"}}
 	tb.AddRow("1", "2")

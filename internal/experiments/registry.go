@@ -30,10 +30,6 @@ var registry = map[string]Func{
 	"ablation-grid":    AblationGrid,
 	"ext-mobilenet":    ExtMobileNet,
 	"ablation-overlap": AblationOverlap,
-	"wire":             WireBench,
-	"kern":             KernelBench,
-	"quant":            QuantBench,
-	"telem":            TelemetryBench,
 }
 
 // order fixes the presentation sequence for "run everything".
@@ -42,7 +38,6 @@ var order = []string{
 	"table2", "fig13", "bandwidth",
 	"ablation-greedy", "ablation-strips", "ablation-tlim", "ablation-ewma",
 	"ablation-rfmode", "ablation-grid", "ablation-overlap", "ext-mobilenet",
-	"wire", "kern", "quant", "telem",
 }
 
 // IDs returns every registered experiment in presentation order.

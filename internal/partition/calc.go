@@ -222,26 +222,3 @@ func (c *Calc) SegmentIOBytes(from, to int, out Range) (in, outBytes int64) {
 	r := c.InputRange(from, to, out)
 	return c.RegionBytes(from, r), c.RegionBytes(to, out)
 }
-
-// PathRanges back-propagates an output row range through one block path.
-// The result has len(path)+1 entries: entry 0 is the needed block-input row
-// range and entry i+1 is the output row range path[i] must produce. inH is
-// the block input height. The row-axis form of PathRects; the tensor engine
-// executes blocks by PathTileRects, whose rows are these.
-func (c *Calc) PathRanges(path []nn.Layer, out Range, inH int) []Range {
-	heights := c.pathHeights(path, inH)
-	needs := make([]Range, len(path)+1)
-	r := out
-	for i := len(path) - 1; i >= 0; i-- {
-		needs[i+1] = r
-		r = c.layerInRange(&path[i], r, heights[i])
-	}
-	needs[0] = r
-	return needs
-}
-
-// PathHeights returns the input height of each layer in a block path plus
-// the path output height; entry i is the input height of path[i].
-func (c *Calc) PathHeights(path []nn.Layer, inH int) []int {
-	return c.pathHeights(path, inH)
-}

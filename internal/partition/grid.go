@@ -378,7 +378,7 @@ func keepFullWidth(rects []Rect, shapes []nn.Shape) []Rect {
 
 // PathRects back-propagates an output rectangle through one block path; the
 // result has len(path)+1 entries, entry 0 being the needed block-input
-// region. The 2D analogue of PathRanges.
+// region. The path form of SegmentRects.
 func (c *Calc) PathRects(path []nn.Layer, out Rect, blockIn nn.Shape) []Rect {
 	shapes := c.pathShapes(path, blockIn)
 	needs := make([]Rect, len(path)+1)

@@ -178,20 +178,13 @@ func TestPathRangesAndHeights(t *testing.T) {
 	blk := &m.Layers[1] // res1: identity + two 3x3 convs
 	main := blk.Paths[0]
 	inH := m.InShape(1).H
-	needs := c.PathRanges(main, Range{4, 8}, inH)
-	if len(needs) != len(main)+1 {
-		t.Fatalf("PathRanges len = %d", len(needs))
-	}
 	// Two 3x3 s1 convs: [4,8) needs [2,10) at the path input.
-	if needs[0] != (Range{2, 10}) {
-		t.Fatalf("path input range = %v, want [2,10)", needs[0])
+	if need := c.pathInRange(main, Range{4, 8}, inH); need != (Range{2, 10}) {
+		t.Fatalf("path input range = %v, want [2,10)", need)
 	}
-	if needs[len(needs)-1] != (Range{4, 8}) {
-		t.Fatalf("path output range = %v", needs[len(needs)-1])
-	}
-	heights := c.PathHeights(main, inH)
+	heights := c.pathHeights(main, inH)
 	if len(heights) != len(main)+1 || heights[0] != inH || heights[len(heights)-1] != inH {
-		t.Fatalf("PathHeights = %v", heights)
+		t.Fatalf("pathHeights = %v", heights)
 	}
 }
 

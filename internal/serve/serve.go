@@ -16,7 +16,7 @@
 //	            ─► micro-batcher: coalesces queued requests into pipeline
 //	               submission bursts within BatchWindow
 //	            ─► demux: Pipeline.Results() routed back to per-request
-//	               waiters by task id
+//	               waiters in submission order
 //
 // GET /healthz exposes each session's runtime.Health snapshot, GET /stats
 // the gateway counters. Shutdown drains gracefully: stop admitting, wait

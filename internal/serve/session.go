@@ -60,7 +60,7 @@ type waiter struct {
 // session owns one live pipeline plus the machinery that turns individual
 // HTTP requests into pipeline tasks: a micro-batcher that coalesces queued
 // requests into submission bursts, and a demux that routes
-// Pipeline.Results() back to the per-request waiters by task id.
+// Pipeline.Results() back to the per-request waiters in submission order.
 type session struct {
 	key    SessionKey
 	plan   *core.Plan
@@ -77,12 +77,13 @@ type session struct {
 	window   time.Duration
 	maxBatch int
 
-	// dmu guards the waiter/orphan rendezvous: a result can arrive between
-	// Submit returning an id and the batcher registering its waiter, in
-	// which case it parks as an orphan until registration picks it up.
-	dmu     sync.Mutex
-	waiters map[int64]*waiter
-	orphans map[int64]runtime.TaskResult
+	// pending holds the submitted waiters in submission order. The batcher
+	// is the pipeline's only submitter and Results() delivers in submission
+	// order, failed flights included, so the demux pops one waiter per
+	// result. Capacity MaxQueue, the most live requests admission lets in;
+	// cancelled waiters still in flight can fill it, and then the batcher
+	// waits for the demux to pop one.
+	pending chan *waiter
 
 	batchWG sync.WaitGroup
 	demuxWG sync.WaitGroup
@@ -147,8 +148,7 @@ func openSession(cfg *Config, key SessionKey) (*session, error) {
 		in:       make(chan *waiter, cfg.MaxQueue),
 		window:   cfg.BatchWindow,
 		maxBatch: cfg.MaxBatch,
-		waiters:  make(map[int64]*waiter),
-		orphans:  make(map[int64]runtime.TaskResult),
+		pending:  make(chan *waiter, cfg.MaxQueue),
 	}
 	if opts.Telemetry != nil {
 		s.reqProd = opts.Telemetry.Series(telemetry.Key{
@@ -228,50 +228,27 @@ func (s *session) batchLoop() {
 }
 
 // flush submits one burst. Submit failures (pipeline closed under us) fail
-// the waiter directly; successes register for demux delivery.
+// the waiter directly; successes queue for demux delivery.
 func (s *session) flush(batch []*waiter) {
 	s.batches.Add(1)
 	s.batched.Add(int64(len(batch)))
 	for _, w := range batch {
-		id, err := s.pipe.Submit(w.input)
-		if err != nil {
+		if _, err := s.pipe.Submit(w.input); err != nil {
 			w.ch <- runtime.TaskResult{Err: err, Submitted: w.enq, Done: time.Now()}
 			continue
 		}
-		s.register(id, w)
+		s.pending <- w
 	}
 }
 
-// register binds a task id to its waiter, or delivers immediately if the
-// result already arrived (the orphan race).
-func (s *session) register(id int64, w *waiter) {
-	s.dmu.Lock()
-	if res, ok := s.orphans[id]; ok {
-		delete(s.orphans, id)
-		s.dmu.Unlock()
-		w.ch <- res
-		return
-	}
-	s.waiters[id] = w
-	s.dmu.Unlock()
-}
-
-// demuxLoop routes completed tasks back to their waiters until the
-// pipeline's result stream closes.
+// demuxLoop hands each completed task to the oldest pending waiter until the
+// pipeline's result stream closes. A result that beats its waiter onto
+// pending (Submit has returned, the push has not happened yet) waits for it.
 func (s *session) demuxLoop() {
 	defer s.demuxWG.Done()
 	for res := range s.pipe.Results() {
-		s.dmu.Lock()
-		w, ok := s.waiters[res.ID]
-		if ok {
-			delete(s.waiters, res.ID)
-		} else {
-			s.orphans[res.ID] = res
-		}
-		s.dmu.Unlock()
-		if ok {
-			w.ch <- res
-		}
+		w := <-s.pending
+		w.ch <- res
 	}
 }
 

@@ -290,43 +290,49 @@ func TestQuantCalibrationDeterministic(t *testing.T) {
 }
 
 // TestQuantTop1AgreementToy asserts end-to-end accuracy: over a batch of
-// inputs, int8 inference must pick the same top-1 class as float32 on the
-// toy model for the overwhelming majority of inputs, and the dequantized
-// logits must stay close.
+// inputs, int8 inference must pick the same top-1 class as float32 for the
+// overwhelming majority of inputs — on the toy chain and on MobileNetV1,
+// the depthwise-separable model the int8 path is tuned on.
 func TestQuantTop1AgreementToy(t *testing.T) {
-	m := nn.ToyChain("toy", 6, 2, 16, 64)
-	ef, err := NewExecutor(m, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, err := NewExecutor(m, 42, WithQuantized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tasks = 25
-	agree := 0
-	for i := 0; i < tasks; i++ {
-		in := RandomInput(m.Input, int64(1000+i))
-		want, err := ef.Run(in)
+	for _, tc := range []struct {
+		m     *nn.Model
+		tasks int
+	}{
+		{nn.ToyChain("toy", 6, 2, 16, 64), 25},
+		{nn.MobileNetV1(), 10},
+	} {
+		ef, err := NewExecutor(tc.m, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := eq.RunQ(in)
+		eq, err := NewExecutor(tc.m, 42, WithQuantized())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := q.Dequantize()
-		if argmax(want.Data) == argmax(got.Data) {
-			agree++
+		agree := 0
+		for i := 0; i < tc.tasks; i++ {
+			in := RandomInput(tc.m.Input, int64(1000+i))
+			want, err := ef.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := eq.RunQ(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := q.Dequantize()
+			if argmax(want.Data) == argmax(got.Data) {
+				agree++
+			}
+			Recycle(want)
+			Recycle(got)
+			RecycleQ(q)
 		}
-		Recycle(want)
-		Recycle(got)
-		RecycleQ(q)
+		if agree < tc.tasks*9/10 {
+			t.Fatalf("%s: top-1 agreement %d/%d below 90%%", tc.m.Name, agree, tc.tasks)
+		}
+		t.Logf("%s: top-1 agreement %d/%d", tc.m.Name, agree, tc.tasks)
 	}
-	if agree < tasks*9/10 {
-		t.Fatalf("top-1 agreement %d/%d below 90%%", agree, tasks)
-	}
-	t.Logf("top-1 agreement %d/%d", agree, tasks)
 }
 
 func argmax(xs []float32) int {
