@@ -26,8 +26,9 @@ race-hot:
 
 # Quantized-path property tests under the race detector: kernel
 # blocked-vs-reference bit-identity at par > 1 (GEMM walker and depthwise
-# plane walker), the int8 codec, and the distributed quant pipeline against
-# local RunQ.
+# plane walker), the int8 codec, the scales a load frame carries (bit-exact on
+# the wire, validated by the worker) and the distributed quant pipeline
+# against local RunQ.
 race-quant:
 	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw|Depthwise' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core
 
@@ -40,8 +41,9 @@ chaos:
 
 # Smoke-run the execution-engine benchmarks (single iteration): catches
 # bench-only compile errors and allocation regressions without a full sweep.
+# SessionOpen is the boot cost of a float32 and an int8 session (ms/op, B/op).
 bench:
-	$(GO) test -run NONE -bench 'ConvForwardParallel|RunSegmentAlloc|ConvForwardTile|WireTensorCodec|KernelKinds' -benchtime=1x -benchmem .
+	$(GO) test -run NONE -bench 'ConvForwardParallel|RunSegmentAlloc|ConvForwardTile|WireTensorCodec|KernelKinds|SessionOpen' -benchtime=1x -benchmem .
 
 # One-iteration pass over the quant sweep at par 1 and 2 (bench_test.go's
 # kernelShapes table, float32 vs int8): catches kernel dispatch and epilogue

@@ -295,6 +295,60 @@ func BenchmarkRuntimePipelineThroughput(b *testing.B) {
 	<-done
 }
 
+// BenchmarkSessionOpen measures what opening a session costs a cluster that
+// has never seen the model, per precision: StartLocalCluster (3 one-core
+// workers) -> NewPipeline on MobileNetV1's three single-device stages -> the
+// first result. That is weight generation on every stage plus, for int8, the
+// coordinator's one calibration and the workers' weight quantization; B/op
+// is what the boot allocates. bench/'s setup_s is the same path behind the
+// gateway.
+func BenchmarkSessionOpen(b *testing.B) {
+	m := nn.MobileNetV1()
+	cl := &cluster.Cluster{BandwidthBps: 1e10}
+	for i := 0; i < 3; i++ {
+		cl.Devices = append(cl.Devices, cluster.Device{ID: fmt.Sprintf("w-%d", i), Capacity: 4e10, Alpha: 1})
+	}
+	in := tensor.RandomInput(m.Input, 1)
+	for _, quant := range []bool{false, true} {
+		name := "float32"
+		if quant {
+			name = "int8"
+		}
+		b.Run(name, func(b *testing.B) {
+			plan, err := core.PlanPipeline(m, cl, core.Options{Quantized: quant})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lc, err := runtime.StartLocalCluster(3, nil, runtime.WithParallelism(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				p, err := runtime.NewPipeline(plan, lc.Addrs, runtime.PipelineOptions{Seed: 1, Quantized: quant})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Submit(in); err != nil {
+					b.Fatal(err)
+				}
+				if res := <-p.Results(); res.Err != nil {
+					b.Fatal(res.Err)
+				}
+				b.StopTimer()
+				if err := p.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if err := lc.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
+	}
+}
+
 // BenchmarkRuntimeFaultToleranceOverhead measures the no-fault cost of the
 // fault-tolerance machinery. "guarded" runs the default configuration —
 // per-call deadline timers, slot indirection, retry bookkeeping, write

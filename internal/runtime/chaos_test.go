@@ -169,10 +169,12 @@ func TestChaosWorkerKilledMidStream(t *testing.T) {
 		}
 		return false
 	})
-	events, _ := p.FaultEvents()
-	if !hasKind(events, FaultRebalanced) {
-		t.Fatalf("no rebalance event after device went down; events: %v", events)
-	}
+	// The redial goroutine marks the slot down first and re-balances next, so
+	// the journal entry can trail DownDevices by a scheduling quantum.
+	waitFor(t, 5*time.Second, "rebalance event after device went down", func() bool {
+		events, _ := p.FaultEvents()
+		return hasKind(events, FaultRebalanced)
+	})
 	if err := p.Close(); err != nil {
 		t.Errorf("close after chaos: %v", err)
 	}
@@ -365,7 +367,7 @@ func TestDeadlineFailsConnAndWakesPending(t *testing.T) {
 	}
 	defer wc.close()
 	m := nn.ToyChain("chaos-wake", 2, 0, 4, 16)
-	if err := wc.loadModel(wire.SpecFromModel(m), 1, false); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	tile := tensor.RandomInput(m.Input, 1)

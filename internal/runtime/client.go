@@ -238,10 +238,12 @@ func (wc *workerClient) close() error {
 	return err
 }
 
-// loadModel ships a model; when quant is set the worker also calibrates the
-// executor's int8 path so quantized exec requests can be served.
-func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64, quant bool) error {
-	msg, err := wc.roundTrip(wire.MsgLoadModel, wire.LoadModelHeader{Model: spec, Seed: seed, Quant: quant}, nil)
+// loadModel ships a model. Non-nil scales — the session's boundary scales,
+// calibrated once by the coordinator — make it an int8 load: the worker
+// validates the vector, presets it and can serve quantized exec requests
+// without ever calibrating.
+func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64, scales []float32) error {
+	msg, err := wc.roundTrip(wire.MsgLoadModel, wire.LoadModelHeader{Model: spec, Seed: seed, Quant: scales != nil, Scales: scales}, nil)
 	if err != nil {
 		return err
 	}

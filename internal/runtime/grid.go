@@ -30,10 +30,11 @@ func NewGridExecutor(m *nn.Model, from, to int, tiles []partition.Rect, addrs []
 	return newGridExecutor(m, from, to, tiles, addrs, seed, false)
 }
 
-// NewGridExecutorQuant is NewGridExecutor for int8 plans: the workers
-// additionally build and calibrate the quantized executor, and tiles are
-// shipped/returned as raw int8 bytes (a quarter of the float wire size).
-// The stitched result is byte-identical to a local whole-map RunQ.
+// NewGridExecutorQuant is NewGridExecutor for int8 plans: it calibrates the
+// boundary scales once and ships them with the model, the workers serve the
+// int8 path, and tiles are shipped/returned as raw int8 bytes (a quarter of
+// the float wire size). The stitched result is byte-identical to a local
+// whole-map RunQ.
 func NewGridExecutorQuant(m *nn.Model, from, to int, tiles []partition.Rect, addrs []string, seed int64) (*GridExecutor, error) {
 	return newGridExecutor(m, from, to, tiles, addrs, seed, true)
 }
@@ -62,6 +63,13 @@ func newGridExecutor(m *nn.Model, from, to int, tiles []partition.Rect, addrs []
 	if err := ge.validateTiles(); err != nil {
 		return nil, err
 	}
+	var scales []float32
+	if quant {
+		var err error
+		if scales, err = tensor.QuantScales(m, seed); err != nil {
+			return nil, fmt.Errorf("runtime: quantization calibration: %w", err)
+		}
+	}
 	spec := wire.SpecFromModel(m)
 	for _, addr := range addrs {
 		wc, err := dialWorker(addr)
@@ -70,7 +78,7 @@ func newGridExecutor(m *nn.Model, from, to int, tiles []partition.Rect, addrs []
 			return nil, err
 		}
 		ge.clients = append(ge.clients, wc)
-		if err := wc.loadModel(spec, seed, quant); err != nil {
+		if err := wc.loadModel(spec, seed, scales); err != nil {
 			ge.Close()
 			return nil, err
 		}

@@ -400,7 +400,7 @@ func (sd *stageDriver) redial(slot *workerSlot) {
 		wc, err := dialWorker(slot.addr)
 		if err == nil {
 			wc.conn.SetWriteTimeout(sd.timeout)
-			if err = wc.loadModel(sd.p.spec, sd.p.seed, sd.p.quant); err == nil {
+			if err = wc.loadModel(sd.p.spec, sd.p.seed, sd.p.scales); err == nil {
 				sd.p.trackClient(wc)
 				slot.reconnected(wc)
 				sd.p.faults.add(FaultEvent{
@@ -532,12 +532,11 @@ type Pipeline struct {
 	spec   wire.ModelSpec
 	stages []*stageDriver
 
-	// quant selects int8 transport and execution; scale0 is the calibrated
-	// input-boundary scale used to quantize submitted inputs. Both sides
-	// derive calibration from (model, seed), so only the input scale is
-	// needed coordinator-side — result headers carry scales forward.
-	quant  bool
-	scale0 float32
+	// scales, non-nil for an int8 session, is the boundary-scale vector this
+	// coordinator calibrated once from (model, seed): every load (first dial
+	// and redial) ships it to the worker, and scales[0] quantizes submitted
+	// inputs — result headers carry the scales forward from there.
+	scales []float32
 
 	// Fault-tolerance policy (defaulted from PipelineOptions).
 	retryBudget    int
@@ -703,7 +702,6 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 	p := &Pipeline{
 		plan:           plan,
 		seed:           opts.Seed,
-		quant:          opts.Quantized,
 		retryBudget:    opts.RetryBudget,
 		redialAttempts: opts.RedialAttempts,
 		redialBackoff:  opts.RedialBackoff,
@@ -724,12 +722,11 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			Model: p.telemLabel, Stage: -1, Device: -1, Kind: telemetry.KindE2E,
 		}).Producer()
 	}
-	if p.quant {
-		scales, err := tensor.QuantScales(plan.Model, opts.Seed)
-		if err != nil {
+	if opts.Quantized {
+		var err error
+		if p.scales, err = tensor.QuantScales(plan.Model, opts.Seed); err != nil {
 			return nil, fmt.Errorf("runtime: quantization calibration: %w", err)
 		}
-		p.scale0 = scales[0]
 	}
 	calc := partition.NewCalc(plan.Model)
 	fail := func(err error) (*Pipeline, error) {
@@ -799,7 +796,7 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			if p.byDevice[di] == nil {
 				p.byDevice[di] = wc
 			}
-			if err := wc.loadModel(p.spec, opts.Seed, p.quant); err != nil {
+			if err := wc.loadModel(p.spec, opts.Seed, p.scales); err != nil {
 				return fail(err)
 			}
 			sd.slots[k] = &workerSlot{deviceIdx: di, addr: addr, workerID: wc.id, wc: wc}
@@ -824,7 +821,7 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 		defer close(p.results)
 		for f := range last {
 			output := f.m.Tensor()
-			if p.quant {
+			if p.scales != nil {
 				if f.err == nil {
 					// Hand the caller float output regardless of transport
 					// precision; the int8 map served its last hop.
@@ -879,10 +876,10 @@ func (p *Pipeline) Submit(input tensor.Tensor) (int64, error) {
 	id := p.nextID
 	p.mu.Unlock()
 	f := &flight{id: id, submitted: time.Now(), m: tensor.MapOf(input)}
-	if p.quant {
+	if p.scales != nil {
 		// Quantize once at the pipeline mouth; the input tensor itself is
 		// not retained, matching the float path's never-recycle contract.
-		f.m, f.owned = tensor.MapOfQ(tensor.QuantizeTensor(input, p.scale0)), true
+		f.m, f.owned = tensor.MapOfQ(tensor.QuantizeTensor(input, p.scales[0])), true
 	}
 	p.in <- f
 	return id, nil

@@ -28,7 +28,7 @@ func MeasureWorker(addr string, probe *nn.Model, seed int64, rounds int) ([]clus
 		return nil, err
 	}
 	defer func() { _ = wc.close() }()
-	if err := wc.loadModel(wire.SpecFromModel(probe), seed, false); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(probe), seed, nil); err != nil {
 		return nil, err
 	}
 	exec, err := tensor.NewExecutor(probe, seed)

@@ -130,7 +130,7 @@ func TestInt8ExecNeedsQuantLoad(t *testing.T) {
 	tile := tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0]))
 	spec := wire.SpecFromModel(m)
 
-	if err := wc.loadModel(spec, seed, false); err != nil {
+	if err := wc.loadModel(spec, seed, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := wc.exec(hdr, tile); err == nil || !strings.Contains(err.Error(), "not loaded") {
@@ -139,16 +139,16 @@ func TestInt8ExecNeedsQuantLoad(t *testing.T) {
 	if _, _, err := wc.exec(hdr, tensor.MapOf(in)); err != nil {
 		t.Fatalf("float exec after the refusal: %v", err)
 	}
-	for _, quant := range []bool{true, false} {
-		if err := wc.loadModel(spec, seed, quant); err != nil {
+	for _, sc := range [][]float32{scales, nil} {
+		if err := wc.loadModel(spec, seed, sc); err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := wc.exec(hdr, tile)
 		if err != nil {
-			t.Fatalf("int8 exec after load(quant=%v): %v", quant, err)
+			t.Fatalf("int8 exec after load(quant=%v): %v", sc != nil, err)
 		}
 		if !tensor.EqualQ(want, got.QTensor()) {
-			t.Fatalf("int8 exec after load(quant=%v) differs from local RunQ", quant)
+			t.Fatalf("int8 exec after load(quant=%v) differs from local RunQ", sc != nil)
 		}
 	}
 }
@@ -168,7 +168,14 @@ func TestLoadReusesExecutor(t *testing.T) {
 	defer wc.close()
 	load := func(m *nn.Model, quant bool) *tensor.Executor {
 		t.Helper()
-		if err := wc.loadModel(wire.SpecFromModel(m), seed, quant); err != nil {
+		var scales []float32
+		if quant {
+			var err error
+			if scales, err = tensor.QuantScales(m, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wc.loadModel(wire.SpecFromModel(m), seed, scales); err != nil {
 			t.Fatal(err)
 		}
 		e, ok := lc.Workers[0].executor(m.Name, seed)

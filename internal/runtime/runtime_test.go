@@ -326,7 +326,7 @@ func TestWorkerRejectsInvalidModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	err = wc.loadModel(wire.ModelSpec{Name: "bad"}, 1, false)
+	err = wc.loadModel(wire.ModelSpec{Name: "bad"}, 1, nil)
 	if err == nil {
 		t.Fatal("invalid model accepted by worker")
 	}
@@ -340,7 +340,7 @@ func TestWorkerExecBadTile(t *testing.T) {
 	}
 	defer wc.close()
 	m := nn.ToyChain("w", 2, 0, 4, 16)
-	if err := wc.loadModel(wire.SpecFromModel(m), 3, false); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Tile too small for the requested range.
@@ -420,7 +420,7 @@ func TestManualStageSplitMatchesWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer wc.close()
-		if err := wc.loadModel(wire.SpecFromModel(m), 9, false); err != nil {
+		if err := wc.loadModel(wire.SpecFromModel(m), 9, nil); err != nil {
 			t.Fatal(err)
 		}
 		clients = append(clients, wc)
@@ -470,7 +470,7 @@ func TestClientManyRequestsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	if err := wc.loadModel(wire.SpecFromModel(m), 5, false); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 5, nil); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := tensor.NewExecutor(m, 5)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -340,22 +341,28 @@ func (w *Worker) handle(conn *wire.Conn) {
 	}
 }
 
+// handleLoad registers an executor for the shipped (model, seed), or answers
+// a typed error frame and registers nothing.
 func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
+	refuse := func(err error) error {
+		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
+	}
 	var hdr wire.LoadModelHeader
 	if err := msg.DecodeHeader(&hdr); err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
+		return refuse(err)
 	}
 	m, err := hdr.Model.ToModel()
 	if err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
+		return refuse(err)
 	}
 	// One executor per (model, seed) serves both precisions, and a load that
 	// the one already here serves (a redial after a flap, a second session)
-	// keeps it: its calibration and its packed weights are a function of
-	// (model, seed) alone. A float load must not take the int8 path away from
-	// a quantized session sharing this worker, so the mode only ever upgrades,
-	// and only the upgrade (or a different model under the same name) builds
-	// and calibrates a new executor.
+	// keeps it: its scales and its packed weights are a function of (model,
+	// seed) alone — so scales that differ from the resident executor's are a
+	// peer calibrated for something else, and refused. A float load must not
+	// take the int8 path away from a quantized session sharing this worker, so
+	// the mode only ever upgrades, and only the upgrade (or a different model
+	// under the same name) builds a new executor.
 	key := execKey{name: m.Name, seed: hdr.Seed}
 	w.mu.Lock()
 	prev := w.execs[key]
@@ -364,29 +371,39 @@ func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
 		prev = nil
 	}
 	if prev != nil && (prev.Quantized() || !hdr.Quant) {
+		if hdr.Quant && len(hdr.Scales) > 0 {
+			// The resident scales are finite and positive, so == is bit
+			// equality and a NaN matches nothing.
+			if have, err := prev.QuantScales(); err != nil || !slices.Equal(have, hdr.Scales) {
+				return refuse(fmt.Errorf("quantization scales differ from the ones %s (seed %d) is loaded with", m.Name, hdr.Seed))
+			}
+		}
 		w.logf("worker %s: %s (seed %d, quant %v) already loaded", w.id, m.Name, hdr.Seed, prev.Quantized())
 		return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
 	}
 	opts := []tensor.ExecutorOption{tensor.WithParallelism(w.parallelism)}
-	quant := hdr.Quant
-	if quant {
+	switch {
+	case hdr.Quant && len(hdr.Scales) > 0:
+		// NewExecutor validates the vector against (model, seed).
+		opts = append(opts, tensor.WithQuantScales(hdr.Scales))
+	case hdr.Quant:
 		opts = append(opts, tensor.WithQuantized())
 	}
 	exec, err := tensor.NewExecutor(m, hdr.Seed, opts...)
 	if err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
+		return refuse(err)
 	}
-	if quant {
-		// Calibrate now, not on the first tile: scales are derived from
-		// (model, seed), so a calibration failure is a load failure.
+	if hdr.Quant {
+		// A load without scales calibrates now, not on the first tile, so a
+		// calibration failure is a load failure; preset scales just return.
 		if _, err := exec.QuantScales(); err != nil {
-			return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
+			return refuse(err)
 		}
 	}
 	w.mu.Lock()
 	w.execs[key] = exec
 	w.mu.Unlock()
-	w.logf("worker %s: loaded %s (seed %d, quant %v)", w.id, m.Name, hdr.Seed, quant)
+	w.logf("worker %s: loaded %s (seed %d, quant %v)", w.id, m.Name, hdr.Seed, hdr.Quant)
 	return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
 }
 
@@ -465,7 +482,7 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 	quant := hdr.DType == wire.DTypeInt8
 	exec, ok := w.executor(hdr.ModelName, hdr.Seed)
 	if !ok || (quant && !exec.Quantized()) {
-		// Int8 needs a model loaded with Quant: calibration stays a
+		// Int8 needs a model loaded with Quant: bad or missing scales stay a
 		// load-time failure, never a first-tile surprise.
 		return refuse(fmt.Errorf("model %q (seed %d, quant %v) not loaded", hdr.ModelName, hdr.Seed, quant))
 	}

@@ -38,13 +38,12 @@ type Executor struct {
 	// blocked/SIMD engine, or the reference loops under WithReferenceKernels.
 	k *kernels
 
-	// quant marks the executor as serving the int8 path: activation scales
-	// are calibrated on first use (see quant_exec.go). The float path stays
-	// fully usable either way — calibration itself runs it.
+	// quant marks the executor as serving the int8 path (see quant_exec.go).
+	// The float path stays fully usable either way.
 	quant bool
 
-	// Calibrated activation scales, one per layer boundary; derived once
-	// per executor under scOnce (see QuantScales).
+	// Activation scales, one per layer boundary: preset by WithQuantScales,
+	// otherwise calibrated once under scOnce (see QuantScales).
 	scOnce sync.Once
 	scales []float32
 	scErr  error
@@ -87,7 +86,7 @@ type onceCache[V any] struct {
 
 type onceEntry[V any] struct {
 	once sync.Once
-	v    *V
+	v    atomic.Pointer[V] // set once, under once; peek reads it outside
 }
 
 func (c *onceCache[V]) get(key string, gen func() *V) *V {
@@ -105,8 +104,20 @@ func (c *onceCache[V]) get(key string, gen func() *V) *V {
 		}
 		c.mu.Unlock()
 	}
-	ent.once.Do(func() { ent.v = gen() })
-	return ent.v
+	ent.once.Do(func() { ent.v.Store(gen()) })
+	return ent.v.Load()
+}
+
+// peek returns the key's value if it has already been built, else nil; it
+// never builds and never waits for a build in progress.
+func (c *onceCache[V]) peek(key string) *V {
+	c.mu.RLock()
+	ent := c.m[key]
+	c.mu.RUnlock()
+	if ent == nil {
+		return nil
+	}
+	return ent.v.Load()
 }
 
 // kindStats accumulates kernel wall-clock seconds per layer kind. Counters
@@ -201,6 +212,19 @@ func WithQuantized() ExecutorOption {
 	return func(e *Executor) { e.quant = true }
 }
 
+// WithQuantScales is WithQuantized with the boundary scales preset to a
+// vector some other node calibrated for the same (model, seed) — what a
+// worker receives in a load frame — so this executor never calibrates.
+// NewExecutor fails unless the vector passes checkQuantScales.
+func WithQuantScales(scales []float32) ExecutorOption {
+	return func(e *Executor) {
+		e.quant = true
+		// Non-nil even when empty: an empty vector is refused, not replaced
+		// by a local calibration.
+		e.scales = append([]float32{}, scales...)
+	}
+}
+
 // NewExecutor builds an executor for the model with the given weight seed.
 func NewExecutor(m *nn.Model, seed int64, opts ...ExecutorOption) (*Executor, error) {
 	if err := m.Validate(); err != nil {
@@ -215,6 +239,11 @@ func NewExecutor(m *nn.Model, seed int64, opts ...ExecutorOption) (*Executor, er
 	}
 	for _, opt := range opts {
 		opt(e)
+	}
+	if e.scales != nil {
+		if err := checkQuantScales(m, seed, e.scales); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }
@@ -530,8 +559,10 @@ func concatChannels(a, b Tensor) Tensor {
 }
 
 // The weight getters generate on first use through the once-caches. The
-// int8 forms quantize the float weights, materialised through the float
-// cache first, per output channel.
+// int8 forms quantize the layer's float parameters per output channel: the
+// float entry's if the float path already built one, otherwise parameters
+// generated for the purpose and dropped — an int8 layer never makes the
+// executor hold float weights.
 
 func (e *Executor) convW(key string, l *nn.Layer, inC int) *convWeights {
 	return e.conv.get(key, func() *convWeights { return genConv(e.seed, key, l, inC) })
@@ -543,10 +574,20 @@ func (e *Executor) fcW(key string, l *nn.Layer, inElems int) *fcWeights {
 
 func (e *Executor) qconvW(key string, l *nn.Layer, inC int, sIn, sOut float32) *qconvWeights {
 	return e.qconv.get(key, func() *qconvWeights {
-		return genQConv(e.convW(key, l, inC), l, inC/max(l.Groups, 1), sIn, sOut)
+		cw := e.conv.peek(key)
+		if cw == nil {
+			cw = genConvParams(e.seed, key, l, inC)
+		}
+		return genQConv(cw, l, inC/max(l.Groups, 1), sIn, sOut)
 	})
 }
 
 func (e *Executor) qfcW(key string, l *nn.Layer, inElems int, sIn, sOut float32) *qfcWeights {
-	return e.qfc.get(key, func() *qfcWeights { return genQFC(e.fcW(key, l, inElems), l, inElems, sIn, sOut) })
+	return e.qfc.get(key, func() *qfcWeights {
+		fw := e.fc.peek(key)
+		if fw == nil {
+			fw = genFCParams(e.seed, key, l, inElems)
+		}
+		return genQFC(fw, l, inElems, sIn, sOut)
+	})
 }

@@ -57,23 +57,28 @@ func (q *QTensor) Dequantize() Tensor {
 
 // QuantizeTensor quantizes a float tensor at the given scale: q =
 // clamp(round(v / scale)) with round-half-away-from-zero. The result is
-// arena-backed. The vector path performs quantClamp's exact IEEE sequence
-// lane-wise, so the output is bit-identical to the scalar loop for every
-// finite input.
+// arena-backed.
 func QuantizeTensor(t Tensor, scale float32) QTensor {
 	out := AllocQ(t.C, t.H, t.W, scale)
-	inv := 1 / scale
-	n := len(t.Data)
+	quantizeRow(out.Data, t.Data, 1/scale)
+	return out
+}
+
+// quantizeRow is the one float32 -> int8 quantizer, for activations and
+// weights alike: dst[i] = quantClamp(src[i] * inv). The vector path performs
+// quantClamp's exact IEEE sequence lane-wise, so the output is bit-identical
+// to the scalar loop for every finite input.
+func quantizeRow(dst []int8, src []float32, inv float32) {
+	n := len(src)
 	i := 0
 	if simdQuant && n >= 8 {
 		m := n &^ 7
-		qquantizeRow8(&out.Data[0], &t.Data[0], inv, m)
+		qquantizeRow8(&dst[0], &src[0], inv, m)
 		i = m
 	}
 	for ; i < n; i++ {
-		out.Data[i] = quantClamp(t.Data[i] * inv)
+		dst[i] = quantClamp(src[i] * inv)
 	}
-	return out
 }
 
 // quantClamp rounds half away from zero and saturates to int8. The float
@@ -144,7 +149,8 @@ type qconvWeights struct {
 	blocks [][]int32
 }
 
-// genQConv derives the int8 form of already-generated float weights. icg is
+// genQConv derives the int8 form of a convolution's float parameters (it
+// reads w, bias and the batch-norm affine, none of the float layouts). icg is
 // input channels per group; sIn/sOut are the activation scales at the
 // layer's input and output boundaries.
 func genQConv(cw *convWeights, l *nn.Layer, icg int, sIn, sOut float32) *qconvWeights {
@@ -160,10 +166,7 @@ func genQConv(cw *convWeights, l *nn.Layer, icg int, sIn, sOut float32) *qconvWe
 	for oc := 0; oc < l.OutC; oc++ {
 		ws := cw.w[oc*perOC : (oc+1)*perOC]
 		sW := scaleFor(maxAbs(ws))
-		inv := 1 / sW
-		for i, w := range ws {
-			qw.wq[oc*perOC+i] = quantClamp(w * inv)
-		}
+		quantizeRow(qw.wq[oc*perOC:(oc+1)*perOC], ws, 1/sW)
 		bnS, bnSh := float32(1), float32(0)
 		if cw.bnScale != nil {
 			bnS, bnSh = cw.bnScale[oc], cw.bnShift[oc]
@@ -222,24 +225,21 @@ func genQFC(fw *fcWeights, l *nn.Layer, inElems int, sIn, sOut float32) *qfcWeig
 	for o := 0; o < l.OutF; o++ {
 		ws := fw.w[o*inElems : (o+1)*inElems]
 		sW := scaleFor(maxAbs(ws))
-		inv := 1 / sW
-		for i, w := range ws {
-			qw.wq[o*inElems+i] = quantClamp(w * inv)
-		}
+		quantizeRow(qw.wq[o*inElems:(o+1)*inElems], ws, 1/sW)
 		qw.effScale[o] = sIn * sW / sOut
 		qw.effBias[o] = fw.bias[o] / sOut
 	}
 	return qw
 }
 
-// maxAbs returns the largest absolute value in xs (0 for an empty slice).
+// maxAbs returns the largest absolute value in xs (0 for an empty slice; a
+// NaN compares false and is skipped). The sign is cleared as a bit, not
+// branched on: weights are random-signed, and the mispredicted branch cost
+// five times the rest of the loop.
 func maxAbs(xs []float32) float32 {
 	var m float32
 	for _, v := range xs {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
+		if v = math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); v > m {
 			m = v
 		}
 	}

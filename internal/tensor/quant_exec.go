@@ -2,42 +2,81 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"pico/internal/nn"
 	"pico/internal/partition"
 )
 
-// Quantized execution. The executor calibrates one symmetric activation
-// scale per layer boundary by running the float32 path once on a
-// deterministic calibration input derived from (model input shape, seed) —
-// the same trick that lets workers materialise weights without shipping
-// them lets every node derive identical scales without shipping those
-// either. Pool and global-pool boundaries inherit their input's scale
-// (pooled values never leave the input range), so requantization happens
-// only where conv/fc epilogues already touch every element.
+// Quantized execution. One symmetric activation scale per layer boundary is
+// derived by running the float32 path once on a deterministic calibration
+// input made from (model input shape, seed). The vector is a function of
+// (model, seed) alone, so a session derives it once — the coordinator
+// calibrates, the load frame ships it, each worker validates what it receives
+// (checkQuantScales) and presets it (WithQuantScales) — and any node can still
+// re-derive it: an executor built without scales calibrates on first use.
+// Pool and global-pool boundaries inherit their input's scale (pooled values
+// never leave the input range), so requantization happens only where conv/fc
+// epilogues already touch every element.
 
 // Quantized reports whether the executor was built with WithQuantized.
 func (e *Executor) Quantized() bool { return e.quant }
 
-// QuantScales returns the calibrated activation scale of every layer
-// boundary: scales[i] is the scale of the feature map entering layer i,
-// scales[NumLayers] the scale of the model output. Calibration runs once
-// per executor and is deterministic in (model, seed).
+// QuantScales returns the activation scale of every layer boundary:
+// scales[i] is the scale of the feature map entering layer i,
+// scales[NumLayers] the scale of the model output. Unless they were preset,
+// the first call calibrates — on a scratch executor, so the float weights and
+// the kernel time of a forward nobody requested stay off this one.
+// Calibration is deterministic in (model, seed).
 func (e *Executor) QuantScales() ([]float32, error) {
-	e.scOnce.Do(func() { e.scales, e.scErr = e.calibrate() })
+	e.scOnce.Do(func() {
+		if e.scales == nil {
+			scratch := &Executor{m: e.m, seed: e.seed, calc: e.calc, par: e.par, k: e.k}
+			e.scales, e.scErr = scratch.calibrate()
+		}
+	})
 	return e.scales, e.scErr
 }
 
 // QuantScales calibrates activation scales for (m, seed) without requiring
-// the caller to hold an executor — the pipeline coordinator uses it to
-// quantize task inputs at the first boundary.
+// the caller to hold an executor — coordinators use it to derive the vector
+// they ship to workers and quantize task inputs with.
 func QuantScales(m *nn.Model, seed int64) ([]float32, error) {
 	e, err := NewExecutor(m, seed, WithQuantized())
 	if err != nil {
 		return nil, err
 	}
 	return e.QuantScales()
+}
+
+// checkQuantScales vets a scale vector received from another node against
+// everything (m, seed) pins down short of a forward pass: one finite positive
+// scale per boundary, pool and global-pool outputs inheriting their input's
+// scale bit for bit, and the input boundary equal to the scale re-derived
+// from the calibration input — which catches a vector calibrated for another
+// seed or input shape.
+func checkQuantScales(m *nn.Model, seed int64, scales []float32) error {
+	if len(scales) != m.NumLayers()+1 {
+		return fmt.Errorf("tensor: %d quantization scales for the %d boundaries of %s", len(scales), m.NumLayers()+1, m.Name)
+	}
+	for i, s := range scales {
+		if !(s > 0) || math.IsInf(float64(s), 0) {
+			return fmt.Errorf("tensor: quantization scale %g at boundary %d is not finite and positive", s, i)
+		}
+		if i > 0 && inheritsScale(m.Layers[i-1].Kind) && math.Float32bits(s) != math.Float32bits(scales[i-1]) {
+			return fmt.Errorf("tensor: boundary %d follows a pool and must inherit scale %g, got %g", i, scales[i-1], s)
+		}
+	}
+	if want := scaleFor(maxAbs(calibrationInput(m.Input, seed).Data)); math.Float32bits(scales[0]) != math.Float32bits(want) {
+		return fmt.Errorf("tensor: input scale %g is not the %g that %s with seed %d calibrates to", scales[0], want, m.Name, seed)
+	}
+	return nil
+}
+
+// inheritsScale reports whether a layer's output keeps its input's scale.
+func inheritsScale(k nn.Kind) bool {
+	return k == nn.MaxPool || k == nn.AvgPool || k == nn.GlobalAvgPool
 }
 
 // calibrationInput is the deterministic stand-in for a calibration set: the
@@ -69,10 +108,9 @@ func (e *Executor) calibrate() ([]float32, error) {
 			Recycle(cur)
 		}
 		next := res.Tensor()
-		switch e.m.Layers[i].Kind {
-		case nn.MaxPool, nn.AvgPool, nn.GlobalAvgPool:
+		if inheritsScale(e.m.Layers[i].Kind) {
 			scales[i+1] = scales[i]
-		default:
+		} else {
 			scales[i+1] = scaleFor(maxAbs(next.Data))
 		}
 		cur = next

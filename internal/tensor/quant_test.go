@@ -264,8 +264,9 @@ func TestQuantScaleMismatchRejected(t *testing.T) {
 }
 
 // TestQuantCalibrationDeterministic: two executors with the same (model,
-// seed) must derive bit-identical boundary scales — the property that lets
-// distributed workers quantize without exchanging calibration state.
+// seed) must derive bit-identical boundary scales — the property that lets a
+// worker validate the scales it is shipped, or re-derive them when shipped
+// none.
 func TestQuantCalibrationDeterministic(t *testing.T) {
 	m := nn.ToyChain("qtoy", 4, 2, 12, 32)
 	a, err := QuantScales(m, 7)

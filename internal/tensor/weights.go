@@ -190,16 +190,14 @@ func weightRNG(seed int64, key string) *rand.Rand {
 	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
 }
 
-// genConv generates LeCun-uniform weights (scale sqrt(3/fanIn)), zero-mean
-// small biases and a mild batch-norm affine, keeping activations numerically
-// stable through deep stacks.
-func genConv(seed int64, key string, l *nn.Layer, inC int) *convWeights {
+// genConvParams generates a convolution's parameters alone: LeCun-uniform
+// weights (scale sqrt(3/fanIn)), zero-mean small biases and a mild batch-norm
+// affine, keeping activations numerically stable through deep stacks. The
+// float kernels need the layouts genConv adds; the int8 quantizer reads only
+// these.
+func genConvParams(seed int64, key string, l *nn.Layer, inC int) *convWeights {
 	rng := weightRNG(seed, key)
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
-	icg := inC / groups
+	icg := inC / max(l.Groups, 1)
 	fanIn := l.KH * l.KW * icg
 	bound := float32(math.Sqrt(3.0 / float64(fanIn)))
 	w := make([]float32, l.OutC*icg*l.KH*l.KW)
@@ -219,12 +217,22 @@ func genConv(seed int64, key string, l *nn.Layer, inC int) *convWeights {
 			cw.bnShift[i] = (rng.Float32()*2 - 1) * 0.05
 		}
 	}
+	return cw
+}
+
+// genConv generates a convolution's parameters and the layouts the float
+// kernels read (compacted rows, register-tile plan).
+func genConv(seed int64, key string, l *nn.Layer, inC int) *convWeights {
+	cw := genConvParams(seed, key, l, inC)
+	icg := inC / max(l.Groups, 1)
 	cw.compact(l, icg)
 	cw.pack(l, icg)
 	return cw
 }
 
-func genFC(seed int64, key string, l *nn.Layer, inElems int) *fcWeights {
+// genFCParams generates a fully connected layer's parameters alone (see
+// genConvParams).
+func genFCParams(seed int64, key string, l *nn.Layer, inElems int) *fcWeights {
 	rng := weightRNG(seed, key)
 	bound := float32(math.Sqrt(3.0 / float64(inElems)))
 	w := make([]float32, l.OutF*inElems)
@@ -235,13 +243,19 @@ func genFC(seed int64, key string, l *nn.Layer, inElems int) *fcWeights {
 	for i := range bias {
 		bias[i] = (rng.Float32()*2 - 1) * 0.01
 	}
-	fw := &fcWeights{w: w, bias: bias}
+	return &fcWeights{w: w, bias: bias}
+}
+
+// genFC generates a fully connected layer's parameters and, on hosts with
+// float SIMD, the panels the vector kernel reads.
+func genFC(seed int64, key string, l *nn.Layer, inElems int) *fcWeights {
+	fw := genFCParams(seed, key, l, inElems)
 	if nf := l.OutF &^ 15; simdFloat && nf > 0 && inElems > 0 {
 		fw.panels = make([]float32, nf*inElems)
 		for p := 0; p < nf/16; p++ {
 			for i := 0; i < inElems; i++ {
 				for lane := 0; lane < 16; lane++ {
-					fw.panels[(p*inElems+i)*16+lane] = w[(16*p+lane)*inElems+i]
+					fw.panels[(p*inElems+i)*16+lane] = fw.w[(16*p+lane)*inElems+i]
 				}
 			}
 		}

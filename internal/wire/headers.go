@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -30,13 +31,43 @@ const (
 // LoadModelHeader ships a model and weight seed. The payload is empty; the
 // model travels inside the header as JSON (weights are derived from the
 // seed, so no parameter blob is needed — see the tensor package). Quant
-// asks the worker to additionally build the int8 executor for this model:
-// calibration is derived from (model, seed), so coordinator and workers
-// agree on every boundary scale without exchanging calibration state.
+// asks the worker to serve the int8 path for this model too. Scales is the
+// session's boundary-scale vector (tensor.QuantScales: NumLayers+1 entries),
+// calibrated once by the coordinator from (model, seed); the worker validates
+// it on receipt and presets it instead of calibrating. A quant load without
+// Scales — an older coordinator — makes the worker derive the same vector
+// itself at load.
 type LoadModelHeader struct {
-	Model ModelSpec `json:"model"`
-	Seed  int64     `json:"seed"`
-	Quant bool      `json:"quant,omitempty"`
+	Model  ModelSpec `json:"model"`
+	Seed   int64     `json:"seed"`
+	Quant  bool      `json:"quant,omitempty"`
+	Scales Scales    `json:"scales,omitempty"`
+}
+
+// Scales is a quantization-scale vector that crosses the wire as float32 bit
+// patterns (a JSON array of uint32), so every value — including ones with no
+// short decimal form, and the non-finite ones a receiver must get to see in
+// order to reject — arrives bit for bit.
+type Scales []float32
+
+func (s Scales) MarshalJSON() ([]byte, error) {
+	bits := make([]uint32, len(s))
+	for i, v := range s {
+		bits[i] = math.Float32bits(v)
+	}
+	return json.Marshal(bits)
+}
+
+func (s *Scales) UnmarshalJSON(b []byte) error {
+	var bits []uint32
+	if err := json.Unmarshal(b, &bits); err != nil {
+		return err
+	}
+	*s = make(Scales, len(bits))
+	for i, v := range bits {
+		(*s)[i] = math.Float32frombits(v)
+	}
+	return nil
 }
 
 // ModelSpec is the wire form of an nn.Model.

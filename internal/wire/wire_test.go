@@ -439,6 +439,55 @@ func TestModelSpecJSONSurvivesWire(t *testing.T) {
 	}
 }
 
+// TestLoadModelQuantScalesBitExact: the scale vector in a load header crosses
+// the wire as bit patterns, so every float32 — subnormals, the largest finite
+// value, values with no short decimal form, and the non-finite ones the
+// receiver has to see to reject — arrives bit for bit; a header without
+// scales (an older coordinator, or a float load) decodes to none.
+func TestLoadModelQuantScalesBitExact(t *testing.T) {
+	a, b := pipePair()
+	defer a.Close()
+	defer b.Close()
+	bits := []uint32{
+		0x00000001, 0x007fffff, 0x00800000, // subnormals, smallest normal
+		0x7f7fffff, 0x3dcccccd, 0x3eaaaaab, 0x2edbe6ff, // max finite, 0.1, 1/3, 1e-10
+		0x7f800000, 0xff800000, 0x7fc00000, 0x7fa00001, 0x80000000, // +-Inf, NaNs, -0
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 64; i++ {
+		bits = append(bits, rng.Uint32())
+	}
+	scales := make(Scales, len(bits))
+	for i, v := range bits {
+		scales[i] = math.Float32frombits(v)
+	}
+	spec := SpecFromModel(nn.ToyChain("s", 2, 0, 4, 16))
+	for _, sent := range []Scales{scales, nil} {
+		go func() {
+			_ = a.Send(MsgLoadModel, LoadModelHeader{Model: spec, Seed: 7, Quant: true, Scales: sent}, nil)
+		}()
+		msg, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent == nil && bytes.Contains(msg.Header, []byte("scales")) {
+			t.Fatalf("a header without scales mentions them: %s", msg.Header)
+		}
+		var hdr LoadModelHeader
+		if err := msg.DecodeHeader(&hdr); err != nil {
+			t.Fatal(err)
+		}
+		if !hdr.Quant || hdr.Seed != 7 || len(hdr.Scales) != len(sent) {
+			t.Fatalf("decoded quant=%v seed=%d with %d scales, sent %d", hdr.Quant, hdr.Seed, len(hdr.Scales), len(sent))
+		}
+		for i, v := range hdr.Scales {
+			if got := math.Float32bits(v); got != bits[i] {
+				t.Fatalf("scale %d arrived as %#08x, sent %#08x", i, got, bits[i])
+			}
+		}
+	}
+}
+
 func TestMsgTypeStrings(t *testing.T) {
 	for _, mt := range []MsgType{MsgHello, MsgLoadModel, MsgExec, MsgExecResult, MsgError, MsgPing, MsgPong, MsgShutdown} {
 		if mt.String() == "" || strings.HasPrefix(mt.String(), "type(") {
@@ -538,6 +587,10 @@ func FuzzRecv(f *testing.F) {
 		_ = c.SendExec(3, &ExecHeader{TaskID: 1, ModelName: "m"}, []byte{1})
 		oc, oh, ow := overflowExtent()
 		_ = c.SendExec(4, &ExecHeader{TaskID: 2, TileC: oc, TileH: oh, TileW: ow, DType: DTypeInt8, Scale: 1}, nil)
+		_ = c.SendRequest(MsgLoadModel, 5, LoadModelHeader{
+			Model: SpecFromModel(nn.ToyChain("f", 1, 0, 2, 8)), Seed: 1, Quant: true,
+			Scales: Scales{0.5, float32(math.NaN()), float32(math.Inf(1)), -1},
+		}, nil)
 		_ = b.Close()
 		<-done
 		return buf.Bytes()
@@ -575,6 +628,12 @@ func FuzzRecv(f *testing.F) {
 				}
 			case MsgExecResult:
 				_ = msg.DecodeExecResult(&ExecResultHeader{})
+			case MsgLoadModel:
+				// A load header is JSON from outside: decode or reject.
+				var h LoadModelHeader
+				if msg.DecodeHeader(&h) == nil {
+					_, _ = h.Model.ToModel()
+				}
 			}
 			PutBuffer(msg.Payload)
 		}
