@@ -27,17 +27,19 @@ race-hot:
 # Quantized-path property tests under the race detector: kernel
 # blocked-vs-reference bit-identity at par > 1 (GEMM walker and depthwise
 # plane walker), the int8 codec, the scales a load frame carries (bit-exact on
-# the wire, validated by the worker) and the distributed quant pipeline
-# against local RunQ.
+# the wire, validated by the worker), the distributed quant pipeline and the
+# int8 grid stage against local RunQ, and int8 pricing of one-stage plans.
 race-quant:
 	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw|Depthwise' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core
 
 # Fault-injection suite under the race detector: worker crashes, hangs,
 # flaky connections and panics against the pipeline's recovery machinery
-# (deadlines, retry, redial, re-balance). Every test carries a watchdog, so
+# (deadlines, retry, redial, re-balance) on strip and grid stages, plus the
+# reconfiguration contract — plan swaps under concurrent submitters, a swap
+# over a dead worker, Submit racing Close. Every test carries a watchdog, so
 # a recovery regression fails fast instead of wedging CI.
 chaos:
-	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|RunDegraded|SurvivesWorkerCrash' ./internal/runtime ./internal/wire ./internal/simulate
+	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|RunDegraded|SurvivesWorkerCrash|SubmitRacingClose|Adaptive|GridPlan' ./internal/runtime ./internal/wire ./internal/simulate
 
 # Smoke-run the execution-engine benchmarks (single iteration): catches
 # bench-only compile errors and allocation regressions without a full sweep.
@@ -63,10 +65,11 @@ bench-kernel-smoke:
 	$(GO) test -run NONE -bench '^BenchmarkKernelKinds$$' -benchtime=1x .
 
 # Serving-gateway smoke under the race detector: the full binary path
-# (loopback workers, HTTP, micro-batcher, drain) plus the end-to-end
-# byte-identity contract between /infer and a local run.
+# (loopback workers, HTTP, micro-batcher, drain), the end-to-end
+# byte-identity contract between /infer and a local run, and a plan=apico
+# session swapping plans at the Theorem-2 crossover.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'PicoserveSmoke|GatewayInferMatchesLocalRun$$' ./cmd/picoserve ./internal/serve
+	$(GO) test -race -count=1 -run 'PicoserveSmoke|GatewayInferMatchesLocalRun$$|GatewayAPICO' ./cmd/picoserve ./internal/serve
 
 # One-iteration pass over the instrumented-vs-bare pipeline benchmark:
 # catches hot-path regressions in the telemetry ring without a timing run.
@@ -101,6 +104,7 @@ bench-vet:
 gocount = $$(find $(1) -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 loc:
 	@for d in internal/* cmd bench; do printf '%-22s %6d\n' $$d $(call gocount,$$d); done
+	@printf '%-22s %6d\n' 'runtime+serve+core' $(call gocount,internal/runtime internal/serve internal/core)
 	@printf '%-22s %6d\n' 'internal + cmd' $(call gocount,internal cmd)
 	@printf '%-22s %6d\n' 'asm (*.s)' $$(find . -name '*.s' -exec cat {} + | wc -l)
 

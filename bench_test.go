@@ -445,7 +445,7 @@ func BenchmarkRuntimeTelemetryOverhead(b *testing.B) {
 }
 
 func BenchmarkAdaptiveSwitcher(b *testing.B) {
-	profiles, sw, est, err := pico.NewAdaptive(nn.VGG16(), cluster.PaperHeterogeneous(), 0.5, 10)
+	profiles, sw, est, err := pico.NewAPICO(nn.VGG16(), cluster.PaperHeterogeneous(), 0.5, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -471,26 +471,32 @@ func BenchmarkAblationGrid(b *testing.B) { runExperiment(b, "ablation-grid") }
 
 func BenchmarkExtMobileNet(b *testing.B) { runExperiment(b, "ext-mobilenet") }
 
-func BenchmarkGridExecutorRemote(b *testing.B) {
+// BenchmarkGridPlanRemote times one task through a 2x2 grid stage on four
+// loopback workers: slice four rects, four exec round trips, stitch.
+func BenchmarkGridPlanRemote(b *testing.B) {
 	m := nn.ToyChain("bench-grid", 4, 2, 8, 32)
 	lc, err := runtime.StartLocalCluster(4, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer lc.Close()
-	out := m.Output()
-	tiles := partition.GridPartition(out.H, out.W, 2, 2)
-	addrs := []string{lc.Addrs[0], lc.Addrs[1], lc.Addrs[2], lc.Addrs[3]}
-	ge, err := runtime.NewGridExecutor(m, 0, m.NumLayers(), tiles, addrs, 1)
+	plan, err := core.GridPlan(m, cluster.Homogeneous(4, 600e6), 2, 2, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ge.Close()
+	p, err := runtime.NewPipeline(plan, lc.Addrs, runtime.PipelineOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
 	in := tensor.RandomInput(m.Input, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ge.Infer(int64(i), in); err != nil {
+		if _, err := p.Submit(in); err != nil {
 			b.Fatal(err)
+		}
+		if res := <-p.Results(); res.Err != nil {
+			b.Fatal(res.Err)
 		}
 	}
 }

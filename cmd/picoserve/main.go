@@ -12,6 +12,11 @@
 //	curl -sS --data-binary @input.f32 \
 //	  'http://localhost:8080/infer?model=toy&plan=pico' -o output.f32
 //
+// plan= picks the session's scheme: pico (the default, the PICO pipeline),
+// fused (one stage over the whole cluster) or apico, which plans both and
+// swaps the live pipeline to whichever Theorem 2 favours at the arrival rate
+// it observes (each swap is in /healthz's fault journal as plan-swapped).
+//
 // GET /healthz reports per-session pipeline health, GET /stats the gateway
 // counters, GET /metrics the sliding-window latency percentiles
 // (p50/p95/p99 per model, stage, device and kind) in plaintext exposition

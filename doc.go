@@ -29,7 +29,11 @@
 //
 // A plan can be analysed (plan.PeriodSeconds, plan.Stats), simulated under
 // a workload (simulate via Profile/RunOpenLoop), or executed for real over
-// TCP workers (StartLocalCluster + NewPipeline + Submit).
+// TCP workers (StartLocalCluster + NewPipeline + Submit). Pipeline is the
+// one coordinator: a stage's tiles are row strips or, from GridPlan, a 2D
+// grid; Pipeline.Swap replaces the running plan at a task boundary, which is
+// how the serving gateway's plan=apico sessions switch between the pipeline
+// and the one-stage scheme (§IV-C) under load.
 //
 // See the runnable programs under examples/, the experiment regenerators
 // behind cmd/picobench, which rebuild every table and figure of the paper's

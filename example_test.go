@@ -78,7 +78,7 @@ func ExampleGridPartition() {
 func ExampleOneStagePlan() {
 	model := pico.YOLOv2()
 	cl := pico.Homogeneous(8, 600e6)
-	one, _ := pico.OneStagePlan(model, cl)
+	one, _ := pico.OneStagePlan(model, cl, pico.PlanOptions{})
 	pipe, _ := pico.PlanPipeline(model, cl, pico.PlanOptions{})
 	single, _ := pico.SingleDevice(model, cl, 0)
 	fmt.Printf("single device: %.1fs\n", single.PeriodSeconds)

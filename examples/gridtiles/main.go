@@ -2,8 +2,10 @@
 // fused early layers of a VGG-like model run as a 2x2 tile grid across four
 // TCP workers; the example compares the grid against 4 row strips on the
 // metrics DeepThings optimizes (per-device input footprint) and the one the
-// paper optimizes (redundant work), then verifies the distributed grid
-// output bit-for-bit against local inference.
+// paper optimizes (redundant work), then runs the grid as a one-stage plan
+// through the same Pipeline that runs strips — deadlines, retry, redial and
+// telemetry included — and verifies the output bit-for-bit against local
+// inference.
 //
 //	go run ./examples/gridtiles
 package main
@@ -70,13 +72,16 @@ func run() error {
 		return err
 	}
 	defer lc.Close()
-	addrs := []string{lc.Addrs[0], lc.Addrs[1], lc.Addrs[2], lc.Addrs[3]}
 	const seed = 77
-	ge, err := pico.NewGridExecutor(model, 0, L, pico.GridPartition(out.H, out.W, 2, 2), addrs, seed)
+	plan, err := pico.GridPlan(model, pico.Homogeneous(4, 600e6), 2, 2, pico.PlanOptions{})
 	if err != nil {
 		return err
 	}
-	defer ge.Close()
+	pipe, err := pico.NewPipeline(plan, lc.Addrs, pico.PipelineOptions{Seed: seed})
+	if err != nil {
+		return err
+	}
+	defer pipe.Close()
 
 	ref, err := pico.NewExecutor(model, seed)
 	if err != nil {
@@ -86,10 +91,14 @@ func run() error {
 	for task := int64(1); task <= 5; task++ {
 		in := pico.RandomInput(model.Input, task)
 		start := time.Now()
-		got, err := ge.Infer(task, in)
-		if err != nil {
+		if _, err := pipe.Submit(in); err != nil {
 			return err
 		}
+		res := <-pipe.Results()
+		if res.Err != nil {
+			return res.Err
+		}
+		got := res.Output
 		want, err := ref.Run(in)
 		if err != nil {
 			return err

@@ -26,7 +26,7 @@ func run() error {
 	model := pico.VGG16()
 	cl := pico.PaperHeterogeneous()
 
-	profiles, switcher, estimator, err := pico.NewAdaptive(model, cl, 0.5, 10)
+	profiles, switcher, estimator, err := pico.NewAPICO(model, cl, 0.5, 10)
 	if err != nil {
 		return err
 	}

@@ -126,7 +126,7 @@ func TestLatencyLimitSelectsFrontierPoint(t *testing.T) {
 func TestOneStagePlan(t *testing.T) {
 	m := nn.Fig13Toy()
 	cl := cluster.Fig13Heterogeneous()
-	plan, err := OneStagePlan(m, cl)
+	plan, err := OneStagePlan(m, cl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +158,10 @@ func TestOneStagePlan(t *testing.T) {
 		t.Fatalf("one-stage latency %.4f above pipeline %.4f", plan.LatencySeconds, pipe.LatencySeconds)
 	}
 	// Invalid inputs.
-	if _, err := OneStagePlan(&nn.Model{Name: "bad"}, cl); err == nil {
+	if _, err := OneStagePlan(&nn.Model{Name: "bad"}, cl, Options{}); err == nil {
 		t.Fatal("invalid model accepted")
 	}
-	if _, err := OneStagePlan(m, &cluster.Cluster{}); err == nil {
+	if _, err := OneStagePlan(m, &cluster.Cluster{}, Options{}); err == nil {
 		t.Fatal("invalid cluster accepted")
 	}
 }
@@ -345,7 +345,7 @@ func TestCostCombineMax(t *testing.T) {
 	outH := m.OutShape(1).H
 	parts := partition.Equal(outH, 4)
 	speeds := cm.DeviceSpeeds([]int{0, 1, 2, 3})
-	total, comp, comm := cm.StageCost(0, 2, speeds, parts)
+	total, comp, comm := cm.StageCost(0, 2, speeds, parts, nil)
 	want := comp
 	if comm > want {
 		want = comm

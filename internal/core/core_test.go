@@ -330,7 +330,7 @@ func TestStageCostComponents(t *testing.T) {
 	outH := m.OutShape(1).H
 	parts := partition.Equal(outH, 4)
 	speeds := cm.DeviceSpeeds([]int{0, 1, 2, 3})
-	total, comp, comm := cm.StageCost(0, 2, speeds, parts)
+	total, comp, comm := cm.StageCost(0, 2, speeds, parts, nil)
 	if math.Abs(total-(comp+comm)) > 1e-12 {
 		t.Fatalf("total %.6f != comp %.6f + comm %.6f", total, comp, comm)
 	}

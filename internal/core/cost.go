@@ -7,8 +7,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pico/internal/cluster"
 	"pico/internal/nn"
 	"pico/internal/partition"
@@ -52,20 +50,39 @@ func NewCostModel(m *nn.Model, c *cluster.Cluster) *CostModel {
 	return &CostModel{M: m, C: c, Calc: partition.NewCalc(m), Combine: CostSum, BytesPerElem: 4}
 }
 
+// asStrip reports whether device k's tile of a stage ending at layer to is
+// priced as the row strip parts[k]: the stage has no column ranges, or this
+// one spans the map (a full-width tile executes as a strip, see
+// partition.Calc.TileRects). Strips keep the row calculators, so plans
+// without columns price exactly as before tiles were plan data.
+func (cm *CostModel) asStrip(to int, cols []partition.Range, k int) bool {
+	return cols == nil || cols[k] == partition.Full(cm.M.OutShape(to-1).W)
+}
+
+// tileFLOPs returns the work of device k's tile parts[k] x cols[k].
+func (cm *CostModel) tileFLOPs(from, to int, parts, cols []partition.Range, k int) int64 {
+	if cm.asStrip(to, cols, k) {
+		return cm.Calc.SegmentRegionFLOPs(from, to, parts[k])
+	}
+	return cm.Calc.SegmentRectFLOPs(from, to, partition.Rect{Rows: parts[k], Cols: cols[k]})
+}
+
+// TileFLOPs returns the work device position k of the stage does per task.
+func (cm *CostModel) TileFLOPs(st *Stage, k int) float64 {
+	return float64(cm.tileFLOPs(st.From, st.To, st.Parts, st.Cols, k))
+}
+
 // StageComp returns T_comp (Eq. 6): the maximum per-device compute time when
 // device speeds[k] (effective FLOPs/s, i.e. ϑ/α) produces output rows
-// parts[k] of segment [from, to).
-func (cm *CostModel) StageComp(from, to int, speeds []float64, parts []partition.Range) float64 {
+// parts[k] — columns cols[k] of them when cols is non-nil — of segment
+// [from, to).
+func (cm *CostModel) StageComp(from, to int, speeds []float64, parts, cols []partition.Range) float64 {
 	worst := 0.0
 	for k, r := range parts {
-		if r.Empty() {
+		if r.Empty() || speeds[k] <= 0 {
 			continue
 		}
-		flops := float64(cm.Calc.SegmentRegionFLOPs(from, to, r))
-		if speeds[k] <= 0 {
-			continue
-		}
-		if t := flops / speeds[k]; t > worst {
+		if t := float64(cm.tileFLOPs(from, to, parts, cols, k)) / speeds[k]; t > worst {
 			worst = t
 		}
 	}
@@ -75,14 +92,19 @@ func (cm *CostModel) StageComp(from, to int, speeds []float64, parts []partition
 // StageComm returns T_comm (Eq. 7–8): the sum over stage devices of the time
 // to transfer each device's input region in and output region out at the
 // cluster bandwidth.
-func (cm *CostModel) StageComm(from, to int, parts []partition.Range) float64 {
+func (cm *CostModel) StageComm(from, to int, parts, cols []partition.Range) float64 {
 	var bytes int64
-	for _, r := range parts {
+	for k, r := range parts {
 		if r.Empty() {
 			continue
 		}
-		in, out := cm.Calc.SegmentIOBytes(from, to, r)
-		bytes += in + out
+		if cm.asStrip(to, cols, k) {
+			in, out := cm.Calc.SegmentIOBytes(from, to, r)
+			bytes += in + out
+			continue
+		}
+		tile := partition.Rect{Rows: r, Cols: cols[k]}
+		bytes += cm.Calc.RectBytes(from, cm.Calc.SegmentRects(from, to, tile)[0]) + cm.Calc.RectBytes(to, tile)
 	}
 	// Calc prices regions at float32; rescale for the active element size.
 	if cm.BytesPerElem > 0 && cm.BytesPerElem != 4 {
@@ -93,9 +115,9 @@ func (cm *CostModel) StageComm(from, to int, parts []partition.Range) float64 {
 
 // StageCost returns T(S) (Eq. 9, or its overlapped variant per Combine)
 // plus the two components.
-func (cm *CostModel) StageCost(from, to int, speeds []float64, parts []partition.Range) (total, comp, comm float64) {
-	comp = cm.StageComp(from, to, speeds, parts)
-	comm = cm.StageComm(from, to, parts)
+func (cm *CostModel) StageCost(from, to int, speeds []float64, parts, cols []partition.Range) (total, comp, comm float64) {
+	comp = cm.StageComp(from, to, speeds, parts, cols)
+	comm = cm.StageComm(from, to, parts, cols)
 	if cm.Combine == CostMax {
 		if comp >= comm {
 			return comp, comp, comm
@@ -115,7 +137,7 @@ func (cm *CostModel) EqualStageCost(from, to, p int, speed float64) (total, comp
 	for i := range speeds {
 		speeds[i] = speed
 	}
-	return cm.StageCost(from, to, speeds, parts)
+	return cm.StageCost(from, to, speeds, parts, nil)
 }
 
 // DeviceSpeeds extracts effective speeds for the given device indices.
@@ -138,11 +160,4 @@ func (cm *CostModel) SegmentWork(from, to int, parts []partition.Range) float64 
 		sum += float64(cm.Calc.SegmentRegionFLOPs(from, to, r))
 	}
 	return sum
-}
-
-func (cm *CostModel) validateSegment(from, to int) error {
-	if from < 0 || to > cm.M.NumLayers() || from >= to {
-		return fmt.Errorf("core: invalid segment [%d,%d) of %d layers", from, to, cm.M.NumLayers())
-	}
-	return nil
 }

@@ -241,9 +241,10 @@ func (p *planner) reconstruct(j, d, pi int) []homStage {
 	return append(stages, homStage{From: pt.cut, To: j, Workers: pt.workers})
 }
 
-// PlanPipeline runs the full PICO planner (Algorithms 1 + 2) and returns the
-// pipelined cooperation plan for the model on the cluster.
-func PlanPipeline(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) {
+// costModelFor validates the model and the cluster and builds the cost model
+// the options select: every planner entry point prices its plan in the mode
+// the plan will execute in.
+func costModelFor(m *nn.Model, c *cluster.Cluster, opts Options) (*CostModel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -256,6 +257,16 @@ func PlanPipeline(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) 
 	}
 	if opts.Quantized {
 		cm.BytesPerElem = 1
+	}
+	return cm, nil
+}
+
+// PlanPipeline runs the full PICO planner (Algorithms 1 + 2) and returns the
+// pipelined cooperation plan for the model on the cluster.
+func PlanPipeline(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) {
+	cm, err := costModelFor(m, c, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	// Step 1 (Eq. 12 + Alg. 1): optimise on the homogenised cluster.
@@ -291,77 +302,93 @@ func assignPositional(cm *CostModel, homStages []homStage) *Plan {
 	plan := &Plan{Model: cm.M, Cluster: cm.C}
 	next := 0
 	for _, hs := range homStages {
-		idx := make([]int, hs.Workers)
-		for i := range idx {
-			idx[i] = next
-			next++
-		}
 		outH := cm.M.OutShape(hs.To - 1).H
 		plan.Stages = append(plan.Stages, Stage{
 			From: hs.From, To: hs.To,
-			DeviceIdx: idx,
+			DeviceIdx: firstDevices(next, hs.Workers),
 			Parts:     partition.Equal(outH, hs.Workers),
 		})
+		next += hs.Workers
 	}
 	return plan
 }
 
-// SingleDevice builds the trivial plan that runs the whole model on one
-// device — the 1-device baseline of the speedup figures.
-func SingleDevice(m *nn.Model, c *cluster.Cluster, deviceIdx int) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
+// firstDevices returns the n consecutive device indices starting at lo.
+func firstDevices(lo, n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = lo + i
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if deviceIdx < 0 || deviceIdx >= c.Size() {
-		return nil, fmt.Errorf("core: device index %d out of range", deviceIdx)
-	}
-	cm := NewCostModel(m, c)
-	outH := m.Output().H
-	plan := &Plan{
-		Model:   m,
-		Cluster: c,
-		Stages: []Stage{{
-			From: 0, To: m.NumLayers(),
-			DeviceIdx: []int{deviceIdx},
-			Parts:     []partition.Range{partition.Full(outH)},
-		}},
-	}
-	plan.recompute(cm)
-	return plan, nil
+	return idx
 }
 
-// OneStagePlan builds the fused-layer plan that runs the whole model as a
-// single stage across every cluster device with capacity-balanced strips —
-// the executable form of the one-stage scheme APICO switches to under light
-// workloads (§IV-C).
-func OneStagePlan(m *nn.Model, c *cluster.Cluster) (*Plan, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	cm := NewCostModel(m, c)
-	idx := make([]int, c.Size())
-	for i := range idx {
-		idx[i] = i
-	}
-	parts := cm.Calc.Balanced(0, m.NumLayers(), cm.DeviceSpeeds(idx))
+// wholeModelPlan prices and validates the plan that runs the whole model as
+// one stage with the given device tiles.
+func wholeModelPlan(cm *CostModel, opts Options, deviceIdx []int, parts, cols []partition.Range) (*Plan, error) {
 	plan := &Plan{
-		Model:   m,
-		Cluster: c,
+		Model:   cm.M,
+		Cluster: cm.C,
 		Stages: []Stage{{
-			From: 0, To: m.NumLayers(),
-			DeviceIdx: idx,
+			From: 0, To: cm.M.NumLayers(),
+			DeviceIdx: deviceIdx,
 			Parts:     parts,
+			Cols:      cols,
 		}},
+		Quantized: opts.Quantized,
 	}
 	plan.recompute(cm)
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("core: one-stage plan invalid: %w", err)
 	}
 	return plan, nil
+}
+
+// SingleDevice builds the trivial plan that runs the whole model on one
+// device — the 1-device baseline of the speedup figures.
+func SingleDevice(m *nn.Model, c *cluster.Cluster, deviceIdx int) (*Plan, error) {
+	cm, err := costModelFor(m, c, Options{})
+	if err != nil {
+		return nil, err
+	}
+	if deviceIdx < 0 || deviceIdx >= c.Size() {
+		return nil, fmt.Errorf("core: device index %d out of range", deviceIdx)
+	}
+	return wholeModelPlan(cm, Options{}, []int{deviceIdx}, []partition.Range{partition.Full(m.Output().H)}, nil)
+}
+
+// OneStagePlan builds the fused-layer plan that runs the whole model as a
+// single stage across every cluster device with capacity-balanced strips —
+// the executable form of the one-stage scheme APICO switches to under light
+// workloads (§IV-C). The stage's input and output tiles cross the link, so it
+// is priced in the precision opts selects, like a pipeline plan.
+func OneStagePlan(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) {
+	cm, err := costModelFor(m, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	idx := firstDevices(0, c.Size())
+	return wholeModelPlan(cm, opts, idx, cm.Calc.Balanced(0, m.NumLayers(), cm.DeviceSpeeds(idx)), nil)
+}
+
+// GridPlan builds the one-stage plan that cuts the model's output map into a
+// rows x cols grid of DeepThings-style tiles, tile k (row-major) on device k.
+// Validation rejects grids the runtime cannot execute: empty tiles (a small
+// map over-partitioned) and several tiles over a layer that needs the whole
+// input map.
+func GridPlan(m *nn.Model, c *cluster.Cluster, rows, cols int, opts Options) (*Plan, error) {
+	cm, err := costModelFor(m, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	if rows < 1 || cols < 1 || rows*cols > c.Size() {
+		return nil, fmt.Errorf("core: a %dx%d grid does not fit %d devices", rows, cols, c.Size())
+	}
+	out := m.Output()
+	tiles := partition.GridPartition(out.H, out.W, rows, cols)
+	parts := make([]partition.Range, len(tiles))
+	colRanges := make([]partition.Range, len(tiles))
+	for k, t := range tiles {
+		parts[k], colRanges[k] = t.Rows, t.Cols
+	}
+	return wholeModelPlan(cm, opts, firstDevices(0, len(tiles)), parts, colRanges)
 }

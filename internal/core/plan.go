@@ -10,7 +10,7 @@ import (
 )
 
 // Stage is one pipeline stage: a contiguous layer segment replicated over a
-// device subset, each device producing one output strip.
+// device subset, each device producing one output tile.
 type Stage struct {
 	// From, To delimit the model segment [From, To).
 	From, To int
@@ -19,6 +19,11 @@ type Stage struct {
 	// Parts are the per-device output row ranges, parallel to DeviceIdx.
 	// Empty ranges mark devices that idle in this stage.
 	Parts []partition.Range
+	// Cols, when non-nil, is parallel to Parts and narrows device k's tile to
+	// the rectangle Parts[k] x Cols[k] — a DeepThings-style 2D grid tile.
+	// Nil means every tile spans the full width: the row strips the planners
+	// build.
+	Cols []partition.Range
 	// CompSeconds is T_comp (Eq. 6) for this stage.
 	CompSeconds float64
 	// CommSeconds is the stage's communication contribution to T(S):
@@ -30,6 +35,27 @@ type Stage struct {
 
 // Seconds returns the stage execution time T(S) = T_comp + T_comm (Eq. 9).
 func (s *Stage) Seconds() float64 { return s.CompSeconds + s.CommSeconds }
+
+// Tiles returns the per-device output rectangles, parallel to DeviceIdx, on
+// a stage output outW columns wide.
+func (s *Stage) Tiles(outW int) []partition.Rect {
+	tiles := make([]partition.Rect, len(s.Parts))
+	for k, rows := range s.Parts {
+		tiles[k] = partition.Rect{Rows: rows, Cols: partition.Full(outW)}
+		if s.Cols != nil {
+			tiles[k].Cols = s.Cols[k]
+		}
+	}
+	return tiles
+}
+
+// tileLabel renders device k's tile for plan summaries.
+func (s *Stage) tileLabel(k int) string {
+	if s.Cols == nil {
+		return fmt.Sprintf("rows %v", s.Parts[k])
+	}
+	return fmt.Sprintf("rows %v cols %v", s.Parts[k], s.Cols[k])
+}
 
 // Workers returns how many devices hold a non-empty strip.
 func (s *Stage) Workers() int {
@@ -77,7 +103,7 @@ func (p *Plan) recompute(cm *CostModel) {
 	for i := range p.Stages {
 		st := &p.Stages[i]
 		speeds := cm.DeviceSpeeds(st.DeviceIdx)
-		total, comp, _ := cm.StageCost(st.From, st.To, speeds, st.Parts)
+		total, comp, _ := cm.StageCost(st.From, st.To, speeds, st.Parts, st.Cols)
 		st.CompSeconds = comp
 		st.CommSeconds = total - comp
 		t := st.Seconds()
@@ -155,12 +181,24 @@ func (p *Plan) Stats(cm *CostModel) *Stats {
 	}
 	for _, stage := range p.Stages {
 		red := cm.Calc.Redundancy(stage.From, stage.To, stage.Parts)
+		// A grid stage's overlap is counted per cell, not per device: spread
+		// the stage's redundant share over its tiles by their work.
+		gridShare := 0.0
+		if stage.Cols != nil {
+			gs := cm.Calc.GridStats(stage.From, stage.To, stage.Tiles(p.Model.OutShape(stage.To-1).W))
+			gridShare = gs.Ratio()
+		}
 		for k, di := range stage.DeviceIdx {
-			st.DeviceFLOPs[di] += red.PerDeviceFLOPs[k]
-			st.DeviceRedundant[di] += red.PerDeviceRedundant[k]
+			flops, redundant := red.PerDeviceFLOPs[k], red.PerDeviceRedundant[k]
+			if stage.Cols != nil {
+				flops = cm.TileFLOPs(&stage, k)
+				redundant = flops * gridShare
+			}
+			st.DeviceFLOPs[di] += flops
+			st.DeviceRedundant[di] += redundant
 			speed := p.Cluster.Devices[di].EffectiveSpeed()
 			if speed > 0 {
-				st.DeviceBusySeconds[di] += red.PerDeviceFLOPs[k] / speed
+				st.DeviceBusySeconds[di] += flops / speed
 			}
 		}
 	}
@@ -179,14 +217,15 @@ func (p *Plan) Describe() string {
 			if st.Parts[k].Empty() {
 				continue
 			}
-			fmt.Fprintf(&b, "    %-18s rows %v\n", p.Cluster.Devices[di].ID, st.Parts[k])
+			fmt.Fprintf(&b, "    %-18s %s\n", p.Cluster.Devices[di].ID, st.tileLabel(k))
 		}
 	}
 	return b.String()
 }
 
 // Validate checks structural consistency: contiguous full-model coverage,
-// no device reused across stages, strips covering each stage output exactly.
+// no device reused across stages, tiles covering each stage output exactly
+// once.
 func (p *Plan) Validate() error {
 	if len(p.Stages) == 0 {
 		return fmt.Errorf("core: plan has no stages")
@@ -215,21 +254,42 @@ func (p *Plan) Validate() error {
 			}
 			usedDevice[di] = i
 		}
-		// Strips must tile the stage output exactly.
-		outH := p.Model.OutShape(st.To - 1).H
-		covered := make([]int, outH)
-		for _, r := range st.Parts {
-			for row := r.Lo; row < r.Hi; row++ {
-				if row < 0 || row >= outH {
-					return fmt.Errorf("core: stage %d strip %v outside [0,%d)", i, r, outH)
-				}
-				covered[row]++
+		if st.Cols != nil && len(st.Cols) != len(st.Parts) {
+			return fmt.Errorf("core: stage %d has %d parts but %d column ranges", i, len(st.Parts), len(st.Cols))
+		}
+		// A layer that consumes the whole feature map (fully connected,
+		// global average pool) back-propagates every tile to the full input,
+		// so a segment holding one runs as a single tile or not at all.
+		for l := st.From; st.Workers() > 1 && l < st.To; l++ {
+			if p.Model.Layers[l].NeedsFullInput() {
+				return fmt.Errorf("core: stage %d layer %d (%s) needs the full input map and cannot be partitioned across %d tiles; split the segment before it",
+					i, l, p.Model.Layers[l].Name, st.Workers())
 			}
 		}
-		for row, c := range covered {
-			if c != 1 {
-				return fmt.Errorf("core: stage %d row %d covered %d times", i, row, c)
+		// Tiles must cover the stage output exactly once: inside the map,
+		// pairwise disjoint, areas summing to the map's.
+		out := p.Model.OutShape(st.To - 1)
+		tiles := st.Tiles(out.W)
+		cells := 0
+		for k, r := range tiles {
+			if r.Empty() {
+				if st.Cols != nil {
+					return fmt.Errorf("core: stage %d tile %d is empty", i, k)
+				}
+				continue
 			}
+			if !partition.Full(out.H).Contains(r.Rows) || !partition.Full(out.W).Contains(r.Cols) {
+				return fmt.Errorf("core: stage %d tile %v outside %dx%d", i, r, out.H, out.W)
+			}
+			for _, o := range tiles[:k] {
+				if !o.Rows.Intersect(r.Rows).Empty() && !o.Cols.Intersect(r.Cols).Empty() {
+					return fmt.Errorf("core: stage %d tiles %v and %v overlap", i, o, r)
+				}
+			}
+			cells += r.Cells()
+		}
+		if cells != out.H*out.W {
+			return fmt.Errorf("core: stage %d tiles cover %d of %d output cells", i, cells, out.H*out.W)
 		}
 	}
 	return nil

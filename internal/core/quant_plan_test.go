@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pico/internal/cluster"
@@ -18,8 +21,8 @@ func TestQuantizedCommScaling(t *testing.T) {
 	cmQ := NewCostModel(m, cl)
 	cmQ.BytesPerElem = 1
 	parts := partition.Equal(m.OutShape(1).H, 3)
-	commF := cmF.StageComm(0, 2, parts)
-	commQ := cmQ.StageComm(0, 2, parts)
+	commF := cmF.StageComm(0, 2, parts, nil)
+	commQ := cmQ.StageComm(0, 2, parts, nil)
 	if commF <= 0 {
 		t.Fatal("float comm is zero; test is vacuous")
 	}
@@ -27,7 +30,7 @@ func TestQuantizedCommScaling(t *testing.T) {
 		t.Fatalf("quantized comm %g, want %g (float/4)", got, want)
 	}
 	speeds := []float64{1e9, 1e9, 1e9}
-	if cmF.StageComp(0, 2, speeds, parts) != cmQ.StageComp(0, 2, speeds, parts) {
+	if cmF.StageComp(0, 2, speeds, parts, nil) != cmQ.StageComp(0, 2, speeds, parts, nil) {
 		t.Fatal("quantization changed the compute term")
 	}
 }
@@ -79,5 +82,129 @@ func TestQuantizedPlanRoundTrip(t *testing.T) {
 	if back.PeriodSeconds != plan.PeriodSeconds || back.LatencySeconds != plan.LatencySeconds {
 		t.Fatalf("loaded aggregates (%g, %g) differ from saved (%g, %g)",
 			back.PeriodSeconds, back.LatencySeconds, plan.PeriodSeconds, plan.LatencySeconds)
+	}
+}
+
+// TestQuantizedOneStagePlanPricedInInt8: the fused plan's input and output
+// tiles cross the link, so an int8 one-stage plan is priced at one byte per
+// element like any other int8 plan — its transfer term equals a re-price
+// under plan.CostModel() and undercuts the float plan's, while the compute
+// term and the strips do not move.
+func TestQuantizedOneStagePlanPricedInInt8(t *testing.T) {
+	m := nn.ToyChain("q1", 5, 2, 8, 32)
+	cl := cluster.PaperHeterogeneous()
+	pf, err := OneStagePlan(m, cl, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := OneStagePlan(m, cl, Options{Quantized: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pq.Quantized || pf.Quantized {
+		t.Fatalf("quantized flags: int8 plan %v, float plan %v", pq.Quantized, pf.Quantized)
+	}
+	sf, sq := pf.Stages[0], pq.Stages[0]
+	_, _, comm := pq.CostModel().StageCost(sq.From, sq.To, pq.CostModel().DeviceSpeeds(sq.DeviceIdx), sq.Parts, nil)
+	if sq.CommSeconds != comm {
+		t.Fatalf("int8 one-stage comm %g, a re-price under plan.CostModel() says %g", sq.CommSeconds, comm)
+	}
+	if sq.CommSeconds <= 0 || sq.CommSeconds >= sf.CommSeconds {
+		t.Fatalf("int8 comm %g not below float comm %g", sq.CommSeconds, sf.CommSeconds)
+	}
+	if sq.CompSeconds != sf.CompSeconds || !reflect.DeepEqual(sq.Parts, sf.Parts) {
+		t.Fatal("quantization moved the compute term or the strips")
+	}
+	if pq.PeriodSeconds >= pf.PeriodSeconds {
+		t.Fatalf("int8 period %g not below float period %g", pq.PeriodSeconds, pf.PeriodSeconds)
+	}
+}
+
+// TestGridPlan: tiles are plan data — a grid stage validates exactly-once
+// rect coverage, is priced per tile (a quadrant costs less compute than the
+// half-map strip beside it, more halo traffic than no split at all),
+// survives save/load, and a plan without columns still serializes without
+// the field.
+func TestGridPlan(t *testing.T) {
+	m := nn.ToyChain("gp", 5, 2, 8, 33)
+	cl := cluster.Homogeneous(4, 600e6)
+	grid, err := GridPlan(m, cl, 2, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := grid.Stages[0]
+	out := m.Output()
+	if want := partition.GridPartition(out.H, out.W, 2, 2); !reflect.DeepEqual(st.Tiles(out.W), want) {
+		t.Fatalf("tiles %v, want %v", st.Tiles(out.W), want)
+	}
+	strips, err := GridPlan(m, cl, 2, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := SingleDevice(m, cl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(st.CompSeconds < strips.Stages[0].CompSeconds && strips.Stages[0].CompSeconds < single.Stages[0].CompSeconds) {
+		t.Fatalf("compute seconds 2x2 %g, 2x1 %g, 1x1 %g: not falling with tile size",
+			st.CompSeconds, strips.Stages[0].CompSeconds, single.Stages[0].CompSeconds)
+	}
+	if st.CommSeconds <= single.Stages[0].CommSeconds {
+		t.Fatalf("2x2 grid ships %gs, no more than the unsplit map's %gs", st.CommSeconds, single.Stages[0].CommSeconds)
+	}
+	// A full-width grid column is the strip it always was, priced alike.
+	rows := &Plan{Model: m, Cluster: cl, Stages: []Stage{{From: 0, To: st.To, DeviceIdx: []int{0, 1}, Parts: strips.Stages[0].Parts}}}
+	rows.recompute(rows.CostModel())
+	if rows.Stages[0].CompSeconds != strips.Stages[0].CompSeconds {
+		t.Fatalf("a 2x1 grid computes %g, the same strips %g", strips.Stages[0].CompSeconds, rows.Stages[0].CompSeconds)
+	}
+
+	// Table I accounting follows the tiles, not their row ranges.
+	stats, gs := grid.Stats(grid.CostModel()), NewCostModel(m, cl).Calc.GridStats(0, st.To, st.Tiles(out.W))
+	if stats.TotalFLOPs() != gs.TotalFLOPs || math.Abs(stats.RedundancyRatio()-gs.Ratio()) > 1e-12 {
+		t.Fatalf("grid stats: %g FLOPs at %.4f redundancy, tiles do %g at %.4f",
+			stats.TotalFLOPs(), stats.RedundancyRatio(), gs.TotalFLOPs, gs.Ratio())
+	}
+
+	var buf bytes.Buffer
+	if err := SavePlan(&buf, grid); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadPlan(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Stages, grid.Stages) {
+		t.Fatalf("grid stage changed across save/load: %+v vs %+v", back.Stages, grid.Stages)
+	}
+	buf.Reset()
+	if err := SavePlan(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "cols") {
+		t.Fatal("a strip plan's file mentions cols")
+	}
+
+	// Broken tile sets: overlap, a hole, an empty tile, a tile off the map.
+	for name, mut := range map[string]func(s *Stage){
+		"overlap": func(s *Stage) { s.Cols[1].Lo-- },
+		"hole":    func(s *Stage) { s.Cols[1].Lo++ },
+		"empty":   func(s *Stage) { s.Cols[3] = partition.Range{} },
+		"outside": func(s *Stage) { s.Cols[3].Hi++ },
+		"short":   func(s *Stage) { s.Cols = s.Cols[:3] },
+	} {
+		bad := *grid
+		bad.Stages = []Stage{st}
+		bad.Stages[0].Cols = append([]partition.Range(nil), st.Cols...)
+		mut(&bad.Stages[0])
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: invalid tile set accepted", name)
+		}
+	}
+	if _, err := GridPlan(nn.ToyChain("tiny", 2, 0, 4, 2), cl, 4, 1, Options{}); err == nil {
+		t.Error("a 2-row map cut into 4 tile rows accepted")
+	}
+	if _, err := GridPlan(m, cl, 3, 2, Options{}); err == nil {
+		t.Error("six tiles on four devices accepted")
 	}
 }

@@ -42,6 +42,9 @@ type stageFile struct {
 	To        int               `json:"to"`
 	DeviceIdx []int             `json:"device_idx"`
 	Parts     []partition.Range `json:"parts"`
+	// Cols is absent for row-strip stages, so files without tiles are
+	// byte-identical to what older builds wrote.
+	Cols []partition.Range `json:"cols,omitempty"`
 }
 
 // planFileVersion guards against loading plans from incompatible builds.
@@ -63,7 +66,7 @@ func SavePlan(w io.Writer, p *Plan) error {
 	for _, st := range p.Stages {
 		pf.Stages = append(pf.Stages, stageFile{
 			From: st.From, To: st.To,
-			DeviceIdx: st.DeviceIdx, Parts: st.Parts,
+			DeviceIdx: st.DeviceIdx, Parts: st.Parts, Cols: st.Cols,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -97,7 +100,7 @@ func LoadPlan(r io.Reader) (*Plan, error) {
 	for _, st := range pf.Stages {
 		plan.Stages = append(plan.Stages, Stage{
 			From: st.From, To: st.To,
-			DeviceIdx: st.DeviceIdx, Parts: st.Parts,
+			DeviceIdx: st.DeviceIdx, Parts: st.Parts, Cols: st.Cols,
 		})
 	}
 	plan.recompute(plan.CostModel())
@@ -120,7 +123,7 @@ func (p *Plan) ToDOT() string {
 			if st.Parts[k].Empty() {
 				continue
 			}
-			fmt.Fprintf(&devs, "|%s rows %v", p.Cluster.Devices[di].ID, st.Parts[k])
+			fmt.Fprintf(&devs, "|%s %s", p.Cluster.Devices[di].ID, st.tileLabel(k))
 		}
 		fmt.Fprintf(&b, "  s%d [label=\"{stage %d: layers [%d,%d)\\nT=%.3fs%s}\"];\n",
 			i, i, st.From, st.To, st.Seconds(), devs.String())

@@ -147,6 +147,10 @@ type Switcher struct {
 	current int
 }
 
+// DefaultHysteresis is the framework's switching margin: a challenger must
+// undercut the incumbent's estimate by 5% to displace it.
+const DefaultHysteresis = 0.05
+
 // NewSwitcher builds a switcher starting on candidate 0.
 func NewSwitcher(cands []Candidate, hysteresis float64) (*Switcher, error) {
 	if len(cands) == 0 {

@@ -3,6 +3,8 @@ package runtime
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -393,6 +395,209 @@ func TestDeadlineFailsConnAndWakesPending(t *testing.T) {
 	}
 	if wc.alive() {
 		t.Fatal("deadline expiry must be terminal for the connection")
+	}
+}
+
+// TestChaosGridWorkerKilledMidStream crashes one worker of a 2x2 grid stage
+// while tasks stream through it — fault coverage the grid path never had
+// before it became a Pipeline stage. Contract: every task completes
+// byte-exact (the victim's quadrant re-executes on a surviving replica), the
+// victim goes down, and the stage re-balances to row strips over the three
+// survivors, which keep producing exact outputs.
+func TestChaosGridWorkerKilledMidStream(t *testing.T) {
+	m := nn.ToyChain("chaos-grid", 4, 0, 6, 33)
+	const n, tasks, killAfter = 4, 16, 4
+	lc := startFaultCluster(t, n, nil)
+	p := gridPipeline(t, m, lc, 2, 2, chaosOptions())
+	ref, err := tensor.NewExecutor(m, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(res TaskResult, in tensor.Tensor) {
+		t.Helper()
+		if res.Err != nil {
+			t.Fatalf("task %d failed: %v", res.ID, res.Err)
+		}
+		want, err := ref.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.Equal(want, res.Output) {
+			t.Fatalf("task %d: output differs by %g", res.ID, tensor.MaxAbsDiff(want, res.Output))
+		}
+	}
+	inputs := make([]tensor.Tensor, tasks)
+	for i := range inputs {
+		inputs[i] = tensor.RandomInput(m.Input, int64(i))
+	}
+	go func() {
+		for i, in := range inputs {
+			if i == killAfter {
+				if err := lc.Workers[3].Abort(); err != nil && !errors.Is(err, errClosed) {
+					t.Logf("abort: %v", err)
+				}
+			}
+			if _, err := p.Submit(in); err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for _, res := range drainResults(t, p, tasks, 60*time.Second) {
+		check(res, inputs[res.ID-1])
+	}
+	waitFor(t, 5*time.Second, "rebalance event after device 3 went down", func() bool {
+		events, _ := p.FaultEvents()
+		return hasKind(events, FaultRebalanced)
+	})
+	if down := p.DownDevices(); len(down) != 1 || down[0] != 3 {
+		t.Fatalf("down devices %v, want [3]", down)
+	}
+	// The live layout is now full-width strips on workers 0-2 only.
+	sd := p.cur.Load().stages[0]
+	sd.topoMu.Lock()
+	tiles := sd.tiles
+	sd.topoMu.Unlock()
+	for k, tile := range tiles {
+		if k == 3 != tile.Empty() || (k < 3 && tile.Cols != partition.Full(sd.out.W)) {
+			t.Fatalf("layout after re-balance %v: want strips on the three survivors", tiles)
+		}
+	}
+	before := p.WorkerStats()[3].Tiles
+	in := tensor.RandomInput(m.Input, 99)
+	if _, err := p.Submit(in); err != nil {
+		t.Fatal(err)
+	}
+	check(drainResults(t, p, 1, 30*time.Second)[0], in)
+	if after := p.WorkerStats()[3].Tiles; after != before {
+		t.Fatalf("down device executed %d more tile(s)", after-before)
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("close after chaos: %v", err)
+	}
+}
+
+// TestChaosSwapRedialsLostWorker kills a worker while the pipeline is idle
+// and then swaps plans: the drain finds nothing in flight, the new chain's
+// dial to the dead worker fails. That must not fail or wedge the Swap — the
+// slot comes up lost, goes through the ordinary redial loop, is marked down
+// when the budget is spent, and its stage re-balances onto the survivors,
+// which serve every task byte-exact.
+func TestChaosSwapRedialsLostWorker(t *testing.T) {
+	m := nn.ToyChain("chaos-swap", 4, 0, 6, 32)
+	const n = 3
+	lc := startFaultCluster(t, n, nil)
+	first, second := chaosPlan(t, m, n), chaosPlan(t, m, n)
+	p, err := NewPipeline(first, lc.Addrs, chaosOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	ref, err := tensor.NewExecutor(m, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.RandomInput(m.Input, 1)
+	want, err := ref.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inferOne(t, p, in); !tensor.Equal(want, got) {
+		t.Fatal("output differs before the swap")
+	}
+	if err := lc.Workers[1].Abort(); err != nil && !errors.Is(err, errClosed) {
+		t.Logf("abort: %v", err)
+	}
+	swapped := make(chan error, 1)
+	go func() { swapped <- p.Swap(second, "chaos") }()
+	select {
+	case err := <-swapped:
+		if err != nil {
+			t.Fatalf("swap over a dead worker failed: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("watchdog: Swap wedged on a dead worker")
+	}
+	if p.Plan() != second {
+		t.Fatal("swap did not install the new plan")
+	}
+	const tasks = 6
+	go func() {
+		for i := 0; i < tasks; i++ {
+			if _, err := p.Submit(in); err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for _, res := range drainResults(t, p, tasks, 60*time.Second) {
+		if res.Err != nil {
+			t.Fatalf("task %d after the swap: %v", res.ID, res.Err)
+		}
+		if !tensor.Equal(want, res.Output) {
+			t.Fatalf("task %d: output differs after the swap", res.ID)
+		}
+	}
+	waitFor(t, 5*time.Second, "device 1 down and its stage re-balanced", func() bool {
+		events, _ := p.FaultEvents()
+		down := p.DownDevices()
+		return hasKind(events, FaultRebalanced) && len(down) == 1 && down[0] == 1
+	})
+	events, _ := p.FaultEvents()
+	if !hasKind(events, FaultConnLost) || !hasKind(events, FaultPlanSwapped) {
+		t.Fatalf("journal lacks the lost dial or the swap: %v", events)
+	}
+}
+
+// TestSubmitRacingCloseNeverPanics races eight submitters against one Close,
+// thirty times over. Submit used to check the closed flag, drop the lock and
+// then send — a Close in between closed the channel under the send and the
+// process died with "send on closed channel". Holding the submit lock across
+// the send makes the outcome binary: the task is accepted and delivered, or
+// Submit returns the closed error.
+func TestSubmitRacingCloseNeverPanics(t *testing.T) {
+	m := nn.ToyChain("chaos-close", 2, 0, 4, 16)
+	lc := startFaultCluster(t, 1, nil)
+	plan := chaosPlan(t, m, 1)
+	in := tensor.RandomInput(m.Input, 1)
+	for round := 0; round < 30; round++ {
+		p, err := NewPipeline(plan, lc.Addrs, chaosOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := make(chan int, 1)
+		go func() {
+			n := 0
+			for range p.Results() {
+				n++
+			}
+			delivered <- n
+		}()
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if _, err := p.Submit(in); err != nil {
+						if !strings.Contains(err.Error(), "closed") {
+							t.Errorf("submit: %v", err)
+						}
+						return
+					}
+					accepted.Add(1)
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%5) * time.Millisecond)
+		if err := p.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		wg.Wait()
+		if got := <-delivered; int64(got) != accepted.Load() {
+			t.Fatalf("round %d: %d tasks accepted, %d delivered", round, accepted.Load(), got)
+		}
 	}
 }
 

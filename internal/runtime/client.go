@@ -322,8 +322,7 @@ func (c *call) waitExec(d time.Duration) (out tensor.FMap, seconds float64, tran
 }
 
 // exec is the synchronous request/response form of startExec + waitExec,
-// without a deadline (used by the grid executor, profiling probes and
-// tests).
+// without a deadline (used by profiling probes and tests).
 func (wc *workerClient) exec(hdr wire.ExecHeader, tile tensor.FMap) (tensor.FMap, float64, error) {
 	c, err := wc.startExec(hdr, tile)
 	if err != nil {

@@ -56,6 +56,10 @@ const (
 	FaultRebalanced FaultKind = "rebalanced"
 	// FaultRetried: an in-flight tile was re-executed on a healthy replica.
 	FaultRetried FaultKind = "retried"
+	// FaultPlanSwapped: Swap installed another plan; Detail is the caller's
+	// reason (the gateway records λ and both Theorem-2 latencies). Not a
+	// fault, but the journal is where control-plane decisions are kept.
+	FaultPlanSwapped FaultKind = "plan-swapped"
 )
 
 // FaultEvent is one entry in the pipeline's fault log.

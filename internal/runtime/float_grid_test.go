@@ -4,17 +4,16 @@ import (
 	"testing"
 
 	"pico/internal/nn"
-	"pico/internal/partition"
 	"pico/internal/tensor"
 )
 
-// TestGridExecutorMatchesRun is the distributed float 2D-partition contract
-// under the vector kernels: a grid of float tiles executed on live TCP
+// TestGridPlanMatchesRun is the distributed float 2D-partition contract
+// under the vector kernels: a grid stage of float tiles executed on live TCP
 // workers and stitched must be byte-identical to the local whole-map Run.
 // The model mixes every vectorized conv kind (fused 3-tap, depthwise,
 // pointwise, stride-2) plus a 2x2 max-pool, so on SIMD hosts the workers'
 // rect tiles run the same vector paths the local executor does.
-func TestGridExecutorMatchesRun(t *testing.T) {
+func TestGridPlanMatchesRun(t *testing.T) {
 	m := &nn.Model{
 		Name:  "fgrid-rt",
 		Input: nn.Shape{C: 6, H: 36, W: 36},
@@ -30,15 +29,8 @@ func TestGridExecutorMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := startCluster(t, 4, nil)
-	out := m.Output()
-	tiles := partition.GridPartition(out.H, out.W, 2, 2)
-	addrs := []string{lc.Addrs[0], lc.Addrs[1], lc.Addrs[2], lc.Addrs[3]}
 	const seed = 8
-	ge, err := NewGridExecutor(m, 0, m.NumLayers(), tiles, addrs, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ge.Close()
+	p := gridPipeline(t, m, lc, 2, 2, PipelineOptions{Seed: seed})
 	ref, err := tensor.NewExecutor(m, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +41,7 @@ func TestGridExecutorMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ge.Infer(task, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tensor.Equal(want, got) {
+		if got := inferOne(t, p, in); !tensor.Equal(want, got) {
 			t.Fatalf("task %d: distributed float grid differs from local Run by %g",
 				task, tensor.MaxAbsDiff(want, got))
 		}

@@ -29,7 +29,7 @@ type Health struct {
 // redialing) worker. Once a stage has lost all of its devices the pipeline
 // can only fail tasks fast, so Servable=false is the signal to retire it.
 func (p *Pipeline) Servable() bool {
-	for _, sd := range p.stages {
+	for _, sd := range p.cur.Load().stages {
 		sd.topoMu.Lock()
 		dead := sd.dead
 		sd.topoMu.Unlock()

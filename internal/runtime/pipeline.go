@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,21 +56,23 @@ type flight struct {
 }
 
 // stageDriver realizes the per-stage workflow of the paper's Fig. 6: take a
-// feature map from the input queue, split it into the plan's strips,
+// feature map from the input queue, split it into the plan's tiles — row
+// strips or, when the stage carries column ranges, 2D grid rects —
 // distribute the tiles to the stage workers, gather and stitch the results,
 // and hand the stitched map to the next stage.
 //
 // With window > 1 the driver pipelines within the stage too: tiles for task
 // N+1 are sliced, serialized and sent while the workers still compute task
-// N (whose strips are gathered concurrently), so coordinator-side transport
+// N (whose tiles are gathered concurrently), so coordinator-side transport
 // work overlaps remote compute instead of extending the stage's period.
 //
-// The driver is fault-tolerant: every exec wait is deadline-bounded, a lost
-// or wedged connection moves its strip onto a healthy replica (bounded
-// retries, while a background goroutine redials the lost worker with
-// exponential backoff), and a worker that exhausts its redial budget is
-// marked down for good — the stage re-balances its strips across the
-// survivors and keeps serving.
+// The driver is fault-tolerant whatever the tile shape: every exec wait is
+// deadline-bounded, a lost or wedged connection moves its tile onto a
+// healthy replica (bounded retries, while a background goroutine redials the
+// lost worker with exponential backoff), and a worker that exhausts its
+// redial budget is marked down for good — the stage re-balances to strips
+// across the survivors, the one layout Calc.Balanced produces, and keeps
+// serving.
 type stageDriver struct {
 	index int // stage position, for fault events
 	stage core.Stage
@@ -77,11 +80,7 @@ type stageDriver struct {
 	// stage.DeviceIdx; nil for positions idle in the original plan.
 	slots []*workerSlot
 	calc  *partition.Calc
-	ref   struct {
-		name string
-		seed int64
-	}
-	out nn.Shape // the stage's full output map
+	out   nn.Shape // the stage's full output map
 	// window caps how many tasks may be dispatched but not yet stitched.
 	window int
 	// timeout bounds each tile round trip on this stage.
@@ -93,25 +92,26 @@ type stageDriver struct {
 	// telemetry.
 	stageProd *telemetry.Producer
 	p         *Pipeline
+	c         *chain
 
-	// topoMu guards the live strip layout, which re-balancing rewrites
+	// topoMu guards the live tile layout, which re-balancing rewrites
 	// when a device goes down.
 	topoMu sync.Mutex
-	parts  []partition.Range
+	tiles  []partition.Rect
 	dead   bool // no live device remains; flights fail fast
 
 	// rr rotates replica choice across retries.
 	rr atomic.Uint64
 }
 
-// flightWork is one dispatched task awaiting its strips.
+// flightWork is one dispatched task awaiting its tiles.
 type flightWork struct {
 	f *flight
-	// parts is the strip layout this flight was dispatched under (the live
-	// layout can change concurrently on re-balance).
-	parts []partition.Range
-	calls []*call // parallel to parts; nil slots were idle or failed
-	// retry lists part indices whose dispatch or wait failed transiently;
+	// tiles is the layout this flight was dispatched under (the live layout
+	// can change concurrently on re-balance).
+	tiles []partition.Rect
+	calls []*call // parallel to tiles; nil slots were idle or failed
+	// retry lists tile indices whose dispatch or wait failed transiently;
 	// gather re-executes them on healthy replicas.
 	retry []int
 	start time.Time
@@ -147,29 +147,27 @@ func (sd *stageDriver) run(in <-chan *flight, out chan<- *flight, wg *sync.WaitG
 	dispatchWG.Wait()
 }
 
-// execHeader builds the exec request for one strip of this stage.
-func (sd *stageDriver) execHeader(f *flight, part partition.Range, inLo int) wire.ExecHeader {
-	return wire.ExecHeader{
-		TaskID: f.id,
-		From:   sd.stage.From, To: sd.stage.To,
-		OutLo: part.Lo, OutHi: part.Hi,
-		InLo:      inLo,
-		ModelName: sd.ref.name,
-		Seed:      sd.ref.seed,
-	}
-}
-
-// sendStrip slices one input tile for a strip and sends it, in the
+// sendTile slices the input region one output tile needs and sends it, in the
 // precision the flight's map carries. The tile is fully serialized before
 // return.
-func (sd *stageDriver) sendStrip(wc *workerClient, f *flight, part partition.Range, in partition.Range) (*call, error) {
-	tile := f.m.SliceRect(partition.Rect{Rows: in, Cols: partition.Full(f.m.W)})
-	c, err := wc.startExec(sd.execHeader(f, part, in.Lo), tile)
-	tile.Recycle()
+func (sd *stageDriver) sendTile(wc *workerClient, f *flight, tile partition.Rect) (*call, error) {
+	need := sd.calc.TileRects(sd.stage.From, sd.stage.To, tile)[0]
+	in := f.m.SliceRect(need)
+	c, err := wc.startExec(wire.ExecHeader{
+		TaskID: f.id,
+		From:   sd.stage.From, To: sd.stage.To,
+		OutLo: tile.Rows.Lo, OutHi: tile.Rows.Hi,
+		InLo:     need.Rows.Lo,
+		OutColLo: tile.Cols.Lo, OutColHi: tile.Cols.Hi,
+		InColLo:   need.Cols.Lo,
+		ModelName: sd.c.plan.Model.Name,
+		Seed:      sd.p.opts.Seed,
+	}, in)
+	in.Recycle()
 	return c, err
 }
 
-// dispatch splits a flight's feature map into the stage's strips and sends
+// dispatch splits a flight's feature map into the stage's tiles and sends
 // every tile, returning the in-flight calls for gather. Send failures and
 // disconnected slots are queued for gather's retry pass instead of failing
 // the flight. Failed flights pass through untouched.
@@ -185,23 +183,21 @@ func (sd *stageDriver) dispatch(f *flight) *flightWork {
 			Err: fmt.Errorf("stage [%d,%d) has no live workers", sd.stage.From, sd.stage.To)}
 		return fw
 	}
-	parts := append([]partition.Range(nil), sd.parts...)
+	fw.tiles = sd.tiles // re-balancing installs a new slice, never edits one
 	sd.topoMu.Unlock()
-	fw.parts = parts
-	fw.calls = make([]*call, len(parts))
-	for k, part := range parts {
-		if part.Empty() || sd.slots[k] == nil {
+	fw.calls = make([]*call, len(fw.tiles))
+	for k, tile := range fw.tiles {
+		if tile.Empty() || sd.slots[k] == nil {
 			continue
 		}
 		wc := sd.slots[k].current()
 		if wc == nil {
-			// Disconnected (redial in progress): gather retries this strip
+			// Disconnected (redial in progress): gather retries this tile
 			// on a healthy replica.
 			fw.retry = append(fw.retry, k)
 			continue
 		}
-		inR := sd.calc.InputRange(sd.stage.From, sd.stage.To, part)
-		c, err := sd.sendStrip(wc, f, part, inR)
+		c, err := sd.sendTile(wc, f, tile)
 		if err != nil {
 			sd.noteFault(k, wc, FaultConnLost, err)
 			fw.retry = append(fw.retry, k)
@@ -212,7 +208,7 @@ func (sd *stageDriver) dispatch(f *flight) *flightWork {
 	return fw
 }
 
-// gather collects a dispatched flight's strips — retrying transiently failed
+// gather collects a dispatched flight's tiles — retrying transiently failed
 // ones on healthy replicas — and stitches them into the stage output.
 func (sd *stageDriver) gather(fw *flightWork) {
 	f := fw.f
@@ -231,14 +227,13 @@ func (sd *stageDriver) gather(fw *flightWork) {
 	}()
 	outs := make([]tensor.FMap, 0, len(fw.calls))
 	rects := make([]partition.Rect, 0, len(fw.calls))
-	// Every gathered strip is recycled on the way out: on success it has
+	// Every gathered tile is recycled on the way out: on success it has
 	// been copied into the stitched map, on failure it is dropped.
 	defer func() {
 		for _, o := range outs {
 			o.Recycle()
 		}
 	}()
-	cols := partition.Full(sd.out.W)
 	for k, c := range fw.calls {
 		if c == nil {
 			continue
@@ -257,27 +252,27 @@ func (sd *stageDriver) gather(fw *flightWork) {
 		}
 		sd.record(sd.stage.DeviceIdx[k], comp)
 		outs = append(outs, strip)
-		rects = append(rects, partition.Rect{Rows: fw.parts[k], Cols: cols})
+		rects = append(rects, fw.tiles[k])
 	}
-	// Retry pass: the stage input map is still alive here, so failed strips
+	// Retry pass: the stage input map is still alive here, so failed tiles
 	// can be re-sliced and executed on surviving replicas.
 	for _, k := range fw.retry {
 		if f.err != nil {
 			break
 		}
-		strip, comp, di, err := sd.retryPart(f, fw.parts[k])
+		strip, comp, di, err := sd.retryTile(f, fw.tiles[k])
 		if err != nil {
 			f.err = err
 			break
 		}
 		sd.record(di, comp)
 		outs = append(outs, strip)
-		rects = append(rects, partition.Rect{Rows: fw.parts[k], Cols: cols})
+		rects = append(rects, fw.tiles[k])
 	}
 	if f.err != nil {
 		return
 	}
-	// Assemble the strips into the stage's output map and install it on the
+	// Assemble the tiles into the stage's output map and install it on the
 	// flight, recycling the flight's previous owned map.
 	stitched, err := tensor.Stitch(outs, rects, sd.out.H, sd.out.W)
 	if err != nil {
@@ -307,7 +302,7 @@ func (sd *stageDriver) noteFault(k int, wc *workerClient, kind FaultKind, err er
 		Kind: kind, Detail: err.Error(),
 	})
 	if slot.fault(wc) {
-		sd.p.redialWG.Add(1)
+		sd.c.redialWG.Add(1)
 		go sd.redial(slot)
 	}
 }
@@ -329,19 +324,18 @@ func (sd *stageDriver) pickLive() (int, *workerClient) {
 	return -1, nil
 }
 
-// retryPart re-executes one strip on healthy replicas, waiting out a redial
-// between attempts, until the retry budget is spent. It returns the strip,
+// retryTile re-executes one tile on healthy replicas, waiting out a redial
+// between attempts, until the retry budget is spent. It returns the tile,
 // its compute seconds and the executing device index.
-func (sd *stageDriver) retryPart(f *flight, part partition.Range) (tensor.FMap, float64, int, error) {
-	inR := sd.calc.InputRange(sd.stage.From, sd.stage.To, part)
-	backoff := sd.p.redialBackoff
+func (sd *stageDriver) retryTile(f *flight, tile partition.Rect) (tensor.FMap, float64, int, error) {
+	backoff := sd.p.opts.RedialBackoff
 	lastErr := error(nil)
-	for attempt := 0; attempt <= sd.p.retryBudget; attempt++ {
+	for attempt := 0; attempt <= sd.p.opts.RetryBudget; attempt++ {
 		if attempt > 0 {
 			// Give an in-progress redial a chance to land before the next
 			// attempt; skip the wait when the pipeline is closing.
 			select {
-			case <-sd.p.closing:
+			case <-sd.c.closing:
 			case <-time.After(backoff):
 			}
 			backoff *= 2
@@ -351,7 +345,7 @@ func (sd *stageDriver) retryPart(f *flight, part partition.Range) (tensor.FMap, 
 			lastErr = fmt.Errorf("no live replica in stage [%d,%d)", sd.stage.From, sd.stage.To)
 			continue
 		}
-		c, err := sd.sendStrip(wc, f, part, inR)
+		c, err := sd.sendTile(wc, f, tile)
 		if err != nil {
 			sd.noteFault(k, wc, FaultConnLost, err)
 			lastErr = err
@@ -361,7 +355,7 @@ func (sd *stageDriver) retryPart(f *flight, part partition.Range) (tensor.FMap, 
 		if err == nil {
 			sd.p.faults.add(FaultEvent{
 				Stage: sd.index, Device: sd.slots[k].deviceIdx, Worker: sd.slots[k].workerID,
-				Kind: FaultRetried, Detail: fmt.Sprintf("task %d rows %v", f.id, part),
+				Kind: FaultRetried, Detail: fmt.Sprintf("task %d tile %v", f.id, tile),
 			})
 			return strip, comp, sd.stage.DeviceIdx[k], nil
 		}
@@ -375,21 +369,21 @@ func (sd *stageDriver) retryPart(f *flight, part partition.Range) (tensor.FMap, 
 	}
 	return tensor.FMap{}, 0, 0, &FaultError{
 		Device: -1, Kind: FaultDown,
-		Err: fmt.Errorf("task %d rows %v: retry budget exhausted: %w", f.id, part, lastErr),
+		Err: fmt.Errorf("task %d tile %v: retry budget exhausted: %w", f.id, tile, lastErr),
 	}
 }
 
 // redial tries to reconnect a lost worker with exponential backoff. On
-// success the slot resumes serving its strips; after the last attempt the
+// success the slot resumes serving its tiles; after the last attempt the
 // slot goes down for good and the stage re-balances onto the survivors.
 func (sd *stageDriver) redial(slot *workerSlot) {
-	defer sd.p.redialWG.Done()
-	backoff := sd.p.redialBackoff
-	for attempt := 1; attempt <= sd.p.redialAttempts; attempt++ {
+	defer sd.c.redialWG.Done()
+	backoff := sd.p.opts.RedialBackoff
+	for attempt := 1; attempt <= sd.p.opts.RedialAttempts; attempt++ {
 		select {
-		case <-sd.p.closing:
-			// Pipeline tear-down: stop trying, leave the slot disconnected
-			// (not down — no re-balance during close).
+		case <-sd.c.closing:
+			// Chain tear-down: stop trying, leave the slot disconnected
+			// (not down — no re-balance during a close or a swap).
 			slot.mu.Lock()
 			slot.redialing = false
 			slot.mu.Unlock()
@@ -397,32 +391,46 @@ func (sd *stageDriver) redial(slot *workerSlot) {
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-		wc, err := dialWorker(slot.addr)
-		if err == nil {
-			wc.conn.SetWriteTimeout(sd.timeout)
-			if err = wc.loadModel(sd.p.spec, sd.p.seed, sd.p.scales); err == nil {
-				sd.p.trackClient(wc)
-				slot.reconnected(wc)
-				sd.p.faults.add(FaultEvent{
-					Stage: sd.index, Device: slot.deviceIdx, Worker: slot.workerID,
-					Kind: FaultRedialed, Detail: fmt.Sprintf("attempt %d", attempt),
-				})
-				return
-			}
-			_ = wc.close()
+		if wc, err := sd.c.dial(slot.addr, sd.timeout); err == nil {
+			slot.reconnected(wc)
+			sd.p.faults.add(FaultEvent{
+				Stage: sd.index, Device: slot.deviceIdx, Worker: wc.id,
+				Kind: FaultRedialed, Detail: fmt.Sprintf("attempt %d", attempt),
+			})
+			return
 		}
 	}
 	slot.markDown()
 	sd.p.faults.add(FaultEvent{
 		Stage: sd.index, Device: slot.deviceIdx, Worker: slot.workerID,
-		Kind: FaultDown, Detail: fmt.Sprintf("%d redial attempts failed", sd.p.redialAttempts),
+		Kind: FaultDown, Detail: fmt.Sprintf("%d redial attempts failed", sd.p.opts.RedialAttempts),
 	})
 	sd.rebalance()
 }
 
+// speedOf returns a device's effective modelled speed for re-balancing.
+func (sd *stageDriver) speedOf(deviceIdx int) float64 {
+	cl := sd.c.plan.Cluster
+	if cl == nil || deviceIdx < 0 || deviceIdx >= len(cl.Devices) || cl.Devices[deviceIdx].EffectiveSpeed() <= 0 {
+		return 1
+	}
+	return cl.Devices[deviceIdx].EffectiveSpeed()
+}
+
+// restrip runs the balancer over per-slot weights and installs its row split
+// as the live layout, reporting the split and whether the layout changed.
+func (sd *stageDriver) restrip(weights []float64) (parts []partition.Range, changed bool) {
+	parts = sd.calc.Balanced(sd.stage.From, sd.stage.To, weights)
+	tiles := (&core.Stage{Parts: parts}).Tiles(sd.out.W)
+	sd.topoMu.Lock()
+	changed, sd.tiles = !slices.Equal(tiles, sd.tiles), tiles
+	sd.topoMu.Unlock()
+	return parts, changed
+}
+
 // rebalance re-splits the stage's output rows across the surviving devices
-// (the divide-and-conquer balancer of Algorithm 2), or marks the stage dead
-// when none survive.
+// (the divide-and-conquer balancer of Algorithm 2) — a grid stage becomes a
+// strip stage here — or marks the stage dead when none survive.
 func (sd *stageDriver) rebalance() {
 	weights := make([]float64, len(sd.slots))
 	live := 0
@@ -430,11 +438,7 @@ func (sd *stageDriver) rebalance() {
 		if slot == nil || slot.isDown() {
 			continue
 		}
-		w := sd.p.speedOf(slot.deviceIdx)
-		if w <= 0 {
-			w = 1
-		}
-		weights[k] = w
+		weights[k] = sd.speedOf(slot.deviceIdx)
 		live++
 	}
 	if live == 0 {
@@ -447,10 +451,7 @@ func (sd *stageDriver) rebalance() {
 		})
 		return
 	}
-	parts := sd.calc.Balanced(sd.stage.From, sd.stage.To, weights)
-	sd.topoMu.Lock()
-	sd.parts = parts
-	sd.topoMu.Unlock()
+	parts, _ := sd.restrip(weights)
 	sd.p.faults.add(FaultEvent{
 		Stage: sd.index, Device: -1, Kind: FaultRebalanced,
 		Detail: fmt.Sprintf("strips re-balanced over %d survivor(s): %v", live, parts),
@@ -462,19 +463,18 @@ func (sd *stageDriver) rebalance() {
 // re-balance.
 const minMeasuredSamples = 8
 
-// rebalanceMeasured re-splits the stage's strips using measured per-device
+// rebalanceMeasured re-splits the stage into strips using measured per-device
 // execution times from the telemetry window: a device that computed rows_k
-// rows in p50_k seconds weighs rows_k/p50_k, so a straggler the static
-// profile did not predict sheds rows to its faster peers. Devices without
-// enough windowed samples keep their profile speed. Returns whether the
-// layout changed.
+// rows (a grid tile counts its cells in full-width rows) in p50_k seconds
+// weighs rows_k/p50_k, so a straggler the static profile did not predict
+// sheds rows to its faster peers. Devices without enough windowed samples
+// keep their profile speed. Returns whether the layout changed.
 func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 	if sd.p.telem == nil {
 		return false
 	}
 	sd.topoMu.Lock()
-	parts := append([]partition.Range(nil), sd.parts...)
-	dead := sd.dead
+	tiles, dead := sd.tiles, sd.dead
 	sd.topoMu.Unlock()
 	if dead {
 		return false
@@ -485,11 +485,8 @@ func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 		if slot == nil || slot.isDown() {
 			continue
 		}
-		w := sd.p.speedOf(slot.deviceIdx)
-		if w <= 0 {
-			w = 1
-		}
-		if rows := float64(parts[k].Len()); rows > 0 {
+		w := sd.speedOf(slot.deviceIdx)
+		if rows := float64(tiles[k].Cells()) / float64(sd.out.W); rows > 0 {
 			st := sd.p.telem.Series(telemetry.Key{
 				Model: sd.p.telemLabel, Stage: sd.index, Device: slot.deviceIdx, Kind: telemetry.KindExec,
 			}).StatsWindow(window)
@@ -506,17 +503,10 @@ func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 		// trade off against.
 		return false
 	}
-	next := sd.calc.Balanced(sd.stage.From, sd.stage.To, weights)
-	same := len(next) == len(parts)
-	for k := 0; same && k < len(next); k++ {
-		same = next[k] == parts[k]
-	}
-	if same {
+	next, changed := sd.restrip(weights)
+	if !changed {
 		return false
 	}
-	sd.topoMu.Lock()
-	sd.parts = next
-	sd.topoMu.Unlock()
 	sd.p.faults.add(FaultEvent{
 		Stage: sd.index, Device: -1, Kind: FaultRebalanced,
 		Detail: fmt.Sprintf("slo: measured re-split over %d device(s): %v", live, next),
@@ -524,13 +514,19 @@ func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 	return true
 }
 
-// Pipeline executes a PICO plan over TCP workers, one stage driver per
-// stage, all running concurrently so tasks overlap in the pipeline.
+// Pipeline executes a plan over TCP workers, one stage driver per stage, all
+// running concurrently so tasks overlap in the pipeline. It is the runtime's
+// only coordinator: a stage's tiles are strips or grid rects as the plan
+// says, and Swap replaces the running plan at a task boundary — the paper's
+// scheme switch (§IV-C) — while task ids, the result stream, calibrated
+// scales, telemetry series, per-device counters and the fault journal carry
+// on.
 type Pipeline struct {
-	plan   *core.Plan
-	seed   int64
-	spec   wire.ModelSpec
-	stages []*stageDriver
+	spec  wire.ModelSpec
+	addrs map[int]string
+	// opts are the construction options with defaults applied; every chain
+	// is built from them.
+	opts PipelineOptions
 
 	// scales, non-nil for an int8 session, is the boundary-scale vector this
 	// coordinator calibrated once from (model, seed): every load (first dial
@@ -538,40 +534,21 @@ type Pipeline struct {
 	// inputs — result headers carry the scales forward from there.
 	scales []float32
 
-	// Fault-tolerance policy (defaulted from PipelineOptions).
-	retryBudget    int
-	redialAttempts int
-	redialBackoff  time.Duration
-
-	in      chan *flight
 	results chan TaskResult
-	wg      sync.WaitGroup
-	// closing is closed during Close, after the stage drivers drain: it
-	// stops redial loops and retry backoff waits.
-	closing chan struct{}
-	// redialWG tracks background redial goroutines.
-	redialWG sync.WaitGroup
+	nextID  atomic.Int64
 
-	mu     sync.Mutex
-	nextID int64
+	// mu orders submissions against reconfiguration: Submit holds it shared
+	// across its send into the chain, Swap and Close hold it exclusively
+	// while they drain one chain and install the next (or none), so a task
+	// can never be sent into a chain that is shutting down.
+	mu     sync.RWMutex
 	closed bool
-
-	// cmu guards clients, which grows when redials create connections.
-	cmu     sync.Mutex
-	clients []*workerClient
+	// cur is the installed chain. Only Swap stores it (under mu); snapshot
+	// accessors load it without locking, so /healthz never waits on a drain.
+	cur atomic.Pointer[chain]
 
 	// faults is the bounded fault-event journal.
 	faults faultLog
-
-	// stats holds one lock-free counter per device, built once at
-	// construction; stage goroutines update them with atomics on every
-	// tile, so the per-tile hot path never takes the pipeline mutex.
-	stats map[int]*deviceCounter
-
-	// byDevice holds one control connection per cluster device for
-	// out-of-band requests (worker stats); a device serving several
-	// stages keeps its first connection here.
-	byDevice map[int]*workerClient
 
 	// telem, when attached, receives latency samples keyed under telemLabel:
 	// whole-task e2e in the sink, per-stage round trips in gather, per-device
@@ -580,6 +557,36 @@ type Pipeline struct {
 	telem      *telemetry.Registry
 	telemLabel string
 	e2eProd    *telemetry.Producer
+}
+
+// chain is one plan's running stage drivers and their connections — the part
+// of a Pipeline that Swap replaces.
+type chain struct {
+	p      *Pipeline
+	plan   *core.Plan
+	stages []*stageDriver
+	in     chan *flight
+	// wg tracks the stage drivers and the sink.
+	wg sync.WaitGroup
+	// closing is closed once the stage drivers have drained: it stops redial
+	// loops and retry backoff waits.
+	closing chan struct{}
+	// redialWG tracks background redial goroutines.
+	redialWG sync.WaitGroup
+
+	// cmu guards clients, which grows when redials create connections.
+	cmu     sync.Mutex
+	clients []*workerClient
+
+	// stats holds one lock-free counter per device, fixed when the chain is
+	// built (a swap carries the counters over and adds the new plan's
+	// devices); stage goroutines update them with atomics on every tile.
+	stats map[int]*deviceCounter
+
+	// byDevice holds one control connection per cluster device for
+	// out-of-band requests (worker stats); a device serving several
+	// stages keeps its first connection here.
+	byDevice map[int]*workerClient
 }
 
 // deviceCounter accumulates one device's activity with atomics.
@@ -672,7 +679,8 @@ const (
 
 // NewPipeline connects to the workers backing the plan's devices and starts
 // the stage drivers. addrs maps cluster device index to worker address;
-// every device holding a non-empty strip must be present.
+// every device holding a non-empty tile — in this plan or in one a later Swap
+// installs — must be present.
 func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*Pipeline, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -700,18 +708,11 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 		opts.RedialBackoff = 100 * time.Millisecond
 	}
 	p := &Pipeline{
-		plan:           plan,
-		seed:           opts.Seed,
-		retryBudget:    opts.RetryBudget,
-		redialAttempts: opts.RedialAttempts,
-		redialBackoff:  opts.RedialBackoff,
-		in:             make(chan *flight, opts.QueueDepth),
-		results:        make(chan TaskResult, opts.QueueDepth),
-		closing:        make(chan struct{}),
-		stats:          make(map[int]*deviceCounter),
-		byDevice:       make(map[int]*workerClient),
+		spec:    wire.SpecFromModel(plan.Model),
+		addrs:   addrs,
+		opts:    opts,
+		results: make(chan TaskResult, opts.QueueDepth),
 	}
-	p.spec = wire.SpecFromModel(plan.Model)
 	if opts.Telemetry != nil {
 		p.telem = opts.Telemetry
 		p.telemLabel = opts.TelemetryLabel
@@ -728,19 +729,70 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			return nil, fmt.Errorf("runtime: quantization calibration: %w", err)
 		}
 	}
-	calc := partition.NewCalc(plan.Model)
-	fail := func(err error) (*Pipeline, error) {
-		for _, c := range p.clients {
-			_ = c.close()
-		}
+	if err := p.checkAddrs(plan); err != nil {
 		return nil, err
 	}
+	c, err := p.connect(plan, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	p.cur.Store(c)
+	return p, nil
+}
+
+// checkAddrs reports the first device of the plan that has no worker address.
+func (p *Pipeline) checkAddrs(plan *core.Plan) error {
+	for _, di := range plan.UsedDevices() {
+		if _, ok := p.addrs[di]; !ok {
+			return fmt.Errorf("runtime: no address for device %d", di)
+		}
+	}
+	return nil
+}
+
+// dial connects one worker, loads the session's model on it and registers
+// the connection for tear-down.
+func (c *chain) dial(addr string, timeout time.Duration) (*workerClient, error) {
+	wc, err := dialWorker(addr)
+	if err != nil {
+		return nil, err
+	}
+	wc.conn.SetWriteTimeout(timeout)
+	if err := wc.loadModel(c.p.spec, c.p.opts.Seed, c.p.scales); err != nil {
+		_ = wc.close()
+		return nil, err
+	}
+	c.cmu.Lock()
+	c.clients = append(c.clients, wc)
+	c.cmu.Unlock()
+	return wc, nil
+}
+
+// connect builds the chain for a validated plan whose devices all have
+// addresses: dials and loads every slot, wires the stage channels and starts
+// the drivers. stats carries the device counters of the chain being
+// replaced. A worker that cannot be reached fails construction — or, with
+// redialLost (a swap, whose old chain is already gone), comes up as a lost
+// slot on the ordinary redial path.
+func (p *Pipeline) connect(plan *core.Plan, stats map[int]*deviceCounter, redialLost bool) (*chain, error) {
+	c := &chain{
+		p:        p,
+		plan:     plan,
+		in:       make(chan *flight, p.opts.QueueDepth),
+		closing:  make(chan struct{}),
+		stats:    make(map[int]*deviceCounter),
+		byDevice: make(map[int]*workerClient),
+	}
+	for di, dc := range stats {
+		c.stats[di] = dc
+	}
+	calc := partition.NewCalc(plan.Model)
 	for si, st := range plan.Stages {
-		timeout := opts.ExecTimeout
+		timeout := p.opts.ExecTimeout
 		if timeout < 0 {
 			timeout = 0 // deadlines off: waits block until the conn dies
 		} else if timeout == 0 {
-			slack := opts.DeadlineSlack
+			slack := p.opts.DeadlineSlack
 			if slack <= 0 {
 				slack = defaultDeadlineSlack
 			}
@@ -752,14 +804,13 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			slots:   make([]*workerSlot, len(st.DeviceIdx)),
 			calc:    calc,
 			out:     plan.Model.OutShape(st.To - 1),
-			window:  opts.StageWindow,
+			window:  p.opts.StageWindow,
 			timeout: timeout,
 			p:       p,
+			c:       c,
 		}
-		sd.parts = append([]partition.Range(nil), st.Parts...)
-		sd.ref.name = plan.Model.Name
-		sd.ref.seed = opts.Seed
-		sd.record = p.recordCompute
+		sd.tiles = st.Tiles(sd.out.W)
+		sd.record = c.recordCompute
 		if p.telem != nil {
 			sd.stageProd = p.telem.Series(telemetry.Key{
 				Model: p.telemLabel, Stage: si, Device: -1, Kind: telemetry.KindStage,
@@ -773,158 +824,184 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 				}
 			}
 			sd.record = func(deviceIdx int, seconds float64) {
-				p.recordCompute(deviceIdx, seconds)
+				c.recordCompute(deviceIdx, seconds)
 				if pr := execProd[deviceIdx]; pr != nil {
 					pr.Record(seconds)
 				}
 			}
 		}
 		for k, di := range st.DeviceIdx {
-			if st.Parts[k].Empty() {
+			if sd.tiles[k].Empty() {
 				continue
 			}
-			addr, ok := addrs[di]
-			if !ok {
-				return fail(fmt.Errorf("runtime: no address for device %d", di))
+			if c.stats[di] == nil {
+				c.stats[di] = &deviceCounter{}
 			}
-			wc, err := dialWorker(addr)
+			slot := &workerSlot{deviceIdx: di, addr: p.addrs[di]}
+			sd.slots[k] = slot
+			wc, err := c.dial(slot.addr, timeout)
+			if err != nil && !redialLost {
+				_ = c.stop()
+				return nil, err
+			}
 			if err != nil {
-				return fail(err)
+				sd.noteFault(k, nil, FaultConnLost, err)
+				continue
 			}
-			wc.conn.SetWriteTimeout(timeout)
-			p.clients = append(p.clients, wc)
-			if p.byDevice[di] == nil {
-				p.byDevice[di] = wc
-			}
-			if err := wc.loadModel(p.spec, opts.Seed, p.scales); err != nil {
-				return fail(err)
-			}
-			sd.slots[k] = &workerSlot{deviceIdx: di, addr: addr, workerID: wc.id, wc: wc}
-			if p.stats[di] == nil {
-				p.stats[di] = &deviceCounter{}
+			slot.workerID, slot.wc = wc.id, wc
+			if c.byDevice[di] == nil {
+				c.byDevice[di] = wc
 			}
 		}
-		p.stages = append(p.stages, sd)
+		c.stages = append(c.stages, sd)
 	}
 
 	// Wire the stage channels and start the drivers.
-	prev := p.in
-	for _, sd := range p.stages {
-		next := make(chan *flight, opts.QueueDepth)
-		p.wg.Add(1)
-		go sd.run(prev, next, &p.wg)
+	prev := c.in
+	for _, sd := range c.stages {
+		next := make(chan *flight, p.opts.QueueDepth)
+		c.wg.Add(1)
+		go sd.run(prev, next, &c.wg)
 		prev = next
 	}
-	p.wg.Add(1)
-	go func(last <-chan *flight) {
-		defer p.wg.Done()
-		defer close(p.results)
-		for f := range last {
-			output := f.m.Tensor()
-			if p.scales != nil {
-				if f.err == nil {
-					// Hand the caller float output regardless of transport
-					// precision; the int8 map served its last hop.
-					q := f.m.QTensor()
-					output = q.Dequantize()
-				}
-				if f.owned {
-					f.m.Recycle()
-				}
+	c.wg.Add(1)
+	go p.sink(prev, &c.wg)
+	return c, nil
+}
+
+// sink turns the flights leaving a chain's last stage into results.
+func (p *Pipeline) sink(last <-chan *flight, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for f := range last {
+		output := f.m.Tensor()
+		if p.scales != nil {
+			if f.err == nil {
+				// Hand the caller float output regardless of transport
+				// precision; the int8 map served its last hop.
+				q := f.m.QTensor()
+				output = q.Dequantize()
 			}
-			done := time.Now()
-			if p.e2eProd != nil && f.err == nil {
-				p.e2eProd.RecordAt(done, done.Sub(f.submitted).Seconds())
-			}
-			p.results <- TaskResult{
-				ID:        f.id,
-				Output:    output,
-				Err:       f.err,
-				Submitted: f.submitted,
-				Done:      done,
-				Spans:     f.spans,
+			if f.owned {
+				f.m.Recycle()
 			}
 		}
-	}(prev)
-	return p, nil
+		done := time.Now()
+		if p.e2eProd != nil && f.err == nil {
+			p.e2eProd.RecordAt(done, done.Sub(f.submitted).Seconds())
+		}
+		p.results <- TaskResult{
+			ID:        f.id,
+			Output:    output,
+			Err:       f.err,
+			Submitted: f.submitted,
+			Done:      done,
+			Spans:     f.spans,
+		}
+	}
 }
 
-// speedOf returns a device's effective modelled speed for re-balancing.
-func (p *Pipeline) speedOf(deviceIdx int) float64 {
-	if p.plan.Cluster == nil || deviceIdx < 0 || deviceIdx >= len(p.plan.Cluster.Devices) {
-		return 0
-	}
-	return p.plan.Cluster.Devices[deviceIdx].EffectiveSpeed()
-}
-
-// trackClient registers a redial-created connection for Close.
-func (p *Pipeline) trackClient(wc *workerClient) {
-	p.cmu.Lock()
-	p.clients = append(p.clients, wc)
-	p.cmu.Unlock()
-}
-
-// Submit enqueues one input for inference and returns its task ID. It
-// blocks when the pipeline's input queue is full.
-func (p *Pipeline) Submit(input tensor.Tensor) (int64, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return 0, errors.New("runtime: pipeline closed")
-	}
-	p.nextID++
-	id := p.nextID
-	p.mu.Unlock()
-	f := &flight{id: id, submitted: time.Now(), m: tensor.MapOf(input)}
-	if p.scales != nil {
-		// Quantize once at the pipeline mouth; the input tensor itself is
-		// not retained, matching the float path's never-recycle contract.
-		f.m, f.owned = tensor.MapOfQ(tensor.QuantizeTensor(input, p.scales[0])), true
-	}
-	p.in <- f
-	return id, nil
-}
-
-// Results delivers completed tasks in submission order. The channel closes
-// after Close once all in-flight tasks finish.
-func (p *Pipeline) Results() <-chan TaskResult { return p.results }
-
-// Close stops accepting tasks, drains the pipeline and disconnects workers.
-// The drain is bounded even under faults: every exec wait carries a
-// deadline, retries and redials have budgets, so Close cannot block forever
-// on a wedged worker.
-func (p *Pipeline) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.in)
-	p.wg.Wait()
-	close(p.closing)
-	p.redialWG.Wait()
+// stop drains the chain and disconnects its workers: no more flights go in,
+// the stage drivers finish what is in flight, redial loops end, connections
+// close. The drain is bounded even under faults: every exec wait carries a
+// deadline, retries and redials have budgets, so a wedged worker cannot hold
+// it forever.
+func (c *chain) stop() error {
+	close(c.in)
+	c.wg.Wait()
+	close(c.closing)
+	c.redialWG.Wait()
 	var firstErr error
-	p.cmu.Lock()
-	clients := append([]*workerClient(nil), p.clients...)
-	p.cmu.Unlock()
-	for _, c := range clients {
-		err := c.close()
-		if err != nil && firstErr == nil && !errors.Is(err, errClosed) && c.alive() {
+	for _, wc := range c.clients {
+		err := wc.close()
+		if err != nil && firstErr == nil && !errors.Is(err, errClosed) && wc.alive() {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// Plan returns the executed plan.
-func (p *Pipeline) Plan() *core.Plan { return p.plan }
+// Submit enqueues one input for inference and returns its task ID. It
+// blocks when the pipeline's input queue is full, and while a Swap drains.
+func (p *Pipeline) Submit(input tensor.Tensor) (int64, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.closed {
+		return 0, errors.New("runtime: pipeline closed")
+	}
+	f := &flight{id: p.nextID.Add(1), submitted: time.Now(), m: tensor.MapOf(input)}
+	if p.scales != nil {
+		// Quantize once at the pipeline mouth; the input tensor itself is
+		// not retained, matching the float path's never-recycle contract.
+		f.m, f.owned = tensor.MapOfQ(tensor.QuantizeTensor(input, p.scales[0])), true
+	}
+	p.cur.Load().in <- f
+	return f.id, nil
+}
+
+// Results delivers completed tasks in submission order, across swaps. The
+// channel closes after Close once all in-flight tasks finish.
+func (p *Pipeline) Results() <-chan TaskResult { return p.results }
+
+// Swap replaces the running plan with another plan for the same model at a
+// task boundary: new submissions wait while the tasks in flight drain out of
+// the current chain, the new plan's slots are dialled and loaded (workers
+// keep one executor per (model, seed), so nothing is rebuilt), and the new
+// chain is installed. Everything a chain does not own carries on; the
+// journal gains a plan-swapped event holding reason, the measurement that
+// caused the swap. A Swap to the plan already running is a no-op. The stall
+// is bounded — QueueDepth tasks per stage under exec deadlines and retry
+// budgets, then one dial and load per slot — and a worker that cannot be
+// reached takes the redial and re-balance path instead of failing the swap.
+func (p *Pipeline) Swap(plan *core.Plan, reason string) error {
+	if plan == nil {
+		return errors.New("runtime: swap to a nil plan")
+	}
+	if err := plan.Validate(); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return errors.New("runtime: pipeline closed")
+	}
+	old := p.cur.Load()
+	if plan == old.plan {
+		return nil
+	}
+	if plan.Model.Name != old.plan.Model.Name || !sameModel(plan.Model, old.plan.Model) {
+		return fmt.Errorf("runtime: swap from a plan for %s to one for %s", old.plan.Model.Name, plan.Model.Name)
+	}
+	if err := p.checkAddrs(plan); err != nil {
+		return err
+	}
+	_ = old.stop() // its connections are being dropped either way
+	next, _ := p.connect(plan, old.stats, true)
+	p.cur.Store(next)
+	p.faults.add(FaultEvent{Stage: -1, Device: -1, Kind: FaultPlanSwapped, Detail: reason})
+	return nil
+}
+
+// Close stops accepting tasks, drains the pipeline and disconnects workers.
+func (p *Pipeline) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil
+	}
+	p.closed = true
+	err := p.cur.Load().stop()
+	close(p.results)
+	return err
+}
+
+// Plan returns the plan currently installed: the one NewPipeline was given,
+// or the last one a Swap put in its place.
+func (p *Pipeline) Plan() *core.Plan { return p.cur.Load().plan }
 
 // FaultEvents returns a snapshot of the pipeline's fault journal: timeouts,
-// lost connections, retries, redials, devices marked down and stage
-// re-balances, in observation order. dropped counts events beyond the
-// journal's cap.
+// lost connections, retries, redials, devices marked down, stage
+// re-balances and plan swaps, in observation order. dropped counts events
+// beyond the journal's cap.
 func (p *Pipeline) FaultEvents() (events []FaultEvent, dropped int) {
 	return p.faults.snapshot()
 }
@@ -933,7 +1010,7 @@ func (p *Pipeline) FaultEvents() (events []FaultEvent, dropped int) {
 // sorted ascending.
 func (p *Pipeline) DownDevices() []int {
 	var down []int
-	for _, sd := range p.stages {
+	for _, sd := range p.cur.Load().stages {
 		for _, slot := range sd.slots {
 			if slot != nil && slot.isDown() {
 				down = append(down, slot.deviceIdx)
@@ -944,7 +1021,7 @@ func (p *Pipeline) DownDevices() []int {
 	return down
 }
 
-// SLORebalance re-splits every stage's strips from measured per-device
+// SLORebalance re-splits every stage's tiles from measured per-device
 // execution times in the given telemetry window — the SLO watcher's control
 // action, reusing the same divide-and-conquer balancer the fault path runs
 // when a device dies. It returns how many stages changed layout. A pipeline
@@ -957,7 +1034,7 @@ func (p *Pipeline) SLORebalance(window time.Duration) int {
 		window = p.telem.Window()
 	}
 	n := 0
-	for _, sd := range p.stages {
+	for _, sd := range p.cur.Load().stages {
 		if sd.rebalanceMeasured(window) {
 			n++
 		}
@@ -969,20 +1046,21 @@ func (p *Pipeline) SLORebalance(window time.Duration) int {
 func (p *Pipeline) Telemetry() *telemetry.Registry { return p.telem }
 
 // recordCompute accumulates a worker-reported tile execution. Lock-free:
-// the counter map is immutable after construction and each counter is
-// atomic, so concurrent stage goroutines never contend on a pipeline-wide
-// mutex.
-func (p *Pipeline) recordCompute(deviceIdx int, seconds float64) {
-	if dc := p.stats[deviceIdx]; dc != nil {
+// the counter map is immutable once the chain is built and each counter is
+// atomic, so concurrent stage goroutines never contend on a mutex.
+func (c *chain) recordCompute(deviceIdx int, seconds float64) {
+	if dc := c.stats[deviceIdx]; dc != nil {
 		dc.add(seconds)
 	}
 }
 
-// WorkerStats returns a snapshot of per-device activity, keyed by cluster
-// device index. Devices that have not executed a tile yet report zeros.
+// WorkerStats returns a snapshot of per-device activity over the pipeline's
+// lifetime (swaps included), keyed by cluster device index. Devices that
+// have not executed a tile yet report zeros.
 func (p *Pipeline) WorkerStats() map[int]WorkerStat {
-	out := make(map[int]WorkerStat, len(p.stats))
-	for di, dc := range p.stats {
+	stats := p.cur.Load().stats
+	out := make(map[int]WorkerStat, len(stats))
+	for di, dc := range stats {
 		out[di] = WorkerStat{
 			Tiles:          int(dc.tiles.Load()),
 			ComputeSeconds: math.Float64frombits(dc.computeBits.Load()),
@@ -999,8 +1077,9 @@ func (p *Pipeline) WorkerStats() map[int]WorkerStat {
 // the real arithmetic went. Devices whose control connection has died
 // (crashed or down workers) are skipped rather than failing the snapshot.
 func (p *Pipeline) WorkerKindSeconds() (map[int]map[string]float64, error) {
-	out := make(map[int]map[string]float64, len(p.byDevice))
-	for di, wc := range p.byDevice {
+	byDevice := p.cur.Load().byDevice
+	out := make(map[int]map[string]float64, len(byDevice))
+	for di, wc := range byDevice {
 		if !wc.alive() {
 			continue
 		}

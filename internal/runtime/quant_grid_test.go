@@ -4,33 +4,28 @@ import (
 	"strings"
 	"testing"
 
+	"pico/internal/cluster"
+	"pico/internal/core"
 	"pico/internal/nn"
 	"pico/internal/partition"
 	"pico/internal/tensor"
 	"pico/internal/wire"
 )
 
-// TestQuantGridExecutorMatchesRunQ is the distributed quantized 2D-partition
-// contract: a grid of int8 tiles executed on TCP workers and stitched must
-// be byte-identical to the local whole-map RunQ — the strips and the grid
-// share the same accumulators and requantize epilogue.
-func TestQuantGridExecutorMatchesRunQ(t *testing.T) {
+// TestQuantGridPlanMatchesRunQ is the distributed quantized 2D-partition
+// contract: a grid stage of int8 tiles executed on TCP workers and stitched
+// must be byte-identical to the local whole-map RunQ — the strips and the
+// grid share the same accumulators and requantize epilogue — so the float
+// output the pipeline hands back equals Dequantize(RunQ) exactly.
+func TestQuantGridPlanMatchesRunQ(t *testing.T) {
 	m := nn.ToyChain("qgrid-rt", 5, 2, 8, 33)
 	lc := startCluster(t, 4, nil)
-	out := m.Output()
-	tiles := partition.GridPartition(out.H, out.W, 2, 2)
-	addrs := []string{lc.Addrs[0], lc.Addrs[1], lc.Addrs[2], lc.Addrs[3]}
 	const seed = 8
-	ge, err := NewGridExecutorQuant(m, 0, m.NumLayers(), tiles, addrs, seed)
-	if err != nil {
-		t.Fatal(err)
+	p := gridPipeline(t, m, lc, 2, 2, PipelineOptions{Seed: seed, Quantized: true})
+	if !p.Plan().Quantized {
+		t.Fatal("the int8 grid plan is not marked quantized")
 	}
-	defer ge.Close()
 	ref, err := tensor.NewExecutor(m, seed, tensor.WithQuantized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scales, err := tensor.QuantScales(m, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,25 +35,16 @@ func TestQuantGridExecutorMatchesRunQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ge.InferQ(task, tensor.QuantizeTensor(in, scales[0]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tensor.EqualQ(want, got) {
+		if got := inferOne(t, p, in); !tensor.Equal(want.Dequantize(), got) {
 			t.Fatalf("task %d: distributed quant grid differs from local RunQ", task)
 		}
 	}
-	// A quantized executor must not silently serve float tiles.
-	if _, err := ge.Infer(99, tensor.RandomInput(m.Input, 99)); err == nil {
-		t.Fatal("quantized grid executor accepted a float Infer")
-	}
 }
 
-// TestGridExecutorRejectsFullInputLayers: a segment containing a layer that
-// consumes the whole feature map cannot be split across tiles — both the
-// float and the quantized constructor must say so at plan time, not
-// mid-inference.
-func TestGridExecutorRejectsFullInputLayers(t *testing.T) {
+// TestGridPlanRejectsFullInputLayers: a segment containing a layer that
+// consumes the whole feature map cannot be split across tiles — opening such
+// a plan must say so, in either precision, not fail mid-inference.
+func TestGridPlanRejectsFullInputLayers(t *testing.T) {
 	base := nn.ToyChain("qgrid-fc", 2, 0, 4, 16)
 	m := &nn.Model{
 		Name:   "qgrid-fc",
@@ -69,34 +55,27 @@ func TestGridExecutorRejectsFullInputLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	lc := startCluster(t, 2, nil)
+	cl := cluster.Homogeneous(2, 600e6)
 	mid := m.Shapes()[2]
 	tiles := partition.GridPartition(mid.H, mid.W, 2, 1)
-	addrs := []string{lc.Addrs[0], lc.Addrs[1]}
-	for name, build := range map[string]func() (*GridExecutor, error){
-		"float": func() (*GridExecutor, error) {
-			return NewGridExecutor(m, 0, m.NumLayers(), tiles, addrs, 1)
-		},
-		"quant": func() (*GridExecutor, error) {
-			return NewGridExecutorQuant(m, 0, m.NumLayers(), tiles, addrs, 1)
-		},
-	} {
-		ge, err := build()
+	plan := &core.Plan{Model: m, Cluster: cl, Stages: []core.Stage{{
+		From: 0, To: m.NumLayers(),
+		DeviceIdx: []int{0, 1},
+		Parts:     []partition.Range{tiles[0].Rows, tiles[1].Rows},
+		Cols:      []partition.Range{tiles[0].Cols, tiles[1].Cols},
+	}}}
+	for _, quant := range []bool{false, true} {
+		p, err := NewPipeline(plan, lc.Addrs, PipelineOptions{Seed: 1, Quantized: quant})
 		if err == nil {
-			ge.Close()
-			t.Fatalf("%s: grid over a GlobalAvgPool segment accepted", name)
+			p.Close()
+			t.Fatalf("quant=%v: grid over a GlobalAvgPool segment accepted", quant)
 		}
 		if !strings.Contains(err.Error(), "full input map") {
-			t.Fatalf("%s: wrong rejection: %v", name, err)
+			t.Fatalf("quant=%v: wrong rejection: %v", quant, err)
 		}
 	}
 	// The same segment as a single full tile is fine.
-	outShape := m.Output()
-	full := []partition.Rect{partition.FullRect(outShape.H, outShape.W)}
-	ge, err := NewGridExecutorQuant(m, 0, m.NumLayers(), full, addrs[:1], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge.Close()
+	gridPipeline(t, m, lc, 1, 1, PipelineOptions{Seed: 1, Quantized: true})
 }
 
 // TestInt8ExecNeedsQuantLoad: calibration is a load-time step, so an int8

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,69 +11,49 @@ import (
 	"pico/internal/core"
 	"pico/internal/nn"
 	"pico/internal/partition"
+	"pico/internal/telemetry"
 	"pico/internal/tensor"
 )
 
-// fakeEstimator returns a scripted sequence of rates.
-type fakeEstimator struct {
-	mu    sync.Mutex
-	rates []float64
-	idx   int
-}
-
-func (f *fakeEstimator) Observe(float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.idx < len(f.rates)-1 {
-		f.idx++
-	}
-}
-
-func (f *fakeEstimator) Rate() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.rates[f.idx]
-}
-
-// rateChooser picks candidate 1 above the threshold.
-type rateChooser float64
-
-func (rc rateChooser) Choose(rate float64) int {
-	if rate > float64(rc) {
-		return 1
-	}
-	return 0
-}
-
-// adaptiveFixture builds a one-stage + pipeline candidate pair on a toy
-// model with 3 local workers.
-func adaptiveFixture(t *testing.T) ([]AdaptiveCandidate, *LocalCluster, *nn.Model) {
+// swapFixture plans a one-stage and a pipeline scheme for a toy model on 3
+// local workers — the two arms APICO switches between.
+func swapFixture(t *testing.T) (oneStage, pipeline *core.Plan, lc *LocalCluster, m *nn.Model) {
 	t.Helper()
-	m := nn.ToyChain("ad", 6, 2, 6, 32)
+	m = nn.ToyChain("ad", 6, 2, 6, 32)
 	cl := cluster.Homogeneous(3, 600e6)
-	oneStage, err := core.OneStagePlan(m, cl)
+	oneStage, err := core.OneStagePlan(m, cl, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipeline, err := core.PlanPipeline(m, cl, core.Options{})
+	pipeline, err = core.PlanPipeline(m, cl, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pipeline.Stages) < 2 {
 		t.Fatal("pipeline plan degenerated to one stage")
 	}
-	lc := startCluster(t, 3, nil)
-	return []AdaptiveCandidate{
-		{Name: "one-stage", Plan: oneStage},
-		{Name: "pipeline", Plan: pipeline},
-	}, lc, m
+	return oneStage, pipeline, startCluster(t, 3, nil), m
 }
 
+// swapEvents returns the journal's plan-swapped events.
+func swapEvents(p *Pipeline) []FaultEvent {
+	events, _ := p.FaultEvents()
+	var out []FaultEvent
+	for _, ev := range events {
+		if ev.Kind == FaultPlanSwapped {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestAdaptiveRuntimeSwitches is the scheme switch of §IV-C on the one
+// coordinator: light load runs the one-stage plan, Swap installs the
+// pipeline at a task boundary, and the result stream carries straight on —
+// submission order, ids 1..n, every output equal to a local run.
 func TestAdaptiveRuntimeSwitches(t *testing.T) {
-	cands, lc, m := adaptiveFixture(t)
-	// Rates: first 3 submissions light, then heavy.
-	est := &fakeEstimator{rates: []float64{0, 0, 0, 10, 10, 10, 10, 10}}
-	a, err := NewAdaptive(cands, lc.Addrs, est, rateChooser(1), PipelineOptions{Seed: 6})
+	oneStage, pipeline, lc, m := swapFixture(t)
+	p, err := NewPipeline(oneStage, lc.Addrs, PipelineOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +72,7 @@ func TestAdaptiveRuntimeSwitches(t *testing.T) {
 	go func() {
 		defer close(done)
 		i := 0
-		for res := range a.Results() {
+		for res := range p.Results() {
 			if res.Err != nil {
 				consumerErr = res.Err
 				return
@@ -106,7 +87,7 @@ func TestAdaptiveRuntimeSwitches(t *testing.T) {
 				return
 			}
 			if !tensor.Equal(want, res.Output) {
-				consumerErr = errors.New("adaptive output differs from reference")
+				consumerErr = errors.New("output differs from reference across the swap")
 				return
 			}
 			i++
@@ -116,67 +97,143 @@ func TestAdaptiveRuntimeSwitches(t *testing.T) {
 		}
 	}()
 
-	if got := a.Current(); got != "one-stage" {
-		t.Fatalf("initial scheme %q", got)
+	if p.Plan() != oneStage {
+		t.Fatal("initial plan is not the one-stage plan")
 	}
-	for _, in := range inputs {
-		if err := a.Submit(in); err != nil {
+	for i, in := range inputs {
+		if i == 3 {
+			// Heavy load from here on: three tasks are still in flight.
+			if err := p.Swap(pipeline, "rate 10/s"); err != nil {
+				t.Fatal(err)
+			}
+			if p.Plan() != pipeline {
+				t.Fatal("Plan() does not report the swapped-in pipeline")
+			}
+		}
+		if _, err := p.Submit(in); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := a.Current(); got != "pipeline" {
-		t.Fatalf("scheme after heavy load %q, want pipeline", got)
-	}
-	if err := a.Close(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	<-done
 	if consumerErr != nil {
 		t.Fatal(consumerErr)
 	}
-	use := a.SchemeTasks()
-	if use["one-stage"] == 0 || use["pipeline"] == 0 {
-		t.Fatalf("scheme usage %v, want both", use)
-	}
-	if use["one-stage"]+use["pipeline"] != tasks {
-		t.Fatalf("scheme usage %v does not sum to %d", use, tasks)
+	if evs := swapEvents(p); len(evs) != 1 || evs[0].Detail != "rate 10/s" {
+		t.Fatalf("journal holds %v, want one plan-swapped event carrying its reason", evs)
 	}
 }
 
+// TestAdaptiveSwitchBackAndForth swaps five times with tasks between and
+// checks what must survive a swap: ids stay monotone in delivery order, the
+// telemetry series, WorkerStats and the fault journal keep counting, and a
+// Swap to the plan already running does nothing at all.
 func TestAdaptiveSwitchBackAndForth(t *testing.T) {
-	cands, lc, m := adaptiveFixture(t)
-	est := &fakeEstimator{rates: []float64{0, 10, 0, 10, 0, 10}}
-	a, err := NewAdaptive(cands, lc.Addrs, est, rateChooser(1), PipelineOptions{Seed: 2})
+	oneStage, pipeline, lc, m := swapFixture(t)
+	reg := telemetry.New(telemetry.Options{})
+	p, err := NewPipeline(oneStage, lc.Addrs, PipelineOptions{Seed: 2, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range a.Results() {
-		}
-	}()
 	in := tensor.RandomInput(m.Input, 0)
-	for i := 0; i < 5; i++ {
-		if err := a.Submit(in); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+	const rounds, perRound = 6, 2
+	wantTiles := 0
+	plans := []*core.Plan{oneStage, pipeline}
+	next := int64(1)
+	for r := 0; r < rounds; r++ {
+		plan := plans[r%2]
+		if err := p.Swap(plan, "round"); err != nil {
+			t.Fatalf("swap %d: %v", r, err)
+		}
+		for i := 0; i < perRound; i++ {
+			if _, err := p.Submit(in); err != nil {
+				t.Fatalf("submit in round %d: %v", r, err)
+			}
+		}
+		for i := 0; i < perRound; i++ {
+			res := <-p.Results()
+			if res.Err != nil || res.ID != next {
+				t.Fatalf("round %d: result id %d err %v, want id %d", r, res.ID, res.Err, next)
+			}
+			next++
+		}
+		for _, st := range plan.Stages {
+			wantTiles += perRound * st.Workers()
 		}
 	}
-	if err := a.Close(); err != nil {
+	// Round 0 asked for the plan already running: no drain, no event.
+	if evs := swapEvents(p); len(evs) != rounds-1 {
+		t.Fatalf("%d plan-swapped events after %d real swaps", len(evs), rounds-1)
+	}
+	tiles := 0
+	for _, st := range p.WorkerStats() {
+		tiles += st.Tiles
+	}
+	if tiles != wantTiles {
+		t.Fatalf("WorkerStats count %d tiles over all swaps, want %d", tiles, wantTiles)
+	}
+	e2e := reg.Series(telemetry.Key{Model: m.Name, Stage: -1, Device: -1, Kind: telemetry.KindE2E})
+	if got := e2e.Count(); got != rounds*perRound {
+		t.Fatalf("e2e series holds %d samples across swaps, want %d", got, rounds*perRound)
+	}
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Close(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal("double close must be a no-op")
 	}
-	if err := a.Submit(in); err == nil {
+	if _, err := p.Submit(in); err == nil {
 		t.Fatal("submit after close succeeded")
+	}
+	if err := p.Swap(pipeline, ""); err == nil {
+		t.Fatal("swap after close succeeded")
 	}
 }
 
+// TestAdaptiveValidatesInputs: a Swap that cannot work is refused before the
+// running chain is touched, so the pipeline keeps serving its plan.
 func TestAdaptiveValidatesInputs(t *testing.T) {
-	if _, err := NewAdaptive(nil, nil, &fakeEstimator{rates: []float64{0}}, rateChooser(1), PipelineOptions{}); err == nil {
-		t.Fatal("no candidates accepted")
+	oneStage, pipeline, lc, m := swapFixture(t)
+	addrs := map[int]string{0: lc.Addrs[0], 1: lc.Addrs[1], 2: lc.Addrs[2]}
+	p, err := NewPipeline(oneStage, addrs, PipelineOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewAdaptive([]AdaptiveCandidate{{Name: "x"}}, nil, &fakeEstimator{rates: []float64{0}}, rateChooser(1), PipelineOptions{}); err == nil {
+	defer p.Close()
+	if err := p.Swap(nil, ""); err == nil {
 		t.Fatal("nil plan accepted")
+	}
+	if err := p.Swap(&core.Plan{Model: m, Cluster: oneStage.Cluster}, ""); err == nil {
+		t.Fatal("plan without stages accepted")
+	}
+	other := nn.ToyChain("other", 3, 0, 4, 16)
+	otherPlan, err := core.OneStagePlan(other, oneStage.Cluster, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Swap(otherPlan, ""); err == nil {
+		t.Fatal("plan for another model accepted")
+	}
+	wide, err := core.OneStagePlan(m, cluster.Homogeneous(4, 600e6), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Swap(wide, ""); err == nil || !strings.Contains(err.Error(), "no address") {
+		t.Fatalf("plan on a device without an address: err = %v", err)
+	}
+	if p.Plan() != oneStage || len(swapEvents(p)) != 0 {
+		t.Fatal("a refused swap changed the running plan or the journal")
+	}
+	if _, err := p.Submit(tensor.RandomInput(m.Input, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if res := <-p.Results(); res.Err != nil {
+		t.Fatalf("task after refused swaps: %v", res.Err)
+	}
+	if err := p.Swap(pipeline, "ok"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -365,17 +422,41 @@ func TestStageSpansShowPipelining(t *testing.T) {
 	}
 }
 
-func TestGridExecutorMatchesReference(t *testing.T) {
-	m := nn.ToyChain("grid-rt", 5, 2, 8, 33)
-	lc := startCluster(t, 4, nil)
-	out := m.Output()
-	tiles := partition.GridPartition(out.H, out.W, 2, 2)
-	addrs := []string{lc.Addrs[0], lc.Addrs[1], lc.Addrs[2], lc.Addrs[3]}
-	ge, err := NewGridExecutor(m, 0, m.NumLayers(), tiles, addrs, 8)
+// gridPipeline opens a pipeline over the one-stage rows x cols grid plan of
+// the whole model, tile k on local worker k.
+func gridPipeline(t *testing.T, m *nn.Model, lc *LocalCluster, rows, cols int, opts PipelineOptions) *Pipeline {
+	t.Helper()
+	plan, err := core.GridPlan(m, cluster.Homogeneous(len(lc.Workers), 600e6), rows, cols, core.Options{Quantized: opts.Quantized})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ge.Close()
+	p, err := NewPipeline(plan, lc.Addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	return p
+}
+
+// inferOne runs one input through the pipeline and returns its output.
+func inferOne(t *testing.T, p *Pipeline, in tensor.Tensor) tensor.Tensor {
+	t.Helper()
+	if _, err := p.Submit(in); err != nil {
+		t.Fatal(err)
+	}
+	res := <-p.Results()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return res.Output
+}
+
+// TestGridPlanMatchesReference: a 2x2 grid stage on an odd-extent map (33
+// wide into stride-2 layers) stitches to exactly the local whole-map Run.
+func TestGridPlanMatchesReference(t *testing.T) {
+	m := nn.ToyChain("grid-rt", 5, 2, 8, 33)
+	lc := startCluster(t, 4, nil)
+	p := gridPipeline(t, m, lc, 2, 2, PipelineOptions{Seed: 8})
 	ref, err := tensor.NewExecutor(m, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -386,28 +467,36 @@ func TestGridExecutorMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ge.Infer(task, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tensor.Equal(want, got) {
+		if got := inferOne(t, p, in); !tensor.Equal(want, got) {
 			t.Fatalf("task %d: grid result differs by %g", task, tensor.MaxAbsDiff(want, got))
 		}
 	}
 }
 
-func TestGridExecutorValidation(t *testing.T) {
+// TestGridPlanValidation: tile sets that cannot execute are refused when the
+// plan is built or opened, never mid-inference.
+func TestGridPlanValidation(t *testing.T) {
 	m := nn.ToyChain("grid-v", 3, 0, 4, 16)
+	cl := cluster.Homogeneous(4, 600e6)
 	lc := startCluster(t, 1, nil)
-	tiles := partition.GridPartition(16, 16, 1, 1)
-	if _, err := NewGridExecutor(m, 0, 99, tiles, []string{lc.Addrs[0]}, 1); err == nil {
-		t.Fatal("bad segment accepted")
-	}
-	if _, err := NewGridExecutor(m, 0, 3, tiles, nil, 1); err == nil {
-		t.Fatal("tile/worker mismatch accepted")
-	}
-	if _, err := NewGridExecutor(&nn.Model{Name: "bad"}, 0, 1, tiles, []string{lc.Addrs[0]}, 1); err == nil {
+	if _, err := core.GridPlan(&nn.Model{Name: "bad"}, cl, 1, 1, core.Options{}); err == nil {
 		t.Fatal("invalid model accepted")
+	}
+	if _, err := core.GridPlan(m, cl, 3, 2, core.Options{}); err == nil {
+		t.Fatal("six tiles on four devices accepted")
+	}
+	plan, err := core.GridPlan(m, cl, 2, 2, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPipeline(plan, lc.Addrs, PipelineOptions{}); err == nil {
+		t.Fatal("four tiles opened over one worker address")
+	}
+	short := *plan
+	short.Stages = []core.Stage{plan.Stages[0]}
+	short.Stages[0].Cols = plan.Stages[0].Cols[:3]
+	if _, err := NewPipeline(&short, lc.Addrs, PipelineOptions{}); err == nil {
+		t.Fatal("tile/column mismatch accepted")
 	}
 }
 
@@ -451,13 +540,14 @@ func TestMeasureAndDiscoverCluster(t *testing.T) {
 }
 
 func TestWorkerServesMultipleCoordinators(t *testing.T) {
-	// Two independent grid executors share the same workers concurrently;
+	// Two independent grid pipelines share the same workers concurrently;
 	// every result must stay bit-exact (one handler goroutine per conn).
 	m := nn.ToyChain("share", 4, 2, 6, 24)
 	lc := startCluster(t, 2, nil)
-	out := m.Output()
-	tiles := partition.GridPartition(out.H, out.W, 2, 1)
-	addrs := []string{lc.Addrs[0], lc.Addrs[1]}
+	plan, err := core.GridPlan(m, cluster.Homogeneous(2, 600e6), 2, 1, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref, err := tensor.NewExecutor(m, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -468,12 +558,12 @@ func TestWorkerServesMultipleCoordinators(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ge, err := NewGridExecutor(m, 0, m.NumLayers(), tiles, addrs, 3)
+			p, err := NewPipeline(plan, lc.Addrs, PipelineOptions{Seed: 3})
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer ge.Close()
+			defer p.Close()
 			for task := int64(0); task < 4; task++ {
 				in := tensor.RandomInput(m.Input, int64(g)*100+task)
 				want, err := ref.Run(in)
@@ -481,12 +571,14 @@ func TestWorkerServesMultipleCoordinators(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := ge.Infer(task, in)
-				if err != nil {
+				if _, err := p.Submit(in); err != nil {
 					errs <- err
 					return
 				}
-				if !tensor.Equal(want, got) {
+				if res := <-p.Results(); res.Err != nil {
+					errs <- res.Err
+					return
+				} else if !tensor.Equal(want, res.Output) {
 					errs <- errors.New("shared-worker result mismatch")
 					return
 				}
@@ -501,28 +593,18 @@ func TestWorkerServesMultipleCoordinators(t *testing.T) {
 }
 
 // TestAdaptiveConcurrentSubmitDuringSwitch hammers Submit from many
-// goroutines while the scripted estimator forces repeated scheme switches
-// underneath them: every submit must execute exactly once (no loss, no
-// duplication), every output must match the reference, and the per-scheme
-// ledger must account for every task. Run it under -race: it is the
-// concurrency contract for the submitMu drain-and-switch path.
+// goroutines while another keeps swapping the plan underneath them: every
+// submit must execute exactly once (no loss, no duplication) and every
+// output must match the reference. Run it under -race: it is the
+// concurrency contract for Swap's drain-and-install under the submit lock.
 func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
-	cands, lc, m := adaptiveFixture(t)
+	oneStage, pipeline, lc, m := swapFixture(t)
 	const (
 		submitters = 8
 		perG       = 6
 		total      = submitters * perG
 	)
-	// Alternate light/heavy blocks so the chooser flips schemes many times
-	// across the run, interleaving switches with concurrent submits.
-	rates := make([]float64, total)
-	for i := range rates {
-		if (i/4)%2 == 1 {
-			rates[i] = 10
-		}
-	}
-	est := &fakeEstimator{rates: rates}
-	a, err := NewAdaptive(cands, lc.Addrs, est, rateChooser(1), PipelineOptions{Seed: 11})
+	p, err := NewPipeline(oneStage, lc.Addrs, PipelineOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +629,7 @@ func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
 	collected := make(chan outcome, 1)
 	go func() {
 		o := outcome{ids: make(map[int64]int)}
-		for res := range a.Results() {
+		for res := range p.Results() {
 			if res.Err != nil {
 				o.errs = append(o.errs, res.Err)
 				continue
@@ -560,6 +642,25 @@ func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
 		collected <- o
 	}()
 
+	// The swapper flips schemes until the submitters are done, interleaving
+	// drains with concurrent submits.
+	stop := make(chan struct{})
+	swapped := make(chan int, 1)
+	go func() {
+		n := 0
+		for plans := []*core.Plan{pipeline, oneStage}; ; n++ {
+			select {
+			case <-stop:
+				swapped <- n
+				return
+			default:
+			}
+			if err := p.Swap(plans[n%2], "flip"); err != nil {
+				t.Errorf("swap %d: %v", n, err)
+			}
+		}
+	}()
+
 	var wg sync.WaitGroup
 	submitErrs := make(chan error, total)
 	for g := 0; g < submitters; g++ {
@@ -567,7 +668,7 @@ func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if err := a.Submit(in); err != nil {
+				if _, err := p.Submit(in); err != nil {
 					submitErrs <- err
 					return
 				}
@@ -575,11 +676,13 @@ func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	swaps := <-swapped
 	close(submitErrs)
 	for err := range submitErrs {
 		t.Fatal(err)
 	}
-	if err := a.Close(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -594,21 +697,11 @@ func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
 		t.Fatalf("%d distinct results for %d submits", len(o.ids), total)
 	}
 	for id, n := range o.ids {
-		if n != 1 {
+		if n != 1 || id < 1 || id > total {
 			t.Fatalf("task %d delivered %d times", id, n)
 		}
 	}
-	tasksByScheme := a.SchemeTasks()
-	sum := 0
-	for _, n := range tasksByScheme {
-		sum += n
-	}
-	if sum != total {
-		t.Fatalf("scheme ledger %v sums to %d, want %d", tasksByScheme, sum, total)
-	}
-	for _, c := range cands {
-		if tasksByScheme[c.Name] == 0 {
-			t.Fatalf("scheme %q never ran: %v", c.Name, tasksByScheme)
-		}
+	if swaps < 3 {
+		t.Fatalf("only %d swaps ran under the submitters", swaps)
 	}
 }

@@ -85,7 +85,7 @@ func BFSOptimal(m *nn.Model, c *cluster.Cluster, opts BFSOptions) (*core.Plan, e
 		}
 		speeds := ec.cm.DeviceSpeeds(idx)
 		parts := ec.cm.Calc.Balanced(from, to, speeds)
-		cost, _, _ := ec.cm.StageCost(from, to, speeds, parts)
+		cost, _, _ := ec.cm.StageCost(from, to, speeds, parts, nil)
 		v := stageVal{cost: cost, parts: parts, idx: idx}
 		stageCache[key] = v
 		return v, nil
@@ -180,7 +180,7 @@ func recomputePlan(ec *evalContext, plan *core.Plan) {
 	for i := range plan.Stages {
 		st := &plan.Stages[i]
 		speeds := ec.cm.DeviceSpeeds(st.DeviceIdx)
-		total, comp, _ := ec.cm.StageCost(st.From, st.To, speeds, st.Parts)
+		total, comp, _ := ec.cm.StageCost(st.From, st.To, speeds, st.Parts, nil)
 		st.CompSeconds = comp
 		st.CommSeconds = total - comp
 		t := st.Seconds()

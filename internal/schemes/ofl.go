@@ -61,7 +61,7 @@ func OptimalFusedLayer(m *nn.Model, c *cluster.Cluster, opts OFLOptions) (*OneSt
 			sp.deviceIdx = []int{fastest}
 			sp.parts = []partition.Range{partition.Full(outH)}
 			speeds := ec.cm.DeviceSpeeds(sp.deviceIdx)
-			sp.cost, _, _ = ec.cm.StageCost(i, j, speeds, sp.parts)
+			sp.cost, _, _ = ec.cm.StageCost(i, j, speeds, sp.parts, nil)
 		} else {
 			sp.deviceIdx = allIdx
 			if opts.CapacityAware {
@@ -69,7 +69,7 @@ func OptimalFusedLayer(m *nn.Model, c *cluster.Cluster, opts OFLOptions) (*OneSt
 			} else {
 				sp.parts = partition.Equal(outH, n)
 			}
-			sp.cost, _, _ = ec.cm.StageCost(i, j, allSpeeds, sp.parts)
+			sp.cost, _, _ = ec.cm.StageCost(i, j, allSpeeds, sp.parts, nil)
 		}
 		plans[key] = sp
 		return sp

@@ -115,7 +115,7 @@ func fastestDevice(c *cluster.Cluster) int {
 // result and returns the segment time.
 func (ec *evalContext) accumulateSegment(out *OneStage, from, to int, deviceIdx []int, parts []partition.Range) float64 {
 	speeds := ec.cm.DeviceSpeeds(deviceIdx)
-	total, _, _ := ec.cm.StageCost(from, to, speeds, parts)
+	total, _, _ := ec.cm.StageCost(from, to, speeds, parts, nil)
 	red := ec.cm.Calc.Redundancy(from, to, parts)
 	for k, di := range deviceIdx {
 		out.DeviceFLOPs[di] += red.PerDeviceFLOPs[k]

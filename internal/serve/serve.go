@@ -12,7 +12,9 @@
 //	            ─► session pool: pipelines keyed by (model, plan, quant),
 //	               opened lazily, retired when down devices make the plan
 //	               unservable (the PR 5 fault machinery handles everything
-//	               short of that: deadlines, retries, redials, re-balance)
+//	               short of that: deadlines, retries, redials, re-balance);
+//	               a plan=apico session holds the PICO and the fused plan
+//	               and swaps its pipeline between them on the same estimate
 //	            ─► micro-batcher: coalesces queued requests into pipeline
 //	               submission bursts within BatchWindow
 //	            ─► demux: Pipeline.Results() routed back to per-request
@@ -324,8 +326,8 @@ func (g *Gateway) sessionKey(r *http.Request) (SessionKey, int, error) {
 	if plan == "" {
 		plan = PlanPICO
 	}
-	if plan != PlanPICO && plan != PlanFused {
-		return SessionKey{}, http.StatusBadRequest, fmt.Errorf("unknown plan %q (want %s or %s)", plan, PlanPICO, PlanFused)
+	if plan != PlanPICO && plan != PlanFused && plan != PlanAPICO {
+		return SessionKey{}, http.StatusBadRequest, fmt.Errorf("unknown plan %q (want %s, %s or %s)", plan, PlanPICO, PlanFused, PlanAPICO)
 	}
 	quant := false
 	switch v := q.Get("quant"); v {
@@ -397,7 +399,7 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	g.admitted.Add(1)
 	defer g.queued.Add(-1)
 
-	res, err := sess.infer(r.Context().Done(), input)
+	res, err := sess.infer(r.Context().Done(), input, rate)
 	if err != nil {
 		if errors.Is(err, errRetired) {
 			g.rejected.Add(1)
@@ -460,13 +462,29 @@ func retryAfterSeconds(s float64) int {
 	return int(math.Ceil(s))
 }
 
+// LivePlan describes the plan a session's pipeline is running now — for an
+// apico session the scheme it last swapped to, not the one it opened on.
+type LivePlan struct {
+	// Plan is the live plan's kind: pico or fused.
+	Plan          string  `json:"live_plan"`
+	Stages        int     `json:"stages"`
+	PeriodSeconds float64 `json:"period_seconds"`
+	// Swaps counts the plan swaps the session has made.
+	Swaps int64 `json:"swaps"`
+}
+
+// livePlan reads the session's live plan off its pipeline.
+func (s *session) livePlan() LivePlan {
+	c, i := s.live()
+	return LivePlan{Plan: c.Name, Stages: len(s.plans[i].Stages), PeriodSeconds: c.Period, Swaps: s.swaps.Load()}
+}
+
 // SessionHealth is one pooled session's slice of the /healthz payload.
 type SessionHealth struct {
-	Key           SessionKey     `json:"key"`
-	PeriodSeconds float64        `json:"period_seconds"`
-	Stages        int            `json:"stages"`
-	Tasks         int64          `json:"tasks"`
-	Health        runtime.Health `json:"health"`
+	Key SessionKey `json:"key"`
+	LivePlan
+	Tasks  int64          `json:"tasks"`
+	Health runtime.Health `json:"health"`
 }
 
 // handleHealth reports gateway liveness plus every session's pipeline
@@ -485,13 +503,7 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 			status = http.StatusServiceUnavailable
 		}
-		resp.Sessions = append(resp.Sessions, SessionHealth{
-			Key:           s.key,
-			PeriodSeconds: s.period,
-			Stages:        len(s.plan.Stages),
-			Tasks:         s.tasks.Load(),
-			Health:        h,
-		})
+		resp.Sessions = append(resp.Sessions, SessionHealth{Key: s.key, LivePlan: s.livePlan(), Tasks: s.tasks.Load(), Health: h})
 	}
 	if g.draining.Load() {
 		resp.Status = "draining"
@@ -520,14 +532,14 @@ type Stats struct {
 	Sessions      []SessionStats `json:"sessions"`
 }
 
-// SessionStats summarizes one session's batching behaviour.
+// SessionStats summarizes one session's live plan and batching behaviour.
 type SessionStats struct {
-	Key           SessionKey `json:"key"`
-	PeriodSeconds float64    `json:"period_seconds"`
-	Tasks         int64      `json:"tasks"`
-	Batches       int64      `json:"batches"`
-	BatchedTasks  int64      `json:"batched_tasks"`
-	MeanBatch     float64    `json:"mean_batch"`
+	Key SessionKey `json:"key"`
+	LivePlan
+	Tasks        int64   `json:"tasks"`
+	Batches      int64   `json:"batches"`
+	BatchedTasks int64   `json:"batched_tasks"`
+	MeanBatch    float64 `json:"mean_batch"`
 }
 
 // GatewayStats snapshots the gateway counters (also serialized by /stats).
@@ -547,11 +559,11 @@ func (g *Gateway) GatewayStats() Stats {
 	}
 	for _, s := range g.pool.snapshot() {
 		ss := SessionStats{
-			Key:           s.key,
-			PeriodSeconds: s.period,
-			Tasks:         s.tasks.Load(),
-			Batches:       s.batches.Load(),
-			BatchedTasks:  s.batched.Load(),
+			Key:          s.key,
+			LivePlan:     s.livePlan(),
+			Tasks:        s.tasks.Load(),
+			Batches:      s.batches.Load(),
+			BatchedTasks: s.batched.Load(),
 		}
 		if ss.Batches > 0 {
 			ss.MeanBatch = float64(ss.BatchedTasks) / float64(ss.Batches)

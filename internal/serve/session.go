@@ -3,11 +3,14 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pico/internal/cluster"
 	"pico/internal/core"
+	"pico/internal/nn"
 	"pico/internal/queueing"
 	"pico/internal/runtime"
 	"pico/internal/telemetry"
@@ -21,7 +24,20 @@ const (
 	// PlanFused is the one-stage fused plan over the whole cluster —
 	// APICO's low-load arm, served here as an explicit choice.
 	PlanFused = "fused"
+	// PlanAPICO lets the session pick between the two from what it observes
+	// (§IV-C): it plans both, and at every batch boundary runs whichever has
+	// the lower Theorem-2 latency at the gateway's EWMA arrival rate,
+	// swapping the live pipeline's plan when the answer changes.
+	PlanAPICO = "apico"
 )
+
+// planners are the schemes a session can run, in the order an apico
+// session's switcher numbers them: it starts on the first, the fused plan,
+// which is the right choice at λ = 0.
+var planners = []struct {
+	kind string
+	plan func(*nn.Model, *cluster.Cluster, core.Options) (*core.Plan, error)
+}{{PlanFused, core.OneStagePlan}, {PlanPICO, core.PlanPipeline}}
 
 // SessionKey identifies one pooled pipeline: a model served under a plan
 // kind in a precision.
@@ -52,6 +68,8 @@ var errCanceled = errors.New("serve: request canceled by client")
 type waiter struct {
 	input tensor.Tensor
 	enq   time.Time
+	// rate is the EWMA arrival rate admission computed for this request.
+	rate float64
 	// ch receives exactly one result; buffered so the demux never blocks
 	// on an abandoned request.
 	ch chan runtime.TaskResult
@@ -62,20 +80,26 @@ type waiter struct {
 // requests into submission bursts, and a demux that routes
 // Pipeline.Results() back to the per-request waiters in submission order.
 type session struct {
-	key    SessionKey
-	plan   *core.Plan
-	pipe   *runtime.Pipeline
-	period float64
-	adm    queueing.Admission
+	key  SessionKey
+	pipe *runtime.Pipeline
+	cfg  *Config
+	// adm is the M/D/1 admission predicate at the shortest period the
+	// session can run at: an apico session on its fused plan must admit the
+	// load that makes it swap to the pipeline, or it never would.
+	adm queueing.Admission
+
+	// plans are the schemes the session may run: one for a pico or fused
+	// session, both for an apico one, whose switcher (candidate i names and
+	// prices plans[i]) the batcher goroutine alone consults.
+	plans []*core.Plan
+	sw    *queueing.Switcher
+	swaps atomic.Int64
 
 	// in feeds the batcher. Guarded by inMu/closed so a retire can never
 	// race a handler into a send on a closed channel.
 	in     chan *waiter
 	inMu   sync.RWMutex
 	closed bool
-
-	window   time.Duration
-	maxBatch int
 
 	// pending holds the submitted waiters in submission order. The batcher
 	// is the pipeline's only submitter and Results() delivers in submission
@@ -102,31 +126,39 @@ type session struct {
 	reqProd *telemetry.Producer
 }
 
-// openSession plans (or re-plans) the key's scheme and connects its
-// pipeline. Weights derive from the shared seed on the workers, so opening
-// is a control-plane operation: only geometry crosses the network.
+// openSession plans (or re-plans) the key's scheme — both schemes for an
+// apico session — and connects its pipeline. Weights derive from the shared
+// seed on the workers, so opening is a control-plane operation: only
+// geometry crosses the network.
 func openSession(cfg *Config, key SessionKey) (*session, error) {
 	m := cfg.Models[key.Model]
 	if m == nil {
 		return nil, fmt.Errorf("serve: unknown model %q", key.Model)
 	}
-	var plan *core.Plan
-	var err error
-	switch key.Plan {
-	case PlanPICO:
-		plan, err = core.PlanPipeline(m, cfg.Cluster, core.Options{Quantized: key.Quant})
-	case PlanFused:
-		plan, err = core.OneStagePlan(m, cfg.Cluster)
-		if err == nil {
-			// The one-stage planner has no quant pricing knob (a single
-			// stage has no internal boundaries to price); record the mode
-			// so the plan describes what actually executes.
-			plan.Quantized = key.Quant
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown plan kind %q", key.Plan)
+	s := &session{
+		key:     key,
+		cfg:     cfg,
+		in:      make(chan *waiter, cfg.MaxQueue),
+		pending: make(chan *waiter, cfg.MaxQueue),
 	}
-	if err != nil {
+	var cands []queueing.Candidate
+	for _, pl := range planners {
+		if key.Plan != pl.kind && key.Plan != PlanAPICO {
+			continue
+		}
+		// Every plan is priced in the precision it executes in.
+		plan, err := pl.plan(m, cfg.Cluster, core.Options{Quantized: key.Quant})
+		if err != nil {
+			return nil, fmt.Errorf("serve: plan %s (%s): %w", key, pl.kind, err)
+		}
+		s.plans = append(s.plans, plan)
+		if s.adm.Period == 0 || plan.PeriodSeconds < s.adm.Period {
+			s.adm = queueing.Admission{Period: plan.PeriodSeconds, Bound: cfg.LatencyBound, MaxQueue: cfg.MaxQueue}
+		}
+		cands = append(cands, queueing.Candidate{Name: pl.kind, Period: plan.PeriodSeconds, Latency: plan.LatencySeconds})
+	}
+	var err error
+	if s.sw, err = queueing.NewSwitcher(cands, queueing.DefaultHysteresis); err != nil {
 		return nil, fmt.Errorf("serve: plan %s: %w", key, err)
 	}
 	opts := cfg.Pipeline
@@ -135,20 +167,8 @@ func openSession(cfg *Config, key SessionKey) (*session, error) {
 	// Label the session's series by its key so concurrent model/plan/quant
 	// variants stay distinguishable in one registry.
 	opts.TelemetryLabel = key.String()
-	pipe, err := runtime.NewPipeline(plan, cfg.Addrs, opts)
-	if err != nil {
+	if s.pipe, err = runtime.NewPipeline(s.plans[0], cfg.Addrs, opts); err != nil {
 		return nil, fmt.Errorf("serve: open %s: %w", key, err)
-	}
-	s := &session{
-		key:      key,
-		plan:     plan,
-		pipe:     pipe,
-		period:   plan.PeriodSeconds,
-		adm:      queueing.Admission{Period: plan.PeriodSeconds, Bound: cfg.LatencyBound, MaxQueue: cfg.MaxQueue},
-		in:       make(chan *waiter, cfg.MaxQueue),
-		window:   cfg.BatchWindow,
-		maxBatch: cfg.MaxBatch,
-		pending:  make(chan *waiter, cfg.MaxQueue),
 	}
 	if opts.Telemetry != nil {
 		s.reqProd = opts.Telemetry.Series(telemetry.Key{
@@ -165,11 +185,37 @@ func openSession(cfg *Config, key SessionKey) (*session, error) {
 // servable reports whether the plan can still execute on the live devices.
 func (s *session) servable() bool { return s.pipe.Servable() }
 
+// live returns the switcher candidate — plan kind, period, latency — of the
+// plan the pipeline is running now, and its index in plans.
+func (s *session) live() (queueing.Candidate, int) {
+	i := max(slices.Index(s.plans, s.pipe.Plan()), 0)
+	return s.sw.Candidates[i], i
+}
+
+// adapt is APICO's decision, taken between bursts by the pipeline's only
+// submitter: ask the switcher which scheme Theorem 2 favours at the arrival
+// rate admission just computed and, when that is not the plan running, swap
+// — journaling λ and both estimates, the measurement behind the decision. A
+// one-plan session's switcher has nothing to choose from.
+func (s *session) adapt(rate float64) {
+	from, fi := s.live()
+	ti := s.sw.Choose(rate)
+	if ti == fi {
+		return
+	}
+	to := s.sw.Candidates[ti]
+	reason := fmt.Sprintf("lambda=%.6g/s %s=%.6gs -> %s=%.6gs",
+		rate, from.Name, from.EstimatedLatency(rate), to.Name, to.EstimatedLatency(rate))
+	if err := s.pipe.Swap(s.plans[ti], reason); err == nil {
+		s.swaps.Add(1)
+	}
+}
+
 // infer runs one request through the batcher and waits for its result. A
 // cancelled ctx abandons the wait — the eventual result is delivered into
 // the waiter's buffered channel and dropped, never blocking the demux.
-func (s *session) infer(done <-chan struct{}, input tensor.Tensor) (runtime.TaskResult, error) {
-	w := &waiter{input: input, enq: time.Now(), ch: make(chan runtime.TaskResult, 1)}
+func (s *session) infer(done <-chan struct{}, input tensor.Tensor, rate float64) (runtime.TaskResult, error) {
+	w := &waiter{input: input, enq: time.Now(), rate: rate, ch: make(chan runtime.TaskResult, 1)}
 	s.inMu.RLock()
 	if s.closed {
 		s.inMu.RUnlock()
@@ -196,7 +242,7 @@ func (s *session) infer(done <-chan struct{}, input tensor.Tensor) (runtime.Task
 }
 
 // batchLoop coalesces queued waiters into pipeline submission bursts: it
-// waits up to window for up to maxBatch requests to accumulate, then submits
+// waits up to BatchWindow for up to MaxBatch requests to accumulate, then submits
 // them back-to-back so the stage drivers stay full (their dispatch windows
 // overlap transport with compute across the whole burst).
 func (s *session) batchLoop() {
@@ -206,11 +252,11 @@ func (s *session) batchLoop() {
 		if !ok {
 			return
 		}
-		batch := append(make([]*waiter, 0, s.maxBatch), first)
-		if s.window > 0 && s.maxBatch > 1 {
-			timer := time.NewTimer(s.window)
+		batch := append(make([]*waiter, 0, s.cfg.MaxBatch), first)
+		if s.cfg.BatchWindow > 0 && s.cfg.MaxBatch > 1 {
+			timer := time.NewTimer(s.cfg.BatchWindow)
 		collect:
-			for len(batch) < s.maxBatch {
+			for len(batch) < s.cfg.MaxBatch {
 				select {
 				case w, ok := <-s.in:
 					if !ok {
@@ -230,6 +276,7 @@ func (s *session) batchLoop() {
 // flush submits one burst. Submit failures (pipeline closed under us) fail
 // the waiter directly; successes queue for demux delivery.
 func (s *session) flush(batch []*waiter) {
+	s.adapt(batch[len(batch)-1].rate)
 	s.batches.Add(1)
 	s.batched.Add(int64(len(batch)))
 	for _, w := range batch {

@@ -102,8 +102,7 @@ func FromPlan(name string, plan *core.Plan) *ExecProfile {
 			if speed <= 0 {
 				continue
 			}
-			flops := float64(cm.Calc.SegmentRegionFLOPs(st.From, st.To, st.Parts[k]))
-			sp.DeviceBusy[di] = flops / speed
+			sp.DeviceBusy[di] = cm.TileFLOPs(&st, k) / speed
 		}
 		prof.Stages = append(prof.Stages, sp)
 	}

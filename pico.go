@@ -93,12 +93,6 @@ type (
 	TaskResult = runtime.TaskResult
 	// WorkerStat is one device's accumulated runtime activity.
 	WorkerStat = runtime.WorkerStat
-	// AdaptiveRuntime is the real (TCP) APICO coordinator.
-	AdaptiveRuntime = runtime.Adaptive
-	// AdaptiveCandidate is one plan the adaptive runtime can execute.
-	AdaptiveCandidate = runtime.AdaptiveCandidate
-	// GridExecutor is the TCP grid-tile distributor.
-	GridExecutor = runtime.GridExecutor
 	// StageSpan is one task's occupancy of one pipeline stage.
 	StageSpan = runtime.StageSpan
 	// Health is a pipeline's point-in-time operational snapshot.
@@ -212,6 +206,10 @@ var (
 	// OneStagePlan builds the fused whole-cluster single-stage plan (the
 	// executable form of APICO's one-stage arm).
 	OneStagePlan = core.OneStagePlan
+	// GridPlan builds the one-stage plan that runs the whole model as a
+	// rows x cols grid of DeepThings-style tiles; NewPipeline executes it
+	// like any other plan.
+	GridPlan = core.GridPlan
 	// NewCostModel exposes the stage cost model.
 	NewCostModel = core.NewCostModel
 	// SavePlan / LoadPlan serialize plans as self-contained JSON.
@@ -285,15 +283,6 @@ var (
 	NewPipeline = runtime.NewPipeline
 	// WithEmulatedSpeed throttles a worker to an effective MAC/s.
 	WithEmulatedSpeed = runtime.WithEmulatedSpeed
-	// NewAdaptiveRuntime builds the real (TCP) APICO coordinator from
-	// candidate plans, an estimator and a switcher.
-	NewAdaptiveRuntime = runtime.NewAdaptive
-	// NewGridExecutor distributes a fused segment as a DeepThings-style
-	// 2D tile grid over TCP workers.
-	NewGridExecutor = runtime.NewGridExecutor
-	// NewGridExecutorQuant is the int8 grid distributor: quarter-size
-	// tile payloads, results byte-identical to a local whole-map RunQ.
-	NewGridExecutorQuant = runtime.NewGridExecutorQuant
 	// NewGateway builds the HTTP serving gateway over a worker cluster.
 	NewGateway = serve.New
 	// NewTelemetry builds a streaming-percentile latency registry.
@@ -315,12 +304,12 @@ var (
 	EqualStrips = partition.Equal
 )
 
-// NewAdaptive assembles the paper's APICO configuration for a model on a
+// NewAPICO assembles the paper's APICO configuration for a model on a
 // cluster: the PICO pipeline plus the one-stage optimal-fused-layer scheme
 // ("we choose [AOFL] as the one-stage scheme", §IV-C), an EWMA workload
 // estimator and a Theorem-2 switcher. The returned profiles are ordered
 // [OFL, PICO] to match the switcher's candidates.
-func NewAdaptive(m *Model, c *Cluster, beta, windowSeconds float64) ([]*ExecProfile, *Switcher, *Estimator, error) {
+func NewAPICO(m *Model, c *Cluster, beta, windowSeconds float64) ([]*ExecProfile, *Switcher, *Estimator, error) {
 	ofl, err := schemes.OptimalFusedLayer(m, c, schemes.OFLOptions{})
 	if err != nil {
 		return nil, nil, nil, err
@@ -333,7 +322,7 @@ func NewAdaptive(m *Model, c *Cluster, beta, windowSeconds float64) ([]*ExecProf
 	sw, err := queueing.NewSwitcher([]queueing.Candidate{
 		{Name: "OFL", Period: profiles[0].Period(), Latency: profiles[0].Latency()},
 		{Name: "PICO", Period: profiles[1].Period(), Latency: profiles[1].Latency()},
-	}, 0.05)
+	}, queueing.DefaultHysteresis)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -62,7 +62,7 @@ func TestPublicAPIBaselines(t *testing.T) {
 }
 
 func TestPublicAPIAdaptive(t *testing.T) {
-	profiles, sw, est, err := pico.NewAdaptive(pico.VGG16(), pico.PaperHeterogeneous(), 0.5, 10)
+	profiles, sw, est, err := pico.NewAPICO(pico.VGG16(), pico.PaperHeterogeneous(), 0.5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
