@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke cross bench-vet loc check
+.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke cross bench-vet results-check loc check
 
 all: check
 
@@ -28,18 +28,22 @@ race-hot:
 # blocked-vs-reference bit-identity at par > 1 (GEMM walker and depthwise
 # plane walker), the int8 codec, the scales a load frame carries (bit-exact on
 # the wire, validated by the worker), the distributed quant pipeline and the
-# int8 grid stage against local RunQ, and int8 pricing of one-stage plans.
+# int8 grid stage against local RunQ, and int8 pricing of the one-stage
+# (capacity-aware OFL) plan.
 race-quant:
-	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw|Depthwise' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core
+	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw|Depthwise' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core ./internal/schemes
 
 # Fault-injection suite under the race detector: worker crashes, hangs,
 # flaky connections and panics against the pipeline's recovery machinery
-# (deadlines, retry, redial, re-balance) on strip and grid stages, plus the
-# reconfiguration contract — plan swaps under concurrent submitters, a swap
-# over a dead worker, Submit racing Close. Every test carries a watchdog, so
-# a recovery regression fails fast instead of wedging CI.
+# (deadlines, retry, redial, re-balance) on strip and grid stages and on a
+# device shared by several stages, plus the reconfiguration contract — every
+# baseline scheme swapped with the pipeline in both precisions, swaps under
+# concurrent submitters, a swap over a dead worker, Submit racing Close — and
+# the worker's one compute lane holding a shared-device plan to its period.
+# Every test carries a watchdog, so a recovery regression fails fast instead
+# of wedging CI.
 chaos:
-	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|RunDegraded|SurvivesWorkerCrash|SubmitRacingClose|Adaptive|GridPlan' ./internal/runtime ./internal/wire ./internal/simulate
+	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|RunDegraded|SurvivesWorkerCrash|SubmitRacingClose|Adaptive|GridPlan|SharedDevice' ./internal/runtime ./internal/wire ./internal/simulate
 
 # Smoke-run the execution-engine benchmarks (single iteration): catches
 # bench-only compile errors and allocation regressions without a full sweep.
@@ -66,10 +70,11 @@ bench-kernel-smoke:
 
 # Serving-gateway smoke under the race detector: the full binary path
 # (loopback workers, HTTP, micro-batcher, drain), the end-to-end
-# byte-identity contract between /infer and a local run, and a plan=apico
-# session swapping plans at the Theorem-2 crossover.
+# byte-identity contract between /infer and a local run, a plan=apico
+# session swapping plans at the Theorem-2 crossover, and plan=fused spreading
+# a GAP/FC-tailed model over the cluster in both precisions.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'PicoserveSmoke|GatewayInferMatchesLocalRun$$|GatewayAPICO' ./cmd/picoserve ./internal/serve
+	$(GO) test -race -count=1 -run 'PicoserveSmoke|GatewayInferMatchesLocalRun$$|GatewayAPICO|GatewayFused' ./cmd/picoserve ./internal/serve
 
 # One-iteration pass over the instrumented-vs-bare pipeline benchmark:
 # catches hot-path regressions in the telemetry ring without a timing run.
@@ -99,6 +104,18 @@ bench-vet:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
+# "The figures did not move" as a command: regenerate every table and figure
+# of the paper (about 4 s) and diff against results/. Only table2's PICO and
+# BFS columns are wall-clock planner times (and set its column widths), so
+# that file is compared by its configuration and period-gap columns.
+table2cols = awk '/^-/ {next} /^\(/ {print $$1, $$4; next} {print}'
+results-check:
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	$(GO) run ./cmd/picobench -exp all -out "$$out" >/dev/null && \
+	diff -r -x table2.txt results "$$out" && \
+	$(table2cols) results/table2.txt >"$$out/want" && $(table2cols) "$$out/table2.txt" >"$$out/got" && \
+	diff "$$out/want" "$$out/got"
+
 # Non-test Go lines per package plus assembly lines: the size numbers
 # ROADMAP tracks as its aim-2 ("least code") success metric.
 gocount = $$(find $(1) -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
@@ -108,4 +125,4 @@ loc:
 	@printf '%-22s %6d\n' 'internal + cmd' $(call gocount,internal cmd)
 	@printf '%-22s %6d\n' 'asm (*.s)' $$(find . -name '*.s' -exec cat {} + | wc -l)
 
-check: build vet cross bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke
+check: build vet cross bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke results-check

@@ -73,12 +73,12 @@ func reportCapacityMetrics(b *testing.B, m *nn.Model) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	efl, err := schemes.EarlyFusedLayer(m, cl, 0)
+	efl, err := schemes.EarlyFusedLayer(m, cl, 0, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(plan.PeriodSeconds, "pico-period-s")
-	b.ReportMetric(efl.Seconds/plan.PeriodSeconds, "gain-vs-efl")
+	b.ReportMetric(efl.PeriodSeconds/plan.PeriodSeconds, "gain-vs-efl")
 }
 
 func BenchmarkFig10VGG16Latency(b *testing.B) {

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "picoplan: %v\n", err)
 			return 1
 		}
-		ofl, err := schemes.OptimalFusedLayer(m, cl, schemes.OFLOptions{})
+		ofl, err := schemes.OptimalFusedLayer(m, cl, schemes.OFLOptions{}, core.Options{})
 		if err != nil {
 			fmt.Fprintf(stderr, "picoplan: %v\n", err)
 			return 1
@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nthroughput: %.2f tasks/min (%.1fx single device, %.1fx optimal-fused)\n",
 			plan.Throughput()*60,
 			single.PeriodSeconds/plan.PeriodSeconds,
-			ofl.Seconds/plan.PeriodSeconds)
+			ofl.PeriodSeconds/plan.PeriodSeconds)
 	}
 
 	if *out != "" {

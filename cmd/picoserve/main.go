@@ -13,7 +13,8 @@
 //	  'http://localhost:8080/infer?model=toy&plan=pico' -o output.f32
 //
 // plan= picks the session's scheme: pico (the default, the PICO pipeline),
-// fused (one stage over the whole cluster) or apico, which plans both and
+// fused (the one-stage scheme: optimal fused segments, each over the whole
+// cluster, an unsplittable tail on one device) or apico, which plans both and
 // swaps the live pipeline to whichever Theorem 2 favours at the arrival rate
 // it observes (each swap is in /healthz's fault journal as plan-swapped).
 //

@@ -12,10 +12,10 @@ import (
 	"io"
 	"os"
 
+	"pico"
 	"pico/internal/cluster"
 	"pico/internal/core"
 	"pico/internal/nn"
-	"pico/internal/queueing"
 	"pico/internal/schemes"
 	"pico/internal/simulate"
 )
@@ -33,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		devices     = fs.Int("devices", 8, "device count (homogeneous cluster)")
 		freq        = fs.Float64("freq", 600e6, "CPU frequency in Hz (homogeneous cluster)")
 		bandwidth   = fs.Float64("bandwidth", cluster.WiFi50MbpsBps, "WLAN bandwidth in bytes/sec")
-		scheme      = fs.String("scheme", "pico", "lw | efl | ofl | pico | apico")
+		scheme      = fs.String("scheme", "pico", "lw | mednn | efl | efl-grid | ofl | fused | pico | apico")
 		workload    = fs.Float64("workload", 0, "Poisson rate as a fraction of EFL capacity; 0 = closed loop")
 		duration    = fs.Float64("duration", 600, "simulated seconds (open loop)")
 		tasks       = fs.Int("tasks", 500, "task count (closed loop)")
@@ -60,14 +60,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cl.BandwidthBps = *bandwidth
 
-	efl, err := schemes.EarlyFusedLayer(m, cl, 0)
+	efl, err := schemes.EarlyFusedLayer(m, cl, 0, core.Options{})
 	if err != nil {
 		fmt.Fprintf(stderr, "picosim: %v\n", err)
 		return 1
 	}
-	capacity := 1 / efl.Seconds
+	capacity := 1 / efl.PeriodSeconds
 
-	res, err := runScheme(*scheme, m, cl, efl, capacity, *workload, *duration, *tasks, *seed)
+	res, err := runScheme(*scheme, m, cl, capacity, *workload, *duration, *tasks, *seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "picosim: %v\n", err)
 		return 1
@@ -104,66 +104,24 @@ func modelByName(name string) (*nn.Model, error) {
 	}
 }
 
-func runScheme(scheme string, m *nn.Model, cl *cluster.Cluster, efl *schemes.OneStage, capacity, workload, duration float64, tasks int, seed int64) (*simulate.Result, error) {
-	profile := func() (*simulate.ExecProfile, error) {
-		switch scheme {
-		case "lw":
-			lw, err := schemes.LayerWise(m, cl)
-			if err != nil {
-				return nil, err
-			}
-			return lw.Profile(), nil
-		case "efl":
-			return efl.Profile(), nil
-		case "ofl":
-			ofl, err := schemes.OptimalFusedLayer(m, cl, schemes.OFLOptions{})
-			if err != nil {
-				return nil, err
-			}
-			return ofl.Profile(), nil
-		case "pico":
-			plan, err := core.PlanPipeline(m, cl, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			return simulate.FromPlan("PICO", plan), nil
-		default:
-			return nil, fmt.Errorf("unknown scheme %q", scheme)
-		}
-	}
-
+func runScheme(scheme string, m *nn.Model, cl *cluster.Cluster, capacity, workload, duration float64, tasks int, seed int64) (*simulate.Result, error) {
 	if scheme == "apico" {
-		ofl, err := schemes.OptimalFusedLayer(m, cl, schemes.OFLOptions{})
-		if err != nil {
-			return nil, err
-		}
-		plan, err := core.PlanPipeline(m, cl, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		cands := []*simulate.ExecProfile{ofl.Profile(), simulate.FromPlan("PICO", plan)}
-		sw, err := queueing.NewSwitcher([]queueing.Candidate{
-			{Name: "OFL", Period: cands[0].Period(), Latency: cands[0].Latency()},
-			{Name: "PICO", Period: cands[1].Period(), Latency: cands[1].Latency()},
-		}, 0.05)
-		if err != nil {
-			return nil, err
-		}
-		est, err := queueing.NewEstimator(0.5, 10)
-		if err != nil {
-			return nil, err
-		}
 		if workload <= 0 {
 			return nil, fmt.Errorf("apico needs -workload > 0")
+		}
+		cands, sw, est, err := pico.NewAPICO(m, cl, 0.5, 10)
+		if err != nil {
+			return nil, err
 		}
 		arrivals := simulate.PoissonArrivals(workload*capacity, duration, seed)
 		return simulate.RunAdaptive(cands, sw, est, arrivals, cl.Size())
 	}
 
-	prof, err := profile()
+	plan, err := schemes.Plan(scheme, m, cl, core.Options{})
 	if err != nil {
 		return nil, err
 	}
+	prof := simulate.FromPlan(scheme, plan)
 	if workload <= 0 {
 		return simulate.RunClosedLoop(prof, tasks, cl.Size())
 	}

@@ -32,7 +32,7 @@ func TestOpenLoopAPICO(t *testing.T) {
 }
 
 func TestEveryScheme(t *testing.T) {
-	for _, scheme := range []string{"lw", "efl", "ofl", "pico"} {
+	for _, scheme := range []string{"lw", "mednn", "efl", "efl-grid", "ofl", "fused", "pico"} {
 		var out, errBuf bytes.Buffer
 		rc := run([]string{"-model", "fig13toy", "-devices", "2", "-scheme", scheme, "-tasks", "5"}, &out, &errBuf)
 		if rc != 0 {

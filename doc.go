@@ -35,6 +35,12 @@
 // how the serving gateway's plan=apico sessions switch between the pipeline
 // and the one-stage scheme (§IV-C) under load.
 //
+// The baselines (LayerWise, MeDNN, EarlyFusedLayer, EarlyFusedLayerGrid,
+// OptimalFusedLayer, BFSOptimal; PlanScheme by name) return plans of the
+// same type, so they are analysed, simulated and executed the same way. Their
+// stages share the cluster's devices, which makes a plan one serial group:
+// tasks do not overlap and the period equals the latency.
+//
 // See the runnable programs under examples/, the experiment regenerators
 // behind cmd/picobench, which rebuild every table and figure of the paper's
 // evaluation (and nothing else), and bench/, the end-to-end serving

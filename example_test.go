@@ -37,13 +37,13 @@ func ExampleTheorem2Latency() {
 // ExampleLayerWise shows why the per-layer scheme loses: one VGG16
 // inference on 8 devices spends almost everything on communication.
 func ExampleLayerWise() {
-	lw, err := pico.LayerWise(pico.VGG16(), pico.Homogeneous(8, 600e6))
+	lw, err := pico.LayerWise(pico.VGG16(), pico.Homogeneous(8, 600e6), pico.PlanOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("layer-wise inference: %.1fs\n", lw.Seconds)
-	fmt.Printf("rounds: %d\n", len(lw.Segments))
+	fmt.Printf("layer-wise inference: %.1fs\n", lw.LatencySeconds)
+	fmt.Printf("rounds: %d\n", len(lw.Stages))
 	// Output:
 	// layer-wise inference: 22.4s
 	// rounds: 21
@@ -71,21 +71,26 @@ func ExampleGridPartition() {
 	// [3,6)x[3,6)
 }
 
-// ExampleOneStagePlan demonstrates Fig. 4's motivation: fusing the whole
-// deep network into a single all-device stage recomputes so much overlap
-// that eight devices barely beat one (12.2s vs 14.9s on YOLOv2), while the
-// pipeline reaches a 2.4s period at the price of traversal latency.
-func ExampleOneStagePlan() {
+// ExampleOptimalFusedLayer demonstrates Fig. 4's motivation: fusing the
+// whole deep network into a single all-device stage recomputes so much
+// overlap that eight devices barely beat one (12.6s vs 14.9s on YOLOv2).
+// The optimal one-stage scheme cuts the model into five fused segments and
+// still serves one task at a time; the pipeline reaches a 2.4s period at the
+// price of traversal latency.
+func ExampleOptimalFusedLayer() {
 	model := pico.YOLOv2()
 	cl := pico.Homogeneous(8, 600e6)
-	one, _ := pico.OneStagePlan(model, cl, pico.PlanOptions{})
-	pipe, _ := pico.PlanPipeline(model, cl, pico.PlanOptions{})
 	single, _ := pico.SingleDevice(model, cl, 0)
-	fmt.Printf("single device: %.1fs\n", single.PeriodSeconds)
-	fmt.Printf("full fusion:   period %.1fs latency %.1fs\n", one.PeriodSeconds, one.LatencySeconds)
-	fmt.Printf("pipeline:      period %.1fs latency %.1fs\n", pipe.PeriodSeconds, pipe.LatencySeconds)
+	full, _ := pico.GridPlan(model, cl, 8, 1, pico.PlanOptions{})
+	ofl, _ := pico.OptimalFusedLayer(model, cl, pico.OFLOptions{}, pico.PlanOptions{})
+	pipe, _ := pico.PlanPipeline(model, cl, pico.PlanOptions{})
+	fmt.Printf("single device:  %.1fs\n", single.PeriodSeconds)
+	fmt.Printf("full fusion:    period %.1fs latency %.1fs\n", full.PeriodSeconds, full.LatencySeconds)
+	fmt.Printf("optimal fusion: period %.1fs latency %.1fs in %d segments\n", ofl.PeriodSeconds, ofl.LatencySeconds, len(ofl.Stages))
+	fmt.Printf("pipeline:       period %.1fs latency %.1fs\n", pipe.PeriodSeconds, pipe.LatencySeconds)
 	// Output:
-	// single device: 14.9s
-	// full fusion:   period 12.2s latency 12.2s
-	// pipeline:      period 2.4s latency 11.2s
+	// single device:  14.9s
+	// full fusion:    period 12.6s latency 12.6s
+	// optimal fusion: period 5.2s latency 5.2s in 5 segments
+	// pipeline:       period 2.4s latency 11.2s
 }

@@ -39,15 +39,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	lw, err := pico.LayerWise(model, cl)
+	lw, err := pico.LayerWise(model, cl, pico.PlanOptions{})
 	if err != nil {
 		return err
 	}
-	efl, err := pico.EarlyFusedLayer(model, cl, 0)
+	efl, err := pico.EarlyFusedLayer(model, cl, 0, pico.PlanOptions{})
 	if err != nil {
 		return err
 	}
-	ofl, err := pico.OptimalFusedLayer(model, cl, pico.OFLOptions{})
+	ofl, err := pico.OptimalFusedLayer(model, cl, pico.OFLOptions{}, pico.PlanOptions{})
 	if err != nil {
 		return err
 	}
@@ -57,15 +57,15 @@ func run() error {
 		period float64
 	}{
 		{"single device", single.PeriodSeconds},
-		{"layer-wise (MoDNN)", lw.Seconds},
-		{"early-fused (DeepThings)", efl.Seconds},
-		{"optimal-fused (AOFL)", ofl.Seconds},
+		{"layer-wise (MoDNN)", lw.PeriodSeconds},
+		{"early-fused (DeepThings)", efl.PeriodSeconds},
+		{"optimal-fused (AOFL)", ofl.PeriodSeconds},
 		{"PICO pipeline", plan.PeriodSeconds},
 	} {
 		fmt.Printf("%-22s %10.3f %12.1f\n", row.name, row.period, 60/row.period)
 	}
 	fmt.Printf("\nPICO throughput gain: %.1fx over single device, %.1fx over the best fused baseline\n",
-		single.PeriodSeconds/plan.PeriodSeconds, ofl.Seconds/plan.PeriodSeconds)
+		single.PeriodSeconds/plan.PeriodSeconds, ofl.PeriodSeconds/plan.PeriodSeconds)
 
 	// Simulate a saturated cluster and report utilization/redundancy (the
 	// paper's Table I metrics).

@@ -123,49 +123,6 @@ func TestLatencyLimitSelectsFrontierPoint(t *testing.T) {
 	}
 }
 
-func TestOneStagePlan(t *testing.T) {
-	m := nn.Fig13Toy()
-	cl := cluster.Fig13Heterogeneous()
-	plan, err := OneStagePlan(m, cl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Stages) != 1 {
-		t.Fatalf("stages = %d", len(plan.Stages))
-	}
-	if math.Abs(plan.PeriodSeconds-plan.LatencySeconds) > 1e-12 {
-		t.Fatal("one-stage plan must have period == latency")
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Most devices participate; the balancer may idle the slowest ones
-	// when the output map has too few rows to be worth sharing.
-	if got := len(plan.UsedDevices()); got < cl.Size()/2 {
-		t.Fatalf("used only %d of %d devices", got, cl.Size())
-	}
-	// Against the pipeline plan: the one-stage latency must be lower or
-	// equal (it has no inter-stage hand-offs) while its period is higher
-	// or equal (no pipelining) — the APICO trade-off.
-	pipe, err := PlanPipeline(m, cl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.PeriodSeconds < pipe.PeriodSeconds-1e-9 {
-		t.Fatalf("one-stage period %.4f beats pipeline %.4f", plan.PeriodSeconds, pipe.PeriodSeconds)
-	}
-	if plan.LatencySeconds > pipe.LatencySeconds+1e-9 {
-		t.Fatalf("one-stage latency %.4f above pipeline %.4f", plan.LatencySeconds, pipe.LatencySeconds)
-	}
-	// Invalid inputs.
-	if _, err := OneStagePlan(&nn.Model{Name: "bad"}, cl, Options{}); err == nil {
-		t.Fatal("invalid model accepted")
-	}
-	if _, err := OneStagePlan(m, &cluster.Cluster{}, Options{}); err == nil {
-		t.Fatal("invalid cluster accepted")
-	}
-}
-
 // TestMoreDevicesNeverHurt: with communication priced in, the planner may
 // idle extra devices, so the optimal period must be non-increasing in the
 // cluster size.

@@ -307,14 +307,23 @@ func TestPlanValidateCatchesCorruption(t *testing.T) {
 		}
 		plan.Stages[0].Parts[0].Hi--
 	}
-	// Reuse a device across stages.
+	// Reuse a device: across stages is a shared-device plan, twice inside
+	// one stage is refused.
 	if len(plan.Stages) > 1 {
 		save := plan.Stages[1].DeviceIdx[0]
 		plan.Stages[1].DeviceIdx[0] = plan.Stages[0].DeviceIdx[0]
-		if err := plan.Validate(); err == nil {
-			t.Fatal("validator missed device reuse")
+		if err := plan.Validate(); err != nil {
+			t.Fatalf("validator refused a device shared by two stages: %v", err)
 		}
 		plan.Stages[1].DeviceIdx[0] = save
+	}
+	if st := &plan.Stages[0]; st.Workers() > 1 {
+		save := st.DeviceIdx[1]
+		st.DeviceIdx[1] = st.DeviceIdx[0]
+		if err := plan.Validate(); err == nil {
+			t.Fatal("validator missed a device holding two tiles of one stage")
+		}
+		st.DeviceIdx[1] = save
 	}
 	// Break coverage.
 	plan.Stages[len(plan.Stages)-1].To--

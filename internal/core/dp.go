@@ -241,10 +241,10 @@ func (p *planner) reconstruct(j, d, pi int) []homStage {
 	return append(stages, homStage{From: pt.cut, To: j, Workers: pt.workers})
 }
 
-// costModelFor validates the model and the cluster and builds the cost model
-// the options select: every planner entry point prices its plan in the mode
-// the plan will execute in.
-func costModelFor(m *nn.Model, c *cluster.Cluster, opts Options) (*CostModel, error) {
+// CostModelFor validates the model and the cluster and builds the cost model
+// the options select: every planner entry point — here and in schemes —
+// prices its plan in the mode the plan will execute in.
+func CostModelFor(m *nn.Model, c *cluster.Cluster, opts Options) (*CostModel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -264,7 +264,7 @@ func costModelFor(m *nn.Model, c *cluster.Cluster, opts Options) (*CostModel, er
 // PlanPipeline runs the full PICO planner (Algorithms 1 + 2) and returns the
 // pipelined cooperation plan for the model on the cluster.
 func PlanPipeline(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) {
-	cm, err := costModelFor(m, c, opts)
+	cm, err := CostModelFor(m, c, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -282,35 +282,27 @@ func PlanPipeline(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) 
 	}
 
 	// Step 2 (Alg. 2): adapt the stage set to the heterogeneous devices.
-	var plan *Plan
 	if opts.NoHeterogeneityAdaptation {
-		plan = assignPositional(cm, homStages)
-	} else {
-		plan = adaptToHeterogeneity(cm, homStages)
+		return NewPlan(cm, assignPositional(cm, homStages))
 	}
-	plan.Quantized = opts.Quantized
-	plan.recompute(cm)
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("core: planner produced invalid plan: %w", err)
-	}
-	return plan, nil
+	return NewPlan(cm, adaptToHeterogeneity(cm, homStages))
 }
 
 // assignPositional maps homogeneous stages onto devices in index order with
 // equal strips (the no-adaptation ablation).
-func assignPositional(cm *CostModel, homStages []homStage) *Plan {
-	plan := &Plan{Model: cm.M, Cluster: cm.C}
+func assignPositional(cm *CostModel, homStages []homStage) []Stage {
+	var stages []Stage
 	next := 0
 	for _, hs := range homStages {
 		outH := cm.M.OutShape(hs.To - 1).H
-		plan.Stages = append(plan.Stages, Stage{
+		stages = append(stages, Stage{
 			From: hs.From, To: hs.To,
 			DeviceIdx: firstDevices(next, hs.Workers),
 			Parts:     partition.Equal(outH, hs.Workers),
 		})
 		next += hs.Workers
 	}
-	return plan
+	return stages
 }
 
 // firstDevices returns the n consecutive device indices starting at lo.
@@ -322,52 +314,21 @@ func firstDevices(lo, n int) []int {
 	return idx
 }
 
-// wholeModelPlan prices and validates the plan that runs the whole model as
-// one stage with the given device tiles.
-func wholeModelPlan(cm *CostModel, opts Options, deviceIdx []int, parts, cols []partition.Range) (*Plan, error) {
-	plan := &Plan{
-		Model:   cm.M,
-		Cluster: cm.C,
-		Stages: []Stage{{
-			From: 0, To: cm.M.NumLayers(),
-			DeviceIdx: deviceIdx,
-			Parts:     parts,
-			Cols:      cols,
-		}},
-		Quantized: opts.Quantized,
-	}
-	plan.recompute(cm)
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("core: one-stage plan invalid: %w", err)
-	}
-	return plan, nil
-}
-
 // SingleDevice builds the trivial plan that runs the whole model on one
 // device — the 1-device baseline of the speedup figures.
 func SingleDevice(m *nn.Model, c *cluster.Cluster, deviceIdx int) (*Plan, error) {
-	cm, err := costModelFor(m, c, Options{})
+	cm, err := CostModelFor(m, c, Options{})
 	if err != nil {
 		return nil, err
 	}
 	if deviceIdx < 0 || deviceIdx >= c.Size() {
 		return nil, fmt.Errorf("core: device index %d out of range", deviceIdx)
 	}
-	return wholeModelPlan(cm, Options{}, []int{deviceIdx}, []partition.Range{partition.Full(m.Output().H)}, nil)
-}
-
-// OneStagePlan builds the fused-layer plan that runs the whole model as a
-// single stage across every cluster device with capacity-balanced strips —
-// the executable form of the one-stage scheme APICO switches to under light
-// workloads (§IV-C). The stage's input and output tiles cross the link, so it
-// is priced in the precision opts selects, like a pipeline plan.
-func OneStagePlan(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) {
-	cm, err := costModelFor(m, c, opts)
-	if err != nil {
-		return nil, err
-	}
-	idx := firstDevices(0, c.Size())
-	return wholeModelPlan(cm, opts, idx, cm.Calc.Balanced(0, m.NumLayers(), cm.DeviceSpeeds(idx)), nil)
+	return NewPlan(cm, []Stage{{
+		From: 0, To: m.NumLayers(),
+		DeviceIdx: []int{deviceIdx},
+		Parts:     []partition.Range{partition.Full(m.Output().H)},
+	}})
 }
 
 // GridPlan builds the one-stage plan that cuts the model's output map into a
@@ -376,7 +337,7 @@ func OneStagePlan(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) 
 // map over-partitioned) and several tiles over a layer that needs the whole
 // input map.
 func GridPlan(m *nn.Model, c *cluster.Cluster, rows, cols int, opts Options) (*Plan, error) {
-	cm, err := costModelFor(m, c, opts)
+	cm, err := CostModelFor(m, c, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -390,5 +351,10 @@ func GridPlan(m *nn.Model, c *cluster.Cluster, rows, cols int, opts Options) (*P
 	for k, t := range tiles {
 		parts[k], colRanges[k] = t.Rows, t.Cols
 	}
-	return wholeModelPlan(cm, opts, firstDevices(0, len(tiles)), parts, colRanges)
+	return NewPlan(cm, []Stage{{
+		From: 0, To: m.NumLayers(),
+		DeviceIdx: firstDevices(0, len(tiles)),
+		Parts:     parts,
+		Cols:      colRanges,
+	}})
 }

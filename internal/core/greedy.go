@@ -11,7 +11,7 @@ import (
 // Θ'_{i→j} / |D'_{i→j}| (the neediest stage). Once a stage's worker slots
 // fill, its output strips are re-balanced for the actual device speeds with
 // the divide-and-conquer search (partition.Balanced).
-func adaptToHeterogeneity(cm *CostModel, homStages []homStage) *Plan {
+func adaptToHeterogeneity(cm *CostModel, homStages []homStage) []Stage {
 	type openStage struct {
 		hs        homStage
 		need      float64 // Θ'_{i→j}: total work of the homogeneous stage
@@ -56,15 +56,15 @@ func adaptToHeterogeneity(cm *CostModel, homStages []homStage) *Plan {
 		pick.remaining--
 	}
 
-	plan := &Plan{Model: cm.M, Cluster: cm.C}
+	stages := make([]Stage, 0, len(open))
 	for _, os := range open {
 		speeds := cm.DeviceSpeeds(os.devices)
 		parts := cm.Calc.Balanced(os.hs.From, os.hs.To, speeds)
-		plan.Stages = append(plan.Stages, Stage{
+		stages = append(stages, Stage{
 			From: os.hs.From, To: os.hs.To,
 			DeviceIdx: os.devices,
 			Parts:     parts,
 		})
 	}
-	return plan
+	return stages
 }

@@ -74,8 +74,9 @@ type Plan struct {
 	Model   *nn.Model
 	Cluster *cluster.Cluster
 	Stages  []Stage
-	// PeriodSeconds is P(M, D, S) (Eq. 10): the slowest stage time — the
-	// reciprocal of steady-state throughput.
+	// PeriodSeconds is P(M, D, S) (Eq. 10): the slowest serial group's
+	// summed stage times (see SerialGroups; the slowest stage when no two
+	// stages share a device) — the reciprocal of steady-state throughput.
 	PeriodSeconds float64
 	// LatencySeconds is T(M, D, S) (Eq. 11): the sum of stage times — the
 	// time one task spends traversing the pipeline.
@@ -87,7 +88,7 @@ type Plan struct {
 }
 
 // CostModel returns the cost model matching the plan's execution mode —
-// the one recompute and any re-balancing must price transfers with.
+// the one re-pricing and any re-balancing must price transfers with.
 func (p *Plan) CostModel() *CostModel {
 	cm := NewCostModel(p.Model, p.Cluster)
 	if p.Quantized {
@@ -96,22 +97,64 @@ func (p *Plan) CostModel() *CostModel {
 	return cm
 }
 
-// recompute refreshes stage costs and the period/latency aggregates.
-func (p *Plan) recompute(cm *CostModel) {
-	p.PeriodSeconds = 0
-	p.LatencySeconds = 0
+// NewPlan is the one constructor every plan source ends in — the PICO
+// planner, the baseline schemes, the exhaustive search and plan files alike:
+// the stages are validated, each is priced with cm (the cost model of the
+// mode the plan will execute in, see CostModelFor), and the period and
+// latency are aggregated over the plan's serial groups.
+func NewPlan(cm *CostModel, stages []Stage) (*Plan, error) {
+	p := &Plan{Model: cm.M, Cluster: cm.C, Stages: stages, Quantized: cm.BytesPerElem == 1}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	for i := range p.Stages {
 		st := &p.Stages[i]
-		speeds := cm.DeviceSpeeds(st.DeviceIdx)
-		total, comp, _ := cm.StageCost(st.From, st.To, speeds, st.Parts, st.Cols)
+		total, comp, _ := cm.StageCost(st.From, st.To, cm.DeviceSpeeds(st.DeviceIdx), st.Parts, st.Cols)
 		st.CompSeconds = comp
 		st.CommSeconds = total - comp
-		t := st.Seconds()
-		p.LatencySeconds += t
-		if t > p.PeriodSeconds {
-			p.PeriodSeconds = t
+		p.LatencySeconds += st.Seconds()
+	}
+	for _, g := range p.SerialGroups() {
+		t := 0.0
+		for i := g[0]; i < g[1]; i++ {
+			t += p.Stages[i].Seconds()
+		}
+		p.PeriodSeconds = max(p.PeriodSeconds, t)
+	}
+	return p, nil
+}
+
+// SerialGroups cuts the stages into the maximal runs [lo, hi) a task
+// traverses before the next task can enter: a device executes one tile at a
+// time, so two stages that share a working device cannot overlap, and the
+// stages between them are kept in the same run (contiguous groups, each one
+// server of a tandem queue; conservative when the sharing stages are not
+// adjacent). A device-disjoint plan — every plan the PICO planner builds —
+// has one group per stage; a one-stage scheme whose segments all run on the
+// whole cluster (LW, EFL, OFL) is one group.
+func (p *Plan) SerialGroups() [][2]int {
+	last := make(map[int]int) // device -> last stage it works in
+	for i, st := range p.Stages {
+		for k, di := range st.DeviceIdx {
+			if !st.Parts[k].Empty() {
+				last[di] = i
+			}
 		}
 	}
+	var groups [][2]int
+	lo, end := 0, 0
+	for i, st := range p.Stages {
+		for k, di := range st.DeviceIdx {
+			if !st.Parts[k].Empty() {
+				end = max(end, last[di])
+			}
+		}
+		if i == end {
+			groups = append(groups, [2]int{lo, i + 1})
+			lo, end = i+1, i+1
+		}
+	}
+	return groups
 }
 
 // Throughput returns the steady-state tasks per second, 1/period.
@@ -224,8 +267,9 @@ func (p *Plan) Describe() string {
 }
 
 // Validate checks structural consistency: contiguous full-model coverage,
-// no device reused across stages, tiles covering each stage output exactly
-// once.
+// no device holding two tiles of one stage (stages may share devices; such
+// stages execute serially, see SerialGroups), tiles covering each stage
+// output exactly once.
 func (p *Plan) Validate() error {
 	if len(p.Stages) == 0 {
 		return fmt.Errorf("core: plan has no stages")
@@ -234,7 +278,6 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("core: plan does not cover the model: [%d,%d)",
 			p.Stages[0].From, p.Stages[len(p.Stages)-1].To)
 	}
-	usedDevice := make(map[int]int)
 	for i, st := range p.Stages {
 		if i > 0 && st.From != p.Stages[i-1].To {
 			return fmt.Errorf("core: stage %d starts at %d, previous ended at %d", i, st.From, p.Stages[i-1].To)
@@ -245,14 +288,15 @@ func (p *Plan) Validate() error {
 		if st.Workers() == 0 {
 			return fmt.Errorf("core: stage %d has no working device", i)
 		}
+		working := make(map[int]bool, len(st.DeviceIdx))
 		for k, di := range st.DeviceIdx {
 			if st.Parts[k].Empty() {
 				continue
 			}
-			if prev, ok := usedDevice[di]; ok {
-				return fmt.Errorf("core: device %d in stages %d and %d", di, prev, i)
+			if working[di] {
+				return fmt.Errorf("core: device %d holds two tiles of stage %d", di, i)
 			}
-			usedDevice[di] = i
+			working[di] = true
 		}
 		if st.Cols != nil && len(st.Cols) != len(st.Parts) {
 			return fmt.Errorf("core: stage %d has %d parts but %d column ranges", i, len(st.Parts), len(st.Cols))

@@ -85,41 +85,6 @@ func TestQuantizedPlanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuantizedOneStagePlanPricedInInt8: the fused plan's input and output
-// tiles cross the link, so an int8 one-stage plan is priced at one byte per
-// element like any other int8 plan — its transfer term equals a re-price
-// under plan.CostModel() and undercuts the float plan's, while the compute
-// term and the strips do not move.
-func TestQuantizedOneStagePlanPricedInInt8(t *testing.T) {
-	m := nn.ToyChain("q1", 5, 2, 8, 32)
-	cl := cluster.PaperHeterogeneous()
-	pf, err := OneStagePlan(m, cl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := OneStagePlan(m, cl, Options{Quantized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pq.Quantized || pf.Quantized {
-		t.Fatalf("quantized flags: int8 plan %v, float plan %v", pq.Quantized, pf.Quantized)
-	}
-	sf, sq := pf.Stages[0], pq.Stages[0]
-	_, _, comm := pq.CostModel().StageCost(sq.From, sq.To, pq.CostModel().DeviceSpeeds(sq.DeviceIdx), sq.Parts, nil)
-	if sq.CommSeconds != comm {
-		t.Fatalf("int8 one-stage comm %g, a re-price under plan.CostModel() says %g", sq.CommSeconds, comm)
-	}
-	if sq.CommSeconds <= 0 || sq.CommSeconds >= sf.CommSeconds {
-		t.Fatalf("int8 comm %g not below float comm %g", sq.CommSeconds, sf.CommSeconds)
-	}
-	if sq.CompSeconds != sf.CompSeconds || !reflect.DeepEqual(sq.Parts, sf.Parts) {
-		t.Fatal("quantization moved the compute term or the strips")
-	}
-	if pq.PeriodSeconds >= pf.PeriodSeconds {
-		t.Fatalf("int8 period %g not below float period %g", pq.PeriodSeconds, pf.PeriodSeconds)
-	}
-}
-
 // TestGridPlan: tiles are plan data — a grid stage validates exactly-once
 // rect coverage, is priced per tile (a quadrant costs less compute than the
 // half-map strip beside it, more halo traffic than no split at all),
@@ -153,8 +118,10 @@ func TestGridPlan(t *testing.T) {
 		t.Fatalf("2x2 grid ships %gs, no more than the unsplit map's %gs", st.CommSeconds, single.Stages[0].CommSeconds)
 	}
 	// A full-width grid column is the strip it always was, priced alike.
-	rows := &Plan{Model: m, Cluster: cl, Stages: []Stage{{From: 0, To: st.To, DeviceIdx: []int{0, 1}, Parts: strips.Stages[0].Parts}}}
-	rows.recompute(rows.CostModel())
+	rows, err := NewPlan(grid.CostModel(), []Stage{{From: 0, To: st.To, DeviceIdx: []int{0, 1}, Parts: strips.Stages[0].Parts}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rows.Stages[0].CompSeconds != strips.Stages[0].CompSeconds {
 		t.Fatalf("a 2x1 grid computes %g, the same strips %g", strips.Stages[0].CompSeconds, rows.Stages[0].CompSeconds)
 	}

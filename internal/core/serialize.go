@@ -89,22 +89,20 @@ func LoadPlan(r io.Reader) (*Plan, error) {
 		return nil, fmt.Errorf("core: plan file version %d, want %d", pf.Version, planFileVersion)
 	}
 	m := &nn.Model{Name: pf.Model.Name, Input: pf.Model.Input, Layers: pf.Model.Layers}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("core: plan file model: %w", err)
-	}
 	c := &cluster.Cluster{Devices: pf.Cluster.Devices, BandwidthBps: pf.Cluster.BandwidthBps}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("core: plan file cluster: %w", err)
+	cm, err := CostModelFor(m, c, Options{Quantized: pf.Quantized})
+	if err != nil {
+		return nil, fmt.Errorf("core: plan file: %w", err)
 	}
-	plan := &Plan{Model: m, Cluster: c, Quantized: pf.Quantized}
-	for _, st := range pf.Stages {
-		plan.Stages = append(plan.Stages, Stage{
+	stages := make([]Stage, len(pf.Stages))
+	for i, st := range pf.Stages {
+		stages[i] = Stage{
 			From: st.From, To: st.To,
 			DeviceIdx: st.DeviceIdx, Parts: st.Parts, Cols: st.Cols,
-		})
+		}
 	}
-	plan.recompute(plan.CostModel())
-	if err := plan.Validate(); err != nil {
+	plan, err := NewPlan(cm, stages)
+	if err != nil {
 		return nil, fmt.Errorf("core: plan file stages: %w", err)
 	}
 	return plan, nil

@@ -7,7 +7,6 @@ import (
 	"pico/internal/core"
 	"pico/internal/nn"
 	"pico/internal/partition"
-	"pico/internal/queueing"
 	"pico/internal/schemes"
 	"pico/internal/simulate"
 )
@@ -48,16 +47,16 @@ func AblationBalancedStrips(cfg Config) ([]Table, error) {
 		Columns: []string{"model", "equal-strips", "balanced-strips", "gain"},
 	}
 	for _, m := range []*nn.Model{nn.VGG16(), nn.YOLOv2()} {
-		plain, err := schemes.OptimalFusedLayer(m, cl, schemes.OFLOptions{})
+		plain, err := schemes.OptimalFusedLayer(m, cl, schemes.OFLOptions{}, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		aware, err := schemes.OptimalFusedLayer(m, cl, schemes.OFLOptions{CapacityAware: true})
+		aware, err := schemes.OptimalFusedLayer(m, cl, schemes.OFLOptions{CapacityAware: true}, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(m.Name, secs(plain.Seconds), secs(aware.Seconds),
-			f2(plain.Seconds/aware.Seconds)+"x")
+		t.AddRow(m.Name, secs(plain.LatencySeconds), secs(aware.LatencySeconds),
+			f2(plain.LatencySeconds/aware.LatencySeconds)+"x")
 	}
 	return []Table{t}, nil
 }
@@ -117,19 +116,7 @@ func AblationEWMA(cfg Config) ([]Table, error) {
 		Columns: []string{"beta", "avg-latency", "p95", "pipeline-share"},
 	}
 	for _, beta := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
-		sw, err := queueing.NewSwitcher([]queueing.Candidate{
-			{Name: "OFL", Period: sp.profiles["OFL"].Period(), Latency: sp.profiles["OFL"].Latency()},
-			{Name: "PICO", Period: sp.profiles["PICO"].Period(), Latency: sp.profiles["PICO"].Latency()},
-		}, 0.05)
-		if err != nil {
-			return nil, err
-		}
-		est, err := queueing.NewEstimator(beta, 10)
-		if err != nil {
-			return nil, err
-		}
-		res, err := simulate.RunAdaptive(
-			[]*simulate.ExecProfile{sp.profiles["OFL"], sp.profiles["PICO"]}, sw, est, arrivals, cl.Size())
+		res, err := sp.runAPICO(beta, arrivals)
 		if err != nil {
 			return nil, err
 		}
@@ -212,18 +199,18 @@ func AblationGrid(cfg Config) ([]Table, error) {
 	}
 	for _, n := range []int{4, 8, 16} {
 		cl := cluster.Homogeneous(n, 600e6)
-		strips, err := schemes.EarlyFusedLayer(nn.VGG16(), cl, 0)
+		strips, err := schemes.EarlyFusedLayer(nn.VGG16(), cl, 0, core.Options{})
 		if err != nil {
 			return nil, err
 		}
 		rows, cols := schemes.GridShape(n)
-		grid, err := schemes.EarlyFusedLayerGrid(nn.VGG16(), cl, 0, rows, cols)
+		grid, err := schemes.EarlyFusedLayerGrid(nn.VGG16(), cl, 0, rows, cols, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		sch.AddRow(fmt.Sprintf("%d", n), secs(strips.Seconds), secs(grid.Seconds),
+		sch.AddRow(fmt.Sprintf("%d", n), secs(strips.LatencySeconds), secs(grid.LatencySeconds),
 			fmt.Sprintf("%dx%d", rows, cols),
-			pct(strips.RedundancyRatio())+" / "+pct(grid.RedundancyRatio()))
+			pct(strips.Stats(strips.CostModel()).RedundancyRatio())+" / "+pct(grid.Stats(grid.CostModel()).RedundancyRatio()))
 	}
 	return []Table{t, sch}, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"pico/internal/cluster"
 	"pico/internal/nn"
-	"pico/internal/queueing"
 	"pico/internal/simulate"
 )
 
@@ -41,7 +40,7 @@ func latencyFigure(figID string, m *nn.Model, cfg Config) ([]Table, error) {
 				var res *simulate.Result
 				var err error
 				if name == "APICO" {
-					res, err = runAPICO(sp, arrivals, cl.Size())
+					res, err = sp.runAPICO(0.5, arrivals)
 				} else {
 					res, err = simulate.RunOpenLoop(sp.profiles[name], arrivals, cl.Size())
 				}
@@ -69,7 +68,7 @@ func latencyFigure(figID string, m *nn.Model, cfg Config) ([]Table, error) {
 		var res *simulate.Result
 		var err error
 		if name == "APICO" {
-			res, err = runAPICO(sp, arrivals, cl.Size())
+			res, err = sp.runAPICO(0.5, arrivals)
 		} else {
 			res, err = simulate.RunOpenLoop(sp.profiles[name], arrivals, cl.Size())
 		}
@@ -80,24 +79,6 @@ func latencyFigure(figID string, m *nn.Model, cfg Config) ([]Table, error) {
 			secs(res.Percentile(0.95)), perMin(res.Throughput()))
 	}
 	return []Table{avg, dist}, nil
-}
-
-// runAPICO runs the adaptive front-end over the one-stage OFL scheme (the
-// paper chooses AOFL as APICO's one-stage arm) and the PICO pipeline.
-func runAPICO(sp *schemeProfiles, arrivals []float64, devices int) (*simulate.Result, error) {
-	cands := []*simulate.ExecProfile{sp.profiles["OFL"], sp.profiles["PICO"]}
-	sw, err := queueing.NewSwitcher([]queueing.Candidate{
-		{Name: "OFL", Period: cands[0].Period(), Latency: cands[0].Latency()},
-		{Name: "PICO", Period: cands[1].Period(), Latency: cands[1].Latency()},
-	}, 0.05)
-	if err != nil {
-		return nil, err
-	}
-	est, err := queueing.NewEstimator(0.5, 10)
-	if err != nil {
-		return nil, err
-	}
-	return simulate.RunAdaptive(cands, sw, est, arrivals, devices)
 }
 
 // Fig10 reproduces Figure 10 (VGG16 latency under workload).

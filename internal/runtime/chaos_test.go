@@ -12,6 +12,7 @@ import (
 	"pico/internal/core"
 	"pico/internal/nn"
 	"pico/internal/partition"
+	"pico/internal/schemes"
 	"pico/internal/tensor"
 	"pico/internal/wire"
 )
@@ -179,6 +180,114 @@ func TestChaosWorkerKilledMidStream(t *testing.T) {
 	})
 	if err := p.Close(); err != nil {
 		t.Errorf("close after chaos: %v", err)
+	}
+}
+
+// TestChaosSharedDeviceWorkerKilled crashes a worker that serves several
+// stages of one plan. Each of its stages recovers by its own rules — a stage
+// with survivors retries and re-balances, a stage it served alone fails tasks
+// fast with a typed error — every completed task is byte-exact, and the
+// device is reported down once, not once per stage.
+func TestChaosSharedDeviceWorkerKilled(t *testing.T) {
+	m := nn.ToyChain("chaos-shared", 4, 2, 6, 32)
+	cl := cluster.Homogeneous(3, 600e6)
+	for _, tc := range []struct {
+		scheme string
+		// soleStage: the victim is the only device of the plan's last stage.
+		soleStage bool
+	}{
+		{"efl", true}, // the fused block re-balances, the one-device tail dies
+		{"lw", false}, // every layer's stage re-balances onto the survivors
+	} {
+		t.Run(tc.scheme, func(t *testing.T) {
+			plan, err := schemes.Plan(tc.scheme, m, cl, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := plan.Stages[len(plan.Stages)-1]
+			victim := last.DeviceIdx[0]
+			if (last.Workers() == 1) != tc.soleStage || plan.Stages[0].Workers() != cl.Size() {
+				t.Fatalf("unexpected %s plan:\n%s", tc.scheme, plan.Describe())
+			}
+			const tasks, healthy = 12, 4
+			lc := startFaultCluster(t, cl.Size(), nil)
+			p, err := NewPipeline(plan, lc.Addrs, chaosOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = p.Close() })
+			ref, err := tensor.NewExecutor(m, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := tensor.RandomInput(m.Input, 1)
+			want, err := ref.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A healthy prefix, then the crash with the rest of the stream
+			// behind it.
+			submit := func(n int) []TaskResult {
+				go func() {
+					for i := 0; i < n; i++ {
+						if _, err := p.Submit(in); err != nil {
+							t.Errorf("submit: %v", err)
+							return
+						}
+					}
+				}()
+				return drainResults(t, p, n, 60*time.Second)
+			}
+			ok := 0
+			check := func(results []TaskResult) {
+				for _, res := range results {
+					if res.Err != nil {
+						if !errors.Is(res.Err, ErrWorkerFault) {
+							t.Fatalf("task %d failed with untyped error: %v", res.ID, res.Err)
+						}
+						continue
+					}
+					if !tensor.Equal(want, res.Output) {
+						t.Fatalf("task %d: output differs by %g", res.ID, tensor.MaxAbsDiff(want, res.Output))
+					}
+					ok++
+				}
+			}
+			check(submit(healthy))
+			if ok != healthy {
+				t.Fatalf("%d of %d tasks succeeded before the crash", ok, healthy)
+			}
+			if err := lc.Workers[victim].Abort(); err != nil && !errors.Is(err, errClosed) {
+				t.Logf("abort: %v", err)
+			}
+			check(submit(tasks - healthy))
+			// With its tail dead the plan completes no task after the crash;
+			// with survivors in every stage, retries complete them all.
+			if tc.soleStage && ok != healthy || !tc.soleStage && ok != tasks {
+				t.Fatalf("%d of %d tasks succeeded, %d ahead of the crash", ok, tasks, healthy)
+			}
+			// Every slot of the victim goes down once its redial budget is
+			// spent; the device is still listed once.
+			waitFor(t, 5*time.Second, "every stage of the victim settled", func() bool {
+				events, _ := p.FaultEvents()
+				settled := 0
+				for _, ev := range events {
+					if ev.Device == -1 && (ev.Kind == FaultRebalanced || ev.Kind == FaultDown) {
+						settled++
+					}
+				}
+				return settled == len(plan.Stages)
+			})
+			if down := p.Health().DownDevices; len(down) != 1 || down[0] != victim {
+				t.Fatalf("down devices %v, want [%d] once", down, victim)
+			}
+			if p.Servable() == tc.soleStage {
+				t.Fatalf("servable = %v with the victim's sole stage dead = %v", p.Servable(), tc.soleStage)
+			}
+			if err := p.Close(); err != nil {
+				t.Errorf("close after chaos: %v", err)
+			}
+		})
 	}
 }
 

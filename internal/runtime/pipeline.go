@@ -1007,7 +1007,7 @@ func (p *Pipeline) FaultEvents() (events []FaultEvent, dropped int) {
 }
 
 // DownDevices returns the cluster device indices currently marked down,
-// sorted ascending.
+// sorted ascending, each once however many stages the device served.
 func (p *Pipeline) DownDevices() []int {
 	var down []int
 	for _, sd := range p.cur.Load().stages {
@@ -1018,7 +1018,7 @@ func (p *Pipeline) DownDevices() []int {
 		}
 	}
 	sort.Ints(down)
-	return down
+	return slices.Compact(down)
 }
 
 // SLORebalance re-splits every stage's tiles from measured per-device

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"pico/internal/core"
 	"pico/internal/nn"
 	"pico/internal/partition"
+	"pico/internal/schemes"
 	"pico/internal/telemetry"
 	"pico/internal/tensor"
 )
@@ -21,7 +23,7 @@ func swapFixture(t *testing.T) (oneStage, pipeline *core.Plan, lc *LocalCluster,
 	t.Helper()
 	m = nn.ToyChain("ad", 6, 2, 6, 32)
 	cl := cluster.Homogeneous(3, 600e6)
-	oneStage, err := core.OneStagePlan(m, cl, core.Options{})
+	oneStage, err := schemes.Plan("fused", m, cl, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,82 +49,158 @@ func swapEvents(p *Pipeline) []FaultEvent {
 	return out
 }
 
-// TestAdaptiveRuntimeSwitches is the scheme switch of §IV-C on the one
-// coordinator: light load runs the one-stage plan, Swap installs the
-// pipeline at a task boundary, and the result stream carries straight on —
-// submission order, ids 1..n, every output equal to a local run.
-func TestAdaptiveRuntimeSwitches(t *testing.T) {
-	oneStage, pipeline, lc, m := swapFixture(t)
-	p, err := NewPipeline(oneStage, lc.Addrs, PipelineOptions{Seed: 6})
+// gapToy is a small chain ending the way classifiers do — global average
+// pool, then fully connected — so every scheme has to put an unsplittable
+// tail on one device.
+func gapToy() *nn.Model {
+	m := &nn.Model{Name: "gap-toy", Input: nn.Shape{C: 1, H: 32, W: 32}, Layers: []nn.Layer{
+		nn.Conv3x3("conv1", 6, nn.ReLU),
+		nn.Conv3x3("conv2", 6, nn.ReLU),
+		nn.MaxPool2x2("pool1"),
+		nn.Conv3x3("conv3", 6, nn.ReLU),
+		{Name: "gap", Kind: nn.GlobalAvgPool, Act: nn.NoAct},
+		nn.FC("fc", 10, nn.NoAct),
+	}}
+	if err := m.Validate(); err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// localRun is the single-process reference a distributed output must equal
+// byte for byte: Run, or RunQ dequantized for an int8 session.
+func localRun(t *testing.T, ref *tensor.Executor, quant bool, in tensor.Tensor) tensor.Tensor {
+	t.Helper()
+	if !quant {
+		out, err := ref.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	q, err := ref.RunQ(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := tensor.NewExecutor(m, 6)
+	defer tensor.RecycleQ(q)
+	return q.Dequantize()
+}
+
+// TestAdaptiveRuntimeSwitches is the scheme switch of §IV-C on the one
+// coordinator, for every scheme the paper compares: the baseline's plan — its
+// stages sharing the cluster's devices — executes on sockets, Swap installs
+// the PICO pipeline at a task boundary and later the baseline again, and the
+// result stream carries straight on: submission order, ids 1..n, every output
+// equal to a local run in the session's precision, and every device charged
+// exactly the tiles its plans give it.
+func TestAdaptiveRuntimeSwitches(t *testing.T) {
+	// A heterogeneous profile so the capacity-aware schemes cut uneven strips,
+	// on a link fast enough that spreading a toy over the cluster pays; the
+	// workers themselves run unthrottled.
+	cl := cluster.PaperHeterogeneous()
+	cl.Devices = cl.Devices[1:5]
+	cl.BandwidthBps *= 100
+	lc := startCluster(t, cl.Size(), nil)
+	// The odd side puts a stride-2 pool on an odd extent.
+	for _, m := range []*nn.Model{nn.ToyChain("odd", 4, 2, 6, 33), gapToy()} {
+		for _, scheme := range []string{"lw", "mednn", "efl", "efl-grid", "ofl", "fused"} {
+			for _, quant := range []bool{false, true} {
+				name := m.Name + "/" + scheme
+				if quant {
+					name += "/int8"
+				}
+				t.Run(name, func(t *testing.T) { runSchemeWithSwaps(t, lc, m, cl, scheme, quant) })
+			}
+		}
+	}
+}
+
+func runSchemeWithSwaps(t *testing.T, lc *LocalCluster, m *nn.Model, cl *cluster.Cluster, scheme string, quant bool) {
+	const seed = 6
+	opts := core.Options{Quantized: quant}
+	base, err := schemes.Plan(scheme, m, cl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.SerialGroups()) != 1 || len(base.UsedDevices()) < 2 {
+		t.Fatalf("%s is not a one-stage scheme on several devices:\n%s", scheme, base.Describe())
+	}
+	pico, err := core.PlanPipeline(m, cl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(base, lc.Addrs, PipelineOptions{Seed: seed, Quantized: quant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	refOpts := []tensor.ExecutorOption{}
+	if quant {
+		refOpts = append(refOpts, tensor.WithQuantized())
+	}
+	ref, err := tensor.NewExecutor(m, seed, refOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const tasks = 7
-	inputs := make([]tensor.Tensor, tasks)
-	for i := range inputs {
-		inputs[i] = tensor.RandomInput(m.Input, int64(i))
-	}
-	var consumerErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		i := 0
-		for res := range p.Results() {
-			if res.Err != nil {
-				consumerErr = res.Err
-				return
-			}
-			if res.ID != int64(i+1) {
-				consumerErr = errors.New("results out of order")
-				return
-			}
-			want, err := ref.Run(inputs[i])
-			if err != nil {
-				consumerErr = err
-				return
-			}
-			if !tensor.Equal(want, res.Output) {
-				consumerErr = errors.New("output differs from reference across the swap")
-				return
-			}
-			i++
+	// Three tasks on the baseline, two on the pipeline, two on the baseline
+	// again; the first swap happens with tasks still in flight.
+	phases := []struct {
+		plan  *core.Plan
+		tasks int
+	}{{base, 3}, {pico, 2}, {base, 2}}
+	wantTiles := map[int]int{}
+	var inputs []tensor.Tensor
+	for _, ph := range phases {
+		for i := 0; i < ph.tasks; i++ {
+			inputs = append(inputs, tensor.RandomInput(m.Input, int64(len(inputs))))
 		}
-		if i != tasks {
-			consumerErr = errors.New("missing results")
+		for _, st := range ph.plan.Stages {
+			for k, di := range st.DeviceIdx {
+				if !st.Parts[k].Empty() {
+					wantTiles[di] += ph.tasks
+				}
+			}
+		}
+	}
+	go func() {
+		next := 0
+		for i, ph := range phases {
+			if err := p.Swap(ph.plan, fmt.Sprintf("phase %d", i)); err != nil {
+				t.Errorf("swap to phase %d: %v", i, err)
+				return
+			}
+			if p.Plan() != ph.plan {
+				t.Errorf("Plan() does not report phase %d's plan", i)
+			}
+			for j := 0; j < ph.tasks; j++ {
+				if _, err := p.Submit(inputs[next]); err != nil {
+					t.Errorf("submit %d: %v", next, err)
+					return
+				}
+				next++
+			}
 		}
 	}()
-
-	if p.Plan() != oneStage {
-		t.Fatal("initial plan is not the one-stage plan")
-	}
-	for i, in := range inputs {
-		if i == 3 {
-			// Heavy load from here on: three tasks are still in flight.
-			if err := p.Swap(pipeline, "rate 10/s"); err != nil {
-				t.Fatal(err)
-			}
-			if p.Plan() != pipeline {
-				t.Fatal("Plan() does not report the swapped-in pipeline")
-			}
+	for i, res := range drainResults(t, p, len(inputs), 60*time.Second) {
+		if res.Err != nil || res.ID != int64(i+1) {
+			t.Fatalf("result %d: id %d err %v", i, res.ID, res.Err)
 		}
-		if _, err := p.Submit(in); err != nil {
-			t.Fatal(err)
+		if want := localRun(t, ref, quant, inputs[i]); !tensor.Equal(want, res.Output) {
+			t.Fatalf("task %d: output differs from the local run by %g", res.ID, tensor.MaxAbsDiff(want, res.Output))
 		}
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
-	if consumerErr != nil {
-		t.Fatal(consumerErr)
+	// Phase 0 asked for the plan already running: no drain, no event.
+	if evs := swapEvents(p); len(evs) != 2 || evs[0].Detail != "phase 1" || evs[1].Detail != "phase 2" {
+		t.Fatalf("journal holds %v, want the two real swaps with their reasons", evs)
 	}
-	if evs := swapEvents(p); len(evs) != 1 || evs[0].Detail != "rate 10/s" {
-		t.Fatalf("journal holds %v, want one plan-swapped event carrying its reason", evs)
+	for di, st := range p.WorkerStats() {
+		if st.Tiles != wantTiles[di] {
+			t.Fatalf("device %d executed %d tiles, its plans give it %d", di, st.Tiles, wantTiles[di])
+		}
 	}
 }
 
@@ -209,14 +287,14 @@ func TestAdaptiveValidatesInputs(t *testing.T) {
 		t.Fatal("plan without stages accepted")
 	}
 	other := nn.ToyChain("other", 3, 0, 4, 16)
-	otherPlan, err := core.OneStagePlan(other, oneStage.Cluster, core.Options{})
+	otherPlan, err := schemes.Plan("fused", other, oneStage.Cluster, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Swap(otherPlan, ""); err == nil {
 		t.Fatal("plan for another model accepted")
 	}
-	wide, err := core.OneStagePlan(m, cluster.Homogeneous(4, 600e6), core.Options{})
+	wide, err := schemes.Plan("fused", m, cluster.Homogeneous(4, 600e6), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,5 +781,71 @@ func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
 	}
 	if swaps < 3 {
 		t.Fatalf("only %d swaps ran under the submitters", swaps)
+	}
+}
+
+// TestSharedDevicePeriodOnEmulatedWorkers: a worker is one device. The
+// stages of a one-stage scheme all run on the same devices, each over its own
+// connection, so only the worker's compute lane keeps two stages of two tasks
+// from sleeping out their emulated compute in parallel. Back-to-back tasks on
+// emulated-speed workers must therefore complete at one per plan period — the
+// serial group's summed stage seconds — not faster.
+func TestSharedDevicePeriodOnEmulatedWorkers(t *testing.T) {
+	m := nn.ToyChain("per", 5, 2, 8, 48)
+	// Slow enough that every convolution stage sleeps for 10 ms or more (so
+	// two vCPUs and the race detector do not decide the result), on a link
+	// fast enough that the model prices what loopback delivers: compute.
+	speeds := []float64{24e6, 16e6, 12e6}
+	cl := &cluster.Cluster{BandwidthBps: 4e9}
+	for i, s := range speeds {
+		cl.Devices = append(cl.Devices, cluster.Device{ID: fmt.Sprintf("emu-%d", i), Capacity: s, Alpha: 1})
+	}
+	lc := startCluster(t, len(speeds), speeds)
+	in := tensor.RandomInput(m.Input, 1)
+	for _, scheme := range []string{"ofl", "lw"} {
+		plan, err := schemes.Plan(scheme, m, cl, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Stages) < 2 || len(plan.SerialGroups()) != 1 {
+			t.Fatalf("%s: want several stages in one serial group:\n%s", scheme, plan.Describe())
+		}
+		p, err := NewPipeline(plan, lc.Addrs, PipelineOptions{Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = p.Close() })
+		// One task to build the workers' weights, then the timed stream.
+		const tasks = 6
+		if _, err := p.Submit(in); err != nil {
+			t.Fatal(err)
+		}
+		warm := drainResults(t, p, 1, 60*time.Second)
+		go func() {
+			for i := 0; i < tasks; i++ {
+				if _, err := p.Submit(in); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}()
+		results := drainResults(t, p, tasks, 60*time.Second)
+		for _, res := range append(warm, results...) {
+			if res.Err != nil {
+				t.Fatalf("%s task %d: %v", scheme, res.ID, res.Err)
+			}
+		}
+		// One serial group has no pipeline to fill: the stream's makespan is
+		// tasks x period. (The lane is not first-come-first-served across
+		// stages, so single completions bunch; the throughput is what the
+		// period promises.)
+		period := results[tasks-1].Done.Sub(results[0].Submitted).Seconds() / tasks
+		if ratio := period / plan.PeriodSeconds; ratio < 0.8 || ratio > 1.3 {
+			t.Fatalf("%s: a task completes every %.1f ms, the plan's period is %.1f ms (ratio %.2f, want 0.8-1.3)\n%s",
+				scheme, period*1e3, plan.PeriodSeconds*1e3, ratio, plan.Describe())
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -62,6 +62,15 @@ type Worker struct {
 	execSeen atomic.Int64
 	connSeen atomic.Int64
 
+	// lane is held across each tile's execution and its emulated-speed
+	// top-up: a worker is one device, however many connections it serves. A
+	// plan whose stages share a device opens one connection per stage, each
+	// with its own compute goroutine, and without the lane their tiles (and
+	// sleeps) would overlap and the device would measure faster than the
+	// plan's serial-group period models. Uncontended when every connection
+	// comes from a different stage of a device-disjoint plan.
+	lane sync.Mutex
+
 	mu    sync.Mutex
 	execs map[execKey]*tensor.Executor
 	conns map[*wire.Conn]struct{}
@@ -496,13 +505,11 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 	if hdr.OutColHi > 0 {
 		rect.Cols = partition.Range{Lo: hdr.OutColLo, Hi: hdr.OutColHi}
 	}
-	start := time.Now()
-	out, err := exec.RunTile(hdr.From, hdr.To, tile, rect)
+	out, elapsed, err := w.compute(exec, hdr.From, hdr.To, tile, rect)
 	tile.Recycle()
 	if err != nil {
 		return refuse(err)
 	}
-	elapsed := w.emulate(time.Since(start), float64(exec.TileFLOPs(hdr.From, hdr.To, rect)))
 	// Zero-copy wherever the host layout is the wire layout: the payload
 	// aliases out's data, and SendExecResult consumes it synchronously
 	// before out is recycled.
@@ -522,6 +529,19 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 	}
 	out.Recycle()
 	return err
+}
+
+// compute executes one tile in the worker's compute lane and returns the
+// output with the (emulated) compute time.
+func (w *Worker) compute(exec *tensor.Executor, from, to int, tile tensor.FMap, rect partition.Rect) (tensor.FMap, time.Duration, error) {
+	w.lane.Lock()
+	defer w.lane.Unlock() // deferred: a kernel panic must not wedge the device
+	start := time.Now()
+	out, err := exec.RunTile(from, to, tile, rect)
+	if err != nil {
+		return out, 0, err
+	}
+	return out, w.emulate(time.Since(start), float64(exec.TileFLOPs(from, to, rect))), nil
 }
 
 // emulate tops a measured compute interval up to the modelled time for the

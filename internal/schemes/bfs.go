@@ -32,14 +32,11 @@ type BFSOptions struct {
 // PICO's heuristic must get close to this optimum at a vanishing fraction of
 // its cost. Clusters beyond 16 devices are rejected outright.
 func BFSOptimal(m *nn.Model, c *cluster.Cluster, opts BFSOptions) (*core.Plan, error) {
-	ec, err := newEvalContext(m, c)
+	cm, err := core.CostModelFor(m, c, core.Options{})
 	if err != nil {
 		return nil, err
 	}
 	n := c.Size()
-	if n == 0 {
-		return nil, errNoDevices
-	}
 	if n > 16 {
 		return nil, fmt.Errorf("schemes: BFS on %d devices is intractable (max 16)", n)
 	}
@@ -83,9 +80,9 @@ func BFSOptimal(m *nn.Model, c *cluster.Cluster, opts BFSOptions) (*core.Plan, e
 				idx = append(idx, d)
 			}
 		}
-		speeds := ec.cm.DeviceSpeeds(idx)
-		parts := ec.cm.Calc.Balanced(from, to, speeds)
-		cost, _, _ := ec.cm.StageCost(from, to, speeds, parts, nil)
+		speeds := cm.DeviceSpeeds(idx)
+		parts := cm.Calc.Balanced(from, to, speeds)
+		cost, _, _ := cm.StageCost(from, to, speeds, parts, nil)
 		v := stageVal{cost: cost, parts: parts, idx: idx}
 		stageCache[key] = v
 		return v, nil
@@ -149,7 +146,7 @@ func BFSOptimal(m *nn.Model, c *cluster.Cluster, opts BFSOptions) (*core.Plan, e
 	}
 
 	// Reconstruct the plan.
-	plan := &core.Plan{Model: m, Cluster: c}
+	var stages []core.Stage
 	from, mask := 0, full
 	for from < L {
 		v := memo[searchKey{from, mask}]
@@ -157,7 +154,7 @@ func BFSOptimal(m *nn.Model, c *cluster.Cluster, opts BFSOptions) (*core.Plan, e
 		if err != nil {
 			return nil, err
 		}
-		plan.Stages = append(plan.Stages, core.Stage{
+		stages = append(stages, core.Stage{
 			From: from, To: v.to,
 			DeviceIdx: sv.idx,
 			Parts:     sv.parts,
@@ -165,28 +162,5 @@ func BFSOptimal(m *nn.Model, c *cluster.Cluster, opts BFSOptions) (*core.Plan, e
 		mask &^= v.subset
 		from = v.to
 	}
-	recomputePlan(ec, plan)
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("schemes: BFS produced invalid plan: %w", err)
-	}
-	return plan, nil
-}
-
-// recomputePlan refreshes stage costs and the period/latency aggregates of
-// an externally constructed plan.
-func recomputePlan(ec *evalContext, plan *core.Plan) {
-	plan.PeriodSeconds = 0
-	plan.LatencySeconds = 0
-	for i := range plan.Stages {
-		st := &plan.Stages[i]
-		speeds := ec.cm.DeviceSpeeds(st.DeviceIdx)
-		total, comp, _ := ec.cm.StageCost(st.From, st.To, speeds, st.Parts, nil)
-		st.CompSeconds = comp
-		st.CommSeconds = total - comp
-		t := st.Seconds()
-		plan.LatencySeconds += t
-		if t > plan.PeriodSeconds {
-			plan.PeriodSeconds = t
-		}
-	}
+	return core.NewPlan(cm, stages)
 }

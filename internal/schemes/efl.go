@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pico/internal/cluster"
+	"pico/internal/core"
 	"pico/internal/nn"
 	"pico/internal/partition"
 )
@@ -44,37 +45,45 @@ func DefaultFusedPrefix(m *nn.Model, devices int) int {
 	return f
 }
 
-// EarlyFusedLayer evaluates the DeepThings-style scheme: the first
-// fusedPrefix layers are fused into one segment partitioned equally across
-// all devices; the remaining layers execute on the fastest single device.
-// fusedPrefix <= 0 selects DefaultFusedPrefix.
-func EarlyFusedLayer(m *nn.Model, c *cluster.Cluster, fusedPrefix int) (*OneStage, error) {
-	ec, err := newEvalContext(m, c)
+// fusedPrefixFor validates the model, the cluster and an Early-Fused-Layer
+// prefix (<= 0 selects DefaultFusedPrefix): it must leave a tail and cross no
+// layer that needs the full input map.
+func fusedPrefixFor(m *nn.Model, c *cluster.Cluster, fusedPrefix int, opts core.Options) (*core.CostModel, int, error) {
+	cm, err := core.CostModelFor(m, c, opts)
 	if err != nil {
-		return nil, err
-	}
-	n := c.Size()
-	if n == 0 {
-		return nil, errNoDevices
+		return nil, 0, err
 	}
 	if fusedPrefix <= 0 {
-		fusedPrefix = DefaultFusedPrefix(m, n)
+		fusedPrefix = DefaultFusedPrefix(m, c.Size())
 	}
 	if fusedPrefix >= m.NumLayers() {
-		return nil, fmt.Errorf("schemes: fused prefix %d must leave at least one tail layer of %d", fusedPrefix, m.NumLayers())
+		return nil, 0, fmt.Errorf("schemes: fused prefix %d must leave at least one tail layer of %d", fusedPrefix, m.NumLayers())
 	}
 	for i := 0; i < fusedPrefix; i++ {
 		if m.Layers[i].NeedsFullInput() {
-			return nil, fmt.Errorf("schemes: fused prefix crosses unsplittable layer %d (%s)", i, m.Layers[i].Name)
+			return nil, 0, fmt.Errorf("schemes: fused prefix crosses unsplittable layer %d (%s)", i, m.Layers[i].Name)
 		}
 	}
-	out := newOneStage("EFL", n)
-	outH := m.OutShape(fusedPrefix - 1).H
-	ec.accumulateSegment(out, 0, fusedPrefix, allDeviceIdx(n), partition.Equal(outH, n))
-	tailH := m.Output().H
-	ec.accumulateSegment(out, fusedPrefix, m.NumLayers(), []int{fastestDevice(c)},
-		[]partition.Range{partition.Full(tailH)})
-	return out, nil
+	return cm, fusedPrefix, nil
+}
+
+// EarlyFusedLayer plans the DeepThings-style scheme: the first fusedPrefix
+// layers are fused into one stage partitioned equally across all devices;
+// the remaining layers execute on the fastest single device.
+// fusedPrefix <= 0 selects DefaultFusedPrefix.
+func EarlyFusedLayer(m *nn.Model, c *cluster.Cluster, fusedPrefix int, opts core.Options) (*core.Plan, error) {
+	cm, fusedPrefix, err := fusedPrefixFor(m, c, fusedPrefix, opts)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewPlan(cm, []core.Stage{
+		{
+			From: 0, To: fusedPrefix,
+			DeviceIdx: allDeviceIdx(c.Size()),
+			Parts:     partition.Equal(m.OutShape(fusedPrefix-1).H, c.Size()),
+		},
+		fastestStage(cm, fusedPrefix, m.NumLayers()),
+	})
 }
 
 // GridShape chooses a near-square rows x cols factorization of n tiles
@@ -92,76 +101,24 @@ func GridShape(n int) (rows, cols int) {
 	return n / cols, cols
 }
 
-// EarlyFusedLayerGrid evaluates the DeepThings scheme with its original 2D
-// grid partition of the fused block (the paper's EFL baseline splits into
-// strips; DeepThings itself used grids to cut the per-device footprint).
-// The fused prefix is tiled rows x cols across all devices; the remaining
-// layers run on the fastest device. Per-device redundancy is attributed
-// proportionally to each device's work (GridStats tracks the exact global
-// overlap but not per-cell ownership).
-func EarlyFusedLayerGrid(m *nn.Model, c *cluster.Cluster, fusedPrefix, rows, cols int) (*OneStage, error) {
-	ec, err := newEvalContext(m, c)
+// EarlyFusedLayerGrid plans the DeepThings scheme with its original 2D grid
+// partition of the fused block (the paper's EFL baseline splits into strips;
+// DeepThings itself used grids to cut the per-device footprint). The fused
+// prefix is one stage tiled rows x cols across all devices, tile k
+// (row-major) on device k; the remaining layers run on the fastest device.
+func EarlyFusedLayerGrid(m *nn.Model, c *cluster.Cluster, fusedPrefix, rows, cols int, opts core.Options) (*core.Plan, error) {
+	cm, fusedPrefix, err := fusedPrefixFor(m, c, fusedPrefix, opts)
 	if err != nil {
 		return nil, err
 	}
-	n := c.Size()
-	if n == 0 {
-		return nil, errNoDevices
+	if rows*cols != c.Size() {
+		return nil, fmt.Errorf("schemes: %dx%d grid for %d devices", rows, cols, c.Size())
 	}
-	if rows*cols != n {
-		return nil, fmt.Errorf("schemes: %dx%d grid for %d devices", rows, cols, n)
+	out := m.OutShape(fusedPrefix - 1)
+	fused := core.Stage{From: 0, To: fusedPrefix, DeviceIdx: allDeviceIdx(c.Size())}
+	for _, tile := range partition.GridPartition(out.H, out.W, rows, cols) {
+		fused.Parts = append(fused.Parts, tile.Rows)
+		fused.Cols = append(fused.Cols, tile.Cols)
 	}
-	if fusedPrefix <= 0 {
-		fusedPrefix = DefaultFusedPrefix(m, n)
-	}
-	if fusedPrefix >= m.NumLayers() {
-		return nil, fmt.Errorf("schemes: fused prefix %d must leave at least one tail layer of %d", fusedPrefix, m.NumLayers())
-	}
-	for i := 0; i < fusedPrefix; i++ {
-		if m.Layers[i].NeedsFullInput() {
-			return nil, fmt.Errorf("schemes: fused prefix crosses unsplittable layer %d (%s)", i, m.Layers[i].Name)
-		}
-	}
-	out := newOneStage("EFL-grid", n)
-	outShape := m.OutShape(fusedPrefix - 1)
-	tiles := partition.GridPartition(outShape.H, outShape.W, rows, cols)
-	stats := ec.cm.Calc.GridStats(0, fusedPrefix, tiles)
-
-	// Fused block: per-device compute plus scatter/gather communication.
-	var comp, commBytes float64
-	var totalFlops float64
-	flopsPer := make([]float64, n)
-	for k, tile := range tiles {
-		f := float64(ec.cm.Calc.SegmentRectFLOPs(0, fusedPrefix, tile))
-		flopsPer[k] = f
-		totalFlops += f
-		speed := c.Devices[k].EffectiveSpeed()
-		if speed > 0 {
-			if t := f / speed; t > comp {
-				comp = t
-			}
-			out.DeviceBusySeconds[k] += f / speed
-		}
-		need := ec.cm.Calc.SegmentRects(0, fusedPrefix, tile)[0]
-		commBytes += float64(ec.cm.Calc.RectBytes(0, need) + ec.cm.Calc.RectBytes(fusedPrefix, tile))
-	}
-	fusedSeconds := comp + commBytes/c.BandwidthBps
-	for k := range tiles {
-		out.DeviceFLOPs[k] += flopsPer[k]
-		if totalFlops > 0 {
-			out.DeviceRedundant[k] += stats.RedundantFLOPs * flopsPer[k] / totalFlops
-		}
-	}
-	out.Segments = append(out.Segments, SegmentExec{
-		From: 0, To: fusedPrefix,
-		DeviceIdx: allDeviceIdx(n),
-		Seconds:   fusedSeconds,
-	})
-	out.Seconds += fusedSeconds
-
-	// Tail on the fastest device (same as strip EFL).
-	tailH := m.Output().H
-	ec.accumulateSegment(out, fusedPrefix, m.NumLayers(), []int{fastestDevice(c)},
-		[]partition.Range{partition.Full(tailH)})
-	return out, nil
+	return core.NewPlan(cm, []core.Stage{fused, fastestStage(cm, fusedPrefix, m.NumLayers())})
 }

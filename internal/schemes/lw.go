@@ -2,13 +2,13 @@ package schemes
 
 import (
 	"pico/internal/cluster"
+	"pico/internal/core"
 	"pico/internal/nn"
-	"pico/internal/partition"
 )
 
-// LayerWise evaluates the MoDNN-style layer-wise scheme: every layer's
-// output feature map is split equally across all devices, with a
-// scatter/gather communication round per layer. Layers that cannot be
+// LayerWise plans the MoDNN-style layer-wise scheme: every layer is a stage
+// of its own whose output feature map is split equally across all devices,
+// with a scatter/gather communication round per layer. Layers that cannot be
 // spatially partitioned (fully connected, global pooling) run on the
 // fastest device.
 //
@@ -16,42 +16,26 @@ import (
 // behaviour visible in the paper's Table I, where the slow devices of the
 // heterogeneous cluster saturate first. For the capacity-aware successor
 // see MeDNN.
-func LayerWise(m *nn.Model, c *cluster.Cluster) (*OneStage, error) {
-	return layerWise(m, c, false, "LW")
+func LayerWise(m *nn.Model, c *cluster.Cluster, opts core.Options) (*core.Plan, error) {
+	return layerWise(m, c, opts, false)
 }
 
-// MeDNN evaluates the MeDNN scheme (Mao et al., the paper's [26]): MoDNN's
+// MeDNN plans the MeDNN scheme (Mao et al., the paper's [26]): MoDNN's
 // per-layer partitioning with strips sized to each device's capacity, the
 // adaptive partition that work contributed for heterogeneous clusters. On a
 // homogeneous cluster it coincides with LayerWise.
-func MeDNN(m *nn.Model, c *cluster.Cluster) (*OneStage, error) {
-	return layerWise(m, c, true, "MeDNN")
+func MeDNN(m *nn.Model, c *cluster.Cluster, opts core.Options) (*core.Plan, error) {
+	return layerWise(m, c, opts, true)
 }
 
-func layerWise(m *nn.Model, c *cluster.Cluster, capacityAware bool, name string) (*OneStage, error) {
-	ec, err := newEvalContext(m, c)
+func layerWise(m *nn.Model, c *cluster.Cluster, opts core.Options, capacityAware bool) (*core.Plan, error) {
+	cm, err := core.CostModelFor(m, c, opts)
 	if err != nil {
 		return nil, err
 	}
-	n := c.Size()
-	if n == 0 {
-		return nil, errNoDevices
+	stages := make([]core.Stage, m.NumLayers())
+	for i := range stages {
+		stages[i] = clusterStage(cm, i, i+1, capacityAware)
 	}
-	out := newOneStage(name, n)
-	fastest := fastestDevice(c)
-	allIdx := allDeviceIdx(n)
-	speeds := ec.cm.DeviceSpeeds(allIdx)
-	for i := 0; i < m.NumLayers(); i++ {
-		outH := m.OutShape(i).H
-		if m.Layers[i].NeedsFullInput() || outH < 2 {
-			ec.accumulateSegment(out, i, i+1, []int{fastest}, []partition.Range{partition.Full(outH)})
-			continue
-		}
-		parts := partition.Equal(outH, n)
-		if capacityAware {
-			parts = ec.cm.Calc.Balanced(i, i+1, speeds)
-		}
-		ec.accumulateSegment(out, i, i+1, allIdx, parts)
-	}
-	return out, nil
+	return core.NewPlan(cm, stages)
 }

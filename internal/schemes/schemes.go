@@ -11,90 +11,68 @@
 //   - BFS: the exhaustive optimal pipeline search used as the upper bound in
 //     Table II and Fig. 13.
 //
-// LW, EFL and OFL are one-stage schemes: the whole cluster serves one task
-// at a time, so their pipeline period equals their latency.
+// Every scheme returns a core.Plan built by core.NewPlan, so the simulator
+// prices and the runtime executes the same object. LW, EFL and OFL are
+// one-stage schemes: their stages all use the whole cluster, so the plan is
+// one serial group and its period equals its latency.
 package schemes
 
 import (
 	"fmt"
+	"strings"
 
 	"pico/internal/cluster"
 	"pico/internal/core"
 	"pico/internal/nn"
 	"pico/internal/partition"
-	"pico/internal/simulate"
+	"pico/internal/queueing"
 )
 
-// SegmentExec records one fused segment of a one-stage scheme: the layer
-// range, the devices executing it and their output strips.
-type SegmentExec struct {
-	From, To  int
-	DeviceIdx []int
-	Parts     []partition.Range
-	// Seconds is the segment's compute-plus-communication time.
-	Seconds float64
+// planners maps every scheme's name to its planner with default parameters:
+// the one place a name becomes a plan, for picosim's -scheme, the
+// experiments' series and picoserve's plan kinds. "ofl" is the paper's
+// capacity-unaware baseline; "fused" is its capacity-aware form, the
+// one-stage scheme a serving session runs.
+var planners = map[string]func(*nn.Model, *cluster.Cluster, core.Options) (*core.Plan, error){
+	"lw":    LayerWise,
+	"mednn": MeDNN,
+	"efl": func(m *nn.Model, c *cluster.Cluster, opts core.Options) (*core.Plan, error) {
+		return EarlyFusedLayer(m, c, 0, opts)
+	},
+	"efl-grid": func(m *nn.Model, c *cluster.Cluster, opts core.Options) (*core.Plan, error) {
+		rows, cols := GridShape(c.Size())
+		return EarlyFusedLayerGrid(m, c, 0, rows, cols, opts)
+	},
+	"ofl": func(m *nn.Model, c *cluster.Cluster, opts core.Options) (*core.Plan, error) {
+		return OptimalFusedLayer(m, c, OFLOptions{}, opts)
+	},
+	"fused": func(m *nn.Model, c *cluster.Cluster, opts core.Options) (*core.Plan, error) {
+		return OptimalFusedLayer(m, c, OFLOptions{CapacityAware: true}, opts)
+	},
+	"pico": core.PlanPipeline,
 }
 
-// OneStage is the evaluated execution of a one-stage scheme on one task.
-type OneStage struct {
-	// Name identifies the scheme ("LW", "EFL", "OFL").
-	Name string
-	// Seconds is the full inference time — both the scheme's period and
-	// its latency.
-	Seconds float64
-	// Segments are the scheme's fused segments in execution order.
-	Segments []SegmentExec
-	// DeviceBusySeconds / DeviceFLOPs / DeviceRedundant are per-device
-	// totals for one task, indexed by cluster device.
-	DeviceBusySeconds []float64
-	DeviceFLOPs       []float64
-	DeviceRedundant   []float64
+// Plan builds the named scheme's plan (lw, mednn, efl, efl-grid, ofl, fused
+// or pico, in any case) for the model on the cluster, priced as opts say.
+func Plan(name string, m *nn.Model, c *cluster.Cluster, opts core.Options) (*core.Plan, error) {
+	planner, ok := planners[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("schemes: unknown scheme %q", name)
+	}
+	return planner(m, c, opts)
 }
 
-// Profile reduces the scheme to a single-stage simulator profile.
-func (o *OneStage) Profile() *simulate.ExecProfile {
-	busy := make(map[int]float64, len(o.DeviceBusySeconds))
-	for di, b := range o.DeviceBusySeconds {
-		if b > 0 {
-			busy[di] = b
-		}
+// APICO assembles the paper's adaptive scheme switch (§IV-C) over the given
+// plans: one Theorem-2 candidate per plan, named names[i], in a switcher at
+// the framework's hysteresis that starts on plans[0] — by convention the
+// one-stage scheme, the right choice at λ = 0. The workload estimator stays
+// the caller's: its β and window are what the callers differ in.
+func APICO(names []string, plans []*core.Plan) (*queueing.Switcher, error) {
+	cands := make([]queueing.Candidate, len(plans))
+	for i, p := range plans {
+		cands[i] = queueing.Candidate{Name: names[i], Period: p.PeriodSeconds, Latency: p.LatencySeconds}
 	}
-	return &simulate.ExecProfile{
-		Name:            o.Name,
-		Stages:          []simulate.StageProfile{{Seconds: o.Seconds, DeviceBusy: busy}},
-		DeviceFLOPs:     o.DeviceFLOPs,
-		DeviceRedundant: o.DeviceRedundant,
-	}
-}
-
-// RedundancyRatio returns the cluster-wide redundant work fraction.
-func (o *OneStage) RedundancyRatio() float64 {
-	var total, red float64
-	for k := range o.DeviceFLOPs {
-		total += o.DeviceFLOPs[k]
-		red += o.DeviceRedundant[k]
-	}
-	if total == 0 {
-		return 0
-	}
-	return red / total
-}
-
-// evalContext bundles what every baseline needs.
-type evalContext struct {
-	m  *nn.Model
-	c  *cluster.Cluster
-	cm *core.CostModel
-}
-
-func newEvalContext(m *nn.Model, c *cluster.Cluster) (*evalContext, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return &evalContext{m: m, c: c, cm: core.NewCostModel(m, c)}, nil
+	return queueing.NewSwitcher(cands, queueing.DefaultHysteresis)
 }
 
 // allDeviceIdx returns [0, 1, ..., n).
@@ -106,41 +84,32 @@ func allDeviceIdx(n int) []int {
 	return idx
 }
 
-// fastestDevice returns the index of the fastest device.
-func fastestDevice(c *cluster.Cluster) int {
-	return c.SortedBySpeed()[0]
-}
-
-// accumulateSegment adds one segment's busy/FLOPs/redundancy into the
-// result and returns the segment time.
-func (ec *evalContext) accumulateSegment(out *OneStage, from, to int, deviceIdx []int, parts []partition.Range) float64 {
-	speeds := ec.cm.DeviceSpeeds(deviceIdx)
-	total, _, _ := ec.cm.StageCost(from, to, speeds, parts, nil)
-	red := ec.cm.Calc.Redundancy(from, to, parts)
-	for k, di := range deviceIdx {
-		out.DeviceFLOPs[di] += red.PerDeviceFLOPs[k]
-		out.DeviceRedundant[di] += red.PerDeviceRedundant[k]
-		if speeds[k] > 0 {
-			out.DeviceBusySeconds[di] += red.PerDeviceFLOPs[k] / speeds[k]
-		}
-	}
-	out.Segments = append(out.Segments, SegmentExec{
+// fastestStage runs segment [from, to) whole on the fastest device.
+func fastestStage(cm *core.CostModel, from, to int) core.Stage {
+	return core.Stage{
 		From: from, To: to,
-		DeviceIdx: deviceIdx,
-		Parts:     parts,
-		Seconds:   total,
-	})
-	out.Seconds += total
-	return total
-}
-
-func newOneStage(name string, numDevices int) *OneStage {
-	return &OneStage{
-		Name:              name,
-		DeviceBusySeconds: make([]float64, numDevices),
-		DeviceFLOPs:       make([]float64, numDevices),
-		DeviceRedundant:   make([]float64, numDevices),
+		DeviceIdx: []int{cm.C.SortedBySpeed()[0]},
+		Parts:     []partition.Range{partition.Full(cm.M.OutShape(to - 1).H)},
 	}
 }
 
-var errNoDevices = fmt.Errorf("schemes: cluster has no devices")
+// clusterStage spreads segment [from, to) over the whole cluster in equal
+// strips — capacity-balanced ones when capacityAware — or, when the segment
+// cannot be split (a layer needs the full input map, or the output is a
+// single row), runs it on the fastest device.
+func clusterStage(cm *core.CostModel, from, to int, capacityAware bool) core.Stage {
+	outH := cm.M.OutShape(to - 1).H
+	splittable := outH >= 2
+	for l := from; l < to; l++ {
+		splittable = splittable && !cm.M.Layers[l].NeedsFullInput()
+	}
+	if !splittable {
+		return fastestStage(cm, from, to)
+	}
+	idx := allDeviceIdx(cm.C.Size())
+	parts := partition.Equal(outH, len(idx))
+	if capacityAware {
+		parts = cm.Calc.Balanced(from, to, cm.DeviceSpeeds(idx))
+	}
+	return core.Stage{From: from, To: to, DeviceIdx: idx, Parts: parts}
+}

@@ -8,11 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pico/internal/cluster"
 	"pico/internal/core"
-	"pico/internal/nn"
 	"pico/internal/queueing"
 	"pico/internal/runtime"
+	"pico/internal/schemes"
 	"pico/internal/telemetry"
 	"pico/internal/tensor"
 )
@@ -21,8 +20,10 @@ import (
 const (
 	// PlanPICO is the paper's pipelined cooperation plan (Algorithms 1+2).
 	PlanPICO = "pico"
-	// PlanFused is the one-stage fused plan over the whole cluster —
-	// APICO's low-load arm, served here as an explicit choice.
+	// PlanFused is the one-stage scheme — the capacity-aware optimal
+	// fused-layer plan, every fused segment on the whole cluster and an
+	// unsplittable tail on one device — APICO's low-load arm (§IV-C), served
+	// here as an explicit choice.
 	PlanFused = "fused"
 	// PlanAPICO lets the session pick between the two from what it observes
 	// (§IV-C): it plans both, and at every batch boundary runs whichever has
@@ -31,13 +32,10 @@ const (
 	PlanAPICO = "apico"
 )
 
-// planners are the schemes a session can run, in the order an apico
-// session's switcher numbers them: it starts on the first, the fused plan,
-// which is the right choice at λ = 0.
-var planners = []struct {
-	kind string
-	plan func(*nn.Model, *cluster.Cluster, core.Options) (*core.Plan, error)
-}{{PlanFused, core.OneStagePlan}, {PlanPICO, core.PlanPipeline}}
+// apicoArms are the schemes an apico session switches between, in the order
+// its switcher numbers them: it starts on the first, the fused plan, which
+// is the right choice at λ = 0.
+var apicoArms = []string{PlanFused, PlanPICO}
 
 // SessionKey identifies one pooled pipeline: a model served under a plan
 // kind in a precision.
@@ -141,24 +139,23 @@ func openSession(cfg *Config, key SessionKey) (*session, error) {
 		in:      make(chan *waiter, cfg.MaxQueue),
 		pending: make(chan *waiter, cfg.MaxQueue),
 	}
-	var cands []queueing.Candidate
-	for _, pl := range planners {
-		if key.Plan != pl.kind && key.Plan != PlanAPICO {
-			continue
-		}
+	kinds := []string{key.Plan}
+	if key.Plan == PlanAPICO {
+		kinds = apicoArms
+	}
+	for _, kind := range kinds {
 		// Every plan is priced in the precision it executes in.
-		plan, err := pl.plan(m, cfg.Cluster, core.Options{Quantized: key.Quant})
+		plan, err := schemes.Plan(kind, m, cfg.Cluster, core.Options{Quantized: key.Quant})
 		if err != nil {
-			return nil, fmt.Errorf("serve: plan %s (%s): %w", key, pl.kind, err)
+			return nil, fmt.Errorf("serve: plan %s (%s): %w", key, kind, err)
 		}
 		s.plans = append(s.plans, plan)
 		if s.adm.Period == 0 || plan.PeriodSeconds < s.adm.Period {
 			s.adm = queueing.Admission{Period: plan.PeriodSeconds, Bound: cfg.LatencyBound, MaxQueue: cfg.MaxQueue}
 		}
-		cands = append(cands, queueing.Candidate{Name: pl.kind, Period: plan.PeriodSeconds, Latency: plan.LatencySeconds})
 	}
 	var err error
-	if s.sw, err = queueing.NewSwitcher(cands, queueing.DefaultHysteresis); err != nil {
+	if s.sw, err = schemes.APICO(kinds, s.plans); err != nil {
 		return nil, fmt.Errorf("serve: plan %s: %w", key, err)
 	}
 	opts := cfg.Pipeline

@@ -31,9 +31,9 @@ type StageProfile struct {
 	DeviceBusy map[int]float64
 }
 
-// ExecProfile is a cooperation scheme reduced to what the simulator needs.
-// A one-stage scheme (layer-wise, fused-layer) has exactly one stage whose
-// Seconds equals the whole inference time.
+// ExecProfile is a cooperation scheme reduced to what the simulator needs
+// (see FromPlan). A one-stage scheme (layer-wise, fused-layer) has exactly
+// one stage whose Seconds equals the whole inference time.
 type ExecProfile struct {
 	// Name identifies the scheme ("PICO", "EFL", ...).
 	Name string
@@ -80,7 +80,12 @@ func (p *ExecProfile) Validate() error {
 	return nil
 }
 
-// FromPlan reduces a PICO plan to an ExecProfile.
+// FromPlan reduces a plan — a PICO pipeline or a baseline scheme — to an
+// ExecProfile: one simulator stage per serial group of the plan (see
+// core.Plan.SerialGroups), holding the group's summed stage seconds and
+// summed per-device busy time. A device-disjoint pipeline keeps one stage
+// per plan stage; a one-stage scheme collapses to the single server whose
+// service time is its whole inference time.
 func FromPlan(name string, plan *core.Plan) *ExecProfile {
 	cm := core.NewCostModel(plan.Model, plan.Cluster)
 	stats := plan.Stats(cm)
@@ -89,20 +94,19 @@ func FromPlan(name string, plan *core.Plan) *ExecProfile {
 		DeviceFLOPs:     stats.DeviceFLOPs,
 		DeviceRedundant: stats.DeviceRedundant,
 	}
-	for _, st := range plan.Stages {
-		sp := StageProfile{
-			Seconds:    st.Seconds(),
-			DeviceBusy: make(map[int]float64, len(st.DeviceIdx)),
-		}
-		for k, di := range st.DeviceIdx {
-			if st.Parts[k].Empty() {
-				continue
+	for _, g := range plan.SerialGroups() {
+		sp := StageProfile{DeviceBusy: make(map[int]float64)}
+		for i := g[0]; i < g[1]; i++ {
+			st := &plan.Stages[i]
+			sp.Seconds += st.Seconds()
+			for k, di := range st.DeviceIdx {
+				if st.Parts[k].Empty() {
+					continue
+				}
+				if speed := plan.Cluster.Devices[di].EffectiveSpeed(); speed > 0 {
+					sp.DeviceBusy[di] += cm.TileFLOPs(st, k) / speed
+				}
 			}
-			speed := plan.Cluster.Devices[di].EffectiveSpeed()
-			if speed <= 0 {
-				continue
-			}
-			sp.DeviceBusy[di] = cm.TileFLOPs(&st, k) / speed
 		}
 		prof.Stages = append(prof.Stages, sp)
 	}

@@ -57,8 +57,6 @@ type (
 	// GridTileStats summarizes a 2D tile partition of a fused segment.
 	GridTileStats = partition.GridStats
 
-	// OneStage is an evaluated one-stage baseline scheme (LW/EFL/OFL).
-	OneStage = schemes.OneStage
 	// OFLOptions configure the optimal-fused-layer baseline.
 	OFLOptions = schemes.OFLOptions
 	// BFSOptions configure the exhaustive optimal search.
@@ -203,9 +201,6 @@ var (
 	PlanPipeline = core.PlanPipeline
 	// SingleDevice builds the one-device baseline plan.
 	SingleDevice = core.SingleDevice
-	// OneStagePlan builds the fused whole-cluster single-stage plan (the
-	// executable form of APICO's one-stage arm).
-	OneStagePlan = core.OneStagePlan
 	// GridPlan builds the one-stage plan that runs the whole model as a
 	// rows x cols grid of DeepThings-style tiles; NewPipeline executes it
 	// like any other plan.
@@ -217,7 +212,8 @@ var (
 	LoadPlan = core.LoadPlan
 )
 
-// Baseline schemes (§V-A).
+// Baseline schemes (§V-A). Each returns a *Plan priced as its PlanOptions
+// say, so NewPipeline executes what the simulator prices.
 var (
 	// LayerWise is the MoDNN-style per-layer scheme.
 	LayerWise = schemes.LayerWise
@@ -235,6 +231,9 @@ var (
 	OptimalFusedLayer = schemes.OptimalFusedLayer
 	// BFSOptimal is the exhaustive optimum (Table II / Fig. 13).
 	BFSOptimal = schemes.BFSOptimal
+	// PlanScheme builds a scheme's plan by name: lw, mednn, efl, efl-grid,
+	// ofl, fused (capacity-aware OFL) or pico.
+	PlanScheme = schemes.Plan
 )
 
 // Simulation entry points.
@@ -310,19 +309,17 @@ var (
 // estimator and a Theorem-2 switcher. The returned profiles are ordered
 // [OFL, PICO] to match the switcher's candidates.
 func NewAPICO(m *Model, c *Cluster, beta, windowSeconds float64) ([]*ExecProfile, *Switcher, *Estimator, error) {
-	ofl, err := schemes.OptimalFusedLayer(m, c, schemes.OFLOptions{})
-	if err != nil {
-		return nil, nil, nil, err
+	names := []string{"OFL", "PICO"}
+	plans := make([]*Plan, len(names))
+	profiles := make([]*ExecProfile, len(names))
+	for i, name := range names {
+		var err error
+		if plans[i], err = schemes.Plan(name, m, c, core.Options{}); err != nil {
+			return nil, nil, nil, err
+		}
+		profiles[i] = simulate.FromPlan(name, plans[i])
 	}
-	plan, err := core.PlanPipeline(m, c, core.Options{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	profiles := []*ExecProfile{ofl.Profile(), simulate.FromPlan("PICO", plan)}
-	sw, err := queueing.NewSwitcher([]queueing.Candidate{
-		{Name: "OFL", Period: profiles[0].Period(), Latency: profiles[0].Latency()},
-		{Name: "PICO", Period: profiles[1].Period(), Latency: profiles[1].Latency()},
-	}, queueing.DefaultHysteresis)
+	sw, err := schemes.APICO(names, plans)
 	if err != nil {
 		return nil, nil, nil, err
 	}

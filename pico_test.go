@@ -44,20 +44,20 @@ func TestPublicAPIQuickstart(t *testing.T) {
 func TestPublicAPIBaselines(t *testing.T) {
 	model := pico.YOLOv2()
 	cl := pico.PaperHeterogeneous()
-	lw, err := pico.LayerWise(model, cl)
+	lw, err := pico.LayerWise(model, cl, pico.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	efl, err := pico.EarlyFusedLayer(model, cl, 0)
+	efl, err := pico.EarlyFusedLayer(model, cl, 0, pico.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ofl, err := pico.OptimalFusedLayer(model, cl, pico.OFLOptions{})
+	ofl, err := pico.OptimalFusedLayer(model, cl, pico.OFLOptions{}, pico.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(lw.Seconds > efl.Seconds && efl.Seconds > ofl.Seconds) {
-		t.Fatalf("baseline ordering broken: %.2f / %.2f / %.2f", lw.Seconds, efl.Seconds, ofl.Seconds)
+	if !(lw.PeriodSeconds > efl.PeriodSeconds && efl.PeriodSeconds > ofl.PeriodSeconds) {
+		t.Fatalf("baseline ordering broken: %.2f / %.2f / %.2f", lw.PeriodSeconds, efl.PeriodSeconds, ofl.PeriodSeconds)
 	}
 }
 
