@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke cross bench-vet results-check loc check
+.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke cross bench-vet results-check fuzz-geometry loc check
 
 all: check
 
@@ -115,6 +115,12 @@ results-check:
 	diff -r -x table2.txt results "$$out" && \
 	$(table2cols) results/table2.txt >"$$out/want" && $(table2cols) "$$out/table2.txt" >"$$out/got" && \
 	diff "$$out/want" "$$out/got"
+
+# Explore the tile geometry (random kernel/stride/padding chains and rects
+# against partition's brute-force oracle) beyond the committed seeds, which
+# already run in every `go test`. For iterating; not part of `check`.
+fuzz-geometry:
+	$(GO) test -run NONE -fuzz FuzzTileGeometry -fuzztime=10s ./internal/partition
 
 # Non-test Go lines per package plus assembly lines: the size numbers
 # ROADMAP tracks as its aim-2 ("least code") success metric.

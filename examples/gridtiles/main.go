@@ -58,8 +58,8 @@ func run() error {
 	calc := pico.NewPartitionCalc(model)
 
 	// Analytics first: strips vs grid on the fused stack.
-	strips := calc.GridStats(0, L, pico.GridPartition(out.H, out.W, 4, 1))
-	grid := calc.GridStats(0, L, pico.GridPartition(out.H, out.W, 2, 2))
+	strips := calc.Redundancy(0, L, pico.GridPartition(out.H, out.W, 4, 1))
+	grid := calc.Redundancy(0, L, pico.GridPartition(out.H, out.W, 2, 2))
 	fmt.Printf("fused %d-layer stack, output %v, 4 devices:\n", L, out)
 	fmt.Printf("  %-10s total %6.2f GMACs  redundancy %5.1f%%  max tile input %6.2f KB\n",
 		"4 strips", strips.TotalFLOPs/1e9, strips.Ratio()*100, float64(strips.MaxInputBytes)/1e3)

@@ -50,21 +50,14 @@ func NewCostModel(m *nn.Model, c *cluster.Cluster) *CostModel {
 	return &CostModel{M: m, C: c, Calc: partition.NewCalc(m), Combine: CostSum, BytesPerElem: 4}
 }
 
-// asStrip reports whether device k's tile of a stage ending at layer to is
-// priced as the row strip parts[k]: the stage has no column ranges, or this
-// one spans the map (a full-width tile executes as a strip, see
-// partition.Calc.TileRects). Strips keep the row calculators, so plans
-// without columns price exactly as before tiles were plan data.
-func (cm *CostModel) asStrip(to int, cols []partition.Range, k int) bool {
-	return cols == nil || cols[k] == partition.Full(cm.M.OutShape(to-1).W)
+// tile returns device k's output tile of a stage ending at layer to.
+func (cm *CostModel) tile(to int, parts, cols []partition.Range, k int) partition.Rect {
+	return tileRect(parts, cols, k, cm.M.OutShape(to-1).W)
 }
 
 // tileFLOPs returns the work of device k's tile parts[k] x cols[k].
 func (cm *CostModel) tileFLOPs(from, to int, parts, cols []partition.Range, k int) int64 {
-	if cm.asStrip(to, cols, k) {
-		return cm.Calc.SegmentRegionFLOPs(from, to, parts[k])
-	}
-	return cm.Calc.SegmentRectFLOPs(from, to, partition.Rect{Rows: parts[k], Cols: cols[k]})
+	return cm.Calc.SegmentRectFLOPs(from, to, cm.tile(to, parts, cols, k))
 }
 
 // TileFLOPs returns the work device position k of the stage does per task.
@@ -98,13 +91,8 @@ func (cm *CostModel) StageComm(from, to int, parts, cols []partition.Range) floa
 		if r.Empty() {
 			continue
 		}
-		if cm.asStrip(to, cols, k) {
-			in, out := cm.Calc.SegmentIOBytes(from, to, r)
-			bytes += in + out
-			continue
-		}
-		tile := partition.Rect{Rows: r, Cols: cols[k]}
-		bytes += cm.Calc.RectBytes(from, cm.Calc.SegmentRects(from, to, tile)[0]) + cm.Calc.RectBytes(to, tile)
+		tile := cm.tile(to, parts, cols, k)
+		bytes += cm.Calc.RectBytes(from, cm.Calc.TileRects(from, to, tile)[0]) + cm.Calc.RectBytes(to, tile)
 	}
 	// Calc prices regions at float32; rescale for the active element size.
 	if cm.BytesPerElem > 0 && cm.BytesPerElem != 4 {

@@ -40,13 +40,19 @@ func (s *Stage) Seconds() float64 { return s.CompSeconds + s.CommSeconds }
 // a stage output outW columns wide.
 func (s *Stage) Tiles(outW int) []partition.Rect {
 	tiles := make([]partition.Rect, len(s.Parts))
-	for k, rows := range s.Parts {
-		tiles[k] = partition.Rect{Rows: rows, Cols: partition.Full(outW)}
-		if s.Cols != nil {
-			tiles[k].Cols = s.Cols[k]
-		}
+	for k := range s.Parts {
+		tiles[k] = tileRect(s.Parts, s.Cols, k, outW)
 	}
 	return tiles
+}
+
+// tileRect is the tile parts[k] x cols[k] on a map outW columns wide; nil
+// cols mean every tile spans the full width.
+func tileRect(parts, cols []partition.Range, k, outW int) partition.Rect {
+	if cols == nil {
+		return partition.Rect{Rows: parts[k], Cols: partition.Full(outW)}
+	}
+	return partition.Rect{Rows: parts[k], Cols: cols[k]}
 }
 
 // tileLabel renders device k's tile for plan summaries.
@@ -223,22 +229,11 @@ func (p *Plan) Stats(cm *CostModel) *Stats {
 		DeviceBusySeconds: make([]float64, n),
 	}
 	for _, stage := range p.Stages {
-		red := cm.Calc.Redundancy(stage.From, stage.To, stage.Parts)
-		// A grid stage's overlap is counted per cell, not per device: spread
-		// the stage's redundant share over its tiles by their work.
-		gridShare := 0.0
-		if stage.Cols != nil {
-			gs := cm.Calc.GridStats(stage.From, stage.To, stage.Tiles(p.Model.OutShape(stage.To-1).W))
-			gridShare = gs.Ratio()
-		}
+		red := cm.Calc.Redundancy(stage.From, stage.To, stage.Tiles(p.Model.OutShape(stage.To-1).W))
 		for k, di := range stage.DeviceIdx {
-			flops, redundant := red.PerDeviceFLOPs[k], red.PerDeviceRedundant[k]
-			if stage.Cols != nil {
-				flops = cm.TileFLOPs(&stage, k)
-				redundant = flops * gridShare
-			}
+			flops := red.PerDeviceFLOPs[k]
 			st.DeviceFLOPs[di] += flops
-			st.DeviceRedundant[di] += redundant
+			st.DeviceRedundant[di] += red.PerDeviceRedundant[k]
 			speed := p.Cluster.Devices[di].EffectiveSpeed()
 			if speed > 0 {
 				st.DeviceBusySeconds[di] += flops / speed

@@ -127,7 +127,7 @@ func TestGridPlan(t *testing.T) {
 	}
 
 	// Table I accounting follows the tiles, not their row ranges.
-	stats, gs := grid.Stats(grid.CostModel()), NewCostModel(m, cl).Calc.GridStats(0, st.To, st.Tiles(out.W))
+	stats, gs := grid.Stats(grid.CostModel()), NewCostModel(m, cl).Calc.Redundancy(0, st.To, st.Tiles(out.W))
 	if stats.TotalFLOPs() != gs.TotalFLOPs || math.Abs(stats.RedundancyRatio()-gs.Ratio()) > 1e-12 {
 		t.Fatalf("grid stats: %g FLOPs at %.4f redundancy, tiles do %g at %.4f",
 			stats.TotalFLOPs(), stats.RedundancyRatio(), gs.TotalFLOPs, gs.Ratio())
@@ -173,5 +173,42 @@ func TestGridPlan(t *testing.T) {
 	}
 	if _, err := GridPlan(m, cl, 3, 2, Options{}); err == nil {
 		t.Error("six tiles on four devices accepted")
+	}
+}
+
+// TestGridPlanStatsFollowCells: a grid stage's Table-I numbers are what its
+// cells say. On a 3x3 grid of VGG16's fused prefix the centre tile has halo on
+// four sides and the corners on two, so the centre's redundancy ratio is the
+// highest; the per-device figures still add up to the stage's totals.
+func TestGridPlanStatsFollowCells(t *testing.T) {
+	trunk := nn.VGG16Conv()
+	m := &nn.Model{Name: "vgg16-prefix", Input: trunk.Input, Layers: trunk.Layers[:7]}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := GridPlan(m, cluster.Homogeneous(9, 600e6), 3, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, st := grid.CostModel(), &grid.Stages[0]
+	stats := grid.Stats(cm)
+	ratio := func(k int) float64 { return stats.DeviceRedundant[k] / stats.DeviceFLOPs[k] }
+	for _, corner := range []int{0, 2, 6, 8} {
+		if ratio(4) <= ratio(corner) {
+			t.Errorf("centre tile redundancy %.4f not above corner %d's %.4f", ratio(4), corner, ratio(corner))
+		}
+	}
+	var flops, tileFLOPs, redundant float64
+	for k := range st.DeviceIdx {
+		flops += stats.DeviceFLOPs[k]
+		tileFLOPs += cm.TileFLOPs(st, k)
+		redundant += stats.DeviceRedundant[k]
+	}
+	if flops != tileFLOPs {
+		t.Errorf("devices do %g MACs, their tiles %g", flops, tileFLOPs)
+	}
+	want := cm.Calc.Redundancy(0, st.To, st.Tiles(m.Output().W)).RedundantFLOPs
+	if math.Abs(redundant-want) > 1e-12*want {
+		t.Errorf("devices carry %g redundant MACs, the stage %g", redundant, want)
 	}
 }

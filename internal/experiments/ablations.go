@@ -178,14 +178,14 @@ func AblationGrid(cfg Config) ([]Table, error) {
 	}
 	for _, ly := range layouts {
 		tiles := partition.GridPartition(outShape.H, outShape.W, ly.rows, ly.cols)
-		stats := calc.GridStats(0, to, tiles)
+		stats := calc.Redundancy(0, to, tiles)
 		label := "strips"
 		if ly.cols > 1 {
 			label = fmt.Sprintf("%dx%d grid", ly.rows, ly.cols)
 		}
 		t.AddRow(fmt.Sprintf("%d", ly.n), label,
 			gflops(stats.TotalFLOPs), pct(stats.Ratio()),
-			gflops(stats.MaxTileFLOPs), f2(float64(stats.MaxInputBytes)/1e6))
+			gflops(stats.MaxTileFLOPs()), f2(float64(stats.MaxInputBytes)/1e6))
 	}
 	t.Notes = append(t.Notes,
 		"the runtime executes strips (as the paper's PICO); grids are the DeepThings design point")

@@ -86,31 +86,40 @@ func (m *Model) LayerFLOPs(i int) int64 {
 }
 
 func layerFLOPs(l *Layer, in, out Shape) int64 {
+	if l.Kind != Block {
+		return l.CellMACs(in) * int64(out.H) * int64(out.W)
+	}
+	var sum int64
+	for _, path := range l.Paths {
+		cur := in
+		for i := range path {
+			next, err := path[i].OutShape(cur)
+			if err != nil {
+				panic(fmt.Sprintf("nn: FLOPs on invalid block path: %v", err))
+			}
+			sum += layerFLOPs(&path[i], cur, next)
+			cur = next
+		}
+	}
+	return sum
+}
+
+// CellMACs returns the multiply-accumulates behind one output cell (one
+// spatial position, every output channel) of the layer on an input of shape
+// in — Eq. (2) per cell: k_h * k_w * c_in/groups * c_out for a convolution,
+// the whole in*out product for a fully connected layer, whose output is its
+// one 1x1 cell, and zero for pooling. A Block has no cell count of its own;
+// its path layers do.
+func (l *Layer) CellMACs(in Shape) int64 {
 	switch l.Kind {
 	case Conv:
 		g := int64(1)
 		if l.Groups > 1 {
 			g = int64(l.Groups)
 		}
-		return int64(l.KH) * int64(l.KW) * int64(in.C) / g * int64(out.H) * int64(out.W) * int64(out.C)
+		return int64(l.KH) * int64(l.KW) * int64(in.C) / g * int64(l.OutC)
 	case FullyConnected:
 		return int64(in.Elems()) * int64(l.OutF)
-	case MaxPool, AvgPool, GlobalAvgPool:
-		return 0
-	case Block:
-		var sum int64
-		for _, path := range l.Paths {
-			cur := in
-			for i := range path {
-				next, err := path[i].OutShape(cur)
-				if err != nil {
-					panic(fmt.Sprintf("nn: FLOPs on invalid block path: %v", err))
-				}
-				sum += layerFLOPs(&path[i], cur, next)
-				cur = next
-			}
-		}
-		return sum
 	default:
 		return 0
 	}

@@ -40,6 +40,28 @@ func TestVGG16FLOPs(t *testing.T) {
 	}
 }
 
+// TestTotalFLOPsPinned holds Model.TotalFLOPs — which the benchmark divides
+// forward time by — to the integers recorded before the per-cell MAC count
+// (Layer.CellMACs) became the one spelling of Eq. (2).
+func TestTotalFLOPsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		m    *Model
+		want int64
+	}{
+		{VGG16(), 15470264320},
+		{YOLOv2(), 17316941824},
+		{ResNet34(), 3663761408},
+		{InceptionV3(), 6088606304},
+		{MobileNetV1(), 568740352},
+		{Fig13Toy(), 567410688},
+		{ToyChain("toy", 8, 3, 16, 64), 27721728},
+	} {
+		if got := tc.m.TotalFLOPs(); got != tc.want {
+			t.Errorf("%s: TotalFLOPs = %d, want %d", tc.m.Name, got, tc.want)
+		}
+	}
+}
+
 func TestYOLOv2Structure(t *testing.T) {
 	m := YOLOv2()
 	counts := m.CountKinds()

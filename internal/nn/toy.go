@@ -70,3 +70,34 @@ func TinyGraph() *Model {
 	mustValidate(m)
 	return m
 }
+
+// TinySeparable builds a small graph model of the "versatile CNN" blocks a
+// strip planner must not choke on: a residual block whose main path opens
+// with a depthwise 3x3 (Groups = channels, then a pointwise 1x1), and a
+// one-path block holding an unpadded 1x11 convolution — a kernel wider than
+// most maps' halo and a path that only exists at its real input shape.
+func TinySeparable() *Model {
+	layers := []Layer{
+		Conv3x3("stem", 16, ReLU),
+		{
+			Name: "sep", Kind: Block, Combine: Add, Act: ReLU,
+			Paths: [][]Layer{
+				{},
+				{
+					{Name: "dw", Kind: Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 16, Groups: 16, Act: ReLU},
+					Conv1x1("pw", 16, NoAct),
+				},
+			},
+		},
+		{
+			Name: "wide", Kind: Block, Combine: Concat, Act: NoAct,
+			Paths: [][]Layer{{
+				{Name: "c1x11", Kind: Conv, KH: 1, KW: 11, SH: 1, SW: 1, OutC: 32, Act: ReLU},
+			}},
+		},
+		Conv3x3("head", 4, ReLU),
+	}
+	m := &Model{Name: "tiny-separable", Input: Shape{C: 3, H: 48, W: 48}, Layers: layers}
+	mustValidate(m)
+	return m
+}

@@ -78,25 +78,6 @@ func TestRectFLOPsGraphModel(t *testing.T) {
 	}
 }
 
-func TestGridStatsStripEquivalence(t *testing.T) {
-	// A 1 x p grid is exactly p row strips: GridStats must agree with the
-	// strip redundancy accounting.
-	m := nn.VGG16Conv()
-	c := NewCalc(m)
-	from, to := 0, 7
-	outShape := m.OutShape(to - 1)
-	const p = 4
-	tiles := GridPartition(outShape.H, outShape.W, p, 1)
-	grid := c.GridStats(from, to, tiles)
-	strips := c.Redundancy(from, to, Equal(outShape.H, p))
-	if rel := (grid.TotalFLOPs - strips.TotalFLOPs) / strips.TotalFLOPs; rel > 1e-9 || rel < -1e-9 {
-		t.Fatalf("grid total %.6g != strip total %.6g", grid.TotalFLOPs, strips.TotalFLOPs)
-	}
-	if rel := (grid.RedundantFLOPs - strips.RedundantFLOPs) / (strips.RedundantFLOPs + 1); rel > 1e-9 || rel < -1e-9 {
-		t.Fatalf("grid redundant %.6g != strip redundant %.6g", grid.RedundantFLOPs, strips.RedundantFLOPs)
-	}
-}
-
 func TestGridBeatsSkinnyStrips(t *testing.T) {
 	// The overlap halo scales with cut length: p row strips cut (p-1)
 	// widths, a sqrt(p) x sqrt(p) grid cuts ~2(sqrt(p)-1) — so for large p
@@ -107,8 +88,8 @@ func TestGridBeatsSkinnyStrips(t *testing.T) {
 	from, to := 0, 10 // through pool3
 	outShape := m.OutShape(to - 1)
 	const p = 16
-	strips := c.GridStats(from, to, GridPartition(outShape.H, outShape.W, p, 1))
-	grid := c.GridStats(from, to, GridPartition(outShape.H, outShape.W, 4, 4))
+	strips := c.Redundancy(from, to, GridPartition(outShape.H, outShape.W, p, 1))
+	grid := c.Redundancy(from, to, GridPartition(outShape.H, outShape.W, 4, 4))
 	if grid.MaxInputBytes >= strips.MaxInputBytes {
 		t.Fatalf("grid footprint %d >= strip footprint %d", grid.MaxInputBytes, strips.MaxInputBytes)
 	}
@@ -121,44 +102,54 @@ func TestGridBeatsSkinnyStrips(t *testing.T) {
 	// At p=2 the comparison flips: one horizontal cut (W) beats one
 	// vertical-plus-nothing... a 1x2 column grid cuts H >= W is equal on a
 	// square map; assert strips are at least as good there.
-	strips2 := c.GridStats(from, to, GridPartition(outShape.H, outShape.W, 2, 1))
-	cols2 := c.GridStats(from, to, GridPartition(outShape.H, outShape.W, 1, 2))
+	strips2 := c.Redundancy(from, to, GridPartition(outShape.H, outShape.W, 2, 1))
+	cols2 := c.Redundancy(from, to, GridPartition(outShape.H, outShape.W, 1, 2))
 	if strips2.TotalFLOPs > cols2.TotalFLOPs*1.05 {
 		t.Fatalf("2 row strips %.4g much worse than 2 column strips %.4g on a square map",
 			strips2.TotalFLOPs, cols2.TotalFLOPs)
 	}
 }
 
-func TestGridStatsSingleTileNoRedundancy(t *testing.T) {
+func TestRedundancySingleTile(t *testing.T) {
 	m := nn.VGG16Conv()
 	c := NewCalc(m)
 	outShape := m.OutShape(4)
-	stats := c.GridStats(0, 5, []Rect{FullRect(outShape.H, outShape.W)})
+	stats := c.Redundancy(0, 5, []Rect{FullRect(outShape.H, outShape.W)})
 	if stats.RedundantFLOPs != 0 {
 		t.Fatalf("single tile redundancy %.4g", stats.RedundantFLOPs)
 	}
 	if stats.TotalFLOPs != float64(m.SegmentFLOPs(0, 5)) {
 		t.Fatalf("single tile total %.6g != %.6g", stats.TotalFLOPs, float64(m.SegmentFLOPs(0, 5)))
 	}
-	if stats.MaxTileFLOPs != stats.TotalFLOPs {
+	if stats.MaxTileFLOPs() != stats.TotalFLOPs {
 		t.Fatal("bottleneck of one tile must equal total")
 	}
 }
 
+// TestCoveredCells checks the per-cell multiplicity count through a one-layer
+// model costing one MAC a cell, so covered cells = total - redundant.
 func TestCoveredCells(t *testing.T) {
+	covered := func(side int, tiles []Rect) float64 {
+		m := &nn.Model{Name: "one", Input: nn.Shape{C: 1, H: side, W: side}, Layers: []nn.Layer{nn.Conv1x1("a", 1, nn.ReLU)}}
+		if err := m.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		stats := NewCalc(m).Redundancy(0, 1, tiles)
+		return stats.TotalFLOPs - stats.RedundantFLOPs
+	}
 	rects := []Rect{
 		{Rows: Range{0, 2}, Cols: Range{0, 2}},
 		{Rows: Range{1, 3}, Cols: Range{1, 3}}, // overlaps 1 cell
 	}
-	if got := coveredCells(rects, 3, 3); got != 7 {
-		t.Fatalf("covered = %d, want 7", got)
+	if got := covered(3, rects); got != 7 {
+		t.Fatalf("covered = %v, want 7", got)
 	}
-	if got := coveredCells(nil, 4, 4); got != 0 {
-		t.Fatalf("covered = %d, want 0", got)
+	if got := covered(4, nil); got != 0 {
+		t.Fatalf("covered = %v, want 0", got)
 	}
 	// Rects beyond the extent are clamped.
-	if got := coveredCells([]Rect{{Rows: Range{-5, 99}, Cols: Range{-5, 99}}}, 2, 2); got != 4 {
-		t.Fatalf("covered = %d, want 4", got)
+	if got := covered(2, []Rect{{Rows: Range{-5, 99}, Cols: Range{-5, 99}}}); got != 4 {
+		t.Fatalf("covered = %v, want 4", got)
 	}
 }
 
@@ -177,14 +168,14 @@ func TestPathRangesAndHeights(t *testing.T) {
 	c := NewCalc(m)
 	blk := &m.Layers[1] // res1: identity + two 3x3 convs
 	main := blk.Paths[0]
-	inH := m.InShape(1).H
+	in := m.InShape(1)
 	// Two 3x3 s1 convs: [4,8) needs [2,10) at the path input.
-	if need := c.pathInRange(main, Range{4, 8}, inH); need != (Range{2, 10}) {
+	if need := c.PathRects(main, Rect{Rows: Range{4, 8}, Cols: Full(in.W)}, in)[0].Rows; need != (Range{2, 10}) {
 		t.Fatalf("path input range = %v, want [2,10)", need)
 	}
-	heights := c.pathHeights(main, inH)
-	if len(heights) != len(main)+1 || heights[0] != inH || heights[len(heights)-1] != inH {
-		t.Fatalf("pathHeights = %v", heights)
+	shapes := c.pathShapes(main, in)
+	if len(shapes) != len(main)+1 || shapes[0].H != in.H || shapes[len(shapes)-1].H != in.H {
+		t.Fatalf("pathShapes = %v", shapes)
 	}
 }
 
@@ -204,35 +195,10 @@ func TestPathRectsGraph(t *testing.T) {
 	}
 }
 
-func TestGridStatsGraphModelMatchesStripEquivalent(t *testing.T) {
-	// Exercise blockUniqueFLOPs: 1 x p grids on a graph model must agree
-	// with the strip redundancy machinery.
-	m := nn.TinyGraph()
-	c := NewCalc(m)
-	out := m.Output()
-	grid := c.GridStats(0, m.NumLayers(), GridPartition(out.H, out.W, 3, 1))
-	strips := c.Redundancy(0, m.NumLayers(), Equal(out.H, 3))
-	if rel := (grid.TotalFLOPs - strips.TotalFLOPs) / strips.TotalFLOPs; rel > 1e-9 || rel < -1e-9 {
-		t.Fatalf("graph grid total %.6g != strip total %.6g", grid.TotalFLOPs, strips.TotalFLOPs)
-	}
-	if rel := (grid.RedundantFLOPs - strips.RedundantFLOPs) / (strips.RedundantFLOPs + 1); rel > 1e-9 || rel < -1e-9 {
-		t.Fatalf("graph grid redundant %.6g != strip redundant %.6g", grid.RedundantFLOPs, strips.RedundantFLOPs)
-	}
-	// A 2D graph grid still produces sane stats.
-	g22 := c.GridStats(0, m.NumLayers(), GridPartition(out.H, out.W, 2, 2))
-	if g22.TotalFLOPs <= 0 || g22.Ratio() < 0 || g22.Ratio() >= 1 {
-		t.Fatalf("graph 2x2 grid stats: %+v", g22)
-	}
-}
-
 func TestRectAndStatsStrings(t *testing.T) {
 	r := Rect{Rows: Range{1, 2}, Cols: Range{3, 4}}
 	if r.String() != "[1,2)x[3,4)" {
 		t.Fatalf("Rect.String = %q", r.String())
-	}
-	var zero GridStats
-	if zero.Ratio() != 0 {
-		t.Fatal("zero GridStats ratio must be 0")
 	}
 	var rs RedundancyStats
 	if rs.Ratio() != 0 {
@@ -240,7 +206,7 @@ func TestRectAndStatsStrings(t *testing.T) {
 	}
 }
 
-func TestGridStatsFullInputLayer(t *testing.T) {
+func TestSegmentRectsFullInputLayer(t *testing.T) {
 	// A segment containing fc: grid back-prop must demand the whole map.
 	m := nn.VGG16()
 	c := NewCalc(m)

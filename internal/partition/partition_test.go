@@ -401,7 +401,7 @@ func TestRedundancyNoOverlapFor1x1(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCalc(m)
-	stats := c.Redundancy(0, 3, Equal(32, 4))
+	stats := c.Redundancy(0, 3, GridPartition(32, 32, 4, 1))
 	if stats.RedundantFLOPs != 0 {
 		t.Fatalf("1x1 chain has redundancy %.3g", stats.RedundantFLOPs)
 	}
@@ -413,8 +413,8 @@ func TestRedundancyNoOverlapFor1x1(t *testing.T) {
 func TestRedundancySingleDeviceZero(t *testing.T) {
 	m := nn.VGG16Conv()
 	c := NewCalc(m)
-	outH := m.OutShape(6).H
-	stats := c.Redundancy(0, 7, []Range{Full(outH)})
+	out := m.OutShape(6)
+	stats := c.Redundancy(0, 7, []Rect{FullRect(out.H, out.W)})
 	if stats.RedundantFLOPs != 0 {
 		t.Fatalf("single device redundancy = %.3g", stats.RedundantFLOPs)
 	}
@@ -426,10 +426,10 @@ func TestRedundancySingleDeviceZero(t *testing.T) {
 func TestRedundancyGrowsWithDevices(t *testing.T) {
 	m := nn.VGG16Conv()
 	c := NewCalc(m)
-	outH := m.OutShape(6).H
+	out := m.OutShape(6)
 	prev := -1.0
 	for _, p := range []int{2, 4, 8} {
-		stats := c.Redundancy(0, 7, Equal(outH, p))
+		stats := c.Redundancy(0, 7, GridPartition(out.H, out.W, p, 1))
 		if stats.Ratio() <= prev {
 			t.Fatalf("redundancy ratio not increasing: p=%d ratio=%.4f prev=%.4f", p, stats.Ratio(), prev)
 		}
@@ -445,7 +445,7 @@ func TestRedundancyConsistentWithRegionFLOPs(t *testing.T) {
 	from, to := 2, 9
 	outH := m.OutShape(to - 1).H
 	parts := Equal(outH, 5)
-	stats := c.Redundancy(from, to, parts)
+	stats := c.Redundancy(from, to, GridPartition(outH, m.OutShape(to-1).W, 5, 1))
 	var want float64
 	for _, r := range parts {
 		want += float64(c.SegmentRegionFLOPs(from, to, r))
@@ -471,7 +471,7 @@ func TestRedundancyGraphModel(t *testing.T) {
 	m := nn.TinyGraph()
 	c := NewCalc(m)
 	outH := m.Output().H
-	stats := c.Redundancy(0, m.NumLayers(), Equal(outH, 3))
+	stats := c.Redundancy(0, m.NumLayers(), GridPartition(outH, m.Output().W, 3, 1))
 	if stats.TotalFLOPs <= 0 {
 		t.Fatal("graph redundancy total is zero")
 	}
@@ -490,8 +490,8 @@ func TestRedundancyGraphModel(t *testing.T) {
 func TestDeviceRatioBounds(t *testing.T) {
 	m := nn.VGG16Conv()
 	c := NewCalc(m)
-	outH := m.OutShape(4).H
-	parts := Equal(outH, 4)
+	out := m.OutShape(4)
+	parts := GridPartition(out.H, out.W, 4, 1)
 	stats := c.Redundancy(0, 5, parts)
 	for k := range parts {
 		r := stats.DeviceRatio(k)
@@ -500,7 +500,7 @@ func TestDeviceRatioBounds(t *testing.T) {
 		}
 	}
 	// An idle device has ratio 0.
-	stats = c.Redundancy(0, 5, []Range{Full(outH), {}})
+	stats = c.Redundancy(0, 5, []Rect{FullRect(out.H, out.W), {}})
 	if stats.DeviceRatio(1) != 0 {
 		t.Fatal("idle device ratio must be 0")
 	}

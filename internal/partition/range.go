@@ -3,9 +3,11 @@
 // region FLOPs (Eq. 2/4), equal and capacity-aware (divide-and-conquer)
 // strip balancing, and overlap/redundancy accounting.
 //
-// Feature maps are partitioned along the row (height) axis into horizontal
-// strips, the scheme used by MoDNN and the paper. A Range is a half-open row
-// interval [Lo, Hi) of a layer's output feature map.
+// A device's share of a feature map is a Rect. The planners cut maps along the
+// row (height) axis into horizontal strips, the scheme used by MoDNN and the
+// paper — Rects spanning the full width — and every row-valued function here
+// is the rect geometry of calc.go projected onto rows. A Range is a half-open
+// interval [Lo, Hi) along one axis of a layer's output feature map.
 package partition
 
 import "fmt"

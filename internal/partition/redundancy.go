@@ -1,28 +1,27 @@
 package partition
 
-import (
-	"fmt"
-
-	"pico/internal/nn"
-)
+import "pico/internal/nn"
 
 // RedundancyStats quantifies overlap-induced recomputation when the devices
-// of one stage each produce a strip of segment [from, to).
+// of one stage each produce a tile of segment [from, to).
 //
-// For every atomic layer (descending into block paths) and every output row,
-// the row's FLOPs are counted once per device that computes it; with
+// For every atomic layer (descending into block paths) and every output
+// cell, the cell's MACs are counted once per tile that computes it; with
 // multiplicity m, (m-1) copies are redundant. Redundant work is attributed
-// to the computing devices in equal shares, giving the per-device redundancy
+// to the computing tiles in equal shares, giving the per-device redundancy
 // ratios of the paper's Table I.
 type RedundancyStats struct {
 	// TotalFLOPs is the work actually performed, Σ_k θ(M; F^k).
 	TotalFLOPs float64
 	// RedundantFLOPs is the portion computed more than once.
 	RedundantFLOPs float64
-	// PerDeviceFLOPs is each device's performed work.
+	// PerDeviceFLOPs is each tile's performed work, θ(M; F^k).
 	PerDeviceFLOPs []float64
-	// PerDeviceRedundant is each device's attributed redundant work.
+	// PerDeviceRedundant is each tile's attributed redundant work.
 	PerDeviceRedundant []float64
+	// MaxInputBytes is the largest per-tile input region — DeepThings'
+	// per-device memory-footprint metric.
+	MaxInputBytes int64
 }
 
 // Ratio returns the global redundancy ratio (0 when no work is performed).
@@ -41,129 +40,126 @@ func (s *RedundancyStats) DeviceRatio(k int) float64 {
 	return s.PerDeviceRedundant[k] / s.PerDeviceFLOPs[k]
 }
 
-// layerOccupancy is one atomic layer's per-device computed output rows.
-type layerOccupancy struct {
-	perRow float64 // MACs per output row
-	outH   int
-	ranges []Range // one per device
+// MaxTileFLOPs returns the heaviest tile's work (the bottleneck).
+func (s *RedundancyStats) MaxTileFLOPs() float64 {
+	worst := 0.0
+	for _, f := range s.PerDeviceFLOPs {
+		worst = max(worst, f)
+	}
+	return worst
 }
 
 // Redundancy computes overlap statistics for the given per-device output
-// strips of segment [from, to). len(parts) is the device count; empty ranges
-// denote idle devices.
-func (c *Calc) Redundancy(from, to int, parts []Range) RedundancyStats {
-	occ := c.collectOccupancy(from, to, parts)
-	n := len(parts)
+// tiles of segment [from, to) — row strips and grid tiles alike. len(tiles)
+// is the device count; empty tiles denote idle devices. Multiplicity is
+// counted exactly per feature-map cell with a 2D difference array per layer,
+// so the cost is O(layers x (H x W + tiles)).
+func (c *Calc) Redundancy(from, to int, tiles []Rect) RedundancyStats {
 	stats := RedundancyStats{
-		PerDeviceFLOPs:     make([]float64, n),
-		PerDeviceRedundant: make([]float64, n),
+		PerDeviceFLOPs:     make([]float64, len(tiles)),
+		PerDeviceRedundant: make([]float64, len(tiles)),
 	}
-	for _, lo := range occ {
-		if lo.perRow == 0 {
-			continue
+	layers, shapes := c.segment(from, to)
+	out := shapes[to-from]
+	rects := make([][]Rect, len(tiles))
+	for k, tile := range tiles {
+		if c.Mode == Clamped {
+			tile = Rect{Rows: tile.Rows.Clamp(out.H), Cols: tile.Cols.Clamp(out.W)}
 		}
-		for row := 0; row < lo.outH; row++ {
-			var owners []int
-			for k, r := range lo.ranges {
-				if row >= r.Lo && row < r.Hi {
-					owners = append(owners, k)
-				}
-			}
-			m := len(owners)
-			if m == 0 {
-				continue
-			}
-			stats.TotalFLOPs += lo.perRow * float64(m)
-			for _, k := range owners {
-				stats.PerDeviceFLOPs[k] += lo.perRow
-			}
-			if m > 1 {
-				red := lo.perRow * float64(m-1)
-				stats.RedundantFLOPs += red
-				share := red / float64(m)
-				for _, k := range owners {
-					stats.PerDeviceRedundant[k] += share
-				}
-			}
-		}
+		rects[k] = c.boundaryRects(layers, shapes, tile, true)
+		stats.MaxInputBytes = max(stats.MaxInputBytes, c.RectBytes(from, rects[k][0]))
+	}
+	c.chainOverlap(&stats, layers, shapes, rects)
+	for _, f := range stats.PerDeviceFLOPs {
+		stats.TotalFLOPs += f
 	}
 	return stats
 }
 
-// collectOccupancy walks every atomic layer in [from, to) and records the
-// output rows each device computes, descending into block paths.
-func (c *Calc) collectOccupancy(from, to int, parts []Range) []layerOccupancy {
-	n := len(parts)
-	// Per-device boundary ranges through the chain.
-	perDevice := make([][]Range, n)
-	for k, p := range parts {
-		perDevice[k] = c.SegmentRanges(from, to, p)
-	}
-	var occ []layerOccupancy
-	shapes := c.M.Shapes()
-	for i := from; i < to; i++ {
-		l := &c.M.Layers[i]
-		outRanges := make([]Range, n)
-		for k := range parts {
-			outRanges[k] = perDevice[k][i-from+1]
+// chainOverlap accounts every layer of a chain — a segment, or one block
+// path — given each tile's regions at the chain's boundaries (rects[k] is
+// tile k's TileRects or PathTileRects).
+func (c *Calc) chainOverlap(s *RedundancyStats, layers []nn.Layer, shapes []nn.Shape, rects [][]Rect) {
+	outs := make([]Rect, len(rects))
+	for i := range layers {
+		for k := range rects {
+			outs[k] = rects[k][i+1]
 		}
-		if l.Kind == nn.Block {
-			occ = append(occ, c.blockOccupancy(l, shapes[i], outRanges)...)
+		if l := &layers[i]; l.Kind != nn.Block {
+			s.addLayer(float64(l.CellMACs(shapes[i])), outs)
 			continue
 		}
-		occ = append(occ, layerOccupancy{
-			perRow: float64(rowFLOPs(l, shapes[i], shapes[i+1])),
-			outH:   c.M.OutShape(i).H,
-			ranges: outRanges,
-		})
+		for _, path := range layers[i].Paths {
+			pathShapes := c.pathShapes(path, shapes[i])
+			needs := make([][]Rect, len(outs))
+			for k, out := range outs {
+				needs[k] = c.boundaryRects(path, pathShapes, out, true)
+			}
+			c.chainOverlap(s, path, pathShapes, needs)
+		}
 	}
-	return occ
 }
 
-// blockOccupancy expands a block into its path layers, back-propagating each
-// device's block-output range through every path.
-func (c *Calc) blockOccupancy(blk *nn.Layer, blockIn nn.Shape, outRanges []Range) []layerOccupancy {
-	n := len(outRanges)
-	var occ []layerOccupancy
-	for _, path := range blk.Paths {
-		if len(path) == 0 {
-			continue // identity shortcut performs no work
-		}
-		shapes := make([]nn.Shape, len(path)+1)
-		shapes[0] = blockIn
-		for i := range path {
-			next, err := path[i].OutShape(shapes[i])
-			if err != nil {
-				panic(fmt.Sprintf("partition: invalid block path layer %q: %v", path[i].Name, err))
-			}
-			shapes[i+1] = next
-		}
-		// Per-device needed output rows of each path layer.
-		needs := make([][]Range, n) // needs[k][i] = output rows of path[i]
-		for k, out := range outRanges {
-			needs[k] = make([]Range, len(path)+1)
-			r := out
-			for i := len(path) - 1; i >= 0; i-- {
-				needs[k][i+1] = r
-				r = c.layerInRange(&path[i], r, shapes[i].H)
-			}
-		}
-		for i := range path {
-			if path[i].Kind == nn.Block {
-				// Nested blocks are not produced by any builder; guard
-				// explicitly rather than mis-account silently.
-				panic("partition: nested blocks are not supported")
-			}
-			ranges := make([]Range, n)
-			for k := range outRanges {
-				ranges[k] = needs[k][i+1]
-			}
-			occ = append(occ, layerOccupancy{
-				perRow: float64(rowFLOPs(&path[i], shapes[i], shapes[i+1])),
-				outH:   shapes[i+1].H,
-				ranges: ranges,
-			})
+// addLayer accounts one atomic layer costing per MACs an output cell, of
+// which tile k computes the cells outs[k].
+func (s *RedundancyStats) addLayer(per float64, outs []Rect) {
+	if per == 0 {
+		return
+	}
+	var hull Rect
+	for _, r := range outs {
+		if !r.Empty() {
+			hull = hull.Hull(r)
 		}
 	}
-	return occ
+	if hull.Empty() {
+		return
+	}
+	// mult is a 2D difference array over the hull, one guard row and column
+	// wide, prefix-summed in place into every cell's multiplicity.
+	w := hull.Cols.Len() + 1
+	mult := make([]int, (hull.Rows.Len()+1)*w)
+	at := func(row, col int) *int { return &mult[(row-hull.Rows.Lo)*w+col-hull.Cols.Lo] }
+	for _, r := range outs {
+		if r.Empty() {
+			continue
+		}
+		*at(r.Rows.Lo, r.Cols.Lo)++
+		*at(r.Rows.Lo, r.Cols.Hi)--
+		*at(r.Rows.Hi, r.Cols.Lo)--
+		*at(r.Rows.Hi, r.Cols.Hi)++
+	}
+	for i := range mult {
+		if i%w != 0 {
+			mult[i] += mult[i-1]
+		}
+	}
+	covered, computed := 0, 0
+	for i := range mult {
+		if i >= w {
+			mult[i] += mult[i-w]
+		}
+		if mult[i] > 0 {
+			covered++
+		}
+	}
+	for k, r := range outs {
+		if r.Empty() {
+			continue
+		}
+		computed += r.Cells()
+		s.PerDeviceFLOPs[k] += per * float64(r.Cells())
+		for row := r.Rows.Lo; row < r.Rows.Hi; row++ {
+			// Each run of n cells of equal multiplicity m along the row
+			// carries n(m-1) redundant copies, shared by m tiles.
+			for col := r.Cols.Lo; col < r.Cols.Hi; {
+				m, start := *at(row, col), col
+				for col < r.Cols.Hi && *at(row, col) == m {
+					col++
+				}
+				s.PerDeviceRedundant[k] += per * float64(col-start) * float64(m-1) / float64(m)
+			}
+		}
+	}
+	s.RedundantFLOPs += per * float64(computed-covered)
 }

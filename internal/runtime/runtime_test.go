@@ -408,6 +408,65 @@ func TestGraphModelOverPipeline(t *testing.T) {
 	}
 }
 
+// TestSeparableGraphPlansAndRuns: a valid graph model whose block paths hold a
+// depthwise convolution and a 1x11 kernel used to panic the planner — the row
+// back-propagator advanced block paths with a made-up one-channel, eight-wide
+// shape. With one geometry the planner sees the path at its real shapes: the
+// model plans on the paper's cluster and on three devices, the strip rows are
+// the rows of the rects the engine executes, and the plan runs on sockets
+// byte-identically to a local run in both precisions.
+func TestSeparableGraphPlansAndRuns(t *testing.T) {
+	m := nn.TinySeparable()
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	calc := partition.NewCalc(m)
+	out := m.Output()
+	for _, rows := range partition.Equal(out.H, 3) {
+		rects := calc.TileRects(0, m.NumLayers(), partition.Rect{Rows: rows, Cols: partition.Full(out.W)})
+		for i, r := range calc.SegmentRanges(0, m.NumLayers(), rows) {
+			if r != rects[i].Rows {
+				t.Fatalf("rows %v boundary %d: SegmentRanges %v, TileRects %v", rows, i, r, rects[i])
+			}
+		}
+	}
+	if plan, err := core.PlanPipeline(m, cluster.PaperHeterogeneous(), core.Options{}); err != nil || len(plan.UsedDevices()) < 2 {
+		t.Fatalf("paper cluster: plan %+v, err %v", plan, err)
+	}
+	lc := startCluster(t, 3, nil)
+	for _, quant := range []bool{false, true} {
+		const seed = 23
+		plan, err := core.PlanPipeline(m, cluster.Homogeneous(3, 600e6), core.Options{Quantized: quant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.UsedDevices()) < 2 {
+			t.Fatalf("quant=%v: not a multi-device plan:\n%s", quant, plan.Describe())
+		}
+		p, err := NewPipeline(plan, lc.Addrs, PipelineOptions{Seed: seed, Quantized: quant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refOpts := []tensor.ExecutorOption{}
+		if quant {
+			refOpts = append(refOpts, tensor.WithQuantized())
+		}
+		ref, err := tensor.NewExecutor(m, seed, refOpts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for task := int64(0); task < 3; task++ {
+			in := tensor.RandomInput(m.Input, task)
+			if want, got := localRun(t, ref, quant, in), inferOne(t, p, in); !tensor.Equal(want, got) {
+				t.Fatalf("quant=%v task %d: distributed output differs by %g", quant, task, tensor.MaxAbsDiff(want, got))
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestManualStageSplitMatchesWorkers(t *testing.T) {
 	// Drive two workers by hand through one stage: split, distribute,
 	// stitch — the Fig. 6 workflow at its smallest.

@@ -274,15 +274,11 @@ func (e *Executor) Strip(to int, rows partition.Range) partition.Rect {
 }
 
 // TileFLOPs returns the MACs of producing region out of segment [from, to),
-// used for capacity emulation and accounting. A full-width region is priced
-// as the row strip it executes as (every boundary full-width, see
-// partition.Calc.TileRects); anything narrower by its back-propagated rects.
-// The count models the device's aggregate arithmetic and is independent of
-// how many pool workers execute the kernels.
+// used for capacity emulation and accounting: the planner's own count
+// (partition.Calc.SegmentRectFLOPs, over the regions RunTile computes). It
+// models the device's aggregate arithmetic and is independent of how many
+// pool workers execute the kernels.
 func (e *Executor) TileFLOPs(from, to int, out partition.Rect) int64 {
-	if out == e.Strip(to, out.Rows) {
-		return e.calc.SegmentRegionFLOPs(from, to, out.Rows)
-	}
 	return e.calc.SegmentRectFLOPs(from, to, out)
 }
 

@@ -70,6 +70,38 @@ func TestGridExecutionStrided(t *testing.T) {
 	}
 }
 
+// TestGridTileWidensToFullInsideBlock: a narrow tile whose halo grows to the
+// whole width at a block's output runs that block's paths full-width, so the
+// region the tile ships must be the one those paths read — trailing columns an
+// odd extent into the stride-2 path never touches included.
+func TestGridTileWidensToFullInsideBlock(t *testing.T) {
+	layers := []nn.Layer{
+		{
+			Name: "down", Kind: nn.Block, Combine: nn.Concat, Act: nn.NoAct,
+			Paths: [][]nn.Layer{{
+				{Name: "s2", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, OutC: 4, Act: nn.ReLU},
+			}},
+		},
+		{Name: "wide", Kind: nn.Conv, KH: 5, KW: 5, SH: 1, SW: 1, PH: 2, PW: 2, OutC: 3, Act: nn.ReLU},
+	}
+	m := &nn.Model{Name: "widen", Input: nn.Shape{C: 2, H: 20, W: 20}, Layers: layers}
+	e := mustExec(t, m)
+	in := RandomInput(m.Input, 5)
+	whole, err := e.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := m.Output() // 9 wide: columns [2,7) need all nine of the block's
+	tiles := []partition.Rect{
+		{Rows: partition.Full(out.H), Cols: partition.Range{Lo: 0, Hi: 2}},
+		{Rows: partition.Full(out.H), Cols: partition.Range{Lo: 2, Hi: 7}},
+		{Rows: partition.Full(out.H), Cols: partition.Range{Lo: 7, Hi: out.W}},
+	}
+	if got := runGridPartitioned(t, e, 0, 2, in, tiles); !Equal(whole, got) {
+		t.Fatalf("tiles differ by %g", MaxAbsDiff(whole, got))
+	}
+}
+
 func TestGridExecutionRandomProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 15; trial++ {

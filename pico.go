@@ -54,8 +54,6 @@ type (
 	// PartitionCalc computes receptive fields, region FLOPs and
 	// redundancy for one model.
 	PartitionCalc = partition.Calc
-	// GridTileStats summarizes a 2D tile partition of a fused segment.
-	GridTileStats = partition.GridStats
 
 	// OFLOptions configure the optimal-fused-layer baseline.
 	OFLOptions = schemes.OFLOptions
