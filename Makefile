@@ -20,7 +20,9 @@ race:
 
 # Targeted race pass over the packages with lock-free hot paths (kernel
 # worker pool, per-kind stat counters, pipeline stage drivers) — quicker
-# than the full `race` sweep when iterating on the engine.
+# than the full `race` sweep when iterating on the engine. ./internal/tensor
+# includes the per-variant GEMM suites (Fpw*, Qpw*), which swap the
+# process-wide active tile and are therefore never t.Parallel.
 race-hot:
 	$(GO) test -race ./internal/tensor ./internal/runtime
 
@@ -64,9 +66,12 @@ bench-quant-smoke:
 # table, reference vs blocked): exercises every float32 vector tile
 # (conv/pointwise/pool/gap/fc and the depthwise shapes at both strides)
 # through the blocked dispatch without a full timing run. Anchored so the
-# quant sweep does not run twice inside `check`.
+# quant sweep does not run twice inside `check`. The second line forces every
+# float pointwise tile variant the host runs (ZMM, YMM, portable) through the
+# GEMM walker on MobileNetV1's pointwise shapes.
 bench-kernel-smoke:
 	$(GO) test -run NONE -bench '^BenchmarkKernelKinds$$' -benchtime=1x .
+	$(GO) test -run NONE -bench '^BenchmarkFpwVariants$$' -benchtime=1x ./internal/tensor
 
 # Serving-gateway smoke under the race detector: the full binary path
 # (loopback workers, HTTP, micro-batcher, drain), the end-to-end

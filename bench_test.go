@@ -650,11 +650,13 @@ var kernelShapes = []kernelShape{
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 32, Groups: 32, Act: nn.ReLU, BatchNorm: true}},
 	{"depthwise7", nn.Shape{C: 1024, H: 7, W: 7},
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 1024, Groups: 1024, Act: nn.ReLU, BatchNorm: true}},
-	// MobileNetV1's pointwise layers, one per resolution: together they walk
-	// the int8 GEMM's pack, tile and epilogue from a 16-pair reduction over
-	// 12 544 columns to a 512-pair one over 49.
+	// MobileNetV1's pointwise layers, one per resolution (two at 56x56):
+	// together they walk both GEMM walkers' pack, tile and epilogue from a
+	// 32-channel reduction over 12 544 columns to a 1024-channel one over 49.
 	{"pointwise112x32-64", nn.Shape{C: 32, H: 112, W: 112},
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 64, Act: nn.ReLU, BatchNorm: true}},
+	{"pointwise56x64-128", nn.Shape{C: 64, H: 56, W: 56},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
 	{"pointwise56x128-128", nn.Shape{C: 128, H: 56, W: 56},
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 128, Act: nn.ReLU, BatchNorm: true}},
 	{"pointwise28x256-256", nn.Shape{C: 256, H: 28, W: 28},
@@ -663,11 +665,15 @@ var kernelShapes = []kernelShape{
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 512, Act: nn.ReLU, BatchNorm: true}},
 	{"pointwise7x1024-1024", nn.Shape{C: 1024, H: 7, W: 7},
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 1024, Act: nn.ReLU, BatchNorm: true}},
+	// The 14x14 layer as a 3-device pipeline stage runs it: a 3-row strip,
+	// 42 columns — one whole 32-column float tile and a ragged one.
+	{"pointwise14x512-512-rows3", nn.Shape{C: 512, H: 3, W: 14},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: 512, Act: nn.ReLU, BatchNorm: true}},
 }
 
 // BenchmarkKernelKinds measures every layer-kind kernel as ref (the
 // pre-blocking loops) vs blocked (the cache-blocked engine) pairs at par=1,
-// one sub-benchmark per kernelShapes entry:
+// one sub-benchmark per kernelShapes entry, reporting GMAC/s:
 //
 //	go test -bench 'KernelKinds' -benchtime=10x .
 func BenchmarkKernelKinds(b *testing.B) {
@@ -680,6 +686,7 @@ func BenchmarkKernelKinds(b *testing.B) {
 	}
 	for _, tc := range kernelShapes {
 		m := &nn.Model{Name: "bk-" + tc.name, Input: tc.in, Layers: []nn.Layer{tc.l}}
+		macs := float64(m.TotalFLOPs()) // the paper's FLOPs are multiply-accumulates
 		in := tensor.RandomInput(m.Input, 1)
 		for _, eng := range engines {
 			exec, err := tensor.NewExecutor(m, 1, eng.opts...)
@@ -701,6 +708,7 @@ func BenchmarkKernelKinds(b *testing.B) {
 					}
 					tensor.Recycle(out)
 				}
+				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
 	}

@@ -233,37 +233,15 @@ func FuzzFKernelTile(f *testing.F) {
 			}
 		}
 
-		// The two register-resident tiles have no scalar tail of their own;
-		// drive the raw asm where the host has it.
-		if simdFloat {
-			// fpwTile16: bias-seeded 4-channel x 16-column pointwise tile.
-			{
-				inC := 1 + int(p8)%7
-				chanStride := 16 + pad
-				src := randF((inC-1)*chanStride + 16)
-				w := randF(inC * 4)
-				bias := randF(4)
-				accStride := 16 + int(p9)%5
-				got := randF(4 * accStride)
-				want := append([]float32(nil), got...)
-				fpwTile16(&got[0], accStride, &src[0], chanStride, &w[0], &bias[0], inC)
-				for b := 0; b < 4; b++ {
-					for j := 0; j < 16; j++ {
-						v := bias[b]
-						for g := 0; g < inC; g++ {
-							v += w[g*4+b] * src[g*chanStride+j]
-						}
-						want[b*accStride+j] = v
-					}
-				}
-				for i := range want {
-					if !bitsEq(got[i], want[i]) {
-						t.Fatalf("fpwTile16 inC=%d: acc[%d]=%g want %g", inC, i, got[i], want[i])
-					}
-				}
-			}
+		// The pointwise register tiles: every variant the host runs (the ZMM
+		// and YMM tiles, the portable one) against its scalar contract.
+		for _, v := range fpwVariants {
+			checkFpwTile(t, v, rng, 1+int(p8)%7, v.nr+pad, v.nr+int(p9)%5)
+		}
 
-			// ffcPanel16: 16 features from a transposed weight panel.
+		// ffcPanel16 (16 features from a transposed weight panel) has no
+		// scalar tail of its own; drive the raw asm where the host has it.
+		if simdFloat {
 			{
 				panel := randF(n * 16)
 				src := randF(n)

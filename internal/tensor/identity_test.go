@@ -34,6 +34,16 @@ func oddStride2() *nn.Model {
 	}}
 }
 
+// eachTileVariant runs fn under every GEMM tile variant of precision dt.
+func eachTileVariant(t *testing.T, dt DType, fn func(t *testing.T, name string)) {
+	t.Helper()
+	if dt == Int8 {
+		eachQpwVariant(t, true, fn)
+		return
+	}
+	eachFpwVariant(t, fn)
+}
+
 // TestBitIdentity is the tiled = whole-map contract of the one segment
 // walker, as one table: {float32, int8} x {model} x {partitioning}. Every
 // cell must reproduce the whole-map run of the same segment byte for byte —
@@ -93,8 +103,8 @@ func TestBitIdentity(t *testing.T) {
 				whole := runTiled(t, ref, from, to, in, []partition.Rect{partition.FullRect(out.H, out.W)})
 				// The blocked engine against the reference loops (skipped for
 				// MobileNetV1, whose calibration forward alone is seconds of
-				// reference kernels) and, for int8, under every pointwise tile
-				// variant of this host.
+				// reference kernels) and under every GEMM tile variant this host
+				// runs in the cell's precision.
 				if m != mnv1 {
 					oracle, err := NewExecutor(m, 7, WithQuantized(), WithParallelism(1), WithReferenceKernels())
 					if err != nil {
@@ -104,7 +114,7 @@ func TestBitIdentity(t *testing.T) {
 						t.Fatal("blocked kernels differ from the reference kernels")
 					}
 				}
-				eachQpwVariant(t, dt == Int8, func(t *testing.T, vn string) {
+				eachTileVariant(t, dt, func(t *testing.T, vn string) {
 					if from == 0 && to == m.NumLayers() {
 						var viaRun FMap
 						if dt == Int8 {

@@ -22,9 +22,9 @@ type geom struct {
 
 // fullWidth reports whether the tile holds whole input rows and the call
 // produces whole output rows (outW wide) — a row strip. The width-specialised
-// kernels (depthwise plane walker, flattened pointwise, tap-major pools)
-// require it, and it is observed here, from the tile, never implied by the
-// entry point that was called.
+// kernels (depthwise plane walker, tap-major pools) require it, and it is
+// observed here, from the tile, never implied by the entry point that was
+// called.
 func (g geom) fullWidth(tileW, outW int) bool {
 	return g.colLo == 0 && tileW == g.in.W && g.out.Cols == partition.Full(outW)
 }
@@ -81,10 +81,10 @@ func pointwise(l *nn.Layer) bool {
 //
 // This is a dispatcher over cache-blocked kernels that all preserve the
 // reference's per-element accumulation order (ic, kh, kw) exactly (see
-// DESIGN.md). A full-width tile takes the depthwise plane walker (groups ==
-// channels) or the 1x1 stride-1 row-panel matmul where the shape allows;
-// everything else — including every partial-width tile — takes the general
-// register-tiled kernel, whose row primitive works in global column
+// DESIGN.md). A 1x1 stride-1 conv takes the packed GEMM walker on any tile,
+// a full-width tile of a groups == channels conv the depthwise plane walker;
+// everything else — including every other partial-width tile — takes the
+// general register-tiled kernel, whose row primitive works in global column
 // coordinates. convForwardRef keeps the original single-channel sweep for
 // property tests and benchmarks.
 func convForward(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
@@ -92,16 +92,11 @@ func convForward(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tens
 		// Hand-built weights without a register-tile plan (tests).
 		return convForwardRef(in, g, l, wts, par)
 	}
-	if g.fullWidth(in.W, outWidth(l, g.in.W)) {
-		switch {
-		case depthwise(l, in.C):
-			return convForwardDepthwise(in, g, l, wts, par)
-		case pointwise(l):
-			if floatPointwiseAvailable(g.out.Rows.Len() * in.W) {
-				return convForwardPointwiseSIMD(in, g, l, wts, par)
-			}
-			return convForwardPointwise(in, g, l, wts, par)
-		}
+	switch {
+	case pointwise(l):
+		return convForwardPointwise(in, g, l, wts, par)
+	case depthwise(l, in.C) && g.fullWidth(in.W, outWidth(l, g.in.W)):
+		return convForwardDepthwise(in, g, l, wts, par)
 	}
 	return convForwardBlocked(in, g, l, wts, par)
 }
@@ -207,128 +202,6 @@ func convForwardBlocked(in Tensor, g geom, l *nn.Layer, wts *convWeights, par in
 			}
 			for b := 0; b < blk.width; b++ {
 				finishChannel(accs[b], wts, blk.oc0+b, l.Act)
-			}
-		}
-	})
-	return out
-}
-
-// convForwardPointwise handles 1x1 stride-1 unpadded convolutions — most of
-// InceptionV3's channel mixers — as a blocked row-panel matrix multiply:
-// output row or of an oc-block is sum over input channels of (scalar weight x
-// input row), with no tap-bounds logic at all since output and input rows
-// align 1:1.
-func convForwardPointwise(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
-	inLo, outLo, outHi := g.rowLo, g.out.Rows.Lo, g.out.Rows.Hi
-	outW := in.W
-	outRows := outHi - outLo
-	out := Alloc(l.OutC, outRows, outW)
-	grain := grainFor(ocBlockWidth * in.C * outW)
-	parallelForGrain(len(wts.blocks)*outRows, par, grain, func(lo, hi int) {
-		var accs [ocBlockWidth][]float32
-		for u := lo; u < hi; u++ {
-			blk := &wts.blocks[u/outRows]
-			or := u % outRows
-			ih := outLo + or - inLo
-			if ih < 0 || ih >= in.H {
-				panic(fmt.Sprintf("tensor: conv needs global row %d outside tile [%d,%d)", outLo+or, inLo, inLo+in.H))
-			}
-			for b := 0; b < blk.width; b++ {
-				oc := blk.oc0 + b
-				acc := out.Data[(oc*outRows+or)*outW : (oc*outRows+or+1)*outW]
-				for i := range acc {
-					acc[i] = wts.bias[oc]
-				}
-				accs[b] = acc
-			}
-			if blk.packed != nil {
-				n := outW
-				d0 := accs[0][:n]
-				d1 := accs[1][:n]
-				d2 := accs[2][:n]
-				d3 := accs[3][:n]
-				for g := 0; g < in.C; g++ {
-					src := in.Data[(g*in.H+ih)*in.W:][:n]
-					pk := blk.packed[g*ocBlockWidth:]
-					w0, w1, w2, w3 := pk[0], pk[1], pk[2], pk[3]
-					for i, v := range src {
-						d0[i] += w0 * v
-						d1[i] += w1 * v
-						d2[i] += w2 * v
-						d3[i] += w3 * v
-					}
-				}
-			} else {
-				for b := 0; b < blk.width; b++ {
-					oc := blk.oc0 + b
-					for g := 0; g < in.C; g++ {
-						inRow := in.Data[(g*in.H+ih)*in.W:][:in.W]
-						row := wts.row(oc*in.C + g)
-						convRow(accs[b], inRow, row, 1, 0, 0, 0, in.W, outW)
-					}
-				}
-			}
-			for b := 0; b < blk.width; b++ {
-				finishChannel(accs[b], wts, blk.oc0+b, l.Act)
-			}
-		}
-	})
-	return out
-}
-
-// convForwardPointwiseSIMD is the vector form of convForwardPointwise: the
-// 1:1 row mapping lets the whole strip flatten into n = outRows*outW
-// contiguous columns per channel, walked in 4-channel x 16-column tiles whose
-// 64 float32 accumulators live in registers across the entire input-channel
-// reduction. The tile seeds itself from the bias and accumulates channels in
-// ascending order — the scalar kernel's exact chain per output element — and
-// the overlapped final tile recomputes its columns from the bias again, so
-// the overlap changes nothing.
-func convForwardPointwiseSIMD(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
-	inLo, outLo, outHi := g.rowLo, g.out.Rows.Lo, g.out.Rows.Hi
-	outW := in.W
-	outRows := outHi - outLo
-	out := Alloc(l.OutC, outRows, outW)
-	n := outRows * outW
-	ihBase := outLo - inLo
-	if ihBase < 0 || ihBase+outRows > in.H {
-		panic(fmt.Sprintf("tensor: conv needs global rows [%d,%d) outside tile [%d,%d)", outLo, outHi, inLo, inLo+in.H))
-	}
-	chanStride := in.H * in.W
-	base := ihBase * in.W
-	parallelForGrain(len(wts.blocks), par, grainFor(ocBlockWidth*in.C*n), func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			blk := &wts.blocks[u]
-			if blk.packed == nil {
-				// Ragged or sparse block: flattened per-channel sweep.
-				for b := 0; b < blk.width; b++ {
-					oc := blk.oc0 + b
-					acc := out.Data[oc*n : (oc+1)*n]
-					for i := range acc {
-						acc[i] = wts.bias[oc]
-					}
-					for g := 0; g < in.C; g++ {
-						src := in.Data[g*chanStride+base:][:n]
-						row := wts.row(oc*in.C + g)
-						convRow(acc, src, row, 1, 0, 0, 0, n, n)
-					}
-					finishChannel(acc, wts, oc, l.Act)
-				}
-				continue
-			}
-			acc := out.Data[blk.oc0*n:]
-			for x0 := 0; ; x0 += fpwTileCols {
-				if x0+fpwTileCols > n {
-					x0 = n - fpwTileCols // overlapped tail, recomputed bit-identically
-				}
-				fpwTile16(&acc[x0], n, &in.Data[base+x0], chanStride, &blk.packed[0], &wts.bias[blk.oc0], in.C)
-				if x0+fpwTileCols >= n {
-					break
-				}
-			}
-			for b := 0; b < blk.width; b++ {
-				oc := blk.oc0 + b
-				finishChannel(out.Data[oc*n:(oc+1)*n], wts, oc, l.Act)
 			}
 		}
 	})

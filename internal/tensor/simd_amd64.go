@@ -4,16 +4,18 @@ package tensor
 
 import "pico/internal/nn"
 
-// probeCPU reports whether the CPU and OS support AVX2 and, on top of it,
-// the VPDPWSSD tile: AVX512F+VL+VNNI with opmask and ZMM state enabled (see
-// simd_amd64.s).
-func probeCPU() (avx2, vnni bool)
+// probeCPU reports whether the CPU and OS support AVX2, on top of it 512-bit
+// registers (AVX512F with opmask and ZMM state enabled), and on top of those
+// the VPDPWSSD tile (AVX512VL+VNNI); see simd_amd64.s.
+func probeCPU() (avx2, avx512, vnni bool)
 
-// hasAVX2 gates every vector kernel on amd64, hasVNNI the dot-product
-// pointwise tile. The scalar kernels are the contract; the tiles compute the
-// identical wrapping int32 accumulators, so enabling them never changes an
-// output bit — the property tests run every variant against the reference.
-var hasAVX2, hasVNNI = probeCPU()
+// hasAVX2 gates every vector kernel on amd64, hasAVX512 the ZMM float
+// pointwise tile, hasVNNI the dot-product int8 one. The scalar kernels are the
+// contract; the tiles compute the identical values — wrapping int32
+// accumulators, float lanes chained in the scalar order — so enabling them
+// never changes an output bit: the property tests run every variant against
+// the reference.
+var hasAVX2, hasAVX512, hasVNNI = probeCPU()
 
 // qpwPack is the vector form of qpwPackPortable (see simd_amd64.s).
 //
@@ -150,11 +152,27 @@ func fmacRow(dst *float32, src *float32, w float32, n int)
 //go:noescape
 func fmaxPair8(dst *float32, a, b *float32, n int)
 
-// fpwTile16 computes a bias-seeded 4-channel x 16-column float pointwise
-// accumulator tile directly into the output (see simd_amd64.s).
+// fpwTile16 and fpwTile32 compute a bias-seeded 4-channel x 16-column (YMM)
+// resp. x 32-column (ZMM) float pointwise accumulator tile (see simd_amd64.s).
 //
 //go:noescape
 func fpwTile16(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
+
+//go:noescape
+func fpwTile32(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
+
+// fpwArchVariants lists the float pointwise tiles this CPU runs, fastest
+// first. Both read ocBlock.packed as is.
+func fpwArchVariants() []*fpwVariant {
+	var vs []*fpwVariant
+	if hasAVX512 {
+		vs = append(vs, fpwAsm("avx512", 32, fpwTile32))
+	}
+	if hasAVX2 {
+		vs = append(vs, fpwAsm("avx2", 16, fpwTile16))
+	}
+	return vs
+}
 
 // ffcPanel16 computes 16 fully-connected output features from a transposed
 // weight panel (see simd_amd64.s).

@@ -1,4 +1,4 @@
-// AVX2 (and, for the pointwise tile, AVX-512 VNNI) kernels of the tensor
+// AVX2 (and, for the pointwise tiles, AVX-512F and VNNI) kernels of the tensor
 // engine. Integer semantics are exactly Go's: VPMULLD is the low 32 bits of
 // the product, VPMADDWD's pair sums are exact for int8-range operands, and
 // VPADDD / VPDPWSSD wrap, so accumulated int32 values match the scalar
@@ -6,16 +6,18 @@
 
 #include "textflag.h"
 
-// func probeCPU() (avx2, vnni bool)
+// func probeCPU() (avx2, avx512, vnni bool)
 //
 // AVX2 requires CPUID.7.0:EBX[5] plus OS support for YMM state
-// (CPUID.1:ECX[27] OSXSAVE and XCR0[2:1] == 11). The VNNI tile is EVEX
-// VPDPWSSD over Z16-Z31 with an opmask: CPUID.7.0:EBX[16] AVX512F, EBX[31]
-// AVX512VL, ECX[11] AVX512_VNNI, and XCR0[7:5] == 111 (opmask, ZMM_Hi256,
-// Hi16_ZMM state enabled by the OS).
-TEXT ·probeCPU(SB), NOSPLIT, $0-2
+// (CPUID.1:ECX[27] OSXSAVE and XCR0[2:1] == 11). 512-bit float (fpwTile32)
+// needs CPUID.7.0:EBX[16] AVX512F and XCR0[7:5] == 111 (opmask, ZMM_Hi256,
+// Hi16_ZMM state enabled by the OS). The VNNI tile is EVEX VPDPWSSD over
+// Z16-Z31 with an opmask: on top of that EBX[31] AVX512VL and ECX[11]
+// AVX512_VNNI.
+TEXT ·probeCPU(SB), NOSPLIT, $0-3
 	MOVB $0, avx2+0(FP)
-	MOVB $0, vnni+1(FP)
+	MOVB $0, avx512+1(FP)
+	MOVB $0, vnni+2(FP)
 	MOVL $0, AX
 	CPUID
 	CMPL AX, $7
@@ -40,12 +42,14 @@ TEXT ·probeCPU(SB), NOSPLIT, $0-2
 	ANDL $0xe0, R8 // opmask, ZMM_Hi256, Hi16_ZMM state enabled
 	CMPL R8, $0xe0
 	JNE  done
-	ANDL $((1<<16)|(1<<31)), BX // AVX512F, AVX512VL
-	CMPL BX, $((1<<16)|(1<<31))
-	JNE  done
+	TESTL $(1<<16), BX // AVX512F
+	JZ   done
+	MOVB $1, avx512+1(FP)
+	TESTL $(1<<31), BX // AVX512VL
+	JZ   done
 	TESTL $(1<<11), CX // AVX512_VNNI
 	JZ   done
-	MOVB $1, vnni+1(FP)
+	MOVB $1, vnni+2(FP)
 done:
 	RET
 
@@ -922,6 +926,68 @@ fpwloop:
 	LEAQ (DI)(R8*4), DI
 	VMOVUPS Y6, (DI)
 	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// FPW_MAC is one output channel's step of fpwTile32: both column halves of
+// the input channel in Z8/Z9 times the channel's broadcast weight, multiply
+// and add rounded separately.
+#define FPW_MAC(off, a, b) \
+	VBROADCASTSS off(DX), Z10 \
+	VMULPS Z8, Z10, Z11 \
+	VADDPS Z11, a, a \
+	VMULPS Z9, Z10, Z12 \
+	VADDPS Z12, b, b
+
+// func fpwTile32(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
+//
+// fpwTile16's contract over 32 columns on 512-bit registers (AVX512F):
+//
+//	acc[b*accStride+j] = bias[b] + sum over g of wgt[g*4+b]*src[g*chanStride+j]
+//
+// for b in [0,4), j in [0,32). Eight independent accumulator chains cover the
+// add's 4-cycle latency; VMULPS+VADDPS on two 512-bit ports is 16 MAC a
+// cycle, twice the YMM tile. The caller guarantees inC >= 1 and 32 readable
+// float32s at every src[g*chanStride].
+TEXT ·fpwTile32(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ accStride+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ chanStride+24(FP), BX
+	MOVQ wgt+32(FP), DX
+	MOVQ bias+40(FP), AX
+	MOVQ inC+48(FP), CX
+	SHLQ $2, BX // channel stride in bytes
+	VBROADCASTSS (AX), Z0
+	VMOVAPS Z0, Z1
+	VBROADCASTSS 4(AX), Z2
+	VMOVAPS Z2, Z3
+	VBROADCASTSS 8(AX), Z4
+	VMOVAPS Z4, Z5
+	VBROADCASTSS 12(AX), Z6
+	VMOVAPS Z6, Z7
+fpw32loop:
+	VMOVUPS (SI), Z8   // columns 0..15 of this input channel
+	VMOVUPS 64(SI), Z9 // columns 16..31
+	FPW_MAC(0, Z0, Z1)
+	FPW_MAC(4, Z2, Z3)
+	FPW_MAC(8, Z4, Z5)
+	FPW_MAC(12, Z6, Z7)
+	ADDQ BX, SI
+	ADDQ $16, DX
+	DECQ CX
+	JNZ  fpw32loop
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	LEAQ (DI)(R8*4), DI
+	VMOVUPS Z2, (DI)
+	VMOVUPS Z3, 64(DI)
+	LEAQ (DI)(R8*4), DI
+	VMOVUPS Z4, (DI)
+	VMOVUPS Z5, 64(DI)
+	LEAQ (DI)(R8*4), DI
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, 64(DI)
 	VZEROUPPER
 	RET
 

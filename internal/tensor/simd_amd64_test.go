@@ -4,6 +4,7 @@ package tensor
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -40,7 +41,46 @@ func TestSIMDNameMatchesCPUInfo(t *testing.T) {
 	if got := SIMDName(); got != want {
 		t.Fatalf("SIMDName() = %q, /proc/cpuinfo flags imply %q", got, want)
 	}
-	if hasVNNI && !hasAVX2 {
-		t.Fatal("probe reports VNNI without AVX2")
+	if hasVNNI && !hasAVX512 || hasAVX512 && !hasAVX2 {
+		t.Fatalf("probe is not nested: avx2=%v avx512=%v vnni=%v", hasAVX2, hasAVX512, hasVNNI)
+	}
+	if hasAVX512 != (flags["avx2"] && flags["avx512f"]) {
+		t.Fatalf("hasAVX512 = %v, /proc/cpuinfo flags avx2=%v avx512f=%v", hasAVX512, flags["avx2"], flags["avx512f"])
+	}
+}
+
+// TestVariantTablesMatchProbe: both GEMM walkers pick their tile from the CPU
+// probe alone — every tile the probe allows and no other, fastest first, the
+// portable one last — so 512-bit float runs on a host without VNNI and nothing
+// wider than the probe allows can be dispatched.
+func TestVariantTablesMatchProbe(t *testing.T) {
+	var fnames, qnames []string
+	for _, v := range fpwVariants {
+		fnames = append(fnames, v.name)
+	}
+	for _, v := range qpwVariants {
+		qnames = append(qnames, v.name)
+	}
+	wantF, wantQ := []string{"portable"}, []string{"portable"}
+	if hasAVX2 {
+		wantF, wantQ = append([]string{"avx2"}, wantF...), append([]string{"avx2"}, wantQ...)
+	}
+	if hasAVX512 {
+		wantF = append([]string{"avx512"}, wantF...)
+	}
+	if hasVNNI {
+		wantQ = append([]string{"avx2+vnni"}, wantQ...)
+	}
+	if !slices.Equal(fnames, wantF) || !slices.Equal(qnames, wantQ) {
+		t.Fatalf("variant tables %v / %v, probe (avx2=%v avx512=%v vnni=%v) implies %v / %v",
+			fnames, qnames, hasAVX2, hasAVX512, hasVNNI, wantF, wantQ)
+	}
+	if fpwActive != fpwVariants[0] || qpwActive != qpwVariants[0] {
+		t.Fatal("the active variant is not the table's first")
+	}
+	for i, v := range fpwVariants[:len(fpwVariants)-1] {
+		if v.nr < fpwVariants[i+1].nr {
+			t.Fatalf("float tiles not widest first: %v", fnames)
+		}
 	}
 }

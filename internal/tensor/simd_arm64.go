@@ -144,10 +144,18 @@ func fmacRow(dst *float32, src *float32, w float32, n int)
 func fmaxPair8(dst *float32, a, b *float32, n int)
 
 // fpwTile16 computes a bias-seeded 4-channel x 16-column float pointwise
-// accumulator tile directly into the output (see simd_arm64.s).
+// accumulator tile (see simd_arm64.s).
 //
 //go:noescape
 func fpwTile16(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
+
+// fpwArchVariants lists the float pointwise tile this CPU runs.
+func fpwArchVariants() []*fpwVariant {
+	if !hasNEON {
+		return nil
+	}
+	return []*fpwVariant{fpwAsm("neon", 16, fpwTile16)}
+}
 
 // ffcPanel16 computes 16 fully-connected output features from a transposed
 // weight panel (see simd_arm64.s).

@@ -25,15 +25,6 @@ var simdFloat = simdFloatAvailable()
 // vector ones.
 func FloatSIMD() bool { return simdFloat }
 
-// fpwTileCols is the column width of the float SIMD pointwise tile: 4 output
-// channels x 16 float32 accumulators fill eight 256-bit (or thirty-two
-// 128-bit NEON) registers.
-const fpwTileCols = 16
-
-// floatPointwiseAvailable reports whether the vector float pointwise path
-// can run for a strip of n flattened output columns.
-func floatPointwiseAvailable(n int) bool { return simdFloat && n >= fpwTileCols }
-
 // macRows4F accumulates acc[r*accStride+i] += w[r]*src[i*sw] for r in [0,4),
 // i in [0,n). acc holds 4 rows at accStride; w must have 4 entries. src must
 // have at least (n-1)*sw+1 readable float32s. Lanes are output columns, so
@@ -208,17 +199,11 @@ func gapSum8F(dst *[8]float32, src []float32, chanStride, n int) {
 func finishRowF(acc []float32, scale, shift float32, bn bool, act nn.Activation) {
 	if simdFloat {
 		if m := len(acc) &^ 7; m >= 8 {
-			code, bnFlag := 0, 0
-			switch act {
-			case nn.ReLU:
-				code = 1
-			case nn.LeakyReLU:
-				code = 2
-			}
+			bnFlag := 0
 			if bn {
 				bnFlag = 1
 			}
-			fepiRow(&acc[0], scale, shift, bnFlag, code, m)
+			fepiRow(&acc[0], scale, shift, bnFlag, actCode(act), m)
 			acc = acc[m:]
 		}
 	}

@@ -59,9 +59,8 @@ func fmaxPair8(dst *float32, a, b *float32, n int) {
 	panic("tensor: fmaxPair8 without SIMD support")
 }
 
-func fpwTile16(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int) {
-	panic("tensor: fpwTile16 without SIMD support")
-}
+// fpwArchVariants is empty: the float pointwise walker runs the portable tile.
+func fpwArchVariants() []*fpwVariant { return nil }
 
 func ffcPanel16(dst *float32, panel *float32, src *float32, bias *float32, n int) {
 	panic("tensor: ffcPanel16 without SIMD support")
