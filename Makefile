@@ -21,8 +21,10 @@ race:
 # Targeted race pass over the packages with lock-free hot paths (kernel
 # worker pool, per-kind stat counters, pipeline stage drivers) — quicker
 # than the full `race` sweep when iterating on the engine. ./internal/tensor
-# includes the per-variant GEMM suites (Fpw*, Qpw*), which swap the
-# process-wide active tile and are therefore never t.Parallel.
+# includes the per-variant GEMM suites (Fpw*, Qpw*) — among them
+# TestFpwGatherMatchesReference, every float convolution's gather and the
+# padded-tap contract under every tile — which swap the process-wide active
+# tile and are therefore never t.Parallel.
 race-hot:
 	$(GO) test -race ./internal/tensor ./internal/runtime
 
@@ -63,12 +65,13 @@ bench-quant-smoke:
 	$(GO) test -run NONE -bench QuantKernelKinds -benchtime=1x .
 
 # One-iteration pass over the float kernel-kind sweep (the same kernelShapes
-# table, reference vs blocked): exercises every float32 vector tile
-# (conv/pointwise/pool/gap/fc and the depthwise shapes at both strides)
-# through the blocked dispatch without a full timing run. Anchored so the
+# table, reference vs production kernels, the latter's rows still named
+# `blocked`): exercises every float32 vector tile (conv/pointwise/pool/gap/fc
+# and the depthwise shapes at both strides) without a full timing run. Anchored so the
 # quant sweep does not run twice inside `check`. The second line forces every
-# float pointwise tile variant the host runs (ZMM, YMM, portable) through the
-# GEMM walker on MobileNetV1's pointwise shapes.
+# float tile variant the host runs (ZMM, YMM, portable) through the GEMM
+# walker on MobileNetV1's pointwise shapes and, through the gather, on its
+# stem, VGG-style 3x3s at both strides, Inception's 1x7 and ToyChain's layers.
 bench-kernel-smoke:
 	$(GO) test -run NONE -bench '^BenchmarkKernelKinds$$' -benchtime=1x .
 	$(GO) test -run NONE -bench '^BenchmarkFpwVariants$$' -benchtime=1x ./internal/tensor

@@ -502,7 +502,7 @@ func BenchmarkGridPlanRemote(b *testing.B) {
 }
 
 // BenchmarkRunTileRect times the segment walker on a partial-width tile (one
-// quadrant of a 2x2 grid): the general blocked kernels and per-cell pools.
+// quadrant of a 2x2 grid): the gathered GEMM walker and per-cell pools.
 func BenchmarkRunTileRect(b *testing.B) {
 	m := nn.ToyChain("bench-rect", 4, 2, 16, 64)
 	exec, err := tensor.NewExecutor(m, 1)
@@ -646,6 +646,10 @@ var kernelShapes = []kernelShape{
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1, OutC: 32, Act: nn.ReLU, BatchNorm: true}},
 	{"conv3x3-56x64-128", nn.Shape{C: 64, H: 56, W: 56},
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 128, Act: nn.ReLU}},
+	// ResNet34's stem: 147 taps at stride 2, the widest kernel the float
+	// walker gathers in the paper's models.
+	{"stem224x3-64-7x7s2", nn.Shape{C: 3, H: 224, W: 224},
+		nn.Layer{Name: "c", Kind: nn.Conv, KH: 7, KW: 7, SH: 2, SW: 2, PH: 3, PW: 3, OutC: 64, Act: nn.ReLU, BatchNorm: true}},
 	{"depthwise112", nn.Shape{C: 32, H: 112, W: 112},
 		nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 32, Groups: 32, Act: nn.ReLU, BatchNorm: true}},
 	{"depthwise7", nn.Shape{C: 1024, H: 7, W: 7},

@@ -9,8 +9,8 @@ import (
 	"pico/internal/nn"
 )
 
-// blockedCase is one conv geometry for the blocked-vs-reference property
-// tests. The set spans every kernel dispatch path: general register-tiled
+// blockedCase is one conv geometry for the kernels-vs-reference property
+// tests. The set spans every kernel dispatch path: the gathered GEMM walker
 // (square, tall, wide, strided, ragged oc counts), pointwise, depthwise, and
 // grouped-but-not-depthwise, with all activations and batch norm on and off.
 type blockedCase struct {
@@ -62,7 +62,7 @@ func convInputRows(l *nn.Layer, outLo, outHi, inH int) (int, int) {
 
 // TestBlockedMatchesReferenceBitExact is the central property test of the
 // cache-blocked engine: for every geometry, every parallelism setting, and
-// a sweep of output-row tile offsets, the blocked kernels must produce
+// a sweep of output-row tile offsets, convForward's kernels must produce
 // byte-identical output to the pre-blocking reference loops.
 func TestBlockedMatchesReferenceBitExact(t *testing.T) {
 	for ci, tc := range blockedCases() {
@@ -103,8 +103,8 @@ func TestBlockedMatchesReferenceBitExact(t *testing.T) {
 // TestBlockedSparseFallbackBitExact zeroes individual taps after generation
 // so compact drops them, re-packs, and checks the engine still matches the
 // reference bit-for-bit — i.e. sparse blocks correctly decline the packed
-// fast path (whose dense loop would reorder the zero-skip) and fall back to
-// the compacted per-channel rows.
+// tile (which would multiply the zero weights the reference skips) and fall
+// back to the walker's per-channel sweep over the gathered panel.
 func TestBlockedSparseFallbackBitExact(t *testing.T) {
 	l := nn.Layer{
 		Name: "sparse", Kind: nn.Conv,
@@ -316,7 +316,8 @@ func TestRunNeverRecyclesCallerInput(t *testing.T) {
 }
 
 // TestPackPlanCoversAllChannels sanity-checks the register-tile plan: blocks
-// partition [0, OutC) without gaps or overlap, stay within their group, and
+// partition [0, OutC) without gaps or overlap, stay within their group, sit
+// where the GEMM walker indexes them (group g's i-th block at g*obg+i), and
 // pack exactly the dense full-width blocks.
 func TestPackPlanCoversAllChannels(t *testing.T) {
 	cases := []struct {
@@ -330,14 +331,15 @@ func TestPackPlanCoversAllChannels(t *testing.T) {
 			wts := genConv(1, "plan", &l, tc.inC)
 			groups := max(tc.groups, 1)
 			ocg := tc.outC / groups
+			obg := (ocg + ocBlockWidth - 1) / ocBlockWidth
 			covered := make([]int, tc.outC)
-			for _, blk := range wts.blocks {
+			for i, blk := range wts.blocks {
+				if want := i/obg*ocg + i%obg*ocBlockWidth; blk.oc0 != want {
+					t.Fatalf("block %d starts at oc0=%d, the walker reads it as %d", i, blk.oc0, want)
+				}
 				for b := 0; b < blk.width; b++ {
 					oc := blk.oc0 + b
 					covered[oc]++
-					if g := oc / ocg; g*(tc.inC/groups) != blk.icBase {
-						t.Fatalf("block at oc0=%d: icBase %d wrong for group %d", blk.oc0, blk.icBase, g)
-					}
 					if blk.oc0/ocg != oc/ocg {
 						t.Fatalf("block at oc0=%d width %d crosses group boundary", blk.oc0, blk.width)
 					}

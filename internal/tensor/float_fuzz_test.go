@@ -28,7 +28,6 @@ func FuzzFKernelTile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p0, p1, p2, p3, p4, p5, p6, p7, p8, p9 uint8) {
 		n := 1 + int(p0)%96
 		pad := int(p1) % 9
-		stride := n + pad
 		rng := rand.New(rand.NewSource(int64(p2)<<40 | int64(p3)<<32 | int64(p4)<<24 |
 			int64(p5)<<16 | int64(p6)<<8 | int64(p7)))
 		randF := func(k int) []float32 {
@@ -42,47 +41,22 @@ func FuzzFKernelTile(f *testing.F) {
 			return math.Float32bits(a) == math.Float32bits(b)
 		}
 
-		// macRows4F, both strides.
-		for _, sw := range []int{1, 2} {
-			src := randF((n-1)*sw + 1)
-			w := randF(4)
-			got := randF(4 * stride)
-			want := append([]float32(nil), got...)
-			macRows4F(got, stride, src, w, sw, n)
-			for r := 0; r < 4; r++ {
-				for i := 0; i < n; i++ {
-					want[r*stride+i] += w[r] * src[i*sw]
+		// The convolution GEMM walker under every tile variant, on the conv
+		// geometry FuzzConvGeometry reads from the same tuple — gathered taps,
+		// padding zeros, groups and depthwise included — against the
+		// reference kernel, whole map at two worker counts.
+		if l, in, wts, ok := fuzzConv(p0, p1, p2, p3, p4, p5, p6, p7, p8, p9); ok {
+			outH := (in.H+2*l.PH-l.KH)/l.SH + 1
+			g := stripGeom(&l, in.C, in.W, 0, in.H, 0, outH)
+			ref := convForwardRef(in, g, &l, wts, 1)
+			eachFpwVariant(t, func(t *testing.T, vn string) {
+				for _, par := range []int{1, 3} {
+					if got := convForwardGEMM(in, g, &l, wts, par); !Equal(got, ref) {
+						t.Fatalf("%s %dx%d/%d,%d pad %d,%d groups %d inC %d outC %d par %d: walker differs from the reference by %g",
+							vn, l.KH, l.KW, l.SH, l.SW, l.PH, l.PW, l.Groups, in.C, l.OutC, par, MaxAbsDiff(got, ref))
+					}
 				}
-			}
-			for i := range want {
-				if !bitsEq(got[i], want[i]) {
-					t.Fatalf("macRows4F sw=%d n=%d stride=%d: acc[%d]=%g want %g", sw, n, stride, i, got[i], want[i])
-				}
-			}
-		}
-
-		// mac3Rows4F: fused dense 3-tap, tap-major 12-weight row. The
-		// reference chains the taps one statement at a time — the exact
-		// order the fused kernel must preserve.
-		{
-			src := randF(n + 2)
-			w := randF(12)
-			got := randF(4 * stride)
-			want := append([]float32(nil), got...)
-			mac3Rows4F(got, stride, src, w, n)
-			for r := 0; r < 4; r++ {
-				for i := 0; i < n; i++ {
-					v := want[r*stride+i] + w[r]*src[i]
-					v += w[4+r] * src[i+1]
-					v += w[8+r] * src[i+2]
-					want[r*stride+i] = v
-				}
-			}
-			for i := range want {
-				if !bitsEq(got[i], want[i]) {
-					t.Fatalf("mac3Rows4F n=%d stride=%d: acc[%d]=%g want %g", n, stride, i, got[i], want[i])
-				}
-			}
+			})
 		}
 
 		// dw3RowF: fused depthwise 3-tap.

@@ -9,9 +9,9 @@ import (
 )
 
 // simdMixModel builds a model whose layers hit every vectorized float conv
-// path: the fused dense 3-tap rows, the stride-2 tap sweep, the pointwise
-// tile, the depthwise fused row and the 2x2 stride-2 max-pool pair. Spatial
-// extent hw must be even (the pool halves it).
+// path: the GEMM tile over gathered taps at stride 1 and 2 and over copied
+// channel planes (pointwise), the depthwise fused row and the 2x2 stride-2
+// max-pool pair. Spatial extent hw must be even (the pool halves it).
 func simdMixModel(name string, c, hw int) *nn.Model {
 	return &nn.Model{
 		Name:  name,

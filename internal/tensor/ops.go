@@ -79,32 +79,29 @@ func pointwise(l *nn.Layer) bool {
 
 // convForward computes region g.out of a convolution from the tile in.
 //
-// This is a dispatcher over cache-blocked kernels that all preserve the
-// reference's per-element accumulation order (ic, kh, kw) exactly (see
-// DESIGN.md). A 1x1 stride-1 conv takes the packed GEMM walker on any tile,
-// a full-width tile of a groups == channels conv the depthwise plane walker;
-// everything else — including every other partial-width tile — takes the
-// general register-tiled kernel, whose row primitive works in global column
-// coordinates. convForwardRef keeps the original single-channel sweep for
-// property tests and benchmarks.
+// Two kernels, both preserving the reference's per-element accumulation
+// order (ic, kh, kw) exactly (DESIGN.md §6): a full-width tile of a
+// groups == channels conv takes the depthwise plane walker; every other conv
+// on any tile — dense, grouped, pointwise, partial-width depthwise — takes the
+// packed GEMM walker over gathered taps. Weights without a register-tile plan
+// (hand-built, tests) and padded layers whose weights break the padded-tap
+// contract (convWeights.padExact) take convForwardRef, the original
+// single-channel sweep that the property tests and benchmarks compare with.
 func convForward(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
-	if len(wts.blocks) == 0 {
-		// Hand-built weights without a register-tile plan (tests).
-		return convForwardRef(in, g, l, wts, par)
-	}
 	switch {
-	case pointwise(l):
-		return convForwardPointwise(in, g, l, wts, par)
+	case len(wts.blocks) == 0, !wts.padExact:
+		return convForwardRef(in, g, l, wts, par)
 	case depthwise(l, in.C) && g.fullWidth(in.W, outWidth(l, g.in.W)):
 		return convForwardDepthwise(in, g, l, wts, par)
 	}
-	return convForwardBlocked(in, g, l, wts, par)
+	return convForwardGEMM(in, g, l, wts, par)
 }
 
 // convForwardRef is the pre-blocking engine: each (output channel, output
-// row) pair re-reads its input rows independently. It remains the reference
-// implementation that the blocked kernels are tested bit-identical against,
-// for strips and partial-width tiles alike.
+// row) pair re-reads its input rows independently, skipping padding taps and
+// zero weights. It remains the reference implementation that the other
+// kernels are tested bit-identical against, for strips and partial-width
+// tiles alike.
 //
 // The (output channel, output row) space is split into contiguous chunks
 // executed on up to par pool workers. Each chunk owns a disjoint slice of
@@ -144,70 +141,6 @@ func convForwardRef(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) T
 	return out
 }
 
-// convForwardBlocked is the general register-tiled kernel: each work unit is
-// one output row of one oc-block, so every sweep over an input row feeds up
-// to ocBlockWidth accumulator rows at once and input bandwidth drops by the
-// block width. Work units are (block, row) pairs — a parallelFor chunk can
-// never split a register block across workers.
-//
-// Per output element the accumulation order is unchanged: channels have
-// independent accumulator chains, so interleaving the taps of four channels
-// over the same input row reorders nothing within any one chain. The packed
-// tap layout is only used for dense full-width blocks (see ocBlock.packed);
-// ragged or sparse blocks fall back to the per-channel compacted rows, which
-// preserves the zero-tap skip order exactly.
-func convForwardBlocked(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
-	g.mustCover(l, in.H, in.W)
-	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
-	out := Alloc(l.OutC, outRows, outCols)
-	data := out.Data // the closure captures the slice, not the tensor
-	icg := in.C / max(l.Groups, 1)
-	grain := grainFor(ocBlockWidth * icg * l.KH * l.KW * outCols)
-	accStride := outRows * outCols
-	parallelForGrain(len(wts.blocks)*outRows, par, grain, func(lo, hi int) {
-		var accs [ocBlockWidth][]float32
-		for u := lo; u < hi; u++ {
-			blk := &wts.blocks[u/outRows]
-			or := u % outRows
-			for b := 0; b < blk.width; b++ {
-				oc := blk.oc0 + b
-				acc := data[(oc*outRows+or)*outCols : (oc*outRows+or+1)*outCols]
-				for i := range acc {
-					acc[i] = wts.bias[oc]
-				}
-				accs[b] = acc
-			}
-			// The four accumulator rows of a full-width block are evenly
-			// strided in out.Data, which is what the packed row primitive
-			// (and its vector tiles) wants.
-			accBase := data[(blk.oc0*outRows+or)*outCols:]
-			for gi := 0; gi < icg; gi++ {
-				ic := blk.icBase + gi
-				for kh := 0; kh < l.KH; kh++ {
-					ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
-					if ih < 0 {
-						continue // zero padding row
-					}
-					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					if blk.packed != nil {
-						pk := blk.packed[(gi*l.KH+kh)*l.KW*ocBlockWidth:]
-						convRowBlk(accBase, accStride, inRow, pk, l.KW, l.SW, l.PW, g.out.Cols.Lo, g.colLo, g.in.W, outCols)
-					} else {
-						for b := 0; b < blk.width; b++ {
-							row := wts.row(((blk.oc0+b)*icg+gi)*l.KH + kh)
-							convRow(accs[b], inRow, row, l.SW, l.PW, g.out.Cols.Lo, g.colLo, g.in.W, outCols)
-						}
-					}
-				}
-			}
-			for b := 0; b < blk.width; b++ {
-				finishChannel(accs[b], wts, blk.oc0+b, l.Act)
-			}
-		}
-	})
-	return out
-}
-
 // finishChannel applies the folded batch-norm affine and the activation to
 // one finished output-channel row.
 func finishChannel(acc []float32, wts *convWeights, oc int, act nn.Activation) {
@@ -221,7 +154,7 @@ func finishChannel(acc []float32, wts *convWeights, oc int, act nn.Activation) {
 // convRow accumulates one compacted kernel row over one input row. The taps
 // iterate in ascending kw with zero weights already dropped at generation
 // time, matching the original loop's order and w == 0 skip exactly. Column
-// geometry is global, like convRowBlk's: acc holds output columns
+// geometry is global, like the gather's: acc holds output columns
 // [outColLo, outColLo+outCols) of a map inWGlobal wide and inRow starts at
 // global input column inColLo. The padding and tile-coverage checks are
 // hoisted out of the per-column loop: for a fixed tap the valid output
@@ -254,94 +187,6 @@ func convRow(acc, inRow []float32, row kernelRow, sw, pw, outColLo, inColLo, inW
 		iw := iwFirst
 		for ocl := oclLo; ocl < oclHi; ocl++ {
 			acc[ocl] += w * inRow[iw]
-			iw += sw
-		}
-	}
-}
-
-// convRowBlk accumulates one dense packed kernel row into four output
-// channels' accumulator rows in a single sweep over the input row. pk holds
-// the row's taps tap-major: pk[kw*ocBlockWidth+b] is channel b's weight for
-// horizontal tap kw. Each channel's adds happen in ascending kw, identical
-// to convRow over a dense compacted row, so per-channel accumulation chains
-// are bit-identical to the reference.
-//
-// Coordinates are global like the int8 twin: the block covers output columns
-// [outColLo, outColLo+outCols) of a map whose true width is inWGlobal, and
-// inRow is the local slice starting at global input column inColLo. Strip
-// execution passes outColLo = inColLo = 0 and inWGlobal = in.W; rect tiles
-// pass their halo geometry.
-func convRowBlk(accBuf []float32, accStride int, inRow, pk []float32, kw, sw, pw, outColLo, inColLo, inWGlobal, outCols int) {
-	if kw == 3 && sw == 1 && simdFloat {
-		// Dense interior where all three taps land in-bounds: run the fused
-		// 3-tap kernel there and sweep only the edge columns tap-by-tap.
-		// Per element the fused kernel chains the taps in ascending order —
-		// the identical float sequence to three per-tap passes — so the
-		// regrouping is bit-identical.
-		olo := pw - outColLo
-		if olo < 0 {
-			olo = 0
-		}
-		ohi := inWGlobal - 2 + pw - outColLo
-		if ohi > outCols {
-			ohi = outCols
-		}
-		if olo < ohi && ohi-olo >= 8 {
-			convRowBlkTaps(accBuf, accStride, inRow, pk, kw, sw, pw, outColLo, inColLo, inWGlobal, 0, olo)
-			n := ohi - olo
-			iwFirst := outColLo + olo - pw - inColLo
-			if iwFirst < 0 || iwFirst+n+1 >= len(inRow) {
-				panic(fmt.Sprintf("tensor: conv fused taps need cols [%d,%d] outside local row [0,%d)", iwFirst, iwFirst+n+1, len(inRow)))
-			}
-			mac3Rows4F(accBuf[olo:], accStride, inRow[iwFirst:], pk, n)
-			convRowBlkTaps(accBuf, accStride, inRow, pk, kw, sw, pw, outColLo, inColLo, inWGlobal, ohi, outCols)
-			return
-		}
-	}
-	convRowBlkTaps(accBuf, accStride, inRow, pk, kw, sw, pw, outColLo, inColLo, inWGlobal, 0, outCols)
-}
-
-// convRowBlkTaps sweeps taps one at a time over output columns [oclA,oclB)
-// of the row block; it is the edge/general form behind convRowBlk.
-func convRowBlkTaps(accBuf []float32, accStride int, inRow, pk []float32, kw, sw, pw, outColLo, inColLo, inWGlobal, oclA, oclB int) {
-	for x := 0; x < kw; x++ {
-		// Global input column touched by tap x of the first output column.
-		base := outColLo*sw - pw + x
-		oclLo := oclA
-		if base < 0 {
-			if lo := (-base + sw - 1) / sw; lo > oclLo {
-				oclLo = lo
-			}
-		}
-		oclHi := oclB
-		if maxO := (inWGlobal - 1 - base) / sw; maxO+1 < oclHi {
-			oclHi = maxO + 1
-		}
-		if oclLo >= oclHi {
-			continue
-		}
-		n := oclHi - oclLo
-		iwFirst := base + oclLo*sw - inColLo
-		if iwFirst < 0 || iwFirst+(n-1)*sw >= len(inRow) {
-			panic(fmt.Sprintf("tensor: conv tap needs cols [%d,%d] outside local row [0,%d)", iwFirst, iwFirst+(n-1)*sw, len(inRow)))
-		}
-		w := pk[x*ocBlockWidth : x*ocBlockWidth+ocBlockWidth]
-		if sw <= 2 {
-			macRows4F(accBuf[oclLo:], accStride, inRow[iwFirst:], w, sw, n)
-			continue
-		}
-		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-		a0 := accBuf
-		a1 := accBuf[accStride:]
-		a2 := accBuf[2*accStride:]
-		a3 := accBuf[3*accStride:]
-		iw := iwFirst
-		for ow := oclLo; ow < oclHi; ow++ {
-			v := inRow[iw]
-			a0[ow] += w0 * v
-			a1[ow] += w1 * v
-			a2[ow] += w2 * v
-			a3[ow] += w3 * v
 			iw += sw
 		}
 	}

@@ -140,9 +140,9 @@ func pointwiseHeavyModel(c, h, w int) *nn.Model {
 }
 
 // TestFpwGridMatchesRun: partial-width pointwise tiles take the GEMM walker
-// (their pack copies row segments), so random grid splits of a
+// (their gather copies row segments), so random grid splits of a
 // pointwise-heavy model must stitch byte-identical to Run under every
-// variant. At the parent these tiles ran convForwardBlocked's row primitive.
+// variant.
 func TestFpwGridMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 6; trial++ {
@@ -189,29 +189,54 @@ func TestFpwTileAboveNeededRows(t *testing.T) {
 	}
 }
 
-// BenchmarkFpwVariants times the float pointwise walker alone under every
-// tile variant the host supports, at par=1, on MobileNetV1's ten distinct
+// BenchmarkFpwVariants times the float GEMM walker alone under every tile
+// variant the host supports, at par=1: on MobileNetV1's ten distinct
 // pointwise shapes (its 13 pointwise layers; 14x512-512 runs five times) and
-// the 3-row strip of the 14x14 layer a 3-device pipeline stage runs:
+// the 3-row strip of the 14x14 layer a 3-device pipeline stage runs, whose
+// panel is a copy of the channel planes, and on gathered shapes — MobileNetV1's
+// stem, a VGG-style 3x3 at both strides, Inception's 1x7 and the two
+// ToyChain layers tiny_overhead runs:
 //
 //	go test -run NONE -bench FpwVariants ./internal/tensor
 func BenchmarkFpwVariants(b *testing.B) {
-	type shape struct{ h, w, inC, outC int }
-	shapes := []shape{{112, 112, 32, 64}, {56, 56, 64, 128}, {56, 56, 128, 128}, {28, 28, 128, 256}, {28, 28, 256, 256},
-		{14, 14, 256, 512}, {14, 14, 512, 512}, {7, 7, 512, 1024}, {7, 7, 1024, 1024}, {3, 14, 512, 512}}
+	type shape struct {
+		name string
+		in   nn.Shape
+		l    nn.Layer
+	}
+	var shapes []shape
+	for _, s := range [][4]int{{112, 112, 32, 64}, {56, 56, 64, 128}, {56, 56, 128, 128}, {28, 28, 128, 256}, {28, 28, 256, 256},
+		{14, 14, 256, 512}, {14, 14, 512, 512}, {7, 7, 512, 1024}, {7, 7, 1024, 1024}, {3, 14, 512, 512}} {
+		shapes = append(shapes, shape{fmt.Sprintf("%dx%dx%d-%d", s[0], s[1], s[2], s[3]), nn.Shape{C: s[2], H: s[0], W: s[1]},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: s[3], Act: nn.ReLU, BatchNorm: true}})
+	}
+	conv := func(name string, c, hw, kh, kw, st, ph, pw, outC int) shape {
+		return shape{name, nn.Shape{C: c, H: hw, W: hw},
+			nn.Layer{Name: "c", Kind: nn.Conv, KH: kh, KW: kw, SH: st, SW: st, PH: ph, PW: pw, OutC: outC, Act: nn.ReLU, BatchNorm: true}}
+	}
+	shapes = append(shapes,
+		conv("stem224x3-32-s2", 3, 224, 3, 3, 2, 1, 1, 32),
+		conv("conv3x3s2", 64, 56, 3, 3, 2, 1, 1, 128),
+		conv("conv1x7", 64, 17, 1, 7, 1, 0, 3, 64),
+		conv("conv3x3-56x64-128", 64, 56, 3, 3, 1, 1, 1, 128),
+		conv("toy32x32x1-8", 1, 32, 3, 3, 1, 1, 1, 8),
+		conv("toy32x32x8-8", 8, 32, 3, 3, 1, 1, 1, 8))
 	for _, sh := range shapes {
-		l := nn.Layer{Name: "c", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: sh.outC, Act: nn.ReLU, BatchNorm: true}
-		cw := genConv(1, "bfpw", &l, sh.inC)
-		in := RandomInput(nn.Shape{C: sh.inC, H: sh.h, W: sh.w}, 2)
-		g := stripGeom(&l, sh.inC, sh.w, 0, sh.h, 0, sh.h)
+		cw := genConv(1, "bfpw", &sh.l, sh.in.C)
+		in := RandomInput(sh.in, 2)
+		out, err := sh.l.OutShape(sh.in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := stripGeom(&sh.l, sh.in.C, sh.in.W, 0, sh.in.H, 0, out.H)
+		macs := float64(out.Elems() * sh.in.C * sh.l.KH * sh.l.KW)
 		for _, v := range fpwVariants {
-			b.Run(fmt.Sprintf("%dx%dx%d-%d/%s", sh.h, sh.w, sh.inC, sh.outC, v.name), func(b *testing.B) {
+			b.Run(sh.name+"/"+v.name, func(b *testing.B) {
 				defer func(v *fpwVariant) { fpwActive = v }(fpwActive)
 				fpwActive = v
 				for i := 0; i < b.N; i++ {
-					Recycle(convForward(in, g, &l, cw, 1))
+					Recycle(convForward(in, g, &sh.l, cw, 1))
 				}
-				macs := float64(sh.h * sh.w * sh.inC * sh.outC)
 				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}

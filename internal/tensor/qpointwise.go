@@ -10,8 +10,9 @@ import (
 // The int8 convolution kernel. A convolution is the matrix product
 // out[outC x n] = W[outC x K] * taps[K x n] over the call's n = rows*cols
 // flattened output pixels and the K = icg*kh*kw taps each pixel reads, and one
-// walker blocks it like a GEMM. Per column block a gather step copies the
-// block's taps out of the tile into a [K][cols] int8 scratch — zeros where a
+// walker blocks it like a GEMM. Per column block a gather step (convTaps in
+// pointwise.go, shared with the float walker) copies the block's taps out of
+// the tile into a [K][cols] int8 scratch — zeros where a
 // tap falls in the padding: an integer zero product changes no accumulator, so
 // the gathered zeros equal the reference's skipped taps bit for bit — then the
 // K rows are widened ONCE into an int16 pair panel, and every output-channel
@@ -90,21 +91,6 @@ type qpwScratch struct {
 
 var qpwScratchPool = sync.Pool{New: func() any { return new(qpwScratch) }}
 
-// qconvTaps is the tap matrix of one convolution call: row (ic*kh+y)*kw+x of
-// group grp, column p is the input cell that tap (y, x) of the group's input
-// channel ic reads for the call's p-th output pixel (row-major over g.out),
-// zero where that cell is padding.
-type qconvTaps struct {
-	in  QTensor
-	g   geom
-	l   *nn.Layer
-	icg int // input channels per group
-	k   int // rows: icg*kh*kw
-	// inPlace: a 1x1 stride-1 unpadded conv over whole rows, whose tap rows
-	// are the tile's channel planes themselves.
-	inPlace bool
-}
-
 // qconvForwardGEMM is the walker. A unit of work is one group's column block
 // (whole tiles: as many as fit the panel bound, fewer if that idles workers)
 // times one slice of the group's channel blocks (several slices, each
@@ -118,9 +104,8 @@ func qconvForwardGEMM(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int
 	out := AllocQ(l.OutC, outRows, outCols, 1)
 	data := out.Data // the closure captures the slice, not the tensor
 	groups := max(l.Groups, 1)
-	icg, ocg := in.C/groups, l.OutC/groups
-	taps := qconvTaps{in: in, g: g, l: l, icg: icg, k: icg * l.KH * l.KW,
-		inPlace: l.KH == 1 && l.KW == 1 && l.SH == 1 && l.SW == 1 && l.PH == 0 && l.PW == 0 && g.fullWidth(in.W, in.W)}
+	ocg := l.OutC / groups
+	taps := newConvTaps(in.Data, in.C, in.H, in.W, g, l)
 	tiles := (n + v.nr - 1) / v.nr
 	obg := (ocg + v.mr - 1) / v.mr // channel blocks per group
 	par = max(par, 1)
@@ -160,61 +145,11 @@ func qconvForwardGEMM(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int
 	return out
 }
 
-// gather writes columns [x0, x0+cols) of group grp's tap matrix into dst, a
-// zeroed-first [k][width] block: per output-row segment and horizontal tap,
-// the columns whose tap is inside the map are one span, copied row by row
-// (a memmove at stride 1) for every (channel, kernel row) the map holds.
-func (c *qconvTaps) gather(dst []int8, width, grp, x0, cols int) {
-	clear(dst)
-	l, g, in := c.l, &c.g, &c.in
-	outCols := g.out.Cols.Len()
-	for p, end := x0, x0+cols; p < end; {
-		or, c0 := p/outCols, p%outCols
-		seg := min(outCols-c0, end-p)
-		for kw := 0; kw < l.KW; kw++ {
-			// Tap kw of the segment's local column i reads global input
-			// column base+i*SW: inside the map for i in [a, b).
-			base := g.out.Cols.Lo*l.SW - l.PW + kw
-			a, b := c0, c0+seg
-			if base+a*l.SW < 0 {
-				a = (-base + l.SW - 1) / l.SW
-			}
-			if last := g.in.W - 1 - base; last >= 0 {
-				b = min(b, last/l.SW+1)
-			} else {
-				b = a
-			}
-			if a >= b {
-				continue
-			}
-			iw, d := base+a*l.SW-g.colLo, p-x0+a-c0
-			for kh := 0; kh < l.KH; kh++ {
-				ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
-				if ih < 0 {
-					continue // zero padding row
-				}
-				for ic := 0; ic < c.icg; ic++ {
-					src := in.Data[((grp*c.icg+ic)*in.H+ih)*in.W+iw:]
-					row := dst[((ic*l.KH+kh)*l.KW+kw)*width+d:][:b-a]
-					if l.SW == 1 {
-						copy(row, src)
-						continue
-					}
-					for i := range row {
-						row[i] = src[i*l.SW]
-					}
-				}
-			}
-		}
-		p += seg
-	}
-}
-
 // load prepares columns [x0, x0+cols) of group grp's tap matrix as s.whole
 // and s.last, so every variant reads, and packs, whole tiles only: gathered
 // into s.taps at a width of whole tiles, or — in place — the whole tiles
 // where they lie and only the ragged one gathered (a zero-padded copy).
-func (s *qpwScratch) load(v *qpwVariant, c *qconvTaps, grp, x0, cols int) {
+func (s *qpwScratch) load(v *qpwVariant, c *convTaps[int8], grp, x0, cols int) {
 	nWhole, rag := cols/v.nr, cols%v.nr
 	gx, gcols := x0, cols
 	if c.inPlace {
@@ -228,9 +163,9 @@ func (s *qpwScratch) load(v *qpwVariant, c *qconvTaps, grp, x0, cols int) {
 	s.whole = qpwCols{src: s.taps, rowStride: width, k: c.k}
 	s.last = s.whole
 	if c.inPlace {
-		plane := c.in.H * c.in.W
-		first := (c.g.out.Rows.Lo - c.g.rowLo) * c.in.W // the call's pixel 0 within a plane
-		s.whole = qpwCols{src: c.in.Data[grp*c.icg*plane+first+x0:], rowStride: plane, k: c.k}
+		plane := c.h * c.w
+		first := (c.g.out.Rows.Lo - c.g.rowLo) * c.w // the call's pixel 0 within a plane
+		s.whole = qpwCols{src: c.data[grp*c.icg*plane+first+x0:], rowStride: plane, k: c.k}
 	} else if rag > 0 {
 		s.last.src = s.taps[nWhole*v.nr:]
 	}

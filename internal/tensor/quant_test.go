@@ -494,11 +494,12 @@ func convRectGeom(l *nn.Layer, inC, inH, inW int, out partition.Rect) (geom, par
 	return geom{rowLo: need.Rows.Lo, colLo: need.Cols.Lo, in: nn.Shape{C: inC, H: inH, W: inW}, out: out}, need
 }
 
-// checkQuantConvTiles runs conv l over in as the whole map, as a strip whose
-// tile starts above the rows it needs, and as the cells of a 2x2 and a 1x3
-// output grid (column origins, taps clipped on each of the four sides and on
-// none), at every parallelism, against the matching region of ref.
-func checkQuantConvTiles(t *testing.T, tag string, in QTensor, l *nn.Layer, qw *qconvWeights, ref QTensor, pars []int) {
+// checkConvTiles runs conv — one kernel of either precision over l — on in
+// as the whole map, as a strip whose tile starts above the rows it needs, and
+// as the cells of a 2x2 and a 1x3 output grid (column origins, taps clipped
+// on each of the four sides and on none), at every parallelism, against the
+// matching region of ref.
+func checkConvTiles(t *testing.T, tag string, in FMap, l *nn.Layer, conv func(tile FMap, g geom, par int) FMap, ref FMap, pars []int) {
 	t.Helper()
 	outH, outW := ref.H, ref.W
 	rects := []partition.Rect{partition.FullRect(outH, outW)}
@@ -515,8 +516,10 @@ func checkQuantConvTiles(t *testing.T, tag string, in QTensor, l *nn.Layer, qw *
 				continue
 			}
 			g, need := convRectGeom(l, in.C, in.H, in.W, out)
-			got := qconvForward(MapOfQ(in).SliceRect(need).QTensor(), g, l, qw, par)
-			if want := MapOfQ(ref).SliceRect(out).QTensor(); !EqualQ(got, want) {
+			if need.Empty() {
+				continue // a cell whose windows are all padding reads no tile
+			}
+			if got := conv(in.SliceRect(need), g, par); !equalMaps(got, ref.SliceRect(out)) {
 				t.Fatalf("%s par=%d rect %v: differs from reference", tag, par, out)
 			}
 		}
@@ -525,12 +528,19 @@ func checkQuantConvTiles(t *testing.T, tag string, in QTensor, l *nn.Layer, qw *
 			g, need := convRectGeom(l, in.C, in.H, in.W, out)
 			need.Rows.Lo = max(need.Rows.Lo-1, 0) // a tile one row taller than the strip needs
 			g.rowLo = need.Rows.Lo
-			got := qconvForward(MapOfQ(in).SliceRect(need).QTensor(), g, l, qw, par)
-			if want := MapOfQ(ref).SliceRect(out).QTensor(); !EqualQ(got, want) {
+			if got := conv(in.SliceRect(need), g, par); !equalMaps(got, ref.SliceRect(out)) {
 				t.Fatalf("%s par=%d strip %v in tile rows %v: differs from reference", tag, par, out.Rows, need.Rows)
 			}
 		}
 	}
+}
+
+// checkQuantConvTiles is checkConvTiles for the int8 dispatch.
+func checkQuantConvTiles(t *testing.T, tag string, in QTensor, l *nn.Layer, qw *qconvWeights, ref QTensor, pars []int) {
+	t.Helper()
+	checkConvTiles(t, tag, MapOfQ(in), l, func(tile FMap, g geom, par int) FMap {
+		return MapOfQ(qconvForward(tile.QTensor(), g, l, qw, par))
+	}, MapOfQ(ref), pars)
 }
 
 // TestQuantConvGEMMMatchesReference is the GEMM walker's convolution table:

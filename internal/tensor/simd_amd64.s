@@ -602,171 +602,6 @@ vnpair:
 DATA fninf<>+0(SB)/4, $0xff800000
 GLOBL fninf<>(SB), RODATA, $4
 
-// func fmacRows4(acc *float32, accStride int, src *float32, wgt *float32, n int)
-//
-// acc[r*accStride+i] += wgt[r] * src[i] for r in [0,4), i in [0,n).
-// n must be a positive multiple of 8; the caller guarantees n readable
-// float32s at src and 3*accStride+n float32s at acc.
-TEXT ·fmacRows4(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ accStride+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ wgt+24(FP), DX
-	MOVQ n+32(FP), CX
-	LEAQ (DI)(R8*4), R9
-	LEAQ (R9)(R8*4), R10
-	LEAQ (R10)(R8*4), R11
-	VBROADCASTSS (DX), Y12
-	VBROADCASTSS 4(DX), Y13
-	VBROADCASTSS 8(DX), Y14
-	VBROADCASTSS 12(DX), Y15
-	XORQ BX, BX
-fmac4loop:
-	VMOVUPS (SI), Y8
-	VMULPS Y8, Y12, Y9
-	VMOVUPS (DI)(BX*1), Y10
-	VADDPS Y9, Y10, Y10
-	VMOVUPS Y10, (DI)(BX*1)
-	VMULPS Y8, Y13, Y9
-	VMOVUPS (R9)(BX*1), Y10
-	VADDPS Y9, Y10, Y10
-	VMOVUPS Y10, (R9)(BX*1)
-	VMULPS Y8, Y14, Y9
-	VMOVUPS (R10)(BX*1), Y10
-	VADDPS Y9, Y10, Y10
-	VMOVUPS Y10, (R10)(BX*1)
-	VMULPS Y8, Y15, Y9
-	VMOVUPS (R11)(BX*1), Y10
-	VADDPS Y9, Y10, Y10
-	VMOVUPS Y10, (R11)(BX*1)
-	ADDQ $32, SI
-	ADDQ $32, BX
-	SUBQ $8, CX
-	JNZ  fmac4loop
-	VZEROUPPER
-	RET
-
-// func fmacRows4S2(acc *float32, accStride int, src *float32, wgt *float32, n int)
-//
-// Stride-2 form of fmacRows4: acc[r*accStride+i] += wgt[r] * src[2*i].
-// Each 8-column step loads 16 source floats and compacts the even lanes with
-// VSHUFPS+VPERMPD, so the caller must guarantee 2*n readable float32s at
-// src. n must be a positive multiple of 8.
-TEXT ·fmacRows4S2(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ accStride+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ wgt+24(FP), DX
-	MOVQ n+32(FP), CX
-	LEAQ (DI)(R8*4), R9
-	LEAQ (R9)(R8*4), R10
-	LEAQ (R10)(R8*4), R11
-	VBROADCASTSS (DX), Y12
-	VBROADCASTSS 4(DX), Y13
-	VBROADCASTSS 8(DX), Y14
-	VBROADCASTSS 12(DX), Y15
-	XORQ BX, BX
-fmac4s2loop:
-	VMOVUPS (SI), Y8
-	VMOVUPS 32(SI), Y9
-	VSHUFPS $0x88, Y9, Y8, Y8 // even lanes per 128-bit half
-	VPERMPD $0xD8, Y8, Y8     // restore cross-lane column order
-	VMULPS Y8, Y12, Y9
-	VMOVUPS (DI)(BX*1), Y10
-	VADDPS Y9, Y10, Y10
-	VMOVUPS Y10, (DI)(BX*1)
-	VMULPS Y8, Y13, Y9
-	VMOVUPS (R9)(BX*1), Y10
-	VADDPS Y9, Y10, Y10
-	VMOVUPS Y10, (R9)(BX*1)
-	VMULPS Y8, Y14, Y9
-	VMOVUPS (R10)(BX*1), Y10
-	VADDPS Y9, Y10, Y10
-	VMOVUPS Y10, (R10)(BX*1)
-	VMULPS Y8, Y15, Y9
-	VMOVUPS (R11)(BX*1), Y10
-	VADDPS Y9, Y10, Y10
-	VMOVUPS Y10, (R11)(BX*1)
-	ADDQ $64, SI
-	ADDQ $32, BX
-	SUBQ $8, CX
-	JNZ  fmac4s2loop
-	VZEROUPPER
-	RET
-
-// func fmac3Rows4(acc *float32, accStride int, src *float32, wgt *float32, n int)
-//
-// Fused dense stride-1 3-tap form of fmacRows4 for 3-wide kernel rows:
-//
-//	acc[r*accStride+i] += wgt[r]*src[i]; += wgt[4+r]*src[i+1]; += wgt[8+r]*src[i+2]
-//
-// (wgt in the packed tap-major layout pk[x*4+b]), each element chaining its
-// three mul-adds in ascending tap order — the identical float sequence to
-// three per-tap passes — while each accumulator row is loaded and stored
-// once per 8 columns instead of once per tap. n must be a positive multiple
-// of 8 with n+2 readable float32s at src.
-TEXT ·fmac3Rows4(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ accStride+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ wgt+24(FP), DX
-	MOVQ n+32(FP), CX
-	LEAQ (DI)(R8*4), R9
-	LEAQ (R9)(R8*4), R10
-	LEAQ (R10)(R8*4), R11
-	VBROADCASTSS (DX), Y4    // tap0 weights, channels 0..3
-	VBROADCASTSS 4(DX), Y5
-	VBROADCASTSS 8(DX), Y6
-	VBROADCASTSS 12(DX), Y7
-	VBROADCASTSS 16(DX), Y8  // tap1
-	VBROADCASTSS 20(DX), Y9
-	VBROADCASTSS 24(DX), Y10
-	VBROADCASTSS 28(DX), Y11
-	VBROADCASTSS 32(DX), Y12 // tap2
-	VBROADCASTSS 36(DX), Y13
-	VBROADCASTSS 40(DX), Y14
-	VBROADCASTSS 44(DX), Y15
-	XORQ BX, BX
-fmac3loop:
-	VMOVUPS (DI)(BX*1), Y0
-	VMULPS (SI), Y4, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 4(SI), Y8, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 8(SI), Y12, Y1
-	VADDPS Y1, Y0, Y0
-	VMOVUPS Y0, (DI)(BX*1)
-	VMOVUPS (R9)(BX*1), Y0
-	VMULPS (SI), Y5, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 4(SI), Y9, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 8(SI), Y13, Y1
-	VADDPS Y1, Y0, Y0
-	VMOVUPS Y0, (R9)(BX*1)
-	VMOVUPS (R10)(BX*1), Y0
-	VMULPS (SI), Y6, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 4(SI), Y10, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 8(SI), Y14, Y1
-	VADDPS Y1, Y0, Y0
-	VMOVUPS Y0, (R10)(BX*1)
-	VMOVUPS (R11)(BX*1), Y0
-	VMULPS (SI), Y7, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 4(SI), Y11, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 8(SI), Y15, Y1
-	VADDPS Y1, Y0, Y0
-	VMOVUPS Y0, (R11)(BX*1)
-	ADDQ $32, SI
-	ADDQ $32, BX
-	SUBQ $8, CX
-	JNZ  fmac3loop
-	VZEROUPPER
-	RET
-
 // func fdw3Row(acc *float32, src *float32, wgt *float32, n int)
 //
 // Fused 3-tap float depthwise row: acc[i] += w0*src[i]; += w1*src[i+1];

@@ -107,24 +107,6 @@ func qpwTileNEON(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc
 // float identity was never promised by the scalar kernels either.
 func simdFloatAvailable() bool { return hasNEON }
 
-// fmacRows4 accumulates acc[r*accStride+i] += wgt[r]*src[i] for four float32
-// rows (see simd_arm64.s).
-//
-//go:noescape
-func fmacRows4(acc *float32, accStride int, src *float32, wgt *float32, n int)
-
-// fmacRows4S2 is the stride-2 form: acc[r*accStride+i] += wgt[r]*src[2*i]
-// (see simd_arm64.s).
-//
-//go:noescape
-func fmacRows4S2(acc *float32, accStride int, src *float32, wgt *float32, n int)
-
-// fmac3Rows4 is the fused dense stride-1 3-tap form of fmacRows4 for 3-wide
-// kernel rows (see simd_arm64.s).
-//
-//go:noescape
-func fmac3Rows4(acc *float32, accStride int, src *float32, wgt *float32, n int)
-
 // fdw3Row fuses the three float depthwise taps of one stride-1 row sweep
 // (see simd_arm64.s).
 //

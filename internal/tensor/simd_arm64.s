@@ -360,164 +360,6 @@ qzloop:
 // TRN2 Vd.2D, Vn.2D, Vm.2D - [Vn.d1, Vm.d1].
 #define TRN22D(rm, rn, rd) WORD $(0x4EC06800 | rm<<16 | rn<<5 | rd)
 
-// func fmacRows4(acc *float32, accStride int, src *float32, wgt *float32, n int)
-//
-// acc[r*accStride+i] += wgt[r]*src[i] for r in [0,4), i in [0,n).
-// n must be a positive multiple of 8.
-TEXT ·fmacRows4(SB), NOSPLIT, $0-40
-	MOVD acc+0(FP), R0
-	MOVD accStride+8(FP), R1
-	MOVD src+16(FP), R2
-	MOVD wgt+24(FP), R3
-	MOVD n+32(FP), R4
-	LSL  $2, R1, R1
-	ADD  R1, R0, R5
-	ADD  R1, R5, R6
-	ADD  R1, R6, R7
-	VLD1 (R3), [V20.S4]
-	VDUP V20.S[0], V21.S4
-	VDUP V20.S[1], V22.S4
-	VDUP V20.S[2], V23.S4
-	VDUP V20.S[3], V24.S4
-fmacloop:
-	VLD1.P 32(R2), [V16.S4, V17.S4]
-	VLD1 (R0), [V0.S4, V1.S4]
-	FMLA4S(21, 16, 0)
-	FMLA4S(21, 17, 1)
-	VST1.P [V0.S4, V1.S4], 32(R0)
-	VLD1 (R5), [V2.S4, V3.S4]
-	FMLA4S(22, 16, 2)
-	FMLA4S(22, 17, 3)
-	VST1.P [V2.S4, V3.S4], 32(R5)
-	VLD1 (R6), [V0.S4, V1.S4]
-	FMLA4S(23, 16, 0)
-	FMLA4S(23, 17, 1)
-	VST1.P [V0.S4, V1.S4], 32(R6)
-	VLD1 (R7), [V2.S4, V3.S4]
-	FMLA4S(24, 16, 2)
-	FMLA4S(24, 17, 3)
-	VST1.P [V2.S4, V3.S4], 32(R7)
-	SUBS $8, R4
-	BNE  fmacloop
-	RET
-
-// func fmacRows4S2(acc *float32, accStride int, src *float32, wgt *float32, n int)
-//
-// The stride-2 form: acc[r*accStride+i] += wgt[r]*src[2*i]. Each step loads
-// 16 source floats and keeps the even ones via the VLD2 deinterleave, so src
-// must have 2n readable floats (the Go wrapper shaves blocks until that
-// holds). n must be a positive multiple of 8.
-TEXT ·fmacRows4S2(SB), NOSPLIT, $0-40
-	MOVD acc+0(FP), R0
-	MOVD accStride+8(FP), R1
-	MOVD src+16(FP), R2
-	MOVD wgt+24(FP), R3
-	MOVD n+32(FP), R4
-	LSL  $2, R1, R1
-	ADD  R1, R0, R5
-	ADD  R1, R5, R6
-	ADD  R1, R6, R7
-	VLD1 (R3), [V20.S4]
-	VDUP V20.S[0], V21.S4
-	VDUP V20.S[1], V22.S4
-	VDUP V20.S[2], V23.S4
-	VDUP V20.S[3], V24.S4
-fmacs2loop:
-	VLD2.P 32(R2), [V16.S4, V17.S4]
-	VLD2.P 32(R2), [V18.S4, V19.S4]
-	VLD1 (R0), [V0.S4, V1.S4]
-	FMLA4S(21, 16, 0)
-	FMLA4S(21, 18, 1)
-	VST1.P [V0.S4, V1.S4], 32(R0)
-	VLD1 (R5), [V2.S4, V3.S4]
-	FMLA4S(22, 16, 2)
-	FMLA4S(22, 18, 3)
-	VST1.P [V2.S4, V3.S4], 32(R5)
-	VLD1 (R6), [V0.S4, V1.S4]
-	FMLA4S(23, 16, 0)
-	FMLA4S(23, 18, 1)
-	VST1.P [V0.S4, V1.S4], 32(R6)
-	VLD1 (R7), [V2.S4, V3.S4]
-	FMLA4S(24, 16, 2)
-	FMLA4S(24, 18, 3)
-	VST1.P [V2.S4, V3.S4], 32(R7)
-	SUBS $8, R4
-	BNE  fmacs2loop
-	RET
-
-// func fmac3Rows4(acc *float32, accStride int, src *float32, wgt *float32, n int)
-//
-// The fused dense stride-1 3-tap row block: acc[r*accStride+i] +=
-// wgt[0*4+r]*src[i] + wgt[1*4+r]*src[i+1] + wgt[2*4+r]*src[i+2], taps
-// chained per element in ascending order. src must have n+2 readable
-// floats (tap 2 loads 8 floats from offset i+2). n must be a positive
-// multiple of 8.
-TEXT ·fmac3Rows4(SB), NOSPLIT, $0-40
-	MOVD acc+0(FP), R0
-	MOVD accStride+8(FP), R1
-	MOVD src+16(FP), R2
-	MOVD wgt+24(FP), R3
-	MOVD n+32(FP), R4
-	LSL  $2, R1, R1
-	ADD  R1, R0, R5
-	ADD  R1, R5, R6
-	ADD  R1, R6, R7
-	VLD1 (R3), [V24.S4, V25.S4, V26.S4]
-	VDUP V24.S[0], V8.S4
-	VDUP V24.S[1], V9.S4
-	VDUP V24.S[2], V10.S4
-	VDUP V24.S[3], V11.S4
-	VDUP V25.S[0], V12.S4
-	VDUP V25.S[1], V13.S4
-	VDUP V25.S[2], V14.S4
-	VDUP V25.S[3], V15.S4
-	VDUP V26.S[0], V20.S4
-	VDUP V26.S[1], V21.S4
-	VDUP V26.S[2], V22.S4
-	VDUP V26.S[3], V23.S4
-f3loop:
-	ADD  $4, R2, R12
-	ADD  $8, R2, R13
-	VLD1 (R2), [V16.S4, V17.S4]
-	VLD1 (R12), [V18.S4, V19.S4]
-	VLD1 (R13), [V4.S4, V5.S4]
-	ADD  $32, R2
-	VLD1 (R0), [V0.S4, V1.S4]
-	FMLA4S(8, 16, 0)
-	FMLA4S(12, 18, 0)
-	FMLA4S(20, 4, 0)
-	FMLA4S(8, 17, 1)
-	FMLA4S(12, 19, 1)
-	FMLA4S(20, 5, 1)
-	VST1.P [V0.S4, V1.S4], 32(R0)
-	VLD1 (R5), [V0.S4, V1.S4]
-	FMLA4S(9, 16, 0)
-	FMLA4S(13, 18, 0)
-	FMLA4S(21, 4, 0)
-	FMLA4S(9, 17, 1)
-	FMLA4S(13, 19, 1)
-	FMLA4S(21, 5, 1)
-	VST1.P [V0.S4, V1.S4], 32(R5)
-	VLD1 (R6), [V0.S4, V1.S4]
-	FMLA4S(10, 16, 0)
-	FMLA4S(14, 18, 0)
-	FMLA4S(22, 4, 0)
-	FMLA4S(10, 17, 1)
-	FMLA4S(14, 19, 1)
-	FMLA4S(22, 5, 1)
-	VST1.P [V0.S4, V1.S4], 32(R6)
-	VLD1 (R7), [V0.S4, V1.S4]
-	FMLA4S(11, 16, 0)
-	FMLA4S(15, 18, 0)
-	FMLA4S(23, 4, 0)
-	FMLA4S(11, 17, 1)
-	FMLA4S(15, 19, 1)
-	FMLA4S(23, 5, 1)
-	VST1.P [V0.S4, V1.S4], 32(R7)
-	SUBS $8, R4
-	BNE  f3loop
-	RET
-
 // func fdw3Row(acc *float32, src *float32, wgt *float32, n int)
 //
 // The fused depthwise 3-tap row sweep: acc[i] += wgt[0]*src[i] +

@@ -25,81 +25,6 @@ var simdFloat = simdFloatAvailable()
 // vector ones.
 func FloatSIMD() bool { return simdFloat }
 
-// macRows4F accumulates acc[r*accStride+i] += w[r]*src[i*sw] for r in [0,4),
-// i in [0,n). acc holds 4 rows at accStride; w must have 4 entries. src must
-// have at least (n-1)*sw+1 readable float32s. Lanes are output columns, so
-// each element still receives exactly one mul and one add per call, in the
-// scalar order acc + w*v.
-func macRows4F(acc []float32, accStride int, src []float32, w []float32, sw, n int) {
-	i := 0
-	switch {
-	case simdFloat && sw == 1 && n >= 8:
-		m := n &^ 7
-		fmacRows4(&acc[0], accStride, &src[0], &w[0], m)
-		i = m
-	case simdFloat && sw == 2 && n >= 8:
-		// Each vector step loads 16 floats; the scalar contract only
-		// guarantees 2n-1, so shave blocks until the last load stays
-		// inside the span the caller owns.
-		m := n &^ 7
-		for m > 0 && 2*m > len(src) {
-			m -= 8
-		}
-		if m > 0 {
-			fmacRows4S2(&acc[0], accStride, &src[0], &w[0], m)
-			i = m
-		}
-	}
-	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-	a1 := acc[accStride:]
-	a2 := acc[2*accStride:]
-	a3 := acc[3*accStride:]
-	for ; i < n; i++ {
-		v := src[i*sw]
-		acc[i] += w0 * v
-		a1[i] += w1 * v
-		a2[i] += w2 * v
-		a3[i] += w3 * v
-	}
-}
-
-// mac3Rows4F accumulates the fused dense stride-1 3-tap sweep
-// acc[r*accStride+i] += w[x*4+r]*src[i+x] for r in [0,4), x in [0,3),
-// i in [0,n) — w is one kernel row of the tap-major packed layout. Per
-// element the three multiply-adds chain in ascending tap order, exactly the
-// order of three sequential per-tap passes, so fusing reorders nothing. src
-// must have n+2 readable float32s.
-func mac3Rows4F(acc []float32, accStride int, src []float32, w []float32, n int) {
-	i := 0
-	if simdFloat && n >= 8 {
-		m := n &^ 7
-		fmac3Rows4(&acc[0], accStride, &src[0], &w[0], m)
-		i = m
-	}
-	a1 := acc[accStride:]
-	a2 := acc[2*accStride:]
-	a3 := acc[3*accStride:]
-	for ; i < n; i++ {
-		v0, v1, v2 := src[i], src[i+1], src[i+2]
-		v := acc[i] + w[0]*v0
-		v += w[4] * v1
-		v += w[8] * v2
-		acc[i] = v
-		v = a1[i] + w[1]*v0
-		v += w[5] * v1
-		v += w[9] * v2
-		a1[i] = v
-		v = a2[i] + w[2]*v0
-		v += w[6] * v1
-		v += w[10] * v2
-		a2[i] = v
-		v = a3[i] + w[3]*v0
-		v += w[7] * v1
-		v += w[11] * v2
-		a3[i] = v
-	}
-}
-
 // dw3RowF accumulates the fused 3-tap depthwise sweep acc[i] += w[0]*src[i]
 // + w[1]*src[i+1] + w[2]*src[i+2] over i in [0,n), chained in ascending tap
 // order per element. src must have n+2 readable float32s; w[3] is padding

@@ -35,18 +35,6 @@ func qquantizeRow8(dst *int8, src *float32, inv float32, n int) {
 
 func simdFloatAvailable() bool { return false }
 
-func fmacRows4(acc *float32, accStride int, src *float32, wgt *float32, n int) {
-	panic("tensor: fmacRows4 without SIMD support")
-}
-
-func fmacRows4S2(acc *float32, accStride int, src *float32, wgt *float32, n int) {
-	panic("tensor: fmacRows4S2 without SIMD support")
-}
-
-func fmac3Rows4(acc *float32, accStride int, src *float32, wgt *float32, n int) {
-	panic("tensor: fmac3Rows4 without SIMD support")
-}
-
 func fdw3Row(acc *float32, src *float32, wgt *float32, n int) {
 	panic("tensor: fdw3Row without SIMD support")
 }

@@ -33,43 +33,51 @@ type convWeights struct {
 	rowW   []float32
 
 	// blocks is the register-tile plan: the output channels of each group
-	// partitioned into runs of up to ocBlockWidth channels that the blocked
-	// kernels compute together, re-reading each input row once per block
-	// instead of once per channel. See pack for the packed tap layout.
+	// partitioned into runs of up to ocBlockWidth channels that the GEMM
+	// walker's tile computes together over one gathered panel. See ocBlock
+	// for the packed tap layout.
 	blocks []ocBlock
+
+	// padExact records that the padding zeros the GEMM walker gathers and
+	// multiplies — taps the reference skips — are exact no-ops: trivially
+	// for an unpadded layer, else by the padded-tap contract (padTapsExact;
+	// DESIGN.md §6). Generated weights always hold it; convForward routes a
+	// layer without it to convForwardRef.
+	padExact bool
 }
 
-// ocBlockWidth is the register-tile width: how many output channels the
-// blocked conv kernels accumulate per sweep over an input row. Four float32
-// accumulator rows of a typical feature-map width fit comfortably in L1
-// alongside the input row, and four weights per tap stay in registers.
+// ocBlockWidth is the register-tile height: how many output channels the
+// float GEMM tile accumulates per sweep over a panel — 4 x nr accumulators,
+// eight vector registers at either tile width.
 const ocBlockWidth = 4
 
 // ocBlock is one register-tile of output channels [oc0, oc0+width) within a
-// single convolution group (all channels of a block read the same input
-// channels [icBase, icBase+icg)).
+// single convolution group; group g's i-th block is blocks[g*obg+i], obg =
+// ceil(OutC/groups/ocBlockWidth).
 type ocBlock struct {
-	oc0    int
-	width  int
-	icBase int
+	oc0   int
+	width int
 
-	// packed, when non-nil, holds the block's kernel taps tap-major so the
-	// inner loop streams weights linearly:
+	// packed, when non-nil, is the block's K-major weight panel for the GEMM
+	// walker's tile — row k = (g*KH+kh)*KW+kw of the gathered taps times four
+	// channel weights, g the input channel within the block's group:
 	//
-	//	packed[((g*KH+kh)*KW+kw)*ocBlockWidth + b] = w[oc0+b][icBase+g][kh][kw]
+	//	packed[((g*KH+kh)*KW+kw)*ocBlockWidth + b] = w[oc0+b][g][kh][kw]
 	//
 	// It is built only for full-width blocks whose every kernel row is
-	// dense (no zero taps dropped by compact): the packed kernel applies
-	// every tap in ascending kw order, which is then exactly the
-	// compacted rows' order, so bit-identity with the reference loop
-	// holds. Ragged or sparse blocks leave packed nil and fall back to
-	// the per-channel compacted rows.
+	// dense (no zero taps dropped by compact): the tile applies every tap in
+	// ascending k, which is then exactly the compacted rows' order, so
+	// bit-identity with the reference loop holds. Ragged or sparse blocks
+	// leave packed nil; the walker sweeps their channels one at a time over
+	// the same panel, skipping zero weights.
 	packed []float32
 }
 
-// pack builds the register-tile plan from the flat kernel. compact must run
-// first (pack consults the compacted rows to detect dropped zero taps).
+// pack builds the register-tile plan from the flat kernel and records
+// padExact. compact must run first (pack consults the compacted rows to
+// detect dropped zero taps).
 func (cw *convWeights) pack(l *nn.Layer, icg int) {
+	cw.padExact = l.PH == 0 && l.PW == 0 || padTapsExact(cw.w, cw.bias)
 	groups := l.Groups
 	if groups < 1 {
 		groups = 1
@@ -78,7 +86,7 @@ func (cw *convWeights) pack(l *nn.Layer, icg int) {
 	cw.blocks = cw.blocks[:0]
 	for g := 0; g < groups; g++ {
 		for oc0 := g * ocg; oc0 < (g+1)*ocg; oc0 += ocBlockWidth {
-			blk := ocBlock{oc0: oc0, width: min(ocBlockWidth, (g+1)*ocg-oc0), icBase: g * icg}
+			blk := ocBlock{oc0: oc0, width: min(ocBlockWidth, (g+1)*ocg-oc0)}
 			if blk.width == ocBlockWidth && cw.denseRows(oc0, blk.width, icg, l.KH) {
 				blk.packed = make([]float32, icg*l.KH*l.KW*ocBlockWidth)
 				for gg := 0; gg < icg; gg++ {
@@ -95,6 +103,25 @@ func (cw *convWeights) pack(l *nn.Layer, icg int) {
 			cw.blocks = append(cw.blocks, blk)
 		}
 	}
+}
+
+// padTapsExact reports the padded-tap contract: every weight finite (w*0 is
+// then ±0), no bias -0 (an accumulator seeded otherwise is never -0, so
+// adding ±0 leaves it as is) or NaN (a signalling one would be quieted by the
+// first gathered zero of an all-padding window, where the reference stores
+// it untouched).
+func padTapsExact(w, bias []float32) bool {
+	for _, v := range w {
+		if v-v != 0 { // NaN for ±Inf and NaN, +0 for every finite v
+			return false
+		}
+	}
+	for _, b := range bias {
+		if b != b || b == 0 && math.Signbit(float64(b)) {
+			return false
+		}
+	}
+	return true
 }
 
 // denseRows reports whether every compacted kernel row of channels
@@ -194,7 +221,10 @@ func weightRNG(seed int64, key string) *rand.Rand {
 // weights (scale sqrt(3/fanIn)), zero-mean small biases and a mild batch-norm
 // affine, keeping activations numerically stable through deep stacks. The
 // float kernels need the layouts genConv adds; the int8 quantizer reads only
-// these.
+// these. Every parameter is (u*2-1)*c for u in [0, 1) and a finite c > 0:
+// finite, and never -0 — u*2-1 is +0 only when u*2 is exactly 1, since x-x
+// is +0 in round-to-nearest — so the padded-tap contract (padExact) holds by
+// construction.
 func genConvParams(seed int64, key string, l *nn.Layer, inC int) *convWeights {
 	rng := weightRNG(seed, key)
 	icg := inC / max(l.Groups, 1)
