@@ -21,21 +21,22 @@ race:
 # Targeted race pass over the packages with lock-free hot paths (kernel
 # worker pool, per-kind stat counters, pipeline stage drivers) — quicker
 # than the full `race` sweep when iterating on the engine. ./internal/tensor
-# includes the per-variant GEMM suites (Fpw*, Qpw*) — among them
-# TestFpwGatherMatchesReference, every float convolution's gather and the
-# padded-tap contract under every tile — which swap the process-wide active
-# tile and are therefore never t.Parallel.
+# includes the per-variant suites of the one GEMM driver (Fpw*, Qpw*) — among
+# them TestFpwGatherMatchesReference, every float convolution's gather and
+# the padded-tap contract under every tile — which swap the process-wide
+# active tile and are therefore never t.Parallel.
 race-hot:
 	$(GO) test -race ./internal/tensor ./internal/runtime
 
 # Quantized-path property tests under the race detector: kernel
-# blocked-vs-reference bit-identity at par > 1 (GEMM walker and depthwise
-# plane walker), the int8 codec, the scales a load frame carries (bit-exact on
+# fast-vs-reference bit-identity at par > 1 (the GEMM driver, the depthwise
+# plane walker, the tap-major pool against the one per-cell reference), the
+# int8 codec, the scales a load frame carries (bit-exact on
 # the wire, validated by the worker), the distributed quant pipeline and the
 # int8 grid stage against local RunQ, and int8 pricing of the one-stage
 # (capacity-aware OFL) plan.
 race-quant:
-	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw|Depthwise' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core ./internal/schemes
+	$(GO) test -race -run 'Quant|QCodec|QTensor|Qpw|Depthwise|PoolFast' ./internal/tensor ./internal/wire ./internal/runtime ./internal/core ./internal/schemes
 
 # Fault-injection suite under the race detector: worker crashes, hangs,
 # flaky connections and panics against the pipeline's recovery machinery
@@ -69,12 +70,13 @@ bench-quant-smoke:
 # `blocked`): exercises every float32 vector tile (conv/pointwise/pool/gap/fc
 # and the depthwise shapes at both strides) without a full timing run. Anchored so the
 # quant sweep does not run twice inside `check`. The second line forces every
-# float tile variant the host runs (ZMM, YMM, portable) through the GEMM
-# walker on MobileNetV1's pointwise shapes and, through the gather, on its
-# stem, VGG-style 3x3s at both strides, Inception's 1x7 and ToyChain's layers.
+# tile variant the host runs in both dtypes (float: ZMM, YMM, portable; int8:
+# VNNI, AVX2, portable) through the one GEMM driver: MobileNetV1's pointwise
+# shapes in place and, through the gather, its stem, VGG-style 3x3s, and (float)
+# Inception's 1x7 and ToyChain's layers.
 bench-kernel-smoke:
 	$(GO) test -run NONE -bench '^BenchmarkKernelKinds$$' -benchtime=1x .
-	$(GO) test -run NONE -bench '^BenchmarkFpwVariants$$' -benchtime=1x ./internal/tensor
+	$(GO) test -run NONE -bench '^Benchmark(Fpw|Qpw)Variants$$' -benchtime=1x ./internal/tensor
 
 # Serving-gateway smoke under the race detector: the full binary path
 # (loopback workers, HTTP, micro-batcher, drain), the end-to-end

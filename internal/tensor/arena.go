@@ -88,21 +88,44 @@ func (p *slabs[E]) put(slab *[]E) {
 	p[cl].Put(slab)
 }
 
+// kout is a generic kernel's output, a c x h x w map of E arena-backed like
+// Alloc's; ftensor and qtensor give it its typed header.
+type kout[E elem] struct {
+	c, h, w int
+	data    []E
+	slab    *[]E
+}
+
+func allocOut[E elem](c, h, w int) kout[E] {
+	a, ok := any(&farena).(*slabs[E])
+	if !ok {
+		a = any(&qarena).(*slabs[E])
+	}
+	data, slab := a.get(c, h, w)
+	return kout[E]{c, h, w, data, slab}
+}
+
+func ftensor(o kout[float32]) Tensor {
+	return Tensor{C: o.c, H: o.h, W: o.w, Data: o.data, slab: o.slab}
+}
+
+func qtensor(o kout[int8], scale float32) QTensor {
+	return QTensor{C: o.c, H: o.h, W: o.w, Scale: scale, Data: o.data, slab: o.slab}
+}
+
 // Alloc returns a tensor of the given extent whose backing slice comes from
 // the arena when possible. The contents are UNSPECIFIED — every caller must
 // overwrite all elements before reading any (all tensor kernels do: conv
 // seeds each row with the bias, pools and copies write every cell). Use New
 // when zero-initialised contents are required.
 func Alloc(c, h, w int) Tensor {
-	data, slab := farena.get(c, h, w)
-	return Tensor{C: c, H: h, W: w, Data: data, slab: slab}
+	return ftensor(allocOut[float32](c, h, w))
 }
 
 // AllocQ returns an int8 tensor of the given extent and scale, arena-backed
 // when possible. Contents are UNSPECIFIED, exactly like Alloc.
 func AllocQ(c, h, w int, scale float32) QTensor {
-	data, slab := qarena.get(c, h, w)
-	return QTensor{C: c, H: h, W: w, Scale: scale, Data: data, slab: slab}
+	return qtensor(allocOut[int8](c, h, w), scale)
 }
 
 // Recycle returns a tensor's backing slice to the arena. The caller must own

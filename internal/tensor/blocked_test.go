@@ -100,11 +100,11 @@ func TestBlockedMatchesReferenceBitExact(t *testing.T) {
 	}
 }
 
-// TestBlockedSparseFallbackBitExact zeroes individual taps after generation
-// so compact drops them, re-packs, and checks the engine still matches the
-// reference bit-for-bit — i.e. sparse blocks correctly decline the packed
-// tile (which would multiply the zero weights the reference skips) and fall
-// back to the walker's per-channel sweep over the gathered panel.
+// TestBlockedSparseFallbackBitExact zeroes individual taps after generation,
+// re-packs, and checks the engine still matches the reference bit-for-bit —
+// i.e. sparse blocks correctly decline the packed tile (which would multiply
+// the zero weights the reference skips) and fall back to the driver's
+// per-channel sweep over the gathered panel.
 func TestBlockedSparseFallbackBitExact(t *testing.T) {
 	l := nn.Layer{
 		Name: "sparse", Kind: nn.Conv,
@@ -114,13 +114,12 @@ func TestBlockedSparseFallbackBitExact(t *testing.T) {
 	const inC = 4
 	in := RandomInput(nn.Shape{C: inC, H: 9, W: 9}, 1)
 	wts := genConv(2, "sparse", &l, inC)
-	// Zero taps scattered over both register blocks, then rebuild the
-	// compacted rows and the tile plan the way genConv would have.
+	// Zero taps scattered over both register blocks, then rebuild the tile
+	// plan the way genConv would have.
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10; i++ {
 		wts.w[rng.Intn(len(wts.w))] = 0
 	}
-	wts.compact(&l, inC)
 	wts.pack(&l, inC)
 	packed := 0
 	for _, blk := range wts.blocks {
@@ -317,8 +316,9 @@ func TestRunNeverRecyclesCallerInput(t *testing.T) {
 
 // TestPackPlanCoversAllChannels sanity-checks the register-tile plan: blocks
 // partition [0, OutC) without gaps or overlap, stay within their group, sit
-// where the GEMM walker indexes them (group g's i-th block at g*obg+i), and
-// pack exactly the dense full-width blocks.
+// where the GEMM driver indexes them (group g's i-th block at g*obg+i), and
+// pack the blocks' weights tap-major, zero past a ragged block's channels —
+// except in groups narrower than one block.
 func TestPackPlanCoversAllChannels(t *testing.T) {
 	cases := []struct {
 		outC, inC, groups int
@@ -344,8 +344,21 @@ func TestPackPlanCoversAllChannels(t *testing.T) {
 						t.Fatalf("block at oc0=%d width %d crosses group boundary", blk.oc0, blk.width)
 					}
 				}
-				if blk.packed != nil && blk.width != ocBlockWidth {
-					t.Fatalf("ragged block at oc0=%d has packed taps", blk.oc0)
+				if (blk.packed != nil) != (ocg >= ocBlockWidth) {
+					t.Fatalf("block at oc0=%d of a %d-channel group: packed %v", blk.oc0, ocg, blk.packed != nil)
+				}
+				if blk.packed == nil {
+					continue
+				}
+				perOC := tc.inC / groups * 9
+				for k := 0; k < perOC*ocBlockWidth; k++ {
+					want := float32(0)
+					if b := k % ocBlockWidth; b < blk.width {
+						want = wts.w[(blk.oc0+b)*perOC+k/ocBlockWidth]
+					}
+					if blk.packed[k] != want {
+						t.Fatalf("block at oc0=%d: packed[%d] = %g, want %g", blk.oc0, k, blk.packed[k], want)
+					}
 				}
 			}
 			for oc, c := range covered {

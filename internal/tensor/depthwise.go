@@ -21,10 +21,6 @@ import (
 // accumulator's bits. An integer zero product changes nothing, so the int8
 // vector tiles may mask a padding tap to zero instead.
 
-// dwAcc is the accumulator type a depthwise element widens into: float32
-// accumulates in float32, int8 in int32.
-type dwAcc interface{ float32 | int32 }
-
 // dwTile computes the tile span — output columns [g.tileLo, g.tileHi) — of
 // every output row of one channel plane, which starts at in[base]; dst[0] is
 // the span's first column of the first output row. With ih = g.ih0 + r*g.sh
@@ -40,7 +36,7 @@ type dwAcc interface{ float32 | int32 }
 // overhang the map by one column on either side and holds an interior column:
 // x0 >= -1, so only column 0 can miss tap 0, only the last column can miss
 // tap 2, and no column misses both.
-type dwTile[E elem, A dwAcc] func(c *dwChan[E, A], dst, in []E, base int)
+type dwTile[E elem, A accum] func(c *dwChan[E, A], dst, in []E, base int)
 
 // dwGeom is the geometry of one depthwise call, derived once and shared by
 // every channel plane: the tile's rows within the global map and the tile
@@ -129,7 +125,7 @@ func (g *dwGeom) vecRows(inLen, base, x, cols, lanes int) (lo, hi int) {
 // with a zero tap the reference skips: every column then goes through the
 // per-column loop) and how accumulators the walker computed in Go become
 // output elements.
-type dwChan[E elem, A dwAcc] struct {
+type dwChan[E elem, A accum] struct {
 	g           *dwGeom
 	w           []E
 	seed        A
@@ -150,7 +146,7 @@ func (c *dwChan[E, A]) row(n int) []A {
 
 // dwPlane computes one channel's output plane dst (outRows x outW) from the
 // channel's input plane, which starts at in[base].
-func dwPlane[E elem, A dwAcc](c *dwChan[E, A], in []E, base int, dst []E) {
+func dwPlane[E elem, A accum](c *dwChan[E, A], in []E, base int, dst []E) {
 	g := c.g
 	lo, hi := g.tileLo, g.tileHi
 	if c.tile == nil {
@@ -172,9 +168,9 @@ func dwPlane[E elem, A dwAcc](c *dwChan[E, A], in []E, base int, dst []E) {
 
 // dwColumns computes output columns [lo, hi) of one row one element at a
 // time, clipping the horizontal taps of each column to the map and skipping
-// zero weights like the reference's compacted rows do. It serves whole rows
-// of shapes without a fused tile and the columns a tile cannot take.
-func dwColumns[E elem, A dwAcc](c *dwChan[E, A], row, src []E, nrows int, w []E, lo, hi int) {
+// zero weights like the reference. It serves whole rows of shapes without a
+// fused tile and the columns a tile cannot take.
+func dwColumns[E elem, A accum](c *dwChan[E, A], row, src []E, nrows int, w []E, lo, hi int) {
 	if lo >= hi {
 		return
 	}
@@ -201,7 +197,7 @@ func dwColumns[E elem, A dwAcc](c *dwChan[E, A], row, src []E, nrows int, w []E,
 // tap, accumulators unfinished: dst[i] for the span's columns from x0. The
 // typed tiles must match it (and their fin) bit for bit; it also serves
 // stride 2 on hosts without a vector tile.
-func dw3x3Row[E elem, A dwAcc](dst []A, src []E, x0, rowStride, nrows int, w []E, seed A, sw int) {
+func dw3x3Row[E elem, A accum](dst []A, src []E, x0, rowStride, nrows int, w []E, seed A, sw int) {
 	for i := range dst {
 		x := x0 + i*sw
 		kLo, kHi := 0, 3
@@ -229,7 +225,7 @@ var simdDW3x3 = simdDW3x3Available()
 // unfinished: at stride 1 the interior is seeded and swept once per input row
 // by an architecture's 3-tap sweep (dw3RowF / dw3Row, NEON on arm64) and the
 // edge columns take the spelled-out form, as does a whole stride-2 row.
-func dw3x3RowGo[E elem, A dwAcc](c *dwChan[E, A], dst []A, in []E, base, r int, sweep func(acc []A, src []E, w *[4]A, n int)) {
+func dw3x3RowGo[E elem, A accum](c *dwChan[E, A], dst []A, in []E, base, r int, sweep func(acc []A, src []E, w *[4]A, n int)) {
 	g := c.g
 	kLo, nrows, off := g.krows(r)
 	src, w := in[base+off:], c.w[3*kLo:3*(kLo+nrows)]
@@ -320,21 +316,10 @@ func convForwardDepthwise(in Tensor, at geom, l *nn.Layer, wts *convWeights, par
 			}
 			dst := out.Data[oc*plane : (oc+1)*plane]
 			dwPlane(&c, in.Data, oc*in.H*in.W, dst)
-			finishChannel(dst, wts, oc, l.Act)
+			wts.finishChannel(dst, oc, l.Act)
 		}
 	})
 	return out
-}
-
-// hasZero reports whether any tap is zero — a tap the reference's compacted
-// rows drop, which the dense tiles would instead add as a zero product.
-func hasZero(w []float32) bool {
-	for _, v := range w {
-		if v == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // qconvForwardDepthwise runs the int8 plane walker: the tiles requantize
@@ -343,7 +328,7 @@ func hasZero(w []float32) bool {
 // case — adding an integer zero changes nothing.
 func qconvForwardDepthwise(in QTensor, at geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
 	g := newDWGeom(l, in.H, in.W, at.rowLo, at.in.H, at.out.Rows.Lo, at.out.Rows.Hi)
-	out := AllocQ(l.OutC, g.outRows, g.outW, 1)
+	out := AllocQ(l.OutC, g.outRows, g.outW, qw.scale)
 	plane, taps := g.outRows*g.outW, l.KH*l.KW
 	parallelForGrain(l.OutC, par, grainFor(taps*plane), func(lo, hi int) {
 		c := dwChan[int8, int32]{g: &g, act: l.Act, tile: dw3x3TileQ,

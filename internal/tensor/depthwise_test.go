@@ -17,7 +17,8 @@ import (
 // strips of every two-way row split (each strip fed exactly its halo rows, so
 // strips cut through the rows a tile takes in one call), serial and parallel,
 // float32 and int8. Every few trials a tap is zeroed so the float path also
-// covers the kernels the reference compacts and the fused tile must decline.
+// covers the kernels whose zero tap the reference skips and the fused tile
+// must decline.
 // The whole sweep runs twice: with the host's vector tiles and with them
 // switched off, which is the composition of per-row sweeps arm64 and scalar
 // hosts run.
@@ -60,7 +61,6 @@ func testDepthwisePlaneWalker(t *testing.T) {
 		wts := genConv(int64(trial), "dw", &l, c)
 		if trial%5 == 0 {
 			wts.w[rng.Intn(len(wts.w))] = 0
-			wts.compact(&l, 1)
 			wts.pack(&l, 1)
 		}
 		in := RandomInput(nn.Shape{C: c, H: h, W: w}, int64(1000+trial))
@@ -176,7 +176,7 @@ func dwTileCases(n int) []dwTileCase {
 // runs) and starts `off` elements before it (0: a left-overhanging first row
 // cannot read the byte before it and is portable too). Sentinels around and
 // between the output rows catch a tail store writing past the span.
-func checkDWTiles[E elem, A dwAcc](t *testing.T, n, extra int, c dwChan[E, A], rnd func() E, fin func(dst []E, acc []A), eq func(a, b E) bool) {
+func checkDWTiles[E elem, A accum](t *testing.T, n, extra int, c dwChan[E, A], rnd func() E, fin func(dst []E, acc []A), eq func(a, b E) bool) {
 	t.Helper()
 	fill := func(k int) []E {
 		s := make([]E, k)

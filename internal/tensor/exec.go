@@ -55,23 +55,43 @@ type Executor struct {
 	conv  onceCache[convWeights]
 	fc    onceCache[fcWeights]
 	qconv onceCache[qconvWeights]
-	qfc   onceCache[qfcWeights]
+	qfc   onceCache[qparams]
 }
 
-// kernels is one engine's typed kernel set. Only kernels are typed by
-// element; everything above them handles FMaps.
+// kernels is one engine's kernel set, a typed table per dtype. Only kernels
+// are typed by element; everything above them handles FMaps.
 type kernels struct {
-	conv  func(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor
-	pool  func(in Tensor, g geom, l *nn.Layer, par int) Tensor
-	fc    func(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor
-	qconv func(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor
-	qpool func(in QTensor, g geom, l *nn.Layer, par int) QTensor
-	qfc   func(in QTensor, l *nn.Layer, qw *qfcWeights, par int) QTensor
+	f dtypeKernels[Tensor, convWeights, fcWeights]
+	q dtypeKernels[QTensor, qconvWeights, qparams]
+}
+
+// dtypeKernels is one dtype's kernels over its typed view T (CW, FW its conv
+// and fc weights) and how runLayer reaches them: view, tag, weight getters.
+type dtypeKernels[T, CW, FW any] struct {
+	conv func(in T, g geom, l *nn.Layer, w *CW, par int) T
+	pool func(in T, g geom, l *nn.Layer, par int) T
+	fc   func(in T, l *nn.Layer, w *FW, par int) T
+	gap  func(in T, l *nn.Layer, par int) T
+
+	view  func(FMap) T
+	tag   func(T) FMap
+	convW func(e *Executor, key string, l *nn.Layer, inC int, sIn, sOut float32) *CW
+	fcW   func(e *Executor, key string, l *nn.Layer, inElems int, sIn, sOut float32) *FW
 }
 
 var (
-	blockedKernels   = kernels{convForward, poolForward, fcForward, qconvForward, qpoolForward, qfcForward}
-	referenceKernels = kernels{convForwardRef, poolForwardRef, fcForwardRef, qconvForwardRef, qpoolForwardRef, qfcForwardRef}
+	blockedKernels = kernels{
+		dtypeKernels[Tensor, convWeights, fcWeights]{convForward, poolForward, fcForward, gapForward,
+			FMap.Tensor, MapOf, (*Executor).convW, (*Executor).fcW},
+		dtypeKernels[QTensor, qconvWeights, qparams]{qconvForward, qpoolForward, qfcForward, qgapForward,
+			FMap.QTensor, MapOfQ, (*Executor).qconvW, (*Executor).qfcW},
+	}
+	referenceKernels = func() kernels {
+		k := blockedKernels
+		k.f.conv, k.f.pool, k.f.fc = convForwardRef, poolForwardRef, fcForwardRef
+		k.q.conv, k.q.pool, k.q.fc = qconvForwardRef, qpoolForwardRef, qfcForwardRef
+		return k
+	}()
 )
 
 // onceCache lazily builds one value per key. The hot path takes a read lock;
@@ -154,14 +174,6 @@ func (s *kindStats) convCounter(l *nn.Layer, inC int) *atomic.Uint64 {
 	}
 }
 
-// done attributes the time since start to counter c and passes the kernel's
-// result through: `return e.stats.done(c, start, kernel(...))` times exactly
-// the kernel, which runs while the arguments are evaluated.
-func (s *kindStats) done(c *atomic.Uint64, start time.Time, out FMap) FMap {
-	s.add(c, time.Since(start))
-	return out
-}
-
 // KindSeconds returns cumulative kernel wall-clock seconds since the
 // executor was created, keyed by layer kind: conv, pointwise, depthwise,
 // pool (including global average pool), and fc — in either precision and
@@ -195,10 +207,9 @@ func WithParallelism(n int) ExecutorOption {
 
 // WithReferenceKernels makes the executor run every convolution, pool and
 // fully connected layer — float32 and int8, strips and partial-width tiles —
-// through the pre-blocking reference loops instead of the cache-blocked
-// kernels. Results are bit-identical either way; the option exists so
-// benchmarks and property tests can A/B the two engines through the full
-// execution stack.
+// through the plain-Go reference kernels (ref.go) instead of the fast ones.
+// Results are bit-identical either way; the option exists so benchmarks and
+// property tests can A/B the two engines through the full execution stack.
 func WithReferenceKernels() ExecutorOption {
 	return func(e *Executor) { e.k = &referenceKernels }
 }
@@ -405,56 +416,18 @@ func (e *Executor) walk(from int, tile FMap, rects []partition.Rect) (FMap, erro
 }
 
 // runLayer is the one per-layer dispatch: it runs layer l (a model layer or
-// one inside a block; key names its weights) on a tile placed by g, through
-// the kernel of the tile's precision, and attributes the kernel's wall time
-// to the layer's kind. Int8 conv and fc kernels requantize to sOut with the
-// fused epilogue; pools keep their input's scale.
+// one inside a block; key names its weights) on a tile placed by g through
+// the kernels of the tile's precision. Int8 conv and fc weights carry sOut,
+// the scale their fused epilogue requantizes to; pools keep their input's.
 func (e *Executor) runLayer(l *nn.Layer, key string, in FMap, g geom, sIn, sOut float32) (FMap, error) {
-	quant := in.DType == Int8
 	switch l.Kind {
 	case nn.FullyConnected, nn.GlobalAvgPool:
 		if g.rowLo != 0 || g.colLo != 0 || in.H != g.in.H || in.W != g.in.W {
 			return FMap{}, fmt.Errorf("%v needs the full input map, got %dx%d at (%d,%d) of %v", l.Kind, in.H, in.W, g.rowLo, g.colLo, g.in)
 		}
-	}
-	switch l.Kind {
-	case nn.Conv:
-		c := e.stats.convCounter(l, g.in.C)
-		if quant {
-			qw := e.qconvW(key, l, g.in.C, sIn, sOut)
-			start := time.Now()
-			res := e.k.qconv(in.QTensor(), g, l, qw, e.par)
-			res.Scale = sOut
-			return e.stats.done(c, start, MapOfQ(res)), nil
-		}
-		wts := e.convW(key, l, g.in.C)
-		start := time.Now()
-		return e.stats.done(c, start, MapOf(e.k.conv(in.Tensor(), g, l, wts, e.par))), nil
-	case nn.MaxPool, nn.AvgPool:
-		start := time.Now()
-		if quant {
-			return e.stats.done(&e.stats.pool, start, MapOfQ(e.k.qpool(in.QTensor(), g, l, e.par))), nil
-		}
-		return e.stats.done(&e.stats.pool, start, MapOf(e.k.pool(in.Tensor(), g, l, e.par))), nil
-	case nn.FullyConnected:
-		if quant {
-			qw := e.qfcW(key, l, g.in.Elems(), sIn, sOut)
-			start := time.Now()
-			res := e.k.qfc(in.QTensor(), l, qw, e.par)
-			res.Scale = sOut
-			return e.stats.done(&e.stats.fc, start, MapOfQ(res)), nil
-		}
-		wts := e.fcW(key, l, g.in.Elems())
-		start := time.Now()
-		return e.stats.done(&e.stats.fc, start, MapOf(e.k.fc(in.Tensor(), l, wts, e.par))), nil
-	case nn.GlobalAvgPool:
-		start := time.Now()
-		if quant {
-			return e.stats.done(&e.stats.pool, start, MapOfQ(qgapForward(in.QTensor(), l, e.par))), nil
-		}
-		return e.stats.done(&e.stats.pool, start, MapOf(gapForward(in.Tensor(), l, e.par))), nil
+	case nn.Conv, nn.MaxPool, nn.AvgPool:
 	case nn.Block:
-		if !quant {
+		if in.DType != Int8 {
 			res, err := e.runBlock(l, key, in.Tensor(), g)
 			return MapOf(res), err
 		}
@@ -476,6 +449,34 @@ func (e *Executor) runLayer(l *nn.Layer, key string, in FMap, g geom, sIn, sOut 
 	default:
 		return FMap{}, fmt.Errorf("unsupported layer kind %v", l.Kind)
 	}
+	if in.DType == Int8 {
+		return runKernel(e, &e.k.q, l, key, in, g, sIn, sOut), nil
+	}
+	return runKernel(e, &e.k.f, l, key, in, g, sIn, sOut), nil
+}
+
+// runKernel runs a conv, pool, fc or global-pool layer through k, timing the
+// kernel alone (not weight generation) for the layer's kind.
+func runKernel[T, CW, FW any](e *Executor, k *dtypeKernels[T, CW, FW], l *nn.Layer, key string, in FMap, g geom, sIn, sOut float32) FMap {
+	x := k.view(in)
+	var out T
+	c, start := &e.stats.pool, time.Now()
+	switch l.Kind {
+	case nn.Conv:
+		w := k.convW(e, key, l, g.in.C, sIn, sOut)
+		c, start = e.stats.convCounter(l, g.in.C), time.Now()
+		out = k.conv(x, g, l, w, e.par)
+	case nn.FullyConnected:
+		w := k.fcW(e, key, l, g.in.Elems(), sIn, sOut)
+		c, start = &e.stats.fc, time.Now()
+		out = k.fc(x, l, w, e.par)
+	case nn.GlobalAvgPool:
+		out = k.gap(x, l, e.par)
+	default:
+		out = k.pool(x, g, l, e.par)
+	}
+	e.stats.add(c, time.Since(start))
+	return k.tag(out)
 }
 
 // runBlock executes a graph block on a float tile covering the hull of all
@@ -560,11 +561,11 @@ func concatChannels(a, b Tensor) Tensor {
 // generated for the purpose and dropped — an int8 layer never makes the
 // executor hold float weights.
 
-func (e *Executor) convW(key string, l *nn.Layer, inC int) *convWeights {
+func (e *Executor) convW(key string, l *nn.Layer, inC int, _, _ float32) *convWeights {
 	return e.conv.get(key, func() *convWeights { return genConv(e.seed, key, l, inC) })
 }
 
-func (e *Executor) fcW(key string, l *nn.Layer, inElems int) *fcWeights {
+func (e *Executor) fcW(key string, l *nn.Layer, inElems int, _, _ float32) *fcWeights {
 	return e.fc.get(key, func() *fcWeights { return genFC(e.seed, key, l, inElems) })
 }
 
@@ -578,8 +579,8 @@ func (e *Executor) qconvW(key string, l *nn.Layer, inC int, sIn, sOut float32) *
 	})
 }
 
-func (e *Executor) qfcW(key string, l *nn.Layer, inElems int, sIn, sOut float32) *qfcWeights {
-	return e.qfc.get(key, func() *qfcWeights {
+func (e *Executor) qfcW(key string, l *nn.Layer, inElems int, sIn, sOut float32) *qparams {
+	return e.qfc.get(key, func() *qparams {
 		fw := e.fc.peek(key)
 		if fw == nil {
 			fw = genFCParams(e.seed, key, l, inElems)

@@ -96,23 +96,6 @@ func FuzzFKernelTile(f *testing.F) {
 			checkDWTiles(t, n, int(p1)%3, c, rnd, func(dst, acc []float32) { copy(dst, acc) }, bitsEq)
 		}
 
-		// macRowF: single-row saxpy.
-		{
-			src := randF(n)
-			w := randF(1)[0]
-			got := randF(n)
-			want := append([]float32(nil), got...)
-			macRowF(got, src, w)
-			for i := 0; i < n; i++ {
-				want[i] += w * src[i]
-			}
-			for i := range want {
-				if !bitsEq(got[i], want[i]) {
-					t.Fatalf("macRowF n=%d: dst[%d]=%g want %g", n, i, got[i], want[i])
-				}
-			}
-		}
-
 		// maxPairRowF: 2x2 stride-2 max-pool row pair, with NaN and
 		// signed-zero lanes sprinkled in so the `if v > acc` semantics
 		// (candidate NaNs and +0/-0 ties keep the accumulator) are covered.

@@ -33,7 +33,7 @@ func simdMixModel(name string, c, hw int) *nn.Model {
 // force the rect kernels through their edge-tap clamps, which is exactly
 // where a vector tile with wrong interior bounds would diverge.
 func TestFloatSIMDGridMatchesRun(t *testing.T) {
-	if !FloatSIMD() {
+	if !simdFloat {
 		t.Skip("host has no float SIMD; the scalar grid path is covered by TestGridExecutionMatchesWholeChain")
 	}
 	rng := rand.New(rand.NewSource(37))
@@ -61,7 +61,7 @@ func TestFloatSIMDGridMatchesRun(t *testing.T) {
 // gap/fc epilogue the grid tests cannot hold) must reproduce the serial pass
 // bit for bit at every parallelism.
 func TestFloatSIMDParallelBitIdentical(t *testing.T) {
-	if !FloatSIMD() {
+	if !simdFloat {
 		t.Skip("host has no float SIMD; scalar invariance is covered by TestParallelBitIdenticalChain")
 	}
 	base := simdMixModel("fspar", 8, 36)

@@ -64,7 +64,6 @@ func TestFpwGatherMatchesReference(t *testing.T) {
 			if ci%3 == 0 && outC/groups >= ocBlockWidth {
 				cw.w[icg*k.kh*k.kw/2] = 0 // the group's first block: sparse
 			}
-			cw.compact(&l, icg)
 			cw.pack(&l, icg)
 			in := RandomInput(nn.Shape{C: inC, H: h, W: w}, int64(800+ci))
 			rng := rand.New(rand.NewSource(int64(ci)))
@@ -148,7 +147,6 @@ func TestPadExactGuard(t *testing.T) {
 	} {
 		cw := genConvParams(5, "guard", &l, inC)
 		tc.spoil(cw)
-		cw.compact(&l, inC)
 		cw.pack(&l, inC)
 		if cw.padExact || cw.blocks[0].packed == nil {
 			t.Fatalf("%s: padExact %v, packed block %v", tc.name, cw.padExact, cw.blocks[0].packed != nil)

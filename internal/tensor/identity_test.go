@@ -276,21 +276,21 @@ func TestReferenceKernelsEveryPath(t *testing.T) {
 	}
 	var calls atomic.Int64
 	counting := referenceKernels
-	counting.conv = func(in Tensor, g geom, l *nn.Layer, w *convWeights, par int) Tensor {
+	counting.f.conv = func(in Tensor, g geom, l *nn.Layer, w *convWeights, par int) Tensor {
 		calls.Add(1)
-		return referenceKernels.conv(in, g, l, w, par)
+		return referenceKernels.f.conv(in, g, l, w, par)
 	}
-	counting.pool = func(in Tensor, g geom, l *nn.Layer, par int) Tensor {
+	counting.f.pool = func(in Tensor, g geom, l *nn.Layer, par int) Tensor {
 		calls.Add(1)
-		return referenceKernels.pool(in, g, l, par)
+		return referenceKernels.f.pool(in, g, l, par)
 	}
-	counting.qconv = func(in QTensor, g geom, l *nn.Layer, w *qconvWeights, par int) QTensor {
+	counting.q.conv = func(in QTensor, g geom, l *nn.Layer, w *qconvWeights, par int) QTensor {
 		calls.Add(1)
-		return referenceKernels.qconv(in, g, l, w, par)
+		return referenceKernels.q.conv(in, g, l, w, par)
 	}
-	counting.qpool = func(in QTensor, g geom, l *nn.Layer, par int) QTensor {
+	counting.q.pool = func(in QTensor, g geom, l *nn.Layer, par int) QTensor {
 		calls.Add(1)
-		return referenceKernels.qpool(in, g, l, par)
+		return referenceKernels.q.pool(in, g, l, par)
 	}
 	ref.k = &counting
 

@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"pico/internal/nn"
 	"pico/internal/partition"
@@ -54,15 +56,6 @@ func (g geom) rowAt(oh, kh int, l *nn.Layer) int {
 	return ihGlobal - g.rowLo
 }
 
-// colAt is rowAt for the column axis, used by the per-cell reference loops.
-func (g geom) colAt(ow, kw int, l *nn.Layer) int {
-	iwGlobal := ow*l.SW - l.PW + kw
-	if iwGlobal < 0 || iwGlobal >= g.in.W {
-		return -1
-	}
-	return iwGlobal - g.colLo
-}
-
 // outWidth is the full output width of a conv/pool window over inW columns.
 func outWidth(l *nn.Layer, inW int) int { return (inW+2*l.PW-l.KW)/l.SW + 1 }
 
@@ -77,16 +70,13 @@ func pointwise(l *nn.Layer) bool {
 	return l.Groups <= 1 && l.KH == 1 && l.KW == 1 && l.SH == 1 && l.SW == 1 && l.PH == 0 && l.PW == 0
 }
 
-// convForward computes region g.out of a convolution from the tile in.
-//
-// Two kernels, both preserving the reference's per-element accumulation
-// order (ic, kh, kw) exactly (DESIGN.md §6): a full-width tile of a
-// groups == channels conv takes the depthwise plane walker; every other conv
-// on any tile — dense, grouped, pointwise, partial-width depthwise — takes the
-// packed GEMM walker over gathered taps. Weights without a register-tile plan
-// (hand-built, tests) and padded layers whose weights break the padded-tap
-// contract (convWeights.padExact) take convForwardRef, the original
-// single-channel sweep that the property tests and benchmarks compare with.
+// convForward computes region g.out of a convolution from the tile in, by
+// one of two kernels that keep the reference's per-element order (ic, kh,
+// kw) exactly (DESIGN.md §6): a full-width tile of a groups == channels conv
+// takes the depthwise plane walker, every other conv on any tile the GEMM
+// driver. Weights without a register-tile plan (hand-built, tests) and padded
+// layers whose weights break the padded-tap contract (convWeights.padExact)
+// take the reference kernel.
 func convForward(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
 	switch {
 	case len(wts.blocks) == 0, !wts.padExact:
@@ -97,278 +87,189 @@ func convForward(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tens
 	return convForwardGEMM(in, g, l, wts, par)
 }
 
-// convForwardRef is the pre-blocking engine: each (output channel, output
-// row) pair re-reads its input rows independently, skipping padding taps and
-// zero weights. It remains the reference implementation that the other
-// kernels are tested bit-identical against, for strips and partial-width
-// tiles alike.
-//
-// The (output channel, output row) space is split into contiguous chunks
-// executed on up to par pool workers. Each chunk owns a disjoint slice of
-// the output and runs the unchanged per-element loop, so any worker count
-// produces bit-identical results.
-func convForwardRef(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
-	g.mustCover(l, in.H, in.W)
-	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
-	out := Alloc(l.OutC, outRows, outCols)
-	groups := max(l.Groups, 1)
-	icg := in.C / groups // input channels per group
-	ocg := l.OutC / groups
-	parallelFor(l.OutC*outRows, par, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			oc := t / outRows
-			or := t % outRows
-			icBase := (oc / ocg) * icg
-			acc := out.Data[t*outCols : (t+1)*outCols]
-			for i := range acc {
-				acc[i] = wts.bias[oc]
-			}
-			for gi := 0; gi < icg; gi++ {
-				ic := icBase + gi
-				for kh := 0; kh < l.KH; kh++ {
-					ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
-					if ih < 0 {
-						continue // zero padding row
-					}
-					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					row := wts.row((oc*icg+gi)*l.KH + kh)
-					convRow(acc, inRow, row, l.SW, l.PW, g.out.Cols.Lo, g.colLo, g.in.W, outCols)
-				}
-			}
-			finishChannel(acc, wts, oc, l.Act)
+// qconvForward is convForward's int8 dispatch. Int8 accumulates in wrapping
+// int32, so the fast kernels may reorder accumulation freely and still match
+// the reference bit for bit, and gathered padding zeros are always exact:
+// every int8 layer has a plan and none needs the reference.
+func qconvForward(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
+	if depthwise(l, in.C) && g.fullWidth(in.W, outWidth(l, g.in.W)) {
+		return qconvForwardDepthwise(in, g, l, qw, par)
+	}
+	return qconvForwardGEMM(in, g, l, qw, par)
+}
+
+// poolDType is what one element type supplies to the pool kernels: its max
+// seed, its unpadded 2x2 stride-2 max pair row, the average that finishes a
+// row of window sums and its activation. Both kernels chain a window's cells
+// in ascending (kh, kw) order — max through the scalar `if v > acc` select,
+// which NaNs and signed-zero ties never win — so they agree bit for bit.
+type poolDType[E elem, A accum] struct {
+	maxSeed A
+	maxPair func(dst, a, b []E, n int)
+	// avg writes dst[i], the window sum sum[i] over its rows*cols[i] valid
+	// cells.
+	avg func(dst []E, sum []A, rows int32, cols []int32)
+	act func(xs []E, a nn.Activation)
+
+	calls, scratch sync.Pool // *poolCall, *poolScratch
+}
+
+var (
+	fpool = poolDType[float32, float32]{maxSeed: negInf, maxPair: maxPairRowF, avg: avgRowF, act: applyActivation}
+	// Int8 pools keep their input's scale (a pooled value never leaves its
+	// range), so calibration gives pool boundaries the pass-through scale.
+	qpool = poolDType[int8, int32]{maxSeed: -128, maxPair: maxPairRow, avg: avgRowQ, act: applyActivationQ}
+)
+
+func poolForward(in Tensor, g geom, l *nn.Layer, par int) Tensor {
+	return ftensor(pool(&fpool, in.Data, in.C, in.H, in.W, g, l, par))
+}
+
+func qpoolForward(in QTensor, g geom, l *nn.Layer, par int) QTensor {
+	return qtensor(pool(&qpool, in.Data, in.C, in.H, in.W, g, l, par), in.Scale)
+}
+
+func avgRowF(dst, sum []float32, rows int32, cols []int32) {
+	for i, v := range sum {
+		if n := rows * cols[i]; n > 0 {
+			v /= float32(n)
 		}
-	})
+		dst[i] = v
+	}
+}
+
+func avgRowQ(dst []int8, sum []int32, rows int32, cols []int32) {
+	for i, v := range sum {
+		dst[i] = 0
+		if n := rows * cols[i]; n > 0 {
+			dst[i] = quantClamp(float32(v) / float32(n))
+		}
+	}
+}
+
+// finish writes a row of finished windows — a max as is, an average through
+// the dtype's avg — and applies the activation.
+func (d *poolDType[E, A]) finish(dst []E, acc []A, rows int32, cols []int32, isMax bool, act nn.Activation) {
+	if isMax {
+		for i, v := range acc {
+			dst[i] = E(v)
+		}
+	} else {
+		d.avg(dst, acc, rows, cols)
+	}
+	d.act(dst, act)
+}
+
+// poolCall is one call of the tap-major pool, pooled like gemmCall.
+type poolCall[E elem, A accum] struct {
+	d                   *poolDType[E, A]
+	in, out             []E
+	h, w, outRows, outW int
+	g                   geom
+	l                   *nn.Layer
+	run                 func(lo, hi int) // c.compute
+}
+
+// poolScratch is a running chunk's window accumulators and, per output
+// column, how many of its window's columns are in the map.
+type poolScratch[A accum] struct {
+	acc  []A
+	cols []int32
+}
+
+// pool computes region g.out of a max or average pool like convForward.
+// Padding cells are excluded from the max and the average (whose divisor
+// counts valid cells), so tiles match the whole map exactly. On a full-width
+// tile the loops are tap-major — each (kh, kw) tap sweeps its valid output
+// span over one input row; an unpadded 2x2/2 max pool is one pair reduction
+// per output row. Any other tile takes the per-cell reference.
+func pool[E elem, A accum](d *poolDType[E, A], in []E, c, h, w int, g geom, l *nn.Layer, par int) kout[E] {
+	outW := outWidth(l, g.in.W)
+	if !g.fullWidth(w, outW) {
+		return poolRef(d, in, c, h, w, g, l, par)
+	}
+	g.mustCover(l, h, w)
+	outRows := g.out.Rows.Len()
+	out := allocOut[E](c, outRows, outW)
+	call := pooled[poolCall[E, A]](&d.calls)
+	*call = poolCall[E, A]{d: d, in: in, out: out.data, h: h, w: w, outRows: outRows, outW: outW, g: g, l: l, run: call.run}
+	if call.run == nil {
+		call.run = call.compute
+	}
+	parallelForGrain(c*outRows, par, grainFor(l.KH*l.KW*outW), call.run)
+	*call = poolCall[E, A]{run: call.run}
+	d.calls.Put(call)
 	return out
 }
 
-// finishChannel applies the folded batch-norm affine and the activation to
-// one finished output-channel row.
-func finishChannel(acc []float32, wts *convWeights, oc int, act nn.Activation) {
-	if wts.bnScale != nil {
-		finishRowF(acc, wts.bnScale[oc], wts.bnShift[oc], true, act)
-		return
-	}
-	finishRowF(acc, 0, 0, false, act)
-}
-
-// convRow accumulates one compacted kernel row over one input row. The taps
-// iterate in ascending kw with zero weights already dropped at generation
-// time, matching the original loop's order and w == 0 skip exactly. Column
-// geometry is global, like the gather's: acc holds output columns
-// [outColLo, outColLo+outCols) of a map inWGlobal wide and inRow starts at
-// global input column inColLo. The padding and tile-coverage checks are
-// hoisted out of the per-column loop: for a fixed tap the valid output
-// columns form one contiguous interval, computed once.
-func convRow(acc, inRow []float32, row kernelRow, sw, pw, outColLo, inColLo, inWGlobal, outCols int) {
-	for x, w := range row.w {
-		// iwGlobal = base + ocl*sw; valid while 0 <= iwGlobal < inWGlobal.
-		base := outColLo*sw - pw + int(row.kw[x])
-		oclLo := 0
-		if base < 0 {
-			oclLo = (-base + sw - 1) / sw
-		}
-		last := inWGlobal - 1 - base
-		if last < 0 {
-			continue // the tap lies right of the map at every column
-		}
-		oclHi := min(outCols, last/sw+1)
-		if oclLo >= oclHi {
-			continue
-		}
-		iwFirst := base + oclLo*sw - inColLo
-		if iwLast := iwFirst + (oclHi-1-oclLo)*sw; iwFirst < 0 || iwLast >= len(inRow) {
-			panic(fmt.Sprintf("tensor: conv needs global cols [%d,%d] outside tile [%d,%d)",
-				iwFirst+inColLo, iwLast+inColLo, inColLo, inColLo+len(inRow)))
-		}
-		if sw == 1 {
-			macRowF(acc[oclLo:oclHi], inRow[iwFirst:iwFirst+(oclHi-oclLo)], w)
-			continue
-		}
-		iw := iwFirst
-		for ocl := oclLo; ocl < oclHi; ocl++ {
-			acc[ocl] += w * inRow[iw]
-			iw += sw
-		}
-	}
-}
-
-// poolForward computes region g.out of a max or average pool under the same
-// global-coordinate convention as convForward. Padding cells are excluded
-// from both the max and the average (divisor counts valid cells only), so
-// tile-boundary behaviour matches whole-map behaviour exactly.
-//
-// The hot loops are restructured tap-major: instead of re-deriving the
-// window bounds and the (c*H+h)*W+w index for every cell, each (kh, kw) tap
-// sweeps its valid output-column span over a hoisted input row. Per output
-// element the taps still apply in ascending (kh, kw) order — the same order
-// as poolForwardRef's per-cell walk — so max ties resolve identically and
-// average sums accumulate in the same float order, keeping results
-// bit-identical to the reference at any tile or parallelism. The tap-major
-// sweeps are written for whole rows; a partial-width tile takes the per-cell
-// reference loop itself.
-func poolForward(in Tensor, g geom, l *nn.Layer, par int) Tensor {
-	outW := outWidth(l, g.in.W)
-	if !g.fullWidth(in.W, outW) {
-		return poolForwardRef(in, g, l, par)
-	}
-	g.mustCover(l, in.H, in.W)
-	inLo, outLo, outRows := g.rowLo, g.out.Rows.Lo, g.out.Rows.Len()
-	out := Alloc(in.C, outRows, outW)
-	data := out.Data // the closure captures the slice, not the tensor
+// compute computes output rows [lo, hi) of the call (channel-major).
+func (c *poolCall[E, A]) compute(lo, hi int) {
+	l, g, w, outW := c.l, &c.g, c.w, c.outW
 	isMax := l.Kind == nn.MaxPool
-	grain := grainFor(l.KH * l.KW * outW)
-	// Unpadded 2x2 stride-2 max pool (every MobileNet/Inception reduction):
-	// both taps of both rows are always in bounds, so the whole output row is
-	// one vectorizable pair reduction with the scalar `if v > acc` semantics.
-	fast := isMax && l.KH == 2 && l.KW == 2 && l.SH == 2 && l.SW == 2 && l.PH == 0 && l.PW == 0
-	parallelForGrain(in.C*outRows, par, grain, func(lo, hi int) {
-		var cnt []int32
-		if !isMax {
-			cnt = make([]int32, outW)
+	pair := isMax && l.KH == 2 && l.KW == 2 && l.SH == 2 && l.SW == 2 && l.PH == 0 && l.PW == 0
+	s := pooled[poolScratch[A]](&c.d.scratch)
+	defer c.d.scratch.Put(s)
+	s.acc, s.cols = slices.Grow(s.acc[:0], outW)[:outW], slices.Grow(s.cols[:0], outW)[:outW]
+	acc, cols := s.acc, s.cols
+	clear(cols) // column validity is row-independent
+	for kw := 0; kw < l.KW; kw++ {
+		a, b := tapSpan(kw-l.PW, l.SW, w, 0, outW)
+		for ow := a; ow < b; ow++ {
+			cols[ow]++
 		}
-		for t := lo; t < hi; t++ {
-			c := t / outRows
-			or := t % outRows
-			dst := data[t*outW : (t+1)*outW]
-			ohGlobal := outLo + or
-			if fast {
-				ihA := ohGlobal*2 - inLo // in the tile: mustCover checked
-				rowA := in.Data[(c*in.H+ihA)*in.W : (c*in.H+ihA+1)*in.W]
-				rowB := in.Data[(c*in.H+ihA+1)*in.W : (c*in.H+ihA+2)*in.W]
-				maxPairRowF(dst, rowA, rowB, outW)
-				applyActivation(dst, l.Act)
+	}
+	for t := lo; t < hi; t++ {
+		plane := c.in[t/c.outRows*c.h*w:]
+		oh := g.out.Rows.Lo + t%c.outRows
+		dst := c.out[t*outW:][:outW]
+		if pair {
+			ih := oh*2 - g.rowLo // in the tile: mustCover checked
+			c.d.maxPair(dst, plane[ih*w:][:w], plane[(ih+1)*w:][:w], outW)
+			c.d.act(dst, l.Act)
+			continue
+		}
+		seed := A(0)
+		if isMax {
+			seed = c.d.maxSeed
+		}
+		for i := range acc {
+			acc[i] = seed
+		}
+		rows := int32(0)
+		for kh := 0; kh < l.KH; kh++ {
+			ih := g.rowAt(oh, kh, l)
+			if ih < 0 {
 				continue
 			}
-			init := float32(0)
-			if isMax {
-				init = negInf
-			}
-			for i := range dst {
-				dst[i] = init
-			}
-			countH := int32(0)
-			for kh := 0; kh < l.KH; kh++ {
-				ih := g.rowAt(ohGlobal, kh, l)
-				if ih < 0 {
-					continue
-				}
-				countH++
-				inRow := in.Data[(c*in.H+ih)*in.W : (c*in.H+ih+1)*in.W]
-				for kw := 0; kw < l.KW; kw++ {
-					iwOff := kw - l.PW
-					owLo := 0
-					if iwOff < 0 {
-						owLo = (-iwOff + l.SW - 1) / l.SW
-					}
-					owHi := outW
-					if maxOw := (in.W - 1 - iwOff) / l.SW; maxOw+1 < owHi {
-						owHi = maxOw + 1
-					}
-					iw := owLo*l.SW + iwOff
-					if isMax {
-						for ow := owLo; ow < owHi; ow++ {
-							if v := inRow[iw]; v > dst[ow] {
-								dst[ow] = v
-							}
-							iw += l.SW
-						}
-					} else {
-						for ow := owLo; ow < owHi; ow++ {
-							dst[ow] += inRow[iw]
-							iw += l.SW
-						}
-					}
-				}
-			}
-			if !isMax {
-				// The per-cell divisor factors into valid rows x valid
-				// columns; the column factor depends only on ow.
-				for ow := range cnt {
-					cnt[ow] = 0
-				}
-				for kw := 0; kw < l.KW; kw++ {
-					iwOff := kw - l.PW
-					owLo := 0
-					if iwOff < 0 {
-						owLo = (-iwOff + l.SW - 1) / l.SW
-					}
-					owHi := outW
-					if maxOw := (in.W - 1 - iwOff) / l.SW; maxOw+1 < owHi {
-						owHi = maxOw + 1
-					}
-					for ow := owLo; ow < owHi; ow++ {
-						cnt[ow]++
-					}
-				}
-				for ow, n := range cnt {
-					if total := countH * n; total > 0 {
-						dst[ow] /= float32(total)
-					}
-				}
-			}
-			applyActivation(dst, l.Act)
-		}
-	})
-	return out
-}
-
-// poolForwardRef is the original per-cell pool loop in global coordinates:
-// the bit-identity reference for poolForward and, because it clips every
-// window against the map rather than the tile, the partial-width path.
-func poolForwardRef(in Tensor, g geom, l *nn.Layer, par int) Tensor {
-	g.mustCover(l, in.H, in.W)
-	outRows, outCols := g.out.Rows.Len(), g.out.Cols.Len()
-	out := Alloc(in.C, outRows, outCols)
-	isMax := l.Kind == nn.MaxPool
-	grain := grainFor(l.KH * l.KW * outCols)
-	parallelForGrain(in.C*outRows, par, grain, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			c := t / outRows
-			oh := g.out.Rows.Lo + t%outRows
-			dst := out.Data[t*outCols : (t+1)*outCols]
-			for ocl := range dst {
-				var acc float32
+			rows++
+			row := plane[ih*w:][:w]
+			for kw := 0; kw < l.KW; kw++ {
+				a, b := tapSpan(kw-l.PW, l.SW, w, 0, outW)
+				iw := a*l.SW + kw - l.PW
 				if isMax {
-					acc = negInf
-				}
-				count := 0
-				for kh := 0; kh < l.KH; kh++ {
-					ih := g.rowAt(oh, kh, l)
-					if ih < 0 {
-						continue
+					for ow := a; ow < b; ow++ {
+						if v := A(row[iw]); v > acc[ow] {
+							acc[ow] = v
+						}
+						iw += l.SW
 					}
-					for kw := 0; kw < l.KW; kw++ {
-						iw := g.colAt(g.out.Cols.Lo+ocl, kw, l)
-						if iw < 0 {
-							continue
-						}
-						v := in.At(c, ih, iw)
-						if isMax {
-							if v > acc {
-								acc = v
-							}
-						} else {
-							acc += v
-						}
-						count++
+				} else {
+					for ow := a; ow < b; ow++ {
+						acc[ow] += A(row[iw])
+						iw += l.SW
 					}
 				}
-				if !isMax && count > 0 {
-					acc /= float32(count)
-				}
-				dst[ocl] = acc
 			}
-			applyActivation(dst, l.Act)
 		}
-	})
-	return out
+		c.d.finish(dst, acc, rows, cols, isMax, l.Act)
+	}
 }
 
 // fcForward computes a fully connected layer with register blocking: each
 // pool chunk walks its output features in runs of ocBlockWidth, streaming the
 // input vector once per run into four accumulators instead of once per
 // feature. Each feature's dot product still sums in ascending element order,
-// so results are bit-identical to fcForwardRef.
+// so results are bit-identical to the reference fcRef.
 func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 	out := Alloc(l.OutF, 1, 1)
 	n := in.Elems()
@@ -377,6 +278,13 @@ func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 		nf = len(wts.panels) / n
 	}
 	parallelForGrain(l.OutF, par, grainFor(n), func(lo, hi int) {
+		single := func(o int) {
+			acc, row := wts.bias[o], wts.w[o*n:][:n]
+			for i, v := range in.Data[:n] {
+				acc += row[i] * v
+			}
+			out.Data[o] = acc
+		}
 		o := lo
 		if nf > 0 {
 			// Transposed-panel vector path: 16 output features per call,
@@ -384,12 +292,7 @@ func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 			// ascending element order. Walk scalar singles up to the next
 			// panel boundary first so chunk splits land anywhere.
 			for ; o < hi && o%16 != 0; o++ {
-				acc := wts.bias[o]
-				row := wts.w[o*n:][:n]
-				for i, v := range in.Data[:n] {
-					acc += row[i] * v
-				}
-				out.Data[o] = acc
+				single(o)
 			}
 			for ; o+16 <= hi && o+16 <= nf; o += 16 {
 				ffcPanel16(&out.Data[o], &wts.panels[o*n], &in.Data[0], &wts.bias[o], n)
@@ -416,34 +319,25 @@ func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 			out.Data[o+3] = acc3
 		}
 		for ; o < hi; o++ {
-			acc := wts.bias[o]
-			row := wts.w[o*n:][:n]
-			for i, v := range in.Data[:n] {
-				acc += row[i] * v
-			}
-			out.Data[o] = acc
+			single(o)
 		}
 	})
 	applyActivation(out.Data, l.Act)
 	return out
 }
 
-// fcForwardRef is the unblocked fully connected layer: one row dot product
-// per output feature. Retained as the bit-identity reference for fcForward.
-func fcForwardRef(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
-	out := Alloc(l.OutF, 1, 1)
+// qfcForward computes a quantized fully connected layer through the vector
+// int8 dot kernel (scalar hosts fall back to a serial dot); integer
+// associativity makes any lane split bit-identical to the serial reference.
+func qfcForward(in QTensor, l *nn.Layer, qw *qparams, par int) QTensor {
+	out := AllocQ(l.OutF, 1, 1, qw.scale)
 	n := in.Elems()
-	parallelFor(l.OutF, par, func(lo, hi int) {
+	parallelForGrain(l.OutF, par, grainFor(n), func(lo, hi int) {
 		for o := lo; o < hi; o++ {
-			acc := wts.bias[o]
-			row := wts.w[o*n : (o+1)*n]
-			for i, v := range in.Data {
-				acc += row[i] * v
-			}
-			out.Data[o] = acc
+			acc := dotI8(qw.wq[o*n:][:n], in.Data[:n])
+			out.Data[o] = requant1(acc, qw.effScale[o], qw.effBias[o], l.Act)
 		}
 	})
-	applyActivation(out.Data, l.Act)
 	return out
 }
 
@@ -475,6 +369,21 @@ func gapForward(in Tensor, l *nn.Layer, par int) Tensor {
 		}
 	})
 	applyActivation(out.Data, l.Act)
+	return out
+}
+
+// qgapForward is the quantized global average pool; like the pools it
+// keeps the input scale.
+func qgapForward(in QTensor, l *nn.Layer, par int) QTensor {
+	out := AllocQ(in.C, 1, 1, in.Scale)
+	per := in.H * in.W
+	parallelForGrain(in.C, par, grainFor(per), func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			acc := sumI8(in.Data[c*per : (c+1)*per])
+			out.Data[c] = quantClamp(float32(acc) / float32(per))
+		}
+	})
+	applyActivationQ(out.Data, l.Act)
 	return out
 }
 

@@ -204,7 +204,7 @@ func TestParallelForCoversRange(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8, 100} {
 			counts := make([]int32, n)
 			var mu sync.Mutex
-			parallelFor(n, workers, func(lo, hi int) {
+			parallelForGrain(n, workers, 1, func(lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
 				for i := lo; i < hi; i++ {

@@ -55,7 +55,7 @@ func checkFpwTile(t *testing.T, v *fpwVariant, rng *rand.Rand, inC, srcStride, d
 }
 
 // TestFpwVariantsMatchReference is the float pointwise walker's table: every
-// tile variant against convForwardRef bit for bit — flattened widths on both
+// tile variant against the reference kernel bit for bit — flattened widths on both
 // sides of one tile, of two, and of one column block; reductions from one
 // channel to more than a panel bound's worth; a ragged last channel block and
 // a sparse one (a zero weight: packed == nil, the per-channel sweep whose
@@ -87,9 +87,8 @@ func TestFpwVariantsMatchReference(t *testing.T) {
 			if sparse {
 				cw.w[4*inC+inC/2] = 0 // second block: sparse, first stays dense
 			}
-			cw.compact(&l, inC)
 			cw.pack(&l, inC)
-			if cw.blocks[0].packed == nil || (sparse && cw.blocks[1].packed != nil) || cw.blocks[len(cw.blocks)-1].packed != nil {
+			if cw.blocks[0].packed == nil || (sparse && cw.blocks[1].packed != nil) || cw.blocks[len(cw.blocks)-1].width == ocBlockWidth {
 				t.Fatalf("inC=%d outC=%d: block plan is not dense/sparse/ragged as the case intends", inC, outC)
 			}
 			in := RandomInput(nn.Shape{C: inC, H: h, W: w}, int64(600+ci))

@@ -46,6 +46,17 @@ func ensurePool() {
 	})
 }
 
+// pooled returns p's next *T, or a new one when p is empty. Kernels keep
+// their per-call state and per-chunk scratch in such pools — a call struct
+// with its method value bound once hands parallelForGrain a function without
+// allocating a closure — so a warm serial call allocates nothing.
+func pooled[T any](p *sync.Pool) *T {
+	if v, ok := p.Get().(*T); ok {
+		return v
+	}
+	return new(T)
+}
+
 // minChunkMACs is the floor on per-chunk arithmetic for the kernels: below
 // roughly this many multiply-accumulates a pool hand-off costs more than the
 // chunk computes, so kernels lower their worker count instead.
@@ -64,23 +75,17 @@ func grainFor(itemMACs int) int {
 	return g
 }
 
-// parallelFor runs fn over [0, n) split into at most `workers` contiguous
-// chunks. The calling goroutine always executes the first chunk itself;
-// remaining chunks are offered to the shared pool and executed inline when
-// no pool worker is free, so parallelFor never blocks waiting for a slot
-// and cannot deadlock. workers <= 1 (or n <= 1) is exactly the serial loop.
-func parallelFor(n, workers int, fn func(lo, hi int)) {
-	parallelForGrain(n, workers, 1, fn)
-}
-
-// parallelForGrain is parallelFor with a minimum work grain: the worker
-// count is lowered until every chunk holds at least `grain` items, so tiny
-// ranges (a 1x1 conv over an 8x8 map, the tail layers of a deep net) run
-// serially — or on few workers — instead of paying per-chunk dispatch
-// overhead that exceeds the work itself. Chunking never changes which
-// elements a chunk computes relative to parallelFor — only how many chunks
-// there are — so results stay bit-identical at every (workers, grain)
-// combination.
+// parallelForGrain runs fn over [0, n) split into at most `workers`
+// contiguous chunks of at least `grain` items: the worker count is lowered
+// until every chunk holds that many, so tiny ranges (a 1x1 conv over an 8x8
+// map, the tail layers of a deep net) run serially — or on few workers —
+// instead of paying per-chunk dispatch overhead that exceeds the work itself.
+// The calling goroutine always executes the first chunk itself; remaining
+// chunks are offered to the shared pool and executed inline when no pool
+// worker is free, so it never blocks waiting for a slot and cannot deadlock.
+// workers <= 1 (or n <= grain) is exactly the serial loop. Chunking never
+// changes which elements a chunk computes — only how many chunks there are —
+// so results stay bit-identical at every (workers, grain) combination.
 func parallelForGrain(n, workers, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

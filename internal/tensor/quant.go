@@ -120,22 +120,24 @@ func EqualQ(a, b QTensor) bool {
 	return true
 }
 
-// qconvWeights is a convolution quantized for int8 inference. wq mirrors
-// convWeights.w's [outC][icg][kh][kw] layout with per-output-channel
-// symmetric scales. The requantize epilogue folds everything that follows
-// the integer accumulation into one affine per channel:
-//
-//	out_q = clampToInt8(round(float32(acc) * effScale[oc] + effBias[oc]))
-//
-// where effScale = sIn * sW[oc] * bnScale[oc] / sOut and effBias =
-// (bias[oc] * bnScale[oc] + bnShift[oc]) / sOut — the convolution bias and
-// the folded batch-norm affine ride along for free, and the activation is
-// applied in the sOut-scaled domain (valid because sOut > 0).
-type qconvWeights struct {
+// qparams are a layer quantized for int8 inference: wq mirrors fparams.w
+// with per-output-channel symmetric scales sW, and the requantize epilogue
+// out_q = clampToInt8(round(float32(acc)*effScale[oc] + effBias[oc])) folds
+// everything after the accumulation — effScale = sIn*sW*bnScale/sOut,
+// effBias = (bias*bnScale + bnShift)/sOut, the activation applied in the
+// sOut-scaled domain (valid as sOut > 0). scale is sOut, the outputs' scale.
+type qparams struct {
 	wq       []int8
 	effScale []float32
 	effBias  []float32
-	// pw is the GEMM walker's weight panel (qpointwise.go) over the K =
+	scale    float32
+}
+
+// qconvWeights is a convolution quantized for int8 inference, with the
+// layouts its GEMM tiles read.
+type qconvWeights struct {
+	qparams
+	// pw is the GEMM driver's weight panel (qgemm) over the K =
 	// icg*kh*kw taps of each output channel, in blocks of qpwMR channels that
 	// never straddle a group: with obg blocks per group, dword
 	// pw[((grp*obg+ob)*pairs+p)*qpwMR+b] holds taps 2p (low int16) and 2p+1
@@ -149,33 +151,39 @@ type qconvWeights struct {
 	blocks [][]int32
 }
 
-// genQConv derives the int8 form of a convolution's float parameters (it
-// reads w, bias and the batch-norm affine, none of the float layouts). icg is
-// input channels per group; sIn/sOut are the activation scales at the
-// layer's input and output boundaries.
+// genQConv derives the int8 form of a convolution's float parameters (none
+// of the float layouts). icg is input channels per group; sIn/sOut are the
+// activation scales at the layer's input and output boundaries. One channel
+// block of spare epilogue capacity lets a tile over a ragged block reslice a
+// whole block of operands from any channel.
 func genQConv(cw *convWeights, l *nn.Layer, icg int, sIn, sOut float32) *qconvWeights {
-	perOC := icg * l.KH * l.KW
-	// Spare zero capacity of one channel block lets a tile over a ragged
-	// block reslice a whole block of epilogue operands from any channel.
-	padded := l.OutC + qpwMR - 1
-	qw := &qconvWeights{
-		wq:       make([]int8, len(cw.w)),
-		effScale: make([]float32, l.OutC, padded),
-		effBias:  make([]float32, l.OutC, padded),
-	}
-	for oc := 0; oc < l.OutC; oc++ {
-		ws := cw.w[oc*perOC : (oc+1)*perOC]
-		sW := scaleFor(maxAbs(ws))
-		quantizeRow(qw.wq[oc*perOC:(oc+1)*perOC], ws, 1/sW)
-		bnS, bnSh := float32(1), float32(0)
-		if cw.bnScale != nil {
-			bnS, bnSh = cw.bnScale[oc], cw.bnShift[oc]
-		}
-		qw.effScale[oc] = sIn * sW * bnS / sOut
-		qw.effBias[oc] = (cw.bias[oc]*bnS + bnSh) / sOut
-	}
+	qw := &qconvWeights{qparams: quantize(&cw.fparams, l.OutC, icg*l.KH*l.KW, qpwMR-1, sIn, sOut)}
 	qw.pack(l, icg)
 	return qw
+}
+
+// quantize quantizes n output channels of per weights each, through the one
+// vector quantizer, and folds bias, batch norm and the scales into the
+// epilogue operands, which get `spare` elements of zero capacity.
+func quantize(p *fparams, n, per, spare int, sIn, sOut float32) qparams {
+	q := qparams{
+		wq:       make([]int8, len(p.w)),
+		effScale: make([]float32, n, n+spare),
+		effBias:  make([]float32, n, n+spare),
+		scale:    sOut,
+	}
+	for oc := 0; oc < n; oc++ {
+		ws := p.w[oc*per : (oc+1)*per]
+		sW := scaleFor(maxAbs(ws))
+		quantizeRow(q.wq[oc*per:(oc+1)*per], ws, 1/sW)
+		bnS, bnSh := float32(1), float32(0)
+		if p.bnScale != nil {
+			bnS, bnSh = p.bnScale[oc], p.bnShift[oc]
+		}
+		q.effScale[oc] = sIn * sW * bnS / sOut
+		q.effBias[oc] = (p.bias[oc]*bnS + bnSh) / sOut
+	}
+	return q
 }
 
 // pack builds the weight layouts the tile variants of this host read.
@@ -197,39 +205,16 @@ func (qw *qconvWeights) pack(l *nn.Layer, icg int) {
 	}
 	for g := 0; g < groups; g++ {
 		for oc0 := g * ocg; oc0 < (g+1)*ocg; oc0 += ocBlockWidth {
-			blk := make([]int32, perOC*ocBlockWidth)
-			for b := 0; b < min(ocBlockWidth, (g+1)*ocg-oc0); b++ {
-				for i, w := range qw.wq[(oc0+b)*perOC : (oc0+b+1)*perOC] {
-					blk[i*ocBlockWidth+b] = int32(w)
-				}
-			}
-			qw.blocks = append(qw.blocks, blk)
+			qw.blocks = append(qw.blocks, blockPanel[int8, int32](qw.wq, oc0, min(ocBlockWidth, (g+1)*ocg-oc0), perOC))
 		}
 	}
 }
 
-// qfcWeights is a fully connected layer quantized like qconvWeights, with
+// genQFC derives the int8 form of a fully connected layer, with
 // per-output-feature weight scales.
-type qfcWeights struct {
-	wq       []int8
-	effScale []float32
-	effBias  []float32
-}
-
-func genQFC(fw *fcWeights, l *nn.Layer, inElems int, sIn, sOut float32) *qfcWeights {
-	qw := &qfcWeights{
-		wq:       make([]int8, len(fw.w)),
-		effScale: make([]float32, l.OutF),
-		effBias:  make([]float32, l.OutF),
-	}
-	for o := 0; o < l.OutF; o++ {
-		ws := fw.w[o*inElems : (o+1)*inElems]
-		sW := scaleFor(maxAbs(ws))
-		quantizeRow(qw.wq[o*inElems:(o+1)*inElems], ws, 1/sW)
-		qw.effScale[o] = sIn * sW / sOut
-		qw.effBias[o] = fw.bias[o] / sOut
-	}
-	return qw
+func genQFC(fw *fcWeights, l *nn.Layer, inElems int, sIn, sOut float32) *qparams {
+	q := quantize(&fw.fparams, l.OutF, inElems, 0, sIn, sOut)
+	return &q
 }
 
 // maxAbs returns the largest absolute value in xs (0 for an empty slice; a
@@ -290,33 +275,6 @@ func actCode(act nn.Activation) int {
 		return 2
 	}
 	return 0
-}
-
-// requantRowRef is the scalar reference epilogue the vector form is
-// property-tested against.
-func requantRowRef(dst []int8, acc []int32, scale, bias float32, act nn.Activation) {
-	switch act {
-	case nn.ReLU:
-		for i, a := range acc {
-			v := float32(a)*scale + bias
-			if v < 0 {
-				v = 0
-			}
-			dst[i] = quantClamp(v)
-		}
-	case nn.LeakyReLU:
-		for i, a := range acc {
-			v := float32(a)*scale + bias
-			if v < 0 {
-				v = 0.1 * v
-			}
-			dst[i] = quantClamp(v)
-		}
-	default:
-		for i, a := range acc {
-			dst[i] = quantClamp(float32(a)*scale + bias)
-		}
-	}
 }
 
 // requant1 is the scalar form of requantRow, for single accumulators.

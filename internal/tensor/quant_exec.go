@@ -82,11 +82,8 @@ func inheritsScale(k nn.Kind) bool {
 // calibrationInput is the deterministic stand-in for a calibration set: the
 // same (shape, seed) pair yields the identical tensor in every process.
 func calibrationInput(s nn.Shape, seed int64) Tensor {
-	rng := weightRNG(seed, "quant-calibration")
 	t := New(s.C, s.H, s.W)
-	for i := range t.Data {
-		t.Data[i] = rng.Float32()*2 - 1
-	}
+	uniform(weightRNG(seed, "quant-calibration"), t.Data, 1)
 	return t
 }
 

@@ -231,3 +231,30 @@ func FuzzQuantConv(f *testing.F) {
 		})
 	})
 }
+
+// requantRowRef is the scalar reference epilogue the vector form is
+// property-tested against.
+func requantRowRef(dst []int8, acc []int32, scale, bias float32, act nn.Activation) {
+	switch act {
+	case nn.ReLU:
+		for i, a := range acc {
+			v := float32(a)*scale + bias
+			if v < 0 {
+				v = 0
+			}
+			dst[i] = quantClamp(v)
+		}
+	case nn.LeakyReLU:
+		for i, a := range acc {
+			v := float32(a)*scale + bias
+			if v < 0 {
+				v = 0.1 * v
+			}
+			dst[i] = quantClamp(v)
+		}
+	default:
+		for i, a := range acc {
+			dst[i] = quantClamp(float32(a)*scale + bias)
+		}
+	}
+}

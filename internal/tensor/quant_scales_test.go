@@ -81,7 +81,7 @@ func TestQuantWeightsMatchScalarLoop(t *testing.T) {
 			edgeRows(cw.w, perOC)
 		}
 		wq, sW := scalarQuantRows(cw.w, tc.l.OutC, perOC)
-		want := &qconvWeights{wq: wq}
+		want := &qconvWeights{qparams: qparams{wq: wq}}
 		want.pack(&tc.l, icg)
 		eachSimdQuant(t, func(t *testing.T) {
 			got := genQConv(cw, &tc.l, icg, sIn, sOut)

@@ -371,11 +371,11 @@ func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles,
 	t.Helper()
 	l := nn.Layer{Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC, Act: act}
 	padded := outC + qpwMR - 1
-	qw := &qconvWeights{
+	qw := &qconvWeights{qparams: qparams{
 		wq:       make([]int8, outC*inC),
 		effScale: make([]float32, outC, padded),
 		effBias:  make([]float32, outC, padded),
-	}
+	}}
 	for i := range qw.wq {
 		qw.wq[i] = int8(rng.Intn(256) - 128)
 	}
@@ -390,7 +390,7 @@ func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles,
 	}
 	a := qpwCols{src: src, rowStride: chanStride, k: inC}
 	if v.pack != nil {
-		a.panel = make([]int16, tiles*a.pairs()*v.nr*2)
+		a.panel = make([]int16, tiles*npairs(a.k)*v.nr*2)
 		v.pack(&a, tiles)
 	}
 	stride := tiles*v.nr + rng.Intn(5)
@@ -586,10 +586,12 @@ func TestQuantConvGEMMMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPoolFastMatchesReferenceBitExact pins the restructured float pool
-// loops to the original per-cell reference across geometries, tiles and
-// parallelism — the satellite counterpart of the conv blocked-vs-ref
-// contract.
+// TestPoolFastMatchesReferenceBitExact pins the tap-major pool to the
+// per-cell reference in both dtypes across geometries, tiles and
+// parallelism: the whole map, random strips (each tile exactly the rows its
+// windows read), and checkConvTiles' strip inside a taller tile and 2x2 and
+// 1x3 grid cells, whose partial-width tiles take the per-cell path and must
+// reproduce the whole map's region.
 func TestPoolFastMatchesReferenceBitExact(t *testing.T) {
 	pools := []nn.Layer{
 		{Name: "max2", Kind: nn.MaxPool, KH: 2, KW: 2, SH: 2, SW: 2},
@@ -602,24 +604,28 @@ func TestPoolFastMatchesReferenceBitExact(t *testing.T) {
 	for pi, l := range pools {
 		l := l
 		t.Run(l.Name, func(t *testing.T) {
-			in := RandomInput(nn.Shape{C: 4, H: 13, W: 11}, int64(60+pi))
-			outH := (in.H+2*l.PH-l.KH)/l.SH + 1
-			ref := poolForwardRef(in, stripGeom(&l, in.C, in.W, 0, in.H, 0, outH), &l, 1)
-			for _, par := range []int{1, 3, 8} {
-				got := poolForward(in, stripGeom(&l, in.C, in.W, 0, in.H, 0, outH), &l, par)
-				if !Equal(got, ref) {
-					t.Fatalf("par=%d: fast pool differs from reference (max diff %g)", par, MaxAbsDiff(got, ref))
+			f := RandomInput(nn.Shape{C: 4, H: 13, W: 11}, int64(60+pi))
+			for _, in := range []FMap{MapOf(f), MapOfQ(QuantizeTensor(f, scaleFor(maxAbs(f.Data))))} {
+				fast, ref := func(tile FMap, g geom, par int) FMap { return MapOf(poolForward(tile.Tensor(), g, &l, par)) },
+					func(tile FMap, g geom) FMap { return MapOf(poolForwardRef(tile.Tensor(), g, &l, 1)) }
+				if in.DType == Int8 {
+					fast = func(tile FMap, g geom, par int) FMap { return MapOfQ(qpoolForward(tile.QTensor(), g, &l, par)) }
+					ref = func(tile FMap, g geom) FMap { return MapOfQ(qpoolForwardRef(tile.QTensor(), g, &l, 1)) }
 				}
-				rng := rand.New(rand.NewSource(int64(pi*10 + par)))
-				for trial := 0; trial < 6; trial++ {
-					lo := rng.Intn(outH)
-					hi := lo + 1 + rng.Intn(outH-lo)
-					inLo, inHi := convInputRows(&l, lo, hi, in.H)
-					tile := in.SliceRows(inLo, inHi)
-					gotTile := poolForward(tile, stripGeom(&l, tile.C, tile.W, inLo, in.H, lo, hi), &l, par)
-					wantTile := poolForwardRef(tile, stripGeom(&l, tile.C, tile.W, inLo, in.H, lo, hi), &l, 1)
-					if !Equal(gotTile, wantTile) {
-						t.Fatalf("par=%d tile [%d,%d): fast pool differs from reference", par, lo, hi)
+				outH := (in.H+2*l.PH-l.KH)/l.SH + 1
+				whole := ref(in, stripGeom(&l, in.C, in.W, 0, in.H, 0, outH))
+				for _, par := range []int{1, 3, 8} {
+					checkConvTiles(t, fmt.Sprintf("%v %s", in.DType, l.Name), in, &l, fast, whole, []int{par})
+					rng := rand.New(rand.NewSource(int64(pi*10 + par)))
+					for trial := 0; trial < 6; trial++ {
+						lo := rng.Intn(outH)
+						hi := lo + 1 + rng.Intn(outH-lo)
+						inLo, inHi := convInputRows(&l, lo, hi, in.H)
+						tile := in.SliceRect(partition.Rect{Rows: partition.Range{Lo: inLo, Hi: inHi}, Cols: partition.Full(in.W)})
+						g := stripGeom(&l, in.C, in.W, inLo, in.H, lo, hi)
+						if got := fast(tile, g, par); !equalMaps(got, ref(tile, g)) {
+							t.Fatalf("%v par=%d tile [%d,%d): tap-major pool differs from reference", in.DType, par, lo, hi)
+						}
 					}
 				}
 			}
@@ -629,7 +635,7 @@ func TestPoolFastMatchesReferenceBitExact(t *testing.T) {
 
 // TestDepthwiseFusedRowBitExact drives the depthwise plane walker over one
 // output row — fused 3x3 tile in the interior, per-column loop at the edges —
-// directly against convRow's per-tap sweeps across strides, paddings and
+// directly against the reference convolution across strides, paddings and
 // widths.
 func TestDepthwiseFusedRowBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -637,7 +643,7 @@ func TestDepthwiseFusedRowBitExact(t *testing.T) {
 		inW := 3 + rng.Intn(30)
 		sw := 1 + rng.Intn(2)
 		pw := rng.Intn(3)
-		l := nn.Layer{Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: sw, PW: pw}
+		l := nn.Layer{Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: sw, PW: pw, OutC: 1}
 		g := newDWGeom(&l, 3, inW, 0, 3, 0, 1)
 		in := make([]float32, 3*inW)
 		for i := range in {
@@ -648,14 +654,8 @@ func TestDepthwiseFusedRowBitExact(t *testing.T) {
 			w[i] = rng.Float32() - 0.5
 		}
 		bias := rng.Float32()
-		want := make([]float32, g.outW)
-		for i := range want {
-			want[i] = bias
-		}
-		for kh := 0; kh < 3; kh++ {
-			row := kernelRow{kw: []int32{0, 1, 2}, w: w[3*kh : 3*kh+3]}
-			convRow(want, in[kh*inW:(kh+1)*inW], row, sw, pw, 0, 0, inW, g.outW)
-		}
+		at := stripGeom(&l, 1, inW, 0, 3, 0, 1)
+		want := convRef[float32, float32](in, 1, 3, inW, at, &l, &fparams{w: w, bias: []float32{bias}}, 1).data
 		got := make([]float32, g.outW)
 		c := dwChan[float32, float32]{g: &g, w: w, seed: bias, tile: dw3x3TileF,
 			store: func(_ *dwChan[float32, float32], dst, acc []float32) { copy(dst, acc) }}

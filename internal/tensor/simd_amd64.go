@@ -43,7 +43,7 @@ func qpwArchVariants() []*qpwVariant {
 		vs = append(vs, &qpwVariant{name: name, mr: qpwMR, nr: nr,
 			pack: func(a *qpwCols, tiles int) { qpwPack(&a.panel[0], &a.src[0], a.rowStride, a.k, tiles, nr) },
 			tile: func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation) {
-				k(&dst[0], dstStride, &a.panel[0], &qw.pw[ob*a.pairs()*qpwMR], a.pairs(), tiles,
+				k(&dst[0], dstStride, &a.panel[0], &qw.pw[ob*npairs(a.k)*qpwMR], npairs(a.k), tiles,
 					&qw.effScale[oc0 : oc0+qpwMR][0], &qw.effBias[oc0 : oc0+qpwMR][0], actCode(act))
 			}})
 	}
@@ -121,12 +121,6 @@ func qdw3x3S1(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, r
 
 //go:noescape
 func qdw3x3S2(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int)
-
-// fmacRow is the single-row float saxpy dst[i] += w*src[i]
-// (see simd_amd64.s).
-//
-//go:noescape
-func fmacRow(dst *float32, src *float32, w float32, n int)
 
 // fmaxPair8 reduces a 2x2 stride-2 float max-pool row pair
 // (see simd_amd64.s).

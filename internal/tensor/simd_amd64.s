@@ -632,27 +632,6 @@ fdw3loop:
 	VZEROUPPER
 	RET
 
-// func fmacRow(dst *float32, src *float32, w float32, n int)
-//
-// Single-row float saxpy: dst[i] += w * src[i] for i in [0,n). n must be a
-// positive multiple of 8.
-TEXT ·fmacRow(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	VBROADCASTSS w+16(FP), Y12
-	MOVQ n+24(FP), CX
-fmacrowloop:
-	VMOVUPS (DI), Y0
-	VMULPS (SI), Y12, Y1
-	VADDPS Y1, Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JNZ  fmacrowloop
-	VZEROUPPER
-	RET
-
 // func fmaxPair8(dst *float32, a *float32, b *float32, n int)
 //
 // 2x2 stride-2 float max-pool row pair: dst[i] folds a[2i], a[2i+1], b[2i],

@@ -10,9 +10,9 @@ import (
 )
 
 // TestSIMDNameMatchesCPUInfo checks the CPUID/XCR0 probe against the
-// kernel's own reading of the same bits: the int8 variant SIMDName reports —
-// which benchmark fingerprints record — must be the one /proc/cpuinfo's flags
-// imply. (The kernel only lists avx512* flags whose state the OS enables, so
+// kernel's own reading of the same bits: the float and int8 GEMM tiles
+// SIMDName reports — which benchmark fingerprints record — must be the ones
+// /proc/cpuinfo's flags imply. (The kernel only lists avx512* flags whose state the OS enables, so
 // the XCR0 half of the probe is covered too.)
 func TestSIMDNameMatchesCPUInfo(t *testing.T) {
 	data, err := os.ReadFile("/proc/cpuinfo")
@@ -33,10 +33,14 @@ func TestSIMDNameMatchesCPUInfo(t *testing.T) {
 	}
 	want := ""
 	if flags["avx2"] {
-		want = "avx2"
-		if flags["avx512f"] && flags["avx512vl"] && flags["avx512_vnni"] {
-			want = "avx2+vnni"
+		f, q := "avx2", "avx2"
+		if flags["avx512f"] {
+			f = "avx512"
+			if flags["avx512vl"] && flags["avx512_vnni"] {
+				q = "avx2+vnni"
+			}
 		}
+		want = f + "/" + q
 	}
 	if got := SIMDName(); got != want {
 		t.Fatalf("SIMDName() = %q, /proc/cpuinfo flags imply %q", got, want)

@@ -113,12 +113,6 @@ func simdFloatAvailable() bool { return hasNEON }
 //go:noescape
 func fdw3Row(acc *float32, src *float32, wgt *float32, n int)
 
-// fmacRow is the single-row float saxpy dst[i] += w*src[i]
-// (see simd_arm64.s).
-//
-//go:noescape
-func fmacRow(dst *float32, src *float32, w float32, n int)
-
 // fmaxPair8 reduces a 2x2 stride-2 float max-pool row pair
 // (see simd_arm64.s).
 //

@@ -394,26 +394,6 @@ fdwloop:
 	BNE  fdwloop
 	RET
 
-// func fmacRow(dst *float32, src *float32, w float32, n int)
-//
-// The single-row saxpy: dst[i] += w*src[i]. n must be a positive multiple
-// of 8.
-TEXT ·fmacRow(SB), NOSPLIT, $0-32
-	MOVD  dst+0(FP), R0
-	MOVD  src+8(FP), R1
-	FMOVS w+16(FP), F2
-	MOVD  n+24(FP), R3
-	VDUP  V2.S[0], V20.S4
-fsaxloop:
-	VLD1.P 32(R1), [V4.S4, V5.S4]
-	VLD1 (R0), [V0.S4, V1.S4]
-	FMLA4S(20, 4, 0)
-	FMLA4S(20, 5, 1)
-	VST1.P [V0.S4, V1.S4], 32(R0)
-	SUBS $8, R3
-	BNE  fsaxloop
-	RET
-
 // func fmaxPair8(dst *float32, a, b *float32, n int)
 //
 // One output row of an unpadded 2x2 stride-2 float max pool: dst[i] folds

@@ -7,8 +7,8 @@ package tensor
 
 func simdQuantAvailable() bool { return false }
 
-// qpwArchVariants is empty: the GEMM walker runs the portable tile, which
-// reads the pair panel qconvWeights.pw.
+// qpwArchVariants is empty: the GEMM driver runs the portable int8 tile,
+// which reads the pair panel qconvWeights.pw.
 func qpwArchVariants() []*qpwVariant { return nil }
 
 const qpwReadsBlocks = false
@@ -39,15 +39,11 @@ func fdw3Row(acc *float32, src *float32, wgt *float32, n int) {
 	panic("tensor: fdw3Row without SIMD support")
 }
 
-func fmacRow(dst *float32, src *float32, w float32, n int) {
-	panic("tensor: fmacRow without SIMD support")
-}
-
 func fmaxPair8(dst *float32, a, b *float32, n int) {
 	panic("tensor: fmaxPair8 without SIMD support")
 }
 
-// fpwArchVariants is empty: the float pointwise walker runs the portable tile.
+// fpwArchVariants is empty: the GEMM driver runs the portable float tile.
 func fpwArchVariants() []*fpwVariant { return nil }
 
 func ffcPanel16(dst *float32, panel *float32, src *float32, bias *float32, n int) {

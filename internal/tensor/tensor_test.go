@@ -81,11 +81,10 @@ func TestConvHandComputed(t *testing.T) {
 	// 1 input channel, 1 output channel, 3x3 kernel of all ones, no bias
 	// terms worth worrying about: pin the weights manually.
 	l := nn.Layer{Name: "c", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1, OutC: 1, Act: nn.NoAct}
-	wts := &convWeights{w: make([]float32, 9), bias: []float32{0}}
+	wts := &convWeights{fparams: fparams{w: make([]float32, 9), bias: []float32{0}}}
 	for i := range wts.w {
 		wts.w[i] = 1
 	}
-	wts.compact(&l, 1)
 	in := New(1, 3, 3)
 	for i := range in.Data {
 		in.Data[i] = 1
@@ -402,7 +401,7 @@ func TestResidualBlockValues(t *testing.T) {
 	e := mustExec(t, m)
 	// Force both conv weights to zero, biases to zero, bn to identity.
 	for _, key := range []string{"0/0/0", "0/0/1"} {
-		w := e.convW(key, &m.Layers[0].Paths[0][0], 2)
+		w := e.convW(key, &m.Layers[0].Paths[0][0], 2, 0, 0)
 		for i := range w.w {
 			w.w[i] = 0
 		}
@@ -413,8 +412,8 @@ func TestResidualBlockValues(t *testing.T) {
 			w.bnScale[i] = 1
 			w.bnShift[i] = 0
 		}
-		// The forward loops read the compacted taps, not w; rebuild them.
-		w.compact(&m.Layers[0].Paths[0][0], 2)
+		// Rebuild the tile plan from the zeroed kernel: every block is sparse.
+		w.pack(&m.Layers[0].Paths[0][0], 2)
 	}
 	in := RandomInput(m.Input, 8)
 	out, err := e.Run(in)
