@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke cross bench-vet results-check fuzz-geometry loc check
+.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross bench-vet results-check fuzz-geometry loc check
 
 all: check
 
@@ -19,7 +19,8 @@ race:
 	$(GO) test -race ./...
 
 # Targeted race pass over the packages with lock-free hot paths (kernel
-# worker pool, per-kind stat counters, pipeline stage drivers) — quicker
+# worker pool, per-kind stat counters, pipeline stage drivers and the
+# lazily created kernel producers they record on) — quicker
 # than the full `race` sweep when iterating on the engine. ./internal/tensor
 # includes the per-variant suites of the one GEMM driver (Fpw*, Qpw*) — among
 # them TestFpwGatherMatchesReference, every float convolution's gather and
@@ -86,11 +87,6 @@ bench-kernel-smoke:
 serve-smoke:
 	$(GO) test -race -count=1 -run 'PicoserveSmoke|GatewayInferMatchesLocalRun$$|GatewayAPICO|GatewayFused' ./cmd/picoserve ./internal/serve
 
-# One-iteration pass over the instrumented-vs-bare pipeline benchmark:
-# catches hot-path regressions in the telemetry ring without a timing run.
-bench-telem-smoke:
-	$(GO) test -run NONE -bench RuntimeTelemetryOverhead -benchtime=1x .
-
 # Metrics/SLO smoke under the race detector: boots the full picoserve binary
 # with the watcher armed, scrapes GET /metrics for every instrumented series,
 # and drives an injected SLO breach through the re-balancer.
@@ -141,4 +137,4 @@ loc:
 	@printf '%-22s %6d\n' 'internal + cmd' $(call gocount,internal cmd)
 	@printf '%-22s %6d\n' 'asm (*.s)' $$(find . -name '*.s' -exec cat {} + | wc -l)
 
-check: build vet cross bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke serve-smoke metrics-smoke results-check
+check: build vet cross bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke results-check

@@ -31,7 +31,6 @@ import (
 	"pico/internal/runtime"
 	"pico/internal/schemes"
 	"pico/internal/simulate"
-	"pico/internal/telemetry"
 	"pico/internal/tensor"
 	"pico/internal/wire"
 )
@@ -395,53 +394,6 @@ func BenchmarkRuntimeFaultToleranceOverhead(b *testing.B) {
 	}
 	b.Run("guarded", func(b *testing.B) { run(b, 0) })
 	b.Run("unguarded", func(b *testing.B) { run(b, -1) })
-}
-
-// BenchmarkRuntimeTelemetryOverhead measures the closed-loop throughput cost
-// of the streaming-percentile engine: "instrumented" attaches a telemetry
-// registry (e2e + per-stage + per-device exec samples on every task),
-// "bare" runs the same pipeline without one. The write path is a few atomic
-// stores per sample, so the two should agree within ~2%.
-func BenchmarkRuntimeTelemetryOverhead(b *testing.B) {
-	run := func(b *testing.B, reg *telemetry.Registry) {
-		m := nn.ToyChain("bench-tel", 6, 2, 8, 32)
-		cl := cluster.Homogeneous(3, 600e6)
-		plan, err := core.PlanPipeline(m, cl, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lc, err := runtime.StartLocalCluster(3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer lc.Close()
-		p, err := runtime.NewPipeline(plan, lc.Addrs, runtime.PipelineOptions{Seed: 1, Telemetry: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		in := tensor.RandomInput(m.Input, 1)
-		b.ResetTimer()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < b.N; i++ {
-				res := <-p.Results()
-				if res.Err != nil {
-					b.Errorf("task %d: %v", res.ID, res.Err)
-					return
-				}
-			}
-		}()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Submit(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-		<-done
-	}
-	b.Run("instrumented", func(b *testing.B) { run(b, telemetry.New(telemetry.Options{})) })
-	b.Run("bare", func(b *testing.B) { run(b, nil) })
 }
 
 func BenchmarkAdaptiveSwitcher(b *testing.B) {

@@ -135,9 +135,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, a := range addrs {
 		addrMap[i] = strings.TrimSpace(a)
 	}
-	// The registry collects per-task, per-stage and per-device latency
-	// samples for the end-of-run percentile table; a picorun batch fits one
-	// generous window.
+	// The registry collects per-task, per-stage and per-device latency and
+	// kernel samples for the end-of-run percentile table and the kind split;
+	// a picorun batch fits one generous window.
 	telem := telemetry.New(telemetry.Options{Window: time.Hour})
 	p, err := runtime.NewPipeline(plan, addrMap, runtime.PipelineOptions{
 		Seed:        *seed,
@@ -287,10 +287,10 @@ func printFaults(stdout io.Writer, h runtime.Health, failed int) {
 	}
 }
 
-// printKindSeconds renders the workers' per-layer-kind compute attribution:
-// where the real kernel time went, summed over devices, largest share first.
-// The snapshot's KindSeconds is best-effort; nil means the stats round trip
-// failed and there is simply nothing to print.
+// printKindSeconds renders this run's per-layer-kind kernel seconds, which
+// the workers report on every exec reply: where the real kernel time went,
+// summed over devices, largest share first. Nothing is printed before a tile
+// has run.
 func printKindSeconds(stdout io.Writer, h runtime.Health) {
 	totals := map[string]float64{}
 	var sum float64

@@ -45,21 +45,3 @@ func Calibrate(d Device, samples []Sample) (Device, error) {
 	d.Alpha = alpha
 	return d, nil
 }
-
-// FitSpeed estimates a device's effective speed (FLOPs per second) directly
-// from samples, for bootstrapping a profile when the nominal capacity is
-// unknown: the least-squares slope of θ against t, inverted.
-func FitSpeed(samples []Sample) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("cluster: no calibration samples")
-	}
-	var num, den float64
-	for _, s := range samples {
-		num += s.Seconds * s.Flops
-		den += s.Seconds * s.Seconds
-	}
-	if den == 0 || num <= 0 {
-		return 0, fmt.Errorf("cluster: degenerate calibration samples")
-	}
-	return num / den, nil
-}

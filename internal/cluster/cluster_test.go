@@ -174,24 +174,6 @@ func TestFitAlphaErrors(t *testing.T) {
 	}
 }
 
-func TestFitSpeed(t *testing.T) {
-	const speed = 2.5e9
-	var samples []Sample
-	for _, flops := range []float64{1e9, 3e9, 8e9} {
-		samples = append(samples, Sample{Flops: flops, Seconds: flops / speed})
-	}
-	got, err := FitSpeed(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-speed)/speed > 1e-9 {
-		t.Fatalf("speed = %v, want %v", got, speed)
-	}
-	if _, err := FitSpeed(nil); err == nil {
-		t.Fatal("no samples accepted")
-	}
-}
-
 func TestRPi4BCapacityScalesWithFrequency(t *testing.T) {
 	lo := RPi4B("lo", 600e6)
 	hi := RPi4B("hi", 1.2e9)

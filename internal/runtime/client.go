@@ -220,7 +220,7 @@ func (wc *workerClient) roundTrip(t wire.MsgType, header any, payload []byte) (*
 	return c.waitTimeout(controlTimeout)
 }
 
-// controlTimeout bounds control round trips (load-model, ping, stats). Model
+// controlTimeout bounds control round trips (load-model, ping). Model
 // construction on a throttled worker is slow but not minutes-slow.
 const controlTimeout = time.Minute
 
@@ -291,72 +291,32 @@ func (wc *workerClient) startExec(hdr wire.ExecHeader, tile tensor.FMap) (*call,
 
 // waitExec resolves an exec call to its output tile — in the precision the
 // request was sent in, an int8 tile's scale coming from the result header —
-// and the worker's reported compute seconds. transient reports whether the
-// failure is transport-attributable (timeout, lost connection) and therefore
-// worth retrying on a healthy replica; worker-reported errors are
-// deterministic and come back with transient == false.
-func (c *call) waitExec(d time.Duration) (out tensor.FMap, seconds float64, transient bool, err error) {
+// and the result header with the worker's compute and kernel seconds.
+// transient reports whether the failure is transport-attributable (timeout,
+// lost connection) and therefore worth retrying on a healthy replica;
+// worker-reported errors are deterministic and come back with transient ==
+// false.
+func (c *call) waitExec(d time.Duration) (out tensor.FMap, rh wire.ExecResultHeader, transient bool, err error) {
 	msg, err := c.waitTimeout(d)
 	if err != nil {
-		return tensor.FMap{}, 0, true, fmt.Errorf("runtime: exec result from %s: %w", c.wc.id, err)
+		return tensor.FMap{}, rh, true, fmt.Errorf("runtime: exec result from %s: %w", c.wc.id, err)
 	}
 	defer wire.PutBuffer(msg.Payload)
 	switch msg.Type {
 	case wire.MsgExecResult:
-		var rh wire.ExecResultHeader
 		if err := msg.DecodeExecResult(&rh); err != nil {
-			return tensor.FMap{}, 0, false, err
+			return tensor.FMap{}, rh, false, err
 		}
 		if rh.DType != int(c.dtype) {
-			return tensor.FMap{}, 0, false, fmt.Errorf("runtime: %s answered a %v exec with dtype %d", c.wc.id, c.dtype, rh.DType)
+			return tensor.FMap{}, rh, false, fmt.Errorf("runtime: %s answered a %v exec with dtype %d", c.wc.id, c.dtype, rh.DType)
 		}
 		out, err := wire.DecodeMap(rh.DType, rh.C, rh.H, rh.W, rh.Scale, msg.Payload)
-		return out, rh.ComputeSeconds, false, err
+		return out, rh, false, err
 	case wire.MsgError:
 		var eh wire.ErrorHeader
 		_ = msg.DecodeHeader(&eh)
-		return tensor.FMap{}, 0, false, fmt.Errorf("runtime: %s: %s", c.wc.id, eh.Message)
+		return tensor.FMap{}, rh, false, fmt.Errorf("runtime: %s: %s", c.wc.id, eh.Message)
 	default:
-		return tensor.FMap{}, 0, false, fmt.Errorf("runtime: %s: unexpected %v", c.wc.id, msg.Type)
+		return tensor.FMap{}, rh, false, fmt.Errorf("runtime: %s: unexpected %v", c.wc.id, msg.Type)
 	}
-}
-
-// exec is the synchronous request/response form of startExec + waitExec,
-// without a deadline (used by profiling probes and tests).
-func (wc *workerClient) exec(hdr wire.ExecHeader, tile tensor.FMap) (tensor.FMap, float64, error) {
-	c, err := wc.startExec(hdr, tile)
-	if err != nil {
-		return tensor.FMap{}, 0, err
-	}
-	out, seconds, _, err := c.waitExec(0)
-	return out, seconds, err
-}
-
-// stats fetches the worker's cumulative per-layer-kind compute seconds.
-func (wc *workerClient) stats() (map[string]float64, error) {
-	msg, err := wc.roundTrip(wire.MsgStats, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer wire.PutBuffer(msg.Payload)
-	if msg.Type != wire.MsgStatsResult {
-		return nil, fmt.Errorf("runtime: %s: unexpected %v to stats", wc.id, msg.Type)
-	}
-	var sh wire.StatsHeader
-	if err := msg.DecodeHeader(&sh); err != nil {
-		return nil, err
-	}
-	return sh.KindSeconds, nil
-}
-
-func (wc *workerClient) ping() error {
-	msg, err := wc.roundTrip(wire.MsgPing, nil, nil)
-	if err != nil {
-		return err
-	}
-	defer wire.PutBuffer(msg.Payload)
-	if msg.Type != wire.MsgPong {
-		return fmt.Errorf("runtime: %s: unexpected %v to ping", wc.id, msg.Type)
-	}
-	return nil
 }

@@ -46,13 +46,14 @@ func TestGridPlanMatchesRun(t *testing.T) {
 				task, tensor.MaxAbsDiff(want, got))
 		}
 	}
-	// Every tile went through the one per-layer dispatch, so every worker
+	// Every tile went through the one per-layer dispatch, so every device
 	// attributes the kinds it ran (the float grid path used to record none).
-	for k, w := range lc.Workers {
-		ks := w.KindSeconds()
+	kinds := p.Health().KindSeconds
+	for di := range lc.Workers {
+		ks := kinds[di]
 		for _, kind := range []string{"conv", "depthwise", "pointwise", "pool"} {
 			if ks[kind] <= 0 {
-				t.Errorf("worker %d: no %s seconds attributed after a float grid run: %v", k, kind, ks)
+				t.Errorf("device %d: no %s seconds attributed after a float grid run: %v", di, kind, ks)
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 package runtime
 
 // Health is a point-in-time operational snapshot of a pipeline, assembled
-// from the fault journal, slot states and per-device counters in one call.
+// from the fault journal, slot states and the pipeline's telemetry series in
+// one call, without a frame to any worker.
 // It is the payload of picoserve's /healthz endpoint and picorun's
 // end-of-run report; the json tags keep it stable for monitoring clients.
 type Health struct {
@@ -15,13 +16,14 @@ type Health struct {
 	FaultsDropped int          `json:"faults_dropped,omitempty"`
 	// DownDevices are the cluster device indices retired for good.
 	DownDevices []int `json:"down_devices,omitempty"`
-	// WorkerStats is the coordinator-side per-device activity (tiles,
-	// compute seconds), keyed by cluster device index.
+	// WorkerStats is the per-device activity (tiles, compute seconds), keyed
+	// by cluster device index.
 	WorkerStats map[int]WorkerStat `json:"worker_stats,omitempty"`
-	// KindSeconds is the workers' per-layer-kind kernel-time attribution,
-	// keyed by cluster device index. Best-effort: devices whose control
-	// connection has died are absent, and a stats round trip that fails
-	// entirely leaves the map nil rather than failing the snapshot.
+	// KindSeconds is the per-layer-kind kernel seconds of this pipeline's
+	// tiles, keyed by cluster device index: the kernel series' sums, which
+	// the workers report on every exec reply. Every device with an exec
+	// series has every kind, zeros included; emulated-speed top-ups are not
+	// in it, so the split shows where the real arithmetic went.
 	KindSeconds map[int]map[string]float64 `json:"kind_seconds,omitempty"`
 }
 
@@ -41,17 +43,11 @@ func (p *Pipeline) Servable() bool {
 }
 
 // Health gathers the pipeline's operational state — fault journal, down
-// devices, per-device stats, per-kind compute attribution — in one snapshot,
-// so callers stop assembling it from four separate accessors.
+// devices, per-device stats, per-kind kernel seconds — in one snapshot. It
+// reads only coordinator-side state, so it does no network I/O.
 func (p *Pipeline) Health() Health {
-	h := Health{
-		Servable:    p.Servable(),
-		DownDevices: p.DownDevices(),
-		WorkerStats: p.WorkerStats(),
-	}
+	h := Health{Servable: p.Servable(), DownDevices: p.DownDevices()}
 	h.FaultEvents, h.FaultsDropped = p.faults.snapshot()
-	if ks, err := p.WorkerKindSeconds(); err == nil {
-		h.KindSeconds = ks
-	}
+	h.WorkerStats, h.KindSeconds = p.devices()
 	return h
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"maps"
 	"testing"
 
 	"pico/internal/cluster"
@@ -9,11 +10,13 @@ import (
 	"pico/internal/tensor"
 )
 
-// TestWorkerKindSecondsAttribution runs a model that exercises conv, pool,
-// and fc layers through a live pipeline and checks the per-kind compute
-// attribution fetched over MsgStats: every worked device reports, conv time
-// is non-zero, and no kind is negative.
-func TestWorkerKindSecondsAttribution(t *testing.T) {
+// TestKindSecondsAttribution runs a model that exercises conv, pool, and fc
+// layers through a live pipeline and checks the per-kind kernel seconds the
+// exec replies carried into Health: every device reports every kind, all
+// zero before any task; afterwards conv time is non-zero and no kind is
+// negative. Health reads only the pipeline's own series, so the snapshot is
+// still complete, and unchanged, once every worker is gone.
+func TestKindSecondsAttribution(t *testing.T) {
 	m := nn.ToyChain("kinds", 4, 2, 6, 32)
 	cl := cluster.Homogeneous(2, 600e6)
 	plan, err := core.PlanPipeline(m, cl, core.Options{})
@@ -27,12 +30,16 @@ func TestWorkerKindSecondsAttribution(t *testing.T) {
 	}
 	defer p.Close()
 
-	// Before any task, stats must round-trip and hold no attribution
-	// (weights are generated lazily, at first execution).
-	kinds, err := p.WorkerKindSeconds()
-	if err != nil {
-		t.Fatal(err)
+	complete := func(kinds map[int]map[string]float64) {
+		t.Helper()
+		for _, di := range plan.UsedDevices() {
+			if len(kinds[di]) != tensor.NumKinds {
+				t.Fatalf("device %d reports %v, want all %d kinds", di, kinds[di], tensor.NumKinds)
+			}
+		}
 	}
+	kinds := p.Health().KindSeconds
+	complete(kinds)
 	for di, ks := range kinds {
 		for kind, sec := range ks {
 			if sec != 0 {
@@ -57,13 +64,8 @@ func TestWorkerKindSecondsAttribution(t *testing.T) {
 		}
 	}
 
-	kinds, err = p.WorkerKindSeconds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) == 0 {
-		t.Fatal("no devices reported kind stats")
-	}
+	kinds = p.Health().KindSeconds
+	complete(kinds)
 	var conv float64
 	for di, ks := range kinds {
 		for kind, sec := range ks {
@@ -75,5 +77,16 @@ func TestWorkerKindSecondsAttribution(t *testing.T) {
 	}
 	if conv <= 0 {
 		t.Fatal("conv layers executed but no conv seconds attributed")
+	}
+
+	for _, w := range lc.Workers {
+		_ = w.Abort()
+	}
+	after := p.Health().KindSeconds
+	complete(after)
+	for di, ks := range kinds {
+		if !maps.Equal(ks, after[di]) {
+			t.Fatalf("device %d: %v with its worker gone, %v before", di, after[di], ks)
+		}
 	}
 }

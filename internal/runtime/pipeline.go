@@ -3,9 +3,9 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,14 +85,14 @@ type stageDriver struct {
 	window int
 	// timeout bounds each tile round trip on this stage.
 	timeout time.Duration
-	// record accumulates per-device compute time into the pipeline stats
-	// (and, when telemetry is attached, the per-device exec series).
-	record func(deviceIdx int, seconds float64)
-	// stageProd records this stage's per-task round trip; nil without
-	// telemetry.
+	// stageProd records this stage's per-task round trip.
 	stageProd *telemetry.Producer
-	p         *Pipeline
-	c         *chain
+	// prods are the per-device producers gather records each tile on; only
+	// the gather goroutine records, so their lazily filled kernel producers
+	// need no lock.
+	prods map[int]*deviceProds
+	p     *Pipeline
+	c     *chain
 
 	// topoMu guards the live tile layout, which re-balancing rewrites
 	// when a device goes down.
@@ -102,6 +102,31 @@ type stageDriver struct {
 
 	// rr rotates replica choice across retries.
 	rr atomic.Uint64
+}
+
+// deviceProds are one device's producers within one stage: its exec series
+// and, created on a kind's first non-zero reply so a stage holds no ring for
+// a kind it never runs, one kernel series per layer kind.
+type deviceProds struct {
+	exec   *telemetry.Producer
+	kernel [tensor.NumKinds]*telemetry.Producer
+}
+
+// record books one executed tile against its device: the worker-reported
+// compute seconds on the exec series, and each kind's kernel seconds on its
+// kernel series.
+func (sd *stageDriver) record(deviceIdx int, rh *wire.ExecResultHeader) {
+	dp, at := sd.prods[deviceIdx], time.Now()
+	dp.exec.RecordAt(at, rh.ComputeSeconds)
+	for k, sec := range rh.KernelSeconds {
+		if sec == 0 {
+			continue
+		}
+		if dp.kernel[k] == nil {
+			dp.kernel[k] = sd.p.series(sd.index, deviceIdx, telemetry.KindKernel+tensor.KindNames[k]).Producer()
+		}
+		dp.kernel[k].RecordAt(at, sec)
+	}
 }
 
 // flightWork is one dispatched task awaiting its tiles.
@@ -221,7 +246,7 @@ func (sd *stageDriver) gather(fw *flightWork) {
 			From: sd.stage.From, To: sd.stage.To,
 			Start: fw.start, End: end,
 		})
-		if sd.stageProd != nil && f.err == nil {
+		if f.err == nil {
 			sd.stageProd.RecordAt(end, end.Sub(fw.start).Seconds())
 		}
 	}()
@@ -238,7 +263,7 @@ func (sd *stageDriver) gather(fw *flightWork) {
 		if c == nil {
 			continue
 		}
-		strip, comp, transient, err := c.waitExec(sd.timeout)
+		strip, rh, transient, err := c.waitExec(sd.timeout)
 		if err != nil {
 			// Keep draining the remaining calls so every in-flight
 			// response is accounted for before the flight fails.
@@ -250,7 +275,7 @@ func (sd *stageDriver) gather(fw *flightWork) {
 			}
 			continue
 		}
-		sd.record(sd.stage.DeviceIdx[k], comp)
+		sd.record(sd.stage.DeviceIdx[k], &rh)
 		outs = append(outs, strip)
 		rects = append(rects, fw.tiles[k])
 	}
@@ -260,12 +285,12 @@ func (sd *stageDriver) gather(fw *flightWork) {
 		if f.err != nil {
 			break
 		}
-		strip, comp, di, err := sd.retryTile(f, fw.tiles[k])
+		strip, rh, di, err := sd.retryTile(f, fw.tiles[k])
 		if err != nil {
 			f.err = err
 			break
 		}
-		sd.record(di, comp)
+		sd.record(di, &rh)
 		outs = append(outs, strip)
 		rects = append(rects, fw.tiles[k])
 	}
@@ -326,8 +351,8 @@ func (sd *stageDriver) pickLive() (int, *workerClient) {
 
 // retryTile re-executes one tile on healthy replicas, waiting out a redial
 // between attempts, until the retry budget is spent. It returns the tile,
-// its compute seconds and the executing device index.
-func (sd *stageDriver) retryTile(f *flight, tile partition.Rect) (tensor.FMap, float64, int, error) {
+// its result header and the executing device index.
+func (sd *stageDriver) retryTile(f *flight, tile partition.Rect) (tensor.FMap, wire.ExecResultHeader, int, error) {
 	backoff := sd.p.opts.RedialBackoff
 	lastErr := error(nil)
 	for attempt := 0; attempt <= sd.p.opts.RetryBudget; attempt++ {
@@ -351,23 +376,23 @@ func (sd *stageDriver) retryTile(f *flight, tile partition.Rect) (tensor.FMap, f
 			lastErr = err
 			continue
 		}
-		strip, comp, transient, err := c.waitExec(sd.timeout)
+		strip, rh, transient, err := c.waitExec(sd.timeout)
 		if err == nil {
 			sd.p.faults.add(FaultEvent{
 				Stage: sd.index, Device: sd.slots[k].deviceIdx, Worker: sd.slots[k].workerID,
 				Kind: FaultRetried, Detail: fmt.Sprintf("task %d tile %v", f.id, tile),
 			})
-			return strip, comp, sd.stage.DeviceIdx[k], nil
+			return strip, rh, sd.stage.DeviceIdx[k], nil
 		}
 		if !transient {
 			// Worker-reported (deterministic) error: retrying elsewhere
 			// would fail the same way.
-			return tensor.FMap{}, 0, 0, err
+			return tensor.FMap{}, rh, 0, err
 		}
 		sd.noteFault(k, wc, faultKind(err), err)
 		lastErr = err
 	}
-	return tensor.FMap{}, 0, 0, &FaultError{
+	return tensor.FMap{}, wire.ExecResultHeader{}, 0, &FaultError{
 		Device: -1, Kind: FaultDown,
 		Err: fmt.Errorf("task %d tile %v: retry budget exhausted: %w", f.id, tile, lastErr),
 	}
@@ -470,9 +495,6 @@ const minMeasuredSamples = 8
 // sheds rows to its faster peers. Devices without enough windowed samples
 // keep their profile speed. Returns whether the layout changed.
 func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
-	if sd.p.telem == nil {
-		return false
-	}
 	sd.topoMu.Lock()
 	tiles, dead := sd.tiles, sd.dead
 	sd.topoMu.Unlock()
@@ -487,9 +509,7 @@ func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 		}
 		w := sd.speedOf(slot.deviceIdx)
 		if rows := float64(tiles[k].Cells()) / float64(sd.out.W); rows > 0 {
-			st := sd.p.telem.Series(telemetry.Key{
-				Model: sd.p.telemLabel, Stage: sd.index, Device: slot.deviceIdx, Kind: telemetry.KindExec,
-			}).StatsWindow(window)
+			st := sd.p.series(sd.index, slot.deviceIdx, telemetry.KindExec).StatsWindow(window)
 			if st.WindowCount >= minMeasuredSamples && st.P50 > 0 {
 				w = rows / st.P50
 				measured++
@@ -519,8 +539,8 @@ func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 // only coordinator: a stage's tiles are strips or grid rects as the plan
 // says, and Swap replaces the running plan at a task boundary — the paper's
 // scheme switch (§IV-C) — while task ids, the result stream, calibrated
-// scales, telemetry series, per-device counters and the fault journal carry
-// on.
+// scales, telemetry series (and with them the per-device counters) and the
+// fault journal carry on.
 type Pipeline struct {
 	spec  wire.ModelSpec
 	addrs map[int]string
@@ -550,10 +570,12 @@ type Pipeline struct {
 	// faults is the bounded fault-event journal.
 	faults faultLog
 
-	// telem, when attached, receives latency samples keyed under telemLabel:
-	// whole-task e2e in the sink, per-stage round trips in gather, per-device
-	// exec seconds through record. All writes go through lock-free ring
-	// producers, so the hot path cost is a few atomic stores.
+	// telem receives the pipeline's samples keyed under telemLabel: whole-task
+	// e2e in the sink, per-stage round trips in gather, per-device exec and
+	// kernel seconds through record. It is the one store of those
+	// measurements: WorkerStats and Health read their counters back from it.
+	// All writes go through lock-free ring producers, so the hot path cost is
+	// a few atomic stores.
 	telem      *telemetry.Registry
 	telemLabel string
 	e2eProd    *telemetry.Producer
@@ -577,35 +599,6 @@ type chain struct {
 	// cmu guards clients, which grows when redials create connections.
 	cmu     sync.Mutex
 	clients []*workerClient
-
-	// stats holds one lock-free counter per device, fixed when the chain is
-	// built (a swap carries the counters over and adds the new plan's
-	// devices); stage goroutines update them with atomics on every tile.
-	stats map[int]*deviceCounter
-
-	// byDevice holds one control connection per cluster device for
-	// out-of-band requests (worker stats); a device serving several
-	// stages keeps its first connection here.
-	byDevice map[int]*workerClient
-}
-
-// deviceCounter accumulates one device's activity with atomics.
-type deviceCounter struct {
-	tiles atomic.Int64
-	// computeBits holds the float64 bit pattern of accumulated compute
-	// seconds, updated by CAS.
-	computeBits atomic.Uint64
-}
-
-func (dc *deviceCounter) add(seconds float64) {
-	dc.tiles.Add(1)
-	for {
-		old := dc.computeBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + seconds)
-		if dc.computeBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // WorkerStat aggregates one device's activity over the pipeline's lifetime.
@@ -621,8 +614,6 @@ type WorkerStat struct {
 type PipelineOptions struct {
 	// Seed is the shared weight seed (default 1).
 	Seed int64
-	// QueueDepth is the per-stage input buffer (default 8).
-	QueueDepth int
 	// StageWindow caps how many tasks a stage driver may have dispatched
 	// but not yet stitched. 1 is fully synchronous (send, compute, gather
 	// one task at a time — the pre-v2 behaviour); the default 2 double-
@@ -632,14 +623,11 @@ type PipelineOptions struct {
 
 	// ExecTimeout bounds every tile round trip (send through result). Zero
 	// derives a per-stage deadline from the plan's modelled stage cost:
-	// floor + DeadlineSlack × modelled stage seconds — generous enough for
-	// honest slowness, finite so a wedged worker cannot stall the pipeline.
-	// Negative disables deadlines entirely (a benchmarking/debug escape
-	// hatch: a wedged worker can then stall the pipeline forever).
+	// deadlineFloor + deadlineSlack × modelled stage seconds — generous
+	// enough for honest slowness, finite so a wedged worker cannot stall the
+	// pipeline. Negative disables deadlines entirely (a benchmarking/debug
+	// escape hatch: a wedged worker can then stall the pipeline forever).
 	ExecTimeout time.Duration
-	// DeadlineSlack multiplies the modelled stage seconds when deriving
-	// per-stage deadlines (default 8).
-	DeadlineSlack float64
 	// RetryBudget is how many times a transiently failed tile is re-executed
 	// on a healthy replica before its task fails with a FaultError
 	// (default 2; negative disables retries).
@@ -658,10 +646,11 @@ type PipelineOptions struct {
 	// is dequantized into TaskResult.Output.
 	Quantized bool
 
-	// Telemetry, when non-nil, receives latency samples from the pipeline's
-	// hot paths: whole-task end-to-end ("e2e"), per-stage round trips
-	// ("stage") and per-device worker compute ("exec"). Nil keeps the
-	// pipeline telemetry-free.
+	// Telemetry receives the pipeline's samples: whole-task end-to-end
+	// ("e2e"), per-stage round trips ("stage"), per-device worker compute
+	// ("exec") and per-device, per-layer-kind kernel seconds ("kernel.conv",
+	// ...). Nil gives the pipeline a private registry; WorkerStats and Health
+	// read from it either way.
 	Telemetry *telemetry.Registry
 	// TelemetryLabel is the model label telemetry series are keyed under
 	// (default: the plan's model name). The gateway sets it to the session
@@ -669,12 +658,13 @@ type PipelineOptions struct {
 	TelemetryLabel string
 }
 
-// Deadline-derivation defaults: a hung worker is detected after
-// deadlineFloor + slack × the stage's modelled seconds, so emulated-slow
-// devices get proportionally longer leashes.
+// Deadline derivation: a hung worker is detected after deadlineFloor +
+// deadlineSlack × the stage's modelled seconds, so emulated-slow devices get
+// proportionally longer leashes. queueDepth is the per-stage input buffer.
 const (
-	defaultDeadlineSlack = 8.0
-	deadlineFloor        = 5 * time.Second
+	deadlineSlack = 8.0
+	deadlineFloor = 5 * time.Second
+	queueDepth    = 8
 )
 
 // NewPipeline connects to the workers backing the plan's devices and starts
@@ -687,9 +677,6 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 8
 	}
 	if opts.StageWindow <= 0 {
 		opts.StageWindow = 2
@@ -708,21 +695,20 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 		opts.RedialBackoff = 100 * time.Millisecond
 	}
 	p := &Pipeline{
-		spec:    wire.SpecFromModel(plan.Model),
-		addrs:   addrs,
-		opts:    opts,
-		results: make(chan TaskResult, opts.QueueDepth),
+		spec:       wire.SpecFromModel(plan.Model),
+		addrs:      addrs,
+		opts:       opts,
+		results:    make(chan TaskResult, queueDepth),
+		telem:      opts.Telemetry,
+		telemLabel: opts.TelemetryLabel,
 	}
-	if opts.Telemetry != nil {
-		p.telem = opts.Telemetry
-		p.telemLabel = opts.TelemetryLabel
-		if p.telemLabel == "" {
-			p.telemLabel = plan.Model.Name
-		}
-		p.e2eProd = p.telem.Series(telemetry.Key{
-			Model: p.telemLabel, Stage: -1, Device: -1, Kind: telemetry.KindE2E,
-		}).Producer()
+	if p.telem == nil {
+		p.telem = telemetry.New(telemetry.Options{})
 	}
+	if p.telemLabel == "" {
+		p.telemLabel = plan.Model.Name
+	}
+	p.e2eProd = p.series(-1, -1, telemetry.KindE2E).Producer()
 	if opts.Quantized {
 		var err error
 		if p.scales, err = tensor.QuantScales(plan.Model, opts.Seed); err != nil {
@@ -732,7 +718,7 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 	if err := p.checkAddrs(plan); err != nil {
 		return nil, err
 	}
-	c, err := p.connect(plan, nil, false)
+	c, err := p.connect(plan, false)
 	if err != nil {
 		return nil, err
 	}
@@ -770,21 +756,15 @@ func (c *chain) dial(addr string, timeout time.Duration) (*workerClient, error) 
 
 // connect builds the chain for a validated plan whose devices all have
 // addresses: dials and loads every slot, wires the stage channels and starts
-// the drivers. stats carries the device counters of the chain being
-// replaced. A worker that cannot be reached fails construction — or, with
+// the drivers. A worker that cannot be reached fails construction — or, with
 // redialLost (a swap, whose old chain is already gone), comes up as a lost
 // slot on the ordinary redial path.
-func (p *Pipeline) connect(plan *core.Plan, stats map[int]*deviceCounter, redialLost bool) (*chain, error) {
+func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
 	c := &chain{
-		p:        p,
-		plan:     plan,
-		in:       make(chan *flight, p.opts.QueueDepth),
-		closing:  make(chan struct{}),
-		stats:    make(map[int]*deviceCounter),
-		byDevice: make(map[int]*workerClient),
-	}
-	for di, dc := range stats {
-		c.stats[di] = dc
+		p:       p,
+		plan:    plan,
+		in:      make(chan *flight, queueDepth),
+		closing: make(chan struct{}),
 	}
 	calc := partition.NewCalc(plan.Model)
 	for si, st := range plan.Stages {
@@ -792,50 +772,28 @@ func (p *Pipeline) connect(plan *core.Plan, stats map[int]*deviceCounter, redial
 		if timeout < 0 {
 			timeout = 0 // deadlines off: waits block until the conn dies
 		} else if timeout == 0 {
-			slack := p.opts.DeadlineSlack
-			if slack <= 0 {
-				slack = defaultDeadlineSlack
-			}
-			timeout = deadlineFloor + time.Duration(st.Seconds()*slack*float64(time.Second))
+			timeout = deadlineFloor + time.Duration(st.Seconds()*deadlineSlack*float64(time.Second))
 		}
 		sd := &stageDriver{
-			index:   si,
-			stage:   st,
-			slots:   make([]*workerSlot, len(st.DeviceIdx)),
-			calc:    calc,
-			out:     plan.Model.OutShape(st.To - 1),
-			window:  p.opts.StageWindow,
-			timeout: timeout,
-			p:       p,
-			c:       c,
+			index:     si,
+			stage:     st,
+			slots:     make([]*workerSlot, len(st.DeviceIdx)),
+			calc:      calc,
+			out:       plan.Model.OutShape(st.To - 1),
+			window:    p.opts.StageWindow,
+			timeout:   timeout,
+			stageProd: p.series(si, -1, telemetry.KindStage).Producer(),
+			prods:     make(map[int]*deviceProds, len(st.DeviceIdx)),
+			p:         p,
+			c:         c,
 		}
 		sd.tiles = st.Tiles(sd.out.W)
-		sd.record = c.recordCompute
-		if p.telem != nil {
-			sd.stageProd = p.telem.Series(telemetry.Key{
-				Model: p.telemLabel, Stage: si, Device: -1, Kind: telemetry.KindStage,
-			}).Producer()
-			execProd := make(map[int]*telemetry.Producer, len(st.DeviceIdx))
-			for _, di := range st.DeviceIdx {
-				if execProd[di] == nil {
-					execProd[di] = p.telem.Series(telemetry.Key{
-						Model: p.telemLabel, Stage: si, Device: di, Kind: telemetry.KindExec,
-					}).Producer()
-				}
-			}
-			sd.record = func(deviceIdx int, seconds float64) {
-				c.recordCompute(deviceIdx, seconds)
-				if pr := execProd[deviceIdx]; pr != nil {
-					pr.Record(seconds)
-				}
-			}
-		}
 		for k, di := range st.DeviceIdx {
+			if sd.prods[di] == nil {
+				sd.prods[di] = &deviceProds{exec: p.series(si, di, telemetry.KindExec).Producer()}
+			}
 			if sd.tiles[k].Empty() {
 				continue
-			}
-			if c.stats[di] == nil {
-				c.stats[di] = &deviceCounter{}
 			}
 			slot := &workerSlot{deviceIdx: di, addr: p.addrs[di]}
 			sd.slots[k] = slot
@@ -849,9 +807,6 @@ func (p *Pipeline) connect(plan *core.Plan, stats map[int]*deviceCounter, redial
 				continue
 			}
 			slot.workerID, slot.wc = wc.id, wc
-			if c.byDevice[di] == nil {
-				c.byDevice[di] = wc
-			}
 		}
 		c.stages = append(c.stages, sd)
 	}
@@ -859,7 +814,7 @@ func (p *Pipeline) connect(plan *core.Plan, stats map[int]*deviceCounter, redial
 	// Wire the stage channels and start the drivers.
 	prev := c.in
 	for _, sd := range c.stages {
-		next := make(chan *flight, p.opts.QueueDepth)
+		next := make(chan *flight, queueDepth)
 		c.wg.Add(1)
 		go sd.run(prev, next, &c.wg)
 		prev = next
@@ -886,7 +841,7 @@ func (p *Pipeline) sink(last <-chan *flight, wg *sync.WaitGroup) {
 			}
 		}
 		done := time.Now()
-		if p.e2eProd != nil && f.err == nil {
+		if f.err == nil {
 			p.e2eProd.RecordAt(done, done.Sub(f.submitted).Seconds())
 		}
 		p.results <- TaskResult{
@@ -949,7 +904,7 @@ func (p *Pipeline) Results() <-chan TaskResult { return p.results }
 // chain is installed. Everything a chain does not own carries on; the
 // journal gains a plan-swapped event holding reason, the measurement that
 // caused the swap. A Swap to the plan already running is a no-op. The stall
-// is bounded — QueueDepth tasks per stage under exec deadlines and retry
+// is bounded — queueDepth tasks per stage under exec deadlines and retry
 // budgets, then one dial and load per slot — and a worker that cannot be
 // reached takes the redial and re-balance path instead of failing the swap.
 func (p *Pipeline) Swap(plan *core.Plan, reason string) error {
@@ -975,7 +930,7 @@ func (p *Pipeline) Swap(plan *core.Plan, reason string) error {
 		return err
 	}
 	_ = old.stop() // its connections are being dropped either way
-	next, _ := p.connect(plan, old.stats, true)
+	next, _ := p.connect(plan, true)
 	p.cur.Store(next)
 	p.faults.add(FaultEvent{Stage: -1, Device: -1, Kind: FaultPlanSwapped, Detail: reason})
 	return nil
@@ -1024,12 +979,8 @@ func (p *Pipeline) DownDevices() []int {
 // SLORebalance re-splits every stage's tiles from measured per-device
 // execution times in the given telemetry window — the SLO watcher's control
 // action, reusing the same divide-and-conquer balancer the fault path runs
-// when a device dies. It returns how many stages changed layout. A pipeline
-// built without telemetry returns 0.
+// when a device dies. It returns how many stages changed layout.
 func (p *Pipeline) SLORebalance(window time.Duration) int {
-	if p.telem == nil {
-		return 0
-	}
 	if window <= 0 {
 		window = p.telem.Window()
 	}
@@ -1042,55 +993,50 @@ func (p *Pipeline) SLORebalance(window time.Duration) int {
 	return n
 }
 
-// Telemetry returns the registry attached at construction, or nil.
+// Telemetry returns the pipeline's registry: the one attached at
+// construction, or its private one.
 func (p *Pipeline) Telemetry() *telemetry.Registry { return p.telem }
 
-// recordCompute accumulates a worker-reported tile execution. Lock-free:
-// the counter map is immutable once the chain is built and each counter is
-// atomic, so concurrent stage goroutines never contend on a mutex.
-func (c *chain) recordCompute(deviceIdx int, seconds float64) {
-	if dc := c.stats[deviceIdx]; dc != nil {
-		dc.add(seconds)
-	}
+// series returns the pipeline's series for (stage, device, kind).
+func (p *Pipeline) series(stage, device int, kind string) *telemetry.Series {
+	return p.telem.Series(telemetry.Key{Model: p.telemLabel, Stage: stage, Device: device, Kind: kind})
 }
 
-// WorkerStats returns a snapshot of per-device activity over the pipeline's
-// lifetime (swaps included), keyed by cluster device index. Devices that
-// have not executed a tile yet report zeros.
+// WorkerStats returns per-device activity, keyed by cluster device index:
+// every tile the pipeline's exec series hold, over every stage and plan
+// (swaps and redials included). Devices that have not executed a tile yet
+// report zeros.
 func (p *Pipeline) WorkerStats() map[int]WorkerStat {
-	stats := p.cur.Load().stats
-	out := make(map[int]WorkerStat, len(stats))
-	for di, dc := range stats {
-		out[di] = WorkerStat{
-			Tiles:          int(dc.tiles.Load()),
-			ComputeSeconds: math.Float64frombits(dc.computeBits.Load()),
-		}
-	}
-	return out
+	stats, _ := p.devices()
+	return stats
 }
 
-// WorkerKindSeconds asks every worker for its per-layer-kind kernel-time
-// attribution (conv, pointwise, depthwise, pool, fc) and returns it keyed by
-// cluster device index. Unlike WorkerStats' coordinator-side accounting,
-// these are wall-clock kernel seconds measured inside the workers' executors
-// — emulated-capacity sleep top-ups are excluded, so the split shows where
-// the real arithmetic went. Devices whose control connection has died
-// (crashed or down workers) are skipped rather than failing the snapshot.
-func (p *Pipeline) WorkerKindSeconds() (map[int]map[string]float64, error) {
-	byDevice := p.cur.Load().byDevice
-	out := make(map[int]map[string]float64, len(byDevice))
-	for di, wc := range byDevice {
-		if !wc.alive() {
+// devices folds the pipeline's per-device series — exec and kernel.*, under
+// its telemetry label — into per-device tile counts and compute seconds, and
+// per-device kernel seconds for every layer kind (zeros included).
+func (p *Pipeline) devices() (map[int]WorkerStat, map[int]map[string]float64) {
+	stats, kinds := map[int]WorkerStat{}, map[int]map[string]float64{}
+	for _, key := range p.telem.Keys() {
+		if key.Model != p.telemLabel || key.Device < 0 {
 			continue
 		}
-		ks, err := wc.stats()
-		if err != nil {
-			if errors.Is(err, ErrWorkerFault) || !wc.alive() {
-				continue
+		s := p.telem.Series(key)
+		ks := kinds[key.Device]
+		if ks == nil {
+			ks = make(map[string]float64, tensor.NumKinds)
+			for _, name := range tensor.KindNames {
+				ks[name] = 0
 			}
-			return nil, fmt.Errorf("runtime: stats from device %d: %w", di, err)
+			kinds[key.Device] = ks
 		}
-		out[di] = ks
+		if kind, ok := strings.CutPrefix(key.Kind, telemetry.KindKernel); ok {
+			ks[kind] += s.Sum()
+		} else if key.Kind == telemetry.KindExec {
+			st := stats[key.Device]
+			st.Tiles += int(s.Count())
+			st.ComputeSeconds += s.Sum()
+			stats[key.Device] = st
+		}
 	}
-	return out, nil
+	return stats, kinds
 }

@@ -127,9 +127,10 @@ func TestQuantLoadRejectsHostileScales(t *testing.T) {
 // TestQuantLoadBillsNoKernelTime: a quantized load runs no kernel on the
 // serving executor — with scales shipped there is no calibration, and a load
 // without scales (an older coordinator) calibrates on a scratch executor — so
-// the worker's per-kind kernel seconds are all zero until a tile runs, and
-// afterwards hold the executed tiles and nothing else. The scale-less load
-// must also calibrate to the same vector and serve.
+// the worker's per-kind kernel seconds are all zero until a tile runs, each
+// exec reply bills kernel time within its reported compute, and the replies
+// add up to everything the executor holds. The scale-less load must also
+// calibrate to the same vector and serve.
 func TestQuantLoadBillsNoKernelTime(t *testing.T) {
 	m := nn.ToyChain("bill", 3, 2, 6, 24)
 	const seed = 2
@@ -160,18 +161,16 @@ func TestQuantLoadBillsNoKernelTime(t *testing.T) {
 		if msg := rawLoad(t, wc, hdr); msg != "" {
 			t.Fatalf("%s: load refused: %s", name, msg)
 		}
-		ks, err := wc.stats()
-		if err != nil {
-			t.Fatal(err)
+		exec, ok := lc.Workers[0].executor(m.Name, seed)
+		if !ok {
+			t.Fatalf("%s: no executor after the load", name)
 		}
-		for kind, sec := range ks {
-			if sec != 0 {
-				t.Fatalf("%s: %g s of %s kernel time billed by the load", name, sec, kind)
-			}
+		if kinds := exec.KindTotals(); kinds != [tensor.NumKinds]float64{} {
+			t.Fatalf("%s: kernel seconds %v billed by the load", name, kinds)
 		}
-		var reported float64
+		var billed [tensor.NumKinds]float64
 		for task := 0; task < 3; task++ {
-			got, sec, err := wc.exec(wire.ExecHeader{
+			got, rh, err := wc.exec(wire.ExecHeader{
 				From: 0, To: m.NumLayers(), OutLo: 0, OutHi: m.Output().H, ModelName: m.Name, Seed: seed,
 			}, tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0])))
 			if err != nil {
@@ -180,17 +179,20 @@ func TestQuantLoadBillsNoKernelTime(t *testing.T) {
 			if !tensor.EqualQ(got.QTensor(), want) {
 				t.Fatalf("%s: worker output differs from local RunQ", name)
 			}
-			reported += sec
+			var kernel float64
+			for k, sec := range rh.KernelSeconds {
+				kernel += sec
+				billed[k] += sec
+			}
+			if kernel <= 0 || kernel > rh.ComputeSeconds {
+				t.Fatalf("%s task %d: %g s of kernel time for a tile that took %g s", name, task, kernel, rh.ComputeSeconds)
+			}
 		}
-		if ks, err = wc.stats(); err != nil {
-			t.Fatal(err)
-		}
-		var kernel float64
-		for _, sec := range ks {
-			kernel += sec
-		}
-		if kernel <= 0 || kernel > reported {
-			t.Fatalf("%s: %g s of kernel time for tiles that took %g s", name, kernel, reported)
+		// The replies account for every kernel second the executor holds.
+		for k, total := range exec.KindTotals() {
+			if math.Abs(total-billed[k]) > 1e-9 {
+				t.Fatalf("%s: %s: replies bill %g s, the executor holds %g s", name, tensor.KindNames[k], billed[k], total)
+			}
 		}
 	}
 }

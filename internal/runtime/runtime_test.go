@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -284,10 +285,33 @@ func TestUnreachableWorker(t *testing.T) {
 	}
 }
 
-// execT is exec for a float32 tile.
+// exec is the synchronous request/response form of startExec + waitExec,
+// without a deadline.
+func (wc *workerClient) exec(hdr wire.ExecHeader, tile tensor.FMap) (tensor.FMap, wire.ExecResultHeader, error) {
+	c, err := wc.startExec(hdr, tile)
+	if err != nil {
+		return tensor.FMap{}, wire.ExecResultHeader{}, err
+	}
+	out, rh, _, err := c.waitExec(0)
+	return out, rh, err
+}
+
+// execT is exec for a float32 tile, returning the reported compute seconds.
 func (wc *workerClient) execT(hdr wire.ExecHeader, tile tensor.Tensor) (tensor.Tensor, float64, error) {
-	out, seconds, err := wc.exec(hdr, tensor.MapOf(tile))
-	return out.Tensor(), seconds, err
+	out, rh, err := wc.exec(hdr, tensor.MapOf(tile))
+	return out.Tensor(), rh.ComputeSeconds, err
+}
+
+func (wc *workerClient) ping() error {
+	msg, err := wc.roundTrip(wire.MsgPing, nil, nil)
+	if err != nil {
+		return err
+	}
+	defer wire.PutBuffer(msg.Payload)
+	if msg.Type != wire.MsgPong {
+		return fmt.Errorf("runtime: %s: unexpected %v to ping", wc.id, msg.Type)
+	}
+	return nil
 }
 
 func TestWorkerRejectsExecWithoutModel(t *testing.T) {
@@ -316,6 +340,34 @@ func TestWorkerPing(t *testing.T) {
 	defer wc.close()
 	if err := wc.ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDialRefusesProtocolSkew: a peer whose hello names the previous
+// protocol version fails closed at dial, with an error naming both versions.
+func TestDialRefusesProtocolSkew(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		conn := wire.NewConn(c)
+		_ = conn.Send(wire.MsgHello, wire.HelloHeader{NodeID: "old", Version: wire.ProtocolVersion - 1}, nil)
+		_, _ = conn.Recv() // hold the connection until the dialer hangs up
+	}()
+	wc, err := dialWorker(ln.Addr().String())
+	if err == nil {
+		_ = wc.close()
+		t.Fatal("a peer on the previous protocol version was accepted")
+	}
+	if want := fmt.Sprintf("protocol %d, want %d", wire.ProtocolVersion-1, wire.ProtocolVersion); !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to name %q", err, want)
 	}
 }
 

@@ -578,45 +578,6 @@ func TestGridPlanValidation(t *testing.T) {
 	}
 }
 
-func TestMeasureAndDiscoverCluster(t *testing.T) {
-	// Two emulated workers, 4x speed apart: discovery must fit speeds in
-	// roughly that ratio, and the resulting cluster must plan.
-	lc := startCluster(t, 2, []float64{4e7, 1e7})
-	probe := nn.ToyChain("probe", 3, 0, 8, 32)
-	addrs := []string{lc.Addrs[0], lc.Addrs[1]}
-	cl, err := DiscoverCluster(addrs, probe, 1, 2, cluster.WiFi50MbpsBps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Size() != 2 {
-		t.Fatalf("discovered %d devices", cl.Size())
-	}
-	ratio := cl.Devices[0].EffectiveSpeed() / cl.Devices[1].EffectiveSpeed()
-	// The emulation floor is the modelled time, so the ratio should land
-	// near 4 (allow wide tolerance for real-compute contamination on the
-	// fast worker).
-	if ratio < 1.5 {
-		t.Fatalf("speed ratio %.2f: heterogeneity not discovered", ratio)
-	}
-	plan, err := core.PlanPipeline(probe, cl, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Errors: unreachable worker.
-	if _, err := DiscoverCluster([]string{"127.0.0.1:1"}, probe, 1, 1, 1e6); err == nil {
-		t.Fatal("unreachable worker accepted")
-	}
-	if _, err := DiscoverCluster(nil, probe, 1, 1, 1e6); err == nil {
-		t.Fatal("empty worker list accepted")
-	}
-	if _, err := MeasureWorker(lc.Addrs[0], &nn.Model{Name: "bad"}, 1, 1); err == nil {
-		t.Fatal("invalid probe accepted")
-	}
-}
-
 func TestWorkerServesMultipleCoordinators(t *testing.T) {
 	// Two independent grid pipelines share the same workers concurrently;
 	// every result must stay bit-exact (one handler goroutine per conn).

@@ -334,8 +334,6 @@ func (w *Worker) handle(conn *wire.Conn) {
 			err = w.handleLoad(conn, msg)
 		case wire.MsgPing:
 			err = conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
-		case wire.MsgStats:
-			err = conn.SendRequest(wire.MsgStatsResult, msg.ReqID, wire.StatsHeader{KindSeconds: w.KindSeconds()}, nil)
 		case wire.MsgShutdown:
 			wire.PutBuffer(msg.Payload)
 			return
@@ -421,20 +419,6 @@ func sameModel(a, b *nn.Model) bool {
 	return a.Input == b.Input && reflect.DeepEqual(a.Layers, b.Layers)
 }
 
-// KindSeconds sums per-layer-kind kernel seconds over every executor the
-// worker has loaded — the payload of a MsgStatsResult frame.
-func (w *Worker) KindSeconds() map[string]float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	total := map[string]float64{}
-	for _, e := range w.execs {
-		for kind, sec := range e.KindSeconds() {
-			total[kind] += sec
-		}
-	}
-	return total
-}
-
 func (w *Worker) executor(name string, seed int64) (*tensor.Executor, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -505,25 +489,18 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 	if hdr.OutColHi > 0 {
 		rect.Cols = partition.Range{Lo: hdr.OutColLo, Hi: hdr.OutColHi}
 	}
-	out, elapsed, err := w.compute(exec, hdr.From, hdr.To, tile, rect)
+	rh := wire.ExecResultHeader{TaskID: hdr.TaskID, OutLo: hdr.OutLo}
+	out, err := w.compute(exec, hdr.From, hdr.To, tile, rect, &rh)
 	tile.Recycle()
 	if err != nil {
 		return refuse(err)
 	}
+	rh.C, rh.H, rh.W, rh.DType, rh.Scale = out.C, out.H, out.W, int(out.DType), out.Scale
 	// Zero-copy wherever the host layout is the wire layout: the payload
 	// aliases out's data, and SendExecResult consumes it synchronously
 	// before out is recycled.
 	payload, pooled := wire.MapBytes(out)
-	err = conn.SendExecResult(msg.ReqID, &wire.ExecResultHeader{
-		TaskID:         hdr.TaskID,
-		OutLo:          hdr.OutLo,
-		C:              out.C,
-		H:              out.H,
-		W:              out.W,
-		DType:          int(out.DType),
-		Scale:          out.Scale,
-		ComputeSeconds: elapsed.Seconds(),
-	}, payload)
+	err = conn.SendExecResult(msg.ReqID, &rh, payload)
 	if pooled {
 		wire.PutBuffer(payload)
 	}
@@ -531,17 +508,23 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 	return err
 }
 
-// compute executes one tile in the worker's compute lane and returns the
-// output with the (emulated) compute time.
-func (w *Worker) compute(exec *tensor.Executor, from, to int, tile tensor.FMap, rect partition.Rect) (tensor.FMap, time.Duration, error) {
+// compute executes one tile in the worker's compute lane and fills the
+// reply's (emulated) compute seconds and per-kind kernel seconds. The lane
+// serializes every tile on the worker, so the executor's kind totals move by
+// this tile's kernels alone between the two reads.
+func (w *Worker) compute(exec *tensor.Executor, from, to int, tile tensor.FMap, rect partition.Rect, rh *wire.ExecResultHeader) (tensor.FMap, error) {
 	w.lane.Lock()
 	defer w.lane.Unlock() // deferred: a kernel panic must not wedge the device
-	start := time.Now()
+	kinds, start := exec.KindTotals(), time.Now()
 	out, err := exec.RunTile(from, to, tile, rect)
 	if err != nil {
-		return out, 0, err
+		return out, err
 	}
-	return out, w.emulate(time.Since(start), float64(exec.TileFLOPs(from, to, rect))), nil
+	rh.ComputeSeconds = w.emulate(time.Since(start), float64(exec.TileFLOPs(from, to, rect))).Seconds()
+	for k, total := range exec.KindTotals() {
+		rh.KernelSeconds[k] = total - kinds[k]
+	}
+	return out, nil
 }
 
 // emulate tops a measured compute interval up to the modelled time for the

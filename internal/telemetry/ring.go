@@ -24,10 +24,13 @@ type ring struct {
 
 type ringStripe struct {
 	cursor atomic.Uint64
-	slots  []ringSlot
-	mask   uint64
+	// sum holds the float64 bit pattern of the stripe's lifetime value sum,
+	// updated by CAS.
+	sum   atomic.Uint64
+	slots []ringSlot
+	mask  uint64
 	// _pad keeps neighbouring stripes' cursors off one cache line.
-	_pad [104]byte //nolint:unused
+	_pad [96]byte //nolint:unused
 }
 
 // ringSlot holds one sample. seq carries the slot's published version:
@@ -75,6 +78,12 @@ func (r *ring) record(stripe int, at int64, v float64) {
 	s.at.Store(at)
 	s.bits.Store(math.Float64bits(v))
 	s.seq.Store((i + 1) << 1)
+	for {
+		old := st.sum.Load()
+		if st.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // total returns the lifetime number of claimed samples.
@@ -84,6 +93,15 @@ func (r *ring) total() int64 {
 		n += r.stripes[i].cursor.Load()
 	}
 	return int64(n)
+}
+
+// sum returns the lifetime sum of recorded values.
+func (r *ring) sum() float64 {
+	var v float64
+	for i := range r.stripes {
+		v += math.Float64frombits(r.stripes[i].sum.Load())
+	}
+	return v
 }
 
 // drain collects, per stripe, every sample published since from[i], appends

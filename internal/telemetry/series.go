@@ -76,6 +76,10 @@ func (s *Series) Record(v float64) {
 // fold path lost to ring overwrite).
 func (s *Series) Count() int64 { return s.ring.total() }
 
+// Sum returns the lifetime sum of recorded values, ring overwrites included
+// — with Count, the series' lifetime total and mean.
+func (s *Series) Sum() float64 { return s.ring.sum() }
+
 // fold drains the ring into the immutable range log, evicts ranges past
 // retention and bounds the log length. Callers hold s.mu.
 func (s *Series) foldLocked(now int64) {

@@ -16,6 +16,8 @@
 //	kind "e2e"   — whole-task latency (stage = -1, device = -1)
 //	kind "stage" — one pipeline stage's round trip (device = -1)
 //	kind "exec"  — one device's worker-reported tile compute time
+//	kind "kernel.<layer kind>" — one device's kernel seconds of that layer
+//	               kind (conv, pointwise, depthwise, pool, fc) per tile
 //
 // The Watcher closes the loop: a p99 over its bound or a per-device exec
 // skew past its factor is reported as a Breach, which the serving layer
@@ -41,6 +43,10 @@ const (
 	KindStage = "stage"
 	// KindExec is one device's worker-reported tile compute time.
 	KindExec = "exec"
+	// KindKernel prefixes a layer kind's name ("kernel.conv", ...): one
+	// device's kernel seconds of that kind per tile, as the worker reports
+	// them. The watcher's checks ignore these series.
+	KindKernel = "kernel."
 	// KindRequest is one gateway request's whole latency, enqueue through
 	// result delivery (micro-batch wait included), recorded by the serving
 	// layer.
@@ -232,7 +238,7 @@ type SeriesStats struct {
 // percentile report).
 func Table(stats []SeriesStats) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %-6s %5s %6s %6s %10s %10s %10s\n",
+	fmt.Fprintf(&b, "%-20s %-16s %5s %6s %6s %10s %10s %10s\n",
 		"model", "kind", "stage", "device", "n", "p50", "p95", "p99")
 	for _, st := range stats {
 		if st.WindowCount == 0 {
@@ -245,7 +251,7 @@ func Table(stats []SeriesStats) string {
 		if st.Key.Device < 0 {
 			device = "-"
 		}
-		fmt.Fprintf(&b, "%-20s %-6s %5s %6s %6d %10s %10s %10s\n",
+		fmt.Fprintf(&b, "%-20s %-16s %5s %6s %6d %10s %10s %10s\n",
 			st.Key.Model, st.Key.Kind, stage, device, st.WindowCount,
 			fmtSeconds(st.P50), fmtSeconds(st.P95), fmtSeconds(st.P99))
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -320,6 +321,11 @@ func TestSeriesConcurrentProducersUnderStats(t *testing.T) {
 	}
 	if st.WindowCount > 0 && st.P99 != 0.001 {
 		t.Fatalf("p99 %v, want 0.001", st.P99)
+	}
+	// Six writers over four stripes: shared stripes race on the sum's CAS,
+	// and no sample is lost to it (nor to ring overwrite).
+	if got, want := s.Sum(), writers*perWriter*0.001; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("sum %v, want %v", got, want)
 	}
 }
 

@@ -140,19 +140,27 @@ func (c *onceCache[V]) peek(key string) *V {
 	return ent.v.Load()
 }
 
+// Layer kinds kernel time is attributed to, indexing KindNames and the
+// arrays KindTotals returns.
+const (
+	kindConv      = iota // spatial convolutions (kernel > 1x1, grouped-but-not-depthwise)
+	kindPointwise        // 1x1 stride-1 unpadded convolutions
+	kindDepthwise        // groups == channels convolutions
+	kindPool             // max/avg/global-average pools
+	kindFC               // fully connected layers
+	NumKinds
+)
+
+// KindNames names each layer kind, in kind order.
+var KindNames = [NumKinds]string{"conv", "pointwise", "depthwise", "pool", "fc"}
+
 // kindStats accumulates kernel wall-clock seconds per layer kind. Counters
 // are float64 bit patterns updated by CAS so concurrent segment runs on one
 // executor attribute time without a lock on the hot path.
-type kindStats struct {
-	conv      atomic.Uint64 // spatial convolutions (kernel > 1x1, grouped-but-not-depthwise)
-	pointwise atomic.Uint64 // 1x1 stride-1 unpadded convolutions
-	depthwise atomic.Uint64 // groups == channels convolutions
-	pool      atomic.Uint64 // max/avg/global-average pools
-	fc        atomic.Uint64 // fully connected layers
-}
+type kindStats [NumKinds]atomic.Uint64
 
-func (s *kindStats) add(c *atomic.Uint64, d time.Duration) {
-	sec := d.Seconds()
+func (s *kindStats) add(kind int, d time.Duration) {
+	c, sec := &s[kind], d.Seconds()
 	for {
 		old := c.Load()
 		if c.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sec)) {
@@ -161,33 +169,40 @@ func (s *kindStats) add(c *atomic.Uint64, d time.Duration) {
 	}
 }
 
-// convCounter picks the attribution bucket for a convolution's shape, by the
+// convKind picks the attribution bucket for a convolution's shape, by the
 // predicates the kernel dispatch in convForward uses.
-func (s *kindStats) convCounter(l *nn.Layer, inC int) *atomic.Uint64 {
+func convKind(l *nn.Layer, inC int) int {
 	switch {
 	case depthwise(l, inC):
-		return &s.depthwise
+		return kindDepthwise
 	case pointwise(l):
-		return &s.pointwise
+		return kindPointwise
 	default:
-		return &s.conv
+		return kindConv
 	}
 }
 
-// KindSeconds returns cumulative kernel wall-clock seconds since the
-// executor was created, keyed by layer kind: conv, pointwise, depthwise,
-// pool (including global average pool), and fc — in either precision and
-// for any tile shape. Block combine overhead and tensor stitching are not
-// attributed.
-func (e *Executor) KindSeconds() map[string]float64 {
-	f := func(c *atomic.Uint64) float64 { return math.Float64frombits(c.Load()) }
-	return map[string]float64{
-		"conv":      f(&e.stats.conv),
-		"pointwise": f(&e.stats.pointwise),
-		"depthwise": f(&e.stats.depthwise),
-		"pool":      f(&e.stats.pool),
-		"fc":        f(&e.stats.fc),
+// KindTotals returns cumulative kernel wall-clock seconds since the executor
+// was created, indexed by layer kind (KindNames): conv, pointwise, depthwise,
+// pool (including global average pool), and fc — in either precision and for
+// any tile shape. Block combine overhead and tensor stitching are not
+// attributed. It does not allocate, so a caller can take a delta around each
+// tile.
+func (e *Executor) KindTotals() [NumKinds]float64 {
+	var t [NumKinds]float64
+	for k := range t {
+		t[k] = math.Float64frombits(e.stats[k].Load())
 	}
+	return t
+}
+
+// KindSeconds is KindTotals keyed by kind name.
+func (e *Executor) KindSeconds() map[string]float64 {
+	out := make(map[string]float64, NumKinds)
+	for k, sec := range e.KindTotals() {
+		out[KindNames[k]] = sec
+	}
+	return out
 }
 
 // ExecutorOption configures an Executor.
@@ -460,22 +475,22 @@ func (e *Executor) runLayer(l *nn.Layer, key string, in FMap, g geom, sIn, sOut 
 func runKernel[T, CW, FW any](e *Executor, k *dtypeKernels[T, CW, FW], l *nn.Layer, key string, in FMap, g geom, sIn, sOut float32) FMap {
 	x := k.view(in)
 	var out T
-	c, start := &e.stats.pool, time.Now()
+	kind, start := kindPool, time.Now()
 	switch l.Kind {
 	case nn.Conv:
 		w := k.convW(e, key, l, g.in.C, sIn, sOut)
-		c, start = e.stats.convCounter(l, g.in.C), time.Now()
+		kind, start = convKind(l, g.in.C), time.Now()
 		out = k.conv(x, g, l, w, e.par)
 	case nn.FullyConnected:
 		w := k.fcW(e, key, l, g.in.Elems(), sIn, sOut)
-		c, start = &e.stats.fc, time.Now()
+		kind, start = kindFC, time.Now()
 		out = k.fc(x, l, w, e.par)
 	case nn.GlobalAvgPool:
 		out = k.gap(x, l, e.par)
 	default:
 		out = k.pool(x, g, l, e.par)
 	}
-	e.stats.add(c, time.Since(start))
+	e.stats.add(kind, time.Since(start))
 	return k.tag(out)
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"pico/internal/nn"
+	"pico/internal/tensor"
 )
 
 // HelloHeader introduces a peer.
@@ -18,8 +19,9 @@ type HelloHeader struct {
 // ProtocolVersion guards against mixed deployments. Version 2 added the
 // request id to the frame prefix (request multiplexing) and binary headers
 // on the exec hot path. Version 3 added the payload dtype and quantization
-// scale to both exec headers so tiles can travel as int8.
-const ProtocolVersion = 3
+// scale to both exec headers so tiles can travel as int8. Version 4 added the
+// per-kind kernel seconds to the exec result and dropped the stats messages.
+const ProtocolVersion = 4
 
 // Payload element types for exec frames. Float32 is the zero value so a
 // v2-era header (no dtype field) decodes as the float path.
@@ -196,20 +198,24 @@ type ExecResultHeader struct {
 	// so the coordinator never re-derives calibration mid-pipeline.
 	DType int
 	Scale float32
-	// ComputeSeconds is the worker-side pure compute time, reported for
-	// utilization accounting.
+	// ComputeSeconds is the worker-side compute time of the tile, including
+	// any emulated-speed top-up, reported for utilization accounting.
 	ComputeSeconds float64
+	// KernelSeconds is the tile's kernel wall-clock time per layer kind, in
+	// tensor's kind order (tensor.KindNames); the emulated top-up is not in
+	// it.
+	KernelSeconds [tensor.NumKinds]float64
 }
 
 // execResultHeaderLen is the binary exec-result header size: TaskID int64,
 // five int32 fields (geometry + dtype), the float32 scale, ComputeSeconds
-// float64.
-const execResultHeaderLen = 8 + 5*4 + 4 + 8
+// float64 and one float64 per kernel kind.
+const execResultHeaderLen = 8 + 5*4 + 4 + 8 + tensor.NumKinds*8
 
 // appendBinary encodes h as:
 //
 //	TaskID int64 | OutLo, C, H, W, DType (int32 each) | Scale float32 |
-//	ComputeSeconds float64
+//	ComputeSeconds float64 | KernelSeconds (float64 each)
 func (h *ExecResultHeader) appendBinary(buf []byte) []byte {
 	var fixed [execResultHeaderLen]byte
 	binary.LittleEndian.PutUint64(fixed[0:], uint64(h.TaskID))
@@ -220,6 +226,9 @@ func (h *ExecResultHeader) appendBinary(buf []byte) []byte {
 	binary.LittleEndian.PutUint32(fixed[24:], uint32(int32(h.DType)))
 	binary.LittleEndian.PutUint32(fixed[28:], math.Float32bits(h.Scale))
 	binary.LittleEndian.PutUint64(fixed[32:], math.Float64bits(h.ComputeSeconds))
+	for k, sec := range h.KernelSeconds {
+		binary.LittleEndian.PutUint64(fixed[40+8*k:], math.Float64bits(sec))
+	}
 	return append(buf, fixed[:]...)
 }
 
@@ -235,6 +244,9 @@ func (h *ExecResultHeader) decodeBinary(b []byte) error {
 	h.DType = int(int32(binary.LittleEndian.Uint32(b[24:])))
 	h.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[28:]))
 	h.ComputeSeconds = math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))
+	for k := range h.KernelSeconds {
+		h.KernelSeconds[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[40+8*k:]))
+	}
 	return nil
 }
 
@@ -251,14 +263,4 @@ func (m *Message) DecodeExecResult(h *ExecResultHeader) error {
 type ErrorHeader struct {
 	TaskID  int64  `json:"task_id"`
 	Message string `json:"message"`
-}
-
-// StatsHeader returns a worker's cumulative compute-time attribution in a
-// MsgStatsResult frame. A control-plane message, so plain JSON: it crosses
-// the wire once per run, not per tile.
-type StatsHeader struct {
-	// KindSeconds maps layer kind (conv, pointwise, depthwise, pool, fc)
-	// to cumulative kernel wall-clock seconds across the worker's
-	// executors since the worker started.
-	KindSeconds map[string]float64 `json:"kind_seconds"`
 }

@@ -54,10 +54,6 @@ const (
 	MsgPong
 	// MsgShutdown asks a worker to stop serving.
 	MsgShutdown
-	// MsgStats requests a worker's cumulative compute statistics;
-	// MsgStatsResult returns them.
-	MsgStats
-	MsgStatsResult
 )
 
 func (t MsgType) String() string {
@@ -78,10 +74,6 @@ func (t MsgType) String() string {
 		return "pong"
 	case MsgShutdown:
 		return "shutdown"
-	case MsgStats:
-		return "stats"
-	case MsgStatsResult:
-		return "stats-result"
 	default:
 		return fmt.Sprintf("type(%d)", byte(t))
 	}

@@ -270,6 +270,8 @@ func TestExecResultHeaderBinaryRoundTrip(t *testing.T) {
 		{TaskID: 77, OutLo: -1, C: 3, H: 4, W: 5, ComputeSeconds: 0.125},
 		{TaskID: -1, OutLo: 1 << 30, C: 1, H: 1, W: 1, ComputeSeconds: math.Inf(1)},
 		{TaskID: 5, OutLo: 2, C: 8, H: 3, W: 9, DType: DTypeInt8, Scale: 0.031, ComputeSeconds: 1.5},
+		{TaskID: 9, C: 2, H: 2, W: 2, ComputeSeconds: 0.5,
+			KernelSeconds: [tensor.NumKinds]float64{0.1, 0.2, 0, 1e-9, math.MaxFloat64}},
 	}
 	for i, want := range headers {
 		buf := want.appendBinary(nil)
@@ -284,6 +286,10 @@ func TestExecResultHeaderBinaryRoundTrip(t *testing.T) {
 	var h ExecResultHeader
 	if err := h.decodeBinary(make([]byte, execResultHeaderLen+1)); err == nil {
 		t.Fatal("oversize exec-result header accepted")
+	}
+	// A v3 peer's result header (no kernel seconds) fails closed.
+	if err := h.decodeBinary(make([]byte, 40)); err == nil {
+		t.Fatal("40-byte (v3) exec-result header accepted")
 	}
 }
 
