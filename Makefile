@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross bench-vet results-check fuzz-geometry loc check
+.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry loc check
 
 all: check
 
@@ -93,14 +93,19 @@ serve-smoke:
 metrics-smoke:
 	$(GO) test -race -count=1 -run 'PicoserveMetricsSmoke|MetricsEndpoint|SLOBreachTriggersRebalance' ./cmd/picoserve ./internal/serve
 
-# Cross-compile gate for the per-architecture asm surface: the NEON (arm64)
-# kernels must assemble and the pure-Go fallback must build on an arch with
-# no asm at all. Neither binary runs here — bit-identity on arm64 is
-# enforced by the shared scalar contract and the property/fuzz suite.
+# Cross-compile gate: amd64 is the only architecture with asm, so every other
+# one — arm64 here — builds the portable kernels of simd_generic.go, which
+# `purego` tests on an amd64 host.
 cross:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
-	GOOS=linux GOARCH=riscv64 $(GO) build ./...
+
+# The portable kernels on an amd64 host: the purego tag leaves the asm out, so
+# internal/tensor's property, fuzz-seed and bit-identity suites (about 25 s)
+# check the scalar code every other architecture ships, and
+# TestPortableBuildRunsNoAsm that no vector gate is left on.
+purego:
+	$(GO) test -tags purego ./internal/tensor
 
 # bench/ is its own module (go.mod with `replace pico => ../`), so `build`,
 # `vet` and `test` above never compile it: an API rename that breaks the
@@ -137,4 +142,4 @@ loc:
 	@printf '%-22s %6d\n' 'internal + cmd' $(call gocount,internal cmd)
 	@printf '%-22s %6d\n' 'asm (*.s)' $$(find . -name '*.s' -exec cat {} + | wc -l)
 
-check: build vet cross bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke results-check
+check: build vet cross purego bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke results-check

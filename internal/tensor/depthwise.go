@@ -195,8 +195,9 @@ func dwColumns[E elem, A accum](c *dwChan[E, A], row, src []E, nrows int, w []E,
 
 // dw3x3Row is one row of the dwTile contract spelled out one statement per
 // tap, accumulators unfinished: dst[i] for the span's columns from x0. The
-// typed tiles must match it (and their fin) bit for bit; it also serves
-// stride 2 on hosts without a vector tile.
+// typed tiles must match it (and their fin) bit for bit; it is also the
+// portable tile, on hosts without a vector tile and for the rows one cannot
+// take.
 func dw3x3Row[E elem, A accum](dst []A, src []E, x0, rowStride, nrows int, w []E, seed A, sw int) {
 	for i := range dst {
 		x := x0 + i*sw
@@ -217,32 +218,16 @@ func dw3x3Row[E elem, A accum](dst []A, src []E, x0, rowStride, nrows int, w []E
 	}
 }
 
-// simdDW3x3 gates the fused 3x3 depthwise tiles. arm64 and scalar hosts
-// compose the portable tile from the per-row sweeps instead.
-var simdDW3x3 = simdDW3x3Available()
+// simdDW3x3 gates the fused 3x3 depthwise tiles (tests switch it off to run
+// the portable tile everywhere).
+var simdDW3x3 = vectorAvailable()
 
-// dw3x3RowGo computes output row r of the portable tile, accumulators
-// unfinished: at stride 1 the interior is seeded and swept once per input row
-// by an architecture's 3-tap sweep (dw3RowF / dw3Row, NEON on arm64) and the
-// edge columns take the spelled-out form, as does a whole stride-2 row.
-func dw3x3RowGo[E elem, A accum](c *dwChan[E, A], dst []A, in []E, base, r int, sweep func(acc []A, src []E, w *[4]A, n int)) {
+// dw3x3RowGo computes output row r of the span in portable form,
+// accumulators unfinished.
+func dw3x3RowGo[E elem, A accum](c *dwChan[E, A], dst []A, in []E, base, r int) {
 	g := c.g
 	kLo, nrows, off := g.krows(r)
-	src, w := in[base+off:], c.w[3*kLo:3*(kLo+nrows)]
-	if g.sw != 1 {
-		dw3x3Row(dst, src, g.x0, g.inW, nrows, w, c.seed, g.sw)
-		return
-	}
-	dw3x3Row(dst[:g.left], src, g.x0, g.inW, nrows, w, c.seed, 1)
-	dw3x3Row(dst[g.left+g.n:], src, g.x+g.n, g.inW, nrows, w, c.seed, 1)
-	mid := dst[g.left : g.left+g.n]
-	for i := range mid {
-		mid[i] = c.seed
-	}
-	for q := 0; q < nrows; q++ {
-		w4 := [4]A{A(w[3*q]), A(w[3*q+1]), A(w[3*q+2])}
-		sweep(mid, src[q*g.inW+g.x:], &w4, g.n)
-	}
+	dw3x3Row(dst, in[base+off:], g.x0, g.inW, nrows, c.w[3*kLo:3*(kLo+nrows)], c.seed, g.sw)
 }
 
 // dw3x3TileF is the float32 dwTile. The AVX2 tiles produce 8 interior
@@ -265,7 +250,7 @@ func dw3x3TileF(c *dwChan[float32, float32], dst, in []float32, base int) {
 	}
 	for r := 0; r < g.outRows; r++ {
 		if r < lo || r >= hi {
-			dw3x3RowGo(c, dst[r*g.outW:][:g.tileHi-g.tileLo], in, base, r, dw3RowF)
+			dw3x3RowGo(c, dst[r*g.outW:][:g.tileHi-g.tileLo], in, base, r)
 		}
 	}
 }
@@ -292,7 +277,7 @@ func dw3x3TileQ(c *dwChan[int8, int32], dst, in []int8, base int) {
 	for r := 0; r < g.outRows; r++ {
 		if r < lo || r >= hi {
 			acc := c.row(cols)
-			dw3x3RowGo(c, acc, in, base, r, dw3Row)
+			dw3x3RowGo(c, acc, in, base, r)
 			c.store(c, dst[r*g.outW:][:cols], acc)
 		}
 	}

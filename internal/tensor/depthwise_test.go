@@ -20,8 +20,7 @@ import (
 // covers the kernels whose zero tap the reference skips and the fused tile
 // must decline.
 // The whole sweep runs twice: with the host's vector tiles and with them
-// switched off, which is the composition of per-row sweeps arm64 and scalar
-// hosts run.
+// switched off, which is the portable tile every other host runs.
 func TestDepthwisePlaneWalkerMatchesReference(t *testing.T) {
 	defer func(v bool) { simdDW3x3 = v }(simdDW3x3)
 	for _, vector := range []bool{simdDW3x3, false} {

@@ -59,27 +59,6 @@ func FuzzFKernelTile(f *testing.F) {
 			})
 		}
 
-		// dw3RowF: fused depthwise 3-tap.
-		{
-			src := randF(n + 2)
-			var w [4]float32
-			copy(w[:], randF(4))
-			got := randF(n)
-			want := append([]float32(nil), got...)
-			dw3RowF(got, src, &w, n)
-			for i := 0; i < n; i++ {
-				v := want[i] + w[0]*src[i]
-				v += w[1] * src[i+1]
-				v += w[2] * src[i+2]
-				want[i] = v
-			}
-			for i := range want {
-				if !bitsEq(got[i], want[i]) {
-					t.Fatalf("dw3RowF n=%d: acc[%d]=%g want %g", n, i, got[i], want[i])
-				}
-			}
-		}
-
 		// dw3x3TileF: the fused 3x3 depthwise tile (see checkDWTiles), with
 		// NaN and -0 lanes.
 		{

@@ -391,16 +391,16 @@ const (
 	qpwGatherBytes = 128 << 10
 )
 
-// qpwVariant is one register-tile implementation under the driver.
+// qpwVariant is one register-tile implementation under the driver; every
+// tile is qpwMR output channels x nr flattened columns.
 type qpwVariant struct {
-	name   string
-	mr, nr int // tile extent: output channels x flattened columns
-	// pack widens `tiles` adjacent whole tiles of a.src into a.panel; nil for
-	// a tile that reads the int8 taps in place.
+	name string
+	nr   int
+	// pack widens `tiles` adjacent whole tiles of a.src into a.panel.
 	pack func(a *qpwCols, tiles int)
 	// tile computes, requantizes and stores `tiles` adjacent tiles of weight
 	// block ob, whose first output channel is oc0:
-	// dst[b*dstStride+t*nr+j] for b in [0,mr), j in [0,nr).
+	// dst[b*dstStride+t*nr+j] for b in [0,qpwMR), j in [0,nr).
 	tile func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation)
 }
 
@@ -415,14 +415,14 @@ func npairs(k int) int { return (k + 1) / 2 }
 // last; qpwActive is the one the driver uses — chosen here once, reassigned
 // only by the tests, which run every entry against the reference kernels.
 var (
-	qpwVariants = append(qpwArchVariants(), &qpwVariant{name: "portable", mr: qpwMR, nr: 16, pack: qpwPackPortable, tile: qpwTilePortable})
+	qpwVariants = append(qpwArchVariants(), &qpwVariant{name: "portable", nr: 16, pack: qpwPackPortable, tile: qpwTilePortable})
 	qpwActive   = qpwVariants[0]
 )
 
 // qgemm is int8's side of the GEMM driver.
 var qgemm = gemmDType[int8, qconvWeights, qpwVariant]{
 	active:      &qpwActive,
-	shape:       func(v *qpwVariant) (int, int) { return v.mr, v.nr },
+	shape:       func(v *qpwVariant) (int, int) { return qpwMR, v.nr },
 	planeBytes:  qpwPanelBytes,
 	gatherBytes: qpwGatherBytes,
 	tapBytes:    2,
@@ -438,13 +438,9 @@ func qconvForwardGEMM(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int
 	return qtensor(gemm(&qgemm, in.Data, in.C, in.H, in.W, g, l, qw, par), qw.scale)
 }
 
-// qpwPanel widens a loaded block's tiles into the pair panel, once, for a
-// variant that packs.
+// qpwPanel widens a loaded block's tiles into the pair panel, once.
 func qpwPanel(c *gemmCall[int8, qconvWeights, qpwVariant], s *gemmScratch[int8], cols int) {
 	v := c.v
-	if v.pack == nil {
-		return
-	}
 	per, tiles := 2*v.nr*npairs(s.whole.k), (cols+v.nr-1)/v.nr // per: int16s in one packed tile
 	s.panel = slices.Grow(s.panel[:0], tiles*per)[:tiles*per]
 	s.whole.panel = s.panel

@@ -134,7 +134,7 @@ type qparams struct {
 }
 
 // qconvWeights is a convolution quantized for int8 inference, with the
-// layouts its GEMM tiles read.
+// layout its GEMM tiles read.
 type qconvWeights struct {
 	qparams
 	// pw is the GEMM driver's weight panel (qgemm) over the K =
@@ -144,11 +144,6 @@ type qconvWeights struct {
 	// (high) of the group's channel ob*qpwMR+b, zero past the last tap or the
 	// group's last channel.
 	pw []int32
-	// blocks is the same matrix in ocBlockWidth-channel blocks of int32 taps,
-	// built only where a tile variant reads it (arm64's in-place NEON tile):
-	// blocks[grp*obg4+ob][i*ocBlockWidth+b] is tap i of the group's channel
-	// ob*ocBlockWidth+b, zero past the group's last channel.
-	blocks [][]int32
 }
 
 // genQConv derives the int8 form of a convolution's float parameters (none
@@ -186,7 +181,7 @@ func quantize(p *fparams, n, per, spare int, sIn, sOut float32) qparams {
 	return q
 }
 
-// pack builds the weight layouts the tile variants of this host read.
+// pack builds pw, the weight panel every tile variant reads.
 func (qw *qconvWeights) pack(l *nn.Layer, icg int) {
 	groups := max(l.Groups, 1)
 	ocg := l.OutC / groups
@@ -198,14 +193,6 @@ func (qw *qconvWeights) pack(l *nn.Layer, icg int) {
 		row := qw.pw[(grp*obg+b/qpwMR)*pairs*qpwMR+b%qpwMR:]
 		for i, w := range qw.wq[oc*perOC : (oc+1)*perOC] {
 			row[i/2*qpwMR] |= int32(uint16(int16(w))) << (i % 2 * 16)
-		}
-	}
-	if !qpwReadsBlocks {
-		return
-	}
-	for g := 0; g < groups; g++ {
-		for oc0 := g * ocg; oc0 < (g+1)*ocg; oc0 += ocBlockWidth {
-			qw.blocks = append(qw.blocks, blockPanel[int8, int32](qw.wq, oc0, min(ocBlockWidth, (g+1)*ocg-oc0), perOC))
 		}
 	}
 }

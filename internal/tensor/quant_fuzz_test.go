@@ -16,8 +16,8 @@ import (
 // `go test -fuzz=FuzzQKernelTile ./internal/tensor` to explore beyond the
 // seeds.
 func FuzzQKernelTile(f *testing.F) {
-	// Seeds straddle each wrapper's vector/scalar split (8-, 14- and
-	// 16-column thresholds) plus pure-tail sizes.
+	// Seeds straddle each wrapper's vector/scalar split (8- and 16-column
+	// thresholds) plus pure-tail sizes.
 	f.Add(uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(5), uint8(9), uint8(1))
 	f.Add(uint8(16), uint8(0), uint8(1), uint8(2), uint8(0), uint8(0), uint8(1), uint8(7), uint8(10), uint8(2))
 	f.Add(uint8(15), uint8(7), uint8(2), uint8(1), uint8(3), uint8(1), uint8(6), uint8(6), uint8(6), uint8(0))
@@ -40,24 +40,6 @@ func FuzzQKernelTile(f *testing.F) {
 				s[i] = rng.Int31n(2*lim+1) - lim
 			}
 			return s
-		}
-
-		// dw3Row: fused depthwise 3-tap.
-		{
-			src := randI8(n + 2)
-			var w [4]int32
-			copy(w[:], randI32(4, 127))
-			got := randI32(int32(n), 1<<24)
-			want := append([]int32(nil), got...)
-			dw3Row(got, src, &w, n)
-			for i := 0; i < n; i++ {
-				want[i] += w[0]*int32(src[i]) + w[1]*int32(src[i+1]) + w[2]*int32(src[i+2])
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dw3Row n=%d: acc[%d]=%d want %d", n, i, got[i], want[i])
-				}
-			}
 		}
 
 		// dw3x3TileQ: the fused 3x3 depthwise tile with its in-register

@@ -13,7 +13,7 @@ import (
 func eachSimdQuant(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
 	defer func(v bool) { simdQuant = v }(simdQuant)
-	for _, on := range []bool{simdQuantAvailable(), false} {
+	for _, on := range []bool{vectorAvailable(), false} {
 		simdQuant = on
 		fn(t)
 	}
@@ -85,7 +85,7 @@ func TestQuantWeightsMatchScalarLoop(t *testing.T) {
 		want.pack(&tc.l, icg)
 		eachSimdQuant(t, func(t *testing.T) {
 			got := genQConv(cw, &tc.l, icg, sIn, sOut)
-			if !reflect.DeepEqual(got.wq, want.wq) || !reflect.DeepEqual(got.pw, want.pw) || !reflect.DeepEqual(got.blocks, want.blocks) {
+			if !reflect.DeepEqual(got.wq, want.wq) || !reflect.DeepEqual(got.pw, want.pw) {
 				t.Fatalf("%s (simdQuant=%v): int8 weights differ from the scalar loop", tc.name, simdQuant)
 			}
 			for oc := 0; oc < tc.l.OutC; oc++ {

@@ -389,20 +389,18 @@ func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles,
 		src[i] = int8(rng.Intn(256) - 128)
 	}
 	a := qpwCols{src: src, rowStride: chanStride, k: inC}
-	if v.pack != nil {
-		a.panel = make([]int16, tiles*npairs(a.k)*v.nr*2)
-		v.pack(&a, tiles)
-	}
+	a.panel = make([]int16, tiles*npairs(a.k)*v.nr*2)
+	v.pack(&a, tiles)
 	stride := tiles*v.nr + rng.Intn(5)
-	for ob := 0; ob*v.mr < outC; ob++ {
+	for ob := 0; ob*qpwMR < outC; ob++ {
 		const guard = -77
-		got := make([]int8, v.mr*stride)
+		got := make([]int8, qpwMR*stride)
 		for i := range got {
 			got[i] = guard
 		}
-		v.tile(got, stride, &a, qw, ob, ob*v.mr, tiles, act)
-		for b := 0; b < v.mr; b++ {
-			oc := ob*v.mr + b
+		v.tile(got, stride, &a, qw, ob, ob*qpwMR, tiles, act)
+		for b := 0; b < qpwMR; b++ {
+			oc := ob*qpwMR + b
 			for x := 0; x < stride; x++ {
 				want := int8(guard)
 				if x < tiles*v.nr {

@@ -2,48 +2,28 @@ package tensor
 
 import "pico/internal/nn"
 
-// Portable wrappers over the per-architecture vector kernels of both dtypes.
-// Each runs the asm tile over the largest prefix its alignment and read-ahead
-// contract allows and finishes with the scalar loop that is the behavioural
-// reference, so the split never changes an output bit: int32 sums wrap
-// associatively, and a float32 tile reorders nothing — each lane is an
-// independent output element chaining its taps in the scalar order, rounded
-// as the host's scalar Go rounds (separate VMULPS/VADDPS on amd64, fused FMLA
-// on arm64, where gc fuses x*y + z into FMADD; DESIGN.md §6).
+// Portable wrappers over the amd64 vector kernels of both dtypes. Each runs
+// the asm tile over the largest prefix its alignment and read-ahead contract
+// allows and finishes with the scalar loop that is the behavioural reference,
+// so the split never changes an output bit: int32 sums wrap associatively,
+// and a float32 tile reorders nothing — each lane is an independent output
+// element chaining its taps in the scalar order, rounded as scalar Go rounds
+// on amd64 (separate VMULPS/VADDPS; DESIGN.md §6). Every other architecture,
+// and amd64 under the purego tag, runs the scalar loops alone.
 
 // simdQuant gates the vectorized int8 kernel surface (the GEMM tile has its
 // own variant table, see gemm.go).
-var simdQuant = simdQuantAvailable()
+var simdQuant = vectorAvailable()
 
 // SIMDName names the GEMM tiles the host runs, float32's then int8's
-// ("avx512/avx2+vnni", "avx512/avx2", "avx2/avx2", "neon/neon"), or "" for
-// pure scalar. Benchmark artefacts record it: hosts that differ here must not
-// be compared against each other.
+// ("avx512/avx2+vnni", "avx512/avx2", "avx2/avx2"), or "" for pure scalar.
+// Benchmark artefacts record it: hosts that differ here must not be compared
+// against each other.
 func SIMDName() string {
 	if len(fpwVariants) == 1 && len(qpwVariants) == 1 {
 		return ""
 	}
 	return fpwVariants[0].name + "/" + qpwVariants[0].name
-}
-
-// dw3Row accumulates the fused 3-tap depthwise sweep acc[i] += w[0]*src[i]
-// + w[1]*src[i+1] + w[2]*src[i+2] over i in [0,n). src must have n+2
-// readable bytes; w must have 4 int8-range entries (w[3] is padding for the
-// vector broadcast; the NEON tile multiplies through int16 lanes).
-func dw3Row(acc []int32, src []int8, w *[4]int32, n int) {
-	i := 0
-	// The NEON tile loads 16 source bytes per 8-column step, so the last
-	// vector block must end 6 columns before the guaranteed n+2 bytes run
-	// out; both architectures share the conservative bound.
-	if simdQuant && n >= 14 {
-		m := (n - 6) &^ 7
-		qdw3Row(&acc[0], &src[0], &w[0], m)
-		i = m
-	}
-	w0, w1, w2 := w[0], w[1], w[2]
-	for ; i < n; i++ {
-		acc[i] += w0*int32(src[i]) + w1*int32(src[i+1]) + w2*int32(src[i+2])
-	}
 }
 
 // maxPairRow computes dst[i] = max(a[2i], a[2i+1], b[2i], b[2i+1]) for i in
@@ -116,27 +96,7 @@ func sumI8(xs []int8) int32 {
 }
 
 // simdFloat gates the vectorized float32 kernel surface.
-var simdFloat = simdFloatAvailable()
-
-// dw3RowF accumulates the fused 3-tap depthwise sweep acc[i] += w[0]*src[i]
-// + w[1]*src[i+1] + w[2]*src[i+2] over i in [0,n), chained in ascending tap
-// order per element. src must have n+2 readable float32s; w[3] is padding
-// for the vector broadcast.
-func dw3RowF(acc []float32, src []float32, w *[4]float32, n int) {
-	i := 0
-	if simdFloat && n >= 8 {
-		m := n &^ 7
-		fdw3Row(&acc[0], &src[0], &w[0], m)
-		i = m
-	}
-	w0, w1, w2 := w[0], w[1], w[2]
-	for ; i < n; i++ {
-		v := acc[i] + w0*src[i]
-		v += w1 * src[i+1]
-		v += w2 * src[i+2]
-		acc[i] = v
-	}
-}
+var simdFloat = vectorAvailable()
 
 // maxPairRowF computes one output row of an unpadded 2x2 stride-2 float max
 // pool: dst[i] folds a[2i], a[2i+1], b[2i], b[2i+1] into a negInf-seeded
@@ -195,10 +155,9 @@ func gapSum8F(dst *[8]float32, src []float32, chanStride, n int) {
 
 // finishRowF applies the folded batch-norm affine (when bn) and the
 // activation to one finished float output row. The vector tile replicates
-// the per-architecture scalar rounding — separate multiply/add on amd64,
-// fused FMLA on arm64 — and selects activations with compare+mask so NaN
-// and -0 elements keep their bits; the scalar tail below is the
-// behavioural reference.
+// the scalar rounding — separate multiply and add — and selects activations
+// with compare+mask so NaN and -0 elements keep their bits; the scalar tail
+// below is the behavioural reference.
 func finishRowF(acc []float32, scale, shift float32, bn bool, act nn.Activation) {
 	if simdFloat {
 		if m := len(acc) &^ 7; m >= 8 {

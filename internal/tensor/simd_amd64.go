@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build !purego
 
 package tensor
 
@@ -32,15 +32,12 @@ func qpwTileAVX2(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tile
 //go:noescape
 func qpwTileVNNI(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
 
-// qpwReadsBlocks: every amd64 tile reads the pair panel qconvWeights.pw.
-const qpwReadsBlocks = false
-
 // qpwArchVariants lists the GEMM tiles this CPU runs, fastest first. Both
 // share the pack routine, the panel and the weight layout.
 func qpwArchVariants() []*qpwVariant {
 	var vs []*qpwVariant
 	asm := func(name string, nr int, k func(*int8, int, *int16, *int32, int, int, *float32, *float32, int)) {
-		vs = append(vs, &qpwVariant{name: name, mr: qpwMR, nr: nr,
+		vs = append(vs, &qpwVariant{name: name, nr: nr,
 			pack: func(a *qpwCols, tiles int) { qpwPack(&a.panel[0], &a.src[0], a.rowStride, a.k, tiles, nr) },
 			tile: func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation) {
 				k(&dst[0], dstStride, &a.panel[0], &qw.pw[ob*npairs(a.k)*qpwMR], npairs(a.k), tiles,
@@ -55,12 +52,6 @@ func qpwArchVariants() []*qpwVariant {
 	}
 	return vs
 }
-
-// qdw3Row fuses the three depthwise taps of one stride-1 row sweep
-// (see simd_amd64.s).
-//
-//go:noescape
-func qdw3Row(acc *int32, src *int8, wgt *int32, n int)
 
 // qmaxPair8 reduces a 2x2 stride-2 max-pool row pair (see simd_amd64.s).
 //
@@ -84,25 +75,12 @@ func qrequantRow8(dst *int8, acc *int32, scale, bias float32, act, n int)
 //go:noescape
 func qquantizeRow8(dst *int8, src *float32, inv float32, n int)
 
-// simdQuantAvailable reports whether the vectorized int8 kernel surface
-// (depthwise taps, pool, fc dot, requantize) runs on this host.
-func simdQuantAvailable() bool { return hasAVX2 }
-
-// simdFloatAvailable reports whether the vectorized float32 kernel surface
-// runs on this host. The AVX2 float tiles use separate VMULPS/VADDPS — the
-// same two roundings gc emits for x*y + z at the default GOAMD64 level — so
-// enabling them never changes an output bit.
-func simdFloatAvailable() bool { return hasAVX2 }
-
-// fdw3Row fuses the three float depthwise taps of one stride-1 row sweep
-// (see simd_amd64.s).
-//
-//go:noescape
-func fdw3Row(acc *float32, src *float32, wgt *float32, n int)
-
-// simdDW3x3Available reports whether the fused 3x3 depthwise tiles run on
-// this host.
-func simdDW3x3Available() bool { return hasAVX2 }
+// vectorAvailable reports whether the AVX2 kernels of both dtypes outside
+// the GEMM variant tables (depthwise tiles, pool, fc, global pool, the
+// epilogues and the quantizer) run on this host. The float ones use separate
+// VMULPS/VADDPS — the same two roundings gc emits for x*y + z at the default
+// GOAMD64 level — so enabling them never changes an output bit.
+func vectorAvailable() bool { return hasAVX2 }
 
 // fdw3x3S1 and fdw3x3S2 are the float32 fused 3x3 depthwise tiles for column
 // stride 1 and 2 (see simd_amd64.s).

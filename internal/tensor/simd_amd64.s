@@ -1,8 +1,10 @@
+//go:build !purego
+
 // AVX2 (and, for the pointwise tiles, AVX-512F and VNNI) kernels of the tensor
-// engine. Integer semantics are exactly Go's: VPMULLD is the low 32 bits of
-// the product, VPMADDWD's pair sums are exact for int8-range operands, and
-// VPADDD / VPDPWSSD wrap, so accumulated int32 values match the scalar
-// reference bit for bit in every case.
+// engine. Integer semantics are exactly Go's: VPMADDWD's pair sums are exact
+// for int8-range operands, and VPADDD / VPDPWSSD wrap, so accumulated int32
+// values match the scalar reference bit for bit in every case. The purego
+// tag leaves them out and runs the portable kernels of simd_generic.go.
 
 #include "textflag.h"
 
@@ -63,38 +65,6 @@ GLOBL evenb<>(SB), RODATA, $16
 DATA oddb<>+0(SB)/8, $0x0f0d0b0907050301
 DATA oddb<>+8(SB)/8, $0x8080808080808080
 GLOBL oddb<>(SB), RODATA, $16
-
-// func qdw3Row(acc *int32, src *int8, wgt *int32, n int)
-//
-// Fused 3-tap depthwise row: acc[i] += w0*src[i] + w1*src[i+1] + w2*src[i+2].
-// n must be a positive multiple of 8 with n+8 readable bytes at src (the
-// last step's tap-2 load reads src[n-6..n+1] plus 6 ignored lanes); wgt
-// points at 4 int32s (the fourth is ignored padding).
-TEXT ·qdw3Row(SB), NOSPLIT, $0-32
-	MOVQ acc+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ wgt+16(FP), DX
-	MOVQ n+24(FP), CX
-	VPBROADCASTD (DX), Y13
-	VPBROADCASTD 4(DX), Y14
-	VPBROADCASTD 8(DX), Y15
-dw3loop:
-	VPMOVSXBD (SI), Y8
-	VPMOVSXBD 1(SI), Y9
-	VPMOVSXBD 2(SI), Y10
-	VPMULLD Y8, Y13, Y8
-	VPMULLD Y9, Y14, Y9
-	VPMULLD Y10, Y15, Y10
-	VPADDD Y9, Y8, Y8
-	VPADDD Y10, Y8, Y8
-	VPADDD (DI), Y8, Y8
-	VMOVDQU Y8, (DI)
-	ADDQ $8, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JNZ  dw3loop
-	VZEROUPPER
-	RET
 
 // func qmaxPair8(dst *int8, a *int8, b *int8, n int)
 //
@@ -601,36 +571,6 @@ vnpair:
 // -Inf seeds the max-pool accumulators so padding never wins.
 DATA fninf<>+0(SB)/4, $0xff800000
 GLOBL fninf<>(SB), RODATA, $4
-
-// func fdw3Row(acc *float32, src *float32, wgt *float32, n int)
-//
-// Fused 3-tap float depthwise row: acc[i] += w0*src[i]; += w1*src[i+1];
-// += w2*src[i+2], chained in tap order per element. n must be a positive
-// multiple of 8 with n+2 readable float32s at src; wgt points at 4 float32s
-// (the fourth is ignored padding).
-TEXT ·fdw3Row(SB), NOSPLIT, $0-32
-	MOVQ acc+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ wgt+16(FP), DX
-	MOVQ n+24(FP), CX
-	VBROADCASTSS (DX), Y13
-	VBROADCASTSS 4(DX), Y14
-	VBROADCASTSS 8(DX), Y15
-fdw3loop:
-	VMOVUPS (DI), Y0
-	VMULPS (SI), Y13, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 4(SI), Y14, Y1
-	VADDPS Y1, Y0, Y0
-	VMULPS 8(SI), Y15, Y1
-	VADDPS Y1, Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JNZ  fdw3loop
-	VZEROUPPER
-	RET
 
 // func fmaxPair8(dst *float32, a *float32, b *float32, n int)
 //

@@ -1,21 +1,16 @@
-//go:build !amd64 && !arm64
+//go:build !amd64 || purego
 
 package tensor
 
-// Architectures without a vector port always take the portable scalar
-// kernels; the gates below keep every call site compiled and unreachable.
+// Every architecture but amd64 — and amd64 under the purego tag, which is how
+// `make purego` runs this path's tests on an amd64 host — takes the portable
+// scalar kernels; the gates below keep every call site compiled and
+// unreachable.
 
-func simdQuantAvailable() bool { return false }
+func vectorAvailable() bool { return false }
 
-// qpwArchVariants is empty: the GEMM driver runs the portable int8 tile,
-// which reads the pair panel qconvWeights.pw.
+// qpwArchVariants is empty: the GEMM driver runs the portable int8 tile.
 func qpwArchVariants() []*qpwVariant { return nil }
-
-const qpwReadsBlocks = false
-
-func qdw3Row(acc *int32, src *int8, wgt *int32, n int) {
-	panic("tensor: qdw3Row without SIMD support")
-}
 
 func qmaxPair8(dst *int8, a, b *int8, n int) {
 	panic("tensor: qmaxPair8 without SIMD support")
@@ -31,12 +26,6 @@ func qrequantRow8(dst *int8, acc *int32, scale, bias float32, act, n int) {
 
 func qquantizeRow8(dst *int8, src *float32, inv float32, n int) {
 	panic("tensor: qquantizeRow8 without SIMD support")
-}
-
-func simdFloatAvailable() bool { return false }
-
-func fdw3Row(acc *float32, src *float32, wgt *float32, n int) {
-	panic("tensor: fdw3Row without SIMD support")
 }
 
 func fmaxPair8(dst *float32, a, b *float32, n int) {
@@ -57,10 +46,6 @@ func fgapSum8(dst *float32, src *float32, chanStride, n int) {
 func fepiRow(dst *float32, scale, shift float32, bn, act, n int) {
 	panic("tensor: fepiRow without SIMD support")
 }
-
-// simdDW3x3Available reports whether the fused 3x3 depthwise tiles run on
-// this host: never on scalar-only builds.
-func simdDW3x3Available() bool { return false }
 
 func fdw3x3S1(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int) {
 	panic("tensor: fdw3x3S1 without SIMD support")

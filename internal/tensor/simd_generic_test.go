@@ -1,0 +1,17 @@
+//go:build !amd64 || purego
+
+package tensor
+
+import "testing"
+
+// TestPortableBuildRunsNoAsm: without the amd64 port every vector gate is off
+// and each GEMM walker's table holds the portable tile alone, so this
+// package's suites check the scalar kernels every other architecture runs.
+func TestPortableBuildRunsNoAsm(t *testing.T) {
+	if simdQuant || simdFloat || simdDW3x3 {
+		t.Fatalf("vector gates on: quant=%v float=%v dw3x3=%v", simdQuant, simdFloat, simdDW3x3)
+	}
+	if len(fpwVariants) != 1 || len(qpwVariants) != 1 || SIMDName() != "" {
+		t.Fatalf("variant tables %d / %d, SIMDName %q: want the portable tiles alone", len(fpwVariants), len(qpwVariants), SIMDName())
+	}
+}

@@ -72,7 +72,7 @@ func (cw *convWeights) pack(l *nn.Layer, icg int) {
 		for oc0 := g * ocg; oc0 < (g+1)*ocg; oc0 += ocBlockWidth {
 			blk := ocBlock{oc0: oc0, width: min(ocBlockWidth, (g+1)*ocg-oc0)}
 			if ocg >= ocBlockWidth && !hasZero(cw.w[oc0*perOC:(oc0+blk.width)*perOC]) {
-				blk.packed = blockPanel[float32, float32](cw.w, oc0, blk.width, perOC)
+				blk.packed = blockPanel(cw.w, oc0, blk.width, perOC)
 			}
 			cw.blocks = append(cw.blocks, blk)
 		}
@@ -82,11 +82,11 @@ func (cw *convWeights) pack(l *nn.Layer, icg int) {
 // blockPanel lays channels [oc0, oc0+width) of the [oc][per] kernel w out
 // tap-major for a register tile, ocBlockWidth channels a tap:
 // panel[i*ocBlockWidth+b] = w[oc0+b][i], zero for b >= width.
-func blockPanel[E elem, T float32 | int32](w []E, oc0, width, per int) []T {
-	panel := make([]T, per*ocBlockWidth)
+func blockPanel(w []float32, oc0, width, per int) []float32 {
+	panel := make([]float32, per*ocBlockWidth)
 	for b := 0; b < width; b++ {
 		for i, v := range w[(oc0+b)*per:][:per] {
-			panel[i*ocBlockWidth+b] = T(v)
+			panel[i*ocBlockWidth+b] = v
 		}
 	}
 	return panel
