@@ -53,7 +53,8 @@ chaos:
 
 # Smoke-run the execution-engine benchmarks (single iteration): catches
 # bench-only compile errors and allocation regressions without a full sweep.
-# SessionOpen is the boot cost of a float32 and an int8 session (ms/op, B/op).
+# SessionOpen is the boot cost of a float32 and an int8 session (ms/op, B/op),
+# split into open-ms and first-result-ms.
 bench:
 	$(GO) test -run NONE -bench 'ConvForwardParallel|RunSegmentAlloc|ConvForwardTile|WireTensorCodec|KernelKinds|SessionOpen' -benchtime=1x -benchmem .
 

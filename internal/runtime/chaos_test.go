@@ -478,7 +478,7 @@ func TestDeadlineFailsConnAndWakesPending(t *testing.T) {
 	}
 	defer wc.close()
 	m := nn.ToyChain("chaos-wake", 2, 0, 4, 16)
-	if err := wc.loadModel(wire.SpecFromModel(m), 1, nil); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 1, nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	tile := tensor.RandomInput(m.Input, 1)

@@ -241,9 +241,12 @@ func (wc *workerClient) close() error {
 // loadModel ships a model. Non-nil scales — the session's boundary scales,
 // calibrated once by the coordinator — make it an int8 load: the worker
 // validates the vector, presets it and can serve quantized exec requests
-// without ever calibrating.
-func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64, scales []float32) error {
-	msg, err := wc.roundTrip(wire.MsgLoadModel, wire.LoadModelHeader{Model: spec, Seed: seed, Quant: scales != nil, Scales: scales}, nil)
+// without ever calibrating. A non-empty segment [from, to) is built before
+// the worker answers; from = to = 0 leaves the weights to first use.
+func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64, scales []float32, from, to int) error {
+	msg, err := wc.roundTrip(wire.MsgLoadModel, wire.LoadModelHeader{
+		Model: spec, Seed: seed, Quant: scales != nil, Scales: scales, From: from, To: to,
+	}, nil)
 	if err != nil {
 		return err
 	}

@@ -399,7 +399,9 @@ func (sd *stageDriver) retryTile(f *flight, tile partition.Rect) (tensor.FMap, w
 }
 
 // redial tries to reconnect a lost worker with exponential backoff. On
-// success the slot resumes serving its tiles; after the last attempt the
+// success the slot resumes serving its tiles, reloaded with the stage's
+// segment and so already built (a restarted worker pays the weight build in
+// the load, not inside its first tile's deadline); after the last attempt the
 // slot goes down for good and the stage re-balances onto the survivors.
 func (sd *stageDriver) redial(slot *workerSlot) {
 	defer sd.c.redialWG.Done()
@@ -416,7 +418,7 @@ func (sd *stageDriver) redial(slot *workerSlot) {
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-		if wc, err := sd.c.dial(slot.addr, sd.timeout); err == nil {
+		if wc, err := sd.c.dial(slot.addr, sd.timeout, sd.stage); err == nil {
 			slot.reconnected(wc)
 			sd.p.faults.add(FaultEvent{
 				Stage: sd.index, Device: slot.deviceIdx, Worker: wc.id,
@@ -736,15 +738,16 @@ func (p *Pipeline) checkAddrs(plan *core.Plan) error {
 	return nil
 }
 
-// dial connects one worker, loads the session's model on it and registers
-// the connection for tear-down.
-func (c *chain) dial(addr string, timeout time.Duration) (*workerClient, error) {
+// dial connects one worker, loads the session's model on it with the stage's
+// segment — the worker answers once that segment's weights are built — and
+// registers the connection for tear-down.
+func (c *chain) dial(addr string, timeout time.Duration, st core.Stage) (*workerClient, error) {
 	wc, err := dialWorker(addr)
 	if err != nil {
 		return nil, err
 	}
 	wc.conn.SetWriteTimeout(timeout)
-	if err := wc.loadModel(c.p.spec, c.p.opts.Seed, c.p.scales); err != nil {
+	if err := wc.loadModel(c.p.spec, c.p.opts.Seed, c.p.scales, st.From, st.To); err != nil {
 		_ = wc.close()
 		return nil, err
 	}
@@ -755,8 +758,9 @@ func (c *chain) dial(addr string, timeout time.Duration) (*workerClient, error) 
 }
 
 // connect builds the chain for a validated plan whose devices all have
-// addresses: dials and loads every slot, wires the stage channels and starts
-// the drivers. A worker that cannot be reached fails construction — or, with
+// addresses: dials and loads every slot — all at once, so the workers build
+// their stages' weights in parallel — wires the stage channels and starts the
+// drivers. A worker that cannot be reached fails construction — or, with
 // redialLost (a swap, whose old chain is already gone), comes up as a lost
 // slot on the ordinary redial path.
 func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
@@ -767,6 +771,15 @@ func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
 		closing: make(chan struct{}),
 	}
 	calc := partition.NewCalc(plan.Model)
+	type dialed struct {
+		sd  *stageDriver
+		k   int
+		err error
+	}
+	var (
+		dials  []*dialed
+		dialWG sync.WaitGroup
+	)
 	for si, st := range plan.Stages {
 		timeout := p.opts.ExecTimeout
 		if timeout < 0 {
@@ -797,18 +810,28 @@ func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
 			}
 			slot := &workerSlot{deviceIdx: di, addr: p.addrs[di]}
 			sd.slots[k] = slot
-			wc, err := c.dial(slot.addr, timeout)
-			if err != nil && !redialLost {
-				_ = c.stop()
-				return nil, err
-			}
-			if err != nil {
-				sd.noteFault(k, nil, FaultConnLost, err)
-				continue
-			}
-			slot.workerID, slot.wc = wc.id, wc
+			d := &dialed{sd: sd, k: k}
+			dials = append(dials, d)
+			dialWG.Add(1)
+			go func() {
+				defer dialWG.Done()
+				var wc *workerClient
+				if wc, d.err = c.dial(slot.addr, timeout, st); d.err == nil {
+					slot.workerID, slot.wc = wc.id, wc
+				}
+			}()
 		}
 		c.stages = append(c.stages, sd)
+	}
+	dialWG.Wait()
+	for _, d := range dials {
+		if d.err != nil && !redialLost {
+			_ = c.stop()
+			return nil, d.err
+		}
+		if d.err != nil {
+			d.sd.noteFault(d.k, nil, FaultConnLost, d.err)
+		}
 	}
 
 	// Wire the stage channels and start the drivers.
@@ -900,12 +923,13 @@ func (p *Pipeline) Results() <-chan TaskResult { return p.results }
 // Swap replaces the running plan with another plan for the same model at a
 // task boundary: new submissions wait while the tasks in flight drain out of
 // the current chain, the new plan's slots are dialled and loaded (workers
-// keep one executor per (model, seed), so nothing is rebuilt), and the new
-// chain is installed. Everything a chain does not own carries on; the
-// journal gains a plan-swapped event holding reason, the measurement that
-// caused the swap. A Swap to the plan already running is a no-op. The stall
-// is bounded — queueDepth tasks per stage under exec deadlines and retry
-// budgets, then one dial and load per slot — and a worker that cannot be
+// keep one executor per (model, seed), so a load builds only the layers of
+// its new segment the worker does not hold yet), and the new chain is
+// installed. Everything a chain does not own carries on; the journal gains a
+// plan-swapped event holding reason, the measurement that caused the swap. A
+// Swap to the plan already running is a no-op. The stall is bounded —
+// queueDepth tasks per stage under exec deadlines and retry budgets, then
+// the slots' concurrent dials and loads — and a worker that cannot be
 // reached takes the redial and re-balance path instead of failing the swap.
 func (p *Pipeline) Swap(plan *core.Plan, reason string) error {
 	if plan == nil {

@@ -107,7 +107,7 @@ func TestQuantLoadRejectsHostileScales(t *testing.T) {
 	}
 	// With the genuine vector resident, one that passes every standalone
 	// check but differs from it is still refused.
-	if err := wc.loadModel(spec, seed, good); err != nil {
+	if err := wc.loadModel(spec, seed, good, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	exec := resident()
@@ -119,7 +119,7 @@ func TestQuantLoadRejectsHostileScales(t *testing.T) {
 		try(tc.name+" (resident)", tc.scales, differ, exec)
 	}
 	try("differs from resident", with(1, math.Nextafter32(good[1], 1)), differ, exec)
-	if err := wc.loadModel(spec, seed, good); err != nil {
+	if err := wc.loadModel(spec, seed, good, 0, 0); err != nil {
 		t.Fatalf("reload of the genuine scales: %v", err)
 	}
 }

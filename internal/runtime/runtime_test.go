@@ -378,7 +378,7 @@ func TestWorkerRejectsInvalidModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	err = wc.loadModel(wire.ModelSpec{Name: "bad"}, 1, nil)
+	err = wc.loadModel(wire.ModelSpec{Name: "bad"}, 1, nil, 0, 0)
 	if err == nil {
 		t.Fatal("invalid model accepted by worker")
 	}
@@ -392,7 +392,7 @@ func TestWorkerExecBadTile(t *testing.T) {
 	}
 	defer wc.close()
 	m := nn.ToyChain("w", 2, 0, 4, 16)
-	if err := wc.loadModel(wire.SpecFromModel(m), 3, nil); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 3, nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Tile too small for the requested range.
@@ -531,7 +531,7 @@ func TestManualStageSplitMatchesWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer wc.close()
-		if err := wc.loadModel(wire.SpecFromModel(m), 9, nil); err != nil {
+		if err := wc.loadModel(wire.SpecFromModel(m), 9, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		clients = append(clients, wc)
@@ -581,7 +581,7 @@ func TestClientManyRequestsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	if err := wc.loadModel(wire.SpecFromModel(m), 5, nil); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 5, nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := tensor.NewExecutor(m, 5)

@@ -348,70 +348,96 @@ func (w *Worker) handle(conn *wire.Conn) {
 	}
 }
 
-// handleLoad registers an executor for the shipped (model, seed), or answers
-// a typed error frame and registers nothing.
+// handleLoad serves a load frame: Pong once the model is loaded (and its
+// segment built), else a typed error frame.
 func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
-	refuse := func(err error) error {
+	var hdr wire.LoadModelHeader
+	err := msg.DecodeHeader(&hdr)
+	if err == nil {
+		_, err = w.load(&hdr)
+	}
+	if err != nil {
 		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
 	}
-	var hdr wire.LoadModelHeader
-	if err := msg.DecodeHeader(&hdr); err != nil {
-		return refuse(err)
-	}
+	return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
+}
+
+// load resolves a load header to the executor serving its (model, seed) and,
+// when the header names a segment, builds that segment's weights in the
+// load's precision before returning. A model or segment the worker cannot
+// serve registers nothing.
+//
+// One executor per (model, seed) serves both precisions, and a load that the
+// one already here serves (a redial after a flap, a second session, a second
+// stage on this device) keeps it: its scales and its weights are a function
+// of (model, seed) alone — so scales that differ from the resident
+// executor's are a peer calibrated for something else, and refused. A float
+// load must not take the int8 path away from a quantized session sharing this
+// worker, so the mode only ever upgrades, and only the upgrade (or a
+// different model under the same name) builds a new executor. The executor
+// is found or created under w.mu, so concurrent loads share one; calibration
+// and the segment build run outside it, and concurrent builds of one layer
+// generate it once (the executor's caches).
+func (w *Worker) load(hdr *wire.LoadModelHeader) (*tensor.Executor, error) {
 	m, err := hdr.Model.ToModel()
 	if err != nil {
-		return refuse(err)
+		return nil, err
 	}
-	// One executor per (model, seed) serves both precisions, and a load that
-	// the one already here serves (a redial after a flap, a second session)
-	// keeps it: its scales and its packed weights are a function of (model,
-	// seed) alone — so scales that differ from the resident executor's are a
-	// peer calibrated for something else, and refused. A float load must not
-	// take the int8 path away from a quantized session sharing this worker, so
-	// the mode only ever upgrades, and only the upgrade (or a different model
-	// under the same name) builds a new executor.
+	segment := hdr.From != 0 || hdr.To != 0
+	if segment && (hdr.From < 0 || hdr.To > m.NumLayers() || hdr.From >= hdr.To) {
+		return nil, fmt.Errorf("segment [%d,%d) is not within %s's %d layers", hdr.From, hdr.To, m.Name, m.NumLayers())
+	}
 	key := execKey{name: m.Name, seed: hdr.Seed}
 	w.mu.Lock()
-	prev := w.execs[key]
-	w.mu.Unlock()
-	if prev != nil && !sameModel(prev.Model(), m) {
-		prev = nil
-	}
-	if prev != nil && (prev.Quantized() || !hdr.Quant) {
-		if hdr.Quant && len(hdr.Scales) > 0 {
-			// The resident scales are finite and positive, so == is bit
-			// equality and a NaN matches nothing.
-			if have, err := prev.QuantScales(); err != nil || !slices.Equal(have, hdr.Scales) {
-				return refuse(fmt.Errorf("quantization scales differ from the ones %s (seed %d) is loaded with", m.Name, hdr.Seed))
-			}
+	exec, created := w.execs[key], false
+	if exec == nil || !sameModel(exec.Model(), m) || hdr.Quant && !exec.Quantized() {
+		opts := []tensor.ExecutorOption{tensor.WithParallelism(w.parallelism)}
+		switch {
+		case hdr.Quant && len(hdr.Scales) > 0:
+			// NewExecutor validates the vector against (model, seed).
+			opts = append(opts, tensor.WithQuantScales(hdr.Scales))
+		case hdr.Quant:
+			opts = append(opts, tensor.WithQuantized())
 		}
-		w.logf("worker %s: %s (seed %d, quant %v) already loaded", w.id, m.Name, hdr.Seed, prev.Quantized())
-		return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
+		if exec, err = tensor.NewExecutor(m, hdr.Seed, opts...); err != nil {
+			w.mu.Unlock()
+			return nil, err
+		}
+		w.execs[key], created = exec, true
 	}
-	opts := []tensor.ExecutorOption{tensor.WithParallelism(w.parallelism)}
-	switch {
-	case hdr.Quant && len(hdr.Scales) > 0:
-		// NewExecutor validates the vector against (model, seed).
-		opts = append(opts, tensor.WithQuantScales(hdr.Scales))
-	case hdr.Quant:
-		opts = append(opts, tensor.WithQuantized())
-	}
-	exec, err := tensor.NewExecutor(m, hdr.Seed, opts...)
-	if err != nil {
-		return refuse(err)
-	}
+	w.mu.Unlock()
 	if hdr.Quant {
 		// A load without scales calibrates now, not on the first tile, so a
 		// calibration failure is a load failure; preset scales just return.
-		if _, err := exec.QuantScales(); err != nil {
-			return refuse(err)
+		// The resident scales are finite and positive, so == is bit equality
+		// and a NaN matches nothing.
+		have, err := exec.QuantScales()
+		if err != nil {
+			if created {
+				w.mu.Lock()
+				if w.execs[key] == exec {
+					delete(w.execs, key)
+				}
+				w.mu.Unlock()
+			}
+			return nil, err
+		}
+		if len(hdr.Scales) > 0 && !slices.Equal(have, hdr.Scales) {
+			return nil, fmt.Errorf("quantization scales differ from the ones %s (seed %d) is loaded with", m.Name, hdr.Seed)
 		}
 	}
-	w.mu.Lock()
-	w.execs[key] = exec
-	w.mu.Unlock()
-	w.logf("worker %s: loaded %s (seed %d, quant %v)", w.id, m.Name, hdr.Seed, hdr.Quant)
-	return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
+	if segment {
+		dt := tensor.Float32
+		if hdr.Quant {
+			dt = tensor.Int8
+		}
+		if err := exec.Warm(hdr.From, hdr.To, dt); err != nil {
+			return nil, err
+		}
+	}
+	w.logf("worker %s: %s (seed %d, quant %v, segment [%d,%d), new %v): %d weight sets built",
+		w.id, m.Name, hdr.Seed, exec.Quantized(), hdr.From, hdr.To, created, exec.WeightSets())
+	return exec, nil
 }
 
 // sameModel reports whether two models of one name are the same network.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +14,10 @@ import (
 )
 
 // Executor runs a model (or any contiguous segment of it) on feature maps,
-// including partitioned execution on tiles. Weights are derived lazily
-// and deterministically from the seed, so two Executors with the same model
-// and seed — in the same or different processes — compute identical results.
+// including partitioned execution on tiles. Weights are derived
+// deterministically from the seed, on first use or ahead of it by Warm, so
+// two Executors with the same model and seed — in the same or different
+// processes — compute identical results.
 // An Executor is safe for concurrent use.
 //
 // There is one walker (RunTile): geometry is a partition.Rect — a row strip
@@ -106,7 +108,7 @@ type onceCache[V any] struct {
 
 type onceEntry[V any] struct {
 	once sync.Once
-	v    atomic.Pointer[V] // set once, under once; peek reads it outside
+	v    *V // set once, under once
 }
 
 func (c *onceCache[V]) get(key string, gen func() *V) *V {
@@ -124,20 +126,27 @@ func (c *onceCache[V]) get(key string, gen func() *V) *V {
 		}
 		c.mu.Unlock()
 	}
-	ent.once.Do(func() { ent.v.Store(gen()) })
-	return ent.v.Load()
+	ent.once.Do(func() { ent.v = gen() })
+	return ent.v
 }
 
-// peek returns the key's value if it has already been built, else nil; it
-// never builds and never waits for a build in progress.
-func (c *onceCache[V]) peek(key string) *V {
+// len returns the number of entries.
+func (c *onceCache[V]) len() int {
 	c.mu.RLock()
-	ent := c.m[key]
-	c.mu.RUnlock()
-	if ent == nil {
-		return nil
+	defer c.mu.RUnlock()
+	return len(c.m)
+}
+
+// drop removes key's entry and those of the layers inside it (keys
+// "key/..."), so the values become garbage once their users let go.
+func (c *onceCache[V]) drop(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.m {
+		if k == key || strings.HasPrefix(k, key+"/") {
+			delete(c.m, k)
+		}
 	}
-	return ent.v.Load()
 }
 
 // Layer kinds kernel time is attributed to, indexing KindNames and the
@@ -571,10 +580,8 @@ func concatChannels(a, b Tensor) Tensor {
 }
 
 // The weight getters generate on first use through the once-caches. The
-// int8 forms quantize the layer's float parameters per output channel: the
-// float entry's if the float path already built one, otherwise parameters
-// generated for the purpose and dropped — an int8 layer never makes the
-// executor hold float weights.
+// int8 forms quantize each output channel's weights as the generator draws
+// them (drawQConv, drawQFC): an int8 layer never builds float weights.
 
 func (e *Executor) convW(key string, l *nn.Layer, inC int, _, _ float32) *convWeights {
 	return e.conv.get(key, func() *convWeights { return genConv(e.seed, key, l, inC) })
@@ -585,21 +592,77 @@ func (e *Executor) fcW(key string, l *nn.Layer, inElems int, _, _ float32) *fcWe
 }
 
 func (e *Executor) qconvW(key string, l *nn.Layer, inC int, sIn, sOut float32) *qconvWeights {
-	return e.qconv.get(key, func() *qconvWeights {
-		cw := e.conv.peek(key)
-		if cw == nil {
-			cw = genConvParams(e.seed, key, l, inC)
-		}
-		return genQConv(cw, l, inC/max(l.Groups, 1), sIn, sOut)
-	})
+	return e.qconv.get(key, func() *qconvWeights { return drawQConv(e.seed, key, l, inC, sIn, sOut) })
 }
 
 func (e *Executor) qfcW(key string, l *nn.Layer, inElems int, sIn, sOut float32) *qparams {
-	return e.qfc.get(key, func() *qparams {
-		fw := e.fc.peek(key)
-		if fw == nil {
-			fw = genFCParams(e.seed, key, l, inElems)
+	return e.qfc.get(key, func() *qparams { return drawQFC(e.seed, key, l, inElems, sIn, sOut) })
+}
+
+// Warm builds every weight a tile of segment [from, to) in precision dt
+// reads — what the segment's first tile would otherwise generate — so that
+// tile generates nothing. Int8 conv and fc layers are built at the
+// QuantScales boundary scales (calibrating first unless they were preset);
+// an int8 block builds its paths' float weights, which its hybrid fallback
+// runs.
+func (e *Executor) Warm(from, to int, dt DType) error {
+	if from < 0 || to > e.m.NumLayers() || from >= to {
+		return fmt.Errorf("tensor: invalid segment [%d,%d)", from, to)
+	}
+	var scales []float32
+	if dt == Int8 {
+		var err error
+		if scales, err = e.QuantScales(); err != nil {
+			return err
 		}
-		return genQFC(fw, l, inElems, sIn, sOut)
-	})
+	}
+	shapes := e.m.Shapes()
+	for i := from; i < to; i++ {
+		var err error
+		if scales != nil {
+			_, err = warmLayer(e, &e.k.q, &e.m.Layers[i], strconv.Itoa(i), shapes[i], scales[i], scales[i+1])
+		} else {
+			_, err = warmLayer(e, &e.k.f, &e.m.Layers[i], strconv.Itoa(i), shapes[i], 0, 0)
+		}
+		if err != nil {
+			return fmt.Errorf("tensor: layer %d (%s): %w", i, e.m.Layers[i].Name, err)
+		}
+	}
+	return nil
+}
+
+// WeightSets returns how many weight sets the executor holds: one per conv
+// or fc layer (block paths included) per precision it has served or warmed.
+func (e *Executor) WeightSets() int {
+	return e.conv.len() + e.fc.len() + e.qconv.len() + e.qfc.len()
+}
+
+// warmLayer fetches, through k's getters, the weights runLayer fetches for
+// layer l (named key) on an input of shape in: a conv's or fc's own, and
+// every float path layer's inside a block. It returns how many weights that
+// is.
+func warmLayer[T, CW, FW any](e *Executor, k *dtypeKernels[T, CW, FW], l *nn.Layer, key string, in nn.Shape, sIn, sOut float32) (int64, error) {
+	switch l.Kind {
+	case nn.Conv:
+		k.convW(e, key, l, in.C, sIn, sOut)
+	case nn.FullyConnected:
+		k.fcW(e, key, l, in.Elems(), sIn, sOut)
+	case nn.Block:
+		var sum int64
+		for pi, path := range l.Paths {
+			cur := in
+			for li := range path {
+				w, err := warmLayer(e, &e.k.f, &path[li], key+"/"+strconv.Itoa(pi)+"/"+strconv.Itoa(li), cur, 0, 0)
+				if err != nil {
+					return 0, err
+				}
+				sum += w
+				if cur, err = path[li].OutShape(cur); err != nil {
+					return 0, err
+				}
+			}
+		}
+		return sum, nil
+	}
+	return l.CellMACs(in), nil // a conv's or fc's weight count
 }

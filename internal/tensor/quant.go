@@ -157,28 +157,81 @@ func genQConv(cw *convWeights, l *nn.Layer, icg int, sIn, sOut float32) *qconvWe
 	return qw
 }
 
+// drawQConv is genQConv(genConvParams(seed, key, l, inC), ...) bit for bit,
+// without the float kernel: see drawQuantized.
+func drawQConv(seed int64, key string, l *nn.Layer, inC int, sIn, sOut float32) *qconvWeights {
+	icg := inC / max(l.Groups, 1)
+	qw := &qconvWeights{qparams: drawQuantized(seed, key, l.OutC, icg*l.KH*l.KW, l.BatchNorm, qpwMR-1, sIn, sOut)}
+	qw.pack(l, icg)
+	return qw
+}
+
+// drawQFC is genQFC(genFCParams(seed, key, l, inElems), ...) bit for bit,
+// without the float kernel.
+func drawQFC(seed int64, key string, l *nn.Layer, inElems int, sIn, sOut float32) *qparams {
+	q := drawQuantized(seed, key, l.OutF, inElems, false, 0, sIn, sOut)
+	return &q
+}
+
 // quantize quantizes n output channels of per weights each, through the one
 // vector quantizer, and folds bias, batch norm and the scales into the
 // epilogue operands, which get `spare` elements of zero capacity.
 func quantize(p *fparams, n, per, spare int, sIn, sOut float32) qparams {
-	q := qparams{
-		wq:       make([]int8, len(p.w)),
+	q := newQParams(n, per, spare, sOut)
+	for oc := 0; oc < n; oc++ {
+		q.quantizeChannel(oc, p.w[oc*per:(oc+1)*per])
+	}
+	q.fold(p, sIn)
+	return q
+}
+
+// drawQuantized is quantize(genParams(seed, key, n, per, bn), ...) without
+// the n*per float kernel: it draws each output channel's weights into one
+// reused row, in genParams's stream order, and quantizes the row before
+// drawing the next; the tail (bias, batch norm) follows as genParams draws
+// it.
+func drawQuantized(seed int64, key string, n, per int, bn bool, spare int, sIn, sOut float32) qparams {
+	rng := weightRNG(seed, key)
+	q := newQParams(n, per, spare, sOut)
+	row, c := make([]float32, per), weightScale(per)
+	for oc := 0; oc < n; oc++ {
+		q.quantizeChannel(oc, uniform(rng, row, c))
+	}
+	tail := genTail(rng, n, bn)
+	q.fold(&tail, sIn)
+	return q
+}
+
+// newQParams allocates n channels of per quantized weights and the epilogue
+// operands, with `spare` elements of zero capacity.
+func newQParams(n, per, spare int, sOut float32) qparams {
+	return qparams{
+		wq:       make([]int8, n*per),
 		effScale: make([]float32, n, n+spare),
 		effBias:  make([]float32, n, n+spare),
 		scale:    sOut,
 	}
-	for oc := 0; oc < n; oc++ {
-		ws := p.w[oc*per : (oc+1)*per]
-		sW := scaleFor(maxAbs(ws))
-		quantizeRow(q.wq[oc*per:(oc+1)*per], ws, 1/sW)
+}
+
+// quantizeChannel quantizes output channel oc's weights ws at their own
+// symmetric scale sW, which it parks in effScale[oc] for fold.
+func (q *qparams) quantizeChannel(oc int, ws []float32) {
+	sW := scaleFor(maxAbs(ws))
+	quantizeRow(q.wq[oc*len(ws):(oc+1)*len(ws)], ws, 1/sW)
+	q.effScale[oc] = sW
+}
+
+// fold turns every channel's parked weight scale, and p's bias and batch
+// norm, into the epilogue operands.
+func (q *qparams) fold(p *fparams, sIn float32) {
+	for oc, sW := range q.effScale {
 		bnS, bnSh := float32(1), float32(0)
 		if p.bnScale != nil {
 			bnS, bnSh = p.bnScale[oc], p.bnShift[oc]
 		}
-		q.effScale[oc] = sIn * sW * bnS / sOut
-		q.effBias[oc] = (p.bias[oc]*bnS + bnSh) / sOut
+		q.effScale[oc] = sIn * sW * bnS / q.scale
+		q.effBias[oc] = (p.bias[oc]*bnS + bnSh) / q.scale
 	}
-	return q
 }
 
 // pack builds pw, the weight panel every tile variant reads.
@@ -191,8 +244,12 @@ func (qw *qconvWeights) pack(l *nn.Layer, icg int) {
 	for oc := 0; oc < l.OutC; oc++ {
 		grp, b := oc/ocg, oc%ocg
 		row := qw.pw[(grp*obg+b/qpwMR)*pairs*qpwMR+b%qpwMR:]
-		for i, w := range qw.wq[oc*perOC : (oc+1)*perOC] {
-			row[i/2*qpwMR] |= int32(uint16(int16(w))) << (i % 2 * 16)
+		ws := qw.wq[oc*perOC : (oc+1)*perOC]
+		for p := range perOC / 2 {
+			row[p*qpwMR] = int32(uint16(int16(ws[2*p]))) | int32(uint16(int16(ws[2*p+1])))<<16
+		}
+		if perOC%2 == 1 {
+			row[perOC/2*qpwMR] = int32(uint16(int16(ws[perOC-1])))
 		}
 	}
 }

@@ -138,48 +138,118 @@ type fcWeights struct {
 	panels []float32
 }
 
-// weightRNG derives a deterministic random source for a layer key: the same
+// weightRNG derives a deterministic random stream for a layer key: the same
 // (seed, key) pair yields identical weights in any process, which is how
 // distributed workers materialise the model without shipping parameters.
-func weightRNG(seed int64, key string) *rand.Rand {
+func weightRNG(seed int64, key string) *weightStream {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))
-	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+	return newWeightStream(rand.NewSource(seed ^ int64(h.Sum64())).(rand.Source64))
+}
+
+// weightStream is a math/rand source's stream, drawn without a call through
+// the Source interface per value. The source is an additive lagged Fibonacci
+// generator: its n-th output is x[n] = x[n-607] + x[n-273] mod 2^64.
+// newWeightStream draws the source's first 607 outputs and runs the
+// recurrence backwards to the 607 values before them; next runs it forwards,
+// so it returns what the source would, bit for bit.
+type weightStream struct {
+	// vec[n%streamLag] holds x[n-607] before draw n and x[n] after it.
+	vec [streamLag]uint64
+	i   int // n % streamLag for the next draw n
+}
+
+const streamLag, streamTap = 607, 273
+
+func newWeightStream(src rand.Source64) *weightStream {
+	var x [streamLag]uint64
+	for n := range x {
+		x[n] = src.Uint64()
+	}
+	s := &weightStream{}
+	// x[n-607] = x[n] - x[n-273]: for n >= 273 both are drawn values; below,
+	// x[n-273] is itself a value before the stream, already recovered into
+	// slot n-273+607.
+	for n := streamLag - 1; n >= 0; n-- {
+		if n >= streamTap {
+			s.vec[n] = x[n] - x[n-streamTap]
+		} else {
+			s.vec[n] = x[n] - s.vec[n+streamLag-streamTap]
+		}
+	}
+	return s
+}
+
+// next returns the source's next Uint64; its Int63 is the low 63 bits.
+func (s *weightStream) next() uint64 {
+	i := s.i
+	j := i + streamLag - streamTap // slot of x[n-273]
+	if j >= streamLag {
+		j -= streamLag
+	}
+	x := s.vec[i] + s.vec[j]
+	s.vec[i] = x
+	if i++; i == streamLag {
+		i = 0
+	}
+	s.i = i
+	return x
+}
+
+// unit is rand.Rand.Float32 over the source: Int63 / 2^63 rounded to
+// float32, redrawn while it lands on 1. That one retry is Float32's and
+// Float64's both — a float64 of exactly 1 rounds to a float32 of 1 — and
+// each redraw consumes one Int63, as theirs do.
+func (s *weightStream) unit() float32 {
+	for {
+		if f := float32(float64(s.next()&(1<<63-1)) / (1 << 63)); f < 1 {
+			return f
+		}
+	}
 }
 
 // genParams generates n output channels of fanIn weights each: LeCun-uniform
-// weights (scale sqrt(3/fanIn)), zero-mean small biases and, with bn, a mild
-// batch-norm affine, keeping activations numerically stable through deep
-// stacks. Every parameter is (u*2-1)*c for u in [0, 1) and a finite c > 0:
-// finite, and never -0 — u*2-1 is +0 only when u*2 is exactly 1, since x-x
-// is +0 in round-to-nearest — so the padded-tap contract (padExact) holds by
-// construction.
+// weights (scale weightScale(fanIn)), then zero-mean small biases and, with
+// bn, a mild batch-norm affine (genTail), keeping activations numerically
+// stable through deep stacks. Every parameter is (u*2-1)*c for u in [0, 1)
+// and a finite c > 0: finite, and never -0 — u*2-1 is +0 only when u*2 is
+// exactly 1, since x-x is +0 in round-to-nearest — so the padded-tap contract
+// (padExact) holds by construction.
 func genParams(seed int64, key string, n, fanIn int, bn bool) fparams {
 	rng := weightRNG(seed, key)
-	p := fparams{
-		w:    uniform(rng, make([]float32, n*fanIn), float32(math.Sqrt(3.0/float64(fanIn)))),
-		bias: uniform(rng, make([]float32, n), 0.01),
-	}
+	w := uniform(rng, make([]float32, n*fanIn), weightScale(fanIn))
+	p := genTail(rng, n, bn)
+	p.w = w
+	return p
+}
+
+// weightScale is the LeCun-uniform weight bound for a fan-in.
+func weightScale(fanIn int) float32 { return float32(math.Sqrt(3.0 / float64(fanIn))) }
+
+// genTail draws what follows a layer's weights in its stream: n biases and,
+// with bn, n (scale, shift) pairs.
+func genTail(rng *weightStream, n int, bn bool) fparams {
+	p := fparams{bias: uniform(rng, make([]float32, n), 0.01)}
 	if bn {
 		p.bnScale, p.bnShift = make([]float32, n), make([]float32, n)
 		for i := range p.bnScale {
-			p.bnScale[i] = 0.8 + rng.Float32()*0.4 // ~N(1, small)
-			p.bnShift[i] = (rng.Float32()*2 - 1) * 0.05
+			p.bnScale[i] = 0.8 + rng.unit()*0.4 // ~N(1, small)
+			p.bnShift[i] = (rng.unit()*2 - 1) * 0.05
 		}
 	}
 	return p
 }
 
-// uniform fills xs with (u*2-1)*c, u drawn from rng, and returns it.
-func uniform(rng *rand.Rand, xs []float32, c float32) []float32 {
+// uniform fills xs with (u*2-1)*c, u drawn by rng.unit, and returns it.
+func uniform(rng *weightStream, xs []float32, c float32) []float32 {
 	for i := range xs {
-		xs[i] = (rng.Float32()*2 - 1) * c
+		xs[i] = (rng.unit()*2 - 1) * c
 	}
 	return xs
 }
 
-// genConvParams generates a convolution's parameters alone: the float
-// kernels need the plan genConv adds; the int8 quantizer reads only these.
+// genConvParams generates a convolution's parameters alone, without the plan
+// genConv adds.
 func genConvParams(seed int64, key string, l *nn.Layer, inC int) *convWeights {
 	return &convWeights{fparams: genParams(seed, key, l.OutC, inC/max(l.Groups, 1)*l.KH*l.KW, l.BatchNorm)}
 }

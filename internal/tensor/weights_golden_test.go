@@ -1,0 +1,132 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+
+	"pico/internal/nn"
+)
+
+var updateWeights = flag.Bool("update", false, "rewrite testdata/weights.golden from the weights this tree generates")
+
+// TestGeneratedWeightsUnchanged pins the weight generator: every float
+// parameter of MobileNetV1, a ToyChain and TinyGraph (block paths included),
+// and every int8 operand of MobileNetV1 — quantized weights, the GEMM panel,
+// the epilogue's scale and bias, the output scale — must hash to the FNV-64a
+// value recorded in testdata/weights.golden. Weights are the contract between
+// nodes that never ship them, so a faster generator or quantizer must draw
+// and round exactly what the recorded one did. The file is written with
+// -update and only read afterwards.
+func TestGeneratedWeightsUnchanged(t *testing.T) {
+	var got strings.Builder
+	for _, m := range []*nn.Model{nn.MobileNetV1(), nn.ToyChain("toy", 8, 3, 16, 64), nn.TinyGraph()} {
+		e, err := NewExecutor(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walkWeightLayers(t, m, func(key string, l *nn.Layer, in nn.Shape, _ int) {
+			var p *fparams
+			switch l.Kind {
+			case nn.Conv:
+				p = &e.convW(key, l, in.C, 0, 0).fparams
+			case nn.FullyConnected:
+				p = &e.fcW(key, l, in.Elems(), 0, 0).fparams
+			default:
+				return
+			}
+			for _, f := range []struct {
+				name string
+				v    []float32
+			}{{"w", p.w}, {"bias", p.bias}, {"bnScale", p.bnScale}, {"bnShift", p.bnShift}} {
+				fmt.Fprintf(&got, "%s f32 %s %s %d %016x\n", m.Name, key, f.name, len(f.v), hashWords(f.v))
+			}
+		})
+	}
+	m := nn.MobileNetV1()
+	e, err := NewExecutor(m, 1, WithQuantized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales, err := e.QuantScales()
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkWeightLayers(t, m, func(key string, l *nn.Layer, in nn.Shape, i int) {
+		var q *qparams
+		var pw []int32
+		switch l.Kind {
+		case nn.Conv:
+			qw := e.qconvW(key, l, in.C, scales[i], scales[i+1])
+			q, pw = &qw.qparams, qw.pw
+		case nn.FullyConnected:
+			q = e.qfcW(key, l, in.Elems(), scales[i], scales[i+1])
+		default:
+			return
+		}
+		fmt.Fprintf(&got, "%s int8 %s wq %d %016x\n", m.Name, key, len(q.wq), hashWords(q.wq))
+		fmt.Fprintf(&got, "%s int8 %s pw %d %016x\n", m.Name, key, len(pw), hashWords(pw))
+		fmt.Fprintf(&got, "%s int8 %s effScale %d %016x\n", m.Name, key, len(q.effScale), hashWords(q.effScale))
+		fmt.Fprintf(&got, "%s int8 %s effBias %d %016x\n", m.Name, key, len(q.effBias), hashWords(q.effBias))
+		fmt.Fprintf(&got, "%s int8 %s scale %08x\n", m.Name, key, math.Float32bits(q.scale))
+	})
+
+	const path = "testdata/weights.golden"
+	if *updateWeights {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d weight lines, golden holds %d", len(gotLines)-1, len(wantLines)-1)
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("weights moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// walkWeightLayers calls fn for every layer of m, block-path layers
+// included, with the weight key the executor files it under, the shape of
+// the map it reads and the index of the top-level layer it belongs to.
+func walkWeightLayers(t *testing.T, m *nn.Model, fn func(key string, l *nn.Layer, in nn.Shape, top int)) {
+	t.Helper()
+	shapes := m.Shapes()
+	for i := range m.Layers {
+		l, key := &m.Layers[i], strconv.Itoa(i)
+		fn(key, l, shapes[i], i)
+		for pi, path := range l.Paths {
+			cur := shapes[i]
+			for li := range path {
+				fn(key+"/"+strconv.Itoa(pi)+"/"+strconv.Itoa(li), &path[li], cur, i)
+				next, err := path[li].OutShape(cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur = next
+			}
+		}
+	}
+}
+
+// hashWords is the FNV-64a hash of xs's little-endian bytes.
+func hashWords[T float32 | int32 | int8](xs []T) uint64 {
+	h := fnv.New64a()
+	if err := binary.Write(h, binary.LittleEndian, xs); err != nil {
+		panic(err)
+	}
+	return h.Sum64()
+}

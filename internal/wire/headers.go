@@ -38,12 +38,17 @@ const (
 // calibrated once by the coordinator from (model, seed); the worker validates
 // it on receipt and presets it instead of calibrating. A quant load without
 // Scales — an older coordinator — makes the worker derive the same vector
-// itself at load.
+// itself at load. From and To name the segment [From, To) the connection will
+// execute: the worker builds that segment's weights, in the load's precision,
+// before it answers, so the first tile generates none. A load without one
+// (both zero) leaves the weights to be built on first use.
 type LoadModelHeader struct {
 	Model  ModelSpec `json:"model"`
 	Seed   int64     `json:"seed"`
 	Quant  bool      `json:"quant,omitempty"`
 	Scales Scales    `json:"scales,omitempty"`
+	From   int       `json:"from,omitempty"`
+	To     int       `json:"to,omitempty"`
 }
 
 // Scales is a quantization-scale vector that crosses the wire as float32 bit

@@ -445,6 +445,35 @@ func TestModelSpecJSONSurvivesWire(t *testing.T) {
 	}
 }
 
+// TestLoadModelSegment: a load header's segment arrives as sent, and a load
+// without one carries neither field — the frame an older coordinator sends,
+// which a worker serves lazily.
+func TestLoadModelSegment(t *testing.T) {
+	a, b := pipePair()
+	defer a.Close()
+	defer b.Close()
+	spec := SpecFromModel(nn.ToyChain("seg", 4, 2, 4, 16))
+	for _, seg := range [][2]int{{1, 4}, {0, 0}} {
+		go func() {
+			_ = a.Send(MsgLoadModel, LoadModelHeader{Model: spec, Seed: 3, From: seg[0], To: seg[1]}, nil)
+		}()
+		msg, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg[1] == 0 && (bytes.Contains(msg.Header, []byte(`"from"`)) || bytes.Contains(msg.Header, []byte(`"to"`))) {
+			t.Fatalf("a header without a segment mentions one: %s", msg.Header)
+		}
+		var hdr LoadModelHeader
+		if err := msg.DecodeHeader(&hdr); err != nil {
+			t.Fatal(err)
+		}
+		if hdr.From != seg[0] || hdr.To != seg[1] {
+			t.Fatalf("segment [%d,%d) arrived as [%d,%d)", seg[0], seg[1], hdr.From, hdr.To)
+		}
+	}
+}
+
 // TestLoadModelQuantScalesBitExact: the scale vector in a load header crosses
 // the wire as bit patterns, so every float32 — subnormals, the largest finite
 // value, values with no short decimal form, and the non-finite ones the
