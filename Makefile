@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry loc check
+.PHONY: all build fmt vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry loc check
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: lists any Go file gofmt would rewrite and fails if there is
+# one.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -143,4 +148,4 @@ loc:
 	@printf '%-22s %6d\n' 'internal + cmd' $(call gocount,internal cmd)
 	@printf '%-22s %6d\n' 'asm (*.s)' $$(find . -name '*.s' -exec cat {} + | wc -l)
 
-check: build vet cross purego bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke results-check
+check: build fmt vet cross purego bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke results-check

@@ -357,52 +357,46 @@ func BenchmarkSessionOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeFaultToleranceOverhead measures the no-fault cost of the
-// fault-tolerance machinery. "guarded" runs the default configuration —
+// BenchmarkRuntimeFaultToleranceOverhead measures no-fault pipeline
+// throughput with the fault-tolerance machinery armed, as it always is:
 // per-call deadline timers, slot indirection, retry bookkeeping, write
-// deadlines; "unguarded" disables the deadlines (ExecTimeout < 0), which is
-// the pre-fault-tolerance wait path. The two throughputs should agree within
-// ~2%: the timer is armed once per tile, off the per-byte path.
+// deadlines. The timer is armed once per tile, off the per-byte path.
 func BenchmarkRuntimeFaultToleranceOverhead(b *testing.B) {
-	run := func(b *testing.B, timeout time.Duration) {
-		m := nn.ToyChain("bench-ft", 6, 2, 8, 32)
-		cl := cluster.Homogeneous(3, 600e6)
-		plan, err := core.PlanPipeline(m, cl, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lc, err := runtime.StartLocalCluster(3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer lc.Close()
-		p, err := runtime.NewPipeline(plan, lc.Addrs, runtime.PipelineOptions{Seed: 1, ExecTimeout: timeout})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		in := tensor.RandomInput(m.Input, 1)
-		b.ResetTimer()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < b.N; i++ {
-				res := <-p.Results()
-				if res.Err != nil {
-					b.Errorf("task %d: %v", res.ID, res.Err)
-					return
-				}
-			}
-		}()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Submit(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-		<-done
+	m := nn.ToyChain("bench-ft", 6, 2, 8, 32)
+	cl := cluster.Homogeneous(3, 600e6)
+	plan, err := core.PlanPipeline(m, cl, core.Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("guarded", func(b *testing.B) { run(b, 0) })
-	b.Run("unguarded", func(b *testing.B) { run(b, -1) })
+	lc, err := runtime.StartLocalCluster(3, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lc.Close()
+	p, err := runtime.NewPipeline(plan, lc.Addrs, runtime.PipelineOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	in := tensor.RandomInput(m.Input, 1)
+	b.ResetTimer()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < b.N; i++ {
+			res := <-p.Results()
+			if res.Err != nil {
+				b.Errorf("task %d: %v", res.ID, res.Err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Submit(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	<-done
 }
 
 func BenchmarkAdaptiveSwitcher(b *testing.B) {

@@ -35,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *runtime.Worker) 
 		id       = fs.String("id", "piconode", "worker identifier")
 		speed    = fs.Float64("speed", 0, "emulated effective MAC/s (0 = run at native speed)")
 		parallel = fs.Int("parallel", 0, "CPU cores per kernel (0 = all cores, 1 = serial); results are bit-identical at any setting")
-		queue    = fs.Int("queue", 2, "per-connection exec queue depth (1 = no receive/compute overlap)")
 		quiet    = fs.Bool("quiet", false, "suppress per-request logging")
 		grace    = fs.Duration("grace", 15*time.Second, "graceful shutdown budget: how long to let in-flight connections finish before severing them")
 	)
@@ -43,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *runtime.Worker) 
 		return 2
 	}
 
-	opts := []runtime.WorkerOption{runtime.WithParallelism(*parallel), runtime.WithExecQueue(*queue)}
+	opts := []runtime.WorkerOption{runtime.WithParallelism(*parallel)}
 	if *speed > 0 {
 		opts = append(opts, runtime.WithEmulatedSpeed(*speed))
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"pico/internal/cluster"
 	"pico/internal/core"
@@ -27,7 +28,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("picoplan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		modelName   = fs.String("model", "vgg16", "vgg16 | yolov2 | resnet34 | inceptionv3 | mobilenetv1 | fig13toy")
+		modelName   = fs.String("model", "vgg16", strings.Join(nn.Names(), " | "))
 		clusterKind = fs.String("cluster", "homogeneous", "homogeneous | paper")
 		devices     = fs.Int("devices", 8, "device count (homogeneous cluster)")
 		freq        = fs.Float64("freq", 600e6, "CPU frequency in Hz (homogeneous cluster)")
@@ -40,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	m, err := modelByName(*modelName)
+	m, err := nn.ByName(*modelName)
 	if err != nil {
 		fmt.Fprintf(stderr, "picoplan: %v\n", err)
 		return 1
@@ -99,23 +100,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "plan saved to %s\n", *out)
 	}
 	return 0
-}
-
-func modelByName(name string) (*nn.Model, error) {
-	switch name {
-	case "vgg16":
-		return nn.VGG16(), nil
-	case "yolov2":
-		return nn.YOLOv2(), nil
-	case "resnet34":
-		return nn.ResNet34(), nil
-	case "inceptionv3":
-		return nn.InceptionV3(), nil
-	case "mobilenetv1":
-		return nn.MobileNetV1(), nil
-	case "fig13toy":
-		return nn.Fig13Toy(), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q", name)
-	}
 }

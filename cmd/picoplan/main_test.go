@@ -49,12 +49,14 @@ func TestLatencyBound(t *testing.T) {
 }
 
 func TestPaperCluster(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if rc := run([]string{"-model", "mobilenetv1", "-cluster", "paper", "-compare=false"}, &out, &errBuf); rc != 0 {
-		t.Fatalf("rc = %d, stderr: %s", rc, errBuf.String())
-	}
-	if strings.Contains(out.String(), "throughput:") {
-		t.Fatal("-compare=false still printed the comparison")
+	for _, model := range []string{"mobilenetv1", "toy"} {
+		var out, errBuf bytes.Buffer
+		if rc := run([]string{"-model", model, "-cluster", "paper", "-compare=false"}, &out, &errBuf); rc != 0 {
+			t.Fatalf("%s: rc = %d, stderr: %s", model, rc, errBuf.String())
+		}
+		if strings.Contains(out.String(), "throughput:") {
+			t.Fatalf("%s: -compare=false still printed the comparison", model)
+		}
 	}
 }
 

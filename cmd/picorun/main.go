@@ -38,12 +38,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		workersFlag = fs.String("workers", "", "comma-separated worker addresses (required)")
 		speedsFlag  = fs.String("speeds", "", "comma-separated effective MAC/s per worker (optional)")
-		modelName   = fs.String("model", "toy", "toy | fig13toy | vgg16 | yolov2 | resnet34 | inceptionv3 | mobilenetv1")
+		modelName   = fs.String("model", "toy", strings.Join(nn.Names(), " | "))
 		tasks       = fs.Int("tasks", 10, "number of inferences to run")
 		seed        = fs.Int64("seed", 1, "weight/input seed")
 		verify      = fs.Bool("verify", true, "check outputs against a local reference execution")
 		parallel    = fs.Int("parallel", 0, "CPU cores the local reference executor uses (0 = all cores, 1 = serial)")
-		window      = fs.Int("window", 0, "per-stage dispatch window (1 = synchronous, 2 = double buffering; 0 = default)")
 		savePlan    = fs.String("saveplan", "", "write the computed plan as JSON to this file")
 		loadPlan    = fs.String("loadplan", "", "execute a previously saved plan instead of planning")
 		execTimeout = fs.Duration("exec-timeout", 0, "per-tile exec deadline (0 = derive from the plan's modelled stage cost)")
@@ -57,8 +56,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "picorun: -workers is required")
 		return 2
 	}
+	if *tasks < 1 {
+		fmt.Fprintf(stderr, "picorun: -tasks %d: want at least 1\n", *tasks)
+		return 2
+	}
 	addrs := strings.Split(*workersFlag, ",")
-	m, err := modelByName(*modelName)
+	m, err := nn.ByName(*modelName)
 	if err != nil {
 		fmt.Fprintf(stderr, "picorun: %v\n", err)
 		return 1
@@ -141,7 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	telem := telemetry.New(telemetry.Options{Window: time.Hour})
 	p, err := runtime.NewPipeline(plan, addrMap, runtime.PipelineOptions{
 		Seed:        *seed,
-		StageWindow: *window,
 		ExecTimeout: *execTimeout,
 		Quantized:   *quant,
 		Telemetry:   telem,
@@ -326,25 +328,4 @@ func argmax(xs []float32) int {
 		}
 	}
 	return best
-}
-
-func modelByName(name string) (*nn.Model, error) {
-	switch name {
-	case "toy":
-		return nn.ToyChain("toy", 8, 3, 16, 64), nil
-	case "fig13toy":
-		return nn.Fig13Toy(), nil
-	case "vgg16":
-		return nn.VGG16(), nil
-	case "yolov2":
-		return nn.YOLOv2(), nil
-	case "resnet34":
-		return nn.ResNet34(), nil
-	case "inceptionv3":
-		return nn.InceptionV3(), nil
-	case "mobilenetv1":
-		return nn.MobileNetV1(), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q", name)
-	}
 }

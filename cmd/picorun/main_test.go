@@ -84,4 +84,13 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
+	// A batch of no tasks would wait forever for a result, and a negative
+	// one cannot be allocated: both are usage errors, refused before any
+	// worker is dialled.
+	for _, n := range []string{"0", "-1"} {
+		var out, errBuf bytes.Buffer
+		if rc := run([]string{"-workers", "127.0.0.1:1", "-tasks", n}, &out, &errBuf); rc != 2 {
+			t.Fatalf("-tasks %s: exit %d, want 2 (stderr %q)", n, rc, errBuf.String())
+		}
+	}
 }

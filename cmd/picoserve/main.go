@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Gateway) i
 		workersFlag  = fs.String("workers", "", "comma-separated worker addresses")
 		speedsFlag   = fs.String("speeds", "", "comma-separated effective MAC/s per worker (optional)")
 		local        = fs.Int("local", 0, "start N in-process loopback workers instead of dialing -workers")
-		modelsFlag   = fs.String("models", "toy", "comma-separated models to serve: toy | fig13toy | vgg16 | yolov2 | resnet34 | inceptionv3 | mobilenetv1")
+		modelsFlag   = fs.String("models", "toy", "comma-separated models to serve: "+strings.Join(nn.Names(), " | "))
 		seed         = fs.Int64("seed", 1, "weight seed shared with the workers")
 		maxQueue     = fs.Int("max-queue", 64, "bound on admitted-but-unanswered requests")
 		latencyBound = fs.Float64("latency-bound", 30, "admission ceiling on the predicted wait, seconds")
@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Gateway) i
 		if name == "" {
 			continue
 		}
-		m, err := modelByName(name)
+		m, err := nn.ByName(name)
 		if err != nil {
 			fmt.Fprintf(stderr, "picoserve: %v\n", err)
 			return 2
@@ -225,25 +225,4 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Gateway) i
 	}
 	fmt.Fprintln(stdout, "picoserve: drained")
 	return 0
-}
-
-func modelByName(name string) (*nn.Model, error) {
-	switch name {
-	case "toy":
-		return nn.ToyChain("toy", 8, 3, 16, 64), nil
-	case "fig13toy":
-		return nn.Fig13Toy(), nil
-	case "vgg16":
-		return nn.VGG16(), nil
-	case "yolov2":
-		return nn.YOLOv2(), nil
-	case "resnet34":
-		return nn.ResNet34(), nil
-	case "inceptionv3":
-		return nn.InceptionV3(), nil
-	case "mobilenetv1":
-		return nn.MobileNetV1(), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q", name)
-	}
 }

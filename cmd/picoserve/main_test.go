@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pico/internal/nn"
 	"pico/internal/serve"
 	"pico/internal/tensor"
 	"pico/internal/wire"
@@ -40,7 +41,7 @@ func TestPicoserveSmoke(t *testing.T) {
 	}
 	base := "http://" + g.Addr()
 
-	m, err := modelByName("toy")
+	m, err := nn.ByName("toy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPicoserveMetricsSmoke(t *testing.T) {
 	}
 	base := "http://" + g.Addr()
 
-	m, err := modelByName("toy")
+	m, err := nn.ByName("toy")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"pico"
 	"pico/internal/cluster"
@@ -28,7 +29,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("picosim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		modelName   = fs.String("model", "vgg16", "vgg16 | yolov2 | resnet34 | inceptionv3 | mobilenetv1 | fig13toy")
+		modelName   = fs.String("model", "vgg16", strings.Join(nn.Names(), " | "))
 		clusterKind = fs.String("cluster", "homogeneous", "homogeneous | paper")
 		devices     = fs.Int("devices", 8, "device count (homogeneous cluster)")
 		freq        = fs.Float64("freq", 600e6, "CPU frequency in Hz (homogeneous cluster)")
@@ -43,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	m, err := modelByName(*modelName)
+	m, err := nn.ByName(*modelName)
 	if err != nil {
 		fmt.Fprintf(stderr, "picosim: %v\n", err)
 		return 1
@@ -83,25 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			d.ID, res.Utilization(k)*100, res.RedundancyRatio(k)*100)
 	}
 	return 0
-}
-
-func modelByName(name string) (*nn.Model, error) {
-	switch name {
-	case "vgg16":
-		return nn.VGG16(), nil
-	case "yolov2":
-		return nn.YOLOv2(), nil
-	case "resnet34":
-		return nn.ResNet34(), nil
-	case "inceptionv3":
-		return nn.InceptionV3(), nil
-	case "mobilenetv1":
-		return nn.MobileNetV1(), nil
-	case "fig13toy":
-		return nn.Fig13Toy(), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q", name)
-	}
 }
 
 func runScheme(scheme string, m *nn.Model, cl *cluster.Cluster, capacity, workload, duration float64, tasks int, seed int64) (*simulate.Result, error) {

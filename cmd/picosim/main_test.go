@@ -32,11 +32,13 @@ func TestOpenLoopAPICO(t *testing.T) {
 }
 
 func TestEveryScheme(t *testing.T) {
-	for _, scheme := range []string{"lw", "mednn", "efl", "efl-grid", "ofl", "fused", "pico"} {
-		var out, errBuf bytes.Buffer
-		rc := run([]string{"-model", "fig13toy", "-devices", "2", "-scheme", scheme, "-tasks", "5"}, &out, &errBuf)
-		if rc != 0 {
-			t.Fatalf("%s: rc = %d, stderr: %s", scheme, rc, errBuf.String())
+	for _, model := range []string{"fig13toy", "toy"} {
+		for _, scheme := range []string{"lw", "mednn", "efl", "efl-grid", "ofl", "fused", "pico"} {
+			var out, errBuf bytes.Buffer
+			rc := run([]string{"-model", model, "-devices", "2", "-scheme", scheme, "-tasks", "5"}, &out, &errBuf)
+			if rc != 0 {
+				t.Fatalf("%s %s: rc = %d, stderr: %s", model, scheme, rc, errBuf.String())
+			}
 		}
 	}
 }

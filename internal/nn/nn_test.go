@@ -377,3 +377,20 @@ func TestGroupedConvValidation(t *testing.T) {
 		t.Fatalf("depthwise FLOPs = %d, want %d", got, want)
 	}
 }
+
+// TestRegistry: every registered name builds a valid model, and an unknown
+// name is an error naming it.
+func TestRegistry(t *testing.T) {
+	for _, name := range Names() {
+		m, err := ByName(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if _, err := ByName("alexnet9000"); err == nil || !strings.Contains(err.Error(), "alexnet9000") {
+		t.Fatalf("unknown model: err = %v", err)
+	}
+}

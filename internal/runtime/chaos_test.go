@@ -470,7 +470,7 @@ func TestWorkerPanicContained(t *testing.T) {
 // instead of burning its own full deadline.
 func TestDeadlineFailsConnAndWakesPending(t *testing.T) {
 	lc := startFaultCluster(t, 1, func(int) []WorkerOption {
-		return []WorkerOption{WithFault(Fault{HangFromExec: 1}), WithExecQueue(4)}
+		return []WorkerOption{WithFault(Fault{HangFromExec: 1})}
 	})
 	wc, err := dialWorker(lc.Addrs[0])
 	if err != nil {
@@ -478,7 +478,7 @@ func TestDeadlineFailsConnAndWakesPending(t *testing.T) {
 	}
 	defer wc.close()
 	m := nn.ToyChain("chaos-wake", 2, 0, 4, 16)
-	if err := wc.loadModel(wire.SpecFromModel(m), 1, nil, 0, 0); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 1, nil, 0, m.NumLayers()); err != nil {
 		t.Fatal(err)
 	}
 	tile := tensor.RandomInput(m.Input, 1)

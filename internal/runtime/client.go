@@ -9,11 +9,11 @@ import (
 	"pico/internal/wire"
 )
 
-// workerClient is one coordinator→worker connection speaking wire protocol
-// v2. Requests carry ids; a single reader goroutine demultiplexes response
-// frames to a pending-call map, so many requests can be in flight on one
-// connection concurrently — the transport-side requirement for overlapping
-// one task's sends with another task's remote compute.
+// workerClient is one coordinator→worker connection. Requests carry ids; a
+// single reader goroutine demultiplexes response frames to a pending-call
+// map, so many requests can be in flight on one connection concurrently —
+// the transport-side requirement for overlapping one task's sends with
+// another task's remote compute.
 type workerClient struct {
 	id   string
 	addr string
@@ -166,26 +166,13 @@ func (wc *workerClient) readError() error {
 	return fmt.Errorf("runtime: connection to %s lost", wc.id)
 }
 
-// wait blocks for the response frame (or connection loss).
-func (c *call) wait() (*wire.Message, error) {
-	msg, ok := <-c.ch
-	if !ok {
-		return nil, c.wc.readError()
-	}
-	return msg, nil
-}
-
 // waitTimeout blocks for the response frame, the connection dying, or the
 // deadline — whichever comes first. A deadline hit is treated as the
 // connection being wedged (a worker that still computes will answer a fresh
 // connection after redial): the pending slot is cancelled so a late frame is
 // dropped, and the connection is failed so every other pending call wakes
-// immediately instead of each burning its own full deadline. d <= 0 waits
-// forever.
+// immediately instead of each burning its own full deadline.
 func (c *call) waitTimeout(d time.Duration) (*wire.Message, error) {
-	if d <= 0 {
-		return c.wait()
-	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -238,14 +225,15 @@ func (wc *workerClient) close() error {
 	return err
 }
 
-// loadModel ships a model. Non-nil scales — the session's boundary scales,
-// calibrated once by the coordinator — make it an int8 load: the worker
-// validates the vector, presets it and can serve quantized exec requests
-// without ever calibrating. A non-empty segment [from, to) is built before
-// the worker answers; from = to = 0 leaves the weights to first use.
+// loadModel ships a model and the segment [from, to) this connection will
+// execute, which the worker builds before it answers; an empty or
+// out-of-range segment is refused. Non-empty scales — the session's boundary
+// scales, calibrated once by the coordinator — make it an int8 load: the
+// worker validates the vector, presets it and can serve quantized exec
+// requests without ever calibrating.
 func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64, scales []float32, from, to int) error {
 	msg, err := wc.roundTrip(wire.MsgLoadModel, wire.LoadModelHeader{
-		Model: spec, Seed: seed, Quant: scales != nil, Scales: scales, From: from, To: to,
+		Model: spec, Seed: seed, Scales: scales, From: from, To: to,
 	}, nil)
 	if err != nil {
 		return err

@@ -34,12 +34,12 @@ func warmedSets(t *testing.T, m *nn.Model, seed int64, quant bool, segs ...[2]in
 }
 
 // TestLoadSegment pins the load frame's segment contract in both precisions:
-// a load without one is lazy, as before segments existed; an empty or
-// out-of-range one is refused with a typed error frame, registers nothing
-// and leaves the connection serving; a load with one answers only once the
-// segment's weights are built, so the first tile builds nothing; and a
-// worker loaded for two stages (one connection each) holds the union of
-// their layers.
+// the segment is required, so an empty one — [0,0), the zero value, among
+// them — or an out-of-range one is refused with a typed error frame,
+// registers nothing and leaves the connection serving; a load answers only
+// once the segment's weights are built, so the first tile builds nothing;
+// and a worker loaded for two stages (one connection each) holds the union
+// of their layers.
 func TestLoadSegment(t *testing.T) {
 	m := nn.TinyGraph()
 	n := m.NumLayers()
@@ -54,7 +54,7 @@ func TestLoadSegment(t *testing.T) {
 			}
 		}
 		hdr := func(from, to int) wire.LoadModelHeader {
-			return wire.LoadModelHeader{Model: spec, Seed: seed, Quant: quant, Scales: scales, From: from, To: to}
+			return wire.LoadModelHeader{Model: spec, Seed: seed, Scales: scales, From: from, To: to}
 		}
 		lc := startCluster(t, 1, nil)
 		w := lc.Workers[0]
@@ -64,7 +64,7 @@ func TestLoadSegment(t *testing.T) {
 		}
 		defer wc.close()
 
-		for _, seg := range [][2]int{{-1, 2}, {0, n + 1}, {3, 3}, {4, 2}, {0, -1}} {
+		for _, seg := range [][2]int{{0, 0}, {-1, 2}, {0, n + 1}, {3, 3}, {4, 2}, {0, -1}} {
 			if msg := rawLoad(t, wc, hdr(seg[0], seg[1])); !strings.Contains(msg, "segment") {
 				t.Fatalf("quant %v: segment %v answered %q, want a segment refusal", quant, seg, msg)
 			}
@@ -76,19 +76,12 @@ func TestLoadSegment(t *testing.T) {
 			}
 		}
 
-		if msg := rawLoad(t, wc, hdr(0, 0)); msg != "" {
-			t.Fatalf("quant %v: segment-less load refused: %s", quant, msg)
+		if msg := rawLoad(t, wc, hdr(1, 3)); msg != "" {
+			t.Fatalf("quant %v: segment load refused: %s", quant, msg)
 		}
 		exec, ok := w.executor(m.Name, seed)
 		if !ok {
 			t.Fatalf("quant %v: no executor after the load", quant)
-		}
-		if got := exec.WeightSets(); got != 0 {
-			t.Fatalf("quant %v: a segment-less load built %d weight sets, want none", quant, got)
-		}
-
-		if msg := rawLoad(t, wc, hdr(1, 3)); msg != "" {
-			t.Fatalf("quant %v: segment load refused: %s", quant, msg)
 		}
 		if got, want := exec.WeightSets(), warmedSets(t, m, seed, quant, [2]int{1, 3}); got != want || want == 0 {
 			t.Fatalf("quant %v: load of [1,3) holds %d weight sets, want %d", quant, got, want)
@@ -139,18 +132,23 @@ func TestConcurrentLoadsShareOneExecutor(t *testing.T) {
 	const seed = 6
 	spec := wire.SpecFromModel(m)
 	for _, quant := range []bool{false, true} {
+		var scales []float32
+		if quant {
+			var err error
+			if scales, err = tensor.QuantScales(m, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
 		lc := startCluster(t, 1, nil)
 		w := lc.Workers[0]
-		segs := [][2]int{{0, n}, {0, 3}, {2, n}, {0, n}, {1, 4}, {0, 0}}
+		segs := [][2]int{{0, n}, {0, 3}, {2, n}, {0, n}, {1, 4}, {3, 5}}
 		execs := make([]*tensor.Executor, len(segs))
 		var wg sync.WaitGroup
 		for i, seg := range segs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// Scale-less int8 loads calibrate inside the load: the widest
-				// window for two loads to miss each other's executor.
-				e, err := w.load(&wire.LoadModelHeader{Model: spec, Seed: seed, Quant: quant, From: seg[0], To: seg[1]})
+				e, err := w.load(&wire.LoadModelHeader{Model: spec, Seed: seed, Scales: scales, From: seg[0], To: seg[1]})
 				if err != nil {
 					t.Error(err)
 				}

@@ -61,10 +61,10 @@ type flight struct {
 // distribute the tiles to the stage workers, gather and stitch the results,
 // and hand the stitched map to the next stage.
 //
-// With window > 1 the driver pipelines within the stage too: tiles for task
-// N+1 are sliced, serialized and sent while the workers still compute task
-// N (whose tiles are gathered concurrently), so coordinator-side transport
-// work overlaps remote compute instead of extending the stage's period.
+// The driver pipelines within the stage too: tiles for task N+1 are sliced,
+// serialized and sent while the workers still compute task N (whose tiles
+// are gathered concurrently), so coordinator-side transport work overlaps
+// remote compute instead of extending the stage's period.
 //
 // The driver is fault-tolerant whatever the tile shape: every exec wait is
 // deadline-bounded, a lost or wedged connection moves its tile onto a
@@ -81,8 +81,6 @@ type stageDriver struct {
 	slots []*workerSlot
 	calc  *partition.Calc
 	out   nn.Shape // the stage's full output map
-	// window caps how many tasks may be dispatched but not yet stitched.
-	window int
 	// timeout bounds each tile round trip on this stage.
 	timeout time.Duration
 	// stageProd records this stage's per-task round trip.
@@ -145,17 +143,9 @@ type flightWork struct {
 func (sd *stageDriver) run(in <-chan *flight, out chan<- *flight, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(out)
-	if sd.window <= 1 {
-		// Synchronous: one task occupies the stage end to end.
-		for f := range in {
-			sd.gather(sd.dispatch(f))
-			out <- f
-		}
-		return
-	}
-	// Pipelined: the dispatcher stays up to window-1 tasks ahead of the
-	// gatherer, so its split/encode/send work overlaps worker compute.
-	work := make(chan *flightWork, sd.window-1)
+	// The dispatcher stays up to stageDepth-1 tasks ahead of the gatherer,
+	// so its split/encode/send work overlaps worker compute.
+	work := make(chan *flightWork, stageDepth-1)
 	var dispatchWG sync.WaitGroup
 	dispatchWG.Add(1)
 	go func() {
@@ -616,27 +606,20 @@ type WorkerStat struct {
 type PipelineOptions struct {
 	// Seed is the shared weight seed (default 1).
 	Seed int64
-	// StageWindow caps how many tasks a stage driver may have dispatched
-	// but not yet stitched. 1 is fully synchronous (send, compute, gather
-	// one task at a time — the pre-v2 behaviour); the default 2 double-
-	// buffers: the coordinator slices, serializes and sends task N+1's
-	// tiles while the workers still compute task N.
-	StageWindow int
 
 	// ExecTimeout bounds every tile round trip (send through result). Zero
-	// derives a per-stage deadline from the plan's modelled stage cost:
-	// deadlineFloor + deadlineSlack × modelled stage seconds — generous
-	// enough for honest slowness, finite so a wedged worker cannot stall the
-	// pipeline. Negative disables deadlines entirely (a benchmarking/debug
-	// escape hatch: a wedged worker can then stall the pipeline forever).
+	// or negative derives a per-stage deadline from the plan's modelled
+	// stage cost: deadlineFloor + deadlineSlack × modelled stage seconds —
+	// generous enough for honest slowness, finite so a wedged worker cannot
+	// stall the pipeline.
 	ExecTimeout time.Duration
 	// RetryBudget is how many times a transiently failed tile is re-executed
 	// on a healthy replica before its task fails with a FaultError
-	// (default 2; negative disables retries).
+	// (zero or negative: the default 2).
 	RetryBudget int
 	// RedialAttempts is how many exponential-backoff reconnects a lost
 	// worker gets before it is marked down and its stage re-balanced across
-	// the survivors (default 3; negative disables redial).
+	// the survivors (zero or negative: the default 3).
 	RedialAttempts int
 	// RedialBackoff is the initial reconnect backoff, doubled per attempt
 	// (default 100ms). It also paces retryPart's wait for a redial to land.
@@ -663,10 +646,14 @@ type PipelineOptions struct {
 // Deadline derivation: a hung worker is detected after deadlineFloor +
 // deadlineSlack × the stage's modelled seconds, so emulated-slow devices get
 // proportionally longer leashes. queueDepth is the per-stage input buffer.
+// stageDepth caps how many tasks a stage driver may have dispatched but not
+// yet stitched: 2 double-buffers, the coordinator slicing, serializing and
+// sending task N+1's tiles while the workers still compute task N.
 const (
 	deadlineSlack = 8.0
 	deadlineFloor = 5 * time.Second
 	queueDepth    = 8
+	stageDepth    = 2
 )
 
 // NewPipeline connects to the workers backing the plan's devices and starts
@@ -680,18 +667,11 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.StageWindow <= 0 {
-		opts.StageWindow = 2
-	}
-	if opts.RetryBudget == 0 {
+	if opts.RetryBudget <= 0 {
 		opts.RetryBudget = 2
-	} else if opts.RetryBudget < 0 {
-		opts.RetryBudget = 0
 	}
-	if opts.RedialAttempts == 0 {
+	if opts.RedialAttempts <= 0 {
 		opts.RedialAttempts = 3
-	} else if opts.RedialAttempts < 0 {
-		opts.RedialAttempts = 0
 	}
 	if opts.RedialBackoff <= 0 {
 		opts.RedialBackoff = 100 * time.Millisecond
@@ -782,9 +762,7 @@ func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
 	)
 	for si, st := range plan.Stages {
 		timeout := p.opts.ExecTimeout
-		if timeout < 0 {
-			timeout = 0 // deadlines off: waits block until the conn dies
-		} else if timeout == 0 {
+		if timeout <= 0 {
 			timeout = deadlineFloor + time.Duration(st.Seconds()*deadlineSlack*float64(time.Second))
 		}
 		sd := &stageDriver{
@@ -793,7 +771,6 @@ func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
 			slots:     make([]*workerSlot, len(st.DeviceIdx)),
 			calc:      calc,
 			out:       plan.Model.OutShape(st.To - 1),
-			window:    p.opts.StageWindow,
 			timeout:   timeout,
 			stageProd: p.series(si, -1, telemetry.KindStage).Producer(),
 			prods:     make(map[int]*deviceProds, len(st.DeviceIdx)),

@@ -109,7 +109,7 @@ func TestInt8ExecNeedsQuantLoad(t *testing.T) {
 	tile := tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0]))
 	spec := wire.SpecFromModel(m)
 
-	if err := wc.loadModel(spec, seed, nil, 0, 0); err != nil {
+	if err := wc.loadModel(spec, seed, nil, 0, m.NumLayers()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := wc.exec(hdr, tile); err == nil || !strings.Contains(err.Error(), "not loaded") {
@@ -119,7 +119,7 @@ func TestInt8ExecNeedsQuantLoad(t *testing.T) {
 		t.Fatalf("float exec after the refusal: %v", err)
 	}
 	for _, sc := range [][]float32{scales, nil} {
-		if err := wc.loadModel(spec, seed, sc, 0, 0); err != nil {
+		if err := wc.loadModel(spec, seed, sc, 0, m.NumLayers()); err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := wc.exec(hdr, tile)
@@ -154,7 +154,7 @@ func TestLoadReusesExecutor(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := wc.loadModel(wire.SpecFromModel(m), seed, scales, 0, 0); err != nil {
+		if err := wc.loadModel(wire.SpecFromModel(m), seed, scales, 0, m.NumLayers()); err != nil {
 			t.Fatal(err)
 		}
 		e, ok := lc.Workers[0].executor(m.Name, seed)

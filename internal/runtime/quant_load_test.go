@@ -92,7 +92,7 @@ func TestQuantLoadRejectsHostileScales(t *testing.T) {
 	spec := wire.SpecFromModel(m)
 	try := func(name string, scales []float32, reason string, before *tensor.Executor) {
 		t.Helper()
-		if msg := rawLoad(t, wc, wire.LoadModelHeader{Model: spec, Seed: seed, Quant: true, Scales: scales}); !strings.Contains(msg, reason) {
+		if msg := rawLoad(t, wc, wire.LoadModelHeader{Model: spec, Seed: seed, Scales: scales, From: 0, To: m.NumLayers()}); !strings.Contains(msg, reason) {
 			t.Fatalf("%s: load answered %q, want a refusal saying %q", name, msg, reason)
 		}
 		if resident() != before {
@@ -107,7 +107,7 @@ func TestQuantLoadRejectsHostileScales(t *testing.T) {
 	}
 	// With the genuine vector resident, one that passes every standalone
 	// check but differs from it is still refused.
-	if err := wc.loadModel(spec, seed, good, 0, 0); err != nil {
+	if err := wc.loadModel(spec, seed, good, 0, m.NumLayers()); err != nil {
 		t.Fatal(err)
 	}
 	exec := resident()
@@ -119,18 +119,16 @@ func TestQuantLoadRejectsHostileScales(t *testing.T) {
 		try(tc.name+" (resident)", tc.scales, differ, exec)
 	}
 	try("differs from resident", with(1, math.Nextafter32(good[1], 1)), differ, exec)
-	if err := wc.loadModel(spec, seed, good, 0, 0); err != nil {
+	if err := wc.loadModel(spec, seed, good, 0, m.NumLayers()); err != nil {
 		t.Fatalf("reload of the genuine scales: %v", err)
 	}
 }
 
 // TestQuantLoadBillsNoKernelTime: a quantized load runs no kernel on the
-// serving executor — with scales shipped there is no calibration, and a load
-// without scales (an older coordinator) calibrates on a scratch executor — so
+// serving executor — its scales are shipped, so there is no calibration — so
 // the worker's per-kind kernel seconds are all zero until a tile runs, each
 // exec reply bills kernel time within its reported compute, and the replies
-// add up to everything the executor holds. The scale-less load must also
-// calibrate to the same vector and serve.
+// add up to everything the executor holds.
 func TestQuantLoadBillsNoKernelTime(t *testing.T) {
 	m := nn.ToyChain("bill", 3, 2, 6, 24)
 	const seed = 2
@@ -147,52 +145,46 @@ func TestQuantLoadBillsNoKernelTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := wire.SpecFromModel(m)
-	for name, hdr := range map[string]wire.LoadModelHeader{
-		"shipped scales": {Model: spec, Seed: seed, Quant: true, Scales: scales},
-		"no scales":      {Model: spec, Seed: seed, Quant: true},
-	} {
-		lc := startCluster(t, 1, nil)
-		wc, err := dialWorker(lc.Addrs[0])
+	lc := startCluster(t, 1, nil)
+	wc, err := dialWorker(lc.Addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.close()
+	if err := wc.loadModel(wire.SpecFromModel(m), seed, scales, 0, m.NumLayers()); err != nil {
+		t.Fatal(err)
+	}
+	exec, ok := lc.Workers[0].executor(m.Name, seed)
+	if !ok {
+		t.Fatal("no executor after the load")
+	}
+	if kinds := exec.KindTotals(); kinds != [tensor.NumKinds]float64{} {
+		t.Fatalf("kernel seconds %v billed by the load", kinds)
+	}
+	var billed [tensor.NumKinds]float64
+	for task := 0; task < 3; task++ {
+		got, rh, err := wc.exec(wire.ExecHeader{
+			From: 0, To: m.NumLayers(), OutLo: 0, OutHi: m.Output().H, ModelName: m.Name, Seed: seed,
+		}, tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0])))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("exec: %v", err)
 		}
-		defer wc.close()
-		if msg := rawLoad(t, wc, hdr); msg != "" {
-			t.Fatalf("%s: load refused: %s", name, msg)
+		if !tensor.EqualQ(got.QTensor(), want) {
+			t.Fatal("worker output differs from local RunQ")
 		}
-		exec, ok := lc.Workers[0].executor(m.Name, seed)
-		if !ok {
-			t.Fatalf("%s: no executor after the load", name)
+		var kernel float64
+		for k, sec := range rh.KernelSeconds {
+			kernel += sec
+			billed[k] += sec
 		}
-		if kinds := exec.KindTotals(); kinds != [tensor.NumKinds]float64{} {
-			t.Fatalf("%s: kernel seconds %v billed by the load", name, kinds)
+		if kernel <= 0 || kernel > rh.ComputeSeconds {
+			t.Fatalf("task %d: %g s of kernel time for a tile that took %g s", task, kernel, rh.ComputeSeconds)
 		}
-		var billed [tensor.NumKinds]float64
-		for task := 0; task < 3; task++ {
-			got, rh, err := wc.exec(wire.ExecHeader{
-				From: 0, To: m.NumLayers(), OutLo: 0, OutHi: m.Output().H, ModelName: m.Name, Seed: seed,
-			}, tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0])))
-			if err != nil {
-				t.Fatalf("%s: exec: %v", name, err)
-			}
-			if !tensor.EqualQ(got.QTensor(), want) {
-				t.Fatalf("%s: worker output differs from local RunQ", name)
-			}
-			var kernel float64
-			for k, sec := range rh.KernelSeconds {
-				kernel += sec
-				billed[k] += sec
-			}
-			if kernel <= 0 || kernel > rh.ComputeSeconds {
-				t.Fatalf("%s task %d: %g s of kernel time for a tile that took %g s", name, task, kernel, rh.ComputeSeconds)
-			}
-		}
-		// The replies account for every kernel second the executor holds.
-		for k, total := range exec.KindTotals() {
-			if math.Abs(total-billed[k]) > 1e-9 {
-				t.Fatalf("%s: %s: replies bill %g s, the executor holds %g s", name, tensor.KindNames[k], billed[k], total)
-			}
+	}
+	// The replies account for every kernel second the executor holds.
+	for k, total := range exec.KindTotals() {
+		if math.Abs(total-billed[k]) > 1e-9 {
+			t.Fatalf("%s: replies bill %g s, the executor holds %g s", tensor.KindNames[k], billed[k], total)
 		}
 	}
 }

@@ -292,7 +292,7 @@ func (wc *workerClient) exec(hdr wire.ExecHeader, tile tensor.FMap) (tensor.FMap
 	if err != nil {
 		return tensor.FMap{}, wire.ExecResultHeader{}, err
 	}
-	out, rh, _, err := c.waitExec(0)
+	out, rh, _, err := c.waitExec(controlTimeout)
 	return out, rh, err
 }
 
@@ -314,6 +314,9 @@ func (wc *workerClient) ping() error {
 	return nil
 }
 
+// TestWorkerRejectsExecWithoutModel: an exec names the model it runs, and one
+// naming a model no load registered — an empty name included, with a single
+// model loaded — is refused.
 func TestWorkerRejectsExecWithoutModel(t *testing.T) {
 	lc := startCluster(t, 1, nil)
 	wc, err := dialWorker(lc.Addrs[0])
@@ -321,13 +324,19 @@ func TestWorkerRejectsExecWithoutModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
+	m := nn.ToyChain("loaded", 1, 0, 1, 4)
+	if err := wc.loadModel(wire.SpecFromModel(m), 1, nil, 0, m.NumLayers()); err != nil {
+		t.Fatal(err)
+	}
 	tile := tensor.RandomInput(nn.Shape{C: 1, H: 4, W: 4}, 1)
-	_, _, err = wc.execT(wire.ExecHeader{
-		TaskID: 1, From: 0, To: 1, OutLo: 0, OutHi: 4,
-		ModelName: "nope", Seed: 1,
-	}, tile)
-	if err == nil || !strings.Contains(err.Error(), "not loaded") {
-		t.Fatalf("err = %v, want model-not-loaded", err)
+	for _, name := range []string{"nope", ""} {
+		_, _, err = wc.execT(wire.ExecHeader{
+			TaskID: 1, From: 0, To: 1, OutLo: 0, OutHi: 4,
+			ModelName: name, Seed: 1,
+		}, tile)
+		if err == nil || !strings.Contains(err.Error(), "not loaded") {
+			t.Fatalf("model %q: err = %v, want model-not-loaded", name, err)
+		}
 	}
 }
 
@@ -378,9 +387,9 @@ func TestWorkerRejectsInvalidModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	err = wc.loadModel(wire.ModelSpec{Name: "bad"}, 1, nil, 0, 0)
-	if err == nil {
-		t.Fatal("invalid model accepted by worker")
+	err = wc.loadModel(wire.ModelSpec{Name: "bad"}, 1, nil, 0, 1)
+	if err == nil || !strings.Contains(err.Error(), "invalid model") {
+		t.Fatalf("invalid model: err = %v, want an invalid-model refusal", err)
 	}
 }
 
@@ -392,7 +401,7 @@ func TestWorkerExecBadTile(t *testing.T) {
 	}
 	defer wc.close()
 	m := nn.ToyChain("w", 2, 0, 4, 16)
-	if err := wc.loadModel(wire.SpecFromModel(m), 3, nil, 0, 0); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 3, nil, 0, m.NumLayers()); err != nil {
 		t.Fatal(err)
 	}
 	// Tile too small for the requested range.
@@ -531,7 +540,7 @@ func TestManualStageSplitMatchesWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer wc.close()
-		if err := wc.loadModel(wire.SpecFromModel(m), 9, nil, 0, 0); err != nil {
+		if err := wc.loadModel(wire.SpecFromModel(m), 9, nil, 0, m.NumLayers()); err != nil {
 			t.Fatal(err)
 		}
 		clients = append(clients, wc)
@@ -581,7 +590,7 @@ func TestClientManyRequestsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	if err := wc.loadModel(wire.SpecFromModel(m), 5, nil, 0, 0); err != nil {
+	if err := wc.loadModel(wire.SpecFromModel(m), 5, nil, 0, m.NumLayers()); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := tensor.NewExecutor(m, 5)
@@ -633,62 +642,6 @@ func TestClientManyRequestsInFlight(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestPipelineStageWindows(t *testing.T) {
-	// Windowed (pipelined) dispatch must be bit-identical and in-order at
-	// every window depth, including the synchronous baseline.
-	plan := testPlan(t, 3)
-	ref, err := tensor.NewExecutor(plan.Model, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tasks = 6
-	inputs := make([]tensor.Tensor, tasks)
-	wants := make([]tensor.Tensor, tasks)
-	for i := range inputs {
-		inputs[i] = tensor.RandomInput(plan.Model.Input, int64(100+i))
-		wants[i], err = ref.Run(inputs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, window := range []int{1, 2, 4} {
-		t.Run("window="+strconv.Itoa(window), func(t *testing.T) {
-			lc := startCluster(t, 3, nil)
-			p, err := NewPipeline(plan, lc.Addrs, PipelineOptions{Seed: 7, StageWindow: window})
-			if err != nil {
-				t.Fatal(err)
-			}
-			go func() {
-				for _, in := range inputs {
-					if _, err := p.Submit(in); err != nil {
-						t.Errorf("submit: %v", err)
-						return
-					}
-				}
-				if err := p.Close(); err != nil {
-					t.Errorf("close: %v", err)
-				}
-			}()
-			var next int64 = 1
-			for res := range p.Results() {
-				if res.Err != nil {
-					t.Fatalf("task %d: %v", res.ID, res.Err)
-				}
-				if res.ID != next {
-					t.Fatalf("result %d out of order (want %d)", res.ID, next)
-				}
-				if !tensor.Equal(wants[res.ID-1], res.Output) {
-					t.Fatalf("task %d differs from reference", res.ID)
-				}
-				next++
-			}
-			if next != tasks+1 {
-				t.Fatalf("got %d results, want %d", next-1, tasks)
-			}
-		})
-	}
 }
 
 // TestWorkerShutdownSeversLingeringConns pins the graceful-drain bound: a

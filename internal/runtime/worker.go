@@ -47,13 +47,6 @@ type Worker struct {
 	// (0 = all cores).
 	parallelism int
 
-	// execQueue is the per-connection bounded exec request queue depth:
-	// the serve loop keeps reading (and the coordinator keeps sending)
-	// while up to this many tiles wait for the compute goroutine, so
-	// transmission overlaps computation. Depth 1 restores strict
-	// request-at-a-time behaviour.
-	execQueue int
-
 	logf func(format string, args ...any)
 
 	// fault is the injection plan for chaos tests; the zero value injects
@@ -131,18 +124,6 @@ func WithParallelism(n int) WorkerOption {
 	return func(w *Worker) { w.parallelism = n }
 }
 
-// WithExecQueue sets the per-connection bounded exec queue depth (default
-// 2 — double buffering: one tile computing, one received and waiting).
-// Values below 1 are clamped to 1 (no overlap).
-func WithExecQueue(n int) WorkerOption {
-	return func(w *Worker) {
-		if n < 1 {
-			n = 1
-		}
-		w.execQueue = n
-	}
-}
-
 // WithLogger routes worker diagnostics to the given function.
 func WithLogger(logf func(format string, args ...any)) WorkerOption {
 	return func(w *Worker) { w.logf = logf }
@@ -161,13 +142,12 @@ func NewWorker(id, addr string, opts ...WorkerOption) (*Worker, error) {
 		return nil, fmt.Errorf("runtime: worker %s listen: %w", id, err)
 	}
 	w := &Worker{
-		id:        id,
-		ln:        ln,
-		execQueue: 2,
-		execs:     make(map[execKey]*tensor.Executor),
-		conns:     make(map[*wire.Conn]struct{}),
-		closing:   make(chan struct{}),
-		logf:      func(string, ...any) {},
+		id:      id,
+		ln:      ln,
+		execs:   make(map[execKey]*tensor.Executor),
+		conns:   make(map[*wire.Conn]struct{}),
+		closing: make(chan struct{}),
+		logf:    func(string, ...any) {},
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -277,8 +257,13 @@ func (w *Worker) Abort() error {
 	return err
 }
 
+// tileQueueDepth is the per-connection exec queue depth: double buffering, one
+// tile computing and one received and waiting, so the serve loop keeps
+// reading (and the coordinator keeps sending) while a tile computes.
+const tileQueueDepth = 2
+
 // handle serves one coordinator connection. The read loop and the compute
-// goroutine are decoupled by a bounded exec queue so a queued tile's
+// goroutine are decoupled by the bounded exec queue so a queued tile's
 // transmission overlaps the previous tile's computation; when the queue is
 // full the loop stops reading and TCP backpressure reaches the coordinator.
 func (w *Worker) handle(conn *wire.Conn) {
@@ -299,7 +284,7 @@ func (w *Worker) handle(conn *wire.Conn) {
 		w.logf("worker %s: hello: %v", w.id, err)
 		return
 	}
-	queue := make(chan *wire.Message, w.execQueue)
+	queue := make(chan *wire.Message, tileQueueDepth)
 	var computeWG sync.WaitGroup
 	computeWG.Add(1)
 	go func() {
@@ -362,10 +347,10 @@ func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
 	return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
 }
 
-// load resolves a load header to the executor serving its (model, seed) and,
-// when the header names a segment, builds that segment's weights in the
-// load's precision before returning. A model or segment the worker cannot
-// serve registers nothing.
+// load resolves a load header to the executor serving its (model, seed) and
+// builds the header's segment in the load's precision — int8 exactly when
+// the header carries scales — before returning. A model or segment the
+// worker cannot serve registers nothing.
 //
 // One executor per (model, seed) serves both precisions, and a load that the
 // one already here serves (a redial after a flap, a second session, a second
@@ -375,29 +360,26 @@ func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
 // load must not take the int8 path away from a quantized session sharing this
 // worker, so the mode only ever upgrades, and only the upgrade (or a
 // different model under the same name) builds a new executor. The executor
-// is found or created under w.mu, so concurrent loads share one; calibration
-// and the segment build run outside it, and concurrent builds of one layer
-// generate it once (the executor's caches).
+// is found or created under w.mu, so concurrent loads share one; the segment
+// build runs outside it, and concurrent builds of one layer generate it once
+// (the executor's caches).
 func (w *Worker) load(hdr *wire.LoadModelHeader) (*tensor.Executor, error) {
 	m, err := hdr.Model.ToModel()
 	if err != nil {
 		return nil, err
 	}
-	segment := hdr.From != 0 || hdr.To != 0
-	if segment && (hdr.From < 0 || hdr.To > m.NumLayers() || hdr.From >= hdr.To) {
+	if hdr.From < 0 || hdr.To > m.NumLayers() || hdr.From >= hdr.To {
 		return nil, fmt.Errorf("segment [%d,%d) is not within %s's %d layers", hdr.From, hdr.To, m.Name, m.NumLayers())
 	}
+	quant := len(hdr.Scales) > 0
 	key := execKey{name: m.Name, seed: hdr.Seed}
 	w.mu.Lock()
 	exec, created := w.execs[key], false
-	if exec == nil || !sameModel(exec.Model(), m) || hdr.Quant && !exec.Quantized() {
+	if exec == nil || !sameModel(exec.Model(), m) || quant && !exec.Quantized() {
 		opts := []tensor.ExecutorOption{tensor.WithParallelism(w.parallelism)}
-		switch {
-		case hdr.Quant && len(hdr.Scales) > 0:
+		if quant {
 			// NewExecutor validates the vector against (model, seed).
 			opts = append(opts, tensor.WithQuantScales(hdr.Scales))
-		case hdr.Quant:
-			opts = append(opts, tensor.WithQuantized())
 		}
 		if exec, err = tensor.NewExecutor(m, hdr.Seed, opts...); err != nil {
 			w.mu.Unlock()
@@ -406,34 +388,21 @@ func (w *Worker) load(hdr *wire.LoadModelHeader) (*tensor.Executor, error) {
 		w.execs[key], created = exec, true
 	}
 	w.mu.Unlock()
-	if hdr.Quant {
-		// A load without scales calibrates now, not on the first tile, so a
-		// calibration failure is a load failure; preset scales just return.
+	dt := tensor.Float32
+	if quant {
 		// The resident scales are finite and positive, so == is bit equality
 		// and a NaN matches nothing.
 		have, err := exec.QuantScales()
 		if err != nil {
-			if created {
-				w.mu.Lock()
-				if w.execs[key] == exec {
-					delete(w.execs, key)
-				}
-				w.mu.Unlock()
-			}
 			return nil, err
 		}
-		if len(hdr.Scales) > 0 && !slices.Equal(have, hdr.Scales) {
+		if !slices.Equal(have, hdr.Scales) {
 			return nil, fmt.Errorf("quantization scales differ from the ones %s (seed %d) is loaded with", m.Name, hdr.Seed)
 		}
+		dt = tensor.Int8
 	}
-	if segment {
-		dt := tensor.Float32
-		if hdr.Quant {
-			dt = tensor.Int8
-		}
-		if err := exec.Warm(hdr.From, hdr.To, dt); err != nil {
-			return nil, err
-		}
+	if err := exec.Warm(hdr.From, hdr.To, dt); err != nil {
+		return nil, err
 	}
 	w.logf("worker %s: %s (seed %d, quant %v, segment [%d,%d), new %v): %d weight sets built",
 		w.id, m.Name, hdr.Seed, exec.Quantized(), hdr.From, hdr.To, created, exec.WeightSets())
@@ -445,19 +414,12 @@ func sameModel(a, b *nn.Model) bool {
 	return a.Input == b.Input && reflect.DeepEqual(a.Layers, b.Layers)
 }
 
+// executor returns the executor a load registered for (name, seed).
 func (w *Worker) executor(name string, seed int64) (*tensor.Executor, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// A single loaded model is the common case; fall back to name lookup.
-	if e, ok := w.execs[execKey{name: name, seed: seed}]; ok {
-		return e, true
-	}
-	if name == "" && len(w.execs) == 1 {
-		for _, e := range w.execs {
-			return e, true
-		}
-	}
-	return nil, false
+	e, ok := w.execs[execKey{name: name, seed: seed}]
+	return e, ok
 }
 
 // handleExec executes one tile in the precision its header names — a row
@@ -501,8 +463,8 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 	quant := hdr.DType == wire.DTypeInt8
 	exec, ok := w.executor(hdr.ModelName, hdr.Seed)
 	if !ok || (quant && !exec.Quantized()) {
-		// Int8 needs a model loaded with Quant: bad or missing scales stay a
-		// load-time failure, never a first-tile surprise.
+		// Int8 needs a model loaded with scales: bad or missing scales stay
+		// a load-time failure, never a first-tile surprise.
 		return refuse(fmt.Errorf("model %q (seed %d, quant %v) not loaded", hdr.ModelName, hdr.Seed, quant))
 	}
 	tile, err := wire.DecodeMap(hdr.DType, hdr.TileC, hdr.TileH, hdr.TileW, hdr.Scale, msg.Payload)

@@ -49,17 +49,9 @@ type Sample struct {
 	V float64
 }
 
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
+// newRing builds a ring of the given geometry; both counts are powers of
+// two, so a stripe or slot index is a mask away.
 func newRing(stripes, slots int) *ring {
-	stripes = nextPow2(stripes)
-	slots = nextPow2(slots)
 	r := &ring{stripes: make([]ringStripe, stripes)}
 	for i := range r.stripes {
 		r.stripes[i].slots = make([]ringSlot, slots)

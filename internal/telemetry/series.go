@@ -28,7 +28,7 @@ type Series struct {
 const maxLogRanges = 16
 
 func newSeries(key Key, opts Options) *Series {
-	r := newRing(opts.Stripes, opts.RingSlots)
+	r := newRing(stripeCount, slotsPerStripe)
 	return &Series{
 		key:      key,
 		opts:     opts,
@@ -90,7 +90,7 @@ func (s *Series) foldLocked(now int64) {
 	}
 	// Evict: partition each range at the retention horizon and keep the
 	// newer side; a range wholly older vanishes.
-	cutoff := now - s.opts.Retention.Nanoseconds()
+	cutoff := now - s.opts.retention().Nanoseconds()
 	keep := s.log[:0]
 	for _, r := range s.log {
 		if r.MaxAt() < cutoff {

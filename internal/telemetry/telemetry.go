@@ -83,43 +83,34 @@ func (k Key) less(o Key) bool {
 // Options configure a Registry. The zero value gets defaults.
 type Options struct {
 	// Window is the sliding window Snapshot and WriteMetrics aggregate over
-	// (default 60s).
+	// (default 60s). A series keeps folded ranges for max(5m, Window).
 	Window time.Duration
-	// Retention bounds how far back a series keeps folded ranges
-	// (default 5m; always at least Window).
-	Retention time.Duration
-	// RingSlots is the per-stripe ring capacity, rounded up to a power of
-	// two (default 256).
-	RingSlots int
-	// Stripes is the number of per-producer ring stripes, rounded up to a
-	// power of two (default 4).
-	Stripes int
 
 	// now overrides the clock for tests.
 	now func() time.Time
 }
 
+// Ring geometry and history of every series: slotsPerStripe samples in each
+// of stripeCount per-producer stripes (both powers of two), and folded
+// ranges kept for minRetention, or for the window when that is longer.
+const (
+	slotsPerStripe = 256
+	stripeCount    = 4
+	minRetention   = 5 * time.Minute
+)
+
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = time.Minute
-	}
-	if o.Retention < o.Window {
-		o.Retention = 5 * time.Minute
-		if o.Retention < o.Window {
-			o.Retention = o.Window
-		}
-	}
-	if o.RingSlots <= 0 {
-		o.RingSlots = 256
-	}
-	if o.Stripes <= 0 {
-		o.Stripes = 4
 	}
 	if o.now == nil {
 		o.now = time.Now
 	}
 	return o
 }
+
+// retention returns how far back the registry's series keep folded ranges.
+func (o Options) retention() time.Duration { return max(minRetention, o.Window) }
 
 // Registry owns the series of one process (a gateway, a picorun
 // coordinator). Series are created lazily on first use and never removed.

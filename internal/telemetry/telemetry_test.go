@@ -251,7 +251,7 @@ func TestRingDrainWhileWriting(t *testing.T) {
 
 func TestSeriesWindowAndRetention(t *testing.T) {
 	clk := newFakeClock()
-	reg := New(Options{Window: 10 * time.Second, Retention: 30 * time.Second, now: clk.now})
+	reg := New(Options{Window: 10 * time.Second, now: clk.now})
 	s := reg.Series(Key{Model: "toy", Stage: -1, Device: -1, Kind: KindE2E})
 	p := s.Producer()
 
@@ -275,23 +275,35 @@ func TestSeriesWindowAndRetention(t *testing.T) {
 		t.Fatalf("window quantiles p50=%v p99=%v, want 3.0", st.P50, st.P99)
 	}
 
-	// Past retention the old range is evicted entirely.
-	clk.advance(40 * time.Second)
-	s.mu.Lock()
-	s.foldLocked(clk.now().UnixNano())
-	logLen := 0
-	for _, r := range s.log {
-		logLen += r.Len()
+	retained := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.foldLocked(clk.now().UnixNano())
+		n := 0
+		for _, r := range s.log {
+			n += r.Len()
+		}
+		return n
 	}
-	s.mu.Unlock()
-	if logLen != 0 {
-		t.Fatalf("retention kept %d samples past horizon", logLen)
+	// Out of the window but within the five-minute retention every sample is
+	// kept; past it the ranges are evicted entirely.
+	clk.advance(4 * time.Minute)
+	if n := retained(); n != 20 {
+		t.Fatalf("retention kept %d of 20 samples inside its horizon", n)
+	}
+	clk.advance(2 * time.Minute)
+	if n := retained(); n != 0 {
+		t.Fatalf("retention kept %d samples past horizon", n)
+	}
+	// A window longer than the retention keeps its whole span.
+	if got := New(Options{Window: time.Hour}).opts.retention(); got != time.Hour {
+		t.Fatalf("an hour's window retains %v", got)
 	}
 }
 
 func TestSeriesConcurrentProducersUnderStats(t *testing.T) {
 	clk := newFakeClock()
-	reg := New(Options{Window: time.Minute, RingSlots: 1 << 12, now: clk.now})
+	reg := New(Options{Window: time.Minute, now: clk.now})
 	s := reg.Series(Key{Model: "m", Stage: 0, Device: 0, Kind: KindExec})
 
 	const writers = 6

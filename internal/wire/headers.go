@@ -21,7 +21,9 @@ type HelloHeader struct {
 // on the exec hot path. Version 3 added the payload dtype and quantization
 // scale to both exec headers so tiles can travel as int8. Version 4 added the
 // per-kind kernel seconds to the exec result and dropped the stats messages.
-const ProtocolVersion = 4
+// Version 5 made the load's segment required and its scales the only int8
+// switch (LoadModelHeader).
+const ProtocolVersion = 5
 
 // Payload element types for exec frames. Float32 is the zero value so a
 // v2-era header (no dtype field) decodes as the float path.
@@ -32,23 +34,21 @@ const (
 
 // LoadModelHeader ships a model and weight seed. The payload is empty; the
 // model travels inside the header as JSON (weights are derived from the
-// seed, so no parameter blob is needed — see the tensor package). Quant
-// asks the worker to serve the int8 path for this model too. Scales is the
-// session's boundary-scale vector (tensor.QuantScales: NumLayers+1 entries),
-// calibrated once by the coordinator from (model, seed); the worker validates
-// it on receipt and presets it instead of calibrating. A quant load without
-// Scales — an older coordinator — makes the worker derive the same vector
-// itself at load. From and To name the segment [From, To) the connection will
-// execute: the worker builds that segment's weights, in the load's precision,
-// before it answers, so the first tile generates none. A load without one
-// (both zero) leaves the weights to be built on first use.
+// seed, so no parameter blob is needed — see the tensor package). From and
+// To name the segment [From, To) the connection will execute, and are
+// required: the worker builds that segment's weights, in the load's
+// precision, before it answers, so the first tile generates none, and it
+// refuses an empty or out-of-range segment. Scales, when non-empty, makes the
+// load int8: it is the session's boundary-scale vector (tensor.QuantScales:
+// NumLayers+1 entries), calibrated once by the coordinator from (model,
+// seed), which the worker validates on receipt and presets instead of
+// calibrating.
 type LoadModelHeader struct {
 	Model  ModelSpec `json:"model"`
 	Seed   int64     `json:"seed"`
-	Quant  bool      `json:"quant,omitempty"`
 	Scales Scales    `json:"scales,omitempty"`
-	From   int       `json:"from,omitempty"`
-	To     int       `json:"to,omitempty"`
+	From   int       `json:"from"`
+	To     int       `json:"to"`
 }
 
 // Scales is a quantization-scale vector that crosses the wire as float32 bit

@@ -445,9 +445,9 @@ func TestModelSpecJSONSurvivesWire(t *testing.T) {
 	}
 }
 
-// TestLoadModelSegment: a load header's segment arrives as sent, and a load
-// without one carries neither field — the frame an older coordinator sends,
-// which a worker serves lazily.
+// TestLoadModelSegment: a load header's segment is required, so every header
+// carries both fields and the segment arrives as sent — an empty one too, for
+// the worker to refuse.
 func TestLoadModelSegment(t *testing.T) {
 	a, b := pipePair()
 	defer a.Close()
@@ -461,8 +461,8 @@ func TestLoadModelSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seg[1] == 0 && (bytes.Contains(msg.Header, []byte(`"from"`)) || bytes.Contains(msg.Header, []byte(`"to"`))) {
-			t.Fatalf("a header without a segment mentions one: %s", msg.Header)
+		if !bytes.Contains(msg.Header, []byte(`"from"`)) || !bytes.Contains(msg.Header, []byte(`"to"`)) {
+			t.Fatalf("a header leaves out its segment: %s", msg.Header)
 		}
 		var hdr LoadModelHeader
 		if err := msg.DecodeHeader(&hdr); err != nil {
@@ -478,7 +478,7 @@ func TestLoadModelSegment(t *testing.T) {
 // the wire as bit patterns, so every float32 — subnormals, the largest finite
 // value, values with no short decimal form, and the non-finite ones the
 // receiver has to see to reject — arrives bit for bit; a header without
-// scales (an older coordinator, or a float load) decodes to none.
+// scales (a float load) decodes to none.
 func TestLoadModelQuantScalesBitExact(t *testing.T) {
 	a, b := pipePair()
 	defer a.Close()
@@ -499,7 +499,7 @@ func TestLoadModelQuantScalesBitExact(t *testing.T) {
 	spec := SpecFromModel(nn.ToyChain("s", 2, 0, 4, 16))
 	for _, sent := range []Scales{scales, nil} {
 		go func() {
-			_ = a.Send(MsgLoadModel, LoadModelHeader{Model: spec, Seed: 7, Quant: true, Scales: sent}, nil)
+			_ = a.Send(MsgLoadModel, LoadModelHeader{Model: spec, Seed: 7, Scales: sent}, nil)
 		}()
 		msg, err := b.Recv()
 		if err != nil {
@@ -512,8 +512,8 @@ func TestLoadModelQuantScalesBitExact(t *testing.T) {
 		if err := msg.DecodeHeader(&hdr); err != nil {
 			t.Fatal(err)
 		}
-		if !hdr.Quant || hdr.Seed != 7 || len(hdr.Scales) != len(sent) {
-			t.Fatalf("decoded quant=%v seed=%d with %d scales, sent %d", hdr.Quant, hdr.Seed, len(hdr.Scales), len(sent))
+		if hdr.Seed != 7 || len(hdr.Scales) != len(sent) {
+			t.Fatalf("decoded seed=%d with %d scales, sent %d", hdr.Seed, len(hdr.Scales), len(sent))
 		}
 		for i, v := range hdr.Scales {
 			if got := math.Float32bits(v); got != bits[i] {
@@ -623,7 +623,7 @@ func FuzzRecv(f *testing.F) {
 		oc, oh, ow := overflowExtent()
 		_ = c.SendExec(4, &ExecHeader{TaskID: 2, TileC: oc, TileH: oh, TileW: ow, DType: DTypeInt8, Scale: 1}, nil)
 		_ = c.SendRequest(MsgLoadModel, 5, LoadModelHeader{
-			Model: SpecFromModel(nn.ToyChain("f", 1, 0, 2, 8)), Seed: 1, Quant: true,
+			Model: SpecFromModel(nn.ToyChain("f", 1, 0, 2, 8)), Seed: 1, From: 0, To: 1,
 			Scales: Scales{0.5, float32(math.NaN()), float32(math.Inf(1)), -1},
 		}, nil)
 		_ = b.Close()
