@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry loc check
+.PHONY: all build fmt vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan loc check
 
 all: check
 
@@ -138,6 +138,12 @@ results-check:
 # already run in every `go test`. For iterating; not part of `check`.
 fuzz-geometry:
 	$(GO) test -run NONE -fuzz FuzzTileGeometry -fuzztime=10s ./internal/partition
+
+# Feed LoadPlan mutated plan files beyond the committed seeds (the plan files
+# testdata/plans.golden pins for the toy models): it must never panic, and a
+# plan it accepts must save and reload unchanged. Not part of `check`.
+fuzz-plan:
+	$(GO) test -run NONE -fuzz FuzzPlanLoad -fuzztime=10s ./internal/core
 
 # Non-test Go lines per package plus assembly lines: the size numbers
 # ROADMAP tracks as its aim-2 ("least code") success metric.

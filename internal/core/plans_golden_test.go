@@ -27,6 +27,28 @@ func benchCluster(bps float64, speeds ...float64) *cluster.Cluster {
 	return c
 }
 
+// goldenModels and goldenClusters are what testdata/plans.golden plans.
+func goldenModels() []*nn.Model {
+	return []*nn.Model{
+		nn.VGG16(), nn.YOLOv2(), nn.ResNet34(), nn.InceptionV3(), nn.MobileNetV1(),
+		nn.Fig13Toy(), nn.ToyChain("toy", 8, 3, 16, 64),
+	}
+}
+
+type namedCluster struct {
+	name string
+	c    *cluster.Cluster
+}
+
+func goldenClusters() []namedCluster {
+	return []namedCluster{
+		{"hom8x600", cluster.Homogeneous(8, 600e6)},
+		{"paper-hetero", cluster.PaperHeterogeneous()},
+		{"bench3x4e10", benchCluster(1e10, 4e10, 4e10, 4e10)},
+		{"bench-hetero4", benchCluster(1e9, 8e8, 6e8, 4e8, 2e8)},
+	}
+}
+
 // TestPlansUnchanged is "the planner did not move" as a test: every plan of
 // every planner and scheme, on the paper's clusters and the benchmark's, in
 // both precisions, must serialize to the bytes and price to the period and
@@ -34,22 +56,9 @@ func benchCluster(bps float64, speeds ...float64) *cluster.Cluster {
 // written with -update at the commit a geometry or cost-model refactor
 // starts from and only read afterwards.
 func TestPlansUnchanged(t *testing.T) {
-	models := []*nn.Model{
-		nn.VGG16(), nn.YOLOv2(), nn.ResNet34(), nn.InceptionV3(), nn.MobileNetV1(),
-		nn.Fig13Toy(), nn.ToyChain("toy", 8, 3, 16, 64),
-	}
-	clusters := []struct {
-		name string
-		c    *cluster.Cluster
-	}{
-		{"hom8x600", cluster.Homogeneous(8, 600e6)},
-		{"paper-hetero", cluster.PaperHeterogeneous()},
-		{"bench3x4e10", benchCluster(1e10, 4e10, 4e10, 4e10)},
-		{"bench-hetero4", benchCluster(1e9, 8e8, 6e8, 4e8, 2e8)},
-	}
 	var got strings.Builder
-	for _, m := range models {
-		for _, cl := range clusters {
+	for _, m := range goldenModels() {
+		for _, cl := range goldenClusters() {
 			for _, quant := range []bool{false, true} {
 				for _, scheme := range []string{"pico", "lw", "efl", "efl-grid", "ofl", "fused"} {
 					prec := "f32"

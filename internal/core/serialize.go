@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"pico/internal/cluster"
@@ -105,8 +106,15 @@ func LoadPlan(r io.Reader) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: plan file stages: %w", err)
 	}
+	// A subnormal capacity or bandwidth passes the profile's checks but
+	// prices a stage at Inf or NaN seconds, which no plan file can hold.
+	if !finite(plan.PeriodSeconds) || !finite(plan.LatencySeconds) {
+		return nil, fmt.Errorf("core: plan file prices to period %v s, latency %v s", plan.PeriodSeconds, plan.LatencySeconds)
+	}
 	return plan, nil
 }
+
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // ToDOT renders the plan as a Graphviz digraph: one box per stage listing
 // its layer segment and per-device strips, edges carrying the inter-stage

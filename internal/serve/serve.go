@@ -400,20 +400,24 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	defer g.queued.Add(-1)
 
 	res, err := sess.infer(r.Context().Done(), input, rate)
+	if errors.Is(err, errRetired) {
+		// Another request's get found the session unservable and closed it
+		// after ours got it. Nothing was submitted, so acquire once more.
+		if sess, err = g.pool.get(key); err == nil {
+			res, err = sess.infer(r.Context().Done(), input, rate)
+		}
+	}
+	if errors.Is(err, errCanceled) {
+		// Client went away; nothing useful to write, and not a failure of
+		// ours — ledger it separately.
+		g.canceled.Add(1)
+		return
+	}
 	if err != nil {
-		if errors.Is(err, errRetired) {
-			g.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		if errors.Is(err, errCanceled) {
-			// Client went away; nothing useful to write, and not a failure
-			// of ours — ledger it separately.
-			g.canceled.Add(1)
-			return
-		}
+		// Admitted, so it is ledgered as failed whatever went wrong.
 		g.failed.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	// The result is back, so stage 0 is long done reading the input (the

@@ -466,3 +466,53 @@ func TestGatewayRejectsMalformedRequests(t *testing.T) {
 		t.Fatalf("malformed requests moved completion counters: %+v", st)
 	}
 }
+
+// TestGatewayReacquiresRetiredSession retires the session an admitted
+// request already holds — what another request's get does when it finds the
+// session unservable — while the handler reads the body, between its pool
+// get and its submission. Nothing was submitted, so the request must take
+// the pool's fresh session and answer 200, and the ledger must balance with
+// nothing rejected.
+func TestGatewayReacquiresRetiredSession(t *testing.T) {
+	f := startGateway(t, 2, 600e6, nil, nil)
+	in := encode(tensor.RandomInput(f.model.Input, 5))
+	if status, body, _ := f.post(t, "?model=toy&plan=pico", in); status != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", status, body)
+	}
+	key := SessionKey{Model: "toy", Plan: PlanPICO}
+	body, feed := io.Pipe()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer?model=toy&plan=pico", body))
+	}()
+	// The handler reads the body only after its pool get, so once it has
+	// taken the first byte it holds the live session.
+	if _, err := feed.Write(in[:1]); err != nil {
+		t.Fatal(err)
+	}
+	p := f.g.pool
+	p.mu.Lock()
+	e := p.entries[key]
+	delete(p.entries, key)
+	p.mu.Unlock()
+	if e == nil || e.err != nil {
+		t.Fatalf("no live session for %v", key)
+	}
+	if err := e.s.close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := feed.Write(in[1:]); err != nil {
+		t.Fatal(err)
+	}
+	feed.Close()
+	<-done
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	st := f.g.GatewayStats()
+	if st.Admitted != 2 || st.Completed != 2 || st.Failed+st.Canceled+st.Rejected != 0 {
+		t.Fatalf("ledger %+v: want 2 admitted, 2 completed, nothing failed, canceled or rejected", st)
+	}
+}

@@ -104,7 +104,7 @@ type gemmCols[E elem] struct {
 	src       []E
 	rowStride int
 	k         int
-	panel     []int16
+	panel     []uint8
 }
 
 // gemmScratch is one running chunk's pooled scratch: the loaded column block
@@ -112,7 +112,7 @@ type gemmCols[E elem] struct {
 // and staging rows for tiles that cannot store straight into the output.
 type gemmScratch[E elem] struct {
 	taps        []E
-	panel       []int16
+	panel       []uint8
 	stage       []E
 	whole, last gemmCols[E]
 }
@@ -370,10 +370,12 @@ func fpwTilePortable(dst []float32, dstStride int, src []float32, srcStride int,
 
 // The int8 side: a block's taps, gathered (padding zeros change no integer
 // accumulator) or in place (a 1x1 layer, ~94% of MobileNetV1's MACs), are
-// widened ONCE into an int16 pair panel that every channel block's tile
-// sweeps, requantizing straight into the output. int32 sums wrap
-// associatively, so every variant and blocking yields the reference's
-// accumulators bit for bit (DESIGN.md §8).
+// packed ONCE into a u8 quad panel (each tap shifted by +128) that every
+// channel block's tile sweeps, requantizing straight into the output. Each
+// accumulator starts from its channel's seed, -128 times the sum of its
+// weights, which cancels the shift; int32 sums wrap associatively, so every
+// variant and blocking yields the reference's accumulators bit for bit
+// (DESIGN.md §8).
 
 const (
 	// qpwMR is the channel extent of a weight-panel block and packing tile.
@@ -396,7 +398,7 @@ const (
 type qpwVariant struct {
 	name string
 	nr   int
-	// pack widens `tiles` adjacent whole tiles of a.src into a.panel.
+	// pack packs `tiles` adjacent whole tiles of a.src into a.panel.
 	pack func(a *qpwCols, tiles int)
 	// tile computes, requantizes and stores `tiles` adjacent tiles of weight
 	// block ob, whose first output channel is oc0:
@@ -404,12 +406,13 @@ type qpwVariant struct {
 	tile func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation)
 }
 
-// qpwCols is the int8 operand of a tile sweep; once packed, the int16 pair
-// at panel[((t*pairs+p)*nr+j)*2:] is column j of tile t's (row 2p, row 2p+1)
-// and an odd trailing row pairs with zero.
+// qpwCols is the int8 operand of a tile sweep; once packed, the 4 bytes at
+// panel[((t*quads+q)*nr+j)*4:] are column j of tile t's rows 4q..4q+3, each
+// XOR 0x80 (as u8, the tap plus 128), and a row past the last is a shifted
+// zero, 0x80.
 type qpwCols = gemmCols[int8]
 
-func npairs(k int) int { return (k + 1) / 2 }
+func nquads(k int) int { return (k + 3) / 4 }
 
 // qpwVariants lists the variants this host can run, fastest first, portable
 // last; qpwActive is the one the driver uses — chosen here once, reassigned
@@ -425,7 +428,7 @@ var qgemm = gemmDType[int8, qconvWeights, qpwVariant]{
 	shape:       func(v *qpwVariant) (int, int) { return qpwMR, v.nr },
 	planeBytes:  qpwPanelBytes,
 	gatherBytes: qpwGatherBytes,
-	tapBytes:    2,
+	tapBytes:    1,
 	inPlace:     true,
 	pack:        qpwPanel,
 	tile: func(c *gemmCall[int8, qconvWeights, qpwVariant], a *qpwCols, dst []int8, dstStride, ob, oc0, _, tiles int) {
@@ -438,10 +441,10 @@ func qconvForwardGEMM(in QTensor, g geom, l *nn.Layer, qw *qconvWeights, par int
 	return qtensor(gemm(&qgemm, in.Data, in.C, in.H, in.W, g, l, qw, par), qw.scale)
 }
 
-// qpwPanel widens a loaded block's tiles into the pair panel, once.
+// qpwPanel packs a loaded block's tiles into the quad panel, once.
 func qpwPanel(c *gemmCall[int8, qconvWeights, qpwVariant], s *gemmScratch[int8], cols int) {
 	v := c.v
-	per, tiles := 2*v.nr*npairs(s.whole.k), (cols+v.nr-1)/v.nr // per: int16s in one packed tile
+	per, tiles := 4*v.nr*nquads(s.whole.k), (cols+v.nr-1)/v.nr // per: bytes in one packed tile
 	s.panel = slices.Grow(s.panel[:0], tiles*per)[:tiles*per]
 	s.whole.panel = s.panel
 	v.pack(&s.whole, tiles)
@@ -452,14 +455,16 @@ func qpwPanel(c *gemmCall[int8, qconvWeights, qpwVariant], s *gemmScratch[int8],
 // vector routine is tested against.
 func qpwPackPortable(a *qpwCols, tiles int) {
 	const nr = 16
-	pairs := npairs(a.k)
+	quads := nquads(a.k)
 	for t := 0; t < tiles; t++ {
-		for p := 0; p < pairs; p++ {
-			dst := a.panel[(t*pairs+p)*nr*2:][:nr*2]
-			clear(dst)
-			for c := 2 * p; c < min(2*p+2, a.k); c++ {
+		for q := 0; q < quads; q++ {
+			dst := a.panel[(t*quads+q)*nr*4:][:nr*4]
+			for i := range dst {
+				dst[i] = 0x80
+			}
+			for c := 4 * q; c < min(4*q+4, a.k); c++ {
 				for j, v := range a.src[c*a.rowStride+t*nr:][:nr] {
-					dst[2*j+c%2] = int16(v)
+					dst[4*j+c%4] = uint8(v) ^ 0x80
 				}
 			}
 		}
@@ -467,23 +472,30 @@ func qpwPackPortable(a *qpwCols, tiles int) {
 }
 
 // qpwTilePortable is the tile contract in plain Go and the generic-host
-// path: per tile, qpwMR x 16 wrapping int32 accumulators over every channel
-// pair of the panel, then the shared requantize epilogue per channel row.
+// path: per tile, qpwMR x 16 wrapping int32 accumulators from the channel
+// seeds over every quad of the panel, then the shared requantize epilogue
+// per channel row.
 func qpwTilePortable(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation) {
 	const nr = 16
-	pairs := npairs(a.k)
-	w := qw.pw[ob*pairs*qpwMR:][:pairs*qpwMR]
+	quads := nquads(a.k)
+	w := qw.pw[ob*quads*qpwMR:][:quads*qpwMR]
+	seed := qw.seed[oc0 : oc0+qpwMR]
 	scale, bias := qw.effScale[oc0:oc0+qpwMR], qw.effBias[oc0:oc0+qpwMR]
 	var acc [qpwMR][nr]int32
 	for t := 0; t < tiles; t++ {
-		clear(acc[:])
-		for p := 0; p < pairs; p++ {
-			col := (*[2 * nr]int16)(a.panel[(t*pairs+p)*nr*2:])
-			for b, wp := range w[p*qpwMR:][:qpwMR] {
-				we, wo := int32(int16(wp)), wp>>16
+		for b := range acc {
+			for j := range acc[b] {
+				acc[b][j] = seed[b]
+			}
+		}
+		for q := 0; q < quads; q++ {
+			col := (*[4 * nr]uint8)(a.panel[(t*quads+q)*nr*4:])
+			for b, wq := range w[q*qpwMR:][:qpwMR] {
+				w0, w1, w2, w3 := int32(int8(wq)), int32(int8(wq>>8)), int32(int8(wq>>16)), wq>>24
 				row := &acc[b]
 				for j := range row {
-					row[j] += we*int32(col[2*j]) + wo*int32(col[2*j+1])
+					u := col[4*j:][:4]
+					row[j] += w0*int32(u[0]) + w1*int32(u[1]) + w2*int32(u[2]) + w3*int32(u[3])
 				}
 			}
 		}

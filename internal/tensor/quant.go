@@ -140,10 +140,14 @@ type qconvWeights struct {
 	// pw is the GEMM driver's weight panel (qgemm) over the K =
 	// icg*kh*kw taps of each output channel, in blocks of qpwMR channels that
 	// never straddle a group: with obg blocks per group, dword
-	// pw[((grp*obg+ob)*pairs+p)*qpwMR+b] holds taps 2p (low int16) and 2p+1
-	// (high) of the group's channel ob*qpwMR+b, zero past the last tap or the
+	// pw[((grp*obg+ob)*quads+q)*qpwMR+b] holds taps 4q..4q+3 (low byte
+	// first) of the group's channel ob*qpwMR+b, zero past the last tap or the
 	// group's last channel.
 	pw []int32
+	// seed[oc] is -128 times the sum of channel oc's weights, where its
+	// accumulators start: it cancels the +128 the panel adds to every tap. It
+	// carries one block of zero capacity, like effScale.
+	seed []int32
 }
 
 // genQConv derives the int8 form of a convolution's float parameters (none
@@ -234,23 +238,23 @@ func (q *qparams) fold(p *fparams, sIn float32) {
 	}
 }
 
-// pack builds pw, the weight panel every tile variant reads.
+// pack builds pw, the weight panel every tile variant reads, and seed.
 func (qw *qconvWeights) pack(l *nn.Layer, icg int) {
 	groups := max(l.Groups, 1)
 	ocg := l.OutC / groups
 	perOC := icg * l.KH * l.KW
-	pairs, obg := (perOC+1)/2, (ocg+qpwMR-1)/qpwMR
-	qw.pw = make([]int32, groups*obg*pairs*qpwMR)
+	quads, obg := nquads(perOC), (ocg+qpwMR-1)/qpwMR
+	qw.pw = make([]int32, groups*obg*quads*qpwMR)
+	qw.seed = make([]int32, l.OutC, l.OutC+qpwMR-1)
 	for oc := 0; oc < l.OutC; oc++ {
 		grp, b := oc/ocg, oc%ocg
-		row := qw.pw[(grp*obg+b/qpwMR)*pairs*qpwMR+b%qpwMR:]
-		ws := qw.wq[oc*perOC : (oc+1)*perOC]
-		for p := range perOC / 2 {
-			row[p*qpwMR] = int32(uint16(int16(ws[2*p]))) | int32(uint16(int16(ws[2*p+1])))<<16
+		row := qw.pw[(grp*obg+b/qpwMR)*quads*qpwMR+b%qpwMR:]
+		var sum int32
+		for i, w := range qw.wq[oc*perOC : (oc+1)*perOC] {
+			row[i/4*qpwMR] |= int32(uint8(w)) << (8 * (i % 4))
+			sum += int32(w)
 		}
-		if perOC%2 == 1 {
-			row[perOC/2*qpwMR] = int32(uint16(int16(ws[perOC-1])))
-		}
+		qw.seed[oc] = -128 * sum
 	}
 }
 

@@ -164,7 +164,7 @@ func FuzzQuantPointwise(f *testing.F) {
 				t.Fatalf("%s inC=%d outC=%d %dx%d par=%d: strip [%d,%d) differs from reference", vn, inC, outC, h, w, par, lo, hi)
 			}
 			tiles := 1 + int(prows)%3
-			checkQpwTile(t, qpwActive, rng, inC, outC, tiles, tiles*qpwActive.nr+int(pstride)%70, act)
+			checkQpwTile(t, qpwActive, rng, inC, outC, tiles, tiles*qpwActive.nr+int(pstride)%70, act, nil, nil)
 		})
 	})
 }

@@ -366,9 +366,20 @@ func eachQpwVariant(t *testing.T, gemm bool, fn func(t *testing.T, name string))
 // checkQpwTile drives one variant's pack and tile steps directly — `tiles`
 // whole tiles of inC channels at channel stride chanStride, the outC
 // channels of as many channel blocks as that takes — against a scalar
-// evaluation of their contract on full-range int8 data.
-func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles, chanStride int, act nn.Activation) {
+// evaluation of their contract, with weights w(i) and taps x(i) (nil draws
+// the full int8 range at random). The packed panel must match its layout
+// byte for byte, a row past the last included; each channel's epilogue scale
+// maps its largest accumulator to about 100, so an accumulator that is off
+// by more than a hundredth of that range moves an output.
+func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles, chanStride int, act nn.Activation, w, x func(i int) int8) {
 	t.Helper()
+	random := func(int) int8 { return int8(rng.Intn(256) - 128) }
+	if w == nil {
+		w = random
+	}
+	if x == nil {
+		x = random
+	}
 	l := nn.Layer{Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC, Act: act}
 	padded := outC + qpwMR - 1
 	qw := &qconvWeights{qparams: qparams{
@@ -377,21 +388,44 @@ func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles,
 		effBias:  make([]float32, outC, padded),
 	}}
 	for i := range qw.wq {
-		qw.wq[i] = int8(rng.Intn(256) - 128)
+		qw.wq[i] = w(i)
 	}
-	for oc := range qw.effScale {
-		qw.effScale[oc] = rng.Float32() * 0.01
+	src := make([]int8, (inC-1)*chanStride+tiles*v.nr)
+	for i := range src {
+		src[i] = x(i)
+	}
+	cols := tiles * v.nr
+	acc := make([]int32, outC*cols)
+	for oc := 0; oc < outC; oc++ {
+		peak := 1.0
+		for j := 0; j < cols; j++ {
+			var a int32
+			for g := 0; g < inC; g++ {
+				a += int32(qw.wq[oc*inC+g]) * int32(src[g*chanStride+j])
+			}
+			acc[oc*cols+j] = a
+			peak = max(peak, math.Abs(float64(a)))
+		}
+		qw.effScale[oc] = float32((0.5 + rng.Float64()) * 100 / peak)
 		qw.effBias[oc] = rng.Float32()*40 - 20
 	}
 	qw.pack(&l, inC)
-	src := make([]int8, (inC-1)*chanStride+tiles*v.nr)
-	for i := range src {
-		src[i] = int8(rng.Intn(256) - 128)
-	}
 	a := qpwCols{src: src, rowStride: chanStride, k: inC}
-	a.panel = make([]int16, tiles*npairs(a.k)*v.nr*2)
+	quads := nquads(a.k)
+	a.panel = make([]uint8, tiles*quads*v.nr*4)
 	v.pack(&a, tiles)
-	stride := tiles*v.nr + rng.Intn(5)
+	for i, got := range a.panel {
+		tq, j, r := i/(v.nr*4), i/4%v.nr, i%4 // tq = t*quads+q
+		want := uint8(0x80)
+		if g := tq%quads*4 + r; g < inC {
+			want = uint8(src[g*chanStride+tq/quads*v.nr+j]) ^ 0x80
+		}
+		if got != want {
+			t.Fatalf("%s inC=%d tiles=%d: panel byte %d (tile %d, quad %d, column %d, row %d) = %#x, want %#x",
+				v.name, inC, tiles, i, tq/quads, tq%quads, j, r, got, want)
+		}
+	}
+	stride := cols + rng.Intn(5)
 	for ob := 0; ob*qpwMR < outC; ob++ {
 		const guard = -77
 		got := make([]int8, qpwMR*stride)
@@ -403,16 +437,12 @@ func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles,
 			oc := ob*qpwMR + b
 			for x := 0; x < stride; x++ {
 				want := int8(guard)
-				if x < tiles*v.nr {
+				if x < cols {
 					if oc >= outC {
 						continue // a ragged block's extra rows are unspecified
 					}
-					var acc [1]int32
-					for g := 0; g < inC; g++ {
-						acc[0] += int32(qw.wq[oc*inC+g]) * int32(src[g*chanStride+x])
-					}
 					var w [1]int8
-					requantRowRef(w[:], acc[:], qw.effScale[oc], qw.effBias[oc], act)
+					requantRowRef(w[:], acc[oc*cols+x:][:1], qw.effScale[oc], qw.effBias[oc], act)
 					want = w[0]
 				}
 				if got[b*stride+x] != want {
@@ -433,7 +463,91 @@ func TestQpwTileMatchesScalar(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			tiles := 1 + rng.Intn(3)
 			checkQpwTile(t, v, rng, 1+rng.Intn(40), 1+rng.Intn(20), tiles, tiles*v.nr+rng.Intn(100),
-				nn.Activation(1+rng.Intn(3)))
+				nn.Activation(1+rng.Intn(3)), nil, nil)
+		}
+	}
+}
+
+// qpwExtremes are the operand patterns at the ends of the int8 range: every
+// tap at -128 (it packs to u8 0, so the seed alone carries the sum), every
+// tap at 127 (u8 255: a u8 x s8 pair sum then leaves int16), and the two
+// alternating.
+var qpwExtremes = []struct {
+	name string
+	x    func(i int) int8
+}{
+	{"all-128", func(int) int8 { return -128 }},
+	{"all127", func(int) int8 { return 127 }},
+	{"alternating", func(i int) int8 { return int8(-128 + 255*(i%2)) }},
+}
+
+// TestQpwTileExtremeOperands holds every tile variant (portable included)
+// to the reference at the ends of the operand range, over K from one tap to
+// a tail quad of each length to 4608: the pack and tile steps directly with
+// weights of +-127 and -128, and the GEMM driver — in place, gathered, and a
+// 3x3 pad-1 layer whose border taps are padding, which packs to the same
+// shifted zero the seed cancels — with the +-127 a quantized weight can
+// hold. A saturating dot product (VPDPBUSDS, or VPMADDUBSW's int16 pair
+// sums), a tile that skips the seed, or a tail quad padded with anything but
+// 0x80 fails here. K = 140000 is the one case whose accumulators wrap int32:
+// only there does VPDPBUSDS's saturating accumulate differ from VPDPBUSD.
+func TestQpwTileExtremeOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	weights := []struct {
+		name string
+		w    func(i int) int8
+	}{
+		{"w+127", func(int) int8 { return 127 }},
+		{"w-128", func(int) int8 { return -128 }},
+		{"w+-127", func(i int) int8 { return int8(127 - 254*(i%2)) }},
+	}
+	for _, v := range qpwVariants {
+		for _, k := range []int{1, 2, 3, 4, 5, 27, 29, 4608} {
+			for _, x := range qpwExtremes {
+				for _, w := range weights {
+					checkQpwTile(t, v, rng, k, 9, 2, 2*v.nr+rng.Intn(3), nn.NoAct, w.w, x.x)
+				}
+			}
+		}
+		checkQpwTile(t, v, rng, 140000, 8, 1, v.nr, nn.NoAct, weights[0].w, qpwExtremes[1].x)
+	}
+	layers := []struct {
+		k, s, p int
+		inC     []int
+	}{
+		{1, 1, 0, []int{1, 2, 3, 4, 5, 27, 29, 4608}}, // in place
+		{1, 2, 0, []int{1, 2, 3, 4, 5, 27, 29, 4608}}, // gathered
+		{3, 1, 1, []int{1, 3, 512}},                   // K = 9, 27, 4608
+	}
+	for _, ly := range layers {
+		for _, inC := range ly.inC {
+			l := nn.Layer{Name: "x", Kind: nn.Conv, KH: ly.k, KW: ly.k, SH: ly.s, SW: ly.s, PH: ly.p, PW: ly.p, OutC: 9}
+			per := inC * ly.k * ly.k
+			for wi, w := range []func(i int) int8{weights[0].w, func(int) int8 { return -127 }, weights[2].w} {
+				q := newQParams(l.OutC, per, qpwMR-1, 0.07)
+				for i := range q.wq {
+					q.wq[i] = w(i)
+				}
+				for oc := range q.effScale {
+					q.effScale[oc] = float32((0.5 + 0.1*float64(oc)) * 100 / (128 * 127 * float64(per)))
+				}
+				qw := &qconvWeights{qparams: q}
+				qw.pack(&l, inC)
+				for _, x := range qpwExtremes {
+					in := AllocQ(inC, 5, 5, 0.03)
+					for i := range in.Data {
+						in.Data[i] = x.x(i)
+					}
+					g := stripGeom(&l, inC, 5, 0, 5, 0, outWidth(&l, 5))
+					ref := qconvForwardRef(in, g, &l, qw, 1)
+					eachQpwVariant(t, true, func(t *testing.T, vn string) {
+						if got := qconvForward(in, g, &l, qw, 2); !EqualQ(got, ref) {
+							t.Fatalf("%s %dx%d s%d p%d inC=%d weights %d taps %s: differs from reference",
+								vn, ly.k, ly.k, ly.s, ly.p, inC, wi, x.name)
+						}
+					})
+				}
+			}
 		}
 	}
 }

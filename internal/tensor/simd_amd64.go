@@ -6,7 +6,7 @@ import "pico/internal/nn"
 
 // probeCPU reports whether the CPU and OS support AVX2, on top of it 512-bit
 // registers (AVX512F with opmask and ZMM state enabled), and on top of those
-// the VPDPWSSD tile (AVX512VL+VNNI); see simd_amd64.s.
+// the VPDPBUSD tile (AVX512VL+VNNI); see simd_amd64.s.
 func probeCPU() (avx2, avx512, vnni bool)
 
 // hasAVX2 gates every vector kernel on amd64, hasAVX512 the ZMM float
@@ -20,27 +20,29 @@ var hasAVX2, hasAVX512, hasVNNI = probeCPU()
 // qpwPack is the vector form of qpwPackPortable (see simd_amd64.s).
 //
 //go:noescape
-func qpwPack(panel *int16, src *int8, chanStride, inC, tiles, nr int)
+func qpwPack(panel *uint8, src *int8, chanStride, k, tiles, nr int)
 
-// qpwTileAVX2 and qpwTileVNNI are the packed-panel pointwise tiles: 8
-// channels x 16 columns with VPMADDWD+VPADDD as the MAC step, resp. 8 x 32
-// with VPDPWSSD; requantize epilogue fused (see simd_amd64.s).
+// qpwTileAVX2 and qpwTileVNNI are the packed-panel GEMM tiles: 8 channels x
+// 16 columns with VPMADDWD+VPADDD over exactly widened quads as the MAC
+// step, resp. 8 x 32 with VPDPBUSD; requantize epilogue fused (see
+// simd_amd64.s).
 //
 //go:noescape
-func qpwTileAVX2(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
+func qpwTileAVX2(dst *int8, dstStride int, panel *uint8, wgt, seed *int32, quads, tiles int, scale, bias *float32, act int)
 
 //go:noescape
-func qpwTileVNNI(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
+func qpwTileVNNI(dst *int8, dstStride int, panel *uint8, wgt, seed *int32, quads, tiles int, scale, bias *float32, act int)
 
 // qpwArchVariants lists the GEMM tiles this CPU runs, fastest first. Both
 // share the pack routine, the panel and the weight layout.
 func qpwArchVariants() []*qpwVariant {
 	var vs []*qpwVariant
-	asm := func(name string, nr int, k func(*int8, int, *int16, *int32, int, int, *float32, *float32, int)) {
+	asm := func(name string, nr int, k func(*int8, int, *uint8, *int32, *int32, int, int, *float32, *float32, int)) {
 		vs = append(vs, &qpwVariant{name: name, nr: nr,
 			pack: func(a *qpwCols, tiles int) { qpwPack(&a.panel[0], &a.src[0], a.rowStride, a.k, tiles, nr) },
 			tile: func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation) {
-				k(&dst[0], dstStride, &a.panel[0], &qw.pw[ob*npairs(a.k)*qpwMR], npairs(a.k), tiles,
+				quads := nquads(a.k)
+				k(&dst[0], dstStride, &a.panel[0], &qw.pw[ob*quads*qpwMR], &qw.seed[oc0 : oc0+qpwMR][0], quads, tiles,
 					&qw.effScale[oc0 : oc0+qpwMR][0], &qw.effBias[oc0 : oc0+qpwMR][0], actCode(act))
 			}})
 	}

@@ -2,8 +2,9 @@
 
 // AVX2 (and, for the pointwise tiles, AVX-512F and VNNI) kernels of the tensor
 // engine. Integer semantics are exactly Go's: VPMADDWD's pair sums are exact
-// for int8-range operands, and VPADDD / VPDPWSSD wrap, so accumulated int32
-// values match the scalar reference bit for bit in every case. The purego
+// for int8-range (and u8 x s8) operands, and VPADDD / VPDPBUSD wrap, so
+// accumulated int32 values match the scalar reference bit for bit in every
+// case. The purego
 // tag leaves them out and runs the portable kernels of simd_generic.go.
 
 #include "textflag.h"
@@ -13,7 +14,7 @@
 // AVX2 requires CPUID.7.0:EBX[5] plus OS support for YMM state
 // (CPUID.1:ECX[27] OSXSAVE and XCR0[2:1] == 11). 512-bit float (fpwTile32)
 // needs CPUID.7.0:EBX[16] AVX512F and XCR0[7:5] == 111 (opmask, ZMM_Hi256,
-// Hi16_ZMM state enabled by the OS). The VNNI tile is EVEX VPDPWSSD over
+// Hi16_ZMM state enabled by the OS). The VNNI tile is EVEX VPDPBUSD over
 // Z16-Z31 with an opmask: on top of that EBX[31] AVX512VL and ECX[11]
 // AVX512_VNNI.
 TEXT ·probeCPU(SB), NOSPLIT, $0-3
@@ -244,69 +245,93 @@ quantloop:
 	VZEROUPPER
 	RET
 
-// The int8 pointwise GEMM (see qpointwise.go): a pack routine and two
-// register tiles over the packed panel.
+// The int8 GEMM (see gemm.go): a pack routine and two register tiles over
+// the packed u8 quad panel.
 
-DATA qpwZero<>+0(SB)/8, $0
-DATA qpwZero<>+8(SB)/8, $0
-GLOBL qpwZero<>(SB), RODATA, $16
+DATA qpwFlip<>+0(SB)/8, $0x8080808080808080
+DATA qpwFlip<>+8(SB)/8, $0x8080808080808080
+GLOBL qpwFlip<>(SB), RODATA, $16
 
-// func qpwPack(panel *int16, src *int8, chanStride, inC, tiles, nr int)
+// func qpwPack(panel *uint8, src *int8, chanStride, k, tiles, nr int)
 //
 // Vector form of qpwPackPortable for tiles of nr = 16 or 32 columns: for
-// t in [0,tiles), p in [0,(inC+1)/2), j in [0,nr) the int16 pair at
-// panel[((t*pairs+p)*nr+j)*2:] becomes (src[2p*chanStride+t*nr+j],
-// src[(2p+1)*chanStride+t*nr+j]), an odd trailing channel pairing with zero
-// (its "odd" pointer is a 16-byte zero constant that does not advance). Each
-// step interleaves 16 bytes of the two channels (VPUNPCK[LH]BW) and
-// sign-extends them (VPMOVSXBW) into 64 panel bytes in column order, so the
-// tiles load panel vectors with no shuffle. Reads exactly nr*tiles bytes per
-// channel.
+// t in [0,tiles), q in [0,(k+3)/4), j in [0,nr), i in [0,4) the byte
+// panel[((t*quads+q)*nr+j)*4+i] becomes src[(4q+i)*chanStride+t*nr+j] XOR
+// 0x80, or 0x80 for a row 4q+i >= k. A missing row of the last quad reads row
+// 4q again (offset 0) under an all-zero mask (X12-X14 hold the masks of rows
+// 4q+1..4q+3), so it packs to 0x80 like a zero tap. Each step flips 16 bytes
+// of the four rows and interleaves them (VPUNPCK[LH]BW, then VPUNPCK[LH]WD)
+// into 64 panel bytes in column order, so the tiles load panel vectors with
+// no shuffle. Reads exactly nr*tiles bytes per row.
 TEXT ·qpwPack(SB), NOSPLIT, $0-48
 	MOVQ panel+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ chanStride+16(FP), R8
-	MOVQ inC+24(FP), BX
+	MOVQ k+24(FP), BX
 	MOVQ nr+40(FP), R11
-	LEAQ 1(BX), R13
-	SHRQ $1, R13
+	LEAQ 3(BX), R13
+	SHRQ $2, R13
 	IMULQ R11, R13
-	SHLQ $2, R13 // bytes from one tile's pair to the next tile's: pairs*nr*4
-	SHLQ $2, R11 // bytes of one pair within a tile: nr*4
-packpair:
-	MOVQ SI, R9          // even channel
-	LEAQ (SI)(R8*1), R12 // odd channel
-	MOVQ $16, R14
-	CMPQ BX, $1
-	JNE  packrow
-	LEAQ qpwZero<>(SB), R12
+	SHLQ $2, R13 // bytes from one tile's quad to the next tile's: quads*nr*4
+	SHLQ $2, R11 // bytes of one quad within a tile: nr*4
+	VMOVDQU qpwFlip<>(SB), X15
+	VPCMPEQB X12, X12, X12
+	VPCMPEQB X13, X13, X13
+	VPCMPEQB X14, X14, X14
+packquad:
+	MOVQ R8, R10             // row 4q+1 from row 4q
+	LEAQ (R8)(R8*1), R12     // 4q+2
+	LEAQ (R12)(R8*1), R14    // 4q+3
+	CMPQ BX, $4
+	JGE  packrows
 	XORQ R14, R14
-packrow:
+	VPXOR X14, X14, X14
+	CMPQ BX, $3
+	JGE  packrows
+	XORQ R12, R12
+	VPXOR X13, X13, X13
+	CMPQ BX, $2
+	JGE  packrows
+	XORQ R10, R10
+	VPXOR X12, X12, X12
+packrows:
+	MOVQ SI, R9
 	MOVQ DI, DX
 	MOVQ tiles+32(FP), CX
 packtile:
 	XORQ AX, AX
 packgroup:
 	VMOVDQU (R9), X0
-	VMOVDQU (R12), X1
-	VPUNPCKLBW X1, X0, X2 // (even,odd) bytes of columns 0..7
-	VPUNPCKHBW X1, X0, X3 // columns 8..15
-	VPMOVSXBW X2, Y2
-	VPMOVSXBW X3, Y3
-	VMOVDQU Y2, (DX)(AX*1)
-	VMOVDQU Y3, 32(DX)(AX*1)
+	VPAND (R9)(R10*1), X12, X1
+	VPAND (R9)(R12*1), X13, X2
+	VPAND (R9)(R14*1), X14, X3
+	VPXOR X15, X0, X0
+	VPXOR X15, X1, X1
+	VPXOR X15, X2, X2
+	VPXOR X15, X3, X3
+	VPUNPCKLBW X1, X0, X4 // (row 0, row 1) bytes of columns 0..7
+	VPUNPCKHBW X1, X0, X5 // columns 8..15
+	VPUNPCKLBW X3, X2, X6 // (row 2, row 3) bytes of columns 0..7
+	VPUNPCKHBW X3, X2, X7 // columns 8..15
+	VPUNPCKLWD X6, X4, X0 // quads of columns 0..3
+	VPUNPCKHWD X6, X4, X1 // 4..7
+	VPUNPCKLWD X7, X5, X2 // 8..11
+	VPUNPCKHWD X7, X5, X3 // 12..15
+	VMOVDQU X0, (DX)(AX*1)
+	VMOVDQU X1, 16(DX)(AX*1)
+	VMOVDQU X2, 32(DX)(AX*1)
+	VMOVDQU X3, 48(DX)(AX*1)
 	ADDQ $16, R9
-	ADDQ R14, R12
 	ADDQ $64, AX
 	CMPQ AX, R11
 	JLT  packgroup
 	ADDQ R13, DX
 	DECQ CX
 	JNZ  packtile
-	LEAQ (SI)(R8*2), SI
+	LEAQ (SI)(R8*4), SI
 	ADDQ R11, DI
-	SUBQ $2, BX
-	JG   packpair
+	SUBQ $4, BX
+	JG   packquad
 	VZEROUPPER
 	RET
 
@@ -323,73 +348,85 @@ DATA qpwActSlope<>+4(SB)/4, $0x3f800000
 DATA qpwActSlope<>+8(SB)/4, $0x3dcccccd // float32(0.1)
 GLOBL qpwActSlope<>(SB), RODATA, $12
 
-// func qpwTileAVX2(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
+// A2_MAC is one channel's step of qpwTileAVX2 over one panel quad: the
+// weight quad broadcast to Y14 is sign-extended into int16 pairs (w0,w2) in
+// Y10 and (w1,w3) in Y14, and VPMADDWD multiplies them with the matching
+// zero-extended activation pairs — (u0,u2) in Y8/Y9, (u1,u3) in Y12/Y13 for
+// columns 0..7/8..15.
+#define A2_MAC(off, a, b) \
+	VPBROADCASTD off(DX), Y14 \
+	VPSLLW $8, Y14, Y10 \
+	VPSRAW $8, Y10, Y10 \
+	VPSRAW $8, Y14, Y14 \
+	VPMADDWD Y8, Y10, Y11 \
+	VPADDD Y11, a, a \
+	VPMADDWD Y12, Y14, Y11 \
+	VPADDD Y11, a, a \
+	VPMADDWD Y9, Y10, Y11 \
+	VPADDD Y11, b, b \
+	VPMADDWD Y13, Y14, Y11 \
+	VPADDD Y11, b, b
+
+// func qpwTileAVX2(dst *int8, dstStride int, panel *uint8, wgt, seed *int32, quads, tiles int, scale, bias *float32, act int)
 //
 // For t in [0,tiles), b in [0,8), j in [0,16):
 //
-//	dst[b*dstStride+t*16+j] = requant(sum over p in [0,pairs) of
-//	    lo(wgt[p*8+b])*panel[((t*pairs+p)*16+j)*2] +
-//	    hi(wgt[p*8+b])*panel[((t*pairs+p)*16+j)*2+1], scale[b], bias[b], act)
+//	dst[b*dstStride+t*16+j] = requant(seed[b] + sum over q in [0,quads),
+//	    i in [0,4) of s8(wgt[q*8+b] byte i)*u8(panel[((t*quads+q)*16+j)*4+i]),
+//	    scale[b], bias[b], act)
 //
-// where each wgt dword packs the even channel's weight in its low int16 and
-// the odd channel's in its high one, and requant is qrequantRow8's operation
-// sequence per lane (convert, separate multiply and add, activation,
-// qround8). The int16 products are at most 128*128 in magnitude, so each
-// VPMADDWD pair sum is exact; VPADDD then wraps like Go int32. Sixteen YMM
-// registers hold 4 channels x 16 columns of accumulators plus operands, so a
-// tile is two passes over its panel (channels 0-3, then 4-7) spilled to the
-// frame, row b at 64*b(SP), and requantized from there.
-TEXT ·qpwTileAVX2(SB), NOSPLIT, $512-72
+// where requant is qrequantRow8's operation sequence per lane (convert,
+// separate multiply and add, activation, qround8). The activation bytes are
+// widened exactly — VPAND/VPSRLW into non-negative int16 — and never through
+// the saturating VPMADDUBSW: each VPMADDWD product is at most 255*128 in
+// magnitude, so its pair sum is exact, and VPADDD wraps like Go int32.
+// Sixteen YMM registers hold 4 channels x 16 columns of accumulators plus
+// operands, so a tile is two passes over its panel (channels 0-3, then 4-7)
+// spilled to the frame, row b at 64*b(SP), and requantized from there.
+TEXT ·qpwTileAVX2(SB), NOSPLIT, $512-80
 	MOVQ dst+0(FP), BX
 	MOVQ dstStride+8(FP), R8
 	MOVQ panel+16(FP), SI
 	MOVQ wgt+24(FP), R9
-	MOVQ pairs+32(FP), R10
-	MOVQ tiles+40(FP), R11
-	MOVQ scale+48(FP), R12
-	MOVQ bias+56(FP), R13
+	MOVQ quads+40(FP), R10
+	MOVQ tiles+48(FP), R11
+	MOVQ scale+56(FP), R12
+	MOVQ bias+64(FP), R13
+	VPCMPEQW Y15, Y15, Y15
+	VPSRLW $8, Y15, Y15 // 0x00ff in every word
 a2tile:
 	MOVQ R9, DX
 	LEAQ 0(SP), R14
 	MOVQ $2, AX
 a2half:
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
+	MOVQ DX, DI // the half's seeds: seed + (DX - wgt)
+	SUBQ R9, DI
+	ADDQ seed+32(FP), DI
+	VPBROADCASTD (DI), Y0
+	VMOVDQA Y0, Y1
+	VPBROADCASTD 4(DI), Y2
+	VMOVDQA Y2, Y3
+	VPBROADCASTD 8(DI), Y4
+	VMOVDQA Y4, Y5
+	VPBROADCASTD 12(DI), Y6
+	VMOVDQA Y6, Y7
 	MOVQ SI, DI
 	MOVQ R10, CX
-a2pair:
-	VMOVDQU (DI), Y8         // columns 0..7 as (even,odd) int16 pairs
-	VMOVDQU 32(DI), Y9       // columns 8..15
-	VPBROADCASTD (DX), Y10   // channel b+0 weight pair
-	VPMADDWD Y8, Y10, Y11
-	VPADDD Y11, Y0, Y0
-	VPMADDWD Y9, Y10, Y11
-	VPADDD Y11, Y1, Y1
-	VPBROADCASTD 4(DX), Y10  // b+1
-	VPMADDWD Y8, Y10, Y11
-	VPADDD Y11, Y2, Y2
-	VPMADDWD Y9, Y10, Y11
-	VPADDD Y11, Y3, Y3
-	VPBROADCASTD 8(DX), Y10  // b+2
-	VPMADDWD Y8, Y10, Y11
-	VPADDD Y11, Y4, Y4
-	VPMADDWD Y9, Y10, Y11
-	VPADDD Y11, Y5, Y5
-	VPBROADCASTD 12(DX), Y10 // b+3
-	VPMADDWD Y8, Y10, Y11
-	VPADDD Y11, Y6, Y6
-	VPMADDWD Y9, Y10, Y11
-	VPADDD Y11, Y7, Y7
+a2quad:
+	VMOVDQU (DI), Y8   // columns 0..7 as u8 quads
+	VMOVDQU 32(DI), Y9 // columns 8..15
+	VPSRLW $8, Y8, Y12
+	VPAND Y15, Y8, Y8
+	VPSRLW $8, Y9, Y13
+	VPAND Y15, Y9, Y9
+	A2_MAC(0, Y0, Y1)
+	A2_MAC(4, Y2, Y3)
+	A2_MAC(8, Y4, Y5)
+	A2_MAC(12, Y6, Y7)
 	ADDQ $64, DI
 	ADDQ $32, DX
 	DECQ CX
-	JNZ  a2pair
+	JNZ  a2quad
 	VMOVDQU Y0, (R14)
 	VMOVDQU Y1, 32(R14)
 	VMOVDQU Y2, 64(R14)
@@ -404,7 +441,7 @@ a2pair:
 	JNZ  a2half
 	MOVQ DI, SI // the next tile's panel
 	// Epilogue over the spilled tile: AX = row, DX = row's dst, R14 = spill.
-	MOVQ act+64(FP), AX
+	MOVQ act+72(FP), AX
 	LEAQ qpwActLo<>(SB), R14
 	VBROADCASTSS (R14)(AX*4), Y7
 	LEAQ qpwActSlope<>(SB), R14
@@ -445,15 +482,21 @@ a2vec:
 	VZEROUPPER
 	RET
 
-// QPW_DP is the VNNI MAC step of one channel over both column halves:
-// acc += lo*lo + hi*hi per dword lane, the non-saturating form, i.e. exactly
-// the wrapping sum VPMADDWD+VPADDD builds. The weight pair is broadcast
-// once into a register; as an embedded-broadcast memory operand of both
-// VPDPWSSD it costs a load uop each and measured ~9% slower.
+// QPW_DP is the VNNI MAC step of one channel over both column halves: per
+// dword lane, acc += the four u8(panel) x s8(weight) byte products, the
+// non-saturating form (VPDPBUSDS saturates and is never used), so the lane
+// wraps mod 2^32 like Go int32. The weight quad is broadcast once into a
+// register; as an embedded-broadcast memory operand of both VPDPBUSD it
+// costs a load uop each (measured ~9% slower on the int16 form).
 #define QPW_DP(off, a, b) \
 	VPBROADCASTD off(DX), Z14 \
-	VPDPWSSD Z14, Z12, a \
-	VPDPWSSD Z14, Z13, b
+	VPDPBUSD Z14, Z12, a \
+	VPDPBUSD Z14, Z13, b
+
+// QPW_SEED starts channel b's two accumulators at seed[b].
+#define QPW_SEED(b, a0, a1) \
+	VPBROADCASTD (4*b)(R14), a0 \
+	VMOVDQA32 a0, a1
 
 // QPW_REQ16 requantizes the 16 int32 lanes of acc to int8 at off(DI):
 // qrequantRow8's operation sequence per lane on 512-bit registers (the
@@ -482,24 +525,24 @@ a2vec:
 	QPW_REQ16(a1, 16) \
 	ADDQ R8, DI
 
-// func qpwTileVNNI(dst *int8, dstStride int, panel *int16, wgt *int32, pairs, tiles int, scale, bias *float32, act int)
+// func qpwTileVNNI(dst *int8, dstStride int, panel *uint8, wgt, seed *int32, quads, tiles int, scale, bias *float32, act int)
 //
 // qpwTileAVX2's contract over 32-column tiles (panel index
-// ((t*pairs+p)*32+j)*2, dst column t*32+j) with VPDPWSSD as the MAC step.
-// EVEX gives 32 registers: all 8 channels x 32 columns accumulate in one pass
-// over the panel in Z16-Z31 (sixteen independent chains cover the
-// instruction's 5-cycle latency at two issues per cycle), and the epilogue
-// runs from those registers.
-TEXT ·qpwTileVNNI(SB), NOSPLIT, $0-72
+// ((t*quads+q)*32+j)*4+i, dst column t*32+j) with VPDPBUSD as the MAC step:
+// 64 MACs an instruction. EVEX gives 32 registers: all 8 channels x 32
+// columns accumulate in one pass over the panel in Z16-Z31 (sixteen
+// independent chains cover the instruction's 5-cycle latency at two issues
+// per cycle), and the epilogue runs from those registers.
+TEXT ·qpwTileVNNI(SB), NOSPLIT, $0-80
 	MOVQ dst+0(FP), BX
 	MOVQ dstStride+8(FP), R8
 	MOVQ panel+16(FP), SI
 	MOVQ wgt+24(FP), R9
-	MOVQ pairs+32(FP), R10
-	MOVQ tiles+40(FP), R11
-	MOVQ scale+48(FP), R12
-	MOVQ bias+56(FP), R13
-	MOVQ act+64(FP), AX
+	MOVQ quads+40(FP), R10
+	MOVQ tiles+48(FP), R11
+	MOVQ scale+56(FP), R12
+	MOVQ bias+64(FP), R13
+	MOVQ act+72(FP), AX
 	LEAQ qpwActLo<>(SB), R14
 	VBROADCASTSS (R14)(AX*4), Z7
 	LEAQ qpwActSlope<>(SB), R14
@@ -509,27 +552,20 @@ TEXT ·qpwTileVNNI(SB), NOSPLIT, $0-72
 	VBROADCASTSS qfhalf<>(SB), Z5
 	VBROADCASTSS qfsign<>(SB), Z6
 	VPXORD Z10, Z10, Z10
+	MOVQ seed+32(FP), R14
 vntile:
-	VPXORD Z16, Z16, Z16
-	VPXORD Z17, Z17, Z17
-	VPXORD Z18, Z18, Z18
-	VPXORD Z19, Z19, Z19
-	VPXORD Z20, Z20, Z20
-	VPXORD Z21, Z21, Z21
-	VPXORD Z22, Z22, Z22
-	VPXORD Z23, Z23, Z23
-	VPXORD Z24, Z24, Z24
-	VPXORD Z25, Z25, Z25
-	VPXORD Z26, Z26, Z26
-	VPXORD Z27, Z27, Z27
-	VPXORD Z28, Z28, Z28
-	VPXORD Z29, Z29, Z29
-	VPXORD Z30, Z30, Z30
-	VPXORD Z31, Z31, Z31
+	QPW_SEED(0, Z16, Z17)
+	QPW_SEED(1, Z18, Z19)
+	QPW_SEED(2, Z20, Z21)
+	QPW_SEED(3, Z22, Z23)
+	QPW_SEED(4, Z24, Z25)
+	QPW_SEED(5, Z26, Z27)
+	QPW_SEED(6, Z28, Z29)
+	QPW_SEED(7, Z30, Z31)
 	MOVQ R9, DX
 	MOVQ R10, CX
-vnpair:
-	VMOVDQU32 (SI), Z12   // columns 0..15 as (even,odd) int16 pairs
+vnquad:
+	VMOVDQU32 (SI), Z12   // columns 0..15 as u8 quads
 	VMOVDQU32 64(SI), Z13 // columns 16..31
 	QPW_DP(0, Z16, Z17)
 	QPW_DP(4, Z18, Z19)
@@ -542,7 +578,7 @@ vnpair:
 	ADDQ $128, SI
 	ADDQ $32, DX
 	DECQ CX
-	JNZ  vnpair
+	JNZ  vnquad
 	MOVQ BX, DI
 	QPW_ROW(0, Z16, Z17)
 	QPW_ROW(1, Z18, Z19)

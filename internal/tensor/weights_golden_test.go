@@ -99,6 +99,62 @@ func TestGeneratedWeightsUnchanged(t *testing.T) {
 	}
 }
 
+// TestQConvPanelUnpacksToWeights reads every int8 convolution's GEMM panel
+// of MobileNetV1 (depthwise layers: one channel a group) back into weights:
+// byte i of dword ((grp*obg+ob)*quads+q)*qpwMR+b is tap 4q+i of the group's
+// channel ob*qpwMR+b, and every byte past the last tap or channel is zero.
+// So the golden's pw lines are a layout of its wq lines, nothing more; and
+// each channel's seed is -128 times the sum of its weights, with a zero block
+// of spare capacity behind the last.
+func TestQConvPanelUnpacksToWeights(t *testing.T) {
+	m := nn.MobileNetV1()
+	e, err := NewExecutor(m, 1, WithQuantized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales, err := e.QuantScales()
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkWeightLayers(t, m, func(key string, l *nn.Layer, in nn.Shape, i int) {
+		if l.Kind != nn.Conv {
+			return
+		}
+		qw := e.qconvW(key, l, in.C, scales[i], scales[i+1])
+		groups := max(l.Groups, 1)
+		ocg, per := l.OutC/groups, in.C/groups*l.KH*l.KW
+		quads, obg := nquads(per), (ocg+qpwMR-1)/qpwMR
+		if len(qw.pw) != groups*obg*quads*qpwMR {
+			t.Fatalf("layer %s: %d panel dwords, want %d", key, len(qw.pw), groups*obg*quads*qpwMR)
+		}
+		for d, word := range qw.pw {
+			b, q, blk := d%qpwMR, d/qpwMR%quads, d/(qpwMR*quads)
+			grp, c := blk/obg, blk%obg*qpwMR+b
+			for i := 0; i < 4; i++ {
+				var want int8
+				if tap := 4*q + i; c < ocg && tap < per {
+					want = qw.wq[(grp*ocg+c)*per+tap]
+				}
+				if got := int8(word >> (8 * i)); got != want {
+					t.Fatalf("layer %s: panel dword %d byte %d = %d, want %d", key, d, i, got, want)
+				}
+			}
+		}
+		seed := qw.seed[:l.OutC+qpwMR-1]
+		for oc, got := range seed {
+			var sum int32
+			if oc < l.OutC {
+				for _, w := range qw.wq[oc*per : (oc+1)*per] {
+					sum += int32(w)
+				}
+			}
+			if got != -128*sum {
+				t.Fatalf("layer %s: seed[%d] = %d, want -128*%d", key, oc, got, sum)
+			}
+		}
+	})
+}
+
 // walkWeightLayers calls fn for every layer of m, block-path layers
 // included, with the weight key the executor files it under, the shape of
 // the map it reads and the index of the top-level layer it belongs to.
