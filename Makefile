@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan loc check
+.PHONY: all build fmt vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-infer loc check
 
 all: check
 
@@ -101,14 +101,21 @@ metrics-smoke:
 
 # Cross-compile gate: amd64 is the only architecture with asm, so every other
 # one — arm64 here — builds the portable kernels of simd_generic.go, which
-# `purego` tests on an amd64 host.
+# `purego` tests on an amd64 host. Those must round exactly as amd64 does, so
+# the last line fails if gc fused a float32 multiply and add into one arm64
+# instruction anywhere in internal/tensor (MAC chains call fma32, other
+# products are wrapped in float32()); it also fails on an empty listing.
 cross:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
+	@GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1 | \
+	awk '/STEXT/ {n++} /FMADDS|FMSUBS|FNMADDS|FNMSUBS/ {print; bad++} END {if (!n) print "cross: no assembly listing"; exit !n || bad}'
 
 # The portable kernels on an amd64 host: the purego tag leaves the asm out, so
-# internal/tensor's property, fuzz-seed and bit-identity suites (about 25 s)
-# check the scalar code every other architecture ships, and
+# internal/tensor's property, fuzz-seed and bit-identity suites (about 75 s:
+# the portable float kernels run a software FMA) check the scalar code every
+# other architecture ships, TestForwardUnchanged that it computes the bits of
+# testdata/forward.golden like the vector kernels, and
 # TestPortableBuildRunsNoAsm that no vector gate is left on.
 purego:
 	$(GO) test -tags purego ./internal/tensor
@@ -144,6 +151,13 @@ fuzz-geometry:
 # plan it accepts must save and reload unchanged. Not part of `check`.
 fuzz-plan:
 	$(GO) test -run NONE -fuzz FuzzPlanLoad -fuzztime=10s ./internal/core
+
+# Feed /infer's request parsing (the query's model, plan and quant, then the
+# body) arbitrary strings and bytes beyond the committed seeds: it must never
+# panic, must refuse with a 4xx only, and must accept exactly the bodies of
+# the model's input size. Not part of `check`.
+fuzz-infer:
+	$(GO) test -run NONE -fuzz FuzzInferRequest -fuzztime=10s ./internal/serve
 
 # Non-test Go lines per package plus assembly lines: the size numbers
 # ROADMAP tracks as its aim-2 ("least code") success metric.

@@ -15,11 +15,12 @@ import (
 //
 // Per output element the chain is the reference loops' exactly: the seed
 // (bias, or 0 for int8), then kernel rows ascending, taps ascending within
-// a row, one multiply and one add each. Float taps that fall in the zero
-// padding are SKIPPED, never added as zero products: w*0 is -0 for a negative
-// w and NaN for an infinite one, and adding either can change an
-// accumulator's bits. An integer zero product changes nothing, so the int8
-// vector tiles may mask a padding tap to zero instead.
+// a row, one mac each (a fused multiply-add rounded once for float32). Float
+// taps that fall in the zero padding are SKIPPED, never added as zero
+// products: w*0 is -0 for a negative w and NaN for an infinite one, and
+// adding either can change an accumulator's bits. An integer zero product
+// changes nothing, so the int8 vector tiles may mask a padding tap to zero
+// instead.
 
 // dwTile computes the tile span — output columns [g.tileLo, g.tileHi) — of
 // every output row of one channel plane, which starts at in[base]; dst[0] is
@@ -184,7 +185,7 @@ func dwColumns[E elem, A accum](c *dwChan[E, A], row, src []E, nrows int, w []E,
 			s := src[r*g.inW+iw+kLo:]
 			for k, wk := range w[r*g.kw+kLo : r*g.kw+kHi] {
 				if wk != 0 {
-					v += A(wk) * A(s[k])
+					v = mac(v, A(wk), A(s[k]))
 				}
 			}
 		}
@@ -211,7 +212,7 @@ func dw3x3Row[E elem, A accum](dst []A, src []E, x0, rowStride, nrows int, w []E
 		v := seed
 		for r := 0; r < nrows; r++ {
 			for k := kLo; k < kHi; k++ {
-				v += A(w[3*r+k]) * A(src[r*rowStride+x+k])
+				v = mac(v, A(w[3*r+k]), A(src[r*rowStride+x+k]))
 			}
 		}
 		dst[i] = v

@@ -11,10 +11,11 @@ import (
 // FuzzFKernelTile drives every float32 vector tile wrapper against an inline
 // scalar reference over fuzzer-chosen sizes, strides and random data,
 // comparing exact bits. The scalar references chain operations in exactly
-// the order the kernels document (one statement per tap), so any vector
-// reordering — or an FMA where the host compiler rounds twice — shows up as
-// a bit mismatch. The parameter tuple matches FuzzConvGeometry and
-// FuzzQKernelTile so the three targets share crasher corpora. Run with
+// the order the kernels document (one fma32 per tap, epilogues rounded
+// separately), so any vector reordering — or a tap rounded twice, or an
+// epilogue fused — shows up as a bit mismatch. The parameter tuple matches
+// FuzzConvGeometry and FuzzQKernelTile so the three targets share crasher
+// corpora. Run with
 // `go test -fuzz=FuzzFKernelTile ./internal/tensor` to explore beyond the
 // seeds.
 func FuzzFKernelTile(f *testing.F) {
@@ -144,7 +145,7 @@ func FuzzFKernelTile(f *testing.F) {
 				finishRowF(got, scale, shift, bn, act)
 				if bn {
 					for i := range want {
-						want[i] = want[i]*scale + shift
+						want[i] = float32(want[i]*scale) + shift
 					}
 				}
 				switch act {
@@ -187,7 +188,7 @@ func FuzzFKernelTile(f *testing.F) {
 				for l := 0; l < 16; l++ {
 					acc := bias[l]
 					for i := 0; i < n; i++ {
-						acc += panel[i*16+l] * src[i]
+						acc = fma32(panel[i*16+l], src[i], acc)
 					}
 					if !bitsEq(got[l], acc) {
 						t.Fatalf("ffcPanel16 n=%d: dst[%d]=%g want %g", n, l, got[l], acc)

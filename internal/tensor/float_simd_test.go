@@ -31,39 +31,38 @@ func simdMixModel(name string, c, hw int) *nn.Model {
 // together must be byte-identical to the whole-map Run, across random grid
 // splits, for a model that walks every float SIMD kernel kind. Halo tiles
 // force the rect kernels through their edge-tap clamps, which is exactly
-// where a vector tile with wrong interior bounds would diverge.
+// where a vector tile with wrong interior bounds would diverge. Every
+// pointwise tile variant the host runs takes the GEMM layers in turn, the
+// portable one included.
 func TestFloatSIMDGridMatchesRun(t *testing.T) {
-	if !simdFloat {
-		t.Skip("host has no float SIMD; the scalar grid path is covered by TestGridExecutionMatchesWholeChain")
-	}
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 8; trial++ {
-		m := simdMixModel("fsgrid", 4+2*rng.Intn(3), 32+4*rng.Intn(4))
-		e := mustExec(t, m)
-		in := RandomInput(m.Input, int64(trial))
-		whole, err := e.Run(in)
-		if err != nil {
-			t.Fatal(err)
+	eachFpwVariant(t, func(t *testing.T, vn string) {
+		rng := rand.New(rand.NewSource(37))
+		for trial := 0; trial < 8; trial++ {
+			m := simdMixModel("fsgrid", 4+2*rng.Intn(3), 32+4*rng.Intn(4))
+			e := mustExec(t, m)
+			in := RandomInput(m.Input, int64(trial))
+			whole, err := e.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := m.Output()
+			rows := 1 + rng.Intn(3)
+			cols := 1 + rng.Intn(3)
+			got := runGridPartitioned(t, e, 0, m.NumLayers(), in, partition.GridPartition(out.H, out.W, rows, cols))
+			if !Equal(whole, got) {
+				t.Fatalf("%s trial %d (%dx%d grid on %v): grid stitch differs from Run by %g",
+					vn, trial, rows, cols, m.Input, MaxAbsDiff(whole, got))
+			}
 		}
-		out := m.Output()
-		rows := 1 + rng.Intn(3)
-		cols := 1 + rng.Intn(3)
-		got := runGridPartitioned(t, e, 0, m.NumLayers(), in, partition.GridPartition(out.H, out.W, rows, cols))
-		if !Equal(whole, got) {
-			t.Fatalf("trial %d (%dx%d grid on %v): SIMD grid stitch differs from Run by %g",
-				trial, rows, cols, m.Input, MaxAbsDiff(whole, got))
-		}
-	}
+	})
 }
 
 // TestFloatSIMDParallelBitIdentical pins worker-count invariance with the
 // vector tiles live: a parallel forward over the SIMD kernel mix (plus the
 // gap/fc epilogue the grid tests cannot hold) must reproduce the serial pass
-// bit for bit at every parallelism.
+// bit for bit at every parallelism, under every pointwise tile variant — and
+// that pass must be the reference kernels' (plain Go, one fma32 per tap).
 func TestFloatSIMDParallelBitIdentical(t *testing.T) {
-	if !simdFloat {
-		t.Skip("host has no float SIMD; scalar invariance is covered by TestParallelBitIdenticalChain")
-	}
 	base := simdMixModel("fspar", 8, 36)
 	m := &nn.Model{
 		Name:  base.Name,
@@ -72,20 +71,24 @@ func TestFloatSIMDParallelBitIdentical(t *testing.T) {
 			nn.Layer{Name: "gap", Kind: nn.GlobalAvgPool, Act: nn.NoAct},
 			nn.Layer{Name: "fc", Kind: nn.FullyConnected, OutF: 37, Act: nn.ReLU}),
 	}
-	serial := mustExecPar(t, m, 1)
 	in := RandomInput(m.Input, 13)
-	want, err := serial.Run(in)
+	ref, err := NewExecutor(m, 99, WithReferenceKernels())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range workerCounts[1:] {
-		e := mustExecPar(t, m, par)
-		got, err := e.Run(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(want, got) {
-			t.Fatalf("parallelism %d differs from serial by %g with float SIMD enabled", par, MaxAbsDiff(want, got))
-		}
+	want, err := ref.Run(in)
+	if err != nil {
+		t.Fatal(err)
 	}
+	eachFpwVariant(t, func(t *testing.T, vn string) {
+		for _, par := range workerCounts {
+			got, err := mustExecPar(t, m, par).Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(want, got) {
+				t.Fatalf("%s: parallelism %d differs from the reference kernels by %g", vn, par, MaxAbsDiff(want, got))
+			}
+		}
+	})
 }

@@ -258,9 +258,10 @@ func (c *gemmCall[E, W, V]) sweep(s *gemmScratch[E], a *gemmCols[E], ob, oc0, wi
 // The float32 side: a block is always gathered (a 1x1 layer's planes copied,
 // rows fpwRowPad apart) into a panel the fpwVariant tiles sweep as is, and
 // finished in cache by finishChannel. Each output element is bias, then
-// + w[k]*tap[k] for ascending k = (ic, kh, kw), by one lane of one tile; a
-// gathered padding zero is an exact no-op when every weight is finite and no
-// bias is -0 or NaN (convWeights.padExact; proof in DESIGN.md §6).
+// acc = fma32(w[k], tap[k], acc) for ascending k = (ic, kh, kw), by one lane
+// of one tile; a gathered padding zero is an exact no-op when every weight
+// is finite and no bias is -0 or NaN (convWeights.padExact; proof in
+// DESIGN.md §6).
 
 const (
 	// fpwPanelBytes bounds a column block's panel (never below one tile) when
@@ -278,9 +279,9 @@ const (
 )
 
 // fpwVariant is one register tile under the driver: tile computes
-// dst[b*dstStride+j] = bias[b] + sum over ascending g < k of
-// wgt[g*4+b]*src[g*srcStride+j], b in [0,4), j in [0,nr); wgt is an
-// ocBlock.packed, read as is.
+// dst[b*dstStride+j] = bias[b] chained through fma32(wgt[g*4+b],
+// src[g*srcStride+j], acc) for ascending g < k, b in [0,4), j in [0,nr); wgt
+// is an ocBlock.packed, read as is.
 type fpwVariant struct {
 	name string
 	nr   int
@@ -344,7 +345,7 @@ func fpwTile(c *gemmCall[float32, convWeights, fpwVariant], a *gemmCols[float32]
 		for r, w := range wts.w[(oc0+b)*k:][:k] {
 			if w != 0 {
 				for i, x := range a.src[r*a.rowStride:][:len(acc)] {
-					acc[i] += w * x
+					acc[i] = fma32(w, x, acc[i])
 				}
 			}
 		}
@@ -360,10 +361,10 @@ func fpwTilePortable(dst []float32, dstStride int, src []float32, srcStride int,
 	for g := 0; g < k; g++ {
 		w := wgt[g*ocBlockWidth:][:ocBlockWidth]
 		for j, x := range src[g*srcStride:][:16] {
-			d0[j] += w[0] * x
-			d1[j] += w[1] * x
-			d2[j] += w[2] * x
-			d3[j] += w[3] * x
+			d0[j] = fma32(w[0], x, d0[j])
+			d1[j] = fma32(w[1], x, d1[j])
+			d2[j] = fma32(w[2], x, d2[j])
+			d3[j] = fma32(w[3], x, d3[j])
 		}
 	}
 }

@@ -281,7 +281,7 @@ func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 		single := func(o int) {
 			acc, row := wts.bias[o], wts.w[o*n:][:n]
 			for i, v := range in.Data[:n] {
-				acc += row[i] * v
+				acc = fma32(row[i], v, acc)
 			}
 			out.Data[o] = acc
 		}
@@ -308,10 +308,10 @@ func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 			r2 := wts.w[(o+2)*n:][:n]
 			r3 := wts.w[(o+3)*n:][:n]
 			for i, v := range in.Data[:n] {
-				acc0 += r0[i] * v
-				acc1 += r1[i] * v
-				acc2 += r2[i] * v
-				acc3 += r3[i] * v
+				acc0 = fma32(r0[i], v, acc0)
+				acc1 = fma32(r1[i], v, acc1)
+				acc2 = fma32(r2[i], v, acc2)
+				acc3 = fma32(r3[i], v, acc3)
 			}
 			out.Data[o] = acc0
 			out.Data[o+1] = acc1

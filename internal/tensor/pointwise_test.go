@@ -42,7 +42,7 @@ func checkFpwTile(t *testing.T, v *fpwVariant, rng *rand.Rand, inC, srcStride, d
 		for j := 0; j < v.nr; j++ {
 			acc := bias[b]
 			for g := 0; g < inC; g++ {
-				acc += w[g*ocBlockWidth+b] * src[g*srcStride+j]
+				acc = fma32(w[g*ocBlockWidth+b], src[g*srcStride+j], acc)
 			}
 			want[b*dstStride+j] = acc
 		}

@@ -65,9 +65,10 @@ func QuantizeTensor(t Tensor, scale float32) QTensor {
 }
 
 // quantizeRow is the one float32 -> int8 quantizer, for activations and
-// weights alike: dst[i] = quantClamp(src[i] * inv). The vector path performs
-// quantClamp's exact IEEE sequence lane-wise, so the output is bit-identical
-// to the scalar loop for every finite input.
+// weights alike: dst[i] = quantClamp(float32(src[i] * inv)), the product
+// rounded before quantClamp's + 0.5. The vector path performs quantClamp's
+// exact IEEE sequence lane-wise, so the output is bit-identical to the scalar
+// loop for every finite input.
 func quantizeRow(dst []int8, src []float32, inv float32) {
 	n := len(src)
 	i := 0
@@ -77,7 +78,7 @@ func quantizeRow(dst []int8, src []float32, inv float32) {
 		i = m
 	}
 	for ; i < n; i++ {
-		dst[i] = quantClamp(src[i] * inv)
+		dst[i] = quantClamp(float32(src[i] * inv))
 	}
 }
 
@@ -234,7 +235,7 @@ func (q *qparams) fold(p *fparams, sIn float32) {
 			bnS, bnSh = p.bnScale[oc], p.bnShift[oc]
 		}
 		q.effScale[oc] = sIn * sW * bnS / q.scale
-		q.effBias[oc] = (p.bias[oc]*bnS + bnSh) / q.scale
+		q.effBias[oc] = (float32(p.bias[oc]*bnS) + bnSh) / q.scale
 	}
 }
 
@@ -327,7 +328,7 @@ func actCode(act nn.Activation) int {
 
 // requant1 is the scalar form of requantRow, for single accumulators.
 func requant1(a int32, scale, bias float32, act nn.Activation) int8 {
-	v := float32(a)*scale + bias
+	v := float32(float32(a)*scale) + bias
 	if v < 0 {
 		switch act {
 		case nn.ReLU:
@@ -354,7 +355,7 @@ func applyActivationQ(xs []int8, a nn.Activation) {
 	case nn.LeakyReLU:
 		for i, v := range xs {
 			if v < 0 {
-				xs[i] = quantClamp(0.1 * float32(v))
+				xs[i] = quantClamp(float32(0.1 * float32(v)))
 			}
 		}
 	}

@@ -5,8 +5,8 @@ import "pico/internal/nn"
 // The reference kernels: plain Go, written once over the element type,
 // sharing no tile with the kernels they check, which are tested bit-identical
 // to them (WithReferenceKernels runs them through the executor). Per output
-// element: the seed, then every tap in (ic, kh, kw) order — padding and zero
-// weights skipped — then the dtype's finish.
+// element: the seed, then one mac per tap in (ic, kh, kw) order — padding
+// and zero weights skipped — then the dtype's finish.
 
 // accum is the accumulator type an element widens into: float32 accumulates
 // in float32, int8 in int32.
@@ -95,7 +95,7 @@ func convRef[E elem, A accum, P refParams[E, A]](in []E, c, h, w int, g geom, l 
 						}
 						src := plane[ih*w+base+a*l.SW-g.colLo:]
 						for i := a; i < b; i++ {
-							acc[i] += A(wt) * A(src[(i-a)*l.SW])
+							acc[i] = mac(acc[i], A(wt), A(src[(i-a)*l.SW]))
 						}
 					}
 				}
@@ -116,7 +116,7 @@ func fcRef[E elem, A accum, P refParams[E, A]](in []E, outF int, act nn.Activati
 		for o := lo; o < hi; o++ {
 			acc[0] = p.seed(o)
 			for i, v := range wk[o*n:][:n] {
-				acc[0] += A(v) * A(in[i])
+				acc[0] = mac(acc[0], A(v), A(in[i]))
 			}
 			p.finish(out.data[o:o+1], acc[:], o, act)
 		}

@@ -7,8 +7,8 @@ import "pico/internal/nn"
 // allows and finishes with the scalar loop that is the behavioural reference,
 // so the split never changes an output bit: int32 sums wrap associatively,
 // and a float32 tile reorders nothing — each lane is an independent output
-// element chaining its taps in the scalar order, rounded as scalar Go rounds
-// on amd64 (separate VMULPS/VADDPS; DESIGN.md §6). Every other architecture,
+// element chaining its taps in the scalar order, each tap rounded once
+// (VFMADD231PS, the scalar fma32; DESIGN.md §6). Every other architecture,
 // and amd64 under the purego tag, runs the scalar loops alone.
 
 // simdQuant gates the vectorized int8 kernel surface (the GEMM tile has its
@@ -154,8 +154,9 @@ func gapSum8F(dst *[8]float32, src []float32, chanStride, n int) {
 }
 
 // finishRowF applies the folded batch-norm affine (when bn) and the
-// activation to one finished float output row. The vector tile replicates
-// the scalar rounding — separate multiply and add — and selects activations
+// activation to one finished float output row. An epilogue, not a MAC chain:
+// the multiply and the add round separately (the float32() conversion keeps
+// gc from fusing them), in the vector tile as here, which selects activations
 // with compare+mask so NaN and -0 elements keep their bits; the scalar tail
 // below is the behavioural reference.
 func finishRowF(acc []float32, scale, shift float32, bn bool, act nn.Activation) {
@@ -171,7 +172,7 @@ func finishRowF(acc []float32, scale, shift float32, bn bool, act nn.Activation)
 	}
 	if bn {
 		for i := range acc {
-			acc[i] = acc[i]*scale + shift
+			acc[i] = float32(acc[i]*scale) + shift
 		}
 	}
 	applyActivation(acc, act)

@@ -4,17 +4,17 @@ package tensor
 
 import "pico/internal/nn"
 
-// probeCPU reports whether the CPU and OS support AVX2, on top of it 512-bit
-// registers (AVX512F with opmask and ZMM state enabled), and on top of those
-// the VPDPBUSD tile (AVX512VL+VNNI); see simd_amd64.s.
+// probeCPU reports whether the CPU and OS support AVX2 with FMA3, on top of
+// it 512-bit registers (AVX512F with opmask and ZMM state enabled), and on
+// top of those the VPDPBUSD tile (AVX512VL+VNNI); see simd_amd64.s.
 func probeCPU() (avx2, avx512, vnni bool)
 
 // hasAVX2 gates every vector kernel on amd64, hasAVX512 the ZMM float
 // pointwise tile, hasVNNI the dot-product int8 one. The scalar kernels are the
 // contract; the tiles compute the identical values — wrapping int32
-// accumulators, float lanes chained in the scalar order — so enabling them
-// never changes an output bit: the property tests run every variant against
-// the reference.
+// accumulators, float lanes chained in the scalar order, one fused
+// multiply-add (fma32) per tap — so enabling them never changes an output
+// bit: the property tests run every variant against the reference.
 var hasAVX2, hasAVX512, hasVNNI = probeCPU()
 
 // qpwPack is the vector form of qpwPackPortable (see simd_amd64.s).
@@ -79,9 +79,10 @@ func qquantizeRow8(dst *int8, src *float32, inv float32, n int)
 
 // vectorAvailable reports whether the AVX2 kernels of both dtypes outside
 // the GEMM variant tables (depthwise tiles, pool, fc, global pool, the
-// epilogues and the quantizer) run on this host. The float ones use separate
-// VMULPS/VADDPS — the same two roundings gc emits for x*y + z at the default
-// GOAMD64 level — so enabling them never changes an output bit.
+// epilogues and the quantizer) run on this host. Their float MAC chains use
+// VFMADD231PS/SS, rounded once like fma32, and their epilogues separate
+// VMULPS/VADDPS, like the Go forms' float32(x*y) + z, so enabling them never
+// changes an output bit.
 func vectorAvailable() bool { return hasAVX2 }
 
 // fdw3x3S1 and fdw3x3S2 are the float32 fused 3x3 depthwise tiles for column

@@ -4,19 +4,20 @@
 // engine. Integer semantics are exactly Go's: VPMADDWD's pair sums are exact
 // for int8-range (and u8 x s8) operands, and VPADDD / VPDPBUSD wrap, so
 // accumulated int32 values match the scalar reference bit for bit in every
-// case. The purego
-// tag leaves them out and runs the portable kernels of simd_generic.go.
+// case. Float multiply-accumulate chains round once per tap (VFMADD231PS/SS),
+// exactly like the Go kernels' fma32. The purego tag leaves them out and runs
+// the portable kernels of simd_generic.go.
 
 #include "textflag.h"
 
 // func probeCPU() (avx2, avx512, vnni bool)
 //
-// AVX2 requires CPUID.7.0:EBX[5] plus OS support for YMM state
-// (CPUID.1:ECX[27] OSXSAVE and XCR0[2:1] == 11). 512-bit float (fpwTile32)
-// needs CPUID.7.0:EBX[16] AVX512F and XCR0[7:5] == 111 (opmask, ZMM_Hi256,
-// Hi16_ZMM state enabled by the OS). The VNNI tile is EVEX VPDPBUSD over
-// Z16-Z31 with an opmask: on top of that EBX[31] AVX512VL and ECX[11]
-// AVX512_VNNI.
+// AVX2 requires CPUID.7.0:EBX[5], FMA3 (CPUID.1:ECX[12]) plus OS support
+// for YMM state (CPUID.1:ECX[27] OSXSAVE and XCR0[2:1] == 11). 512-bit
+// float (fpwTile32) needs CPUID.7.0:EBX[16] AVX512F and XCR0[7:5] == 111
+// (opmask, ZMM_Hi256, Hi16_ZMM state enabled by the OS). The VNNI tile is
+// EVEX VPDPBUSD over Z16-Z31 with an opmask: on top of that EBX[31]
+// AVX512VL and ECX[11] AVX512_VNNI.
 TEXT ·probeCPU(SB), NOSPLIT, $0-3
 	MOVB $0, avx2+0(FP)
 	MOVB $0, avx512+1(FP)
@@ -28,6 +29,8 @@ TEXT ·probeCPU(SB), NOSPLIT, $0-3
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	TESTL $(1<<12), CX // FMA3
+	JZ   done
 	TESTL $(1<<27), CX // OSXSAVE
 	JZ   done
 	XORL CX, CX
@@ -160,9 +163,9 @@ GLOBL qftenth<>(SB), RODATA, $4
 // Vector form of the requantize epilogue: dst[i] =
 // quantClamp(act(float32(acc[i])*scale + bias)). act is 0 for none, 1 for
 // ReLU (max(v,0)), 2 for LeakyReLU (0.1*v for v<0). The float operations
-// are exactly Go's: separate VMULPS/VADDPS (never FMA — Go rounds twice),
-// IEEE min/max for the clamp, and the same half-away-from-zero rounding as
-// quantClamp. n must be a positive multiple of 8.
+// are exactly Go's: separate VMULPS/VADDPS (an epilogue rounds twice), IEEE
+// min/max for the clamp, and quantClamp's half-away-from-zero rounding. n
+// must be a positive multiple of 8.
 TEXT ·qrequantRow8(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ acc+8(FP), SI
@@ -598,11 +601,10 @@ vnquad:
 // Float32 kernels. Float addition is not associative, so unlike the int8
 // tiles these may not reorder anything: every vector lane holds an
 // INDEPENDENT output element and chains its taps in exactly the scalar
-// kernel's order, with separate VMULPS/VADDPS (never FMA — gc at the default
-// GOAMD64 level rounds the multiply and the add separately). Operand order
-// matters for the semantics-bearing ops: VADDPS always has the running
-// accumulator as src1, and VMAXPS has the incoming value as src1 so the
-// NaN/equal cases return the accumulator, matching Go's `if v > acc`.
+// kernel's order, one VFMADD231PS per tap into the running accumulator —
+// rounded once, like fma32. Operand order matters for the semantics-bearing
+// ops: VMAXPS has the incoming value as src1 so the NaN/equal cases return
+// the accumulator, matching Go's `if v > acc`.
 
 // -Inf seeds the max-pool accumulators so padding never wins.
 DATA fninf<>+0(SB)/4, $0xff800000
@@ -682,25 +684,17 @@ fpwloop:
 	VMOVUPS (SI), Y8         // columns 0..7 of this input channel
 	VMOVUPS 32(SI), Y9       // columns 8..15
 	VBROADCASTSS (DX), Y10   // channel b=0 weight
-	VMULPS Y8, Y10, Y14
-	VADDPS Y14, Y0, Y0
-	VMULPS Y9, Y10, Y15
-	VADDPS Y15, Y1, Y1
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
 	VBROADCASTSS 4(DX), Y11  // b=1
-	VMULPS Y8, Y11, Y14
-	VADDPS Y14, Y2, Y2
-	VMULPS Y9, Y11, Y15
-	VADDPS Y15, Y3, Y3
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
 	VBROADCASTSS 8(DX), Y12  // b=2
-	VMULPS Y8, Y12, Y14
-	VADDPS Y14, Y4, Y4
-	VMULPS Y9, Y12, Y15
-	VADDPS Y15, Y5, Y5
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
 	VBROADCASTSS 12(DX), Y13 // b=3
-	VMULPS Y8, Y13, Y14
-	VADDPS Y14, Y6, Y6
-	VMULPS Y9, Y13, Y15
-	VADDPS Y15, Y7, Y7
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
 	ADDQ BX, SI
 	ADDQ $16, DX
 	DECQ CX
@@ -720,14 +714,12 @@ fpwloop:
 	RET
 
 // FPW_MAC is one output channel's step of fpwTile32: both column halves of
-// the input channel in Z8/Z9 times the channel's broadcast weight, multiply
-// and add rounded separately.
+// the input channel in Z8/Z9 times the channel's broadcast weight, fused
+// into the accumulators.
 #define FPW_MAC(off, a, b) \
 	VBROADCASTSS off(DX), Z10 \
-	VMULPS Z8, Z10, Z11 \
-	VADDPS Z11, a, a \
-	VMULPS Z9, Z10, Z12 \
-	VADDPS Z12, b, b
+	VFMADD231PS Z8, Z10, a \
+	VFMADD231PS Z9, Z10, b
 
 // func fpwTile32(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
 //
@@ -735,9 +727,9 @@ fpwloop:
 //
 //	acc[b*accStride+j] = bias[b] + sum over g of wgt[g*4+b]*src[g*chanStride+j]
 //
-// for b in [0,4), j in [0,32). Eight independent accumulator chains cover the
-// add's 4-cycle latency; VMULPS+VADDPS on two 512-bit ports is 16 MAC a
-// cycle, twice the YMM tile. The caller guarantees inC >= 1 and 32 readable
+// for b in [0,4), j in [0,32). Eight independent accumulator chains exactly
+// cover the FMA's 4-cycle latency on two 512-bit ports: 32 MAC a cycle,
+// twice the YMM tile. The caller guarantees inC >= 1 and 32 readable
 // float32s at every src[g*chanStride].
 TEXT ·fpwTile32(SB), NOSPLIT, $0-56
 	MOVQ acc+0(FP), DI
@@ -801,10 +793,8 @@ TEXT ·ffcPanel16(SB), NOSPLIT, $0-40
 	JZ   ffcdone
 ffcloop:
 	VBROADCASTSS (SI), Y2
-	VMULPS (DX), Y2, Y3
-	VADDPS Y3, Y0, Y0
-	VMULPS 32(DX), Y2, Y3
-	VADDPS Y3, Y1, Y1
+	VFMADD231PS (DX), Y2, Y0
+	VFMADD231PS 32(DX), Y2, Y1
 	ADDQ $4, SI
 	ADDQ $64, DX
 	DECQ CX
@@ -891,12 +881,11 @@ fgaploop:
 // func fepiRow(dst *float32, scale, shift float32, bn, act, n int)
 //
 // Vector batch-norm + activation epilogue for one finished float output
-// row: when bn != 0, dst[i] = dst[i]*scale + shift as separate
-// VMULPS/VADDPS (never FMA - gc on amd64 rounds the multiply and add
-// separately), then act: 0 none, 1 ReLU, 2 LeakyReLU. Both activations
-// replicate the scalar `if v < 0` select through a compare+mask rather
-// than VMAXPS, so NaN and -0 lanes keep their exact bits. n must be a
-// positive multiple of 8.
+// row: when bn != 0, dst[i] = float32(dst[i]*scale) + shift as separate
+// VMULPS/VADDPS (an epilogue rounds twice), then act: 0 none, 1 ReLU, 2
+// LeakyReLU. Both activations replicate the scalar `if v < 0` select
+// through a compare+mask rather than VMAXPS, so NaN and -0 lanes keep their
+// exact bits. n must be a positive multiple of 8.
 TEXT ·fepiRow(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	VBROADCASTSS scale+8(FP), Y1
@@ -1027,31 +1016,24 @@ GLOBL dwmask<>(SB), RODATA, $64
 	RET
 
 // One input row of a float edge column: its two taps in range, scalar, into
-// X0 — the same multiply-then-add chain as a vector lane. The left column's
-// taps sit at fixed displacements from the row pointer, the right column's
-// at byte offset R14.
+// X0 — the same fused chain as a vector lane. The left column's taps sit at
+// fixed displacements from the row pointer, the right column's at byte
+// offset R14.
 #define FDW_EDGE_ROW(base, da, db, wa, wb) \
-	VMULSS da(base), wa, X1 \
-	VADDSS X1, X0, X0 \
-	VMULSS db(base), wb, X1 \
-	VADDSS X1, X0, X0
+	VFMADD231SS da(base), wa, X0 \
+	VFMADD231SS db(base), wb, X0
 
 #define FDW_EDGE_ROWX(base, wa, wb) \
-	VMULSS (base)(R14*1), wa, X1 \
-	VADDSS X1, X0, X0 \
-	VMULSS 4(base)(R14*1), wb, X1 \
-	VADDSS X1, X0, X0
+	VFMADD231SS (base)(R14*1), wa, X0 \
+	VFMADD231SS 4(base)(R14*1), wb, X0
 
-// One stride-1 input row: three unaligned loads one float apart, each tap a
-// separate VMULPS/VADDPS into the running accumulator Y0 (src1, like the
-// scalar `acc + w*v`).
+// One stride-1 input row: three unaligned loads one float apart, each tap
+// one VFMADD231PS into the running accumulator Y0 (like the scalar
+// fma32(w, v, acc)).
 #define FDW_S1_ROW(base, w0, w1, w2) \
-	VMULPS (base)(BX*1), w0, Y1 \
-	VADDPS Y1, Y0, Y0 \
-	VMULPS 4(base)(BX*1), w1, Y1 \
-	VADDPS Y1, Y0, Y0 \
-	VMULPS 8(base)(BX*1), w2, Y1 \
-	VADDPS Y1, Y0, Y0
+	VFMADD231PS (base)(BX*1), w0, Y0 \
+	VFMADD231PS 4(base)(BX*1), w1, Y0 \
+	VFMADD231PS 8(base)(BX*1), w2, Y0
 
 // One stride-2 input row: 17 floats deinterleaved into the three taps of 8
 // output columns. VSHUFPS picks even (0x88) or odd (0xDD) lanes per 128-bit
@@ -1063,12 +1045,9 @@ GLOBL dwmask<>(SB), RODATA, $64
 	VMOVUPS 4(base)(BX*1), Y2 \
 	VSHUFPS $0x88, 36(base)(BX*1), Y2, Y3 \
 	VSHUFPS $0xDD, 36(base)(BX*1), Y2, Y2 \
-	VMULPS Y1, w0, Y1 \
-	VADDPS Y1, Y0, Y0 \
-	VMULPS Y3, w1, Y3 \
-	VADDPS Y3, Y0, Y0 \
-	VMULPS Y2, w2, Y2 \
-	VADDPS Y2, Y0, Y0
+	VFMADD231PS Y1, w0, Y0 \
+	VFMADD231PS Y3, w1, Y0 \
+	VFMADD231PS Y2, w2, Y0
 
 // func fdw3x3S1(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int)
 TEXT ·fdw3x3S1(SB), NOSPLIT, $0-112

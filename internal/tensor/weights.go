@@ -233,7 +233,7 @@ func genTail(rng *weightStream, n int, bn bool) fparams {
 	if bn {
 		p.bnScale, p.bnShift = make([]float32, n), make([]float32, n)
 		for i := range p.bnScale {
-			p.bnScale[i] = 0.8 + rng.unit()*0.4 // ~N(1, small)
+			p.bnScale[i] = 0.8 + float32(rng.unit()*0.4) // ~N(1, small); the product rounds alone on every arch
 			p.bnShift[i] = (rng.unit()*2 - 1) * 0.05
 		}
 	}

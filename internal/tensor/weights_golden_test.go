@@ -14,7 +14,7 @@ import (
 	"pico/internal/nn"
 )
 
-var updateWeights = flag.Bool("update", false, "rewrite testdata/weights.golden from the weights this tree generates")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from what this tree computes")
 
 // TestGeneratedWeightsUnchanged pins the weight generator: every float
 // parameter of MobileNetV1, a ToyChain and TinyGraph (block paths included),
@@ -77,9 +77,46 @@ func TestGeneratedWeightsUnchanged(t *testing.T) {
 		fmt.Fprintf(&got, "%s int8 %s scale %08x\n", m.Name, key, math.Float32bits(q.scale))
 	})
 
-	const path = "testdata/weights.golden"
-	if *updateWeights {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+	checkGolden(t, "testdata/weights.golden", got.String())
+}
+
+// TestForwardUnchanged pins what the engine computes: the float32 and int8
+// outputs of MobileNetV1, a ToyChain and TinyGraph (block paths included) on
+// one seeded input, at parallelism 1 and 2, must hash to the FNV-64a values
+// in testdata/forward.golden. Every build runs it — amd64 with whichever
+// vector tiles the host has, and the purego tag (`make purego`), which is
+// what every other architecture runs — so the golden pins the vector kernels
+// and the portable ones to the same bits.
+func TestForwardUnchanged(t *testing.T) {
+	var got strings.Builder
+	for _, m := range []*nn.Model{nn.MobileNetV1(), nn.ToyChain("toy", 8, 3, 16, 64), nn.TinyGraph()} {
+		in := RandomInput(m.Input, 32)
+		for _, par := range []int{1, 2} {
+			e, err := NewExecutor(m, 1, WithParallelism(par), WithQuantized())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := e.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := e.RunQ(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%s f32 par%d %d %016x\n", m.Name, par, len(out.Data), hashWords(out.Data))
+			fmt.Fprintf(&got, "%s int8 par%d %d %016x %08x\n", m.Name, par, len(q.Data), hashWords(q.Data), math.Float32bits(q.Scale))
+		}
+	}
+	checkGolden(t, "testdata/forward.golden", got.String())
+}
+
+// checkGolden compares got line by line with the golden file at path, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -88,13 +125,13 @@ func TestGeneratedWeightsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d weight lines, golden holds %d", len(gotLines)-1, len(wantLines)-1)
+		t.Fatalf("%d lines, %s holds %d", len(gotLines)-1, path, len(wantLines)-1)
 	}
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("weights moved:\n got  %s\n want %s", gotLines[i], wantLines[i])
+			t.Errorf("%s moved:\n got  %s\n want %s", path, gotLines[i], wantLines[i])
 		}
 	}
 }
