@@ -50,11 +50,14 @@ race-quant:
 # device shared by several stages, plus the reconfiguration contract — every
 # baseline scheme swapped with the pipeline in both precisions, swaps under
 # concurrent submitters, a swap over a dead worker, Submit racing Close — and
-# the worker's one compute lane holding a shared-device plan to its period.
-# Every test carries a watchdog, so a recovery regression fails fast instead
-# of wedging CI.
+# the worker's one compute lane holding a shared-device plan to its period —
+# and the request path: caller-owned result slots nobody reads stalling
+# neither the pipeline nor Close, and the gateway's ledger balancing, with no
+# goroutine left behind, while a worker crashes under a burst whose clients
+# partly hang up. Every test carries a watchdog, so a recovery regression
+# fails fast instead of wedging CI.
 chaos:
-	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|RunDegraded|SurvivesWorkerCrash|SubmitRacingClose|Adaptive|GridPlan|SharedDevice' ./internal/runtime ./internal/wire ./internal/simulate
+	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|RunDegraded|SurvivesWorkerCrash|SubmitRacingClose|SubmitToContract|GatewayLedgerUnderFault|Adaptive|GridPlan|SharedDevice' ./internal/runtime ./internal/wire ./internal/simulate ./internal/serve
 
 # Smoke-run the execution-engine benchmarks (single iteration): catches
 # bench-only compile errors and allocation regressions without a full sweep.

@@ -19,10 +19,17 @@
 // it observes (each swap is in /healthz's fault journal as plan-swapped).
 //
 // GET /healthz reports per-session pipeline health, GET /stats the gateway
-// counters, GET /metrics the sliding-window latency percentiles
+// counters, GET /metrics the latency percentiles over a fixed 60 s window
 // (p50/p95/p99 per model, stage, device and kind) in plaintext exposition
-// format. -slo-p99/-slo-skew arm the SLO watcher: breaches trigger a
-// measured re-balance of the offending session's pipeline.
+// format. -slo-p99/-slo-skew arm the SLO watcher, which checks every 5 s:
+// breaches trigger a measured re-balance of the offending session's
+// pipeline.
+//
+// The flags are the deployment (-addr, -workers or -local, -speeds, -models,
+// -seed, -drain) and the service-level policy (-max-queue, -latency-bound,
+// -slo-p99, -slo-skew). The rest of the gateway is fixed: a 2 ms, 16-request
+// micro-batch window and the EWMA arrival estimator at β = 0.5 over 10 s
+// windows.
 // SIGINT/SIGTERM drains gracefully: in-flight requests finish, pipelines
 // flush, workers disconnect.
 package main
@@ -64,14 +71,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Gateway) i
 		seed         = fs.Int64("seed", 1, "weight seed shared with the workers")
 		maxQueue     = fs.Int("max-queue", 64, "bound on admitted-but-unanswered requests")
 		latencyBound = fs.Float64("latency-bound", 30, "admission ceiling on the predicted wait, seconds")
-		batchWindow  = fs.Duration("batch-window", 2*time.Millisecond, "micro-batch coalescing window (0 disables coalescing)")
-		maxBatch     = fs.Int("max-batch", 16, "micro-batch size cap")
-		beta         = fs.Float64("beta", 0.5, "EWMA weight of the freshest arrival-rate measurement")
-		estWindow    = fs.Float64("estimator-window", 10, "arrival-rate measurement window, seconds")
 		sloP99       = fs.Float64("slo-p99", 0, "SLO watcher bound on windowed e2e p99, seconds (0 disables)")
 		sloSkew      = fs.Float64("slo-skew", 0, "SLO watcher bound on per-device exec p99 skew factor (0 disables)")
-		sloInterval  = fs.Duration("slo-interval", 5*time.Second, "SLO watcher tick period")
-		telemWindow  = fs.Duration("telemetry-window", time.Minute, "/metrics percentile sliding window")
 		drain        = fs.Duration("drain", 30*time.Second, "graceful shutdown budget for in-flight work")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -152,28 +153,15 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Gateway) i
 		cl.Devices[i].Alpha = 1
 	}
 
-	// On the command line an explicit 0 means "no coalescing"; the config
-	// layer cannot see the difference between 0 and unset, so map it to the
-	// sentinel here.
-	bw := *batchWindow
-	if bw == 0 {
-		bw = serve.BatchWindowNone
-	}
 	g, err := serve.New(serve.Config{
-		Cluster:         cl,
-		Addrs:           addrs,
-		Models:          models,
-		Seed:            *seed,
-		MaxQueue:        *maxQueue,
-		LatencyBound:    *latencyBound,
-		Beta:            *beta,
-		WindowSeconds:   *estWindow,
-		BatchWindow:     bw,
-		MaxBatch:        *maxBatch,
-		TelemetryWindow: *telemWindow,
-		SLOP99Bound:     *sloP99,
-		SLOSkewFactor:   *sloSkew,
-		SLOInterval:     *sloInterval,
+		Cluster:       cl,
+		Addrs:         addrs,
+		Models:        models,
+		Seed:          *seed,
+		MaxQueue:      *maxQueue,
+		LatencyBound:  *latencyBound,
+		SLOP99Bound:   *sloP99,
+		SLOSkewFactor: *sloSkew,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "picoserve: %v\n", err)

@@ -129,8 +129,6 @@ func TestPicoserveMetricsSmoke(t *testing.T) {
 			"-models", "toy",
 			"-seed", "7",
 			"-slo-p99", "30",
-			"-slo-interval", "1s",
-			"-telemetry-window", "1m",
 		}, &stdout, &stderr, ready)
 	}()
 	var g *serve.Gateway
@@ -207,6 +205,12 @@ func TestPicoserveMetricsSmoke(t *testing.T) {
 
 // TestPicoserveFlagValidation pins the CLI error surface.
 func TestPicoserveFlagValidation(t *testing.T) {
+	// The gateway's fixed settings are constants, not flags: naming one is a
+	// usage error, never silently accepted. The rest of such a command line
+	// would fail to listen (exit 1), so an accepted flag cannot pass.
+	removed := func(flag, value string) []string {
+		return []string{"-local", "1", "-addr", "no-port", flag, value}
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -216,6 +220,12 @@ func TestPicoserveFlagValidation(t *testing.T) {
 		{"unknown model", []string{"-local", "2", "-models", "alexnet9000"}},
 		{"bad speed", []string{"-workers", "a,b", "-speeds", "fast,slow"}},
 		{"speed count mismatch", []string{"-workers", "a,b", "-speeds", "1e9"}},
+		{"removed -batch-window", removed("-batch-window", "0")},
+		{"removed -max-batch", removed("-max-batch", "4")},
+		{"removed -beta", removed("-beta", "1")},
+		{"removed -estimator-window", removed("-estimator-window", "1")},
+		{"removed -slo-interval", removed("-slo-interval", "1s")},
+		{"removed -telemetry-window", removed("-telemetry-window", "1m")},
 	}
 	for _, tc := range cases {
 		var stdout, stderr strings.Builder

@@ -53,6 +53,9 @@ type flight struct {
 	err       error
 	submitted time.Time
 	spans     []StageSpan
+	// done is the slot the task's result goes to: the caller's own channel,
+	// or Results() for a plain Submit.
+	done chan<- TaskResult
 }
 
 // stageDriver realizes the per-stage workflow of the paper's Fig. 6: take a
@@ -475,17 +478,13 @@ func (sd *stageDriver) rebalance() {
 	})
 }
 
-// minMeasuredSamples is how many windowed exec samples a device needs before
-// its measured speed overrides the planner's static profile in a measured
-// re-balance.
-const minMeasuredSamples = 8
-
 // rebalanceMeasured re-splits the stage into strips using measured per-device
 // execution times from the telemetry window: a device that computed rows_k
 // rows (a grid tile counts its cells in full-width rows) in p50_k seconds
 // weighs rows_k/p50_k, so a straggler the static profile did not predict
-// sheds rows to its faster peers. Devices without enough windowed samples
-// keep their profile speed. Returns whether the layout changed.
+// sheds rows to its faster peers. Devices with fewer than telemetry.MinSamples
+// windowed samples keep their profile speed. Returns whether the layout
+// changed.
 func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 	sd.topoMu.Lock()
 	tiles, dead := sd.tiles, sd.dead
@@ -502,7 +501,7 @@ func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 		w := sd.speedOf(slot.deviceIdx)
 		if rows := float64(tiles[k].Cells()) / float64(sd.out.W); rows > 0 {
 			st := sd.p.series(sd.index, slot.deviceIdx, telemetry.KindExec).StatsWindow(window)
-			if st.WindowCount >= minMeasuredSamples && st.P50 > 0 {
+			if st.WindowCount >= telemetry.MinSamples && st.P50 > 0 {
 				w = rows / st.P50
 				measured++
 			}
@@ -824,7 +823,8 @@ func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
 	return c, nil
 }
 
-// sink turns the flights leaving a chain's last stage into results.
+// sink turns the flights leaving a chain's last stage into results, each
+// sent to its flight's slot.
 func (p *Pipeline) sink(last <-chan *flight, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for f := range last {
@@ -844,7 +844,7 @@ func (p *Pipeline) sink(last <-chan *flight, wg *sync.WaitGroup) {
 		if f.err == nil {
 			p.e2eProd.RecordAt(done, done.Sub(f.submitted).Seconds())
 		}
-		p.results <- TaskResult{
+		f.done <- TaskResult{
 			ID:        f.id,
 			Output:    output,
 			Err:       f.err,
@@ -875,15 +875,25 @@ func (c *chain) stop() error {
 	return firstErr
 }
 
-// Submit enqueues one input for inference and returns its task ID. It
-// blocks when the pipeline's input queue is full, and while a Swap drains.
-func (p *Pipeline) Submit(input tensor.Tensor) (int64, error) {
+// Submit enqueues one input for inference and returns its task ID; the
+// result arrives on Results(). It blocks when the pipeline's input queue is
+// full, and while a Swap drains.
+func (p *Pipeline) Submit(input tensor.Tensor) (int64, error) { return p.SubmitTo(input, p.results) }
+
+// SubmitTo is Submit with the result delivered on done, the caller's own
+// slot, instead of Results(). done must be buffered with room for every
+// result sent to it, so a caller that abandons its slot never stalls the
+// pipeline; an unbuffered done is refused and nothing is submitted.
+func (p *Pipeline) SubmitTo(input tensor.Tensor, done chan<- TaskResult) (int64, error) {
+	if cap(done) == 0 {
+		return 0, errors.New("runtime: result slot must be buffered")
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		return 0, errors.New("runtime: pipeline closed")
 	}
-	f := &flight{id: p.nextID.Add(1), submitted: time.Now(), m: tensor.MapOf(input)}
+	f := &flight{id: p.nextID.Add(1), submitted: time.Now(), m: tensor.MapOf(input), done: done}
 	if p.scales != nil {
 		// Quantize once at the pipeline mouth; the input tensor itself is
 		// not retained, matching the float path's never-recycle contract.
@@ -893,8 +903,8 @@ func (p *Pipeline) Submit(input tensor.Tensor) (int64, error) {
 	return f.id, nil
 }
 
-// Results delivers completed tasks in submission order, across swaps. The
-// channel closes after Close once all in-flight tasks finish.
+// Results delivers the tasks Submit issued in submission order, across
+// swaps. The channel closes after Close once all in-flight tasks finish.
 func (p *Pipeline) Results() <-chan TaskResult { return p.results }
 
 // Swap replaces the running plan with another plan for the same model at a

@@ -132,6 +132,102 @@ func TestPipelineResultsInSubmissionOrder(t *testing.T) {
 	}
 }
 
+// TestSubmitToContract pins the caller-owned result slot: each task answers
+// on its own slot with its ID and byte-exact output, an unbuffered slot is
+// refused before it consumes a task ID, slots nobody reads stall neither the
+// sink nor Close, and a plain Submit issued after them still arrives in order
+// on Results().
+func TestSubmitToContract(t *testing.T) {
+	plan := testPlan(t, 3)
+	lc := startCluster(t, 3, nil)
+	const seed = 5
+	p, err := NewPipeline(plan, lc.Addrs, PipelineOptions{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	ref, err := tensor.NewExecutor(plan.Model, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watchdog := time.After(60 * time.Second)
+	receive := func(ch <-chan TaskResult, what string) TaskResult {
+		t.Helper()
+		select {
+		case res := <-ch:
+			return res
+		case <-watchdog:
+			t.Fatalf("watchdog: no result on %s", what)
+		}
+		return TaskResult{}
+	}
+	// Read slots, abandoned slots (more than the stage queues hold, so a
+	// sink blocked on one would wedge), then plain submits: task IDs 1.. in
+	// that order.
+	const read, abandoned, plain = 4, 3 * queueDepth, 3
+	inputs := make([]tensor.Tensor, read+abandoned+plain)
+	for i := range inputs {
+		inputs[i] = tensor.RandomInput(plan.Model.Input, int64(i))
+	}
+	check := func(res TaskResult, i int) {
+		t.Helper()
+		if res.Err != nil || res.ID != int64(i+1) {
+			t.Fatalf("task %d: got ID %d err %v", i+1, res.ID, res.Err)
+		}
+		want, err := ref.Run(inputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.Equal(want, res.Output) {
+			t.Fatalf("task %d: output differs from a local run by %g", res.ID, tensor.MaxAbsDiff(want, res.Output))
+		}
+	}
+
+	for _, slot := range []chan TaskResult{make(chan TaskResult), nil} {
+		if id, err := p.SubmitTo(inputs[0], slot); err == nil {
+			t.Fatalf("unbuffered slot accepted as task %d", id)
+		}
+	}
+	slots := make([]chan TaskResult, read+abandoned)
+	for i := range slots {
+		slots[i] = make(chan TaskResult, 1)
+		id, err := p.SubmitTo(inputs[i], slots[i])
+		if err != nil || id != int64(i+1) {
+			t.Fatalf("SubmitTo %d: id %d err %v", i, id, err)
+		}
+	}
+	for i := 0; i < plain; i++ {
+		if id, err := p.Submit(inputs[read+abandoned+i]); err != nil || id != int64(read+abandoned+i+1) {
+			t.Fatalf("Submit %d: id %d err %v", i, id, err)
+		}
+	}
+	for i := 0; i < read; i++ {
+		check(receive(slots[i], fmt.Sprintf("slot %d", i)), i)
+	}
+	for i := 0; i < plain; i++ {
+		check(receive(p.Results(), "Results()"), read+abandoned+i)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-watchdog:
+		t.Fatal("watchdog: Close wedged behind unread slots")
+	}
+	if res, ok := <-p.Results(); ok {
+		t.Fatalf("Results() delivered task %d after Close, want it closed", res.ID)
+	}
+	for i := read; i < read+abandoned; i++ {
+		if len(slots[i]) != 1 {
+			t.Fatalf("abandoned slot %d holds %d results, want 1", i, len(slots[i]))
+		}
+	}
+}
+
 func TestPipelineOverlapsStages(t *testing.T) {
 	// Hand-build a two-stage plan with identical COMPUTE per stage (the
 	// worker emulation throttles compute only, not communication), so

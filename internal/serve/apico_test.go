@@ -43,11 +43,10 @@ func TestGatewayAPICOSwapsAtTheCrossover(t *testing.T) {
 		c.Cluster = profile
 		c.Models = map[string]*nn.Model{"toy": m}
 		c.LatencyBound = 300
-		// A half-second window with β = 0.5 follows the offered rate within a
-		// second without jumping on one burst.
-		c.WindowSeconds = 0.5
-		c.Beta = 0.5
 	})
+	// A half-second window with β = 0.5 follows the offered rate within a
+	// second without jumping on one burst.
+	f.setEstimator(0.5, 0.5)
 	ref, err := tensor.NewExecutor(m, 99)
 	if err != nil {
 		t.Fatal(err)

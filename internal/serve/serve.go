@@ -3,7 +3,8 @@
 // inference as a service, absorbing sustained multi-client traffic where
 // picorun runs one batch and exits.
 //
-// A request travels admission → session pool → micro-batcher → pipeline:
+// A request travels admission → session pool → micro-batcher → pipeline,
+// and its result comes back on the request's own slot:
 //
 //	POST /infer ─► admission controller: a bounded intake queue that sheds
 //	               load (429 + Retry-After) when queueing.Admission — the
@@ -16,13 +17,20 @@
 //	               a plan=apico session holds the PICO and the fused plan
 //	               and swaps its pipeline between them on the same estimate
 //	            ─► micro-batcher: coalesces queued requests into pipeline
-//	               submission bursts within BatchWindow
-//	            ─► demux: Pipeline.Results() routed back to per-request
-//	               waiters in submission order
+//	               submission bursts within a fixed 2 ms window
+//	            ─► pipeline: Pipeline.SubmitTo carries the request's own
+//	               one-result channel, and the pipeline answers there
 //
 // GET /healthz exposes each session's runtime.Health snapshot, GET /stats
-// the gateway counters. Shutdown drains gracefully: stop admitting, wait
-// for in-flight requests, flush and close every pipeline.
+// the gateway counters, GET /metrics latency percentiles over a fixed 60 s
+// window. Shutdown drains gracefully: stop admitting, wait for in-flight
+// requests, flush and close every pipeline.
+//
+// A gateway is configured by its deployment (cluster, worker addresses,
+// models, seed) and the operator's service-level policy (intake bound,
+// latency bound, SLO bounds). Everything else — the estimator's β and
+// window, the batch window and cap, the telemetry window, the SLO watcher's
+// period and cooldown — is a constant.
 package serve
 
 import (
@@ -48,11 +56,15 @@ import (
 	"pico/internal/wire"
 )
 
-// BatchWindowNone disables micro-batch coalescing: every request submits to
-// the pipeline alone. Any negative BatchWindow means the same; the named
-// sentinel exists because a zero Config.BatchWindow cannot be told apart
-// from "unset" and therefore takes the default instead.
-const BatchWindowNone time.Duration = -1
+// The serving constants: the EWMA arrival estimator's β and measurement
+// window (Eq. 15; the framework's APICO defaults), and how long and up to
+// how many requests the micro-batcher coalesces into one submission burst.
+const (
+	estimatorBeta          = 0.5
+	estimatorWindowSeconds = 10
+	batchWindow            = 2 * time.Millisecond
+	maxBatch               = 16
+)
 
 // Config assembles a Gateway.
 type Config struct {
@@ -72,26 +84,6 @@ type Config struct {
 	// LatencyBound is the admission controller's ceiling on the predicted
 	// wait, in seconds (default 30).
 	LatencyBound float64
-	// Beta and WindowSeconds parameterize the EWMA arrival estimator
-	// (defaults 0.5 and 10 — the framework's APICO defaults).
-	Beta          float64
-	WindowSeconds float64
-	// BatchWindow is how long the micro-batcher waits to coalesce queued
-	// requests into one submission burst. Zero (unset) takes the default
-	// 2ms; BatchWindowNone (any negative value) disables coalescing — every
-	// request submits alone.
-	BatchWindow time.Duration
-	// MaxBatch caps one burst (default 16).
-	MaxBatch int
-	// Pipeline configures the pooled pipelines. Seed and Quantized are
-	// overridden per session; Telemetry and TelemetryLabel are managed by
-	// the gateway (set Telemetry here only to share a registry with other
-	// components).
-	Pipeline runtime.PipelineOptions
-
-	// TelemetryWindow is the sliding window /metrics percentiles aggregate
-	// over (default: the telemetry package default, 60s).
-	TelemetryWindow time.Duration
 	// SLOP99Bound, when > 0, arms the SLO watcher's latency check: a
 	// session whose windowed end-to-end p99 exceeds it (seconds) triggers a
 	// measured re-balance of that session's pipeline.
@@ -100,11 +92,6 @@ type Config struct {
 	// slowest device's exec p99 exceeds its fastest's by more than this
 	// factor triggers the same re-balance.
 	SLOSkewFactor float64
-	// SLOInterval is the watcher tick period (default 5s).
-	SLOInterval time.Duration
-	// SLOCooldown suppresses repeat triggers per series while a re-balance
-	// takes effect (default 30s).
-	SLOCooldown time.Duration
 }
 
 // Gateway is the HTTP serving front door.
@@ -161,35 +148,18 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.LatencyBound <= 0 {
 		cfg.LatencyBound = 30
 	}
-	if cfg.Beta <= 0 || cfg.Beta > 1 {
-		cfg.Beta = 0.5
+	g := &Gateway{
+		cfg:     cfg,
+		est:     &queueing.Estimator{Beta: estimatorBeta, WindowSeconds: estimatorWindowSeconds},
+		started: time.Now(),
+		telem:   telemetry.New(telemetry.Options{}),
 	}
-	if cfg.WindowSeconds <= 0 {
-		cfg.WindowSeconds = 10
-	}
-	if cfg.BatchWindow < 0 {
-		cfg.BatchWindow = 0 // BatchWindowNone: coalescing off
-	} else if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 2 * time.Millisecond // unset: default window
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 16
-	}
-	if cfg.Pipeline.Telemetry == nil {
-		cfg.Pipeline.Telemetry = telemetry.New(telemetry.Options{Window: cfg.TelemetryWindow})
-	}
-	est, err := queueing.NewEstimator(cfg.Beta, cfg.WindowSeconds)
-	if err != nil {
-		return nil, err
-	}
-	g := &Gateway{cfg: cfg, est: est, started: time.Now(), telem: cfg.Pipeline.Telemetry}
-	g.pool = newPool(&g.cfg)
+	g.pool = newPool(&g.cfg, g.telem)
 	if cfg.SLOP99Bound > 0 || cfg.SLOSkewFactor > 0 {
+		var err error
 		g.watcher, err = telemetry.NewWatcher(g.telem, telemetry.Policy{
 			P99Bound:   cfg.SLOP99Bound,
 			SkewFactor: cfg.SLOSkewFactor,
-			Window:     cfg.TelemetryWindow,
-			Cooldown:   cfg.SLOCooldown,
 		}, g.onBreach)
 		if err != nil {
 			return nil, err
@@ -205,7 +175,7 @@ func New(cfg Config) (*Gateway, error) {
 }
 
 // Telemetry exposes the gateway's latency registry (shared with every
-// pooled pipeline).
+// pooled pipeline), windowed at the registry default of 60 s.
 func (g *Gateway) Telemetry() *telemetry.Registry { return g.telem }
 
 // onBreach is the SLO watcher's control action: the breached series' model
@@ -263,7 +233,7 @@ func (g *Gateway) Serve() error {
 		return errors.New("serve: Serve before Listen")
 	}
 	if g.watcher != nil {
-		g.watcher.Start(g.cfg.SLOInterval)
+		g.watcher.Start()
 	}
 	if err := g.srv.Serve(g.ln); !errors.Is(err, http.ErrServerClosed) {
 		return err

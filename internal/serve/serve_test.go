@@ -19,11 +19,13 @@ import (
 	"pico/internal/wire"
 )
 
-// fixture is one live gateway over an in-process loopback worker cluster.
+// fixture is one gateway over an in-process loopback worker cluster.
 type fixture struct {
-	g        *Gateway
-	base     string // http://host:port
-	model    *nn.Model
+	g     *Gateway
+	base  string // http://host:port
+	model *nn.Model
+	// serveErr receives Serve's return; nil when the gateway is served
+	// through Handler() instead.
 	serveErr chan error
 }
 
@@ -32,7 +34,20 @@ type fixture struct {
 // ephemeral port. mut tweaks the Config before New.
 func startGateway(t *testing.T, n int, profileHz float64, workerOpts []runtime.WorkerOption, mut func(*Config)) *fixture {
 	t.Helper()
-	lc, err := runtime.StartLocalCluster(n, nil, workerOpts...)
+	return newGateway(t, localCluster(t, n, nil, workerOpts...), profileHz, mut).serve(t)
+}
+
+// startGatewaySpeeds is startGateway with per-worker emulated speeds, for
+// tests that need a straggler the planner's homogeneous profile cannot see.
+func startGatewaySpeeds(t *testing.T, profileHz float64, speeds []float64, mut func(*Config)) *fixture {
+	t.Helper()
+	return newGateway(t, localCluster(t, len(speeds), speeds), profileHz, mut).serve(t)
+}
+
+// localCluster boots n loopback workers, closed at test cleanup.
+func localCluster(t *testing.T, n int, speeds []float64, workerOpts ...runtime.WorkerOption) *runtime.LocalCluster {
+	t.Helper()
+	lc, err := runtime.StartLocalCluster(n, speeds, workerOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +56,17 @@ func startGateway(t *testing.T, n int, profileHz float64, workerOpts []runtime.W
 			t.Errorf("cluster close: %v", err)
 		}
 	})
+	return lc
+}
+
+// newGateway builds, without serving it, a gateway over lc's workers
+// profiled as a homogeneous cluster at profileHz, serving one toy model.
+// Test cleanup shuts it down before the cluster closes.
+func newGateway(t *testing.T, lc *runtime.LocalCluster, profileHz float64, mut func(*Config)) *fixture {
+	t.Helper()
 	m := nn.ToyChain("srv", 6, 2, 6, 32)
 	cfg := Config{
-		Cluster: cluster.Homogeneous(n, profileHz),
+		Cluster: cluster.Homogeneous(len(lc.Addrs), profileHz),
 		Addrs:   lc.Addrs,
 		Models:  map[string]*nn.Model{"toy": m},
 		Seed:    99,
@@ -55,23 +78,42 @@ func startGateway(t *testing.T, n int, profileHz float64, workerOpts []runtime.W
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := g.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &fixture{g: g, base: "http://" + addr, model: m, serveErr: make(chan error, 1)}
-	go func() { f.serveErr <- g.Serve() }()
+	f := &fixture{g: g, model: m}
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		if err := g.Shutdown(ctx); err != nil {
 			t.Errorf("gateway shutdown: %v", err)
+		}
+		if f.serveErr == nil {
+			return
 		}
 		if err := <-f.serveErr; err != nil {
 			t.Errorf("serve: %v", err)
 		}
 	})
 	return f
+}
+
+// serve starts f's gateway on an ephemeral port.
+func (f *fixture) serve(t *testing.T) *fixture {
+	t.Helper()
+	addr, err := f.g.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.base, f.serveErr = "http://"+addr, make(chan error, 1)
+	go func() { f.serveErr <- f.g.Serve() }()
+	return f
+}
+
+// setEstimator gives the gateway's arrival estimator a test's β and
+// measurement window in place of the production constants. Call it before
+// the first request.
+func (f *fixture) setEstimator(beta, windowSeconds float64) {
+	f.g.estMu.Lock()
+	f.g.est.Beta, f.g.est.WindowSeconds = beta, windowSeconds
+	f.g.estMu.Unlock()
 }
 
 // post fires one inference request and returns status, body and headers.
@@ -222,12 +264,11 @@ func TestGatewayOverloadShedsAndDrainsClean(t *testing.T) {
 		func(c *Config) {
 			c.MaxQueue = 4
 			c.LatencyBound = 0.5
-			// One EWMA window per 50ms with full weight on the freshest
-			// measurement: the burst's arrival rate registers immediately
-			// and pushes the M/D/1 predicate past its stability bound.
-			c.Beta = 1
-			c.WindowSeconds = 0.05
 		})
+	// One EWMA window per 50ms with full weight on the freshest
+	// measurement: the burst's arrival rate registers immediately and
+	// pushes the M/D/1 predicate past its stability bound.
+	f.setEstimator(1, 0.05)
 
 	ref, err := tensor.NewExecutor(f.model, 99)
 	if err != nil {

@@ -68,19 +68,18 @@ type waiter struct {
 	enq   time.Time
 	// rate is the EWMA arrival rate admission computed for this request.
 	rate float64
-	// ch receives exactly one result; buffered so the demux never blocks
-	// on an abandoned request.
+	// ch is the request's result slot: the pipeline sends its one result
+	// here, and the buffer of one keeps an abandoned request from stalling
+	// the pipeline.
 	ch chan runtime.TaskResult
 }
 
-// session owns one live pipeline plus the machinery that turns individual
-// HTTP requests into pipeline tasks: a micro-batcher that coalesces queued
-// requests into submission bursts, and a demux that routes
-// Pipeline.Results() back to the per-request waiters in submission order.
+// session owns one live pipeline plus the micro-batcher that coalesces
+// queued HTTP requests into pipeline submission bursts. Each request waits
+// on its own slot, so results need no routing back.
 type session struct {
 	key  SessionKey
 	pipe *runtime.Pipeline
-	cfg  *Config
 	// adm is the M/D/1 admission predicate at the shortest period the
 	// session can run at: an apico session on its fused plan must admit the
 	// load that makes it swap to the pipeline, or it never would.
@@ -99,16 +98,7 @@ type session struct {
 	inMu   sync.RWMutex
 	closed bool
 
-	// pending holds the submitted waiters in submission order. The batcher
-	// is the pipeline's only submitter and Results() delivers in submission
-	// order, failed flights included, so the demux pops one waiter per
-	// result. Capacity MaxQueue, the most live requests admission lets in;
-	// cancelled waiters still in flight can fill it, and then the batcher
-	// waits for the demux to pop one.
-	pending chan *waiter
-
 	batchWG sync.WaitGroup
-	demuxWG sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
@@ -119,26 +109,20 @@ type session struct {
 	batched atomic.Int64
 
 	// reqProd records whole-request latency (enqueue through result, so
-	// batch-window wait included) into the gateway's telemetry registry;
-	// nil without telemetry.
+	// batch-window wait included) into the gateway's telemetry registry.
 	reqProd *telemetry.Producer
 }
 
 // openSession plans (or re-plans) the key's scheme — both schemes for an
-// apico session — and connects its pipeline. Weights derive from the shared
-// seed on the workers, so opening is a control-plane operation: only
-// geometry crosses the network.
-func openSession(cfg *Config, key SessionKey) (*session, error) {
+// apico session — and connects its pipeline, which records into telem.
+// Weights derive from the shared seed on the workers, so opening is a
+// control-plane operation: only geometry crosses the network.
+func openSession(cfg *Config, telem *telemetry.Registry, key SessionKey) (*session, error) {
 	m := cfg.Models[key.Model]
 	if m == nil {
 		return nil, fmt.Errorf("serve: unknown model %q", key.Model)
 	}
-	s := &session{
-		key:     key,
-		cfg:     cfg,
-		in:      make(chan *waiter, cfg.MaxQueue),
-		pending: make(chan *waiter, cfg.MaxQueue),
-	}
+	s := &session{key: key, in: make(chan *waiter, cfg.MaxQueue)}
 	kinds := []string{key.Plan}
 	if key.Plan == PlanAPICO {
 		kinds = apicoArms
@@ -158,24 +142,18 @@ func openSession(cfg *Config, key SessionKey) (*session, error) {
 	if s.sw, err = schemes.APICO(kinds, s.plans); err != nil {
 		return nil, fmt.Errorf("serve: plan %s: %w", key, err)
 	}
-	opts := cfg.Pipeline
-	opts.Seed = cfg.Seed
-	opts.Quantized = key.Quant
 	// Label the session's series by its key so concurrent model/plan/quant
 	// variants stay distinguishable in one registry.
-	opts.TelemetryLabel = key.String()
-	if s.pipe, err = runtime.NewPipeline(s.plans[0], cfg.Addrs, opts); err != nil {
+	if s.pipe, err = runtime.NewPipeline(s.plans[0], cfg.Addrs, runtime.PipelineOptions{
+		Seed: cfg.Seed, Quantized: key.Quant, Telemetry: telem, TelemetryLabel: key.String(),
+	}); err != nil {
 		return nil, fmt.Errorf("serve: open %s: %w", key, err)
 	}
-	if opts.Telemetry != nil {
-		s.reqProd = opts.Telemetry.Series(telemetry.Key{
-			Model: key.String(), Stage: -1, Device: -1, Kind: telemetry.KindRequest,
-		}).Producer()
-	}
+	s.reqProd = telem.Series(telemetry.Key{
+		Model: key.String(), Stage: -1, Device: -1, Kind: telemetry.KindRequest,
+	}).Producer()
 	s.batchWG.Add(1)
 	go s.batchLoop()
-	s.demuxWG.Add(1)
-	go s.demuxLoop()
 	return s, nil
 }
 
@@ -208,9 +186,9 @@ func (s *session) adapt(rate float64) {
 	}
 }
 
-// infer runs one request through the batcher and waits for its result. A
-// cancelled ctx abandons the wait — the eventual result is delivered into
-// the waiter's buffered channel and dropped, never blocking the demux.
+// infer runs one request through the batcher and waits on its slot for the
+// result. A cancelled ctx abandons the wait — the eventual result lands in
+// the slot's buffer and is dropped, never blocking the pipeline.
 func (s *session) infer(done <-chan struct{}, input tensor.Tensor, rate float64) (runtime.TaskResult, error) {
 	w := &waiter{input: input, enq: time.Now(), rate: rate, ch: make(chan runtime.TaskResult, 1)}
 	s.inMu.RLock()
@@ -228,7 +206,7 @@ func (s *session) infer(done <-chan struct{}, input tensor.Tensor, rate float64)
 	select {
 	case res := <-w.ch:
 		s.tasks.Add(1)
-		if s.reqProd != nil && res.Err == nil {
+		if res.Err == nil {
 			now := time.Now()
 			s.reqProd.RecordAt(now, now.Sub(w.enq).Seconds())
 		}
@@ -239,9 +217,9 @@ func (s *session) infer(done <-chan struct{}, input tensor.Tensor, rate float64)
 }
 
 // batchLoop coalesces queued waiters into pipeline submission bursts: it
-// waits up to BatchWindow for up to MaxBatch requests to accumulate, then submits
-// them back-to-back so the stage drivers stay full (their dispatch windows
-// overlap transport with compute across the whole burst).
+// waits up to batchWindow for up to maxBatch requests to accumulate, then
+// submits them back-to-back so the stage drivers stay full (their dispatch
+// windows overlap transport with compute across the whole burst).
 func (s *session) batchLoop() {
 	defer s.batchWG.Done()
 	for {
@@ -249,56 +227,41 @@ func (s *session) batchLoop() {
 		if !ok {
 			return
 		}
-		batch := append(make([]*waiter, 0, s.cfg.MaxBatch), first)
-		if s.cfg.BatchWindow > 0 && s.cfg.MaxBatch > 1 {
-			timer := time.NewTimer(s.cfg.BatchWindow)
-		collect:
-			for len(batch) < s.cfg.MaxBatch {
-				select {
-				case w, ok := <-s.in:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, w)
-				case <-timer.C:
+		batch := append(make([]*waiter, 0, maxBatch), first)
+		timer := time.NewTimer(batchWindow)
+	collect:
+		for len(batch) < maxBatch {
+			select {
+			case w, ok := <-s.in:
+				if !ok {
 					break collect
 				}
+				batch = append(batch, w)
+			case <-timer.C:
+				break collect
 			}
-			timer.Stop()
 		}
+		timer.Stop()
 		s.flush(batch)
 	}
 }
 
-// flush submits one burst. Submit failures (pipeline closed under us) fail
-// the waiter directly; successes queue for demux delivery.
+// flush submits one burst, each task answering on its waiter's slot. A
+// submit failure (pipeline closed under us) answers the slot directly.
 func (s *session) flush(batch []*waiter) {
 	s.adapt(batch[len(batch)-1].rate)
 	s.batches.Add(1)
 	s.batched.Add(int64(len(batch)))
 	for _, w := range batch {
-		if _, err := s.pipe.Submit(w.input); err != nil {
+		if _, err := s.pipe.SubmitTo(w.input, w.ch); err != nil {
 			w.ch <- runtime.TaskResult{Err: err, Submitted: w.enq, Done: time.Now()}
-			continue
 		}
-		s.pending <- w
-	}
-}
-
-// demuxLoop hands each completed task to the oldest pending waiter until the
-// pipeline's result stream closes. A result that beats its waiter onto
-// pending (Submit has returned, the push has not happened yet) waits for it.
-func (s *session) demuxLoop() {
-	defer s.demuxWG.Done()
-	for res := range s.pipe.Results() {
-		w := <-s.pending
-		w.ch <- res
 	}
 }
 
 // close drains the session: no new waiters, the batcher flushes what is
-// queued, the pipeline drains its in-flight tasks, and the demux delivers
-// every last result. Idempotent; concurrent infer calls get errRetired.
+// queued, and the pipeline drains every in-flight task into its slot.
+// Idempotent; concurrent infer calls get errRetired.
 func (s *session) close() error {
 	s.closeOnce.Do(func() {
 		s.inMu.Lock()
@@ -307,7 +270,6 @@ func (s *session) close() error {
 		close(s.in)
 		s.batchWG.Wait()
 		s.closeErr = s.pipe.Close()
-		s.demuxWG.Wait()
 	})
 	return s.closeErr
 }
@@ -316,7 +278,8 @@ func (s *session) close() error {
 // opened lazily on first use and retired when their plan becomes
 // unservable (a whole stage down) so the next request redials fresh.
 type pool struct {
-	cfg *Config
+	cfg   *Config
+	telem *telemetry.Registry
 
 	mu      sync.Mutex
 	entries map[SessionKey]*poolEntry
@@ -327,7 +290,7 @@ type pool struct {
 // replaced wholesale in the map, never reopened in place.
 type poolEntry struct {
 	key   SessionKey
-	cfg   *Config
+	p     *pool
 	once  sync.Once
 	s     *session
 	err   error
@@ -335,12 +298,12 @@ type poolEntry struct {
 }
 
 func (e *poolEntry) open() {
-	e.s, e.err = openSession(e.cfg, e.key)
+	e.s, e.err = openSession(e.p.cfg, e.p.telem, e.key)
 	e.ready.Store(true)
 }
 
-func newPool(cfg *Config) *pool {
-	return &pool{cfg: cfg, entries: make(map[SessionKey]*poolEntry)}
+func newPool(cfg *Config, telem *telemetry.Registry) *pool {
+	return &pool{cfg: cfg, telem: telem, entries: make(map[SessionKey]*poolEntry)}
 }
 
 // get returns the live session for key, lazily opening one. An entry whose
@@ -363,7 +326,7 @@ func (p *pool) get(key SessionKey) (*session, error) {
 		e = nil
 	}
 	if e == nil {
-		e = &poolEntry{key: key, cfg: p.cfg}
+		e = &poolEntry{key: key, p: p}
 		p.entries[key] = e
 	}
 	p.mu.Unlock()

@@ -5,128 +5,16 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"pico/internal/cluster"
-	"pico/internal/nn"
 	"pico/internal/runtime"
 	"pico/internal/telemetry"
 	"pico/internal/tensor"
 )
-
-// startGatewaySpeeds is startGateway with per-worker emulated speeds, for
-// tests that need a straggler the planner's homogeneous profile cannot see.
-func startGatewaySpeeds(t *testing.T, profileHz float64, speeds []float64, mut func(*Config)) *fixture {
-	t.Helper()
-	lc, err := runtime.StartLocalCluster(len(speeds), speeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := lc.Close(); err != nil {
-			t.Errorf("cluster close: %v", err)
-		}
-	})
-	m := nn.ToyChain("srv", 6, 2, 6, 32)
-	cfg := Config{
-		Cluster: cluster.Homogeneous(len(speeds), profileHz),
-		Addrs:   lc.Addrs,
-		Models:  map[string]*nn.Model{"toy": m},
-		Seed:    99,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := g.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &fixture{g: g, base: "http://" + addr, model: m, serveErr: make(chan error, 1)}
-	go func() { f.serveErr <- g.Serve() }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := g.Shutdown(ctx); err != nil {
-			t.Errorf("gateway shutdown: %v", err)
-		}
-		if err := <-f.serveErr; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	})
-	return f
-}
-
-// TestBatchWindowContract pins the documented Config.BatchWindow mapping:
-// zero (unset) takes the 2ms default, BatchWindowNone (any negative)
-// disables coalescing, and an explicit positive value is kept.
-func TestBatchWindowContract(t *testing.T) {
-	cases := []struct {
-		name string
-		in   time.Duration
-		want time.Duration
-	}{
-		{"unset takes default", 0, 2 * time.Millisecond},
-		{"sentinel disables", BatchWindowNone, 0},
-		{"any negative disables", -5 * time.Second, 0},
-		{"explicit value kept", 7 * time.Millisecond, 7 * time.Millisecond},
-	}
-	for _, tc := range cases {
-		g, err := New(Config{
-			Cluster:     cluster.Homogeneous(1, 600e6),
-			Addrs:       map[int]string{0: "127.0.0.1:1"},
-			Models:      map[string]*nn.Model{"toy": nn.ToyChain("toy", 6, 2, 6, 32)},
-			BatchWindow: tc.in,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.cfg.BatchWindow != tc.want {
-			t.Errorf("%s: BatchWindow %v -> %v, want %v", tc.name, tc.in, g.cfg.BatchWindow, tc.want)
-		}
-	}
-}
-
-// TestBatchWindowNoneSubmitsAlone drives a concurrent burst through a
-// coalescing-disabled gateway: with no batch window every request must be
-// its own submission burst (batches == tasks), where the default window
-// demonstrably coalesces (asserted by TestGatewayInferMatchesLocalRun).
-func TestBatchWindowNoneSubmitsAlone(t *testing.T) {
-	f := startGateway(t, 2, 600e6, nil, func(c *Config) {
-		c.MaxQueue = 128
-		c.LatencyBound = 300
-		c.BatchWindow = BatchWindowNone
-	})
-	in := tensor.RandomInput(f.model.Input, 3)
-	payload := encode(in)
-	const clients = 16
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if status, body, _ := f.post(t, "", payload); status != http.StatusOK {
-				t.Errorf("status %d: %s", status, body)
-			}
-		}()
-	}
-	wg.Wait()
-	st := f.g.GatewayStats()
-	if len(st.Sessions) != 1 {
-		t.Fatalf("want one session, got %+v", st.Sessions)
-	}
-	s := st.Sessions[0]
-	if s.Tasks != clients || s.Batches != clients || s.BatchedTasks != clients {
-		t.Fatalf("coalescing not disabled: %d tasks in %d batches (%d batched)",
-			s.Tasks, s.Batches, s.BatchedTasks)
-	}
-}
 
 // TestAdmissionHardCapUnderBurst pins the reserve-before-decide fix: N
 // simultaneous arrivals may never drive admitted-in-flight past MaxQueue.
@@ -335,12 +223,17 @@ func TestMetricsEndpoint(t *testing.T) {
 // straggler — the FaultRebalanced journal records the new layout.
 func TestSLOBreachTriggersRebalance(t *testing.T) {
 	const fastHz, slowHz = 4e7, 5e6
-	f := startGatewaySpeeds(t, fastHz, []float64{fastHz, fastHz, slowHz}, func(c *Config) {
+	speeds := []float64{fastHz, fastHz, slowHz}
+	f := newGateway(t, localCluster(t, len(speeds), speeds), fastHz, func(c *Config) {
 		c.MaxQueue = 64
 		c.LatencyBound = 1e9
 		c.SLOSkewFactor = 3
-		c.SLOInterval = time.Hour // ticks by hand via CheckSLO
 	})
+	// Served through Handler(), never Serve, so the watcher's ticker never
+	// starts: the test ticks it by hand via CheckSLO.
+	hs := httptest.NewServer(f.g.Handler())
+	t.Cleanup(hs.Close)
+	f.base = hs.URL
 	in := tensor.RandomInput(f.model.Input, 17)
 	payload := encode(in)
 	// Enough traffic that every device's exec series passes the watcher's

@@ -6,6 +6,19 @@ import (
 	"time"
 )
 
+// MinSamples is the window population below which a series is too thin to
+// judge: the watcher skips it, and the runtime's measured re-balance keeps a
+// device's profile speed instead of trusting its exec series.
+const MinSamples = 8
+
+// A started watcher checks every checkInterval, over the registry's window,
+// and keeps a key quiet for cooldown after it fires while the control action
+// (a re-balance) takes effect.
+const (
+	checkInterval = 5 * time.Second
+	cooldown      = 30 * time.Second
+)
+
 // Policy is what the SLO watcher enforces. Zero-valued bounds disable the
 // corresponding check.
 type Policy struct {
@@ -18,15 +31,6 @@ type Policy struct {
 	// not predict. 0 disables; values <= 1 are meaningless and rejected by
 	// the watcher constructor.
 	SkewFactor float64
-	// MinSamples is the window population below which a series is too
-	// thin to judge (default 8).
-	MinSamples int
-	// Window overrides the registry's sliding window (0 = registry
-	// default).
-	Window time.Duration
-	// Cooldown suppresses repeat breaches of the same key while the
-	// control action (a re-balance) takes effect (default 30s).
-	Cooldown time.Duration
 }
 
 // BreachKind classifies what the watcher observed.
@@ -87,15 +91,6 @@ func NewWatcher(reg *Registry, pol Policy, onBreach func(Breach)) (*Watcher, err
 	if pol.P99Bound < 0 {
 		return nil, fmt.Errorf("telemetry: negative p99 bound %v", pol.P99Bound)
 	}
-	if pol.MinSamples <= 0 {
-		pol.MinSamples = 8
-	}
-	if pol.Window <= 0 {
-		pol.Window = reg.Window()
-	}
-	if pol.Cooldown <= 0 {
-		pol.Cooldown = 30 * time.Second
-	}
 	return &Watcher{
 		reg:      reg,
 		pol:      pol,
@@ -114,7 +109,7 @@ func (w *Watcher) Check(now time.Time) []Breach {
 
 	if w.pol.P99Bound > 0 {
 		for _, st := range stats {
-			if st.Key.Kind != KindE2E || st.WindowCount < w.pol.MinSamples {
+			if st.Key.Kind != KindE2E || st.WindowCount < MinSamples {
 				continue
 			}
 			if st.P99 > w.pol.P99Bound {
@@ -132,7 +127,7 @@ func (w *Watcher) Check(now time.Time) []Breach {
 		type group struct{ fast, slow SeriesStats }
 		groups := make(map[Key]*group) // key with Device cleared
 		for _, st := range stats {
-			if st.Key.Kind != KindExec || st.WindowCount < w.pol.MinSamples || st.P99 <= 0 {
+			if st.Key.Kind != KindExec || st.WindowCount < MinSamples || st.P99 <= 0 {
 				continue
 			}
 			gk := st.Key
@@ -170,7 +165,7 @@ func (w *Watcher) Check(now time.Time) []Breach {
 	w.mu.Lock()
 	kept := breaches[:0]
 	for _, b := range breaches {
-		if last, ok := w.lastFire[b.Key]; ok && now.Sub(last) < w.pol.Cooldown {
+		if last, ok := w.lastFire[b.Key]; ok && now.Sub(last) < cooldown {
 			continue
 		}
 		w.lastFire[b.Key] = now
@@ -186,17 +181,14 @@ func (w *Watcher) Check(now time.Time) []Breach {
 	return kept
 }
 
-// Start runs Check every interval until Stop. A watcher can be started at
+// Start runs Check every checkInterval until Stop. A watcher can be started at
 // most once.
-func (w *Watcher) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
+func (w *Watcher) Start() {
 	w.stop = make(chan struct{})
 	w.done = make(chan struct{})
 	go func() {
 		defer close(w.done)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(checkInterval)
 		defer t.Stop()
 		for {
 			select {

@@ -371,17 +371,23 @@ func TestWatcherP99AndCooldown(t *testing.T) {
 	clk := newFakeClock()
 	reg := New(Options{Window: time.Minute, now: clk.now})
 	p := reg.Series(Key{Model: "toy", Stage: -1, Device: -1, Kind: KindE2E}).Producer()
-	for i := 0; i < 50; i++ {
-		p.Record(0.250) // well over the bound
-	}
-
 	var fired []Breach
-	w, err := NewWatcher(reg, Policy{P99Bound: 0.100, MinSamples: 10, Cooldown: time.Minute},
+	w, err := NewWatcher(reg, Policy{P99Bound: 0.100},
 		func(b Breach) { fired = append(fired, b) })
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// Below the MinSamples floor a series is too thin to judge.
+	for i := 0; i < MinSamples-1; i++ {
+		p.Record(0.250) // well over the bound
+	}
+	if got := w.Check(clk.now()); len(got) != 0 {
+		t.Fatalf("%d samples judged: %+v", MinSamples-1, got)
+	}
+	for i := 0; i < 50; i++ {
+		p.Record(0.250)
+	}
 	breaches := w.Check(clk.now())
 	if len(breaches) != 1 || breaches[0].Kind != BreachP99 {
 		t.Fatalf("breaches = %+v, want one p99 breach", breaches)
@@ -394,7 +400,7 @@ func TestWatcherP99AndCooldown(t *testing.T) {
 	}
 
 	// Within cooldown the same key stays quiet.
-	clk.advance(10 * time.Second)
+	clk.advance(cooldown - time.Second)
 	if got := w.Check(clk.now()); len(got) != 0 {
 		t.Fatalf("cooldown violated: %+v", got)
 	}
@@ -418,7 +424,7 @@ func TestWatcherDeviceSkew(t *testing.T) {
 		slow.Record(0.080) // 8x skew
 	}
 
-	w, err := NewWatcher(reg, Policy{SkewFactor: 3, MinSamples: 10}, nil)
+	w, err := NewWatcher(reg, Policy{SkewFactor: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

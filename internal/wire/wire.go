@@ -20,6 +20,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -97,6 +98,14 @@ const (
 	// []byte: lengths above it would truncate in the int conversion that
 	// sizes the receive buffer (the classic 32-bit plen bug).
 	maxIntPayload = uint64(^uint(0) >> 1)
+
+	// A length prefix alone makes Recv allocate at most these: a header or
+	// payload up to them is allocated whole (a payload from the scratch pool)
+	// before it is read, a longer one grows its buffer as its bytes arrive.
+	// 16 MiB is above every frame a served model sends; MobileNetV1's
+	// largest is about 3.2 MB.
+	eagerHeaderBytes  = 64 << 10
+	eagerPayloadBytes = 16 << 20
 )
 
 // Message is one decoded frame.
@@ -251,18 +260,36 @@ func (c *Conn) Recv() (*Message, error) {
 	if plen > maxIntPayload {
 		return nil, fmt.Errorf("wire: payload length %d exceeds platform int range", plen)
 	}
-	hdr := make([]byte, hlen)
-	if _, err := io.ReadFull(c.br, hdr); err != nil {
+	hdr, err := readClaimed(c.br, int(hlen), eagerHeaderBytes, func(n int) []byte { return make([]byte, n) })
+	if err != nil {
 		return nil, fmt.Errorf("wire: read header: %w", err)
 	}
 	// Payloads come from the scratch pool; receivers that fully consume a
 	// message may PutBuffer(msg.Payload) to recycle it.
-	payload := GetBuffer(int(plen))
-	if _, err := io.ReadFull(c.br, payload); err != nil {
+	payload, err := readClaimed(c.br, int(plen), eagerPayloadBytes, GetBuffer)
+	if err != nil {
 		PutBuffer(payload)
 		return nil, fmt.Errorf("wire: read payload: %w", err)
 	}
 	return &Message{Type: t, ReqID: reqID, Header: hdr, Payload: payload}, nil
+}
+
+// readClaimed reads the n bytes a frame prefix announced. Up to eager bytes
+// are allocated whole by alloc first; a longer claim grows its buffer as the
+// bytes arrive, so a peer that announces a length and hangs up costs only
+// what it sent.
+func readClaimed(r io.Reader, n, eager int, alloc func(int) []byte) ([]byte, error) {
+	if n <= eager {
+		b := alloc(n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	var buf bytes.Buffer
+	_, err := io.CopyN(&buf, r, int64(n))
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), err
 }
 
 // DecodeHeader unmarshals a control message's JSON header into v. Exec

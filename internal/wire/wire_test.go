@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -595,6 +596,41 @@ func TestRecvTruncatedStream(t *testing.T) {
 	}()
 	if _, err := conn.Recv(); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+}
+
+// TestRecvAllocatesOnlyWhatArrives: a prefix announcing the longest header
+// or payload the caps allow, then EOF, is an error, and Recv allocates far
+// less than the length it was only promised.
+func TestRecvAllocatesOnlyWhatArrives(t *testing.T) {
+	cases := []struct {
+		name  string
+		pre   []byte
+		bound uint64
+	}{
+		{"payload", prefix(MsgExec, 1, 0, uint64(maxPayloadBytes)), 32 << 20},
+		{"header", prefix(MsgExec, 1, maxHeaderBytes, 0), 1 << 20},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			conn := NewConn(b)
+			defer conn.Close()
+			go func() {
+				_, _ = a.Write(tc.pre)
+				_ = a.Close()
+			}()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := conn.Recv()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("a frame that never arrived was accepted")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= tc.bound {
+				t.Fatalf("Recv allocated %d bytes on a bare prefix, want < %d", grew, tc.bound)
+			}
+		})
 	}
 }
 
