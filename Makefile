@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race race-hot race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-infer loc check
+.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-infer loc check
 
 all: check
 
@@ -23,9 +23,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Targeted race pass over the packages with lock-free hot paths (kernel
-# worker pool, per-kind stat counters, pipeline stage drivers and the
-# lazily created kernel producers they record on) — quicker
+# Targeted race pass over the packages with lock-free hot paths (per-kind
+# stat counters, pipeline stage drivers and the lazily created kernel
+# producers they record on) — quicker
 # than the full `race` sweep when iterating on the engine. ./internal/tensor
 # includes the per-variant suites of the one GEMM driver (Fpw*, Qpw*) — among
 # them TestFpwGatherMatchesReference, every float convolution's gather and
@@ -58,6 +58,17 @@ race-quant:
 # fails fast instead of wedging CI.
 chaos:
 	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|RunDegraded|SurvivesWorkerCrash|SubmitRacingClose|SubmitToContract|GatewayLedgerUnderFault|Adaptive|GridPlan|SharedDevice' ./internal/runtime ./internal/wire ./internal/simulate ./internal/serve
+
+# The paper's testbed in virtual time: the real pipeline, workers and kernels
+# over an in-memory network inside a testing/synctest bubble (the tagged
+# internal/runtime/testbed_test.go), ToyChain and TinyGraph through the LW,
+# EFL, OFL and PICO plans on the eight PaperHeterogeneous() emulated-speed
+# devices in both precisions: per-device compute seconds and PICO's period
+# against the cost model, every output against a local run. A block that is
+# not durable shows as a silent hang, not a panic, hence the timeout.
+testbed:
+	GOEXPERIMENT=synctest $(GO) vet ./internal/runtime
+	GOEXPERIMENT=synctest $(GO) test -count=1 -timeout 120s -run Testbed ./internal/runtime
 
 # Smoke-run the execution-engine benchmarks (single iteration): catches
 # bench-only compile errors and allocation regressions without a full sweep.
@@ -171,4 +182,4 @@ loc:
 	@printf '%-22s %6d\n' 'internal + cmd' $(call gocount,internal cmd)
 	@printf '%-22s %6d\n' 'asm (*.s)' $$(find . -name '*.s' -exec cat {} + | wc -l)
 
-check: build fmt vet cross purego bench-vet test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke results-check
+check: build fmt vet cross purego bench-vet test race race-quant chaos testbed bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke results-check

@@ -523,10 +523,10 @@ func conv1x1Chain() *nn.Model {
 	}
 }
 
-// BenchmarkConvForwardParallel measures the kernel worker pool across
+// BenchmarkConvForwardParallel measures the kernels' per-call fan-out across
 // parallelism settings, for 3x3 and 1x1 convolution regimes. On a
 // multi-core host throughput should scale with p; on a single-core host the
-// p>1 variants measure pool overhead.
+// p>1 variants measure fan-out overhead.
 func BenchmarkConvForwardParallel(b *testing.B) {
 	cases := []struct {
 		name string

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -39,6 +40,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *runtime.Worker) 
 		grace    = fs.Duration("grace", 15*time.Second, "graceful shutdown budget: how long to let in-flight connections finish before severing them")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !(*speed >= 0) || math.IsInf(*speed, 1) {
+		fmt.Fprintf(stderr, "piconode: bad -speed %v: want a finite MAC/s, or 0 for native\n", *speed)
 		return 2
 	}
 

@@ -119,8 +119,18 @@ func TestBadAddress(t *testing.T) {
 }
 
 func TestBadFlag(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if rc := run([]string{"-nope"}, &out, &errBuf, nil); rc != 2 {
-		t.Fatal("bad flag accepted")
+	// A -speed that is not a finite MAC/s (or 0 for native) is a usage
+	// error; the address would not listen (exit 1), so an accepted speed
+	// cannot pass.
+	for _, args := range [][]string{
+		{"-nope"},
+		{"-addr", "no-port", "-speed", "NaN"},
+		{"-addr", "no-port", "-speed", "+Inf"},
+		{"-addr", "no-port", "-speed", "-1"},
+	} {
+		var out, errBuf bytes.Buffer
+		if rc := run(args, &out, &errBuf, nil); rc != 2 {
+			t.Fatalf("%v: exit %d, want 2 (stderr %q)", args, rc, errBuf.String())
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -76,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for i, p := range parts {
 			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) || math.IsInf(v, 1) {
 				fmt.Fprintf(stderr, "picorun: bad speed %q\n", p)
 				return 2
 			}

@@ -93,4 +93,11 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("-tasks %s: exit %d, want 2 (stderr %q)", n, rc, errBuf.String())
 		}
 	}
+	// So is a speed the planner cannot price: NaN or infinite.
+	for _, s := range []string{"NaN,1e9", "1e9,+Inf", "-Inf,1e9"} {
+		var out, errBuf bytes.Buffer
+		if rc := run([]string{"-workers", "127.0.0.1:1,127.0.0.1:2", "-model", "toy", "-speeds", s}, &out, &errBuf); rc != 2 {
+			t.Fatalf("-speeds %s: exit %d, want 2 (stderr %q)", s, rc, errBuf.String())
+		}
+	}
 }

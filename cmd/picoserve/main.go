@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -101,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Gateway) i
 	if *speedsFlag != "" {
 		for _, p := range strings.Split(*speedsFlag, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) || math.IsInf(v, 1) {
 				fmt.Fprintf(stderr, "picoserve: bad speed %q\n", p)
 				return 2
 			}

@@ -219,6 +219,8 @@ func TestPicoserveFlagValidation(t *testing.T) {
 		{"both local and workers", []string{"-local", "2", "-workers", "127.0.0.1:9101"}},
 		{"unknown model", []string{"-local", "2", "-models", "alexnet9000"}},
 		{"bad speed", []string{"-workers", "a,b", "-speeds", "fast,slow"}},
+		{"NaN speed", []string{"-addr", "no-port", "-workers", "a,b", "-speeds", "NaN,1e9"}},
+		{"infinite speed", []string{"-addr", "no-port", "-workers", "a,b", "-speeds", "1e9,+Inf"}},
 		{"speed count mismatch", []string{"-workers", "a,b", "-speeds", "1e9"}},
 		{"removed -batch-window", removed("-batch-window", "0")},
 		{"removed -max-batch", removed("-max-batch", "4")},

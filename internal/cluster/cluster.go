@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -147,20 +148,21 @@ func (c *Cluster) IsHomogeneous() bool {
 	return true
 }
 
-// Validate checks the cluster is usable by the planner.
+// Validate checks the cluster is usable by the planner: bandwidth and
+// capacities positive and finite, alphas finite and non-negative.
 func (c *Cluster) Validate() error {
 	if len(c.Devices) == 0 {
 		return fmt.Errorf("cluster: no devices")
 	}
-	if c.BandwidthBps <= 0 {
-		return fmt.Errorf("cluster: non-positive bandwidth %v", c.BandwidthBps)
+	if !(c.BandwidthBps > 0) || math.IsInf(c.BandwidthBps, 1) {
+		return fmt.Errorf("cluster: bad bandwidth %v", c.BandwidthBps)
 	}
 	for i, d := range c.Devices {
-		if d.Capacity <= 0 {
-			return fmt.Errorf("cluster: device %d (%s) has capacity %v", i, d.ID, d.Capacity)
+		if !(d.Capacity > 0) || math.IsInf(d.Capacity, 1) {
+			return fmt.Errorf("cluster: device %d (%s) has bad capacity %v", i, d.ID, d.Capacity)
 		}
-		if d.Alpha < 0 {
-			return fmt.Errorf("cluster: device %d (%s) has negative alpha %v", i, d.ID, d.Alpha)
+		if !(d.Alpha >= 0) || math.IsInf(d.Alpha, 1) {
+			return fmt.Errorf("cluster: device %d (%s) has bad alpha %v", i, d.ID, d.Alpha)
 		}
 	}
 	return nil

@@ -95,21 +95,24 @@ func TestValidateErrors(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := &Cluster{BandwidthBps: 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("empty cluster validated")
-	}
-	bad = &Cluster{Devices: []Device{{ID: "x", Capacity: 1}}, BandwidthBps: 0}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero bandwidth validated")
-	}
-	bad = &Cluster{Devices: []Device{{ID: "x", Capacity: 0}}, BandwidthBps: 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero capacity validated")
-	}
-	bad = &Cluster{Devices: []Device{{ID: "x", Capacity: 1, Alpha: -1}}, BandwidthBps: 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative alpha validated")
+	one := func(d Device, bw float64) *Cluster { return &Cluster{Devices: []Device{d}, BandwidthBps: bw} }
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, bad := range map[string]*Cluster{
+		"empty cluster":  {BandwidthBps: 1},
+		"zero bandwidth": one(Device{ID: "x", Capacity: 1}, 0),
+		"zero capacity":  one(Device{ID: "x", Capacity: 0}, 1),
+		"negative alpha": one(Device{ID: "x", Capacity: 1, Alpha: -1}, 1),
+		"NaN capacity":   one(Device{ID: "x", Capacity: nan}, 1),
+		"+Inf capacity":  one(Device{ID: "x", Capacity: inf}, 1),
+		"-Inf capacity":  one(Device{ID: "x", Capacity: -inf}, 1),
+		"NaN alpha":      one(Device{ID: "x", Capacity: 1, Alpha: nan}, 1),
+		"+Inf alpha":     one(Device{ID: "x", Capacity: 1, Alpha: inf}, 1),
+		"NaN bandwidth":  one(Device{ID: "x", Capacity: 1}, nan),
+		"+Inf bandwidth": one(Device{ID: "x", Capacity: 1}, inf),
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s validated", name)
+		}
 	}
 }
 

@@ -15,8 +15,16 @@ var errClosed = net.ErrClosed
 // dialTimeout bounds worker connection establishment.
 const dialTimeout = 5 * time.Second
 
+// dial and listen are the runtime's transport, TCP: every coordinator
+// connection is dialled and every worker listens through them, so a test can
+// run the whole runtime over an in-memory network instead.
+var (
+	dial   = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, dialTimeout) }
+	listen = func(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+)
+
 func dialTCP(addr string) (*wire.Conn, error) {
-	c, err := net.DialTimeout("tcp", addr, dialTimeout)
+	c, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,8 @@ import (
 
 // TestPipelineParallelWorkersBitIdentical runs the same plan over serial and
 // multi-core workers: outputs must match the local serial reference exactly,
-// and the run doubles as race coverage for the kernel pool, arena, and wire
-// buffer pool under `go test -race`.
+// and the run doubles as race coverage for the kernels' fan-out, arena, and
+// wire buffer pool under `go test -race`.
 func TestPipelineParallelWorkersBitIdentical(t *testing.T) {
 	plan := testPlan(t, 3)
 	const seed = 91

@@ -61,8 +61,11 @@ type Worker struct {
 	// with its own compute goroutine, and without the lane their tiles (and
 	// sleeps) would overlap and the device would measure faster than the
 	// plan's serial-group period models. Uncontended when every connection
-	// comes from a different stage of a device-disjoint plan.
-	lane sync.Mutex
+	// comes from a different stage of a device-disjoint plan. A cap-1
+	// channel, not a mutex: a goroutine waiting on a channel is durably
+	// blocked, so in a testing/synctest bubble virtual time advances past
+	// the holder's emulated sleep instead of waiting on the waiter.
+	lane chan struct{}
 
 	mu    sync.Mutex
 	execs map[execKey]*tensor.Executor
@@ -137,13 +140,14 @@ func WithFault(f Fault) WorkerOption {
 // NewWorker starts listening on addr ("127.0.0.1:0" for an ephemeral test
 // port). Serve must be called to begin handling requests.
 func NewWorker(id, addr string, opts ...WorkerOption) (*Worker, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: worker %s listen: %w", id, err)
 	}
 	w := &Worker{
 		id:      id,
 		ln:      ln,
+		lane:    make(chan struct{}, 1),
 		execs:   make(map[execKey]*tensor.Executor),
 		conns:   make(map[*wire.Conn]struct{}),
 		closing: make(chan struct{}),
@@ -501,8 +505,8 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 // serializes every tile on the worker, so the executor's kind totals move by
 // this tile's kernels alone between the two reads.
 func (w *Worker) compute(exec *tensor.Executor, from, to int, tile tensor.FMap, rect partition.Rect, rh *wire.ExecResultHeader) (tensor.FMap, error) {
-	w.lane.Lock()
-	defer w.lane.Unlock() // deferred: a kernel panic must not wedge the device
+	w.lane <- struct{}{}
+	defer func() { <-w.lane }() // deferred: a kernel panic must not wedge the device
 	kinds, start := exec.KindTotals(), time.Now()
 	out, err := exec.RunTile(from, to, tile, rect)
 	if err != nil {

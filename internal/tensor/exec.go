@@ -25,11 +25,12 @@ import (
 // the tag on the FMap it is handed. Run/RunQ/RunSegment/RunSegmentQ are the
 // typed adapters over it.
 //
-// Kernels parallelise over the shared pool (see pool.go) up to the
-// executor's configured parallelism; results are bit-identical at every
-// worker count because chunking never changes per-element accumulation
-// order. Intermediate layer tensors cycle through the arena (see arena.go),
-// so steady-state inference performs no per-layer allocations.
+// Kernels fan out over goroutines each call starts and joins (see pool.go),
+// up to the executor's configured parallelism and never more than GOMAXPROCS;
+// results are bit-identical at every worker count because chunking never
+// changes per-element accumulation order. Intermediate layer tensors cycle
+// through the arena (see arena.go), so steady-state inference performs no
+// per-layer allocations.
 type Executor struct {
 	m    *nn.Model
 	seed int64
@@ -217,7 +218,7 @@ func (e *Executor) KindSeconds() map[string]float64 {
 // ExecutorOption configures an Executor.
 type ExecutorOption func(*Executor)
 
-// WithParallelism caps the number of pool workers a kernel may use. n <= 0
+// WithParallelism caps the number of chunks a kernel splits into. n <= 0
 // restores the default (GOMAXPROCS); 1 is fully serial execution. Results
 // are bit-identical regardless of n.
 func WithParallelism(n int) ExecutorOption {
@@ -312,7 +313,7 @@ func (e *Executor) Strip(to int, rows partition.Range) partition.Rect {
 // used for capacity emulation and accounting: the planner's own count
 // (partition.Calc.SegmentRectFLOPs, over the regions RunTile computes). It
 // models the device's aggregate arithmetic and is independent of how many
-// pool workers execute the kernels.
+// goroutines execute the kernels.
 func (e *Executor) TileFLOPs(from, to int, out partition.Rect) int64 {
 	return e.calc.SegmentRectFLOPs(from, to, out)
 }

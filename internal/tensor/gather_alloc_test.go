@@ -15,8 +15,8 @@ import (
 // TestSteadyStateAllocs: once their pools are warm, the generic drivers
 // allocate nothing in either dtype — the call and its bound method value come
 // from the driver's call pool, the scratch from its scratch pool, the output
-// from the arena. Serial only: fanning out to the kernel pool allocates its
-// own task closures, whatever the kernel.
+// from the arena. Serial only: fanning out allocates the goroutines' closures,
+// whatever the kernel.
 func TestSteadyStateAllocs(t *testing.T) {
 	conv := func(k, p int) nn.Layer {
 		return nn.Layer{Name: "c", Kind: nn.Conv, KH: k, KW: k, SH: 1, SW: 1, PH: p, PW: p, OutC: 8, Act: nn.ReLU}

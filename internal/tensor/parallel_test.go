@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pico/internal/nn"
 	"pico/internal/partition"
@@ -218,4 +221,58 @@ func TestParallelForCoversRange(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNoGoroutineOutlivesCall: a kernel's fan-out is joined before the call
+// returns, so once par-2 Run, RunQ and QuantScales on MobileNetV1 are back no
+// goroutine is left running engine code — nothing a testing/synctest bubble
+// would see outlive it, and nothing one executor shares with another.
+func TestNoGoroutineOutlivesCall(t *testing.T) {
+	m := nn.MobileNetV1()
+	in := RandomInput(m.Input, 3)
+	e, err := NewExecutor(m, 5, WithParallelism(2), WithQuantized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(in); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunQ(in); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := QuantScales(m, 5); err != nil {
+		t.Fatal(err)
+	}
+	// A joined goroutine may take a moment to finish exiting after its
+	// wg.Done; one that outlives its call never does.
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		left := engineGoroutines()
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlived their call, the first:\n%s", len(left), left[0])
+		}
+	}
+}
+
+// engineGoroutines returns the stacks of the goroutines running this
+// package's code outside a test function.
+func engineGoroutines() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var left []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "pico/internal/tensor.") && !strings.Contains(g, "testing.tRunner") {
+			left = append(left, g)
+		}
+	}
+	return left
 }

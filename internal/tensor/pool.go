@@ -5,19 +5,13 @@ import (
 	"sync"
 )
 
-// This file implements the shared compute pool behind parallel kernel
-// execution. One process-wide set of worker goroutines, capped at
-// GOMAXPROCS, serves every Executor: kernels split their output space into
-// contiguous chunks and fan the chunks out over the pool. Each chunk writes
-// a disjoint region of the output tensor and computes every element with the
-// same per-element accumulation order as the serial loop, so results are
-// bit-identical regardless of the worker count.
-
-var (
-	poolOnce    sync.Once
-	poolTasks   chan func()
-	poolWorkers int
-)
+// This file implements parallel kernel execution. Kernels split their output
+// space into contiguous chunks and fan the chunks out over goroutines each
+// call starts and joins before it returns: nothing outlives the call, and no
+// state is shared between Executors. Each chunk writes a disjoint region of
+// the output tensor and computes every element with the same per-element
+// accumulation order as the serial loop, so results are bit-identical
+// regardless of the worker count.
 
 // defaultParallelism is the worker-count cap an Executor uses when no
 // explicit parallelism is configured.
@@ -27,23 +21,6 @@ func defaultParallelism() int {
 		n = 1
 	}
 	return n
-}
-
-// ensurePool starts the shared workers on first use. The pool size is fixed
-// at the GOMAXPROCS observed then; Executors asking for more parallelism
-// than the pool has simply queue chunks (or run them inline).
-func ensurePool() {
-	poolOnce.Do(func() {
-		poolWorkers = defaultParallelism()
-		poolTasks = make(chan func())
-		for i := 0; i < poolWorkers; i++ {
-			go func() {
-				for task := range poolTasks {
-					task()
-				}
-			}()
-		}
-	})
 }
 
 // pooled returns p's next *T, or a new one when p is empty. Kernels keep
@@ -58,8 +35,8 @@ func pooled[T any](p *sync.Pool) *T {
 }
 
 // minChunkMACs is the floor on per-chunk arithmetic for the kernels: below
-// roughly this many multiply-accumulates a pool hand-off costs more than the
-// chunk computes, so kernels lower their worker count instead.
+// roughly this many multiply-accumulates a goroutine hand-off costs more than
+// the chunk computes, so kernels lower their worker count instead.
 const minChunkMACs = 16 << 10
 
 // grainFor converts a per-work-item MAC estimate into a parallelForGrain
@@ -80,12 +57,13 @@ func grainFor(itemMACs int) int {
 // until every chunk holds that many, so tiny ranges (a 1x1 conv over an 8x8
 // map, the tail layers of a deep net) run serially — or on few workers —
 // instead of paying per-chunk dispatch overhead that exceeds the work itself.
-// The calling goroutine always executes the first chunk itself; remaining
-// chunks are offered to the shared pool and executed inline when no pool
-// worker is free, so it never blocks waiting for a slot and cannot deadlock.
-// workers <= 1 (or n <= grain) is exactly the serial loop. Chunking never
-// changes which elements a chunk computes — only how many chunks there are —
-// so results stay bit-identical at every (workers, grain) combination.
+// The chunks run on P = min(chunks, GOMAXPROCS) goroutines: the caller and
+// P-1 it starts, each taking every P-th chunk, all joined before the call
+// returns — so a large `workers` on a small host starts no more goroutines
+// than there are cores. workers <= 1 (or n <= grain) is exactly the serial
+// loop. Chunking never changes which elements a chunk computes — only how
+// many chunks there are and which goroutine runs them — so results stay
+// bit-identical at every (workers, grain) combination and every GOMAXPROCS.
 func parallelForGrain(n, workers, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -102,26 +80,21 @@ func parallelForGrain(n, workers, grain int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	ensurePool()
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		lo, hi := lo, hi
-		task := func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}
-		select {
-		case poolTasks <- task:
-		default:
-			task()
+	procs := min((n+chunk-1)/chunk, runtime.GOMAXPROCS(0))
+	stride := func(first int) {
+		for lo := first * chunk; lo < n; lo += procs * chunk {
+			fn(lo, min(lo+chunk, n))
 		}
 	}
-	fn(0, chunk)
+	var wg sync.WaitGroup
+	wg.Add(procs - 1)
+	for g := 1; g < procs; g++ {
+		go func() {
+			defer wg.Done()
+			stride(g)
+		}()
+	}
+	stride(0)
 	wg.Wait()
 }
