@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-infer loc check
+.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-infer fuzz-speeds loc check
 
 all: check
 
@@ -54,10 +54,12 @@ race-quant:
 # and the request path: caller-owned result slots nobody reads stalling
 # neither the pipeline nor Close, and the gateway's ledger balancing, with no
 # goroutine left behind, while a worker crashes under a burst whose clients
-# partly hang up. Every test carries a watchdog, so a recovery regression
-# fails fast instead of wedging CI.
+# partly hang up, and Shutdown waiting for a session it retired with a tile
+# still hung. The pipeline runs at its production retry and redial policy
+# (constants, not options). Every test carries a watchdog, so a recovery
+# regression fails fast instead of wedging CI.
 chaos:
-	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|RunDegraded|SurvivesWorkerCrash|SubmitRacingClose|SubmitToContract|GatewayLedgerUnderFault|Adaptive|GridPlan|SharedDevice' ./internal/runtime ./internal/wire ./internal/simulate ./internal/serve
+	$(GO) test -race -timeout 300s -run 'Chaos|PanicContained|DeadlineFailsConn|Flaky|SurvivesWorkerCrash|SubmitRacingClose|SubmitToContract|GatewayLedgerUnderFault|ShutdownWaitsForRetiredSession|Adaptive|GridPlan|SharedDevice' ./internal/runtime ./internal/wire ./internal/serve
 
 # The paper's testbed in virtual time: the real pipeline, workers and kernels
 # over an in-memory network inside a testing/synctest bubble (the tagged
@@ -172,6 +174,12 @@ fuzz-plan:
 # the model's input size. Not part of `check`.
 fuzz-infer:
 	$(GO) test -run NONE -fuzz FuzzInferRequest -fuzztime=10s ./internal/serve
+
+# Feed the -speeds parsing picorun and picoserve share arbitrary strings
+# beyond the committed seeds: a list it accepts builds a cluster exactly when
+# every speed is a positive, finite MAC/s. Not part of `check`.
+fuzz-speeds:
+	$(GO) test -run NONE -fuzz FuzzParseSpeeds -fuzztime=10s ./internal/cluster
 
 # Non-test Go lines per package plus assembly lines: the size numbers
 # ROADMAP tracks as its aim-2 ("least code") success metric.

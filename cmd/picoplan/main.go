@@ -46,17 +46,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "picoplan: %v\n", err)
 		return 1
 	}
-	var cl *cluster.Cluster
-	switch *clusterKind {
-	case "homogeneous":
-		cl = cluster.Homogeneous(*devices, *freq)
-	case "paper":
-		cl = cluster.PaperHeterogeneous()
-	default:
-		fmt.Fprintf(stderr, "picoplan: unknown cluster %q\n", *clusterKind)
+	cl, err := cluster.ByName(*clusterKind, *devices, *freq, *bandwidth)
+	if err != nil {
+		fmt.Fprintf(stderr, "picoplan: %v\n", err)
 		return 1
 	}
-	cl.BandwidthBps = *bandwidth
 
 	plan, err := core.PlanPipeline(m, cl, core.Options{LatencyLimit: *tlim})
 	if err != nil {
@@ -83,17 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "picoplan: %v\n", err)
-			return 1
-		}
-		if err := core.SavePlan(f, plan); err != nil {
-			_ = f.Close()
-			fmt.Fprintf(stderr, "picoplan: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
+		if err := core.SavePlanFile(*out, plan); err != nil {
 			fmt.Fprintf(stderr, "picoplan: %v\n", err)
 			return 1
 		}

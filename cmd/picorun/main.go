@@ -14,10 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -68,22 +66,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	cl := cluster.Homogeneous(len(addrs), 600e6)
-	if *speedsFlag != "" {
-		parts := strings.Split(*speedsFlag, ",")
-		if len(parts) != len(addrs) {
-			fmt.Fprintf(stderr, "picorun: %d speeds for %d workers\n", len(parts), len(addrs))
-			return 2
-		}
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil || !(v > 0) || math.IsInf(v, 1) {
-				fmt.Fprintf(stderr, "picorun: bad speed %q\n", p)
-				return 2
-			}
-			cl.Devices[i].Capacity = v
-			cl.Devices[i].Alpha = 1
-		}
+	speeds, err := cluster.ParseSpeeds(*speedsFlag)
+	if err != nil {
+		fmt.Fprintf(stderr, "picorun: %v\n", err)
+		return 2
+	}
+	cl, err := cluster.WithSpeeds(len(addrs), speeds)
+	if err != nil {
+		fmt.Fprintf(stderr, "picorun: %v\n", err)
+		return 2
 	}
 
 	var plan *core.Plan
@@ -117,17 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *savePlan != "" {
-		f, err := os.Create(*savePlan)
-		if err != nil {
-			fmt.Fprintf(stderr, "picorun: %v\n", err)
-			return 1
-		}
-		if err := core.SavePlan(f, plan); err != nil {
-			_ = f.Close()
-			fmt.Fprintf(stderr, "picorun: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
+		if err := core.SavePlanFile(*savePlan, plan); err != nil {
 			fmt.Fprintf(stderr, "picorun: %v\n", err)
 			return 1
 		}

@@ -40,10 +40,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -98,28 +96,36 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Gateway) i
 		return 2
 	}
 
-	var speeds []float64
-	if *speedsFlag != "" {
-		for _, p := range strings.Split(*speedsFlag, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil || !(v > 0) || math.IsInf(v, 1) {
-				fmt.Fprintf(stderr, "picoserve: bad speed %q\n", p)
-				return 2
-			}
-			speeds = append(speeds, v)
+	speeds, err := cluster.ParseSpeeds(*speedsFlag)
+	if err != nil {
+		fmt.Fprintf(stderr, "picoserve: %v\n", err)
+		return 2
+	}
+	if *local > 0 && *workersFlag != "" {
+		fmt.Fprintln(stderr, "picoserve: -local and -workers are mutually exclusive")
+		return 2
+	}
+	if *local <= 0 && *workersFlag == "" {
+		fmt.Fprintln(stderr, "picoserve: -workers or -local is required")
+		return 2
+	}
+	var addrs map[int]string
+	n := *local
+	if n <= 0 {
+		list := strings.Split(*workersFlag, ",")
+		n = len(list)
+		addrs = make(map[int]string, n)
+		for i, a := range list {
+			addrs[i] = strings.TrimSpace(a)
 		}
 	}
+	cl, err := cluster.WithSpeeds(n, speeds)
+	if err != nil {
+		fmt.Fprintf(stderr, "picoserve: %v\n", err)
+		return 2
+	}
 
-	var (
-		addrs map[int]string
-		n     int
-	)
 	if *local > 0 {
-		if *workersFlag != "" {
-			fmt.Fprintln(stderr, "picoserve: -local and -workers are mutually exclusive")
-			return 2
-		}
-		n = *local
 		lc, err := runtime.StartLocalCluster(n, speeds)
 		if err != nil {
 			fmt.Fprintf(stderr, "picoserve: local cluster: %v\n", err)
@@ -131,27 +137,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- *serve.Gateway) i
 			}
 		}()
 		addrs = lc.Addrs
-	} else {
-		if *workersFlag == "" {
-			fmt.Fprintln(stderr, "picoserve: -workers or -local is required")
-			return 2
-		}
-		list := strings.Split(*workersFlag, ",")
-		n = len(list)
-		addrs = make(map[int]string, n)
-		for i, a := range list {
-			addrs[i] = strings.TrimSpace(a)
-		}
-	}
-	if speeds != nil && len(speeds) != n {
-		fmt.Fprintf(stderr, "picoserve: %d speeds for %d workers\n", len(speeds), n)
-		return 2
-	}
-
-	cl := cluster.Homogeneous(n, 600e6)
-	for i, v := range speeds {
-		cl.Devices[i].Capacity = v
-		cl.Devices[i].Alpha = 1
 	}
 
 	g, err := serve.New(serve.Config{

@@ -49,17 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "picosim: %v\n", err)
 		return 1
 	}
-	var cl *cluster.Cluster
-	switch *clusterKind {
-	case "homogeneous":
-		cl = cluster.Homogeneous(*devices, *freq)
-	case "paper":
-		cl = cluster.PaperHeterogeneous()
-	default:
-		fmt.Fprintf(stderr, "picosim: unknown cluster %q\n", *clusterKind)
+	cl, err := cluster.ByName(*clusterKind, *devices, *freq, *bandwidth)
+	if err != nil {
+		fmt.Fprintf(stderr, "picosim: %v\n", err)
 		return 1
 	}
-	cl.BandwidthBps = *bandwidth
 
 	efl, err := schemes.EarlyFusedLayer(m, cl, 0, core.Options{})
 	if err != nil {

@@ -128,26 +128,6 @@ func (c *Cluster) SortedBySpeed() []int {
 	return order
 }
 
-// IsHomogeneous reports whether all devices have the same effective speed
-// within a 1e-9 relative tolerance.
-func (c *Cluster) IsHomogeneous() bool {
-	if len(c.Devices) <= 1 {
-		return true
-	}
-	first := c.Devices[0].EffectiveSpeed()
-	for _, d := range c.Devices[1:] {
-		s := d.EffectiveSpeed()
-		diff := s - first
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-9*first {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks the cluster is usable by the planner: bandwidth and
 // capacities positive and finite, alphas finite and non-negative.
 func (c *Cluster) Validate() error {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -34,7 +35,7 @@ func TestHomogenize(t *testing.T) {
 			t.Fatalf("capacity %v != avg %v", d.Capacity, want)
 		}
 	}
-	if !h.IsHomogeneous() {
+	if !isHomogeneous(h) {
 		t.Fatal("Homogenize result not homogeneous")
 	}
 	if h.BandwidthBps != c.BandwidthBps {
@@ -71,7 +72,7 @@ func TestPaperHeterogeneousProfile(t *testing.T) {
 	if c.BandwidthBps != WiFi50MbpsBps {
 		t.Fatalf("bandwidth = %v", c.BandwidthBps)
 	}
-	if c.IsHomogeneous() {
+	if isHomogeneous(c) {
 		t.Fatal("paper cluster must be heterogeneous")
 	}
 }
@@ -183,4 +184,67 @@ func TestRPi4BCapacityScalesWithFrequency(t *testing.T) {
 	if math.Abs(hi.Capacity/lo.Capacity-2) > 1e-9 {
 		t.Fatalf("capacity ratio = %v, want 2", hi.Capacity/lo.Capacity)
 	}
+}
+
+// isHomogeneous reports whether all of c's devices have the same effective
+// speed within a 1e-9 relative tolerance.
+func isHomogeneous(c *Cluster) bool {
+	if len(c.Devices) <= 1 {
+		return true
+	}
+	first := c.Devices[0].EffectiveSpeed()
+	for _, d := range c.Devices[1:] {
+		s := d.EffectiveSpeed()
+		diff := s - first
+		if diff < 0 {
+			diff = -diff
+		}
+		if diff > 1e-9*first {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzParseSpeeds feeds the -speeds parsing of picorun and picoserve
+// arbitrary strings: a list it accepts has one value per comma-separated
+// field, and WithSpeeds builds a cluster from it exactly when every value is
+// a positive, finite MAC/s, with those capacities at alpha 1.
+func FuzzParseSpeeds(f *testing.F) {
+	for _, s := range []string{
+		"", "1e9,2e9", " 1.2e9 , 6e8", "1", "1e9",
+		"fast,slow", "bad,worse", "NaN,1e9", "1e9,+Inf", "-Inf,1e9", "0,1e9", "-1,1e9", "1e9,,2e9",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		speeds, err := ParseSpeeds(s)
+		if err != nil {
+			return
+		}
+		if fields := strings.Count(s, ",") + 1; s == "" && speeds != nil || s != "" && len(speeds) != fields {
+			t.Fatalf("ParseSpeeds(%q) = %v for %d fields", s, speeds, fields)
+		}
+		if speeds == nil {
+			return
+		}
+		usable := true
+		for _, v := range speeds {
+			usable = usable && v > 0 && !math.IsInf(v, 1)
+		}
+		cl, err := WithSpeeds(len(speeds), speeds)
+		if (err == nil) != usable {
+			t.Fatalf("WithSpeeds(%v): error %v, want one exactly when a speed is unusable", speeds, err)
+		}
+		if err == nil {
+			for i, d := range cl.Devices {
+				if d.Capacity != speeds[i] || d.Alpha != 1 {
+					t.Fatalf("device %d = %+v, want capacity %v at alpha 1", i, d, speeds[i])
+				}
+			}
+		}
+		if _, err := WithSpeeds(len(speeds)+1, speeds); err == nil {
+			t.Fatalf("WithSpeeds accepted %d speeds for %d devices", len(speeds), len(speeds)+1)
+		}
+	})
 }

@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Constants describing the paper's testbed (§V-A): Raspberry Pi 4B boards
 // pinned to one ARM core, behind a 50 Mbps WiFi access point.
@@ -37,6 +41,61 @@ func Homogeneous(n int, freqHz float64) *Cluster {
 		devices[i] = RPi4B(fmt.Sprintf("pi-%d", i), freqHz)
 	}
 	return &Cluster{Devices: devices, BandwidthBps: WiFi50MbpsBps}
+}
+
+// ByName builds the cluster a command line names: "homogeneous", n devices
+// at freqHz, or "paper", PaperHeterogeneous; either behind bandwidthBps.
+func ByName(kind string, n int, freqHz, bandwidthBps float64) (*Cluster, error) {
+	var c *Cluster
+	switch kind {
+	case "homogeneous":
+		c = Homogeneous(n, freqHz)
+	case "paper":
+		c = PaperHeterogeneous()
+	default:
+		return nil, fmt.Errorf("cluster: unknown cluster %q", kind)
+	}
+	c.BandwidthBps = bandwidthBps
+	return c, nil
+}
+
+// ParseSpeeds parses a comma-separated list of effective MAC/s, one per
+// device; the empty string gives nil. Whether a value is a usable capacity
+// is for Validate to say, through WithSpeeds.
+func ParseSpeeds(s string) ([]float64, error) {
+	if s == "" {
+		return nil, nil
+	}
+	fields := strings.Split(s, ",")
+	speeds := make([]float64, len(fields))
+	for i, f := range fields {
+		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: bad speed %q", f)
+		}
+		speeds[i] = v
+	}
+	return speeds, nil
+}
+
+// WithSpeeds builds n devices at 600 MHz and, when speeds is not nil, gives
+// device i capacity speeds[i] at alpha 1. speeds must then hold n values and
+// the cluster must validate.
+func WithSpeeds(n int, speeds []float64) (*Cluster, error) {
+	c := Homogeneous(n, 600e6)
+	if speeds == nil {
+		return c, nil
+	}
+	if len(speeds) != n {
+		return nil, fmt.Errorf("cluster: %d speeds for %d devices", len(speeds), n)
+	}
+	for i, v := range speeds {
+		c.Devices[i].Capacity, c.Devices[i].Alpha = v, 1
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // PaperHeterogeneous builds the 8-device heterogeneous cluster of the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"pico/internal/cluster"
@@ -247,25 +246,6 @@ func TestLoadPlanRejectsGarbage(t *testing.T) {
 		`{"version":1,"model":{"name":"x","input":{"C":1,"H":4,"W":4},"layers":[{"Name":"c","Kind":1,"KH":1,"KW":1,"SH":1,"SW":1,"OutC":2,"Act":1}]},"cluster":{"devices":[{"ID":"d","Capacity":1e9,"Alpha":1}],"bandwidth_bps":1e6},"stages":[]}`,
 	))); err == nil {
 		t.Fatal("stage-free plan accepted")
-	}
-}
-
-func TestToDOT(t *testing.T) {
-	m := nn.VGG16()
-	cl := cluster.Homogeneous(4, 600e6)
-	plan, err := PlanPipeline(m, cl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dot := plan.ToDOT()
-	for _, want := range []string{"digraph pico", "source", "sink", "stage 0", "->"} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("ToDOT missing %q:\n%s", want, dot)
-		}
-	}
-	// One node per stage.
-	if got := strings.Count(dot, "stage "); got != len(plan.Stages) {
-		t.Fatalf("%d stage nodes for %d stages", got, len(plan.Stages))
 	}
 }
 

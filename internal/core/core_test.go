@@ -158,21 +158,6 @@ func TestLatencyLimitTradeoff(t *testing.T) {
 	}
 }
 
-func TestMaxStagesOption(t *testing.T) {
-	m := nn.VGG16()
-	cl := cluster.Homogeneous(8, 600e6)
-	free, err := PlanPipeline(m, cl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(free.Stages) < 2 {
-		t.Skip("optimal plan already single-stage")
-	}
-	if _, err := PlanPipeline(m, cl, Options{MaxStages: 1}); err == nil {
-		t.Fatal("MaxStages=1 should be rejected when the optimum needs more stages")
-	}
-}
-
 func TestGreedyAdaptationHelps(t *testing.T) {
 	m := nn.VGG16()
 	cl := cluster.PaperHeterogeneous()

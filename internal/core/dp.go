@@ -15,9 +15,6 @@ type Options struct {
 	// LatencyLimit is T_lim: pipeline latencies above it are pruned
 	// (Eq. 1). Zero means unbounded.
 	LatencyLimit float64
-	// MaxStages caps the number of pipeline stages. Zero means no cap
-	// beyond the device count.
-	MaxStages int
 	// NoHeterogeneityAdaptation skips Algorithm 2 and maps the
 	// homogenised plan positionally onto the real devices with equal
 	// strips — the ablation baseline for the greedy adaptation.
@@ -277,9 +274,6 @@ func PlanPipeline(m *nn.Model, c *cluster.Cluster, opts Options) (*Plan, error) 
 		return nil, fmt.Errorf("core: no pipeline meets the latency limit %.3fs", opts.LatencyLimit)
 	}
 	homStages := pl.reconstruct(m.NumLayers(), c.Size(), 0)
-	if opts.MaxStages > 0 && len(homStages) > opts.MaxStages {
-		return nil, fmt.Errorf("core: optimal pipeline needs %d stages, cap is %d", len(homStages), opts.MaxStages)
-	}
 
 	// Step 2 (Alg. 2): adapt the stage set to the heterogeneous devices.
 	if opts.NoHeterogeneityAdaptation {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
+	"os"
 
 	"pico/internal/cluster"
 	"pico/internal/nn"
@@ -46,6 +46,19 @@ type stageFile struct {
 	// Cols is absent for row-strip stages, so files without tiles are
 	// byte-identical to what older builds wrote.
 	Cols []partition.Range `json:"cols,omitempty"`
+}
+
+// SavePlanFile writes the plan to the file at path, as SavePlan does.
+func SavePlanFile(path string, p *Plan) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := SavePlan(f, p); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // planFileVersion guards against loading plans from incompatible builds.
@@ -115,32 +128,3 @@ func LoadPlan(r io.Reader) (*Plan, error) {
 }
 
 func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
-
-// ToDOT renders the plan as a Graphviz digraph: one box per stage listing
-// its layer segment and per-device strips, edges carrying the inter-stage
-// feature-map sizes. Paste into `dot -Tsvg` for pipeline diagrams.
-func (p *Plan) ToDOT() string {
-	var b strings.Builder
-	b.WriteString("digraph pico {\n  rankdir=LR;\n  node [shape=record, fontname=\"monospace\"];\n")
-	fmt.Fprintf(&b, "  source [shape=oval, label=\"source\\n%v\"];\n", p.Model.Input)
-	for i, st := range p.Stages {
-		var devs strings.Builder
-		for k, di := range st.DeviceIdx {
-			if st.Parts[k].Empty() {
-				continue
-			}
-			fmt.Fprintf(&devs, "|%s %s", p.Cluster.Devices[di].ID, st.tileLabel(k))
-		}
-		fmt.Fprintf(&b, "  s%d [label=\"{stage %d: layers [%d,%d)\\nT=%.3fs%s}\"];\n",
-			i, i, st.From, st.To, st.Seconds(), devs.String())
-	}
-	fmt.Fprintf(&b, "  source -> s0 [label=\"%.2f MB\"];\n", float64(p.Model.Input.Bytes())/1e6)
-	for i := 1; i < len(p.Stages); i++ {
-		bytes := float64(p.Model.OutShape(p.Stages[i-1].To-1).Bytes()) / 1e6
-		fmt.Fprintf(&b, "  s%d -> s%d [label=\"%.2f MB\"];\n", i-1, i, bytes)
-	}
-	fmt.Fprintf(&b, "  sink [shape=oval, label=\"result\\n%v\"];\n", p.Model.Output())
-	fmt.Fprintf(&b, "  s%d -> sink;\n", len(p.Stages)-1)
-	b.WriteString("}\n")
-	return b.String()
-}

@@ -119,6 +119,5 @@ func Quick() Config {
 func pct(x float64) string       { return fmt.Sprintf("%.2f%%", x*100) }
 func secs(x float64) string      { return fmt.Sprintf("%.3f", x) }
 func f2(x float64) string        { return fmt.Sprintf("%.2f", x) }
-func f3(x float64) string        { return fmt.Sprintf("%.3f", x) }
 func gflops(x float64) string    { return fmt.Sprintf("%.2f", x/1e9) }
 func perMin(tput float64) string { return fmt.Sprintf("%.1f", tput*60) }

@@ -143,27 +143,6 @@ func (m *Model) SegmentFLOPs(from, to int) int64 {
 	return sum
 }
 
-// CountKinds returns how many layers of each kind the model contains,
-// descending into blocks (a block's inner conv layers are counted, and the
-// block itself is not).
-func (m *Model) CountKinds() map[Kind]int {
-	counts := make(map[Kind]int)
-	var walk func(ls []Layer)
-	walk = func(ls []Layer) {
-		for i := range ls {
-			if ls[i].Kind == Block {
-				for _, p := range ls[i].Paths {
-					walk(p)
-				}
-				continue
-			}
-			counts[ls[i].Kind]++
-		}
-	}
-	walk(m.Layers)
-	return counts
-}
-
 // String renders a one-line summary, e.g. "vgg16(21 layers, 3x224x224 -> 1000x1x1)".
 func (m *Model) String() string {
 	if err := m.Validate(); err != nil {
@@ -183,24 +162,4 @@ func (m *Model) Describe() string {
 			i, l.Name, l.Kind, m.OutShape(i), m.LayerFLOPs(i))
 	}
 	return b.String()
-}
-
-// Segment returns a copy of the model restricted to layers [from, to), with
-// the matching input shape. Useful for executing a pipeline stage's model
-// fragment on a worker.
-func (m *Model) Segment(from, to int) (*Model, error) {
-	if from < 0 || to > len(m.Layers) || from >= to {
-		return nil, fmt.Errorf("nn: invalid segment [%d,%d) of %d layers", from, to, len(m.Layers))
-	}
-	layers := make([]Layer, to-from)
-	copy(layers, m.Layers[from:to])
-	seg := &Model{
-		Name:   fmt.Sprintf("%s[%d:%d]", m.Name, from, to),
-		Input:  m.InShape(from),
-		Layers: layers,
-	}
-	if err := seg.Validate(); err != nil {
-		return nil, err
-	}
-	return seg, nil
 }

@@ -166,17 +166,6 @@ type Layer struct {
 	Combine Combine
 }
 
-// IsSpatial reports whether the layer produces a feature map partitionable
-// along the row axis. FullyConnected and GlobalAvgPool outputs are not.
-func (l *Layer) IsSpatial() bool {
-	switch l.Kind {
-	case FullyConnected, GlobalAvgPool:
-		return false
-	default:
-		return true
-	}
-}
-
 // NeedsFullInput reports whether computing any part of this layer's output
 // requires the entire input feature map.
 func (l *Layer) NeedsFullInput() bool {

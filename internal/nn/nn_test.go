@@ -11,7 +11,7 @@ func TestVGG16Structure(t *testing.T) {
 	if got, want := m.NumLayers(), 21; got != want {
 		t.Fatalf("NumLayers = %d, want %d", got, want)
 	}
-	counts := m.CountKinds()
+	counts := countKinds(m)
 	if counts[Conv] != 13 || counts[MaxPool] != 5 || counts[FullyConnected] != 3 {
 		t.Fatalf("kind counts = %v, want 13 conv / 5 pool / 3 fc", counts)
 	}
@@ -64,7 +64,7 @@ func TestTotalFLOPsPinned(t *testing.T) {
 
 func TestYOLOv2Structure(t *testing.T) {
 	m := YOLOv2()
-	counts := m.CountKinds()
+	counts := countKinds(m)
 	if counts[Conv] != 23 || counts[MaxPool] != 5 {
 		t.Fatalf("kind counts = %v, want 23 conv / 5 pool", counts)
 	}
@@ -93,7 +93,7 @@ func TestResNet34Structure(t *testing.T) {
 	if got, want := m.Output(), (Shape{C: 1000, H: 1, W: 1}); got != want {
 		t.Fatalf("output = %v, want %v", got, want)
 	}
-	counts := m.CountKinds()
+	counts := countKinds(m)
 	// 1 stem + 16 blocks x 2 main convs + 3 projection shortcuts = 36.
 	if counts[Conv] != 36 {
 		t.Fatalf("conv count = %d, want 36", counts[Conv])
@@ -137,42 +137,6 @@ func TestInceptionV3Structure(t *testing.T) {
 	// prefix duplication.
 	if total < 5.3e9 || total > 6.3e9 {
 		t.Fatalf("TotalFLOPs = %.3g, want ~5.9e9", float64(total))
-	}
-}
-
-func TestSegment(t *testing.T) {
-	m := VGG16()
-	seg, err := m.Segment(3, 7)
-	if err != nil {
-		t.Fatalf("Segment: %v", err)
-	}
-	if got, want := seg.Input, m.InShape(3); got != want {
-		t.Fatalf("segment input = %v, want %v", got, want)
-	}
-	if got, want := seg.Output(), m.OutShape(6); got != want {
-		t.Fatalf("segment output = %v, want %v", got, want)
-	}
-	var wantFLOPs int64
-	for i := 3; i < 7; i++ {
-		wantFLOPs += m.LayerFLOPs(i)
-	}
-	if got := seg.TotalFLOPs(); got != wantFLOPs {
-		t.Fatalf("segment FLOPs = %d, want %d", got, wantFLOPs)
-	}
-	// Mutating the segment must not affect the original model.
-	seg.Layers[0].OutC = 1
-	if m.Layers[3].OutC == 1 {
-		t.Fatal("Segment aliases the original layer slice")
-	}
-
-	if _, err := m.Segment(5, 5); err == nil {
-		t.Fatal("Segment(5,5) should fail")
-	}
-	if _, err := m.Segment(-1, 2); err == nil {
-		t.Fatal("Segment(-1,2) should fail")
-	}
-	if _, err := m.Segment(0, 99); err == nil {
-		t.Fatal("Segment(0,99) should fail")
 	}
 }
 
@@ -269,12 +233,12 @@ func TestDescribeAndString(t *testing.T) {
 
 func TestToyModels(t *testing.T) {
 	toy := ToyChain("t", 8, 4, 16, 64)
-	counts := toy.CountKinds()
+	counts := countKinds(toy)
 	if counts[Conv] != 8 || counts[MaxPool] != 1 {
 		t.Fatalf("toy counts = %v", counts)
 	}
 	fig13 := Fig13Toy()
-	c13 := fig13.CountKinds()
+	c13 := countKinds(fig13)
 	if c13[Conv] != 8 || c13[MaxPool] != 2 {
 		t.Fatalf("fig13 counts = %v, want 8 conv / 2 pool", c13)
 	}
@@ -339,7 +303,7 @@ func TestMobileNetV1Structure(t *testing.T) {
 	if got, want := m.NumLayers(), 29; got != want {
 		t.Fatalf("NumLayers = %d, want %d", got, want)
 	}
-	counts := m.CountKinds()
+	counts := countKinds(m)
 	if counts[Conv] != 27 {
 		t.Fatalf("conv count = %d, want 27", counts[Conv])
 	}
@@ -393,4 +357,25 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName("alexnet9000"); err == nil || !strings.Contains(err.Error(), "alexnet9000") {
 		t.Fatalf("unknown model: err = %v", err)
 	}
+}
+
+// countKinds returns how many layers of each kind the model contains,
+// descending into blocks (a block's inner conv layers are counted, and the
+// block itself is not).
+func countKinds(m *Model) map[Kind]int {
+	counts := make(map[Kind]int)
+	var walk func(ls []Layer)
+	walk = func(ls []Layer) {
+		for i := range ls {
+			if ls[i].Kind == Block {
+				for _, p := range ls[i].Paths {
+					walk(p)
+				}
+				continue
+			}
+			counts[ls[i].Kind]++
+		}
+	}
+	walk(m.Layers)
+	return counts
 }

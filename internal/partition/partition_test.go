@@ -486,22 +486,3 @@ func TestRedundancyGraphModel(t *testing.T) {
 		t.Fatalf("graph occupancy total %.6g != region sum %.6g", stats.TotalFLOPs, sum)
 	}
 }
-
-func TestDeviceRatioBounds(t *testing.T) {
-	m := nn.VGG16Conv()
-	c := NewCalc(m)
-	out := m.OutShape(4)
-	parts := GridPartition(out.H, out.W, 4, 1)
-	stats := c.Redundancy(0, 5, parts)
-	for k := range parts {
-		r := stats.DeviceRatio(k)
-		if r < 0 || r >= 1 {
-			t.Fatalf("device %d ratio = %.4f", k, r)
-		}
-	}
-	// An idle device has ratio 0.
-	stats = c.Redundancy(0, 5, []Rect{FullRect(out.H, out.W), {}})
-	if stats.DeviceRatio(1) != 0 {
-		t.Fatal("idle device ratio must be 0")
-	}
-}

@@ -32,14 +32,6 @@ func (s *RedundancyStats) Ratio() float64 {
 	return s.RedundantFLOPs / s.TotalFLOPs
 }
 
-// DeviceRatio returns device k's redundancy ratio.
-func (s *RedundancyStats) DeviceRatio(k int) float64 {
-	if s.PerDeviceFLOPs[k] == 0 {
-		return 0
-	}
-	return s.PerDeviceRedundant[k] / s.PerDeviceFLOPs[k]
-}
-
 // MaxTileFLOPs returns the heaviest tile's work (the bottleneck).
 func (s *RedundancyStats) MaxTileFLOPs() float64 {
 	worst := 0.0

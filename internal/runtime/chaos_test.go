@@ -91,13 +91,7 @@ func drainResults(t *testing.T, p *Pipeline, want int, timeout time.Duration) []
 }
 
 func chaosOptions() PipelineOptions {
-	return PipelineOptions{
-		Seed:           9,
-		ExecTimeout:    2 * time.Second,
-		RetryBudget:    3,
-		RedialAttempts: 2,
-		RedialBackoff:  25 * time.Millisecond,
-	}
+	return PipelineOptions{Seed: 9, ExecTimeout: 2 * time.Second}
 }
 
 // TestChaosWorkerKilledMidStream crashes one of three replicas while a task

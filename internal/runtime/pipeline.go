@@ -346,9 +346,9 @@ func (sd *stageDriver) pickLive() (int, *workerClient) {
 // between attempts, until the retry budget is spent. It returns the tile,
 // its result header and the executing device index.
 func (sd *stageDriver) retryTile(f *flight, tile partition.Rect) (tensor.FMap, wire.ExecResultHeader, int, error) {
-	backoff := sd.p.opts.RedialBackoff
+	backoff := redialBackoff
 	lastErr := error(nil)
-	for attempt := 0; attempt <= sd.p.opts.RetryBudget; attempt++ {
+	for attempt := 0; attempt <= retryBudget; attempt++ {
 		if attempt > 0 {
 			// Give an in-progress redial a chance to land before the next
 			// attempt; skip the wait when the pipeline is closing.
@@ -398,8 +398,8 @@ func (sd *stageDriver) retryTile(f *flight, tile partition.Rect) (tensor.FMap, w
 // slot goes down for good and the stage re-balances onto the survivors.
 func (sd *stageDriver) redial(slot *workerSlot) {
 	defer sd.c.redialWG.Done()
-	backoff := sd.p.opts.RedialBackoff
-	for attempt := 1; attempt <= sd.p.opts.RedialAttempts; attempt++ {
+	backoff := redialBackoff
+	for attempt := 1; attempt <= redialAttempts; attempt++ {
 		select {
 		case <-sd.c.closing:
 			// Chain tear-down: stop trying, leave the slot disconnected
@@ -423,7 +423,7 @@ func (sd *stageDriver) redial(slot *workerSlot) {
 	slot.markDown()
 	sd.p.faults.add(FaultEvent{
 		Stage: sd.index, Device: slot.deviceIdx, Worker: slot.workerID,
-		Kind: FaultDown, Detail: fmt.Sprintf("%d redial attempts failed", sd.p.opts.RedialAttempts),
+		Kind: FaultDown, Detail: fmt.Sprintf("%d redial attempts failed", redialAttempts),
 	})
 	sd.rebalance()
 }
@@ -612,17 +612,6 @@ type PipelineOptions struct {
 	// generous enough for honest slowness, finite so a wedged worker cannot
 	// stall the pipeline.
 	ExecTimeout time.Duration
-	// RetryBudget is how many times a transiently failed tile is re-executed
-	// on a healthy replica before its task fails with a FaultError
-	// (zero or negative: the default 2).
-	RetryBudget int
-	// RedialAttempts is how many exponential-backoff reconnects a lost
-	// worker gets before it is marked down and its stage re-balanced across
-	// the survivors (zero or negative: the default 3).
-	RedialAttempts int
-	// RedialBackoff is the initial reconnect backoff, doubled per attempt
-	// (default 100ms). It also paces retryPart's wait for a redial to land.
-	RedialBackoff time.Duration
 
 	// Quantized runs the whole pipeline in int8: inputs are quantized once
 	// at Submit, every stage boundary ships int8 tiles (4x smaller than
@@ -648,11 +637,21 @@ type PipelineOptions struct {
 // stageDepth caps how many tasks a stage driver may have dispatched but not
 // yet stitched: 2 double-buffers, the coordinator slicing, serializing and
 // sending task N+1's tiles while the workers still compute task N.
+//
+// Fault policy: a transiently failed tile is re-executed on a healthy
+// replica up to retryBudget times before its task fails with a FaultError,
+// and a lost worker gets redialAttempts reconnects before it is marked down
+// and its stage re-balanced across the survivors. The redial backoff starts
+// at redialBackoff and doubles per attempt; retryTile waits out the same
+// backoff for a redial to land.
 const (
-	deadlineSlack = 8.0
-	deadlineFloor = 5 * time.Second
-	queueDepth    = 8
-	stageDepth    = 2
+	deadlineSlack  = 8.0
+	deadlineFloor  = 5 * time.Second
+	queueDepth     = 8
+	stageDepth     = 2
+	retryBudget    = 2
+	redialAttempts = 3
+	redialBackoff  = 100 * time.Millisecond
 )
 
 // NewPipeline connects to the workers backing the plan's devices and starts
@@ -665,15 +664,6 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
-	}
-	if opts.RetryBudget <= 0 {
-		opts.RetryBudget = 2
-	}
-	if opts.RedialAttempts <= 0 {
-		opts.RedialAttempts = 3
-	}
-	if opts.RedialBackoff <= 0 {
-		opts.RedialBackoff = 100 * time.Millisecond
 	}
 	p := &Pipeline{
 		spec:       wire.SpecFromModel(plan.Model),

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	goruntime "runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +153,100 @@ func TestGatewayLedgerUnderFault(t *testing.T) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			t.Fatalf("%d goroutines left, %d before the gateway:\n%s", n, before, buf[:goruntime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestShutdownWaitsForRetiredSession retires a session while one of its tiles
+// hangs, and checks that Shutdown waits for the retired pipeline to close.
+// Stage 1's only device crashes on its first tile and stays down, a second
+// task's stage-0 tile hangs on a wedged worker with its client gone, and a
+// third request finds the session unservable and replaces it. The retired
+// pipeline then drains until the hung tile's deadline, and Shutdown must not
+// return before it has.
+func TestShutdownWaitsForRetiredSession(t *testing.T) {
+	watchdog := time.AfterFunc(2*time.Minute, func() { panic("watchdog: retired-session shutdown test wedged") })
+	defer watchdog.Stop()
+
+	const emulatedHz = 2e7
+	const last, wedged = 0, 1 // stage 1's only device; a stage-0 device
+	lc, err := runtime.StartLocalClusterWith(3, nil, func(i int) []runtime.WorkerOption {
+		switch i {
+		case last:
+			return []runtime.WorkerOption{runtime.WithFault(runtime.Fault{CrashOnExec: 1})}
+		case wedged:
+			return []runtime.WorkerOption{runtime.WithFault(runtime.Fault{HangFromExec: 2})}
+		}
+		return nil
+	}, runtime.WithEmulatedSpeed(emulatedHz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeCluster := sync.OnceValue(lc.Close)
+	t.Cleanup(func() { _ = closeCluster() })
+	f := newGateway(t, lc, emulatedHz, func(c *Config) { c.LatencyBound = 1e9 }).serve(t)
+
+	payload := encode(tensor.RandomInput(f.model.Input, 1))
+	post := func(ctx context.Context) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, f.base+"/infer", bytes.NewReader(payload))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	admitted := func(n int64) func() bool { return func() bool { return f.g.GatewayStats().Admitted == n } }
+
+	go post(context.Background()) // its stage-1 tile crashes the last stage
+	waitFor("the first task", admitted(1))
+	sessions := f.g.pool.snapshot()
+	if len(sessions) != 1 {
+		t.Fatalf("%d sessions open, want 1", len(sessions))
+	}
+	old := sessions[0]
+	if st := old.pipe.Plan().Stages; len(st) != 2 || !slices.Equal(st[1].DeviceIdx, []int{last}) || !slices.Contains(st[0].DeviceIdx, wedged) {
+		t.Fatalf("test needs stage 0 on device %d and stage 1 on device %d alone, plan is %v", wedged, last, old.pipe.Plan())
+	}
+	ctx, hangUp := context.WithCancel(context.Background())
+	hung := make(chan struct{})
+	go func() {
+		defer close(hung)
+		post(ctx) // its stage-0 tile is the wedged worker's second exec
+	}()
+	waitFor("the second task", admitted(2))
+	if s := f.g.pool.snapshot(); len(s) != 1 || s[0] != old {
+		t.Fatal("the second task found the session already retired")
+	}
+	hangUp()
+	<-hung
+	waitFor("the last stage to go down", func() bool { return !old.servable() })
+	post(context.Background()) // retires the session
+
+	sctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := f.g.Shutdown(sctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	// A goroutine that has just returned from Done may not have exited yet.
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:goruntime.Stack(buf, true)])
+		if !strings.Contains(stacks, "serve.(*pool).get") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a retired session is still closing after Shutdown returned:\n%s", stacks)
 		}
 	}
 }

@@ -243,10 +243,10 @@ func (g *Gateway) Serve() error {
 
 // Shutdown drains the gateway: new requests are refused (503), the HTTP
 // server stops listening and waits for in-flight handlers — each of which
-// is waiting on its task — then every session flushes its queue, drains its
-// pipeline and disconnects its workers. With a generous ctx nothing
-// admitted is ever dropped; the drain is bounded even under faults because
-// every in-flight tile wait carries an exec deadline.
+// is waiting on its task — then every session, retired ones included,
+// flushes its queue, drains its pipeline and disconnects its workers. With
+// a generous ctx nothing admitted is ever dropped; the drain is bounded even
+// under faults because every in-flight tile wait carries an exec deadline.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.draining.Store(true)
 	if g.watcher != nil {

@@ -284,6 +284,9 @@ type pool struct {
 	mu      sync.Mutex
 	entries map[SessionKey]*poolEntry
 	closed  bool
+	// retired counts replaced sessions still closing. get adds under mu
+	// while the pool is open, so close's Wait sees every one.
+	retired sync.WaitGroup
 }
 
 // poolEntry opens its session at most once; a retired or failed entry is
@@ -320,7 +323,8 @@ func (p *pool) get(key SessionKey) (*session, error) {
 	if e != nil && e.ready.Load() && (e.err != nil || !e.s.servable()) {
 		if e.err == nil {
 			old := e.s
-			go func() { _ = old.close() }()
+			p.retired.Add(1)
+			go func() { defer p.retired.Done(); _ = old.close() }()
 		}
 		delete(p.entries, key)
 		e = nil
@@ -351,8 +355,8 @@ func (p *pool) snapshot() []*session {
 	return out
 }
 
-// close drains and closes every session. Opens still in progress are waited
-// out (once.Do), so nothing leaks past shutdown.
+// close drains and closes every session, retired ones included. Opens still
+// in progress are waited out (once.Do), so nothing leaks past shutdown.
 func (p *pool) close() error {
 	p.mu.Lock()
 	p.closed = true
@@ -372,5 +376,6 @@ func (p *pool) close() error {
 			firstErr = err
 		}
 	}
+	p.retired.Wait()
 	return firstErr
 }

@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -48,18 +47,4 @@ func VariableRatePoisson(rateAt func(t float64) float64, maxRate, duration float
 			arrivals = append(arrivals, t)
 		}
 	}
-}
-
-// UniformArrivals generates deterministic arrivals at a fixed period,
-// useful for tests that need exact queueing behaviour.
-func UniformArrivals(period, duration float64) []float64 {
-	if period <= 0 || duration <= 0 {
-		return nil
-	}
-	n := int(math.Floor(duration / period))
-	arrivals := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		arrivals = append(arrivals, float64(i)*period)
-	}
-	return arrivals
 }

@@ -114,9 +114,6 @@ func (s *state) lastExit() float64 {
 	return worst
 }
 
-// firstStageFree returns when a new task could start stage 0.
-func (s *state) firstStageFree() float64 { return s.prevFinish[0] }
-
 // justInTime returns the latest admission time at which a new task flows
 // through every stage without waiting: max over stages of (stage free time
 // minus the traversal time to reach that stage). Admitting then keeps the
@@ -164,26 +161,7 @@ func RunOpenLoop(p *ExecProfile, arrivals []float64, numDevices int) (*Result, e
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	res := newResult(numDevices)
-	st := newState(p)
-	last := 0.0
-	for i, a := range arrivals {
-		if i > 0 && a < arrivals[i-1] {
-			return nil, fmt.Errorf("simulate: arrivals not sorted at index %d", i)
-		}
-		exit := st.admit(a)
-		res.Latencies = append(res.Latencies, exit-a)
-		res.Completed++
-		res.account(p)
-		if exit > last {
-			last = exit
-		}
-		if a > last {
-			last = a
-		}
-	}
-	res.MakespanSeconds = last
-	return res, nil
+	return runArrivals([]*ExecProfile{p}, arrivals, numDevices, func(float64) int { return 0 })
 }
 
 // RunClosedLoop simulates back-to-back arrivals keeping the pipeline
@@ -246,6 +224,16 @@ func RunAdaptive(cands []*ExecProfile, chooser SchemeChooser, est WorkloadEstima
 			return nil, err
 		}
 	}
+	return runArrivals(cands, arrivals, numDevices, func(a float64) int {
+		est.Observe(a)
+		return chooser.Choose(est.Rate())
+	})
+}
+
+// runArrivals admits each arrival (ascending seconds) into the candidate
+// pick returns for it, starting on cands[0]. A new pick opens only once the
+// previous candidate has drained, the switch bubble RunAdaptive describes.
+func runArrivals(cands []*ExecProfile, arrivals []float64, numDevices int, pick func(a float64) int) (*Result, error) {
 	res := newResult(numDevices)
 	cur := 0
 	st := newState(cands[cur])
@@ -254,8 +242,7 @@ func RunAdaptive(cands []*ExecProfile, chooser SchemeChooser, est WorkloadEstima
 		if i > 0 && a < arrivals[i-1] {
 			return nil, fmt.Errorf("simulate: arrivals not sorted at index %d", i)
 		}
-		est.Observe(a)
-		want := chooser.Choose(est.Rate())
+		want := pick(a)
 		if want < 0 || want >= len(cands) {
 			return nil, fmt.Errorf("simulate: chooser picked %d of %d candidates", want, len(cands))
 		}

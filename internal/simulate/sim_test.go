@@ -68,7 +68,7 @@ func TestOpenLoopQueueingAtBottleneck(t *testing.T) {
 	p := twoStageProfile() // period 2
 	// Tasks arrive every 1s: the bottleneck stage (2s) queues them, each
 	// task waits one more period than the previous.
-	arrivals := UniformArrivals(1, 10.5) // t = 0..10
+	arrivals := uniformArrivals(1, 10.5) // t = 0..10
 	res, err := RunOpenLoop(p, arrivals, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -236,11 +236,11 @@ func TestVariableRatePoisson(t *testing.T) {
 }
 
 func TestUniformArrivals(t *testing.T) {
-	arr := UniformArrivals(2, 10)
+	arr := uniformArrivals(2, 10)
 	if len(arr) != 5 || arr[0] != 0 || arr[4] != 8 {
-		t.Fatalf("UniformArrivals = %v", arr)
+		t.Fatalf("uniformArrivals = %v", arr)
 	}
-	if UniformArrivals(0, 10) != nil {
+	if uniformArrivals(0, 10) != nil {
 		t.Fatal("zero period accepted")
 	}
 }
@@ -283,7 +283,7 @@ func TestAdaptiveSwitchesUnderLoad(t *testing.T) {
 	// Light load for 200s, then heavy (0.9 tasks/s > 1/2s capacity of the
 	// one-stage scheme) for 400s.
 	var arrivals []float64
-	arrivals = append(arrivals, UniformArrivals(10, 200)...)
+	arrivals = append(arrivals, uniformArrivals(10, 200)...)
 	heavy := PoissonArrivals(0.9, 400, 5)
 	for _, a := range heavy {
 		arrivals = append(arrivals, 200+a)
@@ -419,7 +419,7 @@ func TestClosedLoopLatencyEqualsTraversal(t *testing.T) {
 func TestOpenLoopLightLoadNoQueueing(t *testing.T) {
 	// Arrivals far apart: every latency is the bare traversal.
 	p := twoStageProfile()
-	res, err := RunOpenLoop(p, UniformArrivals(100, 1000), 2)
+	res, err := RunOpenLoop(p, uniformArrivals(100, 1000), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestAdaptiveWithRealQueueingComponents(t *testing.T) {
 
 func TestResultAccountsPerScheme(t *testing.T) {
 	p := twoStageProfile()
-	res, err := RunOpenLoop(p, UniformArrivals(10, 100), 2)
+	res, err := RunOpenLoop(p, uniformArrivals(10, 100), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,4 +543,18 @@ func TestLittlesLaw(t *testing.T) {
 	if rel := math.Abs(L-lam*W) / L; rel > 0.02 {
 		t.Fatalf("Little's law violated: L=%.4f lambda*W=%.4f (rel %.3f)", L, lam*W, rel)
 	}
+}
+
+// uniformArrivals generates deterministic arrivals at a fixed period, for
+// tests that need exact queueing behaviour.
+func uniformArrivals(period, duration float64) []float64 {
+	if period <= 0 || duration <= 0 {
+		return nil
+	}
+	n := int(math.Floor(duration / period))
+	arrivals := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		arrivals = append(arrivals, float64(i)*period)
+	}
+	return arrivals
 }

@@ -290,9 +290,6 @@ func (e *Executor) Model() *nn.Model { return e.m }
 // Seed returns the weight seed.
 func (e *Executor) Seed() int64 { return e.seed }
 
-// Parallelism returns the kernel worker-count cap.
-func (e *Executor) Parallelism() int { return e.par }
-
 // InputRange returns the input rows segment [from, to) needs to produce the
 // given output rows — what a stage leader must send a worker.
 func (e *Executor) InputRange(from, to int, out partition.Range) partition.Range {

@@ -50,13 +50,6 @@ func (t *Tensor) Valid() bool {
 	return t.C > 0 && t.H > 0 && t.W > 0 && len(t.Data) == t.Elems()
 }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() Tensor {
-	out := Tensor{C: t.C, H: t.H, W: t.W, Data: make([]float32, len(t.Data))}
-	copy(out.Data, t.Data)
-	return out
-}
-
 // SliceRows copies rows [lo, hi) of every channel into a new tensor. The
 // copy is arena-backed; callers that drop it on the hot path may Recycle it.
 func (t *Tensor) SliceRows(lo, hi int) Tensor { return MapOf(*t).sliceRows(lo, hi).Tensor() }

@@ -62,13 +62,6 @@ func NewFlakyConn(c net.Conn, opts FlakyOptions) *FlakyConn {
 	}
 }
 
-// Writes returns how many Write calls the wrapper has seen.
-func (f *FlakyConn) Writes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writes
-}
-
 func (f *FlakyConn) Write(b []byte) (int, error) {
 	f.mu.Lock()
 	f.writes++

@@ -47,8 +47,11 @@ func TestFlakyConnCloseAfterWrites(t *testing.T) {
 	if n := <-got; n != 8 {
 		t.Fatalf("peer received %d bytes, want 8", n)
 	}
-	if fc.Writes() != 3 {
-		t.Fatalf("writes counter %d, want 3", fc.Writes())
+	fc.mu.Lock()
+	writes := fc.writes
+	fc.mu.Unlock()
+	if writes != 3 {
+		t.Fatalf("writes counter %d, want 3", writes)
 	}
 }
 
