@@ -23,16 +23,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Targeted race pass over the packages with lock-free hot paths (per-kind
-# stat counters, pipeline stage drivers and the lazily created kernel
-# producers they record on) — quicker
+# Targeted race pass over the packages with hot-path concurrency (per-kind
+# stat counters, pipeline stage drivers and the lazily created kernel series
+# they record on, the telemetry series' writer and fold locks) — quicker
 # than the full `race` sweep when iterating on the engine. ./internal/tensor
 # includes the per-variant suites of the one GEMM driver (Fpw*, Qpw*) — among
 # them TestFpwGatherMatchesReference, every float convolution's gather and
 # the padded-tap contract under every tile — which swap the process-wide
 # active tile and are therefore never t.Parallel.
 race-hot:
-	$(GO) test -race ./internal/tensor ./internal/runtime
+	$(GO) test -race ./internal/tensor ./internal/runtime ./internal/telemetry
 
 # Quantized-path property tests under the race detector: kernel
 # fast-vs-reference bit-identity at par > 1 (the GEMM driver, the depthwise

@@ -38,6 +38,7 @@ var testOnlyExports = map[string]string{
 	"runtime.WithFault":                  "fault seam the runtime and serve chaos tests inject worker faults through",
 	"serve.Gateway.CheckSLO":             "hand tick the telemetry tests drive instead of the watcher's period",
 	"tensor.EqualQ":                      "int8 bit-identity comparator the tensor and runtime tests share",
+	"tensor.Tensor.At":                   "element accessor the tensor tests' direct-loop reference convolutions index by",
 	"tensor.WithReferenceKernels":        "plain-Go reference kernels the bit-identity suites compare against",
 	"wire.DecodeQTensorPortable":         "portable reference the fast int8 decoder is checked against",
 	"wire.DecodeTensorPortable":          "portable reference the fast float decoder is checked against",

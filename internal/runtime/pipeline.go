@@ -86,14 +86,14 @@ type stageDriver struct {
 	out   nn.Shape // the stage's full output map
 	// timeout bounds each tile round trip on this stage.
 	timeout time.Duration
-	// stageProd records this stage's per-task round trip.
-	stageProd *telemetry.Producer
-	// prods are the per-device producers gather records each tile on; only
-	// the gather goroutine records, so their lazily filled kernel producers
+	// stageSeries records this stage's per-task round trip.
+	stageSeries *telemetry.Series
+	// devSeries are the per-device series gather records each tile on; only
+	// the gather goroutine records, so their lazily filled kernel series
 	// need no lock.
-	prods map[int]*deviceProds
-	p     *Pipeline
-	c     *chain
+	devSeries map[int]*deviceSeries
+	p         *Pipeline
+	c         *chain
 
 	// topoMu guards the live tile layout, which re-balancing rewrites
 	// when a device goes down.
@@ -105,26 +105,26 @@ type stageDriver struct {
 	rr atomic.Uint64
 }
 
-// deviceProds are one device's producers within one stage: its exec series
+// deviceSeries are one device's series within one stage: its exec series
 // and, created on a kind's first non-zero reply so a stage holds no ring for
 // a kind it never runs, one kernel series per layer kind.
-type deviceProds struct {
-	exec   *telemetry.Producer
-	kernel [tensor.NumKinds]*telemetry.Producer
+type deviceSeries struct {
+	exec   *telemetry.Series
+	kernel [tensor.NumKinds]*telemetry.Series
 }
 
 // record books one executed tile against its device: the worker-reported
 // compute seconds on the exec series, and each kind's kernel seconds on its
 // kernel series.
 func (sd *stageDriver) record(deviceIdx int, rh *wire.ExecResultHeader) {
-	dp, at := sd.prods[deviceIdx], time.Now()
+	dp, at := sd.devSeries[deviceIdx], time.Now()
 	dp.exec.RecordAt(at, rh.ComputeSeconds)
 	for k, sec := range rh.KernelSeconds {
 		if sec == 0 {
 			continue
 		}
 		if dp.kernel[k] == nil {
-			dp.kernel[k] = sd.p.series(sd.index, deviceIdx, telemetry.KindKernel+tensor.KindNames[k]).Producer()
+			dp.kernel[k] = sd.p.series(sd.index, deviceIdx, telemetry.KindKernel+tensor.KindNames[k])
 		}
 		dp.kernel[k].RecordAt(at, sec)
 	}
@@ -240,7 +240,7 @@ func (sd *stageDriver) gather(fw *flightWork) {
 			Start: fw.start, End: end,
 		})
 		if f.err == nil {
-			sd.stageProd.RecordAt(end, end.Sub(fw.start).Seconds())
+			sd.stageSeries.RecordAt(end, end.Sub(fw.start).Seconds())
 		}
 	}()
 	outs := make([]tensor.FMap, 0, len(fw.calls))
@@ -565,11 +565,11 @@ type Pipeline struct {
 	// e2e in the sink, per-stage round trips in gather, per-device exec and
 	// kernel seconds through record. It is the one store of those
 	// measurements: WorkerStats and Health read their counters back from it.
-	// All writes go through lock-free ring producers, so the hot path cost is
-	// a few atomic stores.
+	// Each series has one writer goroutine, so a write is an uncontended lock
+	// and one store into the series' ring.
 	telem      *telemetry.Registry
 	telemLabel string
-	e2eProd    *telemetry.Producer
+	e2eSeries  *telemetry.Series
 }
 
 // chain is one plan's running stage drivers and their connections — the part
@@ -679,7 +679,7 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 	if p.telemLabel == "" {
 		p.telemLabel = plan.Model.Name
 	}
-	p.e2eProd = p.series(-1, -1, telemetry.KindE2E).Producer()
+	p.e2eSeries = p.series(-1, -1, telemetry.KindE2E)
 	if opts.Quantized {
 		var err error
 		if p.scales, err = tensor.QuantScales(plan.Model, opts.Seed); err != nil {
@@ -755,21 +755,21 @@ func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
 			timeout = deadlineFloor + time.Duration(st.Seconds()*deadlineSlack*float64(time.Second))
 		}
 		sd := &stageDriver{
-			index:     si,
-			stage:     st,
-			slots:     make([]*workerSlot, len(st.DeviceIdx)),
-			calc:      calc,
-			out:       plan.Model.OutShape(st.To - 1),
-			timeout:   timeout,
-			stageProd: p.series(si, -1, telemetry.KindStage).Producer(),
-			prods:     make(map[int]*deviceProds, len(st.DeviceIdx)),
-			p:         p,
-			c:         c,
+			index:       si,
+			stage:       st,
+			slots:       make([]*workerSlot, len(st.DeviceIdx)),
+			calc:        calc,
+			out:         plan.Model.OutShape(st.To - 1),
+			timeout:     timeout,
+			stageSeries: p.series(si, -1, telemetry.KindStage),
+			devSeries:   make(map[int]*deviceSeries, len(st.DeviceIdx)),
+			p:           p,
+			c:           c,
 		}
 		sd.tiles = st.Tiles(sd.out.W)
 		for k, di := range st.DeviceIdx {
-			if sd.prods[di] == nil {
-				sd.prods[di] = &deviceProds{exec: p.series(si, di, telemetry.KindExec).Producer()}
+			if sd.devSeries[di] == nil {
+				sd.devSeries[di] = &deviceSeries{exec: p.series(si, di, telemetry.KindExec)}
 			}
 			if sd.tiles[k].Empty() {
 				continue
@@ -832,7 +832,7 @@ func (p *Pipeline) sink(last <-chan *flight, wg *sync.WaitGroup) {
 		}
 		done := time.Now()
 		if f.err == nil {
-			p.e2eProd.RecordAt(done, done.Sub(f.submitted).Seconds())
+			p.e2eSeries.RecordAt(done, done.Sub(f.submitted).Seconds())
 		}
 		f.done <- TaskResult{
 			ID:        f.id,

@@ -270,3 +270,38 @@ func checkTestbed(t *testing.T, plan *core.Plan, quant bool) {
 		}
 	}
 }
+
+// TestTestbedSharedDevicePeriod is TestSharedDevicePeriodOnEmulatedWorkers in
+// virtual time: the same model, devices, link and schemes, and the same
+// window on the stream's makespan over tasks x the plan's period, with no CPU
+// contention to decide it. Building the weights costs no virtual time, so the
+// stream needs no warm-up task.
+func TestTestbedSharedDevicePeriod(t *testing.T) {
+	useMemNet(t)
+	m := nn.ToyChain("per", 5, 2, 8, 48)
+	cl := &cluster.Cluster{BandwidthBps: 4e9}
+	for i, s := range []float64{24e6, 16e6, 12e6} {
+		cl.Devices = append(cl.Devices, cluster.Device{ID: fmt.Sprintf("emu-%d", i), Capacity: s, Alpha: 1})
+	}
+	for _, scheme := range []string{"ofl", "lw"} {
+		plan, err := schemes.Plan(scheme, m, cl, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Stages) < 2 || len(plan.SerialGroups()) != 1 {
+			t.Fatalf("%s: want several stages in one serial group:\n%s", scheme, plan.Describe())
+		}
+		const tasks = 6
+		run, err := runTestbed(plan, false, tasks, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		period := run.done[tasks-1].Seconds() / tasks
+		ratio := period / plan.PeriodSeconds
+		t.Logf("%s: period %.6f ms, plan %.6f ms, ratio %.6f", scheme, period*1e3, plan.PeriodSeconds*1e3, ratio)
+		if ratio < 0.8 || ratio > 1.3 {
+			t.Fatalf("%s: a task completes every %.1f ms, the plan's period is %.1f ms (ratio %.2f, want 0.8-1.3)\n%s",
+				scheme, period*1e3, plan.PeriodSeconds*1e3, ratio, plan.Describe())
+		}
+	}
+}

@@ -108,9 +108,9 @@ type session struct {
 	batches atomic.Int64
 	batched atomic.Int64
 
-	// reqProd records whole-request latency (enqueue through result, so
+	// reqSeries records whole-request latency (enqueue through result, so
 	// batch-window wait included) into the gateway's telemetry registry.
-	reqProd *telemetry.Producer
+	reqSeries *telemetry.Series
 }
 
 // openSession plans (or re-plans) the key's scheme — both schemes for an
@@ -149,9 +149,9 @@ func openSession(cfg *Config, telem *telemetry.Registry, key SessionKey) (*sessi
 	}); err != nil {
 		return nil, fmt.Errorf("serve: open %s: %w", key, err)
 	}
-	s.reqProd = telem.Series(telemetry.Key{
+	s.reqSeries = telem.Series(telemetry.Key{
 		Model: key.String(), Stage: -1, Device: -1, Kind: telemetry.KindRequest,
-	}).Producer()
+	})
 	s.batchWG.Add(1)
 	go s.batchLoop()
 	return s, nil
@@ -208,7 +208,7 @@ func (s *session) infer(done <-chan struct{}, input tensor.Tensor, rate float64)
 		s.tasks.Add(1)
 		if res.Err == nil {
 			now := time.Now()
-			s.reqProd.RecordAt(now, now.Sub(w.enq).Seconds())
+			s.reqSeries.RecordAt(now, now.Sub(w.enq).Seconds())
 		}
 		return res, nil
 	case <-done:

@@ -1,128 +1,97 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Series is one key's sample stream: a lock-free ring absorbing writes,
-// folded on the read path into a bounded log of immutable sorted ranges.
+// sample is one recorded observation: its time in Unix nanoseconds and its
+// value (seconds for the latency series).
+type sample struct {
+	at int64
+	v  float64
+}
+
+// Series is one key's sample stream: a ring of the last ringSize samples
+// written under mu, folded on the read path into the samples kept for the
+// retention horizon.
 type Series struct {
 	key  Key
 	opts Options
-	ring *ring
 
-	// nextStripe assigns producer stripes round-robin.
-	nextStripe atomic.Uint32
+	// mu guards the write side: the ring, the lifetime count (the ring's
+	// cursor: sample i sits at ring[i%ringSize]) and the lifetime sum.
+	mu    sync.Mutex
+	ring  [ringSize]sample
+	count int64
+	sum   float64
 
-	// mu guards the reader-side state only; the write path never takes it.
-	mu       sync.Mutex
-	readFrom []uint64
-	log      []Range
-	dropped  int64
+	// readMu guards the read side, which writers never take: how many
+	// samples have been folded, the kept ones, and those overwritten before
+	// a fold copied them.
+	readMu  sync.Mutex
+	folded  int64
+	kept    []sample
+	dropped int64
 }
 
-// maxLogRanges bounds the per-series range log; past it, the log is merged
-// down to one range so query cost stays linear in retained samples.
-const maxLogRanges = 16
-
 func newSeries(key Key, opts Options) *Series {
-	r := newRing(stripeCount, slotsPerStripe)
-	return &Series{
-		key:      key,
-		opts:     opts,
-		ring:     r,
-		readFrom: make([]uint64, len(r.stripes)),
-	}
+	return &Series{key: key, opts: opts}
 }
 
 // Key returns the series identity.
 func (s *Series) Key() Key { return s.key }
 
-// Producer is one writer's handle on a series, bound to a ring stripe so
-// distinct producers (each pipeline stage driver, the gateway) record with
-// no shared state at all. A Producer may be shared by multiple goroutines;
-// they then contend only on the stripe's single atomic cursor.
-type Producer struct {
-	s      *Series
-	stripe int
-}
+// Producer is the writer's handle on a series: the series itself.
+type Producer = Series
 
-// Producer allocates a writer handle, assigning stripes round-robin.
-func (s *Series) Producer() *Producer {
-	return &Producer{s: s, stripe: int(s.nextStripe.Add(1) - 1)}
-}
+// Producer returns the series' writer handle, the series itself.
+func (s *Series) Producer() *Producer { return s }
 
 // Record stores v (seconds) observed now.
-func (p *Producer) Record(v float64) {
-	p.s.ring.record(p.stripe, p.s.opts.now().UnixNano(), v)
-}
+func (s *Series) Record(v float64) { s.RecordAt(s.opts.now(), v) }
 
 // RecordAt stores v (seconds) observed at the given time — use it when the
 // hot path already has the timestamp, avoiding a second clock read.
-func (p *Producer) RecordAt(at time.Time, v float64) {
-	p.s.ring.record(p.stripe, at.UnixNano(), v)
-}
-
-// Record stores v (seconds) without a Producer handle, spreading writers
-// across stripes by the clock's low bits. Prefer Producer on hot paths.
-func (s *Series) Record(v float64) {
-	at := s.opts.now().UnixNano()
-	s.ring.record(int(at>>6), at, v)
+func (s *Series) RecordAt(at time.Time, v float64) {
+	s.mu.Lock()
+	s.ring[s.count%ringSize] = sample{at: at.UnixNano(), v: v}
+	s.count++
+	s.sum += v
+	s.mu.Unlock()
 }
 
 // Count returns the lifetime number of recorded samples (including any the
 // fold path lost to ring overwrite).
-func (s *Series) Count() int64 { return s.ring.total() }
+func (s *Series) Count() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count
+}
 
 // Sum returns the lifetime sum of recorded values, ring overwrites included
 // — with Count, the series' lifetime total and mean.
-func (s *Series) Sum() float64 { return s.ring.sum() }
-
-// fold drains the ring into the immutable range log, evicts ranges past
-// retention and bounds the log length. Callers hold s.mu.
-func (s *Series) foldLocked(now int64) {
-	buf, dropped := s.ring.drain(s.readFrom, nil)
-	s.dropped += dropped
-	if len(buf) > 0 {
-		s.log = append(s.log, NewRange(buf))
-	}
-	// Evict: partition each range at the retention horizon and keep the
-	// newer side; a range wholly older vanishes.
-	cutoff := now - s.opts.retention().Nanoseconds()
-	keep := s.log[:0]
-	for _, r := range s.log {
-		if r.MaxAt() < cutoff {
-			continue
-		}
-		if r.MinAt() < cutoff {
-			_, r = r.Partition(cutoff)
-		}
-		keep = append(keep, r)
-	}
-	s.log = keep
-	for len(s.log) > maxLogRanges {
-		merged := Merge(s.log[0], s.log[1])
-		s.log = append([]Range{merged}, s.log[2:]...)
-	}
-}
-
-// WindowValues folds the ring and returns the values observed in
-// [now-window, now], in a fresh slice the caller may reorder (quickselect
-// does).
-func (s *Series) WindowValues(window time.Duration) []float64 {
-	now := s.opts.now().UnixNano()
+func (s *Series) Sum() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.foldLocked(now)
-	cutoff := now - window.Nanoseconds()
-	var vals []float64
-	for _, r := range s.log {
-		_, newer := r.Partition(cutoff)
-		vals = newer.AppendValues(vals)
+	return s.sum
+}
+
+// foldLocked copies the samples recorded since the last fold out of the
+// ring, counts those already overwritten as dropped, and evicts kept samples
+// older than the retention horizon. Callers hold s.readMu.
+func (s *Series) foldLocked(now int64) {
+	s.mu.Lock()
+	from := max(s.folded, s.count-ringSize)
+	for i := from; i < s.count; i++ {
+		s.kept = append(s.kept, s.ring[i%ringSize])
 	}
-	return vals
+	s.dropped += from - s.folded
+	s.folded = s.count
+	s.mu.Unlock()
+	cutoff := now - s.opts.retention().Nanoseconds()
+	s.kept = slices.DeleteFunc(s.kept, func(x sample) bool { return x.at < cutoff })
 }
 
 // Stats folds the series and computes its sliding-window percentile
@@ -131,13 +100,21 @@ func (s *Series) Stats() SeriesStats {
 	return s.StatsWindow(s.opts.Window)
 }
 
-// StatsWindow is Stats over an explicit window.
+// StatsWindow is Stats over an explicit window: the quantiles of the kept
+// samples observed at or after now-window, with the count as of the fold.
 func (s *Series) StatsWindow(window time.Duration) SeriesStats {
-	vals := s.WindowValues(window)
-	st := SeriesStats{Key: s.key, Count: s.Count(), WindowCount: len(vals)}
-	s.mu.Lock()
-	st.Dropped = s.dropped
-	s.mu.Unlock()
+	now := s.opts.now().UnixNano()
+	s.readMu.Lock()
+	s.foldLocked(now)
+	cutoff := now - window.Nanoseconds()
+	var vals []float64
+	for _, x := range s.kept {
+		if x.at >= cutoff {
+			vals = append(vals, x.v)
+		}
+	}
+	st := SeriesStats{Key: s.key, Count: s.folded, Dropped: s.dropped, WindowCount: len(vals)}
+	s.readMu.Unlock()
 	if len(vals) == 0 {
 		return st
 	}

@@ -1,15 +1,15 @@
-// Package telemetry is the streaming-percentile SLO engine: a lock-free
-// fixed-size sample ring per series (atomic cursor, per-producer stripes, so
-// pipeline stage drivers and the serving gateway record latency samples with
-// no shared mutex), periodically folded into immutable sorted time-windowed
-// ranges (partition/merge in the style of an append-only time-series log),
-// over which p50/p95/p99 are computed by quickselect on demand.
+// Package telemetry is the streaming-percentile SLO engine: per series, a
+// fixed ring of the last 256 samples filled under a mutex (each runtime
+// series has one writer — a stage's gather loop, a chain's sink — and the
+// gateway's request series takes one sample per request), folded on read
+// into the samples kept for the retention horizon, over which p50/p95/p99
+// are computed by quickselect on demand.
 //
-// The write path is three atomic stores and one atomic add — cheap enough to
-// sit on the per-task and per-tile hot paths. All sorting, merging and
-// selection happens on the read path (a /metrics scrape, an end-of-run
-// report, an SLO watcher tick), under a per-series mutex that writers never
-// touch.
+// The write path is a lock, one store and two adds — cheap enough to sit on
+// the per-task and per-tile hot paths. Copying, eviction and selection happen
+// on the read path (a /metrics scrape, an end-of-run report, an SLO watcher
+// tick), under a second per-series mutex that writers never take; a fold
+// holds the writers' lock only to copy the pending samples out.
 //
 // Series are keyed (model, stage, device, kind):
 //
@@ -83,20 +83,19 @@ func (k Key) less(o Key) bool {
 // Options configure a Registry. The zero value gets defaults.
 type Options struct {
 	// Window is the sliding window Snapshot and WriteMetrics aggregate over
-	// (default 60s). A series keeps folded ranges for max(5m, Window).
+	// (default 60s). A series keeps folded samples for max(5m, Window).
 	Window time.Duration
 
 	// now overrides the clock for tests.
 	now func() time.Time
 }
 
-// Ring geometry and history of every series: slotsPerStripe samples in each
-// of stripeCount per-producer stripes (both powers of two), and folded
-// ranges kept for minRetention, or for the window when that is longer.
+// Ring size and history of every series: the ring holds the last ringSize
+// samples, and folded samples are kept for minRetention, or for the window
+// when that is longer.
 const (
-	slotsPerStripe = 256
-	stripeCount    = 4
-	minRetention   = 5 * time.Minute
+	ringSize     = 256
+	minRetention = 5 * time.Minute
 )
 
 func (o Options) withDefaults() Options {
@@ -109,7 +108,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// retention returns how far back the registry's series keep folded ranges.
+// retention returns how far back the registry's series keep folded samples.
 func (o Options) retention() time.Duration { return max(minRetention, o.Window) }
 
 // Registry owns the series of one process (a gateway, a picorun
@@ -226,11 +225,12 @@ type SeriesStats struct {
 }
 
 // Table renders stats rows as an aligned text table (picorun's end-of-run
-// percentile report).
+// percentile report). A row's percentiles cover its n window samples;
+// dropped counts the samples the ring overwrote before a read.
 func Table(stats []SeriesStats) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %-16s %5s %6s %6s %10s %10s %10s\n",
-		"model", "kind", "stage", "device", "n", "p50", "p95", "p99")
+	fmt.Fprintf(&b, "%-20s %-16s %5s %6s %6s %7s %10s %10s %10s\n",
+		"model", "kind", "stage", "device", "n", "dropped", "p50", "p95", "p99")
 	for _, st := range stats {
 		if st.WindowCount == 0 {
 			continue
@@ -242,8 +242,8 @@ func Table(stats []SeriesStats) string {
 		if st.Key.Device < 0 {
 			device = "-"
 		}
-		fmt.Fprintf(&b, "%-20s %-16s %5s %6s %6d %10s %10s %10s\n",
-			st.Key.Model, st.Key.Kind, stage, device, st.WindowCount,
+		fmt.Fprintf(&b, "%-20s %-16s %5s %6s %6d %7d %10s %10s %10s\n",
+			st.Key.Model, st.Key.Kind, stage, device, st.WindowCount, st.Dropped,
 			fmtSeconds(st.P50), fmtSeconds(st.P95), fmtSeconds(st.P99))
 	}
 	return b.String()

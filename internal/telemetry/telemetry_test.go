@@ -106,146 +106,137 @@ func FuzzQuantile(f *testing.F) {
 	})
 }
 
-func TestRangePartitionMerge(t *testing.T) {
-	samples := []Sample{{At: 5, V: 50}, {At: 1, V: 10}, {At: 3, V: 30}, {At: 3, V: 31}, {At: 9, V: 90}}
-	r := NewRange(samples)
-	if r.Len() != 5 || r.MinAt() != 1 || r.MaxAt() != 9 {
-		t.Fatalf("range bounds: len=%d min=%d max=%d", r.Len(), r.MinAt(), r.MaxAt())
-	}
-	for i := 1; i < r.Len(); i++ {
-		if r.At(i-1).At > r.At(i).At {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-
-	older, newer := r.Partition(3)
-	if older.Len() != 1 || newer.Len() != 4 {
-		t.Fatalf("partition at 3: older=%d newer=%d", older.Len(), newer.Len())
-	}
-	if newer.MinAt() != 3 {
-		t.Fatalf("newer must start at pivot, got %d", newer.MinAt())
-	}
-
-	// Partition is zero-copy and merge restores the original contents.
-	m := Merge(older, newer)
-	if m.Len() != r.Len() {
-		t.Fatalf("merge of partitions: len %d want %d", m.Len(), r.Len())
-	}
-	for i := 0; i < m.Len(); i++ {
-		if m.At(i) != r.At(i) {
-			t.Fatalf("merge mismatch at %d: %+v vs %+v", i, m.At(i), r.At(i))
-		}
-	}
-
-	// Interleaved merge keeps global order.
-	a := NewRange([]Sample{{At: 1, V: 1}, {At: 4, V: 4}, {At: 7, V: 7}})
-	b := NewRange([]Sample{{At: 2, V: 2}, {At: 4, V: 40}, {At: 9, V: 9}})
-	ab := Merge(a, b)
-	if ab.Len() != 6 {
-		t.Fatalf("interleaved merge len %d", ab.Len())
-	}
-	for i := 1; i < ab.Len(); i++ {
-		if ab.At(i-1).At > ab.At(i).At {
-			t.Fatalf("interleaved merge unsorted at %d", i)
-		}
-	}
-
-	// Empty-side merges return the other side untouched.
-	if got := Merge(Range{}, a); got.Len() != a.Len() {
-		t.Fatalf("empty-left merge len %d", got.Len())
-	}
-	if got := Merge(a, Range{}); got.Len() != a.Len() {
-		t.Fatalf("empty-right merge len %d", got.Len())
-	}
+// foldAll folds the series at the clock's now and returns a copy of every
+// kept sample and the dropped count.
+func foldAll(s *Series) ([]sample, int64) {
+	s.readMu.Lock()
+	defer s.readMu.Unlock()
+	s.foldLocked(s.opts.now().UnixNano())
+	return append([]sample(nil), s.kept...), s.dropped
 }
 
-func TestRingConcurrentWriters(t *testing.T) {
-	const (
-		writers    = 8
-		perWriter  = 2000
-		totalWant  = writers * perWriter
-		slotsPower = 1 << 12 // big enough that nothing laps
-	)
-	r := newRing(4, slotsPower)
+func TestSeriesConcurrentWriters(t *testing.T) {
+	const writers, perWriter = 8, 30
+	clk := newFakeClock()
+	s := New(Options{now: clk.now}).Series(Key{Model: "m", Stage: 0, Device: -1, Kind: KindStage})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				r.record(w, int64(w*perWriter+i), float64(w))
+				s.Record(float64(w*perWriter + i))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	from := make([]uint64, len(r.stripes))
-	buf, dropped := r.drain(from, nil)
-	if dropped != 0 {
-		t.Fatalf("dropped %d samples with oversized ring", dropped)
+	kept, dropped := foldAll(s)
+	if dropped != 0 || len(kept) != writers*perWriter {
+		t.Fatalf("fold kept %d and dropped %d, want all %d", len(kept), dropped, writers*perWriter)
 	}
-	if len(buf) != totalWant {
-		t.Fatalf("drained %d samples, want %d", len(buf), totalWant)
-	}
-	if r.total() != int64(totalWant) {
-		t.Fatalf("total %d, want %d", r.total(), totalWant)
-	}
-	// Every writer's distinct timestamps all arrived exactly once.
-	seen := make(map[int64]bool, totalWant)
-	for _, s := range buf {
-		if seen[s.At] {
-			t.Fatalf("duplicate sample at=%d", s.At)
+	seen := map[float64]bool{}
+	for _, x := range kept {
+		if seen[x.v] {
+			t.Fatalf("value %v folded twice", x.v)
 		}
-		seen[s.At] = true
+		seen[x.v] = true
 	}
 }
 
-func TestRingDrainWhileWriting(t *testing.T) {
-	// Readers folding concurrently with writers must never return a torn or
-	// duplicated sample; overwritten ones are counted, not returned.
-	r := newRing(2, 64)
+func TestSeriesFoldWhileWriting(t *testing.T) {
+	// A reader folding while the writer laps the ring must never return a
+	// duplicated sample or one whose value is not its time's; the samples it
+	// misses are counted, not lost.
 	const n = 50_000
+	clk := newFakeClock()
+	s := New(Options{now: clk.now}).Series(Key{Model: "m", Stage: -1, Device: -1, Kind: KindE2E})
+	base := clk.now().UnixNano()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			r.record(i, int64(i), float64(i))
+			s.RecordAt(time.Unix(0, base+int64(i)), float64(i))
 		}
 	}()
 
-	from := make([]uint64, len(r.stripes))
-	var got int64
-	var dropped int64
+	// Each pass checks the samples its fold appended; the pass after the
+	// writer finishes folds the last of them.
 	seen := make(map[int64]bool, n)
-	for {
-		buf, d := r.drain(from, nil)
-		dropped += d
-		for _, s := range buf {
-			if int64(s.V) != s.At {
-				t.Fatalf("torn sample: at=%d v=%v", s.At, s.V)
-			}
-			if seen[s.At] {
-				t.Fatalf("duplicate sample at=%d", s.At)
-			}
-			seen[s.At] = true
-		}
-		got += int64(len(buf))
+	checked := 0
+	for finished := false; !finished; {
 		select {
 		case <-done:
-			buf, d = r.drain(from, nil)
-			dropped += d
-			for _, s := range buf {
-				if int64(s.V) != s.At {
-					t.Fatalf("torn sample in final drain: at=%d v=%v", s.At, s.V)
-				}
-			}
-			got += int64(len(buf))
-			if got+dropped != n {
-				t.Fatalf("got %d + dropped %d != recorded %d", got, dropped, n)
-			}
-			return
+			finished = true
 		default:
 		}
+		kept, dropped := foldAll(s)
+		for _, x := range kept[checked:] {
+			if int64(x.v) != x.at-base {
+				t.Fatalf("sample at %d carries %v", x.at-base, x.v)
+			}
+			if seen[x.at] {
+				t.Fatalf("sample at %d folded twice", x.at-base)
+			}
+			seen[x.at] = true
+		}
+		checked = len(kept)
+		if finished && int64(len(kept))+dropped != n {
+			t.Fatalf("kept %d + dropped %d != recorded %d", len(kept), dropped, n)
+		}
+	}
+}
+
+func TestSeriesLapCapacity(t *testing.T) {
+	// Unread, a series holds its last 256 samples; the rest count as
+	// dropped, and the lifetime count and sum still cover every one.
+	clk := newFakeClock()
+	s := New(Options{now: clk.now}).Series(Key{Model: "m", Stage: 0, Device: 0, Kind: KindExec})
+	p := s.Producer()
+	for i := 0; i < 600; i++ {
+		p.Record(float64(i))
+	}
+	st := s.Stats()
+	if st.Count != 600 || s.Sum() != 599*600/2 {
+		t.Fatalf("count %d sum %v, want 600 and %v", st.Count, s.Sum(), 599*600/2)
+	}
+	if st.WindowCount != 256 || st.Dropped != 344 {
+		t.Fatalf("window %d dropped %d, want 256 and 344", st.WindowCount, st.Dropped)
+	}
+}
+
+func TestSeriesWritersNeverWaitOnReaders(t *testing.T) {
+	s := New(Options{}).Series(Key{Model: "m", Stage: -1, Device: -1, Kind: KindE2E})
+	s.readMu.Lock()
+	defer s.readMu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 10_000; i++ {
+			s.Record(1e-3)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("10000 records did not finish in 5 s with the read lock held")
+	}
+}
+
+func TestTableShowsDropped(t *testing.T) {
+	clk := newFakeClock()
+	reg := New(Options{now: clk.now})
+	s := reg.Series(Key{Model: "toy", Stage: -1, Device: -1, Kind: KindE2E})
+	for i := 0; i < 300; i++ {
+		s.Record(1e-3)
+	}
+	lines := strings.Split(strings.TrimSpace(Table(reg.Snapshot())), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("table:\n%s", strings.Join(lines, "\n"))
+	}
+	head, row := strings.Fields(lines[0]), strings.Fields(lines[1])
+	if len(head) != len(row) || head[4] != "n" || row[4] != "256" || head[5] != "dropped" || row[5] != "44" {
+		t.Fatalf("want n 256 and dropped 44:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
@@ -276,17 +267,11 @@ func TestSeriesWindowAndRetention(t *testing.T) {
 	}
 
 	retained := func() int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.foldLocked(clk.now().UnixNano())
-		n := 0
-		for _, r := range s.log {
-			n += r.Len()
-		}
-		return n
+		kept, _ := foldAll(s)
+		return len(kept)
 	}
 	// Out of the window but within the five-minute retention every sample is
-	// kept; past it the ranges are evicted entirely.
+	// kept; past it they are evicted.
 	clk.advance(4 * time.Minute)
 	if n := retained(); n != 20 {
 		t.Fatalf("retention kept %d of 20 samples inside its horizon", n)
@@ -334,8 +319,8 @@ func TestSeriesConcurrentProducersUnderStats(t *testing.T) {
 	if st.WindowCount > 0 && st.P99 != 0.001 {
 		t.Fatalf("p99 %v, want 0.001", st.P99)
 	}
-	// Six writers over four stripes: shared stripes race on the sum's CAS,
-	// and no sample is lost to it (nor to ring overwrite).
+	// Six writers race on the one sum, and no sample is lost to it (nor to
+	// ring overwrite).
 	if got, want := s.Sum(), writers*perWriter*0.001; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum %v, want %v", got, want)
 	}

@@ -37,9 +37,6 @@ func (q *QTensor) Valid() bool {
 		s > 0 && !math.IsInf(s, 0) && !math.IsNaN(s)
 }
 
-// At returns the element at (c, h, w).
-func (q *QTensor) At(c, h, w int) int8 { return q.Data[(c*q.H+h)*q.W+w] }
-
 // SliceRows copies rows [lo, hi) of every channel into a new arena-backed
 // QTensor carrying the same scale.
 func (q *QTensor) SliceRows(lo, hi int) QTensor { return MapOfQ(*q).sliceRows(lo, hi).QTensor() }

@@ -109,12 +109,12 @@ type (
 
 	// Telemetry is the streaming-percentile latency registry.
 	Telemetry = telemetry.Registry
-	// TelemetryOptions size the registry's rings and windows.
+	// TelemetryOptions set the registry's window.
 	TelemetryOptions = telemetry.Options
 	// TelemetryKey identifies one latency series: (model, stage, device,
 	// kind).
 	TelemetryKey = telemetry.Key
-	// TelemetrySeries is one keyed latency series (ring + sorted ranges).
+	// TelemetrySeries is one keyed latency series (ring + kept samples).
 	TelemetrySeries = telemetry.Series
 	// TelemetryStats is one series' windowed percentile snapshot.
 	TelemetryStats = telemetry.SeriesStats
