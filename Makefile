@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-infer fuzz-speeds loc check
+.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-exec fuzz-infer fuzz-speeds loc check
 
 all: check
 
@@ -167,6 +167,12 @@ fuzz-geometry:
 # plan it accepts must save and reload unchanged. Not part of `check`.
 fuzz-plan:
 	$(GO) test -run NONE -fuzz FuzzPlanLoad -fuzztime=10s ./internal/core
+
+# Feed the binary exec and exec-result header decoders arbitrary bytes beyond
+# the committed seeds: a header either is refused or decodes to one that
+# re-encodes to exactly those bytes. Not part of `check`.
+fuzz-exec:
+	$(GO) test -run NONE -fuzz FuzzExecHeaders -fuzztime=10s ./internal/wire
 
 # Feed /infer's request parsing (the query's model, plan and quant, then the
 # body) arbitrary strings and bytes beyond the committed seeds: it must never

@@ -45,9 +45,6 @@ func TestServeAndShutdown(t *testing.T) {
 	}
 	// Clean shutdown path (listener close, not signal). The worker waits
 	// for live connections, so release ours first.
-	if err := wc.Send(wire.MsgShutdown, nil, nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := wc.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -476,12 +476,12 @@ func TestDeadlineFailsConnAndWakesPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	tile := tensor.RandomInput(m.Input, 1)
-	hdr := wire.ExecHeader{From: 0, To: m.NumLayers(), OutLo: 0, OutHi: 16, ModelName: m.Name, Seed: 1}
-	c1, err := wc.startExec(hdr, tensor.MapOf(tile))
+	out := whole(m.Output())
+	c1, err := wc.startExec(out, tensor.MapOf(tile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := wc.startExec(hdr, tensor.MapOf(tile))
+	c2, err := wc.startExec(out, tensor.MapOf(tile))
 	if err != nil {
 		t.Fatal(err)
 	}

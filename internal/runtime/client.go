@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"pico/internal/partition"
 	"pico/internal/tensor"
 	"pico/internal/wire"
 )
@@ -219,18 +220,17 @@ func (wc *workerClient) close() error {
 	}
 	wc.closed = true
 	wc.mu.Unlock()
-	_ = wc.conn.Send(wire.MsgShutdown, nil, nil)
 	err := wc.conn.Close()
 	<-wc.done
 	return err
 }
 
 // loadModel ships a model and the segment [from, to) this connection will
-// execute, which the worker builds before it answers; an empty or
-// out-of-range segment is refused. Non-empty scales — the session's boundary
-// scales, calibrated once by the coordinator — make it an int8 load: the
-// worker validates the vector, presets it and can serve quantized exec
-// requests without ever calibrating.
+// execute, which the worker builds before it answers and binds the
+// connection to; an empty or out-of-range segment is refused. Non-empty
+// scales — the session's boundary scales, calibrated once by the coordinator
+// — make it an int8 load: the worker validates the vector, presets it and
+// can serve quantized exec requests without ever calibrating.
 func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64, scales []float32, from, to int) error {
 	msg, err := wc.roundTrip(wire.MsgLoadModel, wire.LoadModelHeader{
 		Model: spec, Seed: seed, Scales: scales, From: from, To: to,
@@ -250,20 +250,24 @@ func (wc *workerClient) loadModel(spec wire.ModelSpec, seed int64, scales []floa
 	return nil
 }
 
-// startExec serializes and sends one tile request without waiting for the
+// startExec asks for output region out of the segment this connection's
+// load bound, sending the tile that region needs without waiting for the
 // result; the returned call resolves to the computed tile. The header's tile
 // extent, dtype and scale are taken from the tile itself, whose payload is
 // its raw elements (an int8 tile is a quarter of the float32 size for the
 // same extent). The tile is fully written to the wire before startExec
 // returns, so the caller may recycle it immediately.
-func (wc *workerClient) startExec(hdr wire.ExecHeader, tile tensor.FMap) (*call, error) {
+func (wc *workerClient) startExec(out partition.Rect, tile tensor.FMap) (*call, error) {
 	id, c, err := wc.register()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: exec to %s: %w", wc.id, err)
 	}
 	c.dtype = tile.DType
-	hdr.TileC, hdr.TileH, hdr.TileW = tile.C, tile.H, tile.W
-	hdr.DType, hdr.Scale = int(tile.DType), tile.Scale
+	hdr := wire.ExecHeader{
+		Out:   out,
+		TileC: tile.C, TileH: tile.H, TileW: tile.W,
+		DType: int(tile.DType), Scale: tile.Scale,
+	}
 	payload, pooled := wire.MapBytes(tile)
 	err = wc.conn.SendExec(id, &hdr, payload)
 	if pooled {

@@ -12,6 +12,15 @@ import (
 	"pico/internal/wire"
 )
 
+// executor returns the executor the worker holds for (name, seed): the one
+// its latest load of that model registered.
+func (w *Worker) executor(name string, seed int64) (*tensor.Executor, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	e, ok := w.execs[execKey{name: name, seed: seed}]
+	return e, ok
+}
+
 // warmedSets is how many weight sets a fresh executor holds after warming
 // the given segments in one precision: what a worker loaded for them must
 // hold.
@@ -38,8 +47,9 @@ func warmedSets(t *testing.T, m *nn.Model, seed int64, quant bool, segs ...[2]in
 // them — or an out-of-range one is refused with a typed error frame,
 // registers nothing and leaves the connection serving; a load answers only
 // once the segment's weights are built, so the first tile builds nothing;
-// and a worker loaded for two stages (one connection each) holds the union
-// of their layers.
+// a worker loaded for two stages (one connection each) holds the union of
+// their layers; and a refused load leaves a connection bound to its last
+// accepted one.
 func TestLoadSegment(t *testing.T) {
 	m := nn.TinyGraph()
 	n := m.NumLayers()
@@ -103,17 +113,34 @@ func TestLoadSegment(t *testing.T) {
 			t.Fatalf("quant %v: the second stage's load replaced the executor", quant)
 		}
 
-		// The loaded segments' tiles build nothing more.
+		// The loaded segments' tiles build nothing more. Their input comes
+		// from a third connection, loaded for [0,1).
+		head, err := dialWorker(lc.Addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer head.close()
+		if err := head.loadModel(spec, seed, scales, 0, 1); err != nil {
+			t.Fatal(err)
+		}
 		in := tensor.MapOf(tensor.RandomInput(m.Input, 1))
 		if quant {
 			in = tensor.MapOfQ(tensor.QuantizeTensor(in.Tensor(), scales[0]))
 		}
-		mid, _, err := wc.exec(wire.ExecHeader{From: 0, To: 1, OutHi: m.OutShape(0).H, ModelName: m.Name, Seed: seed}, in)
+		mid, _, err := head.exec(whole(m.OutShape(0)), in)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A refused load leaves the connection bound to its last accepted one.
+		if msg := rawLoad(t, wc, hdr(0, 0)); !strings.Contains(msg, "segment") {
+			t.Fatalf("quant %v: empty segment answered %q, want a segment refusal", quant, msg)
+		}
 		before := exec.WeightSets()
-		if _, _, err := wc.exec(wire.ExecHeader{From: 1, To: n, OutHi: m.Output().H, ModelName: m.Name, Seed: seed}, mid); err != nil {
+		mid2, _, err := wc.exec(whole(m.OutShape(2)), mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := wc2.exec(whole(m.Output()), mid2); err != nil {
 			t.Fatal(err)
 		}
 		if got := exec.WeightSets(); got != before {

@@ -165,22 +165,13 @@ func (sd *stageDriver) run(in <-chan *flight, out chan<- *flight, wg *sync.WaitG
 	dispatchWG.Wait()
 }
 
-// sendTile slices the input region one output tile needs and sends it, in the
-// precision the flight's map carries. The tile is fully serialized before
-// return.
+// sendTile slices the input region one output tile needs and sends it to wc,
+// whose load bound this stage's segment, in the precision the flight's map
+// carries. The tile is fully serialized before return.
 func (sd *stageDriver) sendTile(wc *workerClient, f *flight, tile partition.Rect) (*call, error) {
 	need := sd.calc.TileRects(sd.stage.From, sd.stage.To, tile)[0]
 	in := f.m.SliceRect(need)
-	c, err := wc.startExec(wire.ExecHeader{
-		TaskID: f.id,
-		From:   sd.stage.From, To: sd.stage.To,
-		OutLo: tile.Rows.Lo, OutHi: tile.Rows.Hi,
-		InLo:     need.Rows.Lo,
-		OutColLo: tile.Cols.Lo, OutColHi: tile.Cols.Hi,
-		InColLo:   need.Cols.Lo,
-		ModelName: sd.c.plan.Model.Name,
-		Seed:      sd.p.opts.Seed,
-	}, in)
+	c, err := wc.startExec(tile, in)
 	in.Recycle()
 	return c, err
 }

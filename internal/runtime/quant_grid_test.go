@@ -105,24 +105,24 @@ func TestInt8ExecNeedsQuantLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := wire.ExecHeader{From: 0, To: m.NumLayers(), OutLo: 0, OutHi: m.Output().H, ModelName: m.Name, Seed: seed}
+	out := whole(m.Output())
 	tile := tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0]))
 	spec := wire.SpecFromModel(m)
 
 	if err := wc.loadModel(spec, seed, nil, 0, m.NumLayers()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wc.exec(hdr, tile); err == nil || !strings.Contains(err.Error(), "not loaded") {
+	if _, _, err := wc.exec(out, tile); err == nil || !strings.Contains(err.Error(), "not loaded") {
 		t.Fatalf("int8 exec on a float-only load: err = %v, want a not-loaded refusal", err)
 	}
-	if _, _, err := wc.exec(hdr, tensor.MapOf(in)); err != nil {
+	if _, _, err := wc.exec(out, tensor.MapOf(in)); err != nil {
 		t.Fatalf("float exec after the refusal: %v", err)
 	}
 	for _, sc := range [][]float32{scales, nil} {
 		if err := wc.loadModel(spec, seed, sc, 0, m.NumLayers()); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := wc.exec(hdr, tile)
+		got, _, err := wc.exec(out, tile)
 		if err != nil {
 			t.Fatalf("int8 exec after load(quant=%v): %v", sc != nil, err)
 		}

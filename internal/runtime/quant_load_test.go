@@ -163,9 +163,7 @@ func TestQuantLoadBillsNoKernelTime(t *testing.T) {
 	}
 	var billed [tensor.NumKinds]float64
 	for task := 0; task < 3; task++ {
-		got, rh, err := wc.exec(wire.ExecHeader{
-			From: 0, To: m.NumLayers(), OutLo: 0, OutHi: m.Output().H, ModelName: m.Name, Seed: seed,
-		}, tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0])))
+		got, rh, err := wc.exec(whole(m.Output()), tensor.MapOfQ(tensor.QuantizeTensor(in, scales[0])))
 		if err != nil {
 			t.Fatalf("exec: %v", err)
 		}

@@ -383,19 +383,42 @@ func TestUnreachableWorker(t *testing.T) {
 
 // exec is the synchronous request/response form of startExec + waitExec,
 // without a deadline.
-func (wc *workerClient) exec(hdr wire.ExecHeader, tile tensor.FMap) (tensor.FMap, wire.ExecResultHeader, error) {
-	c, err := wc.startExec(hdr, tile)
+func (wc *workerClient) exec(out partition.Rect, tile tensor.FMap) (tensor.FMap, wire.ExecResultHeader, error) {
+	c, err := wc.startExec(out, tile)
 	if err != nil {
 		return tensor.FMap{}, wire.ExecResultHeader{}, err
 	}
-	out, rh, _, err := c.waitExec(controlTimeout)
-	return out, rh, err
+	res, rh, _, err := c.waitExec(controlTimeout)
+	return res, rh, err
 }
 
 // execT is exec for a float32 tile, returning the reported compute seconds.
-func (wc *workerClient) execT(hdr wire.ExecHeader, tile tensor.Tensor) (tensor.Tensor, float64, error) {
-	out, rh, err := wc.exec(hdr, tensor.MapOf(tile))
-	return out.Tensor(), rh.ComputeSeconds, err
+func (wc *workerClient) execT(out partition.Rect, tile tensor.Tensor) (tensor.Tensor, float64, error) {
+	res, rh, err := wc.exec(out, tensor.MapOf(tile))
+	return res.Tensor(), rh.ComputeSeconds, err
+}
+
+// whole is the rect of a whole feature map of the given shape.
+func whole(s nn.Shape) partition.Rect { return partition.FullRect(s.H, s.W) }
+
+// rows is the full-width row strip [lo, hi) of a feature map of shape s.
+func rows(s nn.Shape, r partition.Range) partition.Rect {
+	return partition.Rect{Rows: r, Cols: partition.Full(s.W)}
+}
+
+// dialLoaded dials a worker and loads [from, to) of m (float32) on the new
+// connection, which the test's cleanup closes.
+func dialLoaded(t *testing.T, addr string, m *nn.Model, seed int64, from, to int) *workerClient {
+	t.Helper()
+	wc, err := dialWorker(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = wc.close() })
+	if err := wc.loadModel(wire.SpecFromModel(m), seed, nil, from, to); err != nil {
+		t.Fatal(err)
+	}
+	return wc
 }
 
 func (wc *workerClient) ping() error {
@@ -410,28 +433,113 @@ func (wc *workerClient) ping() error {
 	return nil
 }
 
-// TestWorkerRejectsExecWithoutModel: an exec names the model it runs, and one
-// naming a model no load registered — an empty name included, with a single
-// model loaded — is refused.
+// TestWorkerRejectsExecWithoutModel: an exec runs what its own connection's
+// load bound, so one on a connection that loaded nothing is refused with an
+// error frame — while another connection to the same worker has the model
+// loaded — and the connection keeps serving.
 func TestWorkerRejectsExecWithoutModel(t *testing.T) {
 	lc := startCluster(t, 1, nil)
+	m := nn.ToyChain("loaded", 1, 0, 1, 4)
+	loaded := dialLoaded(t, lc.Addrs[0], m, 1, 0, m.NumLayers())
 	wc, err := dialWorker(lc.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	m := nn.ToyChain("loaded", 1, 0, 1, 4)
-	if err := wc.loadModel(wire.SpecFromModel(m), 1, nil, 0, m.NumLayers()); err != nil {
+	tile := tensor.RandomInput(m.Input, 1)
+	for i := 0; i < 2; i++ {
+		_, _, err = wc.execT(whole(m.Output()), tile)
+		if err == nil || !strings.Contains(err.Error(), "not loaded") {
+			t.Fatalf("exec %d without a load: err = %v, want model-not-loaded", i, err)
+		}
+		if err := wc.ping(); err != nil {
+			t.Fatalf("connection did not survive the refusal: %v", err)
+		}
+	}
+	if _, _, err := loaded.execT(whole(m.Output()), tile); err != nil {
+		t.Fatalf("exec on the loaded connection: %v", err)
+	}
+}
+
+// TestExecRunsItsConnectionsLoad: one worker keeps one executor per (name,
+// seed), and a load of a different network under the same name and seed
+// replaces it — but each connection runs the network its own load bound. Two
+// connections load a 4- and an 8-channel chain named alike; each one's exec,
+// interleaved, is byte-identical to a local run of its own network.
+func TestExecRunsItsConnectionsLoad(t *testing.T) {
+	const seed = 3
+	lc := startCluster(t, 1, nil)
+	models := []*nn.Model{nn.ToyChain("same", 2, 0, 4, 16), nn.ToyChain("same", 2, 0, 8, 16)}
+	var conns []*workerClient
+	for _, m := range models {
+		conns = append(conns, dialLoaded(t, lc.Addrs[0], m, seed, 0, m.NumLayers()))
+	}
+	in := tensor.RandomInput(models[0].Input, 7)
+	for round := 0; round < 2; round++ {
+		for i, m := range models {
+			ref, err := tensor.NewExecutor(m, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := conns[i].execT(whole(m.Output()), in)
+			if err != nil {
+				t.Fatalf("round %d, %d-channel model: %v", round, m.Output().C, err)
+			}
+			if !tensor.Equal(want, got) {
+				t.Fatalf("round %d, %d-channel model: got a %dx%dx%d tile, want a local run's %dx%dx%d",
+					round, m.Output().C, got.C, got.H, got.W, want.C, want.H, want.W)
+			}
+		}
+	}
+}
+
+// TestExecRunsTheLoadItWasReadUnder: execs still queued when their
+// connection is re-loaded for another segment run the segment bound when the
+// worker read them. The worker is throttled so each tile takes about 50 ms:
+// the second exec waits in the queue behind the first while the re-load is
+// read and answered.
+func TestExecRunsTheLoadItWasReadUnder(t *testing.T) {
+	m := nn.ToyChain("reload-race", 4, 0, 4, 24)
+	const seed = 5
+	ref, err := tensor.NewExecutor(m, seed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tile := tensor.RandomInput(nn.Shape{C: 1, H: 4, W: 4}, 1)
-	for _, name := range []string{"nope", ""} {
-		_, _, err = wc.execT(wire.ExecHeader{
-			TaskID: 1, From: 0, To: 1, OutLo: 0, OutHi: 4,
-			ModelName: name, Seed: 1,
-		}, tile)
-		if err == nil || !strings.Contains(err.Error(), "not loaded") {
-			t.Fatalf("model %q: err = %v, want model-not-loaded", name, err)
+	out := whole(m.OutShape(1))
+	lc := startCluster(t, 1, []float64{float64(ref.TileFLOPs(0, 2, out)) / 0.05})
+	wc := dialLoaded(t, lc.Addrs[0], m, seed, 0, 2)
+	in := tensor.RandomInput(m.Input, 1)
+	want, err := ref.RunSegment(0, 2, in, out.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := wc.loadModel(wire.SpecFromModel(m), seed, nil, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		var calls []*call
+		for range 2 {
+			c, err := wc.startExec(out, tensor.MapOf(in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls = append(calls, c)
+		}
+		if err := wc.loadModel(wire.SpecFromModel(m), seed, nil, 2, m.NumLayers()); err != nil {
+			t.Fatal(err)
+		}
+		for k, c := range calls {
+			got, _, _, err := c.waitExec(controlTimeout)
+			if err != nil {
+				t.Fatalf("exec %d read before the re-load: %v", k, err)
+			}
+			if !tensor.Equal(want, got.Tensor()) {
+				t.Fatalf("exec %d read before the re-load ran another segment than its own", k)
+			}
 		}
 	}
 }
@@ -502,19 +610,20 @@ func TestWorkerExecBadTile(t *testing.T) {
 	}
 	// Tile too small for the requested range.
 	tile := tensor.RandomInput(nn.Shape{C: 1, H: 4, W: 16}, 1)
-	_, _, err = wc.execT(wire.ExecHeader{
-		TaskID: 2, From: 0, To: 2, OutLo: 0, OutHi: 16, InLo: 0,
-		ModelName: "w", Seed: 3,
-	}, tile)
+	_, _, err = wc.execT(whole(m.Output()), tile)
 	if err == nil {
 		t.Fatal("undersized tile accepted")
 	}
-	// The connection must survive the error for the next request.
+	// So is a region past the output map, even with exactly the input tile
+	// it would read.
 	fullIn := tensor.RandomInput(m.Input, 1)
-	out, _, err := wc.execT(wire.ExecHeader{
-		TaskID: 3, From: 0, To: 2, OutLo: 0, OutHi: 16, InLo: 0,
-		ModelName: "w", Seed: 3,
-	}, fullIn)
+	past := rows(m.Output(), partition.Range{Lo: 0, Hi: m.Output().H + 4})
+	need := partition.NewCalc(m).TileRects(0, m.NumLayers(), past)[0]
+	if _, _, err := wc.exec(past, tensor.MapOf(fullIn).SliceRect(need)); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("region %v of a %v output: err = %v, want an outside-the-map refusal", past, m.Output(), err)
+	}
+	// The connection must survive the errors for the next request.
+	out, _, err := wc.execT(whole(m.Output()), fullIn)
 	if err != nil {
 		t.Fatalf("recovery exec failed: %v", err)
 	}
@@ -656,10 +765,7 @@ func TestManualStageSplitMatchesWorkers(t *testing.T) {
 	for k, part := range parts {
 		inR := ref.InputRange(0, m.NumLayers(), part)
 		tile := in.SliceRows(inR.Lo, inR.Hi)
-		out, _, err := clients[k].execT(wire.ExecHeader{
-			TaskID: int64(k), From: 0, To: m.NumLayers(), OutLo: part.Lo, OutHi: part.Hi, InLo: inR.Lo,
-			ModelName: m.Name, Seed: 9,
-		}, tile)
+		out, _, err := clients[k].execT(rows(m.Output(), part), tile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -715,14 +821,7 @@ func TestClientManyRequestsInFlight(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				k := (g + i) % len(parts)
-				part := parts[k]
-				inR := ref.InputRange(0, m.NumLayers(), part)
-				out, comp, err := wc.execT(wire.ExecHeader{
-					TaskID: int64(g*perG + i),
-					From:   0, To: m.NumLayers(),
-					OutLo: part.Lo, OutHi: part.Hi, InLo: inR.Lo,
-					ModelName: m.Name, Seed: 5,
-				}, inputs[k])
+				out, comp, err := wc.execT(rows(m.Output(), parts[k]), inputs[k])
 				if err != nil {
 					t.Errorf("goroutine %d req %d: %v", g, i, err)
 					return
@@ -803,7 +902,6 @@ func TestWorkerShutdownWaitsForPoliteConns(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		_ = wc.Send(wire.MsgShutdown, nil, nil)
 		_ = wc.Close()
 	}()
 	if err := w.Shutdown(30 * time.Second); err != nil {

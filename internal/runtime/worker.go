@@ -76,9 +76,9 @@ type Worker struct {
 	closeOnce sync.Once
 }
 
-// Fault is a deterministic fault-injection plan for a worker, used by the
-// chaos suite and available to `piconode` experiments. Exec counts are
-// 1-based and shared across all connections; the zero value injects nothing.
+// Fault is a deterministic fault-injection plan for a worker, armed with
+// WithFault by the chaos suites. Exec counts are 1-based and shared across
+// all connections; the zero value injects nothing.
 type Fault struct {
 	// Wire injects write-path faults (drop, delay, sever) into accepted
 	// connections via wire.FlakyConn.
@@ -231,15 +231,7 @@ func (w *Worker) Shutdown(grace time.Duration) error {
 		case <-time.After(grace):
 		}
 	}
-	w.mu.Lock()
-	conns := make([]*wire.Conn, 0, len(w.conns))
-	for c := range w.conns {
-		conns = append(conns, c)
-	}
-	w.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
-	}
+	w.sever()
 	w.wg.Wait()
 	return err
 }
@@ -249,6 +241,12 @@ func (w *Worker) Shutdown(grace time.Duration) error {
 // failure-injection tests and chaos tooling.
 func (w *Worker) Abort() error {
 	err := w.Close()
+	w.sever()
+	return err
+}
+
+// sever closes every live connection, which ends its read loop.
+func (w *Worker) sever() {
 	w.mu.Lock()
 	conns := make([]*wire.Conn, 0, len(w.conns))
 	for c := range w.conns {
@@ -258,7 +256,6 @@ func (w *Worker) Abort() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	return err
 }
 
 // tileQueueDepth is the per-connection exec queue depth: double buffering, one
@@ -266,10 +263,27 @@ func (w *Worker) Abort() error {
 // reading (and the coordinator keeps sending) while a tile computes.
 const tileQueueDepth = 2
 
+// binding is what a connection's last accepted load bound it to: the
+// executor serving the load's (model, seed) and the segment [from, to) it
+// built. Every exec on the connection runs it.
+type binding struct {
+	exec     *tensor.Executor
+	from, to int
+}
+
+// execJob is one queued exec frame and the binding its connection held when
+// the read loop read it (nil before the first accepted load).
+type execJob struct {
+	msg *wire.Message
+	b   *binding
+}
+
 // handle serves one coordinator connection. The read loop and the compute
 // goroutine are decoupled by the bounded exec queue so a queued tile's
 // transmission overlaps the previous tile's computation; when the queue is
 // full the loop stops reading and TCP backpressure reaches the coordinator.
+// The read loop owns the connection's binding and hands each queued exec the
+// one it was read under, so a re-load never races the compute goroutine.
 func (w *Worker) handle(conn *wire.Conn) {
 	defer func() {
 		// Last-resort containment for the inline control path: a panicking
@@ -288,44 +302,45 @@ func (w *Worker) handle(conn *wire.Conn) {
 		w.logf("worker %s: hello: %v", w.id, err)
 		return
 	}
-	queue := make(chan *wire.Message, tileQueueDepth)
+	queue := make(chan execJob, tileQueueDepth)
 	var computeWG sync.WaitGroup
 	computeWG.Add(1)
 	go func() {
 		defer computeWG.Done()
 		failed := false
-		for msg := range queue {
+		for job := range queue {
 			if !failed {
-				if err := w.handleExec(conn, msg); err != nil {
+				if err := w.handleExec(conn, job.msg, job.b); err != nil {
 					w.logf("worker %s: %v", w.id, err)
 					failed = true
 					_ = conn.Close() // unblock the read loop; the queue drains below
 				}
 			}
-			wire.PutBuffer(msg.Payload)
+			wire.PutBuffer(job.msg.Payload)
 		}
 	}()
 	defer computeWG.Wait()
 	defer close(queue)
+	var bound *binding
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
 			return // peer gone or shutting down
 		}
 		if msg.Type == wire.MsgExec {
-			queue <- msg // payload ownership moves to the compute goroutine
+			queue <- execJob{msg, bound} // payload ownership moves to the compute goroutine
 			continue
 		}
 		// Control frames are handled inline so a load or ping never waits
 		// behind queued compute.
 		switch msg.Type {
 		case wire.MsgLoadModel:
-			err = w.handleLoad(conn, msg)
+			var b *binding
+			if b, err = w.handleLoad(conn, msg); b != nil {
+				bound = b
+			}
 		case wire.MsgPing:
 			err = conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
-		case wire.MsgShutdown:
-			wire.PutBuffer(msg.Payload)
-			return
 		default:
 			err = conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: fmt.Sprintf("unexpected %v", msg.Type)}, nil)
 		}
@@ -338,17 +353,20 @@ func (w *Worker) handle(conn *wire.Conn) {
 }
 
 // handleLoad serves a load frame: Pong once the model is loaded (and its
-// segment built), else a typed error frame.
-func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) error {
+// segment built), with the binding the connection now holds, else a typed
+// error frame and no binding — a refused load leaves the connection's
+// binding as it was.
+func (w *Worker) handleLoad(conn *wire.Conn, msg *wire.Message) (*binding, error) {
 	var hdr wire.LoadModelHeader
 	err := msg.DecodeHeader(&hdr)
+	var exec *tensor.Executor
 	if err == nil {
-		_, err = w.load(&hdr)
+		exec, err = w.load(&hdr)
 	}
 	if err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
+		return nil, conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
 	}
-	return conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
+	return &binding{exec: exec, from: hdr.From, to: hdr.To}, conn.SendRequest(wire.MsgPong, msg.ReqID, nil, nil)
 }
 
 // load resolves a load header to the executor serving its (model, seed) and
@@ -418,20 +436,14 @@ func sameModel(a, b *nn.Model) bool {
 	return a.Input == b.Input && reflect.DeepEqual(a.Layers, b.Layers)
 }
 
-// executor returns the executor a load registered for (name, seed).
-func (w *Worker) executor(name string, seed int64) (*tensor.Executor, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e, ok := w.execs[execKey{name: name, seed: seed}]
-	return e, ok
-}
-
-// handleExec executes one tile in the precision its header names — a row
-// strip or, when the header carries a column range, a DeepThings-style 2D
-// grid rect. Every combination runs the same segment walker, so results are
+// handleExec executes one tile of the connection's bound segment in the
+// precision its header names — a row strip or a DeepThings-style 2D grid
+// rect alike. Every shape runs the same segment walker, so results are
 // byte-identical to a local whole-map run regardless of the partition shape.
-func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
-	var hdr wire.ExecHeader
+func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message, b *binding) (err error) {
+	refuse := func(err error) error {
+		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
+	}
 	// Contain panics from the executor (or injected ones): the request is
 	// answered with a typed error frame and the worker keeps serving. The
 	// coordinator treats the reply as deterministic — it fails the task
@@ -439,14 +451,12 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.logf("worker %s: exec panic contained: %v", w.id, r)
-			err = conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{
-				TaskID:  hdr.TaskID,
-				Message: fmt.Sprintf("panic: %v", r),
-			}, nil)
+			err = refuse(fmt.Errorf("panic: %v", r))
 		}
 	}()
+	var hdr wire.ExecHeader
 	if err := msg.DecodeExec(&hdr); err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{Message: err.Error()}, nil)
+		return refuse(err)
 	}
 	if n := w.execSeen.Add(1); w.fault.armed() {
 		if w.fault.CrashOnExec > 0 && n >= int64(w.fault.CrashOnExec) {
@@ -461,28 +471,20 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 			panic(fmt.Sprintf("injected panic on exec %d", n))
 		}
 	}
-	refuse := func(err error) error {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
+	if b == nil {
+		return refuse(errors.New("model not loaded on this connection"))
 	}
-	quant := hdr.DType == wire.DTypeInt8
-	exec, ok := w.executor(hdr.ModelName, hdr.Seed)
-	if !ok || (quant && !exec.Quantized()) {
+	if hdr.DType == wire.DTypeInt8 && !b.exec.Quantized() {
 		// Int8 needs a model loaded with scales: bad or missing scales stay
 		// a load-time failure, never a first-tile surprise.
-		return refuse(fmt.Errorf("model %q (seed %d, quant %v) not loaded", hdr.ModelName, hdr.Seed, quant))
+		return refuse(fmt.Errorf("%s (seed %d) not loaded with quantization scales", b.exec.Model().Name, b.exec.Seed()))
 	}
 	tile, err := wire.DecodeMap(hdr.DType, hdr.TileC, hdr.TileH, hdr.TileW, hdr.Scale, msg.Payload)
 	if err != nil {
 		return refuse(err)
 	}
-	// A header without a column range asks for a row strip: the full-width
-	// rect.
-	rect := exec.Strip(hdr.To, partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi})
-	if hdr.OutColHi > 0 {
-		rect.Cols = partition.Range{Lo: hdr.OutColLo, Hi: hdr.OutColHi}
-	}
-	rh := wire.ExecResultHeader{TaskID: hdr.TaskID, OutLo: hdr.OutLo}
-	out, err := w.compute(exec, hdr.From, hdr.To, tile, rect, &rh)
+	var rh wire.ExecResultHeader
+	out, err := w.compute(b, tile, hdr.Out, &rh)
 	tile.Recycle()
 	if err != nil {
 		return refuse(err)
@@ -504,16 +506,16 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 // reply's (emulated) compute seconds and per-kind kernel seconds. The lane
 // serializes every tile on the worker, so the executor's kind totals move by
 // this tile's kernels alone between the two reads.
-func (w *Worker) compute(exec *tensor.Executor, from, to int, tile tensor.FMap, rect partition.Rect, rh *wire.ExecResultHeader) (tensor.FMap, error) {
+func (w *Worker) compute(b *binding, tile tensor.FMap, rect partition.Rect, rh *wire.ExecResultHeader) (tensor.FMap, error) {
 	w.lane <- struct{}{}
 	defer func() { <-w.lane }() // deferred: a kernel panic must not wedge the device
-	kinds, start := exec.KindTotals(), time.Now()
-	out, err := exec.RunTile(from, to, tile, rect)
+	kinds, start := b.exec.KindTotals(), time.Now()
+	out, err := b.exec.RunTile(b.from, b.to, tile, rect)
 	if err != nil {
 		return out, err
 	}
-	rh.ComputeSeconds = w.emulate(time.Since(start), float64(exec.TileFLOPs(from, to, rect))).Seconds()
-	for k, total := range exec.KindTotals() {
+	rh.ComputeSeconds = w.emulate(time.Since(start), float64(b.exec.TileFLOPs(b.from, b.to, rect))).Seconds()
+	for k, total := range b.exec.KindTotals() {
 		rh.KernelSeconds[k] = total - kinds[k]
 	}
 	return out, nil

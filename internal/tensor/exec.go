@@ -296,10 +296,10 @@ func (e *Executor) InputRange(from, to int, out partition.Range) partition.Range
 	return e.calc.InputRange(from, to, out)
 }
 
-// Strip expresses output rows of boundary to as the tile RunTile takes: the
+// strip expresses output rows of boundary to as the tile RunTile takes: the
 // rect spanning the map's full width. An out-of-range to yields an empty
 // rect, which RunTile rejects along with the segment.
-func (e *Executor) Strip(to int, rows partition.Range) partition.Rect {
+func (e *Executor) strip(to int, rows partition.Range) partition.Rect {
 	if to < 1 || to > e.m.NumLayers() {
 		return partition.Rect{}
 	}
@@ -341,7 +341,7 @@ func (e *Executor) RunQ(in Tensor) (QTensor, error) {
 // run is the shared body of Run and RunQ.
 func (e *Executor) run(in Tensor, quant bool) (FMap, error) {
 	n := e.m.NumLayers()
-	rects := e.calc.TileRects(0, n, e.Strip(n, partition.Full(e.m.Output().H)))
+	rects := e.calc.TileRects(0, n, e.strip(n, partition.Full(e.m.Output().H)))
 	tile := MapOf(in)
 	if need := rects[0].Rows; in.Valid() && in.C == e.m.Input.C && in.H == e.m.Input.H && in.W == e.m.Input.W && need.Len() < in.H {
 		tile = tile.sliceRows(need.Lo, need.Hi)
@@ -365,21 +365,22 @@ func (e *Executor) run(in Tensor, quant bool) (FMap, error) {
 // run, the whole input). The returned tensor is arena-backed; callers done
 // with it may Recycle it to keep the hot path allocation-free.
 func (e *Executor) RunSegment(from, to int, tile Tensor, out partition.Range) (Tensor, error) {
-	res, err := e.RunTile(from, to, MapOf(tile), e.Strip(to, out))
+	res, err := e.RunTile(from, to, MapOf(tile), e.strip(to, out))
 	return res.Tensor(), err
 }
 
 // RunSegmentQ is the int8 counterpart of RunSegment: the tile is quantized
 // at boundary from's calibrated scale and the result carries boundary to's.
 func (e *Executor) RunSegmentQ(from, to int, tile QTensor, out partition.Range) (QTensor, error) {
-	res, err := e.RunTile(from, to, MapOfQ(tile), e.Strip(to, out))
+	res, err := e.RunTile(from, to, MapOfQ(tile), e.strip(to, out))
 	return res.QTensor(), err
 }
 
 // RunTile is the segment walker: it executes layers [from, to) on one tile
 // in the tile's own precision and produces region out of the segment's final
-// layer. tile must hold exactly the region TileRects(from, to, out)[0] of
-// the feature map at boundary from — for a row strip, the full-width rows
+// layer, which must lie within that layer's output map. tile must hold
+// exactly the region TileRects(from, to, out)[0] of the feature map at
+// boundary from — for a row strip, the full-width rows
 // InputRange(from, to, out.Rows). An Int8 tile must carry boundary from's
 // calibrated scale bit for bit — a mismatch means the sender calibrated a
 // different model or seed, which would silently corrupt every value — and
@@ -392,6 +393,9 @@ func (e *Executor) RunTile(from, to int, tile FMap, out partition.Rect) (FMap, e
 	}
 	if out.Empty() {
 		return FMap{}, fmt.Errorf("tensor: empty output region %v", out)
+	}
+	if shape := e.m.OutShape(to - 1); out.Rows.Lo < 0 || out.Rows.Hi > shape.H || out.Cols.Lo < 0 || out.Cols.Hi > shape.W {
+		return FMap{}, fmt.Errorf("tensor: output region %v is outside segment [%d,%d)'s %v output", out, from, to, shape)
 	}
 	return e.walk(from, tile, e.calc.TileRects(from, to, out))
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pico/internal/nn"
@@ -212,6 +213,20 @@ func tileValidationCases(t *testing.T, e *Executor, in FMap) {
 	small := in.SliceRect(partition.Rect{Rows: partition.Range{Lo: 0, Hi: 4}, Cols: partition.Range{Lo: 0, Hi: 4}})
 	if _, err := e.RunTile(0, e.Model().NumLayers(), small, full); err == nil {
 		t.Fatal("undersized tile accepted")
+	}
+	// A region reaching past the output map is refused, even when the tile
+	// holds exactly the input it would read.
+	n := e.Model().NumLayers()
+	for _, r := range []partition.Rect{
+		{Rows: partition.Range{Lo: 0, Hi: out.H + 4}, Cols: partition.Full(out.W)},
+		{Rows: partition.Range{Lo: out.H, Hi: out.H + 2}, Cols: partition.Full(out.W)},
+		{Rows: partition.Full(out.H), Cols: partition.Range{Lo: 0, Hi: out.W + 5}},
+	} {
+		tile := in.SliceRect(e.calc.TileRects(0, n, r)[0])
+		if res, err := e.RunTile(0, n, tile, r); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("region %v of a %v output: %dx%dx%d tile, err %v; want an outside-the-map refusal", r, out, res.C, res.H, res.W, err)
+		}
+		tile.Recycle()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"pico/internal/nn"
+	"pico/internal/partition"
 	"pico/internal/tensor"
 )
 
@@ -22,11 +23,12 @@ type HelloHeader struct {
 // scale to both exec headers so tiles can travel as int8. Version 4 added the
 // per-kind kernel seconds to the exec result and dropped the stats messages.
 // Version 5 made the load's segment required and its scales the only int8
-// switch (LoadModelHeader).
-const ProtocolVersion = 5
+// switch (LoadModelHeader). Version 6 made a load bind its connection to its
+// model and segment, so exec headers carry only the tile (ExecHeader), and
+// dropped the shutdown frame: closing the connection ends it.
+const ProtocolVersion = 6
 
-// Payload element types for exec frames. Float32 is the zero value so a
-// v2-era header (no dtype field) decodes as the float path.
+// Payload element types for exec frames; float32 is the zero value.
 const (
 	DTypeFloat32 = 0
 	DTypeInt8    = 1
@@ -38,7 +40,9 @@ const (
 // To name the segment [From, To) the connection will execute, and are
 // required: the worker builds that segment's weights, in the load's
 // precision, before it answers, so the first tile generates none, and it
-// refuses an empty or out-of-range segment. Scales, when non-empty, makes the
+// refuses an empty or out-of-range segment. A load the worker accepts binds
+// its connection: every later exec on it runs this model and segment, until
+// the next accepted load rebinds it. Scales, when non-empty, makes the
 // load int8: it is the session's boundary-scale vector (tensor.QuantScales:
 // NumLayers+1 entries), calibrated once by the coordinator from (model,
 // seed), which the worker validates on receipt and presets instead of
@@ -98,86 +102,53 @@ func (s ModelSpec) ToModel() (*nn.Model, error) {
 	return m, nil
 }
 
-// ExecHeader asks a worker for output rows [OutLo, OutHi) of segment
-// [From, To). The payload is the input tile: rows [InLo, InLo+TileH) of the
-// feature map at boundary From, extent TileC x TileH x TileW. The model is
-// identified by ModelName and Seed, resolved against the worker's loaded
-// executors.
+// ExecHeader asks a worker for output region Out of the segment its
+// connection's load bound (LoadModelHeader): the load names the model, seed
+// and segment once, so an exec carries only its tile. The payload is the
+// input tile — the region of the segment's input map that Out needs
+// (partition.Calc.TileRects), extent TileC x TileH x TileW — of element type
+// DType (DTypeFloat32 or DTypeInt8, whose quantization scale is Scale).
 //
-// Grid mode (DeepThings-style rectangular tiles): when OutColHi > 0 the
-// request is for the output rectangle [OutLo,OutHi) x [OutColLo,OutColHi)
-// and the tile's first column is global column InColLo.
-//
-// On the wire the header is binary (see appendBinary), not JSON: exec
-// frames are the per-tile hot path.
+// On the wire the header is a fixed 36-byte binary layout (see appendBinary),
+// not JSON: exec frames are the per-tile hot path.
 type ExecHeader struct {
-	TaskID int64
-	From   int
-	To     int
-	OutLo  int
-	OutHi  int
-	InLo   int
-	TileC  int
-	TileH  int
-	TileW  int
-
-	// Grid-mode extensions (zero values select row-strip mode).
-	OutColLo int
-	OutColHi int
-	InColLo  int
-
-	// DType selects the payload element type (DTypeFloat32 or DTypeInt8);
-	// Scale is the tile's quantization scale when DType is DTypeInt8.
-	DType int
-	Scale float32
-
-	// Model reference.
-	ModelName string
-	Seed      int64
+	Out                 partition.Rect
+	TileC, TileH, TileW int
+	DType               int
+	Scale               float32
 }
 
-// execHeaderFixed is the binary exec header's fixed part: TaskID and Seed
-// as int64, then 12 int32 fields (11 geometry + dtype) and the float32
-// quantization scale. The model name occupies the remaining header bytes.
-const execHeaderFixed = 8 + 8 + 12*4 + 4
+// execHeaderLen is the binary exec header size: eight int32 fields (the
+// output rect, the tile extent, the dtype) and the float32 scale.
+const execHeaderLen = 8*4 + 4
 
 // appendBinary encodes h in the fixed little-endian layout:
 //
-//	TaskID int64 | Seed int64 |
-//	From, To, OutLo, OutHi, InLo, TileC, TileH, TileW,
-//	OutColLo, OutColHi, InColLo, DType (int32 each) |
-//	Scale float32 | ModelName (remaining header bytes)
+//	Out.Rows.Lo, Out.Rows.Hi, Out.Cols.Lo, Out.Cols.Hi,
+//	TileC, TileH, TileW, DType (int32 each) | Scale float32
 func (h *ExecHeader) appendBinary(buf []byte) []byte {
-	var fixed [execHeaderFixed]byte
-	binary.LittleEndian.PutUint64(fixed[0:], uint64(h.TaskID))
-	binary.LittleEndian.PutUint64(fixed[8:], uint64(h.Seed))
+	var b [execHeaderLen]byte
 	for i, v := range [...]int{
-		h.From, h.To, h.OutLo, h.OutHi, h.InLo,
-		h.TileC, h.TileH, h.TileW,
-		h.OutColLo, h.OutColHi, h.InColLo, h.DType,
+		h.Out.Rows.Lo, h.Out.Rows.Hi, h.Out.Cols.Lo, h.Out.Cols.Hi,
+		h.TileC, h.TileH, h.TileW, h.DType,
 	} {
-		binary.LittleEndian.PutUint32(fixed[16+4*i:], uint32(int32(v)))
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(int32(v)))
 	}
-	binary.LittleEndian.PutUint32(fixed[64:], math.Float32bits(h.Scale))
-	buf = append(buf, fixed[:]...)
-	return append(buf, h.ModelName...)
+	binary.LittleEndian.PutUint32(b[32:], math.Float32bits(h.Scale))
+	return append(buf, b[:]...)
 }
 
 func (h *ExecHeader) decodeBinary(b []byte) error {
-	if len(b) < execHeaderFixed {
-		return fmt.Errorf("wire: exec header %d bytes, want at least %d", len(b), execHeaderFixed)
+	if len(b) != execHeaderLen {
+		return fmt.Errorf("wire: exec header %d bytes, want %d", len(b), execHeaderLen)
 	}
-	h.TaskID = int64(binary.LittleEndian.Uint64(b[0:]))
-	h.Seed = int64(binary.LittleEndian.Uint64(b[8:]))
-	geo := [12]int{}
-	for i := range geo {
-		geo[i] = int(int32(binary.LittleEndian.Uint32(b[16+4*i:])))
+	var v [8]int
+	for i := range v {
+		v[i] = int(int32(binary.LittleEndian.Uint32(b[4*i:])))
 	}
-	h.From, h.To, h.OutLo, h.OutHi, h.InLo = geo[0], geo[1], geo[2], geo[3], geo[4]
-	h.TileC, h.TileH, h.TileW = geo[5], geo[6], geo[7]
-	h.OutColLo, h.OutColHi, h.InColLo, h.DType = geo[8], geo[9], geo[10], geo[11]
-	h.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[64:]))
-	h.ModelName = string(b[execHeaderFixed:])
+	h.Out = partition.Rect{Rows: partition.Range{Lo: v[0], Hi: v[1]}, Cols: partition.Range{Lo: v[2], Hi: v[3]}}
+	h.TileC, h.TileH, h.TileW, h.DType = v[4], v[5], v[6], v[7]
+	h.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[32:]))
 	return nil
 }
 
@@ -189,15 +160,13 @@ func (m *Message) DecodeExec(h *ExecHeader) error {
 	return h.decodeBinary(m.Header)
 }
 
-// ExecResultHeader returns a computed tile of extent C x H x W whose first
-// row is global row OutLo of the segment output. Binary on the wire, like
-// ExecHeader.
+// ExecResultHeader returns a computed tile of extent C x H x W. The
+// coordinator matches it to its request by the frame's request id and places
+// it by the rect it asked for. Binary on the wire, like ExecHeader.
 type ExecResultHeader struct {
-	TaskID int64
-	OutLo  int
-	C      int
-	H      int
-	W      int
+	C int
+	H int
+	W int
 	// DType is the payload element type; Scale is the tile's quantization
 	// scale when DType is DTypeInt8. Result headers carry the scale forward
 	// so the coordinator never re-derives calibration mid-pipeline.
@@ -212,45 +181,41 @@ type ExecResultHeader struct {
 	KernelSeconds [tensor.NumKinds]float64
 }
 
-// execResultHeaderLen is the binary exec-result header size: TaskID int64,
-// five int32 fields (geometry + dtype), the float32 scale, ComputeSeconds
-// float64 and one float64 per kernel kind.
-const execResultHeaderLen = 8 + 5*4 + 4 + 8 + tensor.NumKinds*8
+// execResultHeaderLen is the binary exec-result header size: four int32
+// fields (extent + dtype), the float32 scale, ComputeSeconds float64 and one
+// float64 per kernel kind.
+const execResultHeaderLen = 4*4 + 4 + 8 + tensor.NumKinds*8
 
 // appendBinary encodes h as:
 //
-//	TaskID int64 | OutLo, C, H, W, DType (int32 each) | Scale float32 |
+//	C, H, W, DType (int32 each) | Scale float32 |
 //	ComputeSeconds float64 | KernelSeconds (float64 each)
 func (h *ExecResultHeader) appendBinary(buf []byte) []byte {
-	var fixed [execResultHeaderLen]byte
-	binary.LittleEndian.PutUint64(fixed[0:], uint64(h.TaskID))
-	binary.LittleEndian.PutUint32(fixed[8:], uint32(int32(h.OutLo)))
-	binary.LittleEndian.PutUint32(fixed[12:], uint32(int32(h.C)))
-	binary.LittleEndian.PutUint32(fixed[16:], uint32(int32(h.H)))
-	binary.LittleEndian.PutUint32(fixed[20:], uint32(int32(h.W)))
-	binary.LittleEndian.PutUint32(fixed[24:], uint32(int32(h.DType)))
-	binary.LittleEndian.PutUint32(fixed[28:], math.Float32bits(h.Scale))
-	binary.LittleEndian.PutUint64(fixed[32:], math.Float64bits(h.ComputeSeconds))
-	for k, sec := range h.KernelSeconds {
-		binary.LittleEndian.PutUint64(fixed[40+8*k:], math.Float64bits(sec))
+	var b [execResultHeaderLen]byte
+	for i, v := range [...]int{h.C, h.H, h.W, h.DType} {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(int32(v)))
 	}
-	return append(buf, fixed[:]...)
+	binary.LittleEndian.PutUint32(b[16:], math.Float32bits(h.Scale))
+	binary.LittleEndian.PutUint64(b[20:], math.Float64bits(h.ComputeSeconds))
+	for k, sec := range h.KernelSeconds {
+		binary.LittleEndian.PutUint64(b[28+8*k:], math.Float64bits(sec))
+	}
+	return append(buf, b[:]...)
 }
 
 func (h *ExecResultHeader) decodeBinary(b []byte) error {
 	if len(b) != execResultHeaderLen {
 		return fmt.Errorf("wire: exec result header %d bytes, want %d", len(b), execResultHeaderLen)
 	}
-	h.TaskID = int64(binary.LittleEndian.Uint64(b[0:]))
-	h.OutLo = int(int32(binary.LittleEndian.Uint32(b[8:])))
-	h.C = int(int32(binary.LittleEndian.Uint32(b[12:])))
-	h.H = int(int32(binary.LittleEndian.Uint32(b[16:])))
-	h.W = int(int32(binary.LittleEndian.Uint32(b[20:])))
-	h.DType = int(int32(binary.LittleEndian.Uint32(b[24:])))
-	h.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[28:]))
-	h.ComputeSeconds = math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))
+	var v [4]int
+	for i := range v {
+		v[i] = int(int32(binary.LittleEndian.Uint32(b[4*i:])))
+	}
+	h.C, h.H, h.W, h.DType = v[0], v[1], v[2], v[3]
+	h.Scale = math.Float32frombits(binary.LittleEndian.Uint32(b[16:]))
+	h.ComputeSeconds = math.Float64frombits(binary.LittleEndian.Uint64(b[20:]))
 	for k := range h.KernelSeconds {
-		h.KernelSeconds[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[40+8*k:]))
+		h.KernelSeconds[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[28+8*k:]))
 	}
 	return nil
 }
@@ -266,6 +231,5 @@ func (m *Message) DecodeExecResult(h *ExecResultHeader) error {
 
 // ErrorHeader reports a request failure.
 type ErrorHeader struct {
-	TaskID  int64  `json:"task_id"`
 	Message string `json:"message"`
 }

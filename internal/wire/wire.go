@@ -44,7 +44,8 @@ const (
 	MsgHello MsgType = iota + 1
 	// MsgLoadModel ships a model description and weight seed to a worker.
 	MsgLoadModel
-	// MsgExec asks a worker to execute a model segment on a tile.
+	// MsgExec asks a worker to execute its connection's loaded segment on a
+	// tile.
 	MsgExec
 	// MsgExecResult returns a computed output tile.
 	MsgExecResult
@@ -53,8 +54,6 @@ const (
 	// MsgPing and MsgPong are liveness probes.
 	MsgPing
 	MsgPong
-	// MsgShutdown asks a worker to stop serving.
-	MsgShutdown
 )
 
 func (t MsgType) String() string {
@@ -73,8 +72,6 @@ func (t MsgType) String() string {
 		return "ping"
 	case MsgPong:
 		return "pong"
-	case MsgShutdown:
-		return "shutdown"
 	default:
 		return fmt.Sprintf("type(%d)", byte(t))
 	}

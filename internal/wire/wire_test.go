@@ -12,8 +12,14 @@ import (
 	"testing"
 
 	"pico/internal/nn"
+	"pico/internal/partition"
 	"pico/internal/tensor"
 )
+
+// rect is the output region [rlo,rhi) x [clo,chi).
+func rect(rlo, rhi, clo, chi int) partition.Rect {
+	return partition.Rect{Rows: partition.Range{Lo: rlo, Hi: rhi}, Cols: partition.Range{Lo: clo, Hi: chi}}
+}
 
 // pipePair returns two framed connections talking to each other.
 func pipePair() (*Conn, *Conn) {
@@ -28,7 +34,7 @@ func TestRoundTripMessage(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- a.SendExec(9, &ExecHeader{TaskID: 7, From: 1, To: 3, OutLo: 2, OutHi: 5, TileC: 1, TileH: 3, TileW: 1, ModelName: "m", Seed: 4}, []byte{1, 2, 3})
+		done <- a.SendExec(9, &ExecHeader{Out: rect(2, 5, 0, 4), TileC: 1, TileH: 3, TileW: 1}, []byte{1, 2, 3})
 	}()
 	msg, err := b.Recv()
 	if err != nil {
@@ -47,9 +53,8 @@ func TestRoundTripMessage(t *testing.T) {
 	if err := msg.DecodeExec(&hdr); err != nil {
 		t.Fatal(err)
 	}
-	if hdr.TaskID != 7 || hdr.From != 1 || hdr.To != 3 || hdr.OutLo != 2 || hdr.OutHi != 5 ||
-		hdr.ModelName != "m" || hdr.Seed != 4 {
-		t.Fatalf("header = %+v", hdr)
+	if want := (ExecHeader{Out: rect(2, 5, 0, 4), TileC: 1, TileH: 3, TileW: 1}); hdr != want {
+		t.Fatalf("header = %+v, want %+v", hdr, want)
 	}
 	if string(msg.Payload) != "\x01\x02\x03" {
 		t.Fatalf("payload = %v", msg.Payload)
@@ -245,12 +250,15 @@ func overflowExtent() (c, h, w int) { return 1 << 22, 1 << 21, 1 << 21 }
 func TestExecHeaderBinaryRoundTrip(t *testing.T) {
 	headers := []ExecHeader{
 		{},
-		{TaskID: -5, From: 1, To: 2, OutLo: 3, OutHi: 4, InLo: 5, TileC: 6, TileH: 7, TileW: 8, ModelName: "vgg16", Seed: -9},
-		{TaskID: math.MaxInt64, OutColLo: 10, OutColHi: 20, InColLo: 5, ModelName: strings.Repeat("n", 300), Seed: math.MinInt64},
-		{TaskID: 8, TileC: 16, TileH: 4, TileW: 4, DType: DTypeInt8, Scale: 0.0078125, ModelName: "q"},
+		{Out: rect(3, 4, -1, 1<<30), TileC: 6, TileH: 7, TileW: 8},
+		{Out: rect(math.MinInt32, math.MaxInt32, 10, 20), TileC: -1},
+		{TileC: 16, TileH: 4, TileW: 4, DType: DTypeInt8, Scale: 0.0078125},
 	}
 	for i, want := range headers {
 		buf := want.appendBinary(nil)
+		if len(buf) != 36 {
+			t.Fatalf("header %d: %d bytes, want 36", i, len(buf))
+		}
 		var got ExecHeader
 		if err := got.decodeBinary(buf); err != nil {
 			t.Fatalf("header %d: %v", i, err)
@@ -259,23 +267,30 @@ func TestExecHeaderBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("header %d: got %+v want %+v", i, got, want)
 		}
 	}
+	// Any other length is refused: short, long, and a v5 header (68 bytes
+	// plus the model name).
 	var h ExecHeader
-	if err := h.decodeBinary(make([]byte, execHeaderFixed-1)); err == nil {
-		t.Fatal("short exec header accepted")
+	for _, n := range []int{0, execHeaderLen - 1, execHeaderLen + 1, 68, 68 + 5} {
+		if err := h.decodeBinary(make([]byte, n)); err == nil {
+			t.Fatalf("%d-byte exec header accepted", n)
+		}
 	}
 }
 
 func TestExecResultHeaderBinaryRoundTrip(t *testing.T) {
 	headers := []ExecResultHeader{
 		{},
-		{TaskID: 77, OutLo: -1, C: 3, H: 4, W: 5, ComputeSeconds: 0.125},
-		{TaskID: -1, OutLo: 1 << 30, C: 1, H: 1, W: 1, ComputeSeconds: math.Inf(1)},
-		{TaskID: 5, OutLo: 2, C: 8, H: 3, W: 9, DType: DTypeInt8, Scale: 0.031, ComputeSeconds: 1.5},
-		{TaskID: 9, C: 2, H: 2, W: 2, ComputeSeconds: 0.5,
+		{C: 3, H: 4, W: 5, ComputeSeconds: 0.125},
+		{C: 1, H: 1, W: 1, ComputeSeconds: math.Inf(1)},
+		{C: 8, H: 3, W: 9, DType: DTypeInt8, Scale: 0.031, ComputeSeconds: 1.5},
+		{C: 2, H: 2, W: 2, ComputeSeconds: 0.5,
 			KernelSeconds: [tensor.NumKinds]float64{0.1, 0.2, 0, 1e-9, math.MaxFloat64}},
 	}
 	for i, want := range headers {
 		buf := want.appendBinary(nil)
+		if len(buf) != 68 {
+			t.Fatalf("header %d: %d bytes, want 68", i, len(buf))
+		}
 		var got ExecResultHeader
 		if err := got.decodeBinary(buf); err != nil {
 			t.Fatalf("header %d: %v", i, err)
@@ -288,10 +303,41 @@ func TestExecResultHeaderBinaryRoundTrip(t *testing.T) {
 	if err := h.decodeBinary(make([]byte, execResultHeaderLen+1)); err == nil {
 		t.Fatal("oversize exec-result header accepted")
 	}
-	// A v3 peer's result header (no kernel seconds) fails closed.
-	if err := h.decodeBinary(make([]byte, 40)); err == nil {
-		t.Fatal("40-byte (v3) exec-result header accepted")
+	// A v3 peer's result header (no kernel seconds) and a v5 one (task id
+	// and row offset) fail closed.
+	for _, n := range []int{40, 80} {
+		if err := h.decodeBinary(make([]byte, n)); err == nil {
+			t.Fatalf("%d-byte exec-result header accepted", n)
+		}
 	}
+}
+
+// FuzzExecHeaders: the exec headers are fixed-layout binary, so arbitrary
+// bytes either fail to decode or decode to a header that re-encodes to
+// exactly those bytes — no field dropped, truncated or widened on the way.
+func FuzzExecHeaders(f *testing.F) {
+	f.Add((&ExecHeader{Out: rect(0, 8, 2, 6), TileC: 4, TileH: 10, TileW: 6, DType: DTypeInt8, Scale: 0.5}).appendBinary(nil))
+	f.Add((&ExecResultHeader{C: 4, H: 8, W: 4, ComputeSeconds: 0.25,
+		KernelSeconds: [tensor.NumKinds]float64{1e-3, 0, 2e-4}}).appendBinary(nil))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, execHeaderLen))       // -1s and a NaN scale
+	f.Add(bytes.Repeat([]byte{0x7F}, execResultHeaderLen)) // NaN payloads
+	f.Add(make([]byte, 68+5))                              // a v5 exec header naming "model"
+	f.Add(make([]byte, 80))                                // a v5 exec-result header
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var h ExecHeader
+		if (&Message{Type: MsgExec, Header: b}).DecodeExec(&h) == nil {
+			if got := h.appendBinary(nil); !bytes.Equal(got, b) {
+				t.Fatalf("exec header %x decoded to %+v, which re-encodes to %x", b, h, got)
+			}
+		}
+		var r ExecResultHeader
+		if (&Message{Type: MsgExecResult, Header: b}).DecodeExecResult(&r) == nil {
+			if got := r.appendBinary(nil); !bytes.Equal(got, b) {
+				t.Fatalf("exec-result header %x decoded to %+v, which re-encodes to %x", b, r, got)
+			}
+		}
+	})
 }
 
 func TestDecodeExecTypeMismatch(t *testing.T) {
@@ -331,17 +377,13 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		case 0:
 			s.typ = MsgExec
 			s.exec = &ExecHeader{
-				TaskID: rng.Int63() - rng.Int63(), From: rng.Intn(100), To: rng.Intn(100),
-				OutLo: -rng.Intn(10), OutHi: rng.Intn(1 << 20), InLo: rng.Intn(100),
+				Out:   rect(-rng.Intn(10), rng.Intn(1<<20), rng.Intn(64), rng.Intn(64)),
 				TileC: rng.Intn(512), TileH: rng.Intn(512), TileW: rng.Intn(512),
-				OutColLo: rng.Intn(64), OutColHi: rng.Intn(64), InColLo: rng.Intn(64),
 				DType: rng.Intn(2), Scale: rng.Float32(),
-				ModelName: strings.Repeat("x", rng.Intn(40)), Seed: rng.Int63(),
 			}
 		case 1:
 			s.typ = MsgExecResult
 			s.result = &ExecResultHeader{
-				TaskID: rng.Int63(), OutLo: rng.Intn(1 << 16),
 				C: rng.Intn(1 << 10), H: rng.Intn(1 << 10), W: rng.Intn(1 << 10),
 				DType: rng.Intn(2), Scale: rng.Float32(),
 				ComputeSeconds: rng.Float64(),
@@ -525,7 +567,7 @@ func TestLoadModelQuantScalesBitExact(t *testing.T) {
 }
 
 func TestMsgTypeStrings(t *testing.T) {
-	for _, mt := range []MsgType{MsgHello, MsgLoadModel, MsgExec, MsgExecResult, MsgError, MsgPing, MsgPong, MsgShutdown} {
+	for _, mt := range []MsgType{MsgHello, MsgLoadModel, MsgExec, MsgExecResult, MsgError, MsgPing, MsgPong} {
 		if mt.String() == "" || strings.HasPrefix(mt.String(), "type(") {
 			t.Fatalf("missing String for %d", mt)
 		}
@@ -549,7 +591,7 @@ func TestConcurrentSendsAreFramed(t *testing.T) {
 			defer wg.Done()
 			payload := bytes.Repeat([]byte{byte(s)}, 64+s)
 			for i := 0; i < perSender; i++ {
-				hdr := ExecHeader{TaskID: int64(s), TileC: 1, TileH: 1, TileW: 16 + s}
+				hdr := ExecHeader{TileC: s, TileH: 1, TileW: 16 + s}
 				if err := client.SendExec(uint64(s), &hdr, payload); err != nil {
 					t.Errorf("send: %v", err)
 					return
@@ -567,7 +609,7 @@ func TestConcurrentSendsAreFramed(t *testing.T) {
 		if err := msg.DecodeExec(&hdr); err != nil {
 			t.Fatal(err)
 		}
-		s := int(hdr.TaskID)
+		s := hdr.TileC
 		if msg.ReqID != uint64(s) {
 			t.Fatalf("sender %d frame has reqID %d", s, msg.ReqID)
 		}
@@ -655,9 +697,9 @@ func FuzzRecv(f *testing.F) {
 		}()
 		c := NewConn(b)
 		_ = c.Send(MsgPing, nil, []byte("xy"))
-		_ = c.SendExec(3, &ExecHeader{TaskID: 1, ModelName: "m"}, []byte{1})
+		_ = c.SendExec(3, &ExecHeader{Out: rect(0, 1, 0, 1), TileC: 1, TileH: 1, TileW: 1, DType: DTypeInt8}, []byte{1})
 		oc, oh, ow := overflowExtent()
-		_ = c.SendExec(4, &ExecHeader{TaskID: 2, TileC: oc, TileH: oh, TileW: ow, DType: DTypeInt8, Scale: 1}, nil)
+		_ = c.SendExec(4, &ExecHeader{TileC: oc, TileH: oh, TileW: ow, DType: DTypeInt8, Scale: 1}, nil)
 		_ = c.SendRequest(MsgLoadModel, 5, LoadModelHeader{
 			Model: SpecFromModel(nn.ToyChain("f", 1, 0, 2, 8)), Seed: 1, From: 0, To: 1,
 			Scales: Scales{0.5, float32(math.NaN()), float32(math.Inf(1)), -1},
