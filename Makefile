@@ -96,10 +96,12 @@ bench-quant-smoke:
 # tile variant the host runs in both dtypes (float: ZMM, YMM, portable; int8:
 # VNNI, AVX2, portable) through the one GEMM driver: MobileNetV1's pointwise
 # shapes in place and, through the gather, its stem, VGG-style 3x3s, and (float)
-# Inception's 1x7 and ToyChain's layers.
+# Inception's 1x7 and ToyChain's layers — and every depthwise variant (AVX-512
+# run tiles, AVX2, portable) through both plane walkers on MobileNetV1's
+# depthwise shapes and its 13-layer sum.
 bench-kernel-smoke:
 	$(GO) test -run NONE -bench '^BenchmarkKernelKinds$$' -benchtime=1x .
-	$(GO) test -run NONE -bench '^Benchmark(Fpw|Qpw)Variants$$' -benchtime=1x ./internal/tensor
+	$(GO) test -run NONE -bench '^Benchmark((Fpw|Qpw)Variants|DepthwisePlanes)$$' -benchtime=1x ./internal/tensor
 
 # Serving-gateway smoke under the race detector: the full binary path
 # (loopback workers, HTTP, micro-batcher, drain), the end-to-end
@@ -117,15 +119,19 @@ metrics-smoke:
 
 # Cross-compile gate: amd64 is the only architecture with asm, so every other
 # one — arm64 here — builds the portable kernels of simd_generic.go, which
-# `purego` tests on an amd64 host. Those must round exactly as amd64 does, so
-# the last line fails if gc fused a float32 multiply and add into one arm64
-# instruction anywhere in internal/tensor (MAC chains call fma32, other
-# products are wrapped in float32()); it also fails on an empty listing.
+# `purego` tests on an amd64 host. Those must round exactly as amd64 does:
+# MAC chains call fma32, which on arm64 is the one line `return a*b + c`
+# (fma_arm64.go) that gc fuses into FMADDS, and every other product is
+# wrapped in float32(). So the last line fails if any fused multiply-add in
+# internal/tensor's arm64 listing comes from another line, if there is none
+# at all (fma32 stopped fusing) and on an empty listing.
+fmaline = $$(grep -n 'return a\*b + c' internal/tensor/fma_arm64.go | cut -d: -f1)
 cross:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
-	@GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1 | \
-	awk '/STEXT/ {n++} /FMADDS|FMSUBS|FNMADDS|FNMSUBS/ {print; bad++} END {if (!n) print "cross: no assembly listing"; exit !n || bad}'
+	@line=$(fmaline); GOOS=linux GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor 2>&1 | \
+	awk -v at="/fma_arm64.go:$$line)" '/STEXT/ {n++} /FMADDS|FMSUBS|FNMADDS|FNMSUBS/ {f++; if (index($$0, at) == 0) {print; bad++}} \
+	END {if (!n) print "cross: no assembly listing"; if (!f) print "cross: no fused multiply-add from fma32"; exit !n || !f || bad}'
 
 # The portable kernels on an amd64 host: the purego tag leaves the asm out, so
 # internal/tensor's property, fuzz-seed and bit-identity suites (about 75 s:

@@ -219,10 +219,6 @@ func dw3x3Row[E elem, A accum](dst []A, src []E, x0, rowStride, nrows int, w []E
 	}
 }
 
-// simdDW3x3 gates the fused 3x3 depthwise tiles (tests switch it off to run
-// the portable tile everywhere).
-var simdDW3x3 = vectorAvailable()
-
 // dw3x3RowGo computes output row r of the span in portable form,
 // accumulators unfinished.
 func dw3x3RowGo[E elem, A accum](c *dwChan[E, A], dst []A, in []E, base, r int) {
@@ -231,50 +227,11 @@ func dw3x3RowGo[E elem, A accum](c *dwChan[E, A], dst []A, in []E, base, r int) 
 	dw3x3Row(dst, in[base+off:], g.x0, g.inW, nrows, c.w[3*kLo:3*(kLo+nrows)], c.seed, g.sw)
 }
 
-// dw3x3TileF is the float32 dwTile. The AVX2 tiles produce 8 interior
-// columns per step with the bias seeded in-register (stride 2 deinterleaves
-// even/odd lanes), store the last partial step under a mask, and compute the
-// edge columns with scalar instructions ahead of each row's loop.
-func dw3x3TileF(c *dwChan[float32, float32], dst, in []float32, base int) {
-	g := c.g
-	lo, hi := 0, 0
-	if simdDW3x3 {
-		if lo, hi = g.vecRows(len(in), base, g.x, g.n, 8); lo < hi {
-			tile := fdw3x3S1
-			if g.sw == 2 {
-				tile = fdw3x3S2
-			}
-			ih := g.ih0 + lo*g.sh
-			tile(&dst[lo*g.outW+g.left], &in[0], base+(ih-g.inLo)*g.inW+g.x, g.inW, ih, g.inHGlobal, &c.w[0], c.seed,
-				g.n, g.left, g.right, hi-lo, g.sh, g.outW)
-		}
-	}
-	for r := 0; r < g.outRows; r++ {
-		if r < lo || r >= hi {
-			dw3x3RowGo(c, dst[r*g.outW:][:g.tileHi-g.tileLo], in, base, r)
-		}
-	}
-}
-
-// dw3x3TileQ is the int8 dwTile. The AVX2 tiles pair taps through VPMADDWD
-// (stride 1: 16 columns per step as even/odd halves; stride 2: 8 columns, the
-// even/odd byte pairs are the taps), wrap like Go int32, mask the one padding
-// tap of an edge column to zero, and requantize from registers.
-func dw3x3TileQ(c *dwChan[int8, int32], dst, in []int8, base int) {
+// dw3x3Rows computes the span of the plane's output rows outside [lo, hi) in
+// portable form and finishes them through c.store.
+func dw3x3Rows[E elem, A accum](c *dwChan[E, A], dst, in []E, base, lo, hi int) {
 	g := c.g
 	cols := g.tileHi - g.tileLo
-	lo, hi := 0, 0
-	if simdDW3x3 {
-		if lo, hi = g.vecRows(len(in), base, g.x0, cols, 32>>g.sw); lo < hi {
-			tile := qdw3x3S1
-			if g.sw == 2 {
-				tile = qdw3x3S2
-			}
-			ih := g.ih0 + lo*g.sh
-			tile(&dst[lo*g.outW], &in[0], base+(ih-g.inLo)*g.inW+g.x0, g.inW, ih, g.inHGlobal, &c.w[0],
-				cols, g.left, g.right, hi-lo, g.sh, g.outW, c.scale, c.bias, actCode(c.act))
-		}
-	}
 	for r := 0; r < g.outRows; r++ {
 		if r < lo || r >= hi {
 			acc := c.row(cols)
@@ -284,21 +241,72 @@ func dw3x3TileQ(c *dwChan[int8, int32], dst, in []int8, base int) {
 	}
 }
 
+// dw3x3TileGo is the portable dwTile of both dtypes.
+func dw3x3TileGo[E elem, A accum](c *dwChan[E, A], dst, in []E, base int) {
+	dw3x3Rows(c, dst, in, base, 0, 0)
+}
+
+// dwVariant is one implementation of the depthwise tiles. tileF/tileQ are its
+// per-plane dwTiles. runF/runQ, when set, compute the finished planes —
+// every row and column, epilogue included — of a run of channels [lo, hi) in
+// one call, for the geometries takesRuns accepts; runF is only handed
+// channels without a zero tap.
+type dwVariant struct {
+	name  string
+	tileF dwTile[float32, float32]
+	tileQ dwTile[int8, int32]
+	runF  func(g *dwGeom, act nn.Activation, dst, in []float32, p *fparams, lo, hi int)
+	runQ  func(g *dwGeom, act nn.Activation, dst, in []int8, qw *qconvWeights, lo, hi int)
+}
+
+// dwVariants lists the depthwise variants this host runs, fastest first,
+// portable last; dwActive is the walkers' — chosen here once, reassigned
+// only by tests.
+var (
+	dwVariants = append(dwArchVariants(), &dwVariant{name: "portable", tileF: dw3x3TileGo[float32, float32], tileQ: dw3x3TileGo[int8, int32]})
+	dwActive   = dwVariants[0]
+)
+
+// takesRuns reports whether a run tile takes the geometry: a 3x3 kernel at
+// stride 1 or 2, the same along rows and columns, under at most one padding
+// column per side, where the only taps of a column that can fall outside the
+// map are tap 0 of the first column and tap 2 of the last.
+func (g *dwGeom) takesRuns() bool {
+	return g.kh == 3 && g.kw == 3 && g.sw <= 2 && g.sh == g.sw && g.pw <= 1
+}
+
 // convForwardDepthwise runs the float32 plane walker over a full-width tile
 // (the dispatcher observes that; dwGeom has no column origin), one work unit
-// per channel: bias seeded in the tile, taps chained in reference order, and the
-// batch-norm + activation epilogue once over the channel's contiguous plane.
+// per channel. A run of channels without a zero tap goes to the active
+// variant's run tile in one call when it has one for the shape; every other
+// channel is seeded with its bias in the plane walker, taps chained in
+// reference order, and the batch-norm + activation epilogue runs once over
+// its contiguous plane.
 func convForwardDepthwise(in Tensor, at geom, l *nn.Layer, wts *convWeights, par int) Tensor {
 	g := newDWGeom(l, in.H, in.W, at.rowLo, at.in.H, at.out.Rows.Lo, at.out.Rows.Hi)
 	out := Alloc(l.OutC, g.outRows, g.outW)
 	plane, taps := g.outRows*g.outW, l.KH*l.KW
+	v := dwActive
+	run := v.runF
+	if !g.takesRuns() {
+		run = nil
+	}
 	parallelForGrain(l.OutC, par, grainFor(taps*plane), func(lo, hi int) {
 		c := dwChan[float32, float32]{g: &g,
 			store: func(_ *dwChan[float32, float32], dst, acc []float32) { copy(dst, acc) }}
 		for oc := lo; oc < hi; oc++ {
 			c.w, c.seed, c.tile = wts.w[oc*taps:(oc+1)*taps], wts.bias[oc], nil
 			if !hasZero(c.w) {
-				c.tile = dw3x3TileF
+				if run != nil {
+					end := oc + 1
+					for end < hi && !hasZero(wts.w[end*taps:(end+1)*taps]) {
+						end++
+					}
+					run(&g, l.Act, out.Data, in.Data, &wts.fparams, oc, end)
+					oc = end - 1
+					continue
+				}
+				c.tile = v.tileF
 			}
 			dst := out.Data[oc*plane : (oc+1)*plane]
 			dwPlane(&c, in.Data, oc*in.H*in.W, dst)
@@ -311,13 +319,19 @@ func convForwardDepthwise(in Tensor, at geom, l *nn.Layer, wts *convWeights, par
 // qconvForwardDepthwise runs the int8 plane walker: the tiles requantize
 // their int32 accumulators from registers, the columns the walker computes
 // itself go through requantRow a row at a time. Zero taps need no special
-// case — adding an integer zero changes nothing.
+// case — adding an integer zero changes nothing — so a run tile, when the
+// active variant has one for the shape, takes each chunk in one call.
 func qconvForwardDepthwise(in QTensor, at geom, l *nn.Layer, qw *qconvWeights, par int) QTensor {
 	g := newDWGeom(l, in.H, in.W, at.rowLo, at.in.H, at.out.Rows.Lo, at.out.Rows.Hi)
 	out := AllocQ(l.OutC, g.outRows, g.outW, qw.scale)
 	plane, taps := g.outRows*g.outW, l.KH*l.KW
+	v := dwActive
 	parallelForGrain(l.OutC, par, grainFor(taps*plane), func(lo, hi int) {
-		c := dwChan[int8, int32]{g: &g, act: l.Act, tile: dw3x3TileQ,
+		if v.runQ != nil && g.takesRuns() {
+			v.runQ(&g, l.Act, out.Data, in.Data, qw, lo, hi)
+			return
+		}
+		c := dwChan[int8, int32]{g: &g, act: l.Act, tile: v.tileQ,
 			store: func(c *dwChan[int8, int32], dst []int8, acc []int32) { requantRow(dst, acc, c.scale, c.bias, c.act) }}
 		for oc := lo; oc < hi; oc++ {
 			c.w, c.scale, c.bias = qw.wq[oc*taps:(oc+1)*taps], qw.effScale[oc], qw.effBias[oc]

@@ -60,20 +60,44 @@ func FuzzFKernelTile(f *testing.F) {
 			})
 		}
 
-		// dw3x3TileF: the fused 3x3 depthwise tile (see checkDWTiles), with
-		// NaN and -0 lanes.
+		// The depthwise tiles of every variant: the per-plane tile directly
+		// (see checkDWTiles), then both plane walkers — the run tiles where
+		// the variant has them — on a fuzzer-chosen layer (checkDWWalker),
+		// with -0 and either NaN or ±Inf inputs. Not both: where an input NaN
+		// meets the default NaN of Inf-Inf, fma32 and VFMADD231PS keep
+		// different ones.
 		{
-			c := dwChan[float32, float32]{seed: randF(1)[0], tile: dw3x3TileF}
+			special, other := float32(math.NaN()), float32(0)
+			if p9%2 == 1 {
+				special, other = float32(math.Inf(1)), float32(math.Inf(-1))
+			}
 			rnd := func() float32 {
 				switch rng.Intn(40) {
 				case 0:
-					return float32(math.NaN())
+					return special
 				case 1:
 					return float32(math.Copysign(0, -1))
+				case 2:
+					return other
 				}
 				return rng.Float32()*2 - 1
 			}
-			checkDWTiles(t, n, int(p1)%3, c, rnd, func(dst, acc []float32) { copy(dst, acc) }, bitsEq)
+			c, h, s, pd := 1+int(p3)%5, 1+int(p4)%9, 1+int(p5)%2, 1-int(p6)%4/3
+			eachDwVariant(t, func(t *testing.T, vn string) {
+				tc := dwChan[float32, float32]{seed: randF(1)[0], tile: dwActive.tileF,
+					store: func(_ *dwChan[float32, float32], dst, acc []float32) { copy(dst, acc) }}
+				checkDWTiles(t, n, int(p1)%3, tc, rnd, func(dst, acc []float32) { copy(dst, acc) }, bitsEq)
+				if n+2*pd >= 3 && h+2*pd >= 3 {
+					l, wts, qw := dwLayer(int64(p7), c, s, pd, nn.Activation(1+int(p9)%3), p8%2 == 0)
+					in := RandomInput(nn.Shape{C: c, H: h, W: n}, int64(p2))
+					for i := range in.Data {
+						if rng.Intn(10) == 0 {
+							in.Data[i] = rnd()
+						}
+					}
+					checkDWWalker(t, vn, &l, in, wts, randomQInput(c, h, n, int64(p3)), qw)
+				}
+			})
 		}
 
 		// maxPairRowF: 2x2 stride-2 max-pool row pair, with NaN and

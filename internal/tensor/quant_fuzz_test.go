@@ -42,19 +42,32 @@ func FuzzQKernelTile(f *testing.F) {
 			return s
 		}
 
-		// dw3x3TileQ: the fused 3x3 depthwise tile with its in-register
-		// epilogue (see checkDWTiles) against requantRowRef, under every
-		// activation: a scale of 1/2 lands every odd accumulator on a
-		// rounding tie, a scale of 1 saturates both rails.
-		for i, scale := range []float32{0.5, 1, float32(p8)/7190 + 1e-6} {
-			c := dwChan[int8, int32]{scale: scale, bias: float32(int(p9)-128) / 3, act: nn.Activation(1 + (int(p9)+i)%3), tile: dw3x3TileQ,
-				store: func(c *dwChan[int8, int32], dst []int8, acc []int32) { requantRow(dst, acc, c.scale, c.bias, c.act) }}
-			if i < 2 {
-				c.bias = 0
+		// The int8 depthwise tiles of every variant: the per-plane tile with
+		// its in-register epilogue (see checkDWTiles) against requantRowRef,
+		// under every activation — a scale of 1/2 lands every odd
+		// accumulator on a rounding tie, a scale of 1 saturates both rails —
+		// then both plane walkers, the run tiles where the variant has them,
+		// on a fuzzer-chosen layer under those scales (checkDWWalker).
+		eachDwVariant(t, func(t *testing.T, vn string) {
+			for i, scale := range []float32{0.5, 1, float32(p8)/7190 + 1e-6} {
+				c := dwChan[int8, int32]{scale: scale, bias: float32(int(p9)-128) / 3, act: nn.Activation(1 + (int(p9)+i)%3), tile: dwActive.tileQ,
+					store: func(c *dwChan[int8, int32], dst []int8, acc []int32) { requantRow(dst, acc, c.scale, c.bias, c.act) }}
+				if i < 2 {
+					c.bias = 0
+				}
+				fin := func(dst []int8, acc []int32) { requantRowRef(dst, acc, c.scale, c.bias, c.act) }
+				checkDWTiles(t, n, int(p1)%3, c, func() int8 { return int8(rng.Intn(256) - 128) }, fin, func(a, b int8) bool { return a == b })
+
+				ch, h, s, pd := 1+int(p3)%5, 1+int(p4)%9, 1+int(p5)%2, 1-int(p6)%4/3
+				if n+2*pd >= 3 && h+2*pd >= 3 {
+					l, wts, qw := dwLayer(int64(p7), ch, s, pd, c.act, p8%2 == 0)
+					for oc := range qw.effScale[:ch] {
+						qw.effScale[oc], qw.effBias[oc] = scale, c.bias
+					}
+					checkDWWalker(t, vn, &l, RandomInput(nn.Shape{C: ch, H: h, W: n}, int64(p2)), wts, randomQInput(ch, h, n, int64(p3)), qw)
+				}
 			}
-			fin := func(dst []int8, acc []int32) { requantRowRef(dst, acc, c.scale, c.bias, c.act) }
-			checkDWTiles(t, n, int(p1)%3, c, func() int8 { return int8(rng.Intn(256) - 128) }, fin, func(a, b int8) bool { return a == b })
-		}
+		})
 
 		// maxPairRow: 2x2 stride-2 max-pool row pair.
 		{

@@ -748,36 +748,41 @@ func TestPoolFastMatchesReferenceBitExact(t *testing.T) {
 // TestDepthwiseFusedRowBitExact drives the depthwise plane walker over one
 // output row — fused 3x3 tile in the interior, per-column loop at the edges —
 // directly against the reference convolution across strides, paddings and
-// widths.
+// widths, under every depthwise variant; the float walker, which takes the
+// run tiles where the variant has them, must agree as well.
 func TestDepthwiseFusedRowBitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 120; trial++ {
-		inW := 3 + rng.Intn(30)
-		sw := 1 + rng.Intn(2)
-		pw := rng.Intn(3)
-		l := nn.Layer{Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: sw, PW: pw, OutC: 1}
-		g := newDWGeom(&l, 3, inW, 0, 3, 0, 1)
-		in := make([]float32, 3*inW)
-		for i := range in {
-			in[i] = rng.Float32()*2 - 1
-		}
-		w := make([]float32, 9)
-		for i := range w {
-			w[i] = rng.Float32() - 0.5
-		}
-		bias := rng.Float32()
-		at := stripGeom(&l, 1, inW, 0, 3, 0, 1)
-		want := convRef[float32, float32](in, 1, 3, inW, at, &l, &fparams{w: w, bias: []float32{bias}}, 1).data
-		got := make([]float32, g.outW)
-		c := dwChan[float32, float32]{g: &g, w: w, seed: bias, tile: dw3x3TileF,
-			store: func(_ *dwChan[float32, float32], dst, acc []float32) { copy(dst, acc) }}
-		dwPlane(&c, in, 0, got)
-		for i := range want {
-			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-				t.Fatalf("trial %d (inW=%d sw=%d pw=%d): col %d fused %g != ref %g", trial, inW, sw, pw, i, got[i], want[i])
+	eachDwVariant(t, func(t *testing.T, vn string) {
+		rng := rand.New(rand.NewSource(31))
+		for trial := 0; trial < 120; trial++ {
+			inW := 3 + rng.Intn(30)
+			sw := 1 + rng.Intn(2)
+			pw := rng.Intn(3)
+			l := nn.Layer{Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: sw, PW: pw, OutC: 1}
+			g := newDWGeom(&l, 3, inW, 0, 3, 0, 1)
+			in := make([]float32, 3*inW)
+			for i := range in {
+				in[i] = rng.Float32()*2 - 1
+			}
+			w := make([]float32, 9)
+			for i := range w {
+				w[i] = rng.Float32() - 0.5
+			}
+			bias := rng.Float32()
+			at := stripGeom(&l, 1, inW, 0, 3, 0, 1)
+			p := &fparams{w: w, bias: []float32{bias}}
+			want := convRef[float32, float32](in, 1, 3, inW, at, &l, p, 1).data
+			got := make([]float32, g.outW)
+			c := dwChan[float32, float32]{g: &g, w: w, seed: bias, tile: dwActive.tileF,
+				store: func(_ *dwChan[float32, float32], dst, acc []float32) { copy(dst, acc) }}
+			dwPlane(&c, in, 0, got)
+			walker := convForwardDepthwise(Tensor{C: 1, H: 3, W: inW, Data: in}, at, &l, &convWeights{fparams: *p}, 1)
+			for i := range want {
+				if math.Float32bits(want[i]) != math.Float32bits(got[i]) || math.Float32bits(want[i]) != math.Float32bits(walker.Data[i]) {
+					t.Fatalf("%s trial %d (inW=%d sw=%d pw=%d): col %d fused %g, walker %g != ref %g", vn, trial, inW, sw, pw, i, got[i], walker.Data[i], want[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkQpwVariants times the GEMM walker alone (no input quantization)

@@ -51,12 +51,16 @@ func TestSIMDNameMatchesCPUInfo(t *testing.T) {
 	if hasAVX512 != (flags["avx2"] && flags["avx512f"]) {
 		t.Fatalf("hasAVX512 = %v, /proc/cpuinfo flags avx2=%v avx512f=%v", hasAVX512, flags["avx2"], flags["avx512f"])
 	}
+	if hasAVX512BW != (hasAVX512 && flags["avx512bw"]) {
+		t.Fatalf("hasAVX512BW = %v, /proc/cpuinfo flags avx512f=%v avx512bw=%v", hasAVX512BW, flags["avx512f"], flags["avx512bw"])
+	}
 }
 
-// TestVariantTablesMatchProbe: both GEMM walkers pick their tile from the CPU
-// probe alone — every tile the probe allows and no other, fastest first, the
-// portable one last — so 512-bit float runs on a host without VNNI and nothing
-// wider than the probe allows can be dispatched.
+// TestVariantTablesMatchProbe: both GEMM walkers and the depthwise walkers
+// pick their tiles from the CPU probe alone — every tile the probe allows and
+// no other, fastest first, the portable one last, the first one active — so
+// 512-bit float runs on a host without VNNI and nothing wider than the probe
+// allows can be dispatched.
 func TestVariantTablesMatchProbe(t *testing.T) {
 	var fnames, qnames []string
 	for _, v := range fpwVariants {
@@ -85,6 +89,30 @@ func TestVariantTablesMatchProbe(t *testing.T) {
 	for i, v := range fpwVariants[:len(fpwVariants)-1] {
 		if v.nr < fpwVariants[i+1].nr {
 			t.Fatalf("float tiles not widest first: %v", fnames)
+		}
+	}
+
+	var dnames []string
+	for _, v := range dwVariants {
+		dnames = append(dnames, v.name)
+	}
+	wantD := []string{"portable"}
+	if hasAVX2 {
+		wantD = append([]string{"avx2"}, wantD...)
+	}
+	if hasAVX512 && hasAVX512BW {
+		wantD = append([]string{"avx512"}, wantD...)
+	}
+	if !slices.Equal(dnames, wantD) {
+		t.Fatalf("depthwise variants %v, probe (avx2=%v avx512=%v bw=%v) implies %v", dnames, hasAVX2, hasAVX512, hasAVX512BW, wantD)
+	}
+	if dwActive != dwVariants[0] {
+		t.Fatal("the active depthwise variant is not the table's first")
+	}
+	for i, v := range dwVariants {
+		zmm := v.name == "avx512"
+		if (v.runF != nil) != zmm || (v.runQ != nil) != (zmm && hasVNNI) || v.tileF == nil || v.tileQ == nil {
+			t.Fatalf("depthwise variant %d (%s): run tiles only on avx512 (int8 with VNNI), per-plane tiles everywhere", i, v.name)
 		}
 	}
 }

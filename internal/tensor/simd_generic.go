@@ -35,6 +35,9 @@ func fmaxPair8(dst *float32, a, b *float32, n int) {
 // fpwArchVariants is empty: the GEMM driver runs the portable float tile.
 func fpwArchVariants() []*fpwVariant { return nil }
 
+// dwArchVariants is empty: the depthwise walkers run the portable tiles.
+func dwArchVariants() []*dwVariant { return nil }
+
 func ffcPanel16(dst *float32, panel *float32, src *float32, bias *float32, n int) {
 	panic("tensor: ffcPanel16 without SIMD support")
 }
@@ -45,20 +48,4 @@ func fgapSum8(dst *float32, src *float32, chanStride, n int) {
 
 func fepiRow(dst *float32, scale, shift float32, bn, act, n int) {
 	panic("tensor: fepiRow without SIMD support")
-}
-
-func fdw3x3S1(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int) {
-	panic("tensor: fdw3x3S1 without SIMD support")
-}
-
-func fdw3x3S2(dst, in *float32, off, rowStride, ih, inH int, w *float32, bias float32, n, left, right, rows, sh, outW int) {
-	panic("tensor: fdw3x3S2 without SIMD support")
-}
-
-func qdw3x3S1(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int) {
-	panic("tensor: qdw3x3S1 without SIMD support")
-}
-
-func qdw3x3S2(dst, in *int8, off, rowStride, ih, inH int, w *int8, cols, left, right, rows, sh, outW int, scale, bias float32, act int) {
-	panic("tensor: qdw3x3S2 without SIMD support")
 }

@@ -5,13 +5,15 @@ package tensor
 import "testing"
 
 // TestPortableBuildRunsNoAsm: without the amd64 port every vector gate is off
-// and each GEMM walker's table holds the portable tile alone, so this
-// package's suites check the scalar kernels every other architecture runs.
+// and each walker's variant table (GEMM, depthwise) holds the portable tile
+// alone, so this package's suites check the scalar kernels every other
+// architecture runs.
 func TestPortableBuildRunsNoAsm(t *testing.T) {
-	if simdQuant || simdFloat || simdDW3x3 {
-		t.Fatalf("vector gates on: quant=%v float=%v dw3x3=%v", simdQuant, simdFloat, simdDW3x3)
+	if simdQuant || simdFloat {
+		t.Fatalf("vector gates on: quant=%v float=%v", simdQuant, simdFloat)
 	}
-	if len(fpwVariants) != 1 || len(qpwVariants) != 1 || SIMDName() != "" {
-		t.Fatalf("variant tables %d / %d, SIMDName %q: want the portable tiles alone", len(fpwVariants), len(qpwVariants), SIMDName())
+	if len(fpwVariants) != 1 || len(qpwVariants) != 1 || len(dwVariants) != 1 || SIMDName() != "" {
+		t.Fatalf("variant tables %d / %d / %d, SIMDName %q: want the portable tiles alone",
+			len(fpwVariants), len(qpwVariants), len(dwVariants), SIMDName())
 	}
 }

@@ -62,29 +62,42 @@ func NewFlakyConn(c net.Conn, opts FlakyOptions) *FlakyConn {
 	}
 }
 
-func (f *FlakyConn) Write(b []byte) (int, error) {
+// flakyWrite is the fault decision for one write: its number (from 1), the
+// delay injected ahead of it, and whether it is dropped or severs the conn.
+type flakyWrite struct {
+	n          int
+	sleep      time.Duration
+	drop, kill bool
+}
+
+// decide counts the next write and draws its faults from the seeded source,
+// so two conns with the same options decide the same faults write for write.
+func (f *FlakyConn) decide() flakyWrite {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.writes++
-	n := f.writes
-	var sleep time.Duration
+	w := flakyWrite{n: f.writes}
 	if f.opts.DelayProb > 0 && f.opts.Delay > 0 && f.rng.Float64() < f.opts.DelayProb {
-		sleep = time.Duration(f.rng.Int63n(int64(f.opts.Delay)) + 1)
+		w.sleep = time.Duration(f.rng.Int63n(int64(f.opts.Delay)) + 1)
 	}
-	drop := f.opts.DropAfterWrites > 0 && n > f.opts.DropAfterWrites
-	kill := f.opts.CloseAfterWrites > 0 && n > f.opts.CloseAfterWrites && !f.dead
-	if kill {
+	w.drop = f.opts.DropAfterWrites > 0 && w.n > f.opts.DropAfterWrites
+	w.kill = f.opts.CloseAfterWrites > 0 && w.n > f.opts.CloseAfterWrites && !f.dead
+	if w.kill {
 		f.dead = true
 	}
-	f.mu.Unlock()
+	return w
+}
 
-	if sleep > 0 {
-		time.Sleep(sleep)
+func (f *FlakyConn) Write(b []byte) (int, error) {
+	w := f.decide()
+	if w.sleep > 0 {
+		time.Sleep(w.sleep)
 	}
-	if kill {
+	if w.kill {
 		_ = f.Conn.Close()
-		return 0, fmt.Errorf("wire: flaky conn closed after %d writes", n-1)
+		return 0, fmt.Errorf("wire: flaky conn closed after %d writes", w.n-1)
 	}
-	if drop {
+	if w.drop {
 		// Pretend success; the bytes vanish. The peer hangs until its
 		// deadline fires.
 		return len(b), nil

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,33 +85,39 @@ func TestFlakyConnDropAfterWrites(t *testing.T) {
 	}
 }
 
+// TestFlakyConnDelayIsSeeded: two conns with the same seed inject the same
+// delay, to the nanosecond, before every write — the wrapper is
+// deterministic, so chaos runs reproduce. It reads the seeded decisions, not
+// the wall clock.
 func TestFlakyConnDelayIsSeeded(t *testing.T) {
-	// Same seed → same injected delay decisions; the wrapper must be
-	// deterministic for reproducible chaos runs.
-	sample := func(seed int64) []int {
+	sample := func(seed int64) []time.Duration {
 		fc, peer := flakyPair(FlakyOptions{Seed: seed, DelayProb: 0.5, Delay: time.Millisecond})
-		done := make(chan int, 1)
-		go drain(peer, done)
-		var slow []int
-		for i := 0; i < 16; i++ {
-			start := time.Now()
-			if _, err := fc.Write([]byte("x")); err != nil {
-				t.Fatal(err)
-			}
-			if time.Since(start) >= 200*time.Microsecond {
-				slow = append(slow, i)
-			}
+		defer peer.Close()
+		defer fc.Close()
+		var delays []time.Duration
+		for i := 0; i < 64; i++ {
+			delays = append(delays, fc.decide().sleep)
 		}
-		fc.Close()
-		<-done
-		return slow
+		return delays
 	}
 	a, b := sample(42), sample(42)
-	if len(a) == 0 {
-		t.Skip("no injected delay observed; timer resolution too coarse")
+	if !slices.Equal(a, b) {
+		t.Fatalf("same seed, different delays:\n%v\n%v", a, b)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different delay schedule: %v vs %v", a, b)
+	delayed := 0
+	for _, d := range a {
+		if d < 0 || d > time.Millisecond {
+			t.Fatalf("delay %v outside (0, 1ms]", d)
+		}
+		if d > 0 {
+			delayed++
+		}
+	}
+	if delayed == 0 || delayed == len(a) {
+		t.Fatalf("%d of %d writes delayed at DelayProb 0.5", delayed, len(a))
+	}
+	if slices.Equal(a, sample(43)) {
+		t.Fatal("seeds 42 and 43 drew the same delays")
 	}
 }
 
