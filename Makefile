@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-exec fuzz-infer fuzz-speeds loc check
+.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-fpw bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-exec fuzz-infer fuzz-speeds loc check
 
 all: check
 
@@ -102,6 +102,16 @@ bench-quant-smoke:
 bench-kernel-smoke:
 	$(GO) test -run NONE -bench '^BenchmarkKernelKinds$$' -benchtime=1x .
 	$(GO) test -run NONE -bench '^Benchmark((Fpw|Qpw)Variants|DepthwisePlanes)$$' -benchtime=1x ./internal/tensor
+
+# The float GEMM's timing table (BenchmarkFpwVariants: per-layer GMAC/s and
+# the mnv1-pointwise row, MobileNetV1's 13 pointwise layers per op), one tile
+# variant per `go test -cpu 1` process: run in one process, a variant's rows
+# depend on which variant ran before it. A variant the host lacks matches
+# no row. To compare a variant across commits, alternate the two trees' runs.
+bench-fpw:
+	@for v in avx512 avx2 portable; do \
+		$(GO) test -run NONE -bench "^BenchmarkFpwVariants$$/./^$$v$$" -cpu 1 ./internal/tensor || exit 1; \
+	done
 
 # Serving-gateway smoke under the race detector: the full binary path
 # (loopback workers, HTTP, micro-batcher, drain), the end-to-end

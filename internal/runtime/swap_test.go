@@ -682,20 +682,37 @@ func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
 	}()
 
 	// The swapper flips schemes until the submitters are done, interleaving
-	// drains with concurrent submits.
+	// drains with concurrent submits. Its first `lockstep` swaps interleave
+	// with live submitters by construction, whatever the scheduler does:
+	// swap r runs after every submitter's submit r and before any
+	// submitter's submit r+1.
+	const lockstep = 3
+	var rounds [lockstep]sync.WaitGroup
+	var swapDone [lockstep]chan struct{}
+	for r := range rounds {
+		rounds[r].Add(submitters)
+		swapDone[r] = make(chan struct{})
+	}
 	stop := make(chan struct{})
 	swapped := make(chan int, 1)
 	go func() {
 		n := 0
 		for plans := []*core.Plan{pipeline, oneStage}; ; n++ {
-			select {
-			case <-stop:
-				swapped <- n
-				return
-			default:
+			if n < lockstep {
+				rounds[n].Wait()
+			} else {
+				select {
+				case <-stop:
+					swapped <- n
+					return
+				default:
+				}
 			}
 			if err := p.Swap(plans[n%2], "flip"); err != nil {
 				t.Errorf("swap %d: %v", n, err)
+			}
+			if n < lockstep {
+				close(swapDone[n])
 			}
 		}
 	}()
@@ -706,10 +723,20 @@ func TestAdaptiveConcurrentSubmitDuringSwitch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perG; i++ {
+			i := 0
+			defer func() { // a failed submitter releases the rounds it leaves
+				for ; i < lockstep; i++ {
+					rounds[i].Done()
+				}
+			}()
+			for ; i < perG; i++ {
 				if _, err := p.Submit(in); err != nil {
 					submitErrs <- err
 					return
+				}
+				if i < lockstep {
+					rounds[i].Done()
+					<-swapDone[i]
 				}
 			}
 		}()

@@ -122,12 +122,12 @@ func TestBlockedSparseFallbackBitExact(t *testing.T) {
 	}
 	wts.pack(&l, inC)
 	packed := 0
-	for _, blk := range wts.blocks {
-		if blk.packed != nil {
+	for _, panel := range wts.packed {
+		if panel != nil {
 			packed++
 		}
 	}
-	if packed == len(wts.blocks) {
+	if packed == len(wts.packed) {
 		t.Fatalf("expected at least one sparse block to decline packing")
 	}
 	ref := convForwardRef(in, stripGeom(&l, in.C, in.W, 0, 9, 0, 9), &l, wts, 1)
@@ -314,16 +314,17 @@ func TestRunNeverRecyclesCallerInput(t *testing.T) {
 	}
 }
 
-// TestPackPlanCoversAllChannels sanity-checks the register-tile plan: blocks
-// partition [0, OutC) without gaps or overlap, stay within their group, sit
-// where the GEMM driver indexes them (group g's i-th block at g*obg+i), and
-// pack the blocks' weights tap-major, zero past a ragged block's channels —
-// except in groups narrower than one block.
+// TestPackPlanCoversAllChannels sanity-checks the register-tile plan: one
+// panel per block where the GEMM driver indexes it (group g's i-th block at
+// g*obg+i, channels from g*ocg+i*fpwMR, at most fpwMR of them and never past
+// the group), each packing exactly its channels' weights tap-major, zero
+// past a ragged block's, so the blocks cover [0, OutC) once — except in
+// groups narrower than one block, whose panels are nil.
 func TestPackPlanCoversAllChannels(t *testing.T) {
 	cases := []struct {
 		outC, inC, groups int
 	}{
-		{9, 5, 1}, {8, 8, 2}, {6, 6, 6}, {1, 3, 1}, {16, 8, 4},
+		{9, 5, 1}, {8, 8, 2}, {6, 6, 6}, {1, 3, 1}, {16, 8, 4}, {17, 3, 1}, {32, 4, 2},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("oc%d-g%d", tc.outC, tc.groups), func(t *testing.T) {
@@ -331,33 +332,27 @@ func TestPackPlanCoversAllChannels(t *testing.T) {
 			wts := genConv(1, "plan", &l, tc.inC)
 			groups := max(tc.groups, 1)
 			ocg := tc.outC / groups
-			obg := (ocg + ocBlockWidth - 1) / ocBlockWidth
+			obg := (ocg + fpwMR - 1) / fpwMR
+			perOC := tc.inC / groups * 9
+			if len(wts.packed) != groups*obg {
+				t.Fatalf("%d blocks, the walker reads %d", len(wts.packed), groups*obg)
+			}
 			covered := make([]int, tc.outC)
-			for i, blk := range wts.blocks {
-				if want := i/obg*ocg + i%obg*ocBlockWidth; blk.oc0 != want {
-					t.Fatalf("block %d starts at oc0=%d, the walker reads it as %d", i, blk.oc0, want)
+			for i, panel := range wts.packed {
+				oc0, width := i/obg*ocg+i%obg*fpwMR, min(fpwMR, ocg-i%obg*fpwMR)
+				for b := 0; b < width; b++ {
+					covered[oc0+b]++
 				}
-				for b := 0; b < blk.width; b++ {
-					oc := blk.oc0 + b
-					covered[oc]++
-					if blk.oc0/ocg != oc/ocg {
-						t.Fatalf("block at oc0=%d width %d crosses group boundary", blk.oc0, blk.width)
-					}
+				if (panel != nil) != (ocg >= fpwMR) {
+					t.Fatalf("block at oc0=%d of a %d-channel group: packed %v", oc0, ocg, panel != nil)
 				}
-				if (blk.packed != nil) != (ocg >= ocBlockWidth) {
-					t.Fatalf("block at oc0=%d of a %d-channel group: packed %v", blk.oc0, ocg, blk.packed != nil)
-				}
-				if blk.packed == nil {
-					continue
-				}
-				perOC := tc.inC / groups * 9
-				for k := 0; k < perOC*ocBlockWidth; k++ {
+				for k := 0; k < len(panel); k++ {
 					want := float32(0)
-					if b := k % ocBlockWidth; b < blk.width {
-						want = wts.w[(blk.oc0+b)*perOC+k/ocBlockWidth]
+					if b := k % fpwMR; b < width {
+						want = wts.w[(oc0+b)*perOC+k/fpwMR]
 					}
-					if blk.packed[k] != want {
-						t.Fatalf("block at oc0=%d: packed[%d] = %g, want %g", blk.oc0, k, blk.packed[k], want)
+					if panel[k] != want || len(panel) != perOC*fpwMR {
+						t.Fatalf("block at oc0=%d: packed[%d] = %g of %d, want %g of %d", oc0, k, panel[k], len(panel), want, perOC*fpwMR)
 					}
 				}
 			}

@@ -154,7 +154,7 @@ func FuzzFKernelTile(f *testing.F) {
 			}
 		}
 
-		// finishRowF: the batch-norm + activation epilogue over every act x
+		// finishChannel: the batch-norm + activation epilogue over every act x
 		// bn combination, with NaN and -0 lanes so the compare+mask select
 		// semantics are pinned.
 		for _, act := range []nn.Activation{nn.NoAct, nn.ReLU, nn.LeakyReLU} {
@@ -166,7 +166,11 @@ func FuzzFKernelTile(f *testing.F) {
 					got[rng.Intn(n)] = float32(math.NaN())
 				}
 				want := append([]float32(nil), got...)
-				finishRowF(got, scale, shift, bn, act)
+				p := &fparams{}
+				if bn {
+					p.bnScale, p.bnShift = []float32{scale}, []float32{shift}
+				}
+				p.finishChannel(got, 0, act)
 				if bn {
 					for i := range want {
 						want[i] = float32(want[i]*scale) + shift
@@ -188,7 +192,7 @@ func FuzzFKernelTile(f *testing.F) {
 				}
 				for i := range want {
 					if !bitsEq(got[i], want[i]) {
-						t.Fatalf("finishRowF act=%d bn=%v n=%d: dst[%d]=%g want %g", act, bn, n, i, got[i], want[i])
+						t.Fatalf("finishChannel act=%d bn=%v n=%d: dst[%d]=%g want %g", act, bn, n, i, got[i], want[i])
 					}
 				}
 			}
@@ -197,7 +201,8 @@ func FuzzFKernelTile(f *testing.F) {
 		// The pointwise register tiles: every variant the host runs (the ZMM
 		// and YMM tiles, the portable one) against its scalar contract.
 		for _, v := range fpwVariants {
-			checkFpwTile(t, v, rng, 1+int(p8)%7, v.nr+pad, v.nr+int(p9)%5)
+			cols := 1 + (n+pad)%(3*fpwNR)
+			checkFpwTile(t, v, rng, 1+int(p8)%7, cols, (cols+fpwNR-1)/fpwNR*fpwNR+int(p9)%5, p9%2 == 1)
 		}
 
 		// ffcPanel16 (16 features from a transposed weight panel) has no

@@ -61,7 +61,7 @@ func TestFpwGatherMatchesReference(t *testing.T) {
 				h, w = max(k.kh-2*k.ph, 1)+ci%2, max(k.kw-2*k.pw, 1)+ci%3
 			}
 			cw := genConvParams(int64(700+ci), "gather", &l, inC)
-			if ci%3 == 0 && outC/groups >= ocBlockWidth {
+			if ci%3 == 0 && outC/groups >= fpwMR {
 				cw.w[icg*k.kh*k.kw/2] = 0 // the group's first block: sparse
 			}
 			cw.pack(&l, icg)
@@ -127,7 +127,7 @@ func TestFpwGatherGridMatchesRun(t *testing.T) {
 // padExact false, returns the reference's bits.
 func TestPadExactGuard(t *testing.T) {
 	// Padding 3 around a 3x3 kernel: the map's corner windows read only padding.
-	l := nn.Layer{Name: "g", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 3, PW: 3, OutC: 4}
+	l := nn.Layer{Name: "g", Kind: nn.Conv, KH: 3, KW: 3, SH: 1, SW: 1, PH: 3, PW: 3, OutC: fpwMR}
 	const inC, h, w = 3, 6, 5
 	in := RandomInput(nn.Shape{C: inC, H: h, W: w}, 3)
 	g := stripGeom(&l, inC, w, 0, h, 0, h+4)
@@ -148,8 +148,8 @@ func TestPadExactGuard(t *testing.T) {
 		cw := genConvParams(5, "guard", &l, inC)
 		tc.spoil(cw)
 		cw.pack(&l, inC)
-		if cw.padExact || cw.blocks[0].packed == nil {
-			t.Fatalf("%s: padExact %v, packed block %v", tc.name, cw.padExact, cw.blocks[0].packed != nil)
+		if cw.padExact || cw.packed[0] == nil {
+			t.Fatalf("%s: padExact %v, packed block %v", tc.name, cw.padExact, cw.packed[0] != nil)
 		}
 		ref := convForwardRef(in, g, &l, cw, 1)
 		eachFpwVariant(t, func(t *testing.T, vn string) {

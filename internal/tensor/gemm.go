@@ -10,9 +10,9 @@ import (
 // The convolution GEMM driver, written once over the element type: a
 // convolution is out[outC x n] = W[outC x K] * taps[K x n] over the call's n
 // flattened output pixels and the K = icg*kh*kw taps each pixel reads. Per
-// column block the driver loads the block's taps, sweeps every channel
-// block's register tile over them and lets the dtype finish the block's
-// segments while they are in cache. Only the driver is generic: tiles, asm
+// column block the driver loads and packs the block's taps once and sweeps
+// every channel block's register tile over them, which finishes its outputs
+// in registers. Only the driver is generic: tiles, asm
 // and epilogues are concrete functions of a dtype's gemmDType (fgemm, qgemm
 // below), reached once per block, never per element. Gathering, tile width
 // and blocking choose which lane computes a pixel, never its value
@@ -46,19 +46,23 @@ func (c *convTaps[E]) planes(grp, x0 int) []E {
 }
 
 // gather writes columns [x0, x0+cols) of group grp's tap matrix into dst, a
-// [k][width] block whose columns past cols it zeroes. In place, each row is
-// one copy from its channel plane. Otherwise, per output-row segment and
-// horizontal tap, the columns whose tap is inside the map are one span, copied
-// row by row (a memmove at stride 1) for every (channel, kernel row) the map
-// holds, over a zeroed block.
-func (c *convTaps[E]) gather(dst []E, width, grp, x0, cols int) {
+// block of width columns (whole tiles) whose column j of tap row g lies at
+// g*row + j/row*tile + j%row — in rows (row = width) or tile by tile (row =
+// nr, tile = k*nr) — and zeroes its columns past cols. In place, each row's
+// run is one copy from its channel plane. Otherwise, per output-row segment
+// and horizontal tap, the columns whose tap is inside the map are one span,
+// copied run by run (a memmove at stride 1) for every (channel, kernel row)
+// the map holds, over a zeroed block.
+func (c *convTaps[E]) gather(dst []E, row, tile, grp, x0, cols, width int) {
 	l, g := c.l, &c.g
 	plane := c.h * c.w
 	if c.inPlace {
 		from := c.planes(grp, x0)
 		for ic := 0; ic < c.icg; ic++ {
-			row := dst[ic*width:][:width]
-			clear(row[copy(row, from[ic*plane:][:cols]):])
+			for j := 0; j < width; j += row {
+				run := dst[ic*row+j/row*tile:][:row]
+				clear(run[copy(run, from[ic*plane+j:][:cols-j]):])
+			}
 		}
 		return
 	}
@@ -69,42 +73,43 @@ func (c *convTaps[E]) gather(dst []E, width, grp, x0, cols int) {
 		seg := min(outCols-c0, end-p)
 		for kw := 0; kw < l.KW; kw++ {
 			// Tap kw of the segment's local column i reads global input
-			// column base+i*SW: inside the map for i in [a, b).
+			// column base+i*SW: inside the map for i in [a, b). Its columns
+			// [j, j+m) in the block are one run, at `at` in tap row 0.
 			base := g.out.Cols.Lo*l.SW - l.PW + kw
 			a, b := tapSpan(base, l.SW, g.in.W, c0, c0+seg)
-			if a >= b {
-				continue
-			}
-			iw, d := base+a*l.SW-g.colLo, p-x0+a-c0
-			for kh := 0; kh < l.KH; kh++ {
-				ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
-				if ih < 0 {
-					continue // zero padding row
-				}
-				for ic := 0; ic < c.icg; ic++ {
-					src := c.data[(grp*c.icg+ic)*plane+ih*c.w+iw:]
-					row := dst[((ic*l.KH+kh)*l.KW+kw)*width+d:][:b-a]
-					if l.SW == 1 {
-						copy(row, src)
-						continue
+			for j, iw := p-x0+a-c0, base+a*l.SW-g.colLo; a < b; {
+				m := min(b-a, row-j%row)
+				at := kw*row + j/row*tile + j%row
+				for kh := 0; kh < l.KH; kh++ {
+					ih := g.rowAt(g.out.Rows.Lo+or, kh, l)
+					if ih < 0 {
+						continue // zero padding row
 					}
-					for i := range row {
-						row[i] = src[i*l.SW]
+					for ic := 0; ic < c.icg; ic++ {
+						src := c.data[(grp*c.icg+ic)*plane+ih*c.w+iw:]
+						run := dst[(ic*l.KH+kh)*l.KW*row+at:][:m]
+						if l.SW == 1 {
+							copy(run, src)
+							continue
+						}
+						for i := range run {
+							run[i] = src[i*l.SW]
+						}
 					}
 				}
+				a, j, iw = a+m, j+m, iw+m*l.SW
 			}
 		}
 		p += seg
 	}
 }
 
-// gemmCols is a loaded operand: adjacent nr-column tiles of k tap rows (row
-// g, column j of tile t is src[g*rowStride+t*nr+j]), and its packed panel.
+// gemmCols is a loaded operand: k tap rows of adjacent nr-column tiles
+// (row g, column j of tile t is src[g*row+t*tile+j]), and its packed panel.
 type gemmCols[E elem] struct {
-	src       []E
-	rowStride int
-	k         int
-	panel     []uint8
+	src          []E
+	row, tile, k int
+	panel        []uint8
 }
 
 // gemmScratch is one running chunk's pooled scratch: the loaded column block
@@ -120,20 +125,19 @@ type gemmScratch[E elem] struct {
 // gemmDType is what one element type supplies to the driver, W being its
 // weights and V its tile variant. A column block holds as many whole tiles
 // as fit planeBytes (in place) or gatherBytes (gathered) at tapBytes a tap,
-// never fewer than one; gathered rows lie rowPad columns more than the tiles
-// apart; inPlace lets tiles read a 1x1 layer's channel planes where they
-// lie; pack (optional) packs a loaded block of cols columns; tile stores
-// `tiles` adjacent tiles of operand a for channel block ob (first channel
-// oc0, width real ones) as mr rows dstStride apart; finish (nil when the
-// tile's epilogue is fused) runs over a block's stored segments.
+// never fewer than one; tileMajor gathers it tile by tile, else in rows;
+// inPlace lets a 1x1 layer's block of whole tiles load as its channel planes
+// where they lie; pack (optional) packs a loaded block of cols columns; tile
+// computes, finishes and stores the cols columns of operand a (whole tiles,
+// the last maybe stopped short past cols) for channel block ob (first
+// channel oc0, width real ones) as mr rows dstStride apart.
 type gemmDType[E elem, W, V any] struct {
-	active                                    **V // the variant run (tests reassign it)
-	shape                                     func(v *V) (mr, nr int)
-	planeBytes, gatherBytes, tapBytes, rowPad int
-	inPlace                                   bool
-	pack                                      func(c *gemmCall[E, W, V], s *gemmScratch[E], cols int)
-	tile                                      func(c *gemmCall[E, W, V], a *gemmCols[E], dst []E, dstStride, ob, oc0, width, tiles int)
-	finish                                    func(c *gemmCall[E, W, V], oc0, width, x0, cols int)
+	active                            **V // the variant run (tests reassign it)
+	shape                             func(v *V) (mr, nr int)
+	planeBytes, gatherBytes, tapBytes int
+	tileMajor, inPlace                bool
+	pack                              func(c *gemmCall[E, W, V], s *gemmScratch[E], cols int)
+	tile                              func(c *gemmCall[E, W, V], a *gemmCols[E], dst []E, dstStride, ob, oc0, width, cols int)
 
 	calls, scratch sync.Pool // *gemmCall, *gemmScratch
 }
@@ -208,9 +212,6 @@ func (c *gemmCall[E, W, V]) compute(lo, hi int) {
 			if whole < cols {
 				c.sweep(s, &s.last, ob, oc0, width, x0+whole, cols-whole)
 			}
-			if c.d.finish != nil {
-				c.d.finish(c, oc0, width, x0, cols)
-			}
 		}
 	}
 }
@@ -218,20 +219,25 @@ func (c *gemmCall[E, W, V]) compute(lo, hi int) {
 // load makes columns [x0, x0+cols) of group grp's taps s.whole and s.last,
 // whole tiles both: in place for a dtype that reads planes where they lie
 // and a block of whole tiles, else gathered (a ragged tile's extra columns
-// are zeros).
+// are zeros), then packed unless the gather was tile-major.
 func (c *gemmCall[E, W, V]) load(s *gemmScratch[E], grp, x0, cols int) {
 	t := &c.taps
-	if t.inPlace && c.d.inPlace && cols%c.nr == 0 {
-		s.whole = gemmCols[E]{src: t.planes(grp, x0), rowStride: t.h * t.w, k: t.k}
+	width := (cols + c.nr - 1) / c.nr * c.nr
+	inPlace := t.inPlace && c.d.inPlace && cols == width
+	if inPlace {
+		s.whole = gemmCols[E]{src: t.planes(grp, x0), row: t.h * t.w, tile: c.nr, k: t.k}
 	} else {
-		width := (cols+c.nr-1)/c.nr*c.nr + c.d.rowPad
+		s.whole = gemmCols[E]{row: width, tile: c.nr, k: t.k}
+		if c.d.tileMajor {
+			s.whole.row, s.whole.tile = c.nr, t.k*c.nr
+		}
 		s.taps = slices.Grow(s.taps[:0], t.k*width)[:t.k*width]
-		t.gather(s.taps, width, grp, x0, cols)
-		s.whole = gemmCols[E]{src: s.taps, rowStride: width, k: t.k}
+		s.whole.src = s.taps
+		t.gather(s.taps, s.whole.row, s.whole.tile, grp, x0, cols, width)
 	}
 	s.last = s.whole
-	s.last.src = s.whole.src[cols/c.nr*c.nr:]
-	if c.d.pack != nil {
+	s.last.src = s.whole.src[cols/c.nr*s.whole.tile:]
+	if c.d.pack != nil && (inPlace || !c.d.tileMajor) {
 		c.d.pack(c, s, cols)
 	}
 }
@@ -244,80 +250,85 @@ func (c *gemmCall[E, W, V]) load(s *gemmScratch[E], grp, x0, cols int) {
 func (c *gemmCall[E, W, V]) sweep(s *gemmScratch[E], a *gemmCols[E], ob, oc0, width, x, valid int) {
 	tiles := (valid + c.nr - 1) / c.nr
 	if width == c.mr && valid == tiles*c.nr {
-		c.d.tile(c, a, c.out[oc0*c.n+x:], c.n, ob, oc0, width, tiles)
+		c.d.tile(c, a, c.out[oc0*c.n+x:], c.n, ob, oc0, width, valid)
 		return
 	}
 	stride := tiles * c.nr
 	s.stage = slices.Grow(s.stage[:0], c.mr*stride)[:c.mr*stride]
-	c.d.tile(c, a, s.stage, stride, ob, oc0, width, tiles)
+	c.d.tile(c, a, s.stage, stride, ob, oc0, width, valid)
 	for b := 0; b < width; b++ {
 		copy(c.out[(oc0+b)*c.n+x:][:valid], s.stage[b*stride:])
 	}
 }
 
-// The float32 side: a block is always gathered (a 1x1 layer's planes copied,
-// rows fpwRowPad apart) into a panel the fpwVariant tiles sweep as is, and
-// finished in cache by finishChannel. Each output element is bias, then
-// acc = fma32(w[k], tap[k], acc) for ascending k = (ic, kh, kw), by one lane
-// of one tile; a gathered padding zero is an exact no-op when every weight
-// is finite and no bias is -0 or NaN (convWeights.padExact; proof in
-// DESIGN.md §6).
+// The float32 side: a block is packed tile by tile — a 1x1 layer's whole
+// tiles straight from its channel planes (fpwPanel), every other block by
+// its gather — into a panel that every channel block's fpwVariant tile
+// sweeps once per column block, finishing in registers. Each output element
+// is bias, then acc = fma32(w[k], tap[k], acc) for ascending k = (ic, kh,
+// kw), by one lane of one tile, then the batch-norm affine and the
+// activation; a gathered padding zero is an exact no-op when every weight is
+// finite and no bias is -0 or NaN (convWeights.padExact; DESIGN.md §6).
 
 const (
+	// fpwMR x fpwNR is every float register tile: channels of a weight-panel
+	// block times flattened columns.
+	fpwMR, fpwNR = 8, 32
 	// fpwPanelBytes bounds a column block's panel (never below one tile) when
 	// it is a copy of the channel planes, so it stays in L2 under the tiles;
-	// measured flat from 64 KB to 1 MB.
+	// measured flat from 128 KB to 512 KB.
 	fpwPanelBytes = 256 << 10
 	// fpwGatherBytes is the bound when the block is gathered: measured flat
 	// from 8 KB to 256 KB on 3x3 layers at both strides, the stem, 1x7 and
 	// ToyChain's layers (EXPERIMENTS.md, PR 25), so it is sized for the
 	// scratch it pins — int8's plane-copy bound, an eighth of float's.
 	fpwGatherBytes = 32 << 10
-	// fpwRowPad, a cache line between panel rows, keeps rows that would lie a
-	// multiple of 4 KB apart out of one L1 set (112x112x32: 13 -> 32 GMAC/s).
-	fpwRowPad = 16
 )
 
-// fpwVariant is one register tile under the driver: tile computes
-// dst[b*dstStride+j] = bias[b] chained through fma32(wgt[g*4+b],
-// src[g*srcStride+j], acc) for ascending g < k, b in [0,4), j in [0,nr); wgt
-// is an ocBlock.packed, read as is.
+// fpwVariant is one register tile under the driver. tile computes the
+// ceil(cols/fpwNR) adjacent tiles of a tile-major panel (tile t's row g at
+// src[(t*k+g)*fpwNR:]) that hold cols columns, for the fpwMR channels from
+// oc0 of p, whose tap-major weights are wgt (a convWeights.packed panel),
+// and stores them finished: dst[b*dstStride+t*fpwNR+j] = fin(bias[b] chained
+// through fma32(wgt[g*fpwMR+b], src[(t*k+g)*fpwNR+j], acc) for ascending
+// g < k), fin being channel oc0+b's finishChannel. It may stop the last tile
+// short past column cols.
 type fpwVariant struct {
 	name string
-	nr   int
-	tile func(dst []float32, dstStride int, src []float32, srcStride int, wgt, bias []float32, k int)
+	tile func(dst []float32, dstStride int, src, wgt []float32, p *fparams, oc0, k, cols int, act nn.Activation)
 }
 
 // fpwVariants lists the variants this host can run, fastest first, portable
 // last; fpwActive is the driver's — chosen here once, reassigned only by the
 // tests, which run every entry against the reference kernel.
 var (
-	fpwVariants = append(fpwArchVariants(), &fpwVariant{"portable", 16, fpwTilePortable})
+	fpwVariants = append(fpwArchVariants(), &fpwVariant{"portable", fpwTilePortable})
 	fpwActive   = fpwVariants[0]
 )
 
-// fpwAsm wraps an assembly tile as a variant.
-func fpwAsm(name string, nr int, tile func(acc *float32, accStride int, src *float32, chanStride int, wgt, bias *float32, inC int)) *fpwVariant {
-	return &fpwVariant{name, nr, func(dst []float32, dstStride int, src []float32, srcStride int, wgt, bias []float32, k int) {
-		tile(&dst[0], dstStride, &src[0], srcStride, &wgt[0], &bias[0], k)
+// fpwAsm wraps an assembly tile as a variant (scale nil: no batch norm); a
+// ragged block reads the spare capacity convWeights.pack gives its params.
+func fpwAsm(name string, tile func(dst *float32, dstStride int, src, wgt, bias, scale, shift *float32, k, cols, act int)) *fpwVariant {
+	return &fpwVariant{name, func(dst []float32, dstStride int, src, wgt []float32, p *fparams, oc0, k, cols int, act nn.Activation) {
+		var scale, shift *float32
+		if p.bnScale != nil {
+			scale, shift = &p.bnScale[oc0 : oc0+fpwMR][0], &p.bnShift[oc0 : oc0+fpwMR][0]
+		}
+		tile(&dst[0], dstStride, &src[0], &wgt[0], &p.bias[oc0 : oc0+fpwMR][0], scale, shift, k, cols, actCode(act))
 	}}
 }
 
-// fgemm is float32's side of the GEMM driver; its finish applies the
-// batch-norm affine and the activation to a channel block's stored segments.
+// fgemm is float32's side of the GEMM driver.
 var fgemm = gemmDType[float32, convWeights, fpwVariant]{
 	active:      &fpwActive,
-	shape:       func(v *fpwVariant) (int, int) { return ocBlockWidth, v.nr },
+	shape:       func(*fpwVariant) (int, int) { return fpwMR, fpwNR },
 	planeBytes:  fpwPanelBytes,
 	gatherBytes: fpwGatherBytes,
 	tapBytes:    4,
-	rowPad:      fpwRowPad,
+	tileMajor:   true,
+	inPlace:     simdFloat,
+	pack:        fpwPanel,
 	tile:        fpwTile,
-	finish: func(c *gemmCall[float32, convWeights, fpwVariant], oc0, width, x0, cols int) {
-		for oc := oc0; oc < oc0+width; oc++ {
-			c.w.finishChannel(c.out[oc*c.n+x0:][:cols], oc, c.taps.l.Act)
-		}
-	},
 }
 
 // convForwardGEMM runs the GEMM driver over float32.
@@ -325,46 +336,70 @@ func convForwardGEMM(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) 
 	return ftensor(gemm(&fgemm, in.Data, in.C, in.H, in.W, g, l, wts, par))
 }
 
+// fpwPanel packs a block loaded in place (whole tiles of k channel planes;
+// only with the vector pack, fgemm.inPlace) into the tile-major panel.
+func fpwPanel(c *gemmCall[float32, convWeights, fpwVariant], s *gemmScratch[float32], cols int) {
+	a := s.whole
+	s.taps = slices.Grow(s.taps[:0], a.k*cols)[:a.k*cols]
+	fpwPack(&s.taps[0], &a.src[0], a.row, a.k, cols/fpwNR)
+	s.whole = gemmCols[float32]{src: s.taps, row: fpwNR, tile: a.k * fpwNR, k: a.k}
+}
+
 // fpwTile runs the active variant's tile over a packed block's tiles. An
 // unpacked block (sparse, or a narrow group's) sweeps its channels one at a
-// time in plain Go, skipping zero weights as the reference does.
-func fpwTile(c *gemmCall[float32, convWeights, fpwVariant], a *gemmCols[float32], dst []float32, dstStride, ob, oc0, width, tiles int) {
-	v, wts, k := c.v, c.w, a.k
-	if packed := wts.blocks[ob].packed; packed != nil {
-		bias := wts.bias[oc0:][:ocBlockWidth]
-		for t := 0; t < tiles; t++ {
-			v.tile(dst[t*v.nr:], dstStride, a.src[t*v.nr:], a.rowStride, packed, bias, k)
-		}
+// time in plain Go, skipping zero weights as the reference does, and
+// finishes each channel's row.
+func fpwTile(c *gemmCall[float32, convWeights, fpwVariant], a *gemmCols[float32], dst []float32, dstStride, ob, oc0, width, cols int) {
+	wts, k, act := c.w, a.k, c.taps.l.Act
+	if packed := wts.packed[ob]; packed != nil {
+		c.v.tile(dst, dstStride, a.src, packed, &wts.fparams, oc0, k, cols, act)
 		return
 	}
+	tiles := (cols + fpwNR - 1) / fpwNR
 	for b := 0; b < width; b++ {
-		acc := dst[b*dstStride:][:tiles*v.nr]
+		acc := dst[b*dstStride:][:tiles*fpwNR]
 		for i := range acc {
 			acc[i] = wts.bias[oc0+b]
 		}
-		for r, w := range wts.w[(oc0+b)*k:][:k] {
-			if w != 0 {
-				for i, x := range a.src[r*a.rowStride:][:len(acc)] {
-					acc[i] = fma32(w, x, acc[i])
+		for g, w := range wts.w[(oc0+b)*k:][:k] {
+			for t := 0; t < tiles && w != 0; t++ {
+				for j, x := range a.src[g*a.row+t*a.tile:][:fpwNR] {
+					acc[t*fpwNR+j] = fma32(w, x, acc[t*fpwNR+j])
 				}
 			}
 		}
+		wts.finishChannel(acc, oc0+b, act)
 	}
 }
 
-// fpwTilePortable is the tile contract in plain Go and the generic-host path.
-func fpwTilePortable(dst []float32, dstStride int, src []float32, srcStride int, wgt, bias []float32, k int) {
-	d0, d1, d2, d3 := dst[:16], dst[dstStride:][:16], dst[2*dstStride:][:16], dst[3*dstStride:][:16]
-	for j := range d0 {
-		d0[j], d1[j], d2[j], d3[j] = bias[0], bias[1], bias[2], bias[3]
-	}
-	for g := 0; g < k; g++ {
-		w := wgt[g*ocBlockWidth:][:ocBlockWidth]
-		for j, x := range src[g*srcStride:][:16] {
-			d0[j] = fma32(w[0], x, d0[j])
-			d1[j] = fma32(w[1], x, d1[j])
-			d2[j] = fma32(w[2], x, d2[j])
-			d3[j] = fma32(w[3], x, d3[j])
+// fpwTilePortable is the tile contract in plain Go and the generic-host
+// path: per tile, each tap row's columns chained into all eight channel
+// rows; the last tile stops at column cols.
+func fpwTilePortable(dst []float32, dstStride int, src, wgt []float32, p *fparams, oc0, k, cols int, act nn.Activation) {
+	const nr = fpwNR
+	for t := 0; t*nr < cols; t++ {
+		panel, m := src[t*k*nr:][:k*nr], min(nr, cols-t*nr)
+		row := func(b int) []float32 { return dst[b*dstStride+t*nr:][:m] }
+		d0, d1, d2, d3, d4, d5, d6, d7 := row(0), row(1), row(2), row(3), row(4), row(5), row(6), row(7)
+		bias := p.bias[oc0 : oc0+fpwMR]
+		for j := range d0 {
+			d0[j], d1[j], d2[j], d3[j], d4[j], d5[j], d6[j], d7[j] = bias[0], bias[1], bias[2], bias[3], bias[4], bias[5], bias[6], bias[7]
+		}
+		for g := 0; g < k; g++ {
+			w := wgt[g*fpwMR:][:fpwMR]
+			for j, x := range panel[g*nr:][:m] {
+				d0[j] = fma32(w[0], x, d0[j])
+				d1[j] = fma32(w[1], x, d1[j])
+				d2[j] = fma32(w[2], x, d2[j])
+				d3[j] = fma32(w[3], x, d3[j])
+				d4[j] = fma32(w[4], x, d4[j])
+				d5[j] = fma32(w[5], x, d5[j])
+				d6[j] = fma32(w[6], x, d6[j])
+				d7[j] = fma32(w[7], x, d7[j])
+			}
+		}
+		for b := 0; b < fpwMR && oc0+b < len(p.bias); b++ { // a ragged block's spare rows are dropped
+			p.finishChannel(row(b), oc0+b, act)
 		}
 	}
 }
@@ -432,8 +467,8 @@ var qgemm = gemmDType[int8, qconvWeights, qpwVariant]{
 	tapBytes:    1,
 	inPlace:     true,
 	pack:        qpwPanel,
-	tile: func(c *gemmCall[int8, qconvWeights, qpwVariant], a *qpwCols, dst []int8, dstStride, ob, oc0, _, tiles int) {
-		c.v.tile(dst, dstStride, a, c.w, ob, oc0, tiles, c.taps.l.Act)
+	tile: func(c *gemmCall[int8, qconvWeights, qpwVariant], a *qpwCols, dst []int8, dstStride, ob, oc0, _, cols int) {
+		c.v.tile(dst, dstStride, a, c.w, ob, oc0, (cols+c.nr-1)/c.nr, c.taps.l.Act)
 	},
 }
 
@@ -464,7 +499,7 @@ func qpwPackPortable(a *qpwCols, tiles int) {
 				dst[i] = 0x80
 			}
 			for c := 4 * q; c < min(4*q+4, a.k); c++ {
-				for j, v := range a.src[c*a.rowStride+t*nr:][:nr] {
+				for j, v := range a.src[c*a.row+t*nr:][:nr] {
 					dst[4*j+c%4] = uint8(v) ^ 0x80
 				}
 			}

@@ -79,7 +79,7 @@ func pointwise(l *nn.Layer) bool {
 // take the reference kernel.
 func convForward(in Tensor, g geom, l *nn.Layer, wts *convWeights, par int) Tensor {
 	switch {
-	case len(wts.blocks) == 0, !wts.padExact:
+	case len(wts.packed) == 0, !wts.padExact:
 		return convForwardRef(in, g, l, wts, par)
 	case depthwise(l, in.C) && g.fullWidth(in.W, outWidth(l, g.in.W)):
 		return convForwardDepthwise(in, g, l, wts, par)
@@ -265,11 +265,15 @@ func (c *poolCall[E, A]) compute(lo, hi int) {
 	}
 }
 
+// fcRun is how many output features the scalar fc path accumulates per
+// pass over the input vector, independent of any GEMM tile's shape.
+const fcRun = 4
+
 // fcForward computes a fully connected layer with register blocking: each
-// pool chunk walks its output features in runs of ocBlockWidth, streaming the
-// input vector once per run into four accumulators instead of once per
-// feature. Each feature's dot product still sums in ascending element order,
-// so results are bit-identical to the reference fcRef.
+// pool chunk walks its output features in runs of fcRun, streaming the input
+// vector once per run into fcRun accumulators instead of once per feature.
+// Each feature's dot product still sums in ascending element order, so
+// results are bit-identical to the reference fcRef.
 func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 	out := Alloc(l.OutF, 1, 1)
 	n := in.Elems()
@@ -278,12 +282,16 @@ func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 		nf = len(wts.panels) / n
 	}
 	parallelForGrain(l.OutF, par, grainFor(n), func(lo, hi int) {
-		single := func(o int) {
-			acc, row := wts.bias[o], wts.w[o*n:][:n]
+		// run computes features [o, o+r), r <= fcRun, in one pass.
+		run := func(o, r int) {
+			var acc [fcRun]float32
+			copy(acc[:], wts.bias[o:o+r])
 			for i, v := range in.Data[:n] {
-				acc = fma32(row[i], v, acc)
+				for q := range acc[:r] {
+					acc[q] = fma32(wts.w[(o+q)*n+i], v, acc[q])
+				}
 			}
-			out.Data[o] = acc
+			copy(out.Data[o:o+r], acc[:])
 		}
 		o := lo
 		if nf > 0 {
@@ -292,34 +300,14 @@ func fcForward(in Tensor, l *nn.Layer, wts *fcWeights, par int) Tensor {
 			// ascending element order. Walk scalar singles up to the next
 			// panel boundary first so chunk splits land anywhere.
 			for ; o < hi && o%16 != 0; o++ {
-				single(o)
+				run(o, 1)
 			}
 			for ; o+16 <= hi && o+16 <= nf; o += 16 {
 				ffcPanel16(&out.Data[o], &wts.panels[o*n], &in.Data[0], &wts.bias[o], n)
 			}
 		}
-		for ; o+ocBlockWidth <= hi; o += ocBlockWidth {
-			acc0 := wts.bias[o]
-			acc1 := wts.bias[o+1]
-			acc2 := wts.bias[o+2]
-			acc3 := wts.bias[o+3]
-			r0 := wts.w[o*n:][:n]
-			r1 := wts.w[(o+1)*n:][:n]
-			r2 := wts.w[(o+2)*n:][:n]
-			r3 := wts.w[(o+3)*n:][:n]
-			for i, v := range in.Data[:n] {
-				acc0 = fma32(r0[i], v, acc0)
-				acc1 = fma32(r1[i], v, acc1)
-				acc2 = fma32(r2[i], v, acc2)
-				acc3 = fma32(r3[i], v, acc3)
-			}
-			out.Data[o] = acc0
-			out.Data[o+1] = acc1
-			out.Data[o+2] = acc2
-			out.Data[o+3] = acc3
-		}
-		for ; o < hi; o++ {
-			single(o)
+		for ; o < hi; o += fcRun {
+			run(o, min(fcRun, hi-o))
 		}
 	})
 	applyActivation(out.Data, l.Act)

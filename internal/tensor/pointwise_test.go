@@ -22,34 +22,72 @@ func eachFpwVariant(t *testing.T, fn func(t *testing.T, name string)) {
 	}
 }
 
-// checkFpwTile drives one variant's tile directly — inC channels at channel
-// stride srcStride into rows dstStride apart — against a scalar evaluation of
-// its contract, and checks it writes nothing outside its 4 x nr cells.
-func checkFpwTile(t *testing.T, v *fpwVariant, rng *rand.Rand, inC, srcStride, dstStride int) {
+// checkFpwTile drives one variant's tile directly — the tiles of a
+// tile-major panel of k tap rows holding cols columns into fpwMR rows
+// dstStride apart, for the block at channel oc0 — against a scalar
+// evaluation of its contract, batch norm on and off under every activation,
+// and checks it writes nothing outside its fpwMR x tiles*nr cells (the last
+// tile's columns past cols may be left as they were). With special set, panel columns draw
+// some taps from NaN and -0 (even columns) or +-Inf and -0 (odd ones), so no
+// chain meets two distinct NaNs (see TestFpwVariantsMatchReference).
+func checkFpwTile(t *testing.T, v *fpwVariant, rng *rand.Rand, k, cols, dstStride int, special bool) {
 	t.Helper()
-	randF := func(k int) []float32 {
-		s := make([]float32, k)
+	randF := func(n int) []float32 {
+		s := make([]float32, n)
 		for i := range s {
 			s[i] = (rng.Float32()*2 - 1) * 8
 		}
 		return s
 	}
-	src, w, bias := randF((inC-1)*srcStride+v.nr), randF(inC*ocBlockWidth), randF(ocBlockWidth)
-	got := randF(3*dstStride + v.nr)
-	want := append([]float32(nil), got...)
-	v.tile(got, dstStride, src, srcStride, w, bias, inC)
-	for b := 0; b < ocBlockWidth; b++ {
-		for j := 0; j < v.nr; j++ {
-			acc := bias[b]
-			for g := 0; g < inC; g++ {
-				acc = fma32(w[g*ocBlockWidth+b], src[g*srcStride+j], acc)
-			}
-			want[b*dstStride+j] = acc
+	negZero := float32(math.Copysign(0, -1))
+	specials := [2][]float32{{float32(math.NaN()), negZero}, {float32(math.Inf(1)), float32(math.Inf(-1)), negZero}}
+	tiles := (cols + fpwNR - 1) / fpwNR
+	src, w := randF(tiles*k*fpwNR), randF(k*fpwMR)
+	if special {
+		for i := 0; i < 1+len(src)/16; i++ {
+			p := rng.Intn(len(src))
+			sp := specials[p%fpwNR%2]
+			src[p] = sp[rng.Intn(len(sp))]
 		}
 	}
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("%s tile inC=%d srcStride=%d dstStride=%d: dst[%d]=%g want %g", v.name, inC, srcStride, dstStride, i, got[i], want[i])
+	oc0 := rng.Intn(2) * fpwMR
+	for _, bn := range []bool{false, true} {
+		p := &fparams{bias: randF(2 * fpwMR)}
+		p.bias[oc0] = negZero
+		if bn {
+			p.bnScale, p.bnShift = randF(2*fpwMR), randF(2*fpwMR)
+		}
+		for _, act := range []nn.Activation{nn.NoAct, nn.ReLU, nn.LeakyReLU} {
+			got := randF((fpwMR-1)*dstStride + tiles*fpwNR)
+			want := append([]float32(nil), got...)
+			before := append([]float32(nil), got...)
+			v.tile(got, dstStride, src, w, p, oc0, k, cols, act)
+			for b := 0; b < fpwMR; b++ {
+				for j := 0; j < tiles*fpwNR; j++ {
+					acc := p.bias[oc0+b]
+					for g := 0; g < k; g++ {
+						acc = fma32(w[g*fpwMR+b], src[(j/fpwNR*k+g)*fpwNR+j%fpwNR], acc)
+					}
+					if bn {
+						acc = float32(acc*p.bnScale[oc0+b]) + p.bnShift[oc0+b]
+					}
+					if acc < 0 && act == nn.ReLU {
+						acc = 0
+					} else if acc < 0 && act == nn.LeakyReLU {
+						acc *= 0.1
+					}
+					want[b*dstStride+j] = acc
+				}
+			}
+			for i := range want {
+				if i%dstStride >= cols && i%dstStride < tiles*fpwNR && (got[i] == before[i] || got[i] != got[i]) {
+					continue // past cols in the last tile: left, or computed (NaN compares unequal; its bits are unchecked)
+				}
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s tile k=%d cols=%d dstStride=%d oc0=%d bn=%v act=%v: dst[%d]=%g want %g",
+						v.name, k, cols, dstStride, oc0, bn, act, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -79,16 +117,16 @@ func TestFpwVariantsMatchReference(t *testing.T) {
 				w = int(math.Sqrt(float64(n)))
 				h = w
 			}
-			outC := []int{5, 6, 7, 9, 10, 11, 13}[ci%7] // never a multiple of 4
+			outC := []int{9, 11, 14, 15, 17, 19, 23}[ci%7] // never a multiple of fpwMR
 			l := nn.Layer{Name: "pw", Kind: nn.Conv, KH: 1, KW: 1, SH: 1, SW: 1, OutC: outC, Act: acts[ci%3], BatchNorm: ci%2 == 0}
 			cw := genConvParams(int64(500+ci), "fpw", &l, inC)
 			cw.bias[0] = negZero
-			sparse := outC >= 9
+			sparse := outC > 2*fpwMR
 			if sparse {
-				cw.w[4*inC+inC/2] = 0 // second block: sparse, first stays dense
+				cw.w[fpwMR*inC+inC/2] = 0 // second block: sparse, first stays dense, third ragged
 			}
 			cw.pack(&l, inC)
-			if cw.blocks[0].packed == nil || (sparse && cw.blocks[1].packed != nil) || cw.blocks[len(cw.blocks)-1].width == ocBlockWidth {
+			if cw.packed[0] == nil || (sparse && cw.packed[1] != nil) || outC%fpwMR == 0 {
 				t.Fatalf("inC=%d outC=%d: block plan is not dense/sparse/ragged as the case intends", inC, outC)
 			}
 			in := RandomInput(nn.Shape{C: inC, H: h, W: w}, int64(600+ci))
@@ -123,7 +161,37 @@ func TestFpwTileMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	for _, v := range fpwVariants {
 		for trial := 0; trial < 50; trial++ {
-			checkFpwTile(t, v, rng, 1+rng.Intn(40), v.nr+rng.Intn(100), v.nr+rng.Intn(9))
+			cols := 1 + rng.Intn(3*fpwNR)
+			checkFpwTile(t, v, rng, 1+rng.Intn(40), cols, (cols+fpwNR-1)/fpwNR*fpwNR+rng.Intn(9), trial%2 == 1)
+		}
+	}
+}
+
+// TestGeneratedConvBlocksPacked: under the generated weights the benchmark
+// runs (seed 1), every conv block of MobileNetV1 and of the two ToyChains
+// whose group holds at least fpwMR channels is packed, so no benchmarked
+// layer falls into the driver's plain-Go sparse sweep unseen (a weight
+// drawn exactly zero would put its block there).
+func TestGeneratedConvBlocksPacked(t *testing.T) {
+	for _, m := range []*nn.Model{nn.MobileNetV1(), nn.ToyChain("tiny", 4, 2, 8, 32), nn.ToyChain("toy", 8, 3, 16, 64)} {
+		e, err := NewExecutor(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := 0
+		walkWeightLayers(t, m, func(key string, l *nn.Layer, in nn.Shape, _ int) {
+			if l.Kind != nn.Conv || l.OutC/max(l.Groups, 1) < fpwMR {
+				return
+			}
+			for i, panel := range e.convW(key, l, in.C, 0, 0).packed {
+				blocks++
+				if panel == nil {
+					t.Errorf("%s layer %s: block %d is not packed", m.Name, key, i)
+				}
+			}
+		})
+		if blocks == 0 {
+			t.Fatalf("%s: no block checked", m.Name)
 		}
 	}
 }
@@ -190,11 +258,14 @@ func TestFpwTileAboveNeededRows(t *testing.T) {
 
 // BenchmarkFpwVariants times the float GEMM walker alone under every tile
 // variant the host supports, at par=1: on MobileNetV1's ten distinct
-// pointwise shapes (its 13 pointwise layers; 14x512-512 runs five times) and
-// the 3-row strip of the 14x14 layer a 3-device pipeline stage runs, whose
-// panel is a copy of the channel planes, and on gathered shapes — MobileNetV1's
-// stem, a VGG-style 3x3 at both strides, Inception's 1x7 and the two
-// ToyChain layers tiny_overhead runs:
+// pointwise shapes and the 3-row strip of the 14x14 layer a 3-device pipeline
+// stage runs, whose panel is a copy of the channel planes; on gathered shapes
+// — MobileNetV1's stem, a VGG-style 3x3 at both strides, Inception's 1x7 and
+// the two ToyChain layers tiny_overhead runs; and as mnv1-pointwise, all 13
+// of MobileNetV1's pointwise layers in order (14x14x512-512 five times) per
+// op. Rows of one variant depend on which variant ran before it in the same
+// process, so compare a variant across commits with `make bench-fpw`, which
+// runs each alone at -cpu 1:
 //
 //	go test -run NONE -bench FpwVariants ./internal/tensor
 func BenchmarkFpwVariants(b *testing.B) {
@@ -220,24 +291,43 @@ func BenchmarkFpwVariants(b *testing.B) {
 		conv("conv3x3-56x64-128", 64, 56, 3, 3, 1, 1, 1, 128),
 		conv("toy32x32x1-8", 1, 32, 3, 3, 1, 1, 1, 8),
 		conv("toy32x32x8-8", 8, 32, 3, 3, 1, 1, 1, 8))
-	for _, sh := range shapes {
-		cw := genConv(1, "bfpw", &sh.l, sh.in.C)
-		in := RandomInput(sh.in, 2)
+	type call struct {
+		in Tensor
+		g  geom
+		l  *nn.Layer
+		cw *convWeights
+	}
+	prep := func(sh *shape) (call, float64) {
 		out, err := sh.l.OutShape(sh.in)
 		if err != nil {
 			b.Fatal(err)
 		}
-		g := stripGeom(&sh.l, sh.in.C, sh.in.W, 0, sh.in.H, 0, out.H)
-		macs := float64(out.Elems() * sh.in.C * sh.l.KH * sh.l.KW)
+		c := call{RandomInput(sh.in, 2), stripGeom(&sh.l, sh.in.C, sh.in.W, 0, sh.in.H, 0, out.H), &sh.l, genConv(1, "bfpw", &sh.l, sh.in.C)}
+		return c, float64(out.Elems() * sh.in.C * sh.l.KH * sh.l.KW)
+	}
+	run := func(name string, calls []call, macs float64) {
 		for _, v := range fpwVariants {
-			b.Run(sh.name+"/"+v.name, func(b *testing.B) {
+			b.Run(name+"/"+v.name, func(b *testing.B) {
 				defer func(v *fpwVariant) { fpwActive = v }(fpwActive)
 				fpwActive = v
 				for i := 0; i < b.N; i++ {
-					Recycle(convForward(in, g, &sh.l, cw, 1))
+					for _, c := range calls {
+						Recycle(convForward(c.in, c.g, c.l, c.cw, 1))
+					}
 				}
 				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
 	}
+	var mnv1 []call
+	var mnv1MACs float64
+	mnv1Reps := []int{1, 1, 1, 1, 1, 1, 5, 1, 1} // per shape of the first nine: 14x14x512-512 five times
+	for i := range shapes {
+		c, macs := prep(&shapes[i])
+		run(shapes[i].name, []call{c}, macs)
+		for r := 0; i < len(mnv1Reps) && r < mnv1Reps[i]; r++ {
+			mnv1, mnv1MACs = append(mnv1, c), mnv1MACs+macs
+		}
+	}
+	run("mnv1-pointwise", mnv1, mnv1MACs)
 }

@@ -410,7 +410,7 @@ func checkQpwTile(t *testing.T, v *qpwVariant, rng *rand.Rand, inC, outC, tiles,
 		qw.effBias[oc] = rng.Float32()*40 - 20
 	}
 	qw.pack(&l, inC)
-	a := qpwCols{src: src, rowStride: chanStride, k: inC}
+	a := qpwCols{src: src, row: chanStride, tile: v.nr, k: inC}
 	quads := nquads(a.k)
 	a.panel = make([]uint8, tiles*quads*v.nr*4)
 	v.pack(&a, tiles)

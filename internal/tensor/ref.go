@@ -33,16 +33,6 @@ func (p *qparams) finish(dst []int8, acc []int32, oc int, act nn.Activation) {
 	requantRow(dst, acc, p.effScale[oc], p.effBias[oc], act)
 }
 
-// finishChannel applies the folded batch-norm affine and the activation to
-// one finished output-channel row.
-func (p *fparams) finishChannel(acc []float32, oc int, act nn.Activation) {
-	if p.bnScale != nil {
-		finishRowF(acc, p.bnScale[oc], p.bnShift[oc], true, act)
-		return
-	}
-	finishRowF(acc, 0, 0, false, act)
-}
-
 // tapSpan returns the output columns [a, b) of [lo, hi) whose tap reads a
 // column inside a map inW wide, column i reading global input column
 // base + i*sw; a >= b when there is none.

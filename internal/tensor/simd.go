@@ -153,24 +153,22 @@ func gapSum8F(dst *[8]float32, src []float32, chanStride, n int) {
 	}
 }
 
-// finishRowF applies the folded batch-norm affine (when bn) and the
-// activation to one finished float output row. An epilogue, not a MAC chain:
-// the multiply and the add round separately (the float32() conversion keeps
-// gc from fusing them), in the vector tile as here, which selects activations
-// with compare+mask so NaN and -0 elements keep their bits; the scalar tail
-// below is the behavioural reference.
-func finishRowF(acc []float32, scale, shift float32, bn bool, act nn.Activation) {
-	if simdFloat {
-		if m := len(acc) &^ 7; m >= 8 {
-			bnFlag := 0
-			if bn {
-				bnFlag = 1
-			}
-			fepiRow(&acc[0], scale, shift, bnFlag, actCode(act), m)
-			acc = acc[m:]
-		}
+// finishChannel applies channel oc's folded batch-norm affine (when p has
+// one) and the activation to one finished float output row. An epilogue,
+// not a MAC chain: the multiply and the add round separately (the float32()
+// conversion keeps gc from fusing them), in the vector tile as here, which
+// selects activations with compare+mask so NaN and -0 elements keep their
+// bits; the scalar tail below is the behavioural reference.
+func (p *fparams) finishChannel(acc []float32, oc int, act nn.Activation) {
+	bn, scale, shift := 0, float32(0), float32(0)
+	if p.bnScale != nil {
+		bn, scale, shift = 1, p.bnScale[oc], p.bnShift[oc]
 	}
-	if bn {
+	if m := len(acc) &^ 7; simdFloat && m >= 8 {
+		fepiRow(&acc[0], scale, shift, bn, actCode(act), m)
+		acc = acc[m:]
+	}
+	if bn != 0 {
 		for i := range acc {
 			acc[i] = float32(acc[i]*scale) + shift
 		}

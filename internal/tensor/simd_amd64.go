@@ -41,7 +41,7 @@ func qpwArchVariants() []*qpwVariant {
 	var vs []*qpwVariant
 	asm := func(name string, nr int, k func(*int8, int, *uint8, *int32, *int32, int, int, *float32, *float32, int)) {
 		vs = append(vs, &qpwVariant{name: name, nr: nr,
-			pack: func(a *qpwCols, tiles int) { qpwPack(&a.panel[0], &a.src[0], a.rowStride, a.k, tiles, nr) },
+			pack: func(a *qpwCols, tiles int) { qpwPack(&a.panel[0], &a.src[0], a.row, a.k, tiles, nr) },
 			tile: func(dst []int8, dstStride int, a *qpwCols, qw *qconvWeights, ob, oc0, tiles int, act nn.Activation) {
 				quads := nquads(a.k)
 				k(&dst[0], dstStride, &a.panel[0], &qw.pw[ob*quads*qpwMR], &qw.seed[oc0 : oc0+qpwMR][0], quads, tiles,
@@ -93,24 +93,29 @@ func vectorAvailable() bool { return hasAVX2 }
 //go:noescape
 func fmaxPair8(dst *float32, a, b *float32, n int)
 
-// fpwTile16 and fpwTile32 compute a bias-seeded 4-channel x 16-column (YMM)
-// resp. x 32-column (ZMM) float pointwise accumulator tile (see simd_amd64.s).
+// fpwPack packs whole tiles of channel rows into the tile-major panel that
+// fpwTileAVX2 and fpwTileAVX512 sweep: 8 channels x 32 columns as four
+// 4 x 16 YMM passes, resp. in one pass on ZMM, batch norm and activation
+// fused (see simd_amd64.s).
 //
 //go:noescape
-func fpwTile16(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
+func fpwPack(dst, src *float32, chanStride, k, tiles int)
 
 //go:noescape
-func fpwTile32(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
+func fpwTileAVX2(dst *float32, dstStride int, src, wgt, bias, scale, shift *float32, k, cols, act int)
 
-// fpwArchVariants lists the float pointwise tiles this CPU runs, fastest
-// first. Both read ocBlock.packed as is.
+//go:noescape
+func fpwTileAVX512(dst *float32, dstStride int, src, wgt, bias, scale, shift *float32, k, cols, act int)
+
+// fpwArchVariants lists the float GEMM tiles this CPU runs, fastest first.
+// Both read convWeights.packed as is.
 func fpwArchVariants() []*fpwVariant {
 	var vs []*fpwVariant
 	if hasAVX512 {
-		vs = append(vs, fpwAsm("avx512", 32, fpwTile32))
+		vs = append(vs, fpwAsm("avx512", fpwTileAVX512))
 	}
 	if hasAVX2 {
-		vs = append(vs, fpwAsm("avx2", 16, fpwTile16))
+		vs = append(vs, fpwAsm("avx2", fpwTileAVX2))
 	}
 	return vs
 }

@@ -15,7 +15,7 @@
 //
 // AVX2 requires CPUID.7.0:EBX[5], FMA3 (CPUID.1:ECX[12]) plus OS support
 // for YMM state (CPUID.1:ECX[27] OSXSAVE and XCR0[2:1] == 11). 512-bit
-// float (fpwTile32) needs CPUID.7.0:EBX[16] AVX512F and XCR0[7:5] == 111
+// float (fpwTileAVX512) needs CPUID.7.0:EBX[16] AVX512F and XCR0[7:5] == 111
 // (opmask, ZMM_Hi256, Hi16_ZMM state enabled by the OS). The depthwise tiles
 // use 32-bit opmasks and int16 lanes on ZMM (KMOVD, VPMOVSXBW, VPERMW): on
 // top of AVX512F, EBX[30] AVX512BW. The VNNI tiles — the int8 GEMM tile's
@@ -659,125 +659,386 @@ fmaxloop:
 	VZEROUPPER
 	RET
 
-// func fpwTile16(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
+// func fpwPack(dst, src *float32, chanStride, k, tiles int)
 //
-// Bias-seeded 4-output-channel x 16-column float pointwise tile written
-// directly into the output rows:
-//
-//	acc[b*accStride+j] = bias[b] + sum over g of wgt[g*4+b]*src[g*chanStride+j]
-//
-// for b in [0,4), j in [0,16). The 64 float32 accumulators live in eight YMM
-// registers across the whole input-channel reduction; each lane is one
-// output pixel chaining its channels in ascending order from its bias,
-// exactly the scalar kernel's sequence. The caller guarantees inC >= 1 and
-// 16 readable float32s at every src[g*chanStride].
-TEXT ·fpwTile16(SB), NOSPLIT, $0-56
-	MOVQ acc+0(FP), DI
-	MOVQ accStride+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ chanStride+24(FP), BX
-	MOVQ wgt+32(FP), DX
-	MOVQ bias+40(FP), AX
-	MOVQ inC+48(FP), CX
-	SHLQ $2, BX // channel stride in bytes
-	VBROADCASTSS (AX), Y0
-	VMOVAPS Y0, Y1
-	VBROADCASTSS 4(AX), Y2
-	VMOVAPS Y2, Y3
-	VBROADCASTSS 8(AX), Y4
-	VMOVAPS Y4, Y5
-	VBROADCASTSS 12(AX), Y6
-	VMOVAPS Y6, Y7
-fpwloop:
-	VMOVUPS (SI), Y8         // columns 0..7 of this input channel
-	VMOVUPS 32(SI), Y9       // columns 8..15
-	VBROADCASTSS (DX), Y10   // channel b=0 weight
-	VFMADD231PS Y8, Y10, Y0
-	VFMADD231PS Y9, Y10, Y1
-	VBROADCASTSS 4(DX), Y11  // b=1
-	VFMADD231PS Y8, Y11, Y2
-	VFMADD231PS Y9, Y11, Y3
-	VBROADCASTSS 8(DX), Y12  // b=2
-	VFMADD231PS Y8, Y12, Y4
-	VFMADD231PS Y9, Y12, Y5
-	VBROADCASTSS 12(DX), Y13 // b=3
-	VFMADD231PS Y8, Y13, Y6
-	VFMADD231PS Y9, Y13, Y7
-	ADDQ BX, SI
-	ADDQ $16, DX
+// Packs `tiles` 32-column tiles of k channel rows chanStride floats apart
+// into a tile-major panel: dst[(t*k+g)*32+j] = src[g*chanStride+t*32+j].
+// Each channel row is read in order, its tiles' runs written k*128 bytes
+// apart.
+TEXT ·fpwPack(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ chanStride+16(FP), R8
+	SHLQ $2, R8
+	MOVQ k+24(FP), CX
+	MOVQ CX, R9
+	SHLQ $7, R9 // bytes from a tile's row to the next tile's
+fpkrow:
+	MOVQ SI, AX
+	MOVQ DI, DX
+	MOVQ tiles+32(FP), BX
+fpktile:
+	VMOVUPS (AX), Y0
+	VMOVUPS 32(AX), Y1
+	VMOVUPS 64(AX), Y2
+	VMOVUPS 96(AX), Y3
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, 64(DX)
+	VMOVUPS Y3, 96(DX)
+	ADDQ $128, AX
+	ADDQ R9, DX
+	DECQ BX
+	JNZ  fpktile
+	ADDQ R8, SI
+	ADDQ $128, DI
 	DECQ CX
-	JNZ  fpwloop
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	LEAQ (DI)(R8*4), DI
-	VMOVUPS Y2, (DI)
-	VMOVUPS Y3, 32(DI)
-	LEAQ (DI)(R8*4), DI
-	VMOVUPS Y4, (DI)
-	VMOVUPS Y5, 32(DI)
-	LEAQ (DI)(R8*4), DI
-	VMOVUPS Y6, (DI)
-	VMOVUPS Y7, 32(DI)
+	JNZ  fpkrow
 	VZEROUPPER
 	RET
 
-// FPW_MAC is one output channel's step of fpwTile32: both column halves of
-// the input channel in Z8/Z9 times the channel's broadcast weight, fused
-// into the accumulators.
-#define FPW_MAC(off, a, b) \
-	VBROADCASTSS off(DX), Z10 \
-	VFMADD231PS Z8, Z10, a \
-	VFMADD231PS Z9, Z10, b
+// Both float GEMM tiles read a tile-major panel (tile t's row g, the taps of
+// input row g for the tile's 32 columns, at src[(t*k+g)*32]), the block's
+// tap-major weights wgt[g*8+b] and the channels' bias, and store tiles
+// finished: when scale is non-nil the batch-norm affine as separate
+// VMULPS/VADDPS (an epilogue rounds twice), then act (0 none, 1 ReLU, 2
+// LeakyReLU) as the `if v < 0` select, so NaN and -0 lanes keep their bits —
+// finishChannel's operation sequence per lane. Each lane is one output element
+// chaining its taps in ascending g from its bias, one VFMADD231PS a tap: the
+// scalar kernel's sequence.
 
-// func fpwTile32(acc *float32, accStride int, src *float32, chanStride int, wgt *float32, bias *float32, inC int)
+// F16_MAC is one output channel's step of fpwTileAVX2: the pass's 16
+// columns of tap row g in Y8/Y9 times the channel's broadcast weight.
+#define F16_MAC(off, a, b) \
+	VBROADCASTSS off(R10), Y10 \
+	VFMADD231PS Y8, Y10, a \
+	VFMADD231PS Y9, Y10, b
+
+// F16_BN applies channel b's batch-norm affine to its accumulators.
+#define F16_BN(b, a0, a1) \
+	VBROADCASTSS (4*b)(R12)(BX*1), Y10 \
+	VBROADCASTSS (4*b)(R13)(BX*1), Y11 \
+	VMULPS Y10, a0, a0 \
+	VMULPS Y10, a1, a1 \
+	VADDPS Y11, a0, a0 \
+	VADDPS Y11, a1, a1
+
+// F16_RELU writes +0 over acc's negative lanes; F16_LEAKY multiplies them by
+// 0.1 (Y14). Y12 is zero.
+#define F16_RELU(acc) \
+	VCMPPS $1, Y12, acc, Y13 \
+	VANDNPS acc, Y13, acc
+
+#define F16_LEAKY(acc) \
+	VMULPS Y14, acc, Y15 \
+	VCMPPS $1, Y12, acc, Y13 \
+	VBLENDVPS Y13, Y15, acc, acc
+
+// F16_STORE stores channel rows a0/a1 at R11 and steps R11 a row on.
+#define F16_STORE(a0, a1) \
+	VMOVUPS a0, (R11) \
+	VMOVUPS a1, 32(R11) \
+	ADDQ R8, R11
+
+// func fpwTileAVX2(dst *float32, dstStride int, src, wgt, bias, scale, shift *float32, k, cols, act int)
 //
-// fpwTile16's contract over 32 columns on 512-bit registers (AVX512F):
-//
-//	acc[b*accStride+j] = bias[b] + sum over g of wgt[g*4+b]*src[g*chanStride+j]
-//
-// for b in [0,4), j in [0,32). Eight independent accumulator chains exactly
-// cover the FMA's 4-cycle latency on two 512-bit ports: 32 MAC a cycle,
-// twice the YMM tile. The caller guarantees inC >= 1 and 32 readable
-// float32s at every src[g*chanStride].
-TEXT ·fpwTile32(SB), NOSPLIT, $0-56
-	MOVQ acc+0(FP), DI
-	MOVQ accStride+8(FP), R8
+// 8 channels x 32 columns a tile, over the ceil(cols/32) tiles that hold
+// cols columns, in four passes of 4 channels x 16 columns, each holding its
+// 64 float32 accumulators in eight YMM registers across the whole reduction
+// (AVX2 has sixteen): dst[b*dstStride+t*32+j] for b in [0,8), j in [0,32).
+// Each column half of the tile's panel is read twice, from L1; a last tile
+// holding at most 16 of the cols skips its second half. k, cols >= 1.
+TEXT ·fpwTileAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), R8
+	SHLQ $2, R8 // row stride in bytes
 	MOVQ src+16(FP), SI
-	MOVQ chanStride+24(FP), BX
-	MOVQ wgt+32(FP), DX
-	MOVQ bias+40(FP), AX
-	MOVQ inC+48(FP), CX
-	SHLQ $2, BX // channel stride in bytes
-	VBROADCASTSS (AX), Z0
-	VMOVAPS Z0, Z1
-	VBROADCASTSS 4(AX), Z2
-	VMOVAPS Z2, Z3
-	VBROADCASTSS 8(AX), Z4
-	VMOVAPS Z4, Z5
-	VBROADCASTSS 12(AX), Z6
-	VMOVAPS Z6, Z7
-fpw32loop:
-	VMOVUPS (SI), Z8   // columns 0..15 of this input channel
-	VMOVUPS 64(SI), Z9 // columns 16..31
-	FPW_MAC(0, Z0, Z1)
-	FPW_MAC(4, Z2, Z3)
-	FPW_MAC(8, Z4, Z5)
-	FPW_MAC(12, Z6, Z7)
-	ADDQ BX, SI
-	ADDQ $16, DX
+	MOVQ bias+32(FP), AX
+	MOVQ scale+40(FP), R12
+	MOVQ shift+48(FP), R13
+	MOVQ cols+64(FP), DX // columns left
+	VXORPS Y12, Y12, Y12
+	VBROADCASTSS qftenth<>(SB), Y14
+f16tile:
+	XORQ R9, R9 // the column half, in bytes: 0, then 64
+f16cols:
+	XORQ BX, BX // the channel half's first channel, in bytes: 0, then 16
+	LEAQ (DI)(R9*1), R11
+f16half:
+	LEAQ (SI)(R9*1), R14
+	MOVQ wgt+24(FP), R10
+	ADDQ BX, R10
+	MOVQ k+56(FP), CX
+	VBROADCASTSS 0(AX)(BX*1), Y0
+	VMOVAPS Y0, Y1
+	VBROADCASTSS 4(AX)(BX*1), Y2
+	VMOVAPS Y2, Y3
+	VBROADCASTSS 8(AX)(BX*1), Y4
+	VMOVAPS Y4, Y5
+	VBROADCASTSS 12(AX)(BX*1), Y6
+	VMOVAPS Y6, Y7
+f16loop:
+	VMOVUPS (R14), Y8   // 8 columns of tap row g
+	VMOVUPS 32(R14), Y9 // the next 8
+	F16_MAC(0, Y0, Y1)
+	F16_MAC(4, Y2, Y3)
+	F16_MAC(8, Y4, Y5)
+	F16_MAC(12, Y6, Y7)
+	ADDQ $128, R14
+	ADDQ $32, R10
 	DECQ CX
-	JNZ  fpw32loop
-	VMOVUPS Z0, (DI)
-	VMOVUPS Z1, 64(DI)
-	LEAQ (DI)(R8*4), DI
-	VMOVUPS Z2, (DI)
-	VMOVUPS Z3, 64(DI)
-	LEAQ (DI)(R8*4), DI
-	VMOVUPS Z4, (DI)
-	VMOVUPS Z5, 64(DI)
-	LEAQ (DI)(R8*4), DI
-	VMOVUPS Z6, (DI)
-	VMOVUPS Z7, 64(DI)
+	JNZ  f16loop
+	TESTQ R12, R12
+	JZ   f16act
+	F16_BN(0, Y0, Y1)
+	F16_BN(1, Y2, Y3)
+	F16_BN(2, Y4, Y5)
+	F16_BN(3, Y6, Y7)
+f16act:
+	CMPQ act+72(FP), $1
+	JEQ  f16relu
+	CMPQ act+72(FP), $2
+	JEQ  f16leaky
+f16store:
+	F16_STORE(Y0, Y1)
+	F16_STORE(Y2, Y3)
+	F16_STORE(Y4, Y5)
+	F16_STORE(Y6, Y7)
+	ADDQ $16, BX
+	CMPQ BX, $32
+	JLT  f16half
+	ADDQ $64, R9
+	CMPQ R9, $128
+	JEQ  f16next
+	CMPQ DX, $16
+	JGT  f16cols // the second half holds columns
+f16next:
+	MOVQ k+56(FP), CX
+	SHLQ $7, CX
+	ADDQ CX, SI // the next tile's panel follows this one's
+	ADDQ $128, DI
+	SUBQ $32, DX
+	JGT  f16tile
+	VZEROUPPER
+	RET
+f16relu:
+	F16_RELU(Y0)
+	F16_RELU(Y1)
+	F16_RELU(Y2)
+	F16_RELU(Y3)
+	F16_RELU(Y4)
+	F16_RELU(Y5)
+	F16_RELU(Y6)
+	F16_RELU(Y7)
+	JMP  f16store
+f16leaky:
+	F16_LEAKY(Y0)
+	F16_LEAKY(Y1)
+	F16_LEAKY(Y2)
+	F16_LEAKY(Y3)
+	F16_LEAKY(Y4)
+	F16_LEAKY(Y5)
+	F16_LEAKY(Y6)
+	F16_LEAKY(Y7)
+	JMP  f16store
+
+// FPZ_SEED starts channel b's accumulator(s) at bias[b].
+#define FPZ_SEED(b, a0, a1) \
+	VBROADCASTSS (4*b)(AX), a0 \
+	VMOVAPS a0, a1
+
+#define FPZ_SEED1(b, a) \
+	VBROADCASTSS (4*b)(AX), a
+
+// FPZ_MAC is one output channel's step of fpwTileAVX512: both column halves
+// of tap row g in Z0/Z1 (FPZ_MAC1: the first alone) times the channel's
+// weight, broadcast once into a register (as an embedded-broadcast operand
+// of both FMAs it would cost a load uop each).
+#define FPZ_MAC(off, a0, a1) \
+	VBROADCASTSS off(DX), Z4 \
+	VFMADD231PS Z0, Z4, a0 \
+	VFMADD231PS Z1, Z4, a1
+
+#define FPZ_MAC1(off, a) \
+	VBROADCASTSS off(DX), Z4 \
+	VFMADD231PS Z0, Z4, a
+
+// FPZ_BN applies channel b's batch-norm affine to its accumulators a0/a1
+// (FPZ_BN1: a0 alone).
+#define FPZ_BN(b, a0, a1) \
+	FPZ_BN1(b, a0) \
+	VMULPS Z4, a1, a1 \
+	VADDPS Z5, a1, a1
+
+#define FPZ_BN1(b, a) \
+	VBROADCASTSS (4*b)(R12), Z4 \
+	VBROADCASTSS (4*b)(R13), Z5 \
+	VMULPS Z4, a, a \
+	VADDPS Z5, a, a
+
+// FZ_ACT applies the activation to acc, Z3 being zero and Z2 0.1: kr is
+// all-ones for ReLU, kl for LeakyReLU (both zero for none), kc a scratch
+// mask. The depthwise run tiles below use it too.
+#define FZ_ACT(acc, kc, kr, kl) \
+	VCMPPS $1, Z3, acc, kr, kc \
+	VMOVAPS Z3, kc, acc \
+	VCMPPS $1, Z3, acc, kl, kc \
+	VMULPS Z2, acc, kc, acc
+
+// FPZ_ROW applies the activation to channel row a0/a1 (FPZ_ROW1: a0 alone,
+// the first 16 columns) and stores it at R14, stepping R14 a row on.
+#define FPZ_ROW(a0, a1) \
+	FZ_ACT(a0, K3, K1, K2) \
+	FZ_ACT(a1, K3, K1, K2) \
+	VMOVUPS a0, (R14) \
+	VMOVUPS a1, 64(R14) \
+	ADDQ R8, R14
+
+#define FPZ_ROW1(a) \
+	FZ_ACT(a, K3, K1, K2) \
+	VMOVUPS a, (R14) \
+	ADDQ R8, R14
+
+// func fpwTileAVX512(dst *float32, dstStride int, src, wgt, bias, scale, shift *float32, k, cols, act int)
+//
+// 8 channels x 32 columns a tile on 512-bit registers (AVX512F), the int8
+// VNNI tile's shape, over the ceil(cols/32) tiles that hold cols columns:
+// all 256 accumulators live in Z16-Z31 across the whole reduction — sixteen
+// independent chains, twice the FMA's latency times its two ports — fed per
+// tap row by two panel loads and eight weight broadcasts, and are finished
+// from registers: dst[b*dstStride+t*32+j] for b in [0,8), j in [0,32). A
+// last tile holding at most 16 of the cols runs on the even accumulators
+// alone (eight chains still cover the latency) and stores its first 16
+// columns. K1 is all-ones for ReLU, K2 for LeakyReLU. k, cols >= 1.
+TEXT ·fpwTileAVX512(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), R8
+	SHLQ $2, R8 // row stride in bytes
+	MOVQ src+16(FP), SI
+	MOVQ wgt+24(FP), R9
+	MOVQ bias+32(FP), AX
+	MOVQ scale+40(FP), R12
+	MOVQ shift+48(FP), R13
+	MOVQ k+56(FP), R10
+	MOVQ act+72(FP), BX
+	XORL CX, CX
+	CMPQ BX, $1
+	JNE  2(PC)
+	MOVL $0xffff, CX
+	KMOVW CX, K1
+	XORL CX, CX
+	CMPQ BX, $2
+	JNE  2(PC)
+	MOVL $0xffff, CX
+	KMOVW CX, K2
+	VPXORD Z3, Z3, Z3
+	VBROADCASTSS qftenth<>(SB), Z2
+	MOVQ cols+64(FP), BX
+	LEAQ 31(BX), R11
+	SHRQ $5, R11 // tiles
+	ANDQ $31, BX
+	DECQ BX      // below 16 (unsigned) iff the last tile holds 1..16 columns
+fpztile:
+	CMPQ R11, $1
+	JNE  fpzfull
+	CMPQ BX, $16
+	JCS  fpzhalf
+fpzfull:
+	FPZ_SEED(0, Z16, Z17)
+	FPZ_SEED(1, Z18, Z19)
+	FPZ_SEED(2, Z20, Z21)
+	FPZ_SEED(3, Z22, Z23)
+	FPZ_SEED(4, Z24, Z25)
+	FPZ_SEED(5, Z26, Z27)
+	FPZ_SEED(6, Z28, Z29)
+	FPZ_SEED(7, Z30, Z31)
+	MOVQ R9, DX
+	MOVQ R10, CX
+fpzloop:
+	VMOVUPS (SI), Z0   // columns 0..15 of tap row g
+	VMOVUPS 64(SI), Z1 // columns 16..31
+	FPZ_MAC(0, Z16, Z17)
+	FPZ_MAC(4, Z18, Z19)
+	FPZ_MAC(8, Z20, Z21)
+	FPZ_MAC(12, Z22, Z23)
+	FPZ_MAC(16, Z24, Z25)
+	FPZ_MAC(20, Z26, Z27)
+	FPZ_MAC(24, Z28, Z29)
+	FPZ_MAC(28, Z30, Z31)
+	ADDQ $128, SI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  fpzloop
+	TESTQ R12, R12
+	JZ   fpzstore
+	FPZ_BN(0, Z16, Z17)
+	FPZ_BN(1, Z18, Z19)
+	FPZ_BN(2, Z20, Z21)
+	FPZ_BN(3, Z22, Z23)
+	FPZ_BN(4, Z24, Z25)
+	FPZ_BN(5, Z26, Z27)
+	FPZ_BN(6, Z28, Z29)
+	FPZ_BN(7, Z30, Z31)
+fpzstore:
+	MOVQ DI, R14
+	FPZ_ROW(Z16, Z17)
+	FPZ_ROW(Z18, Z19)
+	FPZ_ROW(Z20, Z21)
+	FPZ_ROW(Z22, Z23)
+	FPZ_ROW(Z24, Z25)
+	FPZ_ROW(Z26, Z27)
+	FPZ_ROW(Z28, Z29)
+	FPZ_ROW(Z30, Z31)
+	ADDQ $128, DI
+	DECQ R11
+	JNZ  fpztile
+	VZEROUPPER
+	RET
+fpzhalf:
+	FPZ_SEED1(0, Z16)
+	FPZ_SEED1(1, Z18)
+	FPZ_SEED1(2, Z20)
+	FPZ_SEED1(3, Z22)
+	FPZ_SEED1(4, Z24)
+	FPZ_SEED1(5, Z26)
+	FPZ_SEED1(6, Z28)
+	FPZ_SEED1(7, Z30)
+	MOVQ R9, DX
+	MOVQ R10, CX
+fpzhloop:
+	VMOVUPS (SI), Z0
+	FPZ_MAC1(0, Z16)
+	FPZ_MAC1(4, Z18)
+	FPZ_MAC1(8, Z20)
+	FPZ_MAC1(12, Z22)
+	FPZ_MAC1(16, Z24)
+	FPZ_MAC1(20, Z26)
+	FPZ_MAC1(24, Z28)
+	FPZ_MAC1(28, Z30)
+	ADDQ $128, SI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  fpzhloop
+	TESTQ R12, R12
+	JZ   fpzhstore
+	FPZ_BN1(0, Z16)
+	FPZ_BN1(1, Z18)
+	FPZ_BN1(2, Z20)
+	FPZ_BN1(3, Z22)
+	FPZ_BN1(4, Z24)
+	FPZ_BN1(5, Z26)
+	FPZ_BN1(6, Z28)
+	FPZ_BN1(7, Z30)
+fpzhstore:
+	MOVQ DI, R14
+	FPZ_ROW1(Z16)
+	FPZ_ROW1(Z18)
+	FPZ_ROW1(Z20)
+	FPZ_ROW1(Z22)
+	FPZ_ROW1(Z24)
+	FPZ_ROW1(Z26)
+	FPZ_ROW1(Z28)
+	FPZ_ROW1(Z30)
 	VZEROUPPER
 	RET
 
@@ -1747,7 +2008,7 @@ GLOBL dwzUnshuf<>(SB), RODATA, $64
 // seed), Z4/Z5 its batch-norm scale and shift, Z3 zero, Z2 float32(0.1);
 // Z16..Z19 are the accumulators of a group's four rows (a single row uses
 // Z16), so every step carries four independent 9-FMA chains. The epilogue is
-// finishRowF's operation sequence per lane: a separate VMULPS and VADDPS
+// finishChannel's operation sequence per lane: a separate VMULPS and VADDPS
 // when the channel has batch norm, then the activation as `if v < 0`
 // through a compare mask (NaN and -0 lanes keep their bits): ReLU writes +0,
 // LeakyReLU multiplies by 0.1.
@@ -1813,14 +2074,6 @@ GLOBL dwzUnshuf<>(SB), RODATA, $64
 	JEQ  3(PC) \
 	VMULPS Z4, Z16, Z16 \
 	VADDPS Z5, Z16, Z16
-
-// FZ_ACT applies the activation to acc: kr is all-ones for ReLU, kl for
-// LeakyReLU (both zero for none), kc a scratch mask.
-#define FZ_ACT(acc, kc, kr, kl) \
-	VCMPPS $1, Z3, acc, kr, kc \
-	VMOVAPS Z3, kc, acc \
-	VCMPPS $1, Z3, acc, kl, kc \
-	VMULPS Z2, acc, kc, acc
 
 // One stride-1 float tap of a group's four rows: FZ1_G0 for kernel row 0,
 // FZ1_GS for kernel row s (1 or 2), d the tap's byte offset.

@@ -86,11 +86,6 @@ func TestVariantTablesMatchProbe(t *testing.T) {
 	if fpwActive != fpwVariants[0] || qpwActive != qpwVariants[0] {
 		t.Fatal("the active variant is not the table's first")
 	}
-	for i, v := range fpwVariants[:len(fpwVariants)-1] {
-		if v.nr < fpwVariants[i+1].nr {
-			t.Fatalf("float tiles not widest first: %v", fnames)
-		}
-	}
 
 	var dnames []string
 	for _, v := range dwVariants {

@@ -32,6 +32,10 @@ func fmaxPair8(dst *float32, a, b *float32, n int) {
 	panic("tensor: fmaxPair8 without SIMD support")
 }
 
+func fpwPack(dst, src *float32, chanStride, k, tiles int) {
+	panic("tensor: fpwPack without SIMD support")
+}
+
 // fpwArchVariants is empty: the GEMM driver runs the portable float tile.
 func fpwArchVariants() []*fpwVariant { return nil }
 

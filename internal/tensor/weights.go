@@ -25,9 +25,15 @@ type fparams struct {
 type convWeights struct {
 	fparams
 
-	// blocks is the register-tile plan: each group's output channels in runs
-	// of up to ocBlockWidth that one GEMM tile computes together.
-	blocks []ocBlock
+	// packed is the register-tile plan: group g's i-th block of up to fpwMR
+	// output channels, from g*ocg+i*fpwMR on, is packed[g*obg+i] (obg =
+	// ceil(ocg/fpwMR), ocg = OutC/groups): its tap-major weight panel, whose
+	// row k = (ic*KH+kh)*KW+kw is the gathered panel's. A panel is built only
+	// for a block without a zero weight: the tile applies every tap in
+	// ascending k, the reference's order, but never skips one. A sparse
+	// block's is nil; the driver sweeps its channels one at a time over the
+	// same panel, skipping zero weights.
+	packed [][]float32
 
 	// padExact records that the padding zeros the GEMM driver gathers and
 	// multiplies — taps the reference skips — are exact no-ops: trivially
@@ -37,59 +43,33 @@ type convWeights struct {
 	padExact bool
 }
 
-// ocBlockWidth is the register-tile height: how many output channels the
-// float GEMM tile accumulates per sweep over a panel — 4 x nr accumulators,
-// eight vector registers at either tile width.
-const ocBlockWidth = 4
-
-// ocBlock is one register-tile of output channels [oc0, oc0+width) within a
-// single convolution group; group g's i-th block is blocks[g*obg+i], obg =
-// ceil(OutC/groups/ocBlockWidth).
-type ocBlock struct {
-	oc0   int
-	width int
-
-	// packed, when non-nil, is the block's tap-major weight panel
-	// (blockPanel), whose row k = (g*KH+kh)*KW+kw is the gathered panel's.
-	// It is built only for blocks without a zero weight: the tile applies
-	// every tap in ascending k, the reference's order, but never skips one.
-	// A sparse block leaves it nil; the driver sweeps its channels one at a
-	// time over the same panel, skipping zero weights.
-	packed []float32
-}
-
 // pack builds the register-tile plan and records padExact. A ragged block's
-// tile reads a whole block of biases: the bias gets that spare capacity.
-// Groups narrower than a block (depthwise) stay unpacked: a tile would
-// compute mostly padding, and their plane walker reads w.
+// tile reads a whole block of biases and batch-norm affine: those get that
+// spare capacity. Groups narrower than a block (depthwise) stay unpacked: a
+// tile would compute mostly padding, and their plane walker reads w.
 func (cw *convWeights) pack(l *nn.Layer, icg int) {
 	cw.padExact = l.PH == 0 && l.PW == 0 || padTapsExact(cw.w, cw.bias)
-	cw.bias = slices.Grow(cw.bias, ocBlockWidth-1)
+	cw.bias = slices.Grow(cw.bias, fpwMR-1)
+	if cw.bnScale != nil {
+		cw.bnScale, cw.bnShift = slices.Grow(cw.bnScale, fpwMR-1), slices.Grow(cw.bnShift, fpwMR-1)
+	}
 	groups := max(l.Groups, 1)
 	ocg, perOC := l.OutC/groups, icg*l.KH*l.KW
-	cw.blocks = cw.blocks[:0]
+	cw.packed = cw.packed[:0]
 	for g := 0; g < groups; g++ {
-		for oc0 := g * ocg; oc0 < (g+1)*ocg; oc0 += ocBlockWidth {
-			blk := ocBlock{oc0: oc0, width: min(ocBlockWidth, (g+1)*ocg-oc0)}
-			if ocg >= ocBlockWidth && !hasZero(cw.w[oc0*perOC:(oc0+blk.width)*perOC]) {
-				blk.packed = blockPanel(cw.w, oc0, blk.width, perOC)
+		for oc0 := g * ocg; oc0 < (g+1)*ocg; oc0 += fpwMR {
+			width, panel := min(fpwMR, (g+1)*ocg-oc0), []float32(nil)
+			if ocg >= fpwMR && !hasZero(cw.w[oc0*perOC:(oc0+width)*perOC]) {
+				panel = make([]float32, perOC*fpwMR) // panel[i*fpwMR+b] = w[oc0+b][i], zero for b >= width
+				for b := 0; b < width; b++ {
+					for i, v := range cw.w[(oc0+b)*perOC:][:perOC] {
+						panel[i*fpwMR+b] = v
+					}
+				}
 			}
-			cw.blocks = append(cw.blocks, blk)
+			cw.packed = append(cw.packed, panel)
 		}
 	}
-}
-
-// blockPanel lays channels [oc0, oc0+width) of the [oc][per] kernel w out
-// tap-major for a register tile, ocBlockWidth channels a tap:
-// panel[i*ocBlockWidth+b] = w[oc0+b][i], zero for b >= width.
-func blockPanel(w []float32, oc0, width, per int) []float32 {
-	panel := make([]float32, per*ocBlockWidth)
-	for b := 0; b < width; b++ {
-		for i, v := range w[(oc0+b)*per:][:per] {
-			panel[i*ocBlockWidth+b] = v
-		}
-	}
-	return panel
 }
 
 // padTapsExact reports the padded-tap contract: every weight finite (w*0 is
