@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-fpw bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-exec fuzz-infer fuzz-speeds loc check
+.PHONY: all build fmt vet test race race-hot race-quant chaos testbed bench bench-kernel-smoke bench-fpw bench-dw bench-quant-smoke serve-smoke metrics-smoke cross purego bench-vet results-check fuzz-geometry fuzz-plan fuzz-exec fuzz-infer fuzz-speeds loc check
 
 all: check
 
@@ -113,6 +113,16 @@ bench-fpw:
 		$(GO) test -run NONE -bench "^BenchmarkFpwVariants$$/./^$$v$$" -cpu 1 ./internal/tensor || exit 1; \
 	done
 
+# The depthwise timing table (BenchmarkDepthwisePlanes: each MobileNetV1
+# depthwise shape and the mnv1-13 sum, both dtypes), one variant per
+# `go test -cpu 1` process: run after the avx512 rows in one process, the
+# avx2 rows read up to 1.6x slower than alone. A variant the host lacks
+# matches no row. Not part of `check`.
+bench-dw:
+	@for v in avx512 avx2 portable; do \
+		$(GO) test -run NONE -bench "^BenchmarkDepthwisePlanes$$/././^$$v$$" -cpu 1 ./internal/tensor || exit 1; \
+	done
+
 # Serving-gateway smoke under the race detector: the full binary path
 # (loopback workers, HTTP, micro-batcher, drain), the end-to-end
 # byte-identity contract between /infer and a local run, a plan=apico
@@ -148,7 +158,7 @@ cross:
 # the portable float kernels run a software FMA) check the scalar code every
 # other architecture ships, TestForwardUnchanged that it computes the bits of
 # testdata/forward.golden like the vector kernels, and
-# TestPortableBuildRunsNoAsm that no vector gate is left on.
+# TestPortableBuildRunsNoAsm that the vector gate is off.
 purego:
 	$(GO) test -tags purego ./internal/tensor
 

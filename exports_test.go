@@ -1,12 +1,20 @@
 package pico_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -36,9 +44,11 @@ var testOnlyExports = map[string]string{
 	"queueing.MD1Sojourn":                "closed-form M/D/1 sojourn the queueing and simulator tests check against",
 	"queueing.Switcher.Current":          "the incumbent schemes' APICO tests read back",
 	"runtime.WithFault":                  "fault seam the runtime and serve chaos tests inject worker faults through",
+	"serve.Gateway.Addr":                 "the picoserve smoke tests reach the gateway's ephemeral port through it",
 	"serve.Gateway.CheckSLO":             "hand tick the telemetry tests drive instead of the watcher's period",
 	"tensor.EqualQ":                      "int8 bit-identity comparator the tensor and runtime tests share",
 	"tensor.Tensor.At":                   "element accessor the tensor tests' direct-loop reference convolutions index by",
+	"tensor.Tensor.Set":                  "element setter the tensor tests' direct-loop reference ops write their outputs through",
 	"tensor.WithReferenceKernels":        "plain-Go reference kernels the bit-identity suites compare against",
 	"wire.DecodeQTensorPortable":         "portable reference the fast int8 decoder is checked against",
 	"wire.DecodeTensorPortable":          "portable reference the fast float decoder is checked against",
@@ -51,18 +61,19 @@ var testOnlyExports = map[string]string{
 
 // TestEveryExportHasACaller fails on an exported function or method under
 // internal/, or a field of an exported *Options/*Config struct, that no
-// non-test file of the module uses. A function or method is used when its
-// name appears as an identifier anywhere but its declaration. An option field
-// is used when a composite literal sets it, or code outside its own package
-// assigns it or takes its address: a field only its own package's defaulting
-// assigns holds one value, a constant in disguise. Names are matched without
-// type information, so a dead name shadowed by a live one of the same
-// spelling is missed, but a live name is never reported.
+// non-test file uses. Every package of the repository (bench's module
+// included) is type-checked, so a function or method is used where an
+// identifier resolves to it — a call, a method value or a method expression —
+// and a name shared with a field, a type or another type's method does not
+// count. A method is also used when an interface it satisfies has that method
+// called. An option
+// field is used when a composite literal sets it, or code outside its own
+// package assigns it or takes its address: a field only its own package's
+// defaulting assigns holds one value, a constant in disguise.
 func TestEveryExportHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
 	var exports []export
-	declared := map[*ast.Ident]bool{}
-	named := map[string]bool{}              // identifier names outside declarations
+	files := map[string][]*ast.File{}       // import path -> non-test files
 	setFrom := map[string]map[string]bool{} // field name -> dirs that set it ("" for a literal)
 	setField := func(name, dir string) {
 		if setFrom[name] == nil {
@@ -81,23 +92,27 @@ func TestEveryExportHasACaller(t *testing.T) {
 			}
 			return nil
 		}
+		dir := filepath.Dir(path)
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.Dir(path)
+		importPath := "pico"
+		if dir != "." {
+			importPath += "/" + filepath.ToSlash(dir)
+		}
+		files[importPath] = append(files[importPath], f)
 		if strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-			exports = append(exports, fileExports(f, dir, declared)...)
+			exports = append(exports, fileExports(f, dir)...)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.Ident:
-				if !declared[n] {
-					named[n.Name] = true
-				}
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {
 					setField(id.Name, "")
@@ -124,17 +139,35 @@ func TestEveryExportHasACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	info, err := typeCheck(fset, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := map[*types.Func]bool{}
+	viaInterface := map[string][]*types.Interface{} // method name -> interfaces it is called through
+	for _, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			viaInterface[fn.Name()] = append(viaInterface[fn.Name()], recv.Type().Underlying().(*types.Interface))
+			continue
+		}
+		called[fn.Origin()] = true
+	}
 
 	var dead []string
 	seen := map[string]bool{}
 	for _, e := range exports {
 		seen[e.key] = true
-		used := named[e.name]
+		var used bool
 		if e.field {
-			used = false
 			for d := range setFrom[e.name] {
 				used = used || d != e.dir
 			}
+		} else {
+			used = isUsed(info.Defs[e.decl].(*types.Func), called, viaInterface)
 		}
 		_, allowed := testOnlyExports[e.key]
 		switch {
@@ -155,16 +188,110 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
-// export is one exported name; key is package.Name or package.Type.Name.
+// isUsed reports whether fn is called or taken as a value, directly or, for a
+// method, through an interface its receiver type satisfies.
+func isUsed(fn *types.Func, called map[*types.Func]bool, viaInterface map[string][]*types.Interface) bool {
+	if called[fn] {
+		return true
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	base := recv.Type()
+	if p, ok := base.(*types.Pointer); ok {
+		base = p.Elem()
+	}
+	for _, iface := range viaInterface[fn.Name()] {
+		if types.Implements(base, iface) || types.Implements(types.NewPointer(base), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// typeCheck type-checks every package in files, keyed by import path,
+// importing the standard library from the export data `go list -export`
+// reports, and returns what the identifiers of all of them resolve to.
+func typeCheck(fset *token.FileSet, files map[string][]*ast.File) (*types.Info, error) {
+	std := map[string]bool{}
+	for _, fs := range files {
+		for _, f := range fs {
+			for _, spec := range f.Imports {
+				if path, _ := strconv.Unquote(spec.Path.Value); files[path] == nil {
+					std[path] = true
+				}
+			}
+		}
+	}
+	args := []string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
+	for path := range std {
+		args = append(args, path)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	exportFile := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			exportFile[path] = file
+		}
+	}
+	m := &moduleImporter{
+		fset:  fset,
+		files: files,
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(exportFile[path])
+		}),
+	}
+	for path := range files {
+		if _, err := m.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return m.info, nil
+}
+
+// moduleImporter type-checks the module's packages from source, each once,
+// and hands the standard library to std.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	std   types.Importer
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if m.files[path] == nil {
+		return m.std.Import(path)
+	}
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, m.files[path], m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// export is one exported name; key is package.Name or package.Type.Name,
+// decl a function's or method's declared name (nil for a field).
 type export struct {
 	key, name, dir string
 	field          bool
+	decl           *ast.Ident
 }
 
-// fileExports returns the exported funcs and methods f declares, marking
-// their names in declared, and the exported fields of its exported
-// *Options/*Config structs.
-func fileExports(f *ast.File, dir string, declared map[*ast.Ident]bool) []export {
+// fileExports returns the exported funcs and methods f declares and the
+// exported fields of its exported *Options/*Config structs.
+func fileExports(f *ast.File, dir string) []export {
 	var exports []export
 	pkg := f.Name.Name
 	for _, decl := range f.Decls {
@@ -177,8 +304,7 @@ func fileExports(f *ast.File, dir string, declared map[*ast.Ident]bool) []export
 			if decl.Recv != nil {
 				key = pkg + "." + receiverName(decl.Recv.List[0].Type) + "." + decl.Name.Name
 			}
-			declared[decl.Name] = true
-			exports = append(exports, export{key: key, name: decl.Name.Name, dir: dir})
+			exports = append(exports, export{key: key, name: decl.Name.Name, dir: dir, decl: decl.Name})
 		case *ast.GenDecl:
 			for _, spec := range decl.Specs {
 				ts, ok := spec.(*ast.TypeSpec)

@@ -38,16 +38,6 @@ func (d Device) EffectiveSpeed() float64 {
 	return d.Capacity / d.Alpha
 }
 
-// ComputeSeconds returns the modelled execution time of the given MAC count
-// on this device (Eq. 5).
-func (d Device) ComputeSeconds(flops float64) float64 {
-	speed := d.EffectiveSpeed()
-	if speed <= 0 {
-		return 0
-	}
-	return flops / speed
-}
-
 func (d Device) String() string {
 	return fmt.Sprintf("%s(%.2f GMAC/s)", d.ID, d.Capacity/1e9)
 }

@@ -17,10 +17,6 @@ func TestDeviceEffectiveSpeed(t *testing.T) {
 	if got := d.EffectiveSpeed(); got != 2e9 {
 		t.Fatalf("EffectiveSpeed with zero alpha = %v", got)
 	}
-	d.Alpha = 1
-	if got := d.ComputeSeconds(4e9); got != 2 {
-		t.Fatalf("ComputeSeconds = %v", got)
-	}
 }
 
 func TestHomogenize(t *testing.T) {

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -149,17 +148,4 @@ func (m *Model) String() string {
 		return fmt.Sprintf("%s(invalid: %v)", m.Name, err)
 	}
 	return fmt.Sprintf("%s(%d layers, %v -> %v)", m.Name, len(m.Layers), m.Input, m.Output())
-}
-
-// Describe renders a multi-line, per-layer summary table useful for
-// diagnostics and the quickstart example.
-func (m *Model) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s  input=%v\n", m.Name, m.Input)
-	for i := range m.Layers {
-		l := &m.Layers[i]
-		fmt.Fprintf(&b, "%3d %-12s %-9s out=%-12v flops=%d\n",
-			i, l.Name, l.Kind, m.OutShape(i), m.LayerFLOPs(i))
-	}
-	return b.String()
 }

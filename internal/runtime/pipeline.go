@@ -143,9 +143,14 @@ type flightWork struct {
 	start time.Time
 }
 
+// run drives the stage until its input closes, handing each flight to the
+// next stage on out or, on the chain's last stage (out nil), delivering its
+// result.
 func (sd *stageDriver) run(in <-chan *flight, out chan<- *flight, wg *sync.WaitGroup) {
 	defer wg.Done()
-	defer close(out)
+	if out != nil {
+		defer close(out)
+	}
 	// The dispatcher stays up to stageDepth-1 tasks ahead of the gatherer,
 	// so its split/encode/send work overlaps worker compute.
 	work := make(chan *flightWork, stageDepth-1)
@@ -160,7 +165,11 @@ func (sd *stageDriver) run(in <-chan *flight, out chan<- *flight, wg *sync.WaitG
 	}()
 	for fw := range work {
 		sd.gather(fw)
-		out <- fw.f
+		if out != nil {
+			out <- fw.f
+		} else {
+			sd.p.deliver(fw.f)
+		}
 	}
 	dispatchWG.Wait()
 }
@@ -470,13 +479,13 @@ func (sd *stageDriver) rebalance() {
 }
 
 // rebalanceMeasured re-splits the stage into strips using measured per-device
-// execution times from the telemetry window: a device that computed rows_k
+// execution times over the telemetry window: a device that computed rows_k
 // rows (a grid tile counts its cells in full-width rows) in p50_k seconds
 // weighs rows_k/p50_k, so a straggler the static profile did not predict
 // sheds rows to its faster peers. Devices with fewer than telemetry.MinSamples
 // windowed samples keep their profile speed. Returns whether the layout
 // changed.
-func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
+func (sd *stageDriver) rebalanceMeasured() bool {
 	sd.topoMu.Lock()
 	tiles, dead := sd.tiles, sd.dead
 	sd.topoMu.Unlock()
@@ -491,7 +500,7 @@ func (sd *stageDriver) rebalanceMeasured(window time.Duration) bool {
 		}
 		w := sd.speedOf(slot.deviceIdx)
 		if rows := float64(tiles[k].Cells()) / float64(sd.out.W); rows > 0 {
-			st := sd.p.series(sd.index, slot.deviceIdx, telemetry.KindExec).StatsWindow(window)
+			st := sd.p.series(sd.index, slot.deviceIdx, telemetry.KindExec).Stats()
 			if st.WindowCount >= telemetry.MinSamples && st.P50 > 0 {
 				w = rows / st.P50
 				measured++
@@ -553,7 +562,7 @@ type Pipeline struct {
 	faults faultLog
 
 	// telem receives the pipeline's samples keyed under telemLabel: whole-task
-	// e2e in the sink, per-stage round trips in gather, per-device exec and
+	// e2e in deliver, per-stage round trips in gather, per-device exec and
 	// kernel seconds through record. It is the one store of those
 	// measurements: WorkerStats and Health read their counters back from it.
 	// Each series has one writer goroutine, so a write is an uncontended lock
@@ -570,7 +579,7 @@ type chain struct {
 	plan   *core.Plan
 	stages []*stageDriver
 	in     chan *flight
-	// wg tracks the stage drivers and the sink.
+	// wg tracks the stage drivers.
 	wg sync.WaitGroup
 	// closing is closed once the stage drivers have drained: it stops redial
 	// loops and retry backoff waits.
@@ -791,48 +800,46 @@ func (p *Pipeline) connect(plan *core.Plan, redialLost bool) (*chain, error) {
 		}
 	}
 
-	// Wire the stage channels and start the drivers.
+	// Wire the stage channels and start the drivers; the last one delivers.
 	prev := c.in
-	for _, sd := range c.stages {
-		next := make(chan *flight, queueDepth)
+	for si, sd := range c.stages {
+		var next chan *flight
+		if si < len(c.stages)-1 {
+			next = make(chan *flight, queueDepth)
+		}
 		c.wg.Add(1)
 		go sd.run(prev, next, &c.wg)
 		prev = next
 	}
-	c.wg.Add(1)
-	go p.sink(prev, &c.wg)
 	return c, nil
 }
 
-// sink turns the flights leaving a chain's last stage into results, each
-// sent to its flight's slot.
-func (p *Pipeline) sink(last <-chan *flight, wg *sync.WaitGroup) {
-	defer wg.Done()
-	for f := range last {
-		output := f.m.Tensor()
-		if p.scales != nil {
-			if f.err == nil {
-				// Hand the caller float output regardless of transport
-				// precision; the int8 map served its last hop.
-				q := f.m.QTensor()
-				output = q.Dequantize()
-			}
-			if f.owned {
-				f.m.Recycle()
-			}
-		}
-		done := time.Now()
+// deliver turns a flight that left the chain's last stage into its result,
+// sent to the flight's slot.
+func (p *Pipeline) deliver(f *flight) {
+	output := f.m.Tensor()
+	if p.scales != nil {
 		if f.err == nil {
-			p.e2eSeries.RecordAt(done, done.Sub(f.submitted).Seconds())
+			// Hand the caller float output regardless of transport
+			// precision; the int8 map served its last hop.
+			q := f.m.QTensor()
+			output = q.Dequantize()
 		}
-		f.done <- TaskResult{
-			ID:        f.id,
-			Output:    output,
-			Err:       f.err,
-			Submitted: f.submitted,
-			Done:      done,
-			Spans:     f.spans,
+		if f.owned {
+			f.m.Recycle()
 		}
+	}
+	done := time.Now()
+	if f.err == nil {
+		p.e2eSeries.RecordAt(done, done.Sub(f.submitted).Seconds())
+	}
+	f.done <- TaskResult{
+		ID:        f.id,
+		Output:    output,
+		Err:       f.err,
+		Submitted: f.submitted,
+		Done:      done,
+		Spans:     f.spans,
 	}
 }
 
@@ -969,25 +976,18 @@ func (p *Pipeline) DownDevices() []int {
 }
 
 // SLORebalance re-splits every stage's tiles from measured per-device
-// execution times in the given telemetry window — the SLO watcher's control
+// execution times over the telemetry window — the SLO watcher's control
 // action, reusing the same divide-and-conquer balancer the fault path runs
 // when a device dies. It returns how many stages changed layout.
-func (p *Pipeline) SLORebalance(window time.Duration) int {
-	if window <= 0 {
-		window = p.telem.Window()
-	}
+func (p *Pipeline) SLORebalance() int {
 	n := 0
 	for _, sd := range p.cur.Load().stages {
-		if sd.rebalanceMeasured(window) {
+		if sd.rebalanceMeasured() {
 			n++
 		}
 	}
 	return n
 }
-
-// Telemetry returns the pipeline's registry: the one attached at
-// construction, or its private one.
-func (p *Pipeline) Telemetry() *telemetry.Registry { return p.telem }
 
 // series returns the pipeline's series for (stage, device, kind).
 func (p *Pipeline) series(stage, device int, kind string) *telemetry.Series {

@@ -135,8 +135,8 @@ func TestPipelineResultsInSubmissionOrder(t *testing.T) {
 // TestSubmitToContract pins the caller-owned result slot: each task answers
 // on its own slot with its ID and byte-exact output, an unbuffered slot is
 // refused before it consumes a task ID, slots nobody reads stall neither the
-// sink nor Close, and a plain Submit issued after them still arrives in order
-// on Results().
+// last stage nor Close, and a plain Submit issued after them still arrives in
+// order on Results().
 func TestSubmitToContract(t *testing.T) {
 	plan := testPlan(t, 3)
 	lc := startCluster(t, 3, nil)
@@ -162,8 +162,8 @@ func TestSubmitToContract(t *testing.T) {
 		return TaskResult{}
 	}
 	// Read slots, abandoned slots (more than the stage queues hold, so a
-	// sink blocked on one would wedge), then plain submits: task IDs 1.. in
-	// that order.
+	// last stage blocked on one would wedge), then plain submits: task IDs
+	// 1.. in that order.
 	const read, abandoned, plain = 4, 3 * queueDepth, 3
 	inputs := make([]tensor.Tensor, read+abandoned+plain)
 	for i := range inputs {

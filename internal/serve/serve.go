@@ -174,10 +174,6 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Telemetry exposes the gateway's latency registry (shared with every
-// pooled pipeline), windowed at the registry default of 60 s.
-func (g *Gateway) Telemetry() *telemetry.Registry { return g.telem }
-
 // onBreach is the SLO watcher's control action: the breached series' model
 // label is a session key string, and that session's pipeline re-balances its
 // strips from measured per-device execution times — the same machinery the
@@ -188,7 +184,7 @@ func (g *Gateway) onBreach(b telemetry.Breach) {
 		if s.key.String() != b.Key.Model {
 			continue
 		}
-		if n := s.pipe.SLORebalance(g.telem.Window()); n > 0 {
+		if n := s.pipe.SLORebalance(); n > 0 {
 			g.sloRebalanced.Add(int64(n))
 		}
 	}
@@ -203,9 +199,6 @@ func (g *Gateway) CheckSLO(now time.Time) []telemetry.Breach {
 	}
 	return g.watcher.Check(now)
 }
-
-// Handler exposes the gateway's routes for embedding and tests.
-func (g *Gateway) Handler() http.Handler { return g.srv.Handler }
 
 // Listen binds addr (":0" for an ephemeral port) and returns the bound
 // address. Call Serve to start handling requests.

@@ -456,12 +456,12 @@ func TestGatewayHealthAndStatsEndpoints(t *testing.T) {
 	f.serveErr <- nil
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	rec := httptest.NewRecorder()
-	f.g.Handler().ServeHTTP(rec, req)
+	f.g.srv.Handler.ServeHTTP(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: %d, want 503", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	f.g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(nil)))
+	f.g.srv.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(nil)))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("infer while draining: %d, want 503", rec.Code)
 	}
@@ -526,7 +526,7 @@ func TestGatewayReacquiresRetiredSession(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		f.g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer?model=toy&plan=pico", body))
+		f.g.srv.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer?model=toy&plan=pico", body))
 	}()
 	// The handler reads the body only after its pool get, so once it has
 	// taken the first byte it holds the live session.

@@ -220,18 +220,21 @@ func TestMetricsEndpoint(t *testing.T) {
 // the cluster is profiled homogeneous so the planner splits strips evenly,
 // but one worker is emulated 8x slower. Measured exec-time skew breaches the
 // watcher policy, and the triggered re-balance must shift rows off the
-// straggler — the FaultRebalanced journal records the new layout.
+// straggler — the FaultRebalanced journal records the new layout. The
+// speeds make a fast device's stage-0 tile an emulated 49 ms, above its real
+// kernel time under -race and -coverpkg (about 15 and 28 ms on a 2-vCPU
+// x86-64 host), so the measured skew is the emulated 8x, not the host's.
 func TestSLOBreachTriggersRebalance(t *testing.T) {
-	const fastHz, slowHz = 4e7, 5e6
+	const fastHz, slowHz = 4e6, 5e5
 	speeds := []float64{fastHz, fastHz, slowHz}
 	f := newGateway(t, localCluster(t, len(speeds), speeds), fastHz, func(c *Config) {
 		c.MaxQueue = 64
 		c.LatencyBound = 1e9
 		c.SLOSkewFactor = 3
 	})
-	// Served through Handler(), never Serve, so the watcher's ticker never
-	// starts: the test ticks it by hand via CheckSLO.
-	hs := httptest.NewServer(f.g.Handler())
+	// Served through the gateway's handler, never Serve, so the watcher's
+	// ticker never starts: the test ticks it by hand via CheckSLO.
+	hs := httptest.NewServer(f.g.srv.Handler)
 	t.Cleanup(hs.Close)
 	f.base = hs.URL
 	in := tensor.RandomInput(f.model.Input, 17)

@@ -14,8 +14,8 @@ type sample struct {
 }
 
 // Series is one key's sample stream: a ring of the last ringSize samples
-// written under mu, folded on the read path into the samples kept for the
-// retention horizon.
+// written under mu, folded on the read path into the samples of the
+// registry's window.
 type Series struct {
 	key  Key
 	opts Options
@@ -39,9 +39,6 @@ type Series struct {
 func newSeries(key Key, opts Options) *Series {
 	return &Series{key: key, opts: opts}
 }
-
-// Key returns the series identity.
-func (s *Series) Key() Key { return s.key }
 
 // Producer is the writer's handle on a series: the series itself.
 type Producer = Series
@@ -80,7 +77,7 @@ func (s *Series) Sum() float64 {
 
 // foldLocked copies the samples recorded since the last fold out of the
 // ring, counts those already overwritten as dropped, and evicts kept samples
-// older than the retention horizon. Callers hold s.readMu.
+// observed before now-Window. Callers hold s.readMu.
 func (s *Series) foldLocked(now int64) {
 	s.mu.Lock()
 	from := max(s.folded, s.count-ringSize)
@@ -90,28 +87,19 @@ func (s *Series) foldLocked(now int64) {
 	s.dropped += from - s.folded
 	s.folded = s.count
 	s.mu.Unlock()
-	cutoff := now - s.opts.retention().Nanoseconds()
+	cutoff := now - s.opts.Window.Nanoseconds()
 	s.kept = slices.DeleteFunc(s.kept, func(x sample) bool { return x.at < cutoff })
 }
 
 // Stats folds the series and computes its sliding-window percentile
-// snapshot over the registry's default window.
+// snapshot: the quantiles of the samples observed at or after now-Window,
+// with the count as of the fold.
 func (s *Series) Stats() SeriesStats {
-	return s.StatsWindow(s.opts.Window)
-}
-
-// StatsWindow is Stats over an explicit window: the quantiles of the kept
-// samples observed at or after now-window, with the count as of the fold.
-func (s *Series) StatsWindow(window time.Duration) SeriesStats {
-	now := s.opts.now().UnixNano()
 	s.readMu.Lock()
-	s.foldLocked(now)
-	cutoff := now - window.Nanoseconds()
-	var vals []float64
-	for _, x := range s.kept {
-		if x.at >= cutoff {
-			vals = append(vals, x.v)
-		}
+	s.foldLocked(s.opts.now().UnixNano())
+	vals := make([]float64, len(s.kept))
+	for i, x := range s.kept {
+		vals[i] = x.v
 	}
 	st := SeriesStats{Key: s.key, Count: s.folded, Dropped: s.dropped, WindowCount: len(vals)}
 	s.readMu.Unlock()

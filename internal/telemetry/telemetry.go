@@ -1,9 +1,9 @@
 // Package telemetry is the streaming-percentile SLO engine: per series, a
 // fixed ring of the last 256 samples filled under a mutex (each runtime
-// series has one writer — a stage's gather loop, a chain's sink — and the
-// gateway's request series takes one sample per request), folded on read
-// into the samples kept for the retention horizon, over which p50/p95/p99
-// are computed by quickselect on demand.
+// series has one writer — a stage's gather loop, which on the last stage
+// also records e2e — and the gateway's request series takes one sample per
+// request), folded on read into the samples of the registry's window, over
+// which p50/p95/p99 are computed by quickselect on demand.
 //
 // The write path is a lock, one store and two adds — cheap enough to sit on
 // the per-task and per-tile hot paths. Copying, eviction and selection happen
@@ -82,21 +82,16 @@ func (k Key) less(o Key) bool {
 
 // Options configure a Registry. The zero value gets defaults.
 type Options struct {
-	// Window is the sliding window Snapshot and WriteMetrics aggregate over
-	// (default 60s). A series keeps folded samples for max(5m, Window).
+	// Window is the sliding window every read aggregates over, and the
+	// horizon a series keeps folded samples for (default 60s).
 	Window time.Duration
 
 	// now overrides the clock for tests.
 	now func() time.Time
 }
 
-// Ring size and history of every series: the ring holds the last ringSize
-// samples, and folded samples are kept for minRetention, or for the window
-// when that is longer.
-const (
-	ringSize     = 256
-	minRetention = 5 * time.Minute
-)
+// ringSize is how many of its last samples a series' ring holds.
+const ringSize = 256
 
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
@@ -107,9 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// retention returns how far back the registry's series keep folded samples.
-func (o Options) retention() time.Duration { return max(minRetention, o.Window) }
 
 // Registry owns the series of one process (a gateway, a picorun
 // coordinator). Series are created lazily on first use and never removed.
@@ -124,9 +116,6 @@ type Registry struct {
 func New(opts Options) *Registry {
 	return &Registry{opts: opts.withDefaults(), series: make(map[Key]*Series)}
 }
-
-// Window returns the registry's sliding aggregation window.
-func (r *Registry) Window() time.Duration { return r.opts.Window }
 
 // Series returns the series for key, creating it on first use.
 func (r *Registry) Series(key Key) *Series {

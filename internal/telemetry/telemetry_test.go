@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -266,23 +267,29 @@ func TestSeriesWindowAndRetention(t *testing.T) {
 		t.Fatalf("window quantiles p50=%v p99=%v, want 3.0", st.P50, st.P99)
 	}
 
-	retained := func() int {
+	// After every fold the series keeps each sample observed at or after
+	// now-Window and none older: the ten 3.0 samples recorded now, then one
+	// sample a second over three windows.
+	var recorded []sample
+	for i := 0; i < 10; i++ {
+		recorded = append(recorded, sample{at: clk.now().UnixNano(), v: 3.0})
+	}
+	for i := 0; i < 30; i++ {
+		at := clk.now()
+		p.RecordAt(at, float64(i))
+		recorded = append(recorded, sample{at: at.UnixNano(), v: float64(i)})
+		clk.advance(time.Second)
 		kept, _ := foldAll(s)
-		return len(kept)
-	}
-	// Out of the window but within the five-minute retention every sample is
-	// kept; past it they are evicted.
-	clk.advance(4 * time.Minute)
-	if n := retained(); n != 20 {
-		t.Fatalf("retention kept %d of 20 samples inside its horizon", n)
-	}
-	clk.advance(2 * time.Minute)
-	if n := retained(); n != 0 {
-		t.Fatalf("retention kept %d samples past horizon", n)
-	}
-	// A window longer than the retention keeps its whole span.
-	if got := New(Options{Window: time.Hour}).opts.retention(); got != time.Hour {
-		t.Fatalf("an hour's window retains %v", got)
+		cutoff := clk.now().Add(-10 * time.Second).UnixNano()
+		var want []sample
+		for _, x := range recorded {
+			if x.at >= cutoff {
+				want = append(want, x)
+			}
+		}
+		if !slices.Equal(kept, want) {
+			t.Fatalf("after %d s the series keeps %v, want the window's %v", i+1, kept, want)
+		}
 	}
 }
 

@@ -207,7 +207,7 @@ func FuzzFKernelTile(f *testing.F) {
 
 		// ffcPanel16 (16 features from a transposed weight panel) has no
 		// scalar tail of its own; drive the raw asm where the host has it.
-		if simdFloat {
+		if simd {
 			{
 				panel := randF(n * 16)
 				src := randF(n)

@@ -326,7 +326,7 @@ var fgemm = gemmDType[float32, convWeights, fpwVariant]{
 	gatherBytes: fpwGatherBytes,
 	tapBytes:    4,
 	tileMajor:   true,
-	inPlace:     simdFloat,
+	inPlace:     simd,
 	pack:        fpwPanel,
 	tile:        fpwTile,
 }

@@ -69,7 +69,7 @@ func QuantizeTensor(t Tensor, scale float32) QTensor {
 func quantizeRow(dst []int8, src []float32, inv float32) {
 	n := len(src)
 	i := 0
-	if simdQuant && n >= 8 {
+	if simd && n >= 8 {
 		m := n &^ 7
 		qquantizeRow8(&dst[0], &src[0], inv, m)
 		i = m
@@ -301,7 +301,7 @@ func scaleFor(maxabs float32) float32 {
 func requantRow(dst []int8, acc []int32, scale, bias float32, act nn.Activation) {
 	n := len(acc)
 	i := 0
-	if simdQuant && n >= 8 {
+	if simd && n >= 8 {
 		m := n &^ 7
 		qrequantRow8(&dst[0], &acc[0], scale, bias, actCode(act), m)
 		i = m

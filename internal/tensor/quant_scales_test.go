@@ -8,13 +8,13 @@ import (
 	"pico/internal/nn"
 )
 
-// eachSimdQuant runs fn with the vector quantizer on (where the host has one)
-// and off.
-func eachSimdQuant(t *testing.T, fn func(t *testing.T)) {
+// eachSimd runs fn with the vector kernels on (where the host has them) and
+// off.
+func eachSimd(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	defer func(v bool) { simdQuant = v }(simdQuant)
+	defer func(v bool) { simd = v }(simd)
 	for _, on := range []bool{vectorAvailable(), false} {
-		simdQuant = on
+		simd = on
 		fn(t)
 	}
 }
@@ -83,10 +83,10 @@ func TestQuantWeightsMatchScalarLoop(t *testing.T) {
 		wq, sW := scalarQuantRows(cw.w, tc.l.OutC, perOC)
 		want := &qconvWeights{qparams: qparams{wq: wq}}
 		want.pack(&tc.l, icg)
-		eachSimdQuant(t, func(t *testing.T) {
+		eachSimd(t, func(t *testing.T) {
 			got := genQConv(cw, &tc.l, icg, sIn, sOut)
 			if !reflect.DeepEqual(got.wq, want.wq) || !reflect.DeepEqual(got.pw, want.pw) {
-				t.Fatalf("%s (simdQuant=%v): int8 weights differ from the scalar loop", tc.name, simdQuant)
+				t.Fatalf("%s (simd=%v): int8 weights differ from the scalar loop", tc.name, simd)
 			}
 			for oc := 0; oc < tc.l.OutC; oc++ {
 				bnS, bnSh := float32(1), float32(0)
@@ -94,7 +94,7 @@ func TestQuantWeightsMatchScalarLoop(t *testing.T) {
 					bnS, bnSh = cw.bnScale[oc], cw.bnShift[oc]
 				}
 				if es, eb := sIn*sW[oc]*bnS/sOut, (cw.bias[oc]*bnS+bnSh)/sOut; math.Float32bits(got.effScale[oc]) != math.Float32bits(es) || math.Float32bits(got.effBias[oc]) != math.Float32bits(eb) {
-					t.Fatalf("%s (simdQuant=%v): channel %d epilogue (%g, %g), want (%g, %g)", tc.name, simdQuant, oc, got.effScale[oc], got.effBias[oc], es, eb)
+					t.Fatalf("%s (simd=%v): channel %d epilogue (%g, %g), want (%g, %g)", tc.name, simd, oc, got.effScale[oc], got.effBias[oc], es, eb)
 				}
 			}
 		})
@@ -107,14 +107,14 @@ func TestQuantWeightsMatchScalarLoop(t *testing.T) {
 			edgeRows(fw.w, inElems)
 		}
 		wq, sW := scalarQuantRows(fw.w, l.OutF, inElems)
-		eachSimdQuant(t, func(t *testing.T) {
+		eachSimd(t, func(t *testing.T) {
 			got := genQFC(fw, &l, inElems, sIn, sOut)
 			if !reflect.DeepEqual(got.wq, wq) {
-				t.Fatalf("fc %d (simdQuant=%v): int8 weights differ from the scalar loop", inElems, simdQuant)
+				t.Fatalf("fc %d (simd=%v): int8 weights differ from the scalar loop", inElems, simd)
 			}
 			for o := 0; o < l.OutF; o++ {
 				if es, eb := sIn*sW[o]/sOut, fw.bias[o]/sOut; math.Float32bits(got.effScale[o]) != math.Float32bits(es) || math.Float32bits(got.effBias[o]) != math.Float32bits(eb) {
-					t.Fatalf("fc %d (simdQuant=%v): feature %d epilogue (%g, %g), want (%g, %g)", inElems, simdQuant, o, got.effScale[o], got.effBias[o], es, eb)
+					t.Fatalf("fc %d (simd=%v): feature %d epilogue (%g, %g), want (%g, %g)", inElems, simd, o, got.effScale[o], got.effBias[o], es, eb)
 				}
 			}
 		})

@@ -11,9 +11,9 @@ import "pico/internal/nn"
 // (VFMADD231PS, the scalar fma32; DESIGN.md §6). Every other architecture,
 // and amd64 under the purego tag, runs the scalar loops alone.
 
-// simdQuant gates the vectorized int8 kernel surface (the GEMM tile has its
-// own variant table, see gemm.go).
-var simdQuant = vectorAvailable()
+// simd gates the vectorized kernel surface of both dtypes (the GEMM tiles
+// have their own variant tables, see gemm.go).
+var simd = vectorAvailable()
 
 // SIMDName names the GEMM tiles the host runs, float32's then int8's
 // ("avx512/avx2+vnni", "avx512/avx2", "avx2/avx2"), or "" for pure scalar.
@@ -31,7 +31,7 @@ func SIMDName() string {
 // readable bytes.
 func maxPairRow(dst []int8, a, b []int8, n int) {
 	i := 0
-	if simdQuant && n >= 8 {
+	if simd && n >= 8 {
 		m := n &^ 7
 		qmaxPair8(&dst[0], &a[0], &b[0], m)
 		i = m
@@ -56,7 +56,7 @@ func dotI8(a, b []int8) int32 {
 	n := len(a)
 	var acc int32
 	i := 0
-	if simdQuant && n >= 16 {
+	if simd && n >= 16 {
 		m := n &^ 15
 		acc = qdotKernel(&a[0], &b[0], m)
 		i = m
@@ -80,7 +80,7 @@ var qones = func() []int8 {
 // sumI8 returns the wrapping int32 sum of xs.
 func sumI8(xs []int8) int32 {
 	var acc int32
-	for len(xs) >= 16 && simdQuant {
+	for len(xs) >= 16 && simd {
 		k := len(xs)
 		if k > len(qones) {
 			k = len(qones)
@@ -95,9 +95,6 @@ func sumI8(xs []int8) int32 {
 	return acc
 }
 
-// simdFloat gates the vectorized float32 kernel surface.
-var simdFloat = vectorAvailable()
-
 // maxPairRowF computes one output row of an unpadded 2x2 stride-2 float max
 // pool: dst[i] folds a[2i], a[2i+1], b[2i], b[2i+1] into a negInf-seeded
 // accumulator with the scalar kernel's `if v > acc` semantics (NaNs and
@@ -105,7 +102,7 @@ var simdFloat = vectorAvailable()
 // float32s.
 func maxPairRowF(dst []float32, a, b []float32, n int) {
 	i := 0
-	if simdFloat && n >= 8 {
+	if simd && n >= 8 {
 		m := n &^ 7
 		fmaxPair8(&dst[0], &a[0], &b[0], m)
 		i = m
@@ -135,7 +132,7 @@ func maxPairRowF(dst []float32, a, b []float32, n int) {
 // channel's chain past the vector prefix.
 func gapSum8F(dst *[8]float32, src []float32, chanStride, n int) {
 	i := 0
-	if simdFloat && n >= 8 {
+	if simd && n >= 8 {
 		m := n &^ 7
 		fgapSum8(&dst[0], &src[0], chanStride, m)
 		i = m
@@ -164,7 +161,7 @@ func (p *fparams) finishChannel(acc []float32, oc int, act nn.Activation) {
 	if p.bnScale != nil {
 		bn, scale, shift = 1, p.bnScale[oc], p.bnShift[oc]
 	}
-	if m := len(acc) &^ 7; simdFloat && m >= 8 {
+	if m := len(acc) &^ 7; simd && m >= 8 {
 		fepiRow(&acc[0], scale, shift, bn, actCode(act), m)
 		acc = acc[m:]
 	}

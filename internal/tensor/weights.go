@@ -251,7 +251,7 @@ func genFCParams(seed int64, key string, l *nn.Layer, inElems int) *fcWeights {
 // float SIMD, the panels the vector kernel reads.
 func genFC(seed int64, key string, l *nn.Layer, inElems int) *fcWeights {
 	fw := genFCParams(seed, key, l, inElems)
-	if nf := l.OutF &^ 15; simdFloat && nf > 0 && inElems > 0 {
+	if nf := l.OutF &^ 15; simd && nf > 0 && inElems > 0 {
 		fw.panels = make([]float32, nf*inElems)
 		for p := 0; p < nf/16; p++ {
 			for i := 0; i < inElems; i++ {
